@@ -111,8 +111,11 @@ pub fn summarize_window(
                 if ds.name == "conn" {
                     continue;
                 }
+                // Reads hand back zero-copy windows of the file; element
+                // access needs the typed form.
+                let data = ds.data.to_typed()?;
                 if ds.name == "nc" {
-                    let coords = ds.data.as_f64()?;
+                    let coords = data.as_f64()?;
                     let bounds = summary.mesh_bounds.get_or_insert((
                         [f64::INFINITY; 3],
                         [f64::NEG_INFINITY; 3],
@@ -125,7 +128,7 @@ pub fn summarize_window(
                     }
                     continue;
                 }
-                if let Ok(values) = ds.data.as_f64() {
+                if let Ok(values) = data.as_f64() {
                     summary
                         .fields
                         .entry(ds.name.clone())

@@ -61,8 +61,7 @@ pub fn read_attribute_individual(
         now = t_open;
         for id in reader.block_ids() {
             if missing.contains(&id) {
-                // Coalesced zero-copy read: one fs operation per block
-                // when the block's records are contiguous; payloads are
+                // Zero-copy read, one store call per block; payloads are
                 // windows into the file image until `apply_block`
                 // installs them typed.
                 let (block, t) = reader.read_block_shared(id, now)?;

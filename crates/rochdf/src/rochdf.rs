@@ -77,17 +77,6 @@ impl IoService for Rochdf<'_> {
         let t = w.finish(t)?;
         self.comm.clock().merge(t);
         self.files_written += 1;
-        if std::env::var("ROCHDF_TRACE").is_ok() {
-            eprintln!(
-                "[rochdf r{}] {} blocks={} t_enter={:.3} done={:.3} dt={:.4}",
-                self.comm.rank(),
-                sel,
-                window.n_panes(),
-                t_enter,
-                self.comm.now(),
-                self.comm.now() - t_enter
-            );
-        }
         self.visible_io += self.comm.now() - t_enter;
         Ok(())
     }

@@ -28,7 +28,7 @@ use std::collections::{BTreeMap, HashSet};
 use bytes::Bytes;
 use rocio_core::{BlockId, DataBlock, Result, RocError, Segment, SimTime};
 use rocnet::Comm;
-use rocsdf::format::{block_prefix, decode_dataset_shared, parse_block_meta};
+use rocsdf::format::{block_from_records, decode_dataset_shared};
 use rocsdf::{LibraryModel, SdfFileReader};
 use rocstore::SharedFs;
 
@@ -39,13 +39,18 @@ use roccom::{AttrSelector, Windows};
 pub const TAG_TP_BLOCK: u32 = 0x0070_0001;
 /// Tag of an aggregator's per-receiver completion notice (message count).
 pub const TAG_TP_DONE: u32 = 0x0070_0002;
+/// Tag of the completion notice of an aggregator whose phase one failed:
+/// the message count, then the error text. Never sent on a clean restart.
+pub const TAG_TP_FAILED: u32 = 0x0070_0003;
 
 /// Collective partitioned read: every rank of `comm` calls this with its
 /// own `wanted` block ids; the first `n_aggregators` ranks read the
 /// snapshot files under `prefix` (round-robin, one contiguous domain read
 /// per file) and redistribute, and every rank returns with exactly the
 /// blocks it asked for, sorted by id. Errors if a wanted block exists in
-/// no file — after the drain, so no rank is left waiting.
+/// no file, and on **every** rank if an aggregator's read failed (the
+/// aggregator keeps its own error, the others name its rank) — always
+/// after the drain, so no rank is left waiting.
 pub fn read_partitioned(
     fs: &SharedFs,
     comm: &Comm,
@@ -89,6 +94,9 @@ pub fn read_partitioned(
     let mut expected: u64 = 0;
     let mut dones = 0usize;
     let expect_dones = n_agg - usize::from(rank < n_agg);
+    // The first failure this rank met or was told of. It is returned only
+    // after the drain, so a failed restart still leaves the fabric empty.
+    let mut failure: Option<RocError> = None;
 
     if rank < n_agg {
         // Phase one: read owned file domains; phase two: route each block
@@ -97,39 +105,53 @@ pub fn read_partitioned(
         fs.declare_readers(n_agg);
         let client = comm.global_rank() as u64;
         let mut sent = vec![0u64; size];
-        let mut now = comm.now();
-        for (i, path) in files.iter().enumerate() {
-            if i % n_agg != rank {
-                continue;
-            }
-            let (reader, t_open) = SdfFileReader::open(fs, path, lib, client, now)?;
-            now = t_open;
-            let present: Vec<BlockId> = reader
-                .block_ids()
-                .into_iter()
-                .filter(|id| want_of.contains_key(id))
-                .collect();
-            if present.is_empty() {
-                continue;
-            }
-            let (raw, t) = reader.read_blocks_raw(&present, now)?;
-            now = t;
-            comm.clock().merge(now);
-            for (id, records) in &raw {
-                for &dst in &want_of[id] {
-                    if dst == rank {
-                        got.push(decode_block(*id, records)?);
-                    } else {
-                        comm.send_segments(dst, TAG_TP_BLOCK, &encode_block(*id, records))?;
-                        sent[dst] += 1;
+        let mut aggregate = || -> Result<()> {
+            let mut now = comm.now();
+            for (i, path) in files.iter().enumerate() {
+                if i % n_agg != rank {
+                    continue;
+                }
+                let (reader, t_open) = SdfFileReader::open(fs, path, lib, client, now)?;
+                now = t_open;
+                let present: Vec<BlockId> = reader
+                    .block_ids()
+                    .into_iter()
+                    .filter(|id| want_of.contains_key(id))
+                    .collect();
+                if present.is_empty() {
+                    continue;
+                }
+                let (raw, t) = reader.read_blocks_raw(&present, now)?;
+                now = t;
+                comm.clock().merge(now);
+                for (id, records) in &raw {
+                    for &dst in &want_of[id] {
+                        if dst == rank {
+                            got.push(decode_block(*id, records)?);
+                        } else {
+                            comm.send_segments(dst, TAG_TP_BLOCK, &encode_block(*id, records))?;
+                            sent[dst] += 1;
+                        }
                     }
                 }
             }
-        }
-        comm.clock().merge(now);
+            comm.clock().merge(now);
+            Ok(())
+        };
+        // A failed aggregator still owes every rank its completion notice
+        // (with the count of blocks already on their way), or they would
+        // wait in the drain for ever.
+        failure = aggregate().err();
         for (dst, &n) in sent.iter().enumerate() {
-            if dst != rank {
-                comm.send(dst, TAG_TP_DONE, &n.to_le_bytes())?;
+            if dst == rank {
+                continue;
+            }
+            match &failure {
+                None => comm.send(dst, TAG_TP_DONE, &n.to_le_bytes())?,
+                Some(e) => {
+                    let notice = [&n.to_le_bytes()[..], e.to_string().as_bytes()].concat();
+                    comm.send(dst, TAG_TP_FAILED, &notice)?
+                }
             }
         }
     }
@@ -138,16 +160,30 @@ pub fn read_partitioned(
     while dones < expect_dones || received < expected {
         let msg = comm.recv(None, None)?;
         match msg.tag {
-            TAG_TP_DONE => {
-                let n = u64::from_le_bytes(msg.payload.as_ref().try_into().map_err(|_| {
-                    RocError::Comm("two-phase: malformed done notice".into())
-                })?);
+            TAG_TP_DONE | TAG_TP_FAILED => {
+                let (n, why) = msg
+                    .payload
+                    .split_first_chunk::<8>()
+                    .filter(|(_, why)| why.is_empty() || msg.tag == TAG_TP_FAILED)
+                    .ok_or_else(|| RocError::Comm("two-phase: malformed done notice".into()))?;
                 dones += 1;
-                expected += n;
+                expected += u64::from_le_bytes(*n);
+                if msg.tag == TAG_TP_FAILED {
+                    failure.get_or_insert_with(|| {
+                        RocError::Storage(format!(
+                            "two-phase restart: aggregator rank {} failed: {}",
+                            msg.src,
+                            String::from_utf8_lossy(why)
+                        ))
+                    });
+                }
             }
             TAG_TP_BLOCK => {
-                got.push(decode_block_msg(&msg.payload)?);
                 received += 1;
+                match decode_block_msg(&msg.payload) {
+                    Ok(block) => got.push(block),
+                    Err(e) => failure = failure.or(Some(e)),
+                }
             }
             other => {
                 return Err(RocError::Comm(format!(
@@ -155,6 +191,9 @@ pub fn read_partitioned(
                 )));
             }
         }
+    }
+    if let Some(e) = failure {
+        return Err(e);
     }
 
     let have: HashSet<BlockId> = got.iter().map(|b| b.id).collect();
@@ -250,34 +289,7 @@ fn decode_block_msg(payload: &Bytes) -> Result<DataBlock> {
 /// record's payload CRC — the receiver is the integrity boundary on this
 /// path.
 fn decode_block(id: BlockId, records: &[Bytes]) -> Result<DataBlock> {
-    let meta = records
-        .first()
-        .ok_or_else(|| RocError::Corrupt(format!("two-phase: block {id} with no records")))?;
-    let meta = decode_dataset_shared(meta, &mut 0)?;
-    let (got_id, window, attrs) = parse_block_meta(&meta)?;
-    if got_id != id {
-        return Err(RocError::Corrupt(format!(
-            "two-phase: block meta id {got_id} != shipped {id}"
-        )));
-    }
-    let prefix = block_prefix(id);
-    let mut block = DataBlock::new(id, window);
-    block.attrs = attrs;
-    for rec in &records[1..] {
-        let mut ds = decode_dataset_shared(rec, &mut 0)?;
-        ds.name = ds
-            .name
-            .strip_prefix(&prefix)
-            .ok_or_else(|| {
-                RocError::Corrupt(format!(
-                    "two-phase: record '{}' outside block {id}",
-                    ds.name
-                ))
-            })?
-            .to_string();
-        block.push_dataset(ds)?;
-    }
-    Ok(block)
+    block_from_records(Some(id), records.iter().map(|r| decode_dataset_shared(r, &mut 0)))
 }
 
 #[cfg(test)]
@@ -392,6 +404,59 @@ mod tests {
             .is_err()
         });
         assert!(out.iter().all(|&e| e));
+    }
+
+    /// Flip one payload byte of block `id` (its `pressure` values are all
+    /// `id + 0.5`) in the file writer `w` wrote.
+    fn corrupt_block_on_disk(fs: &SharedFs, w: usize, id: u64) {
+        let path = RochdfConfig::default().path("fluid", SnapshotId::new(0, 0), w);
+        let (image, _) = fs.read_all_shared(&path, 0, 0.0).unwrap();
+        let needle = (id as f64 + 0.5).to_le_bytes();
+        let at = image.windows(8).position(|w| w == needle).unwrap();
+        fs.write_at(&path, at, &[image[at] ^ 0x01], 0, 0.0).unwrap();
+    }
+
+    #[test]
+    fn aggregator_read_failure_fails_every_rank_without_hanging() {
+        // Rank 0 aggregates file 0 and wants block 0 from it: its own
+        // decode meets the flipped byte. It must still tell ranks 1-3 it
+        // is done, and all four must come back with an error.
+        let fs = SharedFs::ideal();
+        write_snapshot(&fs, 4, 2);
+        corrupt_block_on_disk(&fs, 0, 0);
+        let prefix = RochdfConfig::default().prefix("fluid", SnapshotId::new(0, 0));
+        let errs = run_ranks(4, ClusterSpec::ideal(4), |comm| {
+            let r = comm.rank() as u64;
+            let want = [BlockId(2 * r), BlockId(2 * r + 1)];
+            read_partitioned(&fs, &comm, LibraryModel::hdf4(), &prefix, &want, 2).unwrap_err()
+        });
+        assert!(matches!(&errs[0], RocError::Corrupt(m) if m.contains("checksum")), "{:?}", errs[0]);
+        for e in &errs[1..] {
+            assert!(
+                matches!(e, RocError::Storage(m) if m.contains("aggregator rank 0") && m.contains("checksum")),
+                "{e:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn receiver_decode_failure_is_local_and_reported_after_the_drain() {
+        // Block 7 sits in file 3 (aggregator 1 ships it raw, unchecked) and
+        // only rank 3 wants it: rank 3 alone fails, with the decoder's own
+        // error, and still takes delivery of everything it was promised.
+        let fs = SharedFs::ideal();
+        write_snapshot(&fs, 4, 2);
+        corrupt_block_on_disk(&fs, 3, 7);
+        let prefix = RochdfConfig::default().prefix("fluid", SnapshotId::new(0, 0));
+        let out = run_ranks(4, ClusterSpec::ideal(4), |comm| {
+            let r = comm.rank() as u64;
+            let want = [BlockId(2 * r), BlockId(2 * r + 1)];
+            let got = read_partitioned(&fs, &comm, LibraryModel::hdf4(), &prefix, &want, 2);
+            assert!(comm.iprobe(None, None).is_none(), "undrained message on rank {r}");
+            got.map(|(blocks, _)| blocks.len())
+        });
+        assert_eq!(out[..3], [Ok(2), Ok(2), Ok(2)]);
+        assert!(matches!(&out[3], Err(RocError::Corrupt(m)) if m.contains("checksum")), "{:?}", out[3]);
     }
 
     #[test]

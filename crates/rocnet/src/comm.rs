@@ -7,7 +7,7 @@
 //! Rocpanda's initialization uses to divide the world into client and
 //! server communicators (§4.1).
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -17,7 +17,6 @@ use rocio_core::{segments_to_vec, Result, RocError, Segment, SimTime};
 use crate::cluster::ClusterSpec;
 use crate::fabric::{Envelope, Fabric};
 use crate::stats::{CommStats, StatsSnapshot};
-use crate::trace::{EventKind, TraceEvent};
 use crate::vtime::VClock;
 
 /// Largest tag value available to user code; larger tags are reserved for
@@ -66,7 +65,6 @@ pub struct Comm {
     coll_seq: Cell<u32>,
     split_seq: Cell<u32>,
     stats: CommStats,
-    trace: RefCell<Option<Vec<TraceEvent>>>,
 }
 
 impl Comm {
@@ -89,31 +87,6 @@ impl Comm {
             coll_seq: Cell::new(0),
             split_seq: Cell::new(0),
             stats: CommStats::default(),
-            trace: RefCell::new(None),
-        }
-    }
-
-    /// Start recording a virtual-time event trace on this communicator.
-    pub fn enable_tracing(&self) {
-        *self.trace.borrow_mut() = Some(Vec::new());
-    }
-
-    /// Stop tracing and return the recorded events (empty if tracing was
-    /// never enabled).
-    pub fn take_trace(&self) -> Vec<TraceEvent> {
-        self.trace.borrow_mut().take().unwrap_or_default()
-    }
-
-    fn record(&self, kind: EventKind, peer: Option<usize>, tag: Option<u32>, bytes: usize, t_start: f64) {
-        if let Some(events) = self.trace.borrow_mut().as_mut() {
-            events.push(TraceEvent {
-                kind,
-                peer,
-                tag,
-                bytes,
-                t_start,
-                t_end: self.clock.now(),
-            });
         }
     }
 
@@ -172,7 +145,6 @@ impl Comm {
     pub fn compute(&self, work: f64) {
         let t0 = self.clock.now();
         self.clock.advance(self.fabric.spec().compute_time(work));
-        self.record(EventKind::Compute, None, None, 0, t0);
         if rocobs::enabled() {
             rocobs::record(
                 rocobs::SpanCategory::Compute,
@@ -233,7 +205,6 @@ impl Comm {
                 self.fabric.n_ranks(),
             );
         self.stats.on_send(payload.len());
-        self.record(EventKind::Send, Some(dst), Some(tag), payload.len(), t_send_start);
         if rocobs::enabled() {
             rocobs::record(
                 rocobs::SpanCategory::Send,
@@ -319,7 +290,6 @@ impl Comm {
                 .take_matching(self.global_rank(), self.matcher(src, tag))
         };
         let msg = self.to_message(env);
-        self.record(EventKind::Recv, Some(msg.src), Some(msg.tag), msg.payload.len(), t0);
         if rocobs::enabled() {
             rocobs::record(
                 rocobs::SpanCategory::Recv,
@@ -366,7 +336,6 @@ impl Comm {
         match env {
             Some(env) => {
                 let msg = self.to_message(env);
-                self.record(EventKind::Recv, Some(msg.src), Some(msg.tag), msg.payload.len(), t0);
                 if rocobs::enabled() {
                     rocobs::record(
                         rocobs::SpanCategory::Recv,
@@ -525,7 +494,6 @@ impl Comm {
             coll_seq: Cell::new(0),
             split_seq: Cell::new(0),
             stats: CommStats::default(),
-            trace: RefCell::new(None),
         }))
     }
 }

@@ -64,7 +64,6 @@ pub mod request;
 pub mod rocrel;
 pub mod sched;
 pub mod stats;
-pub mod trace;
 pub mod tree;
 pub mod vtime;
 
@@ -79,5 +78,4 @@ pub use sched::{run_on_fabric_sched, run_ranks_sched, SchedConfig};
 pub use request::{RecvRequest, SendRequest};
 pub use rocrel::{RelConfig, RelOnly, ReliableComm, TAG_REL};
 pub use stats::CommStats;
-pub use trace::{EventKind, TraceEvent};
 pub use vtime::VClock;

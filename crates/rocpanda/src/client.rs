@@ -102,9 +102,6 @@ impl IoService for PandaClient<'_> {
         let t_enter = self.world.now();
         let window = windows.window(&sel.window)?;
         let blocks = roccom::convert::window_to_blocks(window, &sel.attr)?;
-        if std::env::var("PANDA_TRACE").is_ok() {
-            eprintln!("[client g{}] write_attribute {} snap={snap} blocks={}", self.world.global_rank(), sel.window, blocks.len());
-        }
         // Announce (collective: even a pane-less client announces, so the
         // server knows when a file is complete).
         let req = WriteReq {
@@ -142,15 +139,6 @@ impl IoService for PandaClient<'_> {
             in_flight -= 1;
         }
         self.net.recv(Some(self.my_server), Some(tag::DONE))?;
-        if std::env::var("PANDA_TRACE").is_ok() {
-            eprintln!(
-                "[client g{}] write {} snap={snap} took {:.4}s (t_enter={:.3})",
-                self.world.global_rank(),
-                sel.window,
-                self.world.now() - t_enter,
-                t_enter
-            );
-        }
         self.visible_io += self.world.now() - t_enter;
         Ok(())
     }
@@ -167,9 +155,6 @@ impl IoService for PandaClient<'_> {
             .iter()
             .map(|b| b.0)
             .collect();
-        if std::env::var("PANDA_TRACE").is_ok() {
-            eprintln!("[client g{}] read_attribute {} snap={snap} ids={}", self.world.global_rank(), sel.window, wanted.len());
-        }
         let req = ReadReq {
             snap,
             window: sel.window.clone(),
@@ -467,8 +452,8 @@ mod tests {
             .list("out/")
             .into_iter()
             .map(|p| {
-                let (bytes, _) = fs.read_all(&p, u64::MAX, 0.0).unwrap();
-                (p, bytes)
+                let (bytes, _) = fs.read_all_shared(&p, u64::MAX, 0.0).unwrap();
+                (p, bytes.to_vec())
             })
             .collect();
         (files, sum)

@@ -346,9 +346,6 @@ impl<'a> PandaServer<'a> {
     }
 
     fn handle(&mut self, msg: Message) -> Result<bool> {
-        if std::env::var("PANDA_TRACE").is_ok() {
-            eprintln!("[server {}] tag={:#x} from {} clock={:.4} arrival={:.4}", self.server_index, msg.tag, msg.src, self.world.now(), msg.arrival);
-        }
         match msg.tag {
             tag::WRITE_REQ => {
                 let tenant = self.tenant_of(msg.src)?;
@@ -569,9 +566,6 @@ impl<'a> PandaServer<'a> {
 
     /// Write the oldest eligible buffered block out (DRR across tenants).
     fn write_one(&mut self) -> Result<()> {
-        if std::env::var("PANDA_TRACE").is_ok() {
-            eprintln!("[server {}] write_one clock={:.4} qlen={}", self.server_index, self.world.now(), self.queued_total);
-        }
         if let Some(item) = self.pop_next() {
             let t0 = self.world.now();
             let bytes = item.block.encoded_size();

@@ -8,8 +8,8 @@
 use bytes::Bytes;
 use rocio_core::{DataBlock, Result, RocError, Segment, SnapshotId};
 use rocsdf::format::{
-    block_meta_dataset, block_prefix, decode_dataset, decode_dataset_shared, encode_dataset_into,
-    parse_block_meta, BLOCK_META,
+    block_from_records, block_meta_dataset, block_prefix, decode_dataset, decode_dataset_shared,
+    encode_dataset_into,
 };
 use rocsdf::SegmentPool;
 
@@ -227,31 +227,7 @@ impl BlockMsg {
         let snap = get_snap(bytes, &mut pos)?;
         let window = get_str(bytes, &mut pos)?;
         let n = rocio_core::le::u32(take(bytes, &mut pos, 4)?, "panda wire count")? as usize;
-        if n == 0 {
-            return Err(RocError::Corrupt("panda wire: empty block".into()));
-        }
-        let meta = record(&mut pos)?;
-        if !meta.name.ends_with(BLOCK_META) {
-            return Err(RocError::Corrupt(format!(
-                "panda wire: expected block meta first, got '{}'",
-                meta.name
-            )));
-        }
-        let (id, win_of_block, attrs) = parse_block_meta(&meta)?;
-        let mut block = DataBlock::new(id, win_of_block);
-        block.attrs = attrs;
-        let prefix = block_prefix(id);
-        for _ in 1..n {
-            let mut ds = record(&mut pos)?;
-            ds.name = ds
-                .name
-                .strip_prefix(&prefix)
-                .ok_or_else(|| {
-                    RocError::Corrupt(format!("panda wire: dataset '{}' outside block", ds.name))
-                })?
-                .to_string();
-            block.push_dataset(ds)?;
-        }
+        let block = block_from_records(None, (0..n).map(|_| record(&mut pos)))?;
         Ok(BlockMsg {
             snap,
             window,

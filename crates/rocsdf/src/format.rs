@@ -560,6 +560,40 @@ pub fn parse_block_meta(
     Ok((id, window, attrs))
 }
 
+/// Assemble a block from its decoded records, `__meta__` first, member
+/// names still carrying the block's group prefix — the one assembly step
+/// behind every file read, the two-phase redistribution and the Rocpanda
+/// wire decode. `expected` is the id the caller asked for (`None` on the
+/// wire, where the meta record itself names the block). Anything that is
+/// not "this block's meta, then this block's members" is
+/// [`RocError::Corrupt`].
+pub fn block_from_records(
+    expected: Option<BlockId>,
+    records: impl IntoIterator<Item = Result<Dataset>>,
+) -> Result<DataBlock> {
+    let corrupt = |what: String| RocError::Corrupt(format!("SDF block: {what}"));
+    let mut records = records.into_iter();
+    let meta = records.next().ok_or_else(|| corrupt("no records".into()))??;
+    let (id, window, attrs) = parse_block_meta(&meta)?;
+    if let Some(want) = expected.filter(|&want| want != id) {
+        return Err(corrupt(format!("meta id {id} != requested {want}")));
+    }
+    let prefix = block_prefix(id);
+    if meta.name.strip_prefix(&prefix) != Some(BLOCK_META) {
+        return Err(corrupt(format!("expected block {id} meta first, got '{}'", meta.name)));
+    }
+    let mut block = DataBlock::new(id, window);
+    block.attrs = attrs;
+    for ds in records {
+        let mut ds = ds?;
+        let member = ds.name.strip_prefix(&prefix).map(str::to_owned);
+        ds.name = member
+            .ok_or_else(|| corrupt(format!("dataset '{}' outside block {id}", ds.name)))?;
+        block.push_dataset(ds)?;
+    }
+    Ok(block)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -815,6 +849,39 @@ mod tests {
         assert!(dec.data.as_shared().is_some(), "decode must be zero-copy");
         // And it re-encodes byte-identically to the typed original.
         assert_eq!(encode_dataset(&dec), encode_dataset(&ds));
+    }
+
+    #[test]
+    fn block_from_records_rejects_hostile_record_lists() {
+        let block = DataBlock::new(BlockId(9), "solid")
+            .with_dataset(Dataset::vector("disp", vec![0.0f64; 3]))
+            .with_attr("level", 2i64);
+        let meta = || Ok(block_meta_dataset(&block));
+        let member = |name: &str| Ok(Dataset::vector(name, vec![0.0f64; 3]));
+        assert_eq!(block_from_records(Some(BlockId(9)), [meta(), member("blk000009/disp")]).unwrap(), block);
+        assert_eq!(block_from_records(None, [meta(), member("blk000009/disp")]).unwrap(), block);
+        type Records = Vec<Result<Dataset>>;
+        let hostile: [(&str, Option<BlockId>, Records); 6] = [
+            ("empty record list", None, vec![]),
+            ("meta with the wrong id", Some(BlockId(8)), vec![meta()]),
+            ("member without the block prefix", None, vec![meta(), member("disp")]),
+            ("member of another block", None, vec![meta(), member("blk000008/disp")]),
+            ("member where the meta belongs", None, vec![member("blk000009/disp")]),
+            ("meta filed under another block", None, vec![meta().map(|mut m: Dataset| {
+                m.name = "blk000008/__meta__".into();
+                m
+            })]),
+        ];
+        for (what, expected, records) in hostile {
+            let got = block_from_records(expected, records);
+            assert!(matches!(got, Err(RocError::Corrupt(_))), "{what}: {got:?}");
+        }
+        // A record that failed to decode surfaces as its own error.
+        let bad = Err(RocError::Corrupt("SDF: truncated record".into()));
+        assert!(block_from_records(None, [meta(), bad]).is_err());
+        // A repeated member is refused by the block, not silently merged.
+        let twice = [meta(), member("blk000009/disp"), member("blk000009/disp")];
+        assert!(block_from_records(None, twice).is_err());
     }
 
     #[test]

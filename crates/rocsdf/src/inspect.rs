@@ -90,7 +90,7 @@ mod tests {
         if finish {
             w.finish(t).unwrap();
         }
-        fs.read_all("f.sdf", 0, 0.0).unwrap().0
+        fs.read_all_shared("f.sdf", 0, 0.0).unwrap().0.to_vec()
     }
 
     #[test]

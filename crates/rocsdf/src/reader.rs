@@ -4,13 +4,14 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use bytes::Bytes;
 use rocio_core::{BlockId, DataBlock, Dataset, Result, RocError, SimTime};
 use rocstore::SharedFs;
 
 use crate::cost::{LibraryModel, ReadCostModel, ReadStrategy};
 use crate::format::{
-    check_header, decode_dataset, decode_dataset_shared_with, decode_index, decode_trailer,
-    parse_block_id, parse_block_meta, DatasetHeader, IndexEntry, BLOCK_META, HEADER_LEN,
+    block_from_records, block_prefix, check_header, decode_dataset_shared_with, decode_index,
+    decode_trailer, parse_block_id, DatasetHeader, IndexEntry, BLOCK_META, HEADER_LEN,
     TRAILER_LEN,
 };
 
@@ -29,6 +30,21 @@ struct OpenMeta {
     /// shared reads skip the CRC pass (host work only; virtual time is
     /// never affected). Flags are set only after a successful decode.
     verified: Vec<AtomicBool>,
+}
+
+/// How [`SdfFileReader::fetch`] turns ranges into storage accesses. Chosen
+/// by entry point, never by the caller.
+#[derive(Clone, Copy)]
+enum Fetch {
+    /// One access per range, in input order: the library's per-dataset
+    /// charge (`read_block_shared`, `read_all_blocks`).
+    PerRange,
+    /// [`ReadCostModel::choose_local`] picks per-range or data sieving
+    /// (`read_blocks_sieved`, `read_block_subset`, `read_dataset_strided`).
+    Auto,
+    /// One covering read per hole-cluster, holes of any size read through:
+    /// a two-phase aggregator's file domain (`read_blocks_raw`).
+    Domain,
 }
 
 /// An open SDF file being read.
@@ -136,201 +152,196 @@ impl<'fs> SdfFileReader<'fs> {
             .ok_or_else(|| RocError::NotFound(format!("dataset '{name}' in '{}'", self.path)))
     }
 
-    fn entry(&self, name: &str) -> Result<&IndexEntry> {
-        Ok(&self.meta.index[self.entry_idx(name)?])
+    /// The library's per-access lookup cost in this file.
+    fn lookup(&self) -> SimTime {
+        self.lib.lookup_cost(self.meta.index.len())
     }
 
-    /// Decode record `i`'s shared window, paying the payload-CRC pass only
-    /// the first time this generation's record is decoded; the flag is set
-    /// after a successful decode, so a corrupt record keeps failing.
-    fn decode_shared_verified_once(
-        &self,
-        i: usize,
-        bytes: &bytes::Bytes,
-        pos: &mut usize,
-    ) -> Result<Dataset> {
-        let skip = self.meta.verified[i].load(Ordering::Relaxed);
-        let ds = decode_dataset_shared_with(bytes, pos, !skip)?;
-        if !skip {
-            self.meta.verified[i].store(true, Ordering::Relaxed);
+    /// **Pick**: the index positions of block `id`'s records — `__meta__`
+    /// first, then its members in file order (wherever they sit relative
+    /// to the meta or to foreign records), narrowed to `members`
+    /// (unprefixed names) when given. `NotFound` if the meta, or a
+    /// requested member, is absent.
+    fn pick(&self, id: BlockId, members: Option<&[&str]>) -> Result<Vec<usize>> {
+        let prefix = block_prefix(id);
+        let meta = self.entry_idx(&format!("{prefix}{BLOCK_META}"))?;
+        for m in members.unwrap_or_default() {
+            self.entry_idx(&format!("{prefix}{m}"))?;
         }
-        Ok(ds)
-    }
-
-    /// Read one dataset by name. Returns the dataset and completion time.
-    pub fn read_dataset(&self, name: &str, now: SimTime) -> Result<(Dataset, SimTime)> {
-        let e = self.entry(name)?;
-        let lookup = self.lib.lookup_cost(self.meta.index.len());
-        let (bytes, t) = self.fs.read(
-            &self.path,
-            e.offset as usize,
-            e.len as usize,
-            self.client,
-            now + lookup,
-        )?;
-        let ds = decode_dataset(&bytes, &mut 0)?;
-        Ok((ds, t))
-    }
-
-    /// Read one dataset by name as a zero-copy window: the payload lands
-    /// as `ArrayData::Shared` referencing the backing file. Virtual time
-    /// and fs stats are identical to [`SdfFileReader::read_dataset`].
-    pub fn read_dataset_shared(&self, name: &str, now: SimTime) -> Result<(Dataset, SimTime)> {
-        let i = self.entry_idx(name)?;
-        let e = &self.meta.index[i];
-        let lookup = self.lib.lookup_cost(self.meta.index.len());
-        let (bytes, t) = self.fs.read_shared(
-            &self.path,
-            e.offset as usize,
-            e.len as usize,
-            self.client,
-            now + lookup,
-        )?;
-        let ds = self.decode_shared_verified_once(i, &bytes, &mut 0)?;
-        Ok((ds, t))
-    }
-
-    /// Read a whole data block (its `__meta__` plus all member datasets),
-    /// reconstructing names without the group prefix.
-    pub fn read_block(&self, id: BlockId, now: SimTime) -> Result<(DataBlock, SimTime)> {
-        let prefix = crate::format::block_prefix(id);
-        let meta_name = format!("{prefix}{BLOCK_META}");
-        let (meta, mut t) = self.read_dataset(&meta_name, now)?;
-        let (got_id, window, attrs) = parse_block_meta(&meta)?;
-        if got_id != id {
-            return Err(RocError::Corrupt(format!(
-                "block meta id {got_id} != requested {id}"
-            )));
-        }
-        let mut block = DataBlock::new(id, window);
-        block.attrs = attrs;
-        // Member datasets in file order.
-        for e in &self.meta.index {
+        let mut picks = vec![meta];
+        for (i, e) in self.meta.index.iter().enumerate() {
             if let Some(member) = e.name.strip_prefix(&prefix) {
-                if member == BLOCK_META {
-                    continue;
-                }
-                let (mut ds, t2) = self.read_dataset(&e.name, t)?;
-                t = t2;
-                ds.name = member.to_string();
-                block.push_dataset(ds)?;
-            }
-        }
-        Ok((block, t))
-    }
-
-    /// Read a whole data block as zero-copy windows, **coalescing** the
-    /// block's records into one backing-store access when they are laid
-    /// out contiguously — which the writer guarantees by appending a
-    /// block's `__meta__` + members in a single scatter-gather write. The
-    /// virtual time and fs stats are charged per record exactly as
-    /// [`SdfFileReader::read_block`] charges them (lookup + read each), so
-    /// the two paths are cost-identical by construction; only the host
-    /// work differs (one lock/freeze and O(1) carving instead of N+1
-    /// separate copies). Non-contiguous layouts fall back to per-record
-    /// shared reads in the same order.
-    pub fn read_block_shared(&self, id: BlockId, now: SimTime) -> Result<(DataBlock, SimTime)> {
-        let prefix = crate::format::block_prefix(id);
-        let meta_name = format!("{prefix}{BLOCK_META}");
-        // This block's records in file order, with their index positions
-        // (the key into the per-record verified-CRC flags).
-        let entries: Vec<(usize, &IndexEntry)> = self
-            .meta
-            .index
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.name.starts_with(&prefix))
-            .collect();
-        let coalescible = entries.first().is_some_and(|(_, e)| e.name == meta_name)
-            && entries
-                .windows(2)
-                .all(|w| w[0].1.offset + w[0].1.len == w[1].1.offset);
-        if !coalescible {
-            // Fallback: per-record shared reads, charge order identical to
-            // read_block (meta first, then members in file order).
-            let (meta, mut t) = self.read_dataset_shared(&meta_name, now)?;
-            let (got_id, window, attrs) = parse_block_meta(&meta)?;
-            if got_id != id {
-                return Err(RocError::Corrupt(format!(
-                    "block meta id {got_id} != requested {id}"
-                )));
-            }
-            let mut block = DataBlock::new(id, window);
-            block.attrs = attrs;
-            for e in &self.meta.index {
-                if let Some(member) = e.name.strip_prefix(&prefix) {
-                    if member == BLOCK_META {
-                        continue;
-                    }
-                    let (mut ds, t2) = self.read_dataset_shared(&e.name, t)?;
-                    t = t2;
-                    ds.name = member.to_string();
-                    block.push_dataset(ds)?;
+                if i != meta && members.is_none_or(|m| m.contains(&member)) {
+                    picks.push(i);
                 }
             }
-            return Ok((block, t));
         }
-        let lookup = self.lib.lookup_cost(self.meta.index.len());
-        let ranges: Vec<(usize, usize)> = entries
-            .iter()
-            .map(|(_, e)| (e.offset as usize, e.len as usize))
-            .collect();
-        let (windows, t) =
-            self.fs
-                .read_shared_multi(&self.path, &ranges, lookup, self.client, now)?;
-        let meta = self.decode_shared_verified_once(entries[0].0, &windows[0], &mut 0)?;
-        let (got_id, window, attrs) = parse_block_meta(&meta)?;
-        if got_id != id {
-            return Err(RocError::Corrupt(format!(
-                "block meta id {got_id} != requested {id}"
-            )));
-        }
-        let mut block = DataBlock::new(id, window);
-        block.attrs = attrs;
-        for ((i, e), w) in entries[1..].iter().zip(&windows[1..]) {
-            let member = e.name.strip_prefix(&prefix).expect("filtered on prefix");
-            let mut ds = self.decode_shared_verified_once(*i, w, &mut 0)?;
-            ds.name = member.to_string();
-            block.push_dataset(ds)?;
-        }
-        Ok((block, t))
+        Ok(picks)
     }
 
-    /// Read a contiguous element range of one dataset without transferring
-    /// the whole record — the hyperslab-style partial access
-    /// post-processing tools use on large arrays.
-    ///
-    /// `start..start+n` indexes flat elements; the returned dataset has
-    /// shape `[n]` (possibly `[n, ncomp]` flattened away).
-    pub fn read_dataset_range(
+    /// **Fetch**: the one place reads reach the store. Returns one
+    /// zero-copy window per range, in input order, whatever the strategy;
+    /// `lead` is charged before every access the strategy issues.
+    fn fetch(
         &self,
-        name: &str,
-        start: usize,
-        n: usize,
+        ranges: &[(usize, usize)],
+        lead: SimTime,
+        how: Fetch,
         now: SimTime,
-    ) -> Result<(Dataset, SimTime)> {
-        let e = self.entry(name)?;
-        let lookup = self.lib.lookup_cost(self.meta.index.len());
-        let (header, mut t) = self.read_record_header(e, now + lookup)?;
-        let total_elems: usize = header.shape.iter().product();
-        if start + n > total_elems {
-            return Err(RocError::Mismatch(format!(
-                "range {start}..{} beyond dataset '{name}' ({total_elems} elems)",
-                start + n
-            )));
+    ) -> Result<(Vec<Bytes>, SimTime)> {
+        let max_gap = match how {
+            Fetch::PerRange => None,
+            Fetch::Domain => Some(usize::MAX),
+            Fetch::Auto => {
+                // No network attached: strictly per-range vs sieve.
+                let model = ReadCostModel::from_disk(self.fs.model()).with_lookup(lead);
+                match model.choose_local(ranges).0 {
+                    ReadStrategy::Sieve => Some(model.max_gap()),
+                    _ => None,
+                }
+            }
+        };
+        match max_gap {
+            Some(gap) => self.fs.read_sieved(&self.path, ranges, lead, gap, self.client, now),
+            None => self.fs.read_shared_multi(&self.path, ranges, lead, self.client, now),
         }
-        let esize = header.dtype.size();
-        let payload_off = e.offset as usize + header.header_len;
-        let (bytes, t2) = self.fs.read(
-            &self.path,
-            payload_off + start * esize,
-            n * esize,
-            self.client,
-            t,
-        )?;
-        t = t2;
-        let data = rocio_core::ArrayData::from_le_bytes(header.dtype, n, &bytes)?;
-        Ok((Dataset::new(name, vec![n], data)?, t))
+    }
+
+    /// Fetch the picked records' file extents, the library's lookup
+    /// charged before every access.
+    fn fetch_records(
+        &self,
+        picks: &[usize],
+        how: Fetch,
+        now: SimTime,
+    ) -> Result<(Vec<Bytes>, SimTime)> {
+        let extents: Vec<(usize, usize)> = picks
+            .iter()
+            .map(|&i| (self.meta.index[i].offset as usize, self.meta.index[i].len as usize))
+            .collect();
+        self.fetch(&extents, self.lookup(), how, now)
+    }
+
+    /// **Assemble**: decode the picked records out of their windows and
+    /// build the block. Each record pays its payload-CRC pass only the
+    /// first time this file generation's copy is decoded; the flag is set
+    /// after a successful decode, so a corrupt record keeps failing.
+    fn assemble(&self, id: BlockId, picks: &[usize], windows: &[Bytes]) -> Result<DataBlock> {
+        let records = picks.iter().zip(windows).map(|(&i, window)| {
+            let skip = self.meta.verified[i].load(Ordering::Relaxed);
+            let ds = decode_dataset_shared_with(window, &mut 0, !skip)?;
+            self.meta.verified[i].store(true, Ordering::Relaxed);
+            Ok(ds)
+        });
+        block_from_records(Some(id), records)
+    }
+
+    /// Pick and fetch a batch of blocks in one planned request: each
+    /// block's picks, and the windows of all of them in the same order.
+    fn fetch_blocks(
+        &self,
+        ids: &[BlockId],
+        how: Fetch,
+        now: SimTime,
+    ) -> Result<(Vec<Vec<usize>>, Vec<Bytes>, SimTime)> {
+        let picks = ids.iter().map(|&id| self.pick(id, None)).collect::<Result<Vec<_>>>()?;
+        let (windows, t) = self.fetch_records(&picks.concat(), how, now)?;
+        Ok((picks, windows, t))
+    }
+
+    /// Pick → fetch → assemble for a batch of blocks.
+    fn read_blocks(
+        &self,
+        ids: &[BlockId],
+        how: Fetch,
+        now: SimTime,
+    ) -> Result<(Vec<DataBlock>, SimTime)> {
+        let (picks, windows, t) = self.fetch_blocks(ids, how, now)?;
+        let mut rest = &windows[..];
+        let mut blocks = Vec::with_capacity(ids.len());
+        for (&id, picks) in ids.iter().zip(&picks) {
+            let (mine, tail) = rest.split_at(picks.len());
+            blocks.push(self.assemble(id, picks, mine)?);
+            rest = tail;
+        }
+        Ok((blocks, t))
+    }
+
+    /// Read a whole data block (its `__meta__` plus all member datasets,
+    /// names without the group prefix) as zero-copy windows. Charged the
+    /// way the library charges it — one lookup and one read per record,
+    /// meta first, then members in file order — which is what the paper's
+    /// restart figures are calibrated on; the host does one lock/freeze
+    /// and O(1) carving for the whole block.
+    pub fn read_block_shared(&self, id: BlockId, now: SimTime) -> Result<(DataBlock, SimTime)> {
+        let picks = self.pick(id, None)?;
+        let (windows, t) = self.fetch_records(&picks, Fetch::PerRange, now)?;
+        Ok((self.assemble(id, &picks, &windows)?, t))
+    }
+
+    /// Read a block's `__meta__` plus only the named member datasets —
+    /// the attribute-subset restart access ("just the pressure field").
+    /// Member names are the unprefixed names used inside the block
+    /// (duplicates collapse). The cost model picks sieving when the
+    /// skipped members leave dense holes, per-range otherwise; results
+    /// are byte-identical to carving the full
+    /// [`SdfFileReader::read_block_shared`] down to the subset.
+    pub fn read_block_subset(
+        &self,
+        id: BlockId,
+        members: &[&str],
+        now: SimTime,
+    ) -> Result<(DataBlock, SimTime)> {
+        let picks = self.pick(id, Some(members))?;
+        let (windows, t) = self.fetch_records(&picks, Fetch::Auto, now)?;
+        Ok((self.assemble(id, &picks, &windows)?, t))
+    }
+
+    /// Read several blocks in one planned batch: the request's record
+    /// extents go through the sieve planner together, so blocks that are
+    /// near each other in the file share covering reads. Byte-identical
+    /// to chaining [`SdfFileReader::read_block_shared`] over `ids`; when
+    /// the cost model keeps per-range access the charges are identical
+    /// too (one lookup + one read per record, in the same order).
+    pub fn read_blocks_sieved(
+        &self,
+        ids: &[BlockId],
+        now: SimTime,
+    ) -> Result<(Vec<DataBlock>, SimTime)> {
+        self.read_blocks(ids, Fetch::Auto, now)
+    }
+
+    /// Read every block in the file, charged as a chain of
+    /// [`SdfFileReader::read_block_shared`] calls in first-appearance
+    /// order.
+    pub fn read_all_blocks(&self, now: SimTime) -> Result<(Vec<DataBlock>, SimTime)> {
+        self.read_blocks(&self.block_ids(), Fetch::PerRange, now)
+    }
+
+    /// Read the raw record images of the given blocks for redistribution:
+    /// the two-phase aggregator's phase one. All requested records are
+    /// fetched as **one contiguous domain read per hole-cluster** (the
+    /// sieve with an unbounded gap: a file domain is read straight
+    /// through, holes included, with a single lookup charged per covering
+    /// read — positioned raw I/O, not per-record library access). Each
+    /// block comes back as its records' zero-copy windows, `__meta__`
+    /// first — self-describing bytes ready to ship over the wire; the
+    /// receiver decodes and CRC-checks them itself
+    /// ([`crate::format::block_from_records`]).
+    #[allow(clippy::type_complexity)]
+    pub fn read_blocks_raw(
+        &self,
+        ids: &[BlockId],
+        now: SimTime,
+    ) -> Result<(Vec<(BlockId, Vec<Bytes>)>, SimTime)> {
+        let (picks, windows, t) = self.fetch_blocks(ids, Fetch::Domain, now)?;
+        let mut windows = windows.into_iter();
+        let raw = ids
+            .iter()
+            .zip(&picks)
+            .map(|(&id, picks)| (id, windows.by_ref().take(picks.len()).collect()))
+            .collect();
+        Ok((raw, t))
     }
 
     /// Read a record's header, growing the read until it parses (the
@@ -342,13 +353,9 @@ impl<'fs> SdfFileReader<'fs> {
     ) -> Result<(DatasetHeader, SimTime)> {
         let mut header_guess = 256usize.min(e.len as usize);
         loop {
-            let (bytes, t) = self.fs.read(
-                &self.path,
-                e.offset as usize,
-                header_guess,
-                self.client,
-                now,
-            )?;
+            let (bytes, t) =
+                self.fs
+                    .read_shared(&self.path, e.offset as usize, header_guess, self.client, now)?;
             match crate::format::decode_dataset_header(&bytes) {
                 Ok(h) => return Ok((h, t)),
                 Err(_) if header_guess < e.len as usize => {
@@ -359,19 +366,15 @@ impl<'fs> SdfFileReader<'fs> {
         }
     }
 
-    /// The noncontiguous-read cost model for this file's disk (no network
-    /// attached: strictly a per-range-vs-sieve decision).
-    pub fn read_cost_model(&self) -> ReadCostModel {
-        ReadCostModel::from_disk(self.fs.model())
-    }
-
-    /// Read a strided hyperslab of one dataset: `count` pieces of
-    /// `block` flat elements each, the `i`-th starting at element
-    /// `start + i*stride` — the ghost-zone/column-slice access pattern.
-    /// The cost model picks data sieving when the inter-piece holes are
-    /// dense enough that covering reads beat per-piece seeks, and
-    /// per-range otherwise; either way the returned dataset (shape
-    /// `[count, block]`) is byte-identical.
+    /// Read a strided hyperslab of one dataset by name, without
+    /// transferring the whole record: `count` pieces of `block` flat
+    /// elements each, the `i`-th starting at element `start + i*stride` —
+    /// the ghost-zone/column-slice access pattern (`count = 1` is a plain
+    /// contiguous element range). The cost model picks data sieving when
+    /// the inter-piece holes are dense enough that covering reads beat
+    /// per-piece seeks, and per-range otherwise; either way the returned
+    /// dataset (shape `[count, block]`) is byte-identical. A partial read
+    /// cannot check the record's payload CRC.
     pub fn read_dataset_strided(
         &self,
         name: &str,
@@ -381,9 +384,8 @@ impl<'fs> SdfFileReader<'fs> {
         stride: usize,
         now: SimTime,
     ) -> Result<(Dataset, SimTime)> {
-        let e = self.entry(name)?;
-        let lookup = self.lib.lookup_cost(self.meta.index.len());
-        let (header, t) = self.read_record_header(e, now + lookup)?;
+        let e = &self.meta.index[self.entry_idx(name)?];
+        let (header, t) = self.read_record_header(e, now + self.lookup())?;
         let total_elems: usize = header.shape.iter().product();
         if count > 0 {
             let last_end = start + (count - 1) * stride + block;
@@ -398,265 +400,13 @@ impl<'fs> SdfFileReader<'fs> {
         let ranges: Vec<(usize, usize)> = (0..count)
             .map(|i| (payload_off + (start + i * stride) * esize, block * esize))
             .collect();
-        let model = self.read_cost_model();
-        let (strategy, _, _) = model.choose_local(&ranges);
-        let (windows, t2) = match strategy {
-            ReadStrategy::Sieve => self.fs.read_sieved(
-                &self.path,
-                &ranges,
-                0.0,
-                model.max_gap(),
-                self.client,
-                t,
-            )?,
-            _ => self
-                .fs
-                .read_shared_multi(&self.path, &ranges, 0.0, self.client, t)?,
-        };
+        let (windows, t2) = self.fetch(&ranges, 0.0, Fetch::Auto, t)?;
         let mut buf = Vec::with_capacity(count * block * esize);
         for w in &windows {
             buf.extend_from_slice(w);
         }
         let data = rocio_core::ArrayData::from_le_bytes(header.dtype, count * block, &buf)?;
         Ok((Dataset::new(name, vec![count, block], data)?, t2))
-    }
-
-    /// Read a block's `__meta__` plus only the named member datasets —
-    /// the attribute-subset restart access ("just the pressure field").
-    /// Member names are the unprefixed names used inside the block. The
-    /// cost model picks sieving when the skipped members leave dense
-    /// holes, per-range otherwise; results are byte-identical to carving
-    /// the full [`SdfFileReader::read_block_shared`] down to the subset.
-    pub fn read_block_subset(
-        &self,
-        id: BlockId,
-        members: &[&str],
-        now: SimTime,
-    ) -> Result<(DataBlock, SimTime)> {
-        let prefix = crate::format::block_prefix(id);
-        let meta_name = format!("{prefix}{BLOCK_META}");
-        for m in members {
-            if !self.contains(&format!("{prefix}{m}")) {
-                return Err(RocError::NotFound(format!(
-                    "dataset '{prefix}{m}' in '{}'",
-                    self.path
-                )));
-            }
-        }
-        // Meta first, then requested members in file order (duplicates in
-        // `members` collapse: the index is walked once).
-        let mut picks: Vec<usize> = vec![self.entry_idx(&meta_name)?];
-        for (i, e) in self.meta.index.iter().enumerate() {
-            if let Some(member) = e.name.strip_prefix(&prefix) {
-                if member != BLOCK_META && members.contains(&member) {
-                    picks.push(i);
-                }
-            }
-        }
-        let lookup = self.lib.lookup_cost(self.meta.index.len());
-        let ranges: Vec<(usize, usize)> = picks
-            .iter()
-            .map(|&i| {
-                let e = &self.meta.index[i];
-                (e.offset as usize, e.len as usize)
-            })
-            .collect();
-        let model = self.read_cost_model().with_lookup(lookup);
-        let (strategy, _, _) = model.choose_local(&ranges);
-        let (windows, t) = match strategy {
-            ReadStrategy::Sieve => self.fs.read_sieved(
-                &self.path,
-                &ranges,
-                lookup,
-                model.max_gap(),
-                self.client,
-                now,
-            )?,
-            _ => self
-                .fs
-                .read_shared_multi(&self.path, &ranges, lookup, self.client, now)?,
-        };
-        let meta = self.decode_shared_verified_once(picks[0], &windows[0], &mut 0)?;
-        let (got_id, window, attrs) = parse_block_meta(&meta)?;
-        if got_id != id {
-            return Err(RocError::Corrupt(format!(
-                "block meta id {got_id} != requested {id}"
-            )));
-        }
-        let mut block = DataBlock::new(id, window);
-        block.attrs = attrs;
-        for (&i, w) in picks[1..].iter().zip(&windows[1..]) {
-            let e = &self.meta.index[i];
-            let member = e.name.strip_prefix(&prefix).expect("filtered on prefix");
-            let mut ds = self.decode_shared_verified_once(i, w, &mut 0)?;
-            ds.name = member.to_string();
-            block.push_dataset(ds)?;
-        }
-        Ok((block, t))
-    }
-
-    /// Read several blocks in one planned batch: the request's record
-    /// extents go through the sieve planner together, so blocks that are
-    /// near each other in the file share covering reads. Byte-identical
-    /// to chaining [`SdfFileReader::read_block_shared`] over `ids`; when
-    /// the cost model keeps per-range access the charges are identical
-    /// too (one lookup + one read per record, in the same order). Blocks
-    /// whose records are interleaved with foreign data fall back to the
-    /// per-block path.
-    pub fn read_blocks_sieved(
-        &self,
-        ids: &[BlockId],
-        now: SimTime,
-    ) -> Result<(Vec<DataBlock>, SimTime)> {
-        // Gather each block's records (meta first, members in file order).
-        let mut per_block: Vec<(BlockId, String, Vec<usize>)> = Vec::with_capacity(ids.len());
-        let mut clean = true;
-        for &id in ids {
-            let prefix = crate::format::block_prefix(id);
-            let meta_name = format!("{prefix}{BLOCK_META}");
-            let picks: Vec<usize> = self
-                .meta
-                .index
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.name.starts_with(&prefix))
-                .map(|(i, _)| i)
-                .collect();
-            match picks.first() {
-                Some(&first) if self.meta.index[first].name == meta_name => {}
-                _ => clean = false,
-            }
-            per_block.push((id, prefix, picks));
-        }
-        if !clean {
-            let mut t = now;
-            let mut out = Vec::with_capacity(ids.len());
-            for &id in ids {
-                let (b, t2) = self.read_block_shared(id, t)?;
-                t = t2;
-                out.push(b);
-            }
-            return Ok((out, t));
-        }
-        let lookup = self.lib.lookup_cost(self.meta.index.len());
-        let ranges: Vec<(usize, usize)> = per_block
-            .iter()
-            .flat_map(|(_, _, picks)| picks.iter())
-            .map(|&i| {
-                let e = &self.meta.index[i];
-                (e.offset as usize, e.len as usize)
-            })
-            .collect();
-        let model = self.read_cost_model().with_lookup(lookup);
-        let (strategy, _, _) = model.choose_local(&ranges);
-        let (windows, t) = match strategy {
-            ReadStrategy::Sieve => self.fs.read_sieved(
-                &self.path,
-                &ranges,
-                lookup,
-                model.max_gap(),
-                self.client,
-                now,
-            )?,
-            _ => self
-                .fs
-                .read_shared_multi(&self.path, &ranges, lookup, self.client, now)?,
-        };
-        let mut out = Vec::with_capacity(ids.len());
-        let mut w = 0usize;
-        for (id, prefix, picks) in &per_block {
-            let meta = self.decode_shared_verified_once(picks[0], &windows[w], &mut 0)?;
-            let (got_id, window, attrs) = parse_block_meta(&meta)?;
-            if got_id != *id {
-                return Err(RocError::Corrupt(format!(
-                    "block meta id {got_id} != requested {id}"
-                )));
-            }
-            let mut block = DataBlock::new(*id, window);
-            block.attrs = attrs;
-            for (&i, win) in picks[1..].iter().zip(&windows[w + 1..]) {
-                let e = &self.meta.index[i];
-                let member = e.name.strip_prefix(prefix).expect("filtered on prefix");
-                let mut ds = self.decode_shared_verified_once(i, win, &mut 0)?;
-                ds.name = member.to_string();
-                block.push_dataset(ds)?;
-            }
-            w += picks.len();
-            out.push(block);
-        }
-        Ok((out, t))
-    }
-
-    /// Read the raw record images of the given blocks for redistribution:
-    /// the two-phase aggregator's phase one. All requested records are
-    /// fetched as **one contiguous domain read per hole-cluster** (the
-    /// sieve with an unbounded gap: a file domain is read straight
-    /// through, holes included, with a single lookup charged per covering
-    /// read — positioned raw I/O, not per-record library access). Each
-    /// block comes back as its records' zero-copy windows, `__meta__`
-    /// first — self-describing bytes ready to ship over the wire; the
-    /// receiver decodes and CRC-checks them itself.
-    #[allow(clippy::type_complexity)]
-    pub fn read_blocks_raw(
-        &self,
-        ids: &[BlockId],
-        now: SimTime,
-    ) -> Result<(Vec<(BlockId, Vec<bytes::Bytes>)>, SimTime)> {
-        let mut per_block: Vec<(BlockId, Vec<usize>)> = Vec::with_capacity(ids.len());
-        for &id in ids {
-            let prefix = crate::format::block_prefix(id);
-            let meta_name = format!("{prefix}{BLOCK_META}");
-            let mut picks: Vec<usize> = self
-                .meta
-                .index
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.name.starts_with(&prefix))
-                .map(|(i, _)| i)
-                .collect();
-            // Meta first even when a straggler member was appended before
-            // it in file order (raw shipping preserves decode order).
-            let meta_at = picks
-                .iter()
-                .position(|&i| self.meta.index[i].name == meta_name)
-                .ok_or_else(|| {
-                    RocError::NotFound(format!("block {id} meta in '{}'", self.path))
-                })?;
-            let meta_idx = picks.remove(meta_at);
-            picks.insert(0, meta_idx);
-            per_block.push((id, picks));
-        }
-        let lookup = self.lib.lookup_cost(self.meta.index.len());
-        let ranges: Vec<(usize, usize)> = per_block
-            .iter()
-            .flat_map(|(_, picks)| picks.iter())
-            .map(|&i| {
-                let e = &self.meta.index[i];
-                (e.offset as usize, e.len as usize)
-            })
-            .collect();
-        let (windows, t) =
-            self.fs
-                .read_sieved(&self.path, &ranges, lookup, usize::MAX, self.client, now)?;
-        let mut out = Vec::with_capacity(ids.len());
-        let mut w = 0usize;
-        for (id, picks) in &per_block {
-            out.push((*id, windows[w..w + picks.len()].to_vec()));
-            w += picks.len();
-        }
-        Ok((out, t))
-    }
-
-    /// Read every block in the file.
-    pub fn read_all_blocks(&self, now: SimTime) -> Result<(Vec<DataBlock>, SimTime)> {
-        let mut t = now;
-        let mut out = Vec::new();
-        for id in self.block_ids() {
-            let (b, t2) = self.read_block(id, t)?;
-            t = t2;
-            out.push(b);
-        }
-        Ok((out, t))
     }
 }
 
@@ -699,22 +449,12 @@ mod tests {
     }
 
     #[test]
-    fn read_dataset_round_trips() {
-        let fs = SharedFs::ideal();
-        let blocks = write_sample(&fs);
-        let (r, t) = SdfFileReader::open(&fs, "snap.sdf", LibraryModel::hdf4(), 1, 0.0).unwrap();
-        let (ds, _) = r.read_dataset("blk000007/pressure", t).unwrap();
-        assert_eq!(ds.data, blocks[1].dataset("pressure").unwrap().data);
-        assert_eq!(ds.attrs["units"].as_str().unwrap(), "Pa");
-    }
-
-    #[test]
     fn read_block_round_trips_exactly() {
         let fs = SharedFs::ideal();
         let blocks = write_sample(&fs);
         let (r, t) = SdfFileReader::open(&fs, "snap.sdf", LibraryModel::hdf4(), 1, 0.0).unwrap();
         for want in &blocks {
-            let (got, _) = r.read_block(want.id, t).unwrap();
+            let (got, _) = r.read_block_shared(want.id, t).unwrap();
             assert_eq!(&got, want, "block {} must round-trip", want.id);
         }
     }
@@ -738,10 +478,17 @@ mod tests {
         write_sample(&fs);
         let (r, t) = SdfFileReader::open(&fs, "snap.sdf", LibraryModel::hdf4(), 1, 0.0).unwrap();
         assert!(matches!(
-            r.read_dataset("ghost", t),
+            r.read_dataset_strided("ghost", 0, 1, 1, 1, t),
             Err(RocError::NotFound(_))
         ));
-        assert!(r.read_block(BlockId(999), t).is_err());
+        for read in [
+            r.read_block_shared(BlockId(999), t).err(),
+            r.read_blocks_sieved(&[BlockId(0), BlockId(999)], t).err(),
+            r.read_blocks_raw(&[BlockId(999)], t).err(),
+            r.read_block_subset(BlockId(0), &["ghost"], t).err(),
+        ] {
+            assert!(matches!(read, Some(RocError::NotFound(_))), "{read:?}");
+        }
     }
 
     #[test]
@@ -772,8 +519,8 @@ mod tests {
         }
         let (rs, t1) = SdfFileReader::open(&fs, "sparse.sdf", LibraryModel::hdf4(), 0, 0.0).unwrap();
         let (rd, t2) = SdfFileReader::open(&fs, "dense.sdf", LibraryModel::hdf4(), 0, 0.0).unwrap();
-        let (_, ts) = rs.read_dataset("d5", t1).unwrap();
-        let (_, td) = rd.read_dataset("d5", t2).unwrap();
+        let (_, ts) = rs.read_dataset_strided("d5", 0, 1, 8, 8, t1).unwrap();
+        let (_, td) = rd.read_dataset_strided("d5", 0, 1, 8, 8, t2).unwrap();
         assert!(td - t2 > ts - t1, "dense lookup {} <= sparse {}", td - t2, ts - t1);
     }
 
@@ -787,17 +534,19 @@ mod tests {
         let t = w.append_block(&block, t).unwrap();
         w.finish(t).unwrap();
         let (r, t) = SdfFileReader::open(&fs, "p.sdf", LibraryModel::hdf4(), 1, 0.0).unwrap();
-        let (slice, t2) = r.read_dataset_range("blk000002/series", 100, 50, t).unwrap();
+        // `count = 1` of the strided read is the plain contiguous range.
+        let range = |start, n| r.read_dataset_strided("blk000002/series", start, 1, n, n, t);
+        let (slice, t2) = range(100, 50).unwrap();
         assert!(t2 > t);
         assert_eq!(slice.data.as_f64().unwrap(), &values[100..150]);
         // Edges.
-        let (head, _) = r.read_dataset_range("blk000002/series", 0, 1, t).unwrap();
+        let (head, _) = range(0, 1).unwrap();
         assert_eq!(head.data.as_f64().unwrap(), &values[0..1]);
-        let (tail, _) = r.read_dataset_range("blk000002/series", 999, 1, t).unwrap();
+        let (tail, _) = range(999, 1).unwrap();
         assert_eq!(tail.data.as_f64().unwrap(), &values[999..]);
         // Out of range and missing name.
-        assert!(r.read_dataset_range("blk000002/series", 990, 20, t).is_err());
-        assert!(r.read_dataset_range("ghost", 0, 1, t).is_err());
+        assert!(range(990, 20).is_err());
+        assert!(r.read_dataset_strided("ghost", 0, 1, 1, 1, t).is_err());
     }
 
     #[test]
@@ -811,80 +560,108 @@ mod tests {
         let before = fs.stats().bytes_read;
         let (r, _) = SdfFileReader::open(&fs, "q.sdf", LibraryModel::Raw, 1, 0.0).unwrap();
         let after_open = fs.stats().bytes_read;
-        r.read_dataset_range("blk000001/big", 50_000, 10, 0.0).unwrap();
+        r.read_dataset_strided("blk000001/big", 50_000, 1, 10, 10, 0.0).unwrap();
         let after_slice = fs.stats().bytes_read;
         // The slice read moved ~ header + 80 bytes, nowhere near 800 KB.
         assert!(after_slice - after_open < 2048, "read {} bytes", after_slice - after_open);
         let _ = before;
     }
 
-    #[test]
-    fn shared_block_read_matches_owned_in_bytes_time_and_stats() {
-        // The coalesced zero-copy path must be indistinguishable from the
-        // legacy path in everything but host allocations: same block
-        // values, same completion time, same fs read ops/bytes.
-        let fs_a = SharedFs::turing();
-        let fs_b = SharedFs::turing();
-        let blocks = write_sample(&fs_a);
-        write_sample(&fs_b);
-        let (ra, ta) = SdfFileReader::open(&fs_a, "snap.sdf", LibraryModel::hdf4(), 1, 0.0).unwrap();
-        let (rb, tb) = SdfFileReader::open(&fs_b, "snap.sdf", LibraryModel::hdf4(), 1, 0.0).unwrap();
-        assert_eq!(ta, tb);
-        for want in &blocks {
-            let (owned, t_owned) = ra.read_block(want.id, ta).unwrap();
-            let (shared, t_shared) = rb.read_block_shared(want.id, tb).unwrap();
-            assert_eq!(&shared, want);
-            assert_eq!(shared, owned);
-            assert_eq!(t_shared, t_owned, "block {}", want.id);
+    /// What a receiver does with one block of `read_blocks_raw`.
+    fn decode_raw(id: BlockId, records: &[Bytes]) -> DataBlock {
+        let decoded = records.iter().map(|r| crate::format::decode_dataset_shared(r, &mut 0));
+        block_from_records(Some(id), decoded).unwrap()
+    }
+
+    /// The per-record reference every block read is held to: the
+    /// library's one-dataset access (lookup, then one positioned read,
+    /// typed decode) chained over the block's records, meta first.
+    fn per_record_reference(r: &SdfFileReader, id: BlockId, now: SimTime) -> (DataBlock, SimTime) {
+        let prefix = block_prefix(id);
+        let meta = format!("{prefix}{BLOCK_META}");
+        let members = r.dataset_names().into_iter().filter(|n| n.starts_with(&prefix) && *n != meta);
+        let mut t = now;
+        let mut records = Vec::new();
+        for name in std::iter::once(meta.as_str()).chain(members) {
+            let e = &r.meta.index[r.entry_idx(name).unwrap()];
+            let (bytes, end) =
+                r.fs.read_shared(&r.path, e.offset as usize, e.len as usize, r.client, t + r.lookup())
+                    .unwrap();
+            t = end;
+            records.push(crate::format::decode_dataset(&bytes, &mut 0));
         }
-        assert_eq!(fs_a.stats(), fs_b.stats());
+        (block_from_records(Some(id), records).unwrap(), t)
     }
 
     #[test]
-    fn shared_dataset_read_matches_owned() {
-        let fs = SharedFs::ideal();
-        let blocks = write_sample(&fs);
-        let (r, t) = SdfFileReader::open(&fs, "snap.sdf", LibraryModel::hdf4(), 1, 0.0).unwrap();
-        let (owned, t1) = r.read_dataset("blk000007/pressure", t).unwrap();
-        let (shared, _) = r.read_dataset_shared("blk000007/pressure", t).unwrap();
-        assert_eq!(shared.data, owned.data);
-        assert_eq!(shared.data, blocks[1].dataset("pressure").unwrap().data);
-        assert_eq!(shared.attrs["units"].as_str().unwrap(), "Pa");
-        assert!(t1 > t);
-    }
-
-    #[test]
-    fn noncontiguous_block_falls_back_and_still_matches_owned() {
-        // Append an extra member to a block *after* other data has been
-        // written in between: the block's records are no longer one
-        // contiguous extent, so the coalesced path must detect it and
-        // fall back — with identical results and cost.
-        let build = |fs: &SharedFs| {
-            let (mut w, mut t) =
-                SdfFileWriter::create(fs, "gap.sdf", LibraryModel::hdf4(), 0, 0.0).unwrap();
-            let block = DataBlock::new(BlockId(4), "w")
-                .with_dataset(Dataset::vector("a", vec![1.0f64, 2.0]));
-            t = w.append_block(&block, t).unwrap();
-            t = w
-                .append_dataset(&Dataset::vector("unrelated", vec![9i32; 16]), t)
-                .unwrap();
-            t = w
-                .append_dataset(&Dataset::vector("blk000004/late", vec![3.0f64, 4.0]), t)
-                .unwrap();
-            w.finish(t).unwrap();
+    fn every_read_path_agrees_on_every_layout() {
+        // Layouts: what `append_block` writes; a member appended later with
+        // a foreign record in between; a member appended *before* the
+        // block's `__meta__`. Only the first is writer-producible, but the
+        // one pick → fetch → assemble path owes the same answer on all.
+        let a = || Dataset::vector("a", vec![1.0f64, 2.0]).with_attr("units", "Pa");
+        let x = |name: &str| Dataset::vector(name, vec![3i32, 4, 5]);
+        let foreign = || Dataset::vector("unrelated", vec![9i32; 16]);
+        let block = |members: Vec<Dataset>| {
+            let empty = DataBlock::new(BlockId(4), "w").with_attr("level", 2i64);
+            members.into_iter().fold(empty, DataBlock::with_dataset)
         };
-        let fs_a = SharedFs::turing();
-        let fs_b = SharedFs::turing();
-        build(&fs_a);
-        build(&fs_b);
-        let (ra, ta) = SdfFileReader::open(&fs_a, "gap.sdf", LibraryModel::hdf4(), 1, 0.0).unwrap();
-        let (rb, tb) = SdfFileReader::open(&fs_b, "gap.sdf", LibraryModel::hdf4(), 1, 0.0).unwrap();
-        let (owned, t_owned) = ra.read_block(BlockId(4), ta).unwrap();
-        let (shared, t_shared) = rb.read_block_shared(BlockId(4), tb).unwrap();
-        assert_eq!(shared, owned);
-        assert_eq!(owned.datasets.len(), 2); // "a" and "late"
-        assert_eq!(t_shared, t_owned);
-        assert_eq!(fs_a.stats(), fs_b.stats());
+        let other = DataBlock::new(BlockId(9), "w").with_dataset(Dataset::vector("a", vec![7u8; 40]));
+        type Layout<'a> = (&'a str, DataBlock, Box<dyn Fn(&mut SdfFileWriter) + 'a>);
+        let layouts: [Layout; 3] = [
+            ("contiguous", block(vec![a(), x("x")]), Box::new(|w| {
+                w.append_block(&block(vec![a(), x("x")]), 0.0).unwrap();
+            })),
+            ("interleaved", block(vec![a(), x("x")]), Box::new(|w| {
+                w.append_block(&block(vec![a()]), 0.0).unwrap();
+                w.append_dataset(&foreign(), 0.0).unwrap();
+                w.append_dataset(&x("blk000004/x"), 0.0).unwrap();
+            })),
+            ("member-first", block(vec![x("x"), a()]), Box::new(|w| {
+                w.append_dataset(&x("blk000004/x"), 0.0).unwrap();
+                w.append_dataset(&foreign(), 0.0).unwrap();
+                w.append_block(&block(vec![a()]), 0.0).unwrap();
+            })),
+        ];
+        for lib in [LibraryModel::hdf4(), LibraryModel::hdf5(), LibraryModel::Raw] {
+            for (layout, want, write_block) in &layouts {
+                let build = |fs: &SharedFs| {
+                    let (mut w, _) = SdfFileWriter::create(fs, "m.sdf", lib, 0, 0.0).unwrap();
+                    write_block(&mut w);
+                    w.append_block(&other, 0.0).unwrap();
+                    w.finish(0.0).unwrap();
+                };
+                let (fs, fs_ref) = (SharedFs::turing(), SharedFs::turing());
+                build(&fs);
+                build(&fs_ref);
+                let (r, t) = SdfFileReader::open(&fs, "m.sdf", lib, 1, 0.0).unwrap();
+                let (r_ref, t_ref) = SdfFileReader::open(&fs_ref, "m.sdf", lib, 1, 0.0).unwrap();
+                assert_eq!(t, t_ref);
+                let what = format!("{layout} / {}", lib.name());
+
+                // The PerRange path against the per-record reference:
+                // values, completion time and fs stats.
+                let (shared, t_shared) = r.read_block_shared(want.id, t).unwrap();
+                let (reference, t_reference) = per_record_reference(&r_ref, want.id, t_ref);
+                assert_eq!(&shared, want, "{what}");
+                assert_eq!(shared, reference, "{what}");
+                assert_eq!(t_shared, t_reference, "{what}");
+                assert_eq!(fs.stats(), fs_ref.stats(), "{what}");
+
+                // Every other entry point returns the same block.
+                let ids = [want.id, other.id];
+                let (batch, _) = r.read_blocks_sieved(&ids, t).unwrap();
+                assert_eq!(batch, [shared.clone(), other.clone()], "{what}");
+                let (all, _) = r.read_all_blocks(t).unwrap();
+                assert_eq!(all, batch, "{what}");
+                let (subset, _) = r.read_block_subset(want.id, &["x", "a"], t).unwrap();
+                assert_eq!(subset, shared, "{what}");
+                let (raw, _) = r.read_blocks_raw(&ids, t).unwrap();
+                assert_eq!(raw[0].0, want.id);
+                assert_eq!(decode_raw(want.id, &raw[0].1), shared, "{what}");
+                assert_eq!(decode_raw(other.id, &raw[1].1), other, "{what}");
+            }
+        }
     }
 
     #[test]
@@ -898,7 +675,7 @@ mod tests {
         let (r2, t2) = SdfFileReader::open(&fs, "snap.sdf", LibraryModel::hdf4(), 1, 5.0).unwrap();
         assert_eq!(t2, 5.0);
         assert_eq!(fs.stats().bytes_read, read_after_first);
-        let (got, _) = r2.read_block(blocks[0].id, t2).unwrap();
+        let (got, _) = r2.read_block_shared(blocks[0].id, t2).unwrap();
         assert_eq!(got, blocks[0]);
         // A different client pays for its own open (per-client keying).
         let (_, t3) = SdfFileReader::open(&fs, "snap.sdf", LibraryModel::hdf4(), 2, 5.0).unwrap();
@@ -945,12 +722,12 @@ mod tests {
             SdfFileWriter::create(&fs, "snap.sdf", LibraryModel::hdf4(), 0, 0.0).unwrap();
         let t = w.append_block(&block, t).unwrap();
         w.finish(t).unwrap();
-        let (image, _) = fs.read_all("snap.sdf", 0, 0.0).unwrap();
+        let (image, _) = fs.read_all_shared("snap.sdf", 0, 0.0).unwrap();
         let at = image
             .windows(8)
             .position(|w| w == marker.to_le_bytes())
             .unwrap();
-        let mut bad = image.clone();
+        let mut bad = image.to_vec();
         bad[at] ^= 0x01;
 
         // Corrupt image: every shared read fails, warm or not.
@@ -1024,7 +801,8 @@ mod tests {
         // Naive: one range read per piece.
         let mut t_naive = t;
         for i in 0..256 {
-            let (piece, t2) = r.read_dataset_range("blk000001/grid", i * 128, 8, t_naive).unwrap();
+            let (piece, t2) =
+                r.read_dataset_strided("blk000001/grid", i * 128, 1, 8, 8, t_naive).unwrap();
             assert_eq!(piece.data.as_f64().unwrap(), &values[i * 128..i * 128 + 8]);
             t_naive = t2;
         }
@@ -1097,18 +875,7 @@ mod tests {
         for ((id, records), want) in raw.iter().zip(&blocks) {
             assert_eq!(*id, want.id);
             // Records are self-describing: meta first, then members.
-            let meta = crate::format::decode_dataset_shared(&records[0], &mut 0).unwrap();
-            let (got_id, window, attrs) = parse_block_meta(&meta).unwrap();
-            assert_eq!(got_id, want.id);
-            let mut rebuilt = DataBlock::new(got_id, window);
-            rebuilt.attrs = attrs;
-            let prefix = crate::format::block_prefix(got_id);
-            for rec in &records[1..] {
-                let mut ds = crate::format::decode_dataset_shared(rec, &mut 0).unwrap();
-                ds.name = ds.name.strip_prefix(&prefix).unwrap().to_string();
-                rebuilt.push_dataset(ds).unwrap();
-            }
-            assert_eq!(&rebuilt, want);
+            assert_eq!(&decode_raw(*id, records), want);
         }
     }
 
@@ -1122,7 +889,7 @@ mod tests {
         let t = w.append_block(&block, t).unwrap();
         w.finish(t).unwrap();
         let (r, t) = SdfFileReader::open(&fs, "big.sdf", LibraryModel::Raw, 0, 0.0).unwrap();
-        let (got, _) = r.read_block(BlockId(1), t).unwrap();
+        let (got, _) = r.read_block_shared(BlockId(1), t).unwrap();
         assert_eq!(got, block);
     }
 }

@@ -311,7 +311,7 @@ mod tests {
         let t2 = w.append_dataset(&ds("b", 2), t1).unwrap();
         assert_eq!(w.n_datasets(), 2);
         w.finish(t2).unwrap();
-        let (bytes, _) = fs.read_all("f.sdf", 0, 0.0).unwrap();
+        let (bytes, _) = fs.read_all_shared("f.sdf", 0, 0.0).unwrap();
         crate::format::check_header(&bytes).unwrap();
         let idx_off = crate::format::decode_trailer(&bytes[bytes.len() - 12..]).unwrap();
         let entries =
@@ -350,7 +350,7 @@ mod tests {
         let (mut w, t) = SdfFileWriter::create(&fs, "f.sdf", LibraryModel::Raw, 0, 0.0).unwrap();
         let t = w.append_block(&block, t).unwrap();
         w.finish(t).unwrap();
-        let (bytes, _) = fs.read_all("f.sdf", 0, 0.0).unwrap();
+        let (bytes, _) = fs.read_all_shared("f.sdf", 0, 0.0).unwrap();
         let idx_off = crate::format::decode_trailer(&bytes[bytes.len() - 12..]).unwrap();
         let entries =
             crate::format::decode_index(&bytes[idx_off as usize..bytes.len() - 12]).unwrap();
@@ -386,7 +386,7 @@ mod tests {
             let (mut w, t) = SdfFileWriter::create(&fs, path, LibraryModel::Raw, 0, 0.0).unwrap();
             let t = w.append_block(b, t).unwrap();
             w.finish(t).unwrap();
-            fs.read_all(path, 0, 0.0).unwrap().0
+            fs.read_all_shared(path, 0, 0.0).unwrap().0
         };
         assert_eq!(out(&typed, "a.sdf"), out(&shared, "b.sdf"));
     }

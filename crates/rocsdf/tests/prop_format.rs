@@ -104,7 +104,7 @@ proptest! {
 
         // Self-describing: the stand-alone inspector sees the same
         // structure without the index.
-        let (bytes, _) = fs.read_all("prop.sdf", 0, 0.0).unwrap();
+        let (bytes, _) = fs.read_all_shared("prop.sdf", 0, 0.0).unwrap();
         let desc = describe(&bytes).unwrap();
         prop_assert!(desc.index_present);
         prop_assert_eq!(desc.blocks.len(), blocks.len());
@@ -124,7 +124,7 @@ proptest! {
             .append_dataset(&Dataset::vector("d", vec![1.0f64; 16]), t)
             .unwrap();
         w.finish(t).unwrap();
-        let (mut bytes, _) = fs.read_all("t.sdf", 0, 0.0).unwrap();
+        let mut bytes = fs.read_all_shared("t.sdf", 0, 0.0).unwrap().0.to_vec();
         bytes.truncate(len.min(bytes.len()));
         bytes.extend(junk);
         let _ = describe(&bytes); // must not panic, may Err

@@ -657,8 +657,8 @@ impl SharedFs {
         Ok(out)
     }
 
-    /// Read `len` bytes at `offset` as a zero-copy window (same virtual
-    /// time and stats as [`SharedFs::read`], no copy).
+    /// Read `len` bytes at `offset` as a zero-copy window: one op, one
+    /// charge ([`SharedFs::read_shared_multi`] on a single range).
     pub fn read_shared(
         &self,
         path: &str,
@@ -669,29 +669,6 @@ impl SharedFs {
     ) -> Result<(Bytes, SimTime)> {
         let (mut windows, end) = self.read_shared_multi(path, &[(offset, len)], 0.0, client, now)?;
         Ok((windows.pop().expect("one range in, one window out"), end))
-    }
-
-    /// Read `len` bytes at `offset`. Returns the bytes and completion time.
-    ///
-    /// Owned-`Vec` compatibility wrapper over [`SharedFs::read_shared`]:
-    /// the copy happens at this legacy boundary only, so there is a single
-    /// charging/stats path for all reads.
-    pub fn read(
-        &self,
-        path: &str,
-        offset: usize,
-        len: usize,
-        client: u64,
-        now: SimTime,
-    ) -> Result<(Vec<u8>, SimTime)> {
-        let (window, end) = self.read_shared(path, offset, len, client, now)?;
-        Ok((window.to_vec(), end))
-    }
-
-    /// Read a whole file.
-    pub fn read_all(&self, path: &str, client: u64, now: SimTime) -> Result<(Vec<u8>, SimTime)> {
-        let len = self.file_size(path)?;
-        self.read(path, 0, len, client, now)
     }
 
     /// Read a whole file as a zero-copy window.
@@ -805,7 +782,7 @@ mod tests {
         fs.create("a.sdf", 0, 0.0);
         fs.append("a.sdf", b"hello ", 0, 0.0).unwrap();
         fs.append("a.sdf", b"world", 0, 0.0).unwrap();
-        let (data, _t) = fs.read_all("a.sdf", 0, 0.0).unwrap();
+        let (data, _t) = fs.read_all_shared("a.sdf", 0, 0.0).unwrap();
         assert_eq!(data, b"hello world");
         assert_eq!(fs.file_size("a.sdf").unwrap(), 11);
     }
@@ -817,7 +794,7 @@ mod tests {
         fs.write_at("f", 4, b"abcd", 0, 0.0).unwrap();
         assert_eq!(fs.file_size("f").unwrap(), 8);
         fs.write_at("f", 0, b"XY", 0, 0.0).unwrap();
-        let (data, _) = fs.read_all("f", 0, 0.0).unwrap();
+        let (data, _) = fs.read_all_shared("f", 0, 0.0).unwrap();
         assert_eq!(&data[..2], b"XY");
         assert_eq!(&data[4..], b"abcd");
     }
@@ -826,7 +803,7 @@ mod tests {
     fn missing_file_errors() {
         let fs = SharedFs::ideal();
         assert!(fs.append("nope", b"x", 0, 0.0).is_err());
-        assert!(fs.read("nope", 0, 1, 0, 0.0).is_err());
+        assert!(fs.read_shared("nope", 0, 1, 0, 0.0).is_err());
         assert!(fs.file_size("nope").is_err());
         assert!(fs.delete("nope").is_err());
         assert!(fs.close("nope", 0, 0.0).is_err());
@@ -838,8 +815,8 @@ mod tests {
         let fs = SharedFs::ideal();
         fs.create("f", 0, 0.0);
         fs.append("f", b"abc", 0, 0.0).unwrap();
-        assert!(fs.read("f", 2, 5, 0, 0.0).is_err());
-        assert!(fs.read("f", 0, 3, 0, 0.0).is_ok());
+        assert!(fs.read_shared("f", 2, 5, 0, 0.0).is_err());
+        assert!(fs.read_shared("f", 0, 3, 0, 0.0).is_ok());
     }
 
     #[test]
@@ -889,8 +866,8 @@ mod tests {
         let fs = SharedFs::turing();
         fs.create("x", 0, 0.0);
         fs.append("x", &vec![0u8; 1 << 20], 0, 0.0).unwrap();
-        let (_, r1) = fs.read_all("x", 1, 100.0).unwrap();
-        let (_, r2) = fs.read_all("x", 2, 100.0).unwrap();
+        let (_, r1) = fs.read_all_shared("x", 1, 100.0).unwrap();
+        let (_, r2) = fs.read_all_shared("x", 2, 100.0).unwrap();
         let single = r1 - 100.0;
         let second = r2 - 100.0;
         // Both reads overlap; the second is slightly slower (contention)
@@ -944,7 +921,7 @@ mod tests {
         );
         // Small writes still fit; reads unaffected.
         fs.append("f", &[0u8; 40], 0, 0.0).unwrap();
-        assert!(fs.read_all("f", 0, 0.0).is_ok());
+        assert!(fs.read_all_shared("f", 0, 0.0).is_ok());
         // Deleting frees space.
         fs.delete("f").unwrap();
         fs.create("g", 0, 0.0);
@@ -968,27 +945,10 @@ mod tests {
         let t_flat = b.append("f", &flat, 0, 0.0).unwrap();
         // Identical bytes, identical modelled cost, one logical write op.
         assert_eq!(t_seg, t_flat);
-        assert_eq!(a.read_all("f", 0, 0.0).unwrap().0, flat);
+        assert_eq!(a.read_all_shared("f", 0, 0.0).unwrap().0, flat);
         let s = a.stats();
         assert_eq!(s.bytes_written, flat.len() as u64);
         assert_eq!(s.write_ops, 1);
-    }
-
-    #[test]
-    fn shared_read_matches_owned_read() {
-        // Same bytes, same virtual cost, same stats — the shared window
-        // differs from the owned read only in what the host allocates.
-        let a = SharedFs::turing();
-        let b = SharedFs::turing();
-        for fs in [&a, &b] {
-            fs.create("f", 0, 0.0);
-            fs.append("f", &(0..4096).map(|i| i as u8).collect::<Vec<_>>(), 0, 0.0).unwrap();
-        }
-        let (owned, t_owned) = a.read("f", 128, 1024, 1, 5.0).unwrap();
-        let (shared, t_shared) = b.read_shared("f", 128, 1024, 1, 5.0).unwrap();
-        assert_eq!(shared.as_slice(), owned.as_slice());
-        assert_eq!(t_shared, t_owned);
-        assert_eq!(a.stats(), b.stats());
     }
 
     #[test]
@@ -1006,7 +966,7 @@ mod tests {
         let (windows, t_multi) = a.read_shared_multi("f", &ranges, lead, 3, 2.0).unwrap();
         let mut t = 2.0;
         for (&(off, len), w) in ranges.iter().zip(&windows) {
-            let (d, e) = b.read("f", off, len, 3, t + lead).unwrap();
+            let (d, e) = b.read_shared("f", off, len, 3, t + lead).unwrap();
             assert_eq!(w.as_slice(), d.as_slice());
             t = e;
         }
@@ -1126,7 +1086,7 @@ mod tests {
         let (w, _) = fs.read_shared("f", 0, 9, 0, 0.0).unwrap();
         // Mutation thaws into a fresh buffer; the window pins the old one.
         fs.append("f", b"+new", 0, 1.0).unwrap();
-        let (now, _) = fs.read_all("f", 0, 2.0).unwrap();
+        let (now, _) = fs.read_all_shared("f", 0, 2.0).unwrap();
         assert_eq!(now, b"old-bytes+new");
         fs.delete("f").unwrap();
         assert_eq!(w.as_slice(), b"old-bytes");
@@ -1269,7 +1229,7 @@ mod tests {
         let fs = SharedFs::ideal();
         fs.create("f", 0, 0.0);
         fs.append("f", b"abcd", 0, 0.0).unwrap();
-        fs.read("f", 0, 2, 0, 0.0).unwrap();
+        fs.read_shared("f", 0, 2, 0, 0.0).unwrap();
         let s = fs.stats();
         assert_eq!(s.files_created, 1);
         assert_eq!(s.bytes_written, 4);

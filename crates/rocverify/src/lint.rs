@@ -21,10 +21,7 @@
 //! * **forbid-unsafe** — every crate root carries `#![forbid(unsafe_code)]`.
 //! * **owned-payload** — the zero-copy data path keeps wire payloads in
 //!   shared [`bytes::Bytes`]; an owned `payload: Vec<u8>` field or a
-//!   `ds.clone()` on the send path reintroduces a deep copy per message,
-//!   and an owned `fs.read(..)` / `fs.read_all(..)` on the read path
-//!   copies the file window per call (simulation crates read through the
-//!   shared windows; the owned forms are rocstore's legacy boundary).
+//!   `ds.clone()` on the send path reintroduces a deep copy per message.
 //! * **std-sync** — workspace locks are parking_lot-backed through the
 //!   named `rocio_core::lockdep` wrappers; a `std::sync::Mutex`/`RwLock`/
 //!   `Condvar` has a different guard shape and escapes the lock-discipline
@@ -483,23 +480,6 @@ pub fn lint_source(cfg: &LintConfig, crate_dir: &str, path: &str, src: &str) -> 
                 toks[i].line,
                 "`ds.clone()` deep-copies the dataset — encode with a name override instead"
                     .into(),
-            );
-        }
-        // owned-payload: owned reads copy the file window per call.
-        // Simulation crates read through the shared, zero-copy windows;
-        // the owned `read`/`read_all` live on only as rocstore's legacy
-        // boundary.
-        if is_sim
-            && w == "fs"
-            && t(&toks, i + 1) == "."
-            && matches!(t(&toks, i + 2), "read" | "read_all")
-            && t(&toks, i + 3) == "("
-        {
-            let call = t(&toks, i + 2);
-            push(
-                Rule::OwnedPayload,
-                toks[i].line,
-                format!("owned `fs.{call}(..)` — read shared windows (`{call}_shared`) instead"),
             );
         }
         // raw-send: inside rocpanda, protocol traffic must route through

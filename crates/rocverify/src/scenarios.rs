@@ -63,7 +63,7 @@ fn fingerprint_files(
     let mut out = Vec::new();
     for path in fs.list(prefix) {
         let (bytes, _) = fs
-            .read_all(&path, 0, 0.0)
+            .read_all_shared(&path, 0, 0.0)
             .unwrap_or_else(|e| panic!("reading {path}: {e}"));
         out.extend_from_slice(path.as_bytes());
         out.push(0);

@@ -140,28 +140,6 @@ fn owned_payload_fires_in_sim_crates_only() {
 }
 
 #[test]
-fn owned_reads_fire_in_sim_crates_only() {
-    for call in [
-        "pub fn f(fs: &SharedFs) { let (v, _) = fs.read(\"p\", 0, 8, 1, 0.0).unwrap(); }",
-        "pub fn f(fs: &SharedFs) { let (v, _) = fs.read_all(\"p\", 1, 0.0).unwrap(); }",
-        "impl S { fn f(&self) { let _ = self.fs.read(\"p\", 0, 8, 1, 0.0); } }",
-    ] {
-        assert!(
-            rules_fired("rochdf", "crates/rochdf/src/x.rs", call).contains(&Rule::OwnedPayload),
-            "owned read should fire: {call}"
-        );
-    }
-    // The shared window forms are the sanctioned read path.
-    let shared = "pub fn f(fs: &SharedFs) { let _ = fs.read_shared(\"p\", 0, 8, 1, 0.0); \
-                  let _ = fs.read_all_shared(\"p\", 1, 0.0); }";
-    assert_eq!(rules_fired("rochdf", "crates/rochdf/src/x.rs", shared), vec![]);
-    // rocstore itself (the legacy boundary) and other non-simulation
-    // crates may keep the owned forms.
-    let owned = "pub fn f(fs: &SharedFs) { let _ = fs.read_all(\"p\", 1, 0.0); }";
-    assert_eq!(rules_fired("rocstore", "crates/rocstore/src/x.rs", owned), vec![]);
-}
-
-#[test]
 fn raw_send_fires_in_rocpanda_off_the_pandanet_shim() {
     let raw = "impl C<'_> { fn f(&mut self) -> Result<()> { self.world.send(0, 7, &[]) } }";
     assert!(

@@ -1,7 +1,7 @@
-//! Performance analysis with the rocnet event tracer: run a short
-//! Rocpanda job with per-rank tracing and print each rank's virtual-time
-//! breakdown (compute vs communication) plus the full JSON timeline of
-//! one rank.
+//! Performance analysis with `rocobs`: run a short Rocpanda job with a
+//! span collector installed on every rank and print the trace's
+//! per-category aggregate (`Trace::summary`) plus each rank's
+//! compute-vs-communication split in virtual time.
 //!
 //! ```text
 //! cargo run --release --example profiling
@@ -12,7 +12,8 @@ use std::sync::Arc;
 use genx_repro::core::SnapshotId;
 use genx_repro::roccom::{AttrSelector, AttrSpec, IoService, PaneMesh, Windows};
 use genx_repro::rocnet::cluster::ClusterSpec;
-use genx_repro::rocnet::{run_ranks, trace};
+use genx_repro::rocnet::run_ranks;
+use genx_repro::rocobs::{SpanCategory, TraceCollector, LANE_MAIN};
 use genx_repro::rocpanda::{JobSpec, PandaServiceBuilder, ServiceRole};
 use genx_repro::rocstore::SharedFs;
 use rocio_core::{ArrayData, BlockId, DType};
@@ -25,12 +26,14 @@ fn main() {
         .build()
         .unwrap();
     svc.submit(JobSpec::new("profiling", &[1, 2, 3, 4])).unwrap();
-    let traces = run_ranks(5, ClusterSpec::turing(5), |comm| {
-        comm.enable_tracing();
+    let collector = TraceCollector::new();
+    let roles = run_ranks(5, ClusterSpec::turing(5), |comm| {
+        let node = comm.cluster().node_of(comm.rank());
+        let _recording = collector.handle(comm.rank(), LANE_MAIN, node).install();
         match svc.attach(&comm).unwrap() {
             ServiceRole::Server(mut s) => {
                 s.run().unwrap();
-                (comm.rank(), "server", comm.take_trace())
+                "server"
             }
             ServiceRole::Client { io: mut c, comm: app, .. } => {
                 let mut ws = Windows::new();
@@ -60,31 +63,33 @@ fn main() {
                 c.write_attribute(&ws, &AttrSelector::all("fluid"), SnapshotId::new(20, 1))
                     .unwrap();
                 c.finalize().unwrap();
-                (comm.rank(), "client", comm.take_trace())
+                "client"
             }
-            ServiceRole::Idle => (comm.rank(), "idle", comm.take_trace()),
+            ServiceRole::Idle => "idle",
         }
     });
+    let trace = collector.finish();
 
-    println!("per-rank virtual-time breakdown:");
-    for (rank, role, events) in &traces {
-        let (compute, comm_t, sent) = trace::summarize(events);
+    let summary = trace.summary();
+    println!("{} spans over {:.3} virtual seconds:", summary.spans, summary.end_time);
+    for c in &summary.categories {
         println!(
-            "  rank {rank} ({role:<6}): {:>4} events, compute {:>7.3} s, comm {:>7.3} s, sent {}",
-            events.len(),
-            compute,
-            comm_t,
-            genx_repro::core::fmt_bytes(sent)
+            "  {:<18} {:>5} spans, busy {:>8.3} s, union {:>8.3} s, max concurrent {}",
+            c.category, c.count, c.busy_time, c.union_time, c.max_concurrent
         );
     }
-    let client_events = &traces.iter().find(|(_, role, _)| *role == "client").unwrap().2;
-    println!(
-        "\nfirst 5 events of one client (full JSON via rocnet::trace::trace_to_json):"
-    );
-    for e in client_events.iter().take(5) {
+
+    println!("\nper-rank virtual-time breakdown:");
+    for (rank, role) in roles.iter().enumerate() {
+        let busy = |cats: &[SpanCategory]| -> f64 {
+            let mine = trace.filter(|s| s.rank == rank && cats.contains(&s.category));
+            mine.iter().fold(0.0, |busy, s| busy + s.duration())
+        };
         println!(
-            "  {:?} peer={:?} bytes={:<8} [{:.6} .. {:.6}]",
-            e.kind, e.peer, e.bytes, e.t_start, e.t_end
+            "  rank {rank} ({role:<6}): compute {:>7.3} s, comm {:>7.3} s, disk {:>7.3} s",
+            busy(&[SpanCategory::Compute]),
+            busy(&[SpanCategory::Send, SpanCategory::Recv, SpanCategory::ProbeBlocking]),
+            busy(&[SpanCategory::DiskWrite, SpanCategory::DiskRead]),
         );
     }
 }

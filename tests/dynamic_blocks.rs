@@ -104,7 +104,8 @@ fn block_migrates_between_snapshots() {
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2, MIGRANT]);
         let migrant = blocks.iter().find(|b| b.id.0 == MIGRANT).unwrap();
-        assert_eq!(migrant.dataset("p").unwrap().data.as_f64().unwrap()[0], 70.0);
+        let p = migrant.dataset("p").unwrap().data.to_typed().unwrap();
+        assert_eq!(p.as_f64().unwrap()[0], 70.0);
     };
     check(snap_a);
     check(snap_b);
@@ -240,7 +241,7 @@ fn pane_resize_between_snapshots() {
             0.0,
         )
         .unwrap();
-        let (block, _) = r.read_block(BlockId(5), t).unwrap();
+        let (block, _) = r.read_block_shared(BlockId(5), t).unwrap();
         assert_eq!(block.dataset("p").unwrap().len(), 2 * nj * 2);
     }
 }

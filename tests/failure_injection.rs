@@ -48,7 +48,7 @@ fn corrupted_trailer_fails_open_cleanly() {
     let err = SdfFileReader::open(&fs, &path, LibraryModel::hdf4(), 0, 0.0);
     assert!(err.is_err());
     // The sequential inspector still recovers the record prefix.
-    let (bytes, _) = fs.read_all(&path, 0, 0.0).unwrap();
+    let (bytes, _) = fs.read_all_shared(&path, 0, 0.0).unwrap();
     let desc = describe(&bytes).unwrap();
     assert_eq!(desc.datasets.len(), 3); // meta + nc + p
 }
@@ -66,11 +66,11 @@ fn corrupted_payload_fails_block_read() {
         Err(_) => {} // index region shifted — fine
         Ok((r, t)) => {
             // The record CRC catches damage even when the structure still
-            // parses: at least one dataset read must fail, and no read may
+            // parses: at least one block read must fail, and no read may
             // return silently-wrong bytes.
             let mut any_err = false;
-            for name in r.dataset_names() {
-                if r.read_dataset(name, t).is_err() {
+            for id in r.block_ids() {
+                if r.read_block_shared(id, t).is_err() {
                     any_err = true;
                 }
             }
@@ -221,7 +221,7 @@ fn panda_restart_truncated_file_errors_cleanly() {
     let files = fs.list("out/");
     assert_eq!(files.len(), 1);
     // Chop the trailer (and then some) off the snapshot file.
-    let (bytes, _) = fs.read_all(&files[0], 0, 0.0).unwrap();
+    let (bytes, _) = fs.read_all_shared(&files[0], 0, 0.0).unwrap();
     fs.create(&files[0], 0, 0.0);
     fs.write_at(&files[0], 0, &bytes[..bytes.len() - 10], 0, 0.0).unwrap();
     let errs = panda_restart(&fs, &[0], snap);

@@ -53,8 +53,8 @@ fn tenant_files(fs: &SharedFs, out_dir: &str, tenant: TenantId) -> Vec<(String, 
         .into_iter()
         .map(|p| {
             let rel = p[prefix.len()..].to_string();
-            let (bytes, _) = fs.read_all(&p, u64::MAX, 0.0).expect("read back");
-            (rel, bytes)
+            let (bytes, _) = fs.read_all_shared(&p, u64::MAX, 0.0).expect("read back");
+            (rel, bytes.to_vec())
         })
         .collect()
 }

@@ -32,7 +32,7 @@ fn chaos_run(label: &str, spec: Option<FaultSpec>) -> (RunReport, BTreeMap<Strin
         .list(&dir)
         .into_iter()
         .map(|p| {
-            let bytes = fs.read_all(&p, u64::MAX, 0.0).unwrap().0;
+            let bytes = fs.read_all_shared(&p, u64::MAX, 0.0).unwrap().0.to_vec();
             // Strip the run-directory prefix so runs with different
             // labels compare on file identity, not label.
             (p[dir.len()..].to_string(), bytes)

@@ -156,7 +156,7 @@ fn panda_files_are_plain_sdf() {
         assert!(b.dataset("nc").is_ok());
     }
     // The raw bytes also pass the stand-alone inspector.
-    let (bytes, _) = fs.read_all(&path, 0, 0.0).unwrap();
+    let (bytes, _) = fs.read_all_shared(&path, 0, 0.0).unwrap();
     let desc = genx_repro::rocsdf::describe(&bytes).unwrap();
     assert!(desc.index_present);
     assert_eq!(desc.blocks.len(), 2);
