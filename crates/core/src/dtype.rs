@@ -185,30 +185,10 @@ impl ArrayData {
     pub fn to_le_bytes(&self, out: &mut Vec<u8>) {
         match self {
             ArrayData::U8(v) => out.extend_from_slice(v),
-            ArrayData::I32(v) => {
-                out.reserve(v.len() * 4);
-                for x in v {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-            ArrayData::I64(v) => {
-                out.reserve(v.len() * 8);
-                for x in v {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-            ArrayData::F32(v) => {
-                out.reserve(v.len() * 4);
-                for x in v {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-            ArrayData::F64(v) => {
-                out.reserve(v.len() * 8);
-                for x in v {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-            }
+            ArrayData::I32(v) => crate::le::extend(out, v, i32::to_le_bytes),
+            ArrayData::I64(v) => crate::le::extend(out, v, i64::to_le_bytes),
+            ArrayData::F32(v) => crate::le::extend(out, v, f32::to_le_bytes),
+            ArrayData::F64(v) => crate::le::extend(out, v, f64::to_le_bytes),
             ArrayData::Shared(s) => out.extend_from_slice(s.bytes()),
         }
     }

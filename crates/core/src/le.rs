@@ -1,4 +1,4 @@
-//! Checked little-endian decoding.
+//! Checked little-endian decoding (and the bulk encode loop beside it).
 //!
 //! Every wire message and file format in the workspace is little-endian.
 //! Decoders used to pair a bounds-checked `take` with
@@ -72,6 +72,21 @@ pub fn array<const N: usize, T>(bytes: &[u8], decode: impl Fn([u8; N]) -> T) -> 
     out
 }
 
+/// Append a run of elements as `N`-byte little-endian values: the encode
+/// twin of [`array`], with `encode` one of the
+/// `{i32,i64,f32,f64}::to_le_bytes` intrinsics. Borrowing a slice (not an
+/// `ArrayData`) lets a producer encode straight from its own storage.
+pub fn extend<const N: usize, T: Copy>(out: &mut Vec<u8>, elems: &[T], encode: impl Fn(T) -> [u8; N]) {
+    // Zero-extend, then overwrite fixed-size chunks: unlike an
+    // `extend_from_slice` per element (a capacity check every `N` bytes,
+    // a quarter of `memcpy` speed) this loop compiles to a straight copy.
+    let at = out.len();
+    out.resize(at + elems.len() * N, 0);
+    for (chunk, &x) in out[at..].chunks_exact_mut(N).zip(elems) {
+        chunk.copy_from_slice(&encode(x));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     #[test]
@@ -90,6 +105,14 @@ mod tests {
         b.push(0xff); // short tail: not a full element, ignored
         assert_eq!(super::array(&b, f64::from_le_bytes), vec![1.5, -2.25, 1e300]);
         assert_eq!(super::array(&[], i32::from_le_bytes), Vec::<i32>::new());
+    }
+
+    #[test]
+    fn extend_appends_what_array_decodes() {
+        let mut b = vec![0xaa];
+        super::extend(&mut b, &[1i32, -2, i32::MAX], i32::to_le_bytes);
+        assert_eq!(b, [0xaa, 1, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f]);
+        assert_eq!(super::array(&b[1..], i32::from_le_bytes), vec![1, -2, i32::MAX]);
     }
 
     #[test]

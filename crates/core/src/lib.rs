@@ -32,6 +32,11 @@ pub mod snapshot;
 pub mod tenant;
 pub mod units;
 
+/// The refcounted byte buffer behind [`SharedArray`] and
+/// [`Segment::Shared`], re-exported so producers of shared payloads need
+/// no dependency of their own.
+pub use bytes::Bytes;
+
 pub use attr::AttrValue;
 pub use block::{BlockId, DataBlock};
 pub use checksum::Checksum;

@@ -3,11 +3,11 @@
 //!
 //! An encoder that would otherwise flatten a record into one `Vec<u8>`
 //! instead emits a list of [`Segment`]s: small owned header runs
-//! interleaved with refcounted payload views. The list is assembled into
-//! contiguous bytes exactly once — by the transport
-//! (`rocnet::Comm::send_segments`) or the storage backend
-//! (`rocstore::SharedFs::append_segments`) — instead of at every layer
-//! boundary.
+//! interleaved with refcounted payload views. The transport
+//! (`rocnet::Comm::send_segments`) assembles the list into the one
+//! contiguous image a message needs; the storage backend
+//! (`rocstore::SharedFs::append_segments`) never assembles it at all — it
+//! adopts the shared views as file extents and stages only the owned runs.
 
 use bytes::Bytes;
 

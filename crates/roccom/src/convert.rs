@@ -7,13 +7,77 @@
 //! its own name. Geometry of structured panes is additionally kept in
 //! block attributes so the pane can be reconstructed exactly.
 
-use rocio_core::{ArrayData, AttrValue, DataBlock, Dataset, Result, RocError};
+use rocio_core::{
+    le, ArrayData, AttrValue, Bytes, DType, DataBlock, Dataset, Result, RocError,
+};
 use rocmesh::StructuredBlock;
 
 use crate::selector::AttrRef;
 use crate::window::{AttrSpec, Location, Pane, PaneMesh, Window};
 
+/// Where one dataset's elements live before they are encoded.
+enum Elems<'a> {
+    /// Node coordinates of a structured pane, generated on the fly.
+    Nodes(StructuredBlock),
+    F64(&'a [f64]),
+    I32(&'a [i32]),
+    Array(&'a ArrayData),
+}
+
+impl Elems<'_> {
+    fn dtype(&self) -> DType {
+        match self {
+            Elems::Nodes(_) | Elems::F64(_) => DType::F64,
+            Elems::I32(_) => DType::I32,
+            Elems::Array(a) => a.dtype(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Elems::Nodes(sb) => sb.n_nodes() * 3,
+            Elems::F64(v) => v.len(),
+            Elems::I32(v) => v.len(),
+            Elems::Array(a) => a.len(),
+        }
+    }
+
+    fn byte_len(&self) -> usize {
+        self.len() * self.dtype().size()
+    }
+
+    /// Append the canonical little-endian encoding.
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            // Three elements at a time: too short a run for `le::extend`'s
+            // resize-then-overwrite to pay (measured 15 % slower here).
+            Elems::Nodes(sb) => sb.for_each_node_point(|p| {
+                for x in p {
+                    out.extend_from_slice(&x.to_le_bytes());
+                }
+            }),
+            Elems::F64(v) => le::extend(out, v, f64::to_le_bytes),
+            Elems::I32(v) => le::extend(out, v, i32::to_le_bytes),
+            Elems::Array(a) => a.to_le_bytes(out),
+        }
+    }
+}
+
+/// One dataset of the block being built.
+struct Part<'a> {
+    name: &'a str,
+    shape: Vec<usize>,
+    elems: Elems<'a>,
+    location: Option<Location>,
+}
+
 /// Serialize one pane into a data block carrying the selected attributes.
+///
+/// The pane's arrays are little-endian encoded **once**, into one
+/// exact-capacity buffer per block, and every dataset is an
+/// [`ArrayData::Shared`] window of it: checksumming, record encoding and
+/// the store's extent list all work on those bytes in place, so this is
+/// the only copy a snapshot byte sees before the wire or the file.
 pub fn pane_to_block(window: &Window, pane: &Pane, attr: &AttrRef) -> Result<DataBlock> {
     let mut block = DataBlock::new(pane.id, window.name());
     block
@@ -24,6 +88,13 @@ pub fn pane_to_block(window: &Window, pane: &Pane, attr: &AttrRef) -> Result<Dat
         .insert("n_elems".into(), AttrValue::Int(pane.mesh.n_elems() as i64));
 
     // Mesh datasets (always present for All/Mesh; omitted for Named).
+    let with_mesh = !matches!(attr, AttrRef::Named(_));
+    let mut parts: Vec<Part<'_>> = Vec::new();
+    let mut mesh_part = |name, shape, elems| {
+        if with_mesh {
+            parts.push(Part { name, shape, elems, location: None });
+        }
+    };
     match &pane.mesh {
         PaneMesh::Structured {
             dims,
@@ -41,29 +112,13 @@ pub fn pane_to_block(window: &Window, pane: &Pane, attr: &AttrRef) -> Result<Dat
             block
                 .attrs
                 .insert("spacing".into(), AttrValue::FloatVec(spacing.to_vec()));
-            if !matches!(attr, AttrRef::Named(_)) {
-                let sb = StructuredBlock::new(pane.id, *dims, *origin, *spacing);
-                block.push_dataset(Dataset::new(
-                    "nc",
-                    vec![pane.mesh.n_nodes(), 3],
-                    ArrayData::F64(sb.node_coords()),
-                )?)?;
-            }
+            let sb = StructuredBlock::new(pane.id, *dims, *origin, *spacing);
+            mesh_part("nc", vec![pane.mesh.n_nodes(), 3], Elems::Nodes(sb));
         }
         PaneMesh::Unstructured { coords, conn } => {
             block.attrs.insert("mesh_kind".into(), "unstructured".into());
-            if !matches!(attr, AttrRef::Named(_)) {
-                block.push_dataset(Dataset::new(
-                    "nc",
-                    vec![pane.mesh.n_nodes(), 3],
-                    ArrayData::F64(coords.clone()),
-                )?)?;
-                block.push_dataset(Dataset::new(
-                    "conn",
-                    vec![pane.mesh.n_elems(), 4],
-                    ArrayData::I32(conn.clone()),
-                )?)?;
-            }
+            mesh_part("nc", vec![pane.mesh.n_nodes(), 3], Elems::F64(coords));
+            mesh_part("conn", vec![pane.mesh.n_elems(), 4], Elems::I32(conn));
         }
     }
 
@@ -81,14 +136,35 @@ pub fn pane_to_block(window: &Window, pane: &Pane, attr: &AttrRef) -> Result<Dat
         } else {
             vec![count, spec.ncomp]
         };
-        let ds = Dataset::new(spec.name.clone(), shape, buf.clone())?.with_attr(
-            "location",
-            match spec.location {
-                Location::Node => "node",
-                Location::Element => "element",
-                Location::Pane => "pane",
-            },
-        );
+        parts.push(Part {
+            name: &spec.name,
+            shape,
+            elems: Elems::Array(buf),
+            location: Some(spec.location),
+        });
+    }
+
+    let mut image = Vec::with_capacity(parts.iter().map(|p| p.elems.byte_len()).sum());
+    for p in &parts {
+        p.elems.encode(&mut image);
+    }
+    let image = Bytes::from(image);
+    let mut at = 0;
+    for p in parts {
+        let end = at + p.elems.byte_len();
+        let data = ArrayData::from_le_shared(p.elems.dtype(), p.elems.len(), image.slice(at..end))?;
+        at = end;
+        let mut ds = Dataset::new(p.name, p.shape, data)?;
+        if let Some(location) = p.location {
+            ds = ds.with_attr(
+                "location",
+                match location {
+                    Location::Node => "node",
+                    Location::Element => "element",
+                    Location::Pane => "pane",
+                },
+            );
+        }
         block.push_dataset(ds)?;
     }
     Ok(block)
@@ -288,6 +364,52 @@ mod tests {
         .is_err());
     }
 
+    /// The block `pane_to_block` built before it encoded in place: typed
+    /// clones of the pane's arrays. The reference the shared form must
+    /// equal in every observable way.
+    fn typed_twin(block: &DataBlock) -> DataBlock {
+        let mut twin = DataBlock::new(block.id, block.window.clone());
+        twin.attrs = block.attrs.clone();
+        for ds in &block.datasets {
+            let mut t = Dataset::new(ds.name.clone(), ds.shape.clone(), ds.data.to_typed().unwrap())
+                .unwrap();
+            t.attrs = ds.attrs.clone();
+            twin.push_dataset(t).unwrap();
+        }
+        twin
+    }
+
+    #[test]
+    fn blocks_are_shared_windows_of_one_buffer_equal_to_the_typed_form() {
+        let (fluid, solid) = (fluid_window(), solid_window());
+        let selectors = |named: &str| [AttrRef::All, AttrRef::Mesh, AttrRef::Named(named.into())];
+        for (w, id, named) in [(&fluid, BlockId(4), "velocity"), (&solid, BlockId(8), "disp")] {
+            for attr in selectors(named) {
+                let block = pane_to_block(w, w.pane(id).unwrap(), &attr).unwrap();
+                let twin = typed_twin(&block);
+                assert_eq!(block, twin, "{attr:?}");
+                assert_eq!(
+                    rocio_core::Checksum::of_block(&block),
+                    rocio_core::Checksum::of_block(&twin)
+                );
+                // Every payload is a window of one allocation, laid end to end.
+                let windows: Vec<&[u8]> = block
+                    .datasets
+                    .iter()
+                    .map(|d| d.data.as_shared().expect("shared payload").bytes().as_slice())
+                    .collect();
+                for pair in windows.windows(2) {
+                    assert_eq!(pair[0].as_ptr_range().end, pair[1].as_ptr(), "{attr:?}");
+                }
+            }
+        }
+        // Structured coordinates are generated straight into the buffer and
+        // must be the mesh generator's own values.
+        let block = pane_to_block(&fluid, fluid.pane(BlockId(4)).unwrap(), &AttrRef::Mesh).unwrap();
+        let sb = StructuredBlock::new(BlockId(4), [2, 2, 1], [0.0; 3], [0.5; 3]);
+        assert_eq!(block.dataset("nc").unwrap().data, ArrayData::F64(sb.node_coords()));
+    }
+
     #[test]
     fn round_trip_through_apply_block() {
         let mut w = fluid_window();
@@ -372,13 +494,11 @@ mod tests {
     fn apply_block_refreshes_moved_coords() {
         let mut w = solid_window();
         let mut block = pane_to_block(&w, w.pane(BlockId(8)).unwrap(), &AttrRef::All).unwrap();
-        // Move the mesh in the serialized copy.
-        block
-            .dataset_mut("nc")
-            .unwrap()
-            .data
-            .as_f64_mut()
-            .unwrap()[0] = 99.0;
+        // Move the mesh in the serialized copy (typed first: the block's
+        // payloads are shared windows, which are immutable).
+        let nc = &mut block.dataset_mut("nc").unwrap().data;
+        *nc = nc.to_typed().unwrap();
+        nc.as_f64_mut().unwrap()[0] = 99.0;
         apply_block(&mut w, &block).unwrap();
         match &w.pane(BlockId(8)).unwrap().mesh {
             PaneMesh::Unstructured { coords, .. } => assert_eq!(coords[0], 99.0),

@@ -75,18 +75,27 @@ impl StructuredBlock {
         (k * self.nj + j) * self.ni + i
     }
 
-    /// Node coordinates, interleaved `[x0,y0,z0, x1,y1,z1, …]`, i fastest.
-    pub fn node_coords(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.n_nodes() * 3);
+    /// Visit every node position `[x, y, z]`, i fastest — the generator
+    /// behind [`StructuredBlock::node_coords`], for consumers that encode
+    /// the coordinates somewhere else than a fresh `Vec<f64>`.
+    pub fn for_each_node_point(&self, mut visit: impl FnMut([f64; 3])) {
         for k in 0..=self.nk {
             for j in 0..=self.nj {
                 for i in 0..=self.ni {
-                    out.push(self.origin[0] + i as f64 * self.spacing[0]);
-                    out.push(self.origin[1] + j as f64 * self.spacing[1]);
-                    out.push(self.origin[2] + k as f64 * self.spacing[2]);
+                    visit([
+                        self.origin[0] + i as f64 * self.spacing[0],
+                        self.origin[1] + j as f64 * self.spacing[1],
+                        self.origin[2] + k as f64 * self.spacing[2],
+                    ]);
                 }
             }
         }
+    }
+
+    /// Node coordinates, interleaved `[x0,y0,z0, x1,y1,z1, …]`, i fastest.
+    pub fn node_coords(&self) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.n_nodes() * 3);
+        self.for_each_node_point(|p| out.extend_from_slice(&p));
         out
     }
 

@@ -490,6 +490,47 @@ mod tests {
     }
 
     #[test]
+    fn pane_blocks_encode_like_their_typed_twins() {
+        // `pane_to_block` hands out shared windows of one LE buffer; on
+        // the wire and in a file record they must be the bytes the typed
+        // arrays would have encoded to, for both mesh kinds.
+        use roccom::{convert::pane_to_block, AttrRef, AttrSpec, PaneMesh, Window};
+        let mut fluid = Window::new("fluid");
+        fluid.declare_attr(AttrSpec::element("pressure", rocio_core::DType::F64, 1)).unwrap();
+        fluid.declare_attr(AttrSpec::node("velocity", rocio_core::DType::F64, 3)).unwrap();
+        let structured = PaneMesh::Structured { dims: [2, 3, 1], origin: [0.5; 3], spacing: [0.25; 3] };
+        fluid.register_pane(BlockId(4), structured).unwrap();
+        let mut solid = Window::new("solid");
+        solid.declare_attr(AttrSpec::node("disp", rocio_core::DType::F64, 3)).unwrap();
+        let tets = rocmesh::UnstructuredBlock::tet_box(BlockId(8), [1, 2, 1], [0.0; 3], [1.0; 3]);
+        solid.register_pane(BlockId(8), PaneMesh::from_unstructured(&tets)).unwrap();
+
+        for (w, id) in [(&fluid, BlockId(4)), (&solid, BlockId(8))] {
+            let shared = pane_to_block(w, w.pane(id).unwrap(), &AttrRef::All).unwrap();
+            let mut typed = DataBlock::new(shared.id, shared.window.clone());
+            typed.attrs = shared.attrs.clone();
+            for ds in &shared.datasets {
+                assert!(ds.data.as_shared().is_some());
+                let mut t =
+                    Dataset::new(ds.name.clone(), ds.shape.clone(), ds.data.to_typed().unwrap()).unwrap();
+                t.attrs = ds.attrs.clone();
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                let crc = rocsdf::payload_crc32(ds);
+                assert_eq!(crc, rocsdf::payload_crc32(&t));
+                rocsdf::encode_dataset_into(ds, Some("x"), Some(crc), &mut a);
+                rocsdf::encode_dataset_into(&t, Some("x"), Some(crc), &mut b);
+                assert_eq!(a, b, "{}", ds.name);
+                typed.push_dataset(t).unwrap();
+            }
+            let msg = |block| BlockMsg { snap: SnapshotId::new(2, 1), window: w.name().into(), block };
+            let (shared, typed) = (msg(shared), msg(typed));
+            let mut segs = Vec::new();
+            shared.encode_segments(&mut SegmentPool::new(), &mut segs);
+            assert_eq!(rocio_core::segments_to_vec(&segs), typed.encode());
+        }
+    }
+
+    #[test]
     fn truncated_messages_rejected() {
         let m = BlockMsg {
             snap: SnapshotId::new(0, 0),

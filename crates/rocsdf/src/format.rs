@@ -102,11 +102,11 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// CRC-32 of a dataset's canonical little-endian payload bytes.
 ///
-/// Shared and `u8` payloads are checksummed in place; other typed
-/// payloads are encoded into a scratch buffer first. This replaces the
-/// old `with_crc` helper, which deep-copied the whole dataset just to
-/// attach the checksum attribute — encoders now inject the attribute
-/// during encoding instead (see [`encode_dataset_into`]).
+/// Shared and `u8` payloads — every dataset of a pane block, a decoded
+/// message or a file read — are checksummed where they lie; only a
+/// hand-built typed payload is encoded into a scratch buffer first.
+/// Encoders inject the checksum attribute during encoding (see
+/// [`encode_dataset_into`]) rather than copying the dataset to attach it.
 pub fn payload_crc32(ds: &Dataset) -> u32 {
     ds.data.with_le_bytes(crc32)
 }

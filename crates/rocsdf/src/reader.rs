@@ -271,7 +271,7 @@ impl<'fs> SdfFileReader<'fs> {
     /// names without the group prefix) as zero-copy windows. Charged the
     /// way the library charges it — one lookup and one read per record,
     /// meta first, then members in file order — which is what the paper's
-    /// restart figures are calibrated on; the host does one lock/freeze
+    /// restart figures are calibrated on; the host does one lock
     /// and O(1) carving for the whole block.
     pub fn read_block_shared(&self, id: BlockId, now: SimTime) -> Result<(DataBlock, SimTime)> {
         let picks = self.pick(id, None)?;

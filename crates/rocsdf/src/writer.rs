@@ -232,7 +232,8 @@ impl<'fs> SdfFileWriter<'fs> {
     /// byte-identical files no matter how the fabric interleaved them.
     /// Zero virtual cost: every byte was charged when it was appended, and
     /// the permutation models the library placing records at their indexed
-    /// slots (see `SharedFs::rewrite_image`). Files containing any
+    /// slots (see `SharedFs::permute`: an O(records) reordering of extent
+    /// handles, no byte moves). Files containing any
     /// non-block record (standalone datasets) are left untouched.
     fn canonicalize_layout(&mut self) -> Result<()> {
         // Group contiguous entries by block prefix; bail on non-block names.
@@ -252,27 +253,16 @@ impl<'fs> SdfFileWriter<'fs> {
         groups.sort_by_key(|(id, _)| *id);
         let old = std::mem::take(&mut self.entries);
         let header_len = encode_header().len();
-        self.fs.rewrite_image(&self.path, |img| {
-            let mut out = Vec::with_capacity(img.len());
-            out.extend_from_slice(&img[..header_len]);
-            for (_, idxs) in &groups {
-                for &i in idxs {
-                    let e = &old[i];
-                    out.extend_from_slice(&img[e.offset as usize..(e.offset + e.len) as usize]);
-                }
-            }
-            *img = out;
-        })?;
+        let mut ranges = vec![(0, header_len)];
         let mut off = header_len as u64;
-        for (_, idxs) in &groups {
-            for &i in idxs {
-                let mut e = old[i].clone();
-                e.offset = off;
-                off += e.len;
-                self.entries.push(e);
-            }
+        for &i in groups.iter().flat_map(|(_, idxs)| idxs) {
+            let mut e = old[i].clone();
+            ranges.push((e.offset as usize, e.len as usize));
+            e.offset = off;
+            off += e.len;
+            self.entries.push(e);
         }
-        Ok(())
+        self.fs.permute(&self.path, &ranges)
     }
 
     /// Write the index and trailer, close the file. Returns the completion
@@ -389,6 +379,42 @@ mod tests {
             fs.read_all_shared(path, 0, 0.0).unwrap().0
         };
         assert_eq!(out(&typed, "a.sdf"), out(&shared, "b.sdf"));
+    }
+
+    #[test]
+    fn out_of_order_blocks_finish_byte_identical_to_in_order() {
+        // Arrival order is a fabric artifact; `finish` permutes the
+        // records to block-id order, so the file must not remember it —
+        // whichever library model charged the appends, and whether the
+        // payloads were typed or shared windows.
+        let block = |id: u64| {
+            let le: Vec<u8> = (0..24).map(|i| (id as u8).wrapping_mul(31) ^ i).collect();
+            DataBlock::new(BlockId(id), "fluid")
+                .with_dataset(Dataset::vector("p", vec![id as f64; 5]).with_attr("units", "Pa"))
+                .with_dataset(
+                    Dataset::new(
+                        "v",
+                        vec![3],
+                        ArrayData::from_le_shared(rocio_core::DType::F64, 3, le.into()).unwrap(),
+                    )
+                    .unwrap(),
+                )
+                .with_attr("step", id as i64)
+        };
+        for lib in [LibraryModel::hdf4(), LibraryModel::hdf5(), LibraryModel::Raw] {
+            let image = |order: &[u64]| {
+                let fs = SharedFs::ideal();
+                let (mut w, mut t) = SdfFileWriter::create(&fs, "f.sdf", lib, 0, 0.0).unwrap();
+                for &id in order {
+                    t = w.append_block(&block(id), t).unwrap();
+                }
+                w.finish(t).unwrap();
+                fs.read_all_shared("f.sdf", 0, 0.0).unwrap().0
+            };
+            let sorted = image(&[2, 5, 7, 11]);
+            assert_eq!(image(&[7, 2, 11, 5]), sorted, "{lib:?}");
+            assert_eq!(image(&[11, 7, 5, 2]), sorted, "{lib:?}");
+        }
     }
 
     #[test]

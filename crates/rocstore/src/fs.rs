@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use rocio_core::lockdep::Mutex;
-use rocio_core::{Result, RocError, ServiceError, ServiceErrorKind, SimTime, TenantId};
+use rocio_core::{Result, RocError, Segment, ServiceError, ServiceErrorKind, SimTime, TenantId};
 
 use crate::model::DiskModel;
 
@@ -38,60 +38,97 @@ struct ServerState {
 }
 
 impl ServerState {
-    fn count_active(map: &mut HashMap<u64, SimTime>, client: u64, now: SimTime, window: SimTime) -> usize {
+    /// Concurrent clients to charge an op by `client` at `now` for. A
+    /// declared count (`hinted > 0`) is the answer by itself: what the map
+    /// holds, and which entries an earlier caller's `now` already pruned,
+    /// depends on the order rank threads reached the store in *host* time
+    /// — and on a reused store on whatever an earlier job, whose virtual
+    /// clock also started at 0, left behind. Only undeclared I/O falls
+    /// back to the observed activity window.
+    fn active(
+        map: &mut HashMap<u64, SimTime>,
+        hinted: usize,
+        client: u64,
+        now: SimTime,
+        window: SimTime,
+    ) -> usize {
         map.retain(|_, &mut end| end > now - window);
-        let mut n = map.len();
-        if !map.contains_key(&client) {
-            n += 1;
+        if hinted > 0 {
+            return hinted;
         }
-        n
+        map.len() + usize::from(!map.contains_key(&client))
     }
 }
 
-/// Backing bytes of one file: writable while being appended, frozen into
-/// a refcounted shared buffer on the first shared read. Both transitions
-/// preserve the bytes; freezing is O(1) (adopts the `Vec`'s allocation),
-/// thawing copies once. Windows handed out before a thaw keep the old
-/// allocation alive and keep reading the old bytes — mutation never
-/// invalidates an outstanding read window.
-enum FileData {
-    Writable(Vec<u8>),
-    Frozen(Bytes),
+/// Backing bytes of one file: an ordered list of refcounted extents.
+///
+/// Writers add extents (a handle adopted from the caller, or one staged
+/// copy per call), so a byte is copied at most once on its way in. The
+/// first shared read coalesces the list into a single exact-size extent —
+/// O(1) when there is only one — which every read window then slices.
+/// Extents are immutable: mutation replaces handles, never bytes, so a
+/// window taken earlier pins its allocation and keeps reading what it
+/// read before.
+#[derive(Default)]
+struct FileImage {
+    extents: Vec<Bytes>,
+    len: usize,
 }
 
-impl FileData {
-    fn len(&self) -> usize {
-        match self {
-            FileData::Writable(v) => v.len(),
-            FileData::Frozen(b) => b.len(),
+impl FileImage {
+    fn push(&mut self, extent: Bytes) {
+        if !extent.is_empty() {
+            self.len += extent.len();
+            self.extents.push(extent);
         }
     }
 
-    /// Thaw for mutation (copies once if frozen).
-    fn make_writable(&mut self) -> &mut Vec<u8> {
-        if let FileData::Frozen(b) = self {
-            *self = FileData::Writable(b.to_vec());
+    /// The whole image as one extent, coalescing (one copy) if it is
+    /// still in pieces.
+    fn coalesced(&mut self) -> Bytes {
+        if self.extents.len() > 1 {
+            let mut flat = Vec::with_capacity(self.len);
+            for e in &self.extents {
+                flat.extend_from_slice(e);
+            }
+            self.extents.clear();
+            self.extents.push(Bytes::from(flat));
         }
-        match self {
-            FileData::Writable(v) => v,
-            FileData::Frozen(_) => unreachable!("just thawed"),
-        }
+        self.extents.first().cloned().unwrap_or_default()
     }
 
-    /// Freeze for shared reads (O(1): adopts the `Vec`'s allocation).
-    fn freeze(&mut self) -> &Bytes {
-        if let FileData::Writable(v) = self {
-            *self = FileData::Frozen(Bytes::from(std::mem::take(v)));
+    /// A new image made of this one's `(offset, len)` ranges in the order
+    /// given, sharing the extents: O(extents + ranges · log extents), no
+    /// byte moves.
+    /// Ranges must lie inside the image (callers check).
+    fn select(&self, ranges: &[(usize, usize)]) -> FileImage {
+        let mut starts = Vec::with_capacity(self.extents.len());
+        let mut at = 0;
+        for e in &self.extents {
+            starts.push(at);
+            at += e.len();
         }
-        match self {
-            FileData::Frozen(b) => b,
-            FileData::Writable(_) => unreachable!("just froze"),
+        let mut out = FileImage::default();
+        for &(offset, len) in ranges {
+            let end = offset + len;
+            let mut pos = offset;
+            // The extent holding `offset`: the last one starting at or before it.
+            let mut i = starts.partition_point(|&s| s <= offset).saturating_sub(1);
+            while pos < end {
+                let e = &self.extents[i];
+                let lo = pos - starts[i];
+                let hi = e.len().min(end - starts[i]);
+                out.push(e.slice(lo..hi));
+                pos = starts[i] + hi;
+                i += 1;
+            }
         }
+        out
     }
 }
 
 struct StoredFile {
-    data: FileData,
+    data: FileImage,
     /// Monotone id refreshed from a global counter on every mutation;
     /// validates metadata-cache entries. Never reused, so delete +
     /// recreate cannot alias an old entry.
@@ -295,10 +332,11 @@ impl SharedFs {
     }
 
     /// Declare how many clients are writing concurrently (in virtual
-    /// time). The activity-window heuristic under-counts when the host
-    /// serializes rank threads, so collective I/O layers — which know
-    /// their own parallelism — declare it explicitly; contention is then
-    /// `max(declared, observed)`. Pass 0 to reset.
+    /// time). The activity-window heuristic sees whatever order the host
+    /// ran rank threads in, so collective I/O layers — which know their
+    /// own parallelism — declare it explicitly, and the declared count
+    /// then *replaces* the observed one (mixing the observation back in
+    /// would re-import its host-order dependence). Pass 0 to reset.
     pub fn declare_writers(&self, n: usize) {
         self.write_hint.store(n, Ordering::Relaxed);
     }
@@ -351,9 +389,13 @@ impl SharedFs {
         // The declared hint counts writers across the whole file system;
         // each server sees its share.
         let hinted = self.write_hint.load(Ordering::Relaxed).div_ceil(self.servers.len());
-        let active =
-            ServerState::count_active(&mut srv.write_activity, client, now, self.model.activity_window)
-                .max(hinted);
+        let active = ServerState::active(
+            &mut srv.write_activity,
+            hinted,
+            client,
+            now,
+            self.model.activity_window,
+        );
         let dur = self.model.write_time(bytes, active);
         let end = now + dur;
         srv.busy_time += dur;
@@ -377,9 +419,13 @@ impl SharedFs {
     fn charge_read(&self, path: &str, bytes: usize, client: u64, now: SimTime) -> SimTime {
         let mut srv = self.servers[self.server_of(path)].lock();
         let hinted = self.read_hint.load(Ordering::Relaxed).div_ceil(self.servers.len());
-        let active =
-            ServerState::count_active(&mut srv.read_activity, client, now, self.model.activity_window)
-                .max(hinted);
+        let active = ServerState::active(
+            &mut srv.read_activity,
+            hinted,
+            client,
+            now,
+            self.model.activity_window,
+        );
         let end = now + self.model.read_time(bytes, active);
         srv.read_activity.insert(client, end);
         drop(srv);
@@ -404,7 +450,7 @@ impl SharedFs {
             let old = files.insert(
                 path.to_string(),
                 StoredFile {
-                    data: FileData::Writable(Vec::new()),
+                    data: FileImage::default(),
                     generation: self.next_gen(),
                     tenant,
                     charged: 0,
@@ -422,6 +468,8 @@ impl SharedFs {
 
     /// Append bytes to a file (must exist). Returns the completion time.
     pub fn append(&self, path: &str, data: &[u8], client: u64, now: SimTime) -> Result<SimTime> {
+        // The one copy of these bytes, made before the files guard is taken.
+        let extent = Bytes::copy_from_slice(data);
         {
             let mut files = self.files.lock();
             let f = files
@@ -430,7 +478,7 @@ impl SharedFs {
             // Check-and-charge under the files guard: atomic with respect
             // to every other writer's charge (the PR-9 race fix).
             self.ledger.lock().charge(f.tenant, data.len() as u64)?;
-            f.data.make_writable().extend_from_slice(data);
+            f.data.push(extent);
             f.charged += data.len() as u64;
             f.generation = self.next_gen();
         }
@@ -446,25 +494,45 @@ impl SharedFs {
     /// segments land in the backing store in order, with one quota check,
     /// one stats update and one timing charge for the summed length —
     /// byte- and cost-identical to flattening the list first, minus the
-    /// flattening copy.
+    /// flattening copy: [`Segment::Shared`] handles are adopted by
+    /// refcount, and all [`Segment::Owned`] runs of the call are copied
+    /// once into one exact-size staging buffer (before the files guard is
+    /// taken) whose slices become their extents.
     pub fn append_segments(
         &self,
         path: &str,
-        segments: &[rocio_core::Segment],
+        segments: &[Segment],
         client: u64,
         now: SimTime,
     ) -> Result<SimTime> {
         let total = rocio_core::segments_len(segments);
+        let owned = || {
+            segments.iter().filter_map(|s| match s {
+                Segment::Owned(v) => Some(v.as_slice()),
+                Segment::Shared(_) => None,
+            })
+        };
+        let mut stage = Vec::with_capacity(owned().map(<[u8]>::len).sum());
+        for run in owned() {
+            stage.extend_from_slice(run);
+        }
+        let stage = Bytes::from(stage);
         {
             let mut files = self.files.lock();
             let f = files
                 .get_mut(path)
                 .ok_or_else(|| RocError::Storage(format!("append: no such file '{path}'")))?;
             self.ledger.lock().charge(f.tenant, total as u64)?;
-            let v = f.data.make_writable();
-            v.reserve(total);
+            f.data.extents.reserve(segments.len());
+            let mut staged = 0;
             for s in segments {
-                v.extend_from_slice(s.as_slice());
+                f.data.push(match s {
+                    Segment::Owned(v) => {
+                        staged += v.len();
+                        stage.slice(staged - v.len()..staged)
+                    }
+                    Segment::Shared(b) => b.clone(),
+                });
             }
             f.charged += total as u64;
             f.generation = self.next_gen();
@@ -485,19 +553,27 @@ impl SharedFs {
         client: u64,
         now: SimTime,
     ) -> Result<SimTime> {
+        let patch = Bytes::copy_from_slice(data);
         {
             let mut files = self.files.lock();
             let f = files
                 .get_mut(path)
                 .ok_or_else(|| RocError::Storage(format!("write_at: no such file '{path}'")))?;
             // Only growth consumes quota: overwriting stored bytes is free.
-            let growth = (offset + data.len()).saturating_sub(f.data.len()) as u64;
+            let size = f.data.len;
+            let end = offset + data.len();
+            let growth = end.saturating_sub(size) as u64;
             self.ledger.lock().charge(f.tenant, growth)?;
-            let v = f.data.make_writable();
-            if v.len() < offset + data.len() {
-                v.resize(offset + data.len(), 0);
+            // Splice the patch between the kept head and tail extents; a
+            // gap past EOF is zero-filled.
+            let (keep, resume) = (offset.min(size), end.min(size));
+            let mut image = f.data.select(&[(0, keep)]);
+            image.push(Bytes::from(vec![0u8; offset - keep]));
+            image.push(patch);
+            for tail in f.data.select(&[(resume, size - resume)]).extents {
+                image.push(tail);
             }
-            v[offset..offset + data.len()].copy_from_slice(data);
+            f.data = image;
             f.charged += growth;
             f.generation = self.next_gen();
         }
@@ -508,32 +584,43 @@ impl SharedFs {
         Ok(self.charge_write(path, data.len(), client, now))
     }
 
-    /// Permute a file's bytes in place, at **zero virtual cost** and with
-    /// no ledger traffic. This is the administrative hook a finalizing
+    /// Permute a file's bytes, at **zero virtual cost**, with no ledger
+    /// traffic and without moving a byte: the new image is the old one's
+    /// `(offset, len)` ranges in the order given, expressed as windows of
+    /// the same extents. This is the administrative hook a finalizing
     /// writer uses to present records at their canonical (indexed) offsets
     /// regardless of arrival order: every byte's transfer was already
     /// charged when it was appended, and a real library achieves the same
     /// layout by writing each record at its slot to begin with — the
     /// simulator separates the two so streamed appends stay cheap. The
-    /// callback must not change the file's length (checked).
-    pub fn rewrite_image(
-        &self,
-        path: &str,
-        f: impl FnOnce(&mut Vec<u8>),
-    ) -> Result<()> {
+    /// non-empty ranges must cover the image exactly once.
+    pub fn permute(&self, path: &str, ranges: &[(usize, usize)]) -> Result<()> {
         let mut files = self.files.lock();
         let file = files
             .get_mut(path)
-            .ok_or_else(|| RocError::Storage(format!("rewrite_image: no such file '{path}'")))?;
-        let v = file.data.make_writable();
-        let before = v.len();
-        f(v);
-        if v.len() != before {
+            .ok_or_else(|| RocError::Storage(format!("permute: no such file '{path}'")))?;
+        let mut sorted: Vec<(usize, usize)> = ranges.iter().copied().filter(|r| r.1 > 0).collect();
+        sorted.sort_unstable();
+        let mut covered = 0usize;
+        for &(offset, len) in &sorted {
+            if offset != covered {
+                return Err(RocError::Storage(format!(
+                    "permute: ranges {} at byte {} of '{path}'",
+                    if offset > covered { "leave a hole" } else { "overlap" },
+                    covered.min(offset),
+                )));
+            }
+            covered = offset.checked_add(len).ok_or_else(|| {
+                RocError::Storage(format!("permute: range {offset}+{len} overflows in '{path}'"))
+            })?;
+        }
+        if covered != file.data.len {
             return Err(RocError::Storage(format!(
-                "rewrite_image: length changed ({before} -> {}) for '{path}'",
-                v.len()
+                "permute: ranges cover {covered} of {} bytes of '{path}'",
+                file.data.len
             )));
         }
+        file.data = file.data.select(ranges);
         file.generation = self.next_gen();
         Ok(())
     }
@@ -551,14 +638,15 @@ impl SharedFs {
     /// with a fixed `lead` (e.g. a per-record lookup cost) charged before
     /// each one. Cost- and stats-identical **by construction** to issuing
     /// the reads one by one — one stats bump and one [`charge_read`] per
-    /// range — while the host does a single lock/freeze for the whole
+    /// range — while the host does a single lock/coalesce for the whole
     /// batch. This is the coalesced-read entry point: a reader that knows
     /// several records are contiguous fetches them all in one fs op and
     /// carves each out as an O(1) window.
     ///
     /// The windows stay valid (and keep their bytes) across later
-    /// mutations or deletion of the file: mutating a frozen file thaws it
-    /// into a fresh buffer, so outstanding windows pin the old one.
+    /// mutations or deletion of the file: extents are immutable and
+    /// mutation only replaces handles, so outstanding windows pin the
+    /// bytes they were cut from.
     ///
     /// Degenerate inputs are well-defined rather than caller discipline:
     /// an empty range list returns `(vec![], now)` without touching the
@@ -597,7 +685,7 @@ impl SharedFs {
 
     /// Read a batch of ranges by **data sieving**: one contiguous read per
     /// hole-cluster (see [`crate::sieve::SievePlan`]), with the requested
-    /// pieces carved out of the frozen image as zero-copy sub-windows.
+    /// pieces carved out of the coalesced image as zero-copy sub-windows.
     /// Byte-identical to [`SharedFs::read_shared_multi`] on the same
     /// ranges; the timing and stats instead charge one op per *covering
     /// window* — holes included in `bytes_read`, because the disk really
@@ -634,7 +722,7 @@ impl SharedFs {
         Ok((windows, t))
     }
 
-    /// Freeze `path` and slice one zero-copy window per requested range,
+    /// Coalesce `path`'s image and slice one zero-copy window per requested range,
     /// in input order (shared by the per-range and sieved read paths; no
     /// timing or stats).
     fn slice_windows(&self, path: &str, ranges: &[(usize, usize)]) -> Result<Vec<Bytes>> {
@@ -642,7 +730,7 @@ impl SharedFs {
         let f = files
             .get_mut(path)
             .ok_or_else(|| RocError::Storage(format!("read: no such file '{path}'")))?;
-        let data = f.data.freeze();
+        let data = f.data.coalesced();
         let eof = data.len();
         let mut out = Vec::with_capacity(ranges.len());
         for &(offset, len) in ranges {
@@ -682,7 +770,7 @@ impl SharedFs {
         self.files
             .lock()
             .get(path)
-            .map(|f| f.data.len())
+            .map(|f| f.data.len)
             .ok_or_else(|| RocError::Storage(format!("stat: no such file '{path}'")))
     }
 
@@ -952,6 +1040,107 @@ mod tests {
     }
 
     #[test]
+    fn shared_segments_are_adopted_and_permuted_without_a_copy() {
+        let fs = SharedFs::ideal();
+        fs.create("f", 0, 0.0);
+        let (a, b) = (Bytes::from(vec![1u8; 64]), Bytes::from(vec![2u8; 32]));
+        let segs = [
+            Segment::Owned(b"head".to_vec()),
+            Segment::Shared(a.clone()),
+            Segment::Owned(Vec::new()),
+            Segment::Owned(b"mid".to_vec()),
+            Segment::Shared(b.clone()),
+        ];
+        fs.append_segments("f", &segs, 0, 0.0).unwrap();
+        let extent_ptrs = || -> Vec<*const u8> {
+            fs.files.lock()["f"].data.extents.iter().map(|e| e.as_ptr()).collect()
+        };
+        // Shared handles are the caller's allocations; both owned runs are
+        // slices of one staging buffer; the empty run left no extent.
+        let before = extent_ptrs();
+        assert_eq!(before.len(), 4);
+        assert_eq!((before[1], before[3]), (a.as_ptr(), b.as_ptr()));
+        assert_eq!(before[2], before[0].wrapping_add(4));
+        // Swap the two halves: same allocations, new order, and a range
+        // that straddles extents is split, not copied.
+        fs.permute("f", &[(68, 35), (0, 68)]).unwrap();
+        assert_eq!(extent_ptrs(), [before[2], before[3], before[0], before[1]]);
+        fs.permute("f", &[(10, 93), (0, 10)]).unwrap();
+        assert_eq!(extent_ptrs()[0], b.as_ptr().wrapping_add(7));
+        let mut want = [&b"mid"[..], &[2u8; 32], b"head", &[1u8; 64]].concat();
+        want.rotate_left(10);
+        assert_eq!(fs.read_all_shared("f", 0, 0.0).unwrap().0, want);
+        assert_eq!(fs.stats().write_ops, 1, "permute is not a write");
+    }
+
+    #[test]
+    fn permute_rejects_anything_but_an_exact_cover() {
+        let fs = SharedFs::ideal();
+        fs.create("f", 0, 0.0);
+        fs.append("f", b"0123456789", 0, 0.0).unwrap();
+        for bad in [
+            &[(0usize, 4usize), (5, 5)][..], // hole
+            &[(0, 6), (5, 5)],               // overlap
+            &[(0, 10), (3, 2)],              // a byte twice
+            &[(0, 9)],                       // short
+            &[(0, 11)],                      // past EOF
+            &[(0, 10), (usize::MAX, 2)],     // overflow
+        ] {
+            let err = fs.permute("f", bad).unwrap_err();
+            assert!(matches!(err, RocError::Storage(_)), "{bad:?}: {err:?}");
+        }
+        assert!(matches!(fs.permute("nope", &[]), Err(RocError::Storage(_))));
+        // Zero-length ranges are no part of the cover, wherever they point.
+        fs.permute("f", &[(5, 5), (7, 0), (0, 5)]).unwrap();
+        assert_eq!(fs.read_all_shared("f", 0, 0.0).unwrap().0, b"5678901234");
+    }
+
+    #[test]
+    fn first_read_coalesces_once_and_a_single_extent_is_served_as_is() {
+        let fs = SharedFs::ideal();
+        fs.create("one", 0, 0.0);
+        let payload = Bytes::from(vec![7u8; 128]);
+        fs.append_segments("one", &[Segment::Shared(payload.clone())], 0, 0.0).unwrap();
+        let (w, _) = fs.read_shared("one", 8, 16, 0, 0.0).unwrap();
+        assert_eq!(w.as_ptr(), payload.as_ptr().wrapping_add(8), "single extent: no copy");
+        fs.create("two", 0, 0.0);
+        fs.append("two", b"ab", 0, 0.0).unwrap();
+        fs.append("two", b"cd", 0, 0.0).unwrap();
+        let (w1, _) = fs.read_shared("two", 0, 4, 0, 0.0).unwrap();
+        let (w2, _) = fs.read_shared("two", 0, 4, 0, 0.0).unwrap();
+        assert_eq!(w1, b"abcd");
+        assert_eq!(w1.as_ptr(), w2.as_ptr(), "coalesced once, then reused");
+    }
+
+    #[test]
+    fn declared_concurrency_makes_charges_independent_of_arrival_order() {
+        // Job 1 (four clients) leaves activity behind. Job 2 restarts its
+        // clocks at 0, declares two readers, and its ranks reach the store
+        // in either host order: the rank far ahead in virtual time prunes
+        // the leftovers, the rank near 0 still sees them. Neither may move
+        // what the other is charged.
+        let charges = |late_first: bool| {
+            let fs = SharedFs::turing();
+            fs.create("f", 0, 0.0);
+            fs.append("f", &vec![0u8; 1 << 16], 0, 0.0).unwrap();
+            fs.declare_readers(4);
+            for c in 0..4 {
+                fs.read_shared("f", 0, 1 << 16, c, 0.1).unwrap();
+            }
+            fs.declare_readers(2);
+            let late = |fs: &SharedFs| fs.read_shared("f", 0, 1 << 16, 0, 50.0).unwrap().1;
+            let early = |fs: &SharedFs| fs.read_shared("f", 0, 1 << 16, 1, 0.2).unwrap().1;
+            if late_first {
+                let l = late(&fs);
+                (early(&fs), l)
+            } else {
+                (early(&fs), late(&fs))
+            }
+        };
+        assert_eq!(charges(true), charges(false));
+    }
+
+    #[test]
     fn read_shared_multi_matches_chained_reads() {
         // The coalesced batch must be cost- and stats-identical to issuing
         // the same ranges one by one with the lead charged before each.
@@ -1084,7 +1273,7 @@ mod tests {
         fs.create("f", 0, 0.0);
         fs.append("f", b"old-bytes", 0, 0.0).unwrap();
         let (w, _) = fs.read_shared("f", 0, 9, 0, 0.0).unwrap();
-        // Mutation thaws into a fresh buffer; the window pins the old one.
+        // Mutation adds an extent; the window pins the bytes it was cut from.
         fs.append("f", b"+new", 0, 1.0).unwrap();
         let (now, _) = fs.read_all_shared("f", 0, 2.0).unwrap();
         assert_eq!(now, b"old-bytes+new");
@@ -1117,15 +1306,15 @@ mod tests {
     }
 
     #[test]
-    fn quota_counts_frozen_files() {
+    fn quota_counts_coalesced_files() {
         let fs = SharedFs::ideal();
         fs.set_quota(100);
         fs.create("f", 0, 0.0);
         fs.append("f", &[0u8; 60], 0, 0.0).unwrap();
-        fs.read_shared("f", 0, 60, 0, 0.0).unwrap(); // freezes
+        fs.read_shared("f", 0, 60, 0, 0.0).unwrap(); // coalesces
         assert_eq!(fs.used_bytes(), 60);
         assert!(fs.append("f", &[0u8; 60], 0, 0.0).is_err());
-        fs.append("f", &[0u8; 40], 0, 0.0).unwrap(); // thaw + append still fits
+        fs.append("f", &[0u8; 40], 0, 0.0).unwrap(); // appending to a read image still fits
         assert_eq!(fs.used_bytes(), 100);
     }
 
