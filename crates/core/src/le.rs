@@ -73,7 +73,7 @@ pub fn array<const N: usize, T>(bytes: &[u8], decode: impl Fn([u8; N]) -> T) -> 
 }
 
 /// Append a run of elements as `N`-byte little-endian values: the encode
-/// twin of [`array`], with `encode` one of the
+/// twin of [`array()`], with `encode` one of the
 /// `{i32,i64,f32,f64}::to_le_bytes` intrinsics. Borrowing a slice (not an
 /// `ArrayData`) lets a producer encode straight from its own storage.
 pub fn extend<const N: usize, T: Copy>(out: &mut Vec<u8>, elems: &[T], encode: impl Fn(T) -> [u8; N]) {

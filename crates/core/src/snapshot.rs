@@ -48,6 +48,13 @@ pub fn snapshot_file_prefix(window: &str, snap: SnapshotId) -> String {
     format!("{window}_{:04}_{:06}_w", snap.ordinal, snap.step)
 }
 
+/// Whether `path` names `writer`'s file of `snap` — for any window, under
+/// any directory. What a writer retiring a snapshot asks of each listed
+/// path, so the name format stays known to this module alone.
+pub fn is_snapshot_file_of(path: &str, snap: SnapshotId, writer: usize) -> bool {
+    path.ends_with(&snapshot_file_name("", snap, writer))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,6 +84,18 @@ mod tests {
         assert!(snapshot_file_name("fluid", s, 31).starts_with(&prefix));
         assert!(!snapshot_file_name("solid", s, 0).starts_with(&prefix));
         assert!(!snapshot_file_name("fluid", SnapshotId::new(150, 3), 0).starts_with(&prefix));
+    }
+
+    #[test]
+    fn ownership_test_matches_snapshot_and_writer_only() {
+        let s = SnapshotId::new(100, 2);
+        for window in ["fluid", "solid_burn"] {
+            let path = format!("run/t0001/{}", snapshot_file_name(window, s, 3));
+            assert!(is_snapshot_file_of(&path, s, 3));
+            assert!(!is_snapshot_file_of(&path, s, 13));
+            assert!(!is_snapshot_file_of(&path, SnapshotId::new(100, 12), 3));
+            assert!(!is_snapshot_file_of(&path, SnapshotId::new(1100, 2), 3));
+        }
     }
 
     #[test]

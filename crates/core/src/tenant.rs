@@ -14,10 +14,10 @@ use crate::error::RocError;
 
 /// Identifier of one admitted job within a [`ServiceError`] / quota ledger.
 ///
-/// `TenantId(0)` is the *solo* tenant: the compatibility identity used by the
-/// deprecated single-job `rocpanda::init` entry point and by every pre-service
-/// call site. Solo-tenant files keep their legacy (unprefixed) path names so
-/// snapshots stay byte-identical with earlier releases.
+/// `TenantId(0)` is the *solo* tenant: the identity of everything written
+/// outside a Rocpanda service session (Rochdf / T-Rochdf output, files the
+/// store's ledger finds under no bound prefix). Solo-tenant files keep
+/// unprefixed path names; a service assigns its jobs ids from 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TenantId(pub u32);
 

@@ -1,18 +1,25 @@
 //! Whole-job driver: spawn a modelled cluster, wire the chosen I/O
 //! module, run the coupled simulation, and report the paper's metrics.
-
-use std::sync::Arc;
+//!
+//! A job is assembled one way: `server_pool` validates the split and
+//! builds the Rocpanda service (if any), `launch` starts the ranks, and
+//! `run_tenants` has each rank serve or simulate and folds one report per
+//! tenant. [`run_genx_traced`] is a job of one tenant (or no service at
+//! all), [`run_genx_multi`] several tenants, [`run_genx_restart`] a
+//! read-only launch.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use rocio_core::{Priority, Result, RocError, SnapshotId, TenantId};
+use rocio_core::{Checksum, Priority, Result, RocError, SnapshotId, TenantId};
 use rocmesh::Workload;
 use rocnet::cluster::ClusterSpec;
-use rocnet::{run_on_fabric_sched, Comm, Fabric, FaultSpec, RelOnly, SchedConfig};
-use roccom::{IoDispatch, IoService, Windows};
+use rocnet::{run_on_fabric_sched, Comm, Fabric, RelOnly, SchedConfig};
+use roccom::{AttrRef, AttrSelector, IoDispatch, IoService, Windows};
 use rochdf::{Rochdf, RochdfConfig, TRochdf};
 use rocpanda::{
-    JobSpec, PandaService, PandaServiceBuilder, RocpandaConfig, ServiceRole, TenantDrainStats,
+    JobHandle, JobSpec, PandaService, PandaServiceBuilder, RocpandaConfig, ServiceRole,
+    TenantDrainStats,
 };
 use rocstore::SharedFs;
 
@@ -53,14 +60,6 @@ pub enum IoChoice {
 }
 
 impl IoChoice {
-    /// Number of dedicated server ranks.
-    pub fn n_servers(&self) -> usize {
-        match self {
-            IoChoice::Rocpanda { server_ranks } => server_ranks.len(),
-            _ => 0,
-        }
-    }
-
     /// Module name for reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -93,14 +92,12 @@ pub struct GenxConfig {
     /// Output directory within the shared file system (keep unique per
     /// run so file counts are attributable).
     pub out_dir: String,
-    /// Rocpanda tunables (dir is overridden by `out_dir`).
+    /// Rocpanda tunables (dir is overridden by `out_dir`). Its `faulty_net`
+    /// also degrades the fabric, for Rocpanda's reliable I/O frames only (a
+    /// [`RelOnly`] injector with that spec).
     pub rocpanda: RocpandaConfig,
     /// Rochdf/T-Rochdf tunables (dir is overridden by `out_dir`).
     pub rochdf: RochdfConfig,
-    /// Degrade the fabric for Rocpanda's reliable I/O frames: install a
-    /// [`RelOnly`] injector with this spec and switch the Rocpanda data
-    /// plane onto `ReliableComm`. Solver and Rochdf traffic is untouched.
-    pub faulty_net: Option<FaultSpec>,
     /// Rank scheduling: the pooled M:N default, or
     /// [`SchedConfig::threaded`] for the legacy one-OS-thread-per-rank
     /// harness (identity tests, bench baselines). Scheduling never
@@ -127,19 +124,41 @@ impl GenxConfig {
             solid_solver: SolidKind::default(),
             rocpanda: RocpandaConfig::default(),
             rochdf: RochdfConfig::default(),
-            faulty_net: None,
             sched: SchedConfig::default(),
         }
     }
 }
 
+/// What one compute rank produced; [`ClientOutcome::absorb`] folds a
+/// tenant's `ranks` into the job-wide figure (max over ranks).
 struct ClientOutcome {
+    ranks: usize,
     comp: f64,
     io: f64,
     restart: f64,
     restart_ok: bool,
     snapshots: u32,
     global_snapshot_bytes: u64,
+}
+
+impl ClientOutcome {
+    fn absorb(&mut self, c: ClientOutcome) {
+        self.ranks += c.ranks;
+        self.comp = self.comp.max(c.comp);
+        self.io = self.io.max(c.io);
+        self.restart = self.restart.max(c.restart);
+        self.restart_ok &= c.restart_ok;
+        self.snapshots = self.snapshots.max(c.snapshots);
+        self.global_snapshot_bytes = c.global_snapshot_bytes;
+    }
+}
+
+/// What one rank of a launched job produced.
+enum RankOut {
+    Server(Vec<(TenantId, TenantDrainStats)>),
+    /// A compute rank of the tenant at this index.
+    Client(usize, ClientOutcome),
+    Idle,
 }
 
 /// Run a GENx job on the modelled `cluster` against `fs`, returning the
@@ -159,127 +178,169 @@ pub fn run_genx_traced(
     collector: Option<&rocobs::TraceCollector>,
 ) -> Result<RunReport> {
     let n_ranks = cluster.n_ranks();
-    let n_servers = cfg.io.n_servers();
-    let n_compute = n_ranks - n_servers;
-    if n_compute == 0 {
-        return Err(RocError::Config("no compute ranks".into()));
-    }
-    let files_before = fs.list(&format!("{}/", cfg.out_dir)).len();
+    let service = server_pool(fs, cfg, n_ranks)?;
+    // A Rocpanda run admits the whole compute partition as one job *before*
+    // the fabric launches, so admission is host-side and deterministic.
+    let admit = |svc: &PandaService| svc.admit_world(cfg.label.clone(), n_ranks);
+    let handles = service.iter().map(admit).collect::<Result<Vec<_>>>()?;
+    let out_dir = format!("{}/", cfg.out_dir);
+    let files_before = fs.list(&out_dir).len();
     let bytes_before = fs.stats().bytes_written;
-
-    // Rocpanda runs ride the session API: build the service and admit the
-    // whole compute partition as one job *before* the fabric launches, so
-    // admission is host-side and deterministic.
-    let service: Option<PandaService> = match &cfg.io {
-        IoChoice::Rocpanda { server_ranks } => {
-            let clients: Vec<usize> =
-                (0..n_ranks).filter(|r| !server_ranks.contains(r)).collect();
-            let svc = panda_service(fs, cfg, server_ranks)?;
-            svc.submit(JobSpec::new(cfg.label.clone(), &clients))?;
-            Some(svc)
-        }
-        _ => None,
-    };
-
-    let fabric = Arc::new(Fabric::new(cluster));
-    if let Some(spec) = cfg.faulty_net {
-        // Only Rocpanda's reliability frames ride the degraded links;
-        // everything else (solver halos, Rochdf appends) is delivered
-        // cleanly, so chaos runs isolate the I/O path under test.
-        fabric.set_fault_injector(Arc::new(RelOnly(spec)));
-    }
-    let outcomes = run_on_fabric_sched(&fabric, &cfg.sched, &|world| -> Result<Option<ClientOutcome>> {
-        let _obs_guard = collector.map(|tc| {
-            let rank = world.global_rank();
-            let node = world.cluster().node_of(rank);
-            tc.handle(rank, rocobs::LANE_MAIN, node).install()
-        });
-        match &cfg.io {
-            IoChoice::Rocpanda { .. } => {
-                let svc = service.as_ref().ok_or_else(|| {
-                    RocError::Config("Rocpanda service was not built for this run".into())
-                })?;
-                match svc.attach(&world)? {
-                    ServiceRole::Server(mut server) => {
-                        server.run()?;
-                        Ok(None)
-                    }
-                    ServiceRole::Client { io, comm, .. } => {
-                        client_run(&comm, io, cfg).map(Some)
-                    }
-                    ServiceRole::Idle => Ok(None),
-                }
-            }
-            IoChoice::Rochdf => {
-                let mut hdf_cfg = cfg.rochdf.clone();
-                hdf_cfg.dir = cfg.out_dir.clone();
-                let module = Rochdf::new(fs, &world, hdf_cfg);
-                client_run(&world, Box::new(module), cfg).map(Some)
-            }
-            IoChoice::TRochdf => {
-                let mut hdf_cfg = cfg.rochdf.clone();
-                hdf_cfg.dir = cfg.out_dir.clone();
-                let module = TRochdf::new(Arc::clone(fs), &world, hdf_cfg);
-                client_run(&world, Box::new(module), cfg).map(Some)
-            }
-        }
-    });
-
-    let mut comp: f64 = 0.0;
-    let mut io: f64 = 0.0;
-    let mut restart: f64 = 0.0;
-    let mut restart_ok = true;
-    let mut snapshots = 0u32;
-    let mut snapshot_bytes = 0u64;
-    for outcome in outcomes {
-        if let Some(c) = outcome? {
-            comp = comp.max(c.comp);
-            io = io.max(c.io);
-            restart = restart.max(c.restart);
-            restart_ok &= c.restart_ok;
-            snapshots = snapshots.max(c.snapshots);
-            snapshot_bytes = c.global_snapshot_bytes;
-        }
-    }
-
-    let n_files = fs.list(&format!("{}/", cfg.out_dir)).len() - files_before;
-    let bytes_written = fs.stats().bytes_written - bytes_before;
-    Ok(RunReport {
-        label: cfg.label.clone(),
-        io_module: cfg.io.name().to_string(),
-        n_compute,
-        n_servers,
-        steps: cfg.steps,
-        snapshots,
-        comp_time: comp,
-        visible_io: io,
-        restart_time: restart,
-        restart_ok,
-        n_files,
-        bytes_written,
-        snapshot_bytes,
-        apparent_write_mb_s: RunReport::apparent_throughput(
-            snapshot_bytes * snapshots as u64,
-            io,
-        ),
-    })
+    let tenants = std::slice::from_ref(cfg);
+    let mut run = run_tenants(cluster, fs, cfg, service.as_ref(), &handles, tenants, collector)?;
+    let mut report = run.jobs.remove(0);
+    // A single job owns the store: what it wrote is the store's growth.
+    report.n_files = fs.list(&out_dir).len() - files_before;
+    report.bytes_written = fs.stats().bytes_written - bytes_before;
+    Ok(report)
 }
 
-/// Build the Rocpanda service for a run: the shared store, the pooled
-/// server ranks, and the run's I/O configuration (output directory and
-/// fault plan folded in).
-fn panda_service(
+/// Validate `cfg.io` against an `n_ranks` world: the Rocpanda service over
+/// the server pool, or `None` for the server-less modules. The pool must
+/// name distinct ranks of the world and leave at least one to compute.
+fn server_pool(
     fs: &Arc<SharedFs>,
     cfg: &GenxConfig,
-    server_ranks: &[usize],
-) -> Result<PandaService> {
-    let mut panda_cfg = cfg.rocpanda.clone();
-    panda_cfg.dir = cfg.out_dir.clone();
-    panda_cfg.faulty_net = cfg.faulty_net;
-    PandaServiceBuilder::new(Arc::clone(fs))
-        .servers(server_ranks)
-        .config(panda_cfg)
-        .build()
+    n_ranks: usize,
+) -> Result<Option<PandaService>> {
+    let IoChoice::Rocpanda { server_ranks } = &cfg.io else {
+        return Ok(None);
+    };
+    let mut pool = server_ranks.clone();
+    pool.sort_unstable();
+    pool.dedup();
+    let in_world = pool.len() < n_ranks && pool.last().is_none_or(|&r| r < n_ranks);
+    if pool.len() != server_ranks.len() || !in_world {
+        return Err(RocError::Config(format!(
+            "server ranks {server_ranks:?} must be distinct ranks of a {n_ranks}-rank cluster \
+             and leave at least one rank to compute"
+        )));
+    }
+    let panda_cfg = RocpandaConfig {
+        dir: cfg.out_dir.clone(),
+        ..cfg.rocpanda.clone()
+    };
+    PandaServiceBuilder::new(Arc::clone(fs)).servers(&pool).config(panda_cfg).build().map(Some)
+}
+
+/// The one launch path: a fabric over `cluster` — degraded, when
+/// `cfg.rocpanda.faulty_net` says so, for Rocpanda's reliability frames
+/// only (solver halos and Rochdf appends are delivered cleanly, so chaos
+/// runs isolate the I/O path under test) — `cfg.sched`'s scheduler, a
+/// span-recording handle per rank when traced, and `rank_main` on every
+/// rank. Returns the ranks' results in rank order, or the first error.
+fn launch<T: Send>(
+    cluster: ClusterSpec,
+    cfg: &GenxConfig,
+    collector: Option<&rocobs::TraceCollector>,
+    rank_main: &(dyn Fn(&Comm) -> Result<T> + Sync),
+) -> Result<Vec<T>> {
+    let fabric = Arc::new(Fabric::new(cluster));
+    if let Some(spec) = cfg.rocpanda.faulty_net {
+        fabric.set_fault_injector(Arc::new(RelOnly(spec)));
+    }
+    let outs = run_on_fabric_sched(&fabric, &cfg.sched, &|world| {
+        let _obs_guard = collector.map(|tc| {
+            let rank = world.global_rank();
+            tc.handle(rank, rocobs::LANE_MAIN, world.cluster().node_of(rank)).install()
+        });
+        rank_main(&world)
+    });
+    outs.into_iter().collect()
+}
+
+/// Launch `cluster` and run one simulation per tenant: `tenants[i]` is the
+/// job admitted to `service` as `handles[i]`, or — with no service — the
+/// one job every rank belongs to, on the server-less module `base.io`
+/// names. Returns one report per tenant, folded over the ranks that ran it
+/// (what it wrote, `n_files` and `bytes_written`, is the caller's to
+/// count), and the servers' drain accounting merged across the pool.
+fn run_tenants(
+    cluster: ClusterSpec,
+    fs: &Arc<SharedFs>,
+    base: &GenxConfig,
+    service: Option<&PandaService>,
+    handles: &[JobHandle],
+    tenants: &[GenxConfig],
+    collector: Option<&rocobs::TraceCollector>,
+) -> Result<MultiTenantReport> {
+    let outs = launch(cluster, base, collector, &|world| match service {
+        Some(svc) => match svc.attach(world)? {
+            ServiceRole::Server(mut server) => {
+                server.run()?;
+                Ok(RankOut::Server(server.drain_stats()))
+            }
+            ServiceRole::Client { job, io, comm } => {
+                let idx = handles.iter().position(|h| *h == job).ok_or_else(|| {
+                    RocError::Config(format!("attached client of unknown tenant {}", job.tenant()))
+                })?;
+                client_run(&comm, io, &tenants[idx]).map(|c| RankOut::Client(idx, c))
+            }
+            ServiceRole::Idle => Ok(RankOut::Idle),
+        },
+        // `server_pool` builds a service exactly when `io` is Rocpanda.
+        None => {
+            let hdf_cfg = RochdfConfig {
+                dir: base.out_dir.clone(),
+                ..base.rochdf.clone()
+            };
+            let module: Box<dyn IoService + '_> = if base.io == IoChoice::TRochdf {
+                Box::new(TRochdf::new(Arc::clone(fs), world, hdf_cfg))
+            } else {
+                Box::new(Rochdf::new(fs, world, hdf_cfg))
+            };
+            client_run(world, module, &tenants[0]).map(|c| RankOut::Client(0, c))
+        }
+    })?;
+
+    let n_servers = service.map_or(0, |svc| svc.server_ranks().len());
+    let mut drain: BTreeMap<TenantId, TenantDrainStats> = BTreeMap::new();
+    let mut folded: Vec<Option<ClientOutcome>> = tenants.iter().map(|_| None).collect();
+    for out in outs {
+        match out {
+            RankOut::Server(stats) => {
+                for (t, s) in stats {
+                    let d = drain.entry(t).or_default();
+                    d.blocks += s.blocks;
+                    d.bytes += s.bytes;
+                    d.total_latency += s.total_latency;
+                    d.max_latency = d.max_latency.max(s.max_latency);
+                }
+            }
+            RankOut::Client(idx, c) => match &mut folded[idx] {
+                Some(acc) => acc.absorb(c),
+                slot => *slot = Some(c),
+            },
+            RankOut::Idle => {}
+        }
+    }
+    let mut jobs = Vec::with_capacity(tenants.len());
+    for (cfg, job) in tenants.iter().zip(folded) {
+        let c = job.ok_or_else(|| {
+            RocError::Config(format!("no client of job '{}' produced an outcome", cfg.label))
+        })?;
+        jobs.push(RunReport {
+            label: cfg.label.clone(),
+            io_module: cfg.io.name().to_string(),
+            n_compute: c.ranks,
+            n_servers,
+            steps: cfg.steps,
+            snapshots: c.snapshots,
+            comp_time: c.comp,
+            visible_io: c.io,
+            restart_time: c.restart,
+            restart_ok: c.restart_ok,
+            n_files: 0,
+            bytes_written: 0,
+            snapshot_bytes: c.global_snapshot_bytes,
+            apparent_write_mb_s: RunReport::apparent_throughput(
+                c.global_snapshot_bytes * c.snapshots as u64,
+                c.io,
+            ),
+        });
+    }
+    let drain = drain.into_iter().collect();
+    Ok(MultiTenantReport { jobs, drain })
 }
 
 /// One tenant job in a multi-job Rocpanda service run.
@@ -369,36 +430,6 @@ impl MultiTenantReport {
     }
 }
 
-/// What one rank produced in a multi-tenant run.
-enum RankOut {
-    Server(Vec<(TenantId, TenantDrainStats)>),
-    Client(TenantId, ClientOutcome),
-    Idle,
-}
-
-/// Per-tenant client-side aggregate (max over the job's ranks).
-struct ClientAgg {
-    comp: f64,
-    io: f64,
-    restart: f64,
-    restart_ok: bool,
-    snapshots: u32,
-    snapshot_bytes: u64,
-}
-
-impl ClientAgg {
-    fn new() -> Self {
-        ClientAgg {
-            comp: 0.0,
-            io: 0.0,
-            restart: 0.0,
-            restart_ok: true,
-            snapshots: 0,
-            snapshot_bytes: 0,
-        }
-    }
-}
-
 /// Run several GENx jobs *concurrently* as tenants of one Rocpanda
 /// service: `base` supplies the cluster-wide knobs (server pool via its
 /// `io`, output directory, solvers, cost models, scheduling), each
@@ -412,128 +443,42 @@ pub fn run_genx_multi(
     base: &GenxConfig,
     jobs: &[TenantJobSpec],
 ) -> Result<MultiTenantReport> {
-    let server_ranks = match &base.io {
-        IoChoice::Rocpanda { server_ranks } => server_ranks.clone(),
-        other => {
-            return Err(RocError::Config(format!(
-                "run_genx_multi needs IoChoice::Rocpanda, got {}",
-                other.name()
-            )))
-        }
+    let Some(svc) = server_pool(fs, base, cluster.n_ranks())? else {
+        return Err(RocError::Config(format!(
+            "run_genx_multi needs IoChoice::Rocpanda, got {}",
+            base.io.name()
+        )));
     };
     if jobs.is_empty() {
         return Err(RocError::Config("run_genx_multi needs at least one job".into()));
     }
-    let svc = panda_service(fs, base, &server_ranks)?;
-    let mut handles = Vec::with_capacity(jobs.len());
+    let (mut handles, mut tenants) = (Vec::new(), Vec::new());
     for job in jobs {
-        let mut spec = JobSpec::new(job.label.clone(), &job.client_ranks).priority(job.priority);
-        if let Some(q) = job.quota {
-            spec = spec.quota(q);
-        }
-        handles.push(svc.submit(spec)?);
-    }
-    let job_cfgs: Vec<GenxConfig> = jobs
-        .iter()
-        .map(|j| GenxConfig {
-            label: j.label.clone(),
-            workload: j.workload.clone(),
-            steps: j.steps,
-            snapshot_every: j.snapshot_every,
-            ..base.clone()
-        })
-        .collect();
-    let tenant_prefix =
-        |t: TenantId| format!("{}/{}", base.out_dir, t.path_prefix());
-    let files_before: Vec<usize> = handles
-        .iter()
-        .map(|h| fs.list(&tenant_prefix(h.tenant())).len())
-        .collect();
-
-    let fabric = Arc::new(Fabric::new(cluster));
-    if let Some(spec) = base.faulty_net {
-        fabric.set_fault_injector(Arc::new(RelOnly(spec)));
-    }
-    let outcomes = run_on_fabric_sched(&fabric, &base.sched, &|world| -> Result<RankOut> {
-        match svc.attach(&world)? {
-            ServiceRole::Server(mut server) => {
-                server.run()?;
-                Ok(RankOut::Server(server.drain_stats()))
-            }
-            ServiceRole::Client { job, io, comm } => {
-                let idx = handles
-                    .iter()
-                    .position(|h| h.tenant() == job.tenant())
-                    .ok_or_else(|| {
-                        RocError::Config(format!(
-                            "attached client of unknown tenant {}",
-                            job.tenant()
-                        ))
-                    })?;
-                let out = client_run(&comm, io, &job_cfgs[idx])?;
-                Ok(RankOut::Client(job.tenant(), out))
-            }
-            ServiceRole::Idle => Ok(RankOut::Idle),
-        }
-    });
-
-    let mut drain: BTreeMap<TenantId, TenantDrainStats> = BTreeMap::new();
-    let mut client: BTreeMap<TenantId, ClientAgg> = BTreeMap::new();
-    for outcome in outcomes {
-        match outcome? {
-            RankOut::Server(stats) => {
-                for (t, s) in stats {
-                    let d = drain.entry(t).or_default();
-                    d.blocks += s.blocks;
-                    d.bytes += s.bytes;
-                    d.total_latency += s.total_latency;
-                    d.max_latency = d.max_latency.max(s.max_latency);
-                }
-            }
-            RankOut::Client(t, c) => {
-                let a = client.entry(t).or_insert_with(ClientAgg::new);
-                a.comp = a.comp.max(c.comp);
-                a.io = a.io.max(c.io);
-                a.restart = a.restart.max(c.restart);
-                a.restart_ok &= c.restart_ok;
-                a.snapshots = a.snapshots.max(c.snapshots);
-                a.snapshot_bytes = c.global_snapshot_bytes;
-            }
-            RankOut::Idle => {}
-        }
-    }
-
-    let mut reports = Vec::with_capacity(jobs.len());
-    for ((job, handle), files0) in jobs.iter().zip(&handles).zip(&files_before) {
-        let t = handle.tenant();
-        let a = client.remove(&t).ok_or_else(|| {
-            RocError::Config(format!("no client of tenant {t} produced an outcome"))
-        })?;
-        let n_files = fs.list(&tenant_prefix(t)).len() - files0;
-        reports.push(RunReport {
+        handles.push(svc.submit(JobSpec {
+            priority: job.priority,
+            quota: job.quota,
+            ..JobSpec::new(job.label.clone(), &job.client_ranks)
+        })?);
+        tenants.push(GenxConfig {
             label: job.label.clone(),
-            io_module: "rocpanda".to_string(),
-            n_compute: job.client_ranks.len(),
-            n_servers: server_ranks.len(),
+            workload: job.workload.clone(),
             steps: job.steps,
-            snapshots: a.snapshots,
-            comp_time: a.comp,
-            visible_io: a.io,
-            restart_time: a.restart,
-            restart_ok: a.restart_ok,
-            n_files,
-            bytes_written: fs.tenant_used(t),
-            snapshot_bytes: a.snapshot_bytes,
-            apparent_write_mb_s: RunReport::apparent_throughput(
-                a.snapshot_bytes * a.snapshots as u64,
-                a.io,
-            ),
+            snapshot_every: job.snapshot_every,
+            ..base.clone()
         });
     }
-    Ok(MultiTenantReport {
-        jobs: reports,
-        drain: drain.into_iter().collect(),
-    })
+    let n_files =
+        |h: &JobHandle| fs.list(&format!("{}/{}", base.out_dir, h.tenant().path_prefix())).len();
+    let files_before: Vec<usize> = handles.iter().map(n_files).collect();
+
+    let mut report = run_tenants(cluster, fs, base, Some(&svc), &handles, &tenants, None)?;
+    // A tenant shares the store: what it wrote is its namespace's growth
+    // and its ledger charge.
+    for ((job, handle), before) in report.jobs.iter_mut().zip(&handles).zip(files_before) {
+        job.n_files = n_files(handle) - before;
+        job.bytes_written = fs.tenant_used(handle.tenant());
+    }
+    Ok(report)
 }
 
 /// Outcome of a restart-only job ([`run_genx_restart`]).
@@ -553,10 +498,13 @@ pub struct RestartReport {
     pub blocks_read: u64,
 }
 
-/// Final snapshot id of a run with `cfg`'s schedule (one snapshot at
-/// step 0, then one every `snapshot_every`).
+/// Final snapshot id of a run with `cfg`'s schedule: one snapshot at step
+/// 0, then one every `snapshot_every` steps (none when that is 0), so the
+/// last is the `k`-th at step `k * snapshot_every`, `k = steps /
+/// snapshot_every` — not necessarily the final step.
 pub fn final_snapshot(cfg: &GenxConfig) -> SnapshotId {
-    SnapshotId::new(cfg.steps, (cfg.steps / cfg.snapshot_every) as u32)
+    let k = cfg.steps.checked_div(cfg.snapshot_every).unwrap_or(0);
+    SnapshotId::new(k * cfg.snapshot_every, k as u32)
 }
 
 /// Restart-only job: re-partition `cfg.workload` over `cluster`'s ranks —
@@ -576,91 +524,80 @@ pub fn run_genx_restart(
     cfg: &GenxConfig,
     snap: SnapshotId,
 ) -> Result<RestartReport> {
-    use rocio_core::Checksum;
-    use roccom::AttrRef;
-
     let n_ranks = cluster.n_ranks();
-    let fabric = Arc::new(Fabric::new(cluster));
-    let outcomes = run_on_fabric_sched(
-        &fabric,
-        &cfg.sched,
-        &|world| -> Result<(f64, u64, u64)> {
-            let rank = world.rank();
-            let n = world.size();
-            let (workload, mine) = match &cfg.workload {
-                WorkloadKind::LabScale { seed, scale } => {
-                    let w = Workload::lab_scale_motor_scaled(*seed, *scale);
-                    let mine = assign(&w, n)[rank].clone();
-                    (w, mine)
-                }
-                WorkloadKind::Cylinder { seed } => {
-                    let w = Workload::scalability_segment(rank, *seed);
-                    let mine = MyBlocks {
-                        fluid: (0..w.fluid.len()).collect(),
-                        solid: (0..w.solid_boxes.len()).collect(),
-                    };
-                    (w, mine)
-                }
-                WorkloadKind::Custom {
-                    seed,
-                    scale,
-                    n_fluid,
-                    n_solid,
-                } => {
-                    let w = Workload::lab_scale_custom(*seed, *scale, *n_fluid, *n_solid);
-                    let mine = assign(&w, n)[rank].clone();
-                    (w, mine)
-                }
-            };
-            let mut ws = Windows::new();
-            declare_windows_for(&mut ws, cfg.fluid_solver, cfg.solid_solver)?;
-            register_and_init_for(&mut ws, &workload, &mine, cfg.fluid_solver)?;
+    let outcomes = launch(cluster, cfg, None, &|world| -> Result<(f64, u64, u64)> {
+        let (workload, mine) = materialise(&cfg.workload, world.rank(), world.size());
+        let mut ws = fresh_windows(cfg, &workload, &mine)?;
+        let hdf_cfg = RochdfConfig {
+            dir: cfg.out_dir.clone(),
+            ..cfg.rochdf.clone()
+        };
+        let mut io = Rochdf::new(fs, world, hdf_cfg);
+        let windows = [
+            cfg.fluid_solver.window(),
+            crate::setup::SOLID_WINDOW,
+            crate::setup::BURN_WINDOW,
+        ];
+        let t0 = world.now();
+        for window in windows {
+            io.read_attribute(&mut ws, &AttrSelector::all(window), snap)?;
+        }
+        let latency = world.now() - t0;
 
-            let mut hdf_cfg = cfg.rochdf.clone();
-            hdf_cfg.dir = cfg.out_dir.clone();
-            let mut io = Rochdf::new(fs, &world, hdf_cfg);
-            let windows = [
-                cfg.fluid_solver.window(),
-                crate::setup::SOLID_WINDOW,
-                crate::setup::BURN_WINDOW,
-            ];
-            let t0 = world.now();
-            for window in windows {
-                io.read_attribute(&mut ws, &roccom::AttrSelector::all(window), snap)?;
+        // Partition-independent fingerprint of the restored state.
+        let mut hash = 0u64;
+        let mut blocks = 0u64;
+        for window in windows {
+            let w = ws.window(window)?;
+            for id in w.pane_ids() {
+                let block = roccom::convert::pane_to_block(w, w.pane(id)?, &AttrRef::All)?;
+                hash ^= Checksum::of_block(&block).0;
+                blocks += 1;
             }
-            let latency = world.now() - t0;
-
-            // Partition-independent fingerprint of the restored state.
-            let mut hash = 0u64;
-            let mut blocks = 0u64;
-            for window in windows {
-                let w = ws.window(window)?;
-                for id in w.pane_ids() {
-                    let block =
-                        roccom::convert::pane_to_block(w, w.pane(id)?, &AttrRef::All)?;
-                    hash ^= Checksum::of_block(&block).0;
-                    blocks += 1;
-                }
-            }
-            Ok((latency, hash, blocks))
-        },
-    );
-    let mut restart_time = 0f64;
-    let mut state_hash = 0u64;
-    let mut blocks_read = 0u64;
-    for o in outcomes {
-        let (t, h, b) = o?;
-        restart_time = restart_time.max(t);
-        state_hash ^= h;
-        blocks_read += b;
-    }
+        }
+        Ok((latency, hash, blocks))
+    })?;
     Ok(RestartReport {
         label: cfg.label.clone(),
         n_ranks,
-        restart_time,
-        state_hash,
-        blocks_read,
+        restart_time: outcomes.iter().map(|o| o.0).fold(0.0, f64::max),
+        state_hash: outcomes.iter().fold(0, |hash, o| hash ^ o.1),
+        blocks_read: outcomes.iter().map(|o| o.2).sum(),
     })
+}
+
+/// This rank's share of `kind` on an `n`-rank job: the workload and the
+/// indices of the blocks rank `rank` owns.
+fn materialise(kind: &WorkloadKind, rank: usize, n: usize) -> (Workload, MyBlocks) {
+    let workload = match kind {
+        WorkloadKind::LabScale { seed, scale } => Workload::lab_scale_motor_scaled(*seed, *scale),
+        WorkloadKind::Custom {
+            seed,
+            scale,
+            n_fluid,
+            n_solid,
+        } => Workload::lab_scale_custom(*seed, *scale, *n_fluid, *n_solid),
+        WorkloadKind::Cylinder { seed } => {
+            // Weak scaling: each rank materializes only its own segment.
+            let w = Workload::scalability_segment(rank, *seed);
+            let mine = MyBlocks {
+                fluid: (0..w.fluid.len()).collect(),
+                solid: (0..w.solid_boxes.len()).collect(),
+            };
+            return (w, mine);
+        }
+    };
+    let mine = assign(&workload, n)[rank].clone();
+    (workload, mine)
+}
+
+/// Windows declared for `cfg`'s solvers with this rank's panes registered
+/// and initialised.
+fn fresh_windows(cfg: &GenxConfig, workload: &Workload, mine: &MyBlocks) -> Result<Windows> {
+    let mut ws = Windows::new();
+    declare_windows_for(&mut ws, cfg.fluid_solver, cfg.solid_solver)?;
+    register_and_init_for(&mut ws, workload, mine, cfg.fluid_solver)?;
+    Ok(ws)
 }
 
 /// The compute-rank routine, shared by all three I/O architectures.
@@ -669,33 +606,7 @@ fn client_run<'a>(
     io_module: Box<dyn IoService + 'a>,
     cfg: &GenxConfig,
 ) -> Result<ClientOutcome> {
-    let rank = sim_comm.rank();
-    let n = sim_comm.size();
-    let (workload, mine) = match &cfg.workload {
-        WorkloadKind::LabScale { seed, scale } => {
-            let w = Workload::lab_scale_motor_scaled(*seed, *scale);
-            let mine = assign(&w, n)[rank].clone();
-            (w, mine)
-        }
-        WorkloadKind::Cylinder { seed } => {
-            let w = Workload::scalability_segment(rank, *seed);
-            let mine = MyBlocks {
-                fluid: (0..w.fluid.len()).collect(),
-                solid: (0..w.solid_boxes.len()).collect(),
-            };
-            (w, mine)
-        }
-        WorkloadKind::Custom {
-            seed,
-            scale,
-            n_fluid,
-            n_solid,
-        } => {
-            let w = Workload::lab_scale_custom(*seed, *scale, *n_fluid, *n_solid);
-            let mine = assign(&w, n)[rank].clone();
-            (w, mine)
-        }
-    };
+    let (workload, mine) = materialise(&cfg.workload, sim_comm.rank(), sim_comm.size());
     let local_bytes: u64 = mine
         .fluid
         .iter()
@@ -711,13 +622,9 @@ fn client_run<'a>(
             .sum::<u64>();
     let global_bytes = sim_comm.allreduce_sum_f64(local_bytes as f64)? as u64;
 
-    let mut ws = Windows::new();
-    declare_windows_for(&mut ws, cfg.fluid_solver, cfg.solid_solver)?;
-    register_and_init_for(&mut ws, &workload, &mine, cfg.fluid_solver)?;
-
     let mut dispatch = IoDispatch::new();
     dispatch.load_module(io_module)?;
-    let mut man = Rocman::new(sim_comm, ws, dispatch)?;
+    let mut man = Rocman::new(sim_comm, fresh_windows(cfg, &workload, &mine)?, dispatch)?;
     // Cross-block inflow coupling along the bore axis (the adjacency is
     // global and deterministic, so every rank computes the same map).
     if cfg.fluid_solver == FluidKind::Rocflo {
@@ -733,14 +640,12 @@ fn client_run<'a>(
     man.run(cfg.steps, cfg.snapshot_every)?;
 
     let (restart, restart_ok) = if cfg.measure_restart {
-        let mut fresh = Windows::new();
-        declare_windows_for(&mut fresh, cfg.fluid_solver, cfg.solid_solver)?;
-        register_and_init_for(&mut fresh, &workload, &mine, cfg.fluid_solver)?;
-        man.measure_restart(&mut fresh)?
+        man.measure_restart(&mut fresh_windows(cfg, &workload, &mine)?)?
     } else {
         (0.0, true)
     };
     let outcome = ClientOutcome {
+        ranks: 1,
         comp: man.comp_time(),
         io: man.io_time(),
         restart,
@@ -843,6 +748,53 @@ mod tests {
         assert_eq!(cold.comp_time, cached.comp_time);
         assert_eq!(cold.snapshots, cached.snapshots);
         assert_eq!(cold.bytes_written, cached.bytes_written);
+    }
+
+    /// The last snapshot of an uneven schedule is not at the final step,
+    /// and a run that never snapshots after step 0 still has one: both
+    /// must be the snapshot `final_snapshot` names, and restart from it
+    /// onto a different rank count.
+    #[test]
+    fn final_snapshot_names_the_last_snapshot_written() {
+        for (every, expect) in [(4, SnapshotId::new(8, 2)), (0, SnapshotId::new(0, 0))] {
+            let fs = Arc::new(SharedFs::ideal());
+            let mut cfg = small_cfg(&format!("t-final-{every}"), IoChoice::Rochdf);
+            cfg.snapshot_every = every;
+            cfg.measure_restart = false;
+            let report = run_genx(ClusterSpec::ideal(2), &fs, &cfg).unwrap();
+            let snap = final_snapshot(&cfg);
+            assert_eq!(snap, expect);
+            assert_eq!(report.snapshots, expect.ordinal + 1);
+            let restart = run_genx_restart(ClusterSpec::ideal(3), &fs, &cfg, snap).unwrap();
+            assert_eq!(restart.n_ranks, 3);
+            assert!(restart.blocks_read > 0);
+        }
+    }
+
+    /// A server pool that does not fit the cluster is a configuration
+    /// error reported before anything launches — never a panic, a hang, or
+    /// a report with the wrong processor counts.
+    #[test]
+    fn bad_server_ranks_are_config_errors() {
+        let fs = Arc::new(SharedFs::ideal());
+        for (label, n_ranks, server_ranks) in [
+            ("too many", 2, vec![0, 1, 2]),
+            ("duplicate", 3, vec![0, 0]),
+            ("out of range", 3, vec![7]),
+            ("all servers", 2, vec![0, 1]),
+            ("none", 2, vec![]),
+        ] {
+            let cfg = small_cfg("t-bad-pool", IoChoice::Rocpanda { server_ranks });
+            match run_genx(ClusterSpec::ideal(n_ranks), &fs, &cfg) {
+                Err(RocError::Config(_)) => {}
+                other => panic!("{label}: expected a Config error, got {other:?}"),
+            }
+        }
+        assert_eq!(fs.n_files(), 0);
+        // Order is free; the counts come from the validated pool.
+        let cfg = small_cfg("t-pool", IoChoice::Rocpanda { server_ranks: vec![3, 0] });
+        let report = run_genx(ClusterSpec::ideal(4), &fs, &cfg).unwrap();
+        assert_eq!((report.n_compute, report.n_servers), (2, 2));
     }
 
     #[test]

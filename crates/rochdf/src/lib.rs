@@ -22,9 +22,15 @@
 //!   main thread blocks only if the previous snapshot is still being
 //!   written.
 //!
-//! Restart (`read_attribute`) is shared by both variants — "T-Rochdf
-//! performs restart in the same way as Rochdf does" — and benefits from
-//! every processor reading concurrently, which the NFS model rewards
+//! The two are one write / read / retire core under two schedules:
+//! [`rochdf`] holds the single write-a-snapshot-file function (called
+//! inline by `Rochdf`, from the I/O thread by `TRochdf`), the single
+//! restart body — "T-Rochdf performs restart in the same way as Rochdf
+//! does": every rank for itself ([`restart`]) or through the two-phase
+//! collective ([`twophase`]), one `restart_read` span per window either
+//! way — and the single retire, which asks `rocio_core` which files belong
+//! to a snapshot rather than knowing the name format. Restart benefits
+//! from every processor reading concurrently, which the NFS model rewards
 //! (Table 1's restart row).
 
 #![forbid(unsafe_code)]

@@ -1,13 +1,80 @@
-//! The non-threaded, blocking individual-I/O module.
+//! The non-threaded, blocking individual-I/O module — and the one
+//! write / read / retire core both variants run on. [`Rochdf`] calls the
+//! three functions below inline; [`crate::TRochdf`] calls the same
+//! `write_snapshot_file` from its I/O thread and the same
+//! `read_attribute` / `retire` once its pending writes have drained.
 
-use rocio_core::{Result, SnapshotId};
+use rocio_core::{DataBlock, Result, SimTime, SnapshotId};
 use rocnet::Comm;
-use rocsdf::SdfFileWriter;
+use rocsdf::{LibraryModel, SdfFileWriter};
 use rocstore::SharedFs;
 
 use crate::config::RochdfConfig;
-use crate::restart::read_attribute_individual;
 use roccom::{AttrSelector, IoService, Windows};
+
+/// Write `blocks` as one complete snapshot file at `path`, starting at
+/// virtual time `now`; returns the time the file is durable.
+pub(crate) fn write_snapshot_file(
+    fs: &SharedFs,
+    path: &str,
+    lib: LibraryModel,
+    client: u64,
+    blocks: &[DataBlock],
+    now: SimTime,
+) -> Result<SimTime> {
+    let (mut w, mut t) = SdfFileWriter::create(fs, path, lib, client, now)?;
+    for block in blocks {
+        t = w.append_block(block, t)?;
+    }
+    w.finish(t)
+}
+
+/// Restart: read the selected window of `snap` back onto this rank's
+/// panes — every rank for itself, or through the two-phase collective
+/// when `cfg.read_aggregators` is positive — and charge the caller's
+/// clock. "T-Rochdf performs restart in the same way as Rochdf does"
+/// (§6.2): this is that way.
+pub(crate) fn read_attribute(
+    fs: &SharedFs,
+    comm: &Comm,
+    cfg: &RochdfConfig,
+    windows: &mut Windows,
+    sel: &AttrSelector,
+    snap: SnapshotId,
+) -> Result<()> {
+    let t0 = comm.now();
+    let t = if cfg.read_aggregators > 0 {
+        crate::twophase::read_attribute_two_phase(fs, comm, cfg, windows, sel, snap)?
+    } else {
+        crate::restart::read_attribute_individual(fs, comm, cfg, windows, sel, snap)?
+    };
+    comm.clock().merge(t);
+    if rocobs::enabled() {
+        rocobs::record(
+            rocobs::SpanCategory::RestartRead,
+            "restart_read",
+            t0,
+            comm.now(),
+            &format!("window={}", sel.window),
+        );
+    }
+    Ok(())
+}
+
+/// Individual architecture: every process deletes its own files of `snap`.
+pub(crate) fn retire(
+    fs: &SharedFs,
+    comm: &Comm,
+    cfg: &RochdfConfig,
+    snap: SnapshotId,
+) -> Result<()> {
+    for path in fs.list(&format!("{}/", cfg.dir)) {
+        if rocio_core::is_snapshot_file_of(&path, snap, comm.rank()) {
+            fs.delete(&path)?;
+        }
+    }
+    Ok(())
+}
 
 /// Blocking individual I/O: every `write_attribute` call writes this
 /// process's panes to its own SDF file and returns only when the file
@@ -69,12 +136,8 @@ impl IoService for Rochdf<'_> {
         self.fs.declare_writers(self.comm.size());
         let path = self.cfg.path(&sel.window, snap, self.comm.rank());
         let client = self.comm.global_rank() as u64;
-        let (mut w, mut t) =
-            SdfFileWriter::create(self.fs, &path, self.cfg.lib, client, self.comm.now())?;
-        for block in &blocks {
-            t = w.append_block(block, t)?;
-        }
-        let t = w.finish(t)?;
+        let now = self.comm.now();
+        let t = write_snapshot_file(self.fs, &path, self.cfg.lib, client, &blocks, now)?;
         self.comm.clock().merge(t);
         self.files_written += 1;
         self.visible_io += self.comm.now() - t_enter;
@@ -87,15 +150,7 @@ impl IoService for Rochdf<'_> {
         sel: &AttrSelector,
         snap: SnapshotId,
     ) -> Result<()> {
-        let t = if self.cfg.read_aggregators > 0 {
-            crate::twophase::read_attribute_two_phase(
-                self.fs, self.comm, &self.cfg, windows, sel, snap,
-            )?
-        } else {
-            read_attribute_individual(self.fs, self.comm, &self.cfg, windows, sel, snap)?
-        };
-        self.comm.clock().merge(t);
-        Ok(())
+        read_attribute(self.fs, self.comm, &self.cfg, windows, sel, snap)
     }
 
     fn sync(&mut self) -> Result<()> {
@@ -104,20 +159,7 @@ impl IoService for Rochdf<'_> {
     }
 
     fn retire(&mut self, snap: SnapshotId) -> Result<()> {
-        // Individual architecture: every process deletes its own files.
-        let prefix = format!(
-            "{}/",
-            self.cfg.dir
-        );
-        let rank = self.comm.rank();
-        for path in self.fs.list(&prefix) {
-            if path.ends_with(&format!("_w{rank:04}.sdf"))
-                && path.contains(&format!("_{:04}_{:06}_", snap.ordinal, snap.step))
-            {
-                self.fs.delete(&path)?;
-            }
-        }
-        Ok(())
+        retire(self.fs, self.comm, &self.cfg, snap)
     }
 }
 

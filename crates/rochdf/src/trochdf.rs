@@ -7,11 +7,10 @@ use crossbeam::channel::{unbounded, Sender};
 use rocio_core::lockdep::{Condvar, Mutex};
 use rocio_core::{DataBlock, Result, RocError, SimTime, SnapshotId};
 use rocnet::{Comm, VClock};
-use rocsdf::SdfFileWriter;
 use rocstore::SharedFs;
 
 use crate::config::RochdfConfig;
-use crate::restart::read_attribute_individual;
+use crate::rochdf::{read_attribute, retire, write_snapshot_file};
 use roccom::{AttrSelector, IoService, Windows};
 
 enum Job {
@@ -88,25 +87,17 @@ impl<'a> TRochdf<'a> {
                             issue,
                         } => {
                             thread_shared.io_clock.merge(issue);
-                            let result = (|| -> Result<()> {
-                                let (mut w, mut t) = SdfFileWriter::create(
-                                    &thread_fs,
-                                    &path,
-                                    lib,
-                                    client,
-                                    thread_shared.io_clock.now(),
-                                )?;
-                                for block in &blocks {
-                                    t = w.append_block(block, t)?;
+                            let now = thread_shared.io_clock.now();
+                            let done =
+                                write_snapshot_file(&thread_fs, &path, lib, client, &blocks, now);
+                            match done {
+                                Ok(t) => {
+                                    thread_shared.io_clock.merge(t);
+                                    thread_shared.files_written.fetch_add(1, Ordering::Relaxed);
                                 }
-                                let t = w.finish(t)?;
-                                thread_shared.io_clock.merge(t);
-                                Ok(())
-                            })();
-                            if let Err(e) = result {
-                                thread_shared.error.lock().get_or_insert(e);
-                            } else {
-                                thread_shared.files_written.fetch_add(1, Ordering::Relaxed);
+                                Err(e) => {
+                                    thread_shared.error.lock().get_or_insert(e);
+                                }
                             }
                             let mut out = thread_shared.outstanding.lock();
                             *out -= 1;
@@ -221,25 +212,7 @@ impl IoService for TRochdf<'_> {
     ) -> Result<()> {
         // Restart must not race pending writes.
         self.drain()?;
-        let t0 = self.comm.now();
-        let t = if self.cfg.read_aggregators > 0 {
-            crate::twophase::read_attribute_two_phase(
-                &self.fs, self.comm, &self.cfg, windows, sel, snap,
-            )?
-        } else {
-            read_attribute_individual(&self.fs, self.comm, &self.cfg, windows, sel, snap)?
-        };
-        self.comm.clock().merge(t);
-        if rocobs::enabled() {
-            rocobs::record(
-                rocobs::SpanCategory::RestartRead,
-                "restart_read",
-                t0,
-                self.comm.now(),
-                &format!("window={}", sel.window),
-            );
-        }
-        Ok(())
+        read_attribute(&self.fs, self.comm, &self.cfg, windows, sel, snap)
     }
 
     fn sync(&mut self) -> Result<()> {
@@ -251,15 +224,7 @@ impl IoService for TRochdf<'_> {
         // snapshot only starts after the previous is durable — but drain
         // anyway for safety before deleting.
         self.drain()?;
-        let rank = self.comm.rank();
-        for path in self.fs.list(&format!("{}/", self.cfg.dir)) {
-            if path.ends_with(&format!("_w{rank:04}.sdf"))
-                && path.contains(&format!("_{:04}_{:06}_", snap.ordinal, snap.step))
-            {
-                self.fs.delete(&path)?;
-            }
-        }
-        Ok(())
+        retire(&self.fs, self.comm, &self.cfg, snap)
     }
 
     fn finalize(&mut self) -> Result<()> {

@@ -298,7 +298,7 @@ mod tests {
     use rocio_core::{DType, Dataset, SnapshotId};
     use rocnet::cluster::ClusterSpec;
     use rocnet::run_ranks;
-    use rocsdf::SdfFileWriter;
+    use crate::rochdf::write_snapshot_file;
 
     fn write_snapshot(fs: &SharedFs, n_writers: usize, blocks_per: usize) -> Vec<DataBlock> {
         let cfg = RochdfConfig::default();
@@ -306,17 +306,17 @@ mod tests {
         let mut all = Vec::new();
         for w in 0..n_writers {
             let path = cfg.path("fluid", snap, w);
-            let (mut fw, mut t) = SdfFileWriter::create(fs, &path, cfg.lib, w as u64, 0.0).unwrap();
-            for b in 0..blocks_per {
-                let id = BlockId((w * blocks_per + b) as u64);
-                let block = DataBlock::new(id, "fluid").with_dataset(
-                    Dataset::vector("pressure", vec![id.0 as f64 + 0.5; 32])
-                        .with_attr("units", "Pa"),
-                );
-                t = fw.append_block(&block, t).unwrap();
-                all.push(block);
-            }
-            fw.finish(t).unwrap();
+            let blocks: Vec<DataBlock> = (0..blocks_per)
+                .map(|b| {
+                    let id = BlockId((w * blocks_per + b) as u64);
+                    DataBlock::new(id, "fluid").with_dataset(
+                        Dataset::vector("pressure", vec![id.0 as f64 + 0.5; 32])
+                            .with_attr("units", "Pa"),
+                    )
+                })
+                .collect();
+            write_snapshot_file(fs, &path, cfg.lib, w as u64, &blocks, 0.0).unwrap();
+            all.extend(blocks);
         }
         all
     }
@@ -466,10 +466,8 @@ mod tests {
             .with_attr("material", "gas");
         // Encode the block's records the way a file stores them.
         let fs = SharedFs::ideal();
-        let (mut w, t) =
-            SdfFileWriter::create(&fs, "one.sdf", LibraryModel::Raw, 0, 0.0).unwrap();
-        let t = w.append_block(&block, t).unwrap();
-        w.finish(t).unwrap();
+        let blocks = std::slice::from_ref(&block);
+        write_snapshot_file(&fs, "one.sdf", LibraryModel::Raw, 0, blocks, 0.0).unwrap();
         let (r, t) = SdfFileReader::open(&fs, "one.sdf", LibraryModel::Raw, 0, 0.0).unwrap();
         let (raw, _) = r.read_blocks_raw(&[BlockId(7)], t).unwrap();
         let segs = encode_block(BlockId(7), &raw[0].1);

@@ -55,7 +55,7 @@ const FRAME_ACK: u8 = 2;
 const DATA_HDR: usize = 1 + 8 + 4;
 
 /// A fault injector scoped to reliability-layer traffic: frames tagged
-/// [`TAG_REL`] see the wrapped [`FaultSpec`], everything else (solver halo
+/// [`TAG_REL`] see the wrapped [`FaultSpec`](crate::FaultSpec), everything else (solver halo
 /// exchanges, raw control traffic) is delivered untouched. This is what a
 /// driver installs when only the I/O path should ride a degraded network.
 #[derive(Debug, Clone, Copy)]

@@ -14,13 +14,13 @@
 //!   *runnable* at any instant. Every rank holds an admission slot while
 //!   executing user code; every blocking point in the fabric lends the
 //!   slot back to the pool for the duration of the park
-//!   ([`lend_slot`]/[`reacquire_slot`], called from
+//!   (`lend_slot`/`reacquire_slot`, called from
 //!   `Fabric::park_on_cv`). The kernel therefore only ever timeslices a
 //!   handful of threads; the rest sit parked on their per-rank condvar,
 //!   costing one small stack and a kernel task struct each.
 //! * **Event-driven gate wakes.** The conservative virtual-order gate
 //!   used to poll (`GATE_POLL`), because clock advances notify no
-//!   condvar. The [`GateBoard`] is a lock-free watermark over all gate
+//!   condvar. The `GateBoard` is a lock-free watermark over all gate
 //!   waiters' scan bounds: any clock advance that crosses it unparks a
 //!   single *steward* thread, which takes the fabric lock from a clean
 //!   context and re-runs the wake scan. Advance sites never touch the
@@ -29,7 +29,7 @@
 //!   what keeps the `roclock.order` hierarchy intact.
 //! * **A start gate.** Ranks stage on a job-start line after spawning
 //!   and the last arrival releases the whole job with one broadcast
-//!   wake ([`StartGate`]), so user code begins everywhere at once
+//!   wake (`StartGate`), so user code begins everywhere at once
 //!   instead of racing the spawn ramp.
 //!
 //! Scheduling changes *which* thread runs when, never what any rank
@@ -40,7 +40,7 @@
 //! so the gate never commits early because of admission.
 //!
 //! Threads that are *not* rank threads (e.g. T-Rochdf's background
-//! writer) never register with the pool: [`lend_slot`] is a no-op for
+//! writer) never register with the pool: `lend_slot` is a no-op for
 //! them and they keep draining work regardless of admission, which is
 //! exactly why a rank blocked on such a helper cannot wedge the pool.
 

@@ -21,7 +21,7 @@ use crate::sched::GateBoard;
 /// as the values, so [`VClock::merge`] is a single `fetch_max`.
 ///
 /// Fabric-owned clocks are additionally attached to the fabric's
-/// [`GateBoard`]: every advance reports the new time so parked gate
+/// `GateBoard`: every advance reports the new time so parked gate
 /// waiters can be woken when a lagging clock finally passes their scan
 /// bound (the event-driven replacement for the old `GATE_POLL` loop).
 #[derive(Debug, Default)]

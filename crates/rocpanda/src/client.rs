@@ -28,7 +28,7 @@ pub struct PandaClient<'a> {
     net: PandaNet<'a>,
     client_comm: Comm,
     cfg: RocpandaConfig,
-    /// The tenant this client writes as (solo for `init`-era sessions).
+    /// The tenant this client writes as.
     tenant: TenantId,
     my_server: usize,
     server_ranks: Vec<usize>,
@@ -308,10 +308,12 @@ impl IoService for PandaClient<'_> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{init, Role, RocpandaConfig};
+    use std::sync::Arc;
+
+    use crate::{PandaClient, PandaServiceBuilder, RocpandaConfig, ServerStats, ServiceRole};
     use rocio_core::{ArrayData, BlockId, DType, SnapshotId};
     use rocnet::cluster::ClusterSpec;
-    use rocnet::run_ranks;
+    use rocnet::{Comm, Fabric};
     use roccom::{AttrSelector, AttrSpec, IoService, PaneMesh, Windows};
     use rocstore::SharedFs;
 
@@ -346,108 +348,107 @@ mod tests {
             .sum()
     }
 
+    /// Overwrite every pressure value, so a restart has to do the work.
+    fn scribble(ws: &mut Windows, value: f64) {
+        for pane in ws.window_mut("fluid").unwrap().panes_mut() {
+            for x in pane.data_mut("pressure").unwrap().as_f64_mut().unwrap() {
+                *x = value;
+            }
+        }
+    }
+
+    /// Every pane holds the value `build_windows` gave it (its block id).
+    fn holds_written_values(ws: &Windows) -> bool {
+        ws.window("fluid").unwrap().panes().all(|p| {
+            p.data("pressure").unwrap().as_f64().unwrap().iter().all(|&x| x == p.id.0 as f64)
+        })
+    }
+
+    fn ideal(n: usize) -> Arc<Fabric> {
+        Arc::new(Fabric::new(ClusterSpec::ideal(n)))
+    }
+
+    /// One Rocpanda session on `fabric`: a service over `fs` with every
+    /// non-server rank admitted as one job. Servers serve until shutdown;
+    /// each client runs `client(world, io, app)`. Returns the clients'
+    /// results in rank order and the servers' statistics in index order.
+    fn run_job<T: Send>(
+        fs: &Arc<SharedFs>,
+        cfg: &RocpandaConfig,
+        servers: &[usize],
+        fabric: &Arc<Fabric>,
+        client: impl Fn(&Comm, &mut PandaClient<'_>, &Comm) -> T + Send + Sync,
+    ) -> (Vec<T>, Vec<ServerStats>) {
+        let svc = PandaServiceBuilder::new(Arc::clone(fs))
+            .servers(servers)
+            .config(cfg.clone())
+            .build()
+            .unwrap();
+        svc.admit_world("job", fabric.n_ranks()).unwrap();
+        let out = rocnet::harness::run_on_fabric(fabric, &|world: Comm| {
+            match svc.attach(&world).unwrap() {
+                ServiceRole::Server(mut s) => Err(s.run().unwrap()),
+                ServiceRole::Client { mut io, comm: app, .. } => Ok(client(&world, &mut io, &app)),
+                ServiceRole::Idle => unreachable!("admit_world leaves no rank idle"),
+            }
+        });
+        let (mut clients, mut stats) = (Vec::new(), Vec::new());
+        for o in out {
+            match o {
+                Ok(c) => clients.push(c),
+                Err(s) => stats.push(s),
+            }
+        }
+        (clients, stats)
+    }
+
     /// 4 clients + 2 servers: write a snapshot, verify files, restart.
     #[test]
     fn collective_write_and_restart() {
-        let fs = SharedFs::ideal();
+        let fs = Arc::new(SharedFs::ideal());
+        let cfg = RocpandaConfig::default();
         let snap = SnapshotId::new(0, 0);
-        let servers = [0usize, 3];
-        let sums = run_ranks(6, ClusterSpec::ideal(6), |comm| {
-            let role = init(&comm, &fs, RocpandaConfig::default(), &servers).unwrap();
-            match role {
-                Role::Server(mut s) => {
-                    s.run().unwrap();
-                    -1.0
-                }
-                Role::Client { io: mut c, comm: app } => {
-                    let idx = app.rank();
-                    let ws = build_windows(idx, 2);
-                    c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
-                    let sum = sum_pressure(&ws);
-                    c.finalize().unwrap();
-                    sum
-                }
-            }
+        let (sums, _) = run_job(&fs, &cfg, &[0, 3], &ideal(6), |_, c, app| {
+            let ws = build_windows(app.rank(), 2);
+            c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
+            c.finalize().unwrap();
+            sum_pressure(&ws)
         });
         // One file per server (factor-of-2 reduction vs 4 clients).
         assert_eq!(fs.list("out/").len(), 2);
-        let written_sum: f64 = sums.iter().filter(|&&s| s >= 0.0).sum();
 
         // Restart with the same distribution.
-        let restored = run_ranks(6, ClusterSpec::ideal(6), |comm| {
-            let role = init(&comm, &fs, RocpandaConfig::default(), &servers).unwrap();
-            match role {
-                Role::Server(mut s) => {
-                    s.run().unwrap();
-                    -1.0
-                }
-                Role::Client { io: mut c, comm: app } => {
-                    let idx = app.rank();
-                    let mut ws = build_windows(idx, 2);
-                    for pane in ws.window_mut("fluid").unwrap().panes_mut() {
-                        for x in pane.data_mut("pressure").unwrap().as_f64_mut().unwrap() {
-                            *x = -7.0;
-                        }
-                    }
-                    c.read_attribute(&mut ws, &AttrSelector::all("fluid"), snap).unwrap();
-                    let sum = sum_pressure(&ws);
-                    c.finalize().unwrap();
-                    sum
-                }
-            }
+        let (restored, _) = run_job(&fs, &cfg, &[0, 3], &ideal(6), |_, c, app| {
+            let mut ws = build_windows(app.rank(), 2);
+            scribble(&mut ws, -7.0);
+            c.read_attribute(&mut ws, &AttrSelector::all("fluid"), snap).unwrap();
+            c.finalize().unwrap();
+            sum_pressure(&ws)
         });
-        let restored_sum: f64 = sums_of(&restored);
-        assert_eq!(written_sum, restored_sum);
+        assert_eq!(sums.iter().sum::<f64>(), restored.iter().sum::<f64>());
     }
 
-    /// Sum of the client results (servers report -1.0).
-    fn sums_of(out: &[f64]) -> f64 {
-        out.iter().filter(|&&s| s >= 0.0).sum()
-    }
-
-    /// One write+restart cycle: on `fabric` when given (with `faulty_net`
-    /// set and reliability-layer faults injected), else on a clean fabric.
-    /// Returns (file name → bytes, restored pressure sum).
+    /// One write+restart cycle on `fabric`, with `faulty_net` declared as
+    /// given. Returns (file name → bytes, restored pressure sum).
     fn write_restart_cycle(
-        fabric: Option<&std::sync::Arc<rocnet::Fabric>>,
+        fabric: &Arc<Fabric>,
         faulty: Option<rocnet::FaultSpec>,
     ) -> (std::collections::BTreeMap<String, Vec<u8>>, f64) {
-        let fs = SharedFs::ideal();
+        let fs = Arc::new(SharedFs::ideal());
         let snap = SnapshotId::new(7, 0);
-        let servers = [0usize, 3];
         let cfg = RocpandaConfig {
             faulty_net: faulty,
             ..Default::default()
         };
-        let job = |comm: rocnet::Comm| {
-            let role = init(&comm, &fs, cfg.clone(), &servers).unwrap();
-            match role {
-                Role::Server(mut s) => {
-                    s.run().unwrap();
-                    -1.0
-                }
-                Role::Client { io: mut c, comm: app } => {
-                    let idx = app.rank();
-                    let mut ws = build_windows(idx, 2);
-                    c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
-                    c.sync().unwrap();
-                    for pane in ws.window_mut("fluid").unwrap().panes_mut() {
-                        for x in pane.data_mut("pressure").unwrap().as_f64_mut().unwrap() {
-                            *x = -7.0;
-                        }
-                    }
-                    c.read_attribute(&mut ws, &AttrSelector::all("fluid"), snap).unwrap();
-                    let sum = sum_pressure(&ws);
-                    c.finalize().unwrap();
-                    sum
-                }
-            }
-        };
-        let out = match fabric {
-            Some(f) => rocnet::harness::run_on_fabric(f, &job),
-            None => run_ranks(6, ClusterSpec::ideal(6), job),
-        };
-        let sum = sums_of(&out);
+        let (sums, _) = run_job(&fs, &cfg, &[0, 3], fabric, |_, c, app| {
+            let mut ws = build_windows(app.rank(), 2);
+            c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
+            c.sync().unwrap();
+            scribble(&mut ws, -7.0);
+            c.read_attribute(&mut ws, &AttrSelector::all("fluid"), snap).unwrap();
+            c.finalize().unwrap();
+            sum_pressure(&ws)
+        });
         let files = fs
             .list("out/")
             .into_iter()
@@ -456,7 +457,7 @@ mod tests {
                 (p, bytes.to_vec())
             })
             .collect();
-        (files, sum)
+        (files, sums.iter().sum())
     }
 
     /// The tentpole end-to-end property at unit scale: with the fabric
@@ -465,13 +466,12 @@ mod tests {
     /// files are byte-identical to a clean-fabric run.
     #[test]
     fn chaotic_fabric_round_trip_is_byte_identical() {
-        let (clean_files, clean_sum) = write_restart_cycle(None, None);
+        let (clean_files, clean_sum) = write_restart_cycle(&ideal(6), None);
         for seed in [1u64, 2, 3] {
             let spec = rocnet::FaultSpec::chaos(seed, 0.10);
-            let fabric =
-                std::sync::Arc::new(rocnet::Fabric::new(ClusterSpec::ideal(6)));
-            fabric.set_fault_injector(std::sync::Arc::new(rocnet::RelOnly(spec)));
-            let (files, sum) = write_restart_cycle(Some(&fabric), Some(spec));
+            let fabric = ideal(6);
+            fabric.set_fault_injector(Arc::new(rocnet::RelOnly(spec)));
+            let (files, sum) = write_restart_cycle(&fabric, Some(spec));
             assert!(
                 fabric.fault_stats().total() > 0,
                 "seed {seed}: the injector never fired"
@@ -486,9 +486,9 @@ mod tests {
     /// output byte — the protocol rides inside DATA frames unmodified.
     #[test]
     fn reliability_layer_alone_changes_no_output_byte() {
-        let (clean_files, clean_sum) = write_restart_cycle(None, None);
+        let (clean_files, clean_sum) = write_restart_cycle(&ideal(6), None);
         let spec = rocnet::FaultSpec::none(9);
-        let (files, sum) = write_restart_cycle(None, Some(spec));
+        let (files, sum) = write_restart_cycle(&ideal(6), Some(spec));
         assert_eq!(sum, clean_sum);
         assert_eq!(files, clean_files);
     }
@@ -497,60 +497,38 @@ mod tests {
     /// distribution than the writing run (§4.1's flexibility claims).
     #[test]
     fn restart_with_different_servers_and_distribution() {
-        let fs = SharedFs::ideal();
+        let fs = Arc::new(SharedFs::ideal());
+        let cfg = RocpandaConfig::default();
         let snap = SnapshotId::new(50, 1);
         // Write: 4 clients + 2 servers.
-        run_ranks(6, ClusterSpec::ideal(6), |comm| {
-            match init(&comm, &fs, RocpandaConfig::default(), &[0, 3]).unwrap() {
-                Role::Server(mut s) => {
-                    s.run().unwrap();
-                }
-                Role::Client { io: mut c, comm: app } => {
-                    let ws = build_windows(app.rank(), 2);
-                    c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
-                    c.finalize().unwrap();
-                }
-            }
+        run_job(&fs, &cfg, &[0, 3], &ideal(6), |_, c, app| {
+            let ws = build_windows(app.rank(), 2);
+            c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
+            c.finalize().unwrap();
         });
         // Restart: 2 clients + 1 server; each new client owns two old
         // clients' blocks.
-        let ok = run_ranks(3, ClusterSpec::ideal(3), |comm| {
-            match init(&comm, &fs, RocpandaConfig::default(), &[0]).unwrap() {
-                Role::Server(mut s) => {
-                    s.run().unwrap();
-                    true
-                }
-                Role::Client { io: mut c, comm: app } => {
-                    let me = app.rank();
-                    let mut ws = Windows::new();
-                    let w = ws.create_window("fluid").unwrap();
-                    w.declare_attr(AttrSpec::element("pressure", DType::F64, 1)).unwrap();
-                    for old in [me * 2, me * 2 + 1] {
-                        for i in 0..2usize {
-                            w.register_pane(
-                                BlockId((old * 100 + i) as u64),
-                                PaneMesh::Structured {
-                                    dims: [3, 3, 3],
-                                    origin: [0.0; 3],
-                                    spacing: [1.0; 3],
-                                },
-                            )
-                            .unwrap();
-                        }
-                    }
-                    c.read_attribute(&mut ws, &AttrSelector::all("fluid"), snap).unwrap();
-                    let ok = ws.window("fluid").unwrap().panes().all(|p| {
-                        p.data("pressure")
-                            .unwrap()
-                            .as_f64()
-                            .unwrap()
-                            .iter()
-                            .all(|&x| x == p.id.0 as f64)
-                    });
-                    c.finalize().unwrap();
-                    ok
+        let (ok, _) = run_job(&fs, &cfg, &[0], &ideal(3), |_, c, app| {
+            let me = app.rank();
+            let mut ws = Windows::new();
+            let w = ws.create_window("fluid").unwrap();
+            w.declare_attr(AttrSpec::element("pressure", DType::F64, 1)).unwrap();
+            for old in [me * 2, me * 2 + 1] {
+                for i in 0..2usize {
+                    w.register_pane(
+                        BlockId((old * 100 + i) as u64),
+                        PaneMesh::Structured {
+                            dims: [3, 3, 3],
+                            origin: [0.0; 3],
+                            spacing: [1.0; 3],
+                        },
+                    )
+                    .unwrap();
                 }
             }
+            c.read_attribute(&mut ws, &AttrSelector::all("fluid"), snap).unwrap();
+            c.finalize().unwrap();
+            holds_written_values(&ws)
         });
         assert!(ok.iter().all(|&b| b));
     }
@@ -569,65 +547,52 @@ mod tests {
     }
 
     fn run_panda(active_buffering: bool, snap: SnapshotId) -> f64 {
-        let fs = SharedFs::turing();
+        let fs = Arc::new(SharedFs::turing());
         let cfg = RocpandaConfig {
             active_buffering,
             ..Default::default()
         };
-        let out = run_ranks(3, ClusterSpec::turing(3), move |comm| {
-            match init(&comm, &fs, cfg.clone(), &[0]).unwrap() {
-                Role::Server(mut s) => {
-                    s.run().unwrap();
-                    -1.0
-                }
-                Role::Client { io: mut c, comm: app } => {
-                    // Large blocks so disk time dominates protocol overhead.
-                    let mut ws = Windows::new();
-                    let w = ws.create_window("fluid").unwrap();
-                    w.declare_attr(AttrSpec::element("pressure", DType::F64, 1)).unwrap();
-                    for i in 0..8u64 {
-                        w.register_pane(
-                            BlockId(app.rank() as u64 * 100 + i),
-                            PaneMesh::Structured {
-                                dims: [20, 20, 20],
-                                origin: [0.0; 3],
-                                spacing: [1.0; 3],
-                            },
-                        )
-                        .unwrap();
-                    }
-                    c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
-                    let v = c.visible_io();
-                    c.finalize().unwrap();
-                    v
-                }
+        let fabric = Arc::new(Fabric::new(ClusterSpec::turing(3)));
+        let (visible, _) = run_job(&fs, &cfg, &[0], &fabric, |_, c, app| {
+            // Large blocks so disk time dominates protocol overhead.
+            let mut ws = Windows::new();
+            let w = ws.create_window("fluid").unwrap();
+            w.declare_attr(AttrSpec::element("pressure", DType::F64, 1)).unwrap();
+            for i in 0..8u64 {
+                w.register_pane(
+                    BlockId(app.rank() as u64 * 100 + i),
+                    PaneMesh::Structured {
+                        dims: [20, 20, 20],
+                        origin: [0.0; 3],
+                        spacing: [1.0; 3],
+                    },
+                )
+                .unwrap();
             }
+            c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
+            let v = c.visible_io();
+            c.finalize().unwrap();
+            v
         });
-        out.into_iter().filter(|&v| v >= 0.0).fold(0.0f64, f64::max)
+        visible.into_iter().fold(0.0f64, f64::max)
     }
 
     /// sync() waits for buffered data to be durable.
     #[test]
     fn sync_flushes_buffers() {
-        let fs = SharedFs::turing();
+        let fs = Arc::new(SharedFs::turing());
         let snap = SnapshotId::new(0, 0);
-        run_ranks(2, ClusterSpec::turing(2), |comm| {
-            match init(&comm, &fs, RocpandaConfig::default(), &[0]).unwrap() {
-                Role::Server(mut s) => {
-                    let stats = s.run().unwrap();
-                    assert_eq!(stats.blocks_written, stats.blocks_buffered);
-                    assert!(stats.files_finished >= 1);
-                }
-                Role::Client { io: mut c, comm: _app } => {
-                    let ws = build_windows(0, 8);
-                    c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
-                    let before = comm.now();
-                    c.sync().unwrap();
-                    assert!(comm.now() > before, "sync must cost time on a slow FS");
-                    c.finalize().unwrap();
-                }
-            }
+        let fabric = Arc::new(Fabric::new(ClusterSpec::turing(2)));
+        let (_, stats) = run_job(&fs, &RocpandaConfig::default(), &[0], &fabric, |world, c, _| {
+            let ws = build_windows(0, 8);
+            c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
+            let before = world.now();
+            c.sync().unwrap();
+            assert!(world.now() > before, "sync must cost time on a slow FS");
+            c.finalize().unwrap();
         });
+        assert_eq!(stats[0].blocks_written, stats[0].blocks_buffered);
+        assert!(stats[0].files_finished >= 1);
         // After shutdown, the file must be complete and readable.
         let files = fs.list("out/");
         assert_eq!(files.len(), 1);
@@ -648,28 +613,19 @@ mod tests {
     /// the client to the server's writes and the buffer can never fill.
     #[test]
     fn buffer_overflow_writes_through() {
-        let fs = SharedFs::ideal();
+        let fs = Arc::new(SharedFs::ideal());
         let snap = SnapshotId::new(0, 0);
         let cfg = RocpandaConfig {
             buffer_capacity: 4096, // a couple of blocks at most
             ack_window: 64,
             ..Default::default()
         };
-        let stats = run_ranks(2, ClusterSpec::ideal(2), move |comm| {
-            match init(&comm, &fs, cfg.clone(), &[0]).unwrap() {
-                Role::Server(mut s) => {
-                    let st = s.run().unwrap();
-                    Some(st)
-                }
-                Role::Client { io: mut c, comm: _app } => {
-                    let ws = build_windows(0, 12);
-                    c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
-                    c.finalize().unwrap();
-                    None
-                }
-            }
+        let (_, stats) = run_job(&fs, &cfg, &[0], &ideal(2), |_, c, _| {
+            let ws = build_windows(0, 12);
+            c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
+            c.finalize().unwrap();
         });
-        let st = stats[0].unwrap();
+        let st = stats[0];
         assert!(st.buffer_overflows > 0, "tiny buffer must overflow");
         assert_eq!(st.blocks_written, 12);
         assert_eq!(st.files_finished, 1);
@@ -687,37 +643,17 @@ mod tests {
             (1, vec![1, 2]),              // 1 client, 2 servers (one group empty)
             (5, vec![5, 6, 7]),           // 5 clients, 3 servers
         ] {
-            let fs = SharedFs::ideal();
+            let fs = Arc::new(SharedFs::ideal());
             let snap = SnapshotId::new(0, 0);
-            let total = n_clients + server_ranks.len();
-            let sr = server_ranks.clone();
-            let ok = run_ranks(total, ClusterSpec::ideal(total), move |comm| {
-                match init(&comm, &fs, RocpandaConfig::default(), &sr).unwrap() {
-                    Role::Server(mut s) => {
-                        s.run().unwrap();
-                        true
-                    }
-                    Role::Client { io: mut c, comm: app } => {
-                        let mut ws = build_windows(app.rank(), 2);
-                        c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
-                        for pane in ws.window_mut("fluid").unwrap().panes_mut() {
-                            for x in pane.data_mut("pressure").unwrap().as_f64_mut().unwrap() {
-                                *x = -3.0;
-                            }
-                        }
-                        c.read_attribute(&mut ws, &AttrSelector::all("fluid"), snap).unwrap();
-                        let ok = ws.window("fluid").unwrap().panes().all(|p| {
-                            p.data("pressure")
-                                .unwrap()
-                                .as_f64()
-                                .unwrap()
-                                .iter()
-                                .all(|&x| x == p.id.0 as f64)
-                        });
-                        c.finalize().unwrap();
-                        ok
-                    }
-                }
+            let fabric = ideal(n_clients + server_ranks.len());
+            let cfg = RocpandaConfig::default();
+            let (ok, _) = run_job(&fs, &cfg, &server_ranks, &fabric, |_, c, app| {
+                let mut ws = build_windows(app.rank(), 2);
+                c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
+                scribble(&mut ws, -3.0);
+                c.read_attribute(&mut ws, &AttrSelector::all("fluid"), snap).unwrap();
+                c.finalize().unwrap();
+                holds_written_values(&ws)
             });
             assert!(ok.iter().all(|&b| b), "{n_clients} clients failed");
         }
@@ -734,42 +670,27 @@ mod tests {
             (4usize, vec![0usize, 3]),
             (1, vec![1, 2]), // one server group is empty
         ] {
-            let fs = SharedFs::ideal();
+            let fs = Arc::new(SharedFs::ideal());
             let snap = SnapshotId::new(10, 0);
-            let total = n_clients + server_ranks.len();
-            let sr = server_ranks.clone();
+            let fabric = ideal(n_clients + server_ranks.len());
             let cfg = RocpandaConfig {
                 read_cache: true,
                 ..Default::default()
             };
-            let fs_ref = &fs;
-            let results = run_ranks(total, ClusterSpec::ideal(total), move |comm| {
-                match init(&comm, fs_ref, cfg.clone(), &sr).unwrap() {
-                    Role::Server(mut s) => {
-                        let stats = s.run().unwrap();
-                        (f64::NAN, stats.restart_blocks_sent as f64)
-                    }
-                    Role::Client { io: mut c, comm: app } => {
-                        let mut ws = build_windows(app.rank(), 2);
-                        c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
-                        let written = sum_pressure(&ws);
-                        for pane in ws.window_mut("fluid").unwrap().panes_mut() {
-                            for x in pane.data_mut("pressure").unwrap().as_f64_mut().unwrap() {
-                                *x = -3.0;
-                            }
-                        }
-                        c.read_attribute(&mut ws, &AttrSelector::all("fluid"), snap).unwrap();
-                        let restored = sum_pressure(&ws);
-                        c.finalize().unwrap();
-                        (written, restored)
-                    }
-                }
+            let (results, stats) = run_job(&fs, &cfg, &server_ranks, &fabric, |_, c, app| {
+                let mut ws = build_windows(app.rank(), 2);
+                c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
+                let written = sum_pressure(&ws);
+                scribble(&mut ws, -3.0);
+                c.read_attribute(&mut ws, &AttrSelector::all("fluid"), snap).unwrap();
+                c.finalize().unwrap();
+                (written, sum_pressure(&ws))
             });
-            for (written, restored) in results.iter().filter(|(w, _)| !w.is_nan()) {
+            for (written, restored) in &results {
                 assert_eq!(written, restored);
             }
-            let shipped: f64 = results.iter().filter(|(w, _)| w.is_nan()).map(|(_, n)| n).sum();
-            assert_eq!(shipped, (n_clients * 2) as f64, "{n_clients} clients");
+            let shipped: u64 = stats.iter().map(|s| s.restart_blocks_sent).sum();
+            assert_eq!(shipped, (n_clients * 2) as u64, "{n_clients} clients");
             // The whole restart came out of server memory.
             assert_eq!(fs.stats().bytes_read, 0);
             assert_eq!(fs.stats().read_ops, 0);
@@ -781,52 +702,23 @@ mod tests {
     /// path serves the data.
     #[test]
     fn cold_restart_falls_back_to_the_disk_path() {
-        let fs = SharedFs::ideal();
+        let fs = Arc::new(SharedFs::ideal());
         let snap = SnapshotId::new(20, 0);
         let cfg = RocpandaConfig {
             read_cache: true,
             ..Default::default()
         };
-        let write_cfg = cfg.clone();
-        let fs_ref = &fs;
-        run_ranks(6, ClusterSpec::ideal(6), move |comm| {
-            match init(&comm, fs_ref, write_cfg.clone(), &[0, 3]).unwrap() {
-                Role::Server(mut s) => {
-                    s.run().unwrap();
-                }
-                Role::Client { io: mut c, comm: app } => {
-                    let ws = build_windows(app.rank(), 2);
-                    c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
-                    c.finalize().unwrap();
-                }
-            }
+        run_job(&fs, &cfg, &[0, 3], &ideal(6), |_, c, app| {
+            let ws = build_windows(app.rank(), 2);
+            c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
+            c.finalize().unwrap();
         });
-        let ok = run_ranks(6, ClusterSpec::ideal(6), move |comm| {
-            match init(&comm, fs_ref, cfg.clone(), &[0, 3]).unwrap() {
-                Role::Server(mut s) => {
-                    s.run().unwrap();
-                    true
-                }
-                Role::Client { io: mut c, comm: app } => {
-                    let mut ws = build_windows(app.rank(), 2);
-                    for pane in ws.window_mut("fluid").unwrap().panes_mut() {
-                        for x in pane.data_mut("pressure").unwrap().as_f64_mut().unwrap() {
-                            *x = -3.0;
-                        }
-                    }
-                    c.read_attribute(&mut ws, &AttrSelector::all("fluid"), snap).unwrap();
-                    let ok = ws.window("fluid").unwrap().panes().all(|p| {
-                        p.data("pressure")
-                            .unwrap()
-                            .as_f64()
-                            .unwrap()
-                            .iter()
-                            .all(|&x| x == p.id.0 as f64)
-                    });
-                    c.finalize().unwrap();
-                    ok
-                }
-            }
+        let (ok, _) = run_job(&fs, &cfg, &[0, 3], &ideal(6), |_, c, app| {
+            let mut ws = build_windows(app.rank(), 2);
+            scribble(&mut ws, -3.0);
+            c.read_attribute(&mut ws, &AttrSelector::all("fluid"), snap).unwrap();
+            c.finalize().unwrap();
+            holds_written_values(&ws)
         });
         assert!(ok.iter().all(|&b| b));
         assert!(fs.stats().bytes_read > 0, "cold restart must hit the disk");
@@ -835,20 +727,13 @@ mod tests {
     /// Clients with zero panes still participate collectively.
     #[test]
     fn empty_client_participates() {
-        let fs = SharedFs::ideal();
+        let fs = Arc::new(SharedFs::ideal());
         let snap = SnapshotId::new(0, 0);
-        run_ranks(3, ClusterSpec::ideal(3), |comm| {
-            match init(&comm, &fs, RocpandaConfig::default(), &[0]).unwrap() {
-                Role::Server(mut s) => {
-                    s.run().unwrap();
-                }
-                Role::Client { io: mut c, comm: app } => {
-                    let n_panes = if app.rank() == 0 { 3 } else { 0 };
-                    let ws = build_windows(c.client_comm().rank(), n_panes);
-                    c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
-                    c.finalize().unwrap();
-                }
-            }
+        run_job(&fs, &RocpandaConfig::default(), &[0], &ideal(3), |_, c, app| {
+            let n_panes = if app.rank() == 0 { 3 } else { 0 };
+            let ws = build_windows(c.client_comm().rank(), n_panes);
+            c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
+            c.finalize().unwrap();
         });
         assert_eq!(fs.list("out/").len(), 1);
     }

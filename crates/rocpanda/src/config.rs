@@ -75,20 +75,9 @@ impl Default for RocpandaConfig {
 }
 
 impl RocpandaConfig {
-    /// File path for `(window, snap, server_index)` in the solo namespace.
-    pub fn path(&self, window: &str, snap: rocio_core::SnapshotId, server_index: usize) -> String {
-        self.path_for(rocio_core::TenantId::SOLO, window, snap, server_index)
-    }
-
-    /// Path prefix of all servers' files for `(window, snap)` in the solo
-    /// namespace.
-    pub fn prefix(&self, window: &str, snap: rocio_core::SnapshotId) -> String {
-        self.prefix_for(rocio_core::TenantId::SOLO, window, snap)
-    }
-
-    /// File path for a tenant's `(window, snap, server_index)`. The solo
-    /// tenant keeps legacy names; service tenants get a `t{id:04}/`
-    /// directory under `dir` so concurrent jobs never collide.
+    /// File path for a tenant's `(window, snap, server_index)`: service
+    /// tenants get a `t{id:04}/` directory under `dir` so concurrent jobs
+    /// never collide.
     pub fn path_for(
         &self,
         tenant: rocio_core::TenantId,
@@ -138,28 +127,17 @@ mod tests {
     }
 
     #[test]
-    fn paths_use_server_index() {
-        let c = RocpandaConfig::default();
-        let snap = SnapshotId::new(50, 1);
-        let p0 = c.path("fluid", snap, 0);
-        let p1 = c.path("fluid", snap, 1);
-        assert_ne!(p0, p1);
-        assert!(p0.starts_with(&c.prefix("fluid", snap)));
-        assert!(p1.starts_with(&c.prefix("fluid", snap)));
-    }
-
-    #[test]
-    fn tenant_paths_are_namespaced_and_solo_is_legacy() {
+    fn tenant_paths_are_namespaced_and_use_server_index() {
         let c = RocpandaConfig::default();
         let snap = SnapshotId::new(50, 1);
         use rocio_core::TenantId;
-        // Solo keeps the exact legacy names.
-        assert_eq!(c.path_for(TenantId::SOLO, "fluid", snap, 0), c.path("fluid", snap, 0));
-        assert_eq!(c.prefix_for(TenantId::SOLO, "fluid", snap), c.prefix("fluid", snap));
-        // Service tenants get their own directory.
-        let p = c.path_for(TenantId(2), "fluid", snap, 0);
-        assert!(p.starts_with(&format!("{}/t0002/", c.dir)), "{p}");
-        assert!(p.starts_with(&c.prefix_for(TenantId(2), "fluid", snap)));
-        assert_ne!(p, c.path("fluid", snap, 0));
+        let p0 = c.path_for(TenantId(2), "fluid", snap, 0);
+        let p1 = c.path_for(TenantId(2), "fluid", snap, 1);
+        assert_ne!(p0, p1);
+        // Each tenant gets its own directory, shared by all its servers.
+        assert!(p0.starts_with(&format!("{}/t0002/", c.dir)), "{p0}");
+        assert!(p0.starts_with(&c.prefix_for(TenantId(2), "fluid", snap)));
+        assert!(p1.starts_with(&c.prefix_for(TenantId(2), "fluid", snap)));
+        assert!(!p0.starts_with(&c.prefix_for(TenantId(1), "fluid", snap)));
     }
 }

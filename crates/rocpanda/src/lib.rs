@@ -29,13 +29,17 @@
 //! blocks to their (possibly new) owners — so "users can restart with a
 //! different number of servers than used in the previous run".
 //!
-//! ## Multi-tenant service
+//! ## One way in: the session
 //!
-//! The session API in [`service`] generalizes the split: a
-//! [`PandaService`] owns the server pool for *several* simultaneously
-//! admitted jobs (tenants), with per-tenant quotas, namespaced output,
-//! and fair cross-job drain scheduling. [`init`] survives as a thin
-//! single-job shim over the same machinery.
+//! The split is performed by the session API in [`service`], and only
+//! there: build a [`PandaService`] over the server pool
+//! ([`PandaServiceBuilder`]), admit jobs ([`PandaService::submit`], or
+//! [`PandaService::admit_world`] for the paper's one-application
+//! session), and have every world rank call [`PandaService::attach`] to
+//! receive its [`ServiceRole`]. A service admits *several* jobs (tenants)
+//! at once, with per-tenant quotas, namespaced output
+//! (`{dir}/t0001/…`), and fair cross-job drain scheduling; a single job
+//! is the same path with one tenant.
 
 #![forbid(unsafe_code)]
 
@@ -51,171 +55,3 @@ pub use config::RocpandaConfig;
 pub use net::PandaNet;
 pub use server::{PandaServer, ServerStats, TenantDrainStats};
 pub use service::{JobHandle, JobSpec, PandaService, PandaServiceBuilder, ServiceRole};
-
-use rocio_core::{Priority, Result, RocError, TenantId};
-use rocnet::Comm;
-use server::TenantLane;
-
-/// What this rank became after Rocpanda initialization.
-pub enum Role<'a> {
-    /// A compute client. `comm` is the client sub-communicator the rest of
-    /// the simulation must use in place of the world communicator ("all
-    /// the instances of MPI_COMM_WORLD need to be replaced by the client
-    /// communicator returned by the Rocpanda initialization routine",
-    /// §4.2); `io` keeps its own duplicate for the library's internal
-    /// collective steps. Boxed (like the server arm): both sides carry
-    /// their full protocol state, and the enum is just a role tag.
-    Client { io: Box<PandaClient<'a>>, comm: Comm },
-    /// A dedicated I/O server; call [`PandaServer::run`] and, when it
-    /// returns (shutdown), the rank is done. Boxed: the server carries
-    /// the whole drain/cache state and would dwarf the client variant.
-    Server(Box<PandaServer<'a>>),
-}
-
-/// Collective Rocpanda initialization over the world communicator.
-///
-/// `server_ranks` lists the world ranks dedicated as I/O servers (the
-/// paper places rank `0, n/m, 2n/m, …` on SMPs so each lands on its own
-/// node — see [`rocnet::cluster::smp_server_placement`]).
-///
-/// **Deprecated in favor of the session API**: this entry point admits
-/// exactly one job and dedicates the servers to it for the whole session.
-/// New code should build a [`PandaServiceBuilder`], then
-/// [`PandaService::submit`] jobs and [`PandaService::attach`] — which
-/// adds per-tenant quotas, namespaces, and fair drain scheduling.
-/// `init` remains as a compatibility shim running as the *solo* tenant
-/// ([`TenantId::SOLO`]), so its output paths and bytes are unchanged.
-pub fn init<'a>(
-    world: &'a Comm,
-    fs: &'a rocstore::SharedFs,
-    cfg: RocpandaConfig,
-    server_ranks: &[usize],
-) -> Result<Role<'a>> {
-    if server_ranks.is_empty() {
-        return Err(RocError::Config("Rocpanda needs at least one server".into()));
-    }
-    let mut servers: Vec<usize> = server_ranks.to_vec();
-    servers.sort_unstable();
-    servers.dedup();
-    if servers.iter().any(|&r| r >= world.size()) {
-        return Err(RocError::Config(format!(
-            "server rank out of range (world size {})",
-            world.size()
-        )));
-    }
-    if servers.len() >= world.size() {
-        return Err(RocError::Config("no compute clients left".into()));
-    }
-    let my_rank = world.rank();
-    let is_server = servers.binary_search(&my_rank).is_ok();
-    // "After MPI initialization, all processors perform Rocpanda
-    // initialization, where the processors split into two MPI
-    // communicators, for the clients and the servers respectively."
-    // Two splits: one communicator for the library's internal use, one
-    // handed to the application (MPI_Comm_dup semantics).
-    let color = if is_server { 1u32 } else { 0u32 };
-    let subcomm = || {
-        world.split(Some(color), my_rank as i64)?.ok_or_else(|| {
-            RocError::Comm("split with Some color yielded no communicator".into())
-        })
-    };
-    let lib_sub = subcomm()?;
-    let app_sub = subcomm()?;
-    let clients: Vec<usize> = (0..world.size()).filter(|r| !servers.contains(r)).collect();
-    if is_server {
-        let server_index = servers
-            .iter()
-            .position(|&r| r == my_rank)
-            .ok_or_else(|| RocError::Config("server rank not in server list".into()))?;
-        // This server's client group: equal contiguous slices. The whole
-        // session runs as the single solo tenant.
-        let (n, m) = (clients.len(), servers.len());
-        let lo = server_index * n / m;
-        let hi = (server_index + 1) * n / m;
-        let lane = TenantLane {
-            id: TenantId::SOLO,
-            priority: Priority::Normal,
-            my_clients: clients[lo..hi].to_vec(),
-            clients,
-        };
-        Ok(Role::Server(Box::new(PandaServer::new(
-            world,
-            lib_sub,
-            fs,
-            cfg,
-            server_index,
-            servers.clone(),
-            vec![lane],
-        ))))
-    } else {
-        let client_index = clients
-            .iter()
-            .position(|&r| r == my_rank)
-            .ok_or_else(|| RocError::Config("client rank not in client list".into()))?;
-        let (n, m) = (clients.len(), servers.len());
-        // The client's server must come from the same group partition the
-        // servers use (slices [i*n/m, (i+1)*n/m)) — a different rounding
-        // here would strand requests at a server that does not count this
-        // client in its group.
-        let my_server = (0..m)
-            .find(|&i| client_index >= i * n / m && client_index < (i + 1) * n / m)
-            .map(|i| servers[i])
-            .ok_or_else(|| {
-                RocError::Config(format!(
-                    "client index {client_index} falls in no server group ({n} clients, {m} servers)"
-                ))
-            })?;
-        Ok(Role::Client {
-            io: Box::new(PandaClient::new(world, lib_sub, cfg, TenantId::SOLO, my_server, servers)),
-            comm: app_sub,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rocnet::cluster::ClusterSpec;
-    use rocnet::run_ranks;
-    use rocstore::SharedFs;
-
-    #[test]
-    fn init_splits_roles_and_groups() {
-        let fs = SharedFs::ideal();
-        // 8 clients + 2 servers at ranks 0 and 5 (paper-style spread).
-        let out = run_ranks(10, ClusterSpec::ideal(10), |comm| {
-            let role = init(
-                &comm,
-                &fs,
-                RocpandaConfig::default(),
-                &[0, 5],
-            )
-            .unwrap();
-            match role {
-                Role::Server(s) => format!("S{}:{:?}", s.server_index(), s.client_ranks()),
-                Role::Client { io, comm } => {
-                    format!("C->{}:{}", io.server_rank(), comm.size())
-                }
-            }
-        });
-        assert_eq!(out[0], "S0:[1, 2, 3, 4]");
-        assert_eq!(out[5], "S1:[6, 7, 8, 9]");
-        for r in [1, 2, 3, 4] {
-            assert_eq!(out[r], "C->0:8");
-        }
-        for r in [6, 7, 8, 9] {
-            assert_eq!(out[r], "C->5:8");
-        }
-    }
-
-    #[test]
-    fn init_rejects_bad_configs() {
-        let fs = SharedFs::ideal();
-        let out = run_ranks(2, ClusterSpec::ideal(2), |comm| {
-            let no_servers = init(&comm, &fs, RocpandaConfig::default(), &[]).is_err();
-            let oob = init(&comm, &fs, RocpandaConfig::default(), &[7]).is_err();
-            no_servers && oob
-        });
-        assert!(out.iter().all(|&b| b));
-    }
-}

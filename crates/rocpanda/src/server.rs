@@ -133,8 +133,8 @@ struct Queued {
     enqueued: f64,
 }
 
-/// A dedicated I/O server. Constructed by [`crate::init`] or the service
-/// [`crate::PandaServiceBuilder`]; drive it with [`PandaServer::run`],
+/// A dedicated I/O server. Handed out by [`crate::PandaService::attach`] to
+/// each rank of the service's pool; drive it with [`PandaServer::run`],
 /// which returns after every tenant has initiated shutdown.
 pub struct PandaServer<'a> {
     world: &'a Comm,

@@ -1,19 +1,20 @@
 //! The multi-tenant Rocpanda service: one long-running pool of I/O
 //! server ranks shared by several simultaneously admitted jobs.
 //!
-//! The single-job entry point [`crate::init`] dedicates its servers to
-//! one application for one session. A [`PandaService`] instead owns the
+//! The session is the only way into Rocpanda. A [`PandaService`] owns the
 //! server ranks, the shared store, and the read cache for the duration of
-//! many jobs: each job is *admitted* via [`PandaService::submit`] —
+//! one or many jobs: each job is *admitted* via [`PandaService::submit`] —
 //! which enforces quota and server-buffer budgets and hands back a
 //! [`JobHandle`] naming the job's [`TenantId`] — and every world rank
-//! then joins the session collectively via [`PandaService::attach`].
+//! then joins the session collectively via [`PandaService::attach`]. The
+//! paper's one-application session (§4.2) is a service with one job:
+//! [`PandaService::admit_world`].
 //!
 //! Inside the service, tenants are isolated end to end: per-tenant byte
 //! quotas in the store's ledger, tenant-prefixed file namespaces,
 //! per-tenant read-cache partitions, per-tenant drain queues served
 //! deficit-round-robin by priority, and structured
-//! [`ServiceError`](rocio_core::ServiceError)s attributing every failure
+//! [`ServiceError`]s attributing every failure
 //! to the tenant that caused it.
 
 use std::sync::Arc;
@@ -320,6 +321,17 @@ impl PandaService {
         })
     }
 
+    /// Admit every non-server rank of an `n_ranks`-rank world as one job:
+    /// the paper's session, where one application owns the whole pool
+    /// ("the processors split into two MPI communicators, for the clients
+    /// and the servers respectively", §4.2).
+    pub fn admit_world(&self, name: impl Into<String>, n_ranks: usize) -> Result<JobHandle> {
+        let clients: Vec<usize> = (0..n_ranks)
+            .filter(|r| self.server_ranks.binary_search(r).is_err())
+            .collect();
+        self.submit(JobSpec::new(name, &clients))
+    }
+
     /// Collective session entry over the world communicator: every world
     /// rank calls this exactly once and receives its [`ServiceRole`].
     /// Binds each tenant's path namespace and quota in the store, then
@@ -359,42 +371,36 @@ impl PandaService {
                 self.fs.set_tenant_quota(job.tenant, q);
             }
         }
+        // This rank's place: its index among the servers, or its job and
+        // its index among that job's clients.
         let my_rank = world.rank();
-        let is_server = self.server_ranks.binary_search(&my_rank).is_ok();
-        let my_job = jobs.iter().position(|j| j.clients.binary_search(&my_rank).is_ok());
+        let server_index = self.server_ranks.binary_search(&my_rank).ok();
+        let my_job = jobs
+            .iter()
+            .find_map(|job| Some((job, job.clients.binary_search(&my_rank).ok()?)));
         // Split 1: the library-internal communicators — the server group,
         // and one group per job. Split 2: each job's application
         // communicator (MPI_Comm_dup semantics); servers and idle ranks
-        // participate with no color.
-        let lib_color = if is_server {
-            Some(0u32)
-        } else {
-            my_job.map(|j| 1 + j as u32)
-        };
-        let app_color = if is_server { None } else { my_job.map(|j| 1 + j as u32) };
+        // participate with no color. Tenant ids count from 1, so color 0
+        // stays the servers'.
+        let job_color = my_job.map(|(job, _)| job.tenant.0);
+        let lib_color = if server_index.is_some() { Some(0u32) } else { job_color };
+        let app_color = if server_index.is_some() { None } else { job_color };
         let lib_sub = world.split(lib_color, my_rank as i64)?;
         let app_sub = world.split(app_color, my_rank as i64)?;
-        if is_server {
+        if let Some(server_index) = server_index {
             let server_comm = lib_sub.ok_or_else(|| {
                 RocError::Comm("server split yielded no communicator".into())
             })?;
-            let server_index = self
-                .server_ranks
-                .iter()
-                .position(|&r| r == my_rank)
-                .ok_or_else(|| RocError::Config("server rank not in server list".into()))?;
             let m = self.server_ranks.len();
             let lanes: Vec<TenantLane> = jobs
                 .iter()
-                .map(|job| {
-                    let n = job.clients.len();
-                    let (lo, hi) = (server_index * n / m, (server_index + 1) * n / m);
-                    TenantLane {
-                        id: job.tenant,
-                        priority: job.priority,
-                        clients: job.clients.clone(),
-                        my_clients: job.clients[lo..hi].to_vec(),
-                    }
+                .map(|job| TenantLane {
+                    id: job.tenant,
+                    priority: job.priority,
+                    clients: job.clients.clone(),
+                    my_clients: job.clients[client_group(server_index, job.clients.len(), m)]
+                        .to_vec(),
                 })
                 .collect();
             Ok(ServiceRole::Server(Box::new(PandaServer::new(
@@ -406,25 +412,16 @@ impl PandaService {
                 self.server_ranks.clone(),
                 lanes,
             ))))
-        } else if let Some(j) = my_job {
-            let job = &jobs[j];
+        } else if let Some((job, client_index)) = my_job {
             let client_comm = lib_sub.ok_or_else(|| {
                 RocError::Comm("client split yielded no communicator".into())
             })?;
             let app_comm = app_sub.ok_or_else(|| {
                 RocError::Comm("client app split yielded no communicator".into())
             })?;
-            let client_index = job
-                .clients
-                .iter()
-                .position(|&r| r == my_rank)
-                .ok_or_else(|| RocError::Config("client rank not in its job".into()))?;
-            // The client's server must come from the same per-tenant
-            // group partition the servers use (slices [i*n/m, (i+1)*n/m)
-            // over the job's clients).
             let (n, m) = (job.clients.len(), self.server_ranks.len());
             let my_server = (0..m)
-                .find(|&i| client_index >= i * n / m && client_index < (i + 1) * n / m)
+                .find(|&i| client_group(i, n, m).contains(&client_index))
                 .map(|i| self.server_ranks[i])
                 .ok_or_else(|| {
                     RocError::Config(format!(
@@ -454,6 +451,16 @@ impl PandaService {
     }
 }
 
+/// The slice of a job's `n_clients` (indices into its sorted client list)
+/// that server `server_index` of `n_servers` owns: equal contiguous groups
+/// `[i·n/m, (i+1)·n/m)`. Both arms of [`PandaService::attach`] ask this one
+/// function — servers for the clients they count, clients for the server
+/// that counts them — so a request can never strand at a server that does
+/// not expect it.
+fn client_group(server_index: usize, n_clients: usize, n_servers: usize) -> std::ops::Range<usize> {
+    server_index * n_clients / n_servers..(server_index + 1) * n_clients / n_servers
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,6 +480,85 @@ mod tests {
             Err(other) => panic!("expected Config error, got {other}"),
             Ok(_) => panic!("empty server pool must be rejected"),
         }
+    }
+
+    /// What each rank of an attached world became, as text: `S<index>:<its
+    /// clients>` or `C-><its server>:<app communicator size>`.
+    fn attach_roles(svc: &PandaService, n: usize) -> Vec<String> {
+        rocnet::run_ranks(n, rocnet::cluster::ClusterSpec::ideal(n), |comm| {
+            match svc.attach(&comm).unwrap() {
+                ServiceRole::Server(s) => format!("S{}:{:?}", s.server_index(), s.client_ranks()),
+                ServiceRole::Client { io, comm, .. } => {
+                    format!("C->{}:{}", io.server_rank(), comm.size())
+                }
+                ServiceRole::Idle => "idle".to_string(),
+            }
+        })
+    }
+
+    #[test]
+    fn attach_splits_roles_and_groups() {
+        // 8 clients + 2 servers at ranks 0 and 5 (paper-style spread).
+        let svc = PandaServiceBuilder::new(Arc::new(SharedFs::ideal()))
+            .servers(&[0, 5])
+            .build()
+            .unwrap();
+        svc.admit_world("job", 10).unwrap();
+        let out = attach_roles(&svc, 10);
+        assert_eq!(out[0], "S0:[1, 2, 3, 4]");
+        assert_eq!(out[5], "S1:[6, 7, 8, 9]");
+        for r in [1, 2, 3, 4] {
+            assert_eq!(out[r], "C->0:8");
+        }
+        for r in [6, 7, 8, 9] {
+            assert_eq!(out[r], "C->5:8");
+        }
+    }
+
+    #[test]
+    fn attach_rejects_out_of_range_server() {
+        // (An empty pool never gets this far: `build` refuses it.)
+        let svc = PandaServiceBuilder::new(Arc::new(SharedFs::ideal()))
+            .servers(&[7])
+            .build()
+            .unwrap();
+        svc.admit_world("job", 2).unwrap();
+        let out = rocnet::run_ranks(2, rocnet::cluster::ClusterSpec::ideal(2), |comm| {
+            matches!(svc.attach(&comm), Err(RocError::Config(_)))
+        });
+        assert!(out.iter().all(|&b| b));
+    }
+
+    #[test]
+    fn client_groups_partition_every_job() {
+        for n in 1..=17usize {
+            for m in 1..=n {
+                let groups: Vec<_> = (0..m).map(|i| client_group(i, n, m)).collect();
+                // Contiguous, in order, covering 0..n exactly once.
+                assert_eq!(groups[0].start, 0);
+                assert_eq!(groups[m - 1].end, n);
+                for w in groups.windows(2) {
+                    assert_eq!(w[0].end, w[1].start, "n={n} m={m}");
+                }
+                let sizes: Vec<usize> = groups.iter().map(|g| g.len()).collect();
+                let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                assert!(hi - lo <= 1, "n={n} m={m}: group sizes {sizes:?}");
+            }
+        }
+        // Both sides of `attach` read the same partition: with two tenants
+        // of different sizes (3 and 5 clients, neither divisible by the 2
+        // servers), each server counts exactly the clients that name it.
+        let svc = service(None);
+        svc.submit(JobSpec::new("a", &[1, 2, 4])).unwrap();
+        svc.submit(JobSpec::new("b", &[5, 6, 7, 8, 9])).unwrap();
+        let out = attach_roles(&svc, 10);
+        for (index, server) in [(0, 0), (1, 3)] {
+            let named_by: Vec<usize> = (0..10)
+                .filter(|&r| out[r].starts_with(&format!("C->{server}:")))
+                .collect();
+            assert_eq!(out[server], format!("S{index}:{named_by:?}"));
+        }
+        assert_eq!(out.iter().filter(|o| o.starts_with('C')).count(), 8);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod tag {
     /// sends every server down the disk path, because the cache partition
     /// (by writing client) and the disk partition (round-robin files)
     /// would otherwise duplicate or miss blocks. Keyed by
-    /// [`CoordKey`](super::wire::CoordKey) so votes for concurrent
+    /// [`CoordKey`](super::CoordKey) so votes for concurrent
     /// tenants' restarts never mispair.
     pub const CACHE_VOTE: u32 = 0x0050_000F;
     /// Server ↔ server: "my buffers for this restart key are flushed".

@@ -7,7 +7,7 @@ use rocio_core::{ArrayData, BlockId, Checksum, DType, SnapshotId};
 use rocnet::cluster::ClusterSpec;
 use rocnet::run_ranks;
 use roccom::{convert, AttrRef, AttrSelector, AttrSpec, IoService, PaneMesh, Windows};
-use rocpanda::{init, Role, RocpandaConfig};
+use rocpanda::{PandaServiceBuilder, RocpandaConfig, ServiceRole};
 use rocstore::SharedFs;
 
 fn build(blocks: &[(u64, u8)]) -> Windows {
@@ -49,7 +49,7 @@ proptest! {
         blocks.sort_by_key(|&(id, _)| id);
         blocks.dedup_by_key(|&mut (id, _)| id);
 
-        let fs = SharedFs::ideal();
+        let fs = std::sync::Arc::new(SharedFs::ideal());
         let total = n_clients + n_servers;
         let server_ranks: Vec<usize> = (n_clients..total).collect();
         let snap = SnapshotId::new(0, 0);
@@ -57,14 +57,17 @@ proptest! {
             ack_window,
             ..Default::default()
         };
+        let svc = PandaServiceBuilder::new(fs).servers(&server_ranks).config(cfg).build().unwrap();
+        svc.admit_world("prop", total).unwrap();
         let blocks2 = blocks.clone();
-        let sums = run_ranks(total, ClusterSpec::ideal(total), move |comm| {
-            match init(&comm, &fs, cfg.clone(), &server_ranks).unwrap() {
-                Role::Server(mut s) => {
+        let sums = run_ranks(total, ClusterSpec::ideal(total), |comm| {
+            match svc.attach(&comm).unwrap() {
+                ServiceRole::Server(mut s) => {
                     s.run().unwrap();
                     Vec::new()
                 }
-                Role::Client { io: mut c, comm: app } => {
+                ServiceRole::Idle => unreachable!("admit_world leaves no rank idle"),
+                ServiceRole::Client { io: mut c, comm: app, .. } => {
                     // Deal blocks round-robin to clients.
                     let mine: Vec<(u64, u8)> = blocks2
                         .iter()

@@ -135,7 +135,7 @@ impl ReadStrategy {
 ///
 /// Estimates, per request, what each strategy would cost — mirroring how
 /// [`rocstore`] charges reads (seek + bytes/bandwidth, scaled by the read
-/// contention curve) and how [`rocnet`-style] links charge messages
+/// contention curve) and how `rocnet`-style links charge messages
 /// (latency + bytes/bandwidth) — and picks the cheapest. This is the
 /// Thakur/Gropp/Lusk crossover made explicit: sieving wins when holes are
 /// dense (merging amortizes seeks), two-phase wins when per-reader access

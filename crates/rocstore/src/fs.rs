@@ -637,7 +637,7 @@ impl SharedFs {
     /// backing file, chaining the virtual time through the ranges in order
     /// with a fixed `lead` (e.g. a per-record lookup cost) charged before
     /// each one. Cost- and stats-identical **by construction** to issuing
-    /// the reads one by one — one stats bump and one [`charge_read`] per
+    /// the reads one by one — one stats bump and one `charge_read` per
     /// range — while the host does a single lock/coalesce for the whole
     /// batch. This is the coalesced-read entry point: a reader that knows
     /// several records are contiguous fetches them all in one fs op and

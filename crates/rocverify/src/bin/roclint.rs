@@ -8,9 +8,12 @@
 //! allowlist entry.
 //!
 //! Flags:
+//!
+//! ```text
 //!   --root <dir>   workspace root (default: CARGO_MANIFEST_DIR/../..)
 //!   --json         emit findings as one JSON object on stdout
 //!   --stats        print a per-rule summary table
+//! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -8,6 +8,8 @@
 //! nonzero on any finding or stale allowlist entry.
 //!
 //! Flags:
+//!
+//! ```text
 //!   --root <dir>       workspace root (default: CARGO_MANIFEST_DIR/../..)
 //!   --json             emit findings as one JSON object on stdout
 //!   --stats            print a per-rule summary table
@@ -16,6 +18,7 @@
 //!                      recorded by a `--features rocio-core/lockdep`
 //!                      test run) against the static graph; a missing
 //!                      file counts as "no edges observed"
+//! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;

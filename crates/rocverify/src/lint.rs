@@ -20,17 +20,12 @@
 //!   miss a category.
 //! * **forbid-unsafe** — every crate root carries `#![forbid(unsafe_code)]`.
 //! * **owned-payload** — the zero-copy data path keeps wire payloads in
-//!   shared [`bytes::Bytes`]; an owned `payload: Vec<u8>` field or a
+//!   shared `bytes::Bytes`; an owned `payload: Vec<u8>` field or a
 //!   `ds.clone()` on the send path reintroduces a deep copy per message.
 //! * **std-sync** — workspace locks are parking_lot-backed through the
 //!   named `rocio_core::lockdep` wrappers; a `std::sync::Mutex`/`RwLock`/
 //!   `Condvar` has a different guard shape and escapes the lock-discipline
 //!   witness (`roclock`).
-//! * **panda-init** — simulation crates join the shared Rocpanda service
-//!   through the session API (`PandaServiceBuilder` → `submit` →
-//!   `attach`); the deprecated solo shim `rocpanda::init` spins up a
-//!   private single-job service with no tenant identity, bypassing
-//!   quotas and the fair cross-job drain scheduler.
 //!
 //! Everything under `#[cfg(test)]` / `#[test]` is exempt. Intentional
 //! exceptions live in `roclint.allow` (one `rule | path | needle | reason`
@@ -56,7 +51,6 @@ pub enum Rule {
     OwnedPayload,
     RawSend,
     StdSync,
-    PandaInit,
     LockUnregistered,
     LockOrder,
     LockBlocking,
@@ -75,7 +69,6 @@ impl Rule {
             Rule::OwnedPayload => "owned-payload",
             Rule::RawSend => "raw-send",
             Rule::StdSync => "std-sync",
-            Rule::PandaInit => "panda-init",
             Rule::LockUnregistered => "lock-unregistered",
             Rule::LockOrder => "lock-order",
             Rule::LockBlocking => "lock-blocking",
@@ -83,7 +76,7 @@ impl Rule {
         }
     }
 
-    pub fn all() -> [Rule; 14] {
+    pub fn all() -> [Rule; 13] {
         [
             Rule::WallClock,
             Rule::Rand,
@@ -94,7 +87,6 @@ impl Rule {
             Rule::OwnedPayload,
             Rule::RawSend,
             Rule::StdSync,
-            Rule::PandaInit,
             Rule::LockUnregistered,
             Rule::LockOrder,
             Rule::LockBlocking,
@@ -529,26 +521,6 @@ pub fn lint_source(cfg: &LintConfig, crate_dir: &str, path: &str, src: &str) -> 
                     ),
                 );
             }
-        }
-        // panda-init: simulation crates attach to the shared service
-        // through the session API. The deprecated `rocpanda::init` shim
-        // spins up a private single-job service — no tenant identity, no
-        // quota, no fair drain — and only rocpanda itself keeps it, for
-        // pre-service callers.
-        if is_sim
-            && crate_dir != "rocpanda"
-            && w == "rocpanda"
-            && is_path_sep(&toks, i + 1)
-            && t(&toks, i + 3) == "init"
-            && t(&toks, i + 4) == "("
-        {
-            push(
-                Rule::PandaInit,
-                toks[i].line,
-                "deprecated solo shim `rocpanda::init` — submit a `JobSpec` to a shared \
-                 `PandaService` and `attach` (see `PandaServiceBuilder`)"
-                    .to_string(),
-            );
         }
         // span-category: `SpanCategory::X` must name a known constant.
         if crate_dir != "rocobs" && w == "SpanCategory" && is_path_sep(&toks, i + 1) {

@@ -26,7 +26,7 @@ use rocnet::Comm;
 use roccom::{AttrSelector, AttrSpec, IoService, PaneMesh, Windows};
 use rochdf::{RochdfConfig, TRochdf};
 use rocio_core::Priority;
-use rocpanda::{JobSpec, PandaService, PandaServiceBuilder, RocpandaConfig, ServiceRole};
+use rocpanda::{JobSpec, PandaServiceBuilder, RocpandaConfig, ServiceRole};
 use rocstore::SharedFs;
 
 use crate::sched::{FaultScenario, Scenario, ScriptedFaults};
@@ -103,22 +103,51 @@ fn install_obs(collector: &rocobs::TraceCollector, comm: &Comm) -> rocobs::Insta
     collector.handle(rank, rocobs::LANE_MAIN, node).install()
 }
 
-/// Build a Rocpanda service over `fs` with one admitted job covering all
-/// non-server ranks of an `n`-rank world.
-fn single_job_service(
-    fs: &Arc<SharedFs>,
+/// The single-job Rocpanda write handshake on `fabric`, clean or lossy
+/// alike: `n_servers` placed the way the paper places them, every other
+/// rank admitted as the one job of a service configured by `cfg`, each
+/// client shipping `panes` panes of one snapshot. Returns the canonical
+/// fingerprint of the snapshot files.
+fn panda_handshake(
+    fabric: &Arc<Fabric>,
     cfg: RocpandaConfig,
-    server_ranks: &[usize],
-    n: usize,
-) -> PandaService {
-    let clients: Vec<usize> = (0..n).filter(|r| !server_ranks.contains(r)).collect();
-    let svc = PandaServiceBuilder::new(Arc::clone(fs))
-        .servers(server_ranks)
+    n_servers: usize,
+    panes: usize,
+    collector: &rocobs::TraceCollector,
+) -> Vec<u8> {
+    let n = fabric.n_ranks();
+    // First rank of each client group: rank 0, rank n/m, ...
+    let server_ranks: Vec<usize> = (0..n_servers).map(|s| s * (n / n_servers)).collect();
+    let fs = Arc::new(SharedFs::turing());
+    let snap = SnapshotId::new(7, 1);
+    let svc = PandaServiceBuilder::new(Arc::clone(&fs))
+        .servers(&server_ranks)
         .config(cfg)
         .build()
         .expect("service build");
-    svc.submit(JobSpec::new("handshake", &clients)).expect("admit job");
-    svc
+    svc.admit_world("handshake", n).expect("admit job");
+    run_on_fabric(fabric, &|comm: Comm| {
+        let _obs = install_obs(collector, &comm);
+        match svc.attach(&comm).expect("service attach") {
+            ServiceRole::Server(mut s) => {
+                s.run().expect("server run");
+            }
+            ServiceRole::Client { io: mut c, comm: app, .. } => {
+                let me = app.rank() as u64;
+                let blocks: Vec<u64> = (0..panes as u64).map(|k| me * panes as u64 + k).collect();
+                let ws = make_windows(&blocks);
+                c.write_attribute(&ws, &AttrSelector::all("fluid"), snap)
+                    .expect("client write");
+                c.finalize().expect("client finalize");
+            }
+            ServiceRole::Idle => panic!("every rank is a server or a client here"),
+        }
+    });
+    // Deadlock-freedom is implied by reaching this point; now check the
+    // snapshot's externally visible shape.
+    let files = fs.list("out/");
+    assert_eq!(files.len(), n_servers, "one snapshot file per server, got {files:?}");
+    fingerprint_files(&fs, "out/", canonical_sdf)
 }
 
 /// The Rocpanda write handshake at the issue's scale: 2 servers x 4
@@ -152,43 +181,10 @@ impl Scenario for PandaHandshake {
     }
 
     fn run(&self, oracle: Arc<dyn ScheduleOracle>, collector: &rocobs::TraceCollector) -> Vec<u8> {
-        let n = self.n_clients + self.n_servers;
-        // Spread servers the way the paper places them (first rank of
-        // each client group): rank 0, rank n/m, ...
-        let group = n / self.n_servers;
-        let server_ranks: Vec<usize> = (0..self.n_servers).map(|s| s * group).collect();
-        let fabric = Arc::new(Fabric::with_oracle(ClusterSpec::turing(n), oracle));
-        let fs = Arc::new(SharedFs::turing());
-        let snap = SnapshotId::new(7, 1);
-        let panes = self.panes_per_client;
-        let svc = single_job_service(&fs, RocpandaConfig::default(), &server_ranks, n);
-        run_on_fabric(&fabric, &|comm: Comm| {
-            let _obs = install_obs(collector, &comm);
-            match svc.attach(&comm).expect("service attach") {
-                ServiceRole::Server(mut s) => {
-                    s.run().expect("server run");
-                }
-                ServiceRole::Client { io: mut c, comm: app, .. } => {
-                    let me = app.rank() as u64;
-                    let blocks: Vec<u64> =
-                        (0..panes as u64).map(|k| me * panes as u64 + k).collect();
-                    let ws = make_windows(&blocks);
-                    c.write_attribute(&ws, &AttrSelector::all("fluid"), snap)
-                        .expect("client write");
-                    c.finalize().expect("client finalize");
-                }
-                ServiceRole::Idle => panic!("every rank is a server or a client here"),
-            }
-        });
-        // Deadlock-freedom is implied by reaching this point; now check
-        // the snapshot's externally visible shape.
-        let files = fs.list("out/");
-        assert_eq!(
-            files.len(),
-            self.n_servers,
-            "one snapshot file per server, got {files:?}"
-        );
-        fingerprint_files(&fs, "out/", canonical_sdf)
+        let cluster = ClusterSpec::turing(self.n_clients + self.n_servers);
+        let fabric = Arc::new(Fabric::with_oracle(cluster, oracle));
+        let cfg = RocpandaConfig::default();
+        panda_handshake(&fabric, cfg, self.n_servers, self.panes_per_client, collector)
     }
 }
 
@@ -394,46 +390,15 @@ impl FaultScenario for LossyPandaHandshake {
     }
 
     fn run(&self, faults: Arc<ScriptedFaults>, collector: &rocobs::TraceCollector) -> Vec<u8> {
-        let n = self.n_clients + self.n_servers;
-        let group = n / self.n_servers;
-        let server_ranks: Vec<usize> = (0..self.n_servers).map(|s| s * group).collect();
-        let fabric = Arc::new(Fabric::new(ClusterSpec::turing(n)));
+        let fabric = Arc::new(Fabric::new(ClusterSpec::turing(self.n_clients + self.n_servers)));
         fabric.set_fault_injector(faults);
-        let fs = Arc::new(SharedFs::turing());
-        let snap = SnapshotId::new(7, 1);
-        let panes = self.panes_per_client;
         // `faulty_net` flips the data plane onto `ReliableComm`; the
         // spec itself is inert (the scripted injector owns the faults).
-        let panda_cfg = RocpandaConfig {
+        let cfg = RocpandaConfig {
             faulty_net: Some(rocnet::FaultSpec::none(0)),
             ..RocpandaConfig::default()
         };
-        let svc = single_job_service(&fs, panda_cfg, &server_ranks, n);
-        run_on_fabric(&fabric, &|comm: Comm| {
-            let _obs = install_obs(collector, &comm);
-            match svc.attach(&comm).expect("service attach") {
-                ServiceRole::Server(mut s) => {
-                    s.run().expect("server run");
-                }
-                ServiceRole::Client { io: mut c, comm: app, .. } => {
-                    let me = app.rank() as u64;
-                    let blocks: Vec<u64> =
-                        (0..panes as u64).map(|k| me * panes as u64 + k).collect();
-                    let ws = make_windows(&blocks);
-                    c.write_attribute(&ws, &AttrSelector::all("fluid"), snap)
-                        .expect("client write");
-                    c.finalize().expect("client finalize");
-                }
-                ServiceRole::Idle => panic!("every rank is a server or a client here"),
-            }
-        });
-        let files = fs.list("out/");
-        assert_eq!(
-            files.len(),
-            self.n_servers,
-            "one snapshot file per server, got {files:?}"
-        );
-        fingerprint_files(&fs, "out/", canonical_sdf)
+        panda_handshake(&fabric, cfg, self.n_servers, self.panes_per_client, collector)
     }
 }
 

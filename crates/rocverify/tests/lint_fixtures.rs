@@ -224,30 +224,6 @@ fn std_sync_primitives_fire_everywhere() {
 }
 
 #[test]
-fn panda_init_fires_in_sim_crates_outside_rocpanda() {
-    let shim = "pub fn run(fs: &Arc<SharedFs>) { let h = rocpanda::init(fs, &[0], &[1, 2]); }";
-    assert_eq!(
-        rules_fired("genx", "crates/genx/src/x.rs", shim),
-        vec![Rule::PandaInit]
-    );
-    assert_eq!(
-        rules_fired("rochdf", "crates/rochdf/src/x.rs", shim),
-        vec![Rule::PandaInit]
-    );
-    // rocpanda owns the deprecated shim; non-simulation crates (e.g. the
-    // verification harness driving legacy scenarios) are out of scope.
-    assert_eq!(rules_fired("rocpanda", "crates/rocpanda/src/x.rs", shim), vec![]);
-    assert_eq!(rules_fired("rocverify", "crates/rocverify/src/x.rs", shim), vec![]);
-    // The session API is the sanctioned form.
-    let ok = "pub fn run(fs: Arc<SharedFs>) { \
-              let svc = rocpanda::PandaServiceBuilder::new(fs).servers(&[0]).build(); }";
-    assert_eq!(rules_fired("genx", "crates/genx/src/x.rs", ok), vec![]);
-    // Mentioning the path without calling it (e.g. a re-export) is fine.
-    let reexport = "pub use rocpanda::init;";
-    assert_eq!(rules_fired("genx", "crates/genx/src/x.rs", reexport), vec![]);
-}
-
-#[test]
 fn allowlist_rejects_missing_reason() {
     assert!(parse_allowlist("unwrap-panic | a.rs | needle |  \n").is_err());
     assert!(parse_allowlist("no-such-rule | a.rs | needle | why\n").is_err());

@@ -26,7 +26,7 @@ use genx_repro::rochdf::{RochdfConfig, TRochdf};
 use genx_repro::rocmesh::Workload;
 use genx_repro::rocnet::cluster::ClusterSpec;
 use genx_repro::rocnet::{run_ranks, Comm};
-use genx_repro::rocpanda::{self, RocpandaConfig, Role};
+use genx_repro::rocpanda::{PandaServiceBuilder, ServiceRole};
 use genx_repro::rocstore::SharedFs;
 use genx_repro::core::SnapshotId;
 
@@ -117,14 +117,17 @@ fn measured(payloads: impl IntoIterator<Item = u64>) -> f64 {
 #[test]
 fn a_snapshot_byte_is_copied_once_per_hop() {
     // Rocpanda: block buffer + wire image.
-    let fs = SharedFs::turing();
+    let fs = Arc::new(SharedFs::turing());
+    let svc = PandaServiceBuilder::new(fs).servers(&[COMPUTE]).build().unwrap();
+    svc.admit_world("copy-budget", COMPUTE + 1).unwrap();
     let out = run_ranks(COMPUTE + 1, ClusterSpec::turing(COMPUTE + 1), |comm| {
-        match rocpanda::init(&comm, &fs, RocpandaConfig::default(), &[COMPUTE]).unwrap() {
-            Role::Server(mut s) => {
+        match svc.attach(&comm).unwrap() {
+            ServiceRole::Server(mut s) => {
                 s.run().unwrap();
                 0
             }
-            Role::Client { mut io, comm: app } => {
+            ServiceRole::Idle => unreachable!("admit_world leaves no rank idle"),
+            ServiceRole::Client { mut io, comm: app, .. } => {
                 let payload = snapshot(&app, &mut *io, app.rank());
                 io.finalize().unwrap();
                 payload

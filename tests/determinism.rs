@@ -21,7 +21,7 @@ fn traced_run_on(faulty_net: Option<genx_repro::rocnet::FaultSpec>) -> (RunRepor
     );
     cfg.steps = 8;
     cfg.snapshot_every = 4;
-    cfg.faulty_net = faulty_net;
+    cfg.rocpanda.faulty_net = faulty_net;
     let tc = TraceCollector::new();
     let report = run_genx_traced(ClusterSpec::turing(5), &fs, &cfg, Some(&tc)).unwrap();
     let trace = tc.finish();

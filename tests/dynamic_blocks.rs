@@ -8,8 +8,17 @@ use genx_repro::core::{ArrayData, BlockId, DType, SnapshotId};
 use genx_repro::roccom::{convert, AttrSelector, AttrSpec, IoService, PaneMesh, Windows};
 use genx_repro::rocnet::cluster::ClusterSpec;
 use genx_repro::rocnet::run_ranks;
-use genx_repro::rocpanda::{self, RocpandaConfig, Role};
+use genx_repro::rocpanda::{PandaService, PandaServiceBuilder, ServiceRole};
 use genx_repro::rocstore::SharedFs;
+use std::sync::Arc;
+
+/// A Rocpanda service over `fs` with every non-server rank of an `n`-rank
+/// world admitted as its one job (tenant 1: files land under `out/t0001/`).
+fn one_job(fs: &Arc<SharedFs>, servers: &[usize], n: usize) -> PandaService {
+    let svc = PandaServiceBuilder::new(Arc::clone(fs)).servers(servers).build().unwrap();
+    svc.admit_world("job", n).unwrap();
+    svc
+}
 
 fn window_with(blocks: &[(u64, f64)]) -> Windows {
     let mut ws = Windows::new();
@@ -38,16 +47,18 @@ fn window_with(blocks: &[(u64, f64)]) -> Windows {
 /// complete and correct; the I/O library never hears about the move.
 #[test]
 fn block_migrates_between_snapshots() {
-    let fs = SharedFs::ideal();
+    let fs = Arc::new(SharedFs::ideal());
     let snap_a = SnapshotId::new(0, 0);
     let snap_b = SnapshotId::new(10, 1);
     const MIGRANT: u64 = 7;
+    let svc = one_job(&fs, &[0], 3);
     run_ranks(3, ClusterSpec::ideal(3), |comm| {
-        match rocpanda::init(&comm, &fs, RocpandaConfig::default(), &[0]).unwrap() {
-            Role::Server(mut s) => {
+        match svc.attach(&comm).unwrap() {
+            ServiceRole::Idle => unreachable!("admit_world leaves no rank idle"),
+            ServiceRole::Server(mut s) => {
                 s.run().unwrap();
             }
-            Role::Client { io: mut c, comm: app } => {
+            ServiceRole::Client { io: mut c, comm: app, .. } => {
                 let me = app.rank();
                 let mut ws = if me == 0 {
                     window_with(&[(1, 10.0), (MIGRANT, 70.0)])
@@ -88,7 +99,7 @@ fn block_migrates_between_snapshots() {
     // intact in the second file.
     let check = |snap: SnapshotId| {
         let path = format!(
-            "out/{}",
+            "out/t0001/{}",
             genx_repro::core::snapshot_file_name("fluid", snap, 0)
         );
         let (r, t) = genx_repro::rocsdf::SdfFileReader::open(
@@ -118,15 +129,17 @@ fn block_migrates_between_snapshots() {
 /// I/O."
 #[test]
 fn refinement_changes_block_population() {
-    let fs = SharedFs::ideal();
+    let fs = Arc::new(SharedFs::ideal());
     let snap_a = SnapshotId::new(0, 0);
     let snap_b = SnapshotId::new(10, 1);
+    let svc = one_job(&fs, &[0], 2);
     run_ranks(2, ClusterSpec::ideal(2), |comm| {
-        match rocpanda::init(&comm, &fs, RocpandaConfig::default(), &[0]).unwrap() {
-            Role::Server(mut s) => {
+        match svc.attach(&comm).unwrap() {
+            ServiceRole::Idle => unreachable!("admit_world leaves no rank idle"),
+            ServiceRole::Server(mut s) => {
                 s.run().unwrap();
             }
-            Role::Client { io: mut c, comm: _app } => {
+            ServiceRole::Client { io: mut c, comm: _app, .. } => {
                 let mut ws = window_with(&[(100, 1.0)]);
                 c.write_attribute(&ws, &AttrSelector::all("fluid"), snap_a).unwrap();
 
@@ -174,7 +187,7 @@ fn refinement_changes_block_population() {
     // First snapshot holds the parent; second holds the 8 children.
     let ids_of = |snap: SnapshotId| -> Vec<u64> {
         let path = format!(
-            "out/{}",
+            "out/t0001/{}",
             genx_repro::core::snapshot_file_name("fluid", snap, 0)
         );
         let (r, _) = genx_repro::rocsdf::SdfFileReader::open(
@@ -198,13 +211,15 @@ fn refinement_changes_block_population() {
 /// as they come.
 #[test]
 fn pane_resize_between_snapshots() {
-    let fs = SharedFs::ideal();
+    let fs = Arc::new(SharedFs::ideal());
+    let svc = one_job(&fs, &[0], 2);
     run_ranks(2, ClusterSpec::ideal(2), |comm| {
-        match rocpanda::init(&comm, &fs, RocpandaConfig::default(), &[0]).unwrap() {
-            Role::Server(mut s) => {
+        match svc.attach(&comm).unwrap() {
+            ServiceRole::Idle => unreachable!("admit_world leaves no rank idle"),
+            ServiceRole::Server(mut s) => {
                 s.run().unwrap();
             }
-            Role::Client { io: mut c, comm: _app } => {
+            ServiceRole::Client { io: mut c, comm: _app, .. } => {
                 for (ordinal, nj) in [(0u32, 4usize), (1, 3), (2, 2)] {
                     // Re-register the pane at its regressed size.
                     let mut ws = Windows::new();
@@ -230,7 +245,7 @@ fn pane_resize_between_snapshots() {
     for (ordinal, nj) in [(0u32, 4usize), (1, 3), (2, 2)] {
         let snap = SnapshotId::new(ordinal as u64 * 10, ordinal);
         let path = format!(
-            "out/{}",
+            "out/t0001/{}",
             genx_repro::core::snapshot_file_name("fluid", snap, 0)
         );
         let (r, t) = genx_repro::rocsdf::SdfFileReader::open(

@@ -143,7 +143,8 @@ fn schema_evolution_reads_old_snapshots() {
 // run itself) still completes on every rank.
 // ---------------------------------------------------------------------
 
-use genx_repro::rocpanda::{init as panda_init, Role, RocpandaConfig};
+use genx_repro::rocnet::Comm;
+use genx_repro::rocpanda::{PandaClient, PandaServiceBuilder, ServiceRole};
 
 fn panda_windows(idx: usize, n_panes: usize) -> Windows {
     let mut ws = Windows::new();
@@ -168,55 +169,58 @@ fn panda_windows(idx: usize, n_panes: usize) -> Windows {
     ws
 }
 
-/// 2 clients + the given servers write one snapshot through Rocpanda.
-fn write_panda_snapshot(fs: &SharedFs, servers: &[usize]) -> SnapshotId {
-    let snap = SnapshotId::new(20, 2);
+/// 2 clients + the given servers as one Rocpanda job over `fs`: servers
+/// serve until shutdown, each client runs `client(io, app)`. Returns the
+/// clients' results. The run itself must complete — servers keep serving
+/// after a failed restart, so `finalize` is still collective and nobody
+/// hangs.
+fn panda_job<T: Send>(
+    fs: &Arc<SharedFs>,
+    servers: &[usize],
+    client: impl Fn(&mut PandaClient<'_>, &Comm) -> T + Send + Sync,
+) -> Vec<T> {
     let total = 2 + servers.len();
-    let sv = servers.to_vec();
-    run_ranks(total, ClusterSpec::ideal(total), move |comm| {
-        match panda_init(&comm, fs, RocpandaConfig::default(), &sv).unwrap() {
-            Role::Server(mut s) => {
-                s.run().unwrap();
-            }
-            Role::Client { io: mut c, comm: app } => {
-                let ws = panda_windows(app.rank(), 2);
-                c.write_attribute(&ws, &genx_repro::roccom::AttrSelector::all("fluid"), snap)
-                    .unwrap();
-                c.finalize().unwrap();
-            }
-        }
-    });
-    snap
-}
-
-/// Restart the same population. Returns one entry per client: `None` if
-/// `read_attribute` succeeded, `Some(error text)` if it failed. The run
-/// itself must complete — servers keep serving after a failed restart, so
-/// `finalize` is still collective and nobody hangs.
-fn panda_restart(fs: &SharedFs, servers: &[usize], snap: SnapshotId) -> Vec<String> {
-    let total = 2 + servers.len();
-    let sv = servers.to_vec();
-    let out = run_ranks(total, ClusterSpec::ideal(total), move |comm| {
-        match panda_init(&comm, fs, RocpandaConfig::default(), &sv).unwrap() {
-            Role::Server(mut s) => {
+    let svc = PandaServiceBuilder::new(Arc::clone(fs)).servers(servers).build().unwrap();
+    svc.admit_world("job", total).unwrap();
+    let out = run_ranks(total, ClusterSpec::ideal(total), |comm| {
+        match svc.attach(&comm).unwrap() {
+            ServiceRole::Server(mut s) => {
                 s.run().unwrap();
                 None
             }
-            Role::Client { io: mut c, comm: app } => {
-                let mut ws = panda_windows(app.rank(), 2);
-                let res =
-                    c.read_attribute(&mut ws, &genx_repro::roccom::AttrSelector::all("fluid"), snap);
-                c.finalize().unwrap();
-                Some(res.err().map(|e| e.to_string()).unwrap_or_default())
-            }
+            ServiceRole::Client { mut io, comm: app, .. } => Some(client(&mut io, &app)),
+            ServiceRole::Idle => unreachable!("admit_world leaves no rank idle"),
         }
     });
     out.into_iter().flatten().collect()
 }
 
+/// Write one snapshot through Rocpanda.
+fn write_panda_snapshot(fs: &Arc<SharedFs>, servers: &[usize]) -> SnapshotId {
+    let snap = SnapshotId::new(20, 2);
+    panda_job(fs, servers, |c, app| {
+        let ws = panda_windows(app.rank(), 2);
+        c.write_attribute(&ws, &genx_repro::roccom::AttrSelector::all("fluid"), snap)
+            .unwrap();
+        c.finalize().unwrap();
+    });
+    snap
+}
+
+/// Restart the same population. Returns one entry per client: empty if
+/// `read_attribute` succeeded, the error text if it failed.
+fn panda_restart(fs: &Arc<SharedFs>, servers: &[usize], snap: SnapshotId) -> Vec<String> {
+    panda_job(fs, servers, |c, app| {
+        let mut ws = panda_windows(app.rank(), 2);
+        let res = c.read_attribute(&mut ws, &genx_repro::roccom::AttrSelector::all("fluid"), snap);
+        c.finalize().unwrap();
+        res.err().map(|e| e.to_string()).unwrap_or_default()
+    })
+}
+
 #[test]
 fn panda_restart_truncated_file_errors_cleanly() {
-    let fs = SharedFs::ideal();
+    let fs = Arc::new(SharedFs::ideal());
     let snap = write_panda_snapshot(&fs, &[0]);
     let files = fs.list("out/");
     assert_eq!(files.len(), 1);
@@ -236,7 +240,7 @@ fn panda_restart_truncated_file_errors_cleanly() {
 
 #[test]
 fn panda_restart_corrupted_checksum_errors_cleanly() {
-    let fs = SharedFs::ideal();
+    let fs = Arc::new(SharedFs::ideal());
     // Two servers: only one scans the damaged file, yet both must pass the
     // pre-scan barrier and every client must still get a terminal message.
     let snap = write_panda_snapshot(&fs, &[0, 3]);
@@ -258,7 +262,7 @@ fn panda_restart_corrupted_checksum_errors_cleanly() {
 
 #[test]
 fn panda_restart_missing_files_errors_cleanly() {
-    let fs = SharedFs::ideal();
+    let fs = Arc::new(SharedFs::ideal());
     let snap = write_panda_snapshot(&fs, &[0]);
     for f in fs.list("out/") {
         fs.delete(&f).unwrap();

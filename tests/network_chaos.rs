@@ -25,7 +25,7 @@ fn chaos_run(label: &str, spec: Option<FaultSpec>) -> (RunReport, BTreeMap<Strin
     );
     cfg.steps = 8;
     cfg.snapshot_every = 4;
-    cfg.faulty_net = spec;
+    cfg.rocpanda.faulty_net = spec;
     let report = run_genx(ClusterSpec::turing(5), &fs, &cfg).unwrap();
     let dir = format!("{}/", cfg.out_dir);
     let files = fs

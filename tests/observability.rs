@@ -144,6 +144,39 @@ fn trochdf_keeps_disk_writes_off_the_main_thread() {
     );
 }
 
+/// A traced blocking-Rochdf restart shows the per-window reads, not just
+/// Rocman's outer `measure_restart` span: Rochdf and T-Rochdf share one
+/// restart body, so both record one `restart_read` span per window per
+/// rank, on the main lane.
+#[test]
+fn rochdf_restart_records_one_read_span_per_window_per_rank() {
+    const RANKS: usize = 3;
+    let fs = Arc::new(SharedFs::turing());
+    let mut cfg = GenxConfig::new(
+        "obs-rochdf",
+        WorkloadKind::LabScale { seed: 11, scale: 0.05 },
+        IoChoice::Rochdf,
+    );
+    cfg.steps = 2;
+    cfg.snapshot_every = 2;
+    let tc = TraceCollector::new();
+    let report = run_genx_traced(ClusterSpec::turing(RANKS), &fs, &cfg, Some(&tc)).unwrap();
+    assert!(report.restart_ok);
+    let trace = tc.finish();
+    let reads = trace.filter(|s| s.label == "restart_read");
+    assert_eq!(reads.len(), 3 * RANKS, "one span per window per rank");
+    for rank in 0..RANKS {
+        for window in ["fluid", "solid", "burn"] {
+            let detail = format!("window={window}");
+            let n = reads.iter().filter(|s| s.rank == rank && s.detail == detail).count();
+            assert_eq!(n, 1, "rank {rank}, {window}");
+        }
+    }
+    assert!(reads
+        .iter()
+        .all(|s| s.category == SpanCategory::RestartRead && s.lane == LANE_MAIN));
+}
+
 /// Restart served from the servers' active buffers (snapshot read cache
 /// on) must never touch the disk: zero `DiskRead` spans over the whole
 /// run, with the servers' cache-serve spans in their place. The same

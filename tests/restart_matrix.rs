@@ -7,11 +7,20 @@ use genx_repro::core::{snapshot_file_name, SnapshotId};
 use genx_repro::roccom::{AttrSelector, IoService, Windows};
 use genx_repro::rocnet::cluster::ClusterSpec;
 use genx_repro::rocnet::run_ranks;
-use genx_repro::rocpanda::{self, RocpandaConfig, Role};
+use genx_repro::rocpanda::{PandaService, PandaServiceBuilder, ServiceRole};
 use genx_repro::rocsdf::{LibraryModel, SdfFileReader};
 use genx_repro::rocstore::SharedFs;
 use genx_repro::rochdf::{Rochdf, RochdfConfig};
 use rocio_core::{ArrayData, BlockId, DType};
+use std::sync::Arc;
+
+/// A Rocpanda service over `fs` with every non-server rank of an `n`-rank
+/// world admitted as its one job (tenant 1: files land under `out/t0001/`).
+fn one_job(fs: &Arc<SharedFs>, servers: &[usize], n: usize) -> PandaService {
+    let svc = PandaServiceBuilder::new(Arc::clone(fs)).servers(servers).build().unwrap();
+    svc.admit_world("job", n).unwrap();
+    svc
+}
 
 fn make_windows(blocks: &[u64]) -> Windows {
     let mut ws = Windows::new();
@@ -56,15 +65,17 @@ fn verify(ws: &Windows, blocks: &[u64]) -> bool {
 /// a different block distribution.
 #[test]
 fn panda_restart_across_server_counts() {
-    let fs = SharedFs::ideal();
+    let fs = Arc::new(SharedFs::ideal());
     let snap = SnapshotId::new(10, 1);
     // Write: 4 clients + 2 servers; client i owns blocks {2i, 2i+1}.
+    let svc = one_job(&fs, &[0, 3], 6);
     run_ranks(6, ClusterSpec::ideal(6), |comm| {
-        match rocpanda::init(&comm, &fs, RocpandaConfig::default(), &[0, 3]).unwrap() {
-            Role::Server(mut s) => {
+        match svc.attach(&comm).unwrap() {
+            ServiceRole::Idle => unreachable!("admit_world leaves no rank idle"),
+            ServiceRole::Server(mut s) => {
                 s.run().unwrap();
             }
-            Role::Client { io: mut c, comm: app } => {
+            ServiceRole::Client { io: mut c, comm: app, .. } => {
                 let me = app.rank() as u64;
                 let ws = make_windows(&[me * 2, me * 2 + 1]);
                 c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
@@ -73,13 +84,15 @@ fn panda_restart_across_server_counts() {
         }
     });
     // Restart: 2 clients + 3 servers; client i owns blocks {4i..4i+4}.
+    let svc = one_job(&fs, &[0, 2, 4], 5);
     let ok = run_ranks(5, ClusterSpec::ideal(5), |comm| {
-        match rocpanda::init(&comm, &fs, RocpandaConfig::default(), &[0, 2, 4]).unwrap() {
-            Role::Server(mut s) => {
+        match svc.attach(&comm).unwrap() {
+            ServiceRole::Idle => unreachable!("admit_world leaves no rank idle"),
+            ServiceRole::Server(mut s) => {
                 s.run().unwrap();
                 true
             }
-            Role::Client { io: mut c, comm: app } => {
+            ServiceRole::Client { io: mut c, comm: app, .. } => {
                 let me = app.rank() as u64;
                 let blocks: Vec<u64> = (me * 4..me * 4 + 4).collect();
                 let mut ws = make_windows(&blocks);
@@ -131,14 +144,16 @@ fn rochdf_restart_with_more_readers() {
 /// (or Rocketeer) can open them directly without the I/O library.
 #[test]
 fn panda_files_are_plain_sdf() {
-    let fs = SharedFs::ideal();
+    let fs = Arc::new(SharedFs::ideal());
     let snap = SnapshotId::new(0, 0);
+    let svc = one_job(&fs, &[0], 3);
     run_ranks(3, ClusterSpec::ideal(3), |comm| {
-        match rocpanda::init(&comm, &fs, RocpandaConfig::default(), &[0]).unwrap() {
-            Role::Server(mut s) => {
+        match svc.attach(&comm).unwrap() {
+            ServiceRole::Idle => unreachable!("admit_world leaves no rank idle"),
+            ServiceRole::Server(mut s) => {
                 s.run().unwrap();
             }
-            Role::Client { io: mut c, comm: app } => {
+            ServiceRole::Client { io: mut c, comm: app, .. } => {
                 let me = app.rank() as u64;
                 let ws = make_windows(&[me]);
                 c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
@@ -146,7 +161,7 @@ fn panda_files_are_plain_sdf() {
             }
         }
     });
-    let path = format!("out/{}", snapshot_file_name("fluid", snap, 0));
+    let path = format!("out/t0001/{}", snapshot_file_name("fluid", snap, 0));
     let (reader, _) = SdfFileReader::open(&fs, &path, LibraryModel::hdf4(), 0, 0.0).unwrap();
     assert_eq!(reader.block_ids().len(), 2);
     let (blocks, _) = reader.read_all_blocks(0.0).unwrap();
