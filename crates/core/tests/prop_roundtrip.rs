@@ -41,6 +41,96 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
         })
 }
 
+/// A block of one `u8` dataset (hashed where it lies, no re-encode).
+fn byte_block(payload: Vec<u8>) -> DataBlock {
+    DataBlock::new(BlockId(1), "w").with_dataset(Dataset::vector("p", payload))
+}
+
+/// 1 MiB and a ragged 13 bytes of xorshift noise: whole stripes, one
+/// whole tail word, five tail bytes.
+fn large_payload() -> Vec<u8> {
+    static PAYLOAD: std::sync::LazyLock<Vec<u8>> = std::sync::LazyLock::new(|| {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..(1 << 20) + 13)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    });
+    PAYLOAD.clone()
+}
+
+fn payload_mut(block: &mut DataBlock) -> &mut Vec<u8> {
+    match &mut block.datasets[0].data {
+        ArrayData::U8(v) => v,
+        other => panic!("byte_block holds u8, got {:?}", other.dtype()),
+    }
+}
+
+#[test]
+fn checksum_detects_every_bit_of_a_stripe_and_of_the_tail() {
+    // Every bit position of every lane (one stripe mid-payload), then
+    // every bit of the last 45 bytes: the final stripe, the tail word
+    // and the tail bytes. Each flip must differ from the original *and*
+    // from every other flip.
+    let mut block = byte_block(large_payload());
+    let n = payload_mut(&mut block).len();
+    let mut seen = std::collections::HashSet::from([Checksum::of_block(&block)]);
+    let mid = (n / 2) & !31;
+    for byte in (mid..mid + 32).chain(n - 45..n) {
+        for bit in 0..8 {
+            payload_mut(&mut block)[byte] ^= 1 << bit;
+            assert!(seen.insert(Checksum::of_block(&block)), "byte {byte} bit {bit}");
+            payload_mut(&mut block)[byte] ^= 1 << bit;
+        }
+    }
+}
+
+#[test]
+fn checksum_detects_length_and_field_boundary_changes() {
+    let payload = large_payload();
+    let whole = Checksum::of_block(&byte_block(payload.clone()));
+    // One more zero byte (it lands in the zero padding of the tail word).
+    let mut longer = payload.clone();
+    longer.push(0);
+    assert_ne!(Checksum::of_block(&byte_block(longer)), whole);
+    // The same bytes as two datasets, cut at a stripe boundary, inside a
+    // stripe, and inside the tail: each differs from the whole and from
+    // the other cuts.
+    let mut seen = std::collections::HashSet::from([whole]);
+    for cut in [0, 32, 4096, 4099, payload.len() - 5, payload.len()] {
+        let split = DataBlock::new(BlockId(1), "w")
+            .with_dataset(Dataset::vector("p", payload[..cut].to_vec()))
+            .with_dataset(Dataset::vector("q", payload[cut..].to_vec()));
+        assert!(seen.insert(Checksum::of_block(&split)), "cut at {cut}");
+    }
+}
+
+#[test]
+fn shared_and_typed_twins_hash_equal_at_every_dtype_and_stripe_edge() {
+    for dtype in [DType::U8, DType::I32, DType::I64, DType::F32, DType::F64] {
+        for n in [0usize, 1, 31, 32, 33, 4097] {
+            let le: Vec<u8> = (0..n * dtype.size()).map(|i| (i * 37 + 11) as u8).collect();
+            let typed = ArrayData::from_le_bytes(dtype, n, &le).unwrap();
+            let shared = ArrayData::from_le_shared(dtype, n, le.into()).unwrap();
+            let block = |data: ArrayData| {
+                DataBlock::new(BlockId(9), "w")
+                    .with_dataset(Dataset::new("d", vec![n], data).unwrap().with_attr("k", 1i64))
+            };
+            let (t, s) = (block(typed), block(shared));
+            assert_eq!(Checksum::of_block(&t), Checksum::of_block(&s), "{dtype:?} x {n}");
+            assert_eq!(
+                Checksum::of_dataset(&t.datasets[0]),
+                Checksum::of_dataset(&s.datasets[0]),
+                "{dtype:?} x {n}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -103,5 +193,35 @@ proptest! {
         let mut renamed = block.clone();
         renamed.window = "other".into();
         prop_assert_ne!(c1, Checksum::of_block(&renamed));
+    }
+
+    #[test]
+    fn large_payload_flip_and_word_swap_detected(
+        flip in any::<prop::sample::Index>(),
+        a in any::<prop::sample::Index>(),
+        b in any::<prop::sample::Index>(),
+        same_stripe in any::<bool>(),
+    ) {
+        let mut block = byte_block(large_payload());
+        let original = Checksum::of_block(&block);
+        let n = payload_mut(&mut block).len();
+
+        // Any one bit of the megabyte.
+        let bit = flip.index(n * 8);
+        payload_mut(&mut block)[bit / 8] ^= 1 << (bit % 8);
+        prop_assert_ne!(Checksum::of_block(&block), original);
+        payload_mut(&mut block)[bit / 8] ^= 1 << (bit % 8);
+
+        // Any two 8-byte words trading places: two lanes of one stripe,
+        // or any two stripes (same lane or not).
+        let words = n / 8;
+        let i = a.index(words);
+        let j = if same_stripe { (i & !3) + b.index(4) } else { b.index(words) };
+        let p = payload_mut(&mut block);
+        let differ = p[i * 8..i * 8 + 8] != p[j * 8..j * 8 + 8];
+        for k in 0..8 {
+            p.swap(i * 8 + k, j * 8 + k);
+        }
+        prop_assert_eq!(Checksum::of_block(&block) != original, differ);
     }
 }

@@ -8,6 +8,7 @@
 //! all), [`run_genx_multi`] several tenants, [`run_genx_restart`] a
 //! read-only launch.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -186,8 +187,9 @@ pub fn run_genx_traced(
     let out_dir = format!("{}/", cfg.out_dir);
     let files_before = fs.list(&out_dir).len();
     let bytes_before = fs.stats().bytes_written;
-    let tenants = std::slice::from_ref(cfg);
-    let mut run = run_tenants(cluster, fs, cfg, service.as_ref(), &handles, tenants, collector)?;
+    let n_clients = n_ranks - service.as_ref().map_or(0, |svc| svc.server_ranks().len());
+    let tenants = [(cfg, n_clients)];
+    let mut run = run_tenants(cluster, fs, cfg, service.as_ref(), &handles, &tenants, collector)?;
     let mut report = run.jobs.remove(0);
     // A single job owns the store: what it wrote is the store's growth.
     report.n_files = fs.list(&out_dir).len() - files_before;
@@ -252,18 +254,22 @@ fn launch<T: Send>(
 /// Launch `cluster` and run one simulation per tenant: `tenants[i]` is the
 /// job admitted to `service` as `handles[i]`, or — with no service — the
 /// one job every rank belongs to, on the server-less module `base.io`
-/// names. Returns one report per tenant, folded over the ranks that ran it
-/// (what it wrote, `n_files` and `bytes_written`, is the caller's to
-/// count), and the servers' drain accounting merged across the pool.
+/// names, with the number of ranks it computes on; its problem is
+/// partitioned over them here, once, before any rank starts. Returns one
+/// report per tenant, folded over the ranks that ran it (what it wrote,
+/// `n_files` and `bytes_written`, is the caller's to count), and the
+/// servers' drain accounting merged across the pool.
 fn run_tenants(
     cluster: ClusterSpec,
     fs: &Arc<SharedFs>,
     base: &GenxConfig,
     service: Option<&PandaService>,
     handles: &[JobHandle],
-    tenants: &[GenxConfig],
+    tenants: &[(&GenxConfig, usize)],
     collector: Option<&rocobs::TraceCollector>,
 ) -> Result<MultiTenantReport> {
+    let partitions: Vec<Partition> =
+        tenants.iter().map(|(cfg, n_clients)| Partition::new(&cfg.workload, *n_clients)).collect();
     let outs = launch(cluster, base, collector, &|world| match service {
         Some(svc) => match svc.attach(world)? {
             ServiceRole::Server(mut server) => {
@@ -274,7 +280,8 @@ fn run_tenants(
                 let idx = handles.iter().position(|h| *h == job).ok_or_else(|| {
                     RocError::Config(format!("attached client of unknown tenant {}", job.tenant()))
                 })?;
-                client_run(&comm, io, &tenants[idx]).map(|c| RankOut::Client(idx, c))
+                client_run(&comm, io, tenants[idx].0, &partitions[idx])
+                    .map(|c| RankOut::Client(idx, c))
             }
             ServiceRole::Idle => Ok(RankOut::Idle),
         },
@@ -289,7 +296,7 @@ fn run_tenants(
             } else {
                 Box::new(Rochdf::new(fs, world, hdf_cfg))
             };
-            client_run(world, module, &tenants[0]).map(|c| RankOut::Client(0, c))
+            client_run(world, module, tenants[0].0, &partitions[0]).map(|c| RankOut::Client(0, c))
         }
     })?;
 
@@ -315,7 +322,7 @@ fn run_tenants(
         }
     }
     let mut jobs = Vec::with_capacity(tenants.len());
-    for (cfg, job) in tenants.iter().zip(folded) {
+    for (&(cfg, _), job) in tenants.iter().zip(folded) {
         let c = job.ok_or_else(|| {
             RocError::Config(format!("no client of job '{}' produced an outcome", cfg.label))
         })?;
@@ -452,14 +459,14 @@ pub fn run_genx_multi(
     if jobs.is_empty() {
         return Err(RocError::Config("run_genx_multi needs at least one job".into()));
     }
-    let (mut handles, mut tenants) = (Vec::new(), Vec::new());
+    let (mut handles, mut configs) = (Vec::new(), Vec::new());
     for job in jobs {
         handles.push(svc.submit(JobSpec {
             priority: job.priority,
             quota: job.quota,
             ..JobSpec::new(job.label.clone(), &job.client_ranks)
         })?);
-        tenants.push(GenxConfig {
+        configs.push(GenxConfig {
             label: job.label.clone(),
             workload: job.workload.clone(),
             steps: job.steps,
@@ -471,6 +478,8 @@ pub fn run_genx_multi(
         |h: &JobHandle| fs.list(&format!("{}/{}", base.out_dir, h.tenant().path_prefix())).len();
     let files_before: Vec<usize> = handles.iter().map(n_files).collect();
 
+    let tenants: Vec<(&GenxConfig, usize)> =
+        configs.iter().zip(jobs).map(|(cfg, job)| (cfg, job.client_ranks.len())).collect();
     let mut report = run_tenants(cluster, fs, base, Some(&svc), &handles, &tenants, None)?;
     // A tenant shares the store: what it wrote is its namespace's growth
     // and its ledger charge.
@@ -525,8 +534,9 @@ pub fn run_genx_restart(
     snap: SnapshotId,
 ) -> Result<RestartReport> {
     let n_ranks = cluster.n_ranks();
+    let partition = Partition::new(&cfg.workload, n_ranks);
     let outcomes = launch(cluster, cfg, None, &|world| -> Result<(f64, u64, u64)> {
-        let (workload, mine) = materialise(&cfg.workload, world.rank(), world.size());
+        let (workload, mine) = partition.of_rank(world)?;
         let mut ws = fresh_windows(cfg, &workload, &mine)?;
         let hdf_cfg = RochdfConfig {
             dir: cfg.out_dir.clone(),
@@ -566,29 +576,58 @@ pub fn run_genx_restart(
     })
 }
 
-/// This rank's share of `kind` on an `n`-rank job: the workload and the
-/// indices of the blocks rank `rank` owns.
-fn materialise(kind: &WorkloadKind, rank: usize, n: usize) -> (Workload, MyBlocks) {
-    let workload = match kind {
-        WorkloadKind::LabScale { seed, scale } => Workload::lab_scale_motor_scaled(*seed, *scale),
-        WorkloadKind::Custom {
-            seed,
-            scale,
-            n_fluid,
-            n_solid,
-        } => Workload::lab_scale_custom(*seed, *scale, *n_fluid, *n_solid),
-        WorkloadKind::Cylinder { seed } => {
-            // Weak scaling: each rank materializes only its own segment.
-            let w = Workload::scalability_segment(rank, *seed);
-            let mine = MyBlocks {
-                fluid: (0..w.fluid.len()).collect(),
-                solid: (0..w.solid_boxes.len()).collect(),
-            };
-            return (w, mine);
-        }
-    };
-    let mine = assign(&workload, n)[rank].clone();
-    (workload, mine)
+/// A job's problem laid out over its compute ranks, built once on the
+/// host before the ranks launch — the balanced assignment is a local
+/// search over every block, and every rank would find the same answer.
+enum Partition {
+    /// A fixed global block set and the blocks each rank owns.
+    Global(Workload, Vec<MyBlocks>),
+    /// Weak scaling: each rank materializes only its own segment.
+    Cylinder { seed: u64 },
+}
+
+impl Partition {
+    fn new(kind: &WorkloadKind, n_ranks: usize) -> Self {
+        let workload = match kind {
+            WorkloadKind::LabScale { seed, scale } => {
+                Workload::lab_scale_motor_scaled(*seed, *scale)
+            }
+            WorkloadKind::Custom {
+                seed,
+                scale,
+                n_fluid,
+                n_solid,
+            } => Workload::lab_scale_custom(*seed, *scale, *n_fluid, *n_solid),
+            WorkloadKind::Cylinder { seed } => return Partition::Cylinder { seed: *seed },
+        };
+        let owners = assign(&workload, n_ranks);
+        Partition::Global(workload, owners)
+    }
+
+    /// The workload and the indices of the blocks this rank of the job's
+    /// communicator owns.
+    fn of_rank(&self, job: &Comm) -> Result<(Cow<'_, Workload>, Cow<'_, MyBlocks>)> {
+        Ok(match self {
+            Partition::Global(workload, owners) => {
+                if owners.len() != job.size() {
+                    return Err(RocError::Config(format!(
+                        "workload partitioned over {} ranks, job runs on {}",
+                        owners.len(),
+                        job.size()
+                    )));
+                }
+                (Cow::Borrowed(workload), Cow::Borrowed(&owners[job.rank()]))
+            }
+            Partition::Cylinder { seed } => {
+                let w = Workload::scalability_segment(job.rank(), *seed);
+                let mine = MyBlocks {
+                    fluid: (0..w.fluid.len()).collect(),
+                    solid: (0..w.solid_boxes.len()).collect(),
+                };
+                (Cow::Owned(w), Cow::Owned(mine))
+            }
+        })
+    }
 }
 
 /// Windows declared for `cfg`'s solvers with this rank's panes registered
@@ -605,8 +644,9 @@ fn client_run<'a>(
     sim_comm: &'a Comm,
     io_module: Box<dyn IoService + 'a>,
     cfg: &GenxConfig,
+    partition: &Partition,
 ) -> Result<ClientOutcome> {
-    let (workload, mine) = materialise(&cfg.workload, sim_comm.rank(), sim_comm.size());
+    let (workload, mine) = partition.of_rank(sim_comm)?;
     let local_bytes: u64 = mine
         .fluid
         .iter()

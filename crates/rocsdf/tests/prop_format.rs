@@ -192,6 +192,25 @@ proptest! {
     }
 
     #[test]
+    fn crc32_matches_the_bitwise_definition(
+        data in prop::collection::vec(any::<u8>(), 0..=64 * 1024),
+        skip in 0usize..8,
+    ) {
+        // Random bytes, random length, random alignment: whole groups of
+        // the interleaved kernel, its single-chain remainder and the byte
+        // tail all against the polynomial's definition, one bit at a time.
+        let data = &data[skip.min(data.len())..];
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+        prop_assert_eq!(rocsdf::format::crc32(data), !crc);
+    }
+
+    #[test]
     fn cost_models_monotone(n1 in 0usize..5000, n2 in 0usize..5000) {
         let (lo, hi) = (n1.min(n2), n1.max(n2));
         for m in [LibraryModel::hdf4(), LibraryModel::hdf5()] {

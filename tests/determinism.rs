@@ -130,3 +130,43 @@ fn m2n_restart_on_reused_store_is_bit_identical() {
         }
     }
 }
+
+#[test]
+fn snapshot_files_match_the_digest_recorded_before_the_kernels_changed() {
+    // The on-disk format carries a CRC-32 per dataset, so a CRC kernel
+    // that diverged from the polynomial would still round-trip its own
+    // files. This digest was recorded at the commit before the
+    // interleaved kernel with the bit-serial definition below, which
+    // shares no code with `rocsdf::format::crc32`: same bytes, same
+    // `__crc32__` values, no format change.
+    use genx_repro::genx::run_genx;
+
+    let fs = Arc::new(SharedFs::turing());
+    let mut cfg = GenxConfig::new(
+        "digest",
+        WorkloadKind::LabScale { seed: 7, scale: 0.05 },
+        IoChoice::Rocpanda { server_ranks: vec![0] },
+    );
+    cfg.steps = 4;
+    cfg.snapshot_every = 4;
+    cfg.measure_restart = false;
+    run_genx(ClusterSpec::turing(5), &fs, &cfg).unwrap();
+
+    let files = fs.list("run-digest/");
+    let (mut total_len, mut crc) = (0usize, 0xFFFF_FFFFu32);
+    for path in &files {
+        let (bytes, _) = fs.read_all_shared(path, 0, 0.0).unwrap();
+        total_len += bytes.len();
+        for &b in bytes.iter() {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            }
+        }
+    }
+    assert_eq!(
+        (files.len(), total_len, !crc),
+        (6, 6_340_792, 0xC49E_FDCE),
+        "snapshot bytes differ from the recorded digest"
+    );
+}
