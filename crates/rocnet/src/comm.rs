@@ -8,14 +8,13 @@
 //! server communicators (§4.1).
 
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use rocio_core::{segments_to_vec, Result, RocError, Segment, SimTime};
 
 use crate::cluster::ClusterSpec;
-use crate::fabric::{Envelope, Fabric};
+use crate::fabric::{ChoiceKind, Envelope, Fabric, MatchSpec};
 use crate::stats::{CommStats, StatsSnapshot};
 use crate::vtime::VClock;
 
@@ -52,14 +51,71 @@ pub struct ProbeInfo {
     pub bytes: usize,
 }
 
+/// A communicator's members: the local ↔ global rank mapping.
+///
+/// The world group is the identity and carries no table, so building
+/// the world communicator on every rank costs nothing per rank; a split
+/// shares one table between the handle and the specs it publishes.
+#[derive(Debug, Clone)]
+pub struct Group {
+    size: usize,
+    /// `None`: every rank of a `size`-rank fabric, local = global.
+    table: Option<Arc<GroupTable>>,
+}
+
+#[derive(Debug)]
+struct GroupTable {
+    /// Local rank -> global rank.
+    globals: Vec<usize>,
+    /// `(global, local)` sorted by global rank, for binary search.
+    by_global: Vec<(usize, usize)>,
+}
+
+impl Group {
+    /// The identity group of an `n`-rank fabric.
+    pub fn world(n: usize) -> Group {
+        Group { size: n, table: None }
+    }
+
+    /// The group whose local rank `l` is global rank `globals[l]`.
+    fn of(globals: Vec<usize>) -> Group {
+        let mut by_global: Vec<(usize, usize)> =
+            globals.iter().enumerate().map(|(l, &g)| (g, l)).collect();
+        by_global.sort_unstable();
+        Group {
+            size: globals.len(),
+            table: Some(Arc::new(GroupTable { globals, by_global })),
+        }
+    }
+
+    fn global(&self, local: usize) -> usize {
+        assert!(local < self.size, "rank {local} out of range (size {})", self.size);
+        self.table.as_ref().map_or(local, |t| t.globals[local])
+    }
+
+    /// Local rank of global rank `global`, if it is a member.
+    pub fn local(&self, global: usize) -> Option<usize> {
+        match &self.table {
+            None => (global < self.size).then_some(global),
+            Some(t) => {
+                let i = t.by_global.binary_search_by_key(&global, |&(g, _)| g).ok()?;
+                Some(t.by_global[i].1)
+            }
+        }
+    }
+
+    /// Local rank of a global rank known to be a member: the sender of
+    /// a message this group's spec matched, or the caller of a split.
+    fn member_rank(&self, global: usize) -> usize {
+        self.local(global).expect("rank is a member of the group")
+    }
+}
+
 /// A communicator handle owned by one rank thread.
 pub struct Comm {
     fabric: Arc<Fabric>,
     ctx: u64,
-    /// Local rank -> global rank.
-    group: Arc<Vec<usize>>,
-    /// Global rank -> local rank.
-    reverse: Arc<HashMap<usize, usize>>,
+    group: Group,
     my_local: usize,
     clock: Arc<VClock>,
     coll_seq: Cell<u32>,
@@ -72,16 +128,13 @@ impl Comm {
     pub fn world(fabric: Arc<Fabric>, rank: usize) -> Self {
         let n = fabric.n_ranks();
         assert!(rank < n, "rank {rank} out of range for {n}-rank fabric");
-        let group: Vec<usize> = (0..n).collect();
-        let reverse: HashMap<usize, usize> = group.iter().map(|&g| (g, g)).collect();
         // The fabric owns the rank clocks: wildcard matching is gated on a
         // scan of every rank's virtual time (see `fabric` module docs).
         let clock = fabric.clock_of(rank);
         Comm {
             fabric,
             ctx: 0,
-            group: Arc::new(group),
-            reverse: Arc::new(reverse),
+            group: Group::world(n),
             my_local: rank,
             clock,
             coll_seq: Cell::new(0),
@@ -97,22 +150,22 @@ impl Comm {
 
     /// Number of ranks in the communicator.
     pub fn size(&self) -> usize {
-        self.group.len()
+        self.group.size
     }
 
     /// Global rank of local rank `local`.
     pub fn to_global(&self, local: usize) -> usize {
-        self.group[local]
+        self.group.global(local)
     }
 
     /// Local rank of global rank `global`, if it is a member.
     pub fn local_of_global(&self, global: usize) -> Option<usize> {
-        self.reverse.get(&global).copied()
+        self.group.local(global)
     }
 
     /// This rank's global rank.
     pub fn global_rank(&self) -> usize {
-        self.group[self.my_local]
+        self.group.global(self.my_local)
     }
 
     /// The underlying fabric (shared).
@@ -162,7 +215,7 @@ impl Comm {
     }
 
     fn node_of_local(&self, local: usize) -> usize {
-        self.fabric.spec().node_of(self.group[local])
+        self.fabric.spec().node_of(self.group.global(local))
     }
 
     /// Send `payload` to local rank `dst` with `tag`.
@@ -219,7 +272,7 @@ impl Comm {
         // safety scan relies on a sender's published clock never exceeding
         // the arrival of a delivery it still has in flight.
         self.fabric.deliver(
-            self.group[dst],
+            self.group.global(dst),
             Envelope {
                 ctx: self.ctx,
                 src_global: self.global_rank(),
@@ -232,25 +285,26 @@ impl Comm {
         Ok(())
     }
 
-    fn matcher<'a>(
-        &'a self,
+    /// What a receive or probe with these (local-rank) arguments accepts.
+    fn spec(&self, src: Option<usize>, tag: Option<u32>) -> MatchSpec {
+        MatchSpec {
+            ctx: self.ctx,
+            src: src.map(|s| self.group.global(s)),
+            tag,
+            group: self.group.clone(),
+        }
+    }
+
+    /// [`Fabric::settle_at`] for this rank with local-rank arguments.
+    fn settle(
+        &self,
         src: Option<usize>,
         tag: Option<u32>,
-    ) -> impl FnMut(&Envelope) -> bool + 'a {
-        let src_global = src.map(|s| self.group[s]);
-        let reverse = Arc::clone(&self.reverse);
-        let ctx = self.ctx;
-        move |e: &Envelope| {
-            e.ctx == ctx
-                && match src_global {
-                    Some(sg) => e.src_global == sg,
-                    None => reverse.contains_key(&e.src_global),
-                }
-                && match tag {
-                    Some(t) => e.tag == t,
-                    None => e.tag <= TAG_USER_MAX,
-                }
-        }
+        now: SimTime,
+        kind: ChoiceKind,
+    ) -> Option<Envelope> {
+        self.fabric
+            .settle_at(self.global_rank(), &self.spec(src, tag), now, kind)
     }
 
     fn to_message(&self, env: Envelope) -> Message {
@@ -259,7 +313,7 @@ impl Comm {
             .advance(self.fabric.spec().net.recv_cost(env.payload.len()));
         self.stats.on_recv(env.payload.len());
         Message {
-            src: self.reverse[&env.src_global],
+            src: self.group.member_rank(env.src_global),
             tag: env.tag,
             payload: env.payload,
             sent: env.sent,
@@ -283,12 +337,9 @@ impl Comm {
             }
         }
         let t0 = self.clock.now();
-        let env = if src.is_none() {
-            self.fabric.take_any(self.global_rank(), self.matcher(src, tag))
-        } else {
-            self.fabric
-                .take_matching(self.global_rank(), self.matcher(src, tag))
-        };
+        let env = self
+            .fabric
+            .wait_match(self.global_rank(), &self.spec(src, tag), ChoiceKind::Take);
         let msg = self.to_message(env);
         if rocobs::enabled() {
             rocobs::record(
@@ -307,11 +358,7 @@ impl Comm {
     /// once no rank can still produce one. Never consumes virtual time
     /// (though the determinism gate may wait in wall-clock time).
     pub fn try_recv(&self, src: Option<usize>, tag: Option<u32>) -> Option<Message> {
-        let env = self.fabric.try_take_at(
-            self.global_rank(),
-            self.matcher(src, tag),
-            self.clock.now(),
-        )?;
+        let env = self.settle(src, tag, self.clock.now(), ChoiceKind::Take)?;
         Some(self.to_message(env))
     }
 
@@ -330,37 +377,21 @@ impl Comm {
         deadline: SimTime,
     ) -> Option<Message> {
         let t0 = self.clock.now();
-        let env = self
-            .fabric
-            .try_take_at(self.global_rank(), self.matcher(src, tag), deadline);
-        match env {
-            Some(env) => {
-                let msg = self.to_message(env);
-                if rocobs::enabled() {
-                    rocobs::record(
-                        rocobs::SpanCategory::Recv,
-                        "recv_deadline",
-                        t0,
-                        self.clock.now(),
-                        &format!("src={} tag={:#x} bytes={}", msg.src, msg.tag, msg.payload.len()),
-                    );
-                }
-                Some(msg)
-            }
-            None => {
-                self.clock.advance_to(deadline);
-                if rocobs::enabled() {
-                    rocobs::record(
-                        rocobs::SpanCategory::Recv,
-                        "recv_deadline",
-                        t0,
-                        self.clock.now(),
-                        "timeout",
-                    );
-                }
-                None
-            }
+        let msg = self
+            .settle(src, tag, deadline, ChoiceKind::Take)
+            .map(|env| self.to_message(env));
+        if msg.is_none() {
+            self.clock.advance_to(deadline);
         }
+        if rocobs::enabled() {
+            let detail = match &msg {
+                Some(m) => format!("src={} tag={:#x} bytes={}", m.src, m.tag, m.payload.len()),
+                None => "timeout".into(),
+            };
+            let now = self.clock.now();
+            rocobs::record(rocobs::SpanCategory::Recv, "recv_deadline", t0, now, &detail);
+        }
+        msg
     }
 
     /// Blocking probe: waits for a matching message, merges the clock with
@@ -369,27 +400,25 @@ impl Comm {
     /// §6.1) and reports it without removing it.
     pub fn probe(&self, src: Option<usize>, tag: Option<u32>) -> ProbeInfo {
         let t0 = self.clock.now();
-        let (src_global, tag, bytes, arrival) = if src.is_none() {
-            self.fabric.peek_any(self.global_rank(), self.matcher(src, tag))
-        } else {
-            self.fabric
-                .peek_matching(self.global_rank(), self.matcher(src, tag))
-        };
-        self.clock.merge(arrival);
+        let head = self
+            .fabric
+            .wait_match(self.global_rank(), &self.spec(src, tag), ChoiceKind::Peek);
+        let (src, tag, bytes) = (
+            self.group.member_rank(head.src_global),
+            head.tag,
+            head.payload.len(),
+        );
+        self.clock.merge(head.arrival);
         if rocobs::enabled() {
             rocobs::record(
                 rocobs::SpanCategory::ProbeBlocking,
                 "probe",
                 t0,
                 self.clock.now(),
-                &format!("src={} tag={tag:#x} bytes={bytes}", self.reverse[&src_global]),
+                &format!("src={src} tag={tag:#x} bytes={bytes}"),
             );
         }
-        ProbeInfo {
-            src: self.reverse[&src_global],
-            tag,
-            bytes,
-        }
+        ProbeInfo { src, tag, bytes }
     }
 
     /// Non-blocking probe (`MPI_Iprobe`): reports the virtual-order first
@@ -398,11 +427,7 @@ impl Comm {
     /// answer is final for this instant: no rank can still produce a
     /// matching message arriving this early.
     pub fn iprobe(&self, src: Option<usize>, tag: Option<u32>) -> Option<ProbeInfo> {
-        let peeked = self.fabric.try_peek_at(
-            self.global_rank(),
-            self.matcher(src, tag),
-            self.clock.now(),
-        );
+        let peeked = self.settle(src, tag, self.clock.now(), ChoiceKind::Peek);
         if rocobs::enabled() {
             // Instantaneous poll: zero-length span, recorded whether or
             // not a message was waiting (the poll itself is the event).
@@ -410,11 +435,11 @@ impl Comm {
             let detail = if peeked.is_some() { "hit" } else { "miss" };
             rocobs::record(rocobs::SpanCategory::ProbeNonBlocking, "iprobe", now, now, detail);
         }
-        let (src_global, tag, bytes, _arrival) = peeked?;
+        let head = peeked?;
         Some(ProbeInfo {
-            src: self.reverse[&src_global],
-            tag,
-            bytes,
+            src: self.group.member_rank(head.src_global),
+            tag: head.tag,
+            bytes: head.payload.len(),
         })
     }
 
@@ -429,8 +454,8 @@ impl Comm {
     /// context, so the duplicate's traffic never cross-matches the
     /// original's. Collective — every member must call it together.
     pub fn dup(&self) -> Result<Comm> {
-        let dup = self.split(Some(0), self.rank() as i64)?;
-        Ok(dup.expect("dup: split with uniform color always yields a communicator"))
+        self.split(Some(0), self.rank() as i64)?
+            .ok_or_else(|| RocError::Comm("dup: split with a uniform color yielded no group".into()))
     }
 
     /// Split the communicator, `MPI_Comm_split` style.
@@ -467,14 +492,12 @@ impl Comm {
             let c = u32::from_le_bytes(bytes[1..5].try_into().unwrap());
             let k = i64::from_le_bytes(bytes[5..13].try_into().unwrap());
             if present && c == my_color {
-                members.push((k, parent_local, self.group[parent_local]));
+                members.push((k, parent_local, self.group.global(parent_local)));
             }
         }
         members.sort_unstable();
-        let group: Vec<usize> = members.iter().map(|&(_, _, g)| g).collect();
-        let reverse: HashMap<usize, usize> =
-            group.iter().enumerate().map(|(l, &g)| (g, l)).collect();
-        let my_local = reverse[&self.global_rank()];
+        let group = Group::of(members.iter().map(|&(_, _, g)| g).collect());
+        let my_local = group.member_rank(self.global_rank());
 
         // Context id must be identical on all members and distinct from
         // other communicators: mix parent ctx, split ordinal and color.
@@ -487,8 +510,7 @@ impl Comm {
         Ok(Some(Comm {
             fabric: Arc::clone(&self.fabric),
             ctx,
-            group: Arc::new(group),
-            reverse: Arc::new(reverse),
+            group,
             my_local,
             clock: Arc::clone(&self.clock),
             coll_seq: Cell::new(0),

@@ -1,8 +1,9 @@
 //! The shared message fabric: one mailbox per global rank.
 //!
-//! Delivery is physical (push + condvar notify); *when* a message counts as
-//! having arrived in virtual time is carried in its envelope, computed by
-//! the sender from the network model.
+//! Delivery is physical (push, then wake the destination if the message
+//! is one its parked call can use); *when* a message counts as having
+//! arrived in virtual time is carried in its envelope, computed by the
+//! sender from the network model.
 //!
 //! # Determinism
 //!
@@ -29,18 +30,34 @@
 //! same program yields bit-identical virtual times; zero-cost models can
 //! tie on arrival, where semantic results are still deterministic but
 //! timestamps may not be.
+//!
+//! # Blocking and waking
+//!
+//! A rank that must wait publishes, under the state lock, its commitment
+//! *and* the [`MatchSpec`] of the call it is parked in, hands its
+//! admission slot to the scheduler's ready queue and sleeps on its
+//! `WakeHandle` — one sleep. [`Fabric::deliver`] reads the published
+//! spec: a message the parked call cannot use is only queued (the call
+//! cannot return because of it, so the commitment stands and nobody is
+//! woken), a usable one lowers the commitment and makes the rank ready —
+//! one wake, which finds the rank already holding a slot. Every wake is
+//! *decided* under the lock and *issued* after it is released
+//! (`Locked`), so the woken thread never collides with its waker.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 use std::time::Duration;
 
 use bytes::Bytes;
-use rocio_core::lockdep::{Condvar, Mutex, MutexGuard};
+use rocio_core::lockdep::{Mutex, MutexGuard};
 use rocio_core::SimTime;
 
 use crate::cluster::ClusterSpec;
+use crate::comm::{Group, TAG_USER_MAX};
 use crate::model::FaultAction;
-use crate::sched::GateBoard;
+use crate::sched::{GateBoard, WakeHandle};
 use crate::vtime::VClock;
 
 /// Safety-net re-scan period for parked gate waiters. Gate wakes are
@@ -76,14 +93,24 @@ pub struct Candidate {
     pub arrival: SimTime,
 }
 
-/// Which wildcard operation reached the choice point.
+impl Candidate {
+    fn of(e: &Envelope) -> Candidate {
+        Candidate {
+            src_global: e.src_global,
+            tag: e.tag,
+            payload_len: e.payload.len(),
+            arrival: e.arrival,
+        }
+    }
+}
+
+/// Which operation reached the fabric: a receive or a probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChoiceKind {
-    /// A wildcard receive ([`Fabric::take_any`]): the chosen message is
-    /// removed from the mailbox.
+    /// A receive: the chosen message is removed from the mailbox.
     Take,
-    /// A blocking wildcard probe ([`Fabric::peek_any`]): the chosen
-    /// message is only reported; a later receive decides again.
+    /// A probe: the chosen message is only reported (copied, sharing the
+    /// payload); a later receive decides again.
     Peek,
 }
 
@@ -179,6 +206,36 @@ pub struct Envelope {
     pub arrival: SimTime,
 }
 
+/// Which messages a receive or probe accepts — a value, so that a parked
+/// rank can publish it and [`Fabric::deliver`] can tell whether a new
+/// message concerns the call the rank is parked in.
+#[derive(Debug, Clone)]
+pub struct MatchSpec {
+    /// Communicator context.
+    pub ctx: u64,
+    /// Sender's *global* rank; `None` accepts any member of `group`.
+    pub src: Option<usize>,
+    /// Tag; `None` accepts any user tag (≤ [`TAG_USER_MAX`]).
+    pub tag: Option<u32>,
+    /// The communicator's members.
+    pub group: Group,
+}
+
+impl MatchSpec {
+    /// Whether the call accepts `e`.
+    pub fn matches(&self, e: &Envelope) -> bool {
+        e.ctx == self.ctx
+            && match self.tag {
+                Some(t) => e.tag == t,
+                None => e.tag <= TAG_USER_MAX,
+            }
+            && match self.src {
+                Some(s) => e.src_global == s,
+                None => self.group.local(e.src_global).is_some(),
+            }
+    }
+}
+
 /// What a rank is doing, as seen by other ranks' safety scans.
 #[derive(Clone, Copy, Debug)]
 enum RankWait {
@@ -187,7 +244,7 @@ enum RankWait {
     Running,
     /// Parked in a blocking receive/probe, or finished: produces nothing
     /// before `bound` (`INFINITY` when it cannot act at all without a new
-    /// delivery). Deliveries lower the bound conservatively until the
+    /// delivery). A delivery its call accepts lowers the bound until the
     /// rank wakes and re-evaluates.
     Blocked { bound: SimTime },
 }
@@ -199,9 +256,22 @@ struct PendingChoice {
     candidates: Vec<Candidate>,
 }
 
+/// Scratch for the per-source "first match" walk: `seen[src]` holds the
+/// stamp of the last walk that met `src`, so starting a walk is one
+/// increment — no per-call bitmap to allocate or clear.
+struct SourceMarks {
+    stamp: u64,
+    seen: Vec<u64>,
+}
+
 struct FabricState {
     queues: Vec<VecDeque<Envelope>>,
     waits: Vec<RankWait>,
+    /// What the call a `Blocked` rank is parked in accepts (`None` for
+    /// running and finished ranks). Kept in lockstep with `waits`.
+    waiting: Vec<Option<MatchSpec>>,
+    /// The wake handle of the thread that last parked as each rank.
+    handles: Vec<Option<Arc<WakeHandle>>>,
     // --- scan indices, kept in lockstep with `waits` by `set_wait` ---
     /// Ranks currently `Running` (arbitrary order; swap-removed).
     running: Vec<usize>,
@@ -211,12 +281,14 @@ struct FabricState {
     /// scan reads the minimum commitment in O(1) instead of O(n).
     blocked_bounds: BTreeSet<(u64, usize)>,
     /// `(time_bits(scan bound), rank)` for ranks parked inside a gate
-    /// loop (`take_any`/`peek_any` candidate gates, `try_*_at` deadline
-    /// scans): the set the wake scan walks, ascending.
+    /// loop (wildcard candidate gates, `try_*_at` deadline scans): the
+    /// set the wake scan walks, ascending.
     gate_waiters: BTreeSet<(u64, usize)>,
     /// rank → scan bound while parked in a gate loop (mirror of
     /// `gate_waiters`, for per-rank lookup).
     gate_scan: Vec<Option<u64>>,
+    /// Scratch of [`for_each_head`].
+    marks: SourceMarks,
     // --- adversarial-network state (inert without an injector) ---
     /// Fault decider for eligible messages, if any.
     injector: Option<Arc<dyn FaultInjector>>,
@@ -245,9 +317,6 @@ struct FabricState {
     pending: Vec<Option<PendingChoice>>,
     /// Decision issued to the rank, not yet consumed by it.
     granted: Vec<Option<Candidate>>,
-    /// Virtual time at which the rank waits inside `try_take_at` /
-    /// `try_peek_at` (deterministic gate waiters, not choice points).
-    gate_now: Vec<Option<SimTime>>,
     /// Number of decisions granted this job.
     seq: u64,
     /// Set when a stable state with no possible progress was reached:
@@ -256,9 +325,40 @@ struct FabricState {
 }
 
 impl FabricState {
+    /// The state of an `n`-rank fabric before its first job: every rank
+    /// running, nothing queued, no adversary.
+    fn new(n: usize) -> Self {
+        FabricState {
+            queues: (0..n).map(|_| VecDeque::new()).collect(),
+            waits: vec![RankWait::Running; n],
+            waiting: vec![None; n],
+            handles: vec![None; n],
+            running: (0..n).collect(),
+            running_pos: (0..n).collect(),
+            blocked_bounds: BTreeSet::new(),
+            gate_waiters: BTreeSet::new(),
+            gate_scan: vec![None; n],
+            marks: SourceMarks {
+                stamp: 0,
+                seen: vec![0; n],
+            },
+            injector: None,
+            link_seq: BTreeMap::new(),
+            limbo: BTreeMap::new(),
+            fault_stats: FaultStats::default(),
+            finished: vec![false; n],
+            confirmed: vec![false; n],
+            pending: vec![None; n],
+            granted: vec![None; n],
+            seq: 0,
+            poisoned: None,
+        }
+    }
+
     /// The single choke point for wait-state transitions: keeps the
-    /// `running` / `blocked_bounds` scan indices in lockstep with
-    /// `waits`. Every write to a rank's wait state must go through here.
+    /// `running` / `blocked_bounds` scan indices and the published
+    /// `waiting` spec in lockstep with `waits`. Every write to a rank's
+    /// wait state must go through here.
     fn set_wait(&mut self, rank: usize, w: RankWait) {
         match self.waits[rank] {
             RankWait::Running => {
@@ -278,11 +378,144 @@ impl FabricState {
             RankWait::Running => {
                 self.running_pos[rank] = self.running.len();
                 self.running.push(rank);
+                self.waiting[rank] = None;
             }
             RankWait::Blocked { bound } => {
                 self.blocked_bounds.insert((time_bits(bound), rank));
             }
         }
+    }
+
+    /// Remove (receive) or copy (probe) the envelope at `idx` of `dst`'s
+    /// mailbox. The copy shares the payload by refcount.
+    fn claim(&mut self, dst: usize, idx: usize, kind: ChoiceKind) -> Envelope {
+        match kind {
+            ChoiceKind::Take => self.queues[dst].remove(idx).expect("index just found"),
+            ChoiceKind::Peek => self.queues[dst][idx].clone(),
+        }
+    }
+
+    /// Virtual-order candidate in `dst`'s mailbox: among the per-source
+    /// heads `spec` accepts, the one minimizing `(arrival, src_global)`.
+    /// Returns the queue index.
+    fn select_virtual(&mut self, dst: usize, spec: &MatchSpec) -> Option<usize> {
+        let mut best: Option<(usize, SimTime, usize)> = None;
+        for_each_head(&self.queues[dst], spec, &mut self.marks, |i, e| {
+            let better = best.is_none_or(|(_, arrival, src)| {
+                e.arrival
+                    .total_cmp(&arrival)
+                    .then(e.src_global.cmp(&src))
+                    .is_lt()
+            });
+            if better {
+                best = Some((i, e.arrival, e.src_global));
+            }
+        });
+        best.map(|(i, _, _)| i)
+    }
+
+    /// Every per-source matching head in `dst`'s mailbox, sorted by
+    /// `(arrival, src)` — the full candidate set
+    /// [`FabricState::select_virtual`] picks its minimum from.
+    fn candidate_set(&mut self, dst: usize, spec: &MatchSpec) -> Vec<Candidate> {
+        let mut out: Vec<Candidate> = Vec::new();
+        for_each_head(&self.queues[dst], spec, &mut self.marks, |_, e| {
+            out.push(Candidate::of(e));
+        });
+        out.sort_by(|a, b| {
+            a.arrival
+                .total_cmp(&b.arrival)
+                .then(a.src_global.cmp(&b.src_global))
+        });
+        out
+    }
+}
+
+/// Visit, in queue order, the first envelope of each source that `spec`
+/// accepts (MPI non-overtaking: only a source's first match is
+/// eligible). One O(q) walk; sources are dense small integers, so the
+/// "already met" test is an indexed load — the `Vec::contains` variants
+/// this replaces made a wide funnel O(n³) overall.
+fn for_each_head(
+    q: &VecDeque<Envelope>,
+    spec: &MatchSpec,
+    marks: &mut SourceMarks,
+    mut visit: impl FnMut(usize, &Envelope),
+) {
+    marks.stamp += 1;
+    for (i, e) in q.iter().enumerate() {
+        if marks.seen[e.src_global] == marks.stamp || !spec.matches(e) {
+            continue;
+        }
+        marks.seen[e.src_global] = marks.stamp;
+        visit(i, e);
+    }
+}
+
+/// Threads to unpark once the fabric lock is released. The inline slots
+/// cover the hot paths (a delivery wakes one rank, a park hands one slot
+/// on); only broadcast-like scans spill to the heap.
+#[derive(Default)]
+struct WakeList {
+    inline: [Option<Thread>; 4],
+    spill: Vec<Thread>,
+}
+
+impl WakeList {
+    fn push(&mut self, t: Thread) {
+        match self.inline.iter_mut().find(|s| s.is_none()) {
+            Some(slot) => *slot = Some(t),
+            None => self.spill.push(t),
+        }
+    }
+}
+
+impl Drop for WakeList {
+    fn drop(&mut self) {
+        for t in self.inline.iter_mut().filter_map(Option::take) {
+            t.unpark();
+        }
+        for t in self.spill.drain(..) {
+            t.unpark();
+        }
+    }
+}
+
+/// The fabric state guard plus the wakes decided under it. Fields drop
+/// in declaration order: the guard first, then the list, whose drop
+/// issues the unparks — no woken thread finds the lock held by its waker.
+struct Locked<'a> {
+    st: MutexGuard<'a, FabricState>,
+    wakes: WakeList,
+}
+
+impl<'a> Locked<'a> {
+    fn new(st: MutexGuard<'a, FabricState>) -> Self {
+        Locked {
+            st,
+            wakes: WakeList::default(),
+        }
+    }
+}
+
+/// Make `rank` ready if its thread is parked; the unpark itself waits in
+/// `wakes` for the guard's drop.
+fn wake_rank(st: &FabricState, wakes: &mut WakeList, rank: usize) {
+    if let Some(t) = st.handles[rank].as_ref().and_then(WakeHandle::make_ready) {
+        wakes.push(t);
+    }
+}
+
+impl Deref for Locked<'_> {
+    type Target = FabricState;
+    fn deref(&self) -> &FabricState {
+        &self.st
+    }
+}
+
+impl DerefMut for Locked<'_> {
+    fn deref_mut(&mut self) -> &mut FabricState {
+        &mut self.st
     }
 }
 
@@ -292,77 +525,12 @@ pub struct Fabric {
     spec: ClusterSpec,
     clocks: Vec<Arc<VClock>>,
     state: Mutex<FabricState>,
-    cvs: Vec<Condvar>,
     oracle: Option<Arc<dyn ScheduleOracle>>,
     /// Watermark connecting clock advances to parked gate waiters; also
     /// attached to every fabric-owned clock.
     board: Arc<GateBoard>,
     /// Set once the steward wake thread has been spawned for this fabric.
     steward_once: OnceLock<()>,
-}
-
-/// Virtual-order candidate: for each source only its first matching
-/// message is eligible (non-overtaking); among those heads, pick the one
-/// minimizing `(arrival, src_global)`. Returns the queue index.
-fn select_virtual<F>(q: &VecDeque<Envelope>, pred: &mut F) -> Option<usize>
-where
-    F: FnMut(&Envelope) -> bool,
-{
-    // Per-source "already considered" bitmap. The queue only holds
-    // envelopes from ranks of this fabric, so sources are dense small
-    // integers; a bitmap keeps the whole scan O(q) — the Vec::contains
-    // variant this replaces made a 10k-rank funnel O(n^3) overall.
-    let mut seen = vec![false; q.iter().map(|e| e.src_global + 1).max().unwrap_or(0)];
-    let mut best: Option<usize> = None;
-    for (i, e) in q.iter().enumerate() {
-        if seen[e.src_global] || !pred(e) {
-            continue;
-        }
-        seen[e.src_global] = true;
-        let better = match best {
-            None => true,
-            Some(b) => {
-                let cur = &q[b];
-                match e.arrival.total_cmp(&cur.arrival) {
-                    std::cmp::Ordering::Less => true,
-                    std::cmp::Ordering::Equal => e.src_global < cur.src_global,
-                    std::cmp::Ordering::Greater => false,
-                }
-            }
-        };
-        if better {
-            best = Some(i);
-        }
-    }
-    best
-}
-
-/// Every per-source matching head in `q`, sorted by `(arrival, src)` —
-/// the full candidate set [`select_virtual`] picks its minimum from.
-fn candidate_set<F>(q: &VecDeque<Envelope>, pred: &mut F) -> Vec<Candidate>
-where
-    F: FnMut(&Envelope) -> bool,
-{
-    let mut seen: Vec<usize> = Vec::new();
-    let mut out: Vec<Candidate> = Vec::new();
-    for e in q {
-        if seen.contains(&e.src_global) || !pred(e) {
-            continue;
-        }
-        seen.push(e.src_global);
-        out.push(Candidate {
-            src_global: e.src_global,
-            tag: e.tag,
-            payload_len: e.payload.len(),
-            arrival: e.arrival,
-        });
-    }
-    out.sort_by(|a, b| {
-        a.arrival
-            .total_cmp(&b.arrival)
-            .then(a.src_global.cmp(&b.src_global))
-    });
-    out
 }
 
 impl Fabric {
@@ -388,27 +556,7 @@ impl Fabric {
         Fabric {
             spec,
             clocks,
-            state: Mutex::new("rocnet.fabric_state", FabricState {
-                queues: (0..n).map(|_| VecDeque::new()).collect(),
-                waits: vec![RankWait::Running; n],
-                running: (0..n).collect(),
-                running_pos: (0..n).collect(),
-                blocked_bounds: BTreeSet::new(),
-                gate_waiters: BTreeSet::new(),
-                gate_scan: vec![None; n],
-                injector: None,
-                link_seq: BTreeMap::new(),
-                limbo: BTreeMap::new(),
-                fault_stats: FaultStats::default(),
-                finished: vec![false; n],
-                confirmed: vec![false; n],
-                pending: (0..n).map(|_| None).collect(),
-                granted: vec![None; n],
-                gate_now: vec![None; n],
-                seq: 0,
-                poisoned: None,
-            }),
-            cvs: (0..n).map(|_| Condvar::new()).collect(),
+            state: Mutex::new("rocnet.fabric_state", FabricState::new(n)),
             oracle,
             board,
             steward_once: OnceLock::new(),
@@ -437,8 +585,8 @@ impl Fabric {
         // Clear the latch *before* reading state: a crossing that lands
         // mid-scan re-signals and triggers one more pass.
         self.board.begin_scan();
-        let mut st = self.state.lock();
-        self.wake_gates_locked(&mut st);
+        let mut g = Locked::new(self.state.lock());
+        self.wake_gates(&mut g);
     }
 
     /// The cluster description this fabric models.
@@ -472,51 +620,42 @@ impl Fabric {
         self.state.lock().fault_stats
     }
 
-    /// Mark every rank runnable again (a fresh "job" on this fabric).
+    /// Mark every rank runnable again (a fresh "job" on this fabric):
+    /// mailboxes and the adversary carry over, everything else restarts.
     pub fn begin_job(&self) {
         let mut st = self.state.lock();
-        let n = st.waits.len();
-        for w in st.waits.iter_mut() {
-            *w = RankWait::Running;
-        }
-        st.running = (0..n).collect();
-        st.running_pos = (0..n).collect();
-        st.blocked_bounds.clear();
-        st.gate_waiters.clear();
-        st.gate_scan = vec![None; n];
+        let fresh = FabricState::new(st.waits.len());
+        let old = std::mem::replace(&mut *st, fresh);
+        st.queues = old.queues;
+        st.injector = old.injector;
+        st.link_seq = old.link_seq;
+        st.limbo = old.limbo;
+        st.fault_stats = old.fault_stats;
         self.board.set_min(u64::MAX);
-        st.finished = vec![false; n];
-        st.confirmed = vec![false; n];
-        st.pending = (0..n).map(|_| None).collect();
-        st.granted = vec![None; n];
-        st.gate_now = vec![None; n];
-        st.seq = 0;
-        st.poisoned = None;
     }
 
     /// Mark `rank`'s thread as done: it will never send again, so gates on
     /// other ranks must not wait for its clock.
     ///
     /// Only gate waiters can be *enabled* by a finish (the rank's
-    /// commitment rises to ∞), so the targeted wake scan replaces the
-    /// notify-everyone broadcast the threaded harness used — at 10k
-    /// ranks that broadcast was O(n²) condvar signals per job teardown.
+    /// commitment rises to ∞), so the targeted wake scan is enough — a
+    /// wake-everyone broadcast would be O(n²) wakes per job teardown.
     pub fn finish_rank(&self, rank: usize) {
-        let mut st = self.state.lock();
-        st.set_wait(
+        let mut g = Locked::new(self.state.lock());
+        g.set_wait(
             rank,
             RankWait::Blocked {
                 bound: SimTime::INFINITY,
             },
         );
-        st.finished[rank] = true;
-        st.pending[rank] = None;
-        st.gate_now[rank] = None;
-        if let Some(bits) = st.gate_scan[rank].take() {
-            st.gate_waiters.remove(&(bits, rank));
+        g.waiting[rank] = None;
+        g.finished[rank] = true;
+        g.pending[rank] = None;
+        if let Some(bits) = g.gate_scan[rank].take() {
+            g.gate_waiters.remove(&(bits, rank));
         }
-        self.oracle_step(&mut st);
-        self.wake_gates_locked(&mut st);
+        self.oracle_step(&mut g);
+        self.wake_gates(&mut g);
     }
 
     /// Panic out of a fabric call once exploration has declared the job
@@ -527,11 +666,12 @@ impl Fabric {
         }
     }
 
-    /// Park `rank` as `Blocked {{ bound }}`; in oracle mode also mark it
-    /// confirmed and run the scheduler step, since this rank blocking may
-    /// complete a stable state. Blocking raises the rank's commitment,
-    /// which may let parked gate waiters pass: run the wake scan.
-    fn block(&self, st: &mut FabricState, rank: usize, bound: SimTime) {
+    /// Publish `rank` as `Blocked {{ bound }}` in a call accepting `spec`;
+    /// in oracle mode also mark it confirmed and run the scheduler step,
+    /// since this rank blocking may complete a stable state. Blocking
+    /// raises the rank's commitment, which may let parked gate waiters
+    /// pass: run the wake scan.
+    fn block(&self, g: &mut Locked, rank: usize, bound: SimTime, spec: &MatchSpec) {
         // Floor the published commitment at the rank's own clock: clocks
         // are monotone and every future send is stamped past the sender's
         // clock, so a rank can never produce an arrival earlier than its
@@ -543,42 +683,42 @@ impl Fabric {
         // *when* it runs, a host-scheduling race that breaks schedule
         // replay.
         let bound = bound.max(self.clocks[rank].now());
-        st.set_wait(rank, RankWait::Blocked { bound });
+        g.set_wait(rank, RankWait::Blocked { bound });
+        g.waiting[rank] = Some(spec.clone());
         if self.oracle.is_some() {
-            st.confirmed[rank] = true;
-            self.oracle_step(st);
+            g.confirmed[rank] = true;
+            self.oracle_step(g);
         }
-        self.wake_gates_locked(st);
+        self.wake_gates(g);
     }
 
-    /// Return `rank` to `Running` after a wake-up or on the return path of
-    /// a blocking call.
+    /// Return `rank` to `Running` on the return path of a blocking call.
     fn unblock(&self, st: &mut FabricState, rank: usize) {
         st.set_wait(rank, RankWait::Running);
         st.confirmed[rank] = false;
         st.pending[rank] = None;
-        st.gate_now[rank] = None;
     }
 
     /// Register `rank` as a parked gate waiter with scan bound `bound`:
     /// publish the bound as its commitment, enter it in the wake set,
     /// refresh the clock watermark, and let other waiters that our
     /// commitment unblocks pass.
-    fn gate_park(&self, st: &mut FabricState, rank: usize, bound: SimTime) {
+    fn gate_park(&self, g: &mut Locked, rank: usize, bound: SimTime, spec: &MatchSpec) {
         // Commitment floored at the clock (see `block`); the waiter's own
         // scan threshold stays at the requested bound — it needs safety
         // only up to its deadline.
-        st.set_wait(
+        g.set_wait(
             rank,
             RankWait::Blocked {
                 bound: bound.max(self.clocks[rank].now()),
             },
         );
+        g.waiting[rank] = Some(spec.clone());
         let bits = time_bits(bound);
-        st.gate_scan[rank] = Some(bits);
-        st.gate_waiters.insert((bits, rank));
-        self.refresh_board(st);
-        self.wake_gates_locked(st);
+        g.gate_scan[rank] = Some(bits);
+        g.gate_waiters.insert((bits, rank));
+        self.refresh_board(g);
+        self.wake_gates(g);
     }
 
     /// Deregister `rank` from the gate-waiter set after its park returns
@@ -602,7 +742,7 @@ impl Fabric {
         self.board.set_min(min);
     }
 
-    /// Notify every parked gate waiter whose safety scan now passes.
+    /// Wake every parked gate waiter whose safety scan now passes.
     ///
     /// A waiter with scan bound `b` passes iff every *other* rank is
     /// blocked with commitment ≥ `b` or running with clock ≥ `b`. The
@@ -613,7 +753,8 @@ impl Fabric {
     /// waiters at (or tied with) the minimum commitment can pass — the
     /// ascending walk stops at the first generic failure, so the scan is
     /// O(passing waiters), not O(n).
-    fn wake_gates_locked(&self, st: &mut FabricState) {
+    fn wake_gates(&self, g: &mut Locked) {
+        let (st, wakes) = (&*g.st, &mut g.wakes);
         if st.gate_waiters.is_empty() {
             return;
         }
@@ -632,7 +773,7 @@ impl Fabric {
                 break;
             }
             if r != r1 || bw <= b2.min(run_min_bits) {
-                self.cvs[r].notify_all();
+                wake_rank(st, wakes, r);
             }
         }
         // The rank holding the minimum commitment excludes itself from
@@ -641,36 +782,27 @@ impl Fabric {
         if r1 != usize::MAX {
             if let Some(bw) = st.gate_scan[r1] {
                 if bw > generic && bw <= b2.min(run_min_bits) {
-                    self.cvs[r1].notify_all();
+                    wake_rank(st, wakes, r1);
                 }
             }
         }
     }
 
-    /// Park the calling rank on its fabric condvar, lending its scheduler
-    /// admission slot to another rank for the duration (no-op outside the
-    /// pool). The fabric lock is held on entry and re-held on return; the
-    /// caller must re-check its wake condition — arbitrary progress can
-    /// happen between the condvar wake and slot reacquisition.
-    fn park_on_cv<'a>(
-        &'a self,
-        mut st: MutexGuard<'a, FabricState>,
-        rank: usize,
-        timeout: Option<Duration>,
-    ) -> MutexGuard<'a, FabricState> {
-        let lent = crate::sched::lend_slot();
-        match timeout {
-            Some(d) => {
-                self.cvs[rank].wait_for(&mut st, d);
-            }
-            None => self.cvs[rank].wait(&mut st),
+    /// Put the calling thread to sleep as `rank`: hand its admission slot
+    /// to the scheduler's queue head, release the fabric lock (issuing
+    /// the wakes decided under it), sleep until made ready — already
+    /// holding a slot again — and re-take the lock. The caller published
+    /// its wait state under the same lock hold, and must re-check its
+    /// wake condition: arbitrary progress can happen in between.
+    fn park<'a>(&'a self, mut g: Locked<'a>, rank: usize, timeout: Option<Duration>) -> Locked<'a> {
+        let me = WakeHandle::current();
+        g.handles[rank] = Some(Arc::clone(&me));
+        if let Some(next) = me.park() {
+            g.wakes.push(next);
         }
-        if lent {
-            drop(st);
-            crate::sched::reacquire_slot();
-            st = self.state.lock();
-        }
-        st
+        drop(g);
+        me.sleep(timeout);
+        Locked::new(self.state.lock())
     }
 
     /// Oracle-mode scheduler step, run under the state lock whenever a
@@ -680,22 +812,22 @@ impl Fabric {
     /// least-ranked pending wildcard choice via the oracle. If nothing is
     /// grantable and no deterministic gate waiter can proceed either, the
     /// job can never make progress again: poison it.
-    fn oracle_step(&self, st: &mut FabricState) {
+    fn oracle_step(&self, g: &mut Locked) {
         let Some(oracle) = self.oracle.as_ref() else {
             return;
         };
-        if st.poisoned.is_some() {
+        if g.poisoned.is_some() {
             return;
         }
         let n = self.clocks.len();
         for r in 0..n {
-            if st.granted[r].is_some() {
+            if g.granted[r].is_some() {
                 return; // a granted rank is (logically) running
             }
-            if st.finished[r] {
+            if g.finished[r] {
                 continue;
             }
-            if matches!(st.waits[r], RankWait::Running) || !st.confirmed[r] {
+            if matches!(g.waits[r], RankWait::Running) || !g.confirmed[r] {
                 return;
             }
         }
@@ -710,31 +842,32 @@ impl Fabric {
         // prefix would observe the two decisions in either order.
         let mut gate_can_run = false;
         for r in 0..n {
-            if !st.finished[r] && st.gate_now[r].is_some_and(|now| self.scan_safe(st, r, now)) {
+            let scan = g.gate_scan[r].map(f64::from_bits);
+            if !g.finished[r] && scan.is_some_and(|now| self.scan_safe(g, r, now)) {
                 gate_can_run = true;
-                self.cvs[r].notify_all();
+                wake_rank(&g.st, &mut g.wakes, r);
             }
         }
         if gate_can_run {
             return;
         }
         let chosen = (0..n).find_map(|r| {
-            if st.finished[r] {
+            if g.finished[r] {
                 return None;
             }
-            match &st.pending[r] {
+            match &g.pending[r] {
                 Some(p) if !p.candidates.is_empty() => Some((r, p.clone())),
                 _ => None,
             }
         });
         if let Some((r, p)) = chosen {
             let point = ChoicePoint {
-                seq: st.seq,
+                seq: g.seq,
                 dst: r,
                 kind: p.kind,
                 candidates: p.candidates,
             };
-            st.seq += 1;
+            g.seq += 1;
             let i = oracle.choose(&point);
             assert!(
                 i < point.candidates.len(),
@@ -742,37 +875,37 @@ impl Fabric {
                 point.candidates.len(),
                 point.seq
             );
-            st.granted[r] = Some(point.candidates[i]);
-            st.pending[r] = None;
+            g.granted[r] = Some(point.candidates[i]);
+            g.pending[r] = None;
             // The grant makes r logically runnable; publishing Running
             // keeps other ranks' safety scans conservative until it acts.
-            st.set_wait(r, RankWait::Running);
-            st.confirmed[r] = false;
-            self.cvs[r].notify_all();
+            g.set_wait(r, RankWait::Running);
+            g.confirmed[r] = false;
+            wake_rank(&g.st, &mut g.wakes, r);
             return;
         }
         // No wildcard to grant and no gate waiter can proceed: the job
         // can never make progress again.
-        if (0..n).any(|r| !st.finished[r]) {
+        if (0..n).any(|r| !g.finished[r]) {
             let stuck: Vec<String> = (0..n)
-                .filter(|&r| !st.finished[r])
+                .filter(|&r| !g.finished[r])
                 .map(|r| {
-                    let what = match (&st.pending[r], st.gate_now[r]) {
+                    let what = match (&g.pending[r], g.gate_scan[r]) {
                         (Some(_), _) => "wildcard with no candidates",
                         (None, Some(_)) => "virtual-time gate",
                         (None, None) => "specific-source receive/probe",
                     };
-                    format!("rank {r} ({what}, {} queued)", st.queues[r].len())
+                    format!("rank {r} ({what}, {} queued)", g.queues[r].len())
                 })
                 .collect();
             let msg = format!(
                 "deadlock after {} decisions: no rank can make progress — {}",
-                st.seq,
+                g.seq,
                 stuck.join(", ")
             );
-            st.poisoned = Some(msg);
-            for cv in &self.cvs {
-                cv.notify_all();
+            g.poisoned = Some(msg);
+            for r in 0..n {
+                wake_rank(&g.st, &mut g.wakes, r);
             }
         }
     }
@@ -803,30 +936,39 @@ impl Fabric {
             .all(|&s| s == me || self.clocks[s].now() >= bound)
     }
 
-    /// Queue `env` at `dst` under the lock: lower the destination's
-    /// published bound and invalidate its confirmed/stable status.
-    fn enqueue_locked(&self, st: &mut FabricState, dst: usize, env: Envelope) {
+    /// Queue `env` at `dst` under the lock. If `dst` is parked in a call
+    /// that can use the message, lower its published bound and wake it;
+    /// otherwise the message changes nothing `dst` has promised.
+    fn enqueue(&self, g: &mut Locked, dst: usize, env: Envelope) {
         // A finished rank never wakes to re-raise its bound, so lowering
-        // it would wedge every other rank's scan forever. Trailing
-        // traffic to finished ranks is normal under the reliability
-        // layer (acks racing a peer's exit).
-        if !st.finished[dst] {
-            if let RankWait::Blocked { bound } = st.waits[dst] {
-                // Conservative: the parked rank may act on this message
-                // as soon as it wakes; its published commitment shrinks
-                // until it re-evaluates under the lock. Still floored at
-                // the rank's clock (see `block`): reacting to the message
-                // cannot produce an arrival earlier than the clock.
+        // it would wedge every other rank's scan forever (trailing acks
+        // racing a peer's exit are normal under the reliability layer).
+        if let (false, RankWait::Blocked { bound }) = (g.finished[dst], g.waits[dst]) {
+            // The parked call returns only by claiming a message its spec
+            // accepts, and a gate-parked one only an arrival up to its
+            // scan bound (its candidate's arrival, or its deadline). Any
+            // other message cannot end the call, so the commitment
+            // published with it stands: no lowering, no wake. Under an
+            // oracle every delivery invalidates the rank's confirmation,
+            // so every delivery wakes it.
+            let usable = self.oracle.is_some()
+                || (g.waiting[dst].as_ref().is_none_or(|s| s.matches(&env))
+                    && g.gate_scan[dst].is_none_or(|scan| time_bits(env.arrival) <= scan));
+            if usable {
+                // The rank may act on this message as soon as it wakes:
+                // its commitment shrinks until it re-evaluates under the
+                // lock — floored at its clock, as in `block`.
                 let lowered = env.arrival.max(self.clocks[dst].now());
                 if lowered < bound {
-                    st.set_wait(dst, RankWait::Blocked { bound: lowered });
+                    g.set_wait(dst, RankWait::Blocked { bound: lowered });
                 }
+                wake_rank(&g.st, &mut g.wakes, dst);
             }
         }
         // Oracle mode: the destination's registered choice point (if any)
         // is now stale; no decision may be granted until it re-confirms.
-        st.confirmed[dst] = false;
-        st.queues[dst].push_back(env);
+        g.confirmed[dst] = false;
+        g.queues[dst].push_back(env);
     }
 
     /// Deliver an envelope to global rank `dst`, running it through the
@@ -839,363 +981,192 @@ impl Fabric {
     /// a stash can never wedge a receiver. Both outcomes of the reorder
     /// stay pure functions of virtual state.
     pub fn deliver(&self, dst: usize, env: Envelope) {
-        let mut st = self.state.lock();
-        self.check_poison(&st);
+        let mut g = Locked::new(self.state.lock());
+        self.check_poison(&g);
         let src = env.src_global;
-        let eligible = st.injector.is_some()
-            && env.ctx == 0
-            && env.tag <= crate::comm::TAG_USER_MAX
-            && src != dst;
+        let eligible =
+            g.injector.is_some() && env.ctx == 0 && env.tag <= TAG_USER_MAX && src != dst;
         if !eligible {
-            self.enqueue_locked(&mut st, dst, env);
-            self.cvs[dst].notify_all();
+            self.enqueue(&mut g, dst, env);
             return;
         }
-        let n = st.waits.len();
+        let n = g.waits.len();
         let link = src * n + dst;
-        let seq_slot = st.link_seq.entry(link).or_insert(0);
+        let seq_slot = g.link_seq.entry(link).or_insert(0);
         let seq = *seq_slot;
         *seq_slot += 1;
-        let action = st
+        let action = g
             .injector
             .as_ref()
             .expect("eligibility checked the injector")
             .decide(src, dst, seq, env.tag);
-        let stashed = st.limbo.remove(&link);
+        let stashed = g.limbo.remove(&link);
         let stamp = env.arrival;
         match action {
-            FaultAction::Deliver => self.enqueue_locked(&mut st, dst, env),
-            FaultAction::Drop => st.fault_stats.dropped += 1,
+            FaultAction::Deliver => self.enqueue(&mut g, dst, env),
+            FaultAction::Drop => g.fault_stats.dropped += 1,
             FaultAction::Duplicate => {
-                st.fault_stats.duplicated += 1;
-                self.enqueue_locked(&mut st, dst, env.clone());
-                self.enqueue_locked(&mut st, dst, env);
+                g.fault_stats.duplicated += 1;
+                self.enqueue(&mut g, dst, env.clone());
+                self.enqueue(&mut g, dst, env);
             }
             FaultAction::Reorder => {
-                st.fault_stats.reordered += 1;
-                st.limbo.insert(link, env);
+                g.fault_stats.reordered += 1;
+                g.limbo.insert(link, env);
             }
         }
         if let Some(mut old) = stashed {
             // The overtake is the re-stamp: the stash now arrives no
             // earlier than the message that flushed it out.
             old.arrival = old.arrival.max(stamp);
-            self.enqueue_locked(&mut st, dst, old);
+            self.enqueue(&mut g, dst, old);
         }
-        self.cvs[dst].notify_all();
     }
 
-    /// Remove and return the first envelope in `dst`'s mailbox matching
-    /// `pred`, blocking until one is available.
+    /// Blocking receive (`Take`) or probe (`Peek`): wait until `dst`'s
+    /// mailbox holds the message `spec` selects, then remove or copy it.
     ///
-    /// Per-source delivery order equals send order, so with a
-    /// single-source predicate this is deterministic without a gate.
-    /// Wildcard-source receives must use [`Fabric::take_any`] instead.
-    pub fn take_matching<F>(&self, dst: usize, mut pred: F) -> Envelope
-    where
-        F: FnMut(&Envelope) -> bool,
-    {
-        let mut st = self.state.lock();
+    /// With a specific source that is the first physical match — per-source
+    /// delivery order equals send order, so no gate is needed. With a
+    /// wildcard source it is the virtual-order first match (see the
+    /// module docs), committed behind the safety gate or by the oracle:
+    /// selection is a pure function of virtual time, not of the
+    /// wall-clock order in which rank threads happened to deliver.
+    pub fn wait_match(&self, dst: usize, spec: &MatchSpec, kind: ChoiceKind) -> Envelope {
+        match (spec.src, &self.oracle) {
+            (Some(_), _) => self.wait_source(dst, spec, kind),
+            (None, None) => self.wait_any_gated(dst, spec, kind),
+            (None, Some(_)) => self.wait_any_oracle(dst, spec, kind),
+        }
+    }
+
+    /// Specific-source wait: first physical match, no gate.
+    fn wait_source(&self, dst: usize, spec: &MatchSpec, kind: ChoiceKind) -> Envelope {
+        let mut g = Locked::new(self.state.lock());
         loop {
-            self.check_poison(&st);
-            if let Some(idx) = st.queues[dst].iter().position(&mut pred) {
-                self.unblock(&mut st, dst);
-                return st.queues[dst].remove(idx).expect("index just found");
+            self.check_poison(&g);
+            if let Some(idx) = g.queues[dst].iter().position(|e| spec.matches(e)) {
+                self.unblock(&mut g, dst);
+                return g.claim(dst, idx, kind);
             }
-            self.block(&mut st, dst, SimTime::INFINITY);
-            if st.poisoned.is_some() {
+            self.block(&mut g, dst, SimTime::INFINITY, spec);
+            if g.poisoned.is_some() {
                 continue; // our own block() completed a dead stable state
             }
-            st = self.park_on_cv(st, dst, None);
-            self.unblock(&mut st, dst);
+            g = self.park(g, dst, None);
         }
     }
 
-    /// Remove and return the virtual-order first matching envelope (see
-    /// the module docs), blocking both for a candidate and for the safety
-    /// gate. This is the wildcard receive: selection is a pure function of
-    /// virtual time, not of the wall-clock order in which rank threads
-    /// happened to deliver.
-    pub fn take_any<F>(&self, dst: usize, mut pred: F) -> Envelope
-    where
-        F: FnMut(&Envelope) -> bool,
-    {
-        if self.oracle.is_some() {
-            return self.take_any_oracle(dst, pred);
-        }
-        let mut st = self.state.lock();
+    /// Wildcard wait behind the conservative gate: blocks both for a
+    /// candidate and for the safety scan at its arrival.
+    fn wait_any_gated(&self, dst: usize, spec: &MatchSpec, kind: ChoiceKind) -> Envelope {
+        let mut g = Locked::new(self.state.lock());
         loop {
-            match select_virtual(&st.queues[dst], &mut pred) {
+            match g.select_virtual(dst, spec) {
                 Some(idx) => {
-                    let bound = st.queues[dst][idx].arrival;
-                    if self.scan_safe(&st, dst, bound) {
-                        if !matches!(st.waits[dst], RankWait::Running) {
-                            st.set_wait(dst, RankWait::Running);
+                    let bound = g.queues[dst][idx].arrival;
+                    if self.scan_safe(&g, dst, bound) {
+                        if !matches!(g.waits[dst], RankWait::Running) {
+                            g.set_wait(dst, RankWait::Running);
                         }
-                        return st.queues[dst].remove(idx).expect("index just found");
+                        return g.claim(dst, idx, kind);
                     }
                     // Publish the candidate as a commitment — the gate's
                     // induction needs waiting receivers to promise they
                     // produce nothing earlier than what they will take —
                     // and park until a blocking rank or the clock steward
                     // re-runs the wake scan past our bound.
-                    self.gate_park(&mut st, dst, bound);
-                    st = self.park_on_cv(st, dst, Some(GATE_FALLBACK));
-                    self.gate_unpark(&mut st, dst);
+                    self.gate_park(&mut g, dst, bound, spec);
+                    g = self.park(g, dst, Some(GATE_FALLBACK));
+                    self.gate_unpark(&mut g, dst);
                 }
                 None => {
-                    self.block(&mut st, dst, SimTime::INFINITY);
-                    st = self.park_on_cv(st, dst, None);
-                    st.set_wait(dst, RankWait::Running);
+                    self.block(&mut g, dst, SimTime::INFINITY, spec);
+                    g = self.park(g, dst, None);
                 }
             }
         }
     }
 
-    /// Oracle-mode wildcard receive: register the candidate set as a
-    /// choice point, park until a decision is granted at a stable state,
-    /// then take the granted source's head.
-    fn take_any_oracle<F>(&self, dst: usize, mut pred: F) -> Envelope
-    where
-        F: FnMut(&Envelope) -> bool,
-    {
-        let mut st = self.state.lock();
+    /// Oracle-mode wildcard wait: register the candidate set as a choice
+    /// point, park until a decision is granted at a stable state, then
+    /// claim the granted source's head.
+    fn wait_any_oracle(&self, dst: usize, spec: &MatchSpec, kind: ChoiceKind) -> Envelope {
+        let mut g = Locked::new(self.state.lock());
         loop {
-            self.check_poison(&st);
-            if let Some(cand) = st.granted[dst].take() {
-                self.unblock(&mut st, dst);
-                let idx = st.queues[dst]
+            self.check_poison(&g);
+            if let Some(cand) = g.granted[dst].take() {
+                self.unblock(&mut g, dst);
+                let idx = g.queues[dst]
                     .iter()
-                    .position(|e| e.src_global == cand.src_global && pred(e))
+                    .position(|e| e.src_global == cand.src_global && spec.matches(e))
                     .expect("granted candidate vanished from the mailbox");
-                return st.queues[dst].remove(idx).expect("index just found");
+                return g.claim(dst, idx, kind);
             }
-            let candidates = candidate_set(&st.queues[dst], &mut pred);
+            let candidates = g.candidate_set(dst, spec);
             let bound = candidates
                 .first()
                 .map(|c| c.arrival)
                 .unwrap_or(SimTime::INFINITY);
-            st.pending[dst] = Some(PendingChoice {
-                kind: ChoiceKind::Take,
-                candidates,
-            });
-            self.block(&mut st, dst, bound);
-            if st.granted[dst].is_some() || st.poisoned.is_some() {
+            g.pending[dst] = Some(PendingChoice { kind, candidates });
+            self.block(&mut g, dst, bound, spec);
+            if g.granted[dst].is_some() || g.poisoned.is_some() {
                 continue; // oracle_step granted our own registration,
                           // or declared the job dead as we parked
             }
-            st = self.park_on_cv(st, dst, None);
-            if st.granted[dst].is_none() {
+            g = self.park(g, dst, None);
+            if g.granted[dst].is_none() {
                 // Woken by a delivery (or spuriously): re-register so the
                 // choice point reflects the new mailbox contents.
-                self.unblock(&mut st, dst);
+                self.unblock(&mut g, dst);
             }
         }
     }
 
-    /// Non-blocking, ungated variant of [`Fabric::take_matching`]
-    /// (first physical match; diagnostics and single-source polling).
-    pub fn try_take_matching<F>(&self, dst: usize, mut pred: F) -> Option<Envelope>
-    where
-        F: FnMut(&Envelope) -> bool,
-    {
-        let mut st = self.state.lock();
-        self.check_poison(&st);
-        let idx = st.queues[dst].iter().position(&mut pred)?;
-        Some(st.queues[dst].remove(idx).expect("index just found"))
-    }
-
-    /// Deterministic non-blocking take at virtual time `now`: returns the
-    /// virtual-order first matching envelope that has arrived by `now`, or
-    /// `None` once no rank can still produce one. May block wall-clock
-    /// time (never virtual time) until that answer is stable.
-    pub fn try_take_at<F>(&self, dst: usize, mut pred: F, now: SimTime) -> Option<Envelope>
-    where
-        F: FnMut(&Envelope) -> bool,
-    {
-        let mut st = self.state.lock();
+    /// Deterministic non-blocking receive or probe (`MPI_Iprobe`) at
+    /// virtual time `now`: the virtual-order first matching envelope that
+    /// has arrived by `now`, or `None` once no rank can still produce
+    /// one. May block wall-clock time (never virtual time) until that
+    /// answer is stable.
+    pub fn settle_at(
+        &self,
+        dst: usize,
+        spec: &MatchSpec,
+        now: SimTime,
+        kind: ChoiceKind,
+    ) -> Option<Envelope> {
+        let mut g = Locked::new(self.state.lock());
         loop {
-            self.check_poison(&st);
-            if self.scan_safe(&st, dst, now) {
-                self.unblock(&mut st, dst);
-                let idx = select_virtual(&st.queues[dst], &mut pred)
-                    .filter(|&i| st.queues[dst][i].arrival <= now);
-                return idx.map(|i| st.queues[dst].remove(i).expect("index just found"));
+            self.check_poison(&g);
+            if self.scan_safe(&g, dst, now) {
+                self.unblock(&mut g, dst);
+                let idx = g
+                    .select_virtual(dst, spec)
+                    .filter(|&i| g.queues[dst][i].arrival <= now)?;
+                return Some(g.claim(dst, idx, kind));
             }
             // Publish the wait as a gate park. `now` may sit in the
             // caller's future (a retransmit-timer deadline): sound,
             // because the caller acts no earlier than `now` on a
             // timeout, and any earlier delivery lowers this bound
             // before the caller could possibly react to it.
-            self.gate_park(&mut st, dst, now);
+            self.gate_park(&mut g, dst, now, spec);
             if self.oracle.is_some() {
                 // Also publish it to oracle stability: this deterministic
-                // gate waiter needs no decision (not a choice point), but
-                // stable states must be able to form around it.
-                st.gate_now[dst] = Some(now);
-                st.confirmed[dst] = true;
-                self.oracle_step(&mut st);
-                if st.poisoned.is_some() {
-                    self.gate_unpark(&mut st, dst);
+                // gate waiter needs no decision (not a choice point; under
+                // an oracle only these ever enter `gate_scan`), but stable
+                // states must be able to form around it.
+                g.confirmed[dst] = true;
+                self.oracle_step(&mut g);
+                if g.poisoned.is_some() {
+                    self.gate_unpark(&mut g, dst);
                     continue; // our own park completed a dead stable state
                 }
             }
-            st = self.park_on_cv(st, dst, Some(GATE_FALLBACK));
-            self.gate_unpark(&mut st, dst);
+            g = self.park(g, dst, Some(GATE_FALLBACK));
+            self.gate_unpark(&mut g, dst);
             if self.oracle.is_some() {
-                st.confirmed[dst] = false;
-            }
-        }
-    }
-
-    /// Peek the first matching envelope without removing it, blocking
-    /// until one is available. Returns `(src_global, tag, payload_len,
-    /// arrival)`. Single-source counterpart of [`Fabric::peek_any`].
-    pub fn peek_matching<F>(&self, dst: usize, mut pred: F) -> (usize, u32, usize, SimTime)
-    where
-        F: FnMut(&Envelope) -> bool,
-    {
-        let mut st = self.state.lock();
-        loop {
-            self.check_poison(&st);
-            if let Some(env) = st.queues[dst].iter().find(|e| pred(e)) {
-                let found = (env.src_global, env.tag, env.payload.len(), env.arrival);
-                self.unblock(&mut st, dst);
-                return found;
-            }
-            self.block(&mut st, dst, SimTime::INFINITY);
-            if st.poisoned.is_some() {
-                continue;
-            }
-            st = self.park_on_cv(st, dst, None);
-            self.unblock(&mut st, dst);
-        }
-    }
-
-    /// Gated wildcard peek: blocking probe counterpart of
-    /// [`Fabric::take_any`].
-    pub fn peek_any<F>(&self, dst: usize, mut pred: F) -> (usize, u32, usize, SimTime)
-    where
-        F: FnMut(&Envelope) -> bool,
-    {
-        if self.oracle.is_some() {
-            return self.peek_any_oracle(dst, pred);
-        }
-        let mut st = self.state.lock();
-        loop {
-            match select_virtual(&st.queues[dst], &mut pred) {
-                Some(idx) => {
-                    let env = &st.queues[dst][idx];
-                    let found = (env.src_global, env.tag, env.payload.len(), env.arrival);
-                    if self.scan_safe(&st, dst, found.3) {
-                        if !matches!(st.waits[dst], RankWait::Running) {
-                            st.set_wait(dst, RankWait::Running);
-                        }
-                        return found;
-                    }
-                    self.gate_park(&mut st, dst, found.3);
-                    st = self.park_on_cv(st, dst, Some(GATE_FALLBACK));
-                    self.gate_unpark(&mut st, dst);
-                }
-                None => {
-                    self.block(&mut st, dst, SimTime::INFINITY);
-                    st = self.park_on_cv(st, dst, None);
-                    st.set_wait(dst, RankWait::Running);
-                }
-            }
-        }
-    }
-
-    /// Oracle-mode blocking wildcard probe: like [`Fabric::take_any_oracle`]
-    /// but the granted candidate is only reported, never removed.
-    fn peek_any_oracle<F>(&self, dst: usize, mut pred: F) -> (usize, u32, usize, SimTime)
-    where
-        F: FnMut(&Envelope) -> bool,
-    {
-        let mut st = self.state.lock();
-        loop {
-            self.check_poison(&st);
-            if let Some(cand) = st.granted[dst].take() {
-                self.unblock(&mut st, dst);
-                return (cand.src_global, cand.tag, cand.payload_len, cand.arrival);
-            }
-            let candidates = candidate_set(&st.queues[dst], &mut pred);
-            let bound = candidates
-                .first()
-                .map(|c| c.arrival)
-                .unwrap_or(SimTime::INFINITY);
-            st.pending[dst] = Some(PendingChoice {
-                kind: ChoiceKind::Peek,
-                candidates,
-            });
-            self.block(&mut st, dst, bound);
-            if st.granted[dst].is_some() || st.poisoned.is_some() {
-                continue;
-            }
-            st = self.park_on_cv(st, dst, None);
-            if st.granted[dst].is_none() {
-                self.unblock(&mut st, dst);
-            }
-        }
-    }
-
-    /// Non-blocking, ungated variant of [`Fabric::peek_matching`].
-    pub fn try_peek_matching<F>(
-        &self,
-        dst: usize,
-        mut pred: F,
-    ) -> Option<(usize, u32, usize, SimTime)>
-    where
-        F: FnMut(&Envelope) -> bool,
-    {
-        let st = self.state.lock();
-        self.check_poison(&st);
-        st.queues[dst]
-            .iter()
-            .find(|e| pred(e))
-            .map(|env| (env.src_global, env.tag, env.payload.len(), env.arrival))
-    }
-
-    /// Deterministic `MPI_Iprobe` at virtual time `now`: reports the
-    /// virtual-order first matching message that has arrived by `now`, or
-    /// `None` once no rank can still produce one (see
-    /// [`Fabric::try_take_at`]).
-    pub fn try_peek_at<F>(
-        &self,
-        dst: usize,
-        mut pred: F,
-        now: SimTime,
-    ) -> Option<(usize, u32, usize, SimTime)>
-    where
-        F: FnMut(&Envelope) -> bool,
-    {
-        let mut st = self.state.lock();
-        loop {
-            self.check_poison(&st);
-            if self.scan_safe(&st, dst, now) {
-                self.unblock(&mut st, dst);
-                return select_virtual(&st.queues[dst], &mut pred)
-                    .filter(|&i| st.queues[dst][i].arrival <= now)
-                    .map(|i| {
-                        let e = &st.queues[dst][i];
-                        (e.src_global, e.tag, e.payload.len(), e.arrival)
-                    });
-            }
-            // See `try_take_at`: a published future bound is sound.
-            self.gate_park(&mut st, dst, now);
-            if self.oracle.is_some() {
-                st.gate_now[dst] = Some(now);
-                st.confirmed[dst] = true;
-                self.oracle_step(&mut st);
-                if st.poisoned.is_some() {
-                    self.gate_unpark(&mut st, dst);
-                    continue;
-                }
-            }
-            st = self.park_on_cv(st, dst, Some(GATE_FALLBACK));
-            self.gate_unpark(&mut st, dst);
-            if self.oracle.is_some() {
-                st.confirmed[dst] = false;
+                g.confirmed[dst] = false;
             }
         }
     }
@@ -1239,6 +1210,24 @@ mod tests {
         }
     }
 
+    /// World-context spec: any source (`None`) or global rank `src`.
+    fn spec(src: Option<usize>, tag: Option<u32>) -> MatchSpec {
+        MatchSpec {
+            ctx: 0,
+            src,
+            tag,
+            group: Group::world(usize::MAX),
+        }
+    }
+
+    fn tagged(tag: u32) -> MatchSpec {
+        spec(None, Some(tag))
+    }
+
+    fn take(f: &Fabric, dst: usize, spec: &MatchSpec) -> Envelope {
+        f.wait_match(dst, spec, ChoiceKind::Take)
+    }
+
     fn env(src: usize, tag: u32, arrival: SimTime) -> Envelope {
         Envelope {
             ctx: 0,
@@ -1255,19 +1244,19 @@ mod tests {
         let f = Fabric::new(ClusterSpec::ideal(2));
         f.deliver(1, env(0, 5, 0.1));
         f.deliver(1, env(0, 5, 0.2));
-        let a = f.take_matching(1, |e| e.tag == 5);
-        let b = f.take_matching(1, |e| e.tag == 5);
+        let a = take(&f, 1, &spec(Some(0), Some(5)));
+        let b = take(&f, 1, &spec(Some(0), Some(5)));
         assert_eq!(a.arrival, 0.1);
         assert_eq!(b.arrival, 0.2);
         assert_eq!(f.queued(1), 0);
     }
 
     #[test]
-    fn take_matching_skips_non_matching() {
+    fn take_skips_non_matching() {
         let f = Fabric::new(ClusterSpec::ideal(2));
         f.deliver(1, env(0, 1, 0.1));
         f.deliver(1, env(0, 2, 0.2));
-        let m = f.take_matching(1, |e| e.tag == 2);
+        let m = take(&f, 1, &spec(Some(0), Some(2)));
         assert_eq!(m.tag, 2);
         assert_eq!(f.queued(1), 1);
     }
@@ -1275,24 +1264,24 @@ mod tests {
     #[test]
     fn try_take_returns_none_when_empty() {
         let f = Fabric::new(ClusterSpec::ideal(1));
-        assert!(f.try_take_matching(0, |_| true).is_none());
+        assert!(f.settle_at(0, &spec(None, None), 1.0, ChoiceKind::Take).is_none());
     }
 
     #[test]
     fn peek_does_not_remove() {
         let f = Fabric::new(ClusterSpec::ideal(1));
         f.deliver(0, env(0, 9, 0.5));
-        let (src, tag, len, arrival) = f.peek_matching(0, |e| e.tag == 9);
-        assert_eq!((src, tag, len, arrival), (0, 9, 3, 0.5));
+        let head = f.wait_match(0, &spec(Some(0), Some(9)), ChoiceKind::Peek);
+        assert_eq!(Candidate::of(&head), Candidate::of(&env(0, 9, 0.5)));
         assert_eq!(f.queued(0), 1);
-        assert!(f.try_peek_matching(0, |e| e.tag == 8).is_none());
+        assert!(f.settle_at(0, &tagged(8), 1.0, ChoiceKind::Peek).is_none());
     }
 
     #[test]
     fn blocking_take_wakes_on_delivery() {
         let f = std::sync::Arc::new(Fabric::new(ClusterSpec::ideal(2)));
         let f2 = std::sync::Arc::clone(&f);
-        let h = std::thread::spawn(move || f2.take_matching(1, |e| e.tag == 3));
+        let h = std::thread::spawn(move || take(&f2, 1, &spec(Some(0), Some(3))));
         await_parked(&f, 1);
         f.deliver(1, env(0, 3, 1.0));
         let m = h.join().unwrap();
@@ -1300,7 +1289,7 @@ mod tests {
     }
 
     #[test]
-    fn take_any_follows_virtual_order_not_delivery_order() {
+    fn wildcard_take_follows_virtual_order_not_delivery_order() {
         let f = Fabric::new(ClusterSpec::ideal(3));
         // The receiver is rank 1; make the other ranks permanently safe so
         // the gate passes immediately.
@@ -1312,9 +1301,9 @@ mod tests {
         f.deliver(1, env(0, 7, 0.1));
         // Virtual order respects per-source FIFO: src 0's head is 0.9, so
         // 0.1 is not eligible until 0.9 has been taken.
-        let a = f.take_any(1, |e| e.tag == 7);
-        let b = f.take_any(1, |e| e.tag == 7);
-        let c = f.take_any(1, |e| e.tag == 7);
+        let a = take(&f, 1, &tagged(7));
+        let b = take(&f, 1, &tagged(7));
+        let c = take(&f, 1, &tagged(7));
         assert_eq!(
             (a.arrival, b.arrival, c.arrival),
             (0.5, 0.9, 0.1),
@@ -1323,24 +1312,24 @@ mod tests {
     }
 
     #[test]
-    fn take_any_ties_break_by_sender() {
+    fn wildcard_take_ties_break_by_sender() {
         let f = Fabric::new(ClusterSpec::ideal(3));
         f.finish_rank(0);
         f.finish_rank(2);
         f.deliver(1, env(2, 7, 0.5));
         f.deliver(1, env(0, 7, 0.5));
-        let a = f.take_any(1, |e| e.tag == 7);
+        let a = take(&f, 1, &tagged(7));
         assert_eq!(a.src_global, 0);
     }
 
     #[test]
-    fn take_any_waits_for_lagging_rank_clock() {
+    fn wildcard_take_waits_for_lagging_rank_clock() {
         let f = std::sync::Arc::new(Fabric::new(ClusterSpec::ideal(2)));
         f.deliver(1, env(0, 7, 1.0));
         // Rank 0 is running with clock 0.0 < 1.0: the gate must hold until
         // its clock passes the candidate's arrival.
         let f2 = std::sync::Arc::clone(&f);
-        let h = std::thread::spawn(move || f2.take_any(1, |e| e.tag == 7));
+        let h = std::thread::spawn(move || take(&f2, 1, &tagged(7)));
         await_parked(&f, 1);
         assert!(!h.is_finished(), "gate must wait on rank 0's clock");
         f.clock_of(0).merge(2.0);
@@ -1349,26 +1338,139 @@ mod tests {
     }
 
     #[test]
-    fn try_peek_at_hides_future_messages() {
+    fn settled_peek_hides_future_messages() {
         let f = Fabric::new(ClusterSpec::ideal(2));
         f.finish_rank(0);
         f.deliver(1, env(0, 7, 3.0));
         // At virtual time 1.0 the message has not arrived yet.
-        assert!(f.try_peek_at(1, |e| e.tag == 7, 1.0).is_none());
+        assert!(f.settle_at(1, &tagged(7), 1.0, ChoiceKind::Peek).is_none());
         // At 3.0 it has.
-        assert!(f.try_peek_at(1, |e| e.tag == 7, 3.0).is_some());
+        assert!(f.settle_at(1, &tagged(7), 3.0, ChoiceKind::Peek).is_some());
         assert_eq!(f.queued(1), 1);
     }
 
     #[test]
-    fn try_take_at_removes_only_arrived_messages() {
+    fn settled_take_removes_only_arrived_messages() {
         let f = Fabric::new(ClusterSpec::ideal(2));
         f.finish_rank(0);
         f.deliver(1, env(0, 7, 3.0));
-        assert!(f.try_take_at(1, |e| e.tag == 7, 2.9).is_none());
-        let m = f.try_take_at(1, |e| e.tag == 7, 3.0).unwrap();
+        assert!(f.settle_at(1, &tagged(7), 2.9, ChoiceKind::Take).is_none());
+        let m = f.settle_at(1, &tagged(7), 3.0, ChoiceKind::Take).unwrap();
         assert_eq!(m.arrival, 3.0);
         assert_eq!(f.queued(1), 0);
+    }
+
+    #[test]
+    fn wide_mailbox_candidates_match_the_quadratic_reference() {
+        // 2000 sources, three messages each in a scrambled order, one tag
+        // in three not matching: the stamped per-source walk must yield
+        // what the `Vec::contains` walk it replaces did.
+        const SOURCES: usize = 2000;
+        let f = Fabric::new(ClusterSpec::ideal(SOURCES + 1));
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..3 * SOURCES {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let src = 1 + (x % SOURCES as u64) as usize;
+            let tag = if x >> 40 & 3 == 0 { 8 } else { 7 };
+            f.deliver(0, env(src, tag, (x >> 11) as f64 / (1u64 << 53) as f64));
+        }
+        let want = tagged(7);
+        let mut st = f.state.lock();
+        let fast = st.candidate_set(0, &want);
+        let mut seen: Vec<usize> = Vec::new();
+        let mut slow: Vec<Candidate> = Vec::new();
+        for e in &st.queues[0] {
+            if seen.contains(&e.src_global) || !want.matches(e) {
+                continue;
+            }
+            seen.push(e.src_global);
+            slow.push(Candidate::of(e));
+        }
+        slow.sort_by(|a, b| {
+            a.arrival
+                .total_cmp(&b.arrival)
+                .then(a.src_global.cmp(&b.src_global))
+        });
+        assert!(fast.len() > SOURCES / 2, "the mailbox is wide: {}", fast.len());
+        assert_eq!(fast, slow);
+        let first = st.select_virtual(0, &want).expect("candidates exist");
+        assert_eq!(Candidate::of(&st.queues[0][first]), fast[0]);
+    }
+
+    /// Wakes decided under `g` so far (none of these tests spills).
+    fn pending_wakes(g: &Locked) -> usize {
+        g.wakes.inline.iter().flatten().count()
+    }
+
+    fn published_bound(f: &Fabric, rank: usize) -> SimTime {
+        match f.state.lock().waits[rank] {
+            RankWait::Blocked { bound } => bound,
+            RankWait::Running => panic!("rank {rank} is not blocked"),
+        }
+    }
+
+    #[test]
+    fn only_a_usable_delivery_touches_a_parked_commitment() {
+        // Rank 0 parks in a receive from rank 2 alone; rank 1 is this
+        // thread; rank 2 has finished (its messages are hand-delivered).
+        let f = Arc::new(Fabric::new(ClusterSpec::ideal(3)));
+        f.finish_rank(2);
+        let f0 = Arc::clone(&f);
+        let parked = std::thread::spawn(move || take(&f0, 0, &spec(Some(2), Some(5))));
+        await_parked(&f, 0);
+        let sleeper = f.state.lock().handles[0].clone().expect("rank 0 parked");
+
+        // A message from another source, arriving at 1.0, cannot end
+        // rank 0's call: its ∞ commitment stands and it sleeps on.
+        f.deliver(0, env(1, 5, 1.0));
+        assert_eq!(published_bound(&f, 0), SimTime::INFINITY);
+        assert!(sleeper.is_parked(), "a useless delivery must not wake");
+        // So a wildcard candidate at 2.0 on rank 1 commits at once — with
+        // rank 0's bound lowered to 1.0 it would wait for rank 0 to wake,
+        // look again and re-publish ∞.
+        f.deliver(1, env(2, 7, 2.0));
+        assert_eq!(take(&f, 1, &tagged(7)).arrival, 2.0);
+        assert!(sleeper.is_parked());
+
+        // The twin: a message the call accepts lowers the bound and
+        // wakes the rank — decided under the lock, issued after it.
+        {
+            let mut g = Locked::new(f.state.lock());
+            f.enqueue(&mut g, 0, env(2, 5, 3.0));
+            assert!(matches!(g.waits[0], RankWait::Blocked { bound } if bound == 3.0));
+            assert_eq!(pending_wakes(&g), 1);
+        }
+        assert_eq!(parked.join().unwrap().arrival, 3.0);
+        assert_eq!(f.queued(0), 1, "the other source's message is still queued");
+    }
+
+    #[test]
+    fn gate_parked_wildcard_wakes_only_for_an_arrival_up_to_its_candidate() {
+        let f = Arc::new(Fabric::new(ClusterSpec::ideal(4)));
+        f.finish_rank(2);
+        f.finish_rank(3);
+        f.deliver(1, env(2, 7, 2.0));
+        // Rank 0 runs with clock 0: rank 1's candidate at 2.0 is gated.
+        let f1 = Arc::clone(&f);
+        let waiter = std::thread::spawn(move || take(&f1, 1, &tagged(7)));
+        await_parked(&f, 1);
+        let sleeper = f.state.lock().handles[1].clone().expect("rank 1 parked");
+        {
+            let mut g = Locked::new(f.state.lock());
+            // Later than the candidate: what will be committed stands.
+            f.enqueue(&mut g, 1, env(0, 7, 2.5));
+            assert_eq!(pending_wakes(&g), 0);
+            // Earlier: a new candidate, a lower commitment, a wake —
+            // unless the fallback timer got the waiter up first (it
+            // cannot park again while this guard is held).
+            f.enqueue(&mut g, 1, env(3, 7, 1.5));
+            assert!(matches!(g.waits[1], RankWait::Blocked { bound } if bound == 1.5));
+            assert!(pending_wakes(&g) == 1 || !sleeper.is_parked());
+        }
+        f.finish_rank(0);
+        assert_eq!(waiter.join().unwrap().arrival, 1.5);
     }
 
     /// Oracle that always picks the *last* candidate — the opposite of
@@ -1396,7 +1498,7 @@ mod tests {
         f.finish_rank(2);
         f.deliver(1, env(0, 7, 0.1));
         f.deliver(1, env(2, 7, 0.5));
-        let gate_first = f.take_any(1, |e| e.tag == 7);
+        let gate_first = take(&f, 1, &tagged(7));
         assert_eq!(gate_first.src_global, 0, "gate picks the earliest arrival");
 
         let f = Fabric::with_oracle(ClusterSpec::ideal(3), Arc::new(LastOracle));
@@ -1404,8 +1506,8 @@ mod tests {
         f.finish_rank(2);
         f.deliver(1, env(0, 7, 0.1));
         f.deliver(1, env(2, 7, 0.5));
-        let a = f.take_any(1, |e| e.tag == 7);
-        let b = f.take_any(1, |e| e.tag == 7);
+        let a = take(&f, 1, &tagged(7));
+        let b = take(&f, 1, &tagged(7));
         assert_eq!(
             (a.src_global, b.src_global),
             (2, 0),
@@ -1422,7 +1524,7 @@ mod tests {
         f.deliver(1, env(2, 7, 0.5));
         f.deliver(1, env(0, 7, 0.9));
         f.deliver(1, env(0, 7, 0.1)); // not a head: src 0's head is 0.9
-        let first = f.take_any(1, |e| e.tag == 7);
+        let first = take(&f, 1, &tagged(7));
         assert_eq!(first.arrival, 0.5);
         let log = oracle.0.lock().clone();
         assert_eq!(log.len(), 1);
@@ -1438,8 +1540,8 @@ mod tests {
         let f = Fabric::with_oracle(ClusterSpec::ideal(2), Arc::new(LastOracle));
         f.finish_rank(0);
         f.deliver(1, env(0, 9, 0.5));
-        let (src, tag, len, arrival) = f.peek_any(1, |e| e.tag == 9);
-        assert_eq!((src, tag, len, arrival), (0, 9, 3, 0.5));
+        let head = f.wait_match(1, &tagged(9), ChoiceKind::Peek);
+        assert_eq!(Candidate::of(&head), Candidate::of(&env(0, 9, 0.5)));
         assert_eq!(f.queued(1), 1);
     }
 
@@ -1453,7 +1555,7 @@ mod tests {
         ));
         f.deliver(1, env(0, 7, 1.0));
         let f2 = Arc::clone(&f);
-        let h = std::thread::spawn(move || f2.take_any(1, |e| e.tag == 7));
+        let h = std::thread::spawn(move || take(&f2, 1, &tagged(7)));
         await_parked(&f, 1);
         assert!(!h.is_finished(), "grant must wait for rank 0 to park");
         f.finish_rank(0);
@@ -1505,8 +1607,8 @@ mod tests {
         assert_eq!(f.queued(1), 0, "reordered message sits in limbo");
         f.deliver(1, env(0, 2, 0.2));
         assert_eq!(f.queued(1), 2, "the next send releases the stash behind itself");
-        let a = f.take_matching(1, |_| true);
-        let b = f.take_matching(1, |_| true);
+        let a = take(&f, 1, &spec(Some(0), None));
+        let b = take(&f, 1, &spec(Some(0), None));
         assert_eq!((a.tag, b.tag), (2, 1), "queue order reflects the overtake");
         assert_eq!(b.arrival, 0.2, "the released stash is re-stamped to the releaser");
         assert_eq!(f.fault_stats().reordered, 1);
@@ -1523,11 +1625,11 @@ mod tests {
         // The stash never blocks the gate: the 0.5 candidate commits even
         // though an envelope stamped 0.1 is still in limbo, because any
         // release re-stamps it to the releasing send's (later) arrival.
-        let first = f.take_any(1, |e| e.tag == 7);
+        let first = take(&f, 1, &tagged(7));
         assert_eq!(first.arrival, 0.5, "stash is invisible to the commit");
         f.deliver(1, env(0, 7, 0.9)); // releases the stash, re-stamped
-        let second = f.take_any(1, |e| e.tag == 7);
-        let third = f.take_any(1, |e| e.tag == 7);
+        let second = take(&f, 1, &tagged(7));
+        let third = take(&f, 1, &tagged(7));
         assert_eq!(
             (second.arrival, second.tag, third.arrival, third.tag),
             (0.9, 7, 0.9, 7),
@@ -1544,7 +1646,7 @@ mod tests {
         // ∞ bound: the rank never wakes to re-raise it, and a lowered
         // bound would wedge every other rank's safety scan forever.
         f.deliver(1, env(0, 5, 0.2));
-        let got = f.try_take_at(0, |_| true, 10.0);
+        let got = f.settle_at(0, &spec(None, None), 10.0, ChoiceKind::Take);
         assert!(got.is_none(), "rank 0's deadline scan must still settle");
     }
 
@@ -1587,7 +1689,7 @@ mod tests {
             let f = Arc::clone(&f);
             std::thread::spawn(move || {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                    f.take_matching(rank, move |e| e.tag == tag)
+                    take(&f, rank, &spec(Some(1 - rank), Some(tag)))
                 }))
             })
         };

@@ -4,11 +4,10 @@
 //! [`crate::sched`]: the default entry points run ranks as small-stack
 //! threads admitted through a bounded worker pool
 //! ([`SchedConfig::pooled`]), which is what makes multi-thousand-rank
-//! jobs practical. The `_threaded` variants keep the legacy
-//! one-free-running-OS-thread-per-rank shape; they exist as the scaling
-//! bench's baseline and for the pooled-vs-threaded identity tests —
-//! scheduling never changes what a rank observes, and
-//! `tests/scale_sched.rs` holds both harnesses to byte-identical output.
+//! jobs practical. [`SchedConfig::threaded`] runs the same code with
+//! unbounded slots — one free-running OS thread per rank, the scaling
+//! bench's baseline — and scheduling never changes what a rank observes:
+//! `tests/scale_sched.rs` holds both shapes to byte-identical output.
 
 use std::sync::Arc;
 
@@ -43,25 +42,6 @@ where
     run_on_fabric_sched(fabric, &SchedConfig::default(), f)
 }
 
-/// [`run_ranks`] with the legacy scheduling: one free-running OS thread
-/// per rank, default stacks, no admission pool.
-pub fn run_ranks_threaded<T, F>(n: usize, spec: ClusterSpec, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Comm) -> T + Send + Sync,
-{
-    run_ranks_sched(n, spec, &SchedConfig::threaded(), f)
-}
-
-/// [`run_on_fabric`] with the legacy one-thread-per-rank scheduling.
-pub fn run_on_fabric_threaded<T, F>(fabric: &Arc<Fabric>, f: &F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Comm) -> T + Send + Sync,
-{
-    run_on_fabric_sched(fabric, &SchedConfig::threaded(), f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,50 +69,70 @@ mod tests {
 
     #[test]
     fn threaded_and_pooled_agree_on_results() {
+        // Everything a rank can observe: whom each receive matched and
+        // when it arrived, the collective results, and the final clock.
         let body = |comm: Comm| {
-            let n = comm.size();
-            let next = (comm.rank() + 1) % n;
-            let prev = (comm.rank() + n - 1) % n;
+            let (n, me) = (comm.size(), comm.rank());
+            let mut seen: Vec<(usize, u64)> = Vec::new();
             let m = comm
-                .sendrecv(next, prev, 7, &[comm.rank() as u8])
+                .sendrecv((me + 1) % n, (me + n - 1) % n, 7, &[me as u8])
                 .unwrap();
-            (m.payload[0], m.arrival.to_bits())
+            seen.push((m.src, m.arrival.to_bits()));
+            if me == 0 {
+                for _ in 1..n {
+                    let m = comm.recv(None, Some(8)).unwrap();
+                    seen.push((m.src, m.arrival.to_bits()));
+                }
+            } else {
+                comm.send(0, 8, &[me as u8]).unwrap();
+            }
+            comm.barrier().unwrap();
+            let sum = comm.allreduce_sum_f64((me % 7) as f64).unwrap();
+            // Nobody sends tag 9: every rank's timer fires.
+            let deadline = comm.now() + 1e-3 * (1 + me % 3) as f64;
+            let timed_out = comm.recv_deadline(None, Some(9), deadline).is_none();
+            (seen, sum.to_bits(), timed_out, comm.now().to_bits())
         };
-        let pooled = run_ranks_sched(
-            8,
-            ClusterSpec::turing(8),
-            &SchedConfig::with_workers(2),
-            body,
-        );
-        let threaded = run_ranks_threaded(8, ClusterSpec::turing(8), body);
-        assert_eq!(pooled, threaded, "scheduling must not change observables");
+        const RANKS: usize = 256;
+        let run = |cfg: SchedConfig| run_ranks_sched(RANKS, ClusterSpec::turing(RANKS), &cfg, body);
+        let threaded = run(SchedConfig::threaded());
+        assert!(threaded.iter().all(|r| r.2), "every deadline must expire");
+        assert_eq!(threaded[0].0.len(), RANKS, "rank 0 saw the ring and the whole funnel");
+        for workers in [2, 8] {
+            assert!(
+                run(SchedConfig::with_workers(workers)) == threaded,
+                "scheduling must not change observables ({workers} workers)"
+            );
+        }
     }
 
     #[test]
     fn pool_smaller_than_rank_count_completes() {
         // More ranks than workers, all funneling into rank 0's wildcard
-        // receive: every rank parks and lends its slot at some point.
-        let out = run_ranks_sched(
-            16,
-            ClusterSpec::ideal(16),
-            &SchedConfig {
-                workers: 3,
-                stack_bytes: 128 * 1024,
-            },
-            |comm| {
-                if comm.rank() == 0 {
-                    let mut sum = 0u64;
-                    for _ in 0..comm.size() - 1 {
-                        let m = comm.recv(None, Some(7)).unwrap();
-                        sum += u64::from(m.payload[0]);
+        // receive: every rank parks and hands its slot on at some point.
+        for workers in [1, 3] {
+            let out = run_ranks_sched(
+                16,
+                ClusterSpec::ideal(16),
+                &SchedConfig {
+                    workers,
+                    stack_bytes: 128 * 1024,
+                },
+                |comm| {
+                    if comm.rank() == 0 {
+                        let mut sum = 0u64;
+                        for _ in 0..comm.size() - 1 {
+                            let m = comm.recv(None, Some(7)).unwrap();
+                            sum += u64::from(m.payload[0]);
+                        }
+                        sum
+                    } else {
+                        comm.send(0, 7, &[comm.rank() as u8]).unwrap();
+                        0
                     }
-                    sum
-                } else {
-                    comm.send(0, 7, &[comm.rank() as u8]).unwrap();
-                    0
-                }
-            },
-        );
-        assert_eq!(out[0], (1..16).sum::<u64>());
+                },
+            );
+            assert_eq!(out[0], (1..16).sum::<u64>(), "{workers} workers");
+        }
     }
 }

@@ -25,8 +25,8 @@
 //! * [`harness::run_ranks`] — run every rank and collect results, the
 //!   equivalent of `mpirun`. Ranks are small-stack threads multiplexed
 //!   over a bounded admission pool ([`sched`]), so 10k-rank jobs are
-//!   practical; `run_ranks_threaded` keeps the legacy
-//!   one-OS-thread-per-rank shape as a baseline.
+//!   practical; `SchedConfig::threaded` keeps the one-OS-thread-per-rank
+//!   shape as a baseline, through the same code.
 //!
 //! ## Example
 //!
@@ -70,9 +70,7 @@ pub mod vtime;
 pub use cluster::{ClusterSpec, NodeUsage};
 pub use comm::{Comm, Message};
 pub use fabric::{Fabric, FaultInjector, FaultStats};
-pub use harness::{
-    run_on_fabric, run_on_fabric_threaded, run_ranks, run_ranks_threaded,
-};
+pub use harness::{run_on_fabric, run_ranks};
 pub use model::{FaultAction, FaultSpec, NetworkModel};
 pub use sched::{run_on_fabric_sched, run_ranks_sched, SchedConfig};
 pub use request::{RecvRequest, SendRequest};

@@ -132,8 +132,8 @@ mod tests {
                 let mut req = comm.irecv(Some(0), Some(9)).unwrap();
                 // test() may miss (message still physically in flight):
                 // that is a valid non-blocking answer, not a cue to spin.
-                // wait() parks on the fabric — and lends the caller's
-                // scheduler slot — until the message lands.
+                // wait() parks on the fabric — handing the caller's
+                // scheduler slot on — until the message lands.
                 match comm.test(&mut req) {
                     Some(m) => m.payload,
                     None => comm.wait(req).unwrap().payload,

@@ -10,45 +10,54 @@
 //! * **Small stacks.** Rank threads are spawned with
 //!   `thread::Builder::stack_size` (`SchedConfig::stack_bytes`), so 10k
 //!   ranks reserve megabytes, not gigabytes, of stack address space.
-//! * **Bounded admission.** At most [`SchedConfig::workers`] ranks are
-//!   *runnable* at any instant. Every rank holds an admission slot while
-//!   executing user code; every blocking point in the fabric lends the
-//!   slot back to the pool for the duration of the park
-//!   (`lend_slot`/`reacquire_slot`, called from
-//!   `Fabric::park_on_cv`). The kernel therefore only ever timeslices a
-//!   handful of threads; the rest sit parked on their per-rank condvar,
-//!   costing one small stack and a kernel task struct each.
-//! * **Event-driven gate wakes.** The conservative virtual-order gate
-//!   used to poll (`GATE_POLL`), because clock advances notify no
-//!   condvar. The `GateBoard` is a lock-free watermark over all gate
-//!   waiters' scan bounds: any clock advance that crosses it unparks a
-//!   single *steward* thread, which takes the fabric lock from a clean
-//!   context and re-runs the wake scan. Advance sites never touch the
-//!   fabric lock themselves — they may be holding lower-level locks
-//!   (e.g. `rochdf.outstanding`), so the detour through the steward is
-//!   what keeps the `roclock.order` hierarchy intact.
-//! * **A start gate.** Ranks stage on a job-start line after spawning
-//!   and the last arrival releases the whole job with one broadcast
-//!   wake (`StartGate`), so user code begins everywhere at once
-//!   instead of racing the spawn ramp.
+//! * **Bounded admission by slot hand-off.** At most
+//!   [`SchedConfig::workers`] ranks are *runnable* at any instant. Every
+//!   rank thread owns one `WakeHandle` and holds an admission slot while
+//!   executing user code. A rank that blocks in the fabric hands its
+//!   slot straight to the head of the FIFO ready queue
+//!   (`WakeHandle::park`) and sleeps in `thread::park`; whoever makes
+//!   its wait condition true calls `WakeHandle::make_ready`, which
+//!   grants a free slot or queues the rank. A woken rank resumes
+//!   *already holding* a slot: one sleep and one wake per blocked
+//!   receive, and the kernel only ever timeslices a handful of threads.
+//! * **Wakes after unlock.** Grants are decided under the scheduler lock
+//!   (and, for fabric wakes, the fabric lock above it) but only *return*
+//!   the `Thread` to unpark; the caller unparks it once its guards are
+//!   gone, so a woken rank never collides with its waker (`roclock`'s
+//!   `lock-wake` rule).
+//! * **Event-driven gate wakes.** The `GateBoard` is a lock-free
+//!   watermark over all gate waiters' scan bounds: any clock advance
+//!   that crosses it unparks a single *steward* thread, which takes the
+//!   fabric lock from a clean context and re-runs the wake scan. Advance
+//!   sites never touch the fabric lock themselves — they may be holding
+//!   lower-level locks (e.g. `rochdf.outstanding`), so the detour
+//!   through the steward is what keeps the `roclock.order` hierarchy
+//!   intact.
+//! * **A start line.** Ranks stage on the scheduler after spawning and
+//!   the last arrival admits the whole job through the ready queue in
+//!   rank order, so user code begins everywhere at once instead of
+//!   racing the spawn ramp.
 //!
 //! Scheduling changes *which* thread runs when, never what any rank
 //! observes: wildcard matching stays behind the virtual-order gate (or
 //! the `ScheduleOracle`), so pooled and threaded runs are bit-identical
-//! (`tests/scale_sched.rs` pins this). A rank parked waiting for a slot
-//! is published `Running` to other ranks' safety scans — conservative,
-//! so the gate never commits early because of admission.
+//! (`tests/scale_sched.rs` pins this). A rank queued for a slot keeps
+//! the wait state it parked with, which only ever under-reports, so the
+//! gate never commits early because of admission.
 //!
-//! Threads that are *not* rank threads (e.g. T-Rochdf's background
-//! writer) never register with the pool: `lend_slot` is a no-op for
-//! them and they keep draining work regardless of admission, which is
-//! exactly why a rank blocked on such a helper cannot wedge the pool.
+//! Threads that are *not* rank threads (unit tests driving a bare
+//! `Fabric`, background helpers) get a handle on first use, on a private
+//! unbounded scheduler: same code, no claim on a job's slots — which is
+//! why a rank blocked on such a helper cannot wedge the pool.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
+use std::time::Duration;
 
-use rocio_core::lockdep::{Condvar, Mutex};
+use rocio_core::lockdep::Mutex;
 
 use crate::cluster::ClusterSpec;
 use crate::comm::Comm;
@@ -57,9 +66,9 @@ use crate::fabric::Fabric;
 /// How rank threads are scheduled by [`run_on_fabric_sched`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedConfig {
-    /// Maximum number of ranks runnable at once. `0` disables admission
-    /// entirely: every rank is a free-running OS thread (the legacy
-    /// harness shape, kept as the bench baseline).
+    /// Maximum number of ranks runnable at once. `0` means unbounded
+    /// slots: every rank a free-running OS thread (the legacy harness
+    /// shape, kept as the bench baseline), through the same code.
     pub workers: usize,
     /// Stack bytes per rank thread; `0` uses the platform default.
     pub stack_bytes: usize,
@@ -116,195 +125,216 @@ impl Default for SchedConfig {
 }
 
 struct SchedState {
-    /// Admission slots not currently held by a rank.
-    free: usize,
-    /// Ranks parked in [`Scheduler::acquire`] right now.
-    waiting: usize,
-    /// Total blocking slot acquisitions (diagnostics).
-    contended: u64,
+    /// Admission slots currently held by runnable ranks (`≤ workers`).
+    held: usize,
+    /// Ranks made ready while every slot was held, oldest first.
+    ready: VecDeque<Arc<WakeHandle>>,
+    /// The start line: each rank's handle, in rank order, until the
+    /// last arrival admits them all.
+    staged: Vec<Option<Arc<WakeHandle>>>,
+    /// Ranks staged so far.
+    arrived: usize,
 }
 
-/// The admission pool: a counting semaphore with lockdep-named state.
+/// The admission pool: `workers` slots and a FIFO queue of ranks ready
+/// to run but waiting for one.
 ///
 /// Level 48 in `roclock.order`, nested *under* `rocnet.fabric_state`:
-/// [`lend_slot`] releases the slot while the fabric lock is held, so the
-/// fabric → sched edge is a declared part of the hierarchy.
+/// the fabric calls `WakeHandle::park` and `WakeHandle::make_ready`
+/// with its state lock held, so a rank's wait state and its place in
+/// the queue change together.
 pub(crate) struct Scheduler {
+    /// Slot count; `usize::MAX` when unbounded.
+    workers: usize,
     slots: Mutex<SchedState>,
-    cv: Condvar,
 }
 
 impl Scheduler {
-    pub(crate) fn new(workers: usize) -> Arc<Self> {
-        assert!(workers > 0, "admission pool needs at least one worker");
+    /// A pool of `workers` slots (`0` = unbounded) whose start line
+    /// waits for `ranks` arrivals.
+    pub(crate) fn new(workers: usize, ranks: usize) -> Arc<Self> {
         Arc::new(Scheduler {
+            workers: if workers == 0 { usize::MAX } else { workers },
             slots: Mutex::new(
                 "rocnet.sched_state",
                 SchedState {
-                    free: workers,
-                    waiting: 0,
-                    contended: 0,
+                    held: 0,
+                    ready: VecDeque::new(),
+                    staged: vec![None; ranks],
+                    arrived: 0,
                 },
             ),
-            cv: Condvar::new(),
         })
     }
 
-    /// Block until an admission slot is free, then take it.
-    fn acquire(&self) {
-        let mut s = self.slots.lock();
-        if s.free == 0 {
-            s.contended += 1;
-            s.waiting += 1;
-            while s.free == 0 {
-                self.cv.wait(&mut s);
+    /// Give `h` a slot if one is free, else queue it behind the ranks
+    /// already waiting. Returns the thread to unpark, guards dropped.
+    fn admit(&self, s: &mut SchedState, h: &Arc<WakeHandle>) -> Option<Thread> {
+        if s.held < self.workers {
+            s.held += 1;
+            h.state.store(RUNNING, Ordering::Release);
+            Some(h.thread.clone())
+        } else {
+            h.state.store(READY, Ordering::Release);
+            s.ready.push_back(Arc::clone(h));
+            None
+        }
+    }
+
+    /// Pass a slot its holder no longer needs to the queue head, or back
+    /// to the pool. Returns the thread to unpark.
+    fn pass_slot(s: &mut SchedState) -> Option<Thread> {
+        match s.ready.pop_front() {
+            Some(next) => {
+                next.state.store(RUNNING, Ordering::Release);
+                Some(next.thread.clone())
             }
-            s.waiting -= 1;
+            None => {
+                s.held -= 1;
+                None
+            }
         }
-        s.free -= 1;
-    }
-
-    /// Return a slot to the pool, waking one parked rank if any.
-    fn release(&self) {
-        let mut s = self.slots.lock();
-        s.free += 1;
-        let wake = s.waiting > 0;
-        drop(s);
-        if wake {
-            self.cv.notify_one();
-        }
-    }
-
-    /// Total blocking slot acquisitions so far (diagnostics).
-    #[cfg(test)]
-    fn contended(&self) -> u64 {
-        self.slots.lock().contended
     }
 }
 
-struct PoolCtx {
+/// `WakeHandle::state`: holds a slot and runs (or is about to: the
+/// grant and the unpark are separate steps).
+const RUNNING: u8 = 0;
+/// Gave its slot away and sleeps until someone makes it ready.
+const PARKED: u8 = 1;
+/// Made ready, queued for a slot.
+const READY: u8 = 2;
+
+/// A thread's one park/wake mechanism: its `Thread` and where it stands
+/// with its scheduler.
+///
+/// `state` is written only under the scheduler lock; the owner reads it
+/// lock-free to learn it was granted a slot. `Release`/`Acquire` pair
+/// the grant with that read; the data a woken rank goes on to read is
+/// published by the fabric lock, not by this flag.
+pub(crate) struct WakeHandle {
+    state: AtomicU8,
+    thread: Thread,
     sched: Arc<Scheduler>,
-    held: bool,
 }
 
 thread_local! {
-    static POOL: RefCell<Option<PoolCtx>> = const { RefCell::new(None) };
+    static HANDLE: RefCell<Option<Arc<WakeHandle>>> = const { RefCell::new(None) };
 }
 
-/// Release the calling rank's admission slot, if it holds one. Returns
-/// whether [`reacquire_slot`] must be called before re-entering user
-/// code. No-op (returns `false`) on threads outside the pool — legacy
-/// threaded runs and background helpers like the T-Rochdf writer.
-pub(crate) fn lend_slot() -> bool {
-    POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        match p.as_mut() {
-            Some(ctx) if ctx.held => {
-                ctx.held = false;
-                ctx.sched.release();
-                true
+impl WakeHandle {
+    fn new(sched: Arc<Scheduler>, state: u8) -> Arc<Self> {
+        Arc::new(WakeHandle {
+            state: AtomicU8::new(state),
+            thread: std::thread::current(),
+            sched,
+        })
+    }
+
+    /// The calling thread's handle. Rank threads registered theirs at
+    /// job start; any other thread gets one on first use, running on an
+    /// unbounded scheduler of its own.
+    pub(crate) fn current() -> Arc<WakeHandle> {
+        HANDLE.with(|slot| {
+            Arc::clone(slot.borrow_mut().get_or_insert_with(|| {
+                let h = WakeHandle::new(Scheduler::new(0, 0), PARKED);
+                let _ = h.make_ready(); // admits itself: its scheduler is empty
+                h
+            }))
+        })
+    }
+
+    /// Owner side, step 1 (the fabric calls it under its state lock,
+    /// right after publishing the wait): give the slot to the queue head
+    /// and become wakeable. Returns the new slot owner's thread, to
+    /// unpark once the caller's guards are dropped; `sleep` comes next.
+    pub(crate) fn park(&self) -> Option<Thread> {
+        let mut s = self.sched.slots.lock();
+        self.state.store(PARKED, Ordering::Release);
+        Scheduler::pass_slot(&mut s)
+    }
+
+    /// Owner side, step 2, with no lock held: sleep until granted a
+    /// slot. A `timeout` that expires makes the rank ready on its own
+    /// behalf — it queues like any woken rank, exactly once even if a
+    /// waker races the expiry — and the sleep continues until the grant.
+    pub(crate) fn sleep(self: &Arc<Self>, timeout: Option<Duration>) {
+        if let Some(d) = timeout {
+            if self.state.load(Ordering::Acquire) != RUNNING {
+                std::thread::park_timeout(d);
             }
-            _ => false,
+            // Granted to ourselves or queued: no one to unpark.
+            let _ = self.make_ready();
         }
-    })
+        while self.state.load(Ordering::Acquire) != RUNNING {
+            std::thread::park();
+        }
+    }
+
+    /// Whether the owner gave its slot away and nobody made it ready yet.
+    #[cfg(test)]
+    pub(crate) fn is_parked(&self) -> bool {
+        self.state.load(Ordering::Acquire) == PARKED
+    }
+
+    /// Waker side: if the owner is parked, grant it a free slot or queue
+    /// it; a running or already queued one is left alone. Returns the
+    /// thread to unpark once the caller's guards are dropped.
+    pub(crate) fn make_ready(self: &Arc<Self>) -> Option<Thread> {
+        // Only the owner parks a handle, and for a fabric park it does
+        // so under the fabric lock its wakers also hold: a handle seen
+        // not parked here stays so until this waker is done.
+        if self.state.load(Ordering::Acquire) != PARKED {
+            return None;
+        }
+        let mut s = self.sched.slots.lock();
+        if self.state.load(Ordering::Acquire) != PARKED {
+            return None;
+        }
+        self.sched.admit(&mut s, self)
+    }
 }
 
-/// Block until the calling rank re-holds an admission slot. Must only be
-/// called after [`lend_slot`] returned `true`, with no fabric lock held.
-pub(crate) fn reacquire_slot() {
-    let sched = POOL.with(|p| p.borrow().as_ref().map(|c| Arc::clone(&c.sched)));
-    if let Some(s) = sched {
-        s.acquire();
-        POOL.with(|p| {
-            if let Some(ctx) = p.borrow_mut().as_mut() {
-                ctx.held = true;
+/// RAII registration of a rank thread with its job's scheduler: stages
+/// on the start line at construction, holds a slot from the job's start
+/// until drop (including unwinds), minus the intervals it was parked.
+struct RankSlot(Arc<WakeHandle>);
+
+impl RankSlot {
+    /// Stage `rank` on `sched`'s start line; returns once the job starts
+    /// and this rank holds a slot. The last arrival admits every rank in
+    /// rank order: up to `workers` start at once, the rest queue FIFO.
+    fn enter(sched: Arc<Scheduler>, rank: usize) -> RankSlot {
+        let h = WakeHandle::new(Arc::clone(&sched), PARKED);
+        HANDLE.with(|slot| *slot.borrow_mut() = Some(Arc::clone(&h)));
+        let admitted: Vec<Thread> = {
+            let mut s = sched.slots.lock();
+            s.staged[rank] = Some(Arc::clone(&h));
+            s.arrived += 1;
+            if s.arrived == s.staged.len() {
+                let staged = std::mem::take(&mut s.staged);
+                staged
+                    .iter()
+                    .flatten()
+                    .filter_map(|h| sched.admit(&mut s, h))
+                    .collect()
+            } else {
+                Vec::new()
             }
-        });
+        };
+        for t in admitted {
+            t.unpark();
+        }
+        h.sleep(None);
+        RankSlot(h)
     }
 }
 
-/// RAII registration of a rank thread with the admission pool: holds a
-/// slot from construction until drop (including unwinds), minus any
-/// intervals the fabric lent it away.
-struct SlotGuard;
-
-impl SlotGuard {
-    fn enter(sched: Arc<Scheduler>) -> SlotGuard {
-        sched.acquire();
-        POOL.with(|p| {
-            *p.borrow_mut() = Some(PoolCtx { sched, held: true });
-        });
-        SlotGuard
-    }
-}
-
-impl Drop for SlotGuard {
+impl Drop for RankSlot {
     fn drop(&mut self) {
-        if let Some(ctx) = POOL.with(|p| p.borrow_mut().take()) {
-            if ctx.held {
-                ctx.sched.release();
-            }
-        }
-    }
-}
-
-/// The job-start line: every rank parks here right after spawning, and
-/// the last arrival releases the whole job with one broadcast wake.
-///
-/// Without it, a job's early ranks would be deep into their first
-/// timestep while late ranks were still being spawned — the measured
-/// job would include the spawn ramp, and its shape would depend on how
-/// fast this host can create threads. With it, `run_on_fabric_sched`
-/// has MPI_Init semantics: user code starts everywhere at once. Pooled
-/// ranks lend their admission slot while staged (staging is a blocking
-/// point like any fabric park), so all `n` ranks cycle through a small
-/// pool to reach the line; after the broadcast they re-admit through
-/// the pool as slots free up, while free-running ranks all become
-/// runnable at the same instant — each mode meets the true concurrency
-/// of its own shape from the first instruction of user code.
-struct StartGate {
-    line: Mutex<StartCount>,
-    cv: Condvar,
-}
-
-struct StartCount {
-    arrived: usize,
-    total: usize,
-    released: bool,
-}
-
-impl StartGate {
-    fn new(total: usize) -> Self {
-        StartGate {
-            line: Mutex::new(
-                "rocnet.start_gate",
-                StartCount {
-                    arrived: 0,
-                    total,
-                    released: false,
-                },
-            ),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Stage the calling rank; returns once all `total` ranks arrived.
-    fn wait(&self) {
-        let mut g = self.line.lock();
-        g.arrived += 1;
-        if g.arrived == g.total {
-            g.released = true;
-            drop(g);
-            self.cv.notify_all();
-            return;
-        }
-        let lent = lend_slot();
-        while !g.released {
-            self.cv.wait(&mut g);
-        }
-        drop(g);
-        if lent {
-            reacquire_slot();
+        let next = Scheduler::pass_slot(&mut self.0.sched.slots.lock());
+        if let Some(t) = next {
+            t.unpark();
         }
     }
 }
@@ -402,7 +432,7 @@ pub(crate) fn spawn_steward(fabric: &Arc<Fabric>) {
 }
 
 /// Run `f` on every rank of `fabric` under `cfg`'s scheduling: pooled
-/// admission when `cfg.workers > 0`, legacy free-running threads when 0.
+/// admission when `cfg.workers > 0`, free-running threads when 0.
 /// Results come back in rank order; a panic in any rank is re-raised
 /// with its original payload.
 pub fn run_on_fabric_sched<T, F>(fabric: &Arc<Fabric>, cfg: &SchedConfig, f: &F) -> Vec<T>
@@ -413,15 +443,13 @@ where
     let n = fabric.n_ranks();
     fabric.begin_job();
     fabric.ensure_steward();
-    let sched = (cfg.workers > 0).then(|| Scheduler::new(cfg.workers));
-    let gate = StartGate::new(n);
+    let sched = Scheduler::new(cfg.workers, n);
     std::thread::scope(|scope| {
-        let gate = &gate;
         let mut handles = Vec::with_capacity(n);
         for rank in 0..n {
             let comm = Comm::world(Arc::clone(fabric), rank);
             let fab = Arc::clone(fabric);
-            let sched = sched.clone();
+            let sched = Arc::clone(&sched);
             let mut builder = std::thread::Builder::new().name(format!("rank{rank}"));
             if cfg.stack_bytes > 0 {
                 builder = builder.stack_size(cfg.stack_bytes);
@@ -442,8 +470,7 @@ where
                     // Declared after `_done` so it drops first: the slot
                     // returns to the pool before the rank is marked
                     // finished, even on unwind.
-                    let _slot = sched.map(SlotGuard::enter);
-                    gate.wait();
+                    let _slot = RankSlot::enter(sched, rank);
                     f(comm)
                 })
                 .expect("spawn rank thread");
@@ -481,49 +508,194 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// One step of an arbitrary interleaving, on handle `.0`.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// The owner blocks: `WakeHandle::park`.
+        Park(usize),
+        /// A waker — or the owner's expired timer, which is the same
+        /// call — makes the handle ready.
+        Wake(usize),
+        /// The owner's thread ends and passes its slot on.
+        Finish(usize),
+    }
+
+    fn op(handles: usize) -> impl Strategy<Value = Op> {
+        (0..3u8, 0..handles).prop_map(|(kind, h)| match kind {
+            0 => Op::Park(h),
+            1 => Op::Wake(h),
+            _ => Op::Finish(h),
+        })
+    }
+
+    /// The specification the scheduler is held to, one plain state per
+    /// handle and one plain queue.
+    struct Model {
+        workers: usize,
+        held: usize,
+        state: Vec<u8>,
+        done: Vec<bool>,
+        ready: VecDeque<usize>,
+    }
+
+    impl Model {
+        fn wake(&mut self, h: usize) {
+            if self.state[h] != PARKED {
+                return;
+            }
+            if self.held < self.workers {
+                self.held += 1;
+                self.state[h] = RUNNING;
+            } else {
+                self.state[h] = READY;
+                self.ready.push_back(h);
+            }
+        }
+
+        /// The slot of a rank that parks or finishes goes to the oldest
+        /// ready rank, else back to the pool.
+        fn pass_slot(&mut self) {
+            match self.ready.pop_front() {
+                Some(next) => self.state[next] = RUNNING,
+                None => self.held -= 1,
+            }
+        }
+    }
+
+    /// Drive `ops` through a real scheduler and the model in lockstep
+    /// (one thread: nothing here sleeps) and compare after every step.
+    fn check_against_model(workers: usize, handles: usize, ops: &[Op]) {
+        let sched = Scheduler::new(workers, 0);
+        let hs: Vec<Arc<WakeHandle>> = (0..handles)
+            .map(|_| WakeHandle::new(Arc::clone(&sched), PARKED))
+            .collect();
+        let mut m = Model {
+            workers,
+            held: 0,
+            state: vec![PARKED; handles],
+            done: vec![false; handles],
+            ready: VecDeque::new(),
+        };
+        // The start line's admission in rank order, then `ops`, then
+        // enough wake-all / finish-all rounds to end every handle.
+        let start = (0..handles).map(Op::Wake);
+        let drain = (0..handles).flat_map(|_| {
+            (0..handles).map(Op::Wake).chain((0..handles).map(Op::Finish))
+        });
+        for op in start.chain(ops.iter().copied()).chain(drain) {
+            match op {
+                Op::Park(h) if m.state[h] == RUNNING && !m.done[h] => {
+                    let _ = hs[h].park();
+                    m.state[h] = PARKED;
+                    m.pass_slot();
+                }
+                Op::Finish(h) if m.state[h] == RUNNING && !m.done[h] => {
+                    let _ = Scheduler::pass_slot(&mut sched.slots.lock());
+                    m.done[h] = true;
+                    m.pass_slot();
+                }
+                Op::Wake(h) if !m.done[h] => {
+                    let granted = hs[h].make_ready().is_some();
+                    let was = m.state[h];
+                    m.wake(h);
+                    // Granted at most once per park: only a parked handle
+                    // can be, and only into a free slot.
+                    assert_eq!(granted, was == PARKED && m.state[h] == RUNNING);
+                }
+                _ => continue, // not a step this handle's owner can take now
+            }
+            let s = sched.slots.lock();
+            assert_eq!(s.held, m.held);
+            assert!(s.held <= workers, "admission must bound runnable ranks");
+            assert!(
+                s.ready.is_empty() || s.held == workers,
+                "a rank waits for a slot while one is free"
+            );
+            for (h, want) in hs.iter().zip(&m.state) {
+                assert_eq!(h.state.load(Ordering::Acquire), *want);
+            }
+            // FIFO: the queue is the ready handles, oldest first, once each.
+            assert_eq!(s.ready.len(), m.ready.len());
+            for (got, want) in s.ready.iter().zip(&m.ready) {
+                assert!(Arc::ptr_eq(got, &hs[*want]));
+            }
+        }
+        // Quiescence: every handle ended, so every slot is back.
+        assert!(m.done.iter().all(|&d| d));
+        let s = sched.slots.lock();
+        assert_eq!((s.held, s.ready.len()), (0, 0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn ready_queue_matches_model_under_arbitrary_interleavings(
+            workers in 1usize..4,
+            ops in prop::collection::vec(op(6), 0..120),
+        ) {
+            check_against_model(workers, 6, &ops);
+        }
+    }
+
+    #[test]
+    fn expired_timer_and_racing_waker_queue_the_rank_once() {
+        // One slot, held by handle 0; handle 1 parked. Its timer expiring
+        // and a waker arriving are the same call, in either order: the
+        // second one must find the rank already queued.
+        for ops in [
+            [Op::Wake(1), Op::Wake(1), Op::Finish(0)],
+            [Op::Wake(1), Op::Finish(0), Op::Wake(1)],
+        ] {
+            check_against_model(1, 2, &ops);
+        }
+    }
 
     #[test]
     fn slots_bound_concurrent_admission() {
         use std::sync::atomic::AtomicUsize;
-        let sched = Scheduler::new(3);
+        const RANKS: usize = 16;
+        let sched = Scheduler::new(3, RANKS);
         let live = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
         std::thread::scope(|s| {
-            for _ in 0..16 {
-                let sched = &sched;
+            for rank in 0..RANKS {
+                let sched = Arc::clone(&sched);
                 let (live, peak) = (&live, &peak);
                 s.spawn(move || {
+                    let slot = RankSlot::enter(sched, rank);
                     for _ in 0..50 {
-                        sched.acquire();
                         let now = live.fetch_add(1, Ordering::SeqCst) + 1;
                         peak.fetch_max(now, Ordering::SeqCst);
                         live.fetch_sub(1, Ordering::SeqCst);
-                        sched.release();
+                        // Block with nobody to wake us: the timer expiry
+                        // re-enters the queue on the rank's own behalf.
+                        if let Some(next) = slot.0.park() {
+                            next.unpark();
+                        }
+                        slot.0.sleep(Some(Duration::from_micros(20)));
                     }
                 });
             }
         });
         assert!(peak.load(Ordering::SeqCst) <= 3, "admission must bound runnable ranks");
-        assert!(
-            sched.contended() <= 16 * 50,
-            "contention counter counts blocking acquisitions only"
-        );
+        let s = sched.slots.lock();
+        assert_eq!((s.held, s.ready.len()), (0, 0), "every slot returns at quiescence");
     }
 
     #[test]
-    fn lend_without_registration_is_noop() {
-        assert!(!lend_slot(), "threads outside the pool must not lend");
-    }
-
-    #[test]
-    fn lend_and_reacquire_round_trip() {
-        let sched = Scheduler::new(1);
-        let _slot = SlotGuard::enter(Arc::clone(&sched));
-        assert!(lend_slot());
-        assert!(!lend_slot(), "slot already lent");
-        reacquire_slot();
-        assert!(lend_slot(), "slot must be held again after reacquire");
-        reacquire_slot();
+    fn threads_outside_a_job_park_and_wake_through_the_same_handle() {
+        let h = WakeHandle::current();
+        assert!(Arc::ptr_eq(&h, &WakeHandle::current()), "one handle per thread");
+        assert!(h.make_ready().is_none(), "a running thread is left alone");
+        assert!(h.park().is_none(), "nobody queues on a private scheduler");
+        let waker = Arc::clone(&h);
+        let t = std::thread::spawn(move || waker.make_ready().map(|t| t.unpark()));
+        h.sleep(None);
+        t.join().unwrap();
+        assert_eq!(h.sched.slots.lock().held, 1);
     }
 
     #[test]

@@ -55,6 +55,7 @@ pub enum Rule {
     LockOrder,
     LockBlocking,
     LockCharge,
+    LockWake,
 }
 
 impl Rule {
@@ -73,10 +74,11 @@ impl Rule {
             Rule::LockOrder => "lock-order",
             Rule::LockBlocking => "lock-blocking",
             Rule::LockCharge => "lock-charge",
+            Rule::LockWake => "lock-wake",
         }
     }
 
-    pub fn all() -> [Rule; 13] {
+    pub fn all() -> [Rule; 14] {
         [
             Rule::WallClock,
             Rule::Rand,
@@ -91,6 +93,7 @@ impl Rule {
             Rule::LockOrder,
             Rule::LockBlocking,
             Rule::LockCharge,
+            Rule::LockWake,
         ]
     }
 
@@ -98,7 +101,11 @@ impl Rule {
     pub fn is_lock(self) -> bool {
         matches!(
             self,
-            Rule::LockUnregistered | Rule::LockOrder | Rule::LockBlocking | Rule::LockCharge
+            Rule::LockUnregistered
+                | Rule::LockOrder
+                | Rule::LockBlocking
+                | Rule::LockCharge
+                | Rule::LockWake
         )
     }
 

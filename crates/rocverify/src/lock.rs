@@ -16,10 +16,12 @@
 //!    member that no longer matches a field is stale and also denied.
 //! 2. **Intra-function guard tracking** over the token stream: while a
 //!    registered guard is provably held, flag blocking fabric calls
-//!    (`send*`/`recv*`/`probe*`/wildcard takes/collectives —
+//!    (`send*`/`recv*`/`probe*`/`wait_match`/`settle_at`/collectives —
 //!    `lock-blocking`), virtual-time charging (`charge_read`/
-//!    `charge_write` — `lock-charge`), and acquisition of another
-//!    registered lock whose level is not strictly lower (`lock-order`).
+//!    `charge_write` — `lock-charge`), thread wakes (`unpark` —
+//!    `lock-wake`: the woken thread's first act is to take the lock its
+//!    waker still holds), and acquisition of another registered lock
+//!    whose level is not strictly lower (`lock-order`).
 //! 3. **Workspace lock graph**: nodes are registered locks; edges are
 //!    every *observed* nested acquisition plus the registry's declared
 //!    cross-function edges (nestings the intra-function pass cannot
@@ -32,8 +34,10 @@
 //!    against reality instead of merely trusted.
 //!
 //! What "held" means here is a syntactic over-approximation: a
-//! `let`-bound guard lives to the end of its enclosing brace scope (or
-//! an explicit `drop(var)`); a temporary guard lives to the end of the
+//! `let`-bound guard — bare, or wrapped by the constructor call it is
+//! the sole argument of (`let g = Locked::new(self.state.lock());`) —
+//! lives to the end of its enclosing brace scope (or an explicit
+//! `drop(var)`); a temporary guard lives to the end of the
 //! enclosing statement *including any attached block* — Rust's
 //! pre-2024 `match`/`if let` temporary semantics, and a safe
 //! over-approximation for plain `if` conditions. Local (non-field)
@@ -49,8 +53,8 @@ use std::path::Path;
 
 use crate::lexer::{tokenize, Tok};
 use crate::lint::{
-    apply_allowlist, read_allowlist, rs_files, skip_balanced, strip_test_items, t, AllowEntry,
-    Finding, Rule,
+    apply_allowlist, is_path_sep, read_allowlist, rs_files, skip_balanced, strip_test_items, t,
+    AllowEntry, Finding, Rule,
 };
 
 // ---------------------------------------------------------------------------
@@ -374,8 +378,15 @@ fn is_blocking_call(name: &str) -> bool {
         "send", "recv", "probe", "allreduce", "barrier", "bcast", "alltoall", "allgather",
         "scatter",
     ];
-    const EXACT: [&str; 5] = ["gather", "take_matching", "take_any", "peek_matching", "peek_any"];
+    const EXACT: [&str; 3] = ["gather", "wait_match", "settle_at"];
     PREFIXES.iter().any(|p| name.starts_with(p)) || EXACT.contains(&name)
+}
+
+/// Calls that wake another thread. Issued under a guard, the woken
+/// thread runs straight into the lock its waker still holds; wakes are
+/// decided under the lock and issued after it is released.
+fn is_wake_call(name: &str) -> bool {
+    name == "unpark"
 }
 
 fn is_charge_call(name: &str) -> bool {
@@ -449,6 +460,24 @@ fn chain_start(toks: &[Tok], field: usize) -> usize {
         }
         j = k;
     }
+}
+
+/// If the chain starting at `start` is the sole argument of a
+/// constructor call — `Path::new(chain.lock())` — return the index of
+/// the path's first token: the guard lives in the constructed value.
+fn wrapper_start(toks: &[Tok], start: usize) -> Option<usize> {
+    if t(toks, start.wrapping_sub(1)) != "(" {
+        return None;
+    }
+    let mut j = start.checked_sub(2)?;
+    let is_ident = |s: &str| !s.is_empty() && s.chars().all(|c| c.is_alphanumeric() || c == '_');
+    if !is_ident(t(toks, j)) {
+        return None;
+    }
+    while j >= 3 && is_path_sep(toks, j - 2) && is_ident(t(toks, j - 3)) {
+        j -= 3;
+    }
+    Some(j)
 }
 
 /// If the chain starting at `start` is the right-hand side of a
@@ -642,8 +671,11 @@ pub fn lock_source(
             // call is further chained (`.lock().get(..)`), the guard is
             // a temporary that dies with the statement.
             let after_call = skip_balanced(&toks, i + 1);
+            let chain = chain_start(&toks, fidx);
             let var = if t(&toks, after_call) == ";" {
-                binding_var(&toks, chain_start(&toks, fidx))
+                binding_var(&toks, chain)
+            } else if t(&toks, after_call) == ")" && t(&toks, after_call + 1) == ";" {
+                wrapper_start(&toks, chain).and_then(|w| binding_var(&toks, w))
             } else {
                 None
             };
@@ -656,6 +688,20 @@ pub fn lock_source(
                     format!(
                         "guard for `{}` held across blocking call `.{w}(..)` — release \
                          it before fabric operations",
+                        h.lock
+                    ),
+                    &mut findings,
+                );
+            }
+        } else if is_wake_call(w) {
+            for h in &held {
+                push(
+                    Rule::LockWake,
+                    toks[i].line,
+                    format!(
+                        "`.{w}()` while the guard for `{}` is held — the woken thread \
+                         collides with its waker; collect the wake and issue it after \
+                         the guard is dropped",
                         h.lock
                     ),
                     &mut findings,

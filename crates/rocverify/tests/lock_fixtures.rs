@@ -83,13 +83,42 @@ fn guard_across_recv_fires() {
     );
     assert_eq!(rules_fired(&src), vec![Rule::LockBlocking]);
     // Collectives and wildcard takes count too.
-    for call in ["barrier()", "send_segments(0, 7, &s)", "take_any(1, |e| true)"] {
+    for call in ["barrier()", "send_segments(0, 7, &s)", "wait_match(1, &spec, k)", "settle_at(1, &spec, t, k)"] {
         let src = format!(
             "{STRUCT}impl S {{ fn f(&self) {{ let g = self.outer.lock(); \
              self.comm.{call}; }} }}"
         );
         assert_eq!(rules_fired(&src), vec![Rule::LockBlocking], "for {call}");
     }
+}
+
+#[test]
+fn wake_under_guard_fires() {
+    let src = format!(
+        "{STRUCT}impl S {{ fn f(&self) {{ let g = self.outer.lock(); \
+         self.thread.unpark(); }} }}"
+    );
+    assert_eq!(rules_fired(&src), vec![Rule::LockWake]);
+    // A guard handed straight to a wrapper's constructor is as live as
+    // a bare one: the wrapper owns it to the end of the scope.
+    let wrapped = format!(
+        "{STRUCT}impl S {{ fn f(&self) {{ let mut g = wake::Locked::new(self.outer.lock()); \
+         self.thread.unpark(); }} }}"
+    );
+    assert_eq!(rules_fired(&wrapped), vec![Rule::LockWake]);
+    // Decided under the lock, issued after it: clean.
+    let after = format!(
+        "{STRUCT}impl S {{ fn f(&self) {{ let g = Locked::new(self.outer.lock()); \
+         let t = g.pick(); drop(g); t.unpark(); }} }}"
+    );
+    assert_eq!(rules_fired(&after), vec![]);
+    // The grant decision itself takes no thread handle: only the
+    // unpark is a wake.
+    let scoped = format!(
+        "{STRUCT}impl S {{ fn f(&self) {{ let t = {{ let g = self.inner.lock(); g.pick() }}; \
+         t.unpark(); }} }}"
+    );
+    assert_eq!(rules_fired(&scoped), vec![]);
 }
 
 #[test]
