@@ -7,7 +7,7 @@
 //! cargo run --release -p bench --bin fig3a [max_procs] [--trace out.json]
 //! ```
 
-use bench::{fig3a_point_traced, paper, row, TraceSink};
+use bench::{fig3a_point, paper, row, TraceSink};
 use genx::RunReport;
 
 fn main() {
@@ -45,8 +45,8 @@ fn main() {
         )
     );
     for &n in &points {
-        let panda = sink.run(|tc| fig3a_point_traced(n, true, steps, tc));
-        let rochdf = sink.run(|tc| fig3a_point_traced(n, false, steps, tc));
+        let panda = sink.run(|tc| fig3a_point(n, true, steps, tc));
+        let rochdf = sink.run(|tc| fig3a_point(n, false, steps, tc));
         println!(
             "{}",
             row(

@@ -11,7 +11,7 @@
 //! cargo run --release -p bench --bin fig3b [max_nodes] [--trace out.json]
 //! ```
 
-use bench::{fig3b_point_traced, row, TraceSink};
+use bench::{fig3b_point, row, TraceSink};
 use genx::RunReport;
 use rocnet::cluster::NodeUsage;
 
@@ -44,9 +44,9 @@ fn main() {
         )
     );
     for &k in &nodes {
-        let ns16 = sink.run(|tc| fig3b_point_traced(k, NodeUsage::AllCompute, steps, tc));
-        let ns15 = sink.run(|tc| fig3b_point_traced(k, NodeUsage::SpareIdle, steps, tc));
-        let s15 = sink.run(|tc| fig3b_point_traced(k, NodeUsage::SpareServer, steps, tc));
+        let ns16 = sink.run(|tc| fig3b_point(k, NodeUsage::AllCompute, steps, tc));
+        let ns15 = sink.run(|tc| fig3b_point(k, NodeUsage::SpareIdle, steps, tc));
+        let s15 = sink.run(|tc| fig3b_point(k, NodeUsage::SpareServer, steps, tc));
         println!(
             "{}",
             row(

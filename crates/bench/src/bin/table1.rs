@@ -12,7 +12,7 @@
 //! `trace_event` timeline is written to `<path>` (open in
 //! `chrome://tracing` or Perfetto).
 
-use bench::{paper, row, table1_cell_traced, Table1Io, TraceSink};
+use bench::{paper, row, table1_cell, Table1Io, TraceSink};
 use genx::RunReport;
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
     for &n in &procs {
         for io in [Table1Io::Rochdf, Table1Io::TRochdf, Table1Io::Rocpanda] {
             eprintln!("running {} x {n}...", io.name());
-            reports.push(sink.run(|tc| table1_cell_traced(n, io, scale, steps, every, tc)));
+            reports.push(sink.run(|tc| table1_cell(n, io, scale, steps, every, tc)));
         }
     }
     sink.write_json("table1", &reports);

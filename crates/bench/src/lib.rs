@@ -36,23 +36,12 @@ pub mod paper {
 }
 
 /// The Table 1 experiment: one (processor count, I/O module) cell of the
-/// lab-scale-motor run on the Turing model.
+/// lab-scale-motor run on the Turing model, traced into `collector` when
+/// one is given (`--trace`).
 ///
 /// `scale` scales the problem size (1.0 = the paper's ~64 MB snapshot);
-/// `steps`/`every` default to the paper's 200/50 in the binaries, smaller
-/// in Criterion benches.
+/// `steps`/`every` are the paper's 200/50 in the binaries.
 pub fn table1_cell(
-    n_compute: usize,
-    io: Table1Io,
-    scale: f64,
-    steps: u64,
-    every: u64,
-) -> RunReport {
-    table1_cell_traced(n_compute, io, scale, steps, every, None)
-}
-
-/// [`table1_cell`] with optional span tracing (`--trace` support).
-pub fn table1_cell_traced(
     n_compute: usize,
     io: Table1Io,
     scale: f64,
@@ -107,12 +96,7 @@ impl Table1Io {
 /// One point of Fig. 3(a): the scalability-cylinder run on the Frost
 /// model with `n_compute` compute processors. With Rocpanda, 15 compute
 /// CPUs + 1 server CPU per 16-way node; with Rochdf, no servers.
-pub fn fig3a_point(n_compute: usize, rocpanda: bool, steps: u64) -> RunReport {
-    fig3a_point_traced(n_compute, rocpanda, steps, None)
-}
-
-/// [`fig3a_point`] with optional span tracing (`--trace` support).
-pub fn fig3a_point_traced(
+pub fn fig3a_point(
     n_compute: usize,
     rocpanda: bool,
     steps: u64,
@@ -152,12 +136,7 @@ pub fn fig3a_point_traced(
 
 /// One point of Fig. 3(b): computation time of the scalability test under
 /// the three per-node CPU configurations.
-pub fn fig3b_point(nodes: usize, usage: NodeUsage, steps: u64) -> RunReport {
-    fig3b_point_traced(nodes, usage, steps, None)
-}
-
-/// [`fig3b_point`] with optional span tracing (`--trace` support).
-pub fn fig3b_point_traced(
+pub fn fig3b_point(
     nodes: usize,
     usage: NodeUsage,
     steps: u64,
@@ -244,26 +223,13 @@ impl TraceSink {
         )
     }
 
-    /// A sink that never traces (binaries without CLI parsing).
-    pub fn disabled() -> TraceSink {
-        TraceSink {
-            path: None,
-            summaries: Vec::new(),
-            last: None,
-        }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.path.is_some()
-    }
-
     /// Run one experiment cell. When tracing, the cell gets a fresh
     /// collector and its aggregate summary is retained for the JSON
     /// report; the full trace of the **latest** cell is what `finish`
     /// writes out (cells reuse rank ids and restart virtual time at
     /// zero, so overlaying them in one timeline would be misleading).
     pub fn run(&mut self, f: impl FnOnce(Option<&TraceCollector>) -> RunReport) -> RunReport {
-        if self.enabled() {
+        if self.path.is_some() {
             let tc = TraceCollector::new();
             let report = f(Some(&tc));
             let trace = tc.finish();
@@ -280,7 +246,7 @@ impl TraceSink {
     /// Write `results/<name>.json`: a plain report array normally, or
     /// report+trace-summary pairs when tracing.
     pub fn write_json(&self, name: &str, reports: &[RunReport]) {
-        if self.enabled() {
+        if self.path.is_some() {
             let rows: Vec<TracedRunReport> = reports
                 .iter()
                 .enumerate()
@@ -365,7 +331,7 @@ mod tests {
 
     #[test]
     fn table1_cell_smoke() {
-        let r = table1_cell(2, Table1Io::Rochdf, 0.05, 4, 2);
+        let r = table1_cell(2, Table1Io::Rochdf, 0.05, 4, 2, None);
         assert_eq!(r.n_compute, 2);
         assert!(r.restart_ok);
         assert_eq!(r.snapshots, 3);
@@ -373,7 +339,7 @@ mod tests {
 
     #[test]
     fn table1_rocpanda_adds_servers() {
-        let r = table1_cell(8, Table1Io::Rocpanda, 0.05, 2, 2);
+        let r = table1_cell(8, Table1Io::Rocpanda, 0.05, 2, 2, None);
         assert_eq!(r.n_compute, 8);
         assert_eq!(r.n_servers, 1);
         assert!(r.restart_ok);
@@ -381,21 +347,21 @@ mod tests {
 
     #[test]
     fn fig3_points_smoke() {
-        let a = fig3a_point(2, true, 2);
+        let a = fig3a_point(2, true, 2, None);
         assert_eq!(a.n_compute, 2);
         assert_eq!(a.n_servers, 1);
-        let b = fig3a_point(2, false, 2);
+        let b = fig3a_point(2, false, 2, None);
         assert_eq!(b.n_servers, 0);
-        let c = fig3b_point(1, NodeUsage::AllCompute, 2);
+        let c = fig3b_point(1, NodeUsage::AllCompute, 2, None);
         assert_eq!(c.n_compute, 16);
-        let d = fig3b_point(1, NodeUsage::SpareServer, 2);
+        let d = fig3b_point(1, NodeUsage::SpareServer, 2, None);
         assert_eq!(d.n_compute, 15);
         assert_eq!(d.n_servers, 1);
     }
 
     #[test]
     fn csv_has_header_and_rows() {
-        let r = table1_cell(2, Table1Io::Rochdf, 0.05, 2, 2);
+        let r = table1_cell(2, Table1Io::Rochdf, 0.05, 2, 2, None);
         write_csv("test-csv", &[r]);
         let text = std::fs::read_to_string("results/test-csv.csv").unwrap();
         let mut lines = text.lines();

@@ -51,7 +51,7 @@ impl DType {
         })
     }
 
-    /// Human-readable name, as shown by the file inspector.
+    /// Human-readable name, as error messages show it.
     pub fn name(self) -> &'static str {
         match self {
             DType::U8 => "u8",

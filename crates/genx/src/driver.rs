@@ -100,9 +100,9 @@ pub struct GenxConfig {
     /// Rochdf/T-Rochdf tunables (dir is overridden by `out_dir`).
     pub rochdf: RochdfConfig,
     /// Rank scheduling: the pooled M:N default, or
-    /// [`SchedConfig::threaded`] for the legacy one-OS-thread-per-rank
-    /// harness (identity tests, bench baselines). Scheduling never
-    /// changes the report or the bytes on disk.
+    /// [`SchedConfig::threaded`] for one free-running OS thread per rank
+    /// (the identity tests' reference). Scheduling never changes the
+    /// report or the bytes on disk.
     pub sched: SchedConfig,
 }
 

@@ -150,7 +150,7 @@ impl Workload {
     }
 
     /// Lab-scale motor with a linear size scale factor (for quick tests
-    /// and Criterion benches; `scale = 1.0` is the paper-size problem).
+    /// and reduced-scale runs; `scale = 1.0` is the paper-size problem).
     pub fn lab_scale_motor_scaled(seed: u64, scale: f64) -> Workload {
         Self::lab_scale_sized(seed, scale, None)
     }

@@ -5,9 +5,9 @@
 //! threads admitted through a bounded worker pool
 //! ([`SchedConfig::pooled`]), which is what makes multi-thousand-rank
 //! jobs practical. [`SchedConfig::threaded`] runs the same code with
-//! unbounded slots — one free-running OS thread per rank, the scaling
-//! bench's baseline — and scheduling never changes what a rank observes:
-//! `tests/scale_sched.rs` holds both shapes to byte-identical output.
+//! unbounded slots — one free-running OS thread per rank — and
+//! scheduling never changes what a rank observes: `tests/scale_sched.rs`
+//! holds both shapes to byte-identical output.
 
 use std::sync::Arc;
 
@@ -106,33 +106,48 @@ mod tests {
         }
     }
 
+    /// `n` ranks on `workers` slots with 128 KiB stacks: every rank but 0
+    /// funnels its id into rank 0's wildcard receive (gate parks), then
+    /// all cross a barrier (tree parks). Returns what each rank summed.
+    fn funnel_then_barrier(n: usize, workers: usize) -> Vec<u64> {
+        let sched = SchedConfig {
+            workers,
+            stack_bytes: 128 * 1024,
+        };
+        run_ranks_sched(n, ClusterSpec::ideal(n), &sched, |comm| {
+            let mut sum = 0u64;
+            if comm.rank() == 0 {
+                for _ in 1..comm.size() {
+                    let m = comm.recv(None, Some(7)).unwrap();
+                    sum += u64::from_le_bytes(m.payload[..8].try_into().unwrap());
+                }
+            } else {
+                comm.send(0, 7, &(comm.rank() as u64).to_le_bytes()).unwrap();
+            }
+            comm.barrier().unwrap();
+            sum
+        })
+    }
+
     #[test]
     fn pool_smaller_than_rank_count_completes() {
-        // More ranks than workers, all funneling into rank 0's wildcard
-        // receive: every rank parks and hands its slot on at some point.
+        // More ranks than workers: every rank parks and hands its slot on
+        // at some point.
         for workers in [1, 3] {
-            let out = run_ranks_sched(
-                16,
-                ClusterSpec::ideal(16),
-                &SchedConfig {
-                    workers,
-                    stack_bytes: 128 * 1024,
-                },
-                |comm| {
-                    if comm.rank() == 0 {
-                        let mut sum = 0u64;
-                        for _ in 0..comm.size() - 1 {
-                            let m = comm.recv(None, Some(7)).unwrap();
-                            sum += u64::from(m.payload[0]);
-                        }
-                        sum
-                    } else {
-                        comm.send(0, 7, &[comm.rank() as u8]).unwrap();
-                        0
-                    }
-                },
-            );
+            let out = funnel_then_barrier(16, workers);
             assert_eq!(out[0], (1..16).sum::<u64>(), "{workers} workers");
         }
+    }
+
+    #[test]
+    fn multi_thousand_rank_job_completes_on_a_small_pool() {
+        // The reach the M:N scheduler exists for: 8 workers, far past
+        // what one default-stack thread per rank is comfortable with.
+        // Sized from the build profile: 10 000 ranks when optimized (the
+        // release-profile CI step), 1 024 in a debug build.
+        let n: usize = if cfg!(debug_assertions) { 1024 } else { 10_000 };
+        let out = funnel_then_barrier(n, 8);
+        assert_eq!(out[0], (1..n as u64).sum::<u64>());
+        assert!(out[1..].iter().all(|&t| t == 0));
     }
 }

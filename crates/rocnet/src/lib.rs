@@ -26,7 +26,7 @@
 //!   equivalent of `mpirun`. Ranks are small-stack threads multiplexed
 //!   over a bounded admission pool ([`sched`]), so 10k-rank jobs are
 //!   practical; `SchedConfig::threaded` keeps the one-OS-thread-per-rank
-//!   shape as a baseline, through the same code.
+//!   shape as the identity tests' reference, through the same code.
 //!
 //! ## Example
 //!
@@ -60,7 +60,6 @@ pub mod comm;
 pub mod fabric;
 pub mod harness;
 pub mod model;
-pub mod request;
 pub mod rocrel;
 pub mod sched;
 pub mod stats;
@@ -73,7 +72,6 @@ pub use fabric::{Fabric, FaultInjector, FaultStats};
 pub use harness::{run_on_fabric, run_ranks};
 pub use model::{FaultAction, FaultSpec, NetworkModel};
 pub use sched::{run_on_fabric_sched, run_ranks_sched, SchedConfig};
-pub use request::{RecvRequest, SendRequest};
 pub use rocrel::{RelConfig, RelOnly, ReliableComm, TAG_REL};
 pub use stats::CommStats;
 pub use vtime::VClock;

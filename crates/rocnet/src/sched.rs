@@ -67,8 +67,8 @@ use crate::fabric::Fabric;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedConfig {
     /// Maximum number of ranks runnable at once. `0` means unbounded
-    /// slots: every rank a free-running OS thread (the legacy harness
-    /// shape, kept as the bench baseline), through the same code.
+    /// slots: every rank a free-running OS thread (the shape the identity
+    /// tests use as their reference), through the same code.
     pub workers: usize,
     /// Stack bytes per rank thread; `0` uses the platform default.
     pub stack_bytes: usize,
@@ -107,9 +107,8 @@ impl SchedConfig {
         }
     }
 
-    /// The legacy shape: one free-running OS thread per rank, default
-    /// stacks, no admission. Kept as the scaling-bench baseline and for
-    /// the pooled-vs-threaded identity tests.
+    /// One free-running OS thread per rank, default stacks, no admission:
+    /// the reference the pooled-vs-threaded identity tests compare against.
     pub fn threaded() -> Self {
         SchedConfig {
             workers: 0,

@@ -30,7 +30,8 @@ pub struct PandaClient<'a> {
     cfg: RocpandaConfig,
     /// The tenant this client writes as.
     tenant: TenantId,
-    my_server: usize,
+    /// World rank of this client's assigned server.
+    pub(crate) my_server: usize,
     server_ranks: Vec<usize>,
     visible_io: f64,
     finalized: bool,
@@ -62,19 +63,6 @@ impl<'a> PandaClient<'a> {
             pool: SegmentPool::new(),
             segs: Vec::new(),
         }
-    }
-
-    /// The client sub-communicator. "When existing simulation codes are
-    /// adapted to use Rocpanda, all the instances of `MPI_COMM_WORLD` need
-    /// to be replaced by the client communicator returned by the Rocpanda
-    /// initialization routine" (§4.2).
-    pub fn client_comm(&self) -> &Comm {
-        &self.client_comm
-    }
-
-    /// World rank of this client's assigned server.
-    pub fn server_rank(&self) -> usize {
-        self.my_server
     }
 
     /// The tenant this client writes as.
@@ -175,21 +163,10 @@ impl IoService for PandaClient<'_> {
         while dones < self.server_ranks.len() || got < expected {
             let msg = self.net.recv(None, None)?;
             match msg.tag {
-                tag::READ_BLOCK => {
-                    // Zero-copy decode: payloads stay windows into the
-                    // message until apply_block installs them typed.
-                    let bm = BlockMsg::decode_shared(&msg.payload)?;
-                    if !seen.insert(bm.block.id.0) {
-                        return Err(RocError::Corrupt(format!(
-                            "restart: block {} delivered twice",
-                            bm.block.id
-                        )));
-                    }
-                    roccom::convert::apply_block(windows.window_mut(&sel.window)?, &bm.block)?;
-                    got += 1;
-                }
                 tag::READ_BATCH => {
-                    // A server's whole cache-served share in one message.
+                    // A server's whole share in one message. Zero-copy
+                    // decode: payloads stay windows into the message
+                    // until apply_block installs them typed.
                     for bm in wire::decode_read_batch_shared(&msg.payload)? {
                         if !seen.insert(bm.block.id.0) {
                             return Err(RocError::Corrupt(format!(
@@ -310,6 +287,7 @@ impl IoService for PandaClient<'_> {
 mod tests {
     use std::sync::Arc;
 
+    use crate::wire::BlockMsg;
     use crate::{PandaClient, PandaServiceBuilder, RocpandaConfig, ServerStats, ServiceRole};
     use rocio_core::{ArrayData, BlockId, DType, SnapshotId};
     use rocnet::cluster::ClusterSpec;
@@ -387,7 +365,11 @@ mod tests {
         svc.admit_world("job", fabric.n_ranks()).unwrap();
         let out = rocnet::harness::run_on_fabric(fabric, &|world: Comm| {
             match svc.attach(&world).unwrap() {
-                ServiceRole::Server(mut s) => Err(s.run().unwrap()),
+                ServiceRole::Server(mut s) => {
+                    let stats = s.run().unwrap();
+                    assert_eq!(s.buffered_bytes, 0, "a drained server holds no bytes");
+                    Err(stats)
+                }
                 ServiceRole::Client { mut io, comm: app, .. } => Ok(client(&world, &mut io, &app)),
                 ServiceRole::Idle => unreachable!("admit_world leaves no rank idle"),
             }
@@ -607,6 +589,48 @@ mod tests {
         assert_eq!(r.block_ids().len(), 8);
     }
 
+    /// The drain gives the buffer back exactly what intake charged it:
+    /// with room for one snapshot's wire bytes and a sync after each
+    /// snapshot, the ninth fits as the first did. Were any part of a
+    /// drained block — its routing header, its record-name prefixes —
+    /// left charged, a long-lived server would creep toward "full" and
+    /// degrade to write-through.
+    #[test]
+    fn buffer_sized_for_one_snapshot_never_overflows() {
+        let fs = Arc::new(SharedFs::ideal());
+        let all = AttrSelector::all("fluid");
+        let wire_bytes = |client: usize| -> usize {
+            let ws = build_windows(client, 3);
+            roccom::convert::window_to_blocks(ws.window("fluid").unwrap(), &all.attr)
+                .unwrap()
+                .into_iter()
+                .map(|block| {
+                    let msg = BlockMsg {
+                        snap: SnapshotId::new(0, 0),
+                        window: "fluid".into(),
+                        block,
+                    };
+                    msg.encode().len()
+                })
+                .sum()
+        };
+        let cfg = RocpandaConfig {
+            buffer_capacity: wire_bytes(0) + wire_bytes(1),
+            ack_window: 64,
+            ..Default::default()
+        };
+        let (_, stats) = run_job(&fs, &cfg, &[0], &ideal(3), |_, c, app| {
+            let ws = build_windows(app.rank(), 3);
+            for i in 0..9 {
+                c.write_attribute(&ws, &all, SnapshotId::new(10 * i, i as u32)).unwrap();
+                c.sync().unwrap();
+            }
+            c.finalize().unwrap();
+        });
+        assert_eq!(stats[0].blocks_written, 9 * 6);
+        assert_eq!(stats[0].buffer_overflows, 0, "occupancy leaked across snapshots");
+    }
+
     /// Tiny buffer capacity forces graceful overflow, and nothing is lost.
     /// The wide ACK window lets every block be legitimately in flight at
     /// once — with the default window of 1 the per-block handshake paces
@@ -731,7 +755,7 @@ mod tests {
         let snap = SnapshotId::new(0, 0);
         run_job(&fs, &RocpandaConfig::default(), &[0], &ideal(3), |_, c, app| {
             let n_panes = if app.rank() == 0 { 3 } else { 0 };
-            let ws = build_windows(c.client_comm().rank(), n_panes);
+            let ws = build_windows(app.rank(), n_panes);
             c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
             c.finalize().unwrap();
         });

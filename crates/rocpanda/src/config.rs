@@ -78,7 +78,7 @@ impl RocpandaConfig {
     /// File path for a tenant's `(window, snap, server_index)`: service
     /// tenants get a `t{id:04}/` directory under `dir` so concurrent jobs
     /// never collide.
-    pub fn path_for(
+    pub(crate) fn path_for(
         &self,
         tenant: rocio_core::TenantId,
         window: &str,
@@ -94,7 +94,7 @@ impl RocpandaConfig {
     }
 
     /// Path prefix of a tenant's server files for `(window, snap)`.
-    pub fn prefix_for(
+    pub(crate) fn prefix_for(
         &self,
         tenant: rocio_core::TenantId,
         window: &str,

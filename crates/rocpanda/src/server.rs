@@ -129,6 +129,9 @@ struct Queued {
     block: DataBlock,
     /// Encoded size, charged against the tenant's DRR deficit.
     size: u64,
+    /// Wire bytes `enqueue` added to `buffered_bytes`; the drain gives
+    /// back exactly this.
+    charged: usize,
     /// Virtual time the block entered the queue (drain-latency stats).
     enqueued: f64,
 }
@@ -146,7 +149,8 @@ pub struct PandaServer<'a> {
     server_comm: Comm,
     fs: &'a SharedFs,
     cfg: RocpandaConfig,
-    server_index: usize,
+    /// This server's index among the servers (names its output files).
+    pub(crate) server_index: usize,
     server_ranks: Vec<usize>,
     /// The admitted tenants, in admission order.
     tenants: Vec<TenantLane>,
@@ -162,7 +166,9 @@ pub struct PandaServer<'a> {
     drain_deficit: HashMap<TenantId, u64>,
     /// Total blocks across all drain queues.
     queued_total: usize,
-    buffered_bytes: usize,
+    /// Buffer occupancy: wire bytes of every queued block, compared
+    /// against `cfg.buffer_capacity`. Zero whenever the queues are empty.
+    pub(crate) buffered_bytes: usize,
     /// (client world rank, file key) → blocks still expected from them.
     client_pending: HashMap<(usize, FileKey), u32>,
     /// Restart requests collected per file key.
@@ -252,11 +258,6 @@ impl<'a> PandaServer<'a> {
             disk_completion: 0.0,
             stats: ServerStats::default(),
         }
-    }
-
-    /// This server's index among the servers (names its output files).
-    pub fn server_index(&self) -> usize {
-        self.server_index
     }
 
     /// World ranks of the clients attached to this server, all tenants.
@@ -387,7 +388,6 @@ impl<'a> PandaServer<'a> {
                 );
                 self.files.entry(key.clone()).or_default().blocks_received += 1;
                 if self.cfg.active_buffering {
-                    self.buffered_bytes += bytes;
                     self.stats.blocks_buffered += 1;
                     if self.cfg.read_cache {
                         // Keep a handle for restart service. Payloads are
@@ -398,7 +398,7 @@ impl<'a> PandaServer<'a> {
                             .or_default()
                             .insert(bm.block.id.0, bm.block.clone());
                     }
-                    self.enqueue(key.clone(), bm.block);
+                    self.enqueue(key.clone(), bm.block, bytes);
                     if rocobs::enabled() {
                         rocobs::record(
                             rocobs::SpanCategory::BufferFill,
@@ -512,11 +512,14 @@ impl<'a> PandaServer<'a> {
         }
     }
 
-    /// Queue a buffered block on its tenant's drain lane.
-    fn enqueue(&mut self, key: FileKey, block: DataBlock) {
+    /// Queue a buffered block on its tenant's drain lane, charging the
+    /// buffer the `charged` wire bytes the block arrived as.
+    fn enqueue(&mut self, key: FileKey, block: DataBlock, charged: usize) {
         let tenant = key.tenant;
+        self.buffered_bytes += charged;
         let item = Queued {
             size: block.encoded_size() as u64,
+            charged,
             enqueued: self.world.now(),
             key,
             block,
@@ -568,13 +571,12 @@ impl<'a> PandaServer<'a> {
     fn write_one(&mut self) -> Result<()> {
         if let Some(item) = self.pop_next() {
             let t0 = self.world.now();
-            let bytes = item.block.encoded_size();
-            self.buffered_bytes = self.buffered_bytes.saturating_sub(bytes);
+            self.buffered_bytes -= item.charged;
             self.write_checked(&item.key, &item.block)?;
             let latency = self.world.now() - item.enqueued;
             let ds = self.drain_stats.entry(item.key.tenant).or_default();
             ds.blocks += 1;
-            ds.bytes += bytes as u64;
+            ds.bytes += item.size;
             ds.total_latency += latency;
             ds.max_latency = ds.max_latency.max(latency);
             if rocobs::enabled() {
@@ -584,8 +586,8 @@ impl<'a> PandaServer<'a> {
                     t0,
                     self.world.now(),
                     &format!(
-                        "bytes={bytes} occupancy={} queued={}",
-                        self.buffered_bytes, self.queued_total
+                        "bytes={} occupancy={} queued={}",
+                        item.size, self.buffered_bytes, self.queued_total
                     ),
                 );
             }
@@ -888,15 +890,10 @@ impl<'a> PandaServer<'a> {
         }
     }
 
-    /// Serve the whole restart from this server's snapshot read cache:
-    /// no disk at all. Each requesting client gets its blocks batched in
-    /// a single zero-copy `READ_BATCH` message, then `READ_DONE` with the
-    /// count. The modelled cost per block mirrors intake: per-block
-    /// overhead plus a memory copy to stage the reply.
-    fn serve_from_cache(&mut self, key: &FileKey, requests: &[(usize, Vec<u64>)]) -> Result<()> {
-        // Same ownership validation as the disk path. Every server sees
-        // every client's request, so a violation is raised symmetrically.
-        let mut owner: HashMap<u64, usize> = HashMap::new();
+    /// Block id → requesting client. Every server sees every client's
+    /// request, so a block claimed twice is raised symmetrically.
+    fn owners(requests: &[(usize, Vec<u64>)]) -> Result<HashMap<u64, usize>> {
+        let mut owner = HashMap::new();
         for (client, ids) in requests {
             for id in ids {
                 if owner.insert(*id, *client).is_some() {
@@ -906,30 +903,60 @@ impl<'a> PandaServer<'a> {
                 }
             }
         }
+        Ok(owner)
+    }
+
+    /// Serve the whole restart from this server's snapshot read cache:
+    /// no disk at all, no flush, no scan.
+    fn serve_from_cache(&mut self, key: &FileKey, requests: &[(usize, Vec<u64>)]) -> Result<()> {
+        // The cache is keyed by block id, so the map itself is not needed
+        // here: only its refusal of a block claimed twice.
+        Self::owners(requests)?;
         let cache = self.read_cache.get(key);
-        for (client, ids) in requests {
-            let t0 = self.world.now();
-            let mut msgs: Vec<BlockMsg> = Vec::new();
-            for id in ids {
-                let Some(block) = cache.and_then(|c| c.get(id)) else {
-                    continue;
-                };
-                self.world.advance(
-                    self.cfg.server_block_overhead
-                        + block.encoded_size() as f64 / self.cfg.server_copy_bw,
-                );
-                msgs.push(BlockMsg {
+        let per_client = requests
+            .iter()
+            .map(|(client, ids)| {
+                let cached = ids.iter().filter_map(|id| cache?.get(id));
+                let msgs = cached.map(|block| BlockMsg {
                     snap: key.snap,
                     window: key.window.clone(),
                     block: block.clone(),
                 });
+                (*client, msgs.collect())
+            })
+            .collect();
+        self.ship(&per_client, requests, true)
+    }
+
+    /// End a restart round: each requesting client, in request order,
+    /// gets its share as one zero-copy `READ_BATCH` (none when the share
+    /// is empty), then `READ_DONE` with the count. Blocks `staged` out of
+    /// the read cache are charged like intake — per-block overhead plus a
+    /// memory copy into the reply; blocks off the disk were charged by
+    /// their reads.
+    fn ship(
+        &mut self,
+        per_client: &HashMap<usize, Vec<BlockMsg>>,
+        requests: &[(usize, Vec<u64>)],
+        staged: bool,
+    ) -> Result<()> {
+        for (client, _) in requests {
+            let msgs = per_client.get(client).map_or(&[][..], Vec::as_slice);
+            let t0 = self.world.now();
+            if staged {
+                for m in msgs {
+                    self.world.advance(
+                        self.cfg.server_block_overhead
+                            + m.block.encoded_size() as f64 / self.cfg.server_copy_bw,
+                    );
+                }
             }
             if !msgs.is_empty() {
                 let mut segs = Vec::new();
-                wire::encode_read_batch_segments(&msgs, &mut self.pool, &mut segs);
+                wire::encode_read_batch_segments(msgs, &mut self.pool, &mut segs);
                 self.net.send_segments(*client, tag::READ_BATCH, &segs)?;
                 self.pool.recycle(&mut segs);
-                if rocobs::enabled() {
+                if staged && rocobs::enabled() {
                     rocobs::record(
                         rocobs::SpanCategory::RestartRead,
                         "restart_cache_serve",
@@ -947,23 +974,12 @@ impl<'a> PandaServer<'a> {
     }
 
     /// The fallible part of [`Self::serve_restart`]: scan this server's
-    /// file share and ship requested blocks, ending each client with
-    /// `READ_DONE`.
+    /// file share and ship requested blocks.
     fn scan_and_ship(&mut self, key: &FileKey, requests: &[(usize, Vec<u64>)]) -> Result<()> {
         // All servers scan their file shares concurrently.
         self.fs.declare_readers(self.server_ranks.len());
         self.fs.declare_writers(0);
-        // Block id → requesting client.
-        let mut owner: HashMap<u64, usize> = HashMap::new();
-        for (client, ids) in requests {
-            for id in ids {
-                if owner.insert(*id, *client).is_some() {
-                    return Err(RocError::InvalidState(format!(
-                        "restart: block {id} requested by two clients"
-                    )));
-                }
-            }
-        }
+        let owner = Self::owners(requests)?;
         // "The restart files are assigned to the servers in a round-robin
         // manner."
         let files = self
@@ -1010,21 +1026,6 @@ impl<'a> PandaServer<'a> {
                 });
             }
         }
-        for (client, _) in requests {
-            let n = match per_client.get(client) {
-                Some(msgs) if !msgs.is_empty() => {
-                    let mut segs = Vec::new();
-                    wire::encode_read_batch_segments(msgs, &mut self.pool, &mut segs);
-                    self.net.send_segments(*client, tag::READ_BATCH, &segs)?;
-                    self.pool.recycle(&mut segs);
-                    self.stats.restart_blocks_sent += msgs.len() as u64;
-                    msgs.len() as u32
-                }
-                _ => 0,
-            };
-            self.net
-                .send(*client, tag::READ_DONE, &wire::encode_read_done(n))?;
-        }
-        Ok(())
+        self.ship(&per_client, requests, false)
     }
 }

@@ -487,9 +487,9 @@ mod tests {
     fn attach_roles(svc: &PandaService, n: usize) -> Vec<String> {
         rocnet::run_ranks(n, rocnet::cluster::ClusterSpec::ideal(n), |comm| {
             match svc.attach(&comm).unwrap() {
-                ServiceRole::Server(s) => format!("S{}:{:?}", s.server_index(), s.client_ranks()),
+                ServiceRole::Server(s) => format!("S{}:{:?}", s.server_index, s.client_ranks()),
                 ServiceRole::Client { io, comm, .. } => {
-                    format!("C->{}:{}", io.server_rank(), comm.size())
+                    format!("C->{}:{}", io.my_server, comm.size())
                 }
                 ServiceRole::Idle => "idle".to_string(),
             }

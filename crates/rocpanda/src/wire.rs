@@ -26,8 +26,6 @@ pub mod tag {
     pub const DONE: u32 = 0x0050_0004;
     /// Client → server: restart request with wanted block ids.
     pub const READ_REQ: u32 = 0x0050_0005;
-    /// Server → client: one encoded data block (restart).
-    pub const READ_BLOCK: u32 = 0x0050_0006;
     /// Server → client: this server has sent everything it had for you.
     pub const READ_DONE: u32 = 0x0050_0007;
     /// Client → server: flush everything durable, then ack.
@@ -44,8 +42,8 @@ pub mod tag {
     /// error text). Sent instead of `READ_DONE` so clients surface a
     /// clean error rather than waiting forever on a dead restart.
     pub const READ_ERR: u32 = 0x0050_000D;
-    /// Server → client: a batch of encoded data blocks served from the
-    /// server's snapshot read cache (restart without touching disk).
+    /// Server → client: this server's whole share of a restart as one
+    /// batch of encoded data blocks, from its read cache or its disk scan.
     pub const READ_BATCH: u32 = 0x0050_000E;
     /// Server ↔ server: one bool per peer — "I can serve this restart
     /// entirely from my buffered snapshot". All-or-nothing: any `false`
@@ -254,7 +252,7 @@ impl BlockMsg {
 /// [`BlockMsg::encode`] image. Headers and length prefixes go to pooled
 /// staging buffers; shared payloads ride along by refcount, so a cached
 /// snapshot is shipped without copying any block data.
-pub fn encode_read_batch_segments(
+pub(crate) fn encode_read_batch_segments(
     msgs: &[BlockMsg],
     pool: &mut SegmentPool,
     out: &mut Vec<Segment>,
@@ -276,7 +274,7 @@ pub fn encode_read_batch_segments(
 
 /// Decode a `READ_BATCH` payload into zero-copy block messages: every
 /// dataset payload is a refcounted window into `bytes`.
-pub fn decode_read_batch_shared(bytes: &Bytes) -> Result<Vec<BlockMsg>> {
+pub(crate) fn decode_read_batch_shared(bytes: &Bytes) -> Result<Vec<BlockMsg>> {
     let mut pos = 0;
     let n = rocio_core::le::u32(take(bytes, &mut pos, 4)?, "panda wire batch count")? as usize;
     let mut out = Vec::new();
@@ -333,7 +331,7 @@ impl CoordKey {
 }
 
 /// `CACHE_VOTE` payload: the restart key plus this server's vote.
-pub fn encode_cache_vote(key: &CoordKey, can_serve: bool) -> Vec<u8> {
+pub(crate) fn encode_cache_vote(key: &CoordKey, can_serve: bool) -> Vec<u8> {
     let mut out = Vec::new();
     key.encode_into(&mut out);
     out.push(u8::from(can_serve));
@@ -341,7 +339,7 @@ pub fn encode_cache_vote(key: &CoordKey, can_serve: bool) -> Vec<u8> {
 }
 
 /// Decode a `CACHE_VOTE` payload.
-pub fn decode_cache_vote(bytes: &[u8]) -> Result<(CoordKey, bool)> {
+pub(crate) fn decode_cache_vote(bytes: &[u8]) -> Result<(CoordKey, bool)> {
     let mut pos = 0;
     let key = CoordKey::decode_from(bytes, &mut pos)?;
     let vote = take(bytes, &mut pos, 1)?[0] != 0;
@@ -349,14 +347,14 @@ pub fn decode_cache_vote(bytes: &[u8]) -> Result<(CoordKey, bool)> {
 }
 
 /// `FLUSH_TOKEN` payload: just the restart key.
-pub fn encode_flush_token(key: &CoordKey) -> Vec<u8> {
+pub(crate) fn encode_flush_token(key: &CoordKey) -> Vec<u8> {
     let mut out = Vec::new();
     key.encode_into(&mut out);
     out
 }
 
 /// Decode a `FLUSH_TOKEN` payload.
-pub fn decode_flush_token(bytes: &[u8]) -> Result<CoordKey> {
+pub(crate) fn decode_flush_token(bytes: &[u8]) -> Result<CoordKey> {
     CoordKey::decode_from(bytes, &mut 0)
 }
 
@@ -364,7 +362,7 @@ pub fn decode_flush_token(bytes: &[u8]) -> Result<CoordKey> {
 /// watermark, or status byte `1` followed by UTF-8 drain-error text for
 /// the syncing tenant. The error form is how a background drain failure
 /// (e.g. a quota rejection) reaches the client that caused it.
-pub fn encode_sync_ack(result: &std::result::Result<f64, String>) -> Vec<u8> {
+pub(crate) fn encode_sync_ack(result: &std::result::Result<f64, String>) -> Vec<u8> {
     let mut out = Vec::new();
     match result {
         Ok(watermark) => {
@@ -380,7 +378,7 @@ pub fn encode_sync_ack(result: &std::result::Result<f64, String>) -> Vec<u8> {
 }
 
 /// Decode a `SYNC_ACK` payload into `Ok(watermark)` or `Err(drain text)`.
-pub fn decode_sync_ack(bytes: &[u8]) -> Result<std::result::Result<f64, String>> {
+pub(crate) fn decode_sync_ack(bytes: &[u8]) -> Result<std::result::Result<f64, String>> {
     let mut pos = 0;
     let status = take(bytes, &mut pos, 1)?[0];
     match status {
@@ -396,24 +394,24 @@ pub fn decode_sync_ack(bytes: &[u8]) -> Result<std::result::Result<f64, String>>
 }
 
 /// `RETIRE` payload: the snapshot to delete.
-pub fn encode_retire(snap: SnapshotId) -> Vec<u8> {
+pub(crate) fn encode_retire(snap: SnapshotId) -> Vec<u8> {
     let mut out = Vec::new();
     put_snap(&mut out, snap);
     out
 }
 
 /// Decode a `RETIRE` payload.
-pub fn decode_retire(bytes: &[u8]) -> Result<SnapshotId> {
+pub(crate) fn decode_retire(bytes: &[u8]) -> Result<SnapshotId> {
     get_snap(bytes, &mut 0)
 }
 
 /// `READ_DONE` payload: how many blocks this server shipped to the client.
-pub fn encode_read_done(n_sent: u32) -> Vec<u8> {
+pub(crate) fn encode_read_done(n_sent: u32) -> Vec<u8> {
     Vec::from(n_sent.to_le_bytes())
 }
 
 /// Decode a `READ_DONE` payload.
-pub fn decode_read_done(bytes: &[u8]) -> Result<u32> {
+pub(crate) fn decode_read_done(bytes: &[u8]) -> Result<u32> {
     rocio_core::le::u32(bytes, "READ_DONE count")
 }
 
@@ -623,7 +621,6 @@ mod tests {
             tag::ACK,
             tag::DONE,
             tag::READ_REQ,
-            tag::READ_BLOCK,
             tag::READ_DONE,
             tag::SYNC,
             tag::SYNC_ACK,

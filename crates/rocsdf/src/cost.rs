@@ -203,7 +203,7 @@ impl ReadCostModel {
 
     /// Estimated cost of reading `ranges` one request at a time (zero-length
     /// and duplicate ranges are free, mirroring `read_shared_multi`).
-    pub fn per_range_cost(&self, ranges: &[(usize, usize)]) -> SimTime {
+    pub(crate) fn per_range_cost(&self, ranges: &[(usize, usize)]) -> SimTime {
         let mut seen = std::collections::HashSet::with_capacity(ranges.len());
         let mut t = 0.0;
         for &(offset, len) in ranges {
@@ -217,7 +217,7 @@ impl ReadCostModel {
 
     /// Estimated cost of executing a sieve plan: one seek and one transfer
     /// (holes included) per covering window.
-    pub fn sieve_cost(&self, plan: &SievePlan) -> SimTime {
+    pub(crate) fn sieve_cost(&self, plan: &SievePlan) -> SimTime {
         plan.n_windows() as f64 * (self.lookup + self.seek)
             + plan.total_bytes as f64 / self.read_bw
     }
@@ -242,7 +242,7 @@ impl ReadCostModel {
     /// `wanted_bytes` that readers actually asked for — one message per
     /// (aggregator, reader) pair plus the per-aggregator share of the
     /// payload on the wire.
-    pub fn two_phase_cost(
+    pub(crate) fn two_phase_cost(
         &self,
         file_bytes: usize,
         wanted_bytes: usize,

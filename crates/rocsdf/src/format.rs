@@ -10,9 +10,9 @@
 //! ```
 //!
 //! All integers little-endian. A file is self-describing: decoding needs no
-//! external schema. The index enables direct per-dataset access; a missing
-//! or corrupt index can be recovered by sequential scan (see
-//! [`crate::inspect::describe`]).
+//! external schema. The index enables direct per-dataset access; records
+//! are self-delimiting, so a file can also be walked front to back with
+//! [`decode_dataset`] alone.
 //!
 //! ## The payload checksum
 //!
@@ -222,7 +222,7 @@ pub fn block_prefix(id: BlockId) -> String {
 }
 
 /// Parse a block id out of a prefixed dataset name.
-pub fn parse_block_id(name: &str) -> Option<BlockId> {
+pub(crate) fn parse_block_id(name: &str) -> Option<BlockId> {
     let rest = name.strip_prefix("blk")?;
     let (digits, tail) = rest.split_at(rest.find('/')?);
     if !tail.starts_with('/') {
@@ -232,7 +232,7 @@ pub fn parse_block_id(name: &str) -> Option<BlockId> {
 }
 
 /// Encode the file header.
-pub fn encode_header() -> Vec<u8> {
+pub(crate) fn encode_header() -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
@@ -241,7 +241,7 @@ pub fn encode_header() -> Vec<u8> {
 }
 
 /// Validate a file header.
-pub fn check_header(bytes: &[u8]) -> Result<()> {
+pub(crate) fn check_header(bytes: &[u8]) -> Result<()> {
     if bytes.len() < HEADER_LEN || &bytes[..4] != MAGIC {
         return Err(RocError::Corrupt("SDF: bad magic".into()));
     }
@@ -434,7 +434,7 @@ pub fn decode_dataset_shared(bytes: &Bytes, pos: &mut usize) -> Result<Dataset> 
 /// already paid (and any rewrite of the path starts a new generation,
 /// which verifies afresh). The checksum attribute is stripped either way,
 /// so decoded datasets are identical across both modes.
-pub fn decode_dataset_shared_with(
+pub(crate) fn decode_dataset_shared_with(
     bytes: &Bytes,
     pos: &mut usize,
     verify_crc: bool,
@@ -544,7 +544,7 @@ pub struct DatasetHeader {
 /// Decode just the header of a dataset record (name, dtype, shape, attrs,
 /// payload extent) from a prefix of the record's bytes. Errors if the
 /// prefix is too short — callers retry with a longer prefix.
-pub fn decode_dataset_header(bytes: &[u8]) -> Result<DatasetHeader> {
+pub(crate) fn decode_dataset_header(bytes: &[u8]) -> Result<DatasetHeader> {
     let mut pos = 0;
     let marker = take(bytes, &mut pos, 4)?;
     if marker != DS_MARKER {
@@ -585,7 +585,7 @@ pub struct IndexEntry {
 
 /// Encode the index and trailer given entry list and the index's own
 /// offset in the file.
-pub fn encode_index(entries: &[IndexEntry], index_offset: u64) -> Vec<u8> {
+pub(crate) fn encode_index(entries: &[IndexEntry], index_offset: u64) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(IDX_MARKER);
     out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
@@ -602,7 +602,7 @@ pub fn encode_index(entries: &[IndexEntry], index_offset: u64) -> Vec<u8> {
 
 /// Decode the trailer (last [`TRAILER_LEN`] bytes): returns the index
 /// offset.
-pub fn decode_trailer(trailer: &[u8]) -> Result<u64> {
+pub(crate) fn decode_trailer(trailer: &[u8]) -> Result<u64> {
     if trailer.len() != TRAILER_LEN || &trailer[8..12] != MAGIC {
         return Err(RocError::Corrupt("SDF: bad trailer".into()));
     }
@@ -610,7 +610,7 @@ pub fn decode_trailer(trailer: &[u8]) -> Result<u64> {
 }
 
 /// Decode the index region (from its offset up to the trailer).
-pub fn decode_index(bytes: &[u8]) -> Result<Vec<IndexEntry>> {
+pub(crate) fn decode_index(bytes: &[u8]) -> Result<Vec<IndexEntry>> {
     let mut pos = 0;
     if take(bytes, &mut pos, 4)? != IDX_MARKER {
         return Err(RocError::Corrupt("SDF: bad index marker".into()));
@@ -650,7 +650,7 @@ pub fn block_meta_dataset(block: &DataBlock) -> Dataset {
 
 /// Reconstruct block id, window name and block attrs from a `__meta__`
 /// dataset.
-pub fn parse_block_meta(
+pub(crate) fn parse_block_meta(
     ds: &Dataset,
 ) -> Result<(BlockId, String, std::collections::BTreeMap<String, AttrValue>)> {
     let id = BlockId(ds.attrs.get("block_id").map_or_else(

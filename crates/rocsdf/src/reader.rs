@@ -120,11 +120,6 @@ impl<'fs> SdfFileReader<'fs> {
         self.meta.index.len()
     }
 
-    /// Names of all datasets, in file order.
-    pub fn dataset_names(&self) -> Vec<&str> {
-        self.meta.index.iter().map(|e| e.name.as_str()).collect()
-    }
-
     /// Whether the file contains a dataset of this name.
     pub fn contains(&self, name: &str) -> bool {
         self.meta.by_name.contains_key(name)
@@ -579,7 +574,8 @@ mod tests {
     fn per_record_reference(r: &SdfFileReader, id: BlockId, now: SimTime) -> (DataBlock, SimTime) {
         let prefix = block_prefix(id);
         let meta = format!("{prefix}{BLOCK_META}");
-        let members = r.dataset_names().into_iter().filter(|n| n.starts_with(&prefix) && *n != meta);
+        let names = r.meta.index.iter().map(|e| e.name.as_str());
+        let members = names.filter(|n| n.starts_with(&prefix) && *n != meta);
         let mut t = now;
         let mut records = Vec::new();
         for name in std::iter::once(meta.as_str()).chain(members) {

@@ -39,7 +39,7 @@ impl SegmentPool {
     }
 
     /// A pool with explicit retention bounds (`high >= low`).
-    pub fn with_watermarks(high_watermark: usize, low_watermark: usize) -> Self {
+    pub(crate) fn with_watermarks(high_watermark: usize, low_watermark: usize) -> Self {
         assert!(high_watermark >= low_watermark);
         SegmentPool {
             bufs: Vec::new(),
@@ -274,13 +274,6 @@ impl<'fs> SdfFileWriter<'fs> {
         let idx = encode_index(&self.entries, self.offset);
         let t = self.fs.append(&self.path, &idx, self.client, now)?;
         self.fs.close(&self.path, self.client, t)
-    }
-}
-
-impl Drop for SdfFileWriter<'_> {
-    fn drop(&mut self) {
-        // An unfinished file has no index; readers fall back to scanning.
-        // Nothing to clean up — bytes already live in the SharedFs.
     }
 }
 

@@ -27,10 +27,6 @@ pub struct FsStats {
 
 #[derive(Default)]
 struct ServerState {
-    /// Total service time accumulated by writes (diagnostics).
-    busy_time: SimTime,
-    /// Latest virtual write-completion time seen (diagnostics).
-    last_completion: SimTime,
     /// client -> virtual end time of its last write.
     write_activity: HashMap<u64, SimTime>,
     /// client -> virtual end time of its last read.
@@ -306,12 +302,6 @@ impl SharedFs {
         ledger.bindings.push((prefix.to_string(), tenant));
     }
 
-    /// Drop a prefix binding (e.g. when a job retires). Files already
-    /// created keep their recorded tenant until deleted.
-    pub fn unbind_tenant(&self, prefix: &str) {
-        self.ledger.lock().bindings.retain(|(p, _)| p != prefix);
-    }
-
     /// Total bytes currently stored (O(1): the ledger's running total).
     pub fn used_bytes(&self) -> usize {
         self.ledger.lock().total_used as usize
@@ -398,8 +388,6 @@ impl SharedFs {
         );
         let dur = self.model.write_time(bytes, active);
         let end = now + dur;
-        srv.busy_time += dur;
-        srv.last_completion = srv.last_completion.max(end);
         srv.write_activity.insert(client, end);
         drop(srv);
         if rocobs::enabled() {
@@ -845,18 +833,6 @@ impl SharedFs {
     /// Aggregate statistics so far.
     pub fn stats(&self) -> FsStats {
         *self.stats.lock()
-    }
-
-    /// Diagnostics: per-server (latest write completion, accumulated write
-    /// service time).
-    pub fn server_times(&self) -> Vec<(SimTime, SimTime)> {
-        self.servers
-            .iter()
-            .map(|s| {
-                let s = s.lock();
-                (s.last_completion, s.busy_time)
-            })
-            .collect()
     }
 }
 
@@ -1362,8 +1338,6 @@ mod tests {
         assert_eq!(fs.tenant_of("out/x"), TenantId(1));
         assert_eq!(fs.tenant_of("out/deep/x"), TenantId(2));
         assert_eq!(fs.tenant_of("elsewhere"), TenantId::SOLO);
-        fs.unbind_tenant("out/deep/");
-        assert_eq!(fs.tenant_of("out/deep/x"), TenantId(1));
     }
 
     #[test]

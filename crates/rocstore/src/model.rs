@@ -5,7 +5,7 @@ use rocio_core::SimTime;
 /// A saturating *thrash* curve: `1 + min(coeff * (w-1)^exp, cap)`.
 ///
 /// For writes this multiplies the fair-share slowdown (see
-/// [`DiskModel::write_time`]); the cap reflects that past some concurrency
+/// `DiskModel::write_time`); the cap reflects that past some concurrency
 /// the server is fully thrashed and adding writers no longer makes each
 /// byte slower relative to fair sharing.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -50,7 +50,7 @@ pub struct DiskModel {
     /// Cost of closing (committing) a file.
     pub close_cost: SimTime,
     /// Write-side thrash on top of fair sharing (see
-    /// [`DiskModel::write_time`]).
+    /// `DiskModel::write_time`).
     pub write_contention: ContentionCurve,
     /// Read-side contention (applied directly to read transfer times —
     /// reads are served largely from cache and parallelize well).
@@ -116,7 +116,7 @@ impl DiskModel {
     /// (direct write) curve of Fig. 3(a) plateaus around 100–150 MB/s
     /// aggregate while Rocpanda's *apparent* throughput (bounded by message
     /// passing, not disk) can reach ~875 MB/s.
-    pub fn gpfs_frost() -> Self {
+    pub(crate) fn gpfs_frost() -> Self {
         DiskModel {
             name: "gpfs-frost".into(),
             seek: 0.2e-3,
@@ -144,7 +144,7 @@ impl DiskModel {
     /// throughput is `bw / thrash(w)` and the result is independent of
     /// operation arrival order (the property that keeps virtual times
     /// deterministic under host thread scheduling).
-    pub fn write_time(&self, bytes: usize, w: usize) -> SimTime {
+    pub(crate) fn write_time(&self, bytes: usize, w: usize) -> SimTime {
         let w = w.max(1);
         // Request setup (seek/RPC) shares the server fairly; the data
         // transfer additionally thrashes (cache eviction, head movement
@@ -154,7 +154,7 @@ impl DiskModel {
     }
 
     /// Pure read transfer time of `bytes` under `w` active readers.
-    pub fn read_time(&self, bytes: usize, w: usize) -> SimTime {
+    pub(crate) fn read_time(&self, bytes: usize, w: usize) -> SimTime {
         self.seek + bytes as f64 / self.read_bw * self.read_contention.factor(w)
     }
 }

@@ -1,11 +1,12 @@
 //! Multi-tenant service integration tests: many GENx jobs sharing one
 //! Rocpanda service must behave, byte-for-byte, as if each had the
 //! servers to itself — plus deterministic quota rejection with clean
-//! recovery, and a drain-fairness bound across equal-priority tenants.
+//! recovery, and the drain scheduler's two promises: equal-priority
+//! tenants wait alike, and a priority buys a shorter wait.
 
 use std::sync::Arc;
 
-use genx_repro::core::{RocError, TenantId};
+use genx_repro::core::{Priority, RocError, TenantId};
 use genx_repro::genx::{run_genx_multi, GenxConfig, IoChoice, TenantJobSpec, WorkloadKind};
 use genx_repro::rocnet::cluster::ClusterSpec;
 use genx_repro::rocstore::SharedFs;
@@ -73,6 +74,10 @@ fn sixteen_concurrent_tenants_match_their_solo_runs_byte_for_byte() {
     let report =
         run_genx_multi(ClusterSpec::turing(N_SERVERS + n_tenants), &fs, &cfg, &js).unwrap();
     assert_eq!(report.jobs.len(), n_tenants);
+    // Sharing costs every tenant alike: at equal priority no tenant's mean
+    // drain latency exceeds twice another's, sixteen deep as four deep.
+    let ratio = report.drain_fairness_ratio();
+    assert!(ratio.is_finite() && ratio <= 2.0, "16-tenant drain latency spread {ratio:.3}");
 
     // Solo references: one per distinct workload seed.
     let mut solo: Vec<Vec<(String, Vec<u8>)>> = Vec::new();
@@ -167,28 +172,52 @@ fn quota_rejection_is_deterministic_and_recoverable() {
 
 #[test]
 fn equal_priority_tenants_drain_within_twice_of_each_other() {
-    // Four equal jobs competing for the pool: the DRR drain scheduler
-    // must keep every tenant's mean buffered-block latency within 2x of
-    // every other's (the PR's acceptance bar).
-    let n_tenants = 4;
-    let fs = Arc::new(SharedFs::turing());
-    let cfg = base_cfg("mt-fairness", "out/fair");
-    let js = jobs(n_tenants, 2);
-    let report = run_genx_multi(
-        ClusterSpec::turing(N_SERVERS + n_tenants * 2),
-        &fs,
-        &cfg,
-        &js,
-    )
-    .unwrap();
-    let drained: Vec<u64> = report.drain.iter().map(|(_, s)| s.blocks).collect();
-    assert!(
-        drained.iter().all(|&b| b > 0),
-        "every tenant should buffer through the servers, got {drained:?}"
-    );
-    let ratio = report.drain_fairness_ratio();
-    assert!(
-        ratio.is_finite() && ratio <= 2.0,
-        "equal-priority drain latency spread must stay within 2x, got {ratio:.3}"
-    );
+    // Four jobs of two clients compete for the two-server pool, twice.
+    // At equal priority the DRR drain scheduler must keep every tenant's
+    // mean buffered-block latency within 2x of every other's (the same
+    // bound at 16 tenants rides on the run the identity test makes).
+    // Then High/Normal/Normal/Low on the cell EXPERIMENTS.md tabulates
+    // (*Multi-tenant fairness*: 6 steps, a snapshot every 3, seeds 7..):
+    // the weights must show end to end as drain order, Low waiting at
+    // least half as long again as High (1.92x as measured).
+    let tilt = [Priority::High, Priority::Normal, Priority::Normal, Priority::Low];
+    for tilted in [false, true] {
+        let n_tenants = 4;
+        let fs = Arc::new(SharedFs::turing());
+        let cfg = base_cfg("mt-fairness", "out/fair");
+        let mut js = jobs(n_tenants, 2);
+        if tilted {
+            for (j, (job, p)) in js.iter_mut().zip(tilt).enumerate() {
+                job.priority = p;
+                job.workload = WorkloadKind::LabScale { seed: 7 + j as u64, scale: 0.05 };
+                (job.steps, job.snapshot_every) = (6, 3);
+            }
+        }
+        let report = run_genx_multi(
+            ClusterSpec::turing(N_SERVERS + n_tenants * 2),
+            &fs,
+            &cfg,
+            &js,
+        )
+        .unwrap();
+        let drained: Vec<u64> = report.drain.iter().map(|(_, s)| s.blocks).collect();
+        assert!(
+            drained.iter().all(|&b| b > 0),
+            "every tenant should buffer through the servers, got {drained:?}"
+        );
+        if tilted {
+            let wait: Vec<f64> = report.drain.iter().map(|(_, s)| s.mean_latency()).collect();
+            let (high, low) = (wait[0], wait[3]);
+            assert!(
+                high <= wait[1].min(wait[2]) && wait[1].max(wait[2]) <= low && low >= 1.5 * high,
+                "mean drain latency must rise High <= Normal <= Low, Low >= 1.5x High: {wait:?}"
+            );
+        } else {
+            let ratio = report.drain_fairness_ratio();
+            assert!(
+                ratio.is_finite() && ratio <= 2.0,
+                "equal-priority drain latency spread must stay within 2x, got {ratio:.3}"
+            );
+        }
+    }
 }
