@@ -58,17 +58,8 @@ impl AttrValue {
 
     /// Decode one value from `bytes` starting at `*pos`, advancing `*pos`.
     pub fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self> {
-        let tag = *bytes
-            .get(*pos)
-            .ok_or_else(|| RocError::Corrupt("attr: truncated tag".into()))?;
-        *pos += 1;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            let s = bytes
-                .get(*pos..*pos + n)
-                .ok_or_else(|| RocError::Corrupt("attr: truncated payload".into()))?;
-            *pos += n;
-            Ok(s)
-        };
+        let take = |pos: &mut usize, n: usize| crate::le::take(bytes, pos, n, "attr");
+        let tag = take(pos, 1)?[0];
         let val = match tag {
             0 => AttrValue::Int(crate::le::i64(take(pos, 8)?, "attr Int")?),
             1 => AttrValue::Float(crate::le::f64(take(pos, 8)?, "attr Float")?),

@@ -150,12 +150,8 @@ mod tests {
     #[test]
     fn dataset_mut_allows_in_place_update() {
         let mut b = sample();
-        b.dataset_mut("pressure")
-            .unwrap()
-            .data
-            .as_f64_mut()
-            .unwrap()[0] = 9.0;
-        assert_eq!(b.dataset("pressure").unwrap().data.as_f64().unwrap()[0], 9.0);
+        b.dataset_mut("pressure").unwrap().data = vec![9.0f64, 2.0].into();
+        assert_eq!(b.dataset("pressure").unwrap().data.to_typed().as_f64().unwrap()[0], 9.0);
     }
 
     #[test]

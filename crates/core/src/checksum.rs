@@ -172,15 +172,14 @@ fn hash_dataset(h: &mut Hasher, ds: &Dataset, scratch: &mut Vec<u8>) {
         h.update(&(e as u64).to_le_bytes());
     }
     hash_attrs(h, &ds.attrs, scratch);
-    // `Shared` and `u8` payloads are hashed where they lie.
-    ds.data.with_le_bytes(|payload| h.update(payload));
+    // The payload is hashed where it lies.
+    h.update(ds.data.bytes());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::block::BlockId;
-    use crate::dtype::ArrayData;
 
     fn block() -> DataBlock {
         DataBlock::new(BlockId(3), "fluid")
@@ -197,7 +196,7 @@ mod tests {
     fn payload_change_changes_hash() {
         let a = block();
         let mut b = block();
-        b.dataset_mut("p").unwrap().data.as_f64_mut().unwrap()[0] = 1.0000001;
+        b.dataset_mut("p").unwrap().data = vec![1.0000001f64, 2.0].into();
         assert_ne!(Checksum::of_block(&a), Checksum::of_block(&b));
     }
 
@@ -214,8 +213,8 @@ mod tests {
 
     #[test]
     fn shape_vs_flat_distinguished() {
-        let a = Dataset::new("x", vec![4], ArrayData::F64(vec![0.0; 4])).unwrap();
-        let b = Dataset::new("x", vec![2, 2], ArrayData::F64(vec![0.0; 4])).unwrap();
+        let a = Dataset::new("x", vec![4], vec![0.0f64; 4]).unwrap();
+        let b = Dataset::new("x", vec![2, 2], vec![0.0f64; 4]).unwrap();
         assert_ne!(Checksum::of_dataset(&a), Checksum::of_dataset(&b));
     }
 
@@ -231,25 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_payload_hashes_like_its_typed_twin() {
-        let typed = block().with_dataset(Dataset::vector("ids", vec![7i32, -8, 9]));
-        let mut shared = DataBlock::new(typed.id, typed.window.clone());
-        shared.attrs = typed.attrs.clone();
-        for ds in &typed.datasets {
-            let mut le = Vec::new();
-            ds.data.to_le_bytes(&mut le);
-            let data = ArrayData::from_le_shared(ds.dtype(), ds.len(), le.into()).unwrap();
-            let mut twin = Dataset::new(ds.name.clone(), ds.shape.clone(), data).unwrap();
-            twin.attrs = ds.attrs.clone();
-            shared.push_dataset(twin).unwrap();
-        }
-        assert_eq!(Checksum::of_block(&shared), Checksum::of_block(&typed));
-        // Pinned: values live only within one process, so the kernel may
-        // change them, but not by accident.
-        assert_eq!(Checksum::of_block(&block()), Checksum(0x3c30_81e9_f2b5_76fb));
-    }
-
-    #[test]
     fn known_vectors() {
         assert_eq!(Checksum::of_bytes(&[]), Checksum(0x2ea1_3a55_3e6c_d033));
         // One byte short of a stripe, one stripe, one byte over.
@@ -257,5 +237,27 @@ mod tests {
         assert_eq!(Checksum::of_bytes(&bytes[..31]), Checksum(0x108f_ddde_1ad7_daf7));
         assert_eq!(Checksum::of_bytes(&bytes[..32]), Checksum(0x3c9b_2ada_7e1d_72bb));
         assert_eq!(Checksum::of_bytes(&bytes), Checksum(0x2f17_63eb_6383_b866));
+        // A whole block. Values live only within one process, so the
+        // kernel may change them, but not by accident.
+        assert_eq!(Checksum::of_block(&block()), Checksum(0x3c30_81e9_f2b5_76fb));
+    }
+
+    #[test]
+    fn known_vectors_at_every_element_size_and_stripe_edge() {
+        // Payloads of 1, 31, 32, 33 and 4097 elements of 1, 4 and 8 bytes:
+        // under, on and over a stripe, and whole stripes with a ragged
+        // tail, as every dtype lays them out. Recorded from the kernel as
+        // PR 15 left it.
+        let bytes: Vec<u8> = (0..4097 * 8).map(|i| (i * 37 + 11) as u8).collect();
+        let pinned: [(usize, u64); 15] = [
+            (1, 0x016a_a6cb_417d_939f), (4, 0x3dcb_39e3_da5c_6f5e), (8, 0x4d10_9987_6e6b_212b),
+            (31, 0x934e_1142_8fd0_89bc), (124, 0x345d_e1f1_084e_df2c), (248, 0xf7bf_1c16_2754_60a2),
+            (32, 0x203c_cfaf_ff15_ac00), (128, 0xbfe9_72bb_6296_6474), (256, 0x6d81_f2ec_f8f7_f2c7),
+            (33, 0xb745_2900_7b0c_5010), (132, 0x94bd_2af6_bacc_826c), (264, 0xe218_2f28_b195_e5b8),
+            (4097, 0x6954_3913_a4f6_e157), (16388, 0x5e71_efb2_39f8_0723), (32776, 0x551b_1a72_cbd1_1dea),
+        ];
+        for (len, want) in pinned {
+            assert_eq!(Checksum::of_bytes(&bytes[..len]), Checksum(want), "{len} bytes");
+        }
     }
 }

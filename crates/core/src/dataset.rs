@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use crate::attr::AttrValue;
-use crate::dtype::{ArrayData, DType};
+use crate::dtype::{DType, SharedArray};
 use crate::error::{Result, RocError};
 
 /// A named, shaped array with typed metadata attributes.
@@ -13,37 +13,39 @@ use crate::error::{Result, RocError};
 /// file, support user-defined attributes for datasets, and are
 /// binary-portable" (§3.2).
 ///
-/// A dataset whose payload is [`ArrayData::Shared`] clones in O(1): only
-/// the metadata (name, shape, attribute map) is copied while the payload
-/// handle bumps a refcount — which is what lets the server re-label
-/// datasets on the write path without duplicating their bytes.
+/// The payload is little-endian bytes held by refcount ([`SharedArray`]),
+/// whoever produced it, so a dataset clones in O(1): only the metadata
+/// (name, shape, attribute map) is copied — which is what lets the server
+/// re-label datasets on the write path without duplicating their bytes.
+/// Typed element access is a pane's business: convert with
+/// [`SharedArray::to_typed`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     /// Dataset name, unique within its container (block or file section).
     pub name: String,
     /// Logical shape; the product of extents must equal the data length.
     pub shape: Vec<usize>,
-    /// Array payload.
-    pub data: ArrayData,
+    /// Array payload, little-endian.
+    pub data: SharedArray,
     /// User-defined attributes, ordered for deterministic encoding.
     pub attrs: BTreeMap<String, AttrValue>,
 }
 
 impl Dataset {
-    /// Create a dataset, validating shape/data consistency.
+    /// Create a dataset, validating shape/data consistency. A typed
+    /// payload (`ArrayData`, `Vec<f64>`, …) is little-endian encoded here.
     pub fn new(
         name: impl Into<String>,
         shape: Vec<usize>,
-        data: ArrayData,
+        data: impl Into<SharedArray>,
     ) -> Result<Self> {
-        let name = name.into();
-        let n: usize = shape.iter().product();
-        if n != data.len() {
+        let (name, data) = (name.into(), data.into());
+        let n = shape.iter().try_fold(1usize, |n, &e| n.checked_mul(e));
+        if n != Some(data.len()) {
             return Err(RocError::Mismatch(format!(
-                "dataset '{}': shape {:?} implies {} elements but data has {}",
+                "dataset '{}': shape {:?} does not describe the {} elements of its data",
                 name,
                 shape,
-                n,
                 data.len()
             )));
         }
@@ -56,7 +58,7 @@ impl Dataset {
     }
 
     /// Create a rank-1 dataset from any convertible payload.
-    pub fn vector(name: impl Into<String>, data: impl Into<ArrayData>) -> Self {
+    pub fn vector(name: impl Into<String>, data: impl Into<SharedArray>) -> Self {
         let data = data.into();
         let shape = vec![data.len()];
         Dataset {
@@ -115,10 +117,12 @@ mod tests {
 
     #[test]
     fn new_validates_shape() {
-        let ok = Dataset::new("p", vec![2, 3], ArrayData::F64(vec![0.0; 6]));
+        let ok = Dataset::new("p", vec![2, 3], vec![0.0f64; 6]);
         assert!(ok.is_ok());
-        let bad = Dataset::new("p", vec![2, 3], ArrayData::F64(vec![0.0; 5]));
-        assert!(matches!(bad, Err(RocError::Mismatch(_))));
+        for shape in [vec![2, 3], vec![usize::MAX, 2, 3]] {
+            let bad = Dataset::new("p", shape, vec![0.0f64; 5]);
+            assert!(matches!(bad, Err(RocError::Mismatch(_))));
+        }
     }
 
     #[test]
@@ -148,26 +152,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_payload_dataset_round_trips_through_clone() {
-        let typed = Dataset::vector("v", vec![1.0f64, 2.0]).with_attr("units", "m");
-        let mut le = Vec::new();
-        typed.data.to_le_bytes(&mut le);
-        let shared = Dataset::new(
-            "v",
-            vec![2],
-            ArrayData::from_le_shared(DType::F64, 2, bytes::Bytes::from(le)).unwrap(),
-        )
-        .unwrap()
-        .with_attr("units", "m");
-        assert_eq!(shared, typed);
-        let cloned = shared.clone();
-        assert_eq!(cloned, typed);
-        assert_eq!(cloned.encoded_size(), typed.encoded_size());
-    }
-
-    #[test]
     fn zero_element_shapes_allowed() {
-        let d = Dataset::new("empty", vec![0, 5], ArrayData::F32(vec![])).unwrap();
+        let d = Dataset::new("empty", vec![0, 5], Vec::<f32>::new()).unwrap();
         assert!(d.is_empty());
         assert_eq!(d.len(), 0);
     }

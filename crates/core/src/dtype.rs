@@ -1,4 +1,5 @@
-//! Element datatypes and typed array payloads.
+//! Element datatypes, the typed arrays of panes and the little-endian
+//! payloads of datasets.
 //!
 //! All on-disk and on-wire encodings are explicit little-endian so files are
 //! binary-portable, mirroring HDF's portability guarantee that made CSAR
@@ -63,13 +64,18 @@ impl DType {
     }
 }
 
-/// An already-encoded little-endian payload shared by reference count.
+/// A little-endian array payload shared by reference count — the one
+/// form array data takes on the I/O side of Roccom's line (§5).
 ///
-/// This is the zero-copy half of [`ArrayData`]: the bytes live in a
-/// [`Bytes`] handle (typically a slice of a wire message or a file read),
-/// so cloning a dataset that carries one — or re-labeling it on the server
-/// write path — bumps a refcount instead of copying the payload.
-#[derive(Debug, Clone)]
+/// The bytes live in a [`Bytes`] handle (a pane block's encode buffer, a
+/// slice of a wire message or of a file read), so cloning a dataset — or
+/// re-labeling it on the server write path — bumps a refcount instead of
+/// copying the payload, and checksums, record encoders and the store's
+/// extent list all work on the bytes where they lie. It meets the typed
+/// [`ArrayData`] of panes and solvers in exactly two conversions:
+/// `From<ArrayData>` (typed → LE, once) and [`SharedArray::to_typed`]
+/// (LE → typed, once). Equality is bit-exact on the encoded bytes.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SharedArray {
     dtype: DType,
     n_elems: usize,
@@ -83,12 +89,10 @@ impl SharedArray {
     /// ([`ArrayData::to_le_bytes`] layout) and exactly
     /// `n_elems * dtype.size()` long.
     pub fn new(dtype: DType, n_elems: usize, bytes: Bytes) -> Result<Self> {
-        let want = n_elems * dtype.size();
-        if bytes.len() != want {
+        if n_elems.checked_mul(dtype.size()) != Some(bytes.len()) {
             return Err(RocError::Corrupt(format!(
-                "shared array payload length {} != expected {} ({} x {})",
+                "array payload length {} != {} x {}",
                 bytes.len(),
-                want,
                 n_elems,
                 dtype.name()
             )));
@@ -104,6 +108,7 @@ impl SharedArray {
         self.dtype
     }
 
+    /// Number of elements.
     pub fn len(&self) -> usize {
         self.n_elems
     }
@@ -112,27 +117,72 @@ impl SharedArray {
         self.n_elems == 0
     }
 
+    /// Payload size in bytes.
+    pub fn byte_len(&self) -> usize {
+        self.bytes.len()
+    }
+
     /// The shared little-endian payload.
     pub fn bytes(&self) -> &Bytes {
         &self.bytes
     }
+
+    /// Decode into the typed form panes and solvers work on: the one
+    /// LE → typed conversion (`apply_block`, `mesh_from_block`, Rocketeer).
+    pub fn to_typed(&self) -> ArrayData {
+        // The length was validated at construction, so per-element decoding
+        // is infallible; `le::array` keeps these loops vectorizable.
+        match self.dtype {
+            DType::U8 => ArrayData::U8(self.bytes.to_vec()),
+            DType::I32 => ArrayData::I32(crate::le::array(&self.bytes, i32::from_le_bytes)),
+            DType::I64 => ArrayData::I64(crate::le::array(&self.bytes, i64::from_le_bytes)),
+            DType::F32 => ArrayData::F32(crate::le::array(&self.bytes, f32::from_le_bytes)),
+            DType::F64 => ArrayData::F64(crate::le::array(&self.bytes, f64::from_le_bytes)),
+        }
+    }
 }
 
-/// A typed array payload.
+/// The one typed → LE conversion: a `u8` vector is adopted as it is, every
+/// other dtype is encoded once into an exact-size buffer.
+impl From<ArrayData> for SharedArray {
+    fn from(a: ArrayData) -> Self {
+        let (dtype, n_elems) = (a.dtype(), a.len());
+        let le = match a {
+            ArrayData::U8(v) => v,
+            other => {
+                let mut le = Vec::with_capacity(other.byte_len());
+                other.to_le_bytes(&mut le);
+                le
+            }
+        };
+        SharedArray {
+            dtype,
+            n_elems,
+            bytes: le.into(),
+        }
+    }
+}
+
+impl<T> From<Vec<T>> for SharedArray
+where
+    ArrayData: From<Vec<T>>,
+{
+    fn from(v: Vec<T>) -> Self {
+        ArrayData::from(v).into()
+    }
+}
+
+/// A typed array: what a pane holds and a solver mutates element-wise.
 ///
-/// Physics modules work with the typed variants directly; the I/O layers use
-/// [`ArrayData::to_le_bytes`] / [`ArrayData::from_le_bytes`] at the
-/// format/wire boundary. The [`ArrayData::Shared`] variant carries an
-/// already-encoded payload by refcounted handle — the representation the
-/// zero-copy write path moves from wire to disk without re-packing.
-#[derive(Debug, Clone)]
+/// Typed arrays exist only on the physics side; the I/O layers see the
+/// same data as a [`SharedArray`] (see there for the two conversions).
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArrayData {
     U8(Vec<u8>),
     I32(Vec<i32>),
     I64(Vec<i64>),
     F32(Vec<f32>),
     F64(Vec<f64>),
-    Shared(SharedArray),
 }
 
 impl ArrayData {
@@ -144,7 +194,6 @@ impl ArrayData {
             ArrayData::I64(_) => DType::I64,
             ArrayData::F32(_) => DType::F32,
             ArrayData::F64(_) => DType::F64,
-            ArrayData::Shared(s) => s.dtype(),
         }
     }
 
@@ -156,7 +205,6 @@ impl ArrayData {
             ArrayData::I64(v) => v.len(),
             ArrayData::F32(v) => v.len(),
             ArrayData::F64(v) => v.len(),
-            ArrayData::Shared(s) => s.len(),
         }
     }
 
@@ -189,85 +237,14 @@ impl ArrayData {
             ArrayData::I64(v) => crate::le::extend(out, v, i64::to_le_bytes),
             ArrayData::F32(v) => crate::le::extend(out, v, f32::to_le_bytes),
             ArrayData::F64(v) => crate::le::extend(out, v, f64::to_le_bytes),
-            ArrayData::Shared(s) => out.extend_from_slice(s.bytes()),
         }
-    }
-
-    /// Call `f` with the canonical little-endian payload bytes.
-    ///
-    /// `U8` and `Shared` payloads are borrowed without copying; the other
-    /// typed variants are encoded into a scratch buffer first. This is the
-    /// checksum/inspection entry point that avoids the encode-to-`Vec`
-    /// round trip for data already in wire form.
-    pub fn with_le_bytes<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        match self {
-            ArrayData::U8(v) => f(v),
-            ArrayData::Shared(s) => f(s.bytes()),
-            other => {
-                let mut scratch = Vec::with_capacity(other.byte_len());
-                other.to_le_bytes(&mut scratch);
-                f(&scratch)
-            }
-        }
-    }
-
-    /// Wrap an already-encoded little-endian payload without copying.
-    ///
-    /// The returned array holds a refcounted view of `bytes`; the storage
-    /// stays alive as long as any handle does.
-    pub fn from_le_shared(dtype: DType, n_elems: usize, bytes: Bytes) -> Result<Self> {
-        Ok(ArrayData::Shared(SharedArray::new(dtype, n_elems, bytes)?))
-    }
-
-    /// The shared payload handle, when this array is the zero-copy variant.
-    pub fn as_shared(&self) -> Option<&SharedArray> {
-        match self {
-            ArrayData::Shared(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Convert to the typed representation, decoding a `Shared` payload.
-    ///
-    /// Typed variants are returned as-is (deep copy); use this before
-    /// element-wise access on data decoded through the zero-copy path.
-    pub fn to_typed(&self) -> Result<ArrayData> {
-        match self {
-            ArrayData::Shared(s) => ArrayData::from_le_bytes(s.dtype(), s.len(), s.bytes()),
-            other => Ok(other.clone()),
-        }
-    }
-
-    /// Decode `n_elems` elements of `dtype` from little-endian `bytes`.
-    ///
-    /// `bytes` must be exactly `n_elems * dtype.size()` long.
-    pub fn from_le_bytes(dtype: DType, n_elems: usize, bytes: &[u8]) -> Result<Self> {
-        let want = n_elems * dtype.size();
-        if bytes.len() != want {
-            return Err(RocError::Corrupt(format!(
-                "array payload length {} != expected {} ({} x {})",
-                bytes.len(),
-                want,
-                n_elems,
-                dtype.name()
-            )));
-        }
-        // Length is validated above, so per-element decoding is infallible;
-        // `le::array` keeps these loops vectorizable (see its docs).
-        Ok(match dtype {
-            DType::U8 => ArrayData::U8(bytes.to_vec()),
-            DType::I32 => ArrayData::I32(crate::le::array(bytes, i32::from_le_bytes)),
-            DType::I64 => ArrayData::I64(crate::le::array(bytes, i64::from_le_bytes)),
-            DType::F32 => ArrayData::F32(crate::le::array(bytes, f32::from_le_bytes)),
-            DType::F64 => ArrayData::F64(crate::le::array(bytes, f64::from_le_bytes)),
-        })
     }
 
     /// Borrow as `&[f64]`, or a mismatch error for any other dtype.
     pub fn as_f64(&self) -> Result<&[f64]> {
         match self {
             ArrayData::F64(v) => Ok(v),
-            other => Err(other.typed_access_error("f64")),
+            other => Err(other.not_f64()),
         }
     }
 
@@ -275,89 +252,25 @@ impl ArrayData {
     pub fn as_f64_mut(&mut self) -> Result<&mut [f64]> {
         match self {
             ArrayData::F64(v) => Ok(v),
-            other => Err(other.typed_access_error("f64")),
+            other => Err(other.not_f64()),
         }
     }
 
-    /// Borrow as `&[i32]`, or a mismatch error for any other dtype.
-    pub fn as_i32(&self) -> Result<&[i32]> {
-        match self {
-            ArrayData::I32(v) => Ok(v),
-            other => Err(other.typed_access_error("i32")),
-        }
-    }
-
-    /// Borrow as `&mut [i32]`, or a mismatch error for any other dtype.
-    pub fn as_i32_mut(&mut self) -> Result<&mut [i32]> {
-        match self {
-            ArrayData::I32(v) => Ok(v),
-            other => Err(other.typed_access_error("i32")),
-        }
-    }
-
-    fn typed_access_error(&self, want: &str) -> RocError {
-        match self {
-            ArrayData::Shared(s) => RocError::Mismatch(format!(
-                "expected {want} array, found shared {} payload (convert with to_typed())",
-                s.dtype().name()
-            )),
-            other => RocError::Mismatch(format!(
-                "expected {want} array, found {}",
-                other.dtype().name()
-            )),
-        }
+    fn not_f64(&self) -> RocError {
+        RocError::Mismatch(format!("expected f64 array, found {}", self.dtype().name()))
     }
 }
 
-/// Logical equality: two arrays are equal when they hold the same dtype,
-/// element count and canonical little-endian bytes — a `Shared` payload
-/// compares equal to the typed array it encodes.
-impl PartialEq for ArrayData {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (ArrayData::U8(a), ArrayData::U8(b)) => a == b,
-            (ArrayData::I32(a), ArrayData::I32(b)) => a == b,
-            (ArrayData::I64(a), ArrayData::I64(b)) => a == b,
-            (ArrayData::F32(a), ArrayData::F32(b)) => a == b,
-            (ArrayData::F64(a), ArrayData::F64(b)) => a == b,
-            (a, b) => {
-                a.dtype() == b.dtype()
-                    && a.len() == b.len()
-                    && a.with_le_bytes(|ab| b.with_le_bytes(|bb| ab == bb))
+macro_rules! array_from_vec {
+    ($($elem:ty => $variant:ident),*) => {$(
+        impl From<Vec<$elem>> for ArrayData {
+            fn from(v: Vec<$elem>) -> Self {
+                ArrayData::$variant(v)
             }
         }
-    }
+    )*};
 }
-
-impl From<Vec<f64>> for ArrayData {
-    fn from(v: Vec<f64>) -> Self {
-        ArrayData::F64(v)
-    }
-}
-
-impl From<Vec<f32>> for ArrayData {
-    fn from(v: Vec<f32>) -> Self {
-        ArrayData::F32(v)
-    }
-}
-
-impl From<Vec<i32>> for ArrayData {
-    fn from(v: Vec<i32>) -> Self {
-        ArrayData::I32(v)
-    }
-}
-
-impl From<Vec<i64>> for ArrayData {
-    fn from(v: Vec<i64>) -> Self {
-        ArrayData::I64(v)
-    }
-}
-
-impl From<Vec<u8>> for ArrayData {
-    fn from(v: Vec<u8>) -> Self {
-        ArrayData::U8(v)
-    }
-}
+array_from_vec!(u8 => U8, i32 => I32, i64 => I64, f32 => F32, f64 => F64);
 
 #[cfg(test)]
 mod tests {
@@ -373,115 +286,53 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trip_f64() {
-        let a = ArrayData::F64(vec![1.5, -2.25, 0.0, f64::MAX, f64::MIN_POSITIVE]);
-        let mut buf = Vec::new();
-        a.to_le_bytes(&mut buf);
-        assert_eq!(buf.len(), a.byte_len());
-        let b = ArrayData::from_le_bytes(DType::F64, a.len(), &buf).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn encode_decode_round_trip_all_types() {
+    fn the_two_conversions_round_trip_all_types() {
         let cases: Vec<ArrayData> = vec![
             ArrayData::U8(vec![0, 1, 255, 128]),
             ArrayData::I32(vec![i32::MIN, -1, 0, 1, i32::MAX]),
             ArrayData::I64(vec![i64::MIN, 0, i64::MAX]),
             ArrayData::F32(vec![1.0, -0.5, f32::INFINITY]),
+            ArrayData::F64(vec![1.5, -2.25, 0.0, f64::MAX, f64::MIN_POSITIVE]),
             ArrayData::F64(vec![]),
         ];
         for a in cases {
+            let le = SharedArray::from(a.clone());
+            assert_eq!((le.dtype(), le.len(), le.byte_len()), (a.dtype(), a.len(), a.byte_len()));
+            assert_eq!(le.is_empty(), a.is_empty());
             let mut buf = Vec::new();
             a.to_le_bytes(&mut buf);
-            let b = ArrayData::from_le_bytes(a.dtype(), a.len(), &buf).unwrap();
-            assert_eq!(a, b);
+            assert_eq!(le.bytes(), &buf);
+            assert_eq!(le.to_typed(), a);
         }
     }
 
     #[test]
-    fn decode_rejects_wrong_length() {
-        let err = ArrayData::from_le_bytes(DType::F64, 2, &[0u8; 15]);
+    fn wrapping_rejects_wrong_length() {
+        let err = SharedArray::new(DType::F64, 2, Bytes::from(vec![0u8; 15]));
         assert!(matches!(err, Err(RocError::Corrupt(_))));
+        assert!(SharedArray::new(DType::I64, usize::MAX, Bytes::new()).is_err());
+        assert!(SharedArray::new(DType::I32, 2, Bytes::from(vec![0u8; 8])).is_ok());
     }
 
     #[test]
     fn zeros_has_right_shape() {
         let z = ArrayData::zeros(DType::I32, 10);
-        assert_eq!(z.len(), 10);
-        assert_eq!(z.dtype(), DType::I32);
-        assert_eq!(z.as_i32().unwrap(), &[0; 10]);
+        assert_eq!(z, ArrayData::I32(vec![0; 10]));
         assert!(!z.is_empty());
         assert!(ArrayData::zeros(DType::U8, 0).is_empty());
     }
 
     #[test]
     fn typed_accessors_enforce_dtype() {
-        let a = ArrayData::F64(vec![1.0]);
-        assert!(a.as_f64().is_ok());
-        assert!(a.as_i32().is_err());
+        let mut a = ArrayData::F64(vec![1.0]);
+        a.as_f64_mut().unwrap()[0] = 4.0;
+        assert_eq!(a.as_f64().unwrap(), &[4.0]);
         let mut b = ArrayData::I32(vec![3]);
-        b.as_i32_mut().unwrap()[0] = 4;
-        assert_eq!(b.as_i32().unwrap(), &[4]);
-        assert!(b.as_f64().is_err());
+        assert!(b.as_f64().is_err() && b.as_f64_mut().is_err());
     }
 
     #[test]
     fn little_endian_layout_is_stable() {
-        let a = ArrayData::I32(vec![1]);
-        let mut buf = Vec::new();
-        a.to_le_bytes(&mut buf);
-        assert_eq!(buf, vec![1, 0, 0, 0]);
-    }
-
-    #[test]
-    fn shared_round_trips_and_compares_equal_to_typed() {
-        let typed = ArrayData::F64(vec![1.5, -2.25, 3.0]);
-        let mut le = Vec::new();
-        typed.to_le_bytes(&mut le);
-        let shared =
-            ArrayData::from_le_shared(DType::F64, 3, bytes::Bytes::from(le.clone())).unwrap();
-        assert_eq!(shared.dtype(), DType::F64);
-        assert_eq!(shared.len(), 3);
-        assert_eq!(shared.byte_len(), 24);
-        assert_eq!(shared, typed, "shared must equal the typed array it encodes");
-        assert_eq!(typed, shared);
-        // Encoding the shared variant reproduces the exact bytes.
-        let mut out = Vec::new();
-        shared.to_le_bytes(&mut out);
-        assert_eq!(out, le);
-        // Typed conversion decodes back to the original.
-        let back = shared.to_typed().unwrap();
-        assert_eq!(back.as_f64().unwrap(), &[1.5, -2.25, 3.0]);
-    }
-
-    #[test]
-    fn shared_rejects_wrong_length_and_typed_access() {
-        assert!(ArrayData::from_le_shared(DType::I64, 2, bytes::Bytes::from(vec![0u8; 15]))
-            .is_err());
-        let shared =
-            ArrayData::from_le_shared(DType::F64, 1, bytes::Bytes::from(vec![0u8; 8])).unwrap();
-        let err = shared.as_f64().unwrap_err();
-        assert!(err.to_string().contains("to_typed"), "got: {err}");
-        assert!(shared.as_shared().is_some());
-        assert!(ArrayData::F64(vec![]).as_shared().is_none());
-    }
-
-    #[test]
-    fn with_le_bytes_borrows_without_reencoding_shared() {
-        let shared =
-            ArrayData::from_le_shared(DType::U8, 4, bytes::Bytes::from(vec![9u8; 4])).unwrap();
-        shared.with_le_bytes(|b| assert_eq!(b, &[9u8; 4]));
-        ArrayData::I32(vec![1]).with_le_bytes(|b| assert_eq!(b, &[1, 0, 0, 0]));
-    }
-
-    #[test]
-    fn unequal_shared_payloads_detected() {
-        let a = ArrayData::from_le_shared(DType::U8, 2, bytes::Bytes::from(vec![1, 2])).unwrap();
-        let b = ArrayData::from_le_shared(DType::U8, 2, bytes::Bytes::from(vec![1, 3])).unwrap();
-        assert_ne!(a, b);
-        assert_ne!(a, ArrayData::U8(vec![1, 3]));
-        assert_ne!(a, ArrayData::I32(vec![1]));
-        assert_eq!(a, ArrayData::U8(vec![1, 2]));
+        assert_eq!(SharedArray::from(vec![1i32, -2]).bytes(), &[1u8, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff][..]);
     }
 }

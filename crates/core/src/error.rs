@@ -40,17 +40,6 @@ impl RocError {
             _ => None,
         }
     }
-
-    /// True when this is a per-tenant quota rejection.
-    pub fn is_quota_exceeded(&self) -> bool {
-        matches!(
-            self,
-            RocError::Service(crate::tenant::ServiceError {
-                kind: crate::tenant::ServiceErrorKind::QuotaExceeded { .. },
-                ..
-            })
-        )
-    }
 }
 
 impl fmt::Display for RocError {

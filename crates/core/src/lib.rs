@@ -5,8 +5,11 @@
 //! This crate holds the vocabulary that every other crate in the workspace
 //! speaks:
 //!
-//! * [`DType`] / [`ArrayData`] — typed, binary-portable array payloads;
-//! * [`Dataset`] — a named, shaped array with attached metadata;
+//! * [`DType`] / [`ArrayData`] — the typed arrays panes hold and solvers
+//!   mutate;
+//! * [`SharedArray`] — the same data as the I/O side sees it:
+//!   binary-portable little-endian bytes held by refcount;
+//! * [`Dataset`] — a named, shaped [`SharedArray`] with attached metadata;
 //! * [`DataBlock`] — the paper's *data block*: "a collection of arrays and
 //!   metadata associated with the arrays … the unit of work distributed to
 //!   the compute processors" (§4);

@@ -38,18 +38,6 @@ impl Segment {
     }
 }
 
-impl From<Vec<u8>> for Segment {
-    fn from(v: Vec<u8>) -> Self {
-        Segment::Owned(v)
-    }
-}
-
-impl From<Bytes> for Segment {
-    fn from(b: Bytes) -> Self {
-        Segment::Shared(b)
-    }
-}
-
 /// Total byte length of a segment list.
 pub fn segments_len(segments: &[Segment]) -> usize {
     segments.iter().map(|s| s.len()).sum()
@@ -72,10 +60,10 @@ mod tests {
     #[test]
     fn flatten_preserves_order_and_length() {
         let segs = vec![
-            Segment::from(vec![1u8, 2]),
-            Segment::from(Bytes::copy_from_slice(&[3, 4, 5])),
-            Segment::from(Vec::new()),
-            Segment::from(vec![6]),
+            Segment::Owned(vec![1u8, 2]),
+            Segment::Shared(Bytes::copy_from_slice(&[3, 4, 5])),
+            Segment::Owned(Vec::new()),
+            Segment::Owned(vec![6]),
         ];
         assert_eq!(segments_len(&segs), 6);
         assert_eq!(segments_to_vec(&segs), vec![1, 2, 3, 4, 5, 6]);
@@ -86,7 +74,7 @@ mod tests {
     #[test]
     fn shared_segment_does_not_copy() {
         let payload = Bytes::from(vec![9u8; 1024]);
-        let seg = Segment::from(payload.slice(8..16));
+        let seg = Segment::Shared(payload.slice(8..16));
         assert_eq!(seg.len(), 8);
         drop(payload);
         assert_eq!(seg.as_slice(), &[9u8; 8]);

@@ -2,7 +2,7 @@
 //! and checksums detect any content change.
 
 use proptest::prelude::*;
-use rocio_core::{ArrayData, AttrValue, BlockId, Checksum, DType, DataBlock, Dataset};
+use rocio_core::{ArrayData, AttrValue, BlockId, Checksum, DType, DataBlock, Dataset, SharedArray};
 
 fn arb_array() -> impl Strategy<Value = ArrayData> {
     prop_oneof![
@@ -33,7 +33,7 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
         .prop_map(|(name, data, attrs)| {
             let mut ds = Dataset::vector(name, vec![0u8; 0]);
             ds.shape = vec![data.len()];
-            ds.data = data;
+            ds.data = data.into();
             for (k, v) in attrs {
                 ds.attrs.insert(k, v);
             }
@@ -41,9 +41,15 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
         })
 }
 
-/// A block of one `u8` dataset (hashed where it lies, no re-encode).
+/// A block of one `u8` dataset.
 fn byte_block(payload: Vec<u8>) -> DataBlock {
     DataBlock::new(BlockId(1), "w").with_dataset(Dataset::vector("p", payload))
+}
+
+/// Checksum of the block holding `payload` (payloads are immutable, so a
+/// mutation is a new block).
+fn sum(payload: &[u8]) -> Checksum {
+    Checksum::of_block(&byte_block(payload.to_vec()))
 }
 
 /// 1 MiB and a ragged 13 bytes of xorshift noise: whole stripes, one
@@ -63,28 +69,21 @@ fn large_payload() -> Vec<u8> {
     PAYLOAD.clone()
 }
 
-fn payload_mut(block: &mut DataBlock) -> &mut Vec<u8> {
-    match &mut block.datasets[0].data {
-        ArrayData::U8(v) => v,
-        other => panic!("byte_block holds u8, got {:?}", other.dtype()),
-    }
-}
-
 #[test]
 fn checksum_detects_every_bit_of_a_stripe_and_of_the_tail() {
     // Every bit position of every lane (one stripe mid-payload), then
     // every bit of the last 45 bytes: the final stripe, the tail word
     // and the tail bytes. Each flip must differ from the original *and*
     // from every other flip.
-    let mut block = byte_block(large_payload());
-    let n = payload_mut(&mut block).len();
-    let mut seen = std::collections::HashSet::from([Checksum::of_block(&block)]);
+    let mut payload = large_payload();
+    let n = payload.len();
+    let mut seen = std::collections::HashSet::from([sum(&payload)]);
     let mid = (n / 2) & !31;
     for byte in (mid..mid + 32).chain(n - 45..n) {
         for bit in 0..8 {
-            payload_mut(&mut block)[byte] ^= 1 << bit;
-            assert!(seen.insert(Checksum::of_block(&block)), "byte {byte} bit {bit}");
-            payload_mut(&mut block)[byte] ^= 1 << bit;
+            payload[byte] ^= 1 << bit;
+            assert!(seen.insert(sum(&payload)), "byte {byte} bit {bit}");
+            payload[byte] ^= 1 << bit;
         }
     }
 }
@@ -109,28 +108,6 @@ fn checksum_detects_length_and_field_boundary_changes() {
     }
 }
 
-#[test]
-fn shared_and_typed_twins_hash_equal_at_every_dtype_and_stripe_edge() {
-    for dtype in [DType::U8, DType::I32, DType::I64, DType::F32, DType::F64] {
-        for n in [0usize, 1, 31, 32, 33, 4097] {
-            let le: Vec<u8> = (0..n * dtype.size()).map(|i| (i * 37 + 11) as u8).collect();
-            let typed = ArrayData::from_le_bytes(dtype, n, &le).unwrap();
-            let shared = ArrayData::from_le_shared(dtype, n, le.into()).unwrap();
-            let block = |data: ArrayData| {
-                DataBlock::new(BlockId(9), "w")
-                    .with_dataset(Dataset::new("d", vec![n], data).unwrap().with_attr("k", 1i64))
-            };
-            let (t, s) = (block(typed), block(shared));
-            assert_eq!(Checksum::of_block(&t), Checksum::of_block(&s), "{dtype:?} x {n}");
-            assert_eq!(
-                Checksum::of_dataset(&t.datasets[0]),
-                Checksum::of_dataset(&s.datasets[0]),
-                "{dtype:?} x {n}"
-            );
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -139,11 +116,12 @@ proptest! {
         let mut buf = Vec::new();
         a.to_le_bytes(&mut buf);
         prop_assert_eq!(buf.len(), a.byte_len());
-        let b = ArrayData::from_le_bytes(a.dtype(), a.len(), &buf).unwrap();
-        // Bit-exact comparison (NaN-safe): re-encode and compare bytes.
-        let mut buf2 = Vec::new();
-        b.to_le_bytes(&mut buf2);
-        prop_assert_eq!(buf, buf2);
+        let le = SharedArray::from(a.clone());
+        prop_assert_eq!(le.bytes(), &buf);
+        // Bit-exact comparison (NaN-safe): back to typed, re-encode and
+        // compare bytes.
+        prop_assert_eq!(&SharedArray::from(le.to_typed()), &le);
+        prop_assert_eq!(SharedArray::new(a.dtype(), a.len(), buf.into()).unwrap(), le);
     }
 
     #[test]
@@ -157,6 +135,32 @@ proptest! {
         let mut buf2 = Vec::new();
         w.encode(&mut buf2);
         prop_assert_eq!(buf, buf2);
+    }
+
+    #[test]
+    fn hostile_attr_bytes_never_panic(
+        v in arb_attr(),
+        junk in prop::collection::vec(any::<u8>(), 0..64),
+        at in any::<prop::sample::Index>(),
+        byte in any::<u8>(),
+    ) {
+        // Arbitrary bytes, and a valid encoding with one byte replaced or
+        // cut short at any length: `Ok` or `Err`, never a panic, and a
+        // decoded value is no larger than the bytes it was read from (a
+        // vector's length is checked against them before it is allocated).
+        let mut valid = Vec::new();
+        v.encode(&mut valid);
+        let mut mutated = valid.clone();
+        mutated[at.index(valid.len())] = byte;
+        for input in [&junk[..], &mutated, &valid[..at.index(valid.len())]] {
+            let mut pos = 0;
+            if let Ok(w) = AttrValue::decode(input, &mut pos) {
+                prop_assert_eq!(w.encoded_size(), pos);
+                prop_assert!(pos <= input.len());
+                if let AttrValue::IntVec(x) = &w { prop_assert!(x.capacity() * 8 <= input.len()); }
+                if let AttrValue::FloatVec(x) = &w { prop_assert!(x.capacity() * 8 <= input.len()); }
+            }
+        }
     }
 
     #[test]
@@ -202,26 +206,25 @@ proptest! {
         b in any::<prop::sample::Index>(),
         same_stripe in any::<bool>(),
     ) {
-        let mut block = byte_block(large_payload());
-        let original = Checksum::of_block(&block);
-        let n = payload_mut(&mut block).len();
+        let mut p = large_payload();
+        let original = sum(&p);
+        let n = p.len();
 
         // Any one bit of the megabyte.
         let bit = flip.index(n * 8);
-        payload_mut(&mut block)[bit / 8] ^= 1 << (bit % 8);
-        prop_assert_ne!(Checksum::of_block(&block), original);
-        payload_mut(&mut block)[bit / 8] ^= 1 << (bit % 8);
+        p[bit / 8] ^= 1 << (bit % 8);
+        prop_assert_ne!(sum(&p), original);
+        p[bit / 8] ^= 1 << (bit % 8);
 
         // Any two 8-byte words trading places: two lanes of one stripe,
         // or any two stripes (same lane or not).
         let words = n / 8;
         let i = a.index(words);
         let j = if same_stripe { (i & !3) + b.index(4) } else { b.index(words) };
-        let p = payload_mut(&mut block);
         let differ = p[i * 8..i * 8 + 8] != p[j * 8..j * 8 + 8];
         for k in 0..8 {
             p.swap(i * 8 + k, j * 8 + k);
         }
-        prop_assert_eq!(Checksum::of_block(&block) != original, differ);
+        prop_assert_eq!(sum(&p) != original, differ);
     }
 }

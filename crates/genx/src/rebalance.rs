@@ -10,7 +10,7 @@
 //! ship panes through the client communicator, and let the I/O layer pick
 //! up the new distribution automatically at the next snapshot.
 
-use rocio_core::{Result, RocError, SnapshotId};
+use rocio_core::{le, Result, SnapshotId};
 use rocnet::Comm;
 use roccom::{convert, AttrRef, Windows};
 use rocpanda::wire::BlockMsg;
@@ -44,19 +44,11 @@ fn encode_inventory(windows: &Windows, names: &[&str]) -> Vec<u8> {
 fn decode_inventory(bytes: &[u8]) -> Result<Vec<(String, u64, u64)>> {
     let mut out = Vec::new();
     let mut pos = 0;
+    let take = |pos: &mut usize, n: usize| le::take(bytes, pos, n, "pane inventory");
     while pos < bytes.len() {
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            let s = bytes
-                .get(*pos..*pos + n)
-                .ok_or_else(|| RocError::Corrupt("inventory truncated".into()))?;
-            *pos += n;
-            Ok(s)
-        };
-        let wlen = rocio_core::le::u16(take(&mut pos, 2)?, "inventory window length")? as usize;
-        let window = String::from_utf8(take(&mut pos, wlen)?.to_vec())
-            .map_err(|_| RocError::Corrupt("inventory utf8".into()))?;
-        let id = rocio_core::le::u64(take(&mut pos, 8)?, "inventory block id")?;
-        let weight = rocio_core::le::u64(take(&mut pos, 8)?, "inventory weight")?;
+        let window = le::str16(bytes, &mut pos, "pane inventory")?.to_owned();
+        let id = le::u64(take(&mut pos, 8)?, "inventory block id")?;
+        let weight = le::u64(take(&mut pos, 8)?, "inventory weight")?;
         out.push((window, id, weight));
     }
     Ok(out)
@@ -134,6 +126,7 @@ pub fn rebalance(
     let moves = plan_moves(&inventory, threshold);
     let me = comm.rank();
     // Ship outgoing panes (eager sends; order deterministic by plan).
+    let (mut pool, mut segs) = (rocsdf::SegmentPool::new(), Vec::new());
     for (window, id, from, to) in &moves {
         if *from == me {
             let w = windows.window_mut(window)?;
@@ -144,7 +137,9 @@ pub fn rebalance(
                 window: window.clone(),
                 block,
             };
-            comm.send(*to, MIGRATE_TAG, &msg.encode())?;
+            msg.encode_segments(&mut pool, &mut segs);
+            comm.send_segments(*to, MIGRATE_TAG, &segs)?;
+            pool.recycle(&mut segs);
         }
     }
     // Receive incoming panes. Arrival order may differ from plan order
@@ -153,7 +148,7 @@ pub fn rebalance(
     let incoming = moves.iter().filter(|(_, _, _, to)| *to == me).count();
     for _ in 0..incoming {
         let m = comm.recv(None, Some(MIGRATE_TAG))?;
-        let bm = BlockMsg::decode(&m.payload)?;
+        let bm = BlockMsg::decode_shared(&m.payload)?;
         convert::apply_block(windows.window_mut(&bm.window)?, &bm.block)?;
     }
     Ok(moves.len())
@@ -162,6 +157,7 @@ pub fn rebalance(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn inv(loads: &[&[u64]]) -> Vec<Vec<(String, u64, u64)>> {
         loads
@@ -226,5 +222,32 @@ mod tests {
         let inv = decode_inventory(&bytes).unwrap();
         assert_eq!(inv, vec![("fluid".to_string(), 3, 24)]);
         assert!(decode_inventory(&bytes[..bytes.len() - 1]).is_err());
+    }
+
+    proptest! {
+        // Arbitrary bytes, and a valid inventory with one byte replaced or
+        // cut short at any length: `Ok` or `Err`, never a panic, and no
+        // more entries than 18-byte records fit in the input.
+        #[test]
+        fn hostile_inventory_bytes_never_panic(
+            junk in prop::collection::vec(any::<u8>(), 0..256),
+            at in any::<prop::sample::Index>(),
+            byte in any::<u8>(),
+        ) {
+            let mut valid = Vec::new();
+            for (window, id) in [("fluid", 3u64), ("solid", u64::MAX), ("", 0)] {
+                valid.extend_from_slice(&(window.len() as u16).to_le_bytes());
+                valid.extend_from_slice(window.as_bytes());
+                valid.extend_from_slice(&[id.to_le_bytes(), (id / 2).to_le_bytes()].concat());
+            }
+            prop_assert_eq!(decode_inventory(&valid).unwrap().len(), 3);
+            let mut mutated = valid.clone();
+            mutated[at.index(valid.len())] = byte;
+            for input in [&junk[..], &mutated, &valid[..at.index(valid.len())]] {
+                if let Ok(inv) = decode_inventory(input) {
+                    prop_assert!(inv.len() <= input.len() / 18);
+                }
+            }
+        }
     }
 }

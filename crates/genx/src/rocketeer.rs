@@ -111,9 +111,9 @@ pub fn summarize_window(
                 if ds.name == "conn" {
                     continue;
                 }
-                // Reads hand back zero-copy windows of the file; element
-                // access needs the typed form.
-                let data = ds.data.to_typed()?;
+                // Reads hand back little-endian windows of the file;
+                // element access needs the typed form.
+                let data = ds.data.to_typed();
                 if ds.name == "nc" {
                     let coords = data.as_f64()?;
                     let bounds = summary.mesh_bounds.get_or_insert((

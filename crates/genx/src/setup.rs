@@ -1,6 +1,6 @@
 //! Window schemas, block assignment and initial conditions.
 
-use rocio_core::{BlockId, DType, Result};
+use rocio_core::{DType, Result};
 use rocmesh::{assign_blocks, Assignment, Workload};
 use roccom::{AttrSpec, PaneMesh, Windows};
 
@@ -243,11 +243,6 @@ fn register_solid_and_burn(ws: &mut Windows, workload: &Workload, mine: &MyBlock
         }
     }
     Ok(())
-}
-
-/// Block ids this rank owns in a window, ascending.
-pub fn my_pane_ids(ws: &Windows, window: &str) -> Vec<BlockId> {
-    ws.window(window).map(|w| w.pane_ids()).unwrap_or_default()
 }
 
 #[cfg(test)]

@@ -6,9 +6,15 @@
 //! connectivity in `"conn"` (elems × 4), then each declared attribute under
 //! its own name. Geometry of structured panes is additionally kept in
 //! block attributes so the pane can be reconstructed exactly.
+//!
+//! This module is where Roccom's line between typed panes and
+//! format-independent blocks (§5) is crossed: [`pane_to_block`] encodes a
+//! pane's typed arrays to little-endian once, [`apply_block`] and
+//! [`mesh_from_block`] decode them back once, and nothing between the two
+//! — wire, buffers, records, store — holds a typed array.
 
 use rocio_core::{
-    le, ArrayData, AttrValue, Bytes, DType, DataBlock, Dataset, Result, RocError,
+    le, ArrayData, AttrValue, Bytes, DType, DataBlock, Dataset, Result, RocError, SharedArray,
 };
 use rocmesh::StructuredBlock;
 
@@ -74,8 +80,8 @@ struct Part<'a> {
 /// Serialize one pane into a data block carrying the selected attributes.
 ///
 /// The pane's arrays are little-endian encoded **once**, into one
-/// exact-capacity buffer per block, and every dataset is an
-/// [`ArrayData::Shared`] window of it: checksumming, record encoding and
+/// exact-capacity buffer per block, and every dataset's payload is a
+/// window of it: checksumming, record encoding and
 /// the store's extent list all work on those bytes in place, so this is
 /// the only copy a snapshot byte sees before the wire or the file.
 pub fn pane_to_block(window: &Window, pane: &Pane, attr: &AttrRef) -> Result<DataBlock> {
@@ -152,7 +158,7 @@ pub fn pane_to_block(window: &Window, pane: &Pane, attr: &AttrRef) -> Result<Dat
     let mut at = 0;
     for p in parts {
         let end = at + p.elems.byte_len();
-        let data = ArrayData::from_le_shared(p.elems.dtype(), p.elems.len(), image.slice(at..end))?;
+        let data = SharedArray::new(p.elems.dtype(), p.elems.len(), image.slice(at..end))?;
         at = end;
         let mut ds = Dataset::new(p.name, p.shape, data)?;
         if let Some(location) = p.location {
@@ -178,23 +184,13 @@ pub fn window_to_blocks(window: &Window, attr: &AttrRef) -> Result<Vec<DataBlock
         .collect()
 }
 
-/// Extract an owned `f64` vector from typed or zero-copy `Shared` data:
-/// one decode for `Shared`, one copy for typed — never both.
-fn f64_vec(data: &ArrayData) -> Result<Vec<f64>> {
-    match data.to_typed()? {
-        ArrayData::F64(v) => Ok(v),
+/// Decode a block's `nc` dataset into node coordinates.
+fn node_coords(block: &DataBlock, nc: &Dataset) -> Result<Vec<f64>> {
+    match nc.data.to_typed() {
+        ArrayData::F64(coords) => Ok(coords),
         other => Err(RocError::Mismatch(format!(
-            "expected f64 data, found {}",
-            other.dtype().name()
-        ))),
-    }
-}
-
-fn i32_vec(data: &ArrayData) -> Result<Vec<i32>> {
-    match data.to_typed()? {
-        ArrayData::I32(v) => Ok(v),
-        other => Err(RocError::Mismatch(format!(
-            "expected i32 data, found {}",
+            "block {}: expected f64 node coordinates, found {}",
+            block.id,
             other.dtype().name()
         ))),
     }
@@ -234,12 +230,15 @@ pub fn mesh_from_block(block: &DataBlock) -> Result<PaneMesh> {
             })
         }
         "unstructured" => {
-            let nc = block.dataset("nc")?;
-            let conn = block.dataset("conn")?;
-            Ok(PaneMesh::Unstructured {
-                coords: f64_vec(&nc.data)?,
-                conn: i32_vec(&conn.data)?,
-            })
+            let coords = node_coords(block, block.dataset("nc")?)?;
+            match block.dataset("conn")?.data.to_typed() {
+                ArrayData::I32(conn) => Ok(PaneMesh::Unstructured { coords, conn }),
+                other => Err(RocError::Mismatch(format!(
+                    "block {}: expected i32 connectivity, found {}",
+                    block.id,
+                    other.dtype().name()
+                ))),
+            }
         }
         other => Err(RocError::Corrupt(format!("unknown mesh kind '{other}'"))),
     }
@@ -266,7 +265,7 @@ pub fn apply_block(window: &mut Window, block: &DataBlock) -> Result<()> {
     } else if let PaneMesh::Unstructured { .. } = &window.pane(block.id)?.mesh {
         // Mesh may have moved (ALE): refresh coordinates when present.
         if let Ok(nc) = block.dataset("nc") {
-            let coords = f64_vec(&nc.data)?;
+            let coords = node_coords(block, nc)?;
             if let PaneMesh::Unstructured { coords: c, .. } =
                 &mut window.pane_mut(block.id)?.mesh
             {
@@ -287,9 +286,9 @@ pub fn apply_block(window: &mut Window, block: &DataBlock) -> Result<()> {
     for spec in &schema {
         if let Ok(ds) = block.dataset(&spec.name) {
             // Panes hold typed buffers (solvers mutate them element-wise),
-            // so a zero-copy `Shared` payload is decoded here — the single
-            // typed boundary of the restart path.
-            pane.set_data(&spec.name, ds.data.to_typed()?)?;
+            // so the payload is decoded here — the single typed boundary
+            // of the restart path.
+            pane.set_data(&spec.name, ds.data.to_typed())?;
         }
     }
     Ok(())
@@ -364,42 +363,23 @@ mod tests {
         .is_err());
     }
 
-    /// The block `pane_to_block` built before it encoded in place: typed
-    /// clones of the pane's arrays. The reference the shared form must
-    /// equal in every observable way.
-    fn typed_twin(block: &DataBlock) -> DataBlock {
-        let mut twin = DataBlock::new(block.id, block.window.clone());
-        twin.attrs = block.attrs.clone();
-        for ds in &block.datasets {
-            let mut t = Dataset::new(ds.name.clone(), ds.shape.clone(), ds.data.to_typed().unwrap())
-                .unwrap();
-            t.attrs = ds.attrs.clone();
-            twin.push_dataset(t).unwrap();
-        }
-        twin
-    }
-
     #[test]
-    fn blocks_are_shared_windows_of_one_buffer_equal_to_the_typed_form() {
+    fn blocks_are_windows_of_one_buffer_holding_the_panes_values() {
         let (fluid, solid) = (fluid_window(), solid_window());
         let selectors = |named: &str| [AttrRef::All, AttrRef::Mesh, AttrRef::Named(named.into())];
         for (w, id, named) in [(&fluid, BlockId(4), "velocity"), (&solid, BlockId(8), "disp")] {
+            let pane = w.pane(id).unwrap();
             for attr in selectors(named) {
-                let block = pane_to_block(w, w.pane(id).unwrap(), &attr).unwrap();
-                let twin = typed_twin(&block);
-                assert_eq!(block, twin, "{attr:?}");
-                assert_eq!(
-                    rocio_core::Checksum::of_block(&block),
-                    rocio_core::Checksum::of_block(&twin)
-                );
+                let block = pane_to_block(w, pane, &attr).unwrap();
                 // Every payload is a window of one allocation, laid end to end.
-                let windows: Vec<&[u8]> = block
-                    .datasets
-                    .iter()
-                    .map(|d| d.data.as_shared().expect("shared payload").bytes().as_slice())
-                    .collect();
+                let windows: Vec<&[u8]> =
+                    block.datasets.iter().map(|d| d.data.bytes().as_slice()).collect();
                 for pair in windows.windows(2) {
                     assert_eq!(pair[0].as_ptr_range().end, pair[1].as_ptr(), "{attr:?}");
+                }
+                // Attribute payloads decode to the pane's own arrays.
+                for ds in block.datasets.iter().filter(|d| d.attrs.contains_key("location")) {
+                    assert_eq!(&ds.data.to_typed(), pane.data(&ds.name).unwrap(), "{attr:?}");
                 }
             }
         }
@@ -407,7 +387,7 @@ mod tests {
         // must be the mesh generator's own values.
         let block = pane_to_block(&fluid, fluid.pane(BlockId(4)).unwrap(), &AttrRef::Mesh).unwrap();
         let sb = StructuredBlock::new(BlockId(4), [2, 2, 1], [0.0; 3], [0.5; 3]);
-        assert_eq!(block.dataset("nc").unwrap().data, ArrayData::F64(sb.node_coords()));
+        assert_eq!(block.dataset("nc").unwrap().data.to_typed(), ArrayData::F64(sb.node_coords()));
     }
 
     #[test]
@@ -432,6 +412,8 @@ mod tests {
             &[1.0, 2.0, 3.0, 4.0]
         );
         assert_eq!(w2.pane(BlockId(4)).unwrap().mesh, w.pane(BlockId(4)).unwrap().mesh);
+        // Typed after install: element-wise mutation works.
+        w2.pane_mut(BlockId(4)).unwrap().data_mut("pressure").unwrap().as_f64_mut().unwrap()[0] = 1.5;
     }
 
     #[test]
@@ -440,43 +422,6 @@ mod tests {
         let block = pane_to_block(&w, w.pane(BlockId(8)).unwrap(), &AttrRef::All).unwrap();
         let mesh = mesh_from_block(&block).unwrap();
         assert_eq!(mesh, w.pane(BlockId(8)).unwrap().mesh);
-    }
-
-    #[test]
-    fn apply_block_installs_shared_payloads_as_typed() {
-        // Blocks delivered by the zero-copy read path carry
-        // `ArrayData::Shared` windows; installing them must land typed
-        // buffers the solver can mutate element-wise.
-        let w = solid_window();
-        let block = pane_to_block(&w, w.pane(BlockId(8)).unwrap(), &AttrRef::All).unwrap();
-        let mut shared_block = DataBlock::new(block.id, block.window.clone());
-        shared_block.attrs = block.attrs.clone();
-        for ds in &block.datasets {
-            let mut bytes = Vec::new();
-            ds.data.to_le_bytes(&mut bytes);
-            let shared = ArrayData::Shared(
-                rocio_core::SharedArray::new(
-                    ds.data.dtype(),
-                    ds.data.len(),
-                    bytes::Bytes::from(bytes),
-                )
-                .unwrap(),
-            );
-            let mut copy = Dataset::new(ds.name.clone(), ds.shape.clone(), shared).unwrap();
-            copy.attrs = ds.attrs.clone();
-            shared_block.push_dataset(copy).unwrap();
-        }
-        let mut w2 = Window::new("solid");
-        w2.declare_attr(AttrSpec::node("disp", DType::F64, 3)).unwrap();
-        apply_block(&mut w2, &shared_block).unwrap();
-        assert_eq!(w2.pane(BlockId(8)).unwrap().mesh, w.pane(BlockId(8)).unwrap().mesh);
-        // Typed after install: element-wise mutation must work.
-        w2.pane_mut(BlockId(8))
-            .unwrap()
-            .data_mut("disp")
-            .unwrap()
-            .as_f64_mut()
-            .unwrap()[0] = 1.5;
     }
 
     #[test]
@@ -494,11 +439,12 @@ mod tests {
     fn apply_block_refreshes_moved_coords() {
         let mut w = solid_window();
         let mut block = pane_to_block(&w, w.pane(BlockId(8)).unwrap(), &AttrRef::All).unwrap();
-        // Move the mesh in the serialized copy (typed first: the block's
-        // payloads are shared windows, which are immutable).
+        // Move the mesh in the serialized copy (through the typed form: a
+        // block's payloads are immutable windows).
         let nc = &mut block.dataset_mut("nc").unwrap().data;
-        *nc = nc.to_typed().unwrap();
-        nc.as_f64_mut().unwrap()[0] = 99.0;
+        let mut coords = nc.to_typed();
+        coords.as_f64_mut().unwrap()[0] = 99.0;
+        *nc = coords.into();
         apply_block(&mut w, &block).unwrap();
         match &w.pane(BlockId(8)).unwrap().mesh {
             PaneMesh::Unstructured { coords, .. } => assert_eq!(coords[0], 99.0),

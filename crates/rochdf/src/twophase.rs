@@ -26,7 +26,7 @@
 use std::collections::{BTreeMap, HashSet};
 
 use bytes::Bytes;
-use rocio_core::{BlockId, DataBlock, Result, RocError, Segment, SimTime};
+use rocio_core::{le, BlockId, DataBlock, Result, RocError, Segment, SimTime};
 use rocnet::Comm;
 use rocsdf::format::{block_from_records, decode_dataset_shared};
 use rocsdf::{LibraryModel, SdfFileReader};
@@ -253,31 +253,26 @@ fn encode_block(id: BlockId, records: &[Bytes]) -> Vec<Segment> {
 }
 
 fn decode_block_msg(payload: &Bytes) -> Result<DataBlock> {
-    let short = || RocError::Comm("two-phase: truncated block message".into());
-    let take = |pos: &mut usize, n: usize| -> Result<Bytes> {
-        if *pos + n > payload.len() {
-            return Err(short());
-        }
-        let b = payload.slice(*pos..*pos + n);
-        *pos += n;
-        Ok(b)
-    };
-    let mut pos = 0usize;
-    let id = BlockId(u64::from_le_bytes(
-        take(&mut pos, 8)?.as_ref().try_into().map_err(|_| short())?,
-    ));
-    let n = u32::from_le_bytes(
-        take(&mut pos, 4)?.as_ref().try_into().map_err(|_| short())?,
-    ) as usize;
-    let mut lens = Vec::with_capacity(n);
-    for _ in 0..n {
-        lens.push(u64::from_le_bytes(
-            take(&mut pos, 8)?.as_ref().try_into().map_err(|_| short())?,
-        ) as usize);
+    let what = "two-phase block message";
+    // `at` walks the header (id, count, length table), `pos` the records.
+    let mut at = 0usize;
+    let id = BlockId(le::u64(le::take(payload, &mut at, 8, what)?, what)?);
+    let n = le::u32(le::take(payload, &mut at, 4, what)?, what)? as usize;
+    // Each record owes an 8-byte length field: a count the message cannot
+    // hold is refused before it sizes anything.
+    if n > (payload.len() - at) / 8 {
+        return Err(RocError::Comm(format!(
+            "two-phase: {n} records claimed by a {}-byte block message",
+            payload.len()
+        )));
     }
+    let mut pos = at + n * 8;
     let mut records = Vec::with_capacity(n);
-    for len in lens {
-        records.push(take(&mut pos, len)?);
+    for _ in 0..n {
+        let len = le::u64(le::take(payload, &mut at, 8, what)?, what)? as usize;
+        let start = pos;
+        le::take(payload, &mut pos, len, what)?;
+        records.push(payload.slice(start..pos));
     }
     if pos != payload.len() {
         return Err(RocError::Comm("two-phase: trailing bytes in block message".into()));
@@ -295,6 +290,7 @@ fn decode_block(id: BlockId, records: &[Bytes]) -> Result<DataBlock> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rocio_core::{DType, Dataset, SnapshotId};
     use rocnet::cluster::ClusterSpec;
     use rocnet::run_ranks;
@@ -459,21 +455,25 @@ mod tests {
         assert!(matches!(&out[3], Err(RocError::Corrupt(m)) if m.contains("checksum")), "{:?}", out[3]);
     }
 
-    #[test]
-    fn block_message_round_trips_and_rejects_garbage() {
+    /// A block and its redistribution message, the records encoded the way
+    /// a file stores them.
+    fn sample_message() -> (DataBlock, Bytes) {
         let block = DataBlock::new(BlockId(7), "fluid")
             .with_dataset(Dataset::vector("p", vec![1.0f64, 2.0]).with_attr("units", "Pa"))
             .with_attr("material", "gas");
-        // Encode the block's records the way a file stores them.
         let fs = SharedFs::ideal();
         let blocks = std::slice::from_ref(&block);
         write_snapshot_file(&fs, "one.sdf", LibraryModel::Raw, 0, blocks, 0.0).unwrap();
         let (r, t) = SdfFileReader::open(&fs, "one.sdf", LibraryModel::Raw, 0, 0.0).unwrap();
         let (raw, _) = r.read_blocks_raw(&[BlockId(7)], t).unwrap();
         let segs = encode_block(BlockId(7), &raw[0].1);
-        let image = Bytes::from(rocio_core::segments_to_vec(&segs));
-        let back = decode_block_msg(&image).unwrap();
-        assert_eq!(back, block);
+        (block, rocio_core::segments_to_vec(&segs).into())
+    }
+
+    #[test]
+    fn block_message_round_trips_and_rejects_garbage() {
+        let (block, image) = sample_message();
+        assert_eq!(decode_block_msg(&image).unwrap(), block);
         // Truncations and trailing garbage are rejected, never panic.
         for cut in [0, 4, 11, image.len() - 1] {
             assert!(decode_block_msg(&image.slice(..cut)).is_err(), "cut at {cut}");
@@ -481,6 +481,37 @@ mod tests {
         let mut extra = image.to_vec();
         extra.push(0);
         assert!(decode_block_msg(&Bytes::from(extra)).is_err());
+        // Twelve bytes claiming four billion records (used to ask the
+        // allocator for 32 GiB and abort); one record of length u64::MAX
+        // (used to overflow `pos + n`: a panic in debug, a wrapped bound
+        // check and a panic inside `Bytes::slice` in release).
+        let claim = |n: u32, lens: &[u64]| {
+            let lens = lens.iter().flat_map(|l| l.to_le_bytes());
+            Bytes::from(7u64.to_le_bytes().into_iter().chain(n.to_le_bytes()).chain(lens).collect::<Vec<u8>>())
+        };
+        for hostile in [claim(u32::MAX, &[]), claim(1, &[u64::MAX]), claim(2, &[8, u64::MAX - 7])] {
+            let got = decode_block_msg(&hostile);
+            assert!(matches!(got, Err(RocError::Comm(_) | RocError::Corrupt(_))), "{got:?}");
+        }
+    }
+
+    proptest! {
+        // Arbitrary bytes, and a valid message with one byte replaced or cut
+        // short at any length: `Ok` or `Err`, never a panic (the record
+        // table is sized by a count the message itself bounds).
+        #[test]
+        fn hostile_block_message_bytes_never_panic(
+            junk in prop::collection::vec(any::<u8>(), 0..256),
+            at in any::<prop::sample::Index>(),
+            byte in any::<u8>(),
+        ) {
+            let valid = sample_message().1;
+            let mut mutated = valid.to_vec();
+            mutated[at.index(valid.len())] = byte;
+            for input in [&junk[..], &mutated, &valid[..at.index(valid.len())]] {
+                let _ = decode_block_msg(&Bytes::copy_from_slice(input));
+            }
+        }
     }
 
     #[test]

@@ -153,16 +153,6 @@ impl Comm {
         self.group.size
     }
 
-    /// Global rank of local rank `local`.
-    pub fn to_global(&self, local: usize) -> usize {
-        self.group.global(local)
-    }
-
-    /// Local rank of global rank `global`, if it is a member.
-    pub fn local_of_global(&self, global: usize) -> Option<usize> {
-        self.group.local(global)
-    }
-
     /// This rank's global rank.
     pub fn global_rank(&self) -> usize {
         self.group.global(self.my_local)

@@ -610,7 +610,9 @@ mod tests {
                         window: "fluid".into(),
                         block,
                     };
-                    msg.encode().len()
+                    let mut segs = Vec::new();
+                    msg.encode_segments(&mut rocsdf::SegmentPool::new(), &mut segs);
+                    rocio_core::segments_len(&segs)
                 })
                 .sum()
         };

@@ -3,14 +3,17 @@
 //! Message kind is carried in the message *tag* (so servers can dispatch
 //! off a probe without touching the payload); fields are encoded
 //! little-endian in the payload. Data blocks travel as sequences of SDF
-//! dataset records — the same self-describing encoding the files use.
+//! dataset records — the same self-describing encoding the files use,
+//! written by the same encoder: a [`BlockMsg`] has one encode
+//! (scatter-gather segments; `Comm::send_segments` assembles the wire image
+//! once) and one decode (payloads are windows of the received message).
+//! Every length read from a message goes through `rocio_core::le::take`,
+//! and every count is bounded by the bytes that remain before it sizes an
+//! allocation.
 
 use bytes::Bytes;
 use rocio_core::{DataBlock, Result, RocError, Segment, SnapshotId};
-use rocsdf::format::{
-    block_from_records, block_meta_dataset, block_prefix, decode_dataset, decode_dataset_shared,
-    encode_dataset_into,
-};
+use rocsdf::format::{block_from_records, block_meta_dataset, block_prefix, decode_dataset_shared};
 use rocsdf::SegmentPool;
 
 /// Message tags. All below [`rocnet::comm::TAG_USER_MAX`].
@@ -68,19 +71,11 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 }
 
 fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
-    let s = bytes
-        .get(*pos..*pos + n)
-        .ok_or_else(|| RocError::Corrupt("panda wire: truncated".into()))?;
-    *pos += n;
-    Ok(s)
+    rocio_core::le::take(bytes, pos, n, "panda wire message")
 }
 
 fn get_str(bytes: &[u8], pos: &mut usize) -> Result<String> {
-    let n = rocio_core::le::u16(take(bytes, pos, 2)?, "panda wire string length")? as usize;
-    // Single checked conversion: validate in place, then copy once.
-    std::str::from_utf8(take(bytes, pos, n)?)
-        .map(str::to_owned)
-        .map_err(|_| RocError::Corrupt("panda wire: bad utf8".into()))
+    rocio_core::le::str16(bytes, pos, "panda wire message").map(str::to_owned)
 }
 
 fn put_snap(out: &mut Vec<u8>, snap: SnapshotId) {
@@ -172,24 +167,9 @@ pub struct BlockMsg {
 
 impl BlockMsg {
     /// Encode: routing header, then the block's `__meta__` dataset and its
-    /// member datasets as SDF records (prefixed names). The name override
-    /// in the record encoder relabels datasets in place — no clone.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_snap(&mut out, self.snap);
-        put_str(&mut out, &self.window);
-        out.extend_from_slice(&(1 + self.block.datasets.len() as u32).to_le_bytes());
-        encode_dataset_into(&block_meta_dataset(&self.block), None, None, &mut out);
-        let prefix = block_prefix(self.block.id);
-        for ds in &self.block.datasets {
-            encode_dataset_into(ds, Some(&format!("{prefix}{}", ds.name)), None, &mut out);
-        }
-        out
-    }
-
-    /// Scatter-gather encode: headers go into pooled staging buffers,
-    /// shared payloads ride along by refcount. Concatenated, the segments
-    /// are byte-identical to [`BlockMsg::encode`]; send them with
+    /// member datasets as SDF records (names prefixed by the record
+    /// encoder's override — no clone). Headers go into pooled staging
+    /// buffers, payloads ride along by refcount; send the segments with
     /// `Comm::send_segments` so the wire image is assembled exactly once.
     pub fn encode_segments(&self, pool: &mut SegmentPool, out: &mut Vec<Segment>) {
         let mut head = pool.take();
@@ -217,39 +197,27 @@ impl BlockMsg {
         }
     }
 
-    fn decode_with(
-        bytes: &[u8],
-        mut record: impl FnMut(&mut usize) -> Result<rocio_core::Dataset>,
-    ) -> Result<Self> {
+    /// Decode with zero-copy payloads: each dataset's data is a refcounted
+    /// window into `bytes`, so a server can buffer the blocks of many
+    /// messages without duplicating any payload.
+    pub fn decode_shared(bytes: &Bytes) -> Result<Self> {
         let mut pos = 0;
         let snap = get_snap(bytes, &mut pos)?;
         let window = get_str(bytes, &mut pos)?;
         let n = rocio_core::le::u32(take(bytes, &mut pos, 4)?, "panda wire count")? as usize;
-        let block = block_from_records(None, (0..n).map(|_| record(&mut pos)))?;
+        let records = (0..n).map(|_| decode_dataset_shared(bytes, &mut pos));
+        let block = block_from_records(None, records)?;
         Ok(BlockMsg {
             snap,
             window,
             block,
         })
     }
-
-    /// Decode into typed arrays (the client restart path, which mutates
-    /// the data it receives).
-    pub fn decode(bytes: &[u8]) -> Result<Self> {
-        Self::decode_with(bytes, |pos| decode_dataset(bytes, pos))
-    }
-
-    /// Decode with zero-copy payloads: each dataset's data is a refcounted
-    /// window into `bytes`, so a server can buffer the blocks of many
-    /// messages without duplicating any payload.
-    pub fn decode_shared(bytes: &Bytes) -> Result<Self> {
-        Self::decode_with(bytes, |pos| decode_dataset_shared(bytes, pos))
-    }
 }
 
 /// Encode several blocks as one batched `READ_BATCH` reply: `u32` count,
 /// then per message a `u64` length prefix followed by the message's
-/// [`BlockMsg::encode`] image. Headers and length prefixes go to pooled
+/// [`BlockMsg::encode_segments`] image. Headers and length prefixes go to pooled
 /// staging buffers; shared payloads ride along by refcount, so a cached
 /// snapshot is shipped without copying any block data.
 pub(crate) fn encode_read_batch_segments(
@@ -281,12 +249,9 @@ pub(crate) fn decode_read_batch_shared(bytes: &Bytes) -> Result<Vec<BlockMsg>> {
     for _ in 0..n {
         let len =
             rocio_core::le::u64(take(bytes, &mut pos, 8)?, "panda wire batch entry length")? as usize;
-        if len > bytes.len().saturating_sub(pos) {
-            return Err(RocError::Corrupt("panda wire: batch entry exceeds message".into()));
-        }
-        let msg = bytes.slice(pos..pos + len);
-        pos += len;
-        out.push(BlockMsg::decode_shared(&msg)?);
+        let start = pos;
+        take(bytes, &mut pos, len)?;
+        out.push(BlockMsg::decode_shared(&bytes.slice(start..pos))?);
     }
     Ok(out)
 }
@@ -418,6 +383,7 @@ pub(crate) fn decode_read_done(bytes: &[u8]) -> Result<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rocio_core::{BlockId, Dataset};
 
     fn block() -> DataBlock {
@@ -425,6 +391,17 @@ mod tests {
             .with_dataset(Dataset::vector("pressure", vec![1.0f64, 2.0]).with_attr("units", "Pa"))
             .with_dataset(Dataset::vector("ids", vec![7i32]))
             .with_attr("material", "gas")
+    }
+
+    fn msg(block: DataBlock) -> BlockMsg {
+        BlockMsg { snap: SnapshotId::new(50, 1), window: "fluid".into(), block }
+    }
+
+    /// The wire image `Comm::send_segments` would assemble.
+    fn wire(m: &BlockMsg) -> Vec<u8> {
+        let mut segs = Vec::new();
+        m.encode_segments(&mut SegmentPool::new(), &mut segs);
+        rocio_core::segments_to_vec(&segs)
     }
 
     #[test]
@@ -454,89 +431,46 @@ mod tests {
     }
 
     #[test]
-    fn block_msg_round_trip() {
-        let m = BlockMsg {
-            snap: SnapshotId::new(50, 1),
-            window: "fluid".into(),
-            block: block(),
-        };
-        let dec = BlockMsg::decode(&m.encode()).unwrap();
-        assert_eq!(dec, m);
-    }
-
-    #[test]
-    fn segment_encode_matches_contiguous_and_decodes_shared() {
-        let m = BlockMsg {
-            snap: SnapshotId::new(50, 1),
-            window: "fluid".into(),
-            block: block(),
-        };
-        let flat = m.encode();
-        let mut pool = SegmentPool::new();
-        let mut segs = Vec::new();
-        m.encode_segments(&mut pool, &mut segs);
-        assert_eq!(rocio_core::segments_to_vec(&segs), flat);
-
-        let src = Bytes::from(flat);
+    fn block_msg_round_trips_with_payloads_that_outlive_the_message() {
+        let m = msg(block());
+        let src = Bytes::from(wire(&m));
         let dec = BlockMsg::decode_shared(&src).unwrap();
         // Payloads are refcounted views of the message; they stay valid
         // after the message handle itself is dropped.
         drop(src);
         assert_eq!(dec, m);
-        // And the shared form re-encodes to the same bytes.
-        assert_eq!(dec.encode(), m.encode());
+        assert_eq!(wire(&dec), wire(&m));
     }
 
     #[test]
-    fn pane_blocks_encode_like_their_typed_twins() {
-        // `pane_to_block` hands out shared windows of one LE buffer; on
-        // the wire and in a file record they must be the bytes the typed
-        // arrays would have encoded to, for both mesh kinds.
-        use roccom::{convert::pane_to_block, AttrRef, AttrSpec, PaneMesh, Window};
-        let mut fluid = Window::new("fluid");
-        fluid.declare_attr(AttrSpec::element("pressure", rocio_core::DType::F64, 1)).unwrap();
-        fluid.declare_attr(AttrSpec::node("velocity", rocio_core::DType::F64, 3)).unwrap();
-        let structured = PaneMesh::Structured { dims: [2, 3, 1], origin: [0.5; 3], spacing: [0.25; 3] };
-        fluid.register_pane(BlockId(4), structured).unwrap();
-        let mut solid = Window::new("solid");
-        solid.declare_attr(AttrSpec::node("disp", rocio_core::DType::F64, 3)).unwrap();
-        let tets = rocmesh::UnstructuredBlock::tet_box(BlockId(8), [1, 2, 1], [0.0; 3], [1.0; 3]);
-        solid.register_pane(BlockId(8), PaneMesh::from_unstructured(&tets)).unwrap();
-
-        for (w, id) in [(&fluid, BlockId(4)), (&solid, BlockId(8))] {
-            let shared = pane_to_block(w, w.pane(id).unwrap(), &AttrRef::All).unwrap();
-            let mut typed = DataBlock::new(shared.id, shared.window.clone());
-            typed.attrs = shared.attrs.clone();
-            for ds in &shared.datasets {
-                assert!(ds.data.as_shared().is_some());
-                let mut t =
-                    Dataset::new(ds.name.clone(), ds.shape.clone(), ds.data.to_typed().unwrap()).unwrap();
-                t.attrs = ds.attrs.clone();
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                let crc = rocsdf::payload_crc32(ds);
-                assert_eq!(crc, rocsdf::payload_crc32(&t));
-                rocsdf::encode_dataset_into(ds, Some("x"), Some(crc), &mut a);
-                rocsdf::encode_dataset_into(&t, Some("x"), Some(crc), &mut b);
-                assert_eq!(a, b, "{}", ds.name);
-                typed.push_dataset(t).unwrap();
-            }
-            let msg = |block| BlockMsg { snap: SnapshotId::new(2, 1), window: w.name().into(), block };
-            let (shared, typed) = (msg(shared), msg(typed));
-            let mut segs = Vec::new();
-            shared.encode_segments(&mut SegmentPool::new(), &mut segs);
-            assert_eq!(rocio_core::segments_to_vec(&segs), typed.encode());
-        }
+    fn block_msg_layout_is_pinned_by_value() {
+        // The wire format, byte for byte: snapshot (step, ordinal), window,
+        // record count, then SDF records without checksums — `__meta__`
+        // (empty u8 payload, the block's identity and attributes as
+        // attributes), then each member under the block's prefix.
+        let block = DataBlock::new(BlockId(7), "w")
+            .with_dataset(Dataset::vector("p", vec![-1i32, 2]))
+            .with_attr("t", 0.5f64);
+        let golden: Vec<u8> = [
+            &[50, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0][..], &[5, 0], b"fluid", &[2, 0, 0, 0],
+            b"DS00", &[18, 0], b"blk000007/__meta__", &[0, 1], &[0; 8], &[4, 0],
+            &[5, 0], b"blk:t", &[1, 0, 0, 0, 0, 0, 0, 0xe0, 0x3f],
+            &[8, 0], b"block_id", &[0, 7, 0, 0, 0, 0, 0, 0, 0],
+            &[10, 0], b"n_datasets", &[0, 1, 0, 0, 0, 0, 0, 0, 0],
+            &[6, 0], b"window", &[2, 1, 0, 0, 0], b"w",
+            &[0; 8],
+            b"DS00", &[11, 0], b"blk000007/p", &[1, 1], &[2, 0, 0, 0, 0, 0, 0, 0], &[0, 0],
+            &[8, 0, 0, 0, 0, 0, 0, 0], &[0xff, 0xff, 0xff, 0xff, 2, 0, 0, 0],
+        ]
+        .concat();
+        assert_eq!(wire(&msg(block.clone())), golden);
+        assert_eq!(BlockMsg::decode_shared(&golden.into()).unwrap(), msg(block));
     }
 
     #[test]
     fn truncated_messages_rejected() {
-        let m = BlockMsg {
-            snap: SnapshotId::new(0, 0),
-            window: "fluid".into(),
-            block: block(),
-        };
-        let enc = m.encode();
-        assert!(BlockMsg::decode(&enc[..enc.len() - 3]).is_err());
+        let enc = Bytes::from(wire(&msg(block())));
+        assert!(BlockMsg::decode_shared(&enc.slice(..enc.len() - 3)).is_err());
         assert!(WriteReq::decode(&[1, 2, 3]).is_err());
         assert!(ReadReq::decode(&[]).is_err());
         assert!(decode_read_done(&[1]).is_err());
@@ -544,14 +478,8 @@ mod tests {
 
     #[test]
     fn read_batch_round_trips_shared_and_rejects_truncation() {
-        let msgs: Vec<BlockMsg> = (0..3)
-            .map(|i| BlockMsg {
-                snap: SnapshotId::new(50, 1),
-                window: "fluid".into(),
-                block: DataBlock::new(BlockId(i), "fluid")
-                    .with_dataset(Dataset::vector("p", vec![i as f64; 4])),
-            })
-            .collect();
+        let block = |i| DataBlock::new(BlockId(i), "fluid").with_dataset(Dataset::vector("p", vec![i as f64; 4]));
+        let msgs: Vec<BlockMsg> = (0..3).map(|i| msg(block(i))).collect();
         let mut pool = SegmentPool::new();
         let mut segs = Vec::new();
         encode_read_batch_segments(&msgs, &mut pool, &mut segs);
@@ -569,6 +497,63 @@ mod tests {
         for cut in [0, 3, 4, 11, flat.len() - 1] {
             assert!(decode_read_batch_shared(&Bytes::from(flat[..cut].to_vec())).is_err());
         }
+    }
+
+    /// Arbitrary bytes, and a valid encoding with one byte replaced or cut
+    /// short at any length.
+    fn hostile(valid: &[u8], junk: &[u8], at: prop::sample::Index, byte: u8) -> [Bytes; 3] {
+        let mut mutated = valid.to_vec();
+        mutated[at.index(valid.len())] = byte;
+        [Bytes::copy_from_slice(junk), mutated.into(), Bytes::copy_from_slice(&valid[..at.index(valid.len())])]
+    }
+
+    proptest! {
+        // `Ok` or `Err`, never a panic; what decodes is no larger than the
+        // message it is made of windows of.
+        #[test]
+        fn hostile_block_msg_bytes_never_panic(
+            junk in prop::collection::vec(any::<u8>(), 0..256),
+            at in any::<prop::sample::Index>(),
+            byte in any::<u8>(),
+        ) {
+            for input in hostile(&wire(&msg(block())), &junk, at, byte) {
+                if let Ok(m) = BlockMsg::decode_shared(&input) {
+                    prop_assert!(m.window.len() + m.block.encoded_size() <= input.len() + 64);
+                }
+            }
+        }
+
+        #[test]
+        fn hostile_read_batch_bytes_never_panic(
+            junk in prop::collection::vec(any::<u8>(), 0..256),
+            at in any::<prop::sample::Index>(),
+            byte in any::<u8>(),
+        ) {
+            let mut segs = Vec::new();
+            encode_read_batch_segments(&[msg(block()), msg(block())], &mut SegmentPool::new(), &mut segs);
+            for input in hostile(&rocio_core::segments_to_vec(&segs), &junk, at, byte) {
+                if let Ok(msgs) = decode_read_batch_shared(&input) {
+                    let decoded: usize = msgs.iter().map(|m| m.block.encoded_size()).sum();
+                    prop_assert!(decoded <= input.len() + 64 * msgs.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_counts_are_refused_before_they_size_anything() {
+        // Four billion ids / batch entries / records, and an entry of
+        // u64::MAX bytes, claimed by messages of a few bytes.
+        let mut req = ReadReq { snap: SnapshotId::new(0, 0), window: "w".into(), ids: vec![] }.encode();
+        let n = req.len();
+        req[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(ReadReq::decode(&req).is_err());
+        let batch = [u32::MAX.to_le_bytes().to_vec(), u64::MAX.to_le_bytes().to_vec()].concat();
+        assert!(decode_read_batch_shared(&batch[..4].to_vec().into()).is_err());
+        assert!(decode_read_batch_shared(&batch.into()).is_err());
+        let mut m = wire(&msg(block()));
+        m[19..23].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(BlockMsg::decode_shared(&m.into()).is_err());
     }
 
     #[test]

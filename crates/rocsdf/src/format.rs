@@ -12,12 +12,14 @@
 //! All integers little-endian. A file is self-describing: decoding needs no
 //! external schema. The index enables direct per-dataset access; records
 //! are self-delimiting, so a file can also be walked front to back with
-//! [`decode_dataset`] alone.
+//! [`decode_dataset_shared`] alone. One function writes a record
+//! ([`encode_dataset_segments`]), one parses a record header, and a
+//! payload is the same little-endian bytes whoever produced it.
 //!
 //! ## The payload checksum
 //!
 //! A file record carries the CRC-32 of its payload as the reserved
-//! `__crc32__` Int attribute; [`decode_dataset`] recomputes, compares and
+//! `__crc32__` Int attribute; [`decode_dataset_shared`] recomputes, compares and
 //! strips it, and treats an attribute of that name that is not a CRC-32
 //! as corruption. The value is on disk in every snapshot ever written, so
 //! it is part of the format: [`crc32`] is free to change *how* it
@@ -31,7 +33,7 @@
 
 use bytes::Bytes;
 use rocio_core::{
-    ArrayData, AttrValue, BlockId, DType, DataBlock, Dataset, Result, RocError, Segment,
+    AttrValue, BlockId, DType, DataBlock, Dataset, Result, RocError, Segment, SharedArray,
 };
 
 /// File magic, also used as the trailer sentinel.
@@ -52,7 +54,7 @@ pub const BLOCK_META: &str = "__meta__";
 
 /// Reserved attribute carrying the CRC-32 of a dataset's payload.
 /// Written by [`crate::writer::SdfFileWriter`], verified and stripped by
-/// [`decode_dataset`]; absent on wire messages (the fabric is trusted).
+/// [`decode_dataset_shared`]; absent on wire messages (the fabric is trusted).
 pub const CRC_ATTR: &str = "__crc32__";
 
 /// Slice-by-8 lookup tables for [`crc32`], generated at compile time
@@ -205,15 +207,11 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// CRC-32 of a dataset's canonical little-endian payload bytes.
-///
-/// Shared and `u8` payloads — every dataset of a pane block, a decoded
-/// message or a file read — are checksummed where they lie; only a
-/// hand-built typed payload is encoded into a scratch buffer first.
-/// Encoders inject the checksum attribute during encoding (see
-/// [`encode_dataset_into`]) rather than copying the dataset to attach it.
+/// CRC-32 of a dataset's payload, computed where the bytes lie.
+/// [`encode_dataset_segments`] injects it as an attribute during encoding
+/// rather than copying the dataset to attach it.
 pub fn payload_crc32(ds: &Dataset) -> u32 {
-    ds.data.with_le_bytes(crc32)
+    crc32(ds.data.bytes())
 }
 
 /// Dataset-name prefix for a block's group of datasets.
@@ -254,90 +252,27 @@ pub(crate) fn check_header(bytes: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// Encode one dataset record (contiguous).
-pub fn encode_dataset(ds: &Dataset) -> Vec<u8> {
-    let mut out = Vec::with_capacity(ds.encoded_size() + 16);
-    encode_dataset_into(ds, None, None, &mut out);
-    out
-}
-
 fn encode_attr_entry(k: &str, v: &AttrValue, out: &mut Vec<u8>) {
     out.extend_from_slice(&(k.len() as u16).to_le_bytes());
     out.extend_from_slice(k.as_bytes());
     v.encode(out);
 }
 
-/// Append the record *header* — everything from the `DS00` marker through
-/// the `data_len` field, i.e. all bytes before the payload — to `out`.
+/// Encode one dataset record — the workspace's only record encoder — as
+/// an `IoSlice`-style segment list: the record *header* (everything from
+/// the `DS00` marker through the `data_len` field) as one owned run, then
+/// the payload as a [`Segment::Shared`] refcount bump (omitted when
+/// empty). Whoever needs one flat run of bytes flattens the list once
+/// (`Comm::send_segments`, `rocio_core::segments_to_vec`); the store never
+/// does.
 ///
-/// `name_override` replaces the dataset's own name (the server re-labels
-/// datasets under a block-group prefix without cloning them); `crc`
-/// injects a `__crc32__` Int attribute in its sorted position within the
-/// attribute table, replacing any existing entry, so the output is
-/// byte-identical to encoding a dataset that carried the attribute in its
-/// `BTreeMap`.
-fn encode_dataset_header_into(
-    ds: &Dataset,
-    name_override: Option<&str>,
-    crc: Option<u32>,
-    out: &mut Vec<u8>,
-) {
-    let name = name_override.unwrap_or(&ds.name);
-    out.extend_from_slice(DS_MARKER);
-    out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-    out.extend_from_slice(name.as_bytes());
-    out.push(ds.dtype().tag());
-    out.push(ds.shape.len() as u8);
-    for &e in &ds.shape {
-        out.extend_from_slice(&(e as u64).to_le_bytes());
-    }
-    let crc_attr = crc.map(|c| AttrValue::Int(c as i64));
-    let n_attrs = ds.attrs.len()
-        + usize::from(crc_attr.is_some() && !ds.attrs.contains_key(CRC_ATTR));
-    out.extend_from_slice(&(n_attrs as u16).to_le_bytes());
-    let mut pending = crc_attr.as_ref();
-    for (k, v) in &ds.attrs {
-        if let Some(c) = pending {
-            if k.as_str() >= CRC_ATTR {
-                encode_attr_entry(CRC_ATTR, c, out);
-                pending = None;
-                if k == CRC_ATTR {
-                    continue; // replaced by the computed checksum
-                }
-            }
-        }
-        encode_attr_entry(k, v, out);
-    }
-    if let Some(c) = pending {
-        encode_attr_entry(CRC_ATTR, c, out);
-    }
-    out.extend_from_slice(&(ds.byte_len() as u64).to_le_bytes());
-}
-
-/// Contiguous encode into a caller-supplied buffer, with optional rename
-/// and checksum injection — the fallback for callers that need one flat
-/// run of bytes. Produces exactly the bytes of [`encode_dataset`] on a
-/// dataset renamed to `name_override` with `crc` in its attribute map,
-/// without materializing that dataset.
-pub fn encode_dataset_into(
-    ds: &Dataset,
-    name_override: Option<&str>,
-    crc: Option<u32>,
-    out: &mut Vec<u8>,
-) {
-    encode_dataset_header_into(ds, name_override, crc, out);
-    ds.data.to_le_bytes(out);
-}
-
-/// Scatter-gather encode: appends an `IoSlice`-style segment list for one
-/// dataset record instead of flattening it.
-///
-/// `head` is the staging buffer for the owned header bytes (pass a
-/// recycled buffer to avoid allocation; it is cleared first). A shared
-/// payload is appended as a [`Segment::Shared`] refcount bump; typed
-/// payloads are encoded into the header segment so the record stays one
-/// owned run. The concatenation of the appended segments is byte-identical
-/// to [`encode_dataset_into`] with the same arguments.
+/// `head` is the staging buffer for the header (pass a recycled buffer to
+/// avoid allocation; it is cleared first). `name_override` replaces the
+/// dataset's own name (the server re-labels datasets under a block-group
+/// prefix without cloning them); `crc` injects a `__crc32__` Int attribute
+/// in its sorted position within the attribute table, replacing any
+/// existing entry, so the output is byte-identical to encoding a dataset
+/// that carried the attribute in its `BTreeMap`.
 pub fn encode_dataset_segments(
     ds: &Dataset,
     name_override: Option<&str>,
@@ -346,80 +281,126 @@ pub fn encode_dataset_segments(
     out: &mut Vec<Segment>,
 ) {
     head.clear();
-    encode_dataset_header_into(ds, name_override, crc, &mut head);
-    match ds.data.as_shared() {
-        Some(s) => {
-            out.push(Segment::Owned(head));
-            out.push(Segment::Shared(s.bytes().clone()));
+    let name = name_override.unwrap_or(&ds.name);
+    head.extend_from_slice(DS_MARKER);
+    head.extend_from_slice(&(name.len() as u16).to_le_bytes());
+    head.extend_from_slice(name.as_bytes());
+    head.push(ds.dtype().tag());
+    head.push(ds.shape.len() as u8);
+    for &e in &ds.shape {
+        head.extend_from_slice(&(e as u64).to_le_bytes());
+    }
+    let crc_attr = crc.map(|c| AttrValue::Int(c as i64));
+    let n_attrs = ds.attrs.len()
+        + usize::from(crc_attr.is_some() && !ds.attrs.contains_key(CRC_ATTR));
+    head.extend_from_slice(&(n_attrs as u16).to_le_bytes());
+    let mut pending = crc_attr.as_ref();
+    for (k, v) in &ds.attrs {
+        if let Some(c) = pending {
+            if k.as_str() >= CRC_ATTR {
+                encode_attr_entry(CRC_ATTR, c, &mut head);
+                pending = None;
+                if k == CRC_ATTR {
+                    continue; // replaced by the computed checksum
+                }
+            }
         }
-        None => {
-            ds.data.to_le_bytes(&mut head);
-            out.push(Segment::Owned(head));
-        }
+        encode_attr_entry(k, v, &mut head);
+    }
+    if let Some(c) = pending {
+        encode_attr_entry(CRC_ATTR, c, &mut head);
+    }
+    head.extend_from_slice(&(ds.byte_len() as u64).to_le_bytes());
+    out.push(Segment::Owned(head));
+    if !ds.is_empty() {
+        out.push(Segment::Shared(ds.data.bytes().clone()));
     }
 }
 
 fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
-    let s = bytes
-        .get(*pos..*pos + n)
-        .ok_or_else(|| RocError::Corrupt("SDF: truncated record".into()))?;
-    *pos += n;
-    Ok(s)
-}
-
-fn take_u16(bytes: &[u8], pos: &mut usize) -> Result<u16> {
-    rocio_core::le::u16(take(bytes, pos, 2)?, "SDF u16 field")
+    rocio_core::le::take(bytes, pos, n, "SDF record")
 }
 
 fn take_u64(bytes: &[u8], pos: &mut usize) -> Result<u64> {
     rocio_core::le::u64(take(bytes, pos, 8)?, "SDF u64 field")
 }
 
-fn take_str(bytes: &[u8], pos: &mut usize, n: usize) -> Result<String> {
-    // Validate in place, then copy once — not to_vec() followed by a
-    // checked conversion of the copy.
-    std::str::from_utf8(take(bytes, pos, n)?)
-        .map(str::to_owned)
-        .map_err(|_| RocError::Corrupt("SDF: invalid utf-8 name".into()))
+fn take_name(bytes: &[u8], pos: &mut usize) -> Result<String> {
+    rocio_core::le::str16(bytes, pos, "SDF record").map(str::to_owned)
 }
 
-/// Parsed record with the payload still identified only by position: the
-/// shared scaffolding of the typed and zero-copy decoders.
-struct RawRecord {
+/// A parsed record header: everything before the payload.
+pub(crate) struct RecordHeader {
     name: String,
-    dtype: DType,
+    pub(crate) dtype: DType,
     shape: Vec<usize>,
-    n_elems: usize,
+    /// Product of `shape`.
+    pub(crate) n_elems: usize,
     attrs: std::collections::BTreeMap<String, AttrValue>,
-    /// Absolute byte range of the payload within the input.
-    payload: std::ops::Range<usize>,
+    /// Payload length in bytes: `n_elems * dtype.size()`, as the record's
+    /// own `data_len` field must say.
+    pub(crate) data_len: usize,
 }
 
-/// Decode one dataset record at `*pos`, advancing `*pos` past it.
+/// Parse the record header at `*pos`, leaving `*pos` on the first payload
+/// byte — the one parser of the record layout, behind the whole-record
+/// decoder and the reader's partial reads alike.
 ///
-/// Every length field is validated against the remaining bytes *before*
-/// any allocation, so corrupt input yields [`RocError::Corrupt`], never a
-/// panic or an absurd allocation.
-pub fn decode_dataset(bytes: &[u8], pos: &mut usize) -> Result<Dataset> {
-    let rec = decode_record(bytes, pos, true)?;
-    let payload = &bytes[rec.payload.clone()];
-    let mut ds = Dataset::new(
-        rec.name,
-        rec.shape,
-        ArrayData::from_le_bytes(rec.dtype, rec.n_elems, payload)?,
-    )?;
-    ds.attrs = rec.attrs;
-    Ok(ds)
+/// Every length is checked against the input before it shapes a slice or
+/// an allocation, the extents' product and the payload size are computed
+/// overflow-checked, and the `data_len` field must agree with shape and
+/// dtype — so corrupt input is [`RocError::Corrupt`], never a panic, an
+/// absurd allocation or a payload read under the wrong shape. A `bytes`
+/// that ends inside the header is reported the same way (partial readers
+/// retry with a longer prefix).
+pub(crate) fn decode_record_header(bytes: &[u8], pos: &mut usize) -> Result<RecordHeader> {
+    let marker = take(bytes, pos, 4)?;
+    if marker != DS_MARKER {
+        return Err(RocError::Corrupt(format!(
+            "SDF: expected dataset marker at {}, found {:?}",
+            *pos - 4,
+            marker
+        )));
+    }
+    let name = take_name(bytes, pos)?;
+    let dtype = DType::from_tag(take(bytes, pos, 1)?[0])?;
+    let rank = take(bytes, pos, 1)?[0] as usize;
+    let mut shape = Vec::with_capacity(rank.min(16));
+    for _ in 0..rank {
+        shape.push(take_u64(bytes, pos)? as usize);
+    }
+    let n_elems = shape.iter().try_fold(1usize, |n, &e| n.checked_mul(e));
+    let Some((n_elems, want_len)) = n_elems.and_then(|n| Some((n, n.checked_mul(dtype.size())?)))
+    else {
+        return Err(RocError::Corrupt(format!("SDF: dataset '{name}' shape {shape:?} overflows")));
+    };
+    let n_attrs = rocio_core::le::u16(take(bytes, pos, 2)?, "SDF attribute count")?;
+    let mut attrs = std::collections::BTreeMap::new();
+    for _ in 0..n_attrs {
+        let key = take_name(bytes, pos)?;
+        let val = AttrValue::decode(bytes, pos)?;
+        attrs.insert(key, val);
+    }
+    let data_len = take_u64(bytes, pos)?;
+    if data_len != want_len as u64 {
+        return Err(RocError::Corrupt(format!(
+            "SDF: dataset '{name}' payload length {data_len} != shape {shape:?} x {}",
+            dtype.name()
+        )));
+    }
+    Ok(RecordHeader { name, dtype, shape, n_elems, attrs, data_len: want_len })
 }
 
-/// Decode one dataset record at `*pos` without copying its payload: the
-/// returned dataset's data is an [`ArrayData::Shared`] view of `bytes`.
+/// Decode one dataset record at `*pos`, advancing `*pos` past it, without
+/// copying its payload: the returned dataset's data is a window of
+/// `bytes`.
 ///
-/// The view holds a refcount on the input's allocation, so it stays valid
+/// The window holds a refcount on the input's allocation, so it stays valid
 /// after every other handle to `bytes` is dropped — this is how the
 /// server's active buffer references message payloads until drain without
-/// re-encoding or copying them. Checksum verification and stripping work
-/// exactly as in [`decode_dataset`].
+/// re-encoding or copying them. A `__crc32__` attribute (file records
+/// carry one; wire records do not) is verified against the payload and
+/// stripped.
 pub fn decode_dataset_shared(bytes: &Bytes, pos: &mut usize) -> Result<Dataset> {
     decode_dataset_shared_with(bytes, pos, true)
 }
@@ -432,76 +413,19 @@ pub fn decode_dataset_shared(bytes: &Bytes, pos: &mut usize) -> Result<Dataset> 
 /// open-metadata cache tracks this per record per file generation, so a
 /// warm restart re-reading a frozen snapshot skips the CRC pass it
 /// already paid (and any rewrite of the path starts a new generation,
-/// which verifies afresh). The checksum attribute is stripped either way,
-/// so decoded datasets are identical across both modes.
+/// which verifies afresh). The checksum attribute is stripped — and must
+/// be a CRC-32 — either way, so decoded datasets are identical across
+/// both modes and damage to the attribute's type tag cannot switch the
+/// check off.
 pub(crate) fn decode_dataset_shared_with(
     bytes: &Bytes,
     pos: &mut usize,
     verify_crc: bool,
 ) -> Result<Dataset> {
-    let rec = decode_record(bytes, pos, verify_crc)?;
-    let mut ds = Dataset::new(
-        rec.name,
-        rec.shape,
-        ArrayData::from_le_shared(rec.dtype, rec.n_elems, bytes.slice(rec.payload.clone()))?,
-    )?;
-    ds.attrs = rec.attrs;
-    Ok(ds)
-}
-
-fn decode_record(bytes: &[u8], pos: &mut usize, verify_crc: bool) -> Result<RawRecord> {
-    let marker = take(bytes, pos, 4)?;
-    if marker != DS_MARKER {
-        return Err(RocError::Corrupt(format!(
-            "SDF: expected dataset marker at {}, found {:?}",
-            *pos - 4,
-            marker
-        )));
-    }
-    let name_len = take_u16(bytes, pos)? as usize;
-    let name = take_str(bytes, pos, name_len)?;
-    let dtype = DType::from_tag(take(bytes, pos, 1)?[0])?;
-    let rank = take(bytes, pos, 1)?[0] as usize;
-    let mut shape = Vec::with_capacity(rank.min(16));
-    let mut n_elems: usize = 1;
-    for _ in 0..rank {
-        let extent = take_u64(bytes, pos)? as usize;
-        n_elems = n_elems
-            .checked_mul(extent)
-            .ok_or_else(|| RocError::Corrupt("SDF: shape overflow".into()))?;
-        shape.push(extent);
-    }
-    // The payload cannot exceed the remaining bytes; reject before
-    // allocating anything shaped by untrusted sizes.
-    if n_elems.checked_mul(dtype.size()).is_none()
-        || n_elems * dtype.size() > bytes.len().saturating_sub(*pos)
-    {
-        return Err(RocError::Corrupt(format!(
-            "SDF: dataset '{name}' claims {n_elems} elements, larger than the file"
-        )));
-    }
-    let n_attrs = take_u16(bytes, pos)? as usize;
-    let mut attrs = std::collections::BTreeMap::new();
-    for _ in 0..n_attrs {
-        let klen = take_u16(bytes, pos)? as usize;
-        let key = take_str(bytes, pos, klen)?;
-        let val = AttrValue::decode(bytes, pos)?;
-        attrs.insert(key, val);
-    }
-    let data_len = take_u64(bytes, pos)? as usize;
-    if data_len != n_elems * dtype.size() {
-        return Err(RocError::Corrupt(format!(
-            "SDF: dataset '{name}' payload length {data_len} != shape {shape:?} x {}",
-            dtype.name()
-        )));
-    }
+    let RecordHeader { name, dtype, shape, n_elems, mut attrs, data_len } =
+        decode_record_header(bytes, pos)?;
     let payload_start = *pos;
     let payload = take(bytes, pos, data_len)?;
-    // Verify and strip the integrity checksum when present (file records
-    // carry one; wire records do not). Callers that already verified this
-    // record in an immutable image may skip the recomputation; the
-    // attribute is stripped — and must be a CRC-32 — unconditionally, so
-    // damage to its type tag cannot switch the check off.
     if let Some(attr) = attrs.remove(CRC_ATTR) {
         let stored = attr.as_int().ok().and_then(|v| u32::try_from(v).ok()).ok_or_else(|| {
             RocError::Corrupt(format!(
@@ -518,61 +442,10 @@ fn decode_record(bytes: &[u8], pos: &mut usize, verify_crc: bool) -> Result<RawR
             }
         }
     }
-    Ok(RawRecord {
-        name,
-        dtype,
-        shape,
-        n_elems,
-        attrs,
-        payload: payload_start..*pos,
-    })
-}
-
-/// Parsed record header of a dataset (without its payload).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DatasetHeader {
-    pub name: String,
-    pub dtype: DType,
-    pub shape: Vec<usize>,
-    pub n_attrs: usize,
-    /// Bytes from the record start to the first payload byte.
-    pub header_len: usize,
-    /// Payload length in bytes.
-    pub data_len: usize,
-}
-
-/// Decode just the header of a dataset record (name, dtype, shape, attrs,
-/// payload extent) from a prefix of the record's bytes. Errors if the
-/// prefix is too short — callers retry with a longer prefix.
-pub(crate) fn decode_dataset_header(bytes: &[u8]) -> Result<DatasetHeader> {
-    let mut pos = 0;
-    let marker = take(bytes, &mut pos, 4)?;
-    if marker != DS_MARKER {
-        return Err(RocError::Corrupt("SDF: bad dataset marker".into()));
-    }
-    let name_len = take_u16(bytes, &mut pos)? as usize;
-    let name = take_str(bytes, &mut pos, name_len)?;
-    let dtype = DType::from_tag(take(bytes, &mut pos, 1)?[0])?;
-    let rank = take(bytes, &mut pos, 1)?[0] as usize;
-    let mut shape = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        shape.push(take_u64(bytes, &mut pos)? as usize);
-    }
-    let n_attrs = take_u16(bytes, &mut pos)? as usize;
-    for _ in 0..n_attrs {
-        let klen = take_u16(bytes, &mut pos)? as usize;
-        let _key = take_str(bytes, &mut pos, klen)?;
-        let _val = AttrValue::decode(bytes, &mut pos)?;
-    }
-    let data_len = take_u64(bytes, &mut pos)? as usize;
-    Ok(DatasetHeader {
-        name,
-        dtype,
-        shape,
-        n_attrs,
-        header_len: pos,
-        data_len,
-    })
+    let data = SharedArray::new(dtype, n_elems, bytes.slice(payload_start..*pos))?;
+    let mut ds = Dataset::new(name, shape, data)?;
+    ds.attrs = attrs;
+    Ok(ds)
 }
 
 /// One index entry: dataset name, absolute offset, encoded length.
@@ -624,8 +497,7 @@ pub(crate) fn decode_index(bytes: &[u8]) -> Result<Vec<IndexEntry>> {
     }
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        let name_len = take_u16(bytes, &mut pos)? as usize;
-        let name = take_str(bytes, &mut pos, name_len)?;
+        let name = take_name(bytes, &mut pos)?;
         let offset = take_u64(bytes, &mut pos)?;
         let len = take_u64(bytes, &mut pos)?;
         entries.push(IndexEntry { name, offset, len });
@@ -633,11 +505,17 @@ pub(crate) fn decode_index(bytes: &[u8]) -> Result<Vec<IndexEntry>> {
     Ok(entries)
 }
 
+/// The empty `u8` payload of every `__meta__` dataset, made once: a
+/// refcounted handle costs an allocation even when it holds nothing, and
+/// a meta dataset is built for every block written or sent.
+static NO_PAYLOAD: std::sync::LazyLock<SharedArray> =
+    std::sync::LazyLock::new(|| Vec::<u8>::new().into());
+
 /// Encode a block's metadata as its `__meta__` dataset.
 pub fn block_meta_dataset(block: &DataBlock) -> Dataset {
     let mut ds = Dataset::vector(
         format!("{}{}", block_prefix(block.id), BLOCK_META),
-        Vec::<u8>::new(),
+        NO_PAYLOAD.clone(),
     )
     .with_attr("window", block.window.as_str())
     .with_attr("block_id", block.id.0 as i64)
@@ -711,14 +589,57 @@ mod tests {
     use super::*;
 
     fn sample_dataset() -> Dataset {
-        Dataset::new(
-            "blk000003/pressure",
-            vec![2, 3],
-            ArrayData::F64(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
-        )
-        .unwrap()
-        .with_attr("units", "Pa")
-        .with_attr("step", 50i64)
+        Dataset::new("blk000003/pressure", vec![2, 3], vec![1.0f64, 2.0, 3.0, 4.0, 5.0, 6.0])
+            .unwrap()
+            .with_attr("units", "Pa")
+            .with_attr("step", 50i64)
+    }
+
+    /// The record as one flat run of bytes (a test wants to cut and flip).
+    fn encode(ds: &Dataset, name: Option<&str>, crc: Option<u32>) -> Vec<u8> {
+        let mut segs = Vec::new();
+        encode_dataset_segments(ds, name, crc, Vec::new(), &mut segs);
+        rocio_core::segments_to_vec(&segs)
+    }
+
+    fn decode(enc: &[u8]) -> Result<Dataset> {
+        decode_dataset_shared(&Bytes::copy_from_slice(enc), &mut 0)
+    }
+
+    #[test]
+    fn record_layout_is_pinned_by_value() {
+        // The on-disk format, byte for byte: marker, name, dtype tag, rank,
+        // extents, attribute table in key order with the injected CRC-32
+        // (zlib's, of the 16 payload bytes) in its sorted place, payload
+        // length, payload.
+        let ds = Dataset::new("p", vec![1, 2], vec![1.0f64, -2.0])
+            .unwrap()
+            .with_attr("units", "Pa")
+            .with_attr("step", 50i64);
+        let golden: Vec<u8> = [
+            &b"DS00"[..], &[1, 0], b"p", &[4, 2],
+            &[1, 0, 0, 0, 0, 0, 0, 0], &[2, 0, 0, 0, 0, 0, 0, 0],
+            &[3, 0],
+            &[9, 0], b"__crc32__", &[0, 0x7f, 0x0a, 0x1b, 0x96, 0, 0, 0, 0],
+            &[4, 0], b"step", &[0, 50, 0, 0, 0, 0, 0, 0, 0],
+            &[5, 0], b"units", &[2, 2, 0, 0, 0], b"Pa",
+            &[16, 0, 0, 0, 0, 0, 0, 0],
+            &[0, 0, 0, 0, 0, 0, 0xf0, 0x3f], &[0, 0, 0, 0, 0, 0, 0, 0xc0],
+        ]
+        .concat();
+        let mut segs = Vec::new();
+        encode_dataset_segments(&ds, None, Some(payload_crc32(&ds)), Vec::new(), &mut segs);
+        assert_eq!(rocio_core::segments_to_vec(&segs), golden);
+        // Header owned, payload by refcount: the very bytes the dataset holds.
+        assert!(matches!(&segs[..], [Segment::Owned(_), Segment::Shared(p)]
+            if p.as_ptr() == ds.data.bytes().as_ptr()));
+        assert_eq!(decode(&golden).unwrap(), ds);
+        // A name override relabels without a clone.
+        assert_eq!(decode(&encode(&ds, Some("blk000001/p"), None)).unwrap().name, "blk000001/p");
+        // An empty payload is no segment at all.
+        segs.clear();
+        encode_dataset_segments(&Dataset::vector("e", Vec::<u8>::new()), None, None, Vec::new(), &mut segs);
+        assert_eq!(segs.len(), 1);
     }
 
     fn crc32_bitwise(bytes: &[u8]) -> u32 {
@@ -771,41 +692,28 @@ mod tests {
     }
 
     #[test]
-    fn dataset_record_round_trip() {
-        let ds = sample_dataset();
-        let enc = encode_dataset(&ds);
-        let mut pos = 0;
-        let dec = decode_dataset(&enc, &mut pos).unwrap();
-        assert_eq!(pos, enc.len());
-        assert_eq!(ds, dec);
-    }
-
-    #[test]
     fn sequence_of_records_round_trips() {
         let a = sample_dataset();
         let b = Dataset::vector("conn", vec![1i32, 2, 3, 4]);
-        let mut buf = encode_dataset(&a);
-        buf.extend(encode_dataset(&b));
+        let buf = Bytes::from([encode(&a, None, None), encode(&b, None, None)].concat());
         let mut pos = 0;
-        assert_eq!(decode_dataset(&buf, &mut pos).unwrap(), a);
-        assert_eq!(decode_dataset(&buf, &mut pos).unwrap(), b);
+        assert_eq!(decode_dataset_shared(&buf, &mut pos).unwrap(), a);
+        assert_eq!(decode_dataset_shared(&buf, &mut pos).unwrap(), b);
+        assert_eq!(pos, buf.len());
     }
 
     #[test]
     fn corrupt_marker_rejected() {
-        let mut enc = encode_dataset(&sample_dataset());
+        let mut enc = encode(&sample_dataset(), None, None);
         enc[0] = b'X';
-        assert!(decode_dataset(&enc, &mut 0).is_err());
+        assert!(decode(&enc).is_err());
     }
 
     #[test]
     fn truncated_record_rejected() {
-        let enc = encode_dataset(&sample_dataset());
+        let enc = encode(&sample_dataset(), None, None);
         for cut in [3, 10, enc.len() - 1] {
-            assert!(
-                decode_dataset(&enc[..cut], &mut 0).is_err(),
-                "cut at {cut} must fail"
-            );
+            assert!(decode(&enc[..cut]).is_err(), "cut at {cut} must fail");
         }
     }
 
@@ -872,31 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_known_vectors() {
-        // Standard test vector: CRC-32("123456789") = 0xCBF43926.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn crc_injection_round_trips_and_strips() {
-        let ds = sample_dataset();
-        let mut enc = Vec::new();
-        encode_dataset_into(&ds, None, Some(payload_crc32(&ds)), &mut enc);
-        // The encoding matches a dataset that carries the attribute in its
-        // map — byte for byte, including BTreeMap attribute order.
-        let mut stamped = ds.clone();
-        stamped.attrs.insert(
-            CRC_ATTR.to_string(),
-            AttrValue::Int(payload_crc32(&ds) as i64),
-        );
-        assert_eq!(enc, encode_dataset(&stamped));
-        // Checksum verified then stripped: decoded == original.
-        let dec = decode_dataset(&enc, &mut 0).unwrap();
-        assert_eq!(dec, ds);
-    }
-
-    #[test]
     fn crc_injection_preserves_attr_sort_order() {
         // '_' (0x5F) sorts between 'Z' and 'a': attributes on both sides
         // of the injected key exercise the merge in all three positions.
@@ -906,25 +789,22 @@ mod tests {
                 ds.attrs.insert(k.to_string(), AttrValue::Int(7));
             }
             let crc = payload_crc32(&ds);
-            let mut enc = Vec::new();
-            encode_dataset_into(&ds, None, Some(crc), &mut enc);
             let mut stamped = ds.clone();
             stamped
                 .attrs
                 .insert(CRC_ATTR.to_string(), AttrValue::Int(crc as i64));
-            assert_eq!(enc, encode_dataset(&stamped), "extra attrs {extra:?}");
+            assert_eq!(encode(&ds, None, Some(crc)), encode(&stamped, None, None), "extra attrs {extra:?}");
         }
     }
 
     #[test]
     fn payload_corruption_is_detected_by_crc() {
         let ds = sample_dataset();
-        let mut enc = Vec::new();
-        encode_dataset_into(&ds, None, Some(payload_crc32(&ds)), &mut enc);
+        let mut enc = encode(&ds, None, Some(payload_crc32(&ds)));
         // Flip one byte inside the payload (the record tail).
         let n = enc.len();
         enc[n - 5] ^= 0x10;
-        let err = decode_dataset(&enc, &mut 0);
+        let err = decode(&enc);
         let stored = payload_crc32(&ds);
         let computed = crc32(&enc[n - ds.byte_len()..]);
         let want = format!(
@@ -932,16 +812,12 @@ mod tests {
              (stored {stored:#x}, computed {computed:#x})"
         );
         assert!(matches!(err, Err(RocError::Corrupt(ref m)) if *m == want), "{err:?}");
-        // The zero-copy decoder enforces the same checksum.
-        let err = decode_dataset_shared(&Bytes::from(enc), &mut 0);
-        assert!(matches!(err, Err(RocError::Corrupt(ref m)) if *m == want), "{err:?}");
     }
 
     #[test]
     fn damaged_crc_attribute_is_corrupt_not_unchecked() {
         let ds = sample_dataset();
-        let mut enc = Vec::new();
-        encode_dataset_into(&ds, None, Some(payload_crc32(&ds)), &mut enc);
+        let enc = encode(&ds, None, Some(payload_crc32(&ds)));
         let key = enc
             .windows(CRC_ATTR.len())
             .position(|w| w == CRC_ATTR.as_bytes())
@@ -949,11 +825,8 @@ mod tests {
         let tag = key + CRC_ATTR.len();
         assert_eq!(enc[tag], AttrValue::Int(0).tag());
         let malformed = |enc: &[u8]| {
-            for err in [
-                decode_dataset(enc, &mut 0),
-                decode_dataset_shared_with(&Bytes::copy_from_slice(enc), &mut 0, true),
-                decode_dataset_shared_with(&Bytes::copy_from_slice(enc), &mut 0, false),
-            ] {
+            for verify in [true, false] {
+                let err = decode_dataset_shared_with(&Bytes::copy_from_slice(enc), &mut 0, verify);
                 assert!(
                     matches!(err, Err(RocError::Corrupt(ref m)) if m.contains("malformed __crc32__")),
                     "{err:?}"
@@ -975,56 +848,17 @@ mod tests {
     }
 
     #[test]
-    fn rename_without_clone_matches_cloned_encoding() {
-        let ds = sample_dataset();
-        let mut renamed = ds.clone();
-        renamed.name = "grp000001/pressure".to_string();
-        let mut enc = Vec::new();
-        encode_dataset_into(&ds, Some("grp000001/pressure"), None, &mut enc);
-        assert_eq!(enc, encode_dataset(&renamed));
-    }
-
-    #[test]
-    fn segment_encode_concatenates_to_contiguous() {
-        // Typed payload: one owned segment.
-        let ds = sample_dataset();
-        let mut segs = Vec::new();
-        encode_dataset_segments(&ds, None, Some(payload_crc32(&ds)), Vec::new(), &mut segs);
-        let mut flat = Vec::new();
-        encode_dataset_into(&ds, None, Some(payload_crc32(&ds)), &mut flat);
-        assert_eq!(rocio_core::segments_to_vec(&segs), flat);
-        assert_eq!(segs.len(), 1);
-
-        // Shared payload: owned header + shared payload view, no copy.
-        let mut le = Vec::new();
-        ds.data.to_le_bytes(&mut le);
-        let shared = Dataset::new(
-            ds.name.clone(),
-            ds.shape.clone(),
-            ArrayData::from_le_shared(ds.dtype(), ds.len(), Bytes::from(le)).unwrap(),
-        )
-        .unwrap();
-        let mut segs = Vec::new();
-        encode_dataset_segments(&shared, Some("renamed"), None, Vec::new(), &mut segs);
-        assert_eq!(segs.len(), 2);
-        assert!(matches!(segs[1], rocio_core::Segment::Shared(_)));
-        let mut flat = Vec::new();
-        encode_dataset_into(&shared, Some("renamed"), None, &mut flat);
-        assert_eq!(rocio_core::segments_to_vec(&segs), flat);
-    }
-
-    #[test]
     fn shared_decode_survives_source_handle_drop() {
         let ds = sample_dataset();
-        let enc = Bytes::from(encode_dataset(&ds));
+        let enc = Bytes::from(encode(&ds, None, None));
         let mut pos = 0;
         let dec = decode_dataset_shared(&enc, &mut pos).unwrap();
         assert_eq!(pos, enc.len());
+        let payload = dec.data.bytes().as_ptr_range();
+        assert!(enc.as_ptr_range().start < payload.start && payload.end == enc.as_ptr_range().end,
+            "decode must be zero-copy");
         drop(enc); // the decoded view must keep the allocation alive
         assert_eq!(dec, ds);
-        assert!(dec.data.as_shared().is_some(), "decode must be zero-copy");
-        // And it re-encodes byte-identically to the typed original.
-        assert_eq!(encode_dataset(&dec), encode_dataset(&ds));
     }
 
     #[test]
@@ -1053,7 +887,7 @@ mod tests {
             assert!(matches!(got, Err(RocError::Corrupt(_))), "{what}: {got:?}");
         }
         // A record that failed to decode surfaces as its own error.
-        let bad = Err(RocError::Corrupt("SDF: truncated record".into()));
+        let bad = decode(b"DS0");
         assert!(block_from_records(None, [meta(), bad]).is_err());
         // A repeated member is refused by the block, not silently merged.
         let twice = [meta(), member("blk000009/disp"), member("blk000009/disp")];
@@ -1064,8 +898,7 @@ mod tests {
     fn meta_dataset_survives_encode_decode() {
         let block = DataBlock::new(BlockId(1), "fluid").with_attr("t", 0.83f64);
         let meta = block_meta_dataset(&block);
-        let enc = encode_dataset(&meta);
-        let dec = decode_dataset(&enc, &mut 0).unwrap();
+        let dec = decode(&encode(&meta, None, None)).unwrap();
         let (id, window, attrs) = parse_block_meta(&dec).unwrap();
         assert_eq!(id, BlockId(1));
         assert_eq!(window, "fluid");

@@ -5,14 +5,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use rocio_core::{BlockId, DataBlock, Dataset, Result, RocError, SimTime};
+use rocio_core::{BlockId, DataBlock, Dataset, Result, RocError, SharedArray, SimTime};
 use rocstore::SharedFs;
 
 use crate::cost::{LibraryModel, ReadCostModel, ReadStrategy};
 use crate::format::{
     block_from_records, block_prefix, check_header, decode_dataset_shared_with, decode_index,
-    decode_trailer, parse_block_id, DatasetHeader, IndexEntry, BLOCK_META, HEADER_LEN,
-    TRAILER_LEN,
+    decode_record_header, decode_trailer, parse_block_id, IndexEntry, RecordHeader, BLOCK_META,
+    HEADER_LEN, TRAILER_LEN,
 };
 
 /// The parsed trailer + index of one open, cached in the file system's
@@ -339,20 +339,31 @@ impl<'fs> SdfFileReader<'fs> {
         Ok((raw, t))
     }
 
-    /// Read a record's header, growing the read until it parses (the
-    /// header length is not known until the name/shape/attrs are seen).
+    /// Read and validate a record's header, growing the read until it
+    /// parses (the header length is not known until the name/shape/attrs
+    /// are seen). Returns the header and its length: the payload's offset
+    /// within the record, which must then end where the index says.
     fn read_record_header(
         &self,
         e: &IndexEntry,
         now: SimTime,
-    ) -> Result<(DatasetHeader, SimTime)> {
+    ) -> Result<(RecordHeader, usize, SimTime)> {
         let mut header_guess = 256usize.min(e.len as usize);
         loop {
             let (bytes, t) =
                 self.fs
                     .read_shared(&self.path, e.offset as usize, header_guess, self.client, now)?;
-            match crate::format::decode_dataset_header(&bytes) {
-                Ok(h) => return Ok((h, t)),
+            let mut header_len = 0;
+            match decode_record_header(&bytes, &mut header_len) {
+                Ok(h) if header_len.checked_add(h.data_len) == Some(e.len as usize) => {
+                    return Ok((h, header_len, t));
+                }
+                Ok(h) => {
+                    return Err(RocError::Corrupt(format!(
+                        "SDF '{}': record at {} is {header_len} + {} bytes, its index entry says {}",
+                        self.path, e.offset, h.data_len, e.len
+                    )));
+                }
                 Err(_) if header_guess < e.len as usize => {
                     header_guess = (header_guess * 2).min(e.len as usize);
                 }
@@ -369,7 +380,8 @@ impl<'fs> SdfFileReader<'fs> {
     /// the inter-piece holes are dense enough that covering reads beat
     /// per-piece seeks, and per-range otherwise; either way the returned
     /// dataset (shape `[count, block]`) is byte-identical. A partial read
-    /// cannot check the record's payload CRC.
+    /// cannot check the record's payload CRC; the header is held to every
+    /// check a whole-record decode makes.
     pub fn read_dataset_strided(
         &self,
         name: &str,
@@ -380,27 +392,34 @@ impl<'fs> SdfFileReader<'fs> {
         now: SimTime,
     ) -> Result<(Dataset, SimTime)> {
         let e = &self.meta.index[self.entry_idx(name)?];
-        let (header, t) = self.read_record_header(e, now + self.lookup())?;
-        let total_elems: usize = header.shape.iter().product();
-        if count > 0 {
-            let last_end = start + (count - 1) * stride + block;
-            if last_end > total_elems {
-                return Err(RocError::Mismatch(format!(
-                    "strided read ends at {last_end}, beyond dataset '{name}' ({total_elems} elems)"
-                )));
-            }
-        }
+        let (header, header_len, t) = self.read_record_header(e, now + self.lookup())?;
         let esize = header.dtype.size();
-        let payload_off = e.offset as usize + header.header_len;
+        // Last element touched and bytes gathered, overflow-checked: the
+        // pieces lie inside the payload, so the offsets below cannot wrap.
+        let last_end = match count {
+            0 => Some(0),
+            _ => ((count - 1).checked_mul(stride))
+                .and_then(|span| span.checked_add(start)?.checked_add(block)),
+        };
+        let gathered = count.checked_mul(block).and_then(|n| n.checked_mul(esize));
+        let Some(gathered) = gathered.filter(|_| last_end.is_some_and(|end| end <= header.n_elems))
+        else {
+            return Err(RocError::Mismatch(format!(
+                "strided read ({count} x {block} from {start}, stride {stride}) reaches beyond \
+                 dataset '{name}' ({} elems)",
+                header.n_elems
+            )));
+        };
+        let payload_off = e.offset as usize + header_len;
         let ranges: Vec<(usize, usize)> = (0..count)
             .map(|i| (payload_off + (start + i * stride) * esize, block * esize))
             .collect();
         let (windows, t2) = self.fetch(&ranges, 0.0, Fetch::Auto, t)?;
-        let mut buf = Vec::with_capacity(count * block * esize);
+        let mut buf = Vec::with_capacity(gathered);
         for w in &windows {
             buf.extend_from_slice(w);
         }
-        let data = rocio_core::ArrayData::from_le_bytes(header.dtype, count * block, &buf)?;
+        let data = SharedArray::new(header.dtype, count * block, buf.into())?;
         Ok((Dataset::new(name, vec![count, block], data)?, t2))
     }
 }
@@ -409,7 +428,6 @@ impl<'fs> SdfFileReader<'fs> {
 mod tests {
     use super::*;
     use crate::writer::SdfFileWriter;
-    use rocio_core::ArrayData;
 
     fn write_sample(fs: &SharedFs) -> Vec<DataBlock> {
         let blocks: Vec<DataBlock> = (0..3)
@@ -533,12 +551,12 @@ mod tests {
         let range = |start, n| r.read_dataset_strided("blk000002/series", start, 1, n, n, t);
         let (slice, t2) = range(100, 50).unwrap();
         assert!(t2 > t);
-        assert_eq!(slice.data.as_f64().unwrap(), &values[100..150]);
+        assert_eq!(slice.data.to_typed().as_f64().unwrap(), &values[100..150]);
         // Edges.
         let (head, _) = range(0, 1).unwrap();
-        assert_eq!(head.data.as_f64().unwrap(), &values[0..1]);
+        assert_eq!(head.data.to_typed().as_f64().unwrap(), &values[0..1]);
         let (tail, _) = range(999, 1).unwrap();
-        assert_eq!(tail.data.as_f64().unwrap(), &values[999..]);
+        assert_eq!(tail.data.to_typed().as_f64().unwrap(), &values[999..]);
         // Out of range and missing name.
         assert!(range(990, 20).is_err());
         assert!(r.read_dataset_strided("ghost", 0, 1, 1, 1, t).is_err());
@@ -552,14 +570,12 @@ mod tests {
         let (mut w, t) = SdfFileWriter::create(&fs, "q.sdf", LibraryModel::Raw, 0, 0.0).unwrap();
         let t = w.append_block(&block, t).unwrap();
         w.finish(t).unwrap();
-        let before = fs.stats().bytes_read;
         let (r, _) = SdfFileReader::open(&fs, "q.sdf", LibraryModel::Raw, 1, 0.0).unwrap();
         let after_open = fs.stats().bytes_read;
         r.read_dataset_strided("blk000001/big", 50_000, 1, 10, 10, 0.0).unwrap();
         let after_slice = fs.stats().bytes_read;
         // The slice read moved ~ header + 80 bytes, nowhere near 800 KB.
         assert!(after_slice - after_open < 2048, "read {} bytes", after_slice - after_open);
-        let _ = before;
     }
 
     /// What a receiver does with one block of `read_blocks_raw`.
@@ -570,7 +586,7 @@ mod tests {
 
     /// The per-record reference every block read is held to: the
     /// library's one-dataset access (lookup, then one positioned read,
-    /// typed decode) chained over the block's records, meta first.
+    /// decode) chained over the block's records, meta first.
     fn per_record_reference(r: &SdfFileReader, id: BlockId, now: SimTime) -> (DataBlock, SimTime) {
         let prefix = block_prefix(id);
         let meta = format!("{prefix}{BLOCK_META}");
@@ -584,7 +600,7 @@ mod tests {
                 r.fs.read_shared(&r.path, e.offset as usize, e.len as usize, r.client, t + r.lookup())
                     .unwrap();
             t = end;
-            records.push(crate::format::decode_dataset(&bytes, &mut 0));
+            records.push(crate::format::decode_dataset_shared(&bytes, &mut 0));
         }
         (block_from_records(Some(id), records).unwrap(), t)
     }
@@ -759,7 +775,7 @@ mod tests {
             .collect();
         for fs in [SharedFs::ideal(), SharedFs::turing()] {
             let block = DataBlock::new(BlockId(1), "w").with_dataset(
-                Dataset::new("grid", vec![64, 16], ArrayData::F64(values.clone())).unwrap(),
+                Dataset::new("grid", vec![64, 16], values.clone()).unwrap(),
             );
             let (mut w, t) =
                 SdfFileWriter::create(&fs, "s.sdf", LibraryModel::hdf4(), 0, 0.0).unwrap();
@@ -769,7 +785,7 @@ mod tests {
             let (ds, t2) = r.read_dataset_strided("blk000001/grid", 3, 64, 2, 16, t).unwrap();
             assert!(t2 > t);
             assert_eq!(ds.shape, vec![64, 2]);
-            assert_eq!(ds.data.as_f64().unwrap(), &want[..]);
+            assert_eq!(ds.data.to_typed().as_f64().unwrap(), &want[..]);
             // Degenerate and out-of-range cases.
             let (empty, te) = r.read_dataset_strided("blk000001/grid", 0, 0, 2, 16, t).unwrap();
             assert_eq!(empty.shape, vec![0, 2]);
@@ -781,11 +797,55 @@ mod tests {
     }
 
     #[test]
+    fn strided_read_trusts_neither_the_record_header_nor_its_own_arguments() {
+        // Two blocks in one file, each a [4, 4] grid. Damage the first
+        // extent of block 1's record on disk: 8 makes the shape claim twice
+        // the payload (a read of "all 32 elements" used to succeed and hand
+        // back block 2's record bytes as f64), u64::MAX overflows the
+        // extents' product (used to panic).
+        let fs = SharedFs::ideal();
+        let grid = |id: u64| {
+            let ds = Dataset::new("grid", vec![4, 4], vec![id as f64; 16]).unwrap();
+            DataBlock::new(BlockId(id), "w").with_dataset(ds)
+        };
+        let (mut w, t) = SdfFileWriter::create(&fs, "s.sdf", LibraryModel::Raw, 0, 0.0).unwrap();
+        let t = w.append_block(&grid(1), t).unwrap();
+        let t = w.append_block(&grid(2), t).unwrap();
+        w.finish(t).unwrap();
+        let (r, t) = SdfFileReader::open(&fs, "s.sdf", LibraryModel::Raw, 1, 0.0).unwrap();
+        let name = "blk000001/grid";
+        assert_eq!(r.read_dataset_strided(name, 0, 1, 16, 16, t).unwrap().0.len(), 16);
+        // Arguments whose arithmetic would wrap are refused, not wrapped.
+        for (start, count, block, stride) in
+            [(usize::MAX, 1, 1, 1), (0, 2, 1, usize::MAX), (1, 3, usize::MAX, 1), (0, usize::MAX, 2, 0)]
+        {
+            let got = r.read_dataset_strided(name, start, count, block, stride, t);
+            assert!(matches!(got, Err(RocError::Mismatch(_))), "{got:?}");
+        }
+        // "DS00", name_len:u16, name, dtype:u8, rank:u8, then the extents.
+        let extent0 = r.meta.index[r.entry_idx(name).unwrap()].offset as usize + 6 + name.len() + 2;
+        for (bad, whole) in [(8u64, 32), (u64::MAX, 1)] {
+            fs.write_at("s.sdf", extent0, &bad.to_le_bytes(), 0, 0.0).unwrap();
+            let got = r.read_dataset_strided(name, 0, 1, whole, whole, t);
+            assert!(matches!(got, Err(RocError::Corrupt(_))), "extent {bad}: {got:?}");
+            let whole_block = r.read_block_shared(BlockId(1), t);
+            assert!(matches!(whole_block, Err(RocError::Corrupt(_))), "extent {bad}");
+        }
+        // So is a self-consistent record shorter than its index entry says:
+        // [2, 4], and 64 in `data_len` (after the extents, `n_attrs` and the
+        // 20-byte `__crc32__` entry).
+        fs.write_at("s.sdf", extent0, &2u64.to_le_bytes(), 0, 0.0).unwrap();
+        fs.write_at("s.sdf", extent0 + 16 + 2 + 20, &64u64.to_le_bytes(), 0, 0.0).unwrap();
+        let got = r.read_dataset_strided(name, 0, 1, 8, 8, t);
+        assert!(matches!(got, Err(RocError::Corrupt(ref m)) if m.contains("index entry")), "{got:?}");
+    }
+
+    #[test]
     fn strided_sieve_beats_per_piece_reads_on_dense_holes() {
         let fs = SharedFs::turing();
         let values: Vec<f64> = (0..32_768).map(|i| i as f64).collect();
         let block = DataBlock::new(BlockId(1), "w").with_dataset(
-            Dataset::new("grid", vec![256, 128], ArrayData::F64(values.clone())).unwrap(),
+            Dataset::new("grid", vec![256, 128], values.clone()).unwrap(),
         );
         let (mut w, t) = SdfFileWriter::create(&fs, "s.sdf", LibraryModel::Raw, 0, 0.0).unwrap();
         let t = w.append_block(&block, t).unwrap();
@@ -799,7 +859,7 @@ mod tests {
         for i in 0..256 {
             let (piece, t2) =
                 r.read_dataset_strided("blk000001/grid", i * 128, 1, 8, 8, t_naive).unwrap();
-            assert_eq!(piece.data.as_f64().unwrap(), &values[i * 128..i * 128 + 8]);
+            assert_eq!(piece.data.to_typed().as_f64().unwrap(), &values[i * 128..i * 128 + 8]);
             t_naive = t2;
         }
         assert!(
@@ -880,7 +940,7 @@ mod tests {
         let fs = SharedFs::ideal();
         let big: Vec<f64> = (0..100_000).map(|i| i as f64 * 0.5).collect();
         let block = DataBlock::new(BlockId(1), "w")
-            .with_dataset(Dataset::new("v", vec![100, 1000], ArrayData::F64(big)).unwrap());
+            .with_dataset(Dataset::new("v", vec![100, 1000], big).unwrap());
         let (mut w, t) = SdfFileWriter::create(&fs, "big.sdf", LibraryModel::Raw, 0, 0.0).unwrap();
         let t = w.append_block(&block, t).unwrap();
         w.finish(t).unwrap();

@@ -5,25 +5,20 @@ use rocstore::SharedFs;
 
 use crate::cost::LibraryModel;
 use crate::format::{
-    block_meta_dataset, encode_dataset_into, encode_dataset_segments, encode_header, encode_index,
-    payload_crc32, IndexEntry,
+    block_meta_dataset, encode_dataset_segments, encode_header, encode_index, payload_crc32,
+    IndexEntry,
 };
-
-fn overhead_acc(acc: &mut f64, cost: f64) {
-    *acc += cost;
-}
 
 /// Recycled staging buffers for the drain path, bounded by capacity
 /// watermarks.
 ///
-/// Every encoded record needs a small owned buffer for its header bytes
-/// (and, for typed payloads, the payload too). The pool hands those out
-/// and takes them back after each file-system write, so a server draining
-/// thousands of blocks reuses the same allocations instead of churning
-/// the allocator. When the total retained capacity exceeds
-/// `high_watermark` — e.g. after one unusually large typed payload — the
-/// pool trims itself back to `low_watermark` so a burst does not pin
-/// memory forever.
+/// Every encoded record needs a small owned buffer for its header bytes.
+/// The pool hands those out and takes them back after each file-system
+/// write, so a server draining thousands of blocks reuses the same
+/// allocations instead of churning the allocator. When the total retained
+/// capacity exceeds `high_watermark` — e.g. after one unusually large
+/// attribute table — the pool trims itself back to `low_watermark` so a
+/// burst does not pin memory forever.
 #[derive(Debug)]
 pub struct SegmentPool {
     bufs: Vec<Vec<u8>>,
@@ -51,13 +46,6 @@ impl SegmentPool {
     /// Take a cleared staging buffer (recycled when available).
     pub fn take(&mut self) -> Vec<u8> {
         self.bufs.pop().unwrap_or_default()
-    }
-
-    /// Return one buffer to the pool.
-    pub fn put(&mut self, mut buf: Vec<u8>) {
-        buf.clear();
-        self.bufs.push(buf);
-        self.trim();
     }
 
     /// Drain a finished segment list, reclaiming its owned buffers and
@@ -101,9 +89,9 @@ impl Default for SegmentPool {
 
 /// An open SDF file being written.
 ///
-/// Standalone datasets are appended as individual file-system writes;
-/// whole blocks coalesce into one buffered write (see
-/// [`SdfFileWriter::append_block`]). Every dataset is charged the
+/// A standalone dataset is one file-system write; a whole block's
+/// records coalesce into one (see [`SdfFileWriter::append_block`]). Every
+/// dataset is charged the
 /// library's per-dataset creation overhead; `finish` appends the index +
 /// trailer and closes the file.
 ///
@@ -158,26 +146,43 @@ impl<'fs> SdfFileWriter<'fs> {
         self.entries.len()
     }
 
-    /// The file path being written.
-    pub fn path(&self) -> &str {
-        &self.path
+    /// Stage one record onto `segs` — library creation overhead, checksum,
+    /// index entry — and return `(overhead, encoded length)`. `batch_len`
+    /// is what the current write has staged before it.
+    fn stage(
+        &mut self,
+        ds: &Dataset,
+        name: Option<&str>,
+        batch_len: u64,
+        segs: &mut Vec<Segment>,
+    ) -> (SimTime, u64) {
+        let overhead = self.lib.create_cost(self.entries.len());
+        let before = segs.len();
+        encode_dataset_segments(ds, name, Some(payload_crc32(ds)), self.pool.take(), segs);
+        let len = rocio_core::segments_len(&segs[before..]) as u64;
+        self.entries.push(IndexEntry {
+            name: name.unwrap_or(&ds.name).to_string(),
+            offset: self.offset + batch_len,
+            len,
+        });
+        (overhead, len)
+    }
+
+    /// One scatter-gather write of everything staged on `segs`.
+    fn write_staged(&mut self, mut segs: Vec<Segment>, len: u64, at: SimTime) -> Result<SimTime> {
+        let t = self.fs.append_segments(&self.path, &segs, self.client, at)?;
+        self.offset += len;
+        self.pool.recycle(&mut segs);
+        self.segs = segs;
+        Ok(t)
     }
 
     /// Append one dataset. Returns the virtual completion time.
     pub fn append_dataset(&mut self, ds: &Dataset, now: SimTime) -> Result<SimTime> {
         assert!(!self.finished, "append after finish");
-        let create_overhead = self.lib.create_cost(self.entries.len());
-        let mut buf = self.pool.take();
-        encode_dataset_into(ds, None, Some(payload_crc32(ds)), &mut buf);
-        let t = self.fs.append(&self.path, &buf, self.client, now + create_overhead)?;
-        self.entries.push(IndexEntry {
-            name: ds.name.clone(),
-            offset: self.offset,
-            len: buf.len() as u64,
-        });
-        self.offset += buf.len() as u64;
-        self.pool.put(buf);
-        Ok(t)
+        let mut segs = std::mem::take(&mut self.segs);
+        let (overhead, len) = self.stage(ds, None, 0, &mut segs);
+        self.write_staged(segs, len, now + overhead)
     }
 
     /// Append a whole data block: its `__meta__` dataset followed by every
@@ -195,33 +200,14 @@ impl<'fs> SdfFileWriter<'fs> {
         assert!(!self.finished, "append after finish");
         let prefix = crate::format::block_prefix(block.id);
         let mut segs = std::mem::take(&mut self.segs);
-        let mut overhead = 0.0;
-        let mut batch_len = 0u64;
-        let mut stage =
-            |ds: &Dataset, name: Option<&str>, segs: &mut Vec<Segment>, this: &mut Self| {
-                overhead_acc(&mut overhead, this.lib.create_cost(this.entries.len()));
-                let before = segs.len();
-                encode_dataset_segments(ds, name, Some(payload_crc32(ds)), this.pool.take(), segs);
-                let len: u64 = segs[before..].iter().map(|s| s.len() as u64).sum();
-                this.entries.push(IndexEntry {
-                    name: name.unwrap_or(&ds.name).to_string(),
-                    offset: this.offset + batch_len,
-                    len,
-                });
-                batch_len += len;
-            };
-        stage(&block_meta_dataset(block), None, &mut segs, self);
+        let (mut overhead, mut batch_len) = self.stage(&block_meta_dataset(block), None, 0, &mut segs);
         for ds in &block.datasets {
             let full = format!("{prefix}{}", ds.name);
-            stage(ds, Some(&full), &mut segs, self);
+            let (cost, len) = self.stage(ds, Some(&full), batch_len, &mut segs);
+            overhead += cost;
+            batch_len += len;
         }
-        let t = self
-            .fs
-            .append_segments(&self.path, &segs, self.client, now + overhead)?;
-        self.offset += batch_len;
-        self.pool.recycle(&mut segs);
-        self.segs = segs;
-        Ok(t)
+        self.write_staged(segs, batch_len, now + overhead)
     }
 
     /// Canonicalize the record layout of an all-blocks file: block groups
@@ -280,7 +266,7 @@ impl<'fs> SdfFileWriter<'fs> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rocio_core::{ArrayData, BlockId};
+    use rocio_core::BlockId;
 
     fn ds(name: &str, n: usize) -> Dataset {
         Dataset::vector(name, vec![1.5f64; n]).with_attr("units", "m")
@@ -303,8 +289,8 @@ mod tests {
         assert_eq!(entries[0].name, "a");
         // Entries point at decodable records.
         for e in &entries {
-            let rec = &bytes[e.offset as usize..(e.offset + e.len) as usize];
-            crate::format::decode_dataset(rec, &mut 0).unwrap();
+            let rec = bytes.slice(e.offset as usize..(e.offset + e.len) as usize);
+            crate::format::decode_dataset_shared(&rec, &mut 0).unwrap();
         }
     }
 
@@ -329,7 +315,7 @@ mod tests {
         let fs = SharedFs::ideal();
         let block = DataBlock::new(BlockId(5), "fluid")
             .with_dataset(Dataset::vector("p", vec![1.0f64, 2.0]))
-            .with_dataset(Dataset::new("v", vec![2, 3], ArrayData::F64(vec![0.0; 6])).unwrap());
+            .with_dataset(Dataset::new("v", vec![2, 3], vec![0.0f64; 6]).unwrap());
         let (mut w, t) = SdfFileWriter::create(&fs, "f.sdf", LibraryModel::Raw, 0, 0.0).unwrap();
         let t = w.append_block(&block, t).unwrap();
         w.finish(t).unwrap();
@@ -345,53 +331,14 @@ mod tests {
     }
 
     #[test]
-    fn shared_payload_block_writes_identical_bytes() {
-        // A block whose payloads arrived through the zero-copy wire path
-        // must produce the exact file bytes of its typed twin.
-        let typed = DataBlock::new(BlockId(3), "fluid")
-            .with_dataset(Dataset::vector("p", vec![0.5f64, 1.5, 2.5]).with_attr("units", "Pa"))
-            .with_dataset(Dataset::vector("ids", vec![7i32, 8]));
-        let mut shared = DataBlock::new(BlockId(3), "fluid");
-        for ds in &typed.datasets {
-            let mut le = Vec::new();
-            ds.data.to_le_bytes(&mut le);
-            let mut s = Dataset::new(
-                ds.name.clone(),
-                ds.shape.clone(),
-                ArrayData::from_le_shared(ds.dtype(), ds.len(), bytes::Bytes::from(le)).unwrap(),
-            )
-            .unwrap();
-            s.attrs = ds.attrs.clone();
-            shared.push_dataset(s).unwrap();
-        }
-        let out = |b: &DataBlock, path: &str| {
-            let fs = SharedFs::ideal();
-            let (mut w, t) = SdfFileWriter::create(&fs, path, LibraryModel::Raw, 0, 0.0).unwrap();
-            let t = w.append_block(b, t).unwrap();
-            w.finish(t).unwrap();
-            fs.read_all_shared(path, 0, 0.0).unwrap().0
-        };
-        assert_eq!(out(&typed, "a.sdf"), out(&shared, "b.sdf"));
-    }
-
-    #[test]
     fn out_of_order_blocks_finish_byte_identical_to_in_order() {
         // Arrival order is a fabric artifact; `finish` permutes the
         // records to block-id order, so the file must not remember it —
-        // whichever library model charged the appends, and whether the
-        // payloads were typed or shared windows.
+        // whichever library model charged the appends.
         let block = |id: u64| {
-            let le: Vec<u8> = (0..24).map(|i| (id as u8).wrapping_mul(31) ^ i).collect();
             DataBlock::new(BlockId(id), "fluid")
                 .with_dataset(Dataset::vector("p", vec![id as f64; 5]).with_attr("units", "Pa"))
-                .with_dataset(
-                    Dataset::new(
-                        "v",
-                        vec![3],
-                        ArrayData::from_le_shared(rocio_core::DType::F64, 3, le.into()).unwrap(),
-                    )
-                    .unwrap(),
-                )
+                .with_dataset(Dataset::vector("v", vec![id as i32 * 31, 7, -1]))
                 .with_attr("step", id as i64)
         };
         for lib in [LibraryModel::hdf4(), LibraryModel::hdf5(), LibraryModel::Raw] {
@@ -415,7 +362,7 @@ mod tests {
         let mut pool = SegmentPool::with_watermarks(1024, 256);
         let mut big = pool.take();
         big.resize(4096, 0);
-        pool.put(big);
+        pool.recycle(&mut vec![Segment::Owned(big)]);
         assert!(
             pool.retained() <= 256,
             "burst capacity {} must trim below the low watermark",

@@ -31,7 +31,7 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
         .prop_map(|(name, data, attrs)| {
             let mut ds = Dataset::vector(name, vec![0u8; 0]);
             ds.shape = vec![data.len()];
-            ds.data = data;
+            ds.data = data.into();
             ds.attrs = attrs.into_iter().collect();
             ds
         })
@@ -57,7 +57,7 @@ fn arb_block(id: u64) -> impl Strategy<Value = DataBlock> {
                 if b.dataset(&name).is_err() {
                     let mut ds = Dataset::vector(name, vec![0u8; 0]);
                     ds.shape = vec![data.len()];
-                    ds.data = data;
+                    ds.data = data.into();
                     b.push_dataset(ds).unwrap();
                 }
             }
@@ -66,6 +66,13 @@ fn arb_block(id: u64) -> impl Strategy<Value = DataBlock> {
             }
             b
         })
+}
+
+/// One checksummed file record of `ds`, flattened.
+fn record(ds: &Dataset, rename: Option<&str>) -> Vec<u8> {
+    let mut segs = Vec::new();
+    rocsdf::encode_dataset_segments(ds, rename, Some(rocsdf::payload_crc32(ds)), Vec::new(), &mut segs);
+    rocio_core::segments_to_vec(&segs)
 }
 
 proptest! {
@@ -127,53 +134,14 @@ proptest! {
     }
 
     #[test]
-    fn segment_encode_matches_contiguous_encode(
+    fn shared_decode_round_trips_after_source_drop(
         ds in arb_dataset(),
-        rename in prop_oneof![
-            Just(None),
-            "[a-z]{1,8}/[a-z]{1,8}".prop_map(Some),
-        ],
-        with_crc in any::<bool>(),
+        rename in prop_oneof![Just(None), "[a-z]{1,8}/[a-z]{1,8}".prop_map(Some)],
     ) {
-        // The scatter-gather encoder, concatenated, must be byte-identical
-        // to the legacy contiguous encoder for arbitrary datasets, attrs,
-        // rename overrides and checksum injection — for both typed and
-        // shared payload representations.
-        let crc = with_crc.then(|| rocsdf::payload_crc32(&ds));
-        let mut flat = Vec::new();
-        rocsdf::encode_dataset_into(&ds, rename.as_deref(), crc, &mut flat);
-
-        let mut segs = Vec::new();
-        rocsdf::encode_dataset_segments(&ds, rename.as_deref(), crc, Vec::new(), &mut segs);
-        prop_assert_eq!(&rocio_core::segments_to_vec(&segs), &flat);
-
-        // Same dataset with its payload in wire (shared) form.
-        let mut le = Vec::new();
-        ds.data.to_le_bytes(&mut le);
-        let shared_data = ArrayData::from_le_shared(
-            ds.dtype(), ds.len(), bytes::Bytes::from(le)).unwrap();
-        let mut shared = Dataset::new(ds.name.clone(), ds.shape.clone(), shared_data).unwrap();
-        shared.attrs = ds.attrs.clone();
-        let mut segs = Vec::new();
-        rocsdf::encode_dataset_segments(&shared, rename.as_deref(), crc, Vec::new(), &mut segs);
-        prop_assert_eq!(&rocio_core::segments_to_vec(&segs), &flat);
-
-        // And the plain encoder equals the baseline layout when nothing is
-        // overridden.
-        if rename.is_none() && crc.is_none() {
-            prop_assert_eq!(&rocsdf::encode_dataset(&ds), &flat);
-        }
-    }
-
-    #[test]
-    fn shared_decode_round_trips_after_source_drop(ds in arb_dataset()) {
         // Strip any attr colliding with the reserved checksum key.
         let mut ds = ds;
         ds.attrs.remove("__crc32__");
-        let crc = rocsdf::payload_crc32(&ds);
-        let mut flat = Vec::new();
-        rocsdf::encode_dataset_into(&ds, None, Some(crc), &mut flat);
-        let src = bytes::Bytes::from(flat);
+        let src = bytes::Bytes::from(record(&ds, rename.as_deref()));
         let extra_handle = src.clone();
         let mut pos = 0;
         let dec = rocsdf::decode_dataset_shared(&src, &mut pos).unwrap();
@@ -183,8 +151,36 @@ proptest! {
         // correctness).
         drop(src);
         drop(extra_handle);
+        if let Some(name) = rename {
+            ds.name = name;
+        }
         prop_assert_eq!(&dec, &ds);
-        prop_assert_eq!(&rocsdf::encode_dataset(&dec), &rocsdf::encode_dataset(&ds));
+    }
+
+    #[test]
+    fn hostile_record_bytes_never_panic(
+        ds in arb_dataset(),
+        junk in prop::collection::vec(any::<u8>(), 0..256),
+        at in any::<prop::sample::Index>(),
+        byte in any::<u8>(),
+    ) {
+        // Arbitrary bytes, and a valid record with one byte replaced or cut
+        // short at any length: `Ok` or `Err`, and whatever decodes is no
+        // larger than the bytes it came from (its payload is a window of
+        // them; names, shape and attributes were each bounded by the input
+        // before they were allocated).
+        let valid = record(&ds, None);
+        let mut mutated = valid.clone();
+        mutated[at.index(valid.len())] = byte;
+        for input in [&junk[..], &mutated, &valid[..at.index(valid.len())]] {
+            let input = bytes::Bytes::copy_from_slice(input);
+            if let Ok(dec) = rocsdf::decode_dataset_shared(&input, &mut 0) {
+                prop_assert!(dec.encoded_size() <= input.len() + 16, "{dec:?}");
+                let payload = dec.data.bytes().as_ptr_range();
+                prop_assert!(dec.is_empty()
+                    || input.as_ptr_range().start <= payload.start && payload.end <= input.as_ptr_range().end);
+            }
+        }
     }
 
     #[test]

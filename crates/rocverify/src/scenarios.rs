@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use rocio_core::{ArrayData, BlockId, DType, SnapshotId};
+use rocio_core::{ArrayData, BlockId, Bytes, DType, SnapshotId};
 use rocnet::cluster::ClusterSpec;
 use rocnet::fabric::{Fabric, ScheduleOracle};
 use rocnet::harness::run_on_fabric;
@@ -31,26 +31,23 @@ use rocstore::SharedFs;
 
 use crate::sched::{FaultScenario, Scenario, ScriptedFaults};
 
-/// Decode an SDF file body into its canonical form: datasets sorted by
-/// name, re-encoded. Index and trailer are dropped (their offsets depend
-/// on append order); the dataset records carry everything semantic,
-/// including the per-record CRC attributes.
-fn canonical_sdf(bytes: &[u8]) -> Vec<u8> {
-    use rocsdf::format::{decode_dataset, encode_dataset, HEADER_LEN, IDX_MARKER};
+/// An SDF file body in canonical form: its dataset records (each decoded,
+/// so checksum-verified) sorted by name. Index and trailer are dropped
+/// (their offsets depend on append order); the records carry everything
+/// semantic, including the per-record CRC attributes.
+fn canonical_sdf(bytes: &Bytes) -> Vec<u8> {
+    use rocsdf::format::{decode_dataset_shared, HEADER_LEN, IDX_MARKER};
     let mut pos = HEADER_LEN;
-    let mut datasets = Vec::new();
+    let mut records = Vec::new();
     while pos < bytes.len() && !bytes[pos..].starts_with(IDX_MARKER) {
-        match decode_dataset(bytes, &mut pos) {
-            Ok(ds) => datasets.push(ds),
+        let start = pos;
+        match decode_dataset_shared(bytes, &mut pos) {
+            Ok(ds) => records.push((ds.name, &bytes[start..pos])),
             Err(_) => break,
         }
     }
-    datasets.sort_by(|a, b| a.name.cmp(&b.name));
-    let mut out = Vec::new();
-    for ds in &datasets {
-        out.extend_from_slice(&encode_dataset(ds));
-    }
-    out
+    records.sort();
+    records.into_iter().flat_map(|(_, raw)| raw).copied().collect()
 }
 
 /// Fingerprint a set of files: sorted names, then per-file bytes run
@@ -58,7 +55,7 @@ fn canonical_sdf(bytes: &[u8]) -> Vec<u8> {
 fn fingerprint_files(
     fs: &SharedFs,
     prefix: &str,
-    canon: impl Fn(&[u8]) -> Vec<u8>,
+    canon: impl Fn(&Bytes) -> Vec<u8>,
 ) -> Vec<u8> {
     let mut out = Vec::new();
     for path in fs.list(prefix) {

@@ -82,11 +82,13 @@ fn block_migrates_between_snapshots() {
                         window: "fluid".into(),
                         block,
                     };
-                    app.send(1, 42, &msg.encode()).unwrap();
+                    let mut segs = Vec::new();
+                    msg.encode_segments(&mut genx_repro::rocsdf::SegmentPool::new(), &mut segs);
+                    app.send_segments(1, 42, &segs).unwrap();
                     w.remove_pane(BlockId(MIGRANT)).unwrap();
                 } else {
                     let m = app.recv(Some(0), Some(42)).unwrap();
-                    let bm = genx_repro::rocpanda::wire::BlockMsg::decode(&m.payload).unwrap();
+                    let bm = genx_repro::rocpanda::wire::BlockMsg::decode_shared(&m.payload).unwrap();
                     convert::apply_block(ws.window_mut("fluid").unwrap(), &bm.block).unwrap();
                 }
 
@@ -115,7 +117,7 @@ fn block_migrates_between_snapshots() {
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2, MIGRANT]);
         let migrant = blocks.iter().find(|b| b.id.0 == MIGRANT).unwrap();
-        let p = migrant.dataset("p").unwrap().data.to_typed().unwrap();
+        let p = migrant.dataset("p").unwrap().data.to_typed();
         assert_eq!(p.as_f64().unwrap()[0], 70.0);
     };
     check(snap_a);

@@ -241,7 +241,7 @@ fn strided_read_agrees_with_full_read() {
     let fs = SharedFs::turing();
     let vals: Vec<f64> = (0..4096).map(|i| i as f64 * 0.25).collect();
     let block = DataBlock::new(BlockId(1), "fluid")
-        .with_dataset(Dataset::new("grid", vec![64, 64], vals.clone().into()).unwrap());
+        .with_dataset(Dataset::new("grid", vec![64, 64], vals.clone()).unwrap());
     let (mut w, t) = SdfFileWriter::create(&fs, "s.sdf", LibraryModel::hdf4(), 0, 0.0).unwrap();
     let t = w.append_block(&block, t).unwrap();
     w.finish(t).unwrap();
@@ -251,13 +251,13 @@ fn strided_read_agrees_with_full_read() {
         let (ds, _) = r
             .read_dataset_strided("blk000001/grid", start, count, blk, stride, t)
             .unwrap();
-        let got = ds.data.as_f64().unwrap();
+        let got = ds.data.to_typed();
         let mut expect = Vec::with_capacity(count * blk);
         for i in 0..count {
             let s = start + i * stride;
             expect.extend_from_slice(&vals[s..s + blk]);
         }
-        assert_eq!(got, &expect[..], "pattern ({start},{count},{blk},{stride})");
+        assert_eq!(got.as_f64().unwrap(), &expect[..], "pattern ({start},{count},{blk},{stride})");
     }
 }
 
