@@ -5,6 +5,7 @@
 //! small typed values attached to datasets, data blocks and files.
 
 use crate::error::{Result, RocError};
+use crate::rope::Cursor;
 
 /// A typed metadata value.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,40 +57,40 @@ impl AttrValue {
         }
     }
 
-    /// Decode one value from `bytes` starting at `*pos`, advancing `*pos`.
-    pub fn decode(bytes: &[u8], pos: &mut usize) -> Result<Self> {
-        let take = |pos: &mut usize, n: usize| crate::le::take(bytes, pos, n, "attr");
-        let tag = take(pos, 1)?[0];
-        let val = match tag {
-            0 => AttrValue::Int(crate::le::i64(take(pos, 8)?, "attr Int")?),
-            1 => AttrValue::Float(crate::le::f64(take(pos, 8)?, "attr Float")?),
+    /// Decode the value at the cursor, advancing it.
+    pub fn decode(cur: &mut Cursor<'_>) -> Result<Self> {
+        // A vector's element count, refused before it sizes anything if
+        // the input cannot hold that many 8-byte elements.
+        let count = |cur: &mut Cursor<'_>, kind: &str| {
+            let n = cur.u32("attr length")? as usize;
+            if n > cur.remaining() / 8 {
+                return Err(RocError::Corrupt(format!("attr: {kind} length exceeds input")));
+            }
+            Ok(n)
+        };
+        let val = match cur.u8("attr")? {
+            0 => AttrValue::Int(cur.i64("attr Int")?),
+            1 => AttrValue::Float(cur.f64("attr Float")?),
             2 => {
-                let n = crate::le::u32(take(pos, 4)?, "attr length")? as usize;
-                let s = take(pos, n)?;
+                let n = cur.u32("attr length")? as usize;
                 AttrValue::Str(
-                    String::from_utf8(s.to_vec())
+                    String::from_utf8(cur.bytes(n, "attr")?.into_owned())
                         .map_err(|_| RocError::Corrupt("attr: invalid utf-8".into()))?,
                 )
             }
             3 => {
-                let n = crate::le::u32(take(pos, 4)?, "attr length")? as usize;
-                if n > bytes.len().saturating_sub(*pos) / 8 {
-                    return Err(RocError::Corrupt("attr: IntVec length exceeds input".into()));
-                }
+                let n = count(cur, "IntVec")?;
                 let mut v = Vec::with_capacity(n);
                 for _ in 0..n {
-                    v.push(crate::le::i64(take(pos, 8)?, "attr IntVec element")?);
+                    v.push(cur.i64("attr IntVec element")?);
                 }
                 AttrValue::IntVec(v)
             }
             4 => {
-                let n = crate::le::u32(take(pos, 4)?, "attr length")? as usize;
-                if n > bytes.len().saturating_sub(*pos) / 8 {
-                    return Err(RocError::Corrupt("attr: FloatVec length exceeds input".into()));
-                }
+                let n = count(cur, "FloatVec")?;
                 let mut v = Vec::with_capacity(n);
                 for _ in 0..n {
-                    v.push(crate::le::f64(take(pos, 8)?, "attr FloatVec element")?);
+                    v.push(cur.f64("attr FloatVec element")?);
                 }
                 AttrValue::FloatVec(v)
             }
@@ -162,14 +163,16 @@ impl From<String> for AttrValue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
 
     fn round_trip(v: AttrValue) {
         let mut buf = Vec::new();
         v.encode(&mut buf);
         assert_eq!(buf.len(), v.encoded_size());
-        let mut pos = 0;
-        let w = AttrValue::decode(&buf, &mut pos).unwrap();
-        assert_eq!(pos, buf.len());
+        let (n, buf) = (buf.len(), [Bytes::from(buf)]);
+        let mut cur = Cursor::new(&buf);
+        let w = AttrValue::decode(&mut cur).unwrap();
+        assert_eq!(cur.pos(), n);
         assert_eq!(v, w);
     }
 
@@ -189,13 +192,11 @@ mod tests {
         let mut buf = Vec::new();
         AttrValue::Int(1).encode(&mut buf);
         AttrValue::Str("x".into()).encode(&mut buf);
-        let mut pos = 0;
-        assert_eq!(AttrValue::decode(&buf, &mut pos).unwrap(), AttrValue::Int(1));
-        assert_eq!(
-            AttrValue::decode(&buf, &mut pos).unwrap(),
-            AttrValue::Str("x".into())
-        );
-        assert_eq!(pos, buf.len());
+        let buf = [Bytes::from(buf)];
+        let mut cur = Cursor::new(&buf);
+        assert_eq!(AttrValue::decode(&mut cur).unwrap(), AttrValue::Int(1));
+        assert_eq!(AttrValue::decode(&mut cur).unwrap(), AttrValue::Str("x".into()));
+        assert_eq!(cur.remaining(), 0);
     }
 
     #[test]
@@ -203,18 +204,14 @@ mod tests {
         let mut buf = Vec::new();
         AttrValue::Int(7).encode(&mut buf);
         buf.truncate(buf.len() - 1);
-        let mut pos = 0;
-        assert!(AttrValue::decode(&buf, &mut pos).is_err());
-        assert!(AttrValue::decode(&[], &mut 0).is_err());
+        assert!(AttrValue::decode(&mut Cursor::new(&[Bytes::from(buf)])).is_err());
+        assert!(AttrValue::decode(&mut Cursor::new(&[])).is_err());
     }
 
     #[test]
     fn decode_unknown_tag_fails() {
-        let buf = vec![200u8, 0, 0];
-        assert!(matches!(
-            AttrValue::decode(&buf, &mut 0),
-            Err(RocError::Corrupt(_))
-        ));
+        let buf = [Bytes::from(vec![200u8, 0, 0])];
+        assert!(matches!(AttrValue::decode(&mut Cursor::new(&buf)), Err(RocError::Corrupt(_))));
     }
 
     #[test]

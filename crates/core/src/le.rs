@@ -14,8 +14,10 @@
 use crate::error::{Result, RocError};
 
 /// The next `n` bytes of `bytes` at `*pos`, advancing `*pos` past them —
-/// the workspace's one decode cursor, and the only place a length read
-/// from untrusted bytes turns into a slice. `*pos + n` is overflow-checked,
+/// the decode cursor over one contiguous slice ([`crate::Cursor`] is the
+/// same over the parts of a rope), and between them the only places a
+/// length read from untrusted bytes turns into a view. `*pos + n` is
+/// overflow-checked,
 /// so a hostile length is [`RocError::Corrupt`] in every build profile,
 /// never a wrapped range or a debug-only panic.
 pub fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize, what: &str) -> Result<&'a [u8]> {

@@ -10,6 +10,8 @@
 //! * [`SharedArray`] — the same data as the I/O side sees it:
 //!   binary-portable little-endian bytes held by refcount;
 //! * [`Dataset`] — a named, shaped [`SharedArray`] with attached metadata;
+//! * [`Rope`] / [`Cursor`] — a byte string in refcounted parts and the
+//!   checked decoder over it: what a message and a file image are made of;
 //! * [`DataBlock`] — the paper's *data block*: "a collection of arrays and
 //!   metadata associated with the arrays … the unit of work distributed to
 //!   the compute processors" (§4);
@@ -30,6 +32,7 @@ pub mod dtype;
 pub mod error;
 pub mod le;
 pub mod lockdep;
+pub mod rope;
 pub mod segment;
 pub mod snapshot;
 pub mod tenant;
@@ -46,6 +49,7 @@ pub use checksum::Checksum;
 pub use dataset::Dataset;
 pub use dtype::{ArrayData, DType, SharedArray};
 pub use error::{Result, RocError};
+pub use rope::{Cursor, Rope};
 pub use segment::{segments_len, segments_to_vec, Segment};
 pub use snapshot::{is_snapshot_file_of, snapshot_file_name, snapshot_file_prefix, SnapshotId};
 pub use tenant::{Priority, ServiceError, ServiceErrorKind, TenantId};

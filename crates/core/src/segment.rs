@@ -3,11 +3,12 @@
 //!
 //! An encoder that would otherwise flatten a record into one `Vec<u8>`
 //! instead emits a list of [`Segment`]s: small owned header runs
-//! interleaved with refcounted payload views. The transport
-//! (`rocnet::Comm::send_segments`) assembles the list into the one
-//! contiguous image a message needs; the storage backend
-//! (`rocstore::SharedFs::append_segments`) never assembles it at all — it
-//! adopts the shared views as file extents and stages only the owned runs.
+//! interleaved with refcounted payload views. Neither consumer assembles
+//! it: the transport (`rocnet::Comm::send_segments`) sends it as the parts
+//! of one [`crate::Rope`] and the storage backend
+//! (`rocstore::SharedFs::append_segments`) adopts it as file extents —
+//! both take the shared views by refcount and stage only the owned runs
+//! ([`crate::rope::segment_parts`]).
 
 use bytes::Bytes;
 
@@ -43,8 +44,10 @@ pub fn segments_len(segments: &[Segment]) -> usize {
     segments.iter().map(|s| s.len()).sum()
 }
 
-/// Flatten a segment list into one contiguous buffer (the single assembly
-/// point for callers that need contiguity).
+/// Flatten a segment list into one contiguous buffer: one copy of every
+/// byte. Nothing on the data path needs this any more (roclint's
+/// `owned-payload` rule flags it outside this crate); tests and the
+/// benchmark use it to look at an encoding as flat bytes.
 pub fn segments_to_vec(segments: &[Segment]) -> Vec<u8> {
     let mut out = Vec::with_capacity(segments_len(segments));
     for s in segments {

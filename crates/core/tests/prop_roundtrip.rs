@@ -2,7 +2,9 @@
 //! and checksums detect any content change.
 
 use proptest::prelude::*;
-use rocio_core::{ArrayData, AttrValue, BlockId, Checksum, DType, DataBlock, Dataset, SharedArray};
+use rocio_core::{
+    ArrayData, AttrValue, BlockId, Bytes, Checksum, Cursor, DType, DataBlock, Dataset, SharedArray,
+};
 
 fn arb_array() -> impl Strategy<Value = ArrayData> {
     prop_oneof![
@@ -129,9 +131,10 @@ proptest! {
         let mut buf = Vec::new();
         v.encode(&mut buf);
         prop_assert_eq!(buf.len(), v.encoded_size());
-        let mut pos = 0;
-        let w = AttrValue::decode(&buf, &mut pos).unwrap();
-        prop_assert_eq!(pos, buf.len());
+        let parts = [Bytes::copy_from_slice(&buf)];
+        let mut cur = Cursor::new(&parts);
+        let w = AttrValue::decode(&mut cur).unwrap();
+        prop_assert_eq!(cur.pos(), buf.len());
         let mut buf2 = Vec::new();
         w.encode(&mut buf2);
         prop_assert_eq!(buf, buf2);
@@ -147,16 +150,24 @@ proptest! {
         // Arbitrary bytes, and a valid encoding with one byte replaced or
         // cut short at any length: `Ok` or `Err`, never a panic, and a
         // decoded value is no larger than the bytes it was read from (a
-        // vector's length is checked against them before it is allocated).
+        // vector's length is checked against them before it is allocated)
+        // — whether the input is one part or cut in two anywhere.
         let mut valid = Vec::new();
         v.encode(&mut valid);
         let mut mutated = valid.clone();
         mutated[at.index(valid.len())] = byte;
         for input in [&junk[..], &mutated, &valid[..at.index(valid.len())]] {
-            let mut pos = 0;
-            if let Ok(w) = AttrValue::decode(input, &mut pos) {
-                prop_assert_eq!(w.encoded_size(), pos);
-                prop_assert!(pos <= input.len());
+            let (head, tail) = input.split_at(at.index(input.len() + 1));
+            let whole = [Bytes::copy_from_slice(input)];
+            let cut = [Bytes::copy_from_slice(head), Bytes::copy_from_slice(tail)];
+            let mut cur = Cursor::new(&whole);
+            let decoded = AttrValue::decode(&mut cur);
+            // Compared as text: a decoded NaN is not equal to itself.
+            let from_cut = AttrValue::decode(&mut Cursor::new(&cut));
+            prop_assert_eq!(format!("{from_cut:?}"), format!("{decoded:?}"));
+            if let Ok(w) = decoded {
+                prop_assert_eq!(w.encoded_size(), cur.pos());
+                prop_assert!(cur.pos() <= input.len());
                 if let AttrValue::IntVec(x) = &w { prop_assert!(x.capacity() * 8 <= input.len()); }
                 if let AttrValue::FloatVec(x) = &w { prop_assert!(x.capacity() * 8 <= input.len()); }
             }

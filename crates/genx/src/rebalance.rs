@@ -147,8 +147,8 @@ pub fn rebalance(
     // own routing header decides where each pane lands.
     let incoming = moves.iter().filter(|(_, _, _, to)| *to == me).count();
     for _ in 0..incoming {
-        let m = comm.recv(None, Some(MIGRATE_TAG))?;
-        let bm = BlockMsg::decode_shared(&m.payload)?;
+        let m = comm.recv_rope(None, Some(MIGRATE_TAG))?;
+        let bm = BlockMsg::decode(&mut m.payload.cursor())?;
         convert::apply_block(windows.window_mut(&bm.window)?, &bm.block)?;
     }
     Ok(moves.len())

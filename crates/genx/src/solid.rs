@@ -41,20 +41,20 @@ impl SolidModule {
     pub fn step(&self, ws: &mut Windows, dt: f64, chamber_pressure: f64) -> Result<f64> {
         let window = ws.window_mut(SOLID_WINDOW)?;
         let mut elems_total = 0usize;
+        // Per-node scratch, sized per pane and reused across panes.
+        let (mut force, mut valence) = (Vec::<f64>::new(), Vec::<f64>::new());
         for pane in window.panes_mut() {
-            let conn = match &pane.mesh {
-                PaneMesh::Unstructured { conn, .. } => conn.clone(),
-                PaneMesh::Structured { .. } => continue,
-            };
+            let PaneMesh::Unstructured { conn, .. } = &pane.mesh else { continue };
             let n_nodes = pane.mesh.n_nodes();
-            let n_elems = conn.len() / 4;
-            elems_total += n_elems;
+            elems_total += conn.len() / 4;
 
             // Assemble surrogate forces: for each tet edge (i,j), force on
             // i toward j's displacement.
-            let disp = pane.data("disp")?.as_f64()?.to_vec();
-            let mut force = vec![0.0f64; n_nodes * 3];
-            let mut valence = vec![0.0f64; n_nodes];
+            let disp = pane.data("disp")?.as_f64()?;
+            force.clear();
+            force.resize(n_nodes * 3, 0.0);
+            valence.clear();
+            valence.resize(n_nodes, 0.0);
             for tet in conn.chunks_exact(4) {
                 for a in 0..4 {
                     for b in (a + 1)..4 {
@@ -81,29 +81,28 @@ impl SolidModule {
                     v[1] += dt * traction * 1e9;
                 }
             }
-            let vel = pane.data("vel")?.as_f64()?.to_vec();
             {
-                let disp = pane.data_mut("disp")?.as_f64_mut()?;
-                for (x, &v) in disp.iter_mut().zip(&vel) {
+                let (disp, vel) = pane.data_pair_mut("disp", "vel")?;
+                for (x, &v) in disp.as_f64_mut()?.iter_mut().zip(vel.as_f64()?) {
                     *x += dt * v;
                 }
             }
             // Diagnostics: von Mises surrogate = stiffness * neighbour
             // displacement spread; damage accumulates past a threshold;
             // temperature creeps with dissipation.
-            let disp_now = pane.data("disp")?.as_f64()?.to_vec();
             {
-                let vm = pane.data_mut("vonmises")?.as_f64_mut()?;
-                for (i, x) in vm.iter_mut().enumerate() {
-                    let d = &disp_now[i * 3..i * 3 + 3];
+                let (vm, disp) = pane.data_pair_mut("vonmises", "disp")?;
+                let disp = disp.as_f64()?;
+                for (i, x) in vm.as_f64_mut()?.iter_mut().enumerate() {
+                    let d = &disp[i * 3..i * 3 + 3];
                     *x = self.stiffness * (d[0].abs() + d[1].abs() + d[2].abs());
                 }
             }
-            let vm_copy = pane.data("vonmises")?.as_f64()?.to_vec();
             {
-                let dmg = pane.data_mut("damage")?.as_f64_mut()?;
-                for (i, x) in dmg.iter_mut().enumerate() {
-                    if vm_copy[i] > 1.0 {
+                let (dmg, vm) = pane.data_pair_mut("damage", "vonmises")?;
+                let vm = vm.as_f64()?;
+                for (i, x) in dmg.as_f64_mut()?.iter_mut().enumerate() {
+                    if vm[i] > 1.0 {
                         *x = (*x + dt * 0.1).min(1.0);
                     }
                 }

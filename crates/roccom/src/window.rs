@@ -133,6 +133,23 @@ impl Pane {
             .ok_or_else(|| RocError::NotFound(format!("attribute '{attr}' on pane {id}")))
     }
 
+    /// One attribute's buffer mutably beside another's shared — what an
+    /// update of the form `a += f(b)` holds at once — so a kernel need not
+    /// clone `b` to get round the borrow of the pane.
+    pub fn data_pair_mut(&mut self, write: &str, read: &str) -> Result<(&mut ArrayData, &ArrayData)> {
+        let id = self.id;
+        let (mut w, mut r) = (None, None);
+        for (name, buf) in &mut self.data {
+            if name == write {
+                w = Some(buf);
+            } else if name == read {
+                r = Some(&*buf);
+            }
+        }
+        let missing = |attr| RocError::NotFound(format!("attribute '{attr}' on pane {id}"));
+        Ok((w.ok_or_else(|| missing(write))?, r.ok_or_else(|| missing(read))?))
+    }
+
     /// Replace an attribute buffer (used by restart). Length and dtype
     /// must match the existing buffer.
     pub fn set_data(&mut self, attr: &str, value: ArrayData) -> Result<()> {
@@ -342,6 +359,24 @@ mod tests {
         let p = w.pane(BlockId(1)).unwrap();
         assert_eq!(p.data("pressure").unwrap().len(), 8);
         assert_eq!(p.data("velocity").unwrap().len(), 27 * 3);
+    }
+
+    #[test]
+    fn data_pair_mut_lends_two_buffers_of_one_pane_at_once() {
+        let mut w = Window::new("solid");
+        w.declare_attr(AttrSpec::node("disp", DType::F64, 3)).unwrap();
+        w.declare_attr(AttrSpec::node("vel", DType::F64, 3)).unwrap();
+        w.register_pane(BlockId(1), small_mesh()).unwrap();
+        let pane = w.pane_mut(BlockId(1)).unwrap();
+        pane.data_mut("vel").unwrap().as_f64_mut().unwrap().fill(2.0);
+        let (disp, vel) = pane.data_pair_mut("disp", "vel").unwrap();
+        for (x, &v) in disp.as_f64_mut().unwrap().iter_mut().zip(vel.as_f64().unwrap()) {
+            *x += 0.5 * v;
+        }
+        assert!(pane.data("disp").unwrap().as_f64().unwrap().iter().all(|&x| x == 1.0));
+        for (write, read) in [("disp", "ghost"), ("ghost", "vel"), ("disp", "disp")] {
+            assert!(matches!(pane.data_pair_mut(write, read), Err(RocError::NotFound(_))));
+        }
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! Phase two reuses the zero-copy wire path end to end: the aggregator
 //! ships each block as a scatter-gather segment list whose payload segments
 //! are windows into the frozen file image ([`SdfFileReader::read_blocks_raw`]),
-//! and the receiver decodes straight out of the arrived [`Bytes`] — the
-//! records are self-describing, so no re-encode happens on either side.
+//! and the receiver takes the message as the rope it travelled as, so the
+//! datasets it decodes are windows of that same file image — the records
+//! are self-describing, so no re-encode and no copy happens on either side.
 //!
 //! Everything is deterministic: wanted-id lists travel through an
 //! `allgather` (collective, virtual-ordered), files are assigned to
@@ -26,9 +27,9 @@
 use std::collections::{BTreeMap, HashSet};
 
 use bytes::Bytes;
-use rocio_core::{le, BlockId, DataBlock, Result, RocError, Segment, SimTime};
+use rocio_core::{BlockId, DataBlock, Result, RocError, Rope, Segment, SimTime};
 use rocnet::Comm;
-use rocsdf::format::{block_from_records, decode_dataset_shared};
+use rocsdf::format::{block_from_records, decode_dataset, decode_dataset_shared};
 use rocsdf::{LibraryModel, SdfFileReader};
 use rocstore::SharedFs;
 
@@ -158,11 +159,11 @@ pub fn read_partitioned(
 
     // Drain: all completion notices, plus every block they promise.
     while dones < expect_dones || received < expected {
-        let msg = comm.recv(None, None)?;
+        let msg = comm.recv_rope(None, None)?;
         match msg.tag {
             TAG_TP_DONE | TAG_TP_FAILED => {
-                let (n, why) = msg
-                    .payload
+                let notice = msg.payload.into_bytes();
+                let (n, why) = notice
                     .split_first_chunk::<8>()
                     .filter(|(_, why)| why.is_empty() || msg.tag == TAG_TP_FAILED)
                     .ok_or_else(|| RocError::Comm("two-phase: malformed done notice".into()))?;
@@ -252,32 +253,36 @@ fn encode_block(id: BlockId, records: &[Bytes]) -> Vec<Segment> {
     segs
 }
 
-fn decode_block_msg(payload: &Bytes) -> Result<DataBlock> {
+fn decode_block_msg(payload: &Rope) -> Result<DataBlock> {
     let what = "two-phase block message";
-    // `at` walks the header (id, count, length table), `pos` the records.
-    let mut at = 0usize;
-    let id = BlockId(le::u64(le::take(payload, &mut at, 8, what)?, what)?);
-    let n = le::u32(le::take(payload, &mut at, 4, what)?, what)? as usize;
+    // `lens` walks the header (id, count, length table), `records` the
+    // record images after it.
+    let mut lens = payload.cursor();
+    let id = BlockId(lens.u64(what)?);
+    let n = lens.u32(what)? as usize;
     // Each record owes an 8-byte length field: a count the message cannot
     // hold is refused before it sizes anything.
-    if n > (payload.len() - at) / 8 {
+    if n > lens.remaining() / 8 {
         return Err(RocError::Comm(format!(
             "two-phase: {n} records claimed by a {}-byte block message",
             payload.len()
         )));
     }
-    let mut pos = at + n * 8;
-    let mut records = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = le::u64(le::take(payload, &mut at, 8, what)?, what)? as usize;
-        let start = pos;
-        le::take(payload, &mut pos, len, what)?;
-        records.push(payload.slice(start..pos));
-    }
-    if pos != payload.len() {
+    let mut records = lens.clone();
+    records.skip(n * 8, what)?;
+    // Each record is decoded where it lies, under its own length: its
+    // payload stays a window of the part it arrived in (the aggregator's
+    // file image), and the CRC pass makes the receiver the integrity
+    // boundary, as in `decode_block`.
+    let decoded = (0..n).map(|_| {
+        let len = lens.u64(what)? as usize;
+        decode_dataset(&mut records.sub(len, what)?)
+    });
+    let block = block_from_records(Some(id), decoded)?;
+    if records.remaining() != 0 {
         return Err(RocError::Comm("two-phase: trailing bytes in block message".into()));
     }
-    decode_block(id, &records)
+    Ok(block)
 }
 
 /// Decode a block from its raw record images (meta first), verifying each
@@ -351,6 +356,36 @@ mod tests {
                 .collect();
             expect.sort_by_key(|b| b.id);
             assert_eq!(got, &expect, "rank {r}");
+        }
+    }
+
+    #[test]
+    fn a_receivers_payload_is_a_window_of_the_aggregators_file_image() {
+        // Rank 0 aggregates both files and wants nothing; rank 1 wants
+        // every block. What rank 1 ends up holding must be the store's own
+        // frozen images — the windows `read_blocks_raw` cut for rank 0 —
+        // not a copy made on the way over.
+        let fs = SharedFs::ideal();
+        let all = write_snapshot(&fs, 2, 2);
+        let cfg = RochdfConfig::default();
+        let snap = SnapshotId::new(0, 0);
+        let prefix = cfg.prefix("fluid", snap);
+        let ids: Vec<BlockId> = all.iter().map(|b| b.id).collect();
+        let out = run_ranks(2, ClusterSpec::ideal(2), |comm| {
+            let want = if comm.rank() == 1 { &ids[..] } else { &[] };
+            read_partitioned(&fs, &comm, LibraryModel::hdf4(), &prefix, want, 1).unwrap().0
+        });
+        assert_eq!(out[1], all);
+        let images: Vec<Bytes> = (0..2)
+            .map(|w| fs.read_all_shared(&cfg.path("fluid", snap, w), 9, 0.0).unwrap().0)
+            .collect();
+        for ds in out[1].iter().flat_map(|b| &b.datasets) {
+            let (at, len) = (ds.data.bytes().as_ptr() as usize, ds.data.byte_len());
+            let within = |image: &Bytes| {
+                let base = image.as_ptr() as usize;
+                base <= at && at + len <= base + image.len()
+            };
+            assert!(images.iter().any(within), "'{}' was copied on the way", ds.name);
         }
     }
 
@@ -458,6 +493,11 @@ mod tests {
     /// A block and its redistribution message, the records encoded the way
     /// a file stores them.
     fn sample_message() -> (DataBlock, Bytes) {
+        let (block, segs) = sample_segments();
+        (block, rocio_core::segments_to_vec(&segs).into())
+    }
+
+    fn sample_segments() -> (DataBlock, Vec<Segment>) {
         let block = DataBlock::new(BlockId(7), "fluid")
             .with_dataset(Dataset::vector("p", vec![1.0f64, 2.0]).with_attr("units", "Pa"))
             .with_attr("material", "gas");
@@ -466,21 +506,20 @@ mod tests {
         write_snapshot_file(&fs, "one.sdf", LibraryModel::Raw, 0, blocks, 0.0).unwrap();
         let (r, t) = SdfFileReader::open(&fs, "one.sdf", LibraryModel::Raw, 0, 0.0).unwrap();
         let (raw, _) = r.read_blocks_raw(&[BlockId(7)], t).unwrap();
-        let segs = encode_block(BlockId(7), &raw[0].1);
-        (block, rocio_core::segments_to_vec(&segs).into())
+        (block, encode_block(BlockId(7), &raw[0].1))
     }
 
     #[test]
     fn block_message_round_trips_and_rejects_garbage() {
         let (block, image) = sample_message();
-        assert_eq!(decode_block_msg(&image).unwrap(), block);
+        assert_eq!(decode_block_msg(&image.clone().into()).unwrap(), block);
         // Truncations and trailing garbage are rejected, never panic.
         for cut in [0, 4, 11, image.len() - 1] {
-            assert!(decode_block_msg(&image.slice(..cut)).is_err(), "cut at {cut}");
+            assert!(decode_block_msg(&image.slice(..cut).into()).is_err(), "cut at {cut}");
         }
         let mut extra = image.to_vec();
         extra.push(0);
-        assert!(decode_block_msg(&Bytes::from(extra)).is_err());
+        assert!(decode_block_msg(&Bytes::from(extra).into()).is_err());
         // Twelve bytes claiming four billion records (used to ask the
         // allocator for 32 GiB and abort); one record of length u64::MAX
         // (used to overflow `pos + n`: a panic in debug, a wrapped bound
@@ -490,7 +529,7 @@ mod tests {
             Bytes::from(7u64.to_le_bytes().into_iter().chain(n.to_le_bytes()).chain(lens).collect::<Vec<u8>>())
         };
         for hostile in [claim(u32::MAX, &[]), claim(1, &[u64::MAX]), claim(2, &[8, u64::MAX - 7])] {
-            let got = decode_block_msg(&hostile);
+            let got = decode_block_msg(&hostile.into());
             assert!(matches!(got, Err(RocError::Comm(_) | RocError::Corrupt(_))), "{got:?}");
         }
     }
@@ -498,20 +537,63 @@ mod tests {
     proptest! {
         // Arbitrary bytes, and a valid message with one byte replaced or cut
         // short at any length: `Ok` or `Err`, never a panic (the record
-        // table is sized by a count the message itself bounds).
+        // table is sized by a count the message itself bounds) — and the
+        // same verdict when the bytes arrive as a rope cut anywhere.
         #[test]
         fn hostile_block_message_bytes_never_panic(
             junk in prop::collection::vec(any::<u8>(), 0..256),
             at in any::<prop::sample::Index>(),
             byte in any::<u8>(),
+            cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..4),
         ) {
             let valid = sample_message().1;
             let mut mutated = valid.to_vec();
             mutated[at.index(valid.len())] = byte;
             for input in [&junk[..], &mutated, &valid[..at.index(valid.len())]] {
-                let _ = decode_block_msg(&Bytes::copy_from_slice(input));
+                let flat = decode_block_msg(&Bytes::copy_from_slice(input).into());
+                let roped = decode_block_msg(&cut(input, &cuts).0);
+                prop_assert_eq!(format!("{roped:?}"), format!("{flat:?}"));
             }
         }
+
+        // A valid message cut into parts anywhere — mid-field, mid-record,
+        // mid-payload — decodes to the block it carries, and a payload no
+        // cut went through is a window of the part it arrived in.
+        #[test]
+        fn a_block_message_cut_into_parts_decodes_the_same_and_keeps_whole_payloads_in_place(
+            cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
+        ) {
+            let (block, segs) = sample_segments();
+            let flat = rocio_core::segments_to_vec(&segs);
+            let (rope, at) = cut(&flat, &cuts);
+            let decoded = decode_block_msg(&rope).unwrap();
+            prop_assert_eq!(&decoded, &block);
+            // The one payload: the last 16 bytes of the last record.
+            let payload = decoded.datasets[0].data.bytes();
+            let start = flat.len() - payload.len();
+            if !at.iter().any(|&c| start < c && c < flat.len()) {
+                let here = payload.as_ptr() as usize;
+                prop_assert!(
+                    rope.parts().iter().any(|p| {
+                        let base = p.as_ptr() as usize;
+                        base <= here && here + payload.len() <= base + p.len()
+                    }),
+                    "payload was copied"
+                );
+            }
+        }
+    }
+
+    /// `bytes` as a rope of separately allocated parts, cut at `cuts`.
+    fn cut(bytes: &[u8], cuts: &[prop::sample::Index]) -> (Rope, Vec<usize>) {
+        let mut at: Vec<usize> = cuts.iter().map(|c| c.index(bytes.len() + 1)).collect();
+        at.sort_unstable();
+        let (mut rope, mut from) = (Rope::new(), 0);
+        for &to in at.iter().chain([&bytes.len()]) {
+            rope.push(Bytes::copy_from_slice(&bytes[from..to]));
+            from = to;
+        }
+        (rope, at)
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use rocio_core::{segments_to_vec, Result, RocError, Segment, SimTime};
+use rocio_core::{Result, RocError, Rope, Segment, SimTime};
 
 use crate::cluster::ClusterSpec;
 use crate::fabric::{ChoiceKind, Envelope, Fabric, MatchSpec};
@@ -24,20 +24,38 @@ pub const TAG_USER_MAX: u32 = 0x0FFF_FFFF;
 
 const COLL_TAG_BASE: u32 = 0xF000_0000;
 
-/// A received message.
+/// A received message: its payload as one contiguous buffer (`Message`),
+/// or as the [`Rope`] of parts it travelled as (`Message<Rope>`, from
+/// [`Comm::recv_rope`]).
 #[derive(Debug, Clone)]
-pub struct Message {
+pub struct Message<P = Bytes> {
     /// Sender's rank *within this communicator*.
     pub src: usize,
     /// Message tag.
     pub tag: u32,
-    /// Payload bytes, shared with the sender's buffer by refcount — the
-    /// receive path never copies the data (derefs to `&[u8]`).
-    pub payload: Bytes,
+    /// Payload bytes, shared with the sender's buffers by refcount: a
+    /// one-part message — every `send`, `send_bytes` and collective — is
+    /// the sender's very buffer (derefs to `&[u8]`), and a rope's parts
+    /// are the sender's segments.
+    pub payload: P,
     /// Virtual send-completion time at the sender.
     pub sent: SimTime,
     /// Virtual arrival time at this rank.
     pub arrival: SimTime,
+}
+
+impl Message<Rope> {
+    /// The message with its payload contiguous: O(1) for one part, one
+    /// gather copy for a scatter-gather message ([`Rope::into_bytes`]).
+    pub fn flatten(self) -> Message {
+        Message {
+            src: self.src,
+            tag: self.tag,
+            payload: self.payload.into_bytes(),
+            sent: self.sent,
+            arrival: self.arrival,
+        }
+    }
 }
 
 /// Result of a (blocking or non-blocking) probe.
@@ -220,17 +238,26 @@ impl Comm {
         self.send_bytes(dst, tag, Bytes::copy_from_slice(payload))
     }
 
-    /// Send a scatter-gather `segments` list as one message, assembling
-    /// the wire image exactly once (shared payload segments are copied
-    /// only here, never re-staged upstream).
+    /// Send a scatter-gather `segments` list as one message without
+    /// assembling it: shared payload segments travel by refcount and the
+    /// owned header runs are staged once ([`Rope::from_segments`]), so the
+    /// caller may recycle its buffers on return. A receiver that takes the
+    /// rope ([`Comm::recv_rope`]) sees the sender's payload buffers; one
+    /// that asks for bytes pays the gather copy then.
     pub fn send_segments(&self, dst: usize, tag: u32, segments: &[Segment]) -> Result<()> {
-        self.send_bytes(dst, tag, Bytes::from(segments_to_vec(segments)))
+        self.send_rope(dst, tag, Rope::from_segments(segments))
     }
 
     /// Send an already-shared payload without copying: the receiver's
     /// [`Message::payload`] is a refcounted view of this very buffer.
     /// Modelled cost is identical to [`Comm::send`].
     pub fn send_bytes(&self, dst: usize, tag: u32, payload: Bytes) -> Result<()> {
+        self.send_rope(dst, tag, payload.into())
+    }
+
+    /// Send a rope as one message: what every send comes down to. The
+    /// modelled cost depends on the length alone.
+    pub fn send_rope(&self, dst: usize, tag: u32, payload: Rope) -> Result<()> {
         if dst >= self.size() {
             return Err(RocError::Comm(format!(
                 "send: rank {dst} out of range (size {})",
@@ -297,7 +324,7 @@ impl Comm {
             .settle_at(self.global_rank(), &self.spec(src, tag), now, kind)
     }
 
-    fn to_message(&self, env: Envelope) -> Message {
+    fn to_message(&self, env: Envelope) -> Message<Rope> {
         self.clock.merge(env.arrival);
         self.clock
             .advance(self.fabric.spec().net.recv_cost(env.payload.len()));
@@ -318,6 +345,13 @@ impl Comm {
     /// arrival, sender id breaking ties) behind the fabric's conservative
     /// gate, so the match is independent of OS thread scheduling.
     pub fn recv(&self, src: Option<usize>, tag: Option<u32>) -> Result<Message> {
+        Ok(self.recv_rope(src, tag)?.flatten())
+    }
+
+    /// [`Comm::recv`] that hands the payload over as it travelled: the
+    /// receive a layer uses when it moves payload on (decode through
+    /// [`Rope::cursor`], and a block's data stays the sender's buffer).
+    pub fn recv_rope(&self, src: Option<usize>, tag: Option<u32>) -> Result<Message<Rope>> {
         if let Some(s) = src {
             if s >= self.size() {
                 return Err(RocError::Comm(format!(
@@ -354,8 +388,9 @@ impl Comm {
     /// Non-blocking receive: takes the virtual-order first matching
     /// message that has arrived by the current virtual time, or `None`
     /// once no rank can still produce one. Never consumes virtual time
-    /// (though the determinism gate may wait in wall-clock time).
-    pub fn try_recv(&self, src: Option<usize>, tag: Option<u32>) -> Option<Message> {
+    /// (though the determinism gate may wait in wall-clock time). The
+    /// payload comes as it travelled, like [`Comm::recv_rope`]'s.
+    pub fn try_recv(&self, src: Option<usize>, tag: Option<u32>) -> Option<Message<Rope>> {
         let env = self.settle(src, tag, self.clock.now(), ChoiceKind::Take)?;
         Some(self.to_message(env))
     }
@@ -367,13 +402,14 @@ impl Comm {
     /// until it). This is the primitive under the reliability layer's
     /// retransmit timers ([`crate::rocrel`]): deterministic because the
     /// answer is gated the same way [`Comm::try_recv`] is, with the
-    /// deadline standing in for "now".
+    /// deadline standing in for "now" — and the payload comes the same
+    /// way, as it travelled.
     pub fn recv_deadline(
         &self,
         src: Option<usize>,
         tag: Option<u32>,
         deadline: SimTime,
-    ) -> Option<Message> {
+    ) -> Option<Message<Rope>> {
         let t0 = self.clock.now();
         let msg = self
             .settle(src, tag, deadline, ChoiceKind::Take)
@@ -740,24 +776,62 @@ mod tests {
     }
 
     #[test]
-    fn send_segments_assembles_once_in_order() {
+    fn send_segments_hands_shared_views_over_and_stages_owned_runs() {
         let out = run_ranks(2, ClusterSpec::ideal(2), |comm| {
             if comm.rank() == 0 {
+                let payload = Bytes::from(vec![9u8; 8]);
                 let segs = [
                     Segment::Owned(b"head".to_vec()),
-                    Segment::Shared(Bytes::from(vec![9u8; 8])),
+                    Segment::Shared(payload.clone()),
                     Segment::Owned(b"tail".to_vec()),
                 ];
                 comm.send_segments(1, 2, &segs).unwrap();
-                Bytes::new()
+                comm.send_segments(1, 3, &segs).unwrap();
+                (payload.as_ptr() as usize, Vec::new())
             } else {
-                comm.recv(Some(0), Some(2)).unwrap().payload
+                // Taken as a rope, the payload is the sender's buffer and
+                // the two owned runs are slices of one staging copy; taken
+                // as bytes, the same message is gathered in order.
+                let rope = comm.recv_rope(Some(0), Some(2)).unwrap().payload;
+                let [head, shared, tail] = rope.parts() else { panic!("three segments, three parts") };
+                assert_eq!(tail.as_ptr(), head[4..].as_ptr());
+                let flat = comm.recv(Some(0), Some(3)).unwrap().payload;
+                assert_eq!(rope.clone().into_bytes(), flat);
+                (shared.as_ptr() as usize, flat.to_vec())
             }
         });
-        let mut expect = b"head".to_vec();
-        expect.extend_from_slice(&[9u8; 8]);
-        expect.extend_from_slice(b"tail");
-        assert_eq!(out[1], expect);
+        assert_eq!(out[0].0, out[1].0, "the shared segment travels by refcount");
+        assert_eq!(out[1].1, [&b"head"[..], &[9u8; 8], b"tail"].concat());
+    }
+
+    #[test]
+    fn ten_thousand_one_part_messages_are_the_senders_handles() {
+        // `fabric_4k`'s shape: every message is one part. The rope that
+        // carries it is that part inline (`rocio_core::rope`'s tests pin
+        // the representation), so what arrives — 10 000 times, as a rope or
+        // as bytes — is the handle that was sent, not a list holding it.
+        const ROUNDS: usize = 2_500;
+        let out = run_ranks(4, ClusterSpec::ideal(4), |comm| {
+            let (next, prev) = ((comm.rank() + 1) % 4, (comm.rank() + 3) % 4);
+            let mine = Bytes::from(vec![comm.rank() as u8; 1024]);
+            let mut seen = Vec::new();
+            for round in 0..ROUNDS {
+                comm.send_bytes(next, 7, mine.clone()).unwrap();
+                let ptr = if round % 2 == 0 {
+                    let rope = comm.recv_rope(Some(prev), Some(7)).unwrap().payload;
+                    assert_eq!(rope.parts().len(), 1);
+                    rope.parts()[0].as_ptr()
+                } else {
+                    comm.recv(Some(prev), Some(7)).unwrap().payload.as_ptr()
+                };
+                seen.push(ptr as usize);
+            }
+            (mine.as_ptr() as usize, seen)
+        });
+        for rank in 0..4 {
+            let sent = out[(rank + 3) % 4].0;
+            assert!(out[rank].1.iter().all(|&ptr| ptr == sent), "rank {rank}");
+        }
     }
 
     #[test]
@@ -789,7 +863,7 @@ mod tests {
                     .recv_deadline(Some(0), Some(1), 10.0)
                     .expect("message arrives well before the deadline");
                 assert!(comm.now() < 10.0, "no idle charge on a hit");
-                m.payload
+                m.payload.into_bytes()
             }
         });
         assert_eq!(out[1], b"early");

@@ -50,9 +50,8 @@ use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 use std::time::Duration;
 
-use bytes::Bytes;
 use rocio_core::lockdep::{Mutex, MutexGuard};
-use rocio_core::SimTime;
+use rocio_core::{Rope, SimTime};
 
 use crate::cluster::ClusterSpec;
 use crate::comm::{Group, TAG_USER_MAX};
@@ -197,9 +196,11 @@ pub struct Envelope {
     pub src_global: usize,
     /// Message tag.
     pub tag: u32,
-    /// Payload bytes, shared by refcount: cloning an envelope (or handing
-    /// its payload to a receiver) never copies the data.
-    pub payload: Bytes,
+    /// Payload bytes as the sender handed them over — one part for a plain
+    /// send, the segment list of a scatter-gather one — shared by
+    /// refcount: cloning an envelope (or handing its payload to a
+    /// receiver) never copies the data.
+    pub payload: Rope,
     /// Virtual time at which the sender finished injecting the message.
     pub sent: SimTime,
     /// Virtual time at which the message is available at the receiver.
@@ -1233,7 +1234,7 @@ mod tests {
             ctx: 0,
             src_global: src,
             tag,
-            payload: Bytes::from(&[1u8, 2, 3][..]),
+            payload: bytes::Bytes::from(&[1u8, 2, 3][..]).into(),
             sent: 0.0,
             arrival,
         }

@@ -40,7 +40,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
-use rocio_core::{segments_to_vec, Result, Segment, SimTime};
+use rocio_core::{Result, RocError, Rope, Segment, SimTime};
 
 use crate::comm::{Comm, Message, ProbeInfo};
 
@@ -117,6 +117,12 @@ impl<T: Clone> SendWindow<T> {
             next_seq: 0,
             unacked: BTreeMap::new(),
         }
+    }
+
+    /// The sequence number the next [`SendWindow::push`] will assign (a
+    /// frame carries its own, so it is encoded before it is pushed).
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
     }
 
     /// Register a freshly sent frame; returns its sequence number. The
@@ -226,13 +232,19 @@ impl<T> RecvWindow<T> {
     }
 }
 
-fn encode_data(seq: u64, app_tag: u32, payload: &[u8]) -> Bytes {
-    let mut buf = Vec::with_capacity(DATA_HDR + payload.len());
-    buf.push(FRAME_DATA);
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&app_tag.to_le_bytes());
-    buf.extend_from_slice(payload);
-    Bytes::from(buf)
+/// A `DATA` frame: the header as one small part — with `copied`, bytes the
+/// caller only lent, behind it in the same buffer — then `shared`'s own
+/// parts by refcount: nothing shared is copied, on the first transmission
+/// or on a later one.
+fn encode_data(seq: u64, app_tag: u32, copied: &[u8], shared: &Rope) -> Rope {
+    let mut header = Vec::with_capacity(DATA_HDR + copied.len());
+    header.push(FRAME_DATA);
+    header.extend_from_slice(&seq.to_le_bytes());
+    header.extend_from_slice(&app_tag.to_le_bytes());
+    header.extend_from_slice(copied);
+    let mut frame = Rope::from(Bytes::from(header));
+    frame.extend(shared.parts().iter().cloned());
+    frame
 }
 
 fn encode_ack(cum: u64, sacks: &[u64]) -> Bytes {
@@ -246,6 +258,44 @@ fn encode_ack(cum: u64, sacks: &[u64]) -> Bytes {
     Bytes::from(buf)
 }
 
+/// One frame off the wire, decoded.
+#[derive(Debug)]
+enum Frame {
+    Data { seq: u64, app_tag: u32, payload: Rope },
+    Ack { cum: u64, sacks: Vec<u64> },
+}
+
+/// Decode a frame through the checked cursor. The fabric hands over what
+/// a peer sent, and a peer can send anything under [`TAG_REL`]: a frame
+/// that is short, claims more selective acks than it holds, or is of no
+/// known kind is [`RocError::Comm`], never a panic or an allocation sized
+/// by it.
+fn decode_frame(frame: &Rope) -> Result<Frame> {
+    let what = "rocrel frame";
+    let mut cur = frame.cursor();
+    let decode = |cur: &mut rocio_core::Cursor<'_>| match cur.u8(what)? {
+        FRAME_DATA => Ok(Frame::Data {
+            seq: cur.u64(what)?,
+            app_tag: cur.u32(what)?,
+            payload: frame.slice(DATA_HDR..frame.len()),
+        }),
+        FRAME_ACK => {
+            let cum = cur.u64(what)?;
+            let n = cur.u32(what)? as usize;
+            if n > cur.remaining() / 8 {
+                return Err(RocError::Corrupt(format!(
+                    "{n} selective acks claimed by {} bytes",
+                    cur.remaining()
+                )));
+            }
+            let sacks = (0..n).map(|_| cur.u64(what)).collect::<Result<_>>()?;
+            Ok(Frame::Ack { cum, sacks })
+        }
+        other => Err(RocError::Corrupt(format!("unknown frame kind {other}"))),
+    };
+    decode(&mut cur).map_err(|e| RocError::Comm(format!("rocrel: malformed frame: {e}")))
+}
+
 /// Exactly-once, per-channel-in-order messaging over a lossy fabric.
 ///
 /// Wraps a [`Comm`] and speaks the frame protocol described in the
@@ -257,14 +307,17 @@ fn encode_ack(cum: u64, sacks: &[u64]) -> Bytes {
 pub struct ReliableComm<'a> {
     comm: &'a Comm,
     cfg: RelConfig,
-    /// Per-destination send windows, indexed by local rank.
-    tx: Vec<SendWindow<Bytes>>,
+    /// Per-destination send windows, indexed by local rank. A frame is
+    /// kept as the rope it went out as: parts by refcount, no copy.
+    tx: Vec<SendWindow<Rope>>,
     /// Per-source receive windows, indexed by local rank.
-    rx: Vec<RecvWindow<Message>>,
+    rx: Vec<RecvWindow<Message<Rope>>>,
     /// Reassembled application messages, in delivery order.
-    deliverable: VecDeque<Message>,
+    deliverable: VecDeque<Message<Rope>>,
     /// Retransmissions performed (diagnostics).
     retransmits: u64,
+    /// Frames dropped because they did not decode (diagnostics).
+    malformed: u64,
 }
 
 impl<'a> ReliableComm<'a> {
@@ -277,6 +330,7 @@ impl<'a> ReliableComm<'a> {
             rx: (0..n).map(|_| RecvWindow::new()).collect(),
             deliverable: VecDeque::new(),
             retransmits: 0,
+            malformed: 0,
         }
     }
 
@@ -290,6 +344,12 @@ impl<'a> ReliableComm<'a> {
         self.retransmits
     }
 
+    /// Frames received under [`TAG_REL`] that did not decode and were
+    /// dropped: a well-behaved peer never causes one.
+    pub fn malformed(&self) -> u64 {
+        self.malformed
+    }
+
     /// Total frames still awaiting acknowledgement across all channels.
     pub fn in_flight(&self) -> usize {
         self.tx.iter().map(|w| w.in_flight()).sum()
@@ -297,50 +357,43 @@ impl<'a> ReliableComm<'a> {
 
     // --- sending ---------------------------------------------------------
 
-    /// Reliable counterpart of [`Comm::send`].
+    /// Reliable counterpart of [`Comm::send`]: the one copy a borrowed
+    /// payload needs is made behind the frame header, so the frame is one
+    /// part.
     pub fn send(&mut self, dst: usize, tag: u32, payload: &[u8]) -> Result<()> {
-        self.send_frame(dst, tag, payload)
+        self.send_frame(dst, tag, payload, &Rope::new())
     }
 
-    /// Reliable counterpart of [`Comm::send_bytes`]. The frame header
-    /// forces one assembly copy; the frame is then retained by refcount
-    /// for retransmission.
+    /// Reliable counterpart of [`Comm::send_bytes`].
     pub fn send_bytes(&mut self, dst: usize, tag: u32, payload: Bytes) -> Result<()> {
-        self.send_frame(dst, tag, &payload)
+        self.send_frame(dst, tag, &[], &payload.into())
     }
 
     /// Reliable counterpart of [`Comm::send_segments`].
     pub fn send_segments(&mut self, dst: usize, tag: u32, segments: &[Segment]) -> Result<()> {
-        self.send_frame(dst, tag, &segments_to_vec(segments))
+        self.send_frame(dst, tag, &[], &Rope::from_segments(segments))
     }
 
-    fn send_frame(&mut self, dst: usize, tag: u32, payload: &[u8]) -> Result<()> {
-        let now = self.comm.now();
-        let seq = self.tx[dst].push(Bytes::new(), now, self.cfg.rto);
-        let frame = encode_data(seq, tag, payload);
-        // Re-store the real frame (push needed the seq to encode it).
-        self.tx[dst]
-            .unacked
-            .get_mut(&seq)
-            .expect("frame pushed one line above")
-            .frame = frame.clone();
-        self.comm.send_bytes(dst, TAG_REL, frame)
+    /// The frame goes out as its parts and stays in the retransmit window
+    /// the same way.
+    fn send_frame(&mut self, dst: usize, tag: u32, copied: &[u8], shared: &Rope) -> Result<()> {
+        let frame = encode_data(self.tx[dst].next_seq(), tag, copied, shared);
+        self.tx[dst].push(frame.clone(), self.comm.now(), self.cfg.rto);
+        self.comm.send_rope(dst, TAG_REL, frame)
     }
 
     // --- the engine ------------------------------------------------------
 
-    /// Process one raw frame off the wire.
-    fn on_frame(&mut self, m: Message) {
+    /// Process one raw frame off the wire. One that does not decode is
+    /// dropped and counted — to the sender it is a lost frame.
+    fn on_frame(&mut self, m: Message<Rope>) {
         let src = m.src;
-        match m.payload.first().copied() {
-            Some(FRAME_DATA) => {
-                let seq = u64::from_le_bytes(m.payload[1..9].try_into().expect("DATA header"));
-                let app_tag =
-                    u32::from_le_bytes(m.payload[9..13].try_into().expect("DATA header"));
+        match decode_frame(&m.payload) {
+            Ok(Frame::Data { seq, app_tag, payload }) => {
                 let app = Message {
                     src,
                     tag: app_tag,
-                    payload: m.payload.slice(DATA_HDR..),
+                    payload,
                     sent: m.sent,
                     arrival: m.arrival,
                 };
@@ -360,18 +413,8 @@ impl<'a> ReliableComm<'a> {
                 }
                 let _ = self.comm.send_bytes(src, TAG_REL, encode_ack(cum, &sacks));
             }
-            Some(FRAME_ACK) => {
-                let cum = u64::from_le_bytes(m.payload[1..9].try_into().expect("ACK header"));
-                let n = u32::from_le_bytes(m.payload[9..13].try_into().expect("ACK header"));
-                let sacks: Vec<u64> = (0..n as usize)
-                    .map(|i| {
-                        let at = 13 + 8 * i;
-                        u64::from_le_bytes(m.payload[at..at + 8].try_into().expect("ACK sacks"))
-                    })
-                    .collect();
-                self.tx[src].on_ack(cum, &sacks);
-            }
-            other => panic!("rocrel: unknown frame kind {other:?} from rank {src}"),
+            Ok(Frame::Ack { cum, sacks }) => self.tx[src].on_ack(cum, &sacks),
+            Err(_) => self.malformed += 1,
         }
     }
 
@@ -400,7 +443,7 @@ impl<'a> ReliableComm<'a> {
                         &format!("dst={dst} seq={seq} bytes={}", frame.len()),
                     );
                 }
-                let _ = self.comm.send_bytes(dst, TAG_REL, frame);
+                let _ = self.comm.send_rope(dst, TAG_REL, frame);
             }
         }
     }
@@ -420,7 +463,7 @@ impl<'a> ReliableComm<'a> {
             None => {
                 let m = self
                     .comm
-                    .recv(None, Some(TAG_REL))
+                    .recv_rope(None, Some(TAG_REL))
                     .expect("wildcard recv cannot fail");
                 self.on_frame(m);
             }
@@ -443,6 +486,11 @@ impl<'a> ReliableComm<'a> {
     /// message is deliverable (in per-channel order), retransmitting as
     /// timers fire.
     pub fn recv(&mut self, src: Option<usize>, tag: Option<u32>) -> Result<Message> {
+        Ok(self.recv_rope(src, tag)?.flatten())
+    }
+
+    /// Reliable counterpart of [`Comm::recv_rope`].
+    pub fn recv_rope(&mut self, src: Option<usize>, tag: Option<u32>) -> Result<Message<Rope>> {
         loop {
             self.pump();
             if let Some(i) = self.find_deliverable(src, tag) {
@@ -450,13 +498,6 @@ impl<'a> ReliableComm<'a> {
             }
             self.step_blocking();
         }
-    }
-
-    /// Reliable counterpart of [`Comm::try_recv`].
-    pub fn try_recv(&mut self, src: Option<usize>, tag: Option<u32>) -> Option<Message> {
-        self.pump();
-        let i = self.find_deliverable(src, tag)?;
-        Some(self.deliverable.remove(i).expect("index just found"))
     }
 
     /// Reliable counterpart of [`Comm::probe`]: blocks until a matching
@@ -634,6 +675,60 @@ mod tests {
     #[test]
     fn survives_full_chaos() {
         lossy_exchange(FaultSpec::chaos(11, 0.2));
+    }
+
+    #[test]
+    fn a_frame_travels_and_waits_for_its_ack_by_refcount() {
+        let out = run_ranks(2, ClusterSpec::ideal(2), |comm| {
+            let mut rel = ReliableComm::new(&comm, RelConfig::default());
+            if comm.rank() == 0 {
+                let payload = Bytes::from(vec![5u8; 256]);
+                let segs = [Segment::Owned(b"hdr".to_vec()), Segment::Shared(payload.clone())];
+                rel.send_segments(1, 7, &segs).unwrap();
+                rel.send_bytes(1, 8, payload.clone()).unwrap();
+                // The retransmit window holds the frames as they went out.
+                for u in rel.tx[1].unacked.values() {
+                    let kept = u.frame.parts().last().unwrap();
+                    assert_eq!(kept.as_ptr(), payload.as_ptr());
+                }
+                rel.drain();
+                vec![payload.as_ptr() as usize]
+            } else {
+                let a = rel.recv_rope(Some(0), Some(7)).unwrap().payload;
+                assert_eq!(a.parts()[0], b"hdr");
+                let b = rel.recv(Some(0), Some(8)).unwrap().payload;
+                rel.linger(1.0);
+                vec![a.parts()[1].as_ptr() as usize, b.as_ptr() as usize]
+            }
+        });
+        assert_eq!(out[1], [out[0][0]; 2], "payloads reach the receiver uncopied");
+    }
+
+    #[test]
+    fn a_frame_decodes_the_same_however_it_is_cut() {
+        let data = encode_data(7, 0x0050_0002, &[1, 2], &Bytes::from(vec![3u8, 4, 5]).into());
+        let ack: Rope = encode_ack(9, &[11, 13]).into();
+        // A decoded frame with its payload flattened, to compare by value.
+        let fields = |frame: &Rope| match decode_frame(frame).unwrap() {
+            Frame::Data { seq, app_tag, payload } => (seq, app_tag, payload.into_bytes().to_vec(), vec![]),
+            Frame::Ack { cum, sacks } => (cum, 0, vec![], sacks),
+        };
+        for frame in [data, ack] {
+            let flat = frame.clone().into_bytes();
+            for cut in 0..=flat.len() {
+                let mut rope = Rope::from(Bytes::copy_from_slice(&flat[..cut]));
+                rope.push(Bytes::copy_from_slice(&flat[cut..]));
+                assert_eq!(fields(&rope), fields(&frame), "cut at {cut}");
+                // Cut short there instead, it is an error — except a DATA
+                // frame cut inside its payload, which is a shorter payload.
+                let short = decode_frame(&Bytes::copy_from_slice(&flat[..cut]).into());
+                assert_eq!(short.is_ok(), cut == flat.len() || (flat[0] == FRAME_DATA && cut >= DATA_HDR));
+            }
+        }
+        for bad in [&[][..], &[9], &[FRAME_ACK, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff]] {
+            let e = decode_frame(&Bytes::copy_from_slice(bad).into()).unwrap_err();
+            assert!(matches!(e, RocError::Comm(_)), "{e}");
+        }
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Property tests on the reliability core (`rocrel`): the sequence/ack
 //! window arithmetic is checked against brute-force reference models, and
 //! a closed-loop channel simulation proves exactly-once in-order delivery
-//! under arbitrary bounded drop/duplicate/reorder adversaries.
+//! under arbitrary bounded drop/duplicate/reorder adversaries. The frame
+//! decoder is fed hostile bytes through a running engine.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
-use rocnet::rocrel::{RecvWindow, SendWindow};
+use rocnet::cluster::ClusterSpec;
+use rocnet::rocrel::{RecvWindow, RelConfig, ReliableComm, SendWindow, TAG_REL};
+use rocnet::run_ranks;
 
 /// What the adversary does to one transmission event (a DATA or ACK frame
 /// entering the network).
@@ -190,5 +193,75 @@ proptest! {
         } else {
             prop_assert_eq!(w.in_flight(), 0);
         }
+    }
+}
+
+/// A well-formed `DATA` frame: kind 1, sequence number, application tag,
+/// payload.
+fn data_frame(seq: u64, tag: u32, payload: &[u8]) -> Vec<u8> {
+    [&[1u8][..], &seq.to_le_bytes(), &tag.to_le_bytes(), payload].concat()
+}
+
+/// A well-formed `ACK` frame: kind 2, cumulative ack, count, selective acks.
+fn ack_frame(cum: u64, sacks: &[u64]) -> Vec<u8> {
+    let mut f = [&[2u8][..], &cum.to_le_bytes(), &(sacks.len() as u32).to_le_bytes()].concat();
+    for s in sacks {
+        f.extend_from_slice(&s.to_le_bytes());
+    }
+    f
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Anyone can send anything under `TAG_REL`. Rank 2 sends rank 1's
+    /// engine arbitrary bytes, and valid DATA and ACK frames with one byte
+    /// replaced or cut short at any length, raw; every one of them arrives
+    /// before rank 0's honest message does. The engine must drop and count
+    /// what does not decode — never panic — and still deliver the honest
+    /// message.
+    #[test]
+    fn hostile_frames_are_dropped_never_panicked_on(
+        junk in prop::collection::vec(any::<u8>(), 0..48),
+        payload in prop::collection::vec(any::<u8>(), 0..24),
+        sacks in prop::collection::vec(any::<u64>(), 0..4),
+        at in any::<prop::sample::Index>(),
+        byte in any::<u8>(),
+    ) {
+        let mut hostile = vec![junk, Vec::new(), vec![9], ack_frame(0, &[])[..12].to_vec()];
+        for valid in [data_frame(3, 7, &payload), ack_frame(2, &sacks)] {
+            let mut mutated = valid.clone();
+            mutated[at.index(valid.len())] = byte;
+            hostile.push(mutated);
+            hostile.push(valid[..at.index(valid.len())].to_vec());
+        }
+        // A selective-ack count no frame could hold.
+        hostile.push([&ack_frame(0, &[])[..9], &u32::MAX.to_le_bytes()].concat());
+        let out = run_ranks(3, ClusterSpec::turing(3), |comm| {
+            let mut rel = ReliableComm::new(&comm, RelConfig::default());
+            match comm.rank() {
+                0 => {
+                    comm.advance(1.0);
+                    rel.send(1, 7, b"honest").unwrap();
+                    rel.drain();
+                    0
+                }
+                1 => {
+                    let m = rel.recv(Some(0), Some(7)).unwrap();
+                    assert_eq!(m.payload, b"honest");
+                    rel.linger(1.0);
+                    rel.malformed()
+                }
+                _ => {
+                    for frame in &hostile {
+                        comm.send(1, TAG_REL, frame).unwrap();
+                    }
+                    0
+                }
+            }
+        });
+        // The empty frame, the unknown kind, the 12-byte ACK and the
+        // impossible count are malformed whatever the random part does.
+        prop_assert!((4..=hostile.len() as u64).contains(&out[1]), "{} malformed", out[1]);
     }
 }

@@ -3,7 +3,7 @@
 use std::collections::HashSet;
 
 use rocio_core::{
-    segments_len, Result, RocError, Segment, ServiceErrorKind, SnapshotId, TenantId,
+    segments_len, DataBlock, Result, RocError, Segment, ServiceErrorKind, SnapshotId, TenantId,
 };
 use rocnet::Comm;
 use rocsdf::SegmentPool;
@@ -74,6 +74,49 @@ impl<'a> PandaClient<'a> {
     pub fn visible_io(&self) -> f64 {
         self.visible_io
     }
+
+    /// Ship `blocks` of `window` to this client's server for `snap`:
+    /// announce, send under the ack window, wait until all are buffered.
+    fn write_blocks(&mut self, window: &str, blocks: Vec<DataBlock>, snap: SnapshotId) -> Result<()> {
+        // Announce (collective: even a pane-less client announces, so the
+        // server knows when a file is complete).
+        let req = WriteReq {
+            snap,
+            window: window.to_owned(),
+            n_blocks: blocks.len() as u32,
+        };
+        self.net.send(self.my_server, tag::WRITE_REQ, &req.encode())?;
+        let ack_window = self.cfg.ack_window.max(1);
+        let mut in_flight = 0usize;
+        for block in blocks {
+            let msg = BlockMsg {
+                snap,
+                window: window.to_owned(),
+                block,
+            };
+            // Scatter-gather encode into pooled staging buffers; the
+            // payloads go out by refcount, never assembled.
+            self.segs.clear();
+            msg.encode_segments(&mut self.pool, &mut self.segs);
+            // Client-side packing cost (same total bytes as before).
+            self.world
+                .advance(segments_len(&self.segs) as f64 / self.cfg.client_pack_bw);
+            // Flow control: at most `ack_window` unacknowledged blocks.
+            while in_flight >= ack_window {
+                self.net.recv(Some(self.my_server), Some(tag::ACK))?;
+                in_flight -= 1;
+            }
+            self.net.send_segments(self.my_server, tag::BLOCK, &self.segs)?;
+            self.pool.recycle(&mut self.segs);
+            in_flight += 1;
+        }
+        while in_flight > 0 {
+            self.net.recv(Some(self.my_server), Some(tag::ACK))?;
+            in_flight -= 1;
+        }
+        self.net.recv(Some(self.my_server), Some(tag::DONE))?;
+        Ok(())
+    }
 }
 
 impl IoService for PandaClient<'_> {
@@ -90,43 +133,7 @@ impl IoService for PandaClient<'_> {
         let t_enter = self.world.now();
         let window = windows.window(&sel.window)?;
         let blocks = roccom::convert::window_to_blocks(window, &sel.attr)?;
-        // Announce (collective: even a pane-less client announces, so the
-        // server knows when a file is complete).
-        let req = WriteReq {
-            snap,
-            window: sel.window.clone(),
-            n_blocks: blocks.len() as u32,
-        };
-        self.net.send(self.my_server, tag::WRITE_REQ, &req.encode())?;
-        let window = self.cfg.ack_window.max(1);
-        let mut in_flight = 0usize;
-        for block in blocks {
-            let msg = BlockMsg {
-                snap,
-                window: sel.window.clone(),
-                block,
-            };
-            // Scatter-gather encode into pooled staging buffers; the wire
-            // image is assembled exactly once, inside send_segments.
-            self.segs.clear();
-            msg.encode_segments(&mut self.pool, &mut self.segs);
-            // Client-side packing cost (same total bytes as before).
-            self.world
-                .advance(segments_len(&self.segs) as f64 / self.cfg.client_pack_bw);
-            // Flow control: at most `window` unacknowledged blocks.
-            while in_flight >= window {
-                self.net.recv(Some(self.my_server), Some(tag::ACK))?;
-                in_flight -= 1;
-            }
-            self.net.send_segments(self.my_server, tag::BLOCK, &self.segs)?;
-            self.pool.recycle(&mut self.segs);
-            in_flight += 1;
-        }
-        while in_flight > 0 {
-            self.net.recv(Some(self.my_server), Some(tag::ACK))?;
-            in_flight -= 1;
-        }
-        self.net.recv(Some(self.my_server), Some(tag::DONE))?;
+        self.write_blocks(&sel.window, blocks, snap)?;
         self.visible_io += self.world.now() - t_enter;
         Ok(())
     }
@@ -161,13 +168,14 @@ impl IoService for PandaClient<'_> {
         let mut seen: HashSet<u64> = HashSet::new();
         let mut server_err: Option<RocError> = None;
         while dones < self.server_ranks.len() || got < expected {
-            let msg = self.net.recv(None, None)?;
+            let msg = self.net.recv_rope(None, None)?;
             match msg.tag {
                 tag::READ_BATCH => {
                     // A server's whole share in one message. Zero-copy
-                    // decode: payloads stay windows into the message
-                    // until apply_block installs them typed.
-                    for bm in wire::decode_read_batch_shared(&msg.payload)? {
+                    // decode: payloads stay windows of the message's parts
+                    // — the server's cached or file-image buffers — until
+                    // apply_block installs them typed.
+                    for bm in wire::decode_read_batch(&mut msg.payload.cursor())? {
                         if !seen.insert(bm.block.id.0) {
                             return Err(RocError::Corrupt(format!(
                                 "restart: block {} delivered twice",
@@ -179,14 +187,14 @@ impl IoService for PandaClient<'_> {
                     }
                 }
                 tag::READ_DONE => {
-                    expected += wire::decode_read_done(&msg.payload)? as u64;
+                    expected += wire::decode_read_done(&msg.payload.into_bytes())? as u64;
                     dones += 1;
                 }
                 tag::READ_ERR => {
                     // The server's scan failed; it reports instead of
                     // shipping. Keep draining so every server's terminal
                     // message is consumed, then surface the first error.
-                    let text = String::from_utf8_lossy(&msg.payload).into_owned();
+                    let text = String::from_utf8_lossy(&msg.payload.into_bytes()).into_owned();
                     server_err.get_or_insert(RocError::Storage(format!(
                         "restart failed at server rank {}: {text}",
                         msg.src
@@ -408,6 +416,43 @@ mod tests {
             sum_pressure(&ws)
         });
         assert_eq!(sums.iter().sum::<f64>(), restored.iter().sum::<f64>());
+    }
+
+    /// The copy census pinned by address: a snapshot byte is materialised
+    /// once, by `pane_to_block`, and the message, the server's buffer, the
+    /// staged record and the file's extent are all that one allocation.
+    #[test]
+    fn the_files_payload_extents_are_the_buffers_pane_to_block_made() {
+        let fs = Arc::new(SharedFs::ideal());
+        let snap = SnapshotId::new(0, 0);
+        let (sent, _) = run_job(&fs, &RocpandaConfig::default(), &[0], &ideal(2), |_, c, app| {
+            let ws = build_windows(app.rank(), 2);
+            let window = ws.window("fluid").unwrap();
+            let blocks = roccom::convert::window_to_blocks(window, &roccom::AttrRef::All).unwrap();
+            let payloads: Vec<(usize, usize)> = blocks
+                .iter()
+                .flat_map(|b| &b.datasets)
+                .filter(|ds| !ds.is_empty())
+                .map(|ds| (ds.data.bytes().as_ptr() as usize, ds.byte_len()))
+                .collect();
+            c.write_blocks("fluid", blocks, snap).unwrap();
+            c.sync().unwrap();
+            c.finalize().unwrap();
+            payloads
+        });
+        let extents: Vec<(usize, usize)> = fs
+            .list("out/")
+            .iter()
+            .flat_map(|path| fs.image(path).unwrap().parts().to_vec())
+            .map(|e| (e.as_ptr() as usize, e.len()))
+            .collect();
+        assert!(sent[0].len() >= 4, "two blocks of mesh and pressure: {:?}", sent[0]);
+        for &(at, len) in &sent[0] {
+            assert!(
+                extents.iter().any(|&(base, n)| base <= at && at + len <= base + n),
+                "the {len} payload bytes at {at:#x} reached the file as a copy"
+            );
+        }
     }
 
     /// One write+restart cycle on `fabric`, with `faulty_net` declared as

@@ -15,7 +15,7 @@
 //! receiver named `net` may call `send`/`recv`/`probe` and friends.
 
 use bytes::Bytes;
-use rocio_core::{Result, Segment};
+use rocio_core::{Result, Rope, Segment};
 use rocnet::comm::{Comm, Message, ProbeInfo};
 use rocnet::rocrel::{RelConfig, ReliableComm};
 
@@ -82,10 +82,13 @@ impl<'a> PandaNet<'a> {
         }
     }
 
-    pub fn try_recv(&mut self, src: Option<usize>, tag: Option<u32>) -> Option<Message> {
+    /// [`PandaNet::recv`] with the payload as it travelled — what the
+    /// block-bearing receives use, so a block's data stays the sender's
+    /// buffer.
+    pub fn recv_rope(&mut self, src: Option<usize>, tag: Option<u32>) -> Result<Message<Rope>> {
         match self {
-            PandaNet::Raw(c) => c.try_recv(src, tag),
-            PandaNet::Reliable(r) => r.try_recv(src, tag),
+            PandaNet::Raw(c) => c.recv_rope(src, tag),
+            PandaNet::Reliable(r) => r.recv_rope(src, tag),
         }
     }
 

@@ -9,7 +9,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use rocio_core::{BlockId, DataBlock, Priority, Result, RocError, SnapshotId, TenantId};
+use rocio_core::{BlockId, DataBlock, Priority, Result, RocError, Rope, SnapshotId, TenantId};
 use rocnet::{Comm, Message};
 use rocsdf::{SdfFileReader, SdfFileWriter, SegmentPool};
 use rocstore::SharedFs;
@@ -314,11 +314,11 @@ impl<'a> PandaServer<'a> {
             let msg = if self.queued_total == 0 {
                 // Idle: block until something arrives.
                 let _ = self.net.probe(None, None);
-                Some(self.net.recv(None, None)?)
+                Some(self.net.recv_rope(None, None)?)
             } else if self.cfg.responsive_probe {
                 // Writing, but stay responsive: peek, else write one block.
                 if self.net.iprobe(None, None).is_some() {
-                    Some(self.net.recv(None, None)?)
+                    Some(self.net.recv_rope(None, None)?)
                 } else {
                     self.write_one()?;
                     None
@@ -346,7 +346,82 @@ impl<'a> PandaServer<'a> {
         Ok(self.stats)
     }
 
-    fn handle(&mut self, msg: Message) -> Result<bool> {
+    /// Take in one `BLOCK` message from client `src`: buffer (or write
+    /// through) its block, acknowledge, and finish the file if it was the
+    /// last.
+    fn on_block(&mut self, src: usize, wire: &Rope) -> Result<()> {
+        let tenant = self.tenant_of(src)?;
+        // Zero-copy intake: the buffered block's payloads are
+        // refcounted windows of the message's parts — the client's own
+        // block buffer — so between `pane_to_block` and the file image
+        // no snapshot byte is copied: buffering, the read cache and the
+        // drain all hold that one buffer.
+        let bm = BlockMsg::decode(&mut wire.cursor())?;
+        let key = FileKey {
+            tenant,
+            snap: bm.snap,
+            window: bm.window.clone(),
+        };
+        // Server CPU cost of taking the block in.
+        let bytes = wire.len();
+        let t_fill0 = self.world.now();
+        self.world.advance(
+            self.cfg.server_block_overhead + bytes as f64 / self.cfg.server_copy_bw,
+        );
+        self.files.entry(key.clone()).or_default().blocks_received += 1;
+        if self.cfg.active_buffering {
+            self.stats.blocks_buffered += 1;
+            if self.cfg.read_cache {
+                // Keep a handle for restart service. Payloads are
+                // shared with the queued block, so this is a
+                // refcount bump, not a data copy.
+                self.read_cache
+                    .entry(key.clone())
+                    .or_default()
+                    .insert(bm.block.id.0, bm.block.clone());
+            }
+            self.enqueue(key.clone(), bm.block, bytes);
+            if rocobs::enabled() {
+                rocobs::record(
+                    rocobs::SpanCategory::BufferFill,
+                    "buffer_fill",
+                    t_fill0,
+                    self.world.now(),
+                    &format!(
+                        "bytes={bytes} occupancy={} queued={}",
+                        self.buffered_bytes, self.queued_total
+                    ),
+                );
+            }
+            // Graceful overflow: write old data out to make room.
+            while self.buffered_bytes > self.cfg.buffer_capacity && self.queued_total > 0 {
+                self.stats.buffer_overflows += 1;
+                self.write_one()?;
+            }
+        } else {
+            self.write_checked(&key, &bm.block)?;
+        }
+        self.net.send(src, tag::ACK, &[])?;
+        let pending_key = (src, key.clone());
+        if let Some(rem) = self.client_pending.get_mut(&pending_key) {
+            *rem -= 1;
+            if *rem == 0 {
+                self.client_pending.remove(&pending_key);
+                self.net.send(src, tag::DONE, &[])?;
+            }
+        }
+        self.maybe_finish(&key)?;
+        Ok(())
+    }
+
+    /// Handle one client message. Only `BLOCK` carries payload worth
+    /// keeping in parts; every other message is one part, so flattening it
+    /// is free.
+    fn handle(&mut self, msg: Message<Rope>) -> Result<bool> {
+        if msg.tag == tag::BLOCK {
+            return self.on_block(msg.src, &msg.payload).map(|()| true);
+        }
+        let msg = msg.flatten();
         match msg.tag {
             tag::WRITE_REQ => {
                 let tenant = self.tenant_of(msg.src)?;
@@ -364,69 +439,6 @@ impl<'a> PandaServer<'a> {
                     self.net.send(msg.src, tag::DONE, &[])?;
                 } else {
                     self.client_pending.insert((msg.src, key.clone()), req.n_blocks);
-                }
-                self.maybe_finish(&key)?;
-                Ok(true)
-            }
-            tag::BLOCK => {
-                let tenant = self.tenant_of(msg.src)?;
-                // Zero-copy intake: the buffered block's payloads are
-                // refcounted windows into the message itself, so active
-                // buffering holds exactly one copy of the data until the
-                // drain stages it into the pooled write buffer.
-                let bm = BlockMsg::decode_shared(&msg.payload)?;
-                let key = FileKey {
-                    tenant,
-                    snap: bm.snap,
-                    window: bm.window.clone(),
-                };
-                // Server CPU cost of taking the block in.
-                let bytes = msg.payload.len();
-                let t_fill0 = self.world.now();
-                self.world.advance(
-                    self.cfg.server_block_overhead + bytes as f64 / self.cfg.server_copy_bw,
-                );
-                self.files.entry(key.clone()).or_default().blocks_received += 1;
-                if self.cfg.active_buffering {
-                    self.stats.blocks_buffered += 1;
-                    if self.cfg.read_cache {
-                        // Keep a handle for restart service. Payloads are
-                        // shared with the queued block, so this is a
-                        // refcount bump, not a data copy.
-                        self.read_cache
-                            .entry(key.clone())
-                            .or_default()
-                            .insert(bm.block.id.0, bm.block.clone());
-                    }
-                    self.enqueue(key.clone(), bm.block, bytes);
-                    if rocobs::enabled() {
-                        rocobs::record(
-                            rocobs::SpanCategory::BufferFill,
-                            "buffer_fill",
-                            t_fill0,
-                            self.world.now(),
-                            &format!(
-                                "bytes={bytes} occupancy={} queued={}",
-                                self.buffered_bytes, self.queued_total
-                            ),
-                        );
-                    }
-                    // Graceful overflow: write old data out to make room.
-                    while self.buffered_bytes > self.cfg.buffer_capacity && self.queued_total > 0 {
-                        self.stats.buffer_overflows += 1;
-                        self.write_one()?;
-                    }
-                } else {
-                    self.write_checked(&key, &bm.block)?;
-                }
-                self.net.send(msg.src, tag::ACK, &[])?;
-                let pending_key = (msg.src, key.clone());
-                if let Some(rem) = self.client_pending.get_mut(&pending_key) {
-                    *rem -= 1;
-                    if *rem == 0 {
-                        self.client_pending.remove(&pending_key);
-                        self.net.send(msg.src, tag::DONE, &[])?;
-                    }
                 }
                 self.maybe_finish(&key)?;
                 Ok(true)

@@ -5,15 +5,17 @@
 //! little-endian in the payload. Data blocks travel as sequences of SDF
 //! dataset records — the same self-describing encoding the files use,
 //! written by the same encoder: a [`BlockMsg`] has one encode
-//! (scatter-gather segments; `Comm::send_segments` assembles the wire image
-//! once) and one decode (payloads are windows of the received message).
-//! Every length read from a message goes through `rocio_core::le::take`,
-//! and every count is bounded by the bytes that remain before it sizes an
+//! (scatter-gather segments; `Comm::send_segments` sends them as the parts
+//! of one rope) and one decode (payloads are windows of the received
+//! message's parts — the sender's own buffers). Every length read from a
+//! message goes through a checked cursor (`rocio_core::Cursor` over a
+//! rope, `rocio_core::le::take` over a control message's bytes), and every
+//! count is bounded by the bytes that remain before it sizes an
 //! allocation.
 
 use bytes::Bytes;
-use rocio_core::{DataBlock, Result, RocError, Segment, SnapshotId};
-use rocsdf::format::{block_from_records, block_meta_dataset, block_prefix, decode_dataset_shared};
+use rocio_core::{Cursor, DataBlock, Result, RocError, Segment, SnapshotId};
+use rocsdf::format::{block_from_records, block_meta_dataset, block_prefix, decode_dataset};
 use rocsdf::SegmentPool;
 
 /// Message tags. All below [`rocnet::comm::TAG_USER_MAX`].
@@ -170,7 +172,7 @@ impl BlockMsg {
     /// member datasets as SDF records (names prefixed by the record
     /// encoder's override — no clone). Headers go into pooled staging
     /// buffers, payloads ride along by refcount; send the segments with
-    /// `Comm::send_segments` so the wire image is assembled exactly once.
+    /// `Comm::send_segments` and no payload byte is copied on the way.
     pub fn encode_segments(&self, pool: &mut SegmentPool, out: &mut Vec<Segment>) {
         let mut head = pool.take();
         head.clear();
@@ -197,21 +199,27 @@ impl BlockMsg {
         }
     }
 
-    /// Decode with zero-copy payloads: each dataset's data is a refcounted
-    /// window into `bytes`, so a server can buffer the blocks of many
-    /// messages without duplicating any payload.
-    pub fn decode_shared(bytes: &Bytes) -> Result<Self> {
-        let mut pos = 0;
-        let snap = get_snap(bytes, &mut pos)?;
-        let window = get_str(bytes, &mut pos)?;
-        let n = rocio_core::le::u32(take(bytes, &mut pos, 4)?, "panda wire count")? as usize;
-        let records = (0..n).map(|_| decode_dataset_shared(bytes, &mut pos));
-        let block = block_from_records(None, records)?;
+    /// Decode the message at the cursor with zero-copy payloads: each
+    /// dataset's data is a refcounted window of the part it arrived in —
+    /// for a message sent with `send_segments`, the sender's own block
+    /// buffer — so a server can buffer the blocks of many messages without
+    /// duplicating any payload.
+    pub fn decode(cur: &mut Cursor<'_>) -> Result<Self> {
+        let what = "panda wire message";
+        let snap = SnapshotId::new(cur.u64(what)?, cur.u32(what)?);
+        let window = cur.str16(what)?;
+        let n = cur.u32("panda wire count")? as usize;
+        let block = block_from_records(None, (0..n).map(|_| decode_dataset(cur)))?;
         Ok(BlockMsg {
             snap,
             window,
             block,
         })
+    }
+
+    /// [`BlockMsg::decode`] of one contiguous buffer.
+    pub fn decode_shared(bytes: &Bytes) -> Result<Self> {
+        BlockMsg::decode(&mut bytes.into())
     }
 }
 
@@ -241,17 +249,14 @@ pub(crate) fn encode_read_batch_segments(
 }
 
 /// Decode a `READ_BATCH` payload into zero-copy block messages: every
-/// dataset payload is a refcounted window into `bytes`.
-pub(crate) fn decode_read_batch_shared(bytes: &Bytes) -> Result<Vec<BlockMsg>> {
-    let mut pos = 0;
-    let n = rocio_core::le::u32(take(bytes, &mut pos, 4)?, "panda wire batch count")? as usize;
+/// dataset payload is a refcounted window of the part it arrived in. Each
+/// entry is decoded under its own length, so it cannot read into the next.
+pub(crate) fn decode_read_batch(cur: &mut Cursor<'_>) -> Result<Vec<BlockMsg>> {
+    let n = cur.u32("panda wire batch count")? as usize;
     let mut out = Vec::new();
     for _ in 0..n {
-        let len =
-            rocio_core::le::u64(take(bytes, &mut pos, 8)?, "panda wire batch entry length")? as usize;
-        let start = pos;
-        take(bytes, &mut pos, len)?;
-        out.push(BlockMsg::decode_shared(&bytes.slice(start..pos))?);
+        let len = cur.u64("panda wire batch entry length")? as usize;
+        out.push(BlockMsg::decode(&mut cur.sub(len, "panda wire batch entry")?)?);
     }
     Ok(out)
 }
@@ -384,7 +389,7 @@ pub(crate) fn decode_read_done(bytes: &[u8]) -> Result<u32> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rocio_core::{BlockId, Dataset};
+    use rocio_core::{BlockId, Dataset, Rope};
 
     fn block() -> DataBlock {
         DataBlock::new(BlockId(12), "fluid")
@@ -397,7 +402,32 @@ mod tests {
         BlockMsg { snap: SnapshotId::new(50, 1), window: "fluid".into(), block }
     }
 
-    /// The wire image `Comm::send_segments` would assemble.
+    fn decode_read_batch_shared(bytes: &Bytes) -> Result<Vec<BlockMsg>> {
+        decode_read_batch(&mut bytes.into())
+    }
+
+    /// `bytes` as a rope of separately allocated parts, cut at `cuts`.
+    fn cut(bytes: &[u8], cuts: &[prop::sample::Index]) -> (Rope, Vec<usize>) {
+        let mut at: Vec<usize> = cuts.iter().map(|c| c.index(bytes.len() + 1)).collect();
+        at.sort_unstable();
+        let (mut rope, mut from) = (Rope::new(), 0);
+        for &to in at.iter().chain([&bytes.len()]) {
+            rope.push(Bytes::copy_from_slice(&bytes[from..to]));
+            from = to;
+        }
+        (rope, at)
+    }
+
+    /// Is `window` a view into one of `rope`'s parts?
+    fn is_window_of(window: &[u8], rope: &Rope) -> bool {
+        let at = window.as_ptr() as usize;
+        rope.parts().iter().any(|p| {
+            let base = p.as_ptr() as usize;
+            base <= at && at + window.len() <= base + p.len()
+        })
+    }
+
+    /// The wire image of the message, flat.
     fn wire(m: &BlockMsg) -> Vec<u8> {
         let mut segs = Vec::new();
         m.encode_segments(&mut SegmentPool::new(), &mut segs);
@@ -507,17 +537,35 @@ mod tests {
         [Bytes::copy_from_slice(junk), mutated.into(), Bytes::copy_from_slice(&valid[..at.index(valid.len())])]
     }
 
+    /// Where each shared (payload) segment of `segs` lies in the flat image.
+    fn payload_spans(segs: &[Segment]) -> Vec<(usize, usize)> {
+        let mut at = 0;
+        let mut spans = Vec::new();
+        for s in segs {
+            if matches!(s, Segment::Shared(_)) {
+                spans.push((at, s.len()));
+            }
+            at += s.len();
+        }
+        spans
+    }
+
     proptest! {
         // `Ok` or `Err`, never a panic; what decodes is no larger than the
-        // message it is made of windows of.
+        // message it is made of windows of — and the verdict is the same
+        // when the message arrives as a rope cut anywhere.
         #[test]
         fn hostile_block_msg_bytes_never_panic(
             junk in prop::collection::vec(any::<u8>(), 0..256),
             at in any::<prop::sample::Index>(),
             byte in any::<u8>(),
+            cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..4),
         ) {
             for input in hostile(&wire(&msg(block())), &junk, at, byte) {
-                if let Ok(m) = BlockMsg::decode_shared(&input) {
+                let flat = BlockMsg::decode_shared(&input);
+                let roped = BlockMsg::decode(&mut cut(&input, &cuts).0.cursor());
+                prop_assert_eq!(format!("{roped:?}"), format!("{flat:?}"));
+                if let Ok(m) = flat {
                     prop_assert!(m.window.len() + m.block.encoded_size() <= input.len() + 64);
                 }
             }
@@ -528,13 +576,49 @@ mod tests {
             junk in prop::collection::vec(any::<u8>(), 0..256),
             at in any::<prop::sample::Index>(),
             byte in any::<u8>(),
+            cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..4),
         ) {
             let mut segs = Vec::new();
             encode_read_batch_segments(&[msg(block()), msg(block())], &mut SegmentPool::new(), &mut segs);
             for input in hostile(&rocio_core::segments_to_vec(&segs), &junk, at, byte) {
-                if let Ok(msgs) = decode_read_batch_shared(&input) {
+                let flat = decode_read_batch_shared(&input);
+                let roped = decode_read_batch(&mut cut(&input, &cuts).0.cursor());
+                prop_assert_eq!(format!("{roped:?}"), format!("{flat:?}"));
+                if let Ok(msgs) = flat {
                     let decoded: usize = msgs.iter().map(|m| m.block.encoded_size()).sum();
                     prop_assert!(decoded <= input.len() + 64 * msgs.len());
+                }
+            }
+        }
+
+        // A valid message cut into parts anywhere — mid-field, mid-payload,
+        // into empty parts — decodes to the message it was, and a payload
+        // no cut went through is a window of the part it arrived in.
+        #[test]
+        fn a_message_cut_into_parts_decodes_the_same_and_keeps_whole_payloads_in_place(
+            cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
+            batch in any::<bool>(),
+        ) {
+            let msgs = [msg(block()), msg(block())];
+            let mut segs = Vec::new();
+            if batch {
+                encode_read_batch_segments(&msgs, &mut SegmentPool::new(), &mut segs);
+            } else {
+                msgs[0].encode_segments(&mut SegmentPool::new(), &mut segs);
+            }
+            let flat = rocio_core::segments_to_vec(&segs);
+            let (rope, at) = cut(&flat, &cuts);
+            let decoded = if batch {
+                decode_read_batch(&mut rope.cursor()).unwrap()
+            } else {
+                vec![BlockMsg::decode(&mut rope.cursor()).unwrap()]
+            };
+            prop_assert_eq!(&decoded[..], &msgs[..decoded.len()]);
+            let payloads = decoded.iter().flat_map(|m| &m.block.datasets).map(|ds| ds.data.bytes());
+            for (payload, (offset, len)) in payloads.zip(payload_spans(&segs)) {
+                prop_assert_eq!(payload.len(), len);
+                if !at.iter().any(|&c| offset < c && c < offset + len) {
+                    prop_assert!(is_window_of(payload, &rope), "payload at {offset} was copied");
                 }
             }
         }

@@ -12,14 +12,14 @@
 //! All integers little-endian. A file is self-describing: decoding needs no
 //! external schema. The index enables direct per-dataset access; records
 //! are self-delimiting, so a file can also be walked front to back with
-//! [`decode_dataset_shared`] alone. One function writes a record
+//! [`decode_dataset`] alone. One function writes a record
 //! ([`encode_dataset_segments`]), one parses a record header, and a
 //! payload is the same little-endian bytes whoever produced it.
 //!
 //! ## The payload checksum
 //!
 //! A file record carries the CRC-32 of its payload as the reserved
-//! `__crc32__` Int attribute; [`decode_dataset_shared`] recomputes, compares and
+//! `__crc32__` Int attribute; [`decode_dataset`] recomputes, compares and
 //! strips it, and treats an attribute of that name that is not a CRC-32
 //! as corruption. The value is on disk in every snapshot ever written, so
 //! it is part of the format: [`crc32`] is free to change *how* it
@@ -33,7 +33,8 @@
 
 use bytes::Bytes;
 use rocio_core::{
-    AttrValue, BlockId, DType, DataBlock, Dataset, Result, RocError, Segment, SharedArray,
+    le, AttrValue, BlockId, Cursor, DType, DataBlock, Dataset, Result, RocError, Segment,
+    SharedArray,
 };
 
 /// File magic, also used as the trailer sentinel.
@@ -54,7 +55,7 @@ pub const BLOCK_META: &str = "__meta__";
 
 /// Reserved attribute carrying the CRC-32 of a dataset's payload.
 /// Written by [`crate::writer::SdfFileWriter`], verified and stripped by
-/// [`decode_dataset_shared`]; absent on wire messages (the fabric is trusted).
+/// [`decode_dataset`]; absent on wire messages (the fabric is trusted).
 pub const CRC_ATTR: &str = "__crc32__";
 
 /// Slice-by-8 lookup tables for [`crc32`], generated at compile time
@@ -262,9 +263,9 @@ fn encode_attr_entry(k: &str, v: &AttrValue, out: &mut Vec<u8>) {
 /// an `IoSlice`-style segment list: the record *header* (everything from
 /// the `DS00` marker through the `data_len` field) as one owned run, then
 /// the payload as a [`Segment::Shared`] refcount bump (omitted when
-/// empty). Whoever needs one flat run of bytes flattens the list once
-/// (`Comm::send_segments`, `rocio_core::segments_to_vec`); the store never
-/// does.
+/// empty). Neither the fabric (`Comm::send_segments`) nor the store
+/// (`SharedFs::append_segments`) flattens the list: the payload stays the
+/// dataset's own buffer all the way to the file image.
 ///
 /// `head` is the staging buffer for the header (pass a recycled buffer to
 /// avoid allocation; it is cleared first). `name_override` replaces the
@@ -317,17 +318,7 @@ pub fn encode_dataset_segments(
     }
 }
 
-fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
-    rocio_core::le::take(bytes, pos, n, "SDF record")
-}
-
-fn take_u64(bytes: &[u8], pos: &mut usize) -> Result<u64> {
-    rocio_core::le::u64(take(bytes, pos, 8)?, "SDF u64 field")
-}
-
-fn take_name(bytes: &[u8], pos: &mut usize) -> Result<String> {
-    rocio_core::le::str16(bytes, pos, "SDF record").map(str::to_owned)
-}
+const RECORD: &str = "SDF record";
 
 /// A parsed record header: everything before the payload.
 pub(crate) struct RecordHeader {
@@ -342,46 +333,46 @@ pub(crate) struct RecordHeader {
     pub(crate) data_len: usize,
 }
 
-/// Parse the record header at `*pos`, leaving `*pos` on the first payload
+/// Parse the record header at the cursor, leaving it on the first payload
 /// byte — the one parser of the record layout, behind the whole-record
 /// decoder and the reader's partial reads alike.
 ///
-/// Every length is checked against the input before it shapes a slice or
+/// Every length is checked against the input before it shapes a view or
 /// an allocation, the extents' product and the payload size are computed
 /// overflow-checked, and the `data_len` field must agree with shape and
 /// dtype — so corrupt input is [`RocError::Corrupt`], never a panic, an
-/// absurd allocation or a payload read under the wrong shape. A `bytes`
-/// that ends inside the header is reported the same way (partial readers
-/// retry with a longer prefix).
-pub(crate) fn decode_record_header(bytes: &[u8], pos: &mut usize) -> Result<RecordHeader> {
-    let marker = take(bytes, pos, 4)?;
-    if marker != DS_MARKER {
+/// absurd allocation or a payload read under the wrong shape. Input that
+/// ends inside the header is reported the same way (partial readers retry
+/// with a longer prefix).
+pub(crate) fn decode_record_header(cur: &mut Cursor<'_>) -> Result<RecordHeader> {
+    let marker = cur.array::<4>(RECORD)?;
+    if &marker != DS_MARKER {
         return Err(RocError::Corrupt(format!(
             "SDF: expected dataset marker at {}, found {:?}",
-            *pos - 4,
+            cur.pos() - 4,
             marker
         )));
     }
-    let name = take_name(bytes, pos)?;
-    let dtype = DType::from_tag(take(bytes, pos, 1)?[0])?;
-    let rank = take(bytes, pos, 1)?[0] as usize;
+    let name = cur.str16(RECORD)?;
+    let dtype = DType::from_tag(cur.u8(RECORD)?)?;
+    let rank = cur.u8(RECORD)? as usize;
     let mut shape = Vec::with_capacity(rank.min(16));
     for _ in 0..rank {
-        shape.push(take_u64(bytes, pos)? as usize);
+        shape.push(cur.u64("SDF u64 field")? as usize);
     }
     let n_elems = shape.iter().try_fold(1usize, |n, &e| n.checked_mul(e));
     let Some((n_elems, want_len)) = n_elems.and_then(|n| Some((n, n.checked_mul(dtype.size())?)))
     else {
         return Err(RocError::Corrupt(format!("SDF: dataset '{name}' shape {shape:?} overflows")));
     };
-    let n_attrs = rocio_core::le::u16(take(bytes, pos, 2)?, "SDF attribute count")?;
+    let n_attrs = cur.u16("SDF attribute count")?;
     let mut attrs = std::collections::BTreeMap::new();
     for _ in 0..n_attrs {
-        let key = take_name(bytes, pos)?;
-        let val = AttrValue::decode(bytes, pos)?;
+        let key = cur.str16(RECORD)?;
+        let val = AttrValue::decode(cur)?;
         attrs.insert(key, val);
     }
-    let data_len = take_u64(bytes, pos)?;
+    let data_len = cur.u64("SDF u64 field")?;
     if data_len != want_len as u64 {
         return Err(RocError::Corrupt(format!(
             "SDF: dataset '{name}' payload length {data_len} != shape {shape:?} x {}",
@@ -391,21 +382,33 @@ pub(crate) fn decode_record_header(bytes: &[u8], pos: &mut usize) -> Result<Reco
     Ok(RecordHeader { name, dtype, shape, n_elems, attrs, data_len: want_len })
 }
 
-/// Decode one dataset record at `*pos`, advancing `*pos` past it, without
-/// copying its payload: the returned dataset's data is a window of
-/// `bytes`.
+/// Decode the dataset record at the cursor, advancing it past the record,
+/// without copying the payload: the returned dataset's data is a window of
+/// the part it lies in (a record built by [`encode_dataset_segments`] and
+/// carried as a rope has its payload in a part of its own; only a payload
+/// cut across parts is gathered).
 ///
-/// The window holds a refcount on the input's allocation, so it stays valid
-/// after every other handle to `bytes` is dropped — this is how the
+/// The window holds a refcount on that part's allocation, so it stays valid
+/// after every other handle to the input is dropped — this is how the
 /// server's active buffer references message payloads until drain without
 /// re-encoding or copying them. A `__crc32__` attribute (file records
 /// carry one; wire records do not) is verified against the payload and
 /// stripped.
-pub fn decode_dataset_shared(bytes: &Bytes, pos: &mut usize) -> Result<Dataset> {
-    decode_dataset_shared_with(bytes, pos, true)
+pub fn decode_dataset(cur: &mut Cursor<'_>) -> Result<Dataset> {
+    decode_dataset_with(cur, true)
 }
 
-/// [`decode_dataset_shared`] with the caller choosing whether the payload
+/// [`decode_dataset`] of the record at `*pos` of one contiguous buffer,
+/// advancing `*pos` past it.
+pub fn decode_dataset_shared(bytes: &Bytes, pos: &mut usize) -> Result<Dataset> {
+    let mut cur = Cursor::from(bytes);
+    cur.skip(*pos, RECORD)?;
+    let ds = decode_dataset(&mut cur)?;
+    *pos = cur.pos();
+    Ok(ds)
+}
+
+/// [`decode_dataset`] with the caller choosing whether the payload
 /// checksum is recomputed.
 ///
 /// Pass `verify_crc: false` **only** when the same record bytes were
@@ -417,15 +420,10 @@ pub fn decode_dataset_shared(bytes: &Bytes, pos: &mut usize) -> Result<Dataset> 
 /// be a CRC-32 — either way, so decoded datasets are identical across
 /// both modes and damage to the attribute's type tag cannot switch the
 /// check off.
-pub(crate) fn decode_dataset_shared_with(
-    bytes: &Bytes,
-    pos: &mut usize,
-    verify_crc: bool,
-) -> Result<Dataset> {
+pub(crate) fn decode_dataset_with(cur: &mut Cursor<'_>, verify_crc: bool) -> Result<Dataset> {
     let RecordHeader { name, dtype, shape, n_elems, mut attrs, data_len } =
-        decode_record_header(bytes, pos)?;
-    let payload_start = *pos;
-    let payload = take(bytes, pos, data_len)?;
+        decode_record_header(cur)?;
+    let payload = cur.take(data_len, RECORD)?;
     if let Some(attr) = attrs.remove(CRC_ATTR) {
         let stored = attr.as_int().ok().and_then(|v| u32::try_from(v).ok()).ok_or_else(|| {
             RocError::Corrupt(format!(
@@ -433,7 +431,7 @@ pub(crate) fn decode_dataset_shared_with(
             ))
         })?;
         if verify_crc {
-            let actual = crc32(payload);
+            let actual = crc32(&payload);
             if actual != stored {
                 return Err(RocError::Corrupt(format!(
                     "SDF: dataset '{name}' payload checksum mismatch \
@@ -442,7 +440,7 @@ pub(crate) fn decode_dataset_shared_with(
             }
         }
     }
-    let data = SharedArray::new(dtype, n_elems, bytes.slice(payload_start..*pos))?;
+    let data = SharedArray::new(dtype, n_elems, payload)?;
     let mut ds = Dataset::new(name, shape, data)?;
     ds.attrs = attrs;
     Ok(ds)
@@ -484,11 +482,12 @@ pub(crate) fn decode_trailer(trailer: &[u8]) -> Result<u64> {
 
 /// Decode the index region (from its offset up to the trailer).
 pub(crate) fn decode_index(bytes: &[u8]) -> Result<Vec<IndexEntry>> {
+    let take_u64 = |pos: &mut usize| le::u64(le::take(bytes, pos, 8, "SDF index")?, "SDF index");
     let mut pos = 0;
-    if take(bytes, &mut pos, 4)? != IDX_MARKER {
+    if le::take(bytes, &mut pos, 4, "SDF index")? != IDX_MARKER {
         return Err(RocError::Corrupt("SDF: bad index marker".into()));
     }
-    let n = take_u64(bytes, &mut pos)? as usize;
+    let n = take_u64(&mut pos)? as usize;
     // Each entry is at least 18 bytes; anything claiming more is corrupt.
     if n > bytes.len().saturating_sub(pos) / 18 {
         return Err(RocError::Corrupt(format!(
@@ -497,9 +496,9 @@ pub(crate) fn decode_index(bytes: &[u8]) -> Result<Vec<IndexEntry>> {
     }
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        let name = take_name(bytes, &mut pos)?;
-        let offset = take_u64(bytes, &mut pos)?;
-        let len = take_u64(bytes, &mut pos)?;
+        let name = le::str16(bytes, &mut pos, "SDF index")?.to_owned();
+        let offset = take_u64(&mut pos)?;
+        let len = take_u64(&mut pos)?;
         entries.push(IndexEntry { name, offset, len });
     }
     Ok(entries)
@@ -826,7 +825,7 @@ mod tests {
         assert_eq!(enc[tag], AttrValue::Int(0).tag());
         let malformed = |enc: &[u8]| {
             for verify in [true, false] {
-                let err = decode_dataset_shared_with(&Bytes::copy_from_slice(enc), &mut 0, verify);
+                let err = decode_dataset_with(&mut Cursor::from(&Bytes::copy_from_slice(enc)), verify);
                 assert!(
                     matches!(err, Err(RocError::Corrupt(ref m)) if m.contains("malformed __crc32__")),
                     "{err:?}"

@@ -10,7 +10,7 @@ use rocstore::SharedFs;
 
 use crate::cost::{LibraryModel, ReadCostModel, ReadStrategy};
 use crate::format::{
-    block_from_records, block_prefix, check_header, decode_dataset_shared_with, decode_index,
+    block_from_records, block_prefix, check_header, decode_dataset_with, decode_index,
     decode_record_header, decode_trailer, parse_block_id, IndexEntry, RecordHeader, BLOCK_META,
     HEADER_LEN, TRAILER_LEN,
 };
@@ -224,7 +224,7 @@ impl<'fs> SdfFileReader<'fs> {
     fn assemble(&self, id: BlockId, picks: &[usize], windows: &[Bytes]) -> Result<DataBlock> {
         let records = picks.iter().zip(windows).map(|(&i, window)| {
             let skip = self.meta.verified[i].load(Ordering::Relaxed);
-            let ds = decode_dataset_shared_with(window, &mut 0, !skip)?;
+            let ds = decode_dataset_with(&mut window.into(), !skip)?;
             self.meta.verified[i].store(true, Ordering::Relaxed);
             Ok(ds)
         });
@@ -353,8 +353,10 @@ impl<'fs> SdfFileReader<'fs> {
             let (bytes, t) =
                 self.fs
                     .read_shared(&self.path, e.offset as usize, header_guess, self.client, now)?;
-            let mut header_len = 0;
-            match decode_record_header(&bytes, &mut header_len) {
+            let mut cur = rocio_core::Cursor::from(&bytes);
+            let header = decode_record_header(&mut cur);
+            let header_len = cur.pos();
+            match header {
                 Ok(h) if header_len.checked_add(h.data_len) == Some(e.len as usize) => {
                     return Ok((h, header_len, t));
                 }

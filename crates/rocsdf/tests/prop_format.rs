@@ -2,7 +2,7 @@
 //! damaged ones are refused without a panic.
 
 use proptest::prelude::*;
-use rocio_core::{ArrayData, AttrValue, BlockId, DataBlock, Dataset};
+use rocio_core::{ArrayData, AttrValue, BlockId, Bytes, DataBlock, Dataset, Rope};
 use rocsdf::{LibraryModel, SdfFileReader, SdfFileWriter};
 use rocstore::SharedFs;
 
@@ -35,6 +35,18 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
             ds.attrs = attrs.into_iter().collect();
             ds
         })
+}
+
+/// `bytes` as a rope of separately allocated parts, cut at `cuts`.
+fn cut(bytes: &[u8], cuts: &[prop::sample::Index]) -> (Rope, Vec<usize>) {
+    let mut at: Vec<usize> = cuts.iter().map(|c| c.index(bytes.len() + 1)).collect();
+    at.sort_unstable();
+    let (mut rope, mut from) = (Rope::new(), 0);
+    for &to in at.iter().chain([&bytes.len()]) {
+        rope.push(Bytes::copy_from_slice(&bytes[from..to]));
+        from = to;
+    }
+    (rope, at)
 }
 
 fn arb_block(id: u64) -> impl Strategy<Value = DataBlock> {
@@ -158,11 +170,41 @@ proptest! {
     }
 
     #[test]
+    fn a_record_cut_into_parts_decodes_the_same_and_keeps_a_whole_payload_in_place(
+        ds in arb_dataset(),
+        cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
+    ) {
+        // Cut anywhere — inside the marker, a name, an attribute, the
+        // payload; into empty parts — the rope decodes to the dataset the
+        // flat bytes decode to, and a payload no cut went through is a
+        // window of the part it lies in, not a copy.
+        let mut ds = ds;
+        ds.attrs.remove("__crc32__");
+        let flat = record(&ds, None);
+        let (rope, at) = cut(&flat, &cuts);
+        let mut cur = rope.cursor();
+        let dec = rocsdf::decode_dataset(&mut cur).unwrap();
+        prop_assert_eq!(cur.remaining(), 0);
+        prop_assert_eq!(&dec, &ds);
+        let start = flat.len() - dec.byte_len();
+        if !dec.is_empty() && !at.iter().any(|&c| start < c && c < flat.len()) {
+            let payload = dec.data.bytes().as_ptr_range();
+            prop_assert!(
+                rope.parts().iter().any(|p| {
+                    p.as_ptr_range().start <= payload.start && payload.end <= p.as_ptr_range().end
+                }),
+                "payload was copied"
+            );
+        }
+    }
+
+    #[test]
     fn hostile_record_bytes_never_panic(
         ds in arb_dataset(),
         junk in prop::collection::vec(any::<u8>(), 0..256),
         at in any::<prop::sample::Index>(),
         byte in any::<u8>(),
+        cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..4),
     ) {
         // Arbitrary bytes, and a valid record with one byte replaced or cut
         // short at any length: `Ok` or `Err`, and whatever decodes is no
@@ -173,8 +215,12 @@ proptest! {
         let mut mutated = valid.clone();
         mutated[at.index(valid.len())] = byte;
         for input in [&junk[..], &mutated, &valid[..at.index(valid.len())]] {
+            // The same verdict whether the bytes come whole or as a rope.
+            let roped = rocsdf::decode_dataset(&mut cut(input, &cuts).0.cursor());
             let input = bytes::Bytes::copy_from_slice(input);
-            if let Ok(dec) = rocsdf::decode_dataset_shared(&input, &mut 0) {
+            let whole = rocsdf::decode_dataset_shared(&input, &mut 0);
+            prop_assert_eq!(format!("{roped:?}"), format!("{whole:?}"));
+            if let Ok(dec) = whole {
                 prop_assert!(dec.encoded_size() <= input.len() + 16, "{dec:?}");
                 let payload = dec.data.bytes().as_ptr_range();
                 prop_assert!(dec.is_empty()

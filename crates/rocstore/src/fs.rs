@@ -7,7 +7,9 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use rocio_core::lockdep::Mutex;
-use rocio_core::{Result, RocError, Segment, ServiceError, ServiceErrorKind, SimTime, TenantId};
+use rocio_core::{
+    Result, RocError, Rope, Segment, ServiceError, ServiceErrorKind, SimTime, TenantId,
+};
 
 use crate::model::DiskModel;
 
@@ -56,75 +58,16 @@ impl ServerState {
     }
 }
 
-/// Backing bytes of one file: an ordered list of refcounted extents.
-///
-/// Writers add extents (a handle adopted from the caller, or one staged
-/// copy per call), so a byte is copied at most once on its way in. The
-/// first shared read coalesces the list into a single exact-size extent —
-/// O(1) when there is only one — which every read window then slices.
-/// Extents are immutable: mutation replaces handles, never bytes, so a
-/// window taken earlier pins its allocation and keeps reading what it
-/// read before.
-#[derive(Default)]
-struct FileImage {
-    extents: Vec<Bytes>,
-    len: usize,
-}
-
-impl FileImage {
-    fn push(&mut self, extent: Bytes) {
-        if !extent.is_empty() {
-            self.len += extent.len();
-            self.extents.push(extent);
-        }
-    }
-
-    /// The whole image as one extent, coalescing (one copy) if it is
-    /// still in pieces.
-    fn coalesced(&mut self) -> Bytes {
-        if self.extents.len() > 1 {
-            let mut flat = Vec::with_capacity(self.len);
-            for e in &self.extents {
-                flat.extend_from_slice(e);
-            }
-            self.extents.clear();
-            self.extents.push(Bytes::from(flat));
-        }
-        self.extents.first().cloned().unwrap_or_default()
-    }
-
-    /// A new image made of this one's `(offset, len)` ranges in the order
-    /// given, sharing the extents: O(extents + ranges · log extents), no
-    /// byte moves.
-    /// Ranges must lie inside the image (callers check).
-    fn select(&self, ranges: &[(usize, usize)]) -> FileImage {
-        let mut starts = Vec::with_capacity(self.extents.len());
-        let mut at = 0;
-        for e in &self.extents {
-            starts.push(at);
-            at += e.len();
-        }
-        let mut out = FileImage::default();
-        for &(offset, len) in ranges {
-            let end = offset + len;
-            let mut pos = offset;
-            // The extent holding `offset`: the last one starting at or before it.
-            let mut i = starts.partition_point(|&s| s <= offset).saturating_sub(1);
-            while pos < end {
-                let e = &self.extents[i];
-                let lo = pos - starts[i];
-                let hi = e.len().min(end - starts[i]);
-                out.push(e.slice(lo..hi));
-                pos = starts[i] + hi;
-                i += 1;
-            }
-        }
-        out
-    }
-}
-
 struct StoredFile {
-    data: FileImage,
+    /// The file's bytes: the rope of its extents. Writers add extents (a
+    /// handle adopted from the caller, or one staged copy per call), so a
+    /// byte is copied at most once on its way in. The first shared read
+    /// coalesces the rope into a single exact-size extent — O(1) when
+    /// there is only one — which every read window then slices. Extents
+    /// are immutable: mutation replaces handles, never bytes, so a window
+    /// taken earlier pins its allocation and keeps reading what it read
+    /// before.
+    data: Rope,
     /// Monotone id refreshed from a global counter on every mutation;
     /// validates metadata-cache entries. Never reused, so delete +
     /// recreate cannot alias an old entry.
@@ -438,7 +381,7 @@ impl SharedFs {
             let old = files.insert(
                 path.to_string(),
                 StoredFile {
-                    data: FileImage::default(),
+                    data: Rope::new(),
                     generation: self.next_gen(),
                     tenant,
                     charged: 0,
@@ -484,8 +427,8 @@ impl SharedFs {
     /// byte- and cost-identical to flattening the list first, minus the
     /// flattening copy: [`Segment::Shared`] handles are adopted by
     /// refcount, and all [`Segment::Owned`] runs of the call are copied
-    /// once into one exact-size staging buffer (before the files guard is
-    /// taken) whose slices become their extents.
+    /// once into one exact-size staging buffer whose slices become their
+    /// extents ([`rocio_core::rope::segment_parts`]).
     pub fn append_segments(
         &self,
         path: &str,
@@ -494,34 +437,15 @@ impl SharedFs {
         now: SimTime,
     ) -> Result<SimTime> {
         let total = rocio_core::segments_len(segments);
-        let owned = || {
-            segments.iter().filter_map(|s| match s {
-                Segment::Owned(v) => Some(v.as_slice()),
-                Segment::Shared(_) => None,
-            })
-        };
-        let mut stage = Vec::with_capacity(owned().map(<[u8]>::len).sum());
-        for run in owned() {
-            stage.extend_from_slice(run);
-        }
-        let stage = Bytes::from(stage);
+        // Owned runs are staged here, before the files guard is taken.
+        let extents = rocio_core::rope::segment_parts(segments);
         {
             let mut files = self.files.lock();
             let f = files
                 .get_mut(path)
                 .ok_or_else(|| RocError::Storage(format!("append: no such file '{path}'")))?;
             self.ledger.lock().charge(f.tenant, total as u64)?;
-            f.data.extents.reserve(segments.len());
-            let mut staged = 0;
-            for s in segments {
-                f.data.push(match s {
-                    Segment::Owned(v) => {
-                        staged += v.len();
-                        stage.slice(staged - v.len()..staged)
-                    }
-                    Segment::Shared(b) => b.clone(),
-                });
-            }
+            f.data.extend(extents);
             f.charged += total as u64;
             f.generation = self.next_gen();
         }
@@ -548,7 +472,7 @@ impl SharedFs {
                 .get_mut(path)
                 .ok_or_else(|| RocError::Storage(format!("write_at: no such file '{path}'")))?;
             // Only growth consumes quota: overwriting stored bytes is free.
-            let size = f.data.len;
+            let size = f.data.len();
             let end = offset + data.len();
             let growth = end.saturating_sub(size) as u64;
             self.ledger.lock().charge(f.tenant, growth)?;
@@ -558,9 +482,7 @@ impl SharedFs {
             let mut image = f.data.select(&[(0, keep)]);
             image.push(Bytes::from(vec![0u8; offset - keep]));
             image.push(patch);
-            for tail in f.data.select(&[(resume, size - resume)]).extents {
-                image.push(tail);
-            }
+            image.extend(f.data.select(&[(resume, size - resume)]).parts().iter().cloned());
             f.data = image;
             f.charged += growth;
             f.generation = self.next_gen();
@@ -602,10 +524,10 @@ impl SharedFs {
                 RocError::Storage(format!("permute: range {offset}+{len} overflows in '{path}'"))
             })?;
         }
-        if covered != file.data.len {
+        if covered != file.data.len() {
             return Err(RocError::Storage(format!(
                 "permute: ranges cover {covered} of {} bytes of '{path}'",
-                file.data.len
+                file.data.len()
             )));
         }
         file.data = file.data.select(ranges);
@@ -718,7 +640,7 @@ impl SharedFs {
         let f = files
             .get_mut(path)
             .ok_or_else(|| RocError::Storage(format!("read: no such file '{path}'")))?;
-        let data = f.data.coalesced();
+        let data = f.data.coalesce();
         let eof = data.len();
         let mut out = Vec::with_capacity(ranges.len());
         for &(offset, len) in ranges {
@@ -753,12 +675,24 @@ impl SharedFs {
         self.read_shared(path, 0, len, client, now)
     }
 
+    /// The file's current image as the rope of its extents, by refcount:
+    /// no byte moves, no time charged, nothing coalesced. For looking at
+    /// *how* a file holds its bytes (which allocation backs which range);
+    /// reads that should cost what a read costs go through `read_*`.
+    pub fn image(&self, path: &str) -> Result<Rope> {
+        self.files
+            .lock()
+            .get(path)
+            .map(|f| f.data.clone())
+            .ok_or_else(|| RocError::Storage(format!("stat: no such file '{path}'")))
+    }
+
     /// Size of a file in bytes (metadata operation, no time charged).
     pub fn file_size(&self, path: &str) -> Result<usize> {
         self.files
             .lock()
             .get(path)
-            .map(|f| f.data.len)
+            .map(|f| f.data.len())
             .ok_or_else(|| RocError::Storage(format!("stat: no such file '{path}'")))
     }
 
@@ -1029,7 +963,7 @@ mod tests {
         ];
         fs.append_segments("f", &segs, 0, 0.0).unwrap();
         let extent_ptrs = || -> Vec<*const u8> {
-            fs.files.lock()["f"].data.extents.iter().map(|e| e.as_ptr()).collect()
+            fs.image("f").unwrap().parts().iter().map(|e| e.as_ptr()).collect()
         };
         // Shared handles are the caller's allocations; both owned runs are
         // slices of one staging buffer; the empty run left no extent.

@@ -21,7 +21,10 @@
 //! * **forbid-unsafe** — every crate root carries `#![forbid(unsafe_code)]`.
 //! * **owned-payload** — the zero-copy data path keeps wire payloads in
 //!   shared `bytes::Bytes`; an owned `payload: Vec<u8>` field or a
-//!   `ds.clone()` on the send path reintroduces a deep copy per message.
+//!   `ds.clone()` on the send path reintroduces a deep copy per message,
+//!   and so does flattening a segment list (`segments_to_vec`) in any
+//!   crate but `rocio-core`, which defines it: a list travels and lands as
+//!   a `Rope`.
 //! * **std-sync** — workspace locks are parking_lot-backed through the
 //!   named `rocio_core::lockdep` wrappers; a `std::sync::Mutex`/`RwLock`/
 //!   `Condvar` has a different guard shape and escapes the lock-discipline
@@ -481,13 +484,26 @@ pub fn lint_source(cfg: &LintConfig, crate_dir: &str, path: &str, src: &str) -> 
                     .into(),
             );
         }
+        // owned-payload: flattening a segment list. A message carries its
+        // list as a `Rope` and the store adopts it as extents, so outside
+        // `rocio-core` (which defines the function) only tests and the
+        // benchmark have a reason to assemble one.
+        if crate_dir != "core" && w == "segments_to_vec" && t(&toks, i + 1) == "(" {
+            push(
+                Rule::OwnedPayload,
+                toks[i].line,
+                "`segments_to_vec` copies every payload byte — send or append the segments \
+                 (`Rope::from_segments`) instead"
+                    .into(),
+            );
+        }
         // raw-send: inside rocpanda, protocol traffic must route through
         // the `PandaNet` shim (receiver named `net`) so the reliability
         // layer covers it when the fabric is degraded. A send on any
         // other receiver silently bypasses retransmission.
         if crate_dir == "rocpanda"
             && !in_lane(&cfg.rawsend_lanes)
-            && matches!(w, "send" | "send_bytes" | "send_segments")
+            && matches!(w, "send" | "send_bytes" | "send_segments" | "send_rope")
             && t(&toks, i.wrapping_sub(1)) == "."
             && t(&toks, i + 1) == "("
             && t(&toks, i.wrapping_sub(2)) != "net"

@@ -140,6 +140,26 @@ fn owned_payload_fires_in_sim_crates_only() {
 }
 
 #[test]
+fn flattening_a_segment_list_fires_everywhere_but_in_core_and_tests() {
+    let flatten = "pub fn send(s: &[Segment]) -> Bytes { Bytes::from(segments_to_vec(s)) }";
+    for (krate, path) in [
+        ("rocnet", "crates/rocnet/src/comm.rs"),
+        ("rocstore", "crates/rocstore/src/fs.rs"),
+        ("rocsdf", "crates/rocsdf/src/writer.rs"),
+    ] {
+        assert_eq!(rules_fired(krate, path, flatten), vec![Rule::OwnedPayload], "{path}");
+    }
+    let qualified = "fn f(s: &[Segment]) -> Vec<u8> { rocio_core::segments_to_vec(s) }";
+    assert_eq!(rules_fired("rochdf", "crates/rochdf/src/x.rs", qualified), vec![Rule::OwnedPayload]);
+    // The defining crate, a re-export, and test code are not flattening.
+    assert_eq!(rules_fired("core", "crates/core/src/segment.rs", flatten), vec![]);
+    let reexport = "pub use rocio_core::{segments_len, segments_to_vec, Segment};";
+    assert_eq!(rules_fired("rocsdf", "crates/rocsdf/src/x.rs", reexport), vec![]);
+    let in_test = format!("#[cfg(test)]\nmod tests {{ {flatten} }}");
+    assert_eq!(rules_fired("rocnet", "crates/rocnet/src/comm.rs", &in_test), vec![]);
+}
+
+#[test]
 fn raw_send_fires_in_rocpanda_off_the_pandanet_shim() {
     let raw = "impl C<'_> { fn f(&mut self) -> Result<()> { self.world.send(0, 7, &[]) } }";
     assert!(

@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Fold a sampler.c / mtrace.c dump by function.
+
+    symbolise.py run.samples [more.samples ...] [--top 30] [--stacks 10] [--depth 12] [--grep REGEX]
+
+The dump is /proc/self/maps, a blank line, a "# sampler" or "# mtrace" line,
+then one event per line: a decimal weight (1 per CPU sample, the bytes of an
+allocation) and the stack's hex addresses, innermost first. Each address is
+mapped to its file (subtract the mapping's load base), resolved with
+`addr2line -f -C -i` (inlined callees become frames of their own) and the
+events are folded three ways: self (the innermost frame), inclusive (every
+function on the stack, once per event) and whole stacks. `--grep` keeps only
+events whose stack, written "callee < caller < ...", matches (so
+"pane_to_block < genx::driver" asks for one call site). Shares are of the
+total weight. Several dumps
+of the same program (each carries its own maps, so address-space
+randomisation does not matter) are folded into one table.
+"""
+import argparse
+import collections
+import re
+import subprocess
+
+
+def load(path):
+    maps, events, leaf_is_pc = [], [], True
+    with open(path) as f:
+        for line in f:
+            if not line.strip():
+                break
+            span, _perms, _offset, _dev, _inode, *name = line.split()
+            lo, hi = (int(x, 16) for x in span.split("-"))
+            if name and name[0].startswith("/"):
+                maps.append((lo, hi, name[0]))
+        for line in f:
+            if line.startswith("#"):
+                leaf_is_pc = line.startswith("# sampler")
+                continue
+            weight, *stack = line.split()
+            events.append((int(weight), [int(a, 16) for a in stack]))
+    return maps, events, leaf_is_pc
+
+
+def resolve(maps, addresses):
+    """address -> list of function names, innermost (inlined) first."""
+    # A shared object or PIE is linked at 0 and loaded at the start of its
+    # first mapping: an address in it is that base plus the link address.
+    base = {}
+    for lo, _, name in maps:
+        base[name] = min(lo, base.get(name, lo))
+    by_file = collections.defaultdict(list)
+    for a in addresses:
+        for lo, hi, name in maps:
+            if lo <= a < hi:
+                by_file[name].append((a, a - base[name]))
+                break
+    names = {}
+    for name, pairs in by_file.items():
+        query = "\n".join(hex(rel) for _, rel in pairs)
+        out = subprocess.run(
+            ["addr2line", "-a", "-f", "-C", "-i", "-e", name],
+            input=query, capture_output=True, text=True, check=False,
+        ).stdout.splitlines()
+        frames, current = [], None
+        for i, line in enumerate(out):
+            if line.startswith("0x"):
+                current = []
+                frames.append(current)
+                base = i
+            elif current is not None and (i - base) % 2 == 1:
+                current.append(tidy(line))
+        for (a, _), fns in zip(pairs, frames):
+            names[a] = fns or ["??"]
+    return names
+
+
+def tidy(fn):
+    fn = re.sub(r"::h[0-9a-f]{16}$", "", fn)
+    fn = re.sub(r"<(.+?) as (.+?)>", r"<\1>", fn)
+    return fn.replace("$LT$", "<").replace("$GT$", ">").replace("$u20$", " ")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("dumps", nargs="+")
+    ap.add_argument("--top", type=int, default=30)
+    ap.add_argument("--stacks", type=int, default=10)
+    ap.add_argument("--depth", type=int, default=12)
+    ap.add_argument("--grep")
+    args = ap.parse_args()
+
+    total = kept = n_events = 0
+    self_w, incl_w, stack_w = (collections.Counter() for _ in range(3))
+    for dump in args.dumps:
+        maps, events, leaf_is_pc = load(dump)
+        # A return address points past its call; step back into it.
+        lookup = lambda i, a: a if leaf_is_pc and i == 0 else a - 1
+        names = resolve(maps, {lookup(i, a) for _, stack in events for i, a in enumerate(stack)})
+        n_events += len(events)
+        for w, stack in events:
+            total += w
+            frames = []
+            for i, a in enumerate(stack):
+                frames += names.get(lookup(i, a), ["??"])
+            if not frames or (args.grep and not re.search(args.grep, " < ".join(frames))):
+                continue
+            kept += w
+            self_w[frames[0]] += w
+            for fn in set(frames):
+                incl_w[fn] += w
+            stack_w[tuple(frames[: args.depth])] += w
+
+    unit = "samples" if leaf_is_pc else "bytes"
+    print(f"{n_events} events, {total} {unit}; {kept} kept ({share(kept, total)})")
+    for title, table in (("self", self_w), ("inclusive", incl_w)):
+        print(f"\n-- {title} --")
+        for fn, w in table.most_common(args.top):
+            print(f"{share(w, total):>7} {w:>14}  {fn}")
+    print("\n-- stacks --")
+    for frames, w in stack_w.most_common(args.stacks):
+        print(f"{share(w, total):>7} {w:>14}")
+        for fn in frames:
+            print(f"{'':>24}{fn}")
+
+
+def share(w, total):
+    return f"{100 * w / total:.1f}%" if total else "-"
+
+
+if __name__ == "__main__":
+    try:
+        main()
+    except BrokenPipeError:  # `| head`
+        pass
