@@ -26,8 +26,9 @@
 use std::collections::BTreeMap;
 
 use crate::attr::AttrValue;
-use crate::block::DataBlock;
+use crate::block::{BlockId, DataBlock};
 use crate::dataset::Dataset;
+use crate::dtype::DType;
 
 /// 64-bit content checksum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,6 +73,49 @@ impl Default for Hasher {
     }
 }
 
+/// One field on its way into a [`Hasher`], absorbed in as many pieces as
+/// the caller has it in: the value is that of one [`Hasher::update`] over
+/// the pieces laid end to end, wherever the cuts fall. Bytes short of a
+/// stripe wait here for the next piece.
+pub struct Field {
+    lanes: [u64; LANE_MUL.len()],
+    pending: [u8; STRIPE],
+    n_pending: usize,
+    len: u64,
+}
+
+#[inline(always)]
+fn absorb_stripe(lanes: &mut [u64; LANE_MUL.len()], stripe: &[u8; STRIPE]) {
+    let (words, _) = stripe.as_chunks::<8>();
+    for ((lane, word), mul) in lanes.iter_mut().zip(words).zip(LANE_MUL) {
+        *lane = mix(*lane, u64::from_le_bytes(*word), mul);
+    }
+}
+
+impl Field {
+    /// Absorb the field's next bytes.
+    #[inline]
+    pub fn absorb(&mut self, mut piece: &[u8]) {
+        self.len += piece.len() as u64;
+        if self.n_pending > 0 {
+            let take = piece.len().min(STRIPE - self.n_pending);
+            self.pending[self.n_pending..self.n_pending + take].copy_from_slice(&piece[..take]);
+            self.n_pending += take;
+            piece = &piece[take..];
+            if self.n_pending < STRIPE {
+                return;
+            }
+            absorb_stripe(&mut self.lanes, &self.pending);
+        }
+        let (stripes, rest) = piece.as_chunks::<STRIPE>();
+        for stripe in stripes {
+            absorb_stripe(&mut self.lanes, stripe);
+        }
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.n_pending = rest.len();
+    }
+}
+
 impl Hasher {
     /// Fresh hasher.
     pub fn new() -> Self {
@@ -80,27 +124,34 @@ impl Hasher {
 
     /// Absorb one field of raw bytes.
     pub fn update(&mut self, bytes: &[u8]) {
-        let (stripes, rest) = bytes.as_chunks::<STRIPE>();
-        let mut lanes = LANE_MUL.map(|mul| self.state ^ mul);
-        for stripe in stripes {
-            let (words, _) = stripe.as_chunks::<8>();
-            for ((lane, word), mul) in lanes.iter_mut().zip(words).zip(LANE_MUL) {
-                *lane = mix(*lane, u64::from_le_bytes(*word), mul);
-            }
-        }
+        self.update_pieces(|field| field.absorb(bytes));
+    }
+
+    /// Absorb one field that `feed` hands over piece by piece — a typed
+    /// array encoded through a small buffer, say — to the value
+    /// [`Hasher::update`] gives the whole.
+    #[inline]
+    pub fn update_pieces(&mut self, feed: impl FnOnce(&mut Field)) {
+        let mut field = Field {
+            lanes: LANE_MUL.map(|mul| self.state ^ mul),
+            pending: [0; STRIPE],
+            n_pending: 0,
+            len: 0,
+        };
+        feed(&mut field);
         let mut state = self.state;
-        for (lane, mul) in lanes.into_iter().zip(LANE_MUL) {
+        for (lane, mul) in field.lanes.into_iter().zip(LANE_MUL) {
             state = mix(state, lane, mul);
         }
         // Fewer than four words are left: a short field, or a long one's
         // tail. The last word is zero-padded; the length tells `[1]`
         // from `[1, 0]`.
-        for tail in rest.chunks(8) {
+        for tail in field.pending[..field.n_pending].chunks(8) {
             let mut word = [0u8; 8];
             word[..tail.len()].copy_from_slice(tail);
             state = mix(state, u64::from_le_bytes(word), LANE_MUL[0]);
         }
-        self.state = mix(state, bytes.len() as u64, LANE_MUL[1]);
+        self.state = mix(state, field.len, LANE_MUL[1]);
     }
 
     /// Absorb a string (a field of its own, so adjacent strings cannot
@@ -134,22 +185,65 @@ impl Checksum {
     /// Checksum of a dataset: name, shape, dtype, attributes and payload.
     pub fn of_dataset(ds: &Dataset) -> Checksum {
         let mut h = Hasher::new();
-        hash_dataset(&mut h, ds, &mut Vec::new());
+        hash_dataset(&mut h, &mut Vec::new(), &ds.name, ds.dtype(), &ds.shape, &ds.attrs, |f| {
+            f.absorb(ds.data.bytes())
+        });
         h.finish()
     }
 
     /// Checksum of a whole data block, order-sensitive in datasets.
     pub fn of_block(block: &DataBlock) -> Checksum {
-        let mut h = Hasher::new();
-        h.update(&block.id.0.to_le_bytes());
-        h.update_str(&block.window);
-        let mut scratch = Vec::new();
-        hash_attrs(&mut h, &block.attrs, &mut scratch);
-        h.update(&(block.datasets.len() as u64).to_le_bytes());
+        let mut h = BlockHasher::new(block.id, &block.window, &block.attrs, block.datasets.len());
         for ds in &block.datasets {
-            hash_dataset(&mut h, ds, &mut scratch);
+            // The payload is hashed where it lies.
+            h.dataset(&ds.name, ds.dtype(), &ds.shape, &ds.attrs, |f| f.absorb(ds.data.bytes()));
         }
         h.finish()
+    }
+}
+
+/// [`Checksum::of_block`] of a block that is described instead of built:
+/// its head, then each dataset's metadata with the payload fed in pieces.
+/// This is where a block checksum's field order is written down, for the
+/// block at hand and for a pane hashed where it lies
+/// (`roccom::convert::pane_checksum`) alike.
+pub struct BlockHasher {
+    h: Hasher,
+    /// The one reused attribute encode buffer.
+    scratch: Vec<u8>,
+}
+
+impl BlockHasher {
+    /// Absorb the block's id, window, attributes and dataset count.
+    pub fn new(
+        id: BlockId,
+        window: &str,
+        attrs: &BTreeMap<String, AttrValue>,
+        n_datasets: usize,
+    ) -> Self {
+        let (mut h, mut scratch) = (Hasher::new(), Vec::new());
+        h.update(&id.0.to_le_bytes());
+        h.update_str(window);
+        hash_attrs(&mut h, attrs, &mut scratch);
+        h.update(&(n_datasets as u64).to_le_bytes());
+        BlockHasher { h, scratch }
+    }
+
+    /// Absorb the next dataset; `payload` feeds its little-endian bytes.
+    pub fn dataset(
+        &mut self,
+        name: &str,
+        dtype: DType,
+        shape: &[usize],
+        attrs: &BTreeMap<String, AttrValue>,
+        payload: impl FnOnce(&mut Field),
+    ) {
+        hash_dataset(&mut self.h, &mut self.scratch, name, dtype, shape, attrs, payload);
+    }
+
+    /// The checksum of the block described so far.
+    pub fn finish(&self) -> Checksum {
+        self.h.finish()
     }
 }
 
@@ -164,22 +258,28 @@ fn hash_attrs(h: &mut Hasher, attrs: &BTreeMap<String, AttrValue>, scratch: &mut
     }
 }
 
-fn hash_dataset(h: &mut Hasher, ds: &Dataset, scratch: &mut Vec<u8>) {
-    h.update_str(&ds.name);
-    h.update(&[ds.dtype().tag()]);
-    h.update(&(ds.shape.len() as u64).to_le_bytes());
-    for &e in &ds.shape {
+fn hash_dataset(
+    h: &mut Hasher,
+    scratch: &mut Vec<u8>,
+    name: &str,
+    dtype: DType,
+    shape: &[usize],
+    attrs: &BTreeMap<String, AttrValue>,
+    payload: impl FnOnce(&mut Field),
+) {
+    h.update_str(name);
+    h.update(&[dtype.tag()]);
+    h.update(&(shape.len() as u64).to_le_bytes());
+    for &e in shape {
         h.update(&(e as u64).to_le_bytes());
     }
-    hash_attrs(h, &ds.attrs, scratch);
-    // The payload is hashed where it lies.
-    h.update(ds.data.bytes());
+    hash_attrs(h, attrs, scratch);
+    h.update_pieces(payload);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BlockId;
 
     fn block() -> DataBlock {
         DataBlock::new(BlockId(3), "fluid")
@@ -227,6 +327,39 @@ mod tests {
         h2.update_str("a");
         h2.update_str("bc");
         assert_ne!(h1.finish(), h2.finish());
+    }
+
+    proptest::proptest! {
+        /// A field absorbed in pieces is the field: cuts anywhere — inside
+        /// a word, inside a stripe, several at one offset (empty pieces).
+        #[test]
+        fn a_field_in_pieces_hashes_as_one_update(
+            len in 0usize..700,
+            cuts in proptest::collection::vec(proptest::prelude::any::<proptest::sample::Index>(), 0..12),
+        ) {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 131 + 7) as u8).collect();
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c.index(len + 1)).collect();
+            cuts.extend([0, len]);
+            cuts.sort_unstable();
+            let mut whole = Hasher::new();
+            whole.update_str("before");
+            let mut pieces = whole.clone();
+            whole.update(&bytes);
+            pieces.update_pieces(|field| {
+                for pair in cuts.windows(2) {
+                    field.absorb(&bytes[pair[0]..pair[1]]);
+                }
+            });
+            proptest::prop_assert_eq!(whole.finish(), pieces.finish());
+        }
+    }
+
+    #[test]
+    fn a_field_nothing_was_fed_is_the_empty_field() {
+        let (mut whole, mut pieces) = (Hasher::new(), Hasher::new());
+        whole.update(&[]);
+        pieces.update_pieces(|_| {});
+        assert_eq!(whole.finish(), pieces.finish());
     }
 
     #[test]

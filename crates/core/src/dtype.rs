@@ -240,6 +240,18 @@ impl ArrayData {
         }
     }
 
+    /// The bytes [`ArrayData::to_le_bytes`] appends, handed to `sink` in
+    /// runs ([`crate::le::chunks`]; a `u8` array is one run, where it lies).
+    pub fn le_chunks(&self, mut sink: impl FnMut(&[u8])) {
+        match self {
+            ArrayData::U8(v) => sink(v),
+            ArrayData::I32(v) => crate::le::chunks(v, i32::to_le_bytes, sink),
+            ArrayData::I64(v) => crate::le::chunks(v, i64::to_le_bytes, sink),
+            ArrayData::F32(v) => crate::le::chunks(v, f32::to_le_bytes, sink),
+            ArrayData::F64(v) => crate::le::chunks(v, f64::to_le_bytes, sink),
+        }
+    }
+
     /// Borrow as `&[f64]`, or a mismatch error for any other dtype.
     pub fn as_f64(&self) -> Result<&[f64]> {
         match self {

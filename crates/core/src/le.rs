@@ -114,8 +114,49 @@ pub fn extend<const N: usize, T: Copy>(out: &mut Vec<u8>, elems: &[T], encode: i
     }
 }
 
+/// Bytes per run [`chunks`] hands over: a whole number of 4- and 8-byte
+/// elements, of `[f64; 3]` points and of the checksum's 32-byte stripes,
+/// and small enough to stay in first-level cache between the encode and
+/// whoever reads it.
+pub const CHUNK: usize = 4032;
+
+/// The encoding [`extend`] appends, handed to `sink` a run of at most
+/// [`CHUNK`] bytes at a time through one stack buffer — for a reader that
+/// consumes the bytes as they come (a checksum) and has no use for the
+/// whole image.
+pub fn chunks<const N: usize, T: Copy>(
+    elems: &[T],
+    encode: impl Fn(T) -> [u8; N],
+    mut sink: impl FnMut(&[u8]),
+) {
+    let mut buf = [0u8; CHUNK];
+    for run in elems.chunks(CHUNK / N) {
+        let bytes = &mut buf[..run.len() * N];
+        for (chunk, &x) in bytes.chunks_exact_mut(N).zip(run) {
+            chunk.copy_from_slice(&encode(x));
+        }
+        sink(bytes);
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    #[test]
+    fn chunks_hand_over_what_extend_appends() {
+        for n in [0, 1, super::CHUNK / 4 - 1, super::CHUNK / 4, super::CHUNK / 4 + 1, 2500] {
+            let elems: Vec<i32> = (0..n as i32).map(|i| i * 7 - 3).collect();
+            let (mut whole, mut pieces, mut runs) = (Vec::new(), Vec::new(), 0);
+            super::extend(&mut whole, &elems, i32::to_le_bytes);
+            super::chunks(&elems, i32::to_le_bytes, |run| {
+                assert!(!run.is_empty() && run.len() <= super::CHUNK);
+                pieces.extend_from_slice(run);
+                runs += 1;
+            });
+            assert_eq!(pieces, whole, "{n} elements");
+            assert_eq!(runs, (n * 4).div_ceil(super::CHUNK), "{n} elements");
+        }
+    }
+
     #[test]
     fn decodes_from_front_and_ignores_excess() {
         let b = [0x2a, 0, 0, 0, 0, 0, 0, 0, 0xff];

@@ -12,7 +12,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use rocio_core::{Checksum, Priority, Result, RocError, SnapshotId, TenantId};
+use rocio_core::{Priority, Result, RocError, SnapshotId, TenantId};
 use rocmesh::Workload;
 use rocnet::cluster::ClusterSpec;
 use rocnet::{run_on_fabric_sched, Comm, Fabric, RelOnly, SchedConfig};
@@ -27,7 +27,8 @@ use rocstore::SharedFs;
 use crate::report::RunReport;
 use crate::rocman::Rocman;
 use crate::setup::{
-    assign, declare_windows_for, register_and_init_for, FluidKind, MyBlocks, SolidKind,
+    assign, declare_windows_for, register_and_init_for, reserve_for, FluidKind, MyBlocks,
+    SolidKind,
 };
 
 /// Which test problem to run.
@@ -537,7 +538,7 @@ pub fn run_genx_restart(
     let partition = Partition::new(&cfg.workload, n_ranks);
     let outcomes = launch(cluster, cfg, None, &|world| -> Result<(f64, u64, u64)> {
         let (workload, mine) = partition.of_rank(world)?;
-        let mut ws = fresh_windows(cfg, &workload, &mine)?;
+        let mut ws = restart_windows(cfg, &workload, &mine)?;
         let hdf_cfg = RochdfConfig {
             dir: cfg.out_dir.clone(),
             ..cfg.rochdf.clone()
@@ -560,8 +561,7 @@ pub fn run_genx_restart(
         for window in windows {
             let w = ws.window(window)?;
             for id in w.pane_ids() {
-                let block = roccom::convert::pane_to_block(w, w.pane(id)?, &AttrRef::All)?;
-                hash ^= Checksum::of_block(&block).0;
+                hash ^= roccom::convert::pane_checksum(w, w.pane(id)?, &AttrRef::All)?.0;
                 blocks += 1;
             }
         }
@@ -631,11 +631,21 @@ impl Partition {
 }
 
 /// Windows declared for `cfg`'s solvers with this rank's panes registered
-/// and initialised.
+/// and initialised: where a run that starts from initial conditions begins.
 fn fresh_windows(cfg: &GenxConfig, workload: &Workload, mine: &MyBlocks) -> Result<Windows> {
     let mut ws = Windows::new();
     declare_windows_for(&mut ws, cfg.fluid_solver, cfg.solid_solver)?;
     register_and_init_for(&mut ws, workload, mine, cfg.fluid_solver)?;
+    Ok(ws)
+}
+
+/// Windows declared for `cfg`'s solvers with this rank's pane ids reserved
+/// and no pane built: where a restart begins. The partition says which
+/// panes are this rank's; what they are is the snapshot's to say.
+fn restart_windows(cfg: &GenxConfig, workload: &Workload, mine: &MyBlocks) -> Result<Windows> {
+    let mut ws = Windows::new();
+    declare_windows_for(&mut ws, cfg.fluid_solver, cfg.solid_solver)?;
+    reserve_for(&mut ws, workload, mine, cfg.fluid_solver)?;
     Ok(ws)
 }
 
@@ -680,7 +690,7 @@ fn client_run<'a>(
     man.run(cfg.steps, cfg.snapshot_every)?;
 
     let (restart, restart_ok) = if cfg.measure_restart {
-        man.measure_restart(&mut fresh_windows(cfg, &workload, &mine)?)?
+        man.measure_restart(&mut restart_windows(cfg, &workload, &mine)?)?
     } else {
         (0.0, true)
     };

@@ -7,7 +7,7 @@
 //! schedule, and it keeps the two clocks the paper's tables report:
 //! computation time and visible I/O time.
 
-use rocio_core::{Checksum, Result, SimTime, SnapshotId};
+use rocio_core::{Result, SimTime, SnapshotId};
 use rocnet::Comm;
 use roccom::{AttrRef, AttrSelector, FunctionRegistry, IoDispatch, Windows};
 
@@ -318,9 +318,10 @@ impl<'c, 'io> Rocman<'c, 'io> {
         Ok(())
     }
 
-    /// Measure restart: build a fresh set of windows with the same panes
-    /// (geometry only), collectively read the last snapshot back, and
-    /// compare against the live state. Returns (latency, bit-exact).
+    /// Measure restart: collectively read the last snapshot back onto
+    /// `fresh` — windows declared like the live ones, holding (or, as the
+    /// driver passes them, only reserving) this rank's panes — and compare
+    /// against the live state. Returns (latency, bit-exact).
     pub fn measure_restart(&mut self, fresh: &mut Windows) -> Result<(SimTime, bool)> {
         let snap = self.last_snapshot.ok_or_else(|| {
             rocio_core::RocError::InvalidState("no snapshot to restart from".into())
@@ -350,13 +351,10 @@ impl<'c, 'io> Rocman<'c, 'io> {
                 continue;
             }
             for id in live.pane_ids() {
-                let a = roccom::convert::pane_to_block(live, live.pane(id)?, &AttrRef::All)?;
-                let b = roccom::convert::pane_to_block(
-                    restored,
-                    restored.pane(id)?,
-                    &AttrRef::All,
-                )?;
-                if Checksum::of_block(&a) != Checksum::of_block(&b) {
+                let sum = |w: &roccom::Window| {
+                    roccom::convert::pane_checksum(w, w.pane(id)?, &AttrRef::All)
+                };
+                if sum(live)? != sum(restored)? {
                     ok = false;
                 }
             }

@@ -1,8 +1,8 @@
 //! Window schemas, block assignment and initial conditions.
 
-use rocio_core::{DType, Result};
+use rocio_core::{DType, Result, RocError};
 use rocmesh::{assign_blocks, Assignment, Workload};
-use roccom::{AttrSpec, PaneMesh, Windows};
+use roccom::{AttrSpec, Pane, PaneMesh, Windows};
 
 /// Names of the GENx windows.
 pub const FLUID_WINDOW: &str = "fluid";
@@ -150,20 +150,13 @@ pub fn register_and_init_for(
                 b.origin,
                 b.spacing,
             );
-            f.register_pane(ub.id, PaneMesh::from_unstructured(&ub))?;
-            let pane = f.pane_mut(ub.id)?;
-            let coords = ub.coords.clone();
-            let rho = pane.data_mut("rho")?.as_f64_mut()?;
-            for (n, r) in rho.iter_mut().enumerate() {
-                *r = 1.2 + 0.05 * (coords[n * 3] * 3.0).sin();
-            }
+            f.register_pane(b.id, ub.into())?;
+            let pane = f.pane_mut(b.id)?;
+            init_from_x(pane, "rho", |x| 1.2 + 0.05 * (x * 3.0).sin())?;
+            init_from_x(pane, "p", |x| (1.2 + 0.05 * (x * 3.0).sin()) * 287.0 * 300.0)?;
             let t_arr = pane.data_mut("T")?.as_f64_mut()?;
             for t in t_arr.iter_mut() {
                 *t = 300.0;
-            }
-            let p_arr = pane.data_mut("p")?.as_f64_mut()?;
-            for (n, p) in p_arr.iter_mut().enumerate() {
-                *p = (1.2 + 0.05 * (coords[n * 3] * 3.0).sin()) * 287.0 * 300.0;
             }
             let vel = pane.data_mut("vel")?.as_f64_mut()?;
             for v in vel.chunks_exact_mut(3) {
@@ -179,7 +172,6 @@ pub fn register_and_init_for(
             f.register_pane(b.id, PaneMesh::from_structured(b))?;
             let centers = b.cell_centers();
             let pane = f.pane_mut(b.id)?;
-            let n = pane.mesh.n_elems();
             let rho = pane.data_mut("rho")?.as_f64_mut()?;
             for (c, r) in rho.iter_mut().enumerate() {
                 // Mild axial density perturbation: gives every block
@@ -204,10 +196,22 @@ pub fn register_and_init_for(
                 v[1] = 0.0;
                 v[2] = 0.0;
             }
-            let _ = n;
         }
     }
     register_solid_and_burn(ws, workload, mine)
+}
+
+/// Set a node field of an unstructured pane from each node's axial
+/// position, read from the pane's own coordinates.
+fn init_from_x(pane: &mut Pane, attr: &str, value: impl Fn(f64) -> f64) -> Result<()> {
+    let (mesh, buf) = pane.mesh_and_data_mut(attr)?;
+    let PaneMesh::Unstructured { coords, .. } = mesh else {
+        return Err(RocError::InvalidState(format!("pane {} is not unstructured", pane.id)));
+    };
+    for (v, point) in buf.as_f64_mut()?.iter_mut().zip(coords.chunks_exact(3)) {
+        *v = value(point[0]);
+    }
+    Ok(())
 }
 
 /// Solid + burn registration, common to both fluid configurations.
@@ -216,8 +220,9 @@ fn register_solid_and_burn(ws: &mut Windows, workload: &Workload, mine: &MyBlock
         let s = ws.window_mut(SOLID_WINDOW)?;
         for &i in &mine.solid {
             let ub = workload.solid_block(i);
-            s.register_pane(ub.id, PaneMesh::from_unstructured(&ub))?;
-            let pane = s.pane_mut(ub.id)?;
+            let id = ub.id;
+            s.register_pane(id, ub.into())?;
+            let pane = s.pane_mut(id)?;
             let temp = pane.data_mut("temp")?.as_f64_mut()?;
             for t in temp.iter_mut() {
                 *t = 300.0;
@@ -240,6 +245,27 @@ fn register_solid_and_burn(ws: &mut Windows, workload: &Workload, mine: &MyBlock
                     spacing: [1.0; 3],
                 },
             )?;
+        }
+    }
+    Ok(())
+}
+
+/// Name this rank's panes on declared windows without building any: what
+/// a restart starts from. The ids are the partition's; mesh and values
+/// are the snapshot's, and the restart read builds each pane from its
+/// block (`roccom::convert::apply_block`).
+pub fn reserve_for(
+    ws: &mut Windows,
+    workload: &Workload,
+    mine: &MyBlocks,
+    fluid: FluidKind,
+) -> Result<()> {
+    for &i in &mine.fluid {
+        ws.window_mut(fluid.window())?.reserve_pane(workload.fluid[i].id)?;
+    }
+    for window in [SOLID_WINDOW, BURN_WINDOW] {
+        for &i in &mine.solid {
+            ws.window_mut(window)?.reserve_pane(workload.solid_boxes[i].id)?;
         }
     }
     Ok(())

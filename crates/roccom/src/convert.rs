@@ -11,10 +11,16 @@
 //! format-independent blocks (§5) is crossed: [`pane_to_block`] encodes a
 //! pane's typed arrays to little-endian once, [`apply_block`] and
 //! [`mesh_from_block`] decode them back once, and nothing between the two
-//! — wire, buffers, records, store — holds a typed array.
+//! — wire, buffers, records, store — holds a typed array. A caller that
+//! wants a pane's checksum and not its block ([`pane_checksum`]) crosses
+//! nothing: the pane is hashed where it lies.
 
+use std::collections::BTreeMap;
+
+use rocio_core::checksum::{BlockHasher, Field};
 use rocio_core::{
-    le, ArrayData, AttrValue, Bytes, DType, DataBlock, Dataset, Result, RocError, SharedArray,
+    le, ArrayData, AttrValue, Bytes, Checksum, DType, DataBlock, Dataset, Result, RocError,
+    SharedArray,
 };
 use rocmesh::StructuredBlock;
 
@@ -67,38 +73,60 @@ impl Elems<'_> {
             Elems::Array(a) => a.to_le_bytes(out),
         }
     }
+
+    /// Feed the same encoding to a checksum field, a stack buffer at a
+    /// time, so the image [`Elems::encode`] would build is never held.
+    fn absorb_into(&self, field: &mut Field) {
+        match self {
+            Elems::Nodes(sb) => {
+                // `le::CHUNK` holds a whole number of points.
+                let (mut buf, mut at) = ([0u8; le::CHUNK], 0);
+                sb.for_each_node_point(|p| {
+                    for x in p {
+                        buf[at..at + 8].copy_from_slice(&x.to_le_bytes());
+                        at += 8;
+                    }
+                    if at == buf.len() {
+                        field.absorb(&buf);
+                        at = 0;
+                    }
+                });
+                field.absorb(&buf[..at]);
+            }
+            Elems::F64(v) => le::chunks(v, f64::to_le_bytes, |run| field.absorb(run)),
+            Elems::I32(v) => le::chunks(v, i32::to_le_bytes, |run| field.absorb(run)),
+            Elems::Array(a) => a.le_chunks(|run| field.absorb(run)),
+        }
+    }
 }
 
-/// One dataset of the block being built.
+/// One dataset of the block a pane serializes into.
 struct Part<'a> {
     name: &'a str,
     shape: Vec<usize>,
     elems: Elems<'a>,
-    location: Option<Location>,
+    /// The dataset's attributes: an attribute's `location`, nothing for a
+    /// mesh array.
+    attrs: BTreeMap<String, AttrValue>,
 }
 
-/// Serialize one pane into a data block carrying the selected attributes.
-///
-/// The pane's arrays are little-endian encoded **once**, into one
-/// exact-capacity buffer per block, and every dataset's payload is a
-/// window of it: checksumming, record encoding and
-/// the store's extent list all work on those bytes in place, so this is
-/// the only copy a snapshot byte sees before the wire or the file.
-pub fn pane_to_block(window: &Window, pane: &Pane, attr: &AttrRef) -> Result<DataBlock> {
-    let mut block = DataBlock::new(pane.id, window.name());
-    block
-        .attrs
-        .insert("n_nodes".into(), AttrValue::Int(pane.mesh.n_nodes() as i64));
-    block
-        .attrs
-        .insert("n_elems".into(), AttrValue::Int(pane.mesh.n_elems() as i64));
+/// What [`pane_to_block`] builds and [`pane_checksum`] hashes: the block's
+/// own attributes and its datasets in order — mesh arrays (for `All` and
+/// `Mesh`; omitted for `Named`), then the selected attributes.
+fn plan<'a>(
+    window: &'a Window,
+    pane: &'a Pane,
+    attr: &AttrRef,
+) -> Result<(BTreeMap<String, AttrValue>, Vec<Part<'a>>)> {
+    let mut attrs: BTreeMap<String, AttrValue> = BTreeMap::new();
+    attrs.insert("n_nodes".into(), AttrValue::Int(pane.mesh.n_nodes() as i64));
+    attrs.insert("n_elems".into(), AttrValue::Int(pane.mesh.n_elems() as i64));
 
-    // Mesh datasets (always present for All/Mesh; omitted for Named).
     let with_mesh = !matches!(attr, AttrRef::Named(_));
     let mut parts: Vec<Part<'_>> = Vec::new();
     let mut mesh_part = |name, shape, elems| {
         if with_mesh {
-            parts.push(Part { name, shape, elems, location: None });
+            parts.push(Part { name, shape, elems, attrs: BTreeMap::new() });
         }
     };
     match &pane.mesh {
@@ -107,28 +135,23 @@ pub fn pane_to_block(window: &Window, pane: &Pane, attr: &AttrRef) -> Result<Dat
             origin,
             spacing,
         } => {
-            block.attrs.insert("mesh_kind".into(), "structured".into());
-            block.attrs.insert(
+            attrs.insert("mesh_kind".into(), "structured".into());
+            attrs.insert(
                 "dims".into(),
                 AttrValue::IntVec(dims.iter().map(|&d| d as i64).collect()),
             );
-            block
-                .attrs
-                .insert("origin".into(), AttrValue::FloatVec(origin.to_vec()));
-            block
-                .attrs
-                .insert("spacing".into(), AttrValue::FloatVec(spacing.to_vec()));
+            attrs.insert("origin".into(), AttrValue::FloatVec(origin.to_vec()));
+            attrs.insert("spacing".into(), AttrValue::FloatVec(spacing.to_vec()));
             let sb = StructuredBlock::new(pane.id, *dims, *origin, *spacing);
             mesh_part("nc", vec![pane.mesh.n_nodes(), 3], Elems::Nodes(sb));
         }
         PaneMesh::Unstructured { coords, conn } => {
-            block.attrs.insert("mesh_kind".into(), "unstructured".into());
+            attrs.insert("mesh_kind".into(), "unstructured".into());
             mesh_part("nc", vec![pane.mesh.n_nodes(), 3], Elems::F64(coords));
             mesh_part("conn", vec![pane.mesh.n_elems(), 4], Elems::I32(conn));
         }
     }
 
-    // Attribute datasets.
     let selected: Vec<&AttrSpec> = match attr {
         AttrRef::Mesh => Vec::new(),
         AttrRef::All => window.schema().iter().collect(),
@@ -142,13 +165,32 @@ pub fn pane_to_block(window: &Window, pane: &Pane, attr: &AttrRef) -> Result<Dat
         } else {
             vec![count, spec.ncomp]
         };
+        let location = match spec.location {
+            Location::Node => "node",
+            Location::Element => "element",
+            Location::Pane => "pane",
+        };
         parts.push(Part {
             name: &spec.name,
             shape,
             elems: Elems::Array(buf),
-            location: Some(spec.location),
+            attrs: BTreeMap::from([("location".to_string(), location.into())]),
         });
     }
+    Ok((attrs, parts))
+}
+
+/// Serialize one pane into a data block carrying the selected attributes.
+///
+/// The pane's arrays are little-endian encoded **once**, into one
+/// exact-capacity buffer per block, and every dataset's payload is a
+/// window of it: checksumming, record encoding and
+/// the store's extent list all work on those bytes in place, so this is
+/// the only copy a snapshot byte sees before the wire or the file.
+pub fn pane_to_block(window: &Window, pane: &Pane, attr: &AttrRef) -> Result<DataBlock> {
+    let (attrs, parts) = plan(window, pane, attr)?;
+    let mut block = DataBlock::new(pane.id, window.name());
+    block.attrs = attrs;
 
     let mut image = Vec::with_capacity(parts.iter().map(|p| p.elems.byte_len()).sum());
     for p in &parts {
@@ -161,19 +203,24 @@ pub fn pane_to_block(window: &Window, pane: &Pane, attr: &AttrRef) -> Result<Dat
         let data = SharedArray::new(p.elems.dtype(), p.elems.len(), image.slice(at..end))?;
         at = end;
         let mut ds = Dataset::new(p.name, p.shape, data)?;
-        if let Some(location) = p.location {
-            ds = ds.with_attr(
-                "location",
-                match location {
-                    Location::Node => "node",
-                    Location::Element => "element",
-                    Location::Pane => "pane",
-                },
-            );
-        }
+        ds.attrs = p.attrs;
         block.push_dataset(ds)?;
     }
     Ok(block)
+}
+
+/// `Checksum::of_block(&pane_to_block(window, pane, attr)?)`, bit for bit,
+/// without the block: the pane's arrays are read where they lie and pass
+/// through a stack buffer on their way into the hash. For a caller that
+/// compares states (restart verification, `RestartReport::state_hash`) and
+/// ships nothing.
+pub fn pane_checksum(window: &Window, pane: &Pane, attr: &AttrRef) -> Result<Checksum> {
+    let (attrs, parts) = plan(window, pane, attr)?;
+    let mut h = BlockHasher::new(pane.id, window.name(), &attrs, parts.len());
+    for p in &parts {
+        h.dataset(p.name, p.elems.dtype(), &p.shape, &p.attrs, |field| p.elems.absorb_into(field));
+    }
+    Ok(h.finish())
 }
 
 /// Serialize the selected attributes of every local pane of a window.
@@ -197,59 +244,83 @@ fn node_coords(block: &DataBlock, nc: &Dataset) -> Result<Vec<f64>> {
 }
 
 /// Rebuild a [`PaneMesh`] from a serialized block.
+///
+/// The block came from a file or a message, so nothing it claims sizes
+/// anything before it is checked ([`PaneMesh::validate`]), and a structured
+/// block's `dims` must agree with the shape of the coordinates it carries
+/// — bytes that exist — when it carries them. A failed check is
+/// [`RocError::Corrupt`], never a panic.
 pub fn mesh_from_block(block: &DataBlock) -> Result<PaneMesh> {
     let kind = block
         .attrs
         .get("mesh_kind")
         .ok_or_else(|| RocError::Corrupt(format!("block {} missing mesh_kind", block.id)))?
         .as_str()?;
-    match kind {
+    let mesh = match kind {
         "structured" => {
-            let ivec = |k: &str| -> Result<Vec<i64>> {
-                match block.attrs.get(k) {
-                    Some(AttrValue::IntVec(v)) => Ok(v.clone()),
-                    _ => Err(RocError::Corrupt(format!("block {} missing {k}", block.id))),
-                }
+            let missing = |k: &str| RocError::Corrupt(format!("block {} missing {k}", block.id));
+            let not_3d = || {
+                RocError::Corrupt(format!(
+                    "block {}: structured geometry must be 3-D with non-negative dims",
+                    block.id
+                ))
             };
-            let fvec = |k: &str| -> Result<Vec<f64>> {
-                match block.attrs.get(k) {
-                    Some(AttrValue::FloatVec(v)) => Ok(v.clone()),
-                    _ => Err(RocError::Corrupt(format!("block {} missing {k}", block.id))),
+            let fvec = |k: &str| match block.attrs.get(k) {
+                Some(AttrValue::FloatVec(v)) => {
+                    <[f64; 3]>::try_from(v.as_slice()).map_err(|_| not_3d())
                 }
+                _ => Err(missing(k)),
             };
-            let dims = ivec("dims")?;
-            let origin = fvec("origin")?;
-            let spacing = fvec("spacing")?;
-            if dims.len() != 3 || origin.len() != 3 || spacing.len() != 3 {
-                return Err(RocError::Corrupt("structured geometry must be 3-D".into()));
-            }
-            Ok(PaneMesh::Structured {
-                dims: [dims[0] as usize, dims[1] as usize, dims[2] as usize],
-                origin: [origin[0], origin[1], origin[2]],
-                spacing: [spacing[0], spacing[1], spacing[2]],
-            })
+            let dims = match block.attrs.get("dims") {
+                Some(AttrValue::IntVec(v)) => v
+                    .iter()
+                    .map(|&d| usize::try_from(d).ok())
+                    .collect::<Option<Vec<usize>>>()
+                    .and_then(|dims| <[usize; 3]>::try_from(dims).ok())
+                    .ok_or_else(not_3d)?,
+                _ => return Err(missing("dims")),
+            };
+            let (origin, spacing) = (fvec("origin")?, fvec("spacing")?);
+            PaneMesh::Structured { dims, origin, spacing }
         }
         "unstructured" => {
             let coords = node_coords(block, block.dataset("nc")?)?;
             match block.dataset("conn")?.data.to_typed() {
-                ArrayData::I32(conn) => Ok(PaneMesh::Unstructured { coords, conn }),
-                other => Err(RocError::Mismatch(format!(
-                    "block {}: expected i32 connectivity, found {}",
-                    block.id,
-                    other.dtype().name()
-                ))),
+                ArrayData::I32(conn) => PaneMesh::Unstructured { coords, conn },
+                other => {
+                    return Err(RocError::Mismatch(format!(
+                        "block {}: expected i32 connectivity, found {}",
+                        block.id,
+                        other.dtype().name()
+                    )))
+                }
             }
         }
-        other => Err(RocError::Corrupt(format!("unknown mesh kind '{other}'"))),
+        other => return Err(RocError::Corrupt(format!("unknown mesh kind '{other}'"))),
+    };
+    mesh.validate()?;
+    if let (PaneMesh::Structured { dims, .. }, Ok(nc)) = (&mesh, block.dataset("nc")) {
+        if nc.shape != [mesh.n_nodes(), 3] {
+            return Err(RocError::Corrupt(format!(
+                "block {}: dims {dims:?} do not describe its {:?} node coordinates",
+                block.id, nc.shape
+            )));
+        }
     }
+    Ok(mesh)
 }
 
 /// Apply a serialized block back onto a window (restart / data exchange).
 ///
-/// If the pane does not exist it is registered from the block's mesh (a
-/// block may have migrated, or the restart may use a different processor
-/// count than the writing run). Attribute buffers present in the block are
-/// installed; declared attributes absent from the block keep their values.
+/// A pane the window does not hold yet — reserved by a restart, migrated
+/// in, or owned by a different processor count than wrote the snapshot —
+/// is built from the block in one go: mesh from the block, each declared
+/// attribute decoded once into the buffer the pane keeps, absent ones
+/// zero-filled, every length held against schema × mesh. Zero-filling
+/// takes its size from the block's geometry alone, so it needs the
+/// block's coordinates to vouch for that geometry. On a pane the window
+/// already holds, attribute buffers present in the block are installed
+/// and the others keep their values.
 pub fn apply_block(window: &mut Window, block: &DataBlock) -> Result<()> {
     if block.window != window.name() {
         return Err(RocError::Mismatch(format!(
@@ -259,10 +330,23 @@ pub fn apply_block(window: &mut Window, block: &DataBlock) -> Result<()> {
             window.name()
         )));
     }
+    // Panes hold typed buffers (solvers mutate them element-wise), so
+    // payloads are decoded here — the single typed boundary of the
+    // restart path.
     if window.pane(block.id).is_err() {
         let mesh = mesh_from_block(block)?;
-        window.register_pane(block.id, mesh)?;
-    } else if let PaneMesh::Unstructured { .. } = &window.pane(block.id)?.mesh {
+        let anchored = block.dataset("nc").is_ok();
+        return window.build_pane(block.id, mesh, |spec| match block.dataset(&spec.name) {
+            Ok(ds) => Ok(Some(ds.data.to_typed())),
+            Err(_) if anchored => Ok(None),
+            Err(_) => Err(RocError::Corrupt(format!(
+                "block {} carries neither coordinates nor attribute '{}': nothing it holds \
+                 gives that buffer's size",
+                block.id, spec.name
+            ))),
+        });
+    }
+    if let PaneMesh::Unstructured { .. } = &window.pane(block.id)?.mesh {
         // Mesh may have moved (ALE): refresh coordinates when present.
         if let Ok(nc) = block.dataset("nc") {
             let coords = node_coords(block, nc)?;
@@ -285,9 +369,6 @@ pub fn apply_block(window: &mut Window, block: &DataBlock) -> Result<()> {
     let pane = window.pane_mut(block.id)?;
     for spec in &schema {
         if let Ok(ds) = block.dataset(&spec.name) {
-            // Panes hold typed buffers (solvers mutate them element-wise),
-            // so the payload is decoded here — the single typed boundary
-            // of the restart path.
             pane.set_data(&spec.name, ds.data.to_typed())?;
         }
     }
@@ -297,7 +378,7 @@ pub fn apply_block(window: &mut Window, block: &DataBlock) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rocio_core::{BlockId, DType};
+    use rocio_core::BlockId;
     use rocmesh::UnstructuredBlock;
 
     fn fluid_window() -> Window {
@@ -320,7 +401,7 @@ mod tests {
         let mut w = Window::new("solid");
         w.declare_attr(AttrSpec::node("disp", DType::F64, 3)).unwrap();
         let b = UnstructuredBlock::tet_box(BlockId(8), [1, 1, 2], [0.0; 3], [1.0; 3]);
-        w.register_pane(BlockId(8), PaneMesh::from_unstructured(&b)).unwrap();
+        w.register_pane(BlockId(8), b.into()).unwrap();
         w
     }
 
@@ -450,6 +531,207 @@ mod tests {
             PaneMesh::Unstructured { coords, .. } => assert_eq!(coords[0], 99.0),
             _ => panic!("expected unstructured"),
         }
+    }
+
+    /// The equality `state_hash` rests on: a pane hashed where it lies is
+    /// its block hashed — every selector, both mesh kinds, every dtype, and
+    /// arrays shorter than, as long as and longer than one `le::CHUNK` run
+    /// (503–505 `f64`, 1007–1009 `i32`/`f32`, 4031–4033 `u8`; the
+    /// structured panes carry 8 to 2 058 nodes of 24 bytes).
+    #[test]
+    fn a_pane_hashed_in_place_is_its_block_hashed() {
+        let dtypes = [DType::U8, DType::I32, DType::I64, DType::F32, DType::F64];
+        let typed = |dtype: DType, n: usize| -> ArrayData {
+            let x = |i: usize| (i * 37 + 11) % 251;
+            match dtype {
+                DType::U8 => (0..n).map(|i| x(i) as u8).collect::<Vec<_>>().into(),
+                DType::I32 => (0..n).map(|i| x(i) as i32 - 99).collect::<Vec<_>>().into(),
+                DType::I64 => (0..n).map(|i| x(i) as i64 - 99).collect::<Vec<_>>().into(),
+                DType::F32 => (0..n).map(|i| x(i) as f32 * 0.5).collect::<Vec<_>>().into(),
+                DType::F64 => (0..n).map(|i| x(i) as f64 * 0.25).collect::<Vec<_>>().into(),
+            }
+        };
+        let tets = |cells: usize| -> PaneMesh {
+            UnstructuredBlock::tet_box(BlockId(2), [cells, 1, 1], [0.0; 3], [1.0; 3]).into()
+        };
+        let meshes = [
+            PaneMesh::Structured { dims: [1, 1, 1], origin: [0.5; 3], spacing: [0.25; 3] },
+            PaneMesh::Structured { dims: [6, 6, 41], origin: [0.0; 3], spacing: [0.1; 3] },
+            tets(1),
+            tets(300),
+        ];
+        for mesh in meshes {
+            // `ncomp` of a pane-located attribute is its element count.
+            for n in [1, 2, 503, 504, 505, 1007, 1008, 1009, 4031, 4032, 4033] {
+                let mut w = Window::new("w");
+                for dtype in dtypes {
+                    w.declare_attr(AttrSpec::pane(dtype.name(), dtype, n)).unwrap();
+                }
+                w.declare_attr(AttrSpec::node("on_nodes", DType::F64, 3)).unwrap();
+                w.declare_attr(AttrSpec::element("on_elems", DType::I32, 1)).unwrap();
+                w.register_pane(BlockId(2), mesh.clone()).unwrap();
+                let pane = w.pane_mut(BlockId(2)).unwrap();
+                for spec in [("on_nodes", DType::F64), ("on_elems", DType::I32)] {
+                    let len = pane.data(spec.0).unwrap().len();
+                    pane.set_data(spec.0, typed(spec.1, len)).unwrap();
+                }
+                for dtype in dtypes {
+                    pane.set_data(dtype.name(), typed(dtype, n)).unwrap();
+                }
+                let pane = w.pane(BlockId(2)).unwrap();
+                let named = dtypes.map(|d| AttrRef::Named(d.name().into()));
+                for attr in [AttrRef::All, AttrRef::Mesh].iter().chain(&named) {
+                    let block = pane_to_block(&w, pane, attr).unwrap();
+                    assert_eq!(
+                        pane_checksum(&w, pane, attr).unwrap(),
+                        Checksum::of_block(&block),
+                        "{attr:?}, {n} elements, {} nodes",
+                        pane.mesh.n_nodes()
+                    );
+                }
+            }
+        }
+        let w = fluid_window();
+        assert!(pane_checksum(&w, w.pane(BlockId(4)).unwrap(), &AttrRef::Named("ghost".into()))
+            .is_err());
+    }
+
+    /// A pane the window does not hold is built from the block in one go,
+    /// and comes out equal — mesh and every buffer — to the pane written.
+    #[test]
+    fn apply_block_builds_a_reserved_pane_equal_to_the_one_written() {
+        for (written, id) in [(fluid_window(), BlockId(4)), (solid_window(), BlockId(8))] {
+            let mut written = written;
+            for (i, spec) in written.schema().to_vec().iter().enumerate() {
+                let buf = written.pane_mut(id).unwrap().data_mut(&spec.name).unwrap();
+                buf.as_f64_mut().unwrap().iter_mut().for_each(|x| *x = i as f64 + 0.5);
+            }
+            let block = pane_to_block(&written, written.pane(id).unwrap(), &AttrRef::All).unwrap();
+            let mut restored = Window::new(written.name());
+            for spec in written.schema() {
+                restored.declare_attr(spec.clone()).unwrap();
+            }
+            restored.reserve_pane(id).unwrap();
+            assert_eq!(restored.pane_ids(), vec![id]);
+            assert_eq!(restored.n_panes(), 0);
+            apply_block(&mut restored, &block).unwrap();
+            assert_eq!(restored, written);
+        }
+    }
+
+    #[test]
+    fn a_new_pane_takes_no_size_on_trust() {
+        let w = fluid_window();
+        let pane = w.pane(BlockId(4)).unwrap();
+        let empty = || {
+            let mut e = Window::new("fluid");
+            e.declare_attr(AttrSpec::element("pressure", DType::F64, 1)).unwrap();
+            e.declare_attr(AttrSpec::node("velocity", DType::F64, 3)).unwrap();
+            e
+        };
+        // A buffer that is not schema x mesh long, or not the declared
+        // dtype, is refused and leaves no half-built pane behind.
+        for (name, data) in [
+            ("pressure", SharedArray::from(vec![0.0f64; 5])),
+            ("velocity", SharedArray::from(vec![0.0f32; 54])),
+        ] {
+            let mut block = pane_to_block(&w, pane, &AttrRef::All).unwrap();
+            let ds = block.dataset_mut(name).unwrap();
+            (ds.shape, ds.data) = (vec![data.len()], data);
+            let mut e = empty();
+            assert!(matches!(apply_block(&mut e, &block), Err(RocError::Mismatch(_))), "{name}");
+            assert_eq!(e.n_panes(), 0);
+        }
+        // Attributes the block lacks are zero-filled at the size its
+        // coordinates vouch for ...
+        let mesh_only = pane_to_block(&w, pane, &AttrRef::Mesh).unwrap();
+        let mut e = empty();
+        apply_block(&mut e, &mesh_only).unwrap();
+        assert_eq!(e.pane(BlockId(4)).unwrap().data("velocity").unwrap().len(), 54);
+        // ... and not at all when nothing does.
+        let one_attr = pane_to_block(&w, pane, &AttrRef::Named("pressure".into())).unwrap();
+        let err = apply_block(&mut empty(), &one_attr).unwrap_err();
+        assert!(matches!(err, RocError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("velocity"), "{err}");
+        // Onto a pane the window holds, the same block is a plain update.
+        let mut held = fluid_window();
+        apply_block(&mut held, &one_attr).unwrap();
+    }
+
+    /// Geometry that arrives in a block is input: a size it claims is
+    /// checked before it sizes anything. Each of these died inside
+    /// `Vec` with `capacity overflow` (or built a mesh whose connectivity
+    /// indexed past its nodes) before `mesh_from_block` checked.
+    #[test]
+    fn hostile_geometry_is_corrupt_not_a_panic() {
+        let w = fluid_window();
+        let good = pane_to_block(&w, w.pane(BlockId(4)).unwrap(), &AttrRef::All).unwrap();
+        let mut fresh = Window::new("fluid");
+        fresh.declare_attr(AttrSpec::element("pressure", DType::F64, 1)).unwrap();
+        fresh.declare_attr(AttrSpec::node("velocity", DType::F64, 3)).unwrap();
+        let refused = |block: &DataBlock, what: &str| {
+            let mut target = fresh.clone();
+            for result in [mesh_from_block(block).map(drop), apply_block(&mut target, block)] {
+                assert!(matches!(result, Err(RocError::Corrupt(_))), "{what}: {result:?}");
+            }
+            assert_eq!(target.n_panes(), 0, "{what}");
+        };
+        for dims in [
+            vec![-1, 1, 1],
+            vec![1 << 31, 1 << 31, 1],
+            vec![i64::MAX, 1, 1],
+            vec![i64::MAX, i64::MAX, i64::MAX],
+            vec![2, 2],
+            // Well-formed, but not the geometry of the coordinates carried.
+            vec![2, 2, 2],
+            vec![1 << 20, 1 << 20, 1 << 20],
+        ] {
+            let mut block = good.clone();
+            block.attrs.insert("dims".into(), AttrValue::IntVec(dims.clone()));
+            refused(&block, &format!("dims {dims:?}"));
+            // With no coordinates to hold the claim against, the checked
+            // size arithmetic is what stands between it and the allocator.
+            block.datasets.retain(|d| d.name != "nc");
+            let mut target = fresh.clone();
+            let err = apply_block(&mut target, &block).unwrap_err();
+            assert!(matches!(err, RocError::Corrupt(_) | RocError::Mismatch(_)), "{dims:?}: {err}");
+            assert_eq!(target.n_panes(), 0);
+        }
+        for (key, value) in [("origin", vec![0.0; 2]), ("spacing", vec![])] {
+            let mut block = good.clone();
+            block.attrs.insert(key.into(), AttrValue::FloatVec(value));
+            refused(&block, key);
+        }
+
+        let s = solid_window();
+        let good = pane_to_block(&s, s.pane(BlockId(8)).unwrap(), &AttrRef::All).unwrap();
+        let mut fresh = Window::new("solid");
+        fresh.declare_attr(AttrSpec::node("disp", DType::F64, 3)).unwrap();
+        let refused = |name: &str, data: SharedArray, what: &str| {
+            let mut block = good.clone();
+            let ds = block.dataset_mut(name).unwrap();
+            (ds.shape, ds.data) = (vec![data.len()], data);
+            let mut target = fresh.clone();
+            for result in [mesh_from_block(&block).map(drop), apply_block(&mut target, &block)] {
+                assert!(matches!(result, Err(RocError::Corrupt(_))), "{what}: {result:?}");
+            }
+            assert_eq!(target.n_panes(), 0, "{what}");
+        };
+        let conn = good.dataset("conn").unwrap().data.to_typed();
+        let ArrayData::I32(conn) = conn else { panic!("conn is i32") };
+        let n_nodes = good.dataset("nc").unwrap().shape[0] as i32;
+        let with = |at: usize, index: i32| {
+            let mut c = conn.clone();
+            c[at] = index;
+            SharedArray::from(c)
+        };
+        refused("nc", vec![0.0f64; 3 * n_nodes as usize + 1].into(), "a third of a point");
+        refused("conn", conn[..conn.len() - 1].to_vec().into(), "three corners of a tet");
+        refused("conn", with(0, -1), "negative node index");
+        refused("conn", with(5, n_nodes), "node index one past the mesh");
+        refused("conn", with(conn.len() - 1, i32::MAX), "node index far past the mesh");
+        // Fewer nodes than the connectivity names.
+        refused("nc", vec![0.0f64; 3].into(), "one node for a mesh of many");
     }
 
     #[test]

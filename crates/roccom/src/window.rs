@@ -1,6 +1,6 @@
 //! Windows, panes, and attribute registration.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use rocio_core::{ArrayData, BlockId, DType, Result, RocError};
 use rocmesh::{StructuredBlock, UnstructuredBlock};
@@ -99,12 +99,42 @@ impl PaneMesh {
         }
     }
 
-    /// Build from an unstructured mesh block.
-    pub fn from_unstructured(b: &UnstructuredBlock) -> Self {
-        PaneMesh::Unstructured {
-            coords: b.coords.clone(),
-            conn: b.conn.clone(),
+    /// Hold a mesh that came from outside the program (a file, a message)
+    /// to what every later size computation assumes: structured node and
+    /// cell counts that fit a `usize`; whole unstructured points and
+    /// tetrahedra whose corners are nodes of the mesh.
+    pub fn validate(&self) -> Result<()> {
+        match self {
+            PaneMesh::Structured { dims, .. } => {
+                let n_nodes =
+                    dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d.checked_add(1)?));
+                if n_nodes.is_none() {
+                    return Err(RocError::Corrupt(format!(
+                        "structured mesh {dims:?} has more nodes than can be counted"
+                    )));
+                }
+            }
+            PaneMesh::Unstructured { coords, conn } => {
+                let n_nodes = coords.len() / 3;
+                let in_mesh = |&c: &i32| usize::try_from(c).is_ok_and(|c| c < n_nodes);
+                if coords.len() % 3 != 0 || conn.len() % 4 != 0 || !conn.iter().all(in_mesh) {
+                    return Err(RocError::Corrupt(format!(
+                        "unstructured mesh of {} coordinates and {} connectivity entries is \
+                         not whole points and tetrahedra over its own nodes",
+                        coords.len(),
+                        conn.len()
+                    )));
+                }
+            }
         }
+        Ok(())
+    }
+}
+
+/// The mesh block's own arrays become the pane's: nothing is copied.
+impl From<UnstructuredBlock> for PaneMesh {
+    fn from(b: UnstructuredBlock) -> Self {
+        PaneMesh::Unstructured { coords: b.coords, conn: b.conn }
     }
 }
 
@@ -127,10 +157,7 @@ impl Pane {
 
     /// Mutable buffer of one attribute.
     pub fn data_mut(&mut self, attr: &str) -> Result<&mut ArrayData> {
-        let id = self.id;
-        self.data
-            .get_mut(attr)
-            .ok_or_else(|| RocError::NotFound(format!("attribute '{attr}' on pane {id}")))
+        self.mesh_and_data_mut(attr).map(|(_, buf)| buf)
     }
 
     /// One attribute's buffer mutably beside another's shared — what an
@@ -148,6 +175,18 @@ impl Pane {
         }
         let missing = |attr| RocError::NotFound(format!("attribute '{attr}' on pane {id}"));
         Ok((w.ok_or_else(|| missing(write))?, r.ok_or_else(|| missing(read))?))
+    }
+
+    /// One attribute's buffer mutably beside the pane's mesh — what
+    /// position-dependent initial conditions hold at once — so set-up need
+    /// not clone the coordinates to get round the borrow of the pane.
+    pub fn mesh_and_data_mut(&mut self, attr: &str) -> Result<(&PaneMesh, &mut ArrayData)> {
+        let id = self.id;
+        let buf = self
+            .data
+            .get_mut(attr)
+            .ok_or_else(|| RocError::NotFound(format!("attribute '{attr}' on pane {id}")))?;
+        Ok((&self.mesh, buf))
     }
 
     /// Replace an attribute buffer (used by restart). Length and dtype
@@ -174,6 +213,9 @@ pub struct Window {
     name: String,
     schema: Vec<AttrSpec>,
     panes: BTreeMap<BlockId, Pane>,
+    /// Panes this process owns and does not hold yet: a restart names
+    /// them, and the read builds each from its block.
+    reserved: BTreeSet<BlockId>,
 }
 
 impl Window {
@@ -183,6 +225,7 @@ impl Window {
             name: name.into(),
             schema: Vec::new(),
             panes: BTreeMap::new(),
+            reserved: BTreeSet::new(),
         }
     }
 
@@ -224,7 +267,7 @@ impl Window {
             )));
         }
         for pane in self.panes.values_mut() {
-            let n = buffer_len(&spec, &pane.mesh);
+            let n = buffer_len(&spec, &pane.mesh)?;
             pane.data
                 .insert(spec.name.clone(), ArrayData::zeros(spec.dtype, n));
         }
@@ -235,6 +278,19 @@ impl Window {
     /// Register a pane with its mesh; buffers for all declared attributes
     /// are allocated zero-filled.
     pub fn register_pane(&mut self, id: BlockId, mesh: PaneMesh) -> Result<()> {
+        self.build_pane(id, mesh, |_| Ok(None))
+    }
+
+    /// Register a pane whose buffers are known as it is built: `buffer`
+    /// gives each declared attribute's values, or `None` for zeros. Each
+    /// buffer is allocated once, at the dtype and length the schema and
+    /// the mesh call for — anything else is a [`RocError::Mismatch`].
+    pub(crate) fn build_pane(
+        &mut self,
+        id: BlockId,
+        mesh: PaneMesh,
+        mut buffer: impl FnMut(&AttrSpec) -> Result<Option<ArrayData>>,
+    ) -> Result<()> {
         if self.panes.contains_key(&id) {
             return Err(RocError::AlreadyExists(format!(
                 "pane {id} in window '{}'",
@@ -243,10 +299,39 @@ impl Window {
         }
         let mut data = BTreeMap::new();
         for spec in &self.schema {
-            let n = buffer_len(spec, &mesh);
-            data.insert(spec.name.clone(), ArrayData::zeros(spec.dtype, n));
+            let n = buffer_len(spec, &mesh)?;
+            let buf = match buffer(spec)? {
+                None => ArrayData::zeros(spec.dtype, n),
+                Some(buf) if buf.dtype() == spec.dtype && buf.len() == n => buf,
+                Some(buf) => {
+                    return Err(RocError::Mismatch(format!(
+                        "pane {id}: attribute '{}' is {}x{}, its declaration and mesh call for {}x{n}",
+                        spec.name,
+                        buf.dtype().name(),
+                        buf.len(),
+                        spec.dtype.name(),
+                    )))
+                }
+            };
+            data.insert(spec.name.clone(), buf);
         }
+        self.reserved.remove(&id);
         self.panes.insert(id, Pane { id, mesh, data });
+        Ok(())
+    }
+
+    /// Name a pane this process owns before it holds it: the id joins
+    /// [`Window::pane_ids`] — what a restart read asks the snapshot for —
+    /// and the read builds the pane from its block
+    /// ([`crate::convert::apply_block`]), so nothing is generated only to
+    /// be overwritten.
+    pub fn reserve_pane(&mut self, id: BlockId) -> Result<()> {
+        if self.panes.contains_key(&id) || !self.reserved.insert(id) {
+            return Err(RocError::AlreadyExists(format!(
+                "pane {id} in window '{}'",
+                self.name
+            )));
+        }
         Ok(())
     }
 
@@ -287,13 +372,16 @@ impl Window {
                 self.schema.len()
             )));
         }
+        self.reserved.remove(&pane.id);
         self.panes.insert(pane.id, pane);
         Ok(())
     }
 
-    /// Ids of all local panes, ascending.
+    /// Ids of all local panes, ascending: those held and those reserved.
     pub fn pane_ids(&self) -> Vec<BlockId> {
-        self.panes.keys().copied().collect()
+        let mut ids: Vec<BlockId> = self.panes.keys().chain(&self.reserved).copied().collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Number of local panes.
@@ -327,14 +415,23 @@ impl Window {
     }
 }
 
-/// Buffer length for an attribute on a mesh.
-pub(crate) fn buffer_len(spec: &AttrSpec, mesh: &PaneMesh) -> usize {
+/// Buffer length for an attribute on a mesh, or [`RocError::Corrupt`] for
+/// a buffer whose bytes no allocation could hold.
+fn buffer_len(spec: &AttrSpec, mesh: &PaneMesh) -> Result<usize> {
     let count = match spec.location {
         Location::Node => mesh.n_nodes(),
         Location::Element => mesh.n_elems(),
         Location::Pane => 1,
     };
-    count * spec.ncomp
+    count
+        .checked_mul(spec.ncomp)
+        .filter(|n| n.checked_mul(spec.dtype.size()).is_some_and(|b| b <= isize::MAX as usize))
+        .ok_or_else(|| {
+            RocError::Corrupt(format!(
+                "attribute '{}' on a mesh of {count} locations is too large to allocate",
+                spec.name
+            ))
+        })
 }
 
 #[cfg(test)]
@@ -400,6 +497,34 @@ mod tests {
             w.register_pane(BlockId(1), small_mesh()),
             Err(RocError::AlreadyExists(_))
         ));
+    }
+
+    #[test]
+    fn a_reserved_pane_is_owned_before_it_is_held() {
+        let mut w = Window::new("w");
+        w.declare_attr(AttrSpec::element("p", DType::F64, 1)).unwrap();
+        w.register_pane(BlockId(2), small_mesh()).unwrap();
+        w.reserve_pane(BlockId(3)).unwrap();
+        w.reserve_pane(BlockId(1)).unwrap();
+        for taken in [1, 2, 3] {
+            assert!(matches!(w.reserve_pane(BlockId(taken)), Err(RocError::AlreadyExists(_))));
+        }
+        // Owned: in the id list a restart read asks for. Not held: nothing
+        // to borrow, write or count.
+        assert_eq!(w.pane_ids(), vec![BlockId(1), BlockId(2), BlockId(3)]);
+        assert_eq!(w.n_panes(), 1);
+        assert!(matches!(w.pane(BlockId(1)), Err(RocError::NotFound(_))));
+        // However the pane arrives, the reservation is spent.
+        w.register_pane(BlockId(1), small_mesh()).unwrap();
+        let migrated = w.remove_pane(BlockId(2)).unwrap();
+        w.insert_pane(Pane { id: BlockId(3), ..migrated }).unwrap();
+        assert_eq!(w.pane_ids(), vec![BlockId(1), BlockId(3)]);
+        assert_eq!(w.n_panes(), 2);
+        let mut plain = Window::new("w");
+        plain.declare_attr(AttrSpec::element("p", DType::F64, 1)).unwrap();
+        plain.register_pane(BlockId(1), small_mesh()).unwrap();
+        plain.register_pane(BlockId(3), small_mesh()).unwrap();
+        assert_eq!(w, plain);
     }
 
     #[test]
@@ -491,7 +616,7 @@ mod tests {
     #[test]
     fn unstructured_mesh_counts() {
         let b = rocmesh::UnstructuredBlock::tet_box(BlockId(9), [2, 1, 1], [0.0; 3], [1.0; 3]);
-        let mesh = PaneMesh::from_unstructured(&b);
+        let mesh = PaneMesh::from(b.clone());
         assert_eq!(mesh.n_nodes(), b.n_nodes());
         assert_eq!(mesh.n_elems(), b.n_elems());
     }

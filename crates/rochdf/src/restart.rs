@@ -5,6 +5,15 @@
 //! process count, so readers discover block locations by scanning file
 //! indexes — starting with the file matching their own rank (the common
 //! same-distribution case hits immediately) and falling back to the rest.
+//!
+//! "Its own panes" is [`roccom::Window::pane_ids`]: the panes the window
+//! holds and the ids it has reserved. A restart reserves (the partition
+//! says whose a pane is, the snapshot what it is) and
+//! [`roccom::convert::apply_block`] builds each pane from its block —
+//! mesh and buffers allocated once, from the file's bytes; a window that
+//! already holds a pane gets its buffers replaced instead. The two-phase
+//! ([`crate::twophase`]) and Rocpanda readers take their wanted lists
+//! from the same place.
 
 use std::collections::HashSet;
 
@@ -16,8 +25,9 @@ use rocstore::SharedFs;
 use crate::config::RochdfConfig;
 use roccom::{AttrSelector, Windows};
 
-/// Read the selected attributes of every pane registered in the selector's
-/// window back from snapshot `snap`, individually (no communication).
+/// Read the selected attributes of every pane of the selector's window —
+/// held or reserved — back from snapshot `snap`, individually (no
+/// communication).
 ///
 /// Returns the virtual completion time of this rank's reads.
 pub fn read_attribute_individual(

@@ -220,12 +220,14 @@ impl IoService for PandaClient<'_> {
         if let Some(e) = server_err {
             return Err(e);
         }
-        if got != wanted.len() as u64 {
+        let mut missing: Vec<u64> = wanted.iter().copied().filter(|id| !seen.contains(id)).collect();
+        if !missing.is_empty() || got != wanted.len() as u64 {
+            missing.sort_unstable();
             return Err(RocError::NotFound(format!(
-                "restart: wanted {} blocks of '{}', received {}",
+                "restart: wanted {} blocks of '{}', received {got}; blocks {missing:?} not found \
+                 in snapshot {snap}",
                 wanted.len(),
                 sel.window,
-                got
             )));
         }
         Ok(())

@@ -1,14 +1,26 @@
-//! Copy budget of the write path: how many bytes the process asks the
-//! allocator for while one snapshot travels from panes to file images.
+//! Copy budget of the data path: how many bytes the process asks the
+//! allocator for while one snapshot travels from panes to file images, and
+//! while one travels back.
 //!
-//! A snapshot byte is copied once, into its block's little-endian buffer
-//! (`roccom::convert::pane_to_block`); everything after that — the
-//! Rocpanda message (a rope of the block's own buffers), server buffering,
-//! record encoding, the store's extent list — holds it by reference, on
-//! both paths. The budgets below are that one copy plus headroom for
-//! headers, indexes and bookkeeping (measured: 1.14 x through Rocpanda,
-//! 1.07 x through T-Rochdf); a re-introduced flatten, clone or staging
-//! `Vec` on the path costs at least one more payload and trips them.
+//! On the way out a snapshot byte is copied once, into its block's
+//! little-endian buffer (`roccom::convert::pane_to_block`); everything
+//! after that — the Rocpanda message (a rope of the block's own buffers),
+//! server buffering, record encoding, the store's extent list — holds it
+//! by reference, on both paths. The write budgets below are that one copy
+//! plus headroom for headers, indexes and bookkeeping (measured: 1.14 x
+//! through Rocpanda, 1.07 x through T-Rochdf); a re-introduced flatten,
+//! clone or staging `Vec` on the path costs at least one more payload and
+//! trips them.
+//!
+//! On the way back a byte is allocated once too: records are windows of
+//! the file image all the way to `roccom::convert::apply_block`, which
+//! decodes each attribute into the buffer the pane keeps — a restart's
+//! windows name their panes (`genx::setup::reserve_for`) and hold nothing
+//! until then. The read budget covers building those windows *and* the
+//! read (measured: 0.88 x through Rochdf, individual or two-phase, 0.95 x
+//! through Rocpanda — under 1 because a structured pane's coordinates are
+//! in the file and never decoded); generating the panes first and
+//! overwriting them, as restarts did, is 1.89 x.
 //!
 //! Alone in its binary, with one `#[test]`: the counting allocator is
 //! process-wide, so nothing else may run beside the measured region.
@@ -18,11 +30,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use genx_repro::genx::setup::{
-    assign, declare_windows_for, register_and_init_for, FluidKind, SolidKind, BURN_WINDOW,
-    FLUID_WINDOW, SOLID_WINDOW,
+    assign, declare_windows_for, register_and_init_for, reserve_for, FluidKind, SolidKind,
+    BURN_WINDOW, FLUID_WINDOW, SOLID_WINDOW,
 };
 use genx_repro::roccom::{convert, AttrRef, AttrSelector, IoService, Windows};
-use genx_repro::rochdf::{RochdfConfig, TRochdf};
+use genx_repro::rochdf::{Rochdf, RochdfConfig, TRochdf};
 use genx_repro::rocmesh::Workload;
 use genx_repro::rocnet::cluster::ClusterSpec;
 use genx_repro::rocnet::{run_ranks, Comm};
@@ -74,9 +86,15 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const WINDOWS: [&str; 3] = [FLUID_WINDOW, SOLID_WINDOW, BURN_WINDOW];
 const COMPUTE: usize = 4;
 
+const SNAP: SnapshotId = SnapshotId { step: 0, ordinal: 0 };
+
+fn lab_scale() -> Workload {
+    Workload::lab_scale_motor_scaled(42, 0.2)
+}
+
 /// Rank `rank`'s share of the lab-scale motor, and its payload bytes.
 fn lab_scale_windows(rank: usize) -> (Windows, u64) {
-    let workload = Workload::lab_scale_motor_scaled(42, 0.2);
+    let workload = lab_scale();
     let mine = assign(&workload, COMPUTE).swap_remove(rank);
     let mut ws = Windows::new();
     declare_windows_for(&mut ws, FluidKind::Rocflo, SolidKind::Rocfrac).unwrap();
@@ -89,36 +107,59 @@ fn lab_scale_windows(rank: usize) -> (Windows, u64) {
     (ws, payload)
 }
 
-/// One snapshot through `io` between two barriers of the compute ranks;
-/// the first rank brackets the region. Returns this rank's payload bytes.
-fn snapshot(app: &Comm, io: &mut dyn IoService, rank: usize) -> u64 {
-    let (ws, payload) = lab_scale_windows(rank);
+/// `work` on every compute rank between two barriers; the first rank
+/// brackets the region.
+fn counted<T>(app: &Comm, work: impl FnOnce() -> T) -> T {
     app.barrier().unwrap();
-    if rank == 0 {
+    if app.rank() == 0 {
         COUNTING.store(true, Ordering::Relaxed);
     }
     app.barrier().unwrap();
-    for w in WINDOWS {
-        io.write_attribute(&ws, &AttrSelector::all(w), SnapshotId::new(0, 0)).unwrap();
-    }
-    io.sync().unwrap();
+    let out = work();
     app.barrier().unwrap();
     COUNTING.store(false, Ordering::Relaxed);
+    out
+}
+
+/// One measured snapshot through `io`. Returns this rank's payload bytes.
+fn snapshot(app: &Comm, io: &mut dyn IoService) -> u64 {
+    let (ws, payload) = lab_scale_windows(app.rank());
+    counted(app, || {
+        for w in WINDOWS {
+            io.write_attribute(&ws, &AttrSelector::all(w), SNAP).unwrap();
+        }
+        io.sync().unwrap();
+    });
     payload
 }
 
-/// Bytes requested per payload byte over one measured snapshot.
-fn measured(payloads: impl IntoIterator<Item = u64>) -> f64 {
-    let payload: u64 = payloads.into_iter().sum();
+/// One measured restart through `io`, from windows that name this rank's
+/// panes to windows that hold them. Returns the panes restored.
+fn restart(app: &Comm, io: &mut dyn IoService) -> usize {
+    let workload = lab_scale();
+    let mine = assign(&workload, COMPUTE).swap_remove(app.rank());
+    let ws = counted(app, || {
+        let mut ws = Windows::new();
+        declare_windows_for(&mut ws, FluidKind::Rocflo, SolidKind::Rocfrac).unwrap();
+        reserve_for(&mut ws, &workload, &mine, FluidKind::Rocflo).unwrap();
+        for w in WINDOWS {
+            io.read_attribute(&mut ws, &AttrSelector::all(w), SNAP).unwrap();
+        }
+        ws
+    });
+    WINDOWS.iter().map(|w| ws.window(w).unwrap().n_panes()).sum()
+}
+
+/// Bytes requested per payload byte over the last measured region.
+fn measured(payload: u64) -> f64 {
     assert!(payload > 4 << 20, "snapshot too small to dominate bookkeeping: {payload} B");
     REQUESTED.swap(0, Ordering::Relaxed) as f64 / payload as f64
 }
 
-#[test]
-fn a_snapshot_byte_is_copied_once_per_hop() {
-    // Rocpanda: the block buffer is the message is the file extent.
-    let fs = Arc::new(SharedFs::turing());
-    let svc = PandaServiceBuilder::new(fs).servers(&[COMPUTE]).build().unwrap();
+/// `client` on the compute ranks of a one-server Rocpanda job over `fs`;
+/// what the clients returned, summed.
+fn through_rocpanda(fs: &Arc<SharedFs>, client: fn(&Comm, &mut dyn IoService) -> u64) -> u64 {
+    let svc = PandaServiceBuilder::new(Arc::clone(fs)).servers(&[COMPUTE]).build().unwrap();
     svc.admit_world("copy-budget", COMPUTE + 1).unwrap();
     let out = run_ranks(COMPUTE + 1, ClusterSpec::turing(COMPUTE + 1), |comm| {
         match svc.attach(&comm).unwrap() {
@@ -128,24 +169,62 @@ fn a_snapshot_byte_is_copied_once_per_hop() {
             }
             ServiceRole::Idle => unreachable!("admit_world leaves no rank idle"),
             ServiceRole::Client { mut io, comm: app, .. } => {
-                let payload = snapshot(&app, &mut *io, app.rank());
+                let out = client(&app, &mut *io);
                 io.finalize().unwrap();
-                payload
+                out
             }
         }
     });
-    let panda = measured(out);
+    out.into_iter().sum()
+}
+
+#[test]
+fn a_snapshot_byte_is_copied_once_per_hop() {
+    // Rocpanda: the block buffer is the message is the file extent.
+    let panda_fs = Arc::new(SharedFs::turing());
+    let payload = through_rocpanda(&panda_fs, snapshot);
+    let panda = measured(payload);
     assert!(panda <= 1.5, "Rocpanda requested {panda:.2} x the snapshot payload (budget 1.5)");
 
     // T-Rochdf: the block buffer is the file extent.
     let fs = Arc::new(SharedFs::turing());
     let out = run_ranks(COMPUTE, ClusterSpec::turing(COMPUTE), |comm| {
         let mut io = TRochdf::new(Arc::clone(&fs), &comm, RochdfConfig::default());
-        let payload = snapshot(&comm, &mut io, comm.rank());
+        let payload = snapshot(&comm, &mut io);
         io.finalize().unwrap();
         payload
     });
-    let trochdf = measured(out);
+    assert_eq!(out.into_iter().sum::<u64>(), payload);
+    let trochdf = measured(payload);
     assert!(trochdf <= 1.5, "T-Rochdf requested {trochdf:.2} x the snapshot payload (budget 1.5)");
-    println!("copy budget: rocpanda {panda:.2} x, t-rochdf {trochdf:.2} x");
+    println!("copy budget, write: rocpanda {panda:.2} x, t-rochdf {trochdf:.2} x");
+
+    // Back again: each restored byte is allocated once, as the typed
+    // buffer its pane keeps. The store gathers a file's extents into one
+    // image the first time anything reads it — once per file however many
+    // restarts follow, and ROADMAP item 7's to remove — so that first touch
+    // happens here, outside the measured restarts.
+    for store in [&fs, &panda_fs] {
+        for path in store.list("out/") {
+            store.read_shared(&path, 0, 1, 0, 0.0).unwrap();
+        }
+    }
+    // One pane per fluid block, a solid and a burn pane per propellant block.
+    let n_panes = lab_scale().n_blocks() + lab_scale().solid_boxes.len();
+    let mut read = Vec::new();
+    for (reader, read_aggregators) in [("rochdf individual", 0), ("rochdf two-phase", 2)] {
+        let restored = run_ranks(COMPUTE, ClusterSpec::turing(COMPUTE), |comm| {
+            let cfg = RochdfConfig { read_aggregators, ..RochdfConfig::default() };
+            restart(&comm, &mut Rochdf::new(&fs, &comm, cfg))
+        });
+        assert_eq!(restored.into_iter().sum::<usize>(), n_panes, "{reader}");
+        read.push((reader, measured(payload)));
+    }
+    let restored = through_rocpanda(&panda_fs, |app, io| restart(app, io) as u64);
+    assert_eq!(restored as usize, n_panes, "rocpanda");
+    read.push(("rocpanda", measured(payload)));
+    for (reader, x) in &read {
+        assert!(*x <= 1.25, "{reader} requested {x:.2} x the snapshot payload (budget 1.25)");
+    }
+    println!("copy budget, read: {read:.2?}");
 }

@@ -44,9 +44,8 @@ fn run_and_checksum(n: usize, steps: u64) -> BTreeMap<(String, u64), Checksum> {
         for window in man.window_names() {
             let w = man.windows.window(window).unwrap();
             for id in w.pane_ids() {
-                let block =
-                    convert::pane_to_block(w, w.pane(id).unwrap(), &AttrRef::All).unwrap();
-                sums.push(((window.to_string(), id.0), Checksum::of_block(&block)));
+                let sum = convert::pane_checksum(w, w.pane(id).unwrap(), &AttrRef::All).unwrap();
+                sums.push(((window.to_string(), id.0), sum));
             }
         }
         sums

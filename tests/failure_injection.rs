@@ -294,3 +294,32 @@ fn disk_full_surfaces_as_storage_error() {
         other => panic!("expected Storage(disk full), got {other:?}"),
     }
 }
+
+// ---------------------------------------------------------------------
+// The dev profile is optimised (`[profile.dev] opt-level = 1`, so tier-1
+// runs in seconds) and must still be the *checked* tier: integer overflow
+// panics and `debug_assert!` fires under plain `cargo test`, which is why
+// the hostile-bytes proptests run in this profile as well as `--release`
+// (there overflow wraps, and a decoder has to be right without the net).
+// The fixture is a decoder with the bug injected: it adds an offset and a
+// length read from its input without checking.
+// ---------------------------------------------------------------------
+
+#[cfg(debug_assertions)]
+#[test]
+fn the_optimised_dev_profile_still_checks_overflow_and_debug_assertions() {
+    use genx_repro::core::le;
+    /// End of the extent a `[u64 offset][u64 len]` header names.
+    fn extent_end(header: &[u8]) -> u64 {
+        let offset = le::u64(&header[..8], "offset").unwrap();
+        let len = le::u64(&header[8..], "len").unwrap();
+        offset + len
+    }
+    let header = |offset: u64, len: u64| [offset.to_le_bytes(), len.to_le_bytes()].concat();
+    assert_eq!(extent_end(&header(40, 2)), 42);
+    let hostile = std::hint::black_box(header(u64::MAX, 2));
+    let overflow = std::panic::catch_unwind(|| extent_end(&hostile));
+    assert!(overflow.is_err(), "overflow-checks are off: the add wrapped to {overflow:?}");
+    let asserted = std::panic::catch_unwind(|| debug_assert!(std::hint::black_box(false)));
+    assert!(asserted.is_err(), "debug-assertions are off");
+}
