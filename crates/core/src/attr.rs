@@ -4,7 +4,10 @@
 //! scientific data formats" (§3.2). [`AttrValue`] is the metadata half:
 //! small typed values attached to datasets, data blocks and files.
 
+use std::borrow::Cow;
+
 use crate::error::{Result, RocError};
+use crate::le;
 use crate::rope::Cursor;
 
 /// A typed metadata value.
@@ -59,44 +62,7 @@ impl AttrValue {
 
     /// Decode the value at the cursor, advancing it.
     pub fn decode(cur: &mut Cursor<'_>) -> Result<Self> {
-        // A vector's element count, refused before it sizes anything if
-        // the input cannot hold that many 8-byte elements.
-        let count = |cur: &mut Cursor<'_>, kind: &str| {
-            let n = cur.u32("attr length")? as usize;
-            if n > cur.remaining() / 8 {
-                return Err(RocError::Corrupt(format!("attr: {kind} length exceeds input")));
-            }
-            Ok(n)
-        };
-        let val = match cur.u8("attr")? {
-            0 => AttrValue::Int(cur.i64("attr Int")?),
-            1 => AttrValue::Float(cur.f64("attr Float")?),
-            2 => {
-                let n = cur.u32("attr length")? as usize;
-                AttrValue::Str(
-                    String::from_utf8(cur.bytes(n, "attr")?.into_owned())
-                        .map_err(|_| RocError::Corrupt("attr: invalid utf-8".into()))?,
-                )
-            }
-            3 => {
-                let n = count(cur, "IntVec")?;
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push(cur.i64("attr IntVec element")?);
-                }
-                AttrValue::IntVec(v)
-            }
-            4 => {
-                let n = count(cur, "FloatVec")?;
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push(cur.f64("attr FloatVec element")?);
-                }
-                AttrValue::FloatVec(v)
-            }
-            other => return Err(RocError::Corrupt(format!("attr: unknown tag {other}"))),
-        };
-        Ok(val)
+        Ok(AttrView::read(cur)?.to_value())
     }
 
     /// Approximate encoded size in bytes (used by the format cost models).
@@ -157,6 +123,82 @@ impl From<&str> for AttrValue {
 impl From<String> for AttrValue {
     fn from(s: String) -> Self {
         AttrValue::Str(s)
+    }
+}
+
+/// An encoded attribute value where it lies in its input: held to every
+/// check a decode makes — a known tag, a length the input can hold, UTF-8
+/// in a string — with nothing built. What passes an encoded value along
+/// reads this; [`AttrValue::decode`] is this, then [`AttrView::to_value`].
+#[derive(Debug)]
+pub struct AttrView<'a> {
+    tag: u8,
+    /// Everything after the tag byte: the scalar, or the `u32` count and
+    /// the elements it counts.
+    body: Cow<'a, [u8]>,
+}
+
+impl<'a> AttrView<'a> {
+    /// Check the value at the cursor, advancing it. Borrows the part the
+    /// value lies in; only a value cut across parts is gathered, after its
+    /// length was checked against what remains.
+    pub fn read(cur: &mut Cursor<'a>) -> Result<Self> {
+        let tag = cur.u8("attr")?;
+        let body_len = match tag {
+            0 | 1 => Some(8),
+            2..=4 => {
+                let n = cur.clone().u32("attr length")? as usize;
+                n.checked_mul(if tag == 2 { 1 } else { 8 }).and_then(|n| n.checked_add(4))
+            }
+            other => return Err(RocError::Corrupt(format!("attr: unknown tag {other}"))),
+        };
+        let body_len =
+            body_len.ok_or_else(|| RocError::Corrupt("attr: length exceeds input".into()))?;
+        let body = cur.bytes(body_len, "attr")?;
+        if tag == 2 && std::str::from_utf8(&body[4..]).is_err() {
+            return Err(RocError::Corrupt("attr: invalid utf-8".into()));
+        }
+        Ok(AttrView { tag, body })
+    }
+
+    /// The bytes [`AttrValue::encode`] writes for this value: the ones read.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        out.push(self.tag);
+        out.extend_from_slice(&self.body);
+    }
+
+    /// [`AttrValue::encoded_size`] of the value this decodes to.
+    pub fn encoded_size(&self) -> usize {
+        1 + self.body.len()
+    }
+
+    /// The value if it is an `Int`.
+    pub fn as_int(&self) -> Option<i64> {
+        (self.tag == 0).then(|| i64::from_le_bytes(self.scalar()))
+    }
+
+    /// The value if it is a `Str`.
+    pub fn as_str(&self) -> Option<&str> {
+        (self.tag == 2).then(|| std::str::from_utf8(&self.body[4..]).ok()).flatten()
+    }
+
+    /// A scalar's body: the eight bytes `read` took for it.
+    fn scalar(&self) -> [u8; 8] {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(&self.body[..8]);
+        le
+    }
+
+    /// Build the value.
+    pub fn to_value(&self) -> AttrValue {
+        match self.tag {
+            0 => AttrValue::Int(i64::from_le_bytes(self.scalar())),
+            1 => AttrValue::Float(f64::from_le_bytes(self.scalar())),
+            // Lossless: `read` refused anything but UTF-8.
+            2 => AttrValue::Str(String::from_utf8_lossy(&self.body[4..]).into_owned()),
+            3 => AttrValue::IntVec(le::array(&self.body[4..], i64::from_le_bytes)),
+            _ => AttrValue::FloatVec(le::array(&self.body[4..], f64::from_le_bytes)),
+        }
     }
 }
 

@@ -43,7 +43,7 @@ pub mod units;
 /// no dependency of their own.
 pub use bytes::Bytes;
 
-pub use attr::AttrValue;
+pub use attr::{AttrValue, AttrView};
 pub use block::{BlockId, DataBlock};
 pub use checksum::Checksum;
 pub use dataset::Dataset;

@@ -429,11 +429,20 @@ impl<'a> Cursor<'a> {
     }
 
     /// The `u16`-length-prefixed UTF-8 string next (record, attribute and
-    /// window names everywhere).
-    pub fn str16(&mut self, what: &str) -> Result<String> {
+    /// window names everywhere), to look at: borrowed from the part it
+    /// lies in, gathered if it straddles parts.
+    pub fn str16_ref(&mut self, what: &str) -> Result<Cow<'a, str>> {
         let n = self.u16(what)? as usize;
-        String::from_utf8(self.bytes(n, what)?.into_owned())
-            .map_err(|_| RocError::Corrupt(format!("{what}: name is not utf-8")))
+        let not_utf8 = || RocError::Corrupt(format!("{what}: name is not utf-8"));
+        match self.bytes(n, what)? {
+            Cow::Borrowed(run) => std::str::from_utf8(run).map(Cow::Borrowed).map_err(|_| not_utf8()),
+            Cow::Owned(run) => String::from_utf8(run).map(Cow::Owned).map_err(|_| not_utf8()),
+        }
+    }
+
+    /// [`Cursor::str16_ref`], owned.
+    pub fn str16(&mut self, what: &str) -> Result<String> {
+        Ok(self.str16_ref(what)?.into_owned())
     }
 }
 

@@ -9,14 +9,15 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use rocio_core::{BlockId, DataBlock, Priority, Result, RocError, Rope, SnapshotId, TenantId};
+use rocio_core::{BlockId, Priority, Result, RocError, Rope, Segment, SnapshotId, TenantId};
 use rocnet::{Comm, Message};
+use rocsdf::format::BlockFrame;
 use rocsdf::{SdfFileReader, SdfFileWriter, SegmentPool};
 use rocstore::SharedFs;
 
 use crate::config::RocpandaConfig;
 use crate::net::PandaNet;
-use crate::wire::{self, tag, BlockMsg, CoordKey, ReadReq, WriteReq};
+use crate::wire::{self, tag, BlockMsg, BlockWire, CoordKey, ReadReq, WriteReq};
 
 /// How long (virtual seconds) a shutting-down server keeps re-acking
 /// trailing retransmissions before exiting: comfortably past the largest
@@ -123,17 +124,36 @@ impl TenantDrainStats {
     }
 }
 
-/// A block waiting in a tenant's drain queue.
+/// A block waiting in a tenant's drain queue: its records framed for the
+/// file, payloads still windows of the message it came in.
 struct Queued {
     key: FileKey,
-    block: DataBlock,
-    /// Encoded size, charged against the tenant's DRR deficit.
-    size: u64,
+    /// Its `size` — the encoded size of the block — is what the tenant's
+    /// DRR deficit is charged.
+    frame: BlockFrame,
     /// Wire bytes `enqueue` added to `buffered_bytes`; the drain gives
     /// back exactly this.
     charged: usize,
     /// Virtual time the block entered the queue (drain-latency stats).
     enqueued: f64,
+}
+
+/// A buffered block kept for restart service: the message it arrived as,
+/// which is the `READ_BATCH` entry it goes back as.
+#[derive(Clone)]
+struct Cached {
+    wire: Rope,
+    /// Encoded size of the block, charged when it is staged into a reply.
+    size: u64,
+}
+
+/// One block of a restart reply.
+enum Restored {
+    /// Out of the read cache, still the rope it was received as.
+    Staged(Cached),
+    /// Off the disk, decoded by the reader (a file record carries a
+    /// `__crc32__` that a wire record does not).
+    Read(BlockMsg),
 }
 
 /// A dedicated I/O server. Handed out by [`crate::PandaService::attach`] to
@@ -173,13 +193,13 @@ pub struct PandaServer<'a> {
     client_pending: HashMap<(usize, FileKey), u32>,
     /// Restart requests collected per file key.
     read_reqs: HashMap<FileKey, Vec<(usize, Vec<u64>)>>,
-    /// Snapshot read cache: buffered block handles kept for restart
+    /// Snapshot read cache: buffered block messages kept for restart
     /// service (read-your-writes). Populated at block intake when
-    /// `cfg.read_cache` is on; the handles share payloads with the write
+    /// `cfg.read_cache` is on; a message's parts are shared with the write
     /// queue by refcount, so the cache holds no extra copy of the data.
     /// Keyed by tenant-qualified [`FileKey`], so each tenant's partition
     /// is isolated. Evicted when the snapshot is retired.
-    read_cache: HashMap<FileKey, HashMap<u64, DataBlock>>,
+    read_cache: HashMap<FileKey, HashMap<u64, Cached>>,
     /// Restart coordination: my recorded vote per restart round. One
     /// vote per key, computed at most once — on-demand when a peer's
     /// vote arrives early, otherwise when this server enters the round.
@@ -351,17 +371,16 @@ impl<'a> PandaServer<'a> {
     /// last.
     fn on_block(&mut self, src: usize, wire: &Rope) -> Result<()> {
         let tenant = self.tenant_of(src)?;
-        // Zero-copy intake: the buffered block's payloads are
+        // Zero-copy, zero-decode intake: the message is walked once —
+        // every check a decode makes, and that it is what the one encoder
+        // writes — and framed as the file records it becomes. Headers are
+        // copied into one staging buffer per block; payloads stay
         // refcounted windows of the message's parts — the client's own
         // block buffer — so between `pane_to_block` and the file image
-        // no snapshot byte is copied: buffering, the read cache and the
-        // drain all hold that one buffer.
-        let bm = BlockMsg::decode(&mut wire.cursor())?;
-        let key = FileKey {
-            tenant,
-            snap: bm.snap,
-            window: bm.window.clone(),
-        };
+        // no snapshot byte is copied and no record is re-encoded:
+        // buffering, the read cache and the drain all hold that one rope.
+        let BlockWire { snap, window, frame } = BlockWire::parse(wire)?;
+        let key = FileKey { tenant, snap, window };
         // Server CPU cost of taking the block in.
         let bytes = wire.len();
         let t_fill0 = self.world.now();
@@ -372,15 +391,13 @@ impl<'a> PandaServer<'a> {
         if self.cfg.active_buffering {
             self.stats.blocks_buffered += 1;
             if self.cfg.read_cache {
-                // Keep a handle for restart service. Payloads are
-                // shared with the queued block, so this is a
-                // refcount bump, not a data copy.
-                self.read_cache
-                    .entry(key.clone())
-                    .or_default()
-                    .insert(bm.block.id.0, bm.block.clone());
+                // Keep the message for restart service. Its parts are
+                // shared with the queued frame, so this is a refcount
+                // bump, not a data copy.
+                let cached = Cached { wire: wire.clone(), size: frame.size as u64 };
+                self.read_cache.entry(key.clone()).or_default().insert(frame.id.0, cached);
             }
-            self.enqueue(key.clone(), bm.block, bytes);
+            self.enqueue(key.clone(), frame, bytes);
             if rocobs::enabled() {
                 rocobs::record(
                     rocobs::SpanCategory::BufferFill,
@@ -399,7 +416,7 @@ impl<'a> PandaServer<'a> {
                 self.write_one()?;
             }
         } else {
-            self.write_checked(&key, &bm.block)?;
+            self.write_checked(&key, frame)?;
         }
         self.net.send(src, tag::ACK, &[])?;
         let pending_key = (src, key.clone());
@@ -526,15 +543,14 @@ impl<'a> PandaServer<'a> {
 
     /// Queue a buffered block on its tenant's drain lane, charging the
     /// buffer the `charged` wire bytes the block arrived as.
-    fn enqueue(&mut self, key: FileKey, block: DataBlock, charged: usize) {
+    fn enqueue(&mut self, key: FileKey, frame: BlockFrame, charged: usize) {
         let tenant = key.tenant;
         self.buffered_bytes += charged;
         let item = Queued {
-            size: block.encoded_size() as u64,
             charged,
             enqueued: self.world.now(),
             key,
-            block,
+            frame,
         };
         let q = self.drain_queues.entry(tenant).or_default();
         if q.is_empty() && !self.drain_ring.contains(&tenant) {
@@ -553,7 +569,7 @@ impl<'a> PandaServer<'a> {
         loop {
             let tenant = *self.drain_ring.front()?;
             let head_size = match self.drain_queues.get(&tenant).and_then(|q| q.front()) {
-                Some(item) => item.size,
+                Some(item) => item.frame.size as u64,
                 None => {
                     // Lane drained: retire it from the ring (and forget
                     // its deficit — credit must not accumulate while idle).
@@ -584,11 +600,12 @@ impl<'a> PandaServer<'a> {
         if let Some(item) = self.pop_next() {
             let t0 = self.world.now();
             self.buffered_bytes -= item.charged;
-            self.write_checked(&item.key, &item.block)?;
+            let size = item.frame.size as u64;
+            self.write_checked(&item.key, item.frame)?;
             let latency = self.world.now() - item.enqueued;
             let ds = self.drain_stats.entry(item.key.tenant).or_default();
             ds.blocks += 1;
-            ds.bytes += item.size;
+            ds.bytes += size;
             ds.total_latency += latency;
             ds.max_latency = ds.max_latency.max(latency);
             if rocobs::enabled() {
@@ -599,7 +616,7 @@ impl<'a> PandaServer<'a> {
                     self.world.now(),
                     &format!(
                         "bytes={} occupancy={} queued={}",
-                        item.size, self.buffered_bytes, self.queued_total
+                        size, self.buffered_bytes, self.queued_total
                     ),
                 );
             }
@@ -613,14 +630,14 @@ impl<'a> PandaServer<'a> {
     /// tenant's next sync, and drops this and all remaining blocks of the
     /// file — the protocol (ACK/DONE) stays live so no client hangs, and
     /// other tenants are untouched. Non-service errors still propagate.
-    fn write_checked(&mut self, key: &FileKey, block: &DataBlock) -> Result<()> {
+    fn write_checked(&mut self, key: &FileKey, frame: BlockFrame) -> Result<()> {
         if self.files.get(key).is_some_and(|st| st.failed) {
             if let Some(st) = self.files.get_mut(key) {
                 st.blocks_dropped += 1;
             }
             return Ok(());
         }
-        match self.write_block(key, block) {
+        match self.write_block(key, frame) {
             Ok(()) => Ok(()),
             Err(RocError::Service(se)) => {
                 self.tenant_errors
@@ -638,29 +655,31 @@ impl<'a> PandaServer<'a> {
         }
     }
 
-    fn write_block(&mut self, key: &FileKey, block: &DataBlock) -> Result<()> {
-        let path = self
-            .cfg
-            .path_for(key.tenant, &key.window, key.snap, self.server_index);
+    /// Splice a framed block into its file: one scatter-gather write of
+    /// the frame's headers and the message's payload windows.
+    fn write_block(&mut self, key: &FileKey, frame: BlockFrame) -> Result<()> {
         let client_id = self.world.global_rank() as u64;
         // All dedicated servers write concurrently.
         self.fs.declare_writers(self.server_ranks.len());
-        // CPU submit cost: encode + hand the bytes to the file system.
+        // CPU submit cost: checksum + hand the bytes to the file system.
         let t_submit0 = self.world.now();
         self.world
-            .advance(block.encoded_size() as f64 / self.cfg.server_copy_bw);
+            .advance(frame.size as f64 / self.cfg.server_copy_bw);
         if rocobs::enabled() {
             rocobs::record(
                 rocobs::SpanCategory::DiskSubmit,
                 "disk_submit",
                 t_submit0,
                 self.world.now(),
-                &format!("bytes={}", block.encoded_size()),
+                &format!("bytes={}", frame.size),
             );
         }
         let synchronous = !self.cfg.active_buffering;
         let st = self.files.entry(key.clone()).or_default();
         if st.writer.is_none() {
+            let path = self
+                .cfg
+                .path_for(key.tenant, &key.window, key.snap, self.server_index);
             let (w, t) =
                 SdfFileWriter::create(self.fs, &path, self.cfg.lib, client_id, self.world.now())?;
             self.disk_completion = self.disk_completion.max(t);
@@ -669,7 +688,7 @@ impl<'a> PandaServer<'a> {
         let writer = st.writer.as_mut().ok_or_else(|| {
             RocError::InvalidState("panda server: writer missing after creation".into())
         })?;
-        let t = writer.append_block(block, self.world.now())?;
+        let t = writer.append_frame(frame, self.world.now())?;
         self.disk_completion = self.disk_completion.max(t);
         if synchronous {
             // Write-through mode (ablation): the block is durable before
@@ -929,43 +948,46 @@ impl<'a> PandaServer<'a> {
             .iter()
             .map(|(client, ids)| {
                 let cached = ids.iter().filter_map(|id| cache?.get(id));
-                let msgs = cached.map(|block| BlockMsg {
-                    snap: key.snap,
-                    window: key.window.clone(),
-                    block: block.clone(),
-                });
-                (*client, msgs.collect())
+                (*client, cached.cloned().map(Restored::Staged).collect())
             })
             .collect();
-        self.ship(&per_client, requests, true)
+        self.ship(&per_client, requests)
     }
 
     /// End a restart round: each requesting client, in request order,
     /// gets its share as one zero-copy `READ_BATCH` (none when the share
-    /// is empty), then `READ_DONE` with the count. Blocks `staged` out of
+    /// is empty), then `READ_DONE` with the count. Blocks staged out of
     /// the read cache are charged like intake — per-block overhead plus a
-    /// memory copy into the reply; blocks off the disk were charged by
-    /// their reads.
+    /// memory copy into the reply — and go back as the messages they came
+    /// as; blocks off the disk were charged by their reads and are encoded
+    /// here.
     fn ship(
         &mut self,
-        per_client: &HashMap<usize, Vec<BlockMsg>>,
+        per_client: &HashMap<usize, Vec<Restored>>,
         requests: &[(usize, Vec<u64>)],
-        staged: bool,
     ) -> Result<()> {
         for (client, _) in requests {
             let msgs = per_client.get(client).map_or(&[][..], Vec::as_slice);
             let t0 = self.world.now();
-            if staged {
-                for m in msgs {
+            let mut staged = false;
+            for m in msgs {
+                if let Restored::Staged(cached) = m {
+                    staged = true;
                     self.world.advance(
                         self.cfg.server_block_overhead
-                            + m.block.encoded_size() as f64 / self.cfg.server_copy_bw,
+                            + cached.size as f64 / self.cfg.server_copy_bw,
                     );
                 }
             }
             if !msgs.is_empty() {
                 let mut segs = Vec::new();
-                wire::encode_read_batch_segments(msgs, &mut self.pool, &mut segs);
+                let image_of = |i, pool: &mut SegmentPool, image: &mut Vec<Segment>| match &msgs[i] {
+                    Restored::Staged(cached) => {
+                        image.extend(cached.wire.parts().iter().cloned().map(Segment::Shared));
+                    }
+                    Restored::Read(msg) => msg.encode_segments(pool, image),
+                };
+                wire::encode_read_batch_segments(msgs.len(), image_of, &mut self.pool, &mut segs);
                 self.net.send_segments(*client, tag::READ_BATCH, &segs)?;
                 self.pool.recycle(&mut segs);
                 if staged && rocobs::enabled() {
@@ -1007,7 +1029,7 @@ impl<'a> PandaServer<'a> {
         let client_id = self.world.global_rank() as u64;
         // Per-client share of the blocks this server read, accumulated
         // across its file domains and shipped as one READ_BATCH each.
-        let mut per_client: HashMap<usize, Vec<BlockMsg>> = HashMap::new();
+        let mut per_client: HashMap<usize, Vec<Restored>> = HashMap::new();
         for (i, path) in files.iter().enumerate() {
             if i % m != self.server_index {
                 continue;
@@ -1031,13 +1053,13 @@ impl<'a> PandaServer<'a> {
             self.world.clock().merge(t);
             for block in blocks {
                 let client = owner[&block.id.0];
-                per_client.entry(client).or_default().push(BlockMsg {
+                per_client.entry(client).or_default().push(Restored::Read(BlockMsg {
                     snap: key.snap,
                     window: key.window.clone(),
                     block,
-                });
+                }));
             }
         }
-        self.ship(&per_client, requests, false)
+        self.ship(&per_client, requests)
     }
 }

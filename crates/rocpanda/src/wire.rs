@@ -7,15 +7,23 @@
 //! written by the same encoder: a [`BlockMsg`] has one encode
 //! (scatter-gather segments; `Comm::send_segments` sends them as the parts
 //! of one rope) and one decode (payloads are windows of the received
-//! message's parts — the sender's own buffers). Every length read from a
+//! message's parts — the sender's own buffers). Only the ends of the path
+//! decode: a client taking a `READ_BATCH` in, `genx::rebalance` taking a
+//! migrated block. The server in the middle reads a `BLOCK` message as a
+//! [`BlockWire`] — routed, held to every check the decode makes and to
+//! being what the encode writes, its records framed for the file — and
+//! forwards it: the wire image of a block becomes its file image, and the
+//! message itself is what the read cache ships back. Every length read from a
 //! message goes through a checked cursor (`rocio_core::Cursor` over a
 //! rope, `rocio_core::le::take` over a control message's bytes), and every
 //! count is bounded by the bytes that remain before it sizes an
 //! allocation.
 
 use bytes::Bytes;
-use rocio_core::{Cursor, DataBlock, Result, RocError, Segment, SnapshotId};
-use rocsdf::format::{block_from_records, block_meta_dataset, block_prefix, decode_dataset};
+use rocio_core::{Cursor, DataBlock, Result, RocError, Rope, Segment, SnapshotId};
+use rocsdf::format::{
+    block_from_records, block_meta_dataset, block_prefix, decode_dataset, frame_block, BlockFrame,
+};
 use rocsdf::SegmentPool;
 
 /// Message tags. All below [`rocnet::comm::TAG_USER_MAX`].
@@ -205,10 +213,7 @@ impl BlockMsg {
     /// buffer — so a server can buffer the blocks of many messages without
     /// duplicating any payload.
     pub fn decode(cur: &mut Cursor<'_>) -> Result<Self> {
-        let what = "panda wire message";
-        let snap = SnapshotId::new(cur.u64(what)?, cur.u32(what)?);
-        let window = cur.str16(what)?;
-        let n = cur.u32("panda wire count")? as usize;
+        let (snap, window, n) = routing_header(cur)?;
         let block = block_from_records(None, (0..n).map(|_| decode_dataset(cur)))?;
         Ok(BlockMsg {
             snap,
@@ -223,23 +228,66 @@ impl BlockMsg {
     }
 }
 
-/// Encode several blocks as one batched `READ_BATCH` reply: `u32` count,
-/// then per message a `u64` length prefix followed by the message's
-/// [`BlockMsg::encode_segments`] image. Headers and length prefixes go to pooled
-/// staging buffers; shared payloads ride along by refcount, so a cached
-/// snapshot is shipped without copying any block data.
+/// The routing header every block message starts with: snapshot, window,
+/// record count.
+fn routing_header(cur: &mut Cursor<'_>) -> Result<(SnapshotId, String, usize)> {
+    let what = "panda wire message";
+    let snap = SnapshotId::new(cur.u64(what)?, cur.u32(what)?);
+    let window = cur.str16(what)?;
+    Ok((snap, window, cur.u32("panda wire count")? as usize))
+}
+
+/// A `BLOCK` message as a server takes it in: routed, checked, and framed
+/// for the file it goes to — never decoded. A server moves blocks; it has
+/// no use for what is in them, and the message already *is* the block's
+/// file records but for their checksums (see [`frame_block`], which holds
+/// it to everything [`BlockMsg::decode`] checks and to being what
+/// [`BlockMsg::encode_segments`] writes).
+#[derive(Debug)]
+pub struct BlockWire {
+    pub snap: SnapshotId,
+    pub window: String,
+    pub frame: BlockFrame,
+}
+
+impl BlockWire {
+    /// Parse one whole message. Bytes after the last record are refused:
+    /// the read cache ships the message back as it lies.
+    pub fn parse(wire: &Rope) -> Result<Self> {
+        let cur = &mut wire.cursor();
+        let (snap, window, n) = routing_header(cur)?;
+        let frame = frame_block(cur, n)?;
+        if cur.remaining() != 0 {
+            return Err(RocError::Corrupt(format!(
+                "panda wire: {} bytes after block {}'s last record",
+                cur.remaining(),
+                frame.id
+            )));
+        }
+        Ok(BlockWire { snap, window, frame })
+    }
+}
+
+/// Encode `n` blocks as one batched `READ_BATCH` reply: `u32` count, then
+/// per block a `u64` length prefix followed by its
+/// [`BlockMsg::encode_segments`] image, which `image_of(i, ..)` appends —
+/// by encoding a block read off the disk, or part for part from the
+/// message a cached block arrived as. Headers and length prefixes go to
+/// pooled staging buffers; shared payloads ride along by refcount, so a
+/// cached snapshot is shipped without copying any block data.
 pub(crate) fn encode_read_batch_segments(
-    msgs: &[BlockMsg],
+    n: usize,
+    mut image_of: impl FnMut(usize, &mut SegmentPool, &mut Vec<Segment>),
     pool: &mut SegmentPool,
     out: &mut Vec<Segment>,
 ) {
     let mut head = pool.take();
     head.clear();
-    head.extend_from_slice(&(msgs.len() as u32).to_le_bytes());
+    head.extend_from_slice(&(n as u32).to_le_bytes());
     out.push(Segment::Owned(head));
-    for m in msgs {
+    for i in 0..n {
         let mut inner = Vec::new();
-        m.encode_segments(pool, &mut inner);
+        image_of(i, pool, &mut inner);
         let mut len = pool.take();
         len.clear();
         len.extend_from_slice(&(rocio_core::segments_len(&inner) as u64).to_le_bytes());
@@ -389,7 +437,10 @@ pub(crate) fn decode_read_done(bytes: &[u8]) -> Result<u32> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rocio_core::{BlockId, Dataset, Rope};
+    use rocio_core::{ArrayData, AttrValue, BlockId, Dataset};
+    use rocsdf::format::CRC_ATTR;
+    use rocsdf::{LibraryModel, SdfFileWriter};
+    use rocstore::SharedFs;
 
     fn block() -> DataBlock {
         DataBlock::new(BlockId(12), "fluid")
@@ -400,6 +451,11 @@ mod tests {
 
     fn msg(block: DataBlock) -> BlockMsg {
         BlockMsg { snap: SnapshotId::new(50, 1), window: "fluid".into(), block }
+    }
+
+    /// The `READ_BATCH` a disk scan ships: every entry encoded.
+    fn read_batch(msgs: &[BlockMsg], pool: &mut SegmentPool, out: &mut Vec<Segment>) {
+        encode_read_batch_segments(msgs.len(), |i, pool, image| msgs[i].encode_segments(pool, image), pool, out);
     }
 
     fn decode_read_batch_shared(bytes: &Bytes) -> Result<Vec<BlockMsg>> {
@@ -512,7 +568,7 @@ mod tests {
         let msgs: Vec<BlockMsg> = (0..3).map(|i| msg(block(i))).collect();
         let mut pool = SegmentPool::new();
         let mut segs = Vec::new();
-        encode_read_batch_segments(&msgs, &mut pool, &mut segs);
+        read_batch(&msgs, &mut pool, &mut segs);
         let flat = rocio_core::segments_to_vec(&segs);
         let src = Bytes::from(flat.clone());
         let dec = decode_read_batch_shared(&src).unwrap();
@@ -520,7 +576,7 @@ mod tests {
         assert_eq!(dec, msgs);
         // An empty batch is legal (a server may own no requested blocks).
         let mut segs = Vec::new();
-        encode_read_batch_segments(&[], &mut pool, &mut segs);
+        read_batch(&[], &mut pool, &mut segs);
         let empty = Bytes::from(rocio_core::segments_to_vec(&segs));
         assert_eq!(decode_read_batch_shared(&empty).unwrap(), vec![]);
         // Truncation anywhere is an error, not a panic.
@@ -565,8 +621,18 @@ mod tests {
                 let flat = BlockMsg::decode_shared(&input);
                 let roped = BlockMsg::decode(&mut cut(&input, &cuts).0.cursor());
                 prop_assert_eq!(format!("{roped:?}"), format!("{flat:?}"));
-                if let Ok(m) = flat {
+                if let Ok(m) = &flat {
                     prop_assert!(m.window.len() + m.block.encoded_size() <= input.len() + 64);
+                }
+                // The server's intake is no more lenient than the decode
+                // it stands in for, cut or whole.
+                let framed = BlockWire::parse(&input.clone().into());
+                let framed_roped = BlockWire::parse(&cut(&input, &cuts).0);
+                prop_assert_eq!(format!("{framed_roped:?}"), format!("{framed:?}"));
+                if let Ok(w) = framed {
+                    let m = flat.expect("what frames, decodes");
+                    prop_assert_eq!((w.snap, &w.window, w.frame.id), (m.snap, &m.window, m.block.id));
+                    prop_assert_eq!(w.frame.size, m.block.encoded_size());
                 }
             }
         }
@@ -579,7 +645,7 @@ mod tests {
             cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..4),
         ) {
             let mut segs = Vec::new();
-            encode_read_batch_segments(&[msg(block()), msg(block())], &mut SegmentPool::new(), &mut segs);
+            read_batch(&[msg(block()), msg(block())], &mut SegmentPool::new(), &mut segs);
             for input in hostile(&rocio_core::segments_to_vec(&segs), &junk, at, byte) {
                 let flat = decode_read_batch_shared(&input);
                 let roped = decode_read_batch(&mut cut(&input, &cuts).0.cursor());
@@ -602,7 +668,7 @@ mod tests {
             let msgs = [msg(block()), msg(block())];
             let mut segs = Vec::new();
             if batch {
-                encode_read_batch_segments(&msgs, &mut SegmentPool::new(), &mut segs);
+                read_batch(&msgs, &mut SegmentPool::new(), &mut segs);
             } else {
                 msgs[0].encode_segments(&mut SegmentPool::new(), &mut segs);
             }
@@ -624,6 +690,98 @@ mod tests {
         }
     }
 
+    fn arb_attr_value() -> impl Strategy<Value = AttrValue> {
+        prop_oneof![
+            any::<i64>().prop_map(AttrValue::Int),
+            any::<f64>().prop_map(AttrValue::Float),
+            "[ -~]{0,12}".prop_map(AttrValue::Str),
+            prop::collection::vec(any::<i64>(), 0..4).prop_map(AttrValue::IntVec),
+            prop::collection::vec(any::<f64>(), 0..4).prop_map(AttrValue::FloatVec),
+        ]
+    }
+
+    fn arb_attrs() -> impl Strategy<Value = Vec<(String, AttrValue)>> {
+        // Keys on both sides of `__crc32__` ('_' sorts between 'Z' and 'a').
+        prop::collection::vec(("[A-Za-z_:]{0,10}", arb_attr_value()), 0..5)
+    }
+
+    /// Every dtype, empty payloads, shapes of rank 0 to 2, every attribute
+    /// kind on the datasets and on the block — and, where `stamped`, a
+    /// wire record that already carries its (matching) `__crc32__`.
+    fn arb_block(id: u64) -> impl Strategy<Value = DataBlock> {
+        let data = prop_oneof![
+            prop::collection::vec(any::<u8>(), 0..64).prop_map(ArrayData::U8),
+            prop::collection::vec(any::<i32>(), 0..48).prop_map(ArrayData::I32),
+            prop::collection::vec(any::<i64>(), 0..32).prop_map(ArrayData::I64),
+            prop::collection::vec(any::<f32>(), 0..48).prop_map(ArrayData::F32),
+            prop::collection::vec(any::<f64>(), 0..32).prop_map(ArrayData::F64),
+        ];
+        let dataset = ("[a-z_/]{0,9}", data, 0usize..3, arb_attrs(), any::<bool>());
+        (prop::collection::vec(dataset, 0..5), "[a-z]{0,8}", arb_attrs()).prop_map(
+            move |(datasets, window, attrs)| {
+                let mut b = DataBlock::new(BlockId(id), window);
+                b.attrs = attrs.into_iter().collect();
+                for (name, data, rank, attrs, stamped) in datasets {
+                    let mut ds = Dataset::vector(name, Vec::<u8>::new());
+                    ds.shape = match rank {
+                        0 if data.len() == 1 => vec![],
+                        2 => vec![1, data.len()],
+                        _ => vec![data.len()],
+                    };
+                    ds.data = data.into();
+                    ds.attrs = attrs.into_iter().filter(|(k, _)| k != CRC_ATTR).collect();
+                    if stamped {
+                        let crc = rocsdf::payload_crc32(&ds) as i64;
+                        ds.attrs.insert(CRC_ATTR.into(), AttrValue::Int(crc));
+                    }
+                    let _ = b.push_dataset(ds);
+                }
+                b
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // The equality the server rests on: framing a message and splicing
+        // the frame writes, byte for byte and tick for tick, the file that
+        // decoding it and appending the block writes — whatever is in the
+        // blocks, in whatever order they arrive, however the fabric cut
+        // the messages into parts.
+        #[test]
+        fn forwarding_writes_the_file_that_decode_then_append_block_writes(
+            blocks in prop::collection::vec(any::<u8>(), 1..5).prop_flat_map(|ids| {
+                let mut seen = std::collections::HashSet::new();
+                let ids = ids.into_iter().filter(move |id| seen.insert(*id));
+                ids.map(|id| arb_block(u64::from(id) * 4099)).collect::<Vec<_>>()
+            }),
+            cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
+        ) {
+            let ropes: Vec<Rope> = blocks.into_iter().map(|b| cut(&wire(&msg(b)), &cuts).0).collect();
+            for lib in [LibraryModel::hdf4(), LibraryModel::Raw] {
+                let (forwarded, decoded) = (SharedFs::turing(), SharedFs::turing());
+                let (mut fw, t0) = SdfFileWriter::create(&forwarded, "f.sdf", lib, 7, 0.25).unwrap();
+                let (mut dw, t) = SdfFileWriter::create(&decoded, "f.sdf", lib, 7, 0.25).unwrap();
+                prop_assert_eq!(t0.to_bits(), t.to_bits());
+                let (mut tf, mut td) = (t, t);
+                for rope in &ropes {
+                    let framed = BlockWire::parse(rope).unwrap();
+                    let m = BlockMsg::decode(&mut rope.cursor()).unwrap();
+                    prop_assert_eq!((framed.snap, &framed.window, framed.frame.id), (m.snap, &m.window, m.block.id));
+                    prop_assert_eq!(framed.frame.size, m.block.encoded_size());
+                    tf = fw.append_frame(framed.frame, tf).unwrap();
+                    td = dw.append_block(&m.block, td).unwrap();
+                    prop_assert_eq!(tf.to_bits(), td.to_bits());
+                }
+                prop_assert_eq!(fw.finish(tf).unwrap().to_bits(), dw.finish(td).unwrap().to_bits());
+                let image = |fs: &SharedFs| fs.read_all_shared("f.sdf", 0, 0.0).unwrap().0;
+                prop_assert_eq!(image(&forwarded), image(&decoded));
+                prop_assert_eq!(forwarded.stats(), decoded.stats());
+            }
+        }
+    }
+
     #[test]
     fn hostile_counts_are_refused_before_they_size_anything() {
         // Four billion ids / batch entries / records, and an entry of
@@ -637,7 +795,13 @@ mod tests {
         assert!(decode_read_batch_shared(&batch.into()).is_err());
         let mut m = wire(&msg(block()));
         m[19..23].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(BlockMsg::decode_shared(&m.into()).is_err());
+        assert!(BlockMsg::decode_shared(&m.clone().into()).is_err());
+        assert!(matches!(BlockWire::parse(&Bytes::from(m).into()), Err(RocError::Corrupt(_))));
+        // What the read cache would ship back must be the message alone.
+        let mut trailing = wire(&msg(block()));
+        assert!(BlockWire::parse(&Bytes::from(trailing.clone()).into()).is_ok());
+        trailing.push(0);
+        assert!(matches!(BlockWire::parse(&Bytes::from(trailing).into()), Err(RocError::Corrupt(_))));
     }
 
     #[test]

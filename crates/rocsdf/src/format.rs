@@ -13,8 +13,20 @@
 //! external schema. The index enables direct per-dataset access; records
 //! are self-delimiting, so a file can also be walked front to back with
 //! [`decode_dataset`] alone. One function writes a record
-//! ([`encode_dataset_segments`]), one parses a record header, and a
+//! ([`encode_dataset_segments`]), one walks a record header, and a
 //! payload is the same little-endian bytes whoever produced it.
+//!
+//! ## Decoding and forwarding
+//!
+//! The header walk hands what it reads to a sink, and there are two. A
+//! *reader* builds the owned header — a `String` per name and key, a map
+//! per record — and from it a [`Dataset`] ([`decode_dataset`]). A *mover*
+//! does not: [`frame_block`] copies a block's wire records into the file
+//! records they become (the wire image lacks only each record's
+//! `__crc32__` entry, see below) and a Rocpanda server buffers and writes
+//! that [`BlockFrame`] without ever holding a [`DataBlock`]. The copy is
+//! the file image only if the input is what the one encoder writes, so
+//! that is what `frame_block` accepts.
 //!
 //! ## The payload checksum
 //!
@@ -31,10 +43,13 @@
 //! its group boundaries. (`rocio_core::Checksum`, which is compared only
 //! within one process, has no such constraint.)
 
+use std::collections::BTreeMap;
+use std::ops::Range;
+
 use bytes::Bytes;
 use rocio_core::{
-    le, AttrValue, BlockId, Cursor, DType, DataBlock, Dataset, Result, RocError, Segment,
-    SharedArray,
+    le, AttrValue, AttrView, BlockId, Cursor, DType, DataBlock, Dataset, Result, RocError,
+    Segment, SharedArray,
 };
 
 /// File magic, also used as the trailer sentinel.
@@ -253,9 +268,13 @@ pub(crate) fn check_header(bytes: &[u8]) -> Result<()> {
     Ok(())
 }
 
+fn put_str16(out: &mut Vec<u8>, s: &str) {
+    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
+}
+
 fn encode_attr_entry(k: &str, v: &AttrValue, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(k.len() as u16).to_le_bytes());
-    out.extend_from_slice(k.as_bytes());
+    put_str16(out, k);
     v.encode(out);
 }
 
@@ -284,8 +303,7 @@ pub fn encode_dataset_segments(
     head.clear();
     let name = name_override.unwrap_or(&ds.name);
     head.extend_from_slice(DS_MARKER);
-    head.extend_from_slice(&(name.len() as u16).to_le_bytes());
-    head.extend_from_slice(name.as_bytes());
+    put_str16(&mut head, name);
     head.push(ds.dtype().tag());
     head.push(ds.shape.len() as u8);
     for &e in &ds.shape {
@@ -320,22 +338,30 @@ pub fn encode_dataset_segments(
 
 const RECORD: &str = "SDF record";
 
-/// A parsed record header: everything before the payload.
-pub(crate) struct RecordHeader {
-    name: String,
+/// What [`walk_record_header`] reports of a header, in layout order.
+trait HeaderSink {
+    fn name(&mut self, name: &str) -> Result<()>;
+    /// `extents` is the shape as it lies: a little-endian `u64` per
+    /// dimension.
+    fn layout(&mut self, dtype: DType, extents: &[u8], n_attrs: u16) -> Result<()>;
+    fn attr(&mut self, key: &str, value: &AttrView<'_>) -> Result<()>;
+}
+
+/// What a record header says of the payload behind it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PayloadDims {
     pub(crate) dtype: DType,
-    shape: Vec<usize>,
-    /// Product of `shape`.
+    /// Product of the shape.
     pub(crate) n_elems: usize,
-    attrs: std::collections::BTreeMap<String, AttrValue>,
     /// Payload length in bytes: `n_elems * dtype.size()`, as the record's
     /// own `data_len` field must say.
     pub(crate) data_len: usize,
 }
 
-/// Parse the record header at the cursor, leaving it on the first payload
+/// Walk the record header at the cursor, leaving it on the first payload
 /// byte — the one parser of the record layout, behind the whole-record
-/// decoder and the reader's partial reads alike.
+/// decoder, the reader's partial reads and the frame a server forwards
+/// ([`frame_block`]) alike; what they keep of it is their [`HeaderSink`].
 ///
 /// Every length is checked against the input before it shapes a view or
 /// an allocation, the extents' product and the payload size are computed
@@ -344,7 +370,7 @@ pub(crate) struct RecordHeader {
 /// absurd allocation or a payload read under the wrong shape. Input that
 /// ends inside the header is reported the same way (partial readers retry
 /// with a longer prefix).
-pub(crate) fn decode_record_header(cur: &mut Cursor<'_>) -> Result<RecordHeader> {
+fn walk_record_header(cur: &mut Cursor<'_>, sink: &mut impl HeaderSink) -> Result<PayloadDims> {
     let marker = cur.array::<4>(RECORD)?;
     if &marker != DS_MARKER {
         return Err(RocError::Corrupt(format!(
@@ -353,33 +379,97 @@ pub(crate) fn decode_record_header(cur: &mut Cursor<'_>) -> Result<RecordHeader>
             marker
         )));
     }
-    let name = cur.str16(RECORD)?;
+    let name = cur.str16_ref(RECORD)?;
+    sink.name(&name)?;
     let dtype = DType::from_tag(cur.u8(RECORD)?)?;
     let rank = cur.u8(RECORD)? as usize;
-    let mut shape = Vec::with_capacity(rank.min(16));
-    for _ in 0..rank {
-        shape.push(cur.u64("SDF u64 field")? as usize);
-    }
-    let n_elems = shape.iter().try_fold(1usize, |n, &e| n.checked_mul(e));
+    let extents = cur.bytes(rank * 8, "SDF u64 field")?;
+    let shape = || extents_of(&extents);
+    let n_elems = shape().try_fold(1usize, |n, e| n.checked_mul(e));
     let Some((n_elems, want_len)) = n_elems.and_then(|n| Some((n, n.checked_mul(dtype.size())?)))
     else {
+        let shape: Vec<usize> = shape().collect();
         return Err(RocError::Corrupt(format!("SDF: dataset '{name}' shape {shape:?} overflows")));
     };
     let n_attrs = cur.u16("SDF attribute count")?;
-    let mut attrs = std::collections::BTreeMap::new();
+    sink.layout(dtype, &extents, n_attrs)?;
     for _ in 0..n_attrs {
-        let key = cur.str16(RECORD)?;
-        let val = AttrValue::decode(cur)?;
-        attrs.insert(key, val);
+        let key = cur.str16_ref(RECORD)?;
+        sink.attr(&key, &AttrView::read(cur)?)?;
     }
     let data_len = cur.u64("SDF u64 field")?;
     if data_len != want_len as u64 {
+        let shape: Vec<usize> = shape().collect();
         return Err(RocError::Corrupt(format!(
             "SDF: dataset '{name}' payload length {data_len} != shape {shape:?} x {}",
             dtype.name()
         )));
     }
-    Ok(RecordHeader { name, dtype, shape, n_elems, attrs, data_len: want_len })
+    Ok(PayloadDims { dtype, n_elems, data_len: want_len })
+}
+
+/// The shape a header's extent bytes spell.
+fn extents_of(extents: &[u8]) -> impl Iterator<Item = usize> + '_ {
+    extents.chunks_exact(8).map(|extent| {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(extent);
+        u64::from_le_bytes(le) as usize
+    })
+}
+
+/// The sink of a decode: the header's fields, built.
+#[derive(Default)]
+pub(crate) struct OwnedHeader {
+    name: String,
+    shape: Vec<usize>,
+    attrs: BTreeMap<String, AttrValue>,
+}
+
+impl HeaderSink for OwnedHeader {
+    fn name(&mut self, name: &str) -> Result<()> {
+        self.name = name.to_owned();
+        Ok(())
+    }
+
+    fn layout(&mut self, _: DType, extents: &[u8], _: u16) -> Result<()> {
+        self.shape = extents_of(extents).collect();
+        Ok(())
+    }
+
+    fn attr(&mut self, key: &str, value: &AttrView<'_>) -> Result<()> {
+        self.attrs.insert(key.to_owned(), value.to_value());
+        Ok(())
+    }
+}
+
+/// [`walk_record_header`] into an owned header: everything before the
+/// payload, and what it says of the payload.
+pub(crate) fn decode_record_header(cur: &mut Cursor<'_>) -> Result<(OwnedHeader, PayloadDims)> {
+    let mut owned = OwnedHeader::default();
+    let dims = walk_record_header(cur, &mut owned)?;
+    Ok((owned, dims))
+}
+
+/// The CRC-32 a record's `__crc32__` attribute stores: an `Int` a `u32`
+/// can hold, anything else is corruption.
+fn stored_crc(name: &str, int: Option<i64>, attr: &dyn std::fmt::Debug) -> Result<u32> {
+    int.and_then(|v| u32::try_from(v).ok()).ok_or_else(|| {
+        RocError::Corrupt(format!(
+            "SDF: dataset '{name}' has a malformed {CRC_ATTR} attribute ({attr:?})"
+        ))
+    })
+}
+
+/// Hold a payload to its record's stored CRC-32.
+fn check_crc(name: &str, stored: u32, payload: &[u8]) -> Result<()> {
+    let actual = crc32(payload);
+    if actual != stored {
+        return Err(RocError::Corrupt(format!(
+            "SDF: dataset '{name}' payload checksum mismatch \
+             (stored {stored:#x}, computed {actual:#x})"
+        )));
+    }
+    Ok(())
 }
 
 /// Decode the dataset record at the cursor, advancing it past the record,
@@ -421,33 +511,22 @@ pub fn decode_dataset_shared(bytes: &Bytes, pos: &mut usize) -> Result<Dataset> 
 /// both modes and damage to the attribute's type tag cannot switch the
 /// check off.
 pub(crate) fn decode_dataset_with(cur: &mut Cursor<'_>, verify_crc: bool) -> Result<Dataset> {
-    let RecordHeader { name, dtype, shape, n_elems, mut attrs, data_len } =
-        decode_record_header(cur)?;
-    let payload = cur.take(data_len, RECORD)?;
+    let (OwnedHeader { name, shape, mut attrs }, dims) = decode_record_header(cur)?;
+    let payload = cur.take(dims.data_len, RECORD)?;
     if let Some(attr) = attrs.remove(CRC_ATTR) {
-        let stored = attr.as_int().ok().and_then(|v| u32::try_from(v).ok()).ok_or_else(|| {
-            RocError::Corrupt(format!(
-                "SDF: dataset '{name}' has a malformed {CRC_ATTR} attribute ({attr:?})"
-            ))
-        })?;
+        let stored = stored_crc(&name, attr.as_int().ok(), &attr)?;
         if verify_crc {
-            let actual = crc32(&payload);
-            if actual != stored {
-                return Err(RocError::Corrupt(format!(
-                    "SDF: dataset '{name}' payload checksum mismatch \
-                     (stored {stored:#x}, computed {actual:#x})"
-                )));
-            }
+            check_crc(&name, stored, &payload)?;
         }
     }
-    let data = SharedArray::new(dtype, n_elems, payload)?;
+    let data = SharedArray::new(dims.dtype, dims.n_elems, payload)?;
     let mut ds = Dataset::new(name, shape, data)?;
     ds.attrs = attrs;
     Ok(ds)
 }
 
 /// One index entry: dataset name, absolute offset, encoded length.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IndexEntry {
     pub name: String,
     pub offset: u64,
@@ -581,6 +660,256 @@ pub fn block_from_records(
         block.push_dataset(ds)?;
     }
     Ok(block)
+}
+
+/// One record of a [`BlockFrame`].
+#[derive(Debug)]
+pub(crate) struct FramedRecord {
+    /// The record's full name, for the index.
+    pub(crate) name: String,
+    /// Where its file header lies in the frame's staging buffer.
+    pub(crate) head: Range<usize>,
+    /// Where in that buffer the eight value bytes of its `__crc32__`
+    /// entry lie.
+    pub(crate) crc_at: usize,
+    /// The payload: a window of the message it arrived in.
+    pub(crate) payload: Bytes,
+}
+
+/// A block's wire records framed as the file records they become, without
+/// a [`DataBlock`] in between: what a Rocpanda server buffers, and what
+/// [`crate::SdfFileWriter::append_frame`] writes. See [`frame_block`].
+#[derive(Debug)]
+pub struct BlockFrame {
+    /// The block's id, as its `__meta__` record says.
+    pub id: BlockId,
+    /// [`DataBlock::encoded_size`] of the block these records decode to.
+    pub size: usize,
+    /// Every record's file header, back to back: the wire header with a
+    /// `__crc32__` entry at its sorted place.
+    pub(crate) heads: Vec<u8>,
+    /// `__meta__` first, then the members in wire order.
+    pub(crate) records: Vec<FramedRecord>,
+}
+
+/// Which record of a block a [`Framer`] is on.
+enum FramedAs<'p> {
+    /// `__meta__`: the attributes that name the block, as they are found.
+    Meta { window_len: Option<usize>, block_id: Option<i64>, n_datasets: Option<i64> },
+    /// A member, which lives under the block's group prefix.
+    Member { prefix: &'p str },
+}
+
+/// The sink of a forward: the header copied into the frame's staging
+/// buffer as the file header it becomes, held to what makes that copy
+/// equal a re-encoding of the decoded record.
+struct Framer<'f> {
+    heads: &'f mut Vec<u8>,
+    kind: FramedAs<'f>,
+    name: String,
+    /// Where the header's `n_attrs` field was copied to.
+    n_attrs_at: usize,
+    n_attrs: u16,
+    /// Where the last attribute key copied lies (keys must ascend).
+    last_key: Option<Range<usize>>,
+    /// Where the `__crc32__` value lies, once it is placed.
+    crc_at: Option<usize>,
+    /// The CRC-32 the wire record carried, if it carried one.
+    stored: Option<u32>,
+    /// This record's share of [`DataBlock::encoded_size`].
+    size: usize,
+}
+
+fn corrupt_block(what: String) -> RocError {
+    RocError::Corrupt(format!("SDF block: {what}"))
+}
+
+impl Framer<'_> {
+    /// Lay a zeroed `__crc32__` entry where the wire header has none.
+    /// Returns where its value lies.
+    fn place_crc_slot(&mut self) -> usize {
+        encode_attr_entry(CRC_ATTR, &AttrValue::Int(0), self.heads);
+        *self.crc_at.insert(self.heads.len() - 8)
+    }
+
+    /// Close the header once its attributes are walked: the checksum entry
+    /// if no key sorted after it, the attribute count that includes it,
+    /// the payload length. Returns where the checksum value lies.
+    fn finish(&mut self, data_len: usize) -> Result<usize> {
+        let slot = self.crc_at.unwrap_or_else(|| self.place_crc_slot());
+        if self.stored.is_none() {
+            let n = self.n_attrs.checked_add(1).ok_or_else(|| {
+                corrupt_block(format!("'{}' has no room for a {CRC_ATTR} attribute", self.name))
+            })?;
+            self.heads[self.n_attrs_at..self.n_attrs_at + 2].copy_from_slice(&n.to_le_bytes());
+        }
+        self.heads.extend_from_slice(&(data_len as u64).to_le_bytes());
+        Ok(slot)
+    }
+}
+
+impl HeaderSink for Framer<'_> {
+    fn name(&mut self, name: &str) -> Result<()> {
+        if let FramedAs::Member { prefix } = self.kind {
+            let member = name
+                .strip_prefix(prefix)
+                .ok_or_else(|| corrupt_block(format!("dataset '{name}' outside group '{prefix}'")))?;
+            self.size += 2 + member.len();
+        }
+        self.heads.extend_from_slice(DS_MARKER);
+        put_str16(self.heads, name);
+        self.name = name.to_owned();
+        Ok(())
+    }
+
+    fn layout(&mut self, dtype: DType, extents: &[u8], n_attrs: u16) -> Result<()> {
+        match self.kind {
+            // What `block_meta_dataset` lays out: no elements of `u8`.
+            FramedAs::Meta { .. } if dtype != DType::U8 || extents != [0u8; 8] => {
+                return Err(corrupt_block(format!("'{}' carries a payload", self.name)));
+            }
+            FramedAs::Meta { .. } => {}
+            FramedAs::Member { .. } => self.size += 1 + extents.len() + 1 + 2,
+        }
+        self.heads.push(dtype.tag());
+        self.heads.push((extents.len() / 8) as u8);
+        self.heads.extend_from_slice(extents);
+        (self.n_attrs_at, self.n_attrs) = (self.heads.len(), n_attrs);
+        self.heads.extend_from_slice(&n_attrs.to_le_bytes());
+        Ok(())
+    }
+
+    fn attr(&mut self, key: &str, value: &AttrView<'_>) -> Result<()> {
+        // A `BTreeMap` emits its keys strictly ascending; a header whose
+        // keys are not would be re-encoded in another order.
+        if self.last_key.clone().is_some_and(|last| &self.heads[last] >= key.as_bytes()) {
+            return Err(corrupt_block(format!("'{}' attribute '{key}' out of order", self.name)));
+        }
+        if self.crc_at.is_none() && key > CRC_ATTR {
+            self.place_crc_slot();
+        }
+        let name = &self.name;
+        let foreign =
+            || corrupt_block(format!("'{name}' has a malformed or foreign attribute '{key}'"));
+        if key == CRC_ATTR {
+            self.stored = Some(stored_crc(name, value.as_int(), value)?);
+        } else {
+            match &mut self.kind {
+                FramedAs::Member { .. } => self.size += 2 + key.len() + value.encoded_size(),
+                FramedAs::Meta { window_len, block_id, n_datasets } => match key {
+                    "window" => *window_len = Some(value.as_str().ok_or_else(foreign)?.len()),
+                    "block_id" => *block_id = Some(value.as_int().ok_or_else(foreign)?),
+                    "n_datasets" => *n_datasets = Some(value.as_int().ok_or_else(foreign)?),
+                    _ => {
+                        let block_key = key.strip_prefix("blk:").ok_or_else(foreign)?;
+                        self.size += 2 + block_key.len() + value.encoded_size();
+                    }
+                },
+            }
+        }
+        put_str16(self.heads, key);
+        self.last_key = Some(self.heads.len() - key.len()..self.heads.len());
+        value.encode(self.heads);
+        if key == CRC_ATTR {
+            self.crc_at = Some(self.heads.len() - 8);
+        }
+        Ok(())
+    }
+}
+
+/// Frame the record at the cursor onto `heads`, advancing the cursor past
+/// its payload. Returns the record, its share of the block's encoded size
+/// and what the sink learned of a `__meta__`.
+fn frame_record<'f>(
+    cur: &mut Cursor<'_>,
+    heads: &'f mut Vec<u8>,
+    kind: FramedAs<'f>,
+) -> Result<(FramedRecord, usize, FramedAs<'f>)> {
+    let start = heads.len();
+    let mut framer = Framer {
+        heads,
+        kind,
+        name: String::new(),
+        n_attrs_at: 0,
+        n_attrs: 0,
+        last_key: None,
+        crc_at: None,
+        stored: None,
+        size: 0,
+    };
+    let dims = walk_record_header(cur, &mut framer)?;
+    let crc_at = framer.finish(dims.data_len)?;
+    let payload = cur.take(dims.data_len, RECORD)?;
+    if let Some(stored) = framer.stored {
+        check_crc(&framer.name, stored, &payload)?;
+    }
+    let Framer { heads, kind, name, size, .. } = framer;
+    let record = FramedRecord { name, head: start..heads.len(), crc_at, payload };
+    Ok((record, size + dims.data_len, kind))
+}
+
+/// Frame the `n_records` wire records of one block at the cursor — its
+/// `__meta__`, then its members under `blkNNNNNN/`, as
+/// `BlockMsg::encode_segments` sends them — as the file records
+/// [`crate::SdfFileWriter::append_block`] would write for the block they
+/// decode to, without decoding them: each header is copied once, into one
+/// staging buffer, with a `__crc32__` entry at its sorted place (zeroed;
+/// the writer fills it in when it computes the checksum), and each payload
+/// stays a window of the message.
+///
+/// The copy equals the re-encoding only for input the one encoder could
+/// have written, so that is what is accepted: every check a decode's
+/// header walk makes (it is the same walk), attribute keys strictly
+/// ascending, a stored
+/// `__crc32__` that matches its payload, a `__meta__` named for the block
+/// with no payload and exactly the attributes `block_meta_dataset` writes
+/// (`n_datasets` counting the members that follow), every member under the
+/// block's prefix under a name not seen before. Anything else is
+/// [`RocError::Corrupt`] ([`RocError::AlreadyExists`] for a repeated
+/// member), and `n_records` is bounded by the bytes that remain before it
+/// sizes anything.
+pub fn frame_block(cur: &mut Cursor<'_>, n_records: usize) -> Result<BlockFrame> {
+    // The shortest record there is: marker, an empty name, dtype, rank 0,
+    // no attributes, a payload length.
+    const MIN_RECORD: usize = 4 + 2 + 1 + 1 + 2 + 8;
+    if n_records == 0 || n_records > cur.remaining() / MIN_RECORD {
+        return Err(corrupt_block(format!(
+            "{n_records} records claimed by {} bytes",
+            cur.remaining()
+        )));
+    }
+    let mut heads = Vec::with_capacity((n_records * 128).min(cur.remaining()));
+    let mut records = Vec::with_capacity(n_records);
+
+    let unnamed = FramedAs::Meta { window_len: None, block_id: None, n_datasets: None };
+    let (meta, attrs_size, named) = frame_record(cur, &mut heads, unnamed)?;
+    let FramedAs::Meta { window_len: Some(window_len), block_id: Some(id), n_datasets: Some(n) } = named
+    else {
+        return Err(corrupt_block(format!("'{}' does not name a block", meta.name)));
+    };
+    let id = BlockId(id as u64);
+    let prefix = block_prefix(id);
+    if meta.name.strip_prefix(&prefix) != Some(BLOCK_META) {
+        return Err(corrupt_block(format!("expected block {id} meta first, got '{}'", meta.name)));
+    }
+    if n != (n_records - 1) as i64 {
+        return Err(corrupt_block(format!("block {id} meta counts {n} datasets of {}", n_records - 1)));
+    }
+    records.push(meta);
+    let mut size = 16 + window_len + attrs_size;
+    for _ in 1..n_records {
+        let (member, member_size, _) =
+            frame_record(cur, &mut heads, FramedAs::Member { prefix: &prefix })?;
+        if records[1..].iter().any(|seen: &FramedRecord| seen.name == member.name) {
+            return Err(RocError::AlreadyExists(format!(
+                "dataset '{}' in block {id}",
+                &member.name[prefix.len()..]
+            )));
+        }
+        size += member_size;
+        records.push(member);
+    }
+    Ok(BlockFrame { id, size, heads, records })
 }
 
 #[cfg(test)]
@@ -891,6 +1220,105 @@ mod tests {
         // A repeated member is refused by the block, not silently merged.
         let twice = [meta(), member("blk000009/disp"), member("blk000009/disp")];
         assert!(block_from_records(None, twice).is_err());
+    }
+
+    /// `frame_block` over the wire records of `records`, as one buffer.
+    fn frame(records: &[Dataset]) -> Result<BlockFrame> {
+        let wire: Vec<u8> = records.iter().flat_map(|ds| encode(ds, None, None)).collect();
+        frame_block(&mut Cursor::from(&Bytes::from(wire)), records.len())
+    }
+
+    #[test]
+    fn a_frame_is_the_file_records_of_the_block_it_was_sent_as() {
+        let block = DataBlock::new(BlockId(9), "solid")
+            .with_dataset(Dataset::vector("disp", vec![0.5f64; 3]).with_attr("units", "m"))
+            .with_dataset(Dataset::vector("AAA", Vec::<i32>::new()).with_attr("zzz", 1i64))
+            .with_attr("level", 2i64);
+        let member = |ds: &Dataset| {
+            let mut ds = ds.clone();
+            ds.name = format!("blk000009/{}", ds.name);
+            ds
+        };
+        let records: Vec<Dataset> =
+            std::iter::once(block_meta_dataset(&block)).chain(block.datasets.iter().map(member)).collect();
+        let framed = frame(&records).unwrap();
+        assert_eq!((framed.id, framed.size), (block.id, block.encoded_size()));
+        // Header by header what the file encoder lays out, but for the
+        // checksum value, which the writer owes; payloads as they came.
+        for (ds, r) in records.iter().zip(&framed.records) {
+            let file_record = encode(ds, None, Some(0));
+            assert_eq!(r.name, ds.name);
+            assert_eq!(framed.heads[r.head.clone()], file_record[..r.head.len()], "{}", ds.name);
+            assert_eq!(framed.heads[r.crc_at..r.crc_at + 8], [0; 8]);
+            assert_eq!(&r.payload, ds.data.bytes());
+        }
+        // A wire record may carry its checksum already: it is verified
+        // and stays where it lies.
+        let mut stamped = records.clone();
+        let crc = payload_crc32(&stamped[1]);
+        stamped[1].attrs.insert(CRC_ATTR.into(), AttrValue::Int(crc as i64));
+        let carried = frame(&stamped).unwrap();
+        assert_eq!(carried.size, block.encoded_size());
+        assert_eq!(carried.heads[..carried.records[1].head.start], framed.heads[..framed.records[1].head.start]);
+        let (r, slot) = (&carried.records[1], carried.records[1].crc_at);
+        assert_eq!(carried.heads[slot..slot + 8], (crc as i64).to_le_bytes());
+        assert_eq!(carried.heads[r.head.clone()], encode(&records[1], None, Some(crc))[..r.head.len()]);
+    }
+
+    #[test]
+    fn frame_block_refuses_what_a_reencode_would_not_reproduce() {
+        let block = DataBlock::new(BlockId(9), "solid")
+            .with_dataset(Dataset::vector("disp", vec![0.5f64; 3]).with_attr("a", 1i64).with_attr("b", 2i64))
+            .with_attr("level", 2i64);
+        let meta = || block_meta_dataset(&block);
+        let member = |name: &str| {
+            Dataset::vector(name, vec![0.5f64; 3]).with_attr("a", 1i64).with_attr("b", 2i64)
+        };
+        assert!(frame(&[meta(), member("blk000009/disp")]).is_ok());
+
+        let mut with_payload = meta();
+        (with_payload.shape, with_payload.data) = (vec![1], vec![7u8].into());
+        let mut uncounted = meta();
+        uncounted.attrs.remove("n_datasets");
+        let mut elsewhere = meta();
+        elsewhere.name = "blk9/__meta__".into();
+        let wrong_crc = payload_crc32(&member("x")) as i64 ^ 1;
+        let hostile: [(&str, Vec<Dataset>); 10] = [
+            ("no records", vec![]),
+            ("a member where the meta belongs", vec![member("blk000009/disp")]),
+            ("a meta with a payload", vec![with_payload, member("blk000009/disp")]),
+            ("a meta with a foreign attribute", vec![meta().with_attr("colour", 3i64), member("blk000009/disp")]),
+            ("a meta whose id is no Int", vec![meta().with_attr("block_id", "9"), member("blk000009/disp")]),
+            ("a meta that counts no datasets", vec![uncounted, member("blk000009/disp")]),
+            ("a meta that counts other datasets", vec![meta().with_attr("n_datasets", 2i64), member("blk000009/disp")]),
+            ("a meta filed under another spelling of the id", vec![elsewhere, member("blk000009/disp")]),
+            ("a member outside the prefix", vec![meta(), member("blk000008/disp")]),
+            ("a stored checksum that does not match", vec![meta(), member("blk000009/disp").with_attr(CRC_ATTR, wrong_crc)]),
+        ];
+        for (what, records) in hostile {
+            let got = frame(&records);
+            assert!(matches!(got, Err(RocError::Corrupt(_))), "{what}: {got:?}");
+        }
+        let got = frame(&[meta().with_attr("n_datasets", 2i64), member("blk000009/disp"), member("blk000009/disp")]);
+        assert!(matches!(got, Err(RocError::AlreadyExists(_))), "a repeated member: {got:?}");
+
+        // Attribute keys out of order, or twice: no `BTreeMap` writes them,
+        // so the bytes are made by swapping two keys of a valid record.
+        let valid: Vec<u8> = [meta(), member("blk000009/disp")].iter().flat_map(|ds| encode(ds, None, None)).collect();
+        let key = |k: u8| valid.windows(3).rposition(|w| w == [1, 0, k]).unwrap() + 2;
+        for (what, a, b) in [("descending", b'b', b'a'), ("repeated", b'a', b'a')] {
+            let mut swapped = valid.clone();
+            (swapped[key(b'a')], swapped[key(b'b')]) = (a, b);
+            let swapped = Bytes::from(swapped);
+            let got = frame_block(&mut Cursor::from(&swapped), 2);
+            assert!(matches!(got, Err(RocError::Corrupt(ref m)) if m.contains("out of order")), "{what}: {got:?}");
+            // A decode takes them: the order is a rule of the forward alone.
+            let mut cur = Cursor::from(&swapped);
+            assert!(decode_dataset(&mut cur).and_then(|_| decode_dataset(&mut cur)).is_ok(), "{what}");
+        }
+        // A count the bytes cannot hold is refused before it sizes anything.
+        let got = frame_block(&mut Cursor::from(&Bytes::from(valid)), usize::MAX);
+        assert!(matches!(got, Err(RocError::Corrupt(_))), "{got:?}");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use rocstore::SharedFs;
 use crate::cost::{LibraryModel, ReadCostModel, ReadStrategy};
 use crate::format::{
     block_from_records, block_prefix, check_header, decode_dataset_with, decode_index,
-    decode_record_header, decode_trailer, parse_block_id, IndexEntry, RecordHeader, BLOCK_META,
+    decode_record_header, decode_trailer, parse_block_id, IndexEntry, PayloadDims, BLOCK_META,
     HEADER_LEN, TRAILER_LEN,
 };
 
@@ -347,14 +347,14 @@ impl<'fs> SdfFileReader<'fs> {
         &self,
         e: &IndexEntry,
         now: SimTime,
-    ) -> Result<(RecordHeader, usize, SimTime)> {
+    ) -> Result<(PayloadDims, usize, SimTime)> {
         let mut header_guess = 256usize.min(e.len as usize);
         loop {
             let (bytes, t) =
                 self.fs
                     .read_shared(&self.path, e.offset as usize, header_guess, self.client, now)?;
             let mut cur = rocio_core::Cursor::from(&bytes);
-            let header = decode_record_header(&mut cur);
+            let header = decode_record_header(&mut cur).map(|(_, payload)| payload);
             let header_len = cur.pos();
             match header {
                 Ok(h) if header_len.checked_add(h.data_len) == Some(e.len as usize) => {

@@ -1,12 +1,13 @@
 //! Writing SDF files through the storage simulator.
 
+use bytes::Bytes;
 use rocio_core::{DataBlock, Dataset, Result, Segment, SimTime};
 use rocstore::SharedFs;
 
 use crate::cost::LibraryModel;
 use crate::format::{
-    block_meta_dataset, encode_dataset_segments, encode_header, encode_index, payload_crc32,
-    IndexEntry,
+    block_meta_dataset, crc32, encode_dataset_segments, encode_header, encode_index,
+    payload_crc32, BlockFrame, IndexEntry,
 };
 
 /// Recycled staging buffers for the drain path, bounded by capacity
@@ -146,9 +147,18 @@ impl<'fs> SdfFileWriter<'fs> {
         self.entries.len()
     }
 
-    /// Stage one record onto `segs` — library creation overhead, checksum,
-    /// index entry — and return `(overhead, encoded length)`. `batch_len`
-    /// is what the current write has staged before it.
+    /// Enter a record of `len` bytes into the index, `batch_len` bytes
+    /// into the current write, and return the library's creation overhead
+    /// for it.
+    fn index_record(&mut self, name: String, batch_len: u64, len: u64) -> SimTime {
+        let overhead = self.lib.create_cost(self.entries.len());
+        self.entries.push(IndexEntry { name, offset: self.offset + batch_len, len });
+        overhead
+    }
+
+    /// Stage one record onto `segs` — checksum, encoding, index entry —
+    /// and return `(overhead, encoded length)`. `batch_len` is what the
+    /// current write has staged before it.
     fn stage(
         &mut self,
         ds: &Dataset,
@@ -156,16 +166,10 @@ impl<'fs> SdfFileWriter<'fs> {
         batch_len: u64,
         segs: &mut Vec<Segment>,
     ) -> (SimTime, u64) {
-        let overhead = self.lib.create_cost(self.entries.len());
         let before = segs.len();
         encode_dataset_segments(ds, name, Some(payload_crc32(ds)), self.pool.take(), segs);
         let len = rocio_core::segments_len(&segs[before..]) as u64;
-        self.entries.push(IndexEntry {
-            name: name.unwrap_or(&ds.name).to_string(),
-            offset: self.offset + batch_len,
-            len,
-        });
-        (overhead, len)
+        (self.index_record(name.unwrap_or(&ds.name).to_string(), batch_len, len), len)
     }
 
     /// One scatter-gather write of everything staged on `segs`.
@@ -210,6 +214,35 @@ impl<'fs> SdfFileWriter<'fs> {
         self.write_staged(segs, batch_len, now + overhead)
     }
 
+    /// [`SdfFileWriter::append_block`] of the block a [`BlockFrame`]'s
+    /// records decode to, without the decode: the same bytes in the same
+    /// one write, the same index entries, the same creation overhead in
+    /// the same order. Each payload's CRC-32 is computed here and written
+    /// into the slot its framed header holds for it; the headers go to the
+    /// file system as windows of the frame's one staging buffer, the
+    /// payloads as the windows of the message they always were.
+    pub fn append_frame(&mut self, frame: BlockFrame, now: SimTime) -> Result<SimTime> {
+        assert!(!self.finished, "append after finish");
+        let BlockFrame { mut heads, records, .. } = frame;
+        for r in &records {
+            let crc = i64::from(crc32(&r.payload));
+            heads[r.crc_at..r.crc_at + 8].copy_from_slice(&crc.to_le_bytes());
+        }
+        let heads = Bytes::from(heads);
+        let mut segs = std::mem::take(&mut self.segs);
+        let (mut overhead, mut batch_len) = (0.0, 0);
+        for r in records {
+            let len = (r.head.len() + r.payload.len()) as u64;
+            overhead += self.index_record(r.name, batch_len, len);
+            batch_len += len;
+            segs.push(Segment::Shared(heads.slice(r.head)));
+            if !r.payload.is_empty() {
+                segs.push(Segment::Shared(r.payload));
+            }
+        }
+        self.write_staged(segs, batch_len, now + overhead)
+    }
+
     /// Canonicalize the record layout of an all-blocks file: block groups
     /// sorted by block id, records within each group keeping their order.
     /// Appends land in intake order, which for a multi-client server is a
@@ -237,16 +270,18 @@ impl<'fs> SdfFileWriter<'fs> {
             return Ok(());
         }
         groups.sort_by_key(|(id, _)| *id);
-        let old = std::mem::take(&mut self.entries);
+        let mut old = std::mem::take(&mut self.entries);
+        self.entries.reserve_exact(old.len());
         let header_len = encode_header().len();
-        let mut ranges = vec![(0, header_len)];
+        let mut ranges = Vec::with_capacity(1 + old.len());
+        ranges.push((0, header_len));
         let mut off = header_len as u64;
         for &i in groups.iter().flat_map(|(_, idxs)| idxs) {
-            let mut e = old[i].clone();
-            ranges.push((e.offset as usize, e.len as usize));
-            e.offset = off;
-            off += e.len;
-            self.entries.push(e);
+            // Each index is visited once, so the name can move.
+            let IndexEntry { name, offset, len } = std::mem::take(&mut old[i]);
+            ranges.push((offset as usize, len as usize));
+            self.entries.push(IndexEntry { name, offset: off, len });
+            off += len;
         }
         self.fs.permute(&self.path, &ranges)
     }

@@ -3,9 +3,12 @@
 
     symbolise.py run.samples [more.samples ...] [--top 30] [--stacks 10] [--depth 12] [--grep REGEX]
 
-The dump is /proc/self/maps, a blank line, a "# sampler" or "# mtrace" line,
-then one event per line: a decimal weight (1 per CPU sample, the bytes of an
-allocation) and the stack's hex addresses, innermost first. Each address is
+The dump is /proc/self/maps, a blank line, a "# sampler" or "# mtrace" line
+(mtrace names its weight there, "weight=bytes" or "weight=calls", and says on
+a "# dropped N" line how many requests did not fit its table — a warning on
+top of the output when N is not 0), then one event per line: a decimal weight
+(1 per CPU sample, the bytes of an allocation or 1 per allocator call) and
+the stack's hex addresses, innermost first. Each address is
 mapped to its file (subtract the mapping's load base), resolved with
 `addr2line -f -C -i` (inlined callees become frames of their own) and the
 events are folded three ways: self (the innermost frame), inclusive (every
@@ -23,7 +26,8 @@ import subprocess
 
 
 def load(path):
-    maps, events, leaf_is_pc = [], [], True
+    """(maps, events, leaf_is_pc, unit of the weights, events the tracer dropped)"""
+    maps, events, leaf_is_pc, unit, dropped = [], [], True, "samples", 0
     with open(path) as f:
         for line in f:
             if not line.strip():
@@ -33,12 +37,17 @@ def load(path):
             if name and name[0].startswith("/"):
                 maps.append((lo, hi, name[0]))
         for line in f:
+            if line.startswith("# dropped"):
+                dropped = int(line.split()[2])
+                continue
             if line.startswith("#"):
                 leaf_is_pc = line.startswith("# sampler")
+                weight = re.search(r"weight=(\w+)", line)
+                unit = "samples" if leaf_is_pc else weight.group(1) if weight else "bytes"
                 continue
             weight, *stack = line.split()
             events.append((int(weight), [int(a, 16) for a in stack]))
-    return maps, events, leaf_is_pc
+    return maps, events, leaf_is_pc, unit, dropped
 
 
 def resolve(maps, addresses):
@@ -89,10 +98,11 @@ def main():
     ap.add_argument("--grep")
     args = ap.parse_args()
 
-    total = kept = n_events = 0
+    total = kept = n_events = n_dropped = 0
     self_w, incl_w, stack_w = (collections.Counter() for _ in range(3))
     for dump in args.dumps:
-        maps, events, leaf_is_pc = load(dump)
+        maps, events, leaf_is_pc, unit, dropped = load(dump)
+        n_dropped += dropped
         # A return address points past its call; step back into it.
         lookup = lambda i, a: a if leaf_is_pc and i == 0 else a - 1
         names = resolve(maps, {lookup(i, a) for _, stack in events for i, a in enumerate(stack)})
@@ -110,7 +120,10 @@ def main():
                 incl_w[fn] += w
             stack_w[tuple(frames[: args.depth])] += w
 
-    unit = "samples" if leaf_is_pc else "bytes"
+    if n_dropped:
+        print(f"WARNING: the tracer's table was full and {n_dropped} later requests were dropped: "
+              f"this folds only the first {share(n_events, n_events + n_dropped)} of the run "
+              f"(set HOSTPROF_EVENTS to at least {n_events + n_dropped})\n")
     print(f"{n_events} events, {total} {unit}; {kept} kept ({share(kept, total)})")
     for title, table in (("self", self_w), ("inclusive", incl_w)):
         print(f"\n-- {title} --")
