@@ -1,44 +1,16 @@
-//! Checked little-endian decoding (and the bulk encode loop beside it).
+//! The fixed-width little-endian element codecs (and the bulk encode loop
+//! beside them).
 //!
 //! Every wire message and file format in the workspace is little-endian.
-//! Decoders used to pair a bounds-checked `take` with
-//! `try_into().unwrap()` — correct, but an `unwrap` in library code all
-//! the same, and `roclint` deny-lists those. These helpers fold the
-//! length check into the conversion and surface short input as
-//! [`RocError::Corrupt`], so decode paths are `unwrap`-free end to end.
-//!
-//! Each typed helper reads from the *front* of the slice and ignores any
-//! excess, which lets callers pass either an exact [`take`] slice or a
-//! wider `chunks_exact` window with a range applied.
+//! Walking one — lengths, names, counts read from untrusted bytes — is
+//! [`crate::Cursor`]'s job, over a rope's parts or one borrowed slice. What
+//! is left here converts bytes already in hand: each typed helper folds the
+//! length check into the conversion and surfaces short input as
+//! [`RocError::Corrupt`] (no `try_into().unwrap()` in library code), reads
+//! from the *front* of the slice and ignores any excess, so callers may pass
+//! a wider `chunks_exact` window with a range applied.
 
 use crate::error::{Result, RocError};
-
-/// The next `n` bytes of `bytes` at `*pos`, advancing `*pos` past them —
-/// the decode cursor over one contiguous slice ([`crate::Cursor`] is the
-/// same over the parts of a rope), and between them the only places a
-/// length read from untrusted bytes turns into a view. `*pos + n` is
-/// overflow-checked,
-/// so a hostile length is [`RocError::Corrupt`] in every build profile,
-/// never a wrapped range or a debug-only panic.
-pub fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize, what: &str) -> Result<&'a [u8]> {
-    let end = pos.checked_add(n).filter(|&end| end <= bytes.len()).ok_or_else(|| {
-        RocError::Corrupt(format!(
-            "truncated {what}: need {n} bytes at offset {pos}, have {}",
-            bytes.len().saturating_sub(*pos)
-        ))
-    })?;
-    let s = &bytes[*pos..end];
-    *pos = end;
-    Ok(s)
-}
-
-/// The `u16`-length-prefixed UTF-8 string at `*pos` (record, attribute and
-/// window names everywhere), validated in place.
-pub fn str16<'a>(bytes: &'a [u8], pos: &mut usize, what: &str) -> Result<&'a str> {
-    let n = u16(take(bytes, pos, 2, what)?, what)? as usize;
-    std::str::from_utf8(take(bytes, pos, n, what)?)
-        .map_err(|_| RocError::Corrupt(format!("{what}: name is not utf-8")))
-}
 
 fn front<const N: usize>(b: &[u8], what: &str) -> Result<[u8; N]> {
     b.get(..N)
@@ -61,18 +33,6 @@ pub fn u32(b: &[u8], what: &str) -> Result<u32> {
 
 pub fn u64(b: &[u8], what: &str) -> Result<u64> {
     Ok(u64::from_le_bytes(front(b, what)?))
-}
-
-pub fn i32(b: &[u8], what: &str) -> Result<i32> {
-    Ok(i32::from_le_bytes(front(b, what)?))
-}
-
-pub fn i64(b: &[u8], what: &str) -> Result<i64> {
-    Ok(i64::from_le_bytes(front(b, what)?))
-}
-
-pub fn f32(b: &[u8], what: &str) -> Result<f32> {
-    Ok(f32::from_le_bytes(front(b, what)?))
 }
 
 pub fn f64(b: &[u8], what: &str) -> Result<f64> {
@@ -181,25 +141,6 @@ mod tests {
         super::extend(&mut b, &[1i32, -2, i32::MAX], i32::to_le_bytes);
         assert_eq!(b, [0xaa, 1, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f]);
         assert_eq!(super::array(&b[1..], i32::from_le_bytes), vec![1, -2, i32::MAX]);
-    }
-
-    #[test]
-    fn take_advances_and_refuses_short_or_overflowing_lengths() {
-        let (b, mut pos) = ([1u8, 2, 3, 4, 5], 0);
-        assert_eq!(super::take(&b, &mut pos, 2, "x").unwrap(), &[1, 2]);
-        assert_eq!(super::take(&b, &mut pos, 3, "x").unwrap(), &[3, 4, 5]);
-        assert_eq!(super::take(&b, &mut pos, 0, "x").unwrap(), &[0u8; 0]);
-        for n in [1, usize::MAX - 4, usize::MAX] {
-            let e = super::take(&b, &mut pos, n, "record").unwrap_err();
-            assert!(e.to_string().contains("truncated record"), "{e}");
-            assert_eq!(pos, 5, "a refused take must not move the cursor");
-        }
-        assert!(super::take(&b, &mut 9, 0, "x").is_err(), "cursor beyond the input");
-        let named = [2, 0, b'o', b'k', 3, 0, b'n', 0xff, b'o', 9, 0];
-        let mut pos = 0;
-        assert_eq!(super::str16(&named, &mut pos, "x").unwrap(), "ok");
-        assert!(super::str16(&named, &mut pos, "x").is_err(), "not utf-8");
-        assert!(super::str16(&named, &mut 9, "x").is_err(), "longer than the input");
     }
 
     #[test]

@@ -234,12 +234,12 @@ impl Rope {
     }
 }
 
-/// The checked decode cursor over a list of parts (a [`Rope`]'s, or one
-/// `Bytes` through [`std::slice::from_ref`]) — the rope counterpart of
-/// [`crate::le::take`], and like it the only place a length read from
-/// untrusted bytes turns into a view: every read is checked against what
-/// remains first, so a hostile length is [`RocError::Corrupt`] in every
-/// build profile and a refused read does not move the cursor.
+/// The checked decode cursor over a list of parts (a [`Rope`]'s, one
+/// `Bytes` through [`std::slice::from_ref`], or one borrowed slice) — the
+/// only place a length read from untrusted bytes turns into a view: every
+/// read is checked against what remains first (`pos + n` cannot wrap), so a
+/// hostile length is [`RocError::Corrupt`] in every build profile and a
+/// refused read does not move the cursor.
 ///
 /// Fixed-width fields are copied out (they may straddle parts); a run read
 /// with [`Cursor::take`] comes back as a zero-copy window whenever it lies
@@ -262,6 +262,14 @@ impl<'a> From<&'a Bytes> for Cursor<'a> {
     /// A cursor over one buffer: the one-part rope it would make.
     fn from(bytes: &'a Bytes) -> Cursor<'a> {
         Cursor::new(std::slice::from_ref(bytes))
+    }
+}
+
+impl<'a> From<&'a [u8]> for Cursor<'a> {
+    /// A cursor over one borrowed run (a control message, an index region):
+    /// the same checks; a [`Cursor::take`] copies, having no handle to share.
+    fn from(bytes: &'a [u8]) -> Cursor<'a> {
+        Cursor { parts: &[], part: 0, rest: bytes, pos: 0, end: bytes.len() }
     }
 }
 
@@ -290,7 +298,7 @@ impl<'a> Cursor<'a> {
     // `#[inline]` here and on the fixed-width reads below: they are the
     // per-field steps of every record and message header and are called
     // from other crates; as calls they made a header decode about a tenth
-    // slower than it was over `le::take`.
+    // slower.
     #[inline]
     fn check(&self, n: usize, what: &str) -> Result<()> {
         if n > self.remaining() {
@@ -326,14 +334,13 @@ impl<'a> Cursor<'a> {
     }
 
     /// If the next `n` bytes (checked by the caller) lie inside one part,
-    /// advance past them and return that part and where in it they start.
-    fn within(&mut self, n: usize) -> Option<(&'a Bytes, usize)> {
-        let part = self.parts.get(self.part)?;
-        let at = part.len() - self.rest.len();
+    /// advance past them and return them.
+    fn within(&mut self, n: usize) -> Option<&'a [u8]> {
         (n <= self.rest.len()).then(|| {
-            (self.rest, self.pos) = (&self.rest[n..], self.pos + n);
+            let (run, rest) = self.rest.split_at(n);
+            (self.rest, self.pos) = (rest, self.pos + n);
             self.settle();
-            (part, at)
+            run
         })
     }
 
@@ -365,9 +372,12 @@ impl<'a> Cursor<'a> {
     /// part they lie in, or one gather copy if they straddle parts.
     pub fn take(&mut self, n: usize, what: &str) -> Result<Bytes> {
         self.check(n, what)?;
-        Ok(match self.within(n) {
-            Some((part, at)) => part.slice(at..at + n),
-            None => self.gather(n).into(),
+        // The part the run starts in, before `within` moves off it.
+        let part = self.parts.get(self.part).map(|p| (p, p.len() - self.rest.len()));
+        Ok(match (self.within(n), part) {
+            (Some(_), Some((part, at))) => part.slice(at..at + n),
+            (Some(run), None) => Bytes::copy_from_slice(run),
+            (None, _) => self.gather(n).into(),
         })
     }
 
@@ -376,7 +386,7 @@ impl<'a> Cursor<'a> {
     pub fn bytes(&mut self, n: usize, what: &str) -> Result<Cow<'a, [u8]>> {
         self.check(n, what)?;
         Ok(match self.within(n) {
-            Some((part, at)) => Cow::Borrowed(&part[at..at + n]),
+            Some(run) => Cow::Borrowed(run),
             None => Cow::Owned(self.gather(n)),
         })
     }
@@ -560,6 +570,22 @@ mod tests {
         assert!(bad.cursor().str16("x").is_err(), "not utf-8");
     }
 
+    #[test]
+    fn a_borrowed_slice_reads_under_the_same_checks() {
+        let named = [2, 0, b'o', b'k', 3, 0, b'n', 0xff, b'o', 9, 0];
+        let mut cur = Cursor::from(&named[..]);
+        assert_eq!(cur.str16_ref("x").unwrap(), Cow::Borrowed("ok"));
+        assert!(cur.clone().str16("x").is_err(), "not utf-8");
+        cur.skip(5, "x").unwrap();
+        assert!(cur.clone().str16("x").is_err(), "longer than the input");
+        assert_eq!(cur.take(2, "x").unwrap(), [9, 0]);
+        for n in [1, usize::MAX - 4, usize::MAX] {
+            let e = cur.bytes(n, "record").unwrap_err();
+            assert!(e.to_string().contains("truncated record"), "{e}");
+            assert_eq!((cur.pos(), cur.remaining()), (11, 0), "a refused read must not move the cursor");
+        }
+    }
+
     /// One cursor read, replayed against the flat model.
     #[derive(Debug, Clone)]
     enum Read {
@@ -614,25 +640,29 @@ mod tests {
             prop_assert_eq!(selected.len(), picked.len());
             prop_assert_eq!(flat(&selected), picked);
 
-            let (mut cur, mut pos) = (rope.cursor(), 0usize);
-            for read in reads {
-                let n = match read {
-                    Read::Take(n) | Read::Bytes(n) | Read::Skip(n) => n,
-                    Read::U32 => 4,
-                    Read::U64 => 8,
-                };
-                let want = model.get(pos..pos + n);
-                let got: Option<Vec<u8>> = match read {
-                    Read::Take(n) => cur.take(n, "x").ok().map(|b| b.to_vec()),
-                    Read::Bytes(n) => cur.bytes(n, "x").ok().map(|b| b.into_owned()),
-                    Read::Skip(n) => cur.skip(n, "x").ok().map(|_| model[pos..pos + n].to_vec()),
-                    Read::U32 => cur.u32("x").ok().map(|v| v.to_le_bytes().to_vec()),
-                    Read::U64 => cur.u64("x").ok().map(|v| v.to_le_bytes().to_vec()),
-                };
-                prop_assert_eq!(got.as_deref(), want);
-                // A refused read leaves the cursor where it was.
-                pos += want.map_or(0, <[u8]>::len);
-                prop_assert_eq!((cur.pos(), cur.remaining()), (pos, model.len() - pos));
+            // The same reads over the parts and over the model as one
+            // borrowed slice.
+            for mut cur in [rope.cursor(), Cursor::from(&model[..])] {
+                let mut pos = 0usize;
+                for read in &reads {
+                    let n = match *read {
+                        Read::Take(n) | Read::Bytes(n) | Read::Skip(n) => n,
+                        Read::U32 => 4,
+                        Read::U64 => 8,
+                    };
+                    let want = model.get(pos..pos + n);
+                    let got: Option<Vec<u8>> = match *read {
+                        Read::Take(n) => cur.take(n, "x").ok().map(|b| b.to_vec()),
+                        Read::Bytes(n) => cur.bytes(n, "x").ok().map(|b| b.into_owned()),
+                        Read::Skip(n) => cur.skip(n, "x").ok().map(|_| model[pos..pos + n].to_vec()),
+                        Read::U32 => cur.u32("x").ok().map(|v| v.to_le_bytes().to_vec()),
+                        Read::U64 => cur.u64("x").ok().map(|v| v.to_le_bytes().to_vec()),
+                    };
+                    prop_assert_eq!(got.as_deref(), want);
+                    // A refused read leaves the cursor where it was.
+                    pos += want.map_or(0, <[u8]>::len);
+                    prop_assert_eq!((cur.pos(), cur.remaining()), (pos, model.len() - pos));
+                }
             }
         }
     }

@@ -102,23 +102,6 @@ pub enum ServiceErrorKind {
         /// Size of the rejected charge.
         requested: u64,
     },
-    /// Admission rejected: the aggregate quota budget of already-admitted
-    /// tenants plus this job's request exceeds the service's configured
-    /// capacity.
-    AdmissionQuota {
-        /// Bytes of quota the job asked for.
-        requested: u64,
-        /// Bytes of quota still unreserved in the service budget.
-        available: u64,
-    },
-    /// Admission rejected: the per-server buffer budget cannot absorb this
-    /// job's worst-case in-flight bytes alongside the already-admitted set.
-    AdmissionBuffer {
-        /// Buffer bytes the job would need.
-        requested: u64,
-        /// Buffer bytes still unreserved.
-        available: u64,
-    },
     /// Admission rejected: a job spec named ranks outside the fabric, ranks
     /// already claimed by another tenant, or an otherwise malformed layout.
     AdmissionSpec(String),
@@ -138,20 +121,6 @@ impl fmt::Display for ServiceErrorKind {
             } => write!(
                 f,
                 "quota exceeded: {requested} B requested with {used}/{limit} B used"
-            ),
-            ServiceErrorKind::AdmissionQuota {
-                requested,
-                available,
-            } => write!(
-                f,
-                "admission rejected: quota budget exhausted ({requested} B requested, {available} B available)"
-            ),
-            ServiceErrorKind::AdmissionBuffer {
-                requested,
-                available,
-            } => write!(
-                f,
-                "admission rejected: server buffer budget exhausted ({requested} B requested, {available} B available)"
             ),
             ServiceErrorKind::AdmissionSpec(s) => write!(f, "admission rejected: {s}"),
             ServiceErrorKind::Drain(s) => write!(f, "drain failed: {s}"),

@@ -10,7 +10,7 @@
 //! ship panes through the client communicator, and let the I/O layer pick
 //! up the new distribution automatically at the next snapshot.
 
-use rocio_core::{le, Result, SnapshotId};
+use rocio_core::{Cursor, Result, SnapshotId};
 use rocnet::Comm;
 use roccom::{convert, AttrRef, Windows};
 use rocpanda::wire::BlockMsg;
@@ -43,13 +43,11 @@ fn encode_inventory(windows: &Windows, names: &[&str]) -> Vec<u8> {
 
 fn decode_inventory(bytes: &[u8]) -> Result<Vec<(String, u64, u64)>> {
     let mut out = Vec::new();
-    let mut pos = 0;
-    let take = |pos: &mut usize, n: usize| le::take(bytes, pos, n, "pane inventory");
-    while pos < bytes.len() {
-        let window = le::str16(bytes, &mut pos, "pane inventory")?.to_owned();
-        let id = le::u64(take(&mut pos, 8)?, "inventory block id")?;
-        let weight = le::u64(take(&mut pos, 8)?, "inventory weight")?;
-        out.push((window, id, weight));
+    let mut cur = Cursor::from(bytes);
+    while cur.remaining() > 0 {
+        let window = cur.str16("pane inventory")?;
+        let id = cur.u64("inventory block id")?;
+        out.push((window, id, cur.u64("inventory weight")?));
     }
     Ok(out)
 }

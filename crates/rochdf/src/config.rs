@@ -10,12 +10,6 @@ pub struct RochdfConfig {
     pub lib: LibraryModel,
     /// Directory prefix for output files.
     pub dir: String,
-    /// Modelled memory-copy bandwidth (bytes/s) for buffering output into
-    /// local buffers — the only *visible* cost T-Rochdf's callers pay.
-    /// Calibrated to 2001-era Pentium III copy bandwidth.
-    pub buffer_copy_bw: f64,
-    /// Modelled per-block buffering overhead (allocation, bookkeeping).
-    pub buffer_block_overhead: f64,
     /// Number of I/O-aggregator ranks for restart reads. `0` (the default)
     /// keeps the paper's individual path — every rank reads its own
     /// blocks. Any positive value routes `read_attribute` through the
@@ -30,8 +24,6 @@ impl Default for RochdfConfig {
         RochdfConfig {
             lib: LibraryModel::hdf4(),
             dir: "out".into(),
-            buffer_copy_bw: 80e6,
-            buffer_block_overhead: 40e-6,
             read_aggregators: 0,
         }
     }
@@ -55,11 +47,6 @@ impl RochdfConfig {
             rocio_core::snapshot_file_prefix(window, snap)
         )
     }
-
-    /// Modelled cost of copying `bytes` into a local buffer.
-    pub fn copy_cost(&self, bytes: usize, n_blocks: usize) -> f64 {
-        bytes as f64 / self.buffer_copy_bw + n_blocks as f64 * self.buffer_block_overhead
-    }
 }
 
 #[cfg(test)]
@@ -74,13 +61,5 @@ mod tests {
         let p = cfg.path("fluid", snap, 3);
         assert!(p.starts_with("out/fluid_0001_000050_w0003"));
         assert!(p.starts_with(&cfg.prefix("fluid", snap)));
-    }
-
-    #[test]
-    fn copy_cost_scales() {
-        let cfg = RochdfConfig::default();
-        let slow = cfg.copy_cost(80_000_000, 1);
-        assert!((slow - (1.0 + 40e-6)).abs() < 1e-9);
-        assert!(cfg.copy_cost(1000, 10) > cfg.copy_cost(1000, 1));
     }
 }

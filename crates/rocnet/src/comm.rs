@@ -245,19 +245,20 @@ impl Comm {
     /// rope ([`Comm::recv_rope`]) sees the sender's payload buffers; one
     /// that asks for bytes pays the gather copy then.
     pub fn send_segments(&self, dst: usize, tag: u32, segments: &[Segment]) -> Result<()> {
-        self.send_rope(dst, tag, Rope::from_segments(segments))
+        self.send_rope(dst, tag, Rope::from_segments(segments)).map(drop)
     }
 
     /// Send an already-shared payload without copying: the receiver's
     /// [`Message::payload`] is a refcounted view of this very buffer.
     /// Modelled cost is identical to [`Comm::send`].
     pub fn send_bytes(&self, dst: usize, tag: u32, payload: Bytes) -> Result<()> {
-        self.send_rope(dst, tag, payload.into())
+        self.send_rope(dst, tag, payload.into()).map(drop)
     }
 
     /// Send a rope as one message: what every send comes down to. The
-    /// modelled cost depends on the length alone.
-    pub fn send_rope(&self, dst: usize, tag: u32, payload: Rope) -> Result<()> {
+    /// modelled cost depends on the length alone. Returns the message's
+    /// modelled arrival at `dst` — send cost plus flight time from now.
+    pub fn send_rope(&self, dst: usize, tag: u32, payload: Rope) -> Result<SimTime> {
         if dst >= self.size() {
             return Err(RocError::Comm(format!(
                 "send: rank {dst} out of range (size {})",
@@ -299,7 +300,7 @@ impl Comm {
                 arrival,
             },
         );
-        Ok(())
+        Ok(arrival)
     }
 
     /// What a receive or probe with these (local-rank) arguments accepts.

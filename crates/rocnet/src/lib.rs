@@ -72,6 +72,6 @@ pub use fabric::{Fabric, FaultInjector, FaultStats};
 pub use harness::{run_on_fabric, run_ranks};
 pub use model::{FaultAction, FaultSpec, NetworkModel};
 pub use sched::{run_on_fabric_sched, run_ranks_sched, SchedConfig};
-pub use rocrel::{RelConfig, RelOnly, ReliableComm, TAG_REL};
+pub use rocrel::{RelOnly, ReliableComm, TAG_REL};
 pub use stats::CommStats;
 pub use vtime::VClock;

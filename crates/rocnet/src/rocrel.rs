@@ -71,26 +71,15 @@ impl crate::fabric::FaultInjector for RelOnly {
     }
 }
 
-/// Retransmission tuning.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct RelConfig {
-    /// Initial retransmit timeout (seconds of virtual time).
-    pub rto: SimTime,
-    /// Backoff cap: timeouts double on every retransmission up to this.
-    pub rto_max: SimTime,
-}
+/// Initial retransmit timeout (seconds of virtual time), counted from when
+/// the receiver can have taken the frame in — so what it has to cover is
+/// the ack's way back, whatever the frame's own size. Generously above one modelled
+/// round trip on either evaluation machine (tens of microseconds of
+/// latency), small against GENx step times.
+const RTO: SimTime = 5e-3;
 
-impl Default for RelConfig {
-    fn default() -> Self {
-        // Generously above one modelled round trip on either evaluation
-        // machine (tens of microseconds of latency, ~1 ms for a large
-        // block), small against GENx step times.
-        RelConfig {
-            rto: 5e-3,
-            rto_max: 80e-3,
-        }
-    }
-}
+/// Backoff cap: timeouts double on every retransmission up to this.
+const RTO_MAX: SimTime = 80e-3;
 
 /// Sender half of one directed channel: unacked frames and their
 /// retransmit timers. Pure window arithmetic — no I/O, so the proptests
@@ -126,7 +115,8 @@ impl<T: Clone> SendWindow<T> {
     }
 
     /// Register a freshly sent frame; returns its sequence number. The
-    /// first retransmission is scheduled `rto` after `now`.
+    /// first retransmission is scheduled `rto` after `now` — for a frame
+    /// on a modelled wire, the time it arrives.
     pub fn push(&mut self, frame: T, now: SimTime, rto: SimTime) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -306,7 +296,6 @@ fn decode_frame(frame: &Rope) -> Result<Frame> {
 /// rule polices this inside rocpanda).
 pub struct ReliableComm<'a> {
     comm: &'a Comm,
-    cfg: RelConfig,
     /// Per-destination send windows, indexed by local rank. A frame is
     /// kept as the rope it went out as: parts by refcount, no copy.
     tx: Vec<SendWindow<Rope>>,
@@ -321,22 +310,16 @@ pub struct ReliableComm<'a> {
 }
 
 impl<'a> ReliableComm<'a> {
-    pub fn new(comm: &'a Comm, cfg: RelConfig) -> Self {
+    pub fn new(comm: &'a Comm) -> Self {
         let n = comm.size();
         ReliableComm {
             comm,
-            cfg,
             tx: (0..n).map(|_| SendWindow::new()).collect(),
             rx: (0..n).map(|_| RecvWindow::new()).collect(),
             deliverable: VecDeque::new(),
             retransmits: 0,
             malformed: 0,
         }
-    }
-
-    /// The wrapped communicator (clock, topology — not for data sends).
-    pub fn comm(&self) -> &'a Comm {
-        self.comm
     }
 
     /// Retransmissions performed so far.
@@ -375,11 +358,18 @@ impl<'a> ReliableComm<'a> {
     }
 
     /// The frame goes out as its parts and stays in the retransmit window
-    /// the same way.
+    /// the same way. Its timer runs from the earliest its receiver can
+    /// have taken it in — its modelled arrival plus the receive cost of its
+    /// length: a large frame is still on the wire, or being drained, long
+    /// after a timer started at the send would have fired, and
+    /// retransmitting it then doubles the traffic of a fabric that lost
+    /// nothing.
     fn send_frame(&mut self, dst: usize, tag: u32, copied: &[u8], shared: &Rope) -> Result<()> {
         let frame = encode_data(self.tx[dst].next_seq(), tag, copied, shared);
-        self.tx[dst].push(frame.clone(), self.comm.now(), self.cfg.rto);
-        self.comm.send_rope(dst, TAG_REL, frame)
+        let taken_in = self.comm.cluster().net.recv_cost(frame.len());
+        let arrival = self.comm.send_rope(dst, TAG_REL, frame.clone())?;
+        self.tx[dst].push(frame, arrival + taken_in, RTO);
+        Ok(())
     }
 
     // --- the engine ------------------------------------------------------
@@ -431,7 +421,7 @@ impl<'a> ReliableComm<'a> {
     fn retransmit_due(&mut self) {
         let now = self.comm.now();
         for dst in 0..self.tx.len() {
-            for (seq, frame) in self.tx[dst].due(now, self.cfg.rto_max) {
+            for (seq, frame) in self.tx[dst].due(now, RTO_MAX) {
                 self.retransmits += 1;
                 if rocobs::enabled() {
                     let t = self.comm.now();
@@ -611,7 +601,7 @@ mod tests {
     #[test]
     fn reliable_round_trip_on_a_clean_fabric() {
         let out = run_ranks(2, ClusterSpec::turing(2), |comm| {
-            let mut rel = ReliableComm::new(&comm, RelConfig::default());
+            let mut rel = ReliableComm::new(&comm);
             if comm.rank() == 0 {
                 rel.send(1, 7, b"payload").unwrap();
                 rel.drain();
@@ -625,6 +615,28 @@ mod tests {
         assert_eq!(out[1], b"payload");
     }
 
+    /// A frame's timer starts when its receiver can have taken it in, so on
+    /// a fabric that loses nothing no frame is ever sent twice, however
+    /// long it flies. (From its send, Turing's 1 MiB frame was
+    /// retransmitted once and its 4 MiB frame twice.)
+    #[test]
+    fn clean_fabric_never_retransmits() {
+        for kib in [1usize, 16, 256, 1024, 4096] {
+            let out = run_ranks(2, ClusterSpec::turing(2), |comm| {
+                let mut rel = ReliableComm::new(&comm);
+                if comm.rank() == 0 {
+                    rel.send_bytes(1, 7, Bytes::from(vec![0u8; kib << 10])).unwrap();
+                    rel.drain();
+                } else {
+                    assert_eq!(rel.recv(Some(0), Some(7)).unwrap().payload.len(), kib << 10);
+                    rel.linger(1.0);
+                }
+                rel.retransmits()
+            });
+            assert_eq!(out, [0, 0], "{kib} KiB frame");
+        }
+    }
+
     /// End-to-end over a seeded lossy fabric: every message sent must be
     /// delivered exactly once, in per-channel order, despite the chaos.
     fn lossy_exchange(spec: FaultSpec) {
@@ -633,7 +645,7 @@ mod tests {
         let fabric = Arc::new(crate::fabric::Fabric::new(cluster));
         fabric.set_fault_injector(Arc::new(spec));
         let got = crate::harness::run_on_fabric(&fabric, &|comm: Comm| {
-            let mut rel = ReliableComm::new(&comm, RelConfig::default());
+            let mut rel = ReliableComm::new(&comm);
             if comm.rank() == 0 {
                 for i in 0..n_msgs {
                     rel.send(1, 7, &i.to_le_bytes()).unwrap();
@@ -680,7 +692,7 @@ mod tests {
     #[test]
     fn a_frame_travels_and_waits_for_its_ack_by_refcount() {
         let out = run_ranks(2, ClusterSpec::ideal(2), |comm| {
-            let mut rel = ReliableComm::new(&comm, RelConfig::default());
+            let mut rel = ReliableComm::new(&comm);
             if comm.rank() == 0 {
                 let payload = Bytes::from(vec![5u8; 256]);
                 let segs = [Segment::Owned(b"hdr".to_vec()), Segment::Shared(payload.clone())];
@@ -734,7 +746,7 @@ mod tests {
     #[test]
     fn wildcard_recv_spans_channels() {
         let out = run_ranks(3, ClusterSpec::turing(3), |comm| {
-            let mut rel = ReliableComm::new(&comm, RelConfig::default());
+            let mut rel = ReliableComm::new(&comm);
             if comm.rank() == 0 {
                 let a = rel.recv(None, Some(7)).unwrap();
                 let b = rel.recv(None, Some(7)).unwrap();

@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use rocnet::cluster::ClusterSpec;
-use rocnet::rocrel::{RecvWindow, RelConfig, ReliableComm, SendWindow, TAG_REL};
+use rocnet::rocrel::{RecvWindow, ReliableComm, SendWindow, TAG_REL};
 use rocnet::run_ranks;
 
 /// What the adversary does to one transmission event (a DATA or ACK frame
@@ -238,7 +238,7 @@ proptest! {
         // A selective-ack count no frame could hold.
         hostile.push([&ack_frame(0, &[])[..9], &u32::MAX.to_le_bytes()].concat());
         let out = run_ranks(3, ClusterSpec::turing(3), |comm| {
-            let mut rel = ReliableComm::new(&comm, RelConfig::default());
+            let mut rel = ReliableComm::new(&comm);
             match comm.rank() {
                 0 => {
                     comm.advance(1.0);

@@ -13,6 +13,10 @@ use crate::net::PandaNet;
 use crate::wire::{self, tag, BlockMsg, ReadReq, WriteReq};
 use roccom::{AttrSelector, IoService, Windows};
 
+/// Modelled client-side bandwidth (bytes/s) of packing panes into block
+/// messages.
+const CLIENT_PACK_BW: f64 = 200e6;
+
 /// A Rocpanda compute client.
 ///
 /// `write_attribute` ships this process's blocks to its assigned server
@@ -100,7 +104,7 @@ impl<'a> PandaClient<'a> {
             msg.encode_segments(&mut self.pool, &mut self.segs);
             // Client-side packing cost (same total bytes as before).
             self.world
-                .advance(segments_len(&self.segs) as f64 / self.cfg.client_pack_bw);
+                .advance(segments_len(&self.segs) as f64 / CLIENT_PACK_BW);
             // Flow control: at most `ack_window` unacknowledged blocks.
             while in_flight >= ack_window {
                 self.net.recv(Some(self.my_server), Some(tag::ACK))?;
@@ -795,6 +799,134 @@ mod tests {
         });
         assert!(ok.iter().all(|&b| b));
         assert!(fs.stats().bytes_read > 0, "cold restart must hit the disk");
+    }
+
+    /// A file's record dies with its file, its restart rounds do not: a
+    /// snapshot written, restarted, retired, written again under the same
+    /// name and restarted again comes back as it was last written — from
+    /// the cache and from disk, on a pool where one server has no client of
+    /// the tenant and knows the file from restart traffic alone. (A server
+    /// that forgot the round count at retire would fall an epoch behind its
+    /// peer; answering votes on receipt carries them through one more
+    /// restart, and the one after that hangs on a round nobody else is in.)
+    #[test]
+    fn a_retired_snapshot_can_be_rewritten_and_restarted_again() {
+        let snap = SnapshotId::new(30, 0);
+        let all = AttrSelector::all("fluid");
+        for read_cache in [false, true] {
+            let fs = Arc::new(SharedFs::ideal());
+            let cfg = RocpandaConfig { read_cache, ..Default::default() };
+            let (ok, stats) = run_job(&fs, &cfg, &[1, 2], &ideal(3), |_, c, app| {
+                let mut ws = build_windows(app.rank(), 2);
+                c.write_attribute(&ws, &all, snap).unwrap();
+                scribble(&mut ws, -3.0);
+                c.read_attribute(&mut ws, &all, snap).unwrap();
+                let first = holds_written_values(&ws);
+                c.retire(snap).unwrap();
+                // The second life of the name holds other values.
+                scribble(&mut ws, 42.5);
+                let rewritten = ws.clone();
+                c.write_attribute(&ws, &all, snap).unwrap();
+                let mut again = true;
+                for _ in 0..2 {
+                    scribble(&mut ws, -3.0);
+                    c.read_attribute(&mut ws, &all, snap).unwrap();
+                    again &= ws == rewritten;
+                }
+                c.finalize().unwrap();
+                first && again
+            });
+            assert!(ok.iter().all(|&b| b), "read_cache {read_cache}");
+            let shipped: u64 = stats.iter().map(|s| s.restart_blocks_sent).sum();
+            assert_eq!(shipped, 6, "read_cache {read_cache}: three restarts of two blocks");
+            assert_eq!(fs.stats().read_ops == 0, read_cache);
+            assert_eq!(fs.list("out/").len(), 1, "the retired file was replaced, not kept");
+        }
+    }
+
+    /// Prefers, at each server, the messages of one tenant's clients — so
+    /// server 0 sees all of tenant A's restart requests before any of B's,
+    /// and server 1 the other way round. Records who took which.
+    struct CrossOrder {
+        /// Per receiving rank, the client ranks it would rather hear first.
+        prefers: [(usize, [usize; 2]); 2],
+        read_reqs: parking_lot::Mutex<Vec<(usize, usize)>>,
+    }
+
+    impl rocnet::fabric::ScheduleOracle for CrossOrder {
+        fn choose(&self, point: &rocnet::fabric::ChoicePoint) -> usize {
+            let favoured = self.prefers.iter().find(|(dst, _)| *dst == point.dst);
+            let pick = favoured
+                .and_then(|(_, srcs)| point.candidates.iter().position(|c| srcs.contains(&c.src_global)))
+                .unwrap_or(0);
+            let taken = &point.candidates[pick];
+            if point.kind == rocnet::fabric::ChoiceKind::Take && taken.tag == crate::wire::tag::READ_REQ {
+                self.read_reqs.lock().push((point.dst, taken.src_global));
+            }
+            pick
+        }
+    }
+
+    /// Two tenants restart at once and the two servers meet their rounds
+    /// in opposite orders: server 0 is waiting for votes on A's round while
+    /// server 1 waits on B's. Each answers the other's round from inside
+    /// its own wait loop, so neither deadlocks and no vote lands in the
+    /// wrong round — from the cache (votes only) and from disk (votes, then
+    /// flush tokens).
+    #[test]
+    fn two_tenants_restart_while_the_servers_meet_their_rounds_in_opposite_orders() {
+        let snap = SnapshotId::new(40, 0);
+        let all = AttrSelector::all("fluid");
+        let (job_a, job_b) = ([2, 3], [4, 5]);
+        for read_cache in [false, true] {
+            let oracle = Arc::new(CrossOrder {
+                prefers: [(0, job_a), (1, job_b)],
+                read_reqs: parking_lot::Mutex::new(Vec::new()),
+            });
+            let fabric = Arc::new(Fabric::with_oracle(ClusterSpec::ideal(6), oracle.clone()));
+            let fs = Arc::new(SharedFs::ideal());
+            let svc = PandaServiceBuilder::new(Arc::clone(&fs))
+                .servers(&[0, 1])
+                .config(RocpandaConfig { read_cache, ..Default::default() })
+                .build()
+                .unwrap();
+            svc.submit(crate::JobSpec::new("a", &job_a)).unwrap();
+            svc.submit(crate::JobSpec::new("b", &job_b)).unwrap();
+            let restored = rocnet::harness::run_on_fabric(&fabric, &|world: Comm| {
+                match svc.attach(&world).unwrap() {
+                    ServiceRole::Server(mut s) => s.run().map(|_| true).unwrap(),
+                    ServiceRole::Client { job, mut io, comm: app } => {
+                        // Each tenant's values are its own, so a block
+                        // shipped to the wrong tenant cannot pass.
+                        let mut ws = build_windows(app.rank(), 2);
+                        scribble(&mut ws, job.tenant().0 as f64 * 1000.0 + app.rank() as f64);
+                        let written = ws.clone();
+                        io.write_attribute(&ws, &all, snap).unwrap();
+                        // All four clients have written before any asks
+                        // to restart, so each server has both tenants'
+                        // requests to choose from.
+                        let others = || (2..6).filter(|&c| c != world.rank());
+                        others().for_each(|c| world.send(c, 0x77, &[]).unwrap());
+                        others().for_each(|c| drop(world.recv(Some(c), Some(0x77)).unwrap()));
+                        scribble(&mut ws, -3.0);
+                        io.read_attribute(&mut ws, &all, snap).unwrap();
+                        io.finalize().unwrap();
+                        ws == written
+                    }
+                    ServiceRole::Idle => unreachable!("every rank is a server or a client"),
+                }
+            });
+            assert!(restored.iter().all(|&b| b), "read_cache {read_cache}");
+            // The orders really were opposite: each server took its
+            // favoured tenant's two requests before the other's.
+            let took = |server| -> Vec<usize> {
+                let log = oracle.read_reqs.lock();
+                log.iter().filter(|(dst, _)| *dst == server).map(|(_, src)| *src).collect()
+            };
+            assert_eq!(took(0), [2, 3, 4, 5], "read_cache {read_cache}");
+            assert_eq!(took(1), [4, 5, 2, 3], "read_cache {read_cache}");
+            assert_eq!(fs.stats().read_ops == 0, read_cache);
+        }
     }
 
     /// Clients with zero panes still participate collectively.

@@ -24,14 +24,6 @@ pub struct RocpandaConfig {
     /// requests preempt draining. Off = the server drains its entire
     /// buffer before looking at the network again.
     pub responsive_probe: bool,
-    /// Modelled server CPU cost to process one incoming block message
-    /// (unpack, registry bookkeeping, buffer insertion). Calibrated so
-    /// Fig. 3(a)'s apparent-throughput curve lands near the paper's.
-    pub server_block_overhead: f64,
-    /// Modelled memory-copy bandwidth for buffering a block at the server.
-    pub server_copy_bw: f64,
-    /// Modelled client-side cost per byte of packing panes into messages.
-    pub client_pack_bw: f64,
     /// Flow-control window: how many unacknowledged blocks a client may
     /// have in flight. 1 = strict request/response (the conservative
     /// default); larger windows pipeline injection against server
@@ -64,9 +56,6 @@ impl Default for RocpandaConfig {
             buffer_capacity: 512 << 20,
             active_buffering: true,
             responsive_probe: true,
-            server_block_overhead: 0.80e-3,
-            server_copy_bw: 300e6,
-            client_pack_bw: 200e6,
             ack_window: 1,
             read_cache: false,
             faulty_net: None,

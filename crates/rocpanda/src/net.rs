@@ -14,10 +14,9 @@
 //! roclint's `raw-send` rule enforces the routing: inside rocpanda, only a
 //! receiver named `net` may call `send`/`recv`/`probe` and friends.
 
-use bytes::Bytes;
 use rocio_core::{Result, Rope, Segment};
 use rocnet::comm::{Comm, Message, ProbeInfo};
-use rocnet::rocrel::{RelConfig, ReliableComm};
+use rocnet::rocrel::ReliableComm;
 
 /// The transport behind every Rocpanda protocol message.
 pub enum PandaNet<'a> {
@@ -32,25 +31,9 @@ impl<'a> PandaNet<'a> {
     /// declares the fabric faulty, raw otherwise.
     pub fn new(comm: &'a Comm, faulty: bool) -> Self {
         if faulty {
-            PandaNet::Reliable(ReliableComm::new(comm, RelConfig::default()))
+            PandaNet::Reliable(ReliableComm::new(comm))
         } else {
             PandaNet::Raw(comm)
-        }
-    }
-
-    /// The underlying communicator (clock and topology access).
-    pub fn comm(&self) -> &'a Comm {
-        match self {
-            PandaNet::Raw(c) => c,
-            PandaNet::Reliable(r) => r.comm(),
-        }
-    }
-
-    /// Total retransmitted frames (0 on a raw transport).
-    pub fn retransmits(&self) -> u64 {
-        match self {
-            PandaNet::Raw(_) => 0,
-            PandaNet::Reliable(r) => r.retransmits(),
         }
     }
 
@@ -58,13 +41,6 @@ impl<'a> PandaNet<'a> {
         match self {
             PandaNet::Raw(c) => c.send(dst, tag, payload),
             PandaNet::Reliable(r) => r.send(dst, tag, payload),
-        }
-    }
-
-    pub fn send_bytes(&mut self, dst: usize, tag: u32, payload: Bytes) -> Result<()> {
-        match self {
-            PandaNet::Raw(c) => c.send_bytes(dst, tag, payload),
-            PandaNet::Reliable(r) => r.send_bytes(dst, tag, payload),
         }
     }
 

@@ -2,12 +2,26 @@
 //! shared by every admitted tenant.
 //!
 //! One server rank serves the clients of *all* tenants attached to the
-//! service. Per-tenant state — drain queues, read-cache partitions,
-//! sticky drain errors, output namespaces — is keyed by [`TenantId`], and
-//! the background drain runs deficit round-robin across tenants so one
-//! job's burst cannot starve another's snapshot.
+//! service, and what it knows is two collections of records:
+//!
+//! * one `FileRecord` per output file — `(tenant, snapshot, window)`, a
+//!   `FileKey` — holding the writer and its progress counters, the blocks
+//!   each client still owes, the restart requests collected so far, the
+//!   file's partition of the read cache, and the restart rounds it has
+//!   votes or flush tokens for. Retiring a snapshot resets that one value;
+//!   closing a restart round drops one entry inside it.
+//! * one `Tenant` per admitted job — its client layout, drain queue,
+//!   deficit, sticky drain error, shutdown flag and drain telemetry. The
+//!   background drain runs deficit round-robin across tenants, so one
+//!   job's burst cannot starve another's snapshot.
+//!
+//! Beside them there is only the rank → tenant lookup and the drain ring
+//! (which tenants have queued blocks, in service order). A file's key is
+//! built once per message and shared by handle from there on: the queue
+//! and the rounds name a file, they do not copy its name.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::Arc;
 
 use rocio_core::{BlockId, Priority, Result, RocError, Rope, Segment, SnapshotId, TenantId};
 use rocnet::{Comm, Message};
@@ -32,11 +46,21 @@ const LINGER_QUIET: f64 = 0.32;
 /// enough that a typical block drains without a full ring rotation.
 const DRR_QUANTUM: u64 = 64 * 1024;
 
-/// Key of one output file: (tenant, snapshot, window). Including the
-/// tenant keys every downstream structure — file registry, read cache,
-/// restart coordination — so concurrent jobs writing the same window
-/// name never alias.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// Modelled server CPU cost (seconds) to process one incoming block
+/// message — unpack, registry bookkeeping, buffer insertion — or to stage
+/// one cached block into a restart reply. Calibrated so Fig. 3(a)'s
+/// apparent-throughput curve lands near the paper's.
+const SERVER_BLOCK_OVERHEAD: f64 = 0.80e-3;
+
+/// Modelled memory-copy bandwidth (bytes/s) at the server: buffering a
+/// block, submitting it to the file system, staging it into a reply.
+const SERVER_COPY_BW: f64 = 300e6;
+
+/// Name of one output file: (tenant, snapshot, window). Including the
+/// tenant keeps concurrent jobs that write the same window name apart.
+/// Ordered, so walking the records visits files — and issues their
+/// file-system operations — in one deterministic order.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct FileKey {
     tenant: TenantId,
     snap: SnapshotId,
@@ -66,9 +90,31 @@ pub(crate) struct TenantLane {
     pub my_clients: Vec<usize>,
 }
 
-/// Per-file progress at the server.
+/// Everything this server knows about one admitted tenant. Dies with the
+/// server: a tenant's lane is fixed at attach.
+struct Tenant {
+    lane: TenantLane,
+    /// Buffered blocks awaiting the drain, oldest first.
+    queue: VecDeque<Queued>,
+    /// DRR byte deficit: accumulates across rotations, so any block
+    /// eventually drains regardless of size; forgotten when the queue
+    /// empties — credit must not accumulate while idle.
+    deficit: u64,
+    /// Sticky drain failure, reported on the tenant's next sync and then
+    /// cleared so the tenant can recover (e.g. by retiring old snapshots
+    /// to release quota).
+    error: Option<String>,
+    /// The tenant has initiated shutdown; the loop exits when all have.
+    shutdown: bool,
+    drained: TenantDrainStats,
+}
+
+/// Everything this server knows about one output file, from the first
+/// message that names it. The write half dies when the snapshot is
+/// retired; `epoch` and `rounds` outlive the file, because the servers
+/// match their restart votes on them.
 #[derive(Default)]
-struct FileState<'fs> {
+struct FileRecord<'fs> {
     writer: Option<SdfFileWriter<'fs>>,
     /// Sum of block counts announced by WRITE_REQs so far.
     expected_blocks: u32,
@@ -85,6 +131,51 @@ struct FileState<'fs> {
     /// The file hit a per-tenant service failure; remaining blocks are
     /// dropped and the error is reported on the tenant's next sync.
     failed: bool,
+    /// Client world rank → blocks it announced and has not sent yet.
+    pending: HashMap<usize, u32>,
+    /// Restart requests collected for the round about to be served.
+    read_reqs: Vec<(usize, Vec<u64>)>,
+    /// This file's partition of the snapshot read cache: buffered block
+    /// messages kept for restart service (read-your-writes), by block id.
+    /// Populated at intake when `cfg.read_cache` is on; a message's parts
+    /// are shared with the write queue by refcount, so the cache holds no
+    /// extra copy of the data.
+    cache: HashMap<u64, Cached>,
+    /// Completed restart rounds: the coordination epoch, which tells
+    /// *repeated* restarts of one snapshot apart on the wire.
+    epoch: u32,
+    /// Restart rounds this server has votes or flush tokens for, by
+    /// epoch — its own round, or one a peer has entered first.
+    rounds: BTreeMap<u32, Round>,
+}
+
+/// One restart round's server↔server coordination.
+#[derive(Default)]
+struct Round {
+    /// This server's vote is cast. One vote per round, computed at most
+    /// once — on demand when a peer's vote arrives early, otherwise when
+    /// this server enters the round.
+    voted: bool,
+    /// Votes tallied, this server's included.
+    votes: usize,
+    /// Some server cannot serve its share from its cache: all go to disk.
+    refused: bool,
+    /// This server's flush token is out.
+    flushed: bool,
+    /// Flush tokens collected, this server's included.
+    tokens: usize,
+}
+
+type Files<'fs> = BTreeMap<Arc<FileKey>, FileRecord<'fs>>;
+
+/// The record of a file that a message or a queued block names.
+fn record<'m, 'fs>(files: &'m mut Files<'fs>, key: &FileKey) -> Result<&'m mut FileRecord<'fs>> {
+    files.get_mut(key).ok_or_else(|| {
+        RocError::InvalidState(format!(
+            "panda server: no record of {}/{} for tenant {}",
+            key.window, key.snap, key.tenant
+        ))
+    })
 }
 
 /// Aggregate server statistics for experiment reports.
@@ -127,7 +218,7 @@ impl TenantDrainStats {
 /// A block waiting in a tenant's drain queue: its records framed for the
 /// file, payloads still windows of the message it came in.
 struct Queued {
-    key: FileKey,
+    key: Arc<FileKey>,
     /// Its `size` — the encoded size of the block — is what the tenant's
     /// DRR deficit is charged.
     frame: BlockFrame,
@@ -172,54 +263,19 @@ pub struct PandaServer<'a> {
     /// This server's index among the servers (names its output files).
     pub(crate) server_index: usize,
     server_ranks: Vec<usize>,
-    /// The admitted tenants, in admission order.
-    tenants: Vec<TenantLane>,
+    /// The admitted tenants.
+    tenants: BTreeMap<TenantId, Tenant>,
     /// Client world rank → owning tenant.
     tenant_of_rank: HashMap<usize, TenantId>,
-    files: HashMap<FileKey, FileState<'a>>,
-    /// Per-tenant drain queues served deficit-round-robin.
-    drain_queues: HashMap<TenantId, VecDeque<Queued>>,
+    /// The output files this server has heard of.
+    files: Files<'a>,
     /// Tenants with queued blocks, in service order.
     drain_ring: VecDeque<TenantId>,
-    /// DRR byte deficits (accumulate across rotations, so any block
-    /// eventually drains regardless of size).
-    drain_deficit: HashMap<TenantId, u64>,
     /// Total blocks across all drain queues.
     queued_total: usize,
     /// Buffer occupancy: wire bytes of every queued block, compared
     /// against `cfg.buffer_capacity`. Zero whenever the queues are empty.
     pub(crate) buffered_bytes: usize,
-    /// (client world rank, file key) → blocks still expected from them.
-    client_pending: HashMap<(usize, FileKey), u32>,
-    /// Restart requests collected per file key.
-    read_reqs: HashMap<FileKey, Vec<(usize, Vec<u64>)>>,
-    /// Snapshot read cache: buffered block messages kept for restart
-    /// service (read-your-writes). Populated at block intake when
-    /// `cfg.read_cache` is on; a message's parts are shared with the write
-    /// queue by refcount, so the cache holds no extra copy of the data.
-    /// Keyed by tenant-qualified [`FileKey`], so each tenant's partition
-    /// is isolated. Evicted when the snapshot is retired.
-    read_cache: HashMap<FileKey, HashMap<u64, Cached>>,
-    /// Restart coordination: my recorded vote per restart round. One
-    /// vote per key, computed at most once — on-demand when a peer's
-    /// vote arrives early, otherwise when this server enters the round.
-    voted: HashMap<CoordKey, bool>,
-    /// Restart coordination: vote tally (count, AND) per round.
-    votes: HashMap<CoordKey, (usize, bool)>,
-    /// Restart coordination: rounds whose flush token we already sent.
-    flushed: HashSet<CoordKey>,
-    /// Restart coordination: flush tokens collected per round.
-    tokens: HashMap<CoordKey, usize>,
-    /// Completed restart rounds per file key (the coordination epoch).
-    epochs: HashMap<FileKey, u32>,
-    /// Sticky per-tenant drain failures, reported on the tenant's next
-    /// sync and then cleared so the tenant can recover (e.g. by retiring
-    /// old snapshots to release quota).
-    tenant_errors: HashMap<TenantId, String>,
-    /// Tenants that have initiated shutdown; the loop exits when all have.
-    shutdowns: HashSet<TenantId>,
-    /// Per-tenant drain latency telemetry.
-    drain_stats: HashMap<TenantId, TenantDrainStats>,
     /// Reusable staging buffers for scatter-gather replies.
     pool: SegmentPool,
     /// Latest virtual completion time of any disk write this server
@@ -239,14 +295,25 @@ impl<'a> PandaServer<'a> {
         cfg: RocpandaConfig,
         server_index: usize,
         server_ranks: Vec<usize>,
-        tenants: Vec<TenantLane>,
+        lanes: Vec<TenantLane>,
     ) -> Self {
         let mut tenant_of_rank = HashMap::new();
-        for lane in &tenants {
+        for lane in &lanes {
             for &c in &lane.clients {
                 tenant_of_rank.insert(c, lane.id);
             }
         }
+        let tenants = lanes.into_iter().map(|lane| {
+            let tenant = Tenant {
+                lane,
+                queue: VecDeque::new(),
+                deficit: 0,
+                error: None,
+                shutdown: false,
+                drained: TenantDrainStats::default(),
+            };
+            (tenant.lane.id, tenant)
+        });
         PandaServer {
             world,
             net: PandaNet::new(world, cfg.faulty_net.is_some()),
@@ -255,25 +322,12 @@ impl<'a> PandaServer<'a> {
             cfg,
             server_index,
             server_ranks,
-            tenants,
+            tenants: tenants.collect(),
             tenant_of_rank,
-            files: HashMap::new(),
-            drain_queues: HashMap::new(),
+            files: BTreeMap::new(),
             drain_ring: VecDeque::new(),
-            drain_deficit: HashMap::new(),
             queued_total: 0,
             buffered_bytes: 0,
-            client_pending: HashMap::new(),
-            read_reqs: HashMap::new(),
-            read_cache: HashMap::new(),
-            voted: HashMap::new(),
-            votes: HashMap::new(),
-            flushed: HashSet::new(),
-            tokens: HashMap::new(),
-            epochs: HashMap::new(),
-            tenant_errors: HashMap::new(),
-            shutdowns: HashSet::new(),
-            drain_stats: HashMap::new(),
             pool: SegmentPool::new(),
             disk_completion: 0.0,
             stats: ServerStats::default(),
@@ -284,24 +338,18 @@ impl<'a> PandaServer<'a> {
     pub fn client_ranks(&self) -> Vec<usize> {
         let mut out: Vec<usize> = self
             .tenants
-            .iter()
-            .flat_map(|l| l.my_clients.iter().copied())
+            .values()
+            .flat_map(|t| t.lane.my_clients.iter().copied())
             .collect();
         out.sort_unstable();
         out
     }
 
-    /// Statistics so far.
-    pub fn stats(&self) -> ServerStats {
-        self.stats
-    }
-
-    /// Per-tenant drain-latency telemetry, sorted by tenant id.
+    /// Per-tenant drain-latency telemetry of the tenants that have drained
+    /// a block, sorted by tenant id.
     pub fn drain_stats(&self) -> Vec<(TenantId, TenantDrainStats)> {
-        let mut out: Vec<(TenantId, TenantDrainStats)> =
-            self.drain_stats.iter().map(|(t, s)| (*t, *s)).collect();
-        out.sort_by_key(|(t, _)| *t);
-        out
+        let drained = self.tenants.iter().filter(|(_, t)| t.drained.blocks > 0);
+        drained.map(|(id, t)| (*id, t.drained)).collect()
     }
 
     fn tenant_of(&self, rank: usize) -> Result<TenantId> {
@@ -310,17 +358,26 @@ impl<'a> PandaServer<'a> {
         })
     }
 
-    fn lane(&self, tenant: TenantId) -> Result<&TenantLane> {
-        self.tenants.iter().find(|l| l.id == tenant).ok_or_else(|| {
+    fn tenant(&mut self, tenant: TenantId) -> Result<&mut Tenant> {
+        self.tenants.get_mut(&tenant).ok_or_else(|| {
             RocError::InvalidState(format!("panda server: unknown tenant {tenant}"))
         })
     }
 
-    fn weight_of(&self, tenant: TenantId) -> u64 {
-        self.tenants
-            .iter()
-            .find(|l| l.id == tenant)
-            .map_or(1, |l| u64::from(l.priority.weight()))
+    /// How many of `tenant`'s clients write through this server.
+    fn group(&self, tenant: TenantId) -> usize {
+        self.tenants.get(&tenant).map_or(0, |t| t.lane.my_clients.len())
+    }
+
+    /// The handle of the file a message names, its record made on first
+    /// mention. The one place a key is stored; everything else holds this.
+    fn file(&mut self, key: FileKey) -> Arc<FileKey> {
+        if let Some((held, _)) = self.files.get_key_value(&key) {
+            return Arc::clone(held);
+        }
+        let held = Arc::new(key);
+        self.files.insert(Arc::clone(&held), FileRecord::default());
+        held
     }
 
     /// The server main loop (§6.1): handle requests, and between handling
@@ -380,14 +437,14 @@ impl<'a> PandaServer<'a> {
         // no snapshot byte is copied and no record is re-encoded:
         // buffering, the read cache and the drain all hold that one rope.
         let BlockWire { snap, window, frame } = BlockWire::parse(wire)?;
-        let key = FileKey { tenant, snap, window };
+        let key = self.file(FileKey { tenant, snap, window });
         // Server CPU cost of taking the block in.
         let bytes = wire.len();
         let t_fill0 = self.world.now();
-        self.world.advance(
-            self.cfg.server_block_overhead + bytes as f64 / self.cfg.server_copy_bw,
-        );
-        self.files.entry(key.clone()).or_default().blocks_received += 1;
+        self.world
+            .advance(SERVER_BLOCK_OVERHEAD + bytes as f64 / SERVER_COPY_BW);
+        let rec = record(&mut self.files, &key)?;
+        rec.blocks_received += 1;
         if self.cfg.active_buffering {
             self.stats.blocks_buffered += 1;
             if self.cfg.read_cache {
@@ -395,9 +452,9 @@ impl<'a> PandaServer<'a> {
                 // shared with the queued frame, so this is a refcount
                 // bump, not a data copy.
                 let cached = Cached { wire: wire.clone(), size: frame.size as u64 };
-                self.read_cache.entry(key.clone()).or_default().insert(frame.id.0, cached);
+                rec.cache.insert(frame.id.0, cached);
             }
-            self.enqueue(key.clone(), frame, bytes);
+            self.enqueue(Arc::clone(&key), frame, bytes)?;
             if rocobs::enabled() {
                 rocobs::record(
                     rocobs::SpanCategory::BufferFill,
@@ -419,16 +476,15 @@ impl<'a> PandaServer<'a> {
             self.write_checked(&key, frame)?;
         }
         self.net.send(src, tag::ACK, &[])?;
-        let pending_key = (src, key.clone());
-        if let Some(rem) = self.client_pending.get_mut(&pending_key) {
+        let pending = &mut record(&mut self.files, &key)?.pending;
+        if let Some(rem) = pending.get_mut(&src) {
             *rem -= 1;
             if *rem == 0 {
-                self.client_pending.remove(&pending_key);
+                pending.remove(&src);
                 self.net.send(src, tag::DONE, &[])?;
             }
         }
-        self.maybe_finish(&key)?;
-        Ok(())
+        self.maybe_finish(&key)
     }
 
     /// Handle one client message. Only `BLOCK` carries payload worth
@@ -439,29 +495,24 @@ impl<'a> PandaServer<'a> {
             return self.on_block(msg.src, &msg.payload).map(|()| true);
         }
         let msg = msg.flatten();
+        let tenant = self.tenant_of(msg.src)?;
         match msg.tag {
             tag::WRITE_REQ => {
-                let tenant = self.tenant_of(msg.src)?;
-                let req = WriteReq::decode(&msg.payload)?;
-                let key = FileKey {
-                    tenant,
-                    snap: req.snap,
-                    window: req.window,
-                };
-                let st = self.files.entry(key.clone()).or_default();
-                st.expected_blocks += req.n_blocks;
-                st.reqs_received += 1;
-                if req.n_blocks == 0 {
+                let WriteReq { snap, window, n_blocks } = WriteReq::decode(&msg.payload)?;
+                let key = self.file(FileKey { tenant, snap, window });
+                let rec = record(&mut self.files, &key)?;
+                rec.expected_blocks += n_blocks;
+                rec.reqs_received += 1;
+                if n_blocks == 0 {
                     // Nothing coming from this client: release it now.
                     self.net.send(msg.src, tag::DONE, &[])?;
                 } else {
-                    self.client_pending.insert((msg.src, key.clone()), req.n_blocks);
+                    rec.pending.insert(msg.src, n_blocks);
                 }
                 self.maybe_finish(&key)?;
                 Ok(true)
             }
             tag::SYNC => {
-                let tenant = self.tenant_of(msg.src)?;
                 self.flush_all()?;
                 // Durability is reported in the payload rather than by
                 // advancing this server's clock: another client may still
@@ -470,7 +521,7 @@ impl<'a> PandaServer<'a> {
                 // drain failure for the syncing tenant is reported here —
                 // and cleared, so the tenant can recover by releasing
                 // quota (retire) and retrying.
-                let reply = match self.tenant_errors.remove(&tenant) {
+                let reply = match self.tenant(tenant)?.error.take() {
                     Some(text) => Err(text),
                     None => Ok(self.disk_completion),
                 };
@@ -479,60 +530,52 @@ impl<'a> PandaServer<'a> {
                 Ok(true)
             }
             tag::READ_REQ => {
-                let tenant = self.tenant_of(msg.src)?;
-                let req = ReadReq::decode(&msg.payload)?;
-                let key = FileKey {
-                    tenant,
-                    snap: req.snap,
-                    window: req.window,
-                };
-                let n_clients = self.lane(tenant)?.clients.len();
-                let entry = self.read_reqs.entry(key.clone()).or_default();
-                entry.push((msg.src, req.ids));
-                if entry.len() == n_clients {
+                let ReadReq { snap, window, ids } = ReadReq::decode(&msg.payload)?;
+                let key = self.file(FileKey { tenant, snap, window });
+                let n_clients = self.tenant(tenant)?.lane.clients.len();
+                let requests = &mut record(&mut self.files, &key)?.read_reqs;
+                requests.push((msg.src, ids));
+                if requests.len() == n_clients {
                     self.serve_restart(&key)?;
                 }
                 Ok(true)
             }
             tag::RETIRE => {
-                let tenant = self.tenant_of(msg.src)?;
                 let snap = wire::decode_retire(&msg.payload)?;
                 // Deleting requires durability of that snapshot first.
                 self.flush_all()?;
-                self.read_cache
-                    .retain(|k, _| !(k.tenant == tenant && k.snap == snap));
-                let mut keys: Vec<FileKey> = self
-                    .files
-                    .keys()
-                    .filter(|k| k.tenant == tenant && k.snap == snap)
-                    .cloned()
-                    .collect();
-                // Deterministic deletion order: the map's iteration order
-                // must not leak into file-system operation order.
-                keys.sort_unstable();
+                let of_snap = |k: &&Arc<FileKey>| k.tenant == tenant && k.snap == snap;
+                let keys: Vec<Arc<FileKey>> = self.files.keys().filter(of_snap).cloned().collect();
                 for key in keys {
-                    let Some(st) = self.files.get(&key) else {
+                    let rec = record(&mut self.files, &key)?;
+                    rec.cache.clear();
+                    if !rec.finished {
                         continue;
-                    };
-                    if st.finished {
-                        let path =
-                            self.cfg
-                                .path_for(key.tenant, &key.window, key.snap, self.server_index);
-                        if self.fs.exists(&path) {
-                            self.fs.delete(&path)?;
-                        }
-                        self.files.remove(&key);
+                    }
+                    let path =
+                        self.cfg
+                            .path_for(key.tenant, &key.window, key.snap, self.server_index);
+                    if self.fs.exists(&path) {
+                        self.fs.delete(&path)?;
+                    }
+                    // The file is gone and its record with it — but for
+                    // the restart rounds its name has been through, which
+                    // the peers count too and match votes on.
+                    let (epoch, rounds) = (rec.epoch, std::mem::take(&mut rec.rounds));
+                    if epoch == 0 && rounds.is_empty() {
+                        self.files.remove(&*key);
+                    } else {
+                        *rec = FileRecord { epoch, rounds, ..FileRecord::default() };
                     }
                 }
                 self.net.send(msg.src, tag::RETIRE_ACK, &[])?;
                 Ok(true)
             }
             tag::SHUTDOWN => {
-                let tenant = self.tenant_of(msg.src)?;
                 self.flush_all()?;
-                self.shutdowns.insert(tenant);
+                self.tenant(tenant)?.shutdown = true;
                 // Stay up until every admitted tenant has shut down.
-                Ok(self.shutdowns.len() < self.tenants.len())
+                Ok(self.tenants.values().any(|t| !t.shutdown))
             }
             other => Err(RocError::Comm(format!(
                 "panda server: unexpected tag {other:#x} from rank {}",
@@ -543,21 +586,17 @@ impl<'a> PandaServer<'a> {
 
     /// Queue a buffered block on its tenant's drain lane, charging the
     /// buffer the `charged` wire bytes the block arrived as.
-    fn enqueue(&mut self, key: FileKey, frame: BlockFrame, charged: usize) {
-        let tenant = key.tenant;
-        self.buffered_bytes += charged;
-        let item = Queued {
-            charged,
-            enqueued: self.world.now(),
-            key,
-            frame,
-        };
-        let q = self.drain_queues.entry(tenant).or_default();
-        if q.is_empty() && !self.drain_ring.contains(&tenant) {
-            self.drain_ring.push_back(tenant);
+    fn enqueue(&mut self, key: Arc<FileKey>, frame: BlockFrame, charged: usize) -> Result<()> {
+        let (id, enqueued) = (key.tenant, self.world.now());
+        let on_ring = self.drain_ring.contains(&id);
+        let tenant = self.tenant(id)?;
+        tenant.queue.push_back(Queued { key, frame, charged, enqueued });
+        if !on_ring {
+            self.drain_ring.push_back(id);
         }
-        q.push_back(item);
+        self.buffered_bytes += charged;
         self.queued_total += 1;
+        Ok(())
     }
 
     /// Deficit-round-robin pick: serve the ring-head tenant if its
@@ -567,62 +606,52 @@ impl<'a> PandaServer<'a> {
     /// drains after finitely many rounds — no tenant starves.
     fn pop_next(&mut self) -> Option<Queued> {
         loop {
-            let tenant = *self.drain_ring.front()?;
-            let head_size = match self.drain_queues.get(&tenant).and_then(|q| q.front()) {
-                Some(item) => item.frame.size as u64,
-                None => {
-                    // Lane drained: retire it from the ring (and forget
-                    // its deficit — credit must not accumulate while idle).
-                    self.drain_ring.pop_front();
-                    self.drain_queues.remove(&tenant);
-                    self.drain_deficit.remove(&tenant);
-                    continue;
-                }
+            let tenant = self.tenants.get_mut(self.drain_ring.front()?)?;
+            let Some(head) = tenant.queue.front() else {
+                // Lane drained: off the ring, its credit forgotten.
+                self.drain_ring.pop_front();
+                tenant.deficit = 0;
+                continue;
             };
-            let quantum = self.weight_of(tenant) * DRR_QUANTUM;
-            let deficit = self.drain_deficit.entry(tenant).or_insert(0);
-            if *deficit >= head_size {
-                *deficit -= head_size;
-                if let Some(item) = self.drain_queues.get_mut(&tenant).and_then(|q| q.pop_front())
-                {
-                    self.queued_total -= 1;
-                    return Some(item);
-                }
-            } else {
-                *deficit += quantum;
-                self.drain_ring.rotate_left(1);
+            let head_size = head.frame.size as u64;
+            if tenant.deficit >= head_size {
+                tenant.deficit -= head_size;
+                self.queued_total -= 1;
+                return tenant.queue.pop_front();
             }
+            tenant.deficit += u64::from(tenant.lane.priority.weight()) * DRR_QUANTUM;
+            self.drain_ring.rotate_left(1);
         }
     }
 
     /// Write the oldest eligible buffered block out (DRR across tenants).
     fn write_one(&mut self) -> Result<()> {
-        if let Some(item) = self.pop_next() {
-            let t0 = self.world.now();
-            self.buffered_bytes -= item.charged;
-            let size = item.frame.size as u64;
-            self.write_checked(&item.key, item.frame)?;
-            let latency = self.world.now() - item.enqueued;
-            let ds = self.drain_stats.entry(item.key.tenant).or_default();
-            ds.blocks += 1;
-            ds.bytes += size;
-            ds.total_latency += latency;
-            ds.max_latency = ds.max_latency.max(latency);
-            if rocobs::enabled() {
-                rocobs::record(
-                    rocobs::SpanCategory::BufferDrain,
-                    "buffer_drain",
-                    t0,
-                    self.world.now(),
-                    &format!(
-                        "bytes={} occupancy={} queued={}",
-                        size, self.buffered_bytes, self.queued_total
-                    ),
-                );
-            }
-            self.maybe_finish(&item.key)?;
+        let Some(item) = self.pop_next() else {
+            return Ok(());
+        };
+        let t0 = self.world.now();
+        self.buffered_bytes -= item.charged;
+        let size = item.frame.size as u64;
+        self.write_checked(&item.key, item.frame)?;
+        let latency = self.world.now() - item.enqueued;
+        let ds = &mut self.tenant(item.key.tenant)?.drained;
+        ds.blocks += 1;
+        ds.bytes += size;
+        ds.total_latency += latency;
+        ds.max_latency = ds.max_latency.max(latency);
+        if rocobs::enabled() {
+            rocobs::record(
+                rocobs::SpanCategory::BufferDrain,
+                "buffer_drain",
+                t0,
+                self.world.now(),
+                &format!(
+                    "bytes={} occupancy={} queued={}",
+                    size, self.buffered_bytes, self.queued_total
+                ),
+            );
         }
-        Ok(())
+        self.maybe_finish(&item.key)
     }
 
     /// Write a block, absorbing per-tenant service failures: a quota
@@ -631,27 +660,23 @@ impl<'a> PandaServer<'a> {
     /// file — the protocol (ACK/DONE) stays live so no client hangs, and
     /// other tenants are untouched. Non-service errors still propagate.
     fn write_checked(&mut self, key: &FileKey, frame: BlockFrame) -> Result<()> {
-        if self.files.get(key).is_some_and(|st| st.failed) {
-            if let Some(st) = self.files.get_mut(key) {
-                st.blocks_dropped += 1;
-            }
+        let rec = record(&mut self.files, key)?;
+        if rec.failed {
+            rec.blocks_dropped += 1;
             return Ok(());
         }
         match self.write_block(key, frame) {
-            Ok(()) => Ok(()),
             Err(RocError::Service(se)) => {
-                self.tenant_errors
-                    .entry(key.tenant)
-                    .or_insert_with(|| se.to_string());
-                let st = self.files.entry(key.clone()).or_default();
-                st.failed = true;
-                st.blocks_dropped += 1;
+                self.tenant(key.tenant)?.error.get_or_insert_with(|| se.to_string());
+                let rec = record(&mut self.files, key)?;
+                rec.failed = true;
+                rec.blocks_dropped += 1;
                 // Abandon the partial writer: finishing it would charge
                 // yet more bytes to an exhausted quota.
-                st.writer = None;
+                rec.writer = None;
                 Ok(())
             }
-            Err(e) => Err(e),
+            other => other,
         }
     }
 
@@ -663,8 +688,7 @@ impl<'a> PandaServer<'a> {
         self.fs.declare_writers(self.server_ranks.len());
         // CPU submit cost: checksum + hand the bytes to the file system.
         let t_submit0 = self.world.now();
-        self.world
-            .advance(frame.size as f64 / self.cfg.server_copy_bw);
+        self.world.advance(frame.size as f64 / SERVER_COPY_BW);
         if rocobs::enabled() {
             rocobs::record(
                 rocobs::SpanCategory::DiskSubmit,
@@ -675,19 +699,19 @@ impl<'a> PandaServer<'a> {
             );
         }
         let synchronous = !self.cfg.active_buffering;
-        let st = self.files.entry(key.clone()).or_default();
-        if st.writer.is_none() {
-            let path = self
-                .cfg
-                .path_for(key.tenant, &key.window, key.snap, self.server_index);
-            let (w, t) =
-                SdfFileWriter::create(self.fs, &path, self.cfg.lib, client_id, self.world.now())?;
-            self.disk_completion = self.disk_completion.max(t);
-            st.writer = Some(w);
-        }
-        let writer = st.writer.as_mut().ok_or_else(|| {
-            RocError::InvalidState("panda server: writer missing after creation".into())
-        })?;
+        let rec = record(&mut self.files, key)?;
+        let writer = match &mut rec.writer {
+            Some(writer) => writer,
+            none => {
+                let path = self
+                    .cfg
+                    .path_for(key.tenant, &key.window, key.snap, self.server_index);
+                let (w, t) =
+                    SdfFileWriter::create(self.fs, &path, self.cfg.lib, client_id, self.world.now())?;
+                self.disk_completion = self.disk_completion.max(t);
+                none.insert(w)
+            }
+        };
         let t = writer.append_frame(frame, self.world.now())?;
         self.disk_completion = self.disk_completion.max(t);
         if synchronous {
@@ -695,7 +719,7 @@ impl<'a> PandaServer<'a> {
             // the server acknowledges it.
             self.world.clock().merge(t);
         }
-        st.blocks_written += 1;
+        rec.blocks_written += 1;
         self.stats.blocks_written += 1;
         Ok(())
     }
@@ -704,41 +728,39 @@ impl<'a> PandaServer<'a> {
     /// and every announced block is on disk (or dropped, for a failed
     /// file). A failed file is marked finished so retire can reap it, but
     /// its writer was abandoned and it does not count as finished output.
+    /// A server none of the tenant's clients write through has no file to
+    /// finish, whatever restart traffic has named it.
     fn maybe_finish(&mut self, key: &FileKey) -> Result<()> {
-        let group = self.lane(key.tenant)?.my_clients.len();
-        let Some(st) = self.files.get_mut(key) else {
-            return Ok(());
-        };
-        if !st.finished
-            && st.reqs_received == group
-            && st.blocks_written + st.blocks_dropped == st.expected_blocks
+        let group = self.group(key.tenant);
+        let rec = record(&mut self.files, key)?;
+        if !rec.finished
+            && group > 0
+            && rec.reqs_received == group
+            && rec.blocks_written + rec.blocks_dropped == rec.expected_blocks
         {
-            if let Some(mut w) = st.writer.take() {
+            if let Some(mut w) = rec.writer.take() {
                 let t = w.finish(self.world.now())?;
                 self.disk_completion = self.disk_completion.max(t);
                 if !self.cfg.active_buffering {
                     self.world.clock().merge(t);
                 }
             }
-            st.finished = true;
-            if !st.failed {
+            rec.finished = true;
+            if !rec.failed {
                 self.stats.files_finished += 1;
             }
         }
         Ok(())
     }
 
-    /// Drain every tenant's buffer and finish every completable file.
-    /// Durability is tracked in `disk_completion`; the server clock is
-    /// deliberately not advanced (see the SYNC handler).
+    /// Drain every tenant's buffer and finish every completable file, in
+    /// key order. Durability is tracked in `disk_completion`; the server
+    /// clock is deliberately not advanced (see the SYNC handler).
     fn flush_all(&mut self) -> Result<()> {
         while self.queued_total > 0 {
             self.write_one()?;
         }
-        let mut keys: Vec<FileKey> = self.files.keys().cloned().collect();
-        // Deterministic finish order: index/trailer writes hit the file
-        // system in key order, not the map's iteration order.
-        keys.sort_unstable();
+        let keys: Vec<Arc<FileKey>> = self.files.keys().cloned().collect();
         for key in keys {
             self.maybe_finish(&key)?;
         }
@@ -753,30 +775,20 @@ impl<'a> PandaServer<'a> {
     /// the requesting clients as `READ_ERR` rather than propagated: the
     /// clients surface the error from `read_attribute` and this server
     /// stays alive to serve the eventual sync/shutdown, so nobody hangs.
-    fn serve_restart(&mut self, key: &FileKey) -> Result<()> {
-        let requests = self.read_reqs.remove(key).ok_or_else(|| {
-            RocError::InvalidState("serve_restart called with no queued read requests".into())
-        })?;
+    fn serve_restart(&mut self, key: &Arc<FileKey>) -> Result<()> {
+        let rec = record(&mut self.files, key)?;
+        let (requests, epoch) = (std::mem::take(&mut rec.read_reqs), rec.epoch);
         let m = self.server_ranks.len();
-        let epoch = self.epochs.get(key).copied().unwrap_or(0);
-        let vk = key.coord(epoch);
         // All-or-nothing cache decision. The vote is keyed by (tenant,
         // snapshot, window, epoch) and collected in a wait loop that
         // answers *other* rounds' coordination on receipt — so two
         // servers entering different tenants' restarts in opposite orders
         // cannot deadlock, and votes from concurrent rounds never mix.
-        self.ensure_voted(&vk)?;
-        let mut wait = Ok(());
-        while wait.is_ok() && self.votes.get(&vk).map_or(0, |v| v.0) < m {
-            wait = self
-                .server_comm
-                .recv(None, None)
-                .and_then(|msg| self.handle_coord(msg));
-        }
-        let from_cache = self.votes.get(&vk).is_some_and(|v| v.1);
+        self.ensure_voted(key, epoch)?;
+        let wait = self.await_round(key, epoch, |round| round.votes >= m);
         let result = if wait.is_err() {
             wait
-        } else if from_cache {
+        } else if !self.round(key, epoch)?.refused {
             // Fast path: every server still buffers its clients' whole
             // share of this snapshot — serve from memory, no flush, no
             // disk scan, no flush tokens (the vote itself is the
@@ -789,23 +801,15 @@ impl<'a> PandaServer<'a> {
             // trades keyed flush tokens — reached even when the flush
             // failed, so a sibling waiting on our token cannot deadlock
             // on our error.
-            let prep = self.ensure_flushed(&vk);
-            let mut wait = Ok(());
-            while wait.is_ok() && self.tokens.get(&vk).copied().unwrap_or(0) < m {
-                wait = self
-                    .server_comm
-                    .recv(None, None)
-                    .and_then(|msg| self.handle_coord(msg));
-            }
+            let prep = self.ensure_flushed(key, epoch);
+            let wait = self.await_round(key, epoch, |round| round.tokens >= m);
             prep.and(wait).and_then(|_| self.scan_and_ship(key, &requests))
         };
         // The round is over on every server that reaches this point:
-        // retire its coordination state and open the next epoch.
-        self.voted.remove(&vk);
-        self.votes.remove(&vk);
-        self.flushed.remove(&vk);
-        self.tokens.remove(&vk);
-        *self.epochs.entry(key.clone()).or_insert(0) += 1;
+        // drop its coordination state and open the next epoch.
+        let rec = record(&mut self.files, key)?;
+        rec.rounds.remove(&epoch);
+        rec.epoch += 1;
         if let Err(e) = result {
             let text = e.to_string();
             for (client, _) in &requests {
@@ -815,31 +819,42 @@ impl<'a> PandaServer<'a> {
         Ok(())
     }
 
+    /// The coordination state of one restart round of `key`.
+    fn round(&mut self, key: &FileKey, epoch: u32) -> Result<&mut Round> {
+        Ok(record(&mut self.files, key)?.rounds.entry(epoch).or_default())
+    }
+
+    /// Serve the server group's coordination traffic — this round's and
+    /// any other's — until this round is `done`.
+    fn await_round(&mut self, key: &FileKey, epoch: u32, done: impl Fn(&Round) -> bool) -> Result<()> {
+        while !done(self.round(key, epoch)?) {
+            let msg = self.server_comm.recv(None, None)?;
+            self.handle_coord(msg)?;
+        }
+        Ok(())
+    }
+
+    /// Send one coordination message to every other server.
+    fn tell_peers(&self, tag: u32, payload: &[u8]) -> Result<()> {
+        let mut peers = (0..self.server_ranks.len()).filter(|&r| r != self.server_comm.rank());
+        peers.try_for_each(|r| self.server_comm.send(r, tag, payload))
+    }
+
     /// Record and broadcast this server's vote for one restart round, at
     /// most once. Safe to run early (when a peer's vote arrives before we
     /// have all our READ_REQs): a tenant's clients only request a restart
     /// after their writes completed, so this server's state for the key
     /// is already final when any peer can be voting.
-    fn ensure_voted(&mut self, vk: &CoordKey) -> Result<()> {
-        if self.voted.contains_key(vk) {
+    fn ensure_voted(&mut self, key: &FileKey, epoch: u32) -> Result<()> {
+        if self.round(key, epoch)?.voted {
             return Ok(());
         }
-        let key = FileKey {
-            tenant: vk.tenant,
-            snap: vk.snap,
-            window: vk.window.clone(),
-        };
-        let mine = self.can_serve_restart_from_cache(&key);
-        self.voted.insert(vk.clone(), mine);
-        for r in 0..self.server_ranks.len() {
-            if r != self.server_comm.rank() {
-                self.server_comm.send(r, tag::CACHE_VOTE, &wire::encode_cache_vote(vk, mine))?;
-            }
-        }
-        let tally = self.votes.entry(vk.clone()).or_insert((0, true));
-        tally.0 += 1;
-        tally.1 &= mine;
-        Ok(())
+        let mine = self.can_serve_restart_from_cache(key);
+        let round = self.round(key, epoch)?;
+        round.voted = true;
+        round.votes += 1;
+        round.refused |= !mine;
+        self.tell_peers(tag::CACHE_VOTE, &wire::encode_cache_vote(&key.coord(epoch), mine))
     }
 
     /// Flush for one restart round and broadcast its token, at most once.
@@ -848,18 +863,14 @@ impl<'a> PandaServer<'a> {
     /// error from its own scan. The disk watermark is merged into the
     /// clock *before* the send, so every collected token carries its
     /// sender's durability point.
-    fn ensure_flushed(&mut self, vk: &CoordKey) -> Result<()> {
-        if !self.flushed.insert(vk.clone()) {
+    fn ensure_flushed(&mut self, key: &FileKey, epoch: u32) -> Result<()> {
+        if std::mem::replace(&mut self.round(key, epoch)?.flushed, true) {
             return Ok(());
         }
         let res = self.flush_all();
         self.world.clock().merge(self.disk_completion);
-        for r in 0..self.server_ranks.len() {
-            if r != self.server_comm.rank() {
-                self.server_comm.send(r, tag::FLUSH_TOKEN, &wire::encode_flush_token(vk))?;
-            }
-        }
-        *self.tokens.entry(vk.clone()).or_insert(0) += 1;
+        self.tell_peers(tag::FLUSH_TOKEN, &wire::encode_flush_token(&key.coord(epoch)))?;
+        self.round(key, epoch)?.tokens += 1;
         res
     }
 
@@ -872,18 +883,19 @@ impl<'a> PandaServer<'a> {
         match msg.tag {
             tag::CACHE_VOTE => {
                 let (vk, vote) = wire::decode_cache_vote(&msg.payload)?;
-                self.ensure_voted(&vk)?;
-                let tally = self.votes.entry(vk).or_insert((0, true));
-                tally.0 += 1;
-                tally.1 &= vote;
+                let (key, epoch) = self.round_named(vk);
+                self.ensure_voted(&key, epoch)?;
+                let round = self.round(&key, epoch)?;
+                round.votes += 1;
+                round.refused |= !vote;
                 Ok(())
             }
             tag::FLUSH_TOKEN => {
-                let vk = wire::decode_flush_token(&msg.payload)?;
+                let (key, epoch) = self.round_named(wire::decode_flush_token(&msg.payload)?);
                 // A peer only flushes after a failed vote, so this round
                 // is going to disk: flush our share now.
-                self.ensure_flushed(&vk)?;
-                *self.tokens.entry(vk).or_insert(0) += 1;
+                self.ensure_flushed(&key, epoch)?;
+                self.round(&key, epoch)?.tokens += 1;
                 Ok(())
             }
             other => Err(RocError::Comm(format!(
@@ -893,32 +905,28 @@ impl<'a> PandaServer<'a> {
         }
     }
 
+    /// The file and epoch a peer's coordination message names.
+    fn round_named(&mut self, vk: CoordKey) -> (Arc<FileKey>, u32) {
+        let CoordKey { tenant, snap, window, epoch } = vk;
+        (self.file(FileKey { tenant, snap, window }), epoch)
+    }
+
     /// Can this server serve its share of a restart of `key` entirely
     /// from buffered block handles? True only when every block announced
     /// by this server's clients *of this tenant* is sitting in the read
     /// cache (vacuously true for a server with none of the tenant's
-    /// clients, which owns no share).
+    /// clients, which owns no share; false for one that has clients and
+    /// never heard them announce the snapshot).
     fn can_serve_restart_from_cache(&self, key: &FileKey) -> bool {
-        if !(self.cfg.active_buffering && self.cfg.read_cache) {
-            return false;
-        }
-        let group = self
-            .tenants
-            .iter()
-            .find(|l| l.id == key.tenant)
-            .map_or(0, |l| l.my_clients.len());
-        match self.files.get(key) {
-            Some(st) => {
-                let cached = self.read_cache.get(key).map_or(0, |c| c.len() as u32);
-                !st.failed
-                    && st.reqs_received == group
-                    && st.blocks_received == st.expected_blocks
-                    && cached == st.expected_blocks
-            }
-            // Never heard of the snapshot: fine only if nobody could have
-            // written through us.
-            None => group == 0,
-        }
+        let group = self.group(key.tenant);
+        self.cfg.active_buffering
+            && self.cfg.read_cache
+            && self.files.get(key).is_some_and(|rec| {
+                !rec.failed
+                    && rec.reqs_received == group
+                    && rec.blocks_received == rec.expected_blocks
+                    && rec.cache.len() as u32 == rec.expected_blocks
+            })
     }
 
     /// Block id → requesting client. Every server sees every client's
@@ -943,11 +951,11 @@ impl<'a> PandaServer<'a> {
         // The cache is keyed by block id, so the map itself is not needed
         // here: only its refusal of a block claimed twice.
         Self::owners(requests)?;
-        let cache = self.read_cache.get(key);
+        let cache = &record(&mut self.files, key)?.cache;
         let per_client = requests
             .iter()
             .map(|(client, ids)| {
-                let cached = ids.iter().filter_map(|id| cache?.get(id));
+                let cached = ids.iter().filter_map(|id| cache.get(id));
                 (*client, cached.cloned().map(Restored::Staged).collect())
             })
             .collect();
@@ -973,10 +981,8 @@ impl<'a> PandaServer<'a> {
             for m in msgs {
                 if let Restored::Staged(cached) = m {
                     staged = true;
-                    self.world.advance(
-                        self.cfg.server_block_overhead
-                            + cached.size as f64 / self.cfg.server_copy_bw,
-                    );
+                    self.world
+                        .advance(SERVER_BLOCK_OVERHEAD + cached.size as f64 / SERVER_COPY_BW);
                 }
             }
             if !msgs.is_empty() {

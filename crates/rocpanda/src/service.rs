@@ -4,8 +4,9 @@
 //! The session is the only way into Rocpanda. A [`PandaService`] owns the
 //! server ranks, the shared store, and the read cache for the duration of
 //! one or many jobs: each job is *admitted* via [`PandaService::submit`] —
-//! which enforces quota and server-buffer budgets and hands back a
-//! [`JobHandle`] naming the job's [`TenantId`] — and every world rank
+//! which checks its rank layout against the pool and the jobs already
+//! admitted and hands back a [`JobHandle`] naming the job's [`TenantId`] —
+//! and every world rank
 //! then joins the session collectively via [`PandaService::attach`]. The
 //! paper's one-application session (§4.2) is a service with one job:
 //! [`PandaService::admit_world`].
@@ -38,23 +39,18 @@ pub struct JobSpec {
     pub client_ranks: Vec<usize>,
     /// Drain-scheduling weight class.
     pub priority: Priority,
-    /// Per-tenant byte quota in the shared store. `None` = unlimited —
-    /// admissible only when the service itself has no quota budget.
+    /// Per-tenant byte quota in the shared store. `None` = unlimited.
     pub quota: Option<u64>,
-    /// Worst-case in-flight bytes this job wants reserved out of each
-    /// server's buffer capacity. `0` reserves nothing (best effort).
-    pub buffer_bytes: u64,
 }
 
 impl JobSpec {
-    /// A normal-priority, unreserved job over `client_ranks`.
+    /// A normal-priority, unlimited job over `client_ranks`.
     pub fn new(name: impl Into<String>, client_ranks: &[usize]) -> Self {
         JobSpec {
             name: name.into(),
             client_ranks: client_ranks.to_vec(),
             priority: Priority::Normal,
             quota: None,
-            buffer_bytes: 0,
         }
     }
 
@@ -67,12 +63,6 @@ impl JobSpec {
     /// Set the per-tenant byte quota.
     pub fn quota(mut self, bytes: u64) -> Self {
         self.quota = Some(bytes);
-        self
-    }
-
-    /// Reserve worst-case in-flight bytes of server buffer.
-    pub fn buffer_bytes(mut self, bytes: u64) -> Self {
-        self.buffer_bytes = bytes;
         self
     }
 }
@@ -138,10 +128,6 @@ struct JobPlan {
 #[derive(Debug, Default)]
 struct Admission {
     jobs: Vec<JobPlan>,
-    /// Quota bytes already promised to admitted tenants.
-    quota_reserved: u64,
-    /// Buffer bytes already reserved out of each server's capacity.
-    buffer_reserved: u64,
     /// Tenant ids are assigned 1, 2, … in admission order (0 is the solo
     /// compatibility tenant and never assigned by a service).
     next_tenant: u32,
@@ -155,7 +141,6 @@ struct Admission {
 /// # let fs = Arc::new(rocstore::SharedFs::ideal());
 /// let service = PandaServiceBuilder::new(fs)
 ///     .servers(&[0, 3])
-///     .quota_budget(1 << 30)
 ///     .build()
 ///     .unwrap();
 /// let job = service.submit(JobSpec::new("genx-a", &[1, 2]).quota(64 << 20)).unwrap();
@@ -164,7 +149,6 @@ pub struct PandaServiceBuilder {
     fs: Arc<SharedFs>,
     cfg: RocpandaConfig,
     server_ranks: Vec<usize>,
-    quota_budget: Option<u64>,
 }
 
 impl PandaServiceBuilder {
@@ -174,7 +158,6 @@ impl PandaServiceBuilder {
             fs,
             cfg: RocpandaConfig::default(),
             server_ranks: Vec::new(),
-            quota_budget: None,
         }
     }
 
@@ -190,14 +173,6 @@ impl PandaServiceBuilder {
         self
     }
 
-    /// Cap the total per-tenant quota the service may promise. With a
-    /// budget set, every submitted job must declare a quota, and
-    /// admission rejects jobs whose quota no longer fits.
-    pub fn quota_budget(mut self, bytes: u64) -> Self {
-        self.quota_budget = Some(bytes);
-        self
-    }
-
     /// Validate the topology and produce the (not yet attached) service.
     pub fn build(self) -> Result<PandaService> {
         if self.server_ranks.is_empty() {
@@ -210,7 +185,6 @@ impl PandaServiceBuilder {
             fs: self.fs,
             cfg: self.cfg,
             server_ranks: servers,
-            quota_budget: self.quota_budget,
             admission: Mutex::new("rocpanda.service", Admission {
                 next_tenant: 1,
                 ..Admission::default()
@@ -229,30 +203,22 @@ pub struct PandaService {
     cfg: RocpandaConfig,
     /// Sorted, deduplicated server world ranks.
     server_ranks: Vec<usize>,
-    quota_budget: Option<u64>,
     /// Admission state. Guarded so jobs can be submitted from any thread
     /// holding a shared reference to the service.
     admission: Mutex<Admission>,
 }
 
 impl PandaService {
-    /// The shared store this service writes to.
-    pub fn fs(&self) -> &Arc<SharedFs> {
-        &self.fs
-    }
-
     /// The pooled server world ranks.
     pub fn server_ranks(&self) -> &[usize] {
         &self.server_ranks
     }
 
-    /// Admit one job, or reject it with a structured
-    /// [`ServiceError`]: [`ServiceErrorKind::AdmissionSpec`] for a
-    /// malformed layout, [`ServiceErrorKind::AdmissionQuota`] /
-    /// [`ServiceErrorKind::AdmissionBuffer`] when the requested quota or
-    /// buffer reservation exceeds what remains of the service budgets.
+    /// Admit one job, or reject a malformed layout with a structured
+    /// [`ServiceError`] of kind [`ServiceErrorKind::AdmissionSpec`].
     /// Rejections are deterministic: the same submission sequence always
-    /// fails at the same job.
+    /// fails at the same job. What a tenant may *store* is its own
+    /// [`JobSpec::quota`], enforced by the store's ledger on every write.
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle> {
         let mut adm = self.admission.lock();
         let tenant = TenantId(adm.next_tenant);
@@ -286,26 +252,6 @@ impl PandaService {
                 )));
             }
         }
-        if let Some(budget) = self.quota_budget {
-            let available = budget.saturating_sub(adm.quota_reserved);
-            let requested = spec.quota.unwrap_or(u64::MAX);
-            if requested > available {
-                return reject(ServiceErrorKind::AdmissionQuota {
-                    requested,
-                    available,
-                });
-            }
-        }
-        let buffer_available =
-            (self.cfg.buffer_capacity as u64).saturating_sub(adm.buffer_reserved);
-        if spec.buffer_bytes > buffer_available {
-            return reject(ServiceErrorKind::AdmissionBuffer {
-                requested: spec.buffer_bytes,
-                available: buffer_available,
-            });
-        }
-        adm.quota_reserved += spec.quota.unwrap_or(0);
-        adm.buffer_reserved += spec.buffer_bytes;
         adm.next_tenant += 1;
         adm.jobs.push(JobPlan {
             tenant,
@@ -465,12 +411,8 @@ fn client_group(server_index: usize, n_clients: usize, n_servers: usize) -> std:
 mod tests {
     use super::*;
 
-    fn service(budget: Option<u64>) -> PandaService {
-        let mut b = PandaServiceBuilder::new(Arc::new(SharedFs::ideal())).servers(&[0, 3]);
-        if let Some(q) = budget {
-            b = b.quota_budget(q);
-        }
-        b.build().unwrap()
+    fn service() -> PandaService {
+        PandaServiceBuilder::new(Arc::new(SharedFs::ideal())).servers(&[0, 3]).build().unwrap()
     }
 
     #[test]
@@ -548,7 +490,7 @@ mod tests {
         // Both sides of `attach` read the same partition: with two tenants
         // of different sizes (3 and 5 clients, neither divisible by the 2
         // servers), each server counts exactly the clients that name it.
-        let svc = service(None);
+        let svc = service();
         svc.submit(JobSpec::new("a", &[1, 2, 4])).unwrap();
         svc.submit(JobSpec::new("b", &[5, 6, 7, 8, 9])).unwrap();
         let out = attach_roles(&svc, 10);
@@ -563,7 +505,7 @@ mod tests {
 
     #[test]
     fn submit_assigns_tenants_in_order() {
-        let svc = service(None);
+        let svc = service();
         let a = svc.submit(JobSpec::new("a", &[1, 2])).unwrap();
         let b = svc.submit(JobSpec::new("b", &[4, 5]).priority(Priority::High)).unwrap();
         assert_eq!(a.tenant(), TenantId(1));
@@ -574,7 +516,7 @@ mod tests {
 
     #[test]
     fn admission_rejects_malformed_specs() {
-        let svc = service(None);
+        let svc = service();
         svc.submit(JobSpec::new("a", &[1, 2])).unwrap();
         for (label, spec) in [
             ("empty", JobSpec::new("x", &[])),
@@ -589,50 +531,5 @@ mod tests {
                 "{label}: {err}"
             );
         }
-    }
-
-    #[test]
-    fn admission_enforces_quota_budget_deterministically() {
-        let svc = service(Some(100));
-        // Budgeted service: undeclared quota is inadmissible.
-        let err = svc.submit(JobSpec::new("a", &[1])).unwrap_err();
-        assert!(matches!(
-            err.as_service().unwrap().kind,
-            ServiceErrorKind::AdmissionQuota { .. }
-        ));
-        svc.submit(JobSpec::new("a", &[1]).quota(60)).unwrap();
-        let err = svc.submit(JobSpec::new("b", &[2]).quota(50)).unwrap_err();
-        match &err.as_service().unwrap().kind {
-            ServiceErrorKind::AdmissionQuota { requested, available } => {
-                assert_eq!((*requested, *available), (50, 40));
-            }
-            other => panic!("expected AdmissionQuota, got {other:?}"),
-        }
-        // What still fits is admitted.
-        svc.submit(JobSpec::new("c", &[2]).quota(40)).unwrap();
-    }
-
-    #[test]
-    fn admission_enforces_buffer_budget() {
-        let fs = Arc::new(SharedFs::ideal());
-        let svc = PandaServiceBuilder::new(fs)
-            .servers(&[0])
-            .config(RocpandaConfig {
-                buffer_capacity: 1000,
-                ..RocpandaConfig::default()
-            })
-            .build()
-            .unwrap();
-        svc.submit(JobSpec::new("a", &[1]).buffer_bytes(800)).unwrap();
-        let err = svc
-            .submit(JobSpec::new("b", &[2]).buffer_bytes(300))
-            .unwrap_err();
-        match &err.as_service().unwrap().kind {
-            ServiceErrorKind::AdmissionBuffer { requested, available } => {
-                assert_eq!((*requested, *available), (300, 200));
-            }
-            other => panic!("expected AdmissionBuffer, got {other:?}"),
-        }
-        svc.submit(JobSpec::new("c", &[2]).buffer_bytes(200)).unwrap();
     }
 }

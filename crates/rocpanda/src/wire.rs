@@ -14,10 +14,11 @@
 //! being what the encode writes, its records framed for the file — and
 //! forwards it: the wire image of a block becomes its file image, and the
 //! message itself is what the read cache ships back. Every length read from a
-//! message goes through a checked cursor (`rocio_core::Cursor` over a
-//! rope, `rocio_core::le::take` over a control message's bytes), and every
-//! count is bounded by the bytes that remain before it sizes an
-//! allocation.
+//! message goes through the checked cursor (`rocio_core::Cursor`, over a
+//! rope's parts or a control message's bytes), and every count is bounded by
+//! the bytes that remain before it sizes an allocation. What a message is
+//! *about* — a `(snapshot, window)` pair — is spelled in one place,
+//! `put_name` / `read_name`.
 
 use bytes::Bytes;
 use rocio_core::{Cursor, DataBlock, Result, RocError, Rope, Segment, SnapshotId};
@@ -75,28 +76,36 @@ pub mod tag {
     pub const FLUSH_TOKEN: u32 = 0x0050_0010;
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
-    rocio_core::le::take(bytes, pos, n, "panda wire message")
-}
-
-fn get_str(bytes: &[u8], pos: &mut usize) -> Result<String> {
-    rocio_core::le::str16(bytes, pos, "panda wire message").map(str::to_owned)
-}
-
 fn put_snap(out: &mut Vec<u8>, snap: SnapshotId) {
     out.extend_from_slice(&snap.step.to_le_bytes());
     out.extend_from_slice(&snap.ordinal.to_le_bytes());
 }
 
-fn get_snap(bytes: &[u8], pos: &mut usize) -> Result<SnapshotId> {
-    let step = rocio_core::le::u64(take(bytes, pos, 8)?, "panda wire snapshot step")?;
-    let ordinal = rocio_core::le::u32(take(bytes, pos, 4)?, "panda wire snapshot ordinal")?;
-    Ok(SnapshotId::new(step, ordinal))
+fn read_snap(cur: &mut Cursor<'_>) -> Result<SnapshotId> {
+    let step = cur.u64("panda wire snapshot step")?;
+    Ok(SnapshotId::new(step, cur.u32("panda wire snapshot ordinal")?))
+}
+
+/// `(snapshot, window)` — the name of what a message is about — on the
+/// wire: the one place it is spelled, for `WRITE_REQ`, `READ_REQ`, the block
+/// routing header and the restart-round key. Snapshot, then the window
+/// name; a round's `epoch` rides between the two, where [`CoordKey`] has
+/// always carried it.
+fn put_name(out: &mut Vec<u8>, snap: SnapshotId, epoch: Option<u32>, window: &str) {
+    put_snap(out, snap);
+    if let Some(epoch) = epoch {
+        out.extend_from_slice(&epoch.to_le_bytes());
+    }
+    out.extend_from_slice(&(window.len() as u16).to_le_bytes());
+    out.extend_from_slice(window.as_bytes());
+}
+
+/// Read what [`put_name`] wrote: `(snapshot, epoch, window)`, the epoch 0
+/// unless `round` says one is there.
+fn read_name(cur: &mut Cursor<'_>, round: bool) -> Result<(SnapshotId, u32, String)> {
+    let snap = read_snap(cur)?;
+    let epoch = if round { cur.u32("panda wire coord epoch")? } else { 0 };
+    Ok((snap, epoch, cur.str16("panda wire message")?))
 }
 
 /// Header of a collective write: which snapshot/window, how many blocks
@@ -111,22 +120,16 @@ pub struct WriteReq {
 impl WriteReq {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        put_snap(&mut out, self.snap);
-        put_str(&mut out, &self.window);
+        put_name(&mut out, self.snap, None, &self.window);
         out.extend_from_slice(&self.n_blocks.to_le_bytes());
         out
     }
 
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut pos = 0;
-        let snap = get_snap(bytes, &mut pos)?;
-        let window = get_str(bytes, &mut pos)?;
-        let n_blocks = rocio_core::le::u32(take(bytes, &mut pos, 4)?, "panda wire block count")?;
-        Ok(WriteReq {
-            snap,
-            window,
-            n_blocks,
-        })
+        let cur = &mut Cursor::from(bytes);
+        let (snap, _, window) = read_name(cur, false)?;
+        let n_blocks = cur.u32("panda wire block count")?;
+        Ok(WriteReq { snap, window, n_blocks })
     }
 }
 
@@ -142,8 +145,7 @@ pub struct ReadReq {
 impl ReadReq {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        put_snap(&mut out, self.snap);
-        put_str(&mut out, &self.window);
+        put_name(&mut out, self.snap, None, &self.window);
         out.extend_from_slice(&(self.ids.len() as u32).to_le_bytes());
         for id in &self.ids {
             out.extend_from_slice(&id.to_le_bytes());
@@ -152,17 +154,13 @@ impl ReadReq {
     }
 
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut pos = 0;
-        let snap = get_snap(bytes, &mut pos)?;
-        let window = get_str(bytes, &mut pos)?;
-        let n = rocio_core::le::u32(take(bytes, &mut pos, 4)?, "panda wire count")? as usize;
-        if n > bytes.len().saturating_sub(pos) / 8 {
+        let cur = &mut Cursor::from(bytes);
+        let (snap, _, window) = read_name(cur, false)?;
+        let n = cur.u32("panda wire count")? as usize;
+        if n > cur.remaining() / 8 {
             return Err(RocError::Corrupt("panda wire: id list exceeds message".into()));
         }
-        let mut ids = Vec::with_capacity(n);
-        for _ in 0..n {
-            ids.push(rocio_core::le::u64(take(bytes, &mut pos, 8)?, "panda wire block id")?);
-        }
+        let ids = (0..n).map(|_| cur.u64("panda wire block id")).collect::<Result<_>>()?;
         Ok(ReadReq { snap, window, ids })
     }
 }
@@ -184,8 +182,7 @@ impl BlockMsg {
     pub fn encode_segments(&self, pool: &mut SegmentPool, out: &mut Vec<Segment>) {
         let mut head = pool.take();
         head.clear();
-        put_snap(&mut head, self.snap);
-        put_str(&mut head, &self.window);
+        put_name(&mut head, self.snap, None, &self.window);
         head.extend_from_slice(&(1 + self.block.datasets.len() as u32).to_le_bytes());
         out.push(Segment::Owned(head));
         rocsdf::encode_dataset_segments(
@@ -231,9 +228,7 @@ impl BlockMsg {
 /// The routing header every block message starts with: snapshot, window,
 /// record count.
 fn routing_header(cur: &mut Cursor<'_>) -> Result<(SnapshotId, String, usize)> {
-    let what = "panda wire message";
-    let snap = SnapshotId::new(cur.u64(what)?, cur.u32(what)?);
-    let window = cur.str16(what)?;
+    let (snap, _, window) = read_name(cur, false)?;
     Ok((snap, window, cur.u32("panda wire count")? as usize))
 }
 
@@ -326,54 +321,41 @@ pub struct CoordKey {
 }
 
 impl CoordKey {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.tenant.0.to_le_bytes());
-        put_snap(out, self.snap);
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        put_str(out, &self.window);
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::from(self.tenant.0.to_le_bytes());
+        put_name(&mut out, self.snap, Some(self.epoch), &self.window);
+        out
     }
 
-    fn decode_from(bytes: &[u8], pos: &mut usize) -> Result<Self> {
-        let tenant =
-            rocio_core::TenantId(rocio_core::le::u32(take(bytes, pos, 4)?, "panda wire tenant")?);
-        let snap = get_snap(bytes, pos)?;
-        let epoch = rocio_core::le::u32(take(bytes, pos, 4)?, "panda wire coord epoch")?;
-        let window = get_str(bytes, pos)?;
-        Ok(CoordKey {
-            tenant,
-            snap,
-            window,
-            epoch,
-        })
+    fn read(cur: &mut Cursor<'_>) -> Result<Self> {
+        let tenant = rocio_core::TenantId(cur.u32("panda wire tenant")?);
+        let (snap, epoch, window) = read_name(cur, true)?;
+        Ok(CoordKey { tenant, snap, window, epoch })
     }
 }
 
 /// `CACHE_VOTE` payload: the restart key plus this server's vote.
 pub(crate) fn encode_cache_vote(key: &CoordKey, can_serve: bool) -> Vec<u8> {
-    let mut out = Vec::new();
-    key.encode_into(&mut out);
+    let mut out = key.encode();
     out.push(u8::from(can_serve));
     out
 }
 
 /// Decode a `CACHE_VOTE` payload.
 pub(crate) fn decode_cache_vote(bytes: &[u8]) -> Result<(CoordKey, bool)> {
-    let mut pos = 0;
-    let key = CoordKey::decode_from(bytes, &mut pos)?;
-    let vote = take(bytes, &mut pos, 1)?[0] != 0;
-    Ok((key, vote))
+    let cur = &mut Cursor::from(bytes);
+    let key = CoordKey::read(cur)?;
+    Ok((key, cur.u8("panda wire vote")? != 0))
 }
 
 /// `FLUSH_TOKEN` payload: just the restart key.
 pub(crate) fn encode_flush_token(key: &CoordKey) -> Vec<u8> {
-    let mut out = Vec::new();
-    key.encode_into(&mut out);
-    out
+    key.encode()
 }
 
 /// Decode a `FLUSH_TOKEN` payload.
 pub(crate) fn decode_flush_token(bytes: &[u8]) -> Result<CoordKey> {
-    CoordKey::decode_from(bytes, &mut 0)
+    CoordKey::read(&mut bytes.into())
 }
 
 /// `SYNC_ACK` payload: status byte `0` followed by the server's durable
@@ -397,14 +379,10 @@ pub(crate) fn encode_sync_ack(result: &std::result::Result<f64, String>) -> Vec<
 
 /// Decode a `SYNC_ACK` payload into `Ok(watermark)` or `Err(drain text)`.
 pub(crate) fn decode_sync_ack(bytes: &[u8]) -> Result<std::result::Result<f64, String>> {
-    let mut pos = 0;
-    let status = take(bytes, &mut pos, 1)?[0];
-    match status {
-        0 => Ok(Ok(rocio_core::le::f64(
-            take(bytes, &mut pos, 8)?,
-            "SYNC_ACK watermark",
-        )?)),
-        1 => Ok(Err(String::from_utf8_lossy(&bytes[pos..]).into_owned())),
+    let cur = &mut Cursor::from(bytes);
+    match cur.u8("SYNC_ACK status")? {
+        0 => Ok(Ok(cur.f64("SYNC_ACK watermark")?)),
+        1 => Ok(Err(String::from_utf8_lossy(&bytes[1..]).into_owned())),
         other => Err(RocError::Corrupt(format!(
             "panda wire: unknown SYNC_ACK status {other}"
         ))),
@@ -420,7 +398,7 @@ pub(crate) fn encode_retire(snap: SnapshotId) -> Vec<u8> {
 
 /// Decode a `RETIRE` payload.
 pub(crate) fn decode_retire(bytes: &[u8]) -> Result<SnapshotId> {
-    get_snap(bytes, &mut 0)
+    read_snap(&mut bytes.into())
 }
 
 /// `READ_DONE` payload: how many blocks this server shipped to the client.

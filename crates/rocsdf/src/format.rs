@@ -48,7 +48,7 @@ use std::ops::Range;
 
 use bytes::Bytes;
 use rocio_core::{
-    le, AttrValue, AttrView, BlockId, Cursor, DType, DataBlock, Dataset, Result, RocError,
+    AttrValue, AttrView, BlockId, Cursor, DType, DataBlock, Dataset, Result, RocError,
     Segment, SharedArray,
 };
 
@@ -561,24 +561,20 @@ pub(crate) fn decode_trailer(trailer: &[u8]) -> Result<u64> {
 
 /// Decode the index region (from its offset up to the trailer).
 pub(crate) fn decode_index(bytes: &[u8]) -> Result<Vec<IndexEntry>> {
-    let take_u64 = |pos: &mut usize| le::u64(le::take(bytes, pos, 8, "SDF index")?, "SDF index");
-    let mut pos = 0;
-    if le::take(bytes, &mut pos, 4, "SDF index")? != IDX_MARKER {
+    let (cur, what) = (&mut Cursor::from(bytes), "SDF index");
+    if cur.array::<4>(what)? != *IDX_MARKER {
         return Err(RocError::Corrupt("SDF: bad index marker".into()));
     }
-    let n = take_u64(&mut pos)? as usize;
+    let n = cur.u64(what)? as usize;
     // Each entry is at least 18 bytes; anything claiming more is corrupt.
-    if n > bytes.len().saturating_sub(pos) / 18 {
+    if n > cur.remaining() / 18 {
         return Err(RocError::Corrupt(format!(
             "SDF: index claims {n} entries, larger than the region"
         )));
     }
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        let name = le::str16(bytes, &mut pos, "SDF index")?.to_owned();
-        let offset = take_u64(&mut pos)?;
-        let len = take_u64(&mut pos)?;
-        entries.push(IndexEntry { name, offset, len });
+        entries.push(IndexEntry { name: cur.str16(what)?, offset: cur.u64(what)?, len: cur.u64(what)? });
     }
     Ok(entries)
 }

@@ -103,13 +103,15 @@ fn install_obs(collector: &rocobs::TraceCollector, comm: &Comm) -> rocobs::Insta
 /// The single-job Rocpanda write handshake on `fabric`, clean or lossy
 /// alike: `n_servers` placed the way the paper places them, every other
 /// rank admitted as the one job of a service configured by `cfg`, each
-/// client shipping `panes` panes of one snapshot. Returns the canonical
-/// fingerprint of the snapshot files.
+/// client shipping `panes` panes of one snapshot — and, with `restart`,
+/// reading them back through the same servers onto scribbled-over panes.
+/// Returns the canonical fingerprint of the snapshot files.
 fn panda_handshake(
     fabric: &Arc<Fabric>,
     cfg: RocpandaConfig,
     n_servers: usize,
     panes: usize,
+    restart: bool,
     collector: &rocobs::TraceCollector,
 ) -> Vec<u8> {
     let n = fabric.n_ranks();
@@ -117,6 +119,7 @@ fn panda_handshake(
     let server_ranks: Vec<usize> = (0..n_servers).map(|s| s * (n / n_servers)).collect();
     let fs = Arc::new(SharedFs::turing());
     let snap = SnapshotId::new(7, 1);
+    let cached = cfg.read_cache;
     let svc = PandaServiceBuilder::new(Arc::clone(&fs))
         .servers(&server_ranks)
         .config(cfg)
@@ -132,9 +135,18 @@ fn panda_handshake(
             ServiceRole::Client { io: mut c, comm: app, .. } => {
                 let me = app.rank() as u64;
                 let blocks: Vec<u64> = (0..panes as u64).map(|k| me * panes as u64 + k).collect();
-                let ws = make_windows(&blocks);
+                let mut ws = make_windows(&blocks);
                 c.write_attribute(&ws, &AttrSelector::all("fluid"), snap)
                     .expect("client write");
+                if restart {
+                    let written = ws.clone();
+                    for pane in ws.window_mut("fluid").expect("window").panes_mut() {
+                        pane.set_data("p", ArrayData::F64(vec![-1.0; 8])).expect("scribble");
+                    }
+                    c.read_attribute(&mut ws, &AttrSelector::all("fluid"), snap)
+                        .expect("client restart");
+                    assert_eq!(ws, written, "restart restored other values than were written");
+                }
                 c.finalize().expect("client finalize");
             }
             ServiceRole::Idle => panic!("every rank is a server or a client here"),
@@ -144,6 +156,11 @@ fn panda_handshake(
     // snapshot's externally visible shape.
     let files = fs.list("out/");
     assert_eq!(files.len(), n_servers, "one snapshot file per server, got {files:?}");
+    if restart {
+        // The vote passed exactly when the cache was on; otherwise the
+        // servers went through their flush tokens to the disk.
+        assert_eq!(fs.stats().read_ops == 0, cached, "restart took the wrong path");
+    }
     fingerprint_files(&fs, "out/", canonical_sdf)
 }
 
@@ -181,7 +198,36 @@ impl Scenario for PandaHandshake {
         let cluster = ClusterSpec::turing(self.n_clients + self.n_servers);
         let fabric = Arc::new(Fabric::with_oracle(cluster, oracle));
         let cfg = RocpandaConfig::default();
-        panda_handshake(&fabric, cfg, self.n_servers, self.panes_per_client, collector)
+        panda_handshake(&fabric, cfg, self.n_servers, self.panes_per_client, false, collector)
+    }
+}
+
+/// Write, then restart inside the same server session: 2 servers x 2
+/// clients. The restart is where the servers talk to each other — every
+/// client asks every server, each server votes whether its read cache
+/// covers its share (`CACHE_VOTE`), and with `read_cache` off the vote
+/// fails and they trade `FLUSH_TOKEN`s before scanning each other's files.
+/// Which client's request a server sees first, and which server a client
+/// hears from first, are the explored choice points; every schedule must
+/// restore what was written.
+pub struct PandaRestart {
+    /// Serve from the servers' buffers (vote passes) or from disk.
+    pub read_cache: bool,
+}
+
+impl Scenario for PandaRestart {
+    fn name(&self) -> &'static str {
+        if self.read_cache {
+            "panda-restart-cached"
+        } else {
+            "panda-restart"
+        }
+    }
+
+    fn run(&self, oracle: Arc<dyn ScheduleOracle>, collector: &rocobs::TraceCollector) -> Vec<u8> {
+        let fabric = Arc::new(Fabric::with_oracle(ClusterSpec::turing(4), oracle));
+        let cfg = RocpandaConfig { read_cache: self.read_cache, ..RocpandaConfig::default() };
+        panda_handshake(&fabric, cfg, 2, 1, true, collector)
     }
 }
 
@@ -395,7 +441,7 @@ impl FaultScenario for LossyPandaHandshake {
             faulty_net: Some(rocnet::FaultSpec::none(0)),
             ..RocpandaConfig::default()
         };
-        panda_handshake(&fabric, cfg, self.n_servers, self.panes_per_client, collector)
+        panda_handshake(&fabric, cfg, self.n_servers, self.panes_per_client, false, collector)
     }
 }
 
@@ -435,7 +481,7 @@ impl FaultScenario for LossyTrochdfHandoff {
                 .expect("first write (buffered handoff)");
             // Halo exchange over the reliability layer: its DATA/ACK
             // frames are the fault choice points.
-            let mut rel = rocnet::ReliableComm::new(&comm, rocnet::RelConfig::default());
+            let mut rel = rocnet::ReliableComm::new(&comm);
             for peer in 0..comm.size() {
                 if peer as u64 != me {
                     rel.send(peer, HALO_TAG, &(me as f64 + 1.0).to_le_bytes())
