@@ -37,14 +37,14 @@ impl AttrValue {
     /// Layout: `tag:u8`, then for scalars the raw value; for vectors/strings
     /// a `u32` length followed by the payload.
     pub fn encode(&self, out: &mut Vec<u8>) {
+        if let AttrValue::Str(s) = self {
+            return AttrValue::encode_str(s, out);
+        }
         out.push(self.tag());
         match self {
             AttrValue::Int(x) => out.extend_from_slice(&x.to_le_bytes()),
             AttrValue::Float(x) => out.extend_from_slice(&x.to_le_bytes()),
-            AttrValue::Str(s) => {
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
+            AttrValue::Str(_) => {} // written above
             AttrValue::IntVec(v) => {
                 out.extend_from_slice(&(v.len() as u32).to_le_bytes());
                 for x in v {
@@ -58,6 +58,13 @@ impl AttrValue {
                 }
             }
         }
+    }
+
+    /// What [`AttrValue::encode`] writes for `Str(s)`, without the `String`.
+    pub fn encode_str(s: &str, out: &mut Vec<u8>) {
+        out.push(2);
+        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        out.extend_from_slice(s.as_bytes());
     }
 
     /// Decode the value at the cursor, advancing it.

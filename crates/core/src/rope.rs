@@ -139,22 +139,6 @@ impl Rope {
         }
     }
 
-    /// The rope of a scatter-gather list: the parts [`segment_parts`]
-    /// makes of it, so the caller keeps (and may recycle) its owned
-    /// buffers, and no shared byte moves.
-    pub fn from_segments(segments: &[Segment]) -> Rope {
-        let mut parts = Vec::with_capacity(segments.len());
-        parts.extend(segment_parts(segments));
-        Rope {
-            len: parts.iter().map(Bytes::len).sum(),
-            parts: match parts.len() {
-                0 => Parts::Empty,
-                1 => Parts::One(parts.swap_remove(0)),
-                _ => Parts::Many(Arc::new(parts)),
-            },
-        }
-    }
-
     /// A new rope made of this one's `(offset, len)` ranges in the order
     /// given, sharing the parts: O(parts + ranges · log parts), no byte
     /// moves. Ranges must lie inside the rope (callers check).
@@ -243,8 +227,8 @@ impl Rope {
 ///
 /// Fixed-width fields are copied out (they may straddle parts); a run read
 /// with [`Cursor::take`] comes back as a zero-copy window whenever it lies
-/// inside one part, which is where every payload of a message built by
-/// [`Rope::from_segments`] lies.
+/// inside one part, which is where every payload of a block's records lies
+/// as its encoder made them.
 #[derive(Clone, Debug)]
 pub struct Cursor<'a> {
     parts: &'a [Bytes],
@@ -514,7 +498,7 @@ mod tests {
     }
 
     #[test]
-    fn from_segments_adopts_shared_views_and_stages_owned_runs_once() {
+    fn segment_parts_adopt_shared_views_and_stage_owned_runs_once() {
         let payload = Bytes::from(vec![9u8; 32]);
         let segs = [
             Segment::Owned(b"head".to_vec()),
@@ -523,15 +507,13 @@ mod tests {
             Segment::Shared(Bytes::new()),
             Segment::Owned(b"tail".to_vec()),
         ];
-        let rope = Rope::from_segments(&segs);
+        let mut rope = Rope::new();
+        rope.extend(segment_parts(&segs));
         assert_eq!(flat(&rope), crate::segments_to_vec(&segs));
         let [head, shared, tail] = rope.parts() else { panic!("empty segments make no part") };
         assert_eq!(shared.as_ptr(), payload[4..].as_ptr(), "shared view adopted, not copied");
         assert_eq!(tail.as_ptr(), head[4..].as_ptr(), "owned runs share one staging buffer");
-        // One segment is one inline part; none is the empty rope.
-        let one = Rope::from_segments(&segs[1..2]);
-        assert!(matches!(one.parts, Parts::One(_)));
-        assert!(Rope::from_segments(&[]).is_empty());
+        assert_eq!(segment_parts(&[]).count(), 0);
     }
 
     #[test]

@@ -1,14 +1,12 @@
-//! Scatter-gather segment lists: the `IoSlice`-style currency of the
-//! zero-copy write path.
+//! Scatter-gather segment lists: the `IoSlice`-style form of an append.
 //!
-//! An encoder that would otherwise flatten a record into one `Vec<u8>`
-//! instead emits a list of [`Segment`]s: small owned header runs
-//! interleaved with refcounted payload views. Neither consumer assembles
-//! it: the transport (`rocnet::Comm::send_segments`) sends it as the parts
-//! of one [`crate::Rope`] and the storage backend
-//! (`rocstore::SharedFs::append_segments`) adopts it as file extents —
-//! both take the shared views by refcount and stage only the owned runs
-//! ([`crate::rope::segment_parts`]).
+//! A list of [`Segment`]s is small owned header runs interleaved with
+//! refcounted payload views — what the storage backend's
+//! `rocstore::SharedFs::append_segments` takes and adopts as file extents
+//! without assembling it: the shared views by refcount, the owned runs
+//! staged once ([`crate::rope::segment_parts`]). Messages are not built
+//! this way: a block's encoder writes every header straight into one
+//! staging buffer and hands the transport a [`crate::Rope`].
 
 use bytes::Bytes;
 

@@ -124,7 +124,6 @@ pub fn rebalance(
     let moves = plan_moves(&inventory, threshold);
     let me = comm.rank();
     // Ship outgoing panes (eager sends; order deterministic by plan).
-    let (mut pool, mut segs) = (rocsdf::SegmentPool::new(), Vec::new());
     for (window, id, from, to) in &moves {
         if *from == me {
             let w = windows.window_mut(window)?;
@@ -135,9 +134,7 @@ pub fn rebalance(
                 window: window.clone(),
                 block,
             };
-            msg.encode_segments(&mut pool, &mut segs);
-            comm.send_segments(*to, MIGRATE_TAG, &segs)?;
-            pool.recycle(&mut segs);
+            comm.send_rope(*to, MIGRATE_TAG, msg.encode())?;
         }
     }
     // Receive incoming panes. Arrival order may differ from plan order

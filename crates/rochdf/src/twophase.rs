@@ -10,8 +10,8 @@
 //! bytes over the network to whichever rank asked for them (phase two).
 //!
 //! Phase two reuses the zero-copy wire path end to end: the aggregator
-//! ships each block as a scatter-gather segment list whose payload segments
-//! are windows into the frozen file image ([`SdfFileReader::read_blocks_raw`]),
+//! ships each block as a rope whose record parts are windows into the
+//! frozen file image ([`SdfFileReader::read_blocks_raw`]),
 //! and the receiver takes the message as the rope it travelled as, so the
 //! datasets it decodes are windows of that same file image — the records
 //! are self-describing, so no re-encode and no copy happens on either side.
@@ -27,7 +27,7 @@
 use std::collections::{BTreeMap, HashSet};
 
 use bytes::Bytes;
-use rocio_core::{BlockId, DataBlock, Result, RocError, Rope, Segment, SimTime};
+use rocio_core::{BlockId, DataBlock, Result, RocError, Rope, SimTime};
 use rocnet::Comm;
 use rocsdf::format::{block_from_records, decode_dataset, decode_dataset_shared};
 use rocsdf::{LibraryModel, SdfFileReader};
@@ -130,7 +130,7 @@ pub fn read_partitioned(
                         if dst == rank {
                             got.push(decode_block(*id, records)?);
                         } else {
-                            comm.send_segments(dst, TAG_TP_BLOCK, &encode_block(*id, records))?;
+                            comm.send_rope(dst, TAG_TP_BLOCK, encode_block(*id, records))?;
                             sent[dst] += 1;
                         }
                     }
@@ -239,18 +239,17 @@ pub fn read_attribute_two_phase(
 
 /// Wire image of one redistributed block: `[u64 id][u32 n][u64 len]*n`
 /// followed by the raw record bytes, meta record first. The records ride
-/// as shared segments — windows into the aggregator's frozen file image.
-fn encode_block(id: BlockId, records: &[Bytes]) -> Vec<Segment> {
+/// as parts of their own — windows into the aggregator's frozen file image.
+fn encode_block(id: BlockId, records: &[Bytes]) -> Rope {
     let mut header = Vec::with_capacity(12 + records.len() * 8);
     header.extend_from_slice(&id.0.to_le_bytes());
     header.extend_from_slice(&(records.len() as u32).to_le_bytes());
     for r in records {
         header.extend_from_slice(&(r.len() as u64).to_le_bytes());
     }
-    let mut segs = Vec::with_capacity(1 + records.len());
-    segs.push(Segment::Owned(header));
-    segs.extend(records.iter().cloned().map(Segment::Shared));
-    segs
+    let mut msg = Rope::from(Bytes::from(header));
+    msg.extend(records.iter().cloned());
+    msg
 }
 
 fn decode_block_msg(payload: &Rope) -> Result<DataBlock> {
@@ -493,11 +492,6 @@ mod tests {
     /// A block and its redistribution message, the records encoded the way
     /// a file stores them.
     fn sample_message() -> (DataBlock, Bytes) {
-        let (block, segs) = sample_segments();
-        (block, rocio_core::segments_to_vec(&segs).into())
-    }
-
-    fn sample_segments() -> (DataBlock, Vec<Segment>) {
         let block = DataBlock::new(BlockId(7), "fluid")
             .with_dataset(Dataset::vector("p", vec![1.0f64, 2.0]).with_attr("units", "Pa"))
             .with_attr("material", "gas");
@@ -506,7 +500,7 @@ mod tests {
         write_snapshot_file(&fs, "one.sdf", LibraryModel::Raw, 0, blocks, 0.0).unwrap();
         let (r, t) = SdfFileReader::open(&fs, "one.sdf", LibraryModel::Raw, 0, 0.0).unwrap();
         let (raw, _) = r.read_blocks_raw(&[BlockId(7)], t).unwrap();
-        (block, encode_block(BlockId(7), &raw[0].1))
+        (block, encode_block(BlockId(7), &raw[0].1).into_bytes())
     }
 
     #[test]
@@ -563,8 +557,7 @@ mod tests {
         fn a_block_message_cut_into_parts_decodes_the_same_and_keeps_whole_payloads_in_place(
             cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
         ) {
-            let (block, segs) = sample_segments();
-            let flat = rocio_core::segments_to_vec(&segs);
+            let (block, flat) = sample_message();
             let (rope, at) = cut(&flat, &cuts);
             let decoded = decode_block_msg(&rope).unwrap();
             prop_assert_eq!(&decoded, &block);

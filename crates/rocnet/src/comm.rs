@@ -11,7 +11,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use rocio_core::{Result, RocError, Rope, Segment, SimTime};
+use rocio_core::{Result, RocError, Rope, SimTime};
 
 use crate::cluster::ClusterSpec;
 use crate::fabric::{ChoiceKind, Envelope, Fabric, MatchSpec};
@@ -238,16 +238,6 @@ impl Comm {
         self.send_bytes(dst, tag, Bytes::copy_from_slice(payload))
     }
 
-    /// Send a scatter-gather `segments` list as one message without
-    /// assembling it: shared payload segments travel by refcount and the
-    /// owned header runs are staged once ([`Rope::from_segments`]), so the
-    /// caller may recycle its buffers on return. A receiver that takes the
-    /// rope ([`Comm::recv_rope`]) sees the sender's payload buffers; one
-    /// that asks for bytes pays the gather copy then.
-    pub fn send_segments(&self, dst: usize, tag: u32, segments: &[Segment]) -> Result<()> {
-        self.send_rope(dst, tag, Rope::from_segments(segments)).map(drop)
-    }
-
     /// Send an already-shared payload without copying: the receiver's
     /// [`Message::payload`] is a refcounted view of this very buffer.
     /// Modelled cost is identical to [`Comm::send`].
@@ -255,9 +245,13 @@ impl Comm {
         self.send_rope(dst, tag, payload.into()).map(drop)
     }
 
-    /// Send a rope as one message: what every send comes down to. The
-    /// modelled cost depends on the length alone. Returns the message's
-    /// modelled arrival at `dst` — send cost plus flight time from now.
+    /// Send a rope as one message: what every send comes down to, and how
+    /// a message of several parts (a block's header runs and payloads) goes
+    /// out without being assembled. A receiver that takes the rope
+    /// ([`Comm::recv_rope`]) sees the sender's parts; one that asks for
+    /// bytes pays the gather copy then. The modelled cost depends on the
+    /// length alone. Returns the message's modelled arrival at `dst` —
+    /// send cost plus flight time from now.
     pub fn send_rope(&self, dst: usize, tag: u32, payload: Rope) -> Result<SimTime> {
         if dst >= self.size() {
             return Err(RocError::Comm(format!(
@@ -777,31 +771,27 @@ mod tests {
     }
 
     #[test]
-    fn send_segments_hands_shared_views_over_and_stages_owned_runs() {
+    fn send_rope_hands_the_parts_over_and_a_flat_receive_gathers_them() {
         let out = run_ranks(2, ClusterSpec::ideal(2), |comm| {
             if comm.rank() == 0 {
-                let payload = Bytes::from(vec![9u8; 8]);
-                let segs = [
-                    Segment::Owned(b"head".to_vec()),
-                    Segment::Shared(payload.clone()),
-                    Segment::Owned(b"tail".to_vec()),
-                ];
-                comm.send_segments(1, 2, &segs).unwrap();
-                comm.send_segments(1, 3, &segs).unwrap();
+                let (stage, payload) = (Bytes::from(b"headtail".to_vec()), Bytes::from(vec![9u8; 8]));
+                let mut msg = Rope::from(stage.slice(..4));
+                msg.extend([payload.clone(), stage.slice(4..)]);
+                comm.send_rope(1, 2, msg.clone()).unwrap();
+                comm.send_rope(1, 3, msg).unwrap();
                 (payload.as_ptr() as usize, Vec::new())
             } else {
-                // Taken as a rope, the payload is the sender's buffer and
-                // the two owned runs are slices of one staging copy; taken
+                // Taken as a rope, the message is the sender's parts; taken
                 // as bytes, the same message is gathered in order.
                 let rope = comm.recv_rope(Some(0), Some(2)).unwrap().payload;
-                let [head, shared, tail] = rope.parts() else { panic!("three segments, three parts") };
+                let [head, shared, tail] = rope.parts() else { panic!("three parts sent, three taken") };
                 assert_eq!(tail.as_ptr(), head[4..].as_ptr());
                 let flat = comm.recv(Some(0), Some(3)).unwrap().payload;
                 assert_eq!(rope.clone().into_bytes(), flat);
                 (shared.as_ptr() as usize, flat.to_vec())
             }
         });
-        assert_eq!(out[0].0, out[1].0, "the shared segment travels by refcount");
+        assert_eq!(out[0].0, out[1].0, "the payload part travels by refcount");
         assert_eq!(out[1].1, [&b"head"[..], &[9u8; 8], b"tail"].concat());
     }
 

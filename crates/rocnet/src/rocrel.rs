@@ -40,7 +40,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
-use rocio_core::{Result, RocError, Rope, Segment, SimTime};
+use rocio_core::{Result, RocError, Rope, SimTime};
 
 use crate::comm::{Comm, Message, ProbeInfo};
 
@@ -352,9 +352,9 @@ impl<'a> ReliableComm<'a> {
         self.send_frame(dst, tag, &[], &payload.into())
     }
 
-    /// Reliable counterpart of [`Comm::send_segments`].
-    pub fn send_segments(&mut self, dst: usize, tag: u32, segments: &[Segment]) -> Result<()> {
-        self.send_frame(dst, tag, &[], &Rope::from_segments(segments))
+    /// Reliable counterpart of [`Comm::send_rope`].
+    pub fn send_rope(&mut self, dst: usize, tag: u32, payload: Rope) -> Result<()> {
+        self.send_frame(dst, tag, &[], &payload)
     }
 
     /// The frame goes out as its parts and stays in the retransmit window
@@ -695,8 +695,9 @@ mod tests {
             let mut rel = ReliableComm::new(&comm);
             if comm.rank() == 0 {
                 let payload = Bytes::from(vec![5u8; 256]);
-                let segs = [Segment::Owned(b"hdr".to_vec()), Segment::Shared(payload.clone())];
-                rel.send_segments(1, 7, &segs).unwrap();
+                let mut msg = Rope::from(Bytes::from(b"hdr".to_vec()));
+                msg.push(payload.clone());
+                rel.send_rope(1, 7, msg).unwrap();
                 rel.send_bytes(1, 8, payload.clone()).unwrap();
                 // The retransmit window holds the frames as they went out.
                 for u in rel.tx[1].unacked.values() {

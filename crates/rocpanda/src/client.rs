@@ -2,11 +2,8 @@
 
 use std::collections::HashSet;
 
-use rocio_core::{
-    segments_len, DataBlock, Result, RocError, Segment, ServiceErrorKind, SnapshotId, TenantId,
-};
+use rocio_core::{DataBlock, Result, RocError, ServiceErrorKind, SnapshotId, TenantId};
 use rocnet::Comm;
-use rocsdf::SegmentPool;
 
 use crate::config::RocpandaConfig;
 use crate::net::PandaNet;
@@ -39,10 +36,6 @@ pub struct PandaClient<'a> {
     server_ranks: Vec<usize>,
     visible_io: f64,
     finalized: bool,
-    /// Reusable staging buffers for the scatter-gather block encoder —
-    /// steady-state snapshots allocate no fresh header buffers.
-    pool: SegmentPool,
-    segs: Vec<Segment>,
 }
 
 impl<'a> PandaClient<'a> {
@@ -64,8 +57,6 @@ impl<'a> PandaClient<'a> {
             server_ranks,
             visible_io: 0.0,
             finalized: false,
-            pool: SegmentPool::new(),
-            segs: Vec::new(),
         }
     }
 
@@ -98,20 +89,17 @@ impl<'a> PandaClient<'a> {
                 window: window.to_owned(),
                 block,
             };
-            // Scatter-gather encode into pooled staging buffers; the
-            // payloads go out by refcount, never assembled.
-            self.segs.clear();
-            msg.encode_segments(&mut self.pool, &mut self.segs);
-            // Client-side packing cost (same total bytes as before).
-            self.world
-                .advance(segments_len(&self.segs) as f64 / CLIENT_PACK_BW);
+            // One staging buffer for the headers; the payloads go out by
+            // refcount, never assembled.
+            let wire = msg.encode();
+            // Client-side packing cost.
+            self.world.advance(wire.len() as f64 / CLIENT_PACK_BW);
             // Flow control: at most `ack_window` unacknowledged blocks.
             while in_flight >= ack_window {
                 self.net.recv(Some(self.my_server), Some(tag::ACK))?;
                 in_flight -= 1;
             }
-            self.net.send_segments(self.my_server, tag::BLOCK, &self.segs)?;
-            self.pool.recycle(&mut self.segs);
+            self.net.send_rope(self.my_server, tag::BLOCK, wire)?;
             in_flight += 1;
         }
         while in_flight > 0 {
@@ -661,9 +649,7 @@ mod tests {
                         window: "fluid".into(),
                         block,
                     };
-                    let mut segs = Vec::new();
-                    msg.encode_segments(&mut rocsdf::SegmentPool::new(), &mut segs);
-                    rocio_core::segments_len(&segs)
+                    msg.encode().len()
                 })
                 .sum()
         };

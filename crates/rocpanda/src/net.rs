@@ -14,7 +14,7 @@
 //! roclint's `raw-send` rule enforces the routing: inside rocpanda, only a
 //! receiver named `net` may call `send`/`recv`/`probe` and friends.
 
-use rocio_core::{Result, Rope, Segment};
+use rocio_core::{Result, Rope};
 use rocnet::comm::{Comm, Message, ProbeInfo};
 use rocnet::rocrel::ReliableComm;
 
@@ -44,10 +44,12 @@ impl<'a> PandaNet<'a> {
         }
     }
 
-    pub fn send_segments(&mut self, dst: usize, tag: u32, segments: &[Segment]) -> Result<()> {
+    /// Send a rope as one message, its parts by refcount: how every
+    /// block-bearing message goes out.
+    pub fn send_rope(&mut self, dst: usize, tag: u32, payload: Rope) -> Result<()> {
         match self {
-            PandaNet::Raw(c) => c.send_segments(dst, tag, segments),
-            PandaNet::Reliable(r) => r.send_segments(dst, tag, segments),
+            PandaNet::Raw(c) => c.send_rope(dst, tag, payload).map(drop),
+            PandaNet::Reliable(r) => r.send_rope(dst, tag, payload),
         }
     }
 

@@ -23,10 +23,10 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
-use rocio_core::{BlockId, Priority, Result, RocError, Rope, Segment, SnapshotId, TenantId};
+use rocio_core::{BlockId, Priority, Result, RocError, Rope, SnapshotId, TenantId};
 use rocnet::{Comm, Message};
 use rocsdf::format::BlockFrame;
-use rocsdf::{SdfFileReader, SdfFileWriter, SegmentPool};
+use rocsdf::{SdfFileReader, SdfFileWriter};
 use rocstore::SharedFs;
 
 use crate::config::RocpandaConfig;
@@ -276,8 +276,6 @@ pub struct PandaServer<'a> {
     /// Buffer occupancy: wire bytes of every queued block, compared
     /// against `cfg.buffer_capacity`. Zero whenever the queues are empty.
     pub(crate) buffered_bytes: usize,
-    /// Reusable staging buffers for scatter-gather replies.
-    pool: SegmentPool,
     /// Latest virtual completion time of any disk write this server
     /// issued. Background writes charge the server CPU only a submit
     /// cost; the disk ledger carries the transfer, and this watermark is
@@ -328,7 +326,6 @@ impl<'a> PandaServer<'a> {
             drain_ring: VecDeque::new(),
             queued_total: 0,
             buffered_bytes: 0,
-            pool: SegmentPool::new(),
             disk_completion: 0.0,
             stats: ServerStats::default(),
         }
@@ -986,16 +983,14 @@ impl<'a> PandaServer<'a> {
                 }
             }
             if !msgs.is_empty() {
-                let mut segs = Vec::new();
-                let image_of = |i, pool: &mut SegmentPool, image: &mut Vec<Segment>| match &msgs[i] {
-                    Restored::Staged(cached) => {
-                        image.extend(cached.wire.parts().iter().cloned().map(Segment::Shared));
-                    }
-                    Restored::Read(msg) => msg.encode_segments(pool, image),
-                };
-                wire::encode_read_batch_segments(msgs.len(), image_of, &mut self.pool, &mut segs);
-                self.net.send_segments(*client, tag::READ_BATCH, &segs)?;
-                self.pool.recycle(&mut segs);
+                let entries: Vec<Rope> = msgs
+                    .iter()
+                    .map(|m| match m {
+                        Restored::Staged(cached) => cached.wire.clone(),
+                        Restored::Read(msg) => msg.encode(),
+                    })
+                    .collect();
+                self.net.send_rope(*client, tag::READ_BATCH, wire::encode_read_batch(&entries))?;
                 if staged && rocobs::enabled() {
                     rocobs::record(
                         rocobs::SpanCategory::RestartRead,

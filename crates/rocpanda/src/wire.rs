@@ -4,12 +4,13 @@
 //! off a probe without touching the payload); fields are encoded
 //! little-endian in the payload. Data blocks travel as sequences of SDF
 //! dataset records — the same self-describing encoding the files use,
-//! written by the same encoder: a [`BlockMsg`] has one encode
-//! (scatter-gather segments; `Comm::send_segments` sends them as the parts
-//! of one rope) and one decode (payloads are windows of the received
-//! message's parts — the sender's own buffers). Only the ends of the path
-//! decode: a client taking a `READ_BATCH` in, `genx::rebalance` taking a
-//! migrated block. The server in the middle reads a `BLOCK` message as a
+//! laid out by the same block encoder (`rocsdf::encode_block`): a
+//! [`BlockMsg`] has one encode (a rope — its routing header and record
+//! headers in one staging buffer, its payloads the block's own buffers;
+//! `send_rope` sends it) and one decode (payloads are windows of the
+//! received message's parts — the sender's own buffers). Only the ends of
+//! the path decode: a client taking a `READ_BATCH` in, `genx::rebalance`
+//! taking a migrated block. The server in the middle reads a `BLOCK` message as a
 //! [`BlockWire`] — routed, held to every check the decode makes and to
 //! being what the encode writes, its records framed for the file — and
 //! forwards it: the wire image of a block becomes its file image, and the
@@ -22,10 +23,8 @@
 
 use bytes::Bytes;
 use rocio_core::{Cursor, DataBlock, Result, RocError, Rope, Segment, SnapshotId};
-use rocsdf::format::{
-    block_from_records, block_meta_dataset, block_prefix, decode_dataset, frame_block, BlockFrame,
-};
-use rocsdf::SegmentPool;
+use rocsdf::format::{block_from_records, decode_dataset, frame_block, BlockFrame};
+use rocsdf::{encode_block, SegmentPool};
 
 /// Message tags. All below [`rocnet::comm::TAG_USER_MAX`].
 pub mod tag {
@@ -174,41 +173,28 @@ pub struct BlockMsg {
 }
 
 impl BlockMsg {
-    /// Encode: routing header, then the block's `__meta__` dataset and its
-    /// member datasets as SDF records (names prefixed by the record
-    /// encoder's override — no clone). Headers go into pooled staging
-    /// buffers, payloads ride along by refcount; send the segments with
-    /// `Comm::send_segments` and no payload byte is copied on the way.
-    pub fn encode_segments(&self, pool: &mut SegmentPool, out: &mut Vec<Segment>) {
-        let mut head = pool.take();
-        head.clear();
+    /// The wire image: the routing header, then the block's records, laid
+    /// out by the one block encoder ([`encode_block`]) — the header leads
+    /// its staging buffer, the payloads ride along by refcount, so send the
+    /// rope with `send_rope` and no payload byte is copied on the way.
+    pub fn encode(&self) -> Rope {
+        // Snapshot (12 bytes), window (2 + its length), record count (4).
+        let mut head = Vec::with_capacity(18 + self.window.len());
         put_name(&mut head, self.snap, None, &self.window);
         head.extend_from_slice(&(1 + self.block.datasets.len() as u32).to_le_bytes());
-        out.push(Segment::Owned(head));
-        rocsdf::encode_dataset_segments(
-            &block_meta_dataset(&self.block),
-            None,
-            None,
-            pool.take(),
-            out,
-        );
-        let prefix = block_prefix(self.block.id);
-        for ds in &self.block.datasets {
-            rocsdf::encode_dataset_segments(
-                ds,
-                Some(&format!("{prefix}{}", ds.name)),
-                None,
-                pool.take(),
-                out,
-            );
-        }
+        encode_block(head, &self.block)
+    }
+
+    /// [`BlockMsg::encode`] as a segment list: its parts, shared. The pool
+    /// goes unused.
+    pub fn encode_segments(&self, _pool: &mut SegmentPool, out: &mut Vec<Segment>) {
+        out.extend(self.encode().parts().iter().cloned().map(Segment::Shared));
     }
 
     /// Decode the message at the cursor with zero-copy payloads: each
     /// dataset's data is a refcounted window of the part it arrived in —
-    /// for a message sent with `send_segments`, the sender's own block
-    /// buffer — so a server can buffer the blocks of many messages without
-    /// duplicating any payload.
+    /// for a message sent as its [`BlockMsg::encode`] rope, the sender's
+    /// own block buffer.
     pub fn decode(cur: &mut Cursor<'_>) -> Result<Self> {
         let (snap, window, n) = routing_header(cur)?;
         let block = block_from_records(None, (0..n).map(|_| decode_dataset(cur)))?;
@@ -237,7 +223,7 @@ fn routing_header(cur: &mut Cursor<'_>) -> Result<(SnapshotId, String, usize)> {
 /// no use for what is in them, and the message already *is* the block's
 /// file records but for their checksums (see [`frame_block`], which holds
 /// it to everything [`BlockMsg::decode`] checks and to being what
-/// [`BlockMsg::encode_segments`] writes).
+/// [`BlockMsg::encode`] writes).
 #[derive(Debug)]
 pub struct BlockWire {
     pub snap: SnapshotId,
@@ -263,32 +249,24 @@ impl BlockWire {
     }
 }
 
-/// Encode `n` blocks as one batched `READ_BATCH` reply: `u32` count, then
-/// per block a `u64` length prefix followed by its
-/// [`BlockMsg::encode_segments`] image, which `image_of(i, ..)` appends —
-/// by encoding a block read off the disk, or part for part from the
-/// message a cached block arrived as. Headers and length prefixes go to
-/// pooled staging buffers; shared payloads ride along by refcount, so a
-/// cached snapshot is shipped without copying any block data.
-pub(crate) fn encode_read_batch_segments(
-    n: usize,
-    mut image_of: impl FnMut(usize, &mut SegmentPool, &mut Vec<Segment>),
-    pool: &mut SegmentPool,
-    out: &mut Vec<Segment>,
-) {
-    let mut head = pool.take();
-    head.clear();
-    head.extend_from_slice(&(n as u32).to_le_bytes());
-    out.push(Segment::Owned(head));
-    for i in 0..n {
-        let mut inner = Vec::new();
-        image_of(i, pool, &mut inner);
-        let mut len = pool.take();
-        len.clear();
-        len.extend_from_slice(&(rocio_core::segments_len(&inner) as u64).to_le_bytes());
-        out.push(Segment::Owned(len));
-        out.append(&mut inner);
+/// A batched `READ_BATCH` reply of `entries`, each a [`BlockMsg::encode`]
+/// image — encoded off the disk, or the message a cached block arrived
+/// as: `u32` count, then per entry a `u64` length prefix and the entry's
+/// parts by refcount. The count and the prefixes share one small buffer,
+/// so a cached snapshot is shipped without copying any block data.
+pub(crate) fn encode_read_batch(entries: &[Rope]) -> Rope {
+    let mut heads = Vec::with_capacity(4 + 8 * entries.len());
+    heads.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    for e in entries {
+        heads.extend_from_slice(&(e.len() as u64).to_le_bytes());
     }
+    let heads = Bytes::from(heads);
+    let mut batch = Rope::from(heads.slice(..4));
+    for (i, e) in entries.iter().enumerate() {
+        batch.push(heads.slice(4 + 8 * i..12 + 8 * i));
+        batch.extend(e.parts().iter().cloned());
+    }
+    batch
 }
 
 /// Decode a `READ_BATCH` payload into zero-copy block messages: every
@@ -432,8 +410,8 @@ mod tests {
     }
 
     /// The `READ_BATCH` a disk scan ships: every entry encoded.
-    fn read_batch(msgs: &[BlockMsg], pool: &mut SegmentPool, out: &mut Vec<Segment>) {
-        encode_read_batch_segments(msgs.len(), |i, pool, image| msgs[i].encode_segments(pool, image), pool, out);
+    fn read_batch(msgs: &[BlockMsg]) -> Rope {
+        encode_read_batch(&msgs.iter().map(BlockMsg::encode).collect::<Vec<_>>())
     }
 
     fn decode_read_batch_shared(bytes: &Bytes) -> Result<Vec<BlockMsg>> {
@@ -463,9 +441,7 @@ mod tests {
 
     /// The wire image of the message, flat.
     fn wire(m: &BlockMsg) -> Vec<u8> {
-        let mut segs = Vec::new();
-        m.encode_segments(&mut SegmentPool::new(), &mut segs);
-        rocio_core::segments_to_vec(&segs)
+        m.encode().into_bytes().to_vec()
     }
 
     #[test]
@@ -544,18 +520,13 @@ mod tests {
     fn read_batch_round_trips_shared_and_rejects_truncation() {
         let block = |i| DataBlock::new(BlockId(i), "fluid").with_dataset(Dataset::vector("p", vec![i as f64; 4]));
         let msgs: Vec<BlockMsg> = (0..3).map(|i| msg(block(i))).collect();
-        let mut pool = SegmentPool::new();
-        let mut segs = Vec::new();
-        read_batch(&msgs, &mut pool, &mut segs);
-        let flat = rocio_core::segments_to_vec(&segs);
+        let flat = read_batch(&msgs).into_bytes().to_vec();
         let src = Bytes::from(flat.clone());
         let dec = decode_read_batch_shared(&src).unwrap();
         drop(src);
         assert_eq!(dec, msgs);
         // An empty batch is legal (a server may own no requested blocks).
-        let mut segs = Vec::new();
-        read_batch(&[], &mut pool, &mut segs);
-        let empty = Bytes::from(rocio_core::segments_to_vec(&segs));
+        let empty = read_batch(&[]).into_bytes();
         assert_eq!(decode_read_batch_shared(&empty).unwrap(), vec![]);
         // Truncation anywhere is an error, not a panic.
         for cut in [0, 3, 4, 11, flat.len() - 1] {
@@ -571,15 +542,18 @@ mod tests {
         [Bytes::copy_from_slice(junk), mutated.into(), Bytes::copy_from_slice(&valid[..at.index(valid.len())])]
     }
 
-    /// Where each shared (payload) segment of `segs` lies in the flat image.
-    fn payload_spans(segs: &[Segment]) -> Vec<(usize, usize)> {
+    /// Where in `rope`'s flat image each part lies that is the payload of
+    /// one of `msgs`' datasets — the sender's own buffer.
+    fn payload_spans(rope: &Rope, msgs: &[BlockMsg]) -> Vec<(usize, usize)> {
+        let payloads: Vec<*const u8> =
+            msgs.iter().flat_map(|m| &m.block.datasets).map(|ds| ds.data.bytes().as_ptr()).collect();
         let mut at = 0;
         let mut spans = Vec::new();
-        for s in segs {
-            if matches!(s, Segment::Shared(_)) {
-                spans.push((at, s.len()));
+        for p in rope.parts() {
+            if payloads.contains(&p.as_ptr()) {
+                spans.push((at, p.len()));
             }
-            at += s.len();
+            at += p.len();
         }
         spans
     }
@@ -622,9 +596,8 @@ mod tests {
             byte in any::<u8>(),
             cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..4),
         ) {
-            let mut segs = Vec::new();
-            read_batch(&[msg(block()), msg(block())], &mut SegmentPool::new(), &mut segs);
-            for input in hostile(&rocio_core::segments_to_vec(&segs), &junk, at, byte) {
+            let valid = read_batch(&[msg(block()), msg(block())]).into_bytes();
+            for input in hostile(&valid, &junk, at, byte) {
                 let flat = decode_read_batch_shared(&input);
                 let roped = decode_read_batch(&mut cut(&input, &cuts).0.cursor());
                 prop_assert_eq!(format!("{roped:?}"), format!("{flat:?}"));
@@ -644,13 +617,8 @@ mod tests {
             batch in any::<bool>(),
         ) {
             let msgs = [msg(block()), msg(block())];
-            let mut segs = Vec::new();
-            if batch {
-                read_batch(&msgs, &mut SegmentPool::new(), &mut segs);
-            } else {
-                msgs[0].encode_segments(&mut SegmentPool::new(), &mut segs);
-            }
-            let flat = rocio_core::segments_to_vec(&segs);
+            let sent = if batch { read_batch(&msgs) } else { msgs[0].encode() };
+            let flat = sent.clone().into_bytes();
             let (rope, at) = cut(&flat, &cuts);
             let decoded = if batch {
                 decode_read_batch(&mut rope.cursor()).unwrap()
@@ -659,7 +627,9 @@ mod tests {
             };
             prop_assert_eq!(&decoded[..], &msgs[..decoded.len()]);
             let payloads = decoded.iter().flat_map(|m| &m.block.datasets).map(|ds| ds.data.bytes());
-            for (payload, (offset, len)) in payloads.zip(payload_spans(&segs)) {
+            let spans = payload_spans(&sent, &msgs);
+            prop_assert_eq!(spans.len(), 2 * decoded.len(), "every payload went as the sender's buffer");
+            for (payload, (offset, len)) in payloads.zip(spans) {
                 prop_assert_eq!(payload.len(), len);
                 if !at.iter().any(|&c| offset < c && c < offset + len) {
                     prop_assert!(is_window_of(payload, &rope), "payload at {offset} was copied");

@@ -12,21 +12,28 @@
 //! All integers little-endian. A file is self-describing: decoding needs no
 //! external schema. The index enables direct per-dataset access; records
 //! are self-delimiting, so a file can also be walked front to back with
-//! [`decode_dataset`] alone. One function writes a record
-//! ([`encode_dataset_segments`]), one walks a record header, and a
-//! payload is the same little-endian bytes whoever produced it.
+//! [`decode_dataset`] alone. One function lays out a record header, one
+//! lays a block out as its records ([`encode_block`]), one walks a record
+//! header, and a payload is the same little-endian bytes whoever produced
+//! it.
 //!
-//! ## Decoding and forwarding
+//! ## Encoding, decoding and forwarding
 //!
-//! The header walk hands what it reads to a sink, and there are two. A
-//! *reader* builds the owned header — a `String` per name and key, a map
-//! per record — and from it a [`Dataset`] ([`decode_dataset`]). A *mover*
-//! does not: [`frame_block`] copies a block's wire records into the file
-//! records they become (the wire image lacks only each record's
-//! `__crc32__` entry, see below) and a Rocpanda server buffers and writes
-//! that [`BlockFrame`] without ever holding a [`DataBlock`]. The copy is
-//! the file image only if the input is what the one encoder writes, so
-//! that is what `frame_block` accepts.
+//! A block is laid out once: [`encode_block`] writes its records — the
+//! wire form, without checksums — into one staging buffer with the
+//! payloads between them by refcount, and every producer starts there (a
+//! Rocpanda message puts its routing header in front, a file writer frames
+//! the records and fills the checksums in). The header walk hands what it
+//! reads to a sink, and there are two. A *reader* builds the owned header
+//! — a `String` per name and key, a map per record — and from it a
+//! [`Dataset`] ([`decode_dataset`]). A *mover* does not: [`frame_block`]
+//! copies a block's wire records into the file records they become (the
+//! wire image lacks only each record's `__crc32__` entry, see below), and
+//! [`crate::SdfFileWriter::append_frame`] writes that [`BlockFrame`] —
+//! for a Rocpanda server, which never holds a [`DataBlock`], and for
+//! [`crate::SdfFileWriter::append_block`] alike. The copy is the file
+//! image only if the input is what the one encoder writes, so that is
+//! what `frame_block` accepts.
 //!
 //! ## The payload checksum
 //!
@@ -48,7 +55,7 @@ use std::ops::Range;
 
 use bytes::Bytes;
 use rocio_core::{
-    AttrValue, AttrView, BlockId, Cursor, DType, DataBlock, Dataset, Result, RocError,
+    AttrValue, AttrView, BlockId, Cursor, DType, DataBlock, Dataset, Result, RocError, Rope,
     Segment, SharedArray,
 };
 
@@ -224,8 +231,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// CRC-32 of a dataset's payload, computed where the bytes lie.
-/// [`encode_dataset_segments`] injects it as an attribute during encoding
-/// rather than copying the dataset to attach it.
 pub fn payload_crc32(ds: &Dataset) -> u32 {
     crc32(ds.data.bytes())
 }
@@ -269,8 +274,17 @@ pub(crate) fn check_header(bytes: &[u8]) -> Result<()> {
 }
 
 fn put_str16(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+    put_name16(out, &[s]);
+}
+
+/// A `u16`-length-prefixed name written in place from its pieces (a block's
+/// group prefix and a member name, `blk:` and a block attribute's key).
+fn put_name16(out: &mut Vec<u8>, pieces: &[&str]) {
+    let len: usize = pieces.iter().map(|p| p.len()).sum();
+    out.extend_from_slice(&(len as u16).to_le_bytes());
+    for p in pieces {
+        out.extend_from_slice(p.as_bytes());
+    }
 }
 
 fn encode_attr_entry(k: &str, v: &AttrValue, out: &mut Vec<u8>) {
@@ -278,32 +292,15 @@ fn encode_attr_entry(k: &str, v: &AttrValue, out: &mut Vec<u8>) {
     v.encode(out);
 }
 
-/// Encode one dataset record — the workspace's only record encoder — as
-/// an `IoSlice`-style segment list: the record *header* (everything from
-/// the `DS00` marker through the `data_len` field) as one owned run, then
-/// the payload as a [`Segment::Shared`] refcount bump (omitted when
-/// empty). Neither the fabric (`Comm::send_segments`) nor the store
-/// (`SharedFs::append_segments`) flattens the list: the payload stays the
-/// dataset's own buffer all the way to the file image.
-///
-/// `head` is the staging buffer for the header (pass a recycled buffer to
-/// avoid allocation; it is cleared first). `name_override` replaces the
-/// dataset's own name (the server re-labels datasets under a block-group
-/// prefix without cloning them); `crc` injects a `__crc32__` Int attribute
-/// in its sorted position within the attribute table, replacing any
-/// existing entry, so the output is byte-identical to encoding a dataset
-/// that carried the attribute in its `BTreeMap`.
-pub fn encode_dataset_segments(
-    ds: &Dataset,
-    name_override: Option<&str>,
-    crc: Option<u32>,
-    mut head: Vec<u8>,
-    out: &mut Vec<Segment>,
-) {
-    head.clear();
-    let name = name_override.unwrap_or(&ds.name);
+/// Lay out the header of `ds`'s record — everything from the `DS00` marker
+/// through the `data_len` field — at the end of `head`, under the name
+/// `name` spells. `crc` injects a `__crc32__` Int attribute in its sorted
+/// position within the attribute table, replacing any existing entry, so
+/// the output is byte-identical to encoding a dataset that carried the
+/// attribute in its `BTreeMap`.
+fn put_record_head(head: &mut Vec<u8>, name: &[&str], ds: &Dataset, crc: Option<u32>) {
     head.extend_from_slice(DS_MARKER);
-    put_str16(&mut head, name);
+    put_name16(head, name);
     head.push(ds.dtype().tag());
     head.push(ds.shape.len() as u8);
     for &e in &ds.shape {
@@ -317,23 +314,126 @@ pub fn encode_dataset_segments(
     for (k, v) in &ds.attrs {
         if let Some(c) = pending {
             if k.as_str() >= CRC_ATTR {
-                encode_attr_entry(CRC_ATTR, c, &mut head);
+                encode_attr_entry(CRC_ATTR, c, head);
                 pending = None;
                 if k == CRC_ATTR {
                     continue; // replaced by the computed checksum
                 }
             }
         }
-        encode_attr_entry(k, v, &mut head);
+        encode_attr_entry(k, v, head);
     }
     if let Some(c) = pending {
-        encode_attr_entry(CRC_ATTR, c, &mut head);
+        encode_attr_entry(CRC_ATTR, c, head);
     }
     head.extend_from_slice(&(ds.byte_len() as u64).to_le_bytes());
+}
+
+/// Encode one standalone dataset record as an `IoSlice`-style segment
+/// list: the record *header* as one owned run (`head`, cleared first),
+/// then the payload as a [`Segment::Shared`] refcount bump (omitted when
+/// empty). `name_override` replaces the dataset's own name; `crc` is
+/// injected as [`put_record_head`] does. The header layout is
+/// [`encode_block`]'s, record for record; a block is encoded there.
+pub fn encode_dataset_segments(
+    ds: &Dataset,
+    name_override: Option<&str>,
+    crc: Option<u32>,
+    mut head: Vec<u8>,
+    out: &mut Vec<Segment>,
+) {
+    head.clear();
+    put_record_head(&mut head, &[name_override.unwrap_or(&ds.name)], ds, crc);
     out.push(Segment::Owned(head));
     if !ds.is_empty() {
         out.push(Segment::Shared(ds.data.bytes().clone()));
     }
+}
+
+/// Recycled header buffers for callers that encode record by record
+/// ([`encode_dataset_segments`]); a block needs none ([`encode_block`]).
+#[derive(Debug, Default)]
+pub struct SegmentPool {
+    bufs: Vec<Vec<u8>>,
+}
+
+impl SegmentPool {
+    pub fn new() -> Self {
+        SegmentPool::default()
+    }
+
+    /// Take a cleared staging buffer (recycled when available).
+    pub fn take(&mut self) -> Vec<u8> {
+        self.bufs.pop().unwrap_or_default()
+    }
+
+    /// Drain a finished segment list, reclaiming its owned buffers and
+    /// dropping the shared payload refcounts.
+    pub fn recycle(&mut self, segments: &mut Vec<Segment>) {
+        for seg in segments.drain(..) {
+            if let Segment::Owned(mut run) = seg {
+                run.clear();
+                self.bufs.push(run);
+            }
+        }
+    }
+}
+
+/// Encode a block as its records — the one block encoder, behind the
+/// Rocpanda wire, the two writers and the restart replies alike: the
+/// block's `__meta__` (no payload; its attributes, in key order, the
+/// block's own as `blk:*`, then `block_id`, `n_datasets` and `window`),
+/// then every member under the block's group prefix, in order. No record
+/// carries a `__crc32__`: a file writer frames the records
+/// ([`frame_block`]) and fills the checksums in as it writes them.
+///
+/// Every header is written straight into `lead` — the staging buffer,
+/// holding whatever goes before the records (a message's routing header;
+/// nothing for a file) — and the rope is that one buffer's windows with
+/// each member's payload between them by refcount. No name is formatted
+/// per member and no record is built to be encoded.
+pub fn encode_block(mut lead: Vec<u8>, block: &DataBlock) -> Rope {
+    let prefix = block_prefix(block.id);
+    // The headers' size: what `encoded_size` counts beside the payloads,
+    // plus each record's marker, group prefix and payload length and the
+    // meta's fixed keys — so the buffer is allocated once.
+    let records = 1 + block.datasets.len();
+    let heads = block.encoded_size() - block.payload_bytes()
+        + records * (4 + prefix.len() + 8)
+        + 4 * block.attrs.len()
+        + 64;
+    lead.reserve(heads);
+    lead.extend_from_slice(DS_MARKER);
+    put_name16(&mut lead, &[&prefix, BLOCK_META]);
+    lead.extend_from_slice(&[DType::U8.tag(), 1]);
+    lead.extend_from_slice(&0u64.to_le_bytes());
+    lead.extend_from_slice(&((block.attrs.len() + 3) as u16).to_le_bytes());
+    for (k, v) in &block.attrs {
+        put_name16(&mut lead, &["blk:", k]);
+        v.encode(&mut lead);
+    }
+    encode_attr_entry("block_id", &AttrValue::Int(block.id.0 as i64), &mut lead);
+    encode_attr_entry("n_datasets", &AttrValue::Int(block.datasets.len() as i64), &mut lead);
+    put_str16(&mut lead, "window");
+    AttrValue::encode_str(&block.window, &mut lead);
+    lead.extend_from_slice(&0u64.to_le_bytes());
+    // The header runs: from the start to the end of the first member's
+    // header, from there to the end of the next one's, … — each member's
+    // payload goes in after its run.
+    let mut cuts = Vec::with_capacity(records + 1);
+    cuts.push(0);
+    for ds in &block.datasets {
+        put_record_head(&mut lead, &[&prefix, &ds.name], ds, None);
+        cuts.push(lead.len());
+    }
+    cuts.push(lead.len());
+    let stage = Bytes::from(lead);
+    let mut rope = Rope::new();
+    rope.extend((0..2 * records - 1).map(|i| match i % 2 {
+        0 => stage.slice(cuts[i / 2]..cuts[i / 2 + 1]),
+        _ => block.datasets[i / 2].data.bytes().clone(),
+    }));
+    rope
 }
 
 const RECORD: &str = "SDF record";
@@ -474,9 +574,9 @@ fn check_crc(name: &str, stored: u32, payload: &[u8]) -> Result<()> {
 
 /// Decode the dataset record at the cursor, advancing it past the record,
 /// without copying the payload: the returned dataset's data is a window of
-/// the part it lies in (a record built by [`encode_dataset_segments`] and
-/// carried as a rope has its payload in a part of its own; only a payload
-/// cut across parts is gathered).
+/// the part it lies in (a record of an [`encode_block`] rope has its
+/// payload in a part of its own; only a payload cut across parts is
+/// gathered).
 ///
 /// The window holds a refcount on that part's allocation, so it stays valid
 /// after every other handle to the input is dropped — this is how the
@@ -577,27 +677,6 @@ pub(crate) fn decode_index(bytes: &[u8]) -> Result<Vec<IndexEntry>> {
         entries.push(IndexEntry { name: cur.str16(what)?, offset: cur.u64(what)?, len: cur.u64(what)? });
     }
     Ok(entries)
-}
-
-/// The empty `u8` payload of every `__meta__` dataset, made once: a
-/// refcounted handle costs an allocation even when it holds nothing, and
-/// a meta dataset is built for every block written or sent.
-static NO_PAYLOAD: std::sync::LazyLock<SharedArray> =
-    std::sync::LazyLock::new(|| Vec::<u8>::new().into());
-
-/// Encode a block's metadata as its `__meta__` dataset.
-pub fn block_meta_dataset(block: &DataBlock) -> Dataset {
-    let mut ds = Dataset::vector(
-        format!("{}{}", block_prefix(block.id), BLOCK_META),
-        NO_PAYLOAD.clone(),
-    )
-    .with_attr("window", block.window.as_str())
-    .with_attr("block_id", block.id.0 as i64)
-    .with_attr("n_datasets", block.datasets.len() as i64);
-    for (k, v) in &block.attrs {
-        ds.attrs.insert(format!("blk:{k}"), v.clone());
-    }
-    ds
 }
 
 /// Reconstruct block id, window name and block attrs from a `__meta__`
@@ -760,7 +839,7 @@ impl HeaderSink for Framer<'_> {
 
     fn layout(&mut self, dtype: DType, extents: &[u8], n_attrs: u16) -> Result<()> {
         match self.kind {
-            // What `block_meta_dataset` lays out: no elements of `u8`.
+            // What `encode_block` lays out: no elements of `u8`.
             FramedAs::Meta { .. } if dtype != DType::U8 || extents != [0u8; 8] => {
                 return Err(corrupt_block(format!("'{}' carries a payload", self.name)));
             }
@@ -845,25 +924,25 @@ fn frame_record<'f>(
 }
 
 /// Frame the `n_records` wire records of one block at the cursor — its
-/// `__meta__`, then its members under `blkNNNNNN/`, as
-/// `BlockMsg::encode_segments` sends them — as the file records
-/// [`crate::SdfFileWriter::append_block`] would write for the block they
-/// decode to, without decoding them: each header is copied once, into one
-/// staging buffer, with a `__crc32__` entry at its sorted place (zeroed;
-/// the writer fills it in when it computes the checksum), and each payload
-/// stays a window of the message.
+/// `__meta__`, then its members under `blkNNNNNN/`, as [`encode_block`]
+/// writes them — as the file records of the block they decode to, without
+/// decoding them: each header is copied once, into one staging buffer,
+/// with a `__crc32__` entry at its sorted place (zeroed; the writer fills
+/// it in when it computes the checksum), and each payload stays a window
+/// of the input.
 ///
-/// The copy equals the re-encoding only for input the one encoder could
-/// have written, so that is what is accepted: every check a decode's
-/// header walk makes (it is the same walk), attribute keys strictly
-/// ascending, a stored
-/// `__crc32__` that matches its payload, a `__meta__` named for the block
-/// with no payload and exactly the attributes `block_meta_dataset` writes
-/// (`n_datasets` counting the members that follow), every member under the
-/// block's prefix under a name not seen before. Anything else is
-/// [`RocError::Corrupt`] ([`RocError::AlreadyExists`] for a repeated
-/// member), and `n_records` is bounded by the bytes that remain before it
-/// sizes anything.
+/// The copy equals the re-encoding of the decoded block only for input
+/// the one encoder could have written, so that is what is accepted: every
+/// check a decode's header walk makes (it is the same walk), attribute
+/// keys strictly ascending, a stored `__crc32__` that matches its payload,
+/// a `__meta__` named for the block with no payload and exactly the
+/// attributes `encode_block` writes (`n_datasets` counting the members
+/// that follow), every member under the block's prefix under a name not
+/// seen before. Anything else is [`RocError::Corrupt`]
+/// ([`RocError::AlreadyExists`] for a repeated member), and `n_records` is
+/// bounded by the bytes that remain before it sizes anything. A block
+/// written by [`crate::SdfFileWriter::append_block`] is held to the same
+/// rules: it is framed here from its own encoding.
 pub fn frame_block(cur: &mut Cursor<'_>, n_records: usize) -> Result<BlockFrame> {
     // The shortest record there is: marker, an empty name, dtype, rank 0,
     // no attributes, a payload length.
@@ -964,6 +1043,19 @@ mod tests {
         segs.clear();
         encode_dataset_segments(&Dataset::vector("e", Vec::<u8>::new()), None, None, Vec::new(), &mut segs);
         assert_eq!(segs.len(), 1);
+    }
+
+    #[test]
+    fn segment_pool_hands_back_the_header_runs_it_was_given() {
+        let mut pool = SegmentPool::new();
+        let mut segs = Vec::new();
+        encode_dataset_segments(&sample_dataset(), None, None, pool.take(), &mut segs);
+        let run = segs[0].as_slice().as_ptr();
+        pool.recycle(&mut segs);
+        assert!(segs.is_empty());
+        let reused = pool.take();
+        assert!(reused.is_empty() && reused.as_ptr() == run, "the header run comes back cleared");
+        assert!(pool.take().is_empty());
     }
 
     fn crc32_bitwise(bytes: &[u8]) -> u32 {
@@ -1089,18 +1181,63 @@ mod tests {
         assert_eq!(parse_block_id("blkXXX/p"), None);
     }
 
+    /// The records [`encode_block`] writes for `block`, decoded — `__meta__`
+    /// first, members under the block's prefix — as datasets a test can
+    /// bend.
+    fn records_of(block: &DataBlock) -> Vec<Dataset> {
+        let wire = encode_block(Vec::new(), block);
+        let mut cur = wire.cursor();
+        let records = (0..=block.datasets.len()).map(|_| decode_dataset(&mut cur).unwrap()).collect();
+        assert_eq!(cur.remaining(), 0);
+        records
+    }
+
     #[test]
     fn block_meta_round_trip() {
         let block = DataBlock::new(BlockId(9), "solid")
             .with_dataset(Dataset::vector("disp", vec![0.0f64; 3]))
             .with_attr("material", "propellant")
-            .with_attr("level", 2i64);
-        let meta = block_meta_dataset(&block);
-        let (id, window, attrs) = parse_block_meta(&meta).unwrap();
+            .with_attr("level", 2i64)
+            .with_attr("t", 0.83f64);
+        let meta = &records_of(&block)[0];
+        assert_eq!(meta.name, "blk000009/__meta__");
+        assert!(meta.is_empty());
+        let (id, window, attrs) = parse_block_meta(meta).unwrap();
         assert_eq!(id, BlockId(9));
         assert_eq!(window, "solid");
         assert_eq!(attrs["material"].as_str().unwrap(), "propellant");
         assert_eq!(attrs["level"].as_int().unwrap(), 2);
+        assert_eq!(attrs["t"].as_float().unwrap(), 0.83);
+        assert_eq!(meta.attrs["n_datasets"].as_int().unwrap(), 1);
+    }
+
+    #[test]
+    fn a_block_is_one_staging_buffer_with_its_payloads_by_refcount() {
+        let block = DataBlock::new(BlockId(1_234_567), "fluid")
+            .with_dataset(Dataset::vector("p", vec![1.0f64, 2.0]).with_attr("units", "Pa"))
+            .with_dataset(Dataset::vector("empty", Vec::<i32>::new()))
+            .with_dataset(Dataset::new("v", vec![1, 2], vec![3i64, 4]).unwrap())
+            .with_attr("level", 2i64);
+        let lead = b"routing".to_vec();
+        let wire = encode_block(lead.clone(), &block);
+        // Record for record what the record encoder lays out, behind the lead.
+        let flat: Vec<u8> = wire.parts().iter().flat_map(|p| p.iter().copied()).collect();
+        let mut want = lead;
+        for ds in records_of(&block) {
+            want.extend(encode(&ds, None, None));
+        }
+        assert_eq!(flat, want);
+        // Header runs are consecutive windows of one buffer; a payload is
+        // the dataset's own bytes, and an empty one is no part.
+        let [lead_meta_p, p, empty, v_head, v] = wire.parts() else {
+            panic!("head, p, empty's head, v's head, v: {:?}", wire.parts().len());
+        };
+        assert_eq!(p.as_ptr(), block.datasets[0].data.bytes().as_ptr());
+        assert_eq!(v.as_ptr(), block.datasets[2].data.bytes().as_ptr());
+        assert_eq!(empty.as_ptr(), lead_meta_p[lead_meta_p.len()..].as_ptr());
+        assert_eq!(v_head.as_ptr(), empty[empty.len()..].as_ptr());
+        // A seven-digit id widens the group prefix.
+        assert_eq!(records_of(&block)[1].name, "blk1234567/p");
     }
 
     #[test]
@@ -1190,7 +1327,7 @@ mod tests {
         let block = DataBlock::new(BlockId(9), "solid")
             .with_dataset(Dataset::vector("disp", vec![0.0f64; 3]))
             .with_attr("level", 2i64);
-        let meta = || Ok(block_meta_dataset(&block));
+        let meta = || Ok(records_of(&block).remove(0));
         let member = |name: &str| Ok(Dataset::vector(name, vec![0.0f64; 3]));
         assert_eq!(block_from_records(Some(BlockId(9)), [meta(), member("blk000009/disp")]).unwrap(), block);
         assert_eq!(block_from_records(None, [meta(), member("blk000009/disp")]).unwrap(), block);
@@ -1230,13 +1367,7 @@ mod tests {
             .with_dataset(Dataset::vector("disp", vec![0.5f64; 3]).with_attr("units", "m"))
             .with_dataset(Dataset::vector("AAA", Vec::<i32>::new()).with_attr("zzz", 1i64))
             .with_attr("level", 2i64);
-        let member = |ds: &Dataset| {
-            let mut ds = ds.clone();
-            ds.name = format!("blk000009/{}", ds.name);
-            ds
-        };
-        let records: Vec<Dataset> =
-            std::iter::once(block_meta_dataset(&block)).chain(block.datasets.iter().map(member)).collect();
+        let records = records_of(&block);
         let framed = frame(&records).unwrap();
         assert_eq!((framed.id, framed.size), (block.id, block.encoded_size()));
         // Header by header what the file encoder lays out, but for the
@@ -1266,7 +1397,7 @@ mod tests {
         let block = DataBlock::new(BlockId(9), "solid")
             .with_dataset(Dataset::vector("disp", vec![0.5f64; 3]).with_attr("a", 1i64).with_attr("b", 2i64))
             .with_attr("level", 2i64);
-        let meta = || block_meta_dataset(&block);
+        let meta = || records_of(&block).remove(0);
         let member = |name: &str| {
             Dataset::vector(name, vec![0.5f64; 3]).with_attr("a", 1i64).with_attr("b", 2i64)
         };
@@ -1278,7 +1409,8 @@ mod tests {
         uncounted.attrs.remove("n_datasets");
         let mut elsewhere = meta();
         elsewhere.name = "blk9/__meta__".into();
-        let wrong_crc = payload_crc32(&member("x")) as i64 ^ 1;
+        let right = payload_crc32(&member("x")) as i64;
+        let wrong_crc = right ^ 1;
         let hostile: [(&str, Vec<Dataset>); 10] = [
             ("no records", vec![]),
             ("a member where the meta belongs", vec![member("blk000009/disp")]),
@@ -1295,8 +1427,36 @@ mod tests {
             let got = frame(&records);
             assert!(matches!(got, Err(RocError::Corrupt(_))), "{what}: {got:?}");
         }
-        let got = frame(&[meta().with_attr("n_datasets", 2i64), member("blk000009/disp"), member("blk000009/disp")]);
+        let repeated = || vec![meta().with_attr("n_datasets", 2i64), member("blk000009/disp"), member("blk000009/disp")];
+        let got = frame(&repeated());
         assert!(matches!(got, Err(RocError::AlreadyExists(_))), "a repeated member: {got:?}");
+
+        // One verdict whichever way a block reaches a file — forwarded as
+        // records, or handed to `append_block` as the block they decode
+        // to: the same bytes, or the same refusal.
+        let stamped = |crc: i64| {
+            let mut b = block.clone();
+            b.datasets[0].attrs.insert(CRC_ATTR.into(), AttrValue::Int(crc));
+            (b, vec![meta(), member("blk000009/disp").with_attr(CRC_ATTR, crc)])
+        };
+        let mut twice = block.clone();
+        twice.datasets.push(twice.datasets[0].clone());
+        for (what, (b, records), writes) in [
+            ("a member held twice", (twice, repeated()), false),
+            ("a stale checksum", stamped(wrong_crc), false),
+            ("a matching checksum", stamped(right), true),
+        ] {
+            let forwarded = file_of(|w| w.append_frame(frame(&records)?, 0.0));
+            let written = file_of(|w| w.append_block(&b, 0.0));
+            match (&forwarded, &written) {
+                (Ok(f), Ok(w)) => assert_eq!(f, w, "{what}"),
+                (Err(f), Err(w)) => {
+                    assert_eq!(std::mem::discriminant(f), std::mem::discriminant(w), "{what}: {f:?} / {w:?}");
+                }
+                _ => panic!("{what}: forwarded {forwarded:?}, written {written:?}"),
+            }
+            assert_eq!(written.is_ok(), writes, "{what}");
+        }
 
         // Attribute keys out of order, or twice: no `BTreeMap` writes them,
         // so the bytes are made by swapping two keys of a valid record.
@@ -1317,14 +1477,12 @@ mod tests {
         assert!(matches!(got, Err(RocError::Corrupt(_))), "{got:?}");
     }
 
-    #[test]
-    fn meta_dataset_survives_encode_decode() {
-        let block = DataBlock::new(BlockId(1), "fluid").with_attr("t", 0.83f64);
-        let meta = block_meta_dataset(&block);
-        let dec = decode(&encode(&meta, None, None)).unwrap();
-        let (id, window, attrs) = parse_block_meta(&dec).unwrap();
-        assert_eq!(id, BlockId(1));
-        assert_eq!(window, "fluid");
-        assert_eq!(attrs["t"].as_float().unwrap(), 0.83);
+    /// The file one append makes, or the append's refusal.
+    fn file_of(append: impl FnOnce(&mut crate::SdfFileWriter<'_>) -> Result<f64>) -> Result<Vec<u8>> {
+        let fs = rocstore::SharedFs::ideal();
+        let (mut w, _) = crate::SdfFileWriter::create(&fs, "f.sdf", crate::LibraryModel::Raw, 0, 0.0)?;
+        let t = append(&mut w)?;
+        w.finish(t)?;
+        Ok(fs.read_all_shared("f.sdf", 0, 0.0)?.0.to_vec())
     }
 }

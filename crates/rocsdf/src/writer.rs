@@ -6,101 +6,21 @@ use rocstore::SharedFs;
 
 use crate::cost::LibraryModel;
 use crate::format::{
-    block_meta_dataset, crc32, encode_dataset_segments, encode_header, encode_index,
+    crc32, encode_block, encode_dataset_segments, encode_header, encode_index, frame_block,
     payload_crc32, BlockFrame, IndexEntry,
 };
 
-/// Recycled staging buffers for the drain path, bounded by capacity
-/// watermarks.
-///
-/// Every encoded record needs a small owned buffer for its header bytes.
-/// The pool hands those out and takes them back after each file-system
-/// write, so a server draining thousands of blocks reuses the same
-/// allocations instead of churning the allocator. When the total retained
-/// capacity exceeds `high_watermark` — e.g. after one unusually large
-/// attribute table — the pool trims itself back to `low_watermark` so a
-/// burst does not pin memory forever.
-#[derive(Debug)]
-pub struct SegmentPool {
-    bufs: Vec<Vec<u8>>,
-    high_watermark: usize,
-    low_watermark: usize,
-}
-
-impl SegmentPool {
-    /// Default watermarks: retain up to 4 MiB of staging capacity, trim
-    /// back to 1 MiB after a burst.
-    pub fn new() -> Self {
-        SegmentPool::with_watermarks(4 << 20, 1 << 20)
-    }
-
-    /// A pool with explicit retention bounds (`high >= low`).
-    pub(crate) fn with_watermarks(high_watermark: usize, low_watermark: usize) -> Self {
-        assert!(high_watermark >= low_watermark);
-        SegmentPool {
-            bufs: Vec::new(),
-            high_watermark,
-            low_watermark,
-        }
-    }
-
-    /// Take a cleared staging buffer (recycled when available).
-    pub fn take(&mut self) -> Vec<u8> {
-        self.bufs.pop().unwrap_or_default()
-    }
-
-    /// Drain a finished segment list, reclaiming its owned buffers and
-    /// dropping the shared payload refcounts.
-    pub fn recycle(&mut self, segments: &mut Vec<Segment>) {
-        for seg in segments.drain(..) {
-            match seg {
-                Segment::Owned(mut v) => {
-                    v.clear();
-                    self.bufs.push(v);
-                }
-                Segment::Shared(_) => {}
-            }
-        }
-        self.trim();
-    }
-
-    /// Total buffer capacity currently retained.
-    pub fn retained(&self) -> usize {
-        self.bufs.iter().map(|b| b.capacity()).sum()
-    }
-
-    fn trim(&mut self) {
-        if self.retained() > self.high_watermark {
-            // Drop the largest buffers first until under the low mark.
-            self.bufs.sort_by_key(|b| b.capacity());
-            while self.retained() > self.low_watermark {
-                if self.bufs.pop().is_none() {
-                    break;
-                }
-            }
-        }
-    }
-}
-
-impl Default for SegmentPool {
-    fn default() -> Self {
-        SegmentPool::new()
-    }
-}
-
 /// An open SDF file being written.
 ///
-/// A standalone dataset is one file-system write; a whole block's
-/// records coalesce into one (see [`SdfFileWriter::append_block`]). Every
-/// dataset is charged the
-/// library's per-dataset creation overhead; `finish` appends the index +
-/// trailer and closes the file.
+/// A block goes in one way — [`SdfFileWriter::append_block`] and
+/// [`SdfFileWriter::append_frame`] are one path — and its records reach
+/// the file system as one write; a standalone dataset is one write of its
+/// own. Every dataset is charged the library's per-dataset creation
+/// overhead; `finish` appends the index + trailer and closes the file.
 ///
-/// Encoding is zero-copy: datasets are staged as scatter-gather segment
-/// lists (owned headers from a recycled [`SegmentPool`], shared payload
-/// views by refcount) and handed to the file system in one
-/// `writev`-style append — no per-block flatten, no `Dataset` clones for
-/// renaming, no re-encode to attach checksums.
+/// Nothing is flattened or copied to be written: headers are windows of
+/// one staging buffer per block, payloads the datasets' own buffers by
+/// refcount, handed to the file system in one `writev`-style append.
 pub struct SdfFileWriter<'fs> {
     fs: &'fs SharedFs,
     path: String,
@@ -109,8 +29,6 @@ pub struct SdfFileWriter<'fs> {
     entries: Vec<IndexEntry>,
     offset: u64,
     finished: bool,
-    pool: SegmentPool,
-    segs: Vec<Segment>,
 }
 
 impl<'fs> SdfFileWriter<'fs> {
@@ -135,8 +53,6 @@ impl<'fs> SdfFileWriter<'fs> {
                 entries: Vec::new(),
                 offset: header.len() as u64,
                 finished: false,
-                pool: SegmentPool::new(),
-                segs: Vec::new(),
             },
             t,
         ))
@@ -156,37 +72,22 @@ impl<'fs> SdfFileWriter<'fs> {
         overhead
     }
 
-    /// Stage one record onto `segs` — checksum, encoding, index entry —
-    /// and return `(overhead, encoded length)`. `batch_len` is what the
-    /// current write has staged before it.
-    fn stage(
-        &mut self,
-        ds: &Dataset,
-        name: Option<&str>,
-        batch_len: u64,
-        segs: &mut Vec<Segment>,
-    ) -> (SimTime, u64) {
-        let before = segs.len();
-        encode_dataset_segments(ds, name, Some(payload_crc32(ds)), self.pool.take(), segs);
-        let len = rocio_core::segments_len(&segs[before..]) as u64;
-        (self.index_record(name.unwrap_or(&ds.name).to_string(), batch_len, len), len)
-    }
-
-    /// One scatter-gather write of everything staged on `segs`.
-    fn write_staged(&mut self, mut segs: Vec<Segment>, len: u64, at: SimTime) -> Result<SimTime> {
-        let t = self.fs.append_segments(&self.path, &segs, self.client, at)?;
+    /// One scatter-gather write of `segs`, `len` bytes, at `at`.
+    fn write(&mut self, segs: &[Segment], len: u64, at: SimTime) -> Result<SimTime> {
+        assert!(!self.finished, "append after finish");
+        let t = self.fs.append_segments(&self.path, segs, self.client, at)?;
         self.offset += len;
-        self.pool.recycle(&mut segs);
-        self.segs = segs;
         Ok(t)
     }
 
-    /// Append one dataset. Returns the virtual completion time.
+    /// Append one standalone dataset, its payload checksummed. Returns the
+    /// virtual completion time.
     pub fn append_dataset(&mut self, ds: &Dataset, now: SimTime) -> Result<SimTime> {
-        assert!(!self.finished, "append after finish");
-        let mut segs = std::mem::take(&mut self.segs);
-        let (overhead, len) = self.stage(ds, None, 0, &mut segs);
-        self.write_staged(segs, len, now + overhead)
+        let mut segs = Vec::with_capacity(2);
+        encode_dataset_segments(ds, None, Some(payload_crc32(ds)), Vec::new(), &mut segs);
+        let len = rocio_core::segments_len(&segs) as u64;
+        let overhead = self.index_record(ds.name.clone(), 0, len);
+        self.write(&segs, len, now + overhead)
     }
 
     /// Append a whole data block: its `__meta__` dataset followed by every
@@ -194,42 +95,34 @@ impl<'fs> SdfFileWriter<'fs> {
     /// "data from different arrays in the same data block stored in
     /// neighboring HDF datasets" (§4).
     ///
-    /// All of the block's records go to the file system as one
-    /// scatter-gather write (the library's stdio-style coalescing), while
-    /// the index still records every dataset individually and per-dataset
-    /// creation overhead is still charged. Shared payloads pass through to
-    /// the backing store by reference; renaming under the group prefix and
-    /// checksum attachment happen during encoding, not by cloning.
+    /// The block is encoded ([`encode_block`]), framed ([`frame_block`])
+    /// and written by [`SdfFileWriter::append_frame`] — the path a
+    /// Rocpanda server writes the block's wire records by, so every writer
+    /// writes the same bytes at the same cost and refuses the same blocks
+    /// (a member held twice, a stored `__crc32__` its payload does not
+    /// match).
     pub fn append_block(&mut self, block: &DataBlock, now: SimTime) -> Result<SimTime> {
-        assert!(!self.finished, "append after finish");
-        let prefix = crate::format::block_prefix(block.id);
-        let mut segs = std::mem::take(&mut self.segs);
-        let (mut overhead, mut batch_len) = self.stage(&block_meta_dataset(block), None, 0, &mut segs);
-        for ds in &block.datasets {
-            let full = format!("{prefix}{}", ds.name);
-            let (cost, len) = self.stage(ds, Some(&full), batch_len, &mut segs);
-            overhead += cost;
-            batch_len += len;
-        }
-        self.write_staged(segs, batch_len, now + overhead)
+        let records = encode_block(Vec::new(), block);
+        let frame = frame_block(&mut records.cursor(), 1 + block.datasets.len())?;
+        self.append_frame(frame, now)
     }
 
-    /// [`SdfFileWriter::append_block`] of the block a [`BlockFrame`]'s
-    /// records decode to, without the decode: the same bytes in the same
-    /// one write, the same index entries, the same creation overhead in
-    /// the same order. Each payload's CRC-32 is computed here and written
-    /// into the slot its framed header holds for it; the headers go to the
-    /// file system as windows of the frame's one staging buffer, the
-    /// payloads as the windows of the message they always were.
+    /// Write a block's framed records: all of them to the file system as
+    /// one scatter-gather write (the library's stdio-style coalescing),
+    /// while the index still records every dataset individually and
+    /// per-dataset creation overhead is still charged. Each payload's
+    /// CRC-32 is computed here and written into the slot its framed header
+    /// holds for it; the headers go to the file system as windows of the
+    /// frame's one staging buffer, the payloads as the windows they always
+    /// were.
     pub fn append_frame(&mut self, frame: BlockFrame, now: SimTime) -> Result<SimTime> {
-        assert!(!self.finished, "append after finish");
         let BlockFrame { mut heads, records, .. } = frame;
         for r in &records {
             let crc = i64::from(crc32(&r.payload));
             heads[r.crc_at..r.crc_at + 8].copy_from_slice(&crc.to_le_bytes());
         }
         let heads = Bytes::from(heads);
-        let mut segs = std::mem::take(&mut self.segs);
+        let mut segs = Vec::with_capacity(2 * records.len());
         let (mut overhead, mut batch_len) = (0.0, 0);
         for r in records {
             let len = (r.head.len() + r.payload.len()) as u64;
@@ -240,7 +133,7 @@ impl<'fs> SdfFileWriter<'fs> {
                 segs.push(Segment::Shared(r.payload));
             }
         }
-        self.write_staged(segs, batch_len, now + overhead)
+        self.write(&segs, batch_len, now + overhead)
     }
 
     /// Canonicalize the record layout of an all-blocks file: block groups
@@ -390,29 +283,6 @@ mod tests {
             assert_eq!(image(&[7, 2, 11, 5]), sorted, "{lib:?}");
             assert_eq!(image(&[11, 7, 5, 2]), sorted, "{lib:?}");
         }
-    }
-
-    #[test]
-    fn segment_pool_recycles_and_trims() {
-        let mut pool = SegmentPool::with_watermarks(1024, 256);
-        let mut big = pool.take();
-        big.resize(4096, 0);
-        pool.recycle(&mut vec![Segment::Owned(big)]);
-        assert!(
-            pool.retained() <= 256,
-            "burst capacity {} must trim below the low watermark",
-            pool.retained()
-        );
-        let mut segs = vec![
-            Segment::Owned(vec![1u8; 64]),
-            Segment::Shared(bytes::Bytes::from(vec![0u8; 64])),
-            Segment::Owned(vec![2u8; 64]),
-        ];
-        pool.recycle(&mut segs);
-        assert!(segs.is_empty());
-        assert_eq!(pool.bufs.len(), 2, "owned buffers return to the pool");
-        let reused = pool.take();
-        assert!(reused.is_empty() && reused.capacity() >= 64);
     }
 
     #[test]

@@ -24,7 +24,10 @@
 //!   `ds.clone()` on the send path reintroduces a deep copy per message,
 //!   and so does flattening a segment list (`segments_to_vec`) in any
 //!   crate but `rocio-core`, which defines it: a list travels and lands as
-//!   a `Rope`.
+//!   a `Rope`. Outside `rocio-core` and `rocsdf` a header is not an owned
+//!   `Vec` of its own either (`Segment::Owned(..)`, a `SegmentPool` to
+//!   recycle them): an encoder writes its header runs into one staging
+//!   buffer per message.
 //! * **std-sync** — workspace locks are parking_lot-backed through the
 //!   named `rocio_core::lockdep` wrappers; a `std::sync::Mutex`/`RwLock`/
 //!   `Condvar` has a different guard shape and escapes the lock-discipline
@@ -492,9 +495,27 @@ pub fn lint_source(cfg: &LintConfig, crate_dir: &str, path: &str, src: &str) -> 
             push(
                 Rule::OwnedPayload,
                 toks[i].line,
-                "`segments_to_vec` copies every payload byte — send or append the segments \
-                 (`Rope::from_segments`) instead"
+                "`segments_to_vec` copies every payload byte — send the rope or append the \
+                 segments instead"
                     .into(),
+            );
+        }
+        // owned-payload: a header run held as a `Vec` of its own, to be
+        // staged into a message again later. Only the record encoder's
+        // crate (and `rocio-core`, which defines the type) builds one.
+        if !matches!(crate_dir, "core" | "rocsdf")
+            && matches!((w, t(&toks, i + 3)), ("SegmentPool", "new") | ("Segment", "Owned"))
+            && is_path_sep(&toks, i + 1)
+            && t(&toks, i + 4) == "("
+        {
+            push(
+                Rule::OwnedPayload,
+                toks[i].line,
+                format!(
+                    "`{w}::{}(..)` stages a header in a `Vec` of its own — write it into \
+                     the message's one staging buffer and send the rope",
+                    t(&toks, i + 3)
+                ),
             );
         }
         // raw-send: inside rocpanda, protocol traffic must route through
@@ -503,7 +524,7 @@ pub fn lint_source(cfg: &LintConfig, crate_dir: &str, path: &str, src: &str) -> 
         // other receiver silently bypasses retransmission.
         if crate_dir == "rocpanda"
             && !in_lane(&cfg.rawsend_lanes)
-            && matches!(w, "send" | "send_bytes" | "send_segments" | "send_rope")
+            && matches!(w, "send" | "send_bytes" | "send_rope")
             && t(&toks, i.wrapping_sub(1)) == "."
             && t(&toks, i + 1) == "("
             && t(&toks, i.wrapping_sub(2)) != "net"

@@ -160,16 +160,38 @@ fn flattening_a_segment_list_fires_everywhere_but_in_core_and_tests() {
 }
 
 #[test]
+fn a_header_in_a_vec_of_its_own_fires_outside_core_and_rocsdf() {
+    for src in [
+        "pub fn f(h: Vec<u8>) -> Vec<Segment> { vec![Segment::Owned(h)] }",
+        "pub fn f() { let mut pool = rocsdf::SegmentPool::new(); }",
+    ] {
+        for (krate, path) in [("rocpanda", "crates/rocpanda/src/client.rs"), ("rochdf", "crates/rochdf/src/x.rs")] {
+            assert_eq!(rules_fired(krate, path, src), vec![Rule::OwnedPayload], "{path}: {src}");
+        }
+        // The encoder's crate and the defining one, and test code, may.
+        assert_eq!(rules_fired("rocsdf", "crates/rocsdf/src/format.rs", src), vec![], "{src}");
+        assert_eq!(rules_fired("core", "crates/core/src/rope.rs", src), vec![], "{src}");
+        let in_test = format!("#[cfg(test)]\nmod tests {{ {src} }}");
+        assert_eq!(rules_fired("rocpanda", "crates/rocpanda/src/wire.rs", &in_test), vec![]);
+    }
+    // A shared part, and the rope a message is, are the sanctioned forms.
+    let ok = "pub fn f(b: Bytes) -> Rope { let mut r = Rope::from(b.clone()); r.push(b); r }";
+    assert_eq!(rules_fired("rocpanda", "crates/rocpanda/src/wire.rs", ok), vec![]);
+    let shared = "pub fn f(b: Bytes) -> Segment { Segment::Shared(b) }";
+    assert_eq!(rules_fired("rochdf", "crates/rochdf/src/x.rs", shared), vec![]);
+}
+
+#[test]
 fn raw_send_fires_in_rocpanda_off_the_pandanet_shim() {
     let raw = "impl C<'_> { fn f(&mut self) -> Result<()> { self.world.send(0, 7, &[]) } }";
     assert!(
         rules_fired("rocpanda", "crates/rocpanda/src/x.rs", raw).contains(&Rule::RawSend),
         "a raw Comm send inside rocpanda must fire"
     );
-    let raw_segs = "impl C<'_> { fn f(&mut self) { self.comm.send_segments(0, 7, &s)?; } }";
+    let raw_rope = "impl C<'_> { fn f(&mut self) { self.comm.send_rope(0, 7, r)?; } }";
     assert!(
-        rules_fired("rocpanda", "crates/rocpanda/src/x.rs", raw_segs).contains(&Rule::RawSend),
-        "send_segments counts too"
+        rules_fired("rocpanda", "crates/rocpanda/src/x.rs", raw_rope).contains(&Rule::RawSend),
+        "send_rope counts too"
     );
     // Routing through the shim is the sanctioned form.
     let ok = "impl C<'_> { fn f(&mut self) -> Result<()> { self.net.send(0, 7, &[]) } }";

@@ -83,7 +83,7 @@ fn guard_across_recv_fires() {
     );
     assert_eq!(rules_fired(&src), vec![Rule::LockBlocking]);
     // Collectives and wildcard takes count too.
-    for call in ["barrier()", "send_segments(0, 7, &s)", "wait_match(1, &spec, k)", "settle_at(1, &spec, t, k)"] {
+    for call in ["barrier()", "send_rope(0, 7, r)", "wait_match(1, &spec, k)", "settle_at(1, &spec, t, k)"] {
         let src = format!(
             "{STRUCT}impl S {{ fn f(&self) {{ let g = self.outer.lock(); \
              self.comm.{call}; }} }}"

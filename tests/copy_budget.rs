@@ -5,30 +5,34 @@
 //! On the way out a snapshot byte is copied once, into its block's
 //! little-endian buffer (`roccom::convert::pane_to_block`); everything
 //! after that — the Rocpanda message (a rope of the block's own buffers),
-//! server buffering, record encoding, the store's extent list — holds it
+//! server buffering, record framing, the store's extent list — holds it
 //! by reference, on both paths. The write budgets below are that one copy
 //! plus headroom for headers, indexes and bookkeeping (measured: 1.09 x
-//! through Rocpanda, 1.07 x through T-Rochdf); a re-introduced flatten,
+//! through Rocpanda, 1.08 x through T-Rochdf); a re-introduced flatten,
 //! clone or staging `Vec` on the path costs at least one more payload and
 //! trips them.
 //!
 //! Bytes do not see metadata: a block decoded into a `DataBlock` and
 //! encoded again costs a `String` per name and key and a map per record,
 //! and hardly a byte. So the same snapshot is also held to a budget of
-//! allocator *calls* per block written (measured: 122 through Rocpanda,
-//! whose server forwards a block's wire records to the file without
-//! decoding them and names the block's file by handle — 250 when it
-//! decoded and re-encoded, 126 when every map it kept held its own copy
-//! of the file's key — and 117 through T-Rochdf, recorded so that it does
-//! not rise unseen). The counts repeat
-//! exactly from run to run.
+//! allocator *calls* per block written. On both paths a block is laid out
+//! once (`rocsdf::encode_block`): its headers are windows of one staging
+//! buffer — the Rocpanda message's, behind its routing header, or the
+//! writer's — and are framed as file records into one more (`frame_block`,
+//! by the server on intake, by T-Rochdf's writer in `append_block`), with
+//! no record built to be encoded and no name formatted per member.
+//! Measured: 84 through Rocpanda (250 when its server decoded and
+//! re-encoded, 126 when every map it kept held its own copy of the file's
+//! key, 122 when each header had a pooled `Vec` of its own and the meta a
+//! map), 82 through T-Rochdf (117 with per-record headers). The counts
+//! repeat exactly from run to run.
 //!
 //! On the way back a byte is allocated once too: records are windows of
 //! the file image all the way to `roccom::convert::apply_block`, which
 //! decodes each attribute into the buffer the pane keeps — a restart's
 //! windows name their panes (`genx::setup::reserve_for`) and hold nothing
 //! until then. The read budget covers building those windows *and* the
-//! read (measured: 0.88 x through Rochdf, individual or two-phase, 0.95 x
+//! read (measured: 0.88 x through Rochdf, individual or two-phase, 0.93 x
 //! through Rocpanda — under 1 because a structured pane's coordinates are
 //! in the file and never decoded); generating the panes first and
 //! overwriting them, as restarts did, is 1.89 x.
@@ -223,8 +227,8 @@ fn a_snapshot_byte_is_copied_once_per_hop() {
     // The same snapshot counted in allocator *calls*, per block written.
     let per_block = |calls: u64| calls as f64 / n_panes as f64;
     let (panda_calls, trochdf_calls) = (per_block(panda_calls), per_block(trochdf_calls));
-    assert!(panda_calls <= 134.0, "Rocpanda made {panda_calls:.0} allocator calls per block (budget 134)");
-    assert!(trochdf_calls <= 125.0, "T-Rochdf made {trochdf_calls:.0} allocator calls per block (budget 125)");
+    assert!(panda_calls <= 96.0, "Rocpanda made {panda_calls:.0} allocator calls per block (budget 96)");
+    assert!(trochdf_calls <= 90.0, "T-Rochdf made {trochdf_calls:.0} allocator calls per block (budget 90)");
     println!("call budget, write: rocpanda {panda_calls:.0}, t-rochdf {trochdf_calls:.0} per block");
 
     // Back again: each restored byte is allocated once, as the typed

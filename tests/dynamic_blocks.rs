@@ -82,9 +82,7 @@ fn block_migrates_between_snapshots() {
                         window: "fluid".into(),
                         block,
                     };
-                    let mut segs = Vec::new();
-                    msg.encode_segments(&mut genx_repro::rocsdf::SegmentPool::new(), &mut segs);
-                    app.send_segments(1, 42, &segs).unwrap();
+                    app.send_rope(1, 42, msg.encode()).unwrap();
                     w.remove_pane(BlockId(MIGRANT)).unwrap();
                 } else {
                     let m = app.recv(Some(0), Some(42)).unwrap();
