@@ -23,48 +23,12 @@ pub enum AttrValue {
 impl AttrValue {
     /// Stable one-byte tag for the file format and wire protocol.
     pub fn tag(&self) -> u8 {
-        match self {
-            AttrValue::Int(_) => 0,
-            AttrValue::Float(_) => 1,
-            AttrValue::Str(_) => 2,
-            AttrValue::IntVec(_) => 3,
-            AttrValue::FloatVec(_) => 4,
-        }
+        Attr::from(self).tag()
     }
 
-    /// Encode as little-endian bytes appended to `out`.
-    ///
-    /// Layout: `tag:u8`, then for scalars the raw value; for vectors/strings
-    /// a `u32` length followed by the payload.
+    /// Encode as little-endian bytes appended to `out` ([`Attr::encode`]).
     pub fn encode(&self, out: &mut Vec<u8>) {
-        if let AttrValue::Str(s) = self {
-            return AttrValue::encode_str(s, out);
-        }
-        out.push(self.tag());
-        match self {
-            AttrValue::Int(x) => out.extend_from_slice(&x.to_le_bytes()),
-            AttrValue::Float(x) => out.extend_from_slice(&x.to_le_bytes()),
-            AttrValue::Str(_) => {} // written above
-            AttrValue::IntVec(v) => {
-                out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                for x in v {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-            AttrValue::FloatVec(v) => {
-                out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                for x in v {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-        }
-    }
-
-    /// What [`AttrValue::encode`] writes for `Str(s)`, without the `String`.
-    pub fn encode_str(s: &str, out: &mut Vec<u8>) {
-        out.push(2);
-        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-        out.extend_from_slice(s.as_bytes());
+        Attr::from(self).encode(out);
     }
 
     /// Decode the value at the cursor, advancing it.
@@ -72,14 +36,9 @@ impl AttrValue {
         Ok(AttrView::read(cur)?.to_value())
     }
 
-    /// Approximate encoded size in bytes (used by the format cost models).
+    /// Encoded size in bytes (used by the format cost models).
     pub fn encoded_size(&self) -> usize {
-        1 + match self {
-            AttrValue::Int(_) | AttrValue::Float(_) => 8,
-            AttrValue::Str(s) => 4 + s.len(),
-            AttrValue::IntVec(v) => 4 + v.len() * 8,
-            AttrValue::FloatVec(v) => 4 + v.len() * 8,
-        }
+        Attr::from(self).encoded_size()
     }
 
     /// The value as an `i64`, or a mismatch error.
@@ -130,6 +89,95 @@ impl From<&str> for AttrValue {
 impl From<String> for AttrValue {
     fn from(s: String) -> Self {
         AttrValue::Str(s)
+    }
+}
+
+/// An attribute value where its owner holds it: what [`AttrValue`] encodes,
+/// with nothing built — how a block that is described instead of built
+/// ([`crate::desc`]) hands over its attributes, and the one place the
+/// value layout is written.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Attr<'a> {
+    Int(i64),
+    Float(f64),
+    Str(&'a str),
+    IntVec(&'a [i64]),
+    FloatVec(&'a [f64]),
+}
+
+impl<'a> From<&'a AttrValue> for Attr<'a> {
+    fn from(v: &'a AttrValue) -> Self {
+        match v {
+            AttrValue::Int(x) => Attr::Int(*x),
+            AttrValue::Float(x) => Attr::Float(*x),
+            AttrValue::Str(s) => Attr::Str(s),
+            AttrValue::IntVec(v) => Attr::IntVec(v),
+            AttrValue::FloatVec(v) => Attr::FloatVec(v),
+        }
+    }
+}
+
+impl Attr<'_> {
+    /// Stable one-byte tag for the file format and wire protocol.
+    pub fn tag(&self) -> u8 {
+        match self {
+            Attr::Int(_) => 0,
+            Attr::Float(_) => 1,
+            Attr::Str(_) => 2,
+            Attr::IntVec(_) => 3,
+            Attr::FloatVec(_) => 4,
+        }
+    }
+
+    /// The little-endian encoding, handed to `put` a field at a time.
+    ///
+    /// Layout: `tag:u8`, then for scalars the raw value; for vectors/strings
+    /// a `u32` length followed by the payload.
+    pub fn write(&self, mut put: impl FnMut(&[u8])) {
+        put(&[self.tag()]);
+        let count = |n: usize| (n as u32).to_le_bytes();
+        match *self {
+            Attr::Int(x) => put(&x.to_le_bytes()),
+            Attr::Float(x) => put(&x.to_le_bytes()),
+            Attr::Str(s) => {
+                put(&count(s.len()));
+                put(s.as_bytes());
+            }
+            Attr::IntVec(v) => {
+                put(&count(v.len()));
+                v.iter().for_each(|x| put(&x.to_le_bytes()));
+            }
+            Attr::FloatVec(v) => {
+                put(&count(v.len()));
+                v.iter().for_each(|x| put(&x.to_le_bytes()));
+            }
+        }
+    }
+
+    /// Append the encoding to `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        self.write(|field| out.extend_from_slice(field));
+    }
+
+    /// Encoded size in bytes.
+    pub fn encoded_size(&self) -> usize {
+        1 + match self {
+            Attr::Int(_) | Attr::Float(_) => 8,
+            Attr::Str(s) => 4 + s.len(),
+            Attr::IntVec(v) => 4 + v.len() * 8,
+            Attr::FloatVec(v) => 4 + v.len() * 8,
+        }
+    }
+
+    /// Build the value.
+    pub fn to_value(&self) -> AttrValue {
+        match *self {
+            Attr::Int(x) => AttrValue::Int(x),
+            Attr::Float(x) => AttrValue::Float(x),
+            Attr::Str(s) => AttrValue::Str(s.to_owned()),
+            Attr::IntVec(v) => AttrValue::IntVec(v.to_vec()),
+            Attr::FloatVec(v) => AttrValue::FloatVec(v.to_vec()),
+        }
     }
 }
 

@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 
 use crate::attr::AttrValue;
 use crate::dataset::Dataset;
+use crate::desc::BlockDesc;
 use crate::error::{Result, RocError};
 
 /// Globally unique identifier of a data block (the pane id in Roccom terms).
@@ -100,14 +101,7 @@ impl DataBlock {
 
     /// Total encoded size (payload + per-dataset metadata + block attrs).
     pub fn encoded_size(&self) -> usize {
-        let attr_meta: usize = self
-            .attrs
-            .iter()
-            .map(|(k, v)| 2 + k.len() + v.encoded_size())
-            .sum();
-        16 + self.window.len()
-            + attr_meta
-            + self.datasets.iter().map(|d| d.encoded_size()).sum::<usize>()
+        BlockDesc::encoded_size(self)
     }
 
     /// Number of datasets in the block.

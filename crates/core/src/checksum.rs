@@ -23,12 +23,9 @@
 //! pinned in the tests below are there to make such a change deliberate.
 //! (The integrity value that *is* persisted is `rocsdf`'s `__crc32__`.)
 
-use std::collections::BTreeMap;
-
-use crate::attr::AttrValue;
-use crate::block::{BlockId, DataBlock};
+use crate::block::DataBlock;
 use crate::dataset::Dataset;
-use crate::dtype::DType;
+use crate::desc::{Attrs, BlockDesc, DatasetDesc};
 
 /// 64-bit content checksum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -185,101 +182,57 @@ impl Checksum {
     /// Checksum of a dataset: name, shape, dtype, attributes and payload.
     pub fn of_dataset(ds: &Dataset) -> Checksum {
         let mut h = Hasher::new();
-        hash_dataset(&mut h, &mut Vec::new(), &ds.name, ds.dtype(), &ds.shape, &ds.attrs, |f| {
-            f.absorb(ds.data.bytes())
-        });
+        hash_dataset(&mut h, &ds.desc());
         h.finish()
     }
 
     /// Checksum of a whole data block, order-sensitive in datasets.
     pub fn of_block(block: &DataBlock) -> Checksum {
-        let mut h = BlockHasher::new(block.id, &block.window, &block.attrs, block.datasets.len());
-        for ds in &block.datasets {
-            // The payload is hashed where it lies.
-            h.dataset(&ds.name, ds.dtype(), &ds.shape, &ds.attrs, |f| f.absorb(ds.data.bytes()));
-        }
+        Checksum::of_desc(block)
+    }
+
+    /// [`Checksum::of_block`] of a block that is described instead of
+    /// built — a pane hashed where it lies (`roccom::convert::pane_checksum`)
+    /// as much as a block at hand: its head, then each dataset's metadata
+    /// with the payload fed in pieces, every value read where its owner
+    /// holds it. This is where a block checksum's field order is written
+    /// down.
+    pub fn of_desc(block: &(impl BlockDesc + ?Sized)) -> Checksum {
+        let mut h = Hasher::new();
+        h.update(&block.id().0.to_le_bytes());
+        h.update_str(block.window());
+        block.with_attrs(|attrs| hash_attrs(&mut h, attrs));
+        h.update(&(block.n_datasets() as u64).to_le_bytes());
+        block.for_each_dataset(|ds| hash_dataset(&mut h, ds));
         h.finish()
     }
 }
 
-/// [`Checksum::of_block`] of a block that is described instead of built:
-/// its head, then each dataset's metadata with the payload fed in pieces.
-/// This is where a block checksum's field order is written down, for the
-/// block at hand and for a pane hashed where it lies
-/// (`roccom::convert::pane_checksum`) alike.
-pub struct BlockHasher {
-    h: Hasher,
-    /// The one reused attribute encode buffer.
-    scratch: Vec<u8>,
-}
-
-impl BlockHasher {
-    /// Absorb the block's id, window, attributes and dataset count.
-    pub fn new(
-        id: BlockId,
-        window: &str,
-        attrs: &BTreeMap<String, AttrValue>,
-        n_datasets: usize,
-    ) -> Self {
-        let (mut h, mut scratch) = (Hasher::new(), Vec::new());
-        h.update(&id.0.to_le_bytes());
-        h.update_str(window);
-        hash_attrs(&mut h, attrs, &mut scratch);
-        h.update(&(n_datasets as u64).to_le_bytes());
-        BlockHasher { h, scratch }
-    }
-
-    /// Absorb the next dataset; `payload` feeds its little-endian bytes.
-    pub fn dataset(
-        &mut self,
-        name: &str,
-        dtype: DType,
-        shape: &[usize],
-        attrs: &BTreeMap<String, AttrValue>,
-        payload: impl FnOnce(&mut Field),
-    ) {
-        hash_dataset(&mut self.h, &mut self.scratch, name, dtype, shape, attrs, payload);
-    }
-
-    /// The checksum of the block described so far.
-    pub fn finish(&self) -> Checksum {
-        self.h.finish()
-    }
-}
-
-/// Absorb an attribute map; `scratch` is the one reused encode buffer.
-fn hash_attrs(h: &mut Hasher, attrs: &BTreeMap<String, AttrValue>, scratch: &mut Vec<u8>) {
+/// Absorb an attribute table, each value a field of its own fed in the
+/// pieces it is encoded in.
+fn hash_attrs(h: &mut Hasher, attrs: Attrs<'_>) {
     h.update(&(attrs.len() as u64).to_le_bytes());
-    for (k, v) in attrs {
+    for (k, v) in attrs.iter() {
         h.update_str(k);
-        scratch.clear();
-        v.encode(scratch);
-        h.update(scratch);
+        h.update_pieces(|field| v.write(|piece| field.absorb(piece)));
     }
 }
 
-fn hash_dataset(
-    h: &mut Hasher,
-    scratch: &mut Vec<u8>,
-    name: &str,
-    dtype: DType,
-    shape: &[usize],
-    attrs: &BTreeMap<String, AttrValue>,
-    payload: impl FnOnce(&mut Field),
-) {
-    h.update_str(name);
-    h.update(&[dtype.tag()]);
-    h.update(&(shape.len() as u64).to_le_bytes());
-    for &e in shape {
+fn hash_dataset(h: &mut Hasher, ds: &DatasetDesc<'_>) {
+    h.update_str(ds.name);
+    h.update(&[ds.dtype.tag()]);
+    h.update(&(ds.shape.len() as u64).to_le_bytes());
+    for &e in ds.shape {
         h.update(&(e as u64).to_le_bytes());
     }
-    hash_attrs(h, attrs, scratch);
-    h.update_pieces(payload);
+    hash_attrs(h, ds.attrs);
+    h.update_pieces(|field| ds.payload.absorb(field));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockId;
 
     fn block() -> DataBlock {
         DataBlock::new(BlockId(3), "fluid")

@@ -98,16 +98,7 @@ impl Dataset {
     /// Approximate total encoded size: payload plus metadata (name, shape,
     /// attributes). Used by the storage and format cost models.
     pub fn encoded_size(&self) -> usize {
-        let meta = 2 + self.name.len() // name length prefix + name
-            + 1 + self.shape.len() * 8 // rank + extents
-            + 1 // dtype tag
-            + 2 // attr count
-            + self
-                .attrs
-                .iter()
-                .map(|(k, v)| 2 + k.len() + v.encoded_size())
-                .sum::<usize>();
-        meta + self.byte_len()
+        self.desc().encoded_size()
     }
 }
 

@@ -15,6 +15,9 @@
 //! * [`DataBlock`] — the paper's *data block*: "a collection of arrays and
 //!   metadata associated with the arrays … the unit of work distributed to
 //!   the compute processors" (§4);
+//! * [`BlockDesc`] — a data block described instead of built: what the
+//!   encoder and the checksum read, from a `DataBlock` or straight from a
+//!   pane;
 //! * [`AttrValue`] — typed metadata attribute values;
 //! * [`SnapshotId`] and file-naming helpers for periodic output phases;
 //! * [`RocError`] — the workspace-wide error type.
@@ -28,6 +31,7 @@ pub mod attr;
 pub mod block;
 pub mod checksum;
 pub mod dataset;
+pub mod desc;
 pub mod dtype;
 pub mod error;
 pub mod le;
@@ -43,10 +47,11 @@ pub mod units;
 /// no dependency of their own.
 pub use bytes::Bytes;
 
-pub use attr::{AttrValue, AttrView};
+pub use attr::{Attr, AttrValue, AttrView};
 pub use block::{BlockId, DataBlock};
 pub use checksum::Checksum;
 pub use dataset::Dataset;
+pub use desc::{Attrs, BlockDesc, DatasetDesc, Payload};
 pub use dtype::{ArrayData, DType, SharedArray};
 pub use error::{Result, RocError};
 pub use rope::{Cursor, Rope};

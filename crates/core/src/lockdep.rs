@@ -44,16 +44,18 @@ mod witness {
         static HELD: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
     }
 
+    /// Records against the held stack where it lies: an acquisition
+    /// allocates nothing once its thread's stack has grown, so a witness
+    /// run makes the allocator calls a plain run makes (the copy budget
+    /// counts them under both).
     pub(super) fn acquire(name: &'static str) {
-        let held: Vec<&'static str> = HELD.with(|h| {
-            let mut v = h.borrow_mut();
-            let snapshot = v.clone();
-            v.push(name);
-            snapshot
+        HELD.with(|h| {
+            let mut held = h.borrow_mut();
+            if !held.is_empty() {
+                record_edges(&held, name);
+            }
+            held.push(name);
         });
-        if !held.is_empty() {
-            record_edges(&held, name);
-        }
     }
 
     pub(super) fn release(name: &'static str) {

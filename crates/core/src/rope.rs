@@ -1,11 +1,12 @@
 //! The workspace's one rope: a byte string held as an ordered list of
 //! refcounted parts.
 //!
-//! A snapshot byte is materialised once (`roccom::convert::pane_to_block`)
-//! and from there on only *referred to*: a message is the rope of its
-//! header runs and payload views (`rocnet`), a file image is the rope of
-//! the extents appended to it (`rocstore`), and a decoder walks either with
-//! a [`Cursor`] whose payload reads are windows of the parts, not copies.
+//! A snapshot byte is materialised once (`rocsdf::encode_block` of a pane
+//! described where it lies) and from there on only *referred to*: a
+//! message is the rope of its header runs and payload views (`rocnet`), a
+//! file image is the rope of the extents appended to it (`rocstore`), and
+//! a decoder walks either with a [`Cursor`] whose payload reads are
+//! windows of the parts, not copies.
 //! Parts are immutable [`Bytes`]: cloning, slicing and selecting a rope
 //! move handles, never bytes, and whatever was cut from a rope keeps
 //! reading what it read when it was cut.
@@ -112,7 +113,7 @@ impl Rope {
 
     /// Make room for `more` parts with one allocation instead of the
     /// list's amortised growth.
-    fn reserve(&mut self, more: usize) {
+    pub fn reserve(&mut self, more: usize) {
         if let Parts::Many(list) = &mut self.parts {
             return Arc::make_mut(list).reserve(more);
         }

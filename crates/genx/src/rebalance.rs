@@ -13,7 +13,7 @@
 use rocio_core::{Cursor, Result, SnapshotId};
 use rocnet::Comm;
 use roccom::{convert, AttrRef, Windows};
-use rocpanda::wire::BlockMsg;
+use rocpanda::wire::{self, BlockMsg};
 
 /// Tag used for migrated panes on the compute communicator.
 const MIGRATE_TAG: u32 = 0x0060_0010;
@@ -128,13 +128,10 @@ pub fn rebalance(
         if *from == me {
             let w = windows.window_mut(window)?;
             let pane = w.remove_pane(rocio_core::BlockId(*id))?;
-            let block = convert::pane_to_block(windows.window(window)?, &pane, &AttrRef::All)?;
-            let msg = BlockMsg {
-                snap: SnapshotId::new(0, 0), // routing only
-                window: window.clone(),
-                block,
-            };
-            comm.send_rope(*to, MIGRATE_TAG, msg.encode())?;
+            let layout = convert::plan(windows.window(window)?, &pane, &AttrRef::All)?;
+            // The snapshot is routing only.
+            let wire = wire::encode_block_msg(SnapshotId::new(0, 0), window, &layout);
+            comm.send_rope(*to, MIGRATE_TAG, wire)?;
         }
     }
     // Receive incoming panes. Arrival order may differ from plan order

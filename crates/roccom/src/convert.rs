@@ -8,19 +8,25 @@
 //! block attributes so the pane can be reconstructed exactly.
 //!
 //! This module is where Roccom's line between typed panes and
-//! format-independent blocks (§5) is crossed: [`pane_to_block`] encodes a
-//! pane's typed arrays to little-endian once, [`apply_block`] and
-//! [`mesh_from_block`] decode them back once, and nothing between the two
-//! — wire, buffers, records, store — holds a typed array. A caller that
-//! wants a pane's checksum and not its block ([`pane_checksum`]) crosses
-//! nothing: the pane is hashed where it lies.
+//! format-independent blocks (§5) is crossed. On the way out nothing is
+//! built: [`plan`] describes the block a pane serializes into
+//! (`rocio_core::BlockDesc`) by pointing into the pane and its window's
+//! schema, and a writer has that description laid out
+//! (`rocsdf::encode_block`), the pane's typed arrays encoded to
+//! little-endian once, straight into the block's payload image; a caller
+//! that wants a pane's checksum ([`pane_checksum`]) has it hashed where it
+//! lies. [`pane_to_block`] builds the same block as a [`DataBlock`], for
+//! the tests and benchmarks that hold the writers to it. On the way back
+//! [`apply_block`] and [`mesh_from_block`] decode a block once, and
+//! nothing between the two ends — wire, buffers, records, store — holds a
+//! typed array.
 
 use std::collections::BTreeMap;
 
-use rocio_core::checksum::{BlockHasher, Field};
+use rocio_core::checksum::Field;
 use rocio_core::{
-    le, ArrayData, AttrValue, Bytes, Checksum, DType, DataBlock, Dataset, Result, RocError,
-    SharedArray,
+    le, ArrayData, Attr, AttrValue, Attrs, BlockDesc, BlockId, Bytes, Checksum, DType, DataBlock,
+    Dataset, DatasetDesc, Payload, Result, RocError, SharedArray,
 };
 use rocmesh::StructuredBlock;
 
@@ -53,12 +59,15 @@ impl Elems<'_> {
             Elems::Array(a) => a.len(),
         }
     }
+}
 
+/// A dataset's payload is its elements' canonical little-endian encoding,
+/// made from the pane's own arrays when it is needed.
+impl Payload for Elems<'_> {
     fn byte_len(&self) -> usize {
         self.len() * self.dtype().size()
     }
 
-    /// Append the canonical little-endian encoding.
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             // Three elements at a time: too short a run for `le::extend`'s
@@ -74,9 +83,9 @@ impl Elems<'_> {
         }
     }
 
-    /// Feed the same encoding to a checksum field, a stack buffer at a
-    /// time, so the image [`Elems::encode`] would build is never held.
-    fn absorb_into(&self, field: &mut Field) {
+    /// A stack buffer at a time, so the image `encode` would build is never
+    /// held.
+    fn absorb(&self, field: &mut Field) {
         match self {
             Elems::Nodes(sb) => {
                 // `le::CHUNK` holds a whole number of points.
@@ -100,127 +109,208 @@ impl Elems<'_> {
     }
 }
 
-/// One dataset of the block a pane serializes into.
-struct Part<'a> {
-    name: &'a str,
-    shape: Vec<usize>,
-    elems: Elems<'a>,
-    /// The dataset's attributes: an attribute's `location`, nothing for a
-    /// mesh array.
-    attrs: BTreeMap<String, AttrValue>,
-}
-
-/// What [`pane_to_block`] builds and [`pane_checksum`] hashes: the block's
-/// own attributes and its datasets in order — mesh arrays (for `All` and
-/// `Mesh`; omitted for `Named`), then the selected attributes.
-fn plan<'a>(
+/// A pane described as the block it serializes into, without the block:
+/// [`BlockDesc`] read straight from the pane. The block's own attributes
+/// come from the pane's mesh, written in key order with no map; its
+/// datasets — mesh arrays (for `All` and `Mesh`; omitted for `Named`),
+/// then the selected attributes — are the pane's arrays, each named from
+/// the schema, shaped by an inline array and located by a `&'static str`.
+/// Making one allocates nothing, and neither does reading it: an encoder
+/// (`rocsdf::encode_block`) lays it out, [`pane_checksum`] hashes it and
+/// [`pane_to_block`] builds it.
+pub struct PaneLayout<'a> {
     window: &'a Window,
     pane: &'a Pane,
-    attr: &AttrRef,
-) -> Result<(BTreeMap<String, AttrValue>, Vec<Part<'a>>)> {
-    let mut attrs: BTreeMap<String, AttrValue> = BTreeMap::new();
-    attrs.insert("n_nodes".into(), AttrValue::Int(pane.mesh.n_nodes() as i64));
-    attrs.insert("n_elems".into(), AttrValue::Int(pane.mesh.n_elems() as i64));
-
-    let with_mesh = !matches!(attr, AttrRef::Named(_));
-    let mut parts: Vec<Part<'_>> = Vec::new();
-    let mut mesh_part = |name, shape, elems| {
-        if with_mesh {
-            parts.push(Part { name, shape, elems, attrs: BTreeMap::new() });
-        }
-    };
-    match &pane.mesh {
-        PaneMesh::Structured {
-            dims,
-            origin,
-            spacing,
-        } => {
-            attrs.insert("mesh_kind".into(), "structured".into());
-            attrs.insert(
-                "dims".into(),
-                AttrValue::IntVec(dims.iter().map(|&d| d as i64).collect()),
-            );
-            attrs.insert("origin".into(), AttrValue::FloatVec(origin.to_vec()));
-            attrs.insert("spacing".into(), AttrValue::FloatVec(spacing.to_vec()));
-            let sb = StructuredBlock::new(pane.id, *dims, *origin, *spacing);
-            mesh_part("nc", vec![pane.mesh.n_nodes(), 3], Elems::Nodes(sb));
-        }
-        PaneMesh::Unstructured { coords, conn } => {
-            attrs.insert("mesh_kind".into(), "unstructured".into());
-            mesh_part("nc", vec![pane.mesh.n_nodes(), 3], Elems::F64(coords));
-            mesh_part("conn", vec![pane.mesh.n_elems(), 4], Elems::I32(conn));
-        }
-    }
-
-    let selected: Vec<&AttrSpec> = match attr {
-        AttrRef::Mesh => Vec::new(),
-        AttrRef::All => window.schema().iter().collect(),
-        AttrRef::Named(name) => vec![window.attr_spec(name)?],
-    };
-    for spec in selected {
-        let buf = pane.data(&spec.name)?;
-        let count = buf.len() / spec.ncomp;
-        let shape = if spec.ncomp == 1 {
-            vec![count]
-        } else {
-            vec![count, spec.ncomp]
-        };
-        let location = match spec.location {
-            Location::Node => "node",
-            Location::Element => "element",
-            Location::Pane => "pane",
-        };
-        parts.push(Part {
-            name: &spec.name,
-            shape,
-            elems: Elems::Array(buf),
-            attrs: BTreeMap::from([("location".to_string(), location.into())]),
-        });
-    }
-    Ok((attrs, parts))
+    with_mesh: bool,
+    /// The selected attributes, in schema order.
+    selected: &'a [AttrSpec],
+    /// A structured pane's `dims`, as the integers they are stored as.
+    dims: [i64; 3],
 }
 
-/// Serialize one pane into a data block carrying the selected attributes.
+/// Describe the block `pane` of `window` serializes into under `attr`.
+pub fn plan<'a>(window: &'a Window, pane: &'a Pane, attr: &AttrRef) -> Result<PaneLayout<'a>> {
+    let selected = match attr {
+        AttrRef::Mesh => &[][..],
+        AttrRef::All => window.schema(),
+        AttrRef::Named(name) => std::slice::from_ref(window.attr_spec(name)?),
+    };
+    // A kernel may have replaced a buffer (`Pane::data_mut`) with one its
+    // shape cannot describe; that is refused here, before a header claims
+    // a shape its payload does not fill.
+    for spec in selected {
+        let len = pane.data(&spec.name)?.len();
+        if len % spec.ncomp != 0 {
+            return Err(RocError::Mismatch(format!(
+                "attribute '{}' of pane {}: {len} elements are not whole {}-component tuples",
+                spec.name, pane.id, spec.ncomp
+            )));
+        }
+    }
+    let dims = match &pane.mesh {
+        PaneMesh::Structured { dims, .. } => dims.map(|d| d as i64),
+        PaneMesh::Unstructured { .. } => [0; 3],
+    };
+    let with_mesh = !matches!(attr, AttrRef::Named(_));
+    Ok(PaneLayout {
+        window,
+        pane,
+        with_mesh,
+        selected,
+        dims,
+    })
+}
+
+/// Hand one dataset of a pane to a reader.
+fn describe(
+    f: &mut impl FnMut(&DatasetDesc<'_>),
+    name: &str,
+    shape: &[usize],
+    attrs: Attrs<'_>,
+    elems: Elems<'_>,
+) {
+    f(&DatasetDesc {
+        name,
+        dtype: elems.dtype(),
+        shape,
+        attrs,
+        payload: &elems,
+    });
+}
+
+impl BlockDesc for PaneLayout<'_> {
+    fn id(&self) -> BlockId {
+        self.pane.id
+    }
+
+    fn window(&self) -> &str {
+        self.window.name()
+    }
+
+    fn with_attrs<R>(&self, f: impl FnOnce(Attrs<'_>) -> R) -> R {
+        let mesh = &self.pane.mesh;
+        let n_elems = ("n_elems", Attr::Int(mesh.n_elems() as i64));
+        let n_nodes = ("n_nodes", Attr::Int(mesh.n_nodes() as i64));
+        match mesh {
+            PaneMesh::Structured {
+                origin, spacing, ..
+            } => f(Attrs::Sorted(&[
+                ("dims", Attr::IntVec(&self.dims)),
+                ("mesh_kind", Attr::Str("structured")),
+                n_elems,
+                n_nodes,
+                ("origin", Attr::FloatVec(origin)),
+                ("spacing", Attr::FloatVec(spacing)),
+            ])),
+            PaneMesh::Unstructured { .. } => f(Attrs::Sorted(&[
+                ("mesh_kind", Attr::Str("unstructured")),
+                n_elems,
+                n_nodes,
+            ])),
+        }
+    }
+
+    fn n_datasets(&self) -> usize {
+        let mesh = match (self.with_mesh, &self.pane.mesh) {
+            (false, _) => 0,
+            (true, PaneMesh::Structured { .. }) => 1,
+            (true, PaneMesh::Unstructured { .. }) => 2,
+        };
+        mesh + self.selected.len()
+    }
+
+    fn for_each_dataset(&self, mut f: impl FnMut(&DatasetDesc<'_>)) {
+        let (pane, f) = (self.pane, &mut f);
+        if self.with_mesh {
+            let nc = [pane.mesh.n_nodes(), 3];
+            match &pane.mesh {
+                PaneMesh::Structured {
+                    dims,
+                    origin,
+                    spacing,
+                } => {
+                    let sb = StructuredBlock::new(pane.id, *dims, *origin, *spacing);
+                    describe(f, "nc", &nc, Attrs::NONE, Elems::Nodes(sb));
+                }
+                PaneMesh::Unstructured { coords, conn } => {
+                    describe(f, "nc", &nc, Attrs::NONE, Elems::F64(coords));
+                    let shape = [pane.mesh.n_elems(), 4];
+                    describe(f, "conn", &shape, Attrs::NONE, Elems::I32(conn));
+                }
+            }
+        }
+        for spec in self.selected {
+            // `plan` found every selected buffer, whole tuples long.
+            let Ok(buf) = pane.data(&spec.name) else {
+                continue;
+            };
+            let shape = [buf.len() / spec.ncomp, spec.ncomp];
+            let shape = if spec.ncomp == 1 {
+                &shape[..1]
+            } else {
+                &shape[..]
+            };
+            let location = match spec.location {
+                Location::Node => "node",
+                Location::Element => "element",
+                Location::Pane => "pane",
+            };
+            let attrs = Attrs::Sorted(&[("location", Attr::Str(location))]);
+            describe(f, &spec.name, shape, attrs, Elems::Array(buf));
+        }
+    }
+}
+
+/// Serialize one pane into a data block carrying the selected attributes:
+/// the [`plan`], built.
 ///
 /// The pane's arrays are little-endian encoded **once**, into one
 /// exact-capacity buffer per block, and every dataset's payload is a
-/// window of it: checksumming, record encoding and
-/// the store's extent list all work on those bytes in place, so this is
-/// the only copy a snapshot byte sees before the wire or the file.
+/// window of it. The write path does not take this road — writers encode
+/// the [`plan`] itself — but tests and benchmarks hold it up as the
+/// reference: `encode_block` of this block is byte for byte `encode_block`
+/// of the plan.
 pub fn pane_to_block(window: &Window, pane: &Pane, attr: &AttrRef) -> Result<DataBlock> {
-    let (attrs, parts) = plan(window, pane, attr)?;
+    let layout = plan(window, pane, attr)?;
+    // Inserted one by one: `collect` would stage the pairs in a `Vec`.
+    let owned = |attrs: Attrs<'_>| {
+        let mut map = BTreeMap::new();
+        for (k, v) in attrs.iter() {
+            map.insert(k.to_owned(), v.to_value());
+        }
+        map
+    };
     let mut block = DataBlock::new(pane.id, window.name());
-    block.attrs = attrs;
-
-    let mut image = Vec::with_capacity(parts.iter().map(|p| p.elems.byte_len()).sum());
-    for p in &parts {
-        p.elems.encode(&mut image);
-    }
+    block.attrs = layout.with_attrs(owned);
+    let mut len = 0;
+    layout.for_each_dataset(|ds| len += ds.payload.byte_len());
+    let mut image = Vec::with_capacity(len);
+    layout.for_each_dataset(|ds| ds.payload.encode(&mut image));
     let image = Bytes::from(image);
-    let mut at = 0;
-    for p in parts {
-        let end = at + p.elems.byte_len();
-        let data = SharedArray::new(p.elems.dtype(), p.elems.len(), image.slice(at..end))?;
-        at = end;
-        let mut ds = Dataset::new(p.name, p.shape, data)?;
-        ds.attrs = p.attrs;
-        block.push_dataset(ds)?;
-    }
+    let (mut datasets, mut at) = (Vec::with_capacity(layout.n_datasets()), 0);
+    layout.for_each_dataset(|ds| {
+        let bytes = image.slice(at..at + ds.payload.byte_len());
+        at += bytes.len();
+        datasets.push(
+            SharedArray::new(ds.dtype, bytes.len() / ds.dtype.size(), bytes)
+                .and_then(|data| Dataset::new(ds.name, ds.shape.to_vec(), data))
+                .map(|d| Dataset {
+                    attrs: owned(ds.attrs),
+                    ..d
+                }),
+        );
+    });
+    block.datasets = datasets.into_iter().collect::<Result<_>>()?;
     Ok(block)
 }
 
 /// `Checksum::of_block(&pane_to_block(window, pane, attr)?)`, bit for bit,
-/// without the block: the pane's arrays are read where they lie and pass
-/// through a stack buffer on their way into the hash. For a caller that
-/// compares states (restart verification, `RestartReport::state_hash`) and
-/// ships nothing.
+/// without the block: the [`plan`] hashed, the pane's arrays read where
+/// they lie and passed through a stack buffer on their way into the hash.
+/// For a caller that compares states (restart verification,
+/// `RestartReport::state_hash`) and ships nothing.
 pub fn pane_checksum(window: &Window, pane: &Pane, attr: &AttrRef) -> Result<Checksum> {
-    let (attrs, parts) = plan(window, pane, attr)?;
-    let mut h = BlockHasher::new(pane.id, window.name(), &attrs, parts.len());
-    for p in &parts {
-        h.dataset(p.name, p.elems.dtype(), &p.shape, &p.attrs, |field| p.elems.absorb_into(field));
-    }
-    Ok(h.finish())
+    Ok(Checksum::of_desc(&plan(window, pane, attr)?))
 }
 
 /// Serialize the selected attributes of every local pane of a window.
@@ -378,7 +468,6 @@ pub fn apply_block(window: &mut Window, block: &DataBlock) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rocio_core::BlockId;
     use rocmesh::UnstructuredBlock;
 
     fn fluid_window() -> Window {
@@ -471,6 +560,26 @@ mod tests {
         assert_eq!(block.dataset("nc").unwrap().data.to_typed(), ArrayData::F64(sb.node_coords()));
     }
 
+    /// A buffer a kernel replaced with one that is not whole tuples long is
+    /// refused on the way out, by the plan every writer encodes, before a
+    /// header could claim a shape its payload does not fill.
+    #[test]
+    fn a_torn_buffer_is_a_mismatch_before_anything_is_encoded() {
+        let mut w = fluid_window();
+        *w.pane_mut(BlockId(4)).unwrap().data_mut("velocity").unwrap() =
+            ArrayData::F64(vec![0.0; 53]);
+        let pane = w.pane(BlockId(4)).unwrap();
+        for attr in [AttrRef::All, AttrRef::Named("velocity".into())] {
+            assert!(matches!(plan(&w, pane, &attr), Err(RocError::Mismatch(_))), "{attr:?}");
+            assert!(matches!(pane_checksum(&w, pane, &attr), Err(RocError::Mismatch(_))));
+            assert!(matches!(pane_to_block(&w, pane, &attr), Err(RocError::Mismatch(_))));
+        }
+        // The other selections do not read the torn buffer.
+        for attr in [AttrRef::Mesh, AttrRef::Named("pressure".into())] {
+            plan(&w, pane, &attr).unwrap();
+        }
+    }
+
     #[test]
     fn round_trip_through_apply_block() {
         let mut w = fluid_window();
@@ -533,13 +642,20 @@ mod tests {
         }
     }
 
-    /// The equality `state_hash` rests on: a pane hashed where it lies is
-    /// its block hashed — every selector, both mesh kinds, every dtype, and
-    /// arrays shorter than, as long as and longer than one `le::CHUNK` run
-    /// (503–505 `f64`, 1007–1009 `i32`/`f32`, 4031–4033 `u8`; the
-    /// structured panes carry 8 to 2 058 nodes of 24 bytes).
+    /// The equalities the write path and `state_hash` rest on: a pane
+    /// described where it lies ([`plan`]) is its block — hashed, sized, and
+    /// encoded by `rocsdf::encode_block` byte for byte, behind a lead, with
+    /// the payloads windows of one buffer laid end to end — for every
+    /// selector, both mesh kinds, every dtype, and arrays shorter than, as
+    /// long as and longer than one `le::CHUNK` run (503–505 `f64`,
+    /// 1007–1009 `i32`/`f32`, 4031–4033 `u8`; the structured panes carry 8
+    /// to 2 058 nodes of 24 bytes).
     #[test]
     fn a_pane_hashed_in_place_is_its_block_hashed() {
+        let flat = |rope: &rocio_core::Rope| -> Vec<u8> {
+            rope.parts().iter().flat_map(|p| p.to_vec()).collect()
+        };
+        let lead = b"routing header".as_slice();
         let dtypes = [DType::U8, DType::I32, DType::I64, DType::F32, DType::F64];
         let typed = |dtype: DType, n: usize| -> ArrayData {
             let x = |i: usize| (i * 37 + 11) % 251;
@@ -581,13 +697,37 @@ mod tests {
                 let pane = w.pane(BlockId(2)).unwrap();
                 let named = dtypes.map(|d| AttrRef::Named(d.name().into()));
                 for attr in [AttrRef::All, AttrRef::Mesh].iter().chain(&named) {
+                    let case = format!("{attr:?}, {n} elements, {} nodes", pane.mesh.n_nodes());
                     let block = pane_to_block(&w, pane, attr).unwrap();
                     assert_eq!(
                         pane_checksum(&w, pane, attr).unwrap(),
                         Checksum::of_block(&block),
-                        "{attr:?}, {n} elements, {} nodes",
-                        pane.mesh.n_nodes()
+                        "{case}"
                     );
+                    let layout = plan(&w, pane, attr).unwrap();
+                    assert_eq!(layout.encoded_size(), block.encoded_size(), "{case}");
+                    let direct = rocsdf::encode_block(lead, &layout);
+                    assert_eq!(
+                        flat(&direct),
+                        flat(&rocsdf::encode_block(lead, &block)),
+                        "{case}"
+                    );
+                    // Header runs and payloads alternate; every payload is
+                    // non-empty here, and they lie end to end in one buffer.
+                    let payloads: Vec<&[u8]> = direct
+                        .parts()
+                        .iter()
+                        .skip(1)
+                        .step_by(2)
+                        .map(|p| &p[..])
+                        .collect();
+                    assert_eq!(payloads.len(), block.datasets.len(), "{case}");
+                    for (got, ds) in payloads.iter().zip(&block.datasets) {
+                        assert_eq!(*got, &ds.data.bytes()[..], "{case}: {}", ds.name);
+                    }
+                    for pair in payloads.windows(2) {
+                        assert_eq!(pair[0].as_ptr_range().end, pair[1].as_ptr(), "{case}");
+                    }
                 }
             }
         }

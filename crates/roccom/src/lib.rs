@@ -32,7 +32,7 @@
 //! ## Example: register data, serialize a pane
 //!
 //! ```
-//! use rocio_core::{ArrayData, BlockId, DType};
+//! use rocio_core::{ArrayData, BlockDesc, BlockId, DType};
 //! use roccom::{convert, AttrRef, AttrSpec, PaneMesh, Windows};
 //!
 //! let mut ws = Windows::new();
@@ -48,13 +48,14 @@
 //!     .set_data("pressure", ArrayData::F64(vec![101_325.0; 8]))
 //!     .unwrap();
 //!
-//! // What an I/O module ships or writes:
-//! let block = convert::pane_to_block(
-//!     ws.window("fluid").unwrap(),
-//!     ws.window("fluid").unwrap().pane(BlockId(7)).unwrap(),
-//!     &AttrRef::All,
-//! )
-//! .unwrap();
+//! // What an I/O module ships or writes: the pane described as a block,
+//! // read where it lies (`rocsdf::encode_block` lays it out) ...
+//! let fluid = ws.window("fluid").unwrap();
+//! let pane = fluid.pane(BlockId(7)).unwrap();
+//! let layout = convert::plan(fluid, pane, &AttrRef::All).unwrap();
+//! assert_eq!(layout.n_datasets(), 2); // nc, pressure
+//! // ... and the same block built, for a caller that wants to hold it.
+//! let block = convert::pane_to_block(fluid, pane, &AttrRef::All).unwrap();
 //! assert_eq!(block.dataset("pressure").unwrap().len(), 8);
 //! ```
 

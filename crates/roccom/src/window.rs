@@ -253,11 +253,21 @@ impl Window {
     /// modules may declare attributes in any order relative to pane
     /// registration, which is what lets independently developed modules
     /// extend each other's windows.
+    ///
+    /// `nc` and `conn` are refused: they name the mesh datasets a pane's
+    /// block carries beside its attributes (`crate::convert`), and a block
+    /// holds each name once.
     pub fn declare_attr(&mut self, spec: AttrSpec) -> Result<()> {
         if spec.ncomp == 0 {
             return Err(RocError::Config(format!(
                 "attribute '{}' must have >=1 component",
                 spec.name
+            )));
+        }
+        if MESH_DATASETS.contains(&spec.name.as_str()) {
+            return Err(RocError::Config(format!(
+                "attribute '{}' in window '{}': the name of a mesh dataset",
+                spec.name, self.name
             )));
         }
         if self.schema.iter().any(|s| s.name == spec.name) {
@@ -415,6 +425,10 @@ impl Window {
     }
 }
 
+/// The dataset names a pane's mesh takes in its block: node coordinates,
+/// tetrahedral connectivity.
+const MESH_DATASETS: [&str; 2] = ["nc", "conn"];
+
 /// Buffer length for an attribute on a mesh, or [`RocError::Corrupt`] for
 /// a buffer whose bytes no allocation could hold.
 fn buffer_len(spec: &AttrSpec, mesh: &PaneMesh) -> Result<usize> {
@@ -525,6 +539,26 @@ mod tests {
         plain.register_pane(BlockId(1), small_mesh()).unwrap();
         plain.register_pane(BlockId(3), small_mesh()).unwrap();
         assert_eq!(w, plain);
+    }
+
+    /// A block holds its pane's mesh as `nc` (and `conn`) beside the
+    /// attributes; an attribute of either name used to be declared, and
+    /// every snapshot of the window then failed on the duplicate.
+    #[test]
+    fn mesh_dataset_names_are_refused_as_attributes() {
+        let mut w = Window::new("w");
+        w.register_pane(BlockId(1), small_mesh()).unwrap();
+        for name in ["nc", "conn"] {
+            let declared = w.declare_attr(AttrSpec::node(name, DType::F64, 3));
+            assert!(
+                matches!(declared, Err(RocError::Config(_))),
+                "{name}: {declared:?}"
+            );
+        }
+        assert!(w.schema().is_empty());
+        assert!(w.pane(BlockId(1)).unwrap().data("nc").is_err());
+        w.declare_attr(AttrSpec::node("nc_old", DType::F64, 3))
+            .unwrap();
     }
 
     #[test]

@@ -5,12 +5,12 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 
 use rocio_core::lockdep::{Condvar, Mutex};
-use rocio_core::{DataBlock, Result, RocError, SimTime, SnapshotId};
+use rocio_core::{Result, RocError, SimTime, SnapshotId};
 use rocnet::{Comm, VClock};
 use rocstore::SharedFs;
 
 use crate::config::RochdfConfig;
-use crate::rochdf::{read_attribute, retire, write_snapshot_file};
+use crate::rochdf::{encode_panes, read_attribute, retire, write_snapshot_file, Records};
 use roccom::{AttrSelector, IoService, Windows};
 
 /// Modelled memory-copy bandwidth (bytes/s) for buffering output into
@@ -29,7 +29,8 @@ fn copy_cost(bytes: usize, n_blocks: usize) -> f64 {
 enum Job {
     Write {
         path: String,
-        blocks: Vec<DataBlock>,
+        /// Each pane's block, laid out as its records on the main thread.
+        blocks: Vec<Records>,
         /// Virtual time at which the main thread finished buffering.
         issue: SimTime,
     },
@@ -52,8 +53,9 @@ struct Shared {
 }
 
 /// The multi-threaded Rochdf: `write_attribute` copies pane data into
-/// local buffers and returns; a background thread performs the actual
-/// format encoding and file writes. Blocking-I/O semantics are preserved —
+/// local buffers — each pane's block laid out as its records, the one copy
+/// of its payload — and returns; a background thread frames the records
+/// and performs the file writes. Blocking-I/O semantics are preserved —
 /// callers may reuse their buffers immediately — and the main thread only
 /// waits if the previous snapshot is still being written.
 pub struct TRochdf<'a> {
@@ -181,15 +183,13 @@ impl IoService for TRochdf<'_> {
             self.drain()?;
             self.last_snap = Some(snap);
         }
-        let window = windows.window(&sel.window)?;
-        let blocks = roccom::convert::window_to_blocks(window, &sel.attr)?;
+        let (blocks, bytes) = encode_panes(windows.window(&sel.window)?, &sel.attr)?;
         if blocks.is_empty() {
             return Ok(());
         }
         // All ranks' I/O threads write concurrently in the background.
         self.fs.declare_writers(self.comm.size());
         // The only visible cost: the local buffer copy.
-        let bytes: usize = blocks.iter().map(|b| b.encoded_size()).sum();
         self.comm.clock().advance(copy_cost(bytes, blocks.len()));
         let path = self.cfg.path(&sel.window, snap, self.comm.rank());
         *self.shared.outstanding.lock() += 1;
@@ -273,6 +273,81 @@ mod tests {
         let slow = copy_cost(80_000_000, 1);
         assert!((slow - (1.0 + 40e-6)).abs() < 1e-9);
         assert!(copy_cost(1000, 10) > copy_cost(1000, 1));
+    }
+
+    /// The buffer copy is charged for what the blocks would take built
+    /// (`DataBlock::encoded_size`), though none is built: a pane's records
+    /// are encoded where it lies. Both mesh kinds, every selector.
+    #[test]
+    fn the_buffer_copy_is_charged_for_the_blocks_encoded_size() {
+        let mut ws = build_windows(0, 3);
+        let solid = ws.create_window("solid").unwrap();
+        solid
+            .declare_attr(AttrSpec::node("disp", DType::F64, 3))
+            .unwrap();
+        solid
+            .declare_attr(AttrSpec::pane("burn", DType::I32, 2))
+            .unwrap();
+        for id in [7, 9] {
+            let tets =
+                rocmesh::UnstructuredBlock::tet_box(BlockId(id), [2, 1, 1], [0.0; 3], [1.0; 3]);
+            solid.register_pane(BlockId(id), tets.into()).unwrap();
+        }
+        let fs = Arc::new(SharedFs::ideal());
+        for (window, named) in [("fluid", "pressure"), ("solid", "disp")] {
+            let w = ws.window(window).unwrap();
+            for attr in [
+                roccom::AttrRef::All,
+                roccom::AttrRef::Mesh,
+                roccom::AttrRef::Named(named.into()),
+            ] {
+                let built = roccom::convert::window_to_blocks(w, &attr).unwrap();
+                let want: usize = built.iter().map(rocio_core::DataBlock::encoded_size).sum();
+                let (blocks, bytes) = encode_panes(w, &attr).unwrap();
+                assert_eq!(
+                    (bytes, blocks.len()),
+                    (want, built.len()),
+                    "{window} {attr:?}"
+                );
+                let visible = run_ranks(1, ClusterSpec::ideal(1), |comm| {
+                    let mut io = TRochdf::new(Arc::clone(&fs), &comm, RochdfConfig::default());
+                    let sel = AttrSelector {
+                        window: window.into(),
+                        attr: attr.clone(),
+                    };
+                    io.write_attribute(&ws, &sel, SnapshotId::new(0, 0))
+                        .unwrap();
+                    let visible = io.visible_io();
+                    io.finalize().unwrap();
+                    visible
+                });
+                assert_eq!(
+                    visible[0],
+                    copy_cost(want, built.len()),
+                    "{window} {attr:?}"
+                );
+            }
+        }
+    }
+
+    /// A buffer that is not whole tuples long is `write_attribute`'s own
+    /// `Mismatch`, on the main thread, and nothing reaches the I/O thread.
+    #[test]
+    fn a_torn_buffer_fails_the_write_call_itself() {
+        let mut ws = build_windows(0, 1);
+        let w = ws.window_mut("fluid").unwrap();
+        w.declare_attr(AttrSpec::node("velocity", DType::F64, 3)).unwrap();
+        let velocity = w.pane_mut(BlockId(0)).unwrap().data_mut("velocity").unwrap();
+        *velocity = ArrayData::F64(vec![0.0; 3 * 64 - 2]);
+        let fs = Arc::new(SharedFs::ideal());
+        run_ranks(1, ClusterSpec::ideal(1), |comm| {
+            let mut io = TRochdf::new(Arc::clone(&fs), &comm, RochdfConfig::default());
+            let torn = io.write_attribute(&ws, &AttrSelector::all("fluid"), SnapshotId::new(0, 0));
+            assert!(matches!(torn, Err(RocError::Mismatch(_))), "{torn:?}");
+            io.finalize().unwrap();
+            assert_eq!(io.files_written(), 0);
+        });
+        assert!(fs.list("out/").is_empty());
     }
 
     fn build_windows(rank: usize, n_panes: usize) -> Windows {

@@ -298,7 +298,15 @@ mod tests {
     use rocio_core::{DType, Dataset, SnapshotId};
     use rocnet::cluster::ClusterSpec;
     use rocnet::run_ranks;
-    use crate::rochdf::write_snapshot_file;
+    use crate::rochdf::{write_snapshot_file, Records};
+
+    /// `blocks` laid out as the records a writer appends.
+    fn records_of(blocks: &[DataBlock]) -> Vec<Records> {
+        blocks
+            .iter()
+            .map(|b| (rocsdf::encode_block(&[], b), 1 + b.datasets.len()))
+            .collect()
+    }
 
     fn write_snapshot(fs: &SharedFs, n_writers: usize, blocks_per: usize) -> Vec<DataBlock> {
         let cfg = RochdfConfig::default();
@@ -315,7 +323,7 @@ mod tests {
                     )
                 })
                 .collect();
-            write_snapshot_file(fs, &path, cfg.lib, w as u64, &blocks, 0.0).unwrap();
+            write_snapshot_file(fs, &path, cfg.lib, w as u64, &records_of(&blocks), 0.0).unwrap();
             all.extend(blocks);
         }
         all
@@ -496,8 +504,8 @@ mod tests {
             .with_dataset(Dataset::vector("p", vec![1.0f64, 2.0]).with_attr("units", "Pa"))
             .with_attr("material", "gas");
         let fs = SharedFs::ideal();
-        let blocks = std::slice::from_ref(&block);
-        write_snapshot_file(&fs, "one.sdf", LibraryModel::Raw, 0, blocks, 0.0).unwrap();
+        let blocks = records_of(std::slice::from_ref(&block));
+        write_snapshot_file(&fs, "one.sdf", LibraryModel::Raw, 0, &blocks, 0.0).unwrap();
         let (r, t) = SdfFileReader::open(&fs, "one.sdf", LibraryModel::Raw, 0, 0.0).unwrap();
         let (raw, _) = r.read_blocks_raw(&[BlockId(7)], t).unwrap();
         (block, encode_block(BlockId(7), &raw[0].1).into_bytes())

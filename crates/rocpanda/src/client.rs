@@ -2,12 +2,12 @@
 
 use std::collections::HashSet;
 
-use rocio_core::{DataBlock, Result, RocError, ServiceErrorKind, SnapshotId, TenantId};
+use rocio_core::{BlockDesc, Result, RocError, ServiceErrorKind, SnapshotId, TenantId};
 use rocnet::Comm;
 
 use crate::config::RocpandaConfig;
 use crate::net::PandaNet;
-use crate::wire::{self, tag, BlockMsg, ReadReq, WriteReq};
+use crate::wire::{self, tag, ReadReq, WriteReq};
 use roccom::{AttrSelector, IoService, Windows};
 
 /// Modelled client-side bandwidth (bytes/s) of packing panes into block
@@ -72,7 +72,12 @@ impl<'a> PandaClient<'a> {
 
     /// Ship `blocks` of `window` to this client's server for `snap`:
     /// announce, send under the ack window, wait until all are buffered.
-    fn write_blocks(&mut self, window: &str, blocks: Vec<DataBlock>, snap: SnapshotId) -> Result<()> {
+    fn write_blocks(
+        &mut self,
+        window: &str,
+        blocks: &[impl BlockDesc],
+        snap: SnapshotId,
+    ) -> Result<()> {
         // Announce (collective: even a pane-less client announces, so the
         // server knows when a file is complete).
         let req = WriteReq {
@@ -84,14 +89,9 @@ impl<'a> PandaClient<'a> {
         let ack_window = self.cfg.ack_window.max(1);
         let mut in_flight = 0usize;
         for block in blocks {
-            let msg = BlockMsg {
-                snap,
-                window: window.to_owned(),
-                block,
-            };
-            // One staging buffer for the headers; the payloads go out by
-            // refcount, never assembled.
-            let wire = msg.encode();
+            // One staging buffer for the headers, one image for the
+            // payloads, encoded from the pane where it lies.
+            let wire = wire::encode_block_msg(snap, window, block);
             // Client-side packing cost.
             self.world.advance(wire.len() as f64 / CLIENT_PACK_BW);
             // Flow control: at most `ack_window` unacknowledged blocks.
@@ -124,8 +124,10 @@ impl IoService for PandaClient<'_> {
     ) -> Result<()> {
         let t_enter = self.world.now();
         let window = windows.window(&sel.window)?;
-        let blocks = roccom::convert::window_to_blocks(window, &sel.attr)?;
-        self.write_blocks(&sel.window, blocks, snap)?;
+        let panes = window
+            .panes()
+            .map(|pane| roccom::convert::plan(window, pane, &sel.attr));
+        self.write_blocks(&sel.window, &panes.collect::<Result<Vec<_>>>()?, snap)?;
         self.visible_io += self.world.now() - t_enter;
         Ok(())
     }
@@ -413,8 +415,10 @@ mod tests {
     }
 
     /// The copy census pinned by address: a snapshot byte is materialised
-    /// once, by `pane_to_block`, and the message, the server's buffer, the
-    /// staged record and the file's extent are all that one allocation.
+    /// once — here by `pane_to_block`, whose payloads a block's encoding
+    /// holds by refcount as it does a pane's payload image — and the
+    /// message, the server's buffer, the staged record and the file's
+    /// extent are all that one allocation.
     #[test]
     fn the_files_payload_extents_are_the_buffers_pane_to_block_made() {
         let fs = Arc::new(SharedFs::ideal());
@@ -429,7 +433,7 @@ mod tests {
                 .filter(|ds| !ds.is_empty())
                 .map(|ds| (ds.data.bytes().as_ptr() as usize, ds.byte_len()))
                 .collect();
-            c.write_blocks("fluid", blocks, snap).unwrap();
+            c.write_blocks("fluid", &blocks, snap).unwrap();
             c.sync().unwrap();
             c.finalize().unwrap();
             payloads
@@ -913,6 +917,30 @@ mod tests {
             assert_eq!(took(1), [4, 5, 2, 3], "read_cache {read_cache}");
             assert_eq!(fs.stats().read_ops == 0, read_cache);
         }
+    }
+
+    /// A buffer that is not whole tuples long is the writing client's
+    /// `Mismatch`, found before the snapshot is announced: the server never
+    /// sees a record whose header and payload disagree, and goes on serving.
+    #[test]
+    fn a_torn_buffer_fails_on_the_client_and_the_server_serves_on() {
+        let fs = Arc::new(SharedFs::ideal());
+        let snap = SnapshotId::new(0, 0);
+        run_job(&fs, &RocpandaConfig::default(), &[0], &ideal(2), |_, c, app| {
+            let mut ws = build_windows(app.rank(), 2);
+            let w = ws.window_mut("fluid").unwrap();
+            w.declare_attr(AttrSpec::node("velocity", DType::F64, 3)).unwrap();
+            let velocity = w.pane_mut(BlockId(1)).unwrap().data_mut("velocity").unwrap();
+            *velocity = ArrayData::F64(vec![0.0; 3 * 64 - 1]);
+            let torn = c.write_attribute(&ws, &AttrSelector::all("fluid"), snap);
+            assert!(matches!(torn, Err(rocio_core::RocError::Mismatch(_))), "{torn:?}");
+            let w = ws.window_mut("fluid").unwrap();
+            let velocity = w.pane_mut(BlockId(1)).unwrap().data_mut("velocity").unwrap();
+            *velocity = ArrayData::F64(vec![0.0; 3 * 64]);
+            c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
+            c.finalize().unwrap();
+        });
+        assert_eq!(fs.list("out/").len(), 1);
     }
 
     /// Clients with zero panes still participate collectively.

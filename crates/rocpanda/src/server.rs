@@ -430,8 +430,8 @@ impl<'a> PandaServer<'a> {
         // writes — and framed as the file records it becomes. Headers are
         // copied into one staging buffer per block; payloads stay
         // refcounted windows of the message's parts — the client's own
-        // block buffer — so between `pane_to_block` and the file image
-        // no snapshot byte is copied and no record is re-encoded:
+        // payload image — so between the client's encode and the file
+        // image no snapshot byte is copied and no record is re-encoded:
         // buffering, the read cache and the drain all hold that one rope.
         let BlockWire { snap, window, frame } = BlockWire::parse(wire)?;
         let key = self.file(FileKey { tenant, snap, window });

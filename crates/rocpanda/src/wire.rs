@@ -4,11 +4,14 @@
 //! off a probe without touching the payload); fields are encoded
 //! little-endian in the payload. Data blocks travel as sequences of SDF
 //! dataset records — the same self-describing encoding the files use,
-//! laid out by the same block encoder (`rocsdf::encode_block`): a
-//! [`BlockMsg`] has one encode (a rope — its routing header and record
-//! headers in one staging buffer, its payloads the block's own buffers;
-//! `send_rope` sends it) and one decode (payloads are windows of the
-//! received message's parts — the sender's own buffers). Only the ends of
+//! laid out by the same block encoder (`rocsdf::encode_block`): a block
+//! message has one encode, [`encode_block_msg`] (a rope — its routing
+//! header and record headers in one staging buffer, its payloads the
+//! block's own buffers; `send_rope` sends it), which a client and
+//! `genx::rebalance` call on a pane described where it lies and
+//! [`BlockMsg::encode`] on a built block, and one decode, into a
+//! [`BlockMsg`] (payloads are windows of the received message's parts —
+//! the sender's own buffers). Only the ends of
 //! the path decode: a client taking a `READ_BATCH` in, `genx::rebalance`
 //! taking a migrated block. The server in the middle reads a `BLOCK` message as a
 //! [`BlockWire`] — routed, held to every check the decode makes and to
@@ -22,7 +25,7 @@
 //! `put_name` / `read_name`.
 
 use bytes::Bytes;
-use rocio_core::{Cursor, DataBlock, Result, RocError, Rope, Segment, SnapshotId};
+use rocio_core::{BlockDesc, Cursor, DataBlock, Result, RocError, Rope, Segment, SnapshotId};
 use rocsdf::format::{block_from_records, decode_dataset, frame_block, BlockFrame};
 use rocsdf::{encode_block, SegmentPool};
 
@@ -178,11 +181,7 @@ impl BlockMsg {
     /// its staging buffer, the payloads ride along by refcount, so send the
     /// rope with `send_rope` and no payload byte is copied on the way.
     pub fn encode(&self) -> Rope {
-        // Snapshot (12 bytes), window (2 + its length), record count (4).
-        let mut head = Vec::with_capacity(18 + self.window.len());
-        put_name(&mut head, self.snap, None, &self.window);
-        head.extend_from_slice(&(1 + self.block.datasets.len() as u32).to_le_bytes());
-        encode_block(head, &self.block)
+        encode_block_msg(self.snap, &self.window, &self.block)
     }
 
     /// [`BlockMsg::encode`] as a segment list: its parts, shared. The pool
@@ -209,6 +208,21 @@ impl BlockMsg {
     pub fn decode_shared(bytes: &Bytes) -> Result<Self> {
         BlockMsg::decode(&mut bytes.into())
     }
+}
+
+/// The `BLOCK` message of any block description — a [`DataBlock`]
+/// ([`BlockMsg::encode`]), or a pane described where it lies
+/// (`roccom::convert::plan`), which is how a client and `genx::rebalance`
+/// send one: the routing header `(snap, window)` and the record count, then
+/// the records [`encode_block`] lays out behind it in the same staging
+/// buffer. A pane's arrays are encoded once, into the block's payload
+/// image; nothing else is built.
+pub fn encode_block_msg(snap: SnapshotId, window: &str, block: &(impl BlockDesc + ?Sized)) -> Rope {
+    // Snapshot (12 bytes), window (2 + its length), record count (4).
+    let mut routing = Vec::with_capacity(18 + window.len());
+    put_name(&mut routing, snap, None, window);
+    routing.extend_from_slice(&(1 + block.n_datasets() as u32).to_le_bytes());
+    encode_block(&routing, block)
 }
 
 /// The routing header every block message starts with: snapshot, window,

@@ -21,7 +21,8 @@
 //!
 //! A block is laid out once: [`encode_block`] writes its records — the
 //! wire form, without checksums — into one staging buffer with the
-//! payloads between them by refcount, and every producer starts there (a
+//! payloads between them, read from a description of the block (a pane
+//! where it lies, or a [`DataBlock`]), and every producer starts there (a
 //! Rocpanda message puts its routing header in front, a file writer frames
 //! the records and fills the checksums in). The header walk hands what it
 //! reads to a sink, and there are two. A *reader* builds the owned header
@@ -31,7 +32,7 @@
 //! wire image lacks only each record's `__crc32__` entry, see below), and
 //! [`crate::SdfFileWriter::append_frame`] writes that [`BlockFrame`] —
 //! for a Rocpanda server, which never holds a [`DataBlock`], and for
-//! [`crate::SdfFileWriter::append_block`] alike. The copy is the file
+//! [`crate::SdfFileWriter::append_records`] alike. The copy is the file
 //! image only if the input is what the one encoder writes, so that is
 //! what `frame_block` accepts.
 //!
@@ -55,8 +56,8 @@ use std::ops::Range;
 
 use bytes::Bytes;
 use rocio_core::{
-    AttrValue, AttrView, BlockId, Cursor, DType, DataBlock, Dataset, Result, RocError, Rope,
-    Segment, SharedArray,
+    Attr, AttrValue, AttrView, BlockDesc, BlockId, Cursor, DType, DataBlock, Dataset, DatasetDesc,
+    Result, RocError, Rope, Segment, SharedArray,
 };
 
 /// File magic, also used as the trailer sentinel.
@@ -235,9 +236,10 @@ pub fn payload_crc32(ds: &Dataset) -> u32 {
     crc32(ds.data.bytes())
 }
 
-/// Dataset-name prefix for a block's group of datasets.
+/// Dataset-name prefix for a block's group of datasets (`blk`, at least
+/// six digits, `/`), spelled by the encoder's stack `Prefix` and owned.
 pub fn block_prefix(id: BlockId) -> String {
-    format!("blk{:06}/", id.0)
+    Prefix::new(id).as_str().to_owned()
 }
 
 /// Parse a block id out of a prefixed dataset name.
@@ -287,7 +289,7 @@ fn put_name16(out: &mut Vec<u8>, pieces: &[&str]) {
     }
 }
 
-fn encode_attr_entry(k: &str, v: &AttrValue, out: &mut Vec<u8>) {
+fn encode_attr_entry(k: &str, v: Attr<'_>, out: &mut Vec<u8>) {
     put_str16(out, k);
     v.encode(out);
 }
@@ -298,22 +300,22 @@ fn encode_attr_entry(k: &str, v: &AttrValue, out: &mut Vec<u8>) {
 /// position within the attribute table, replacing any existing entry, so
 /// the output is byte-identical to encoding a dataset that carried the
 /// attribute in its `BTreeMap`.
-fn put_record_head(head: &mut Vec<u8>, name: &[&str], ds: &Dataset, crc: Option<u32>) {
+fn put_record_head(head: &mut Vec<u8>, name: &[&str], ds: &DatasetDesc<'_>, crc: Option<u32>) {
     head.extend_from_slice(DS_MARKER);
     put_name16(head, name);
-    head.push(ds.dtype().tag());
+    head.push(ds.dtype.tag());
     head.push(ds.shape.len() as u8);
-    for &e in &ds.shape {
+    for &e in ds.shape {
         head.extend_from_slice(&(e as u64).to_le_bytes());
     }
-    let crc_attr = crc.map(|c| AttrValue::Int(c as i64));
+    let crc_attr = crc.map(|c| Attr::Int(c as i64));
     let n_attrs = ds.attrs.len()
-        + usize::from(crc_attr.is_some() && !ds.attrs.contains_key(CRC_ATTR));
+        + usize::from(crc_attr.is_some() && !ds.attrs.iter().any(|(k, _)| k == CRC_ATTR));
     head.extend_from_slice(&(n_attrs as u16).to_le_bytes());
-    let mut pending = crc_attr.as_ref();
-    for (k, v) in &ds.attrs {
+    let mut pending = crc_attr;
+    for (k, v) in ds.attrs.iter() {
         if let Some(c) = pending {
-            if k.as_str() >= CRC_ATTR {
+            if k >= CRC_ATTR {
                 encode_attr_entry(CRC_ATTR, c, head);
                 pending = None;
                 if k == CRC_ATTR {
@@ -326,14 +328,44 @@ fn put_record_head(head: &mut Vec<u8>, name: &[&str], ds: &Dataset, crc: Option<
     if let Some(c) = pending {
         encode_attr_entry(CRC_ATTR, c, head);
     }
-    head.extend_from_slice(&(ds.byte_len() as u64).to_le_bytes());
+    head.extend_from_slice(&(ds.payload.byte_len() as u64).to_le_bytes());
+}
+
+/// The length of a record header: marker, name, dtype and rank, extents,
+/// attribute count, `attrs` bytes of attribute entries, payload length.
+fn head_len(name_len: usize, rank: usize, attrs: usize) -> usize {
+    DS_MARKER.len() + 2 + name_len + 2 + 8 * rank + 2 + attrs + 8
+}
+
+/// A block's group prefix, spelled on the stack: the one spelling of it;
+/// [`block_prefix`] is an owned copy.
+struct Prefix {
+    buf: [u8; 24],
+    len: usize,
+}
+
+impl Prefix {
+    fn new(id: BlockId) -> Prefix {
+        use std::io::Write;
+        let mut buf = [0u8; 24];
+        let mut rest = &mut buf[..];
+        // 3 + at most 20 digits + 1 bytes: the buffer holds every id.
+        let _ = write!(rest, "blk{:06}/", id.0);
+        let len = 24 - rest.len();
+        Prefix { buf, len }
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len]).unwrap_or_default()
+    }
 }
 
 /// Encode one standalone dataset record as an `IoSlice`-style segment
 /// list: the record *header* as one owned run (`head`, cleared first),
 /// then the payload as a [`Segment::Shared`] refcount bump (omitted when
-/// empty). `name_override` replaces the dataset's own name; `crc` is
-/// injected as [`put_record_head`] does. The header layout is
+/// empty). `name_override` replaces the dataset's own name; `crc` becomes
+/// a `__crc32__` Int attribute at its sorted place, replacing a stored
+/// one. The header layout is
 /// [`encode_block`]'s, record for record; a block is encoded there.
 pub fn encode_dataset_segments(
     ds: &Dataset,
@@ -343,7 +375,12 @@ pub fn encode_dataset_segments(
     out: &mut Vec<Segment>,
 ) {
     head.clear();
-    put_record_head(&mut head, &[name_override.unwrap_or(&ds.name)], ds, crc);
+    put_record_head(
+        &mut head,
+        &[name_override.unwrap_or(&ds.name)],
+        &ds.desc(),
+        crc,
+    );
     out.push(Segment::Owned(head));
     if !ds.is_empty() {
         out.push(Segment::Shared(ds.data.bytes().clone()));
@@ -387,52 +424,91 @@ impl SegmentPool {
 /// carries a `__crc32__`: a file writer frames the records
 /// ([`frame_block`]) and fills the checksums in as it writes them.
 ///
-/// Every header is written straight into `lead` — the staging buffer,
-/// holding whatever goes before the records (a message's routing header;
-/// nothing for a file) — and the rope is that one buffer's windows with
-/// each member's payload between them by refcount. No name is formatted
-/// per member and no record is built to be encoded.
-pub fn encode_block(mut lead: Vec<u8>, block: &DataBlock) -> Rope {
-    let prefix = block_prefix(block.id);
-    // The headers' size: what `encoded_size` counts beside the payloads,
-    // plus each record's marker, group prefix and payload length and the
-    // meta's fixed keys — so the buffer is allocated once.
-    let records = 1 + block.datasets.len();
-    let heads = block.encoded_size() - block.payload_bytes()
-        + records * (4 + prefix.len() + 8)
-        + 4 * block.attrs.len()
-        + 64;
-    lead.reserve(heads);
-    lead.extend_from_slice(DS_MARKER);
-    put_name16(&mut lead, &[&prefix, BLOCK_META]);
-    lead.extend_from_slice(&[DType::U8.tag(), 1]);
-    lead.extend_from_slice(&0u64.to_le_bytes());
-    lead.extend_from_slice(&((block.attrs.len() + 3) as u16).to_le_bytes());
-    for (k, v) in &block.attrs {
-        put_name16(&mut lead, &["blk:", k]);
-        v.encode(&mut lead);
-    }
-    encode_attr_entry("block_id", &AttrValue::Int(block.id.0 as i64), &mut lead);
-    encode_attr_entry("n_datasets", &AttrValue::Int(block.datasets.len() as i64), &mut lead);
-    put_str16(&mut lead, "window");
-    AttrValue::encode_str(&block.window, &mut lead);
-    lead.extend_from_slice(&0u64.to_le_bytes());
+/// The block is read as a description ([`BlockDesc`]): a [`DataBlock`],
+/// or a pane described where it lies (`roccom::convert::plan`) — the same
+/// records either way. `lead` (whatever goes before the records: a
+/// message's routing header; nothing for a file) and every header are
+/// written into one staging buffer, sized before it is allocated; a
+/// payload the description holds already goes in by refcount, and every
+/// other one is encoded into one more buffer, the block's payload image.
+/// The rope is those two buffers' windows, each member's payload after its
+/// header. No name is formatted and no record is built to be encoded.
+pub fn encode_block(lead: &[u8], block: &(impl BlockDesc + ?Sized)) -> Rope {
+    let prefix = Prefix::new(block.id());
+    let prefix = prefix.as_str();
+    // What `put_record_head` writes for a member, and for the meta: its
+    // attributes as `blk:*`, then `block_id`, `n_datasets` and `window`.
+    let member_len = |ds: &DatasetDesc<'_>| {
+        head_len(
+            prefix.len() + ds.name.len(),
+            ds.shape.len(),
+            ds.attrs.encoded_size(),
+        )
+    };
+    let entry = |key: &str, v: Attr<'_>| 2 + key.len() + v.encoded_size();
+    let meta_attrs = block.with_attrs(|attrs| attrs.encoded_size() + "blk:".len() * attrs.len())
+        + entry("block_id", Attr::Int(0))
+        + entry("n_datasets", Attr::Int(0))
+        + entry("window", Attr::Str(block.window()));
+    let meta_len = head_len(prefix.len() + BLOCK_META.len(), 1, meta_attrs);
+    let (mut heads, mut image) = (lead.len() + meta_len, 0);
+    block.for_each_dataset(|ds| {
+        heads += member_len(ds);
+        if ds.payload.held().is_none() {
+            image += ds.payload.byte_len();
+        }
+    });
+    let mut stage = Vec::with_capacity(heads);
+    stage.extend_from_slice(lead);
+    stage.extend_from_slice(DS_MARKER);
+    put_name16(&mut stage, &[prefix, BLOCK_META]);
+    stage.extend_from_slice(&[DType::U8.tag(), 1]);
+    stage.extend_from_slice(&0u64.to_le_bytes());
+    block.with_attrs(|attrs| {
+        stage.extend_from_slice(&((attrs.len() + 3) as u16).to_le_bytes());
+        for (k, v) in attrs.iter() {
+            put_name16(&mut stage, &["blk:", k]);
+            v.encode(&mut stage);
+        }
+    });
+    encode_attr_entry("block_id", Attr::Int(block.id().0 as i64), &mut stage);
+    let n_datasets = Attr::Int(block.n_datasets() as i64);
+    encode_attr_entry("n_datasets", n_datasets, &mut stage);
+    encode_attr_entry("window", Attr::Str(block.window()), &mut stage);
+    stage.extend_from_slice(&0u64.to_le_bytes());
+    let mut encoded = Vec::with_capacity(image);
+    block.for_each_dataset(|ds| {
+        put_record_head(&mut stage, &[prefix, ds.name], ds, None);
+        if ds.payload.held().is_none() {
+            ds.payload.encode(&mut encoded);
+        }
+    });
+    debug_assert_eq!(
+        (stage.len(), encoded.len()),
+        (heads, image),
+        "sized as written"
+    );
     // The header runs: from the start to the end of the first member's
     // header, from there to the end of the next one's, … — each member's
     // payload goes in after its run.
-    let mut cuts = Vec::with_capacity(records + 1);
-    cuts.push(0);
-    for ds in &block.datasets {
-        put_record_head(&mut lead, &[&prefix, &ds.name], ds, None);
-        cuts.push(lead.len());
-    }
-    cuts.push(lead.len());
-    let stage = Bytes::from(lead);
+    let stage = Bytes::from(stage);
+    let encoded = (image > 0).then(|| Bytes::from(encoded));
     let mut rope = Rope::new();
-    rope.extend((0..2 * records - 1).map(|i| match i % 2 {
-        0 => stage.slice(cuts[i / 2]..cuts[i / 2 + 1]),
-        _ => block.datasets[i / 2].data.bytes().clone(),
-    }));
+    rope.reserve(2 * block.n_datasets() + 1);
+    let (mut run, mut at, mut encoded_at) = (0, lead.len() + meta_len, 0);
+    block.for_each_dataset(|ds| {
+        at += member_len(ds);
+        rope.push(stage.slice(run..at));
+        run = at;
+        if let Some(held) = ds.payload.held() {
+            rope.push(held.clone());
+        } else if let Some(encoded) = &encoded {
+            let len = ds.payload.byte_len();
+            rope.push(encoded.slice(encoded_at..encoded_at + len));
+            encoded_at += len;
+        }
+    });
+    rope.push(stage.slice(run..));
     rope
 }
 
@@ -803,7 +879,7 @@ impl Framer<'_> {
     /// Lay a zeroed `__crc32__` entry where the wire header has none.
     /// Returns where its value lies.
     fn place_crc_slot(&mut self) -> usize {
-        encode_attr_entry(CRC_ATTR, &AttrValue::Int(0), self.heads);
+        encode_attr_entry(CRC_ATTR, Attr::Int(0), self.heads);
         *self.crc_at.insert(self.heads.len() - 8)
     }
 
@@ -963,8 +1039,9 @@ pub fn frame_block(cur: &mut Cursor<'_>, n_records: usize) -> Result<BlockFrame>
         return Err(corrupt_block(format!("'{}' does not name a block", meta.name)));
     };
     let id = BlockId(id as u64);
-    let prefix = block_prefix(id);
-    if meta.name.strip_prefix(&prefix) != Some(BLOCK_META) {
+    let prefix = Prefix::new(id);
+    let prefix = prefix.as_str();
+    if meta.name.strip_prefix(prefix) != Some(BLOCK_META) {
         return Err(corrupt_block(format!("expected block {id} meta first, got '{}'", meta.name)));
     }
     if n != (n_records - 1) as i64 {
@@ -974,7 +1051,7 @@ pub fn frame_block(cur: &mut Cursor<'_>, n_records: usize) -> Result<BlockFrame>
     let mut size = 16 + window_len + attrs_size;
     for _ in 1..n_records {
         let (member, member_size, _) =
-            frame_record(cur, &mut heads, FramedAs::Member { prefix: &prefix })?;
+            frame_record(cur, &mut heads, FramedAs::Member { prefix })?;
         if records[1..].iter().any(|seen: &FramedRecord| seen.name == member.name) {
             return Err(RocError::AlreadyExists(format!(
                 "dataset '{}' in block {id}",
@@ -1175,6 +1252,9 @@ mod tests {
     fn block_prefix_and_parse() {
         let p = block_prefix(BlockId(42));
         assert_eq!(p, "blk000042/");
+        let widest = block_prefix(BlockId(u64::MAX));
+        assert_eq!(widest, format!("blk{}/", u64::MAX));
+        assert_eq!(parse_block_id(&format!("{widest}p")), Some(BlockId(u64::MAX)));
         assert_eq!(parse_block_id("blk000042/pressure"), Some(BlockId(42)));
         assert_eq!(parse_block_id("blk123456/__meta__"), Some(BlockId(123456)));
         assert_eq!(parse_block_id("pressure"), None);
@@ -1185,7 +1265,7 @@ mod tests {
     /// first, members under the block's prefix — as datasets a test can
     /// bend.
     fn records_of(block: &DataBlock) -> Vec<Dataset> {
-        let wire = encode_block(Vec::new(), block);
+        let wire = encode_block(&[], block);
         let mut cur = wire.cursor();
         let records = (0..=block.datasets.len()).map(|_| decode_dataset(&mut cur).unwrap()).collect();
         assert_eq!(cur.remaining(), 0);
@@ -1219,7 +1299,7 @@ mod tests {
             .with_dataset(Dataset::new("v", vec![1, 2], vec![3i64, 4]).unwrap())
             .with_attr("level", 2i64);
         let lead = b"routing".to_vec();
-        let wire = encode_block(lead.clone(), &block);
+        let wire = encode_block(&lead, &block);
         // Record for record what the record encoder lays out, behind the lead.
         let flat: Vec<u8> = wire.parts().iter().flat_map(|p| p.iter().copied()).collect();
         let mut want = lead;

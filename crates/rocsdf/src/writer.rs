@@ -1,7 +1,7 @@
 //! Writing SDF files through the storage simulator.
 
 use bytes::Bytes;
-use rocio_core::{DataBlock, Dataset, Result, Segment, SimTime};
+use rocio_core::{DataBlock, Dataset, Result, Rope, Segment, SimTime};
 use rocstore::SharedFs;
 
 use crate::cost::LibraryModel;
@@ -95,16 +95,26 @@ impl<'fs> SdfFileWriter<'fs> {
     /// "data from different arrays in the same data block stored in
     /// neighboring HDF datasets" (§4).
     ///
-    /// The block is encoded ([`encode_block`]), framed ([`frame_block`])
-    /// and written by [`SdfFileWriter::append_frame`] — the path a
-    /// Rocpanda server writes the block's wire records by, so every writer
-    /// writes the same bytes at the same cost and refuses the same blocks
-    /// (a member held twice, a stored `__crc32__` its payload does not
-    /// match).
+    /// The block is encoded ([`encode_block`]) and written by
+    /// [`SdfFileWriter::append_records`].
     pub fn append_block(&mut self, block: &DataBlock, now: SimTime) -> Result<SimTime> {
-        let records = encode_block(Vec::new(), block);
-        let frame = frame_block(&mut records.cursor(), 1 + block.datasets.len())?;
-        self.append_frame(frame, now)
+        self.append_records(&encode_block(&[], block), 1 + block.datasets.len(), now)
+    }
+
+    /// Append the `n_records` records [`encode_block`] laid a block out as
+    /// — a pane's, encoded where it lies, or a [`DataBlock`]'s: they are
+    /// framed ([`frame_block`]) and written by
+    /// [`SdfFileWriter::append_frame`], the path a Rocpanda server writes
+    /// the block's wire records by, so every writer writes the same bytes
+    /// at the same cost and refuses the same blocks (a member held twice,
+    /// a stored `__crc32__` its payload does not match).
+    pub fn append_records(
+        &mut self,
+        records: &Rope,
+        n_records: usize,
+        now: SimTime,
+    ) -> Result<SimTime> {
+        self.append_frame(frame_block(&mut records.cursor(), n_records)?, now)
     }
 
     /// Write a block's framed records: all of them to the file system as

@@ -28,6 +28,11 @@
 //!   `Vec` of its own either (`Segment::Owned(..)`, a `SegmentPool` to
 //!   recycle them): an encoder writes its header runs into one staging
 //!   buffer per message.
+//! * **block-on-write-path** — a writer (`rochdf`, `rocpanda`, `genx`)
+//!   encodes a pane's records straight from its window
+//!   (`roccom::convert::plan`); building a `DataBlock` to encode it
+//!   (`window_to_blocks`, `pane_to_block`) puts a map, a `String` and a
+//!   `Vec` per dataset back on every block of every snapshot.
 //! * **std-sync** — workspace locks are parking_lot-backed through the
 //!   named `rocio_core::lockdep` wrappers; a `std::sync::Mutex`/`RwLock`/
 //!   `Condvar` has a different guard shape and escapes the lock-discipline
@@ -56,6 +61,7 @@ pub enum Rule {
     ForbidUnsafe,
     OwnedPayload,
     RawSend,
+    BlockOnWritePath,
     StdSync,
     LockUnregistered,
     LockOrder,
@@ -75,6 +81,7 @@ impl Rule {
             Rule::ForbidUnsafe => "forbid-unsafe",
             Rule::OwnedPayload => "owned-payload",
             Rule::RawSend => "raw-send",
+            Rule::BlockOnWritePath => "block-on-write-path",
             Rule::StdSync => "std-sync",
             Rule::LockUnregistered => "lock-unregistered",
             Rule::LockOrder => "lock-order",
@@ -84,7 +91,7 @@ impl Rule {
         }
     }
 
-    pub fn all() -> [Rule; 14] {
+    pub fn all() -> [Rule; 15] {
         [
             Rule::WallClock,
             Rule::Rand,
@@ -94,6 +101,7 @@ impl Rule {
             Rule::ForbidUnsafe,
             Rule::OwnedPayload,
             Rule::RawSend,
+            Rule::BlockOnWritePath,
             Rule::StdSync,
             Rule::LockUnregistered,
             Rule::LockOrder,
@@ -535,6 +543,21 @@ pub fn lint_source(cfg: &LintConfig, crate_dir: &str, path: &str, src: &str) -> 
                 format!(
                     "raw `.{w}(..)` in rocpanda — route through `PandaNet` (`net.{w}`) \
                      so the reliability layer covers it"
+                ),
+            );
+        }
+        // block-on-write-path: the writers lay a pane out from its window;
+        // a built block is the tests' and the benchmark's reference.
+        if matches!(crate_dir, "rochdf" | "rocpanda" | "genx")
+            && matches!(w, "window_to_blocks" | "pane_to_block")
+            && t(&toks, i + 1) == "("
+        {
+            push(
+                Rule::BlockOnWritePath,
+                toks[i].line,
+                format!(
+                    "`{w}(..)` builds a `DataBlock` on a writer's path — encode the pane where it \
+                     lies (`roccom::convert::plan` + `rocsdf::encode_block`)"
                 ),
             );
         }

@@ -182,6 +182,32 @@ fn a_header_in_a_vec_of_its_own_fires_outside_core_and_rocsdf() {
 }
 
 #[test]
+fn a_block_built_on_a_writers_path_fires_in_the_writers_only() {
+    for src in [
+        "pub fn f(w: &Window) -> Result<()> { let b = roccom::convert::window_to_blocks(w, &AttrRef::All)?; send(b) }",
+        "pub fn f(w: &Window, p: &Pane) -> Result<()> { send(convert::pane_to_block(w, p, &AttrRef::All)?) }",
+    ] {
+        for (krate, path) in [
+            ("rochdf", "crates/rochdf/src/trochdf.rs"),
+            ("rocpanda", "crates/rocpanda/src/client.rs"),
+            ("genx", "crates/genx/src/rebalance.rs"),
+        ] {
+            assert_eq!(rules_fired(krate, path, src), vec![Rule::BlockOnWritePath], "{path}: {src}");
+        }
+        // Roccom defines the builder; test code holds the writers to it.
+        assert_eq!(rules_fired("roccom", "crates/roccom/src/convert.rs", src), vec![], "{src}");
+        let in_test = format!("#[cfg(test)]\nmod tests {{ {src} }}");
+        assert_eq!(rules_fired("rocpanda", "crates/rocpanda/src/client.rs", &in_test), vec![]);
+    }
+    // Describing the pane and encoding the description is the sanctioned form.
+    let ok = "pub fn f(w: &Window, p: &Pane) -> Result<Rope> { Ok(encode_block(&[], &convert::plan(w, p, &AttrRef::All)?)) }";
+    assert_eq!(
+        rules_fired("rochdf", "crates/rochdf/src/rochdf.rs", ok),
+        vec![]
+    );
+}
+
+#[test]
 fn raw_send_fires_in_rocpanda_off_the_pandanet_shim() {
     let raw = "impl C<'_> { fn f(&mut self) -> Result<()> { self.world.send(0, 7, &[]) } }";
     assert!(
