@@ -96,6 +96,11 @@ impl From<String> for AttrValue {
 /// with nothing built — how a block that is described instead of built
 /// ([`crate::desc`]) hands over its attributes, and the one place the
 /// value layout is written.
+///
+/// A vector comes typed (a pane's geometry, a built map's value) or as the
+/// little-endian bytes it lies as in an encoded header (a record read
+/// where it lies, `rocsdf::view`): eight bytes per element, no count. The
+/// two forms of one vector encode, size, hash and build alike.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Attr<'a> {
     Int(i64),
@@ -103,6 +108,10 @@ pub enum Attr<'a> {
     Str(&'a str),
     IntVec(&'a [i64]),
     FloatVec(&'a [f64]),
+    /// An `IntVec`'s elements, encoded.
+    IntVecLe(&'a [u8]),
+    /// A `FloatVec`'s elements, encoded.
+    FloatVecLe(&'a [u8]),
 }
 
 impl<'a> From<&'a AttrValue> for Attr<'a> {
@@ -117,15 +126,51 @@ impl<'a> From<&'a AttrValue> for Attr<'a> {
     }
 }
 
-impl Attr<'_> {
+impl<'a> Attr<'a> {
     /// Stable one-byte tag for the file format and wire protocol.
     pub fn tag(&self) -> u8 {
         match self {
             Attr::Int(_) => 0,
             Attr::Float(_) => 1,
             Attr::Str(_) => 2,
-            Attr::IntVec(_) => 3,
-            Attr::FloatVec(_) => 4,
+            Attr::IntVec(_) | Attr::IntVecLe(_) => 3,
+            Attr::FloatVec(_) | Attr::FloatVecLe(_) => 4,
+        }
+    }
+
+    /// The value if it is an `Int`.
+    pub fn as_int(&self) -> Option<i64> {
+        match *self {
+            Attr::Int(x) => Some(x),
+            _ => None,
+        }
+    }
+
+    /// The value if it is a `Str`.
+    pub fn as_str(&self) -> Option<&'a str> {
+        match *self {
+            Attr::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The elements if the value is an `IntVec` of exactly `N`, in either
+    /// form.
+    pub fn int_array<const N: usize>(&self) -> Option<[i64; N]> {
+        match *self {
+            Attr::IntVec(v) => v.try_into().ok(),
+            Attr::IntVecLe(le) => le_array(le, i64::from_le_bytes),
+            _ => None,
+        }
+    }
+
+    /// The elements if the value is a `FloatVec` of exactly `N`, in either
+    /// form.
+    pub fn float_array<const N: usize>(&self) -> Option<[f64; N]> {
+        match *self {
+            Attr::FloatVec(v) => v.try_into().ok(),
+            Attr::FloatVecLe(le) => le_array(le, f64::from_le_bytes),
+            _ => None,
         }
     }
 
@@ -151,6 +196,10 @@ impl Attr<'_> {
                 put(&count(v.len()));
                 v.iter().for_each(|x| put(&x.to_le_bytes()));
             }
+            Attr::IntVecLe(le) | Attr::FloatVecLe(le) => {
+                put(&count(le.len() / 8));
+                put(le);
+            }
         }
     }
 
@@ -166,6 +215,7 @@ impl Attr<'_> {
             Attr::Str(s) => 4 + s.len(),
             Attr::IntVec(v) => 4 + v.len() * 8,
             Attr::FloatVec(v) => 4 + v.len() * 8,
+            Attr::IntVecLe(le) | Attr::FloatVecLe(le) => 4 + le.len(),
         }
     }
 
@@ -177,8 +227,27 @@ impl Attr<'_> {
             Attr::Str(s) => AttrValue::Str(s.to_owned()),
             Attr::IntVec(v) => AttrValue::IntVec(v.to_vec()),
             Attr::FloatVec(v) => AttrValue::FloatVec(v.to_vec()),
+            Attr::IntVecLe(le) => AttrValue::IntVec(le::array(le, i64::from_le_bytes)),
+            Attr::FloatVecLe(le) => AttrValue::FloatVec(le::array(le, f64::from_le_bytes)),
         }
     }
+}
+
+/// `N` elements decoded from exactly `8 * N` little-endian bytes.
+fn le_array<const N: usize, T: Copy + Default>(
+    le: &[u8],
+    decode: fn([u8; 8]) -> T,
+) -> Option<[T; N]> {
+    if le.len() != 8 * N {
+        return None;
+    }
+    let mut out = [T::default(); N];
+    for (x, e) in out.iter_mut().zip(le.chunks_exact(8)) {
+        let mut bytes = [0u8; 8];
+        bytes.copy_from_slice(e);
+        *x = decode(bytes);
+    }
+    Some(out)
 }
 
 /// An encoded attribute value where it lies in its input: held to every
@@ -229,31 +298,44 @@ impl<'a> AttrView<'a> {
 
     /// The value if it is an `Int`.
     pub fn as_int(&self) -> Option<i64> {
-        (self.tag == 0).then(|| i64::from_le_bytes(self.scalar()))
+        attr_of(self.tag, &self.body).as_int()
     }
 
     /// The value if it is a `Str`.
     pub fn as_str(&self) -> Option<&str> {
-        (self.tag == 2).then(|| std::str::from_utf8(&self.body[4..]).ok()).flatten()
-    }
-
-    /// A scalar's body: the eight bytes `read` took for it.
-    fn scalar(&self) -> [u8; 8] {
-        let mut le = [0u8; 8];
-        le.copy_from_slice(&self.body[..8]);
-        le
+        attr_of(self.tag, &self.body).as_str()
     }
 
     /// Build the value.
     pub fn to_value(&self) -> AttrValue {
-        match self.tag {
-            0 => AttrValue::Int(i64::from_le_bytes(self.scalar())),
-            1 => AttrValue::Float(f64::from_le_bytes(self.scalar())),
-            // Lossless: `read` refused anything but UTF-8.
-            2 => AttrValue::Str(String::from_utf8_lossy(&self.body[4..]).into_owned()),
-            3 => AttrValue::IntVec(le::array(&self.body[4..], i64::from_le_bytes)),
-            _ => AttrValue::FloatVec(le::array(&self.body[4..], f64::from_le_bytes)),
+        attr_of(self.tag, &self.body).to_value()
+    }
+
+    /// The value as an [`Attr`] over the bytes `read` borrowed — `None` if
+    /// it had to gather them, the value being cut across parts.
+    pub fn into_attr(self) -> Option<Attr<'a>> {
+        match self.body {
+            Cow::Borrowed(body) => Some(attr_of(self.tag, body)),
+            Cow::Owned(_) => None,
         }
+    }
+}
+
+/// The value `tag` and `body` (everything after the tag, as
+/// [`AttrView::read`] checked it) encode, over `body`.
+fn attr_of(tag: u8, body: &[u8]) -> Attr<'_> {
+    let scalar = || {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(&body[..8]);
+        le
+    };
+    match tag {
+        0 => Attr::Int(i64::from_le_bytes(scalar())),
+        1 => Attr::Float(f64::from_le_bytes(scalar())),
+        // `read` refused anything but UTF-8.
+        2 => Attr::Str(std::str::from_utf8(&body[4..]).unwrap_or_default()),
+        3 => Attr::IntVecLe(&body[4..]),
+        _ => Attr::FloatVecLe(&body[4..]),
     }
 }
 
@@ -309,6 +391,40 @@ mod tests {
     fn decode_unknown_tag_fails() {
         let buf = [Bytes::from(vec![200u8, 0, 0])];
         assert!(matches!(AttrValue::decode(&mut Cursor::new(&buf)), Err(RocError::Corrupt(_))));
+    }
+
+    #[test]
+    fn a_vector_read_where_it_lies_is_the_vector() {
+        for v in [
+            AttrValue::IntVec(vec![1, -2, i64::MAX]),
+            AttrValue::FloatVec(vec![0.5, f64::NAN, -0.0]),
+            AttrValue::IntVec(vec![]),
+        ] {
+            let mut buf = Vec::new();
+            v.encode(&mut buf);
+            let buf = [Bytes::from(buf)];
+            let encoded = AttrView::read(&mut Cursor::new(&buf)).unwrap().into_attr().unwrap();
+            assert!(matches!(encoded, Attr::IntVecLe(_) | Attr::FloatVecLe(_)), "{encoded:?}");
+            let typed = Attr::from(&v);
+            let bytes = |a: Attr<'_>| {
+                let mut out = Vec::new();
+                a.encode(&mut out);
+                (a.tag(), a.encoded_size(), out)
+            };
+            assert_eq!(bytes(encoded), bytes(typed));
+            let mut built = Vec::new();
+            encoded.to_value().encode(&mut built);
+            assert_eq!(built, bytes(typed).2, "built bit for bit, NaN included");
+        }
+        let three = [1.5f64, -2.0, 8.0];
+        let le: Vec<u8> = three.iter().flat_map(|x| x.to_le_bytes()).collect();
+        assert_eq!(Attr::FloatVecLe(&le).float_array::<3>(), Some(three));
+        assert_eq!(Attr::FloatVec(&three).float_array::<3>(), Some(three));
+        assert_eq!(Attr::FloatVecLe(&le).float_array::<2>(), None);
+        assert_eq!(Attr::IntVecLe(&le).float_array::<3>(), None);
+        // A value gathered across parts has no bytes to borrow.
+        let cut = [Bytes::from(vec![3u8, 1, 0]), Bytes::from(vec![0u8, 0, 7, 0, 0, 0, 0, 0, 0, 0])];
+        assert!(AttrView::read(&mut Cursor::new(&cut)).unwrap().into_attr().is_none());
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! A block described instead of built.
 //!
-//! Everything an encoder, a checksum or a cost model reads of a data block
-//! — its id and window, its own attributes in key order, then per dataset
-//! a name, a dtype, a shape, attributes and a payload — can be *said*
-//! without being *held*. [`BlockDesc`] says it: a [`DataBlock`] by
-//! pointing into its fields, and a Roccom pane
-//! (`roccom::convert::plan`) by pointing into the pane, the window's
-//! schema and a few values on the stack — no `DataBlock`, map or `String`
-//! per block. `rocsdf::encode_block` lays a description out as records,
-//! [`Checksum::of_desc`](crate::Checksum::of_desc) hashes one, and
-//! [`BlockDesc::encoded_size`] sizes one, whichever kind it is.
+//! Everything an encoder, a checksum, a cost model or a restart reads of a
+//! data block — its id and window, its own attributes in key order, then
+//! per dataset a name, a dtype, a shape, attributes and a payload — can be
+//! *said* without being *held*. [`BlockDesc`] says it: a [`DataBlock`] by
+//! pointing into its fields, a Roccom pane (`roccom::convert::plan`) by
+//! pointing into the pane, the window's schema and a few values on the
+//! stack, and a block read back (`rocsdf::BlockView`) by pointing into its
+//! records where they lie — no `DataBlock`, map or `String` per block.
+//! `rocsdf::encode_block` lays a description out as records,
+//! [`Checksum::of_desc`](crate::Checksum::of_desc) hashes one,
+//! [`BlockDesc::encoded_size`] sizes one and `roccom::convert::apply_block`
+//! decodes one into a pane, whichever kind it is.
 
 use std::collections::BTreeMap;
 
@@ -86,17 +88,36 @@ pub trait Payload {
     }
 }
 
-impl Payload for SharedArray {
+/// Encoded bytes held already: a record's payload where it lies.
+impl Payload for Bytes {
     fn byte_len(&self) -> usize {
-        SharedArray::byte_len(self)
+        self.len()
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(self.bytes());
+        out.extend_from_slice(self);
     }
 
     fn absorb(&self, field: &mut Field) {
-        field.absorb(self.bytes());
+        field.absorb(self);
+    }
+
+    fn held(&self) -> Option<&Bytes> {
+        Some(self)
+    }
+}
+
+impl Payload for SharedArray {
+    fn byte_len(&self) -> usize {
+        self.bytes().byte_len()
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.bytes().encode(out);
+    }
+
+    fn absorb(&self, field: &mut Field) {
+        self.bytes().absorb(field);
     }
 
     fn held(&self) -> Option<&Bytes> {

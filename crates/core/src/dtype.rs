@@ -127,18 +127,10 @@ impl SharedArray {
         &self.bytes
     }
 
-    /// Decode into the typed form panes and solvers work on: the one
-    /// LE → typed conversion (`apply_block`, `mesh_from_block`, Rocketeer).
+    /// Decode into the typed form panes and solvers work on
+    /// ([`ArrayData::from_le`] of the payload).
     pub fn to_typed(&self) -> ArrayData {
-        // The length was validated at construction, so per-element decoding
-        // is infallible; `le::array` keeps these loops vectorizable.
-        match self.dtype {
-            DType::U8 => ArrayData::U8(self.bytes.to_vec()),
-            DType::I32 => ArrayData::I32(crate::le::array(&self.bytes, i32::from_le_bytes)),
-            DType::I64 => ArrayData::I64(crate::le::array(&self.bytes, i64::from_le_bytes)),
-            DType::F32 => ArrayData::F32(crate::le::array(&self.bytes, f32::from_le_bytes)),
-            DType::F64 => ArrayData::F64(crate::le::array(&self.bytes, f64::from_le_bytes)),
-        }
+        ArrayData::from_le(self.dtype, &self.bytes)
     }
 }
 
@@ -216,6 +208,21 @@ impl ArrayData {
     /// Payload size in bytes once encoded.
     pub fn byte_len(&self) -> usize {
         self.len() * self.dtype().size()
+    }
+
+    /// Decode little-endian `bytes` into `dtype` elements — the one LE →
+    /// typed conversion (`apply_block`, `mesh_from_block`, Rocketeer), one
+    /// allocation, the typed buffer. A tail short of one element is
+    /// ignored; callers hold `bytes` to a whole number of elements.
+    pub fn from_le(dtype: DType, bytes: &[u8]) -> ArrayData {
+        // `le::array` keeps these loops vectorizable.
+        match dtype {
+            DType::U8 => ArrayData::U8(bytes.to_vec()),
+            DType::I32 => ArrayData::I32(crate::le::array(bytes, i32::from_le_bytes)),
+            DType::I64 => ArrayData::I64(crate::le::array(bytes, i64::from_le_bytes)),
+            DType::F32 => ArrayData::F32(crate::le::array(bytes, f32::from_le_bytes)),
+            DType::F64 => ArrayData::F64(crate::le::array(bytes, f64::from_le_bytes)),
+        }
     }
 
     /// Allocate a zero-filled array of `n` elements of `dtype`.

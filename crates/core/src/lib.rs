@@ -16,8 +16,8 @@
 //!   metadata associated with the arrays … the unit of work distributed to
 //!   the compute processors" (§4);
 //! * [`BlockDesc`] — a data block described instead of built: what the
-//!   encoder and the checksum read, from a `DataBlock` or straight from a
-//!   pane;
+//!   encoder, the checksum and a restart's apply read, from a `DataBlock`,
+//!   straight from a pane, or from records where they lie;
 //! * [`AttrValue`] — typed metadata attribute values;
 //! * [`SnapshotId`] and file-naming helpers for periodic output phases;
 //! * [`RocError`] — the workspace-wide error type.

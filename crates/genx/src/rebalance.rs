@@ -13,7 +13,7 @@
 use rocio_core::{Cursor, Result, SnapshotId};
 use rocnet::Comm;
 use roccom::{convert, AttrRef, Windows};
-use rocpanda::wire::{self, BlockMsg};
+use rocpanda::wire::{self, BlockMsgView};
 
 /// Tag used for migrated panes on the compute communicator.
 const MIGRATE_TAG: u32 = 0x0060_0010;
@@ -140,7 +140,7 @@ pub fn rebalance(
     let incoming = moves.iter().filter(|(_, _, _, to)| *to == me).count();
     for _ in 0..incoming {
         let m = comm.recv_rope(None, Some(MIGRATE_TAG))?;
-        let bm = BlockMsg::decode(&mut m.payload.cursor())?;
+        let bm = BlockMsgView::decode(&mut m.payload.cursor())?;
         convert::apply_block(windows.window_mut(&bm.window)?, &bm.block)?;
     }
     Ok(moves.len())

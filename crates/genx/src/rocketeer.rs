@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use rocio_core::{fmt_bytes, Result, RocError, SimTime, SnapshotId};
+use rocio_core::{fmt_bytes, ArrayData, BlockDesc, Result, RocError, SimTime, SnapshotId};
 use rocsdf::{LibraryModel, SdfFileReader};
 use rocstore::SharedFs;
 
@@ -60,6 +60,19 @@ pub struct WindowSummary {
     pub fields: BTreeMap<String, FieldStats>,
 }
 
+impl WindowSummary {
+    /// Widen the mesh bounds to take in `coords`, points of three.
+    fn absorb_coords(&mut self, coords: &[f64]) {
+        let bounds = self.mesh_bounds.get_or_insert(([f64::INFINITY; 3], [f64::NEG_INFINITY; 3]));
+        for p in coords.chunks_exact(3) {
+            for (d, &c) in p.iter().enumerate() {
+                bounds.0[d] = bounds.0[d].min(c);
+                bounds.1[d] = bounds.1[d].max(c);
+            }
+        }
+    }
+}
+
 /// Post-process one `(window, snapshot)`: open every writer's file under
 /// `dir`, aggregate statistics. Returns the summary and the virtual
 /// completion time of the reads.
@@ -76,15 +89,8 @@ pub fn summarize_window(
     now: SimTime,
 ) -> Result<(WindowSummary, SimTime)> {
     let want = rocio_core::snapshot_file_prefix(window, snap);
-    let files: Vec<String> = fs
-        .list(&format!("{dir}/"))
-        .into_iter()
-        .filter(|p| {
-            p.rsplit('/')
-                .next()
-                .is_some_and(|name| name.starts_with(&want))
-        })
-        .collect();
+    let mut files = fs.names(&format!("{dir}/"));
+    files.retain(|p| p.rsplit('/').next().is_some_and(|name| name.starts_with(&want)));
     if files.is_empty() {
         return Err(RocError::NotFound(format!(
             "no '{want}' snapshot files under '{dir}/'"
@@ -102,39 +108,38 @@ pub fn summarize_window(
     for path in &files {
         let (reader, t_open) = SdfFileReader::open(fs, path, lib, u64::MAX, t)?;
         t = t_open;
-        let (blocks, t_read) = reader.read_all_blocks(t)?;
+        let (blocks, t_read) = reader.view_all_blocks(t)?;
         t = t_read;
         for block in &blocks {
             summary.n_blocks += 1;
-            summary.payload_bytes += block.payload_bytes();
-            for ds in &block.datasets {
-                if ds.name == "conn" {
-                    continue;
+            let mut failed = None;
+            block.for_each_dataset(|ds| {
+                summary.payload_bytes += ds.payload.byte_len();
+                if ds.name == "conn" || failed.is_some() {
+                    return;
                 }
                 // Reads hand back little-endian windows of the file;
                 // element access needs the typed form.
-                let data = ds.data.to_typed();
+                let Some(le) = ds.payload.held() else { return };
+                let data = ArrayData::from_le(ds.dtype, le);
                 if ds.name == "nc" {
-                    let coords = data.as_f64()?;
-                    let bounds = summary.mesh_bounds.get_or_insert((
-                        [f64::INFINITY; 3],
-                        [f64::NEG_INFINITY; 3],
-                    ));
-                    for p in coords.chunks_exact(3) {
-                        for (d, &c) in p.iter().enumerate() {
-                            bounds.0[d] = bounds.0[d].min(c);
-                            bounds.1[d] = bounds.1[d].max(c);
+                    match data.as_f64() {
+                        Ok(coords) => summary.absorb_coords(coords),
+                        Err(e) => failed = Some(e),
+                    }
+                } else if let Ok(values) = data.as_f64() {
+                    match summary.fields.get_mut(ds.name) {
+                        Some(stats) => stats.absorb(values),
+                        None => {
+                            let mut stats = FieldStats::empty();
+                            stats.absorb(values);
+                            summary.fields.insert(ds.name.to_owned(), stats);
                         }
                     }
-                    continue;
                 }
-                if let Ok(values) = data.as_f64() {
-                    summary
-                        .fields
-                        .entry(ds.name.clone())
-                        .or_insert_with(FieldStats::empty)
-                        .absorb(values);
-                }
+            });
+            if let Some(e) = failed {
+                return Err(e);
             }
         }
     }

@@ -17,15 +17,19 @@
 //! that wants a pane's checksum ([`pane_checksum`]) has it hashed where it
 //! lies. [`pane_to_block`] builds the same block as a [`DataBlock`], for
 //! the tests and benchmarks that hold the writers to it. On the way back
-//! [`apply_block`] and [`mesh_from_block`] decode a block once, and
-//! nothing between the two ends — wire, buffers, records, store — holds a
+//! nothing is built either: [`apply_block`] and [`mesh_from_block`] take a
+//! block's description too — a block read where it lies
+//! (`rocsdf::BlockView`), as every reader hands one over, or a
+//! [`DataBlock`] — and walk its datasets once, each payload decoded from
+//! the bytes it arrived in straight into the buffer the pane keeps.
+//! Nothing between the two ends — wire, buffers, records, store — holds a
 //! typed array.
 
 use std::collections::BTreeMap;
 
 use rocio_core::checksum::Field;
 use rocio_core::{
-    le, ArrayData, Attr, AttrValue, Attrs, BlockDesc, BlockId, Bytes, Checksum, DType, DataBlock,
+    le, ArrayData, Attr, Attrs, BlockDesc, BlockId, Bytes, Checksum, DType, DataBlock,
     Dataset, DatasetDesc, Payload, Result, RocError, SharedArray,
 };
 use rocmesh::StructuredBlock;
@@ -321,86 +325,172 @@ pub fn window_to_blocks(window: &Window, attr: &AttrRef) -> Result<Vec<DataBlock
         .collect()
 }
 
-/// Decode a block's `nc` dataset into node coordinates.
-fn node_coords(block: &DataBlock, nc: &Dataset) -> Result<Vec<f64>> {
-    match nc.data.to_typed() {
+/// What one walk over a block's datasets took out of it for a pane: the
+/// mesh datasets, decoded when the pane needs them (`nc` shaped by the
+/// rows of three it holds, so structured geometry can be held to it
+/// undecoded), and each declared attribute's buffer, in schema order.
+struct Contents {
+    /// `Some(rows)` when `nc` is there: its node count if it is shaped
+    /// `[rows, 3]`, `None` otherwise.
+    nc: Option<Option<usize>>,
+    coords: Option<ArrayData>,
+    conn: Option<ArrayData>,
+    buffers: Vec<Option<ArrayData>>,
+}
+
+impl Contents {
+    /// Walk `block`'s datasets once, decoding the mesh datasets when
+    /// `with_mesh` and each dataset `schema` declares into its slot — the
+    /// one LE → typed conversion of the read path, a dataset's payload read
+    /// where it lies. A name the block holds twice is read the first time.
+    fn of(block: &(impl BlockDesc + ?Sized), schema: &[AttrSpec], with_mesh: bool) -> Contents {
+        let mut contents = Contents {
+            nc: None,
+            coords: None,
+            conn: None,
+            buffers: std::iter::repeat_with(|| None).take(schema.len()).collect(),
+        };
+        block.for_each_dataset(|ds| {
+            let slot = match ds.name {
+                "nc" if contents.nc.is_some() => return,
+                "nc" => {
+                    contents.nc = Some(match ds.shape {
+                        &[rows, 3] => Some(rows),
+                        _ => None,
+                    });
+                    &mut contents.coords
+                }
+                "conn" => &mut contents.conn,
+                name => match schema.iter().position(|spec| spec.name == name) {
+                    Some(i) => &mut contents.buffers[i],
+                    None => return,
+                },
+            };
+            let wanted = with_mesh || !matches!(ds.name, "nc" | "conn");
+            if wanted && slot.is_none() {
+                *slot = Some(typed(ds));
+            }
+        });
+        contents
+    }
+}
+
+/// A dataset's payload as the typed buffer a pane keeps.
+fn typed(ds: &DatasetDesc<'_>) -> ArrayData {
+    match ds.payload.held() {
+        Some(le) => ArrayData::from_le(ds.dtype, le),
+        None => {
+            let mut le = Vec::with_capacity(ds.payload.byte_len());
+            ds.payload.encode(&mut le);
+            ArrayData::from_le(ds.dtype, &le)
+        }
+    }
+}
+
+/// Node coordinates out of a block's decoded `nc`.
+fn node_coords(id: BlockId, nc: ArrayData) -> Result<Vec<f64>> {
+    match nc {
         ArrayData::F64(coords) => Ok(coords),
         other => Err(RocError::Mismatch(format!(
-            "block {}: expected f64 node coordinates, found {}",
-            block.id,
+            "block {id}: expected f64 node coordinates, found {}",
             other.dtype().name()
         ))),
     }
 }
 
-/// Rebuild a [`PaneMesh`] from a serialized block.
+/// What a block's attributes say of its pane's mesh: a structured mesh
+/// whole, or that the mesh is in the block's datasets.
+fn mesh_kind(block: &(impl BlockDesc + ?Sized)) -> Result<Option<PaneMesh>> {
+    let id = block.id();
+    block.with_attrs(|attrs| {
+        let get = |k: &str| attrs.iter().find(|&(key, _)| key == k).map(|(_, v)| v);
+        let kind = get("mesh_kind")
+            .ok_or_else(|| RocError::Corrupt(format!("block {id} missing mesh_kind")))?;
+        let not_str =
+            || RocError::Mismatch(format!("expected Str attr, got {:?}", kind.to_value()));
+        match kind.as_str().ok_or_else(not_str)? {
+            "structured" => {
+                let missing = |k: &str| RocError::Corrupt(format!("block {id} missing {k}"));
+                let not_3d = || {
+                    RocError::Corrupt(format!(
+                        "block {id}: structured geometry must be 3-D with non-negative dims"
+                    ))
+                };
+                let fvec = |k: &str| match get(k) {
+                    Some(v @ (Attr::FloatVec(_) | Attr::FloatVecLe(_))) => {
+                        v.float_array::<3>().ok_or_else(not_3d)
+                    }
+                    _ => Err(missing(k)),
+                };
+                let dims = match get("dims") {
+                    Some(v @ (Attr::IntVec(_) | Attr::IntVecLe(_))) => v
+                        .int_array::<3>()
+                        .and_then(|dims| {
+                            let [i, j, k] = dims.map(|d| usize::try_from(d).ok());
+                            Some([i?, j?, k?])
+                        })
+                        .ok_or_else(not_3d)?,
+                    _ => return Err(missing("dims")),
+                };
+                let (origin, spacing) = (fvec("origin")?, fvec("spacing")?);
+                Ok(Some(PaneMesh::Structured { dims, origin, spacing }))
+            }
+            "unstructured" => Ok(None),
+            other => Err(RocError::Corrupt(format!("unknown mesh kind '{other}'"))),
+        }
+    })
+}
+
+/// The pane mesh a block describes, out of its attributes and the mesh
+/// datasets one walk took out of it.
 ///
 /// The block came from a file or a message, so nothing it claims sizes
 /// anything before it is checked ([`PaneMesh::validate`]), and a structured
 /// block's `dims` must agree with the shape of the coordinates it carries
 /// — bytes that exist — when it carries them. A failed check is
 /// [`RocError::Corrupt`], never a panic.
-pub fn mesh_from_block(block: &DataBlock) -> Result<PaneMesh> {
-    let kind = block
-        .attrs
-        .get("mesh_kind")
-        .ok_or_else(|| RocError::Corrupt(format!("block {} missing mesh_kind", block.id)))?
-        .as_str()?;
+fn mesh_of(id: BlockId, kind: Option<PaneMesh>, contents: &mut Contents) -> Result<PaneMesh> {
+    let missing = |name: &str| RocError::NotFound(format!("dataset '{name}' in block {id}"));
     let mesh = match kind {
-        "structured" => {
-            let missing = |k: &str| RocError::Corrupt(format!("block {} missing {k}", block.id));
-            let not_3d = || {
-                RocError::Corrupt(format!(
-                    "block {}: structured geometry must be 3-D with non-negative dims",
-                    block.id
-                ))
-            };
-            let fvec = |k: &str| match block.attrs.get(k) {
-                Some(AttrValue::FloatVec(v)) => {
-                    <[f64; 3]>::try_from(v.as_slice()).map_err(|_| not_3d())
-                }
-                _ => Err(missing(k)),
-            };
-            let dims = match block.attrs.get("dims") {
-                Some(AttrValue::IntVec(v)) => v
-                    .iter()
-                    .map(|&d| usize::try_from(d).ok())
-                    .collect::<Option<Vec<usize>>>()
-                    .and_then(|dims| <[usize; 3]>::try_from(dims).ok())
-                    .ok_or_else(not_3d)?,
-                _ => return Err(missing("dims")),
-            };
-            let (origin, spacing) = (fvec("origin")?, fvec("spacing")?);
-            PaneMesh::Structured { dims, origin, spacing }
-        }
-        "unstructured" => {
-            let coords = node_coords(block, block.dataset("nc")?)?;
-            match block.dataset("conn")?.data.to_typed() {
+        Some(structured) => structured,
+        None => {
+            let coords = node_coords(id, contents.coords.take().ok_or_else(|| missing("nc"))?)?;
+            match contents.conn.take().ok_or_else(|| missing("conn"))? {
                 ArrayData::I32(conn) => PaneMesh::Unstructured { coords, conn },
                 other => {
                     return Err(RocError::Mismatch(format!(
-                        "block {}: expected i32 connectivity, found {}",
-                        block.id,
+                        "block {id}: expected i32 connectivity, found {}",
                         other.dtype().name()
                     )))
                 }
             }
         }
-        other => return Err(RocError::Corrupt(format!("unknown mesh kind '{other}'"))),
     };
     mesh.validate()?;
-    if let (PaneMesh::Structured { dims, .. }, Ok(nc)) = (&mesh, block.dataset("nc")) {
-        if nc.shape != [mesh.n_nodes(), 3] {
+    if let (PaneMesh::Structured { dims, .. }, Some(rows)) = (&mesh, contents.nc) {
+        if rows != Some(mesh.n_nodes()) {
             return Err(RocError::Corrupt(format!(
-                "block {}: dims {dims:?} do not describe its {:?} node coordinates",
-                block.id, nc.shape
+                "block {id}: dims {dims:?} do not describe its node coordinates"
             )));
         }
     }
     Ok(mesh)
 }
 
-/// Apply a serialized block back onto a window (restart / data exchange).
+/// Rebuild a [`PaneMesh`] from a serialized block — a [`DataBlock`], or
+/// one read where it lies (`rocsdf::BlockView`) — walking its datasets
+/// once. See [`apply_block`] for what is checked.
+pub fn mesh_from_block(block: &(impl BlockDesc + ?Sized)) -> Result<PaneMesh> {
+    let kind = mesh_kind(block)?;
+    let mut contents = Contents::of(block, &[], kind.is_none());
+    mesh_of(block.id(), kind, &mut contents)
+}
+
+/// Apply a serialized block back onto a window (restart / data exchange):
+/// a [`DataBlock`], or a block read where it lies (`rocsdf::BlockView`),
+/// whose datasets are walked once, each payload decoded straight from the
+/// bytes it arrived in into the buffer the pane keeps — the one
+/// allocation per restored attribute.
 ///
 /// A pane the window does not hold yet — reserved by a restart, migrated
 /// in, or owned by a different processor count than wrote the snapshot —
@@ -411,55 +501,54 @@ pub fn mesh_from_block(block: &DataBlock) -> Result<PaneMesh> {
 /// block's coordinates to vouch for that geometry. On a pane the window
 /// already holds, attribute buffers present in the block are installed
 /// and the others keep their values.
-pub fn apply_block(window: &mut Window, block: &DataBlock) -> Result<()> {
-    if block.window != window.name() {
+pub fn apply_block(window: &mut Window, block: &(impl BlockDesc + ?Sized)) -> Result<()> {
+    let id = block.id();
+    if block.window() != window.name() {
         return Err(RocError::Mismatch(format!(
-            "block {} belongs to window '{}', not '{}'",
-            block.id,
-            block.window,
+            "block {id} belongs to window '{}', not '{}'",
+            block.window(),
             window.name()
         )));
     }
     // Panes hold typed buffers (solvers mutate them element-wise), so
     // payloads are decoded here — the single typed boundary of the
     // restart path.
-    if window.pane(block.id).is_err() {
-        let mesh = mesh_from_block(block)?;
-        let anchored = block.dataset("nc").is_ok();
-        return window.build_pane(block.id, mesh, |spec| match block.dataset(&spec.name) {
-            Ok(ds) => Ok(Some(ds.data.to_typed())),
-            Err(_) if anchored => Ok(None),
-            Err(_) => Err(RocError::Corrupt(format!(
-                "block {} carries neither coordinates nor attribute '{}': nothing it holds \
+    let Some(held) = window.held(id) else {
+        let kind = mesh_kind(block)?;
+        let mut contents = Contents::of(block, window.schema(), kind.is_none());
+        let mesh = mesh_of(id, kind, &mut contents)?;
+        let anchored = contents.nc.is_some();
+        let mut buffers = contents.buffers.into_iter();
+        return window.build_pane(id, mesh, |spec| match buffers.next().flatten() {
+            Some(buf) => Ok(Some(buf)),
+            None if anchored => Ok(None),
+            None => Err(RocError::Corrupt(format!(
+                "block {id} carries neither coordinates nor attribute '{}': nothing it holds \
                  gives that buffer's size",
-                block.id, spec.name
+                spec.name
             ))),
         });
-    }
-    if let PaneMesh::Unstructured { .. } = &window.pane(block.id)?.mesh {
-        // Mesh may have moved (ALE): refresh coordinates when present.
-        if let Ok(nc) = block.dataset("nc") {
-            let coords = node_coords(block, nc)?;
-            if let PaneMesh::Unstructured { coords: c, .. } =
-                &mut window.pane_mut(block.id)?.mesh
-            {
-                if c.len() != coords.len() {
-                    return Err(RocError::Mismatch(format!(
-                        "block {}: coords length changed ({} -> {})",
-                        block.id,
-                        c.len(),
-                        coords.len()
-                    )));
-                }
-                *c = coords;
-            }
+    };
+    // Mesh may have moved (ALE): an unstructured pane's coordinates are
+    // refreshed when present.
+    let moving = matches!(held.mesh, PaneMesh::Unstructured { .. });
+    let contents = Contents::of(block, window.schema(), moving);
+    let (schema, pane) = window.schema_and_pane_mut(id)?;
+    let moved = (contents.coords, &mut pane.mesh);
+    if let (Some(nc), PaneMesh::Unstructured { coords: c, .. }) = moved {
+        let coords = node_coords(id, nc)?;
+        if c.len() != coords.len() {
+            return Err(RocError::Mismatch(format!(
+                "block {id}: coords length changed ({} -> {})",
+                c.len(),
+                coords.len()
+            )));
         }
+        *c = coords;
     }
-    let schema: Vec<AttrSpec> = window.schema().to_vec();
-    let pane = window.pane_mut(block.id)?;
-    for spec in &schema {
-        if let Ok(ds) = block.dataset(&spec.name) {
-            pane.set_data(&spec.name, ds.data.to_typed())?;
+    for (spec, buf) in schema.iter().zip(contents.buffers) {
+        if let Some(buf) = buf {
+            pane.set_data(&spec.name, buf)?;
         }
     }
     Ok(())
@@ -468,6 +557,7 @@ pub fn apply_block(window: &mut Window, block: &DataBlock) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rocio_core::AttrValue;
     use rocmesh::UnstructuredBlock;
 
     fn fluid_window() -> Window {
@@ -728,6 +818,29 @@ mod tests {
                     for pair in payloads.windows(2) {
                         assert_eq!(pair[0].as_ptr_range().end, pair[1].as_ptr(), "{case}");
                     }
+                    // Read back where it lies, the block applies as the
+                    // built block does, pane for pane: onto a window that
+                    // names the pane and onto one that holds it.
+                    let view = view_of(&block);
+                    assert_eq!(view.to_block().unwrap(), block, "{case}");
+                    let mut named = Window::new("w");
+                    for spec in w.schema() {
+                        named.declare_attr(spec.clone()).unwrap();
+                    }
+                    named.reserve_pane(BlockId(2)).unwrap();
+                    for target in [&named, &w] {
+                        let (mut by_view, mut by_block) = (target.clone(), target.clone());
+                        let by_view_verdict = apply_block(&mut by_view, &view);
+                        let by_block_verdict = apply_block(&mut by_block, &block);
+                        assert_eq!(
+                            format!("{by_view_verdict:?}"),
+                            format!("{by_block_verdict:?}"),
+                            "{case}"
+                        );
+                        assert_eq!(by_view, by_block, "{case}");
+                    }
+                    let meshes = (mesh_from_block(&view), mesh_from_block(&block));
+                    assert_eq!(format!("{:?}", meshes.0), format!("{:?}", meshes.1), "{case}");
                 }
             }
         }
@@ -798,6 +911,12 @@ mod tests {
         apply_block(&mut held, &one_attr).unwrap();
     }
 
+    /// `block` as a reader sees it: its records, read where they lie.
+    fn view_of(block: &DataBlock) -> rocsdf::BlockView {
+        let records = rocsdf::encode_block(&[], block);
+        rocsdf::BlockView::decode(&mut records.cursor(), 1 + block.datasets.len()).unwrap()
+    }
+
     /// Geometry that arrives in a block is input: a size it claims is
     /// checked before it sizes anything. Each of these died inside
     /// `Vec` with `capacity overflow` (or built a mesh whose connectivity
@@ -810,11 +929,16 @@ mod tests {
         fresh.declare_attr(AttrSpec::element("pressure", DType::F64, 1)).unwrap();
         fresh.declare_attr(AttrSpec::node("velocity", DType::F64, 3)).unwrap();
         let refused = |block: &DataBlock, what: &str| {
-            let mut target = fresh.clone();
-            for result in [mesh_from_block(block).map(drop), apply_block(&mut target, block)] {
+            let (mut target, mut by_view, view) = (fresh.clone(), fresh.clone(), view_of(block));
+            for result in [
+                mesh_from_block(block).map(drop),
+                apply_block(&mut target, block),
+                mesh_from_block(&view).map(drop),
+                apply_block(&mut by_view, &view),
+            ] {
                 assert!(matches!(result, Err(RocError::Corrupt(_))), "{what}: {result:?}");
             }
-            assert_eq!(target.n_panes(), 0, "{what}");
+            assert_eq!((target.n_panes(), by_view.n_panes()), (0, 0), "{what}");
         };
         for dims in [
             vec![-1, 1, 1],
@@ -851,11 +975,16 @@ mod tests {
             let mut block = good.clone();
             let ds = block.dataset_mut(name).unwrap();
             (ds.shape, ds.data) = (vec![data.len()], data);
-            let mut target = fresh.clone();
-            for result in [mesh_from_block(&block).map(drop), apply_block(&mut target, &block)] {
+            let (mut target, mut by_view, view) = (fresh.clone(), fresh.clone(), view_of(&block));
+            for result in [
+                mesh_from_block(&block).map(drop),
+                apply_block(&mut target, &block),
+                mesh_from_block(&view).map(drop),
+                apply_block(&mut by_view, &view),
+            ] {
                 assert!(matches!(result, Err(RocError::Corrupt(_))), "{what}: {result:?}");
             }
-            assert_eq!(target.n_panes(), 0, "{what}");
+            assert_eq!((target.n_panes(), by_view.n_panes()), (0, 0), "{what}");
         };
         let conn = good.dataset("conn").unwrap().data.to_typed();
         let ArrayData::I32(conn) = conn else { panic!("conn is i32") };

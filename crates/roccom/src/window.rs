@@ -1,6 +1,7 @@
 //! Windows, panes, and attribute registration.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use rocio_core::{ArrayData, BlockId, DType, Result, RocError};
 use rocmesh::{StructuredBlock, UnstructuredBlock};
@@ -143,16 +144,27 @@ impl From<UnstructuredBlock> for PaneMesh {
 pub struct Pane {
     pub id: BlockId,
     pub mesh: PaneMesh,
-    /// Attribute name → data buffer (length = location count × ncomp).
-    data: BTreeMap<String, ArrayData>,
+    /// The declarations the buffers follow: its window's schema, by
+    /// refcount, so a pane built holds no name of its own.
+    schema: Arc<Vec<AttrSpec>>,
+    /// One buffer per declared attribute, in schema order (length =
+    /// location count × ncomp).
+    data: Vec<ArrayData>,
 }
 
 impl Pane {
+    /// Where attribute `attr`'s buffer is held.
+    fn slot(&self, attr: &str) -> Result<usize> {
+        let id = self.id;
+        self.schema
+            .iter()
+            .position(|spec| spec.name == attr)
+            .ok_or_else(|| RocError::NotFound(format!("attribute '{attr}' on pane {id}")))
+    }
+
     /// Buffer of one attribute.
     pub fn data(&self, attr: &str) -> Result<&ArrayData> {
-        self.data
-            .get(attr)
-            .ok_or_else(|| RocError::NotFound(format!("attribute '{attr}' on pane {}", self.id)))
+        Ok(&self.data[self.slot(attr)?])
     }
 
     /// Mutable buffer of one attribute.
@@ -164,29 +176,24 @@ impl Pane {
     /// update of the form `a += f(b)` holds at once — so a kernel need not
     /// clone `b` to get round the borrow of the pane.
     pub fn data_pair_mut(&mut self, write: &str, read: &str) -> Result<(&mut ArrayData, &ArrayData)> {
-        let id = self.id;
-        let (mut w, mut r) = (None, None);
-        for (name, buf) in &mut self.data {
-            if name == write {
-                w = Some(buf);
-            } else if name == read {
-                r = Some(&*buf);
+        let w = self.slot(write)?;
+        let r = match self.slot(read) {
+            Ok(r) if r != w => r,
+            _ => {
+                let id = self.id;
+                return Err(RocError::NotFound(format!("attribute '{read}' on pane {id}")));
             }
-        }
-        let missing = |attr| RocError::NotFound(format!("attribute '{attr}' on pane {id}"));
-        Ok((w.ok_or_else(|| missing(write))?, r.ok_or_else(|| missing(read))?))
+        };
+        let (low, high) = self.data.split_at_mut(w.max(r));
+        Ok(if w < r { (&mut low[w], &high[0]) } else { (&mut high[0], &low[r]) })
     }
 
     /// One attribute's buffer mutably beside the pane's mesh — what
     /// position-dependent initial conditions hold at once — so set-up need
     /// not clone the coordinates to get round the borrow of the pane.
     pub fn mesh_and_data_mut(&mut self, attr: &str) -> Result<(&PaneMesh, &mut ArrayData)> {
-        let id = self.id;
-        let buf = self
-            .data
-            .get_mut(attr)
-            .ok_or_else(|| RocError::NotFound(format!("attribute '{attr}' on pane {id}")))?;
-        Ok((&self.mesh, buf))
+        let slot = self.slot(attr)?;
+        Ok((&self.mesh, &mut self.data[slot]))
     }
 
     /// Replace an attribute buffer (used by restart). Length and dtype
@@ -211,7 +218,8 @@ impl Pane {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Window {
     name: String,
-    schema: Vec<AttrSpec>,
+    /// Shared with every pane, which holds its buffers in this order.
+    schema: Arc<Vec<AttrSpec>>,
     panes: BTreeMap<BlockId, Pane>,
     /// Panes this process owns and does not hold yet: a restart names
     /// them, and the read builds each from its block.
@@ -223,7 +231,7 @@ impl Window {
     pub fn new(name: impl Into<String>) -> Self {
         Window {
             name: name.into(),
-            schema: Vec::new(),
+            schema: Arc::default(),
             panes: BTreeMap::new(),
             reserved: BTreeSet::new(),
         }
@@ -276,12 +284,16 @@ impl Window {
                 spec.name, self.name
             )));
         }
-        for pane in self.panes.values_mut() {
-            let n = buffer_len(&spec, &pane.mesh)?;
-            pane.data
-                .insert(spec.name.clone(), ArrayData::zeros(spec.dtype, n));
+        for pane in self.panes.values() {
+            buffer_len(&spec, &pane.mesh)?;
         }
-        self.schema.push(spec);
+        let (dtype, location, ncomp) = (spec.dtype, spec.location, spec.ncomp);
+        Arc::make_mut(&mut self.schema).push(spec);
+        for pane in self.panes.values_mut() {
+            let n = location_count(location, &pane.mesh) * ncomp;
+            pane.data.push(ArrayData::zeros(dtype, n));
+            pane.schema = Arc::clone(&self.schema);
+        }
         Ok(())
     }
 
@@ -307,8 +319,8 @@ impl Window {
                 self.name
             )));
         }
-        let mut data = BTreeMap::new();
-        for spec in &self.schema {
+        let mut data = Vec::with_capacity(self.schema.len());
+        for spec in self.schema.iter() {
             let n = buffer_len(spec, &mesh)?;
             let buf = match buffer(spec)? {
                 None => ArrayData::zeros(spec.dtype, n),
@@ -323,10 +335,11 @@ impl Window {
                     )))
                 }
             };
-            data.insert(spec.name.clone(), buf);
+            data.push(buf);
         }
         self.reserved.remove(&id);
-        self.panes.insert(id, Pane { id, mesh, data });
+        let schema = Arc::clone(&self.schema);
+        self.panes.insert(id, Pane { id, mesh, schema, data });
         Ok(())
     }
 
@@ -353,15 +366,16 @@ impl Window {
     }
 
     /// Insert a previously removed pane (block migrated in). Schema must
-    /// match: the pane must carry exactly the declared attributes.
-    pub fn insert_pane(&mut self, pane: Pane) -> Result<()> {
+    /// match: the pane must carry exactly the declared attributes, which it
+    /// then holds in this window's order.
+    pub fn insert_pane(&mut self, mut pane: Pane) -> Result<()> {
         if self.panes.contains_key(&pane.id) {
             return Err(RocError::AlreadyExists(format!(
                 "pane {} in window '{}'",
                 pane.id, self.name
             )));
         }
-        for spec in &self.schema {
+        for spec in self.schema.iter() {
             let buf = pane.data(&spec.name)?;
             if buf.dtype() != spec.dtype {
                 return Err(RocError::Mismatch(format!(
@@ -381,6 +395,14 @@ impl Window {
                 self.name,
                 self.schema.len()
             )));
+        }
+        if pane.schema != self.schema {
+            let mut held: Vec<Option<ArrayData>> = pane.data.drain(..).map(Some).collect();
+            for spec in self.schema.iter() {
+                let slot = pane.slot(&spec.name)?;
+                pane.data.extend(held[slot].take());
+            }
+            pane.schema = Arc::clone(&self.schema);
         }
         self.reserved.remove(&pane.id);
         self.panes.insert(pane.id, pane);
@@ -408,10 +430,23 @@ impl Window {
 
     /// Borrow a pane mutably.
     pub fn pane_mut(&mut self, id: BlockId) -> Result<&mut Pane> {
-        let name = self.name.clone();
-        self.panes
+        self.schema_and_pane_mut(id).map(|(_, pane)| pane)
+    }
+
+    /// The schema beside one pane, mutably — what installing a block's
+    /// buffers holds at once — so the caller need not copy the schema to
+    /// get round the borrow of the window.
+    pub(crate) fn schema_and_pane_mut(&mut self, id: BlockId) -> Result<(&[AttrSpec], &mut Pane)> {
+        let Window { name, schema, panes, .. } = self;
+        let pane = panes
             .get_mut(&id)
-            .ok_or_else(|| RocError::NotFound(format!("pane {id} in window '{name}'")))
+            .ok_or_else(|| RocError::NotFound(format!("pane {id} in window '{name}'")))?;
+        Ok((schema, pane))
+    }
+
+    /// A pane the window holds, if it holds it.
+    pub(crate) fn held(&self, id: BlockId) -> Option<&Pane> {
+        self.panes.get(&id)
     }
 
     /// Iterate panes in id order.
@@ -429,14 +464,19 @@ impl Window {
 /// tetrahedral connectivity.
 const MESH_DATASETS: [&str; 2] = ["nc", "conn"];
 
-/// Buffer length for an attribute on a mesh, or [`RocError::Corrupt`] for
-/// a buffer whose bytes no allocation could hold.
-fn buffer_len(spec: &AttrSpec, mesh: &PaneMesh) -> Result<usize> {
-    let count = match spec.location {
+/// How many places an attribute at `location` has on a mesh.
+fn location_count(location: Location, mesh: &PaneMesh) -> usize {
+    match location {
         Location::Node => mesh.n_nodes(),
         Location::Element => mesh.n_elems(),
         Location::Pane => 1,
-    };
+    }
+}
+
+/// Buffer length for an attribute on a mesh, or [`RocError::Corrupt`] for
+/// a buffer whose bytes no allocation could hold.
+fn buffer_len(spec: &AttrSpec, mesh: &PaneMesh) -> Result<usize> {
+    let count = location_count(spec.location, mesh);
     count
         .checked_mul(spec.ncomp)
         .filter(|n| n.checked_mul(spec.dtype.size()).is_some_and(|b| b <= isize::MAX as usize))
@@ -630,6 +670,32 @@ mod tests {
             w2.pane(BlockId(1)).unwrap().data("p").unwrap().as_f64().unwrap()[0],
             42.0
         );
+    }
+
+    /// A pane holds its buffers in its window's declaration order; one
+    /// migrated from a window that declared the same attributes in another
+    /// order is taken in this window's, buffers by name.
+    #[test]
+    fn a_migrated_pane_takes_the_order_of_the_window_it_joins() {
+        let declare = |names: [&str; 2]| {
+            let mut w = Window::new("w");
+            for name in names {
+                w.declare_attr(AttrSpec::element(name, DType::F64, 1)).unwrap();
+            }
+            w.register_pane(BlockId(1), small_mesh()).unwrap();
+            for (i, name) in ["p", "q"].into_iter().enumerate() {
+                w.pane_mut(BlockId(1)).unwrap().data_mut(name).unwrap().as_f64_mut().unwrap()[0] =
+                    i as f64 + 0.5;
+            }
+            w
+        };
+        let (mut from, mut to) = (declare(["q", "p"]), declare(["p", "q"]));
+        let expected = to.clone();
+        to.remove_pane(BlockId(1)).unwrap();
+        to.insert_pane(from.remove_pane(BlockId(1)).unwrap()).unwrap();
+        assert_eq!(to, expected);
+        let (p, q) = to.pane_mut(BlockId(1)).unwrap().data_pair_mut("p", "q").unwrap();
+        assert_eq!((p.as_f64().unwrap()[0], q.as_f64().unwrap()[0]), (0.5, 1.5));
     }
 
     #[test]

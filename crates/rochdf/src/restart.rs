@@ -52,14 +52,14 @@ pub fn read_attribute_individual(
 
     // Candidate files: own rank's file first, then the rest in order.
     let prefix = cfg.prefix(&sel.window, snap);
-    let mut files = fs.list(&prefix);
+    let mut files = fs.names(&prefix);
     if files.is_empty() {
         return Err(RocError::Storage(format!(
             "restart: no snapshot files under '{prefix}'"
         )));
     }
     let own = cfg.path(&sel.window, snap, rank);
-    if let Some(pos) = files.iter().position(|f| *f == own) {
+    if let Some(pos) = files.iter().position(|f| **f == own) {
         files.swap(pos, 0);
     }
 
@@ -69,15 +69,14 @@ pub fn read_attribute_individual(
         }
         let (reader, t_open) = SdfFileReader::open(fs, path, cfg.lib, client, now)?;
         now = t_open;
-        for id in reader.block_ids() {
-            if missing.contains(&id) {
-                // Zero-copy read, one store call per block; payloads are
-                // windows into the file image until `apply_block`
-                // installs them typed.
-                let (block, t) = reader.read_block_shared(id, now)?;
+        for id in reader.blocks() {
+            if missing.remove(&id) {
+                // Zero-copy read, one store call per block: the block is
+                // read where it lies, its payloads windows into the file
+                // image until `apply_block` decodes them into the pane.
+                let (block, t) = reader.view_block(id, now)?;
                 now = t;
                 roccom::convert::apply_block(windows.window_mut(&sel.window)?, &block)?;
-                missing.remove(&id);
             }
         }
     }

@@ -24,13 +24,12 @@
 //! the wanted lists describe the new partition and the aggregators route
 //! accordingly.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 use bytes::Bytes;
-use rocio_core::{BlockId, DataBlock, Result, RocError, Rope, SimTime};
+use rocio_core::{BlockDesc, BlockId, Cursor, DataBlock, Result, RocError, Rope, SimTime};
 use rocnet::Comm;
-use rocsdf::format::{block_from_records, decode_dataset, decode_dataset_shared};
-use rocsdf::{LibraryModel, SdfFileReader};
+use rocsdf::{BlockView, LibraryModel, RecordView, SdfFileReader};
 use rocstore::SharedFs;
 
 use crate::config::RochdfConfig;
@@ -48,10 +47,8 @@ pub const TAG_TP_FAILED: u32 = 0x0070_0003;
 /// own `wanted` block ids; the first `n_aggregators` ranks read the
 /// snapshot files under `prefix` (round-robin, one contiguous domain read
 /// per file) and redistribute, and every rank returns with exactly the
-/// blocks it asked for, sorted by id. Errors if a wanted block exists in
-/// no file, and on **every** rank if an aggregator's read failed (the
-/// aggregator keeps its own error, the others name its rank) — always
-/// after the drain, so no rank is left waiting.
+/// blocks it asked for, sorted by id — the blocks a restart applies where
+/// they lie (`read_views`), built.
 pub fn read_partitioned(
     fs: &SharedFs,
     comm: &Comm,
@@ -60,37 +57,48 @@ pub fn read_partitioned(
     wanted: &[BlockId],
     n_aggregators: usize,
 ) -> Result<(Vec<DataBlock>, SimTime)> {
+    let (views, t) = read_views(fs, comm, lib, prefix, wanted, n_aggregators)?;
+    Ok((views.iter().map(BlockView::to_block).collect::<Result<_>>()?, t))
+}
+
+/// [`read_partitioned`] as the blocks read where they lie: a receiver's
+/// records are windows of the message they arrived in, an aggregator's
+/// own of its file domain. Errors if a wanted block exists in no file or
+/// arrives twice (a stale copy under the same prefix must not be restored
+/// in its place), and on **every** rank if an aggregator's read failed (the
+/// aggregator keeps its own error, the others name its rank) — always
+/// after the drain, so no rank is left waiting.
+pub(crate) fn read_views(
+    fs: &SharedFs,
+    comm: &Comm,
+    lib: LibraryModel,
+    prefix: &str,
+    wanted: &[BlockId],
+    n_aggregators: usize,
+) -> Result<(Vec<BlockView>, SimTime)> {
     let size = comm.size();
     let rank = comm.rank();
     let n_agg = n_aggregators.clamp(1, size);
 
-    // Phase zero: everyone learns who wants what (collective — every rank
-    // participates even with an empty wanted list).
+    // Phase zero: everyone tells who wants what (collective — every rank
+    // participates even with an empty wanted list); only an aggregator
+    // routes, so only an aggregator builds the routing table.
     let mut enc = Vec::with_capacity(wanted.len() * 8);
     for id in wanted {
         enc.extend_from_slice(&id.0.to_le_bytes());
     }
     let all = comm.allgather(&enc)?;
-    let mut want_of: BTreeMap<BlockId, Vec<usize>> = BTreeMap::new();
-    for (r, bytes) in all.iter().enumerate() {
-        for chunk in bytes.chunks_exact(8) {
-            let id = BlockId(u64::from_le_bytes(chunk.try_into().map_err(|_| {
-                RocError::Comm("two-phase: short id chunk".into())
-            })?));
-            want_of.entry(id).or_default().push(r);
-        }
-    }
 
     // Every rank checks the listing so a missing snapshot fails the whole
     // collective instead of stranding non-aggregators in their drain.
-    let files = fs.list(prefix);
+    let files = fs.names(prefix);
     if files.is_empty() {
         return Err(RocError::Storage(format!(
             "restart: no snapshot files under '{prefix}'"
         )));
     }
 
-    let mut got: Vec<DataBlock> = Vec::new();
+    let mut got: Vec<BlockView> = Vec::new();
     let mut received: u64 = 0;
     let mut expected: u64 = 0;
     let mut dones = 0usize;
@@ -100,6 +108,20 @@ pub fn read_partitioned(
     let mut failure: Option<RocError> = None;
 
     if rank < n_agg {
+        // (block, requester), sorted: the requesters of a block are one run.
+        let mut want_of: Vec<(BlockId, usize)> =
+            Vec::with_capacity(all.iter().map(|bytes| bytes.len() / 8).sum());
+        for (r, bytes) in all.iter().enumerate() {
+            let mut ids = Cursor::from(&bytes[..]);
+            while ids.remaining() >= 8 {
+                want_of.push((BlockId(ids.u64("two-phase wanted id")?), r));
+            }
+        }
+        want_of.sort_unstable();
+        let wanters = |id: BlockId| {
+            let from = want_of.partition_point(|&(w, _)| w < id);
+            want_of[from..].iter().take_while(move |&&(w, _)| w == id).map(|&(_, r)| r)
+        };
         // Phase one: read owned file domains; phase two: route each block
         // to its requesters (sends are eager, so no receive interleaving
         // is needed for progress).
@@ -114,11 +136,8 @@ pub fn read_partitioned(
                 }
                 let (reader, t_open) = SdfFileReader::open(fs, path, lib, client, now)?;
                 now = t_open;
-                let present: Vec<BlockId> = reader
-                    .block_ids()
-                    .into_iter()
-                    .filter(|id| want_of.contains_key(id))
-                    .collect();
+                let present: Vec<BlockId> =
+                    reader.blocks().filter(|&id| wanters(id).next().is_some()).collect();
                 if present.is_empty() {
                     continue;
                 }
@@ -126,7 +145,7 @@ pub fn read_partitioned(
                 now = t;
                 comm.clock().merge(now);
                 for (id, records) in &raw {
-                    for &dst in &want_of[id] {
+                    for dst in wanters(*id) {
                         if dst == rank {
                             got.push(decode_block(*id, records)?);
                         } else {
@@ -196,8 +215,15 @@ pub fn read_partitioned(
     if let Some(e) = failure {
         return Err(e);
     }
+    got.sort_by_key(|b| b.id());
+    if let Some(twice) = got.windows(2).find(|pair| pair[0].id() == pair[1].id()) {
+        return Err(RocError::Corrupt(format!(
+            "two-phase restart: block {} delivered twice under '{prefix}'",
+            twice[0].id()
+        )));
+    }
 
-    let have: HashSet<BlockId> = got.iter().map(|b| b.id).collect();
+    let have: HashSet<BlockId> = got.iter().map(|b| b.id()).collect();
     let mut missing: Vec<u64> =
         wanted.iter().filter(|id| !have.contains(id)).map(|id| id.0).collect();
     if !missing.is_empty() {
@@ -206,7 +232,6 @@ pub fn read_partitioned(
             "two-phase restart: blocks {missing:?} not found under '{prefix}'"
         )));
     }
-    got.sort_by_key(|b| b.id);
     Ok((got, comm.now()))
 }
 
@@ -223,14 +248,7 @@ pub fn read_attribute_two_phase(
 ) -> Result<SimTime> {
     let wanted: Vec<BlockId> = windows.window(&sel.window)?.pane_ids();
     let prefix = cfg.prefix(&sel.window, snap);
-    let (blocks, t) = read_partitioned(
-        fs,
-        comm,
-        cfg.lib,
-        &prefix,
-        &wanted,
-        cfg.read_aggregators,
-    )?;
+    let (blocks, t) = read_views(fs, comm, cfg.lib, &prefix, &wanted, cfg.read_aggregators)?;
     for block in &blocks {
         roccom::convert::apply_block(windows.window_mut(&sel.window)?, block)?;
     }
@@ -252,7 +270,7 @@ fn encode_block(id: BlockId, records: &[Bytes]) -> Rope {
     msg
 }
 
-fn decode_block_msg(payload: &Rope) -> Result<DataBlock> {
+fn decode_block_msg(payload: &Rope) -> Result<BlockView> {
     let what = "two-phase block message";
     // `lens` walks the header (id, count, length table), `records` the
     // record images after it.
@@ -269,26 +287,27 @@ fn decode_block_msg(payload: &Rope) -> Result<DataBlock> {
     }
     let mut records = lens.clone();
     records.skip(n * 8, what)?;
-    // Each record is decoded where it lies, under its own length: its
-    // payload stays a window of the part it arrived in (the aggregator's
-    // file image), and the CRC pass makes the receiver the integrity
-    // boundary, as in `decode_block`.
-    let decoded = (0..n).map(|_| {
+    // Each record is read where it lies, under its own length: it stays a
+    // window of the part it arrived in (the aggregator's file image), and
+    // the CRC pass makes the receiver the integrity boundary, as in
+    // `decode_block`.
+    let read = (0..n).map(|_| {
         let len = lens.u64(what)? as usize;
-        decode_dataset(&mut records.sub(len, what)?)
+        RecordView::read(&mut records.sub(len, what)?, true)
     });
-    let block = block_from_records(Some(id), decoded)?;
+    let block = BlockView::assemble(Some(id), n, read)?;
     if records.remaining() != 0 {
         return Err(RocError::Comm("two-phase: trailing bytes in block message".into()));
     }
     Ok(block)
 }
 
-/// Decode a block from its raw record images (meta first), verifying each
-/// record's payload CRC — the receiver is the integrity boundary on this
+/// A block read from its raw record images (meta first), each record's
+/// payload CRC verified — the receiver is the integrity boundary on this
 /// path.
-fn decode_block(id: BlockId, records: &[Bytes]) -> Result<DataBlock> {
-    block_from_records(Some(id), records.iter().map(|r| decode_dataset_shared(r, &mut 0)))
+fn decode_block(id: BlockId, records: &[Bytes]) -> Result<BlockView> {
+    let read = records.iter().map(|r| RecordView::read(&mut Cursor::from(r), true));
+    BlockView::assemble(Some(id), records.len(), read)
 }
 
 #[cfg(test)]
@@ -497,6 +516,38 @@ mod tests {
         assert!(matches!(&out[3], Err(RocError::Corrupt(m)) if m.contains("checksum")), "{:?}", out[3]);
     }
 
+    /// A block a stale file under the snapshot's prefix holds too arrives
+    /// twice — here both copies on rank 0's own file domain. The rank that
+    /// wants it refuses the restart instead of restoring whichever copy
+    /// came last (a receiver that kept every copy applied both);
+    /// the other rank restores, and nobody is left waiting.
+    #[test]
+    fn a_block_in_two_files_is_refused_where_it_is_wanted() {
+        let fs = SharedFs::ideal();
+        write_snapshot(&fs, 2, 2);
+        let cfg = RochdfConfig::default();
+        let snap = SnapshotId::new(0, 0);
+        let stale = DataBlock::new(BlockId(1), "fluid").with_dataset(
+            Dataset::vector("pressure", vec![-1.0f64; 32]).with_attr("units", "Pa"),
+        );
+        let path = cfg.path("fluid", snap, 2);
+        write_snapshot_file(&fs, &path, cfg.lib, 2, &records_of(&[stale]), 0.0).unwrap();
+        let prefix = cfg.prefix("fluid", snap);
+        let out = run_ranks(2, ClusterSpec::ideal(2), |comm| {
+            let r = comm.rank() as u64;
+            let want = [BlockId(2 * r), BlockId(2 * r + 1)];
+            let got = read_partitioned(&fs, &comm, LibraryModel::hdf4(), &prefix, &want, 2);
+            assert!(comm.iprobe(None, None).is_none(), "undrained message on rank {r}");
+            got.map(|(blocks, _)| blocks.len())
+        });
+        assert!(
+            matches!(&out[0], Err(RocError::Corrupt(m)) if m.contains("blk000001 delivered twice")),
+            "{:?}",
+            out[0]
+        );
+        assert_eq!(out[1], Ok(2));
+    }
+
     /// A block and its redistribution message, the records encoded the way
     /// a file stores them.
     fn sample_message() -> (DataBlock, Bytes) {
@@ -514,7 +565,7 @@ mod tests {
     #[test]
     fn block_message_round_trips_and_rejects_garbage() {
         let (block, image) = sample_message();
-        assert_eq!(decode_block_msg(&image.clone().into()).unwrap(), block);
+        assert_eq!(decode_block_msg(&image.clone().into()).unwrap().to_block().unwrap(), block);
         // Truncations and trailing garbage are rejected, never panic.
         for cut in [0, 4, 11, image.len() - 1] {
             assert!(decode_block_msg(&image.slice(..cut).into()).is_err(), "cut at {cut}");
@@ -567,7 +618,7 @@ mod tests {
         ) {
             let (block, flat) = sample_message();
             let (rope, at) = cut(&flat, &cuts);
-            let decoded = decode_block_msg(&rope).unwrap();
+            let decoded = decode_block_msg(&rope).unwrap().to_block().unwrap();
             prop_assert_eq!(&decoded, &block);
             // The one payload: the last 16 bytes of the last record.
             let payload = decoded.datasets[0].data.bytes();

@@ -160,25 +160,29 @@ impl IoService for PandaClient<'_> {
         let mut expected: u64 = 0;
         let mut got: u64 = 0;
         let mut seen: HashSet<u64> = HashSet::new();
-        let mut server_err: Option<RocError> = None;
+        // The first failure met — a server's, or a block delivered twice —
+        // surfaced once the drain is over.
+        let mut failure: Option<RocError> = None;
         while dones < self.server_ranks.len() || got < expected {
             let msg = self.net.recv_rope(None, None)?;
             match msg.tag {
                 tag::READ_BATCH => {
-                    // A server's whole share in one message. Zero-copy
-                    // decode: payloads stay windows of the message's parts
-                    // — the server's cached or file-image buffers — until
-                    // apply_block installs them typed.
-                    for bm in wire::decode_read_batch(&mut msg.payload.cursor())? {
-                        if !seen.insert(bm.block.id.0) {
-                            return Err(RocError::Corrupt(format!(
-                                "restart: block {} delivered twice",
-                                bm.block.id
-                            )));
-                        }
-                        roccom::convert::apply_block(windows.window_mut(&sel.window)?, &bm.block)?;
+                    // A server's whole share in one message, each block
+                    // read where it lies: its records stay windows of the
+                    // message's parts — the server's cached or file-image
+                    // buffers — until apply_block decodes them into the
+                    // pane. A second copy of a block is counted, not
+                    // applied.
+                    let window = windows.window_mut(&sel.window)?;
+                    wire::read_batch(&mut msg.payload.cursor(), |wire::BlockMsgView { block, .. }| {
                         got += 1;
-                    }
+                        if seen.insert(block.id().0) {
+                            return roccom::convert::apply_block(window, &block);
+                        }
+                        let twice = format!("restart: block {} delivered twice", block.id());
+                        failure.get_or_insert(RocError::Corrupt(twice));
+                        Ok(())
+                    })?;
                 }
                 tag::READ_DONE => {
                     expected += wire::decode_read_done(&msg.payload.into_bytes())? as u64;
@@ -189,7 +193,7 @@ impl IoService for PandaClient<'_> {
                     // shipping. Keep draining so every server's terminal
                     // message is consumed, then surface the first error.
                     let text = String::from_utf8_lossy(&msg.payload.into_bytes()).into_owned();
-                    server_err.get_or_insert(RocError::Storage(format!(
+                    failure.get_or_insert(RocError::Storage(format!(
                         "restart failed at server rank {}: {text}",
                         msg.src
                     )));
@@ -211,7 +215,7 @@ impl IoService for PandaClient<'_> {
                 &format!("window={} blocks={got}", sel.window),
             );
         }
-        if let Some(e) = server_err {
+        if let Some(e) = failure {
             return Err(e);
         }
         let mut missing: Vec<u64> = wanted.iter().copied().filter(|id| !seen.contains(id)).collect();
@@ -941,6 +945,40 @@ mod tests {
             c.finalize().unwrap();
         });
         assert_eq!(fs.list("out/").len(), 1);
+    }
+
+    /// A stale copy of one server's file under the snapshot's prefix makes
+    /// both servers ship its blocks: each client that wants one refuses
+    /// the restart — after taking in everything it was sent, so no message
+    /// is left behind and every rank shuts down.
+    #[test]
+    fn a_block_delivered_twice_is_refused_after_the_drain() {
+        let fs = Arc::new(SharedFs::ideal());
+        let cfg = RocpandaConfig::default();
+        let snap = SnapshotId::new(0, 0);
+        run_job(&fs, &cfg, &[0, 3], &ideal(6), |_, c, app| {
+            let ws = build_windows(app.rank(), 2);
+            c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
+            c.finalize().unwrap();
+        });
+        let files = fs.list("out/");
+        let stale = files[1].replace("_w0001.sdf", "_w0002.sdf");
+        let (image, _) = fs.read_all_shared(&files[1], 0, 0.0).unwrap();
+        fs.create(&stale, 0, 0.0);
+        fs.append(&stale, &image, 0, 0.0).unwrap();
+        let (verdicts, _) = run_job(&fs, &cfg, &[0, 3], &ideal(6), |world, c, app| {
+            let mut ws = build_windows(app.rank(), 2);
+            let got = c.read_attribute(&mut ws, &AttrSelector::all("fluid"), snap);
+            assert!(world.iprobe(None, None).is_none(), "undrained message on client {}", app.rank());
+            c.finalize().unwrap();
+            match got {
+                Ok(()) => "restored".to_string(),
+                Err(e) => e.to_string(),
+            }
+        });
+        let refused = verdicts.iter().filter(|v| v.contains("delivered twice")).count();
+        assert_eq!(refused, 2, "{verdicts:?}");
+        assert_eq!(verdicts.iter().filter(|v| *v == "restored").count(), 2, "{verdicts:?}");
     }
 
     /// Clients with zero panes still participate collectively.

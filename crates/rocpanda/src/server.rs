@@ -23,15 +23,15 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
-use rocio_core::{BlockId, Priority, Result, RocError, Rope, SnapshotId, TenantId};
+use rocio_core::{BlockDesc, BlockId, Priority, Result, RocError, Rope, SnapshotId, TenantId};
 use rocnet::{Comm, Message};
 use rocsdf::format::BlockFrame;
-use rocsdf::{SdfFileReader, SdfFileWriter};
+use rocsdf::{BlockView, SdfFileReader, SdfFileWriter};
 use rocstore::SharedFs;
 
 use crate::config::RocpandaConfig;
 use crate::net::PandaNet;
-use crate::wire::{self, tag, BlockMsg, BlockWire, CoordKey, ReadReq, WriteReq};
+use crate::wire::{self, tag, BlockWire, CoordKey, ReadReq, WriteReq};
 
 /// How long (virtual seconds) a shutting-down server keeps re-acking
 /// trailing retransmissions before exiting: comfortably past the largest
@@ -242,9 +242,10 @@ struct Cached {
 enum Restored {
     /// Out of the read cache, still the rope it was received as.
     Staged(Cached),
-    /// Off the disk, decoded by the reader (a file record carries a
-    /// `__crc32__` that a wire record does not).
-    Read(BlockMsg),
+    /// Off the disk, read where it lies and laid out again as a `BLOCK`
+    /// message (a file record carries a `__crc32__` that a wire record
+    /// does not).
+    Read(BlockView),
 }
 
 /// A dedicated I/O server. Handed out by [`crate::PandaService::attach`] to
@@ -956,7 +957,7 @@ impl<'a> PandaServer<'a> {
                 (*client, cached.cloned().map(Restored::Staged).collect())
             })
             .collect();
-        self.ship(&per_client, requests)
+        self.ship(key, &per_client, requests)
     }
 
     /// End a restart round: each requesting client, in request order,
@@ -964,10 +965,11 @@ impl<'a> PandaServer<'a> {
     /// is empty), then `READ_DONE` with the count. Blocks staged out of
     /// the read cache are charged like intake — per-block overhead plus a
     /// memory copy into the reply — and go back as the messages they came
-    /// as; blocks off the disk were charged by their reads and are encoded
-    /// here.
+    /// as; blocks off the disk were charged by their reads and are laid out
+    /// here, their payloads the file image's by refcount.
     fn ship(
         &mut self,
+        key: &FileKey,
         per_client: &HashMap<usize, Vec<Restored>>,
         requests: &[(usize, Vec<u64>)],
     ) -> Result<()> {
@@ -987,7 +989,9 @@ impl<'a> PandaServer<'a> {
                     .iter()
                     .map(|m| match m {
                         Restored::Staged(cached) => cached.wire.clone(),
-                        Restored::Read(msg) => msg.encode(),
+                        Restored::Read(block) => {
+                            wire::encode_block_msg(key.snap, &key.window, block)
+                        }
                     })
                     .collect();
                 self.net.send_rope(*client, tag::READ_BATCH, wire::encode_read_batch(&entries))?;
@@ -1017,9 +1021,7 @@ impl<'a> PandaServer<'a> {
         let owner = Self::owners(requests)?;
         // "The restart files are assigned to the servers in a round-robin
         // manner."
-        let files = self
-            .fs
-            .list(&self.cfg.prefix_for(key.tenant, &key.window, key.snap));
+        let files = self.fs.names(&self.cfg.prefix_for(key.tenant, &key.window, key.snap));
         if files.is_empty() {
             return Err(RocError::Storage(format!(
                 "restart: no files for {}/{}",
@@ -1038,29 +1040,22 @@ impl<'a> PandaServer<'a> {
             let (reader, t) =
                 SdfFileReader::open(self.fs, path, self.cfg.lib, client_id, self.world.now())?;
             self.world.clock().merge(t);
-            let present: Vec<BlockId> = reader
-                .block_ids()
-                .into_iter()
-                .filter(|id| owner.contains_key(&id.0))
-                .collect();
+            let present: Vec<BlockId> =
+                reader.blocks().filter(|id| owner.contains_key(&id.0)).collect();
             if present.is_empty() {
                 continue;
             }
             // Sieved batch read: the whole requested span of this file
             // comes back in as few covering disk reads as the hole
-            // density allows, each block still a set of refcounted
-            // windows into the file image (no copies).
-            let (blocks, t) = reader.read_blocks_sieved(&present, self.world.now())?;
+            // density allows, each block a view of refcounted windows
+            // into the file image (no copies, nothing decoded).
+            let (blocks, t) = reader.view_blocks_sieved(&present, self.world.now())?;
             self.world.clock().merge(t);
             for block in blocks {
-                let client = owner[&block.id.0];
-                per_client.entry(client).or_default().push(Restored::Read(BlockMsg {
-                    snap: key.snap,
-                    window: key.window.clone(),
-                    block,
-                }));
+                let client = owner[&block.id().0];
+                per_client.entry(client).or_default().push(Restored::Read(block));
             }
         }
-        self.ship(&per_client, requests)
+        self.ship(key, &per_client, requests)
     }
 }

@@ -10,10 +10,11 @@
 //! block's own buffers; `send_rope` sends it), which a client and
 //! `genx::rebalance` call on a pane described where it lies and
 //! [`BlockMsg::encode`] on a built block, and one decode, into a
-//! [`BlockMsg`] (payloads are windows of the received message's parts —
-//! the sender's own buffers). Only the ends of
-//! the path decode: a client taking a `READ_BATCH` in, `genx::rebalance`
-//! taking a migrated block. The server in the middle reads a `BLOCK` message as a
+//! [`BlockMsgView`]: the block read where it lies (`rocsdf::BlockView`,
+//! its records windows of the received message's parts — the sender's own
+//! buffers), which [`BlockMsg::decode`] builds. Only the ends of
+//! the path read a block: a client applying a `READ_BATCH`, `genx::rebalance`
+//! applying a migrated block. The server in the middle reads a `BLOCK` message as a
 //! [`BlockWire`] — routed, held to every check the decode makes and to
 //! being what the encode writes, its records framed for the file — and
 //! forwards it: the wire image of a block becomes its file image, and the
@@ -24,10 +25,12 @@
 //! *about* — a `(snapshot, window)` pair — is spelled in one place,
 //! `put_name` / `read_name`.
 
+use std::borrow::Cow;
+
 use bytes::Bytes;
 use rocio_core::{BlockDesc, Cursor, DataBlock, Result, RocError, Rope, Segment, SnapshotId};
-use rocsdf::format::{block_from_records, decode_dataset, frame_block, BlockFrame};
-use rocsdf::{encode_block, SegmentPool};
+use rocsdf::format::{frame_block, BlockFrame};
+use rocsdf::{encode_block, BlockView, SegmentPool};
 
 /// Message tags. All below [`rocnet::comm::TAG_USER_MAX`].
 pub mod tag {
@@ -103,11 +106,11 @@ fn put_name(out: &mut Vec<u8>, snap: SnapshotId, epoch: Option<u32>, window: &st
 }
 
 /// Read what [`put_name`] wrote: `(snapshot, epoch, window)`, the epoch 0
-/// unless `round` says one is there.
-fn read_name(cur: &mut Cursor<'_>, round: bool) -> Result<(SnapshotId, u32, String)> {
+/// unless `round` says one is there, the window borrowed where it lies.
+fn read_name<'a>(cur: &mut Cursor<'a>, round: bool) -> Result<(SnapshotId, u32, Cow<'a, str>)> {
     let snap = read_snap(cur)?;
     let epoch = if round { cur.u32("panda wire coord epoch")? } else { 0 };
-    Ok((snap, epoch, cur.str16("panda wire message")?))
+    Ok((snap, epoch, cur.str16_ref("panda wire message")?))
 }
 
 /// Header of a collective write: which snapshot/window, how many blocks
@@ -131,7 +134,7 @@ impl WriteReq {
         let cur = &mut Cursor::from(bytes);
         let (snap, _, window) = read_name(cur, false)?;
         let n_blocks = cur.u32("panda wire block count")?;
-        Ok(WriteReq { snap, window, n_blocks })
+        Ok(WriteReq { snap, window: window.into_owned(), n_blocks })
     }
 }
 
@@ -163,7 +166,7 @@ impl ReadReq {
             return Err(RocError::Corrupt("panda wire: id list exceeds message".into()));
         }
         let ids = (0..n).map(|_| cur.u64("panda wire block id")).collect::<Result<_>>()?;
-        Ok(ReadReq { snap, window, ids })
+        Ok(ReadReq { snap, window: window.into_owned(), ids })
     }
 }
 
@@ -193,20 +196,34 @@ impl BlockMsg {
     /// Decode the message at the cursor with zero-copy payloads: each
     /// dataset's data is a refcounted window of the part it arrived in —
     /// for a message sent as its [`BlockMsg::encode`] rope, the sender's
-    /// own block buffer.
+    /// own block buffer. [`BlockMsgView::decode`], built.
     pub fn decode(cur: &mut Cursor<'_>) -> Result<Self> {
-        let (snap, window, n) = routing_header(cur)?;
-        let block = block_from_records(None, (0..n).map(|_| decode_dataset(cur)))?;
-        Ok(BlockMsg {
-            snap,
-            window,
-            block,
-        })
+        let BlockMsgView { snap, window, block } = BlockMsgView::decode(cur)?;
+        Ok(BlockMsg { snap, window: window.into_owned(), block: block.to_block()? })
     }
 
     /// [`BlockMsg::decode`] of one contiguous buffer.
     pub fn decode_shared(bytes: &Bytes) -> Result<Self> {
-        BlockMsg::decode(&mut bytes.into())
+        Self::decode(&mut bytes.into())
+    }
+}
+
+/// A block message as its receiver applies it: routed, and the block read
+/// where it lies — no `DataBlock`, and the window name borrowed from the
+/// message unless a cut went through it.
+#[derive(Debug)]
+pub struct BlockMsgView<'m> {
+    pub snap: SnapshotId,
+    pub window: Cow<'m, str>,
+    pub block: BlockView,
+}
+
+impl<'m> BlockMsgView<'m> {
+    /// Read the message at the cursor: the routing header, then the block's
+    /// records, each checked as [`BlockMsg::decode`] checks them.
+    pub fn decode(cur: &mut Cursor<'m>) -> Result<Self> {
+        let (snap, window, n) = routing_header(cur)?;
+        Ok(BlockMsgView { snap, window, block: BlockView::decode(cur, n)? })
     }
 }
 
@@ -227,7 +244,7 @@ pub fn encode_block_msg(snap: SnapshotId, window: &str, block: &(impl BlockDesc 
 
 /// The routing header every block message starts with: snapshot, window,
 /// record count.
-fn routing_header(cur: &mut Cursor<'_>) -> Result<(SnapshotId, String, usize)> {
+fn routing_header<'a>(cur: &mut Cursor<'a>) -> Result<(SnapshotId, Cow<'a, str>, usize)> {
     let (snap, _, window) = read_name(cur, false)?;
     Ok((snap, window, cur.u32("panda wire count")? as usize))
 }
@@ -259,7 +276,7 @@ impl BlockWire {
                 frame.id
             )));
         }
-        Ok(BlockWire { snap, window, frame })
+        Ok(BlockWire { snap, window: window.into_owned(), frame })
     }
 }
 
@@ -283,17 +300,20 @@ pub(crate) fn encode_read_batch(entries: &[Rope]) -> Rope {
     batch
 }
 
-/// Decode a `READ_BATCH` payload into zero-copy block messages: every
-/// dataset payload is a refcounted window of the part it arrived in. Each
-/// entry is decoded under its own length, so it cannot read into the next.
-pub(crate) fn decode_read_batch(cur: &mut Cursor<'_>) -> Result<Vec<BlockMsg>> {
+/// Read a `READ_BATCH` payload, handing each entry to `apply` as it is
+/// read where it lies: every record a refcounted window of the part it
+/// arrived in. Each entry is read under its own length, so it cannot read
+/// into the next.
+pub(crate) fn read_batch<'m>(
+    cur: &mut Cursor<'m>,
+    mut apply: impl FnMut(BlockMsgView<'m>) -> Result<()>,
+) -> Result<()> {
     let n = cur.u32("panda wire batch count")? as usize;
-    let mut out = Vec::new();
     for _ in 0..n {
         let len = cur.u64("panda wire batch entry length")? as usize;
-        out.push(BlockMsg::decode(&mut cur.sub(len, "panda wire batch entry")?)?);
+        apply(BlockMsgView::decode(&mut cur.sub(len, "panda wire batch entry")?)?)?;
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Key naming one restart round for server↔server coordination.
@@ -322,7 +342,7 @@ impl CoordKey {
     fn read(cur: &mut Cursor<'_>) -> Result<Self> {
         let tenant = rocio_core::TenantId(cur.u32("panda wire tenant")?);
         let (snap, epoch, window) = read_name(cur, true)?;
-        Ok(CoordKey { tenant, snap, window, epoch })
+        Ok(CoordKey { tenant, snap, window: window.into_owned(), epoch })
     }
 }
 
@@ -426,6 +446,17 @@ mod tests {
     /// The `READ_BATCH` a disk scan ships: every entry encoded.
     fn read_batch(msgs: &[BlockMsg]) -> Rope {
         encode_read_batch(&msgs.iter().map(BlockMsg::encode).collect::<Vec<_>>())
+    }
+
+    /// A `READ_BATCH` read as a client reads it, its blocks built.
+    fn decode_read_batch(cur: &mut Cursor<'_>) -> Result<Vec<BlockMsg>> {
+        let mut out = Vec::new();
+        super::read_batch(cur, |m| {
+            let block = m.block.to_block()?;
+            out.push(BlockMsg { snap: m.snap, window: m.window.into_owned(), block });
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     fn decode_read_batch_shared(bytes: &Bytes) -> Result<Vec<BlockMsg>> {
@@ -589,6 +620,20 @@ mod tests {
                 prop_assert_eq!(format!("{roped:?}"), format!("{flat:?}"));
                 if let Ok(m) = &flat {
                     prop_assert!(m.window.len() + m.block.encoded_size() <= input.len() + 64);
+                }
+                // The view a receiver applies: the same verdict flat and
+                // cut, and the block the decode builds.
+                let rope = cut(&input, &cuts).0;
+                let (flat_view, roped_view) =
+                    (BlockMsgView::decode(&mut (&input).into()), BlockMsgView::decode(&mut rope.cursor()));
+                prop_assert_eq!(format!("{roped_view:?}"), format!("{flat_view:?}"));
+                match (&flat_view, &flat) {
+                    (Ok(v), Ok(m)) => {
+                        prop_assert_eq!((v.snap, &*v.window), (m.snap, m.window.as_str()));
+                        prop_assert_eq!(&v.block.to_block().unwrap(), &m.block);
+                    }
+                    (Err(v), Err(m)) => prop_assert_eq!(format!("{v:?}"), format!("{m:?}")),
+                    (v, m) => prop_assert!(false, "view {v:?}, decode {m:?}"),
                 }
                 // The server's intake is no more lenient than the decode
                 // it stands in for, cut or whole.

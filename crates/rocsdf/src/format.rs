@@ -22,16 +22,19 @@
 //! A block is laid out once: [`encode_block`] writes its records — the
 //! wire form, without checksums — into one staging buffer with the
 //! payloads between them, read from a description of the block (a pane
-//! where it lies, or a [`DataBlock`]), and every producer starts there (a
-//! Rocpanda message puts its routing header in front, a file writer frames
-//! the records and fills the checksums in). The header walk hands what it
-//! reads to a sink, and there are two. A *reader* builds the owned header
-//! — a `String` per name and key, a map per record — and from it a
-//! [`Dataset`] ([`decode_dataset`]). A *mover* does not: [`frame_block`]
-//! copies a block's wire records into the file records they become (the
-//! wire image lacks only each record's `__crc32__` entry, see below), and
-//! [`crate::SdfFileWriter::append_frame`] writes that [`BlockFrame`] —
-//! for a Rocpanda server, which never holds a [`DataBlock`], and for
+//! where it lies, or a [`DataBlock`](rocio_core::DataBlock)), and every
+//! producer starts there (a Rocpanda message puts its routing header in
+//! front, a file writer frames the records and fills the checksums in).
+//! The header walk hands what it reads to a sink, and there are two. A
+//! *reader* keeps nothing of it: the walk checks the header, and the
+//! record is then read where it lies ([`crate::view::RecordView`]; a block
+//! of them is a [`crate::view::BlockView`], and [`decode_dataset`] is one
+//! record's view, built). A *mover* does not read it either:
+//! [`frame_block`] copies a block's wire records into the file records
+//! they become (the wire image lacks only each record's `__crc32__` entry,
+//! see below), and [`crate::SdfFileWriter::append_frame`] writes that
+//! [`BlockFrame`] — for a Rocpanda server, which never holds a
+//! [`DataBlock`](rocio_core::DataBlock), and for
 //! [`crate::SdfFileWriter::append_records`] alike. The copy is the file
 //! image only if the input is what the one encoder writes, so that is
 //! what `frame_block` accepts.
@@ -51,14 +54,15 @@
 //! its group boundaries. (`rocio_core::Checksum`, which is compared only
 //! within one process, has no such constraint.)
 
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 use bytes::Bytes;
 use rocio_core::{
-    Attr, AttrValue, AttrView, BlockDesc, BlockId, Cursor, DType, DataBlock, Dataset, DatasetDesc,
-    Result, RocError, Rope, Segment, SharedArray,
+    Attr, AttrView, BlockDesc, BlockId, Cursor, DType, Dataset, DatasetDesc, Result,
+    RocError, Rope, Segment,
 };
+
+use crate::view::RecordView;
 
 /// File magic, also used as the trailer sentinel.
 pub const MAGIC: &[u8; 4] = b"RSDF";
@@ -339,13 +343,13 @@ fn head_len(name_len: usize, rank: usize, attrs: usize) -> usize {
 
 /// A block's group prefix, spelled on the stack: the one spelling of it;
 /// [`block_prefix`] is an owned copy.
-struct Prefix {
+pub(crate) struct Prefix {
     buf: [u8; 24],
     len: usize,
 }
 
 impl Prefix {
-    fn new(id: BlockId) -> Prefix {
+    pub(crate) fn new(id: BlockId) -> Prefix {
         use std::io::Write;
         let mut buf = [0u8; 24];
         let mut rest = &mut buf[..];
@@ -355,7 +359,7 @@ impl Prefix {
         Prefix { buf, len }
     }
 
-    fn as_str(&self) -> &str {
+    pub(crate) fn as_str(&self) -> &str {
         std::str::from_utf8(&self.buf[..self.len]).unwrap_or_default()
     }
 }
@@ -424,9 +428,9 @@ impl SegmentPool {
 /// carries a `__crc32__`: a file writer frames the records
 /// ([`frame_block`]) and fills the checksums in as it writes them.
 ///
-/// The block is read as a description ([`BlockDesc`]): a [`DataBlock`],
-/// or a pane described where it lies (`roccom::convert::plan`) — the same
-/// records either way. `lead` (whatever goes before the records: a
+/// The block is read as a description ([`BlockDesc`]): a
+/// [`DataBlock`](rocio_core::DataBlock), or a pane described where it
+/// lies (`roccom::convert::plan`) — the same records either way. `lead` (whatever goes before the records: a
 /// message's routing header; nothing for a file) and every header are
 /// written into one staging buffer, sized before it is allocated; a
 /// payload the description holds already goes in by refcount, and every
@@ -512,16 +516,32 @@ pub fn encode_block(lead: &[u8], block: &(impl BlockDesc + ?Sized)) -> Rope {
     rope
 }
 
-const RECORD: &str = "SDF record";
+pub(crate) const RECORD: &str = "SDF record";
 
-/// What [`walk_record_header`] reports of a header, in layout order.
-trait HeaderSink {
-    fn name(&mut self, name: &str) -> Result<()>;
+/// The shortest record there is: marker, an empty name, dtype, rank 0, no
+/// attributes, a payload length. A record count is bounded by the bytes
+/// left over this before it sizes anything.
+pub(crate) const MIN_RECORD: usize = 4 + 2 + 1 + 1 + 2 + 8;
+
+/// What [`walk_record_header`] reports of a header, in layout order. A
+/// record read keeps two facts of the attribute table on the stack and
+/// then reads the checked header where it lies
+/// ([`crate::view::RecordView`]); a partial read keeps nothing (`()`).
+pub(crate) trait HeaderSink {
+    fn name(&mut self, _name: &str) -> Result<()> {
+        Ok(())
+    }
     /// `extents` is the shape as it lies: a little-endian `u64` per
     /// dimension.
-    fn layout(&mut self, dtype: DType, extents: &[u8], n_attrs: u16) -> Result<()>;
-    fn attr(&mut self, key: &str, value: &AttrView<'_>) -> Result<()>;
+    fn layout(&mut self, _dtype: DType, _extents: &[u8], _n_attrs: u16) -> Result<()> {
+        Ok(())
+    }
+    fn attr(&mut self, _key: &str, _value: &AttrView<'_>) -> Result<()> {
+        Ok(())
+    }
 }
+
+impl HeaderSink for () {}
 
 /// What a record header says of the payload behind it.
 #[derive(Debug, Clone, Copy)]
@@ -535,9 +555,10 @@ pub(crate) struct PayloadDims {
 }
 
 /// Walk the record header at the cursor, leaving it on the first payload
-/// byte — the one parser of the record layout, behind the whole-record
-/// decoder, the reader's partial reads and the frame a server forwards
-/// ([`frame_block`]) alike; what they keep of it is their [`HeaderSink`].
+/// byte — the one parser of the record layout, behind every record read
+/// ([`crate::view::RecordView::read`]), the reader's partial reads and the
+/// frame a server forwards ([`frame_block`]) alike; what they keep of it is
+/// their [`HeaderSink`].
 ///
 /// Every length is checked against the input before it shapes a view or
 /// an allocation, the extents' product and the payload size are computed
@@ -546,7 +567,10 @@ pub(crate) struct PayloadDims {
 /// absurd allocation or a payload read under the wrong shape. Input that
 /// ends inside the header is reported the same way (partial readers retry
 /// with a longer prefix).
-fn walk_record_header(cur: &mut Cursor<'_>, sink: &mut impl HeaderSink) -> Result<PayloadDims> {
+pub(crate) fn walk_record_header(
+    cur: &mut Cursor<'_>,
+    sink: &mut impl HeaderSink,
+) -> Result<PayloadDims> {
     let marker = cur.array::<4>(RECORD)?;
     if &marker != DS_MARKER {
         return Err(RocError::Corrupt(format!(
@@ -585,7 +609,7 @@ fn walk_record_header(cur: &mut Cursor<'_>, sink: &mut impl HeaderSink) -> Resul
 }
 
 /// The shape a header's extent bytes spell.
-fn extents_of(extents: &[u8]) -> impl Iterator<Item = usize> + '_ {
+pub(crate) fn extents_of(extents: &[u8]) -> impl Iterator<Item = usize> + '_ {
     extents.chunks_exact(8).map(|extent| {
         let mut le = [0u8; 8];
         le.copy_from_slice(extent);
@@ -593,42 +617,9 @@ fn extents_of(extents: &[u8]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
-/// The sink of a decode: the header's fields, built.
-#[derive(Default)]
-pub(crate) struct OwnedHeader {
-    name: String,
-    shape: Vec<usize>,
-    attrs: BTreeMap<String, AttrValue>,
-}
-
-impl HeaderSink for OwnedHeader {
-    fn name(&mut self, name: &str) -> Result<()> {
-        self.name = name.to_owned();
-        Ok(())
-    }
-
-    fn layout(&mut self, _: DType, extents: &[u8], _: u16) -> Result<()> {
-        self.shape = extents_of(extents).collect();
-        Ok(())
-    }
-
-    fn attr(&mut self, key: &str, value: &AttrView<'_>) -> Result<()> {
-        self.attrs.insert(key.to_owned(), value.to_value());
-        Ok(())
-    }
-}
-
-/// [`walk_record_header`] into an owned header: everything before the
-/// payload, and what it says of the payload.
-pub(crate) fn decode_record_header(cur: &mut Cursor<'_>) -> Result<(OwnedHeader, PayloadDims)> {
-    let mut owned = OwnedHeader::default();
-    let dims = walk_record_header(cur, &mut owned)?;
-    Ok((owned, dims))
-}
-
 /// The CRC-32 a record's `__crc32__` attribute stores: an `Int` a `u32`
 /// can hold, anything else is corruption.
-fn stored_crc(name: &str, int: Option<i64>, attr: &dyn std::fmt::Debug) -> Result<u32> {
+pub(crate) fn stored_crc(name: &str, int: Option<i64>, attr: &dyn std::fmt::Debug) -> Result<u32> {
     int.and_then(|v| u32::try_from(v).ok()).ok_or_else(|| {
         RocError::Corrupt(format!(
             "SDF: dataset '{name}' has a malformed {CRC_ATTR} attribute ({attr:?})"
@@ -637,7 +628,7 @@ fn stored_crc(name: &str, int: Option<i64>, attr: &dyn std::fmt::Debug) -> Resul
 }
 
 /// Hold a payload to its record's stored CRC-32.
-fn check_crc(name: &str, stored: u32, payload: &[u8]) -> Result<()> {
+pub(crate) fn check_crc(name: &str, stored: u32, payload: &[u8]) -> Result<()> {
     let actual = crc32(payload);
     if actual != stored {
         return Err(RocError::Corrupt(format!(
@@ -652,7 +643,8 @@ fn check_crc(name: &str, stored: u32, payload: &[u8]) -> Result<()> {
 /// without copying the payload: the returned dataset's data is a window of
 /// the part it lies in (a record of an [`encode_block`] rope has its
 /// payload in a part of its own; only a payload cut across parts is
-/// gathered).
+/// gathered). It is the record read where it lies
+/// ([`RecordView::read`]), built.
 ///
 /// The window holds a refcount on that part's allocation, so it stays valid
 /// after every other handle to the input is dropped — this is how the
@@ -687,21 +679,12 @@ pub fn decode_dataset_shared(bytes: &Bytes, pos: &mut usize) -> Result<Dataset> 
 /// both modes and damage to the attribute's type tag cannot switch the
 /// check off.
 pub(crate) fn decode_dataset_with(cur: &mut Cursor<'_>, verify_crc: bool) -> Result<Dataset> {
-    let (OwnedHeader { name, shape, mut attrs }, dims) = decode_record_header(cur)?;
-    let payload = cur.take(dims.data_len, RECORD)?;
-    if let Some(attr) = attrs.remove(CRC_ATTR) {
-        let stored = stored_crc(&name, attr.as_int().ok(), &attr)?;
-        if verify_crc {
-            check_crc(&name, stored, &payload)?;
-        }
-    }
-    let data = SharedArray::new(dims.dtype, dims.n_elems, payload)?;
-    let mut ds = Dataset::new(name, shape, data)?;
-    ds.attrs = attrs;
-    Ok(ds)
+    let record = RecordView::read(cur, verify_crc)?;
+    record.to_dataset(record.name())
 }
 
-/// One index entry: dataset name, absolute offset, encoded length.
+/// One index entry as a writer keeps it: dataset name, absolute offset,
+/// encoded length.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IndexEntry {
     pub name: String,
@@ -735,8 +718,13 @@ pub(crate) fn decode_trailer(trailer: &[u8]) -> Result<u64> {
     rocio_core::le::u64(&trailer[..8], "SDF index offset")
 }
 
-/// Decode the index region (from its offset up to the trailer).
-pub(crate) fn decode_index(bytes: &[u8]) -> Result<Vec<IndexEntry>> {
+/// Decode the index region (from its offset up to the trailer) into one
+/// entry per record, made by `entry` from where the record's name lies in
+/// `bytes` (checked UTF-8), its offset and its length: no name is copied.
+pub(crate) fn decode_index<T>(
+    bytes: &[u8],
+    entry: impl Fn(Range<usize>, u64, u64) -> T,
+) -> Result<Vec<T>> {
     let (cur, what) = (&mut Cursor::from(bytes), "SDF index");
     if cur.array::<4>(what)? != *IDX_MARKER {
         return Err(RocError::Corrupt("SDF: bad index marker".into()));
@@ -750,67 +738,11 @@ pub(crate) fn decode_index(bytes: &[u8]) -> Result<Vec<IndexEntry>> {
     }
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        entries.push(IndexEntry { name: cur.str16(what)?, offset: cur.u64(what)?, len: cur.u64(what)? });
+        let name = cur.str16_ref(what)?.len();
+        let name = cur.pos() - name..cur.pos();
+        entries.push(entry(name, cur.u64(what)?, cur.u64(what)?));
     }
     Ok(entries)
-}
-
-/// Reconstruct block id, window name and block attrs from a `__meta__`
-/// dataset.
-pub(crate) fn parse_block_meta(
-    ds: &Dataset,
-) -> Result<(BlockId, String, std::collections::BTreeMap<String, AttrValue>)> {
-    let id = BlockId(ds.attrs.get("block_id").map_or_else(
-        || Err(RocError::Corrupt("block meta missing id".into())),
-        |v| v.as_int(),
-    )? as u64);
-    let window = ds
-        .attrs
-        .get("window")
-        .ok_or_else(|| RocError::Corrupt("block meta missing window".into()))?
-        .as_str()?
-        .to_string();
-    let mut attrs = std::collections::BTreeMap::new();
-    for (k, v) in &ds.attrs {
-        if let Some(orig) = k.strip_prefix("blk:") {
-            attrs.insert(orig.to_string(), v.clone());
-        }
-    }
-    Ok((id, window, attrs))
-}
-
-/// Assemble a block from its decoded records, `__meta__` first, member
-/// names still carrying the block's group prefix — the one assembly step
-/// behind every file read, the two-phase redistribution and the Rocpanda
-/// wire decode. `expected` is the id the caller asked for (`None` on the
-/// wire, where the meta record itself names the block). Anything that is
-/// not "this block's meta, then this block's members" is
-/// [`RocError::Corrupt`].
-pub fn block_from_records(
-    expected: Option<BlockId>,
-    records: impl IntoIterator<Item = Result<Dataset>>,
-) -> Result<DataBlock> {
-    let corrupt = |what: String| RocError::Corrupt(format!("SDF block: {what}"));
-    let mut records = records.into_iter();
-    let meta = records.next().ok_or_else(|| corrupt("no records".into()))??;
-    let (id, window, attrs) = parse_block_meta(&meta)?;
-    if let Some(want) = expected.filter(|&want| want != id) {
-        return Err(corrupt(format!("meta id {id} != requested {want}")));
-    }
-    let prefix = block_prefix(id);
-    if meta.name.strip_prefix(&prefix) != Some(BLOCK_META) {
-        return Err(corrupt(format!("expected block {id} meta first, got '{}'", meta.name)));
-    }
-    let mut block = DataBlock::new(id, window);
-    block.attrs = attrs;
-    for ds in records {
-        let mut ds = ds?;
-        let member = ds.name.strip_prefix(&prefix).map(str::to_owned);
-        ds.name = member
-            .ok_or_else(|| corrupt(format!("dataset '{}' outside block {id}", ds.name)))?;
-        block.push_dataset(ds)?;
-    }
-    Ok(block)
 }
 
 /// One record of a [`BlockFrame`].
@@ -828,13 +760,14 @@ pub(crate) struct FramedRecord {
 }
 
 /// A block's wire records framed as the file records they become, without
-/// a [`DataBlock`] in between: what a Rocpanda server buffers, and what
-/// [`crate::SdfFileWriter::append_frame`] writes. See [`frame_block`].
+/// a [`DataBlock`](rocio_core::DataBlock) in between: what a Rocpanda
+/// server buffers, and what [`crate::SdfFileWriter::append_frame`] writes. See [`frame_block`].
 #[derive(Debug)]
 pub struct BlockFrame {
     /// The block's id, as its `__meta__` record says.
     pub id: BlockId,
-    /// [`DataBlock::encoded_size`] of the block these records decode to.
+    /// [`DataBlock::encoded_size`](rocio_core::DataBlock::encoded_size) of
+    /// the block these records decode to.
     pub size: usize,
     /// Every record's file header, back to back: the wire header with a
     /// `__crc32__` entry at its sorted place.
@@ -867,11 +800,12 @@ struct Framer<'f> {
     crc_at: Option<usize>,
     /// The CRC-32 the wire record carried, if it carried one.
     stored: Option<u32>,
-    /// This record's share of [`DataBlock::encoded_size`].
+    /// This record's share of
+    /// [`DataBlock::encoded_size`](rocio_core::DataBlock::encoded_size).
     size: usize,
 }
 
-fn corrupt_block(what: String) -> RocError {
+pub(crate) fn corrupt_block(what: String) -> RocError {
     RocError::Corrupt(format!("SDF block: {what}"))
 }
 
@@ -1020,9 +954,6 @@ fn frame_record<'f>(
 /// written by [`crate::SdfFileWriter::append_block`] is held to the same
 /// rules: it is framed here from its own encoding.
 pub fn frame_block(cur: &mut Cursor<'_>, n_records: usize) -> Result<BlockFrame> {
-    // The shortest record there is: marker, an empty name, dtype, rank 0,
-    // no attributes, a payload length.
-    const MIN_RECORD: usize = 4 + 2 + 1 + 1 + 2 + 8;
     if n_records == 0 || n_records > cur.remaining() / MIN_RECORD {
         return Err(corrupt_block(format!(
             "{n_records} records claimed by {} bytes",
@@ -1067,6 +998,8 @@ pub fn frame_block(cur: &mut Cursor<'_>, n_records: usize) -> Result<BlockFrame>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::BlockView;
+    use rocio_core::{AttrValue, Checksum, DataBlock};
 
     fn sample_dataset() -> Dataset {
         Dataset::new("blk000003/pressure", vec![2, 3], vec![1.0f64, 2.0, 3.0, 4.0, 5.0, 6.0])
@@ -1238,8 +1171,12 @@ mod tests {
         let enc = encode_index(&entries, 172);
         let trailer = &enc[enc.len() - TRAILER_LEN..];
         assert_eq!(decode_trailer(trailer).unwrap(), 172);
-        let idx = decode_index(&enc[..enc.len() - TRAILER_LEN]).unwrap();
-        assert_eq!(idx, entries);
+        let region = &enc[..enc.len() - TRAILER_LEN];
+        let idx = decode_index(region, |name, offset, len| {
+            let name = std::str::from_utf8(&region[name]).unwrap().to_owned();
+            IndexEntry { name, offset, len }
+        });
+        assert_eq!(idx.unwrap(), entries);
     }
 
     #[test]
@@ -1282,9 +1219,9 @@ mod tests {
         let meta = &records_of(&block)[0];
         assert_eq!(meta.name, "blk000009/__meta__");
         assert!(meta.is_empty());
-        let (id, window, attrs) = parse_block_meta(meta).unwrap();
-        assert_eq!(id, BlockId(9));
-        assert_eq!(window, "solid");
+        let view = BlockView::decode(&mut encode_block(&[], &block).cursor(), 2).unwrap();
+        assert_eq!((view.id(), view.window()), (BlockId(9), "solid"));
+        let attrs = view.to_block().unwrap().attrs;
         assert_eq!(attrs["material"].as_str().unwrap(), "propellant");
         assert_eq!(attrs["level"].as_int().unwrap(), 2);
         assert_eq!(attrs["t"].as_float().unwrap(), 0.83);
@@ -1402,37 +1339,122 @@ mod tests {
         assert_eq!(dec, ds);
     }
 
+    /// What a record list assembles to: the verdict's kind, and for a block
+    /// the view and the block it builds, held to describing the same block
+    /// — the same records laid out, the same checksum.
+    fn assemble(expected: Option<BlockId>, records: &[Vec<u8>]) -> (&'static str, Option<DataBlock>) {
+        let read = records.iter().map(|r| RecordView::read(&mut Cursor::from(&Bytes::copy_from_slice(r)), true));
+        let view = match BlockView::assemble(expected, records.len(), read) {
+            Ok(view) => view,
+            Err(RocError::Corrupt(_)) => return ("Corrupt", None),
+            Err(RocError::Mismatch(_)) => return ("Mismatch", None),
+            Err(RocError::AlreadyExists(_)) => return ("AlreadyExists", None),
+            Err(e) => panic!("{e:?}"),
+        };
+        let block = view.to_block().unwrap();
+        let flat = |rope: Rope| rope.into_bytes().to_vec();
+        assert_eq!(flat(encode_block(b"lead", &view)), flat(encode_block(b"lead", &block)));
+        assert_eq!(Checksum::of_desc(&view), Checksum::of_block(&block));
+        assert_eq!(view.encoded_size(), block.encoded_size());
+        ("Ok", Some(block))
+    }
+
+    /// Swap the one-byte names of two attribute keys spelled `k_a` and
+    /// `k_b` (each a `u16` length then the key) in an encoded record: the
+    /// key order no encoder writes.
+    fn rename_keys(record: &[u8], (k_a, k_b): (&[u8], &[u8]), (a, b): (u8, u8)) -> Vec<u8> {
+        let at = |k: &[u8]| {
+            let spelled = [&(k.len() as u16).to_le_bytes()[..], k].concat();
+            record.windows(spelled.len()).rposition(|w| w == spelled).unwrap() + 1 + k.len()
+        };
+        let mut out = record.to_vec();
+        (out[at(k_a)], out[at(k_b)]) = (a, b);
+        out
+    }
+
+    /// The verdicts are those of assembling a `DataBlock` from the decoded
+    /// records (`block_from_records`, which the view replaced) on the same
+    /// lists, case for case.
     #[test]
-    fn block_from_records_rejects_hostile_record_lists() {
+    fn block_view_rejects_hostile_record_lists() {
         let block = DataBlock::new(BlockId(9), "solid")
             .with_dataset(Dataset::vector("disp", vec![0.0f64; 3]))
             .with_attr("level", 2i64);
-        let meta = || Ok(records_of(&block).remove(0));
-        let member = |name: &str| Ok(Dataset::vector(name, vec![0.0f64; 3]));
-        assert_eq!(block_from_records(Some(BlockId(9)), [meta(), member("blk000009/disp")]).unwrap(), block);
-        assert_eq!(block_from_records(None, [meta(), member("blk000009/disp")]).unwrap(), block);
-        type Records = Vec<Result<Dataset>>;
-        let hostile: [(&str, Option<BlockId>, Records); 6] = [
-            ("empty record list", None, vec![]),
-            ("meta with the wrong id", Some(BlockId(8)), vec![meta()]),
-            ("member without the block prefix", None, vec![meta(), member("disp")]),
-            ("member of another block", None, vec![meta(), member("blk000008/disp")]),
-            ("member where the meta belongs", None, vec![member("blk000009/disp")]),
-            ("meta filed under another block", None, vec![meta().map(|mut m: Dataset| {
-                m.name = "blk000008/__meta__".into();
-                m
-            })]),
+        let record = |ds: &Dataset| encode(ds, None, None);
+        let meta_ds = || records_of(&block).remove(0);
+        let meta = record(&meta_ds());
+        let member_ds = |name: &str| Dataset::vector(name, vec![0.0f64; 3]);
+        let member = |name: &str| record(&member_ds(name));
+        let disp = member("blk000009/disp");
+        assert_eq!(assemble(Some(BlockId(9)), &[meta.clone(), disp.clone()]), ("Ok", Some(block.clone())));
+        assert_eq!(assemble(None, &[meta.clone(), disp.clone()]), ("Ok", Some(block.clone())));
+
+        let meta_with = |key: &str, value: AttrValue| record(&meta_ds().with_attr(key, value));
+        let meta_without = |key: &str| {
+            let mut m = meta_ds();
+            m.attrs.remove(key);
+            record(&m)
+        };
+        let mut filed = meta_ds();
+        filed.name = "blk000008/__meta__".into();
+        let mut with_payload = meta_ds();
+        (with_payload.shape, with_payload.data) = (vec![2], vec![7u8, 8].into());
+        let right = payload_crc32(&member_ds("x")) as i64;
+        let stamped = |crc: AttrValue| record(&member_ds("blk000009/disp").with_attr(CRC_ATTR, crc));
+        let (matching, stale, malformed) =
+            (stamped(right.into()), stamped((right ^ 1).into()), stamped(0.5f64.into()));
+        let a_b = |ds: Dataset| record(&ds.with_attr("a", 1i64).with_attr("b", 2i64));
+        let member_a_b = a_b(member_ds("blk000009/disp"));
+        let meta_a_b = record(&meta_ds().with_attr("blk:a", 1i64).with_attr("blk:b", 2i64));
+        let (descending, repeated) = (
+            rename_keys(&member_a_b, (b"a", b"b"), (b'b', b'a')),
+            rename_keys(&member_a_b, (b"a", b"b"), (b'a', b'a')),
+        );
+        let meta_repeated = rename_keys(&meta_a_b, (b"blk:a", b"blk:b"), (b'a', b'a'));
+        let meta_twice = record(&Dataset { name: "blk000009/__meta__".into(), ..member_ds("") });
+        let long_key = a_b(member_ds("blk000009/disp").with_attr("k".repeat(40), 3i64));
+        type Case<'a> = (&'a str, Option<BlockId>, Vec<Vec<u8>>, &'a str);
+        let cases: [Case; 23] = [
+            ("empty record list", None, vec![], "Corrupt"),
+            ("meta with the wrong id", Some(BlockId(8)), vec![meta.clone()], "Corrupt"),
+            ("member without the block prefix", None, vec![meta.clone(), member("disp")], "Corrupt"),
+            ("member of another block", None, vec![meta.clone(), member("blk000008/disp")], "Corrupt"),
+            ("member where the meta belongs", None, vec![disp.clone()], "Corrupt"),
+            ("meta filed under another block", None, vec![record(&filed)], "Corrupt"),
+            ("a record that fails to decode", None, vec![meta.clone(), b"DS0".to_vec()], "Corrupt"),
+            ("a member repeated", None, vec![meta.clone(), disp.clone(), disp.clone()], "AlreadyExists"),
+            ("meta whose id is a Str", None, vec![meta_with("block_id", "9".into()), disp.clone()], "Mismatch"),
+            ("meta without a window", None, vec![meta_without("window"), disp.clone()], "Corrupt"),
+            ("meta whose window is an Int", None, vec![meta_with("window", 3i64.into()), disp.clone()], "Mismatch"),
+            ("meta without an id", None, vec![meta_without("block_id"), disp.clone()], "Corrupt"),
+            ("meta with a negative id", None, vec![meta_with("block_id", (-1i64).into())], "Corrupt"),
+            ("meta that carries a payload", None, vec![record(&with_payload), disp.clone()], "Ok"),
+            ("meta with a foreign attribute", None, vec![meta_with("colour", 3i64.into()), disp.clone()], "Ok"),
+            ("a matching stored checksum", None, vec![meta.clone(), matching.clone()], "Ok"),
+            ("a stale stored checksum", None, vec![meta.clone(), stale.clone()], "Corrupt"),
+            ("a checksum that is no Int", None, vec![meta.clone(), malformed.clone()], "Corrupt"),
+            ("member keys descending", None, vec![meta.clone(), descending.clone()], "Ok"),
+            ("member key repeated", None, vec![meta.clone(), repeated.clone()], "Ok"),
+            ("meta key repeated", None, vec![meta_repeated.clone(), disp.clone()], "Ok"),
+            ("a second record named as the meta", None, vec![meta.clone(), meta_twice.clone()], "Ok"),
+            ("a key longer than the walk keeps", None, vec![meta.clone(), long_key.clone()], "Ok"),
         ];
-        for (what, expected, records) in hostile {
-            let got = block_from_records(expected, records);
-            assert!(matches!(got, Err(RocError::Corrupt(_))), "{what}: {got:?}");
+        for (what, expected, records, verdict) in &cases {
+            assert_eq!(assemble(*expected, records).0, *verdict, "{what}");
         }
-        // A record that failed to decode surfaces as its own error.
-        let bad = decode(b"DS0");
-        assert!(block_from_records(None, [meta(), bad]).is_err());
-        // A repeated member is refused by the block, not silently merged.
-        let twice = [meta(), member("blk000009/disp"), member("blk000009/disp")];
-        assert!(block_from_records(None, twice).is_err());
+        // What a map would hold: the last of a repeated key, sorted keys.
+        let got = |records: &[&Vec<u8>]| {
+            let records: Vec<Vec<u8>> = records.iter().map(|r| r.to_vec()).collect();
+            assemble(None, &records).1.unwrap()
+        };
+        let attrs = |block: DataBlock| format!("{:?} {:?}", block.attrs, block.datasets[0].attrs);
+        assert_eq!(attrs(got(&[&meta, &descending])), r#"{"level": Int(2)} {"a": Int(2), "b": Int(1)}"#);
+        assert_eq!(attrs(got(&[&meta, &repeated])), r#"{"level": Int(2)} {"a": Int(2)}"#);
+        assert_eq!(attrs(got(&[&meta_repeated, &disp])), r#"{"a": Int(2), "level": Int(2)} {}"#);
+        // A stored checksum is checked and stripped.
+        assert_eq!(got(&[&meta, &matching]), block);
+        assert_eq!(got(&[&meta, &meta_twice]).datasets[0].name, "__meta__");
+        assert_eq!(got(&[&meta, &long_key]).datasets[0].attrs.len(), 3);
     }
 
     /// `frame_block` over the wire records of `records`, as one buffer.

@@ -1,35 +1,113 @@
 //! Reading SDF files through the storage simulator.
 
-use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use rocio_core::{BlockId, DataBlock, Dataset, Result, RocError, SharedArray, SimTime};
+use rocio_core::{BlockId, Cursor, DataBlock, Dataset, Result, RocError, SharedArray, SimTime};
 use rocstore::SharedFs;
 
 use crate::cost::{LibraryModel, ReadCostModel, ReadStrategy};
 use crate::format::{
-    block_from_records, block_prefix, check_header, decode_dataset_with, decode_index,
-    decode_record_header, decode_trailer, parse_block_id, IndexEntry, PayloadDims, BLOCK_META,
-    HEADER_LEN, TRAILER_LEN,
+    check_header, decode_index, decode_trailer, parse_block_id, walk_record_header, PayloadDims,
+    Prefix, BLOCK_META, HEADER_LEN, TRAILER_LEN,
 };
+use crate::view::{BlockView, RecordView};
+
+/// One index entry: where its name lies in the index bytes, where its
+/// record lies in the file, and whether this file generation's copy of the
+/// record has had its payload checksum verified.
+struct Entry {
+    name: Range<usize>,
+    offset: u64,
+    len: u64,
+    /// The cache entry and these flags die together when the path is
+    /// rewritten, so a set flag always refers to the bytes currently
+    /// frozen in the store — which is what lets warm reads skip the CRC
+    /// pass (host work only; virtual time is never affected). Set only
+    /// after a successful read of the record.
+    verified: AtomicBool,
+}
+
+/// One block the index names.
+struct IndexedBlock {
+    id: BlockId,
+    /// The index position of its first record: where it first appears.
+    first: usize,
+    /// Its picks: a range of [`OpenMeta::picks`] — `None` when no record is
+    /// its `__meta__`.
+    picks: Option<Range<usize>>,
+}
 
 /// The parsed trailer + index of one open, cached in the file system's
 /// per-client metadata cache so re-opening an unchanged snapshot file is
 /// free: the cache is generation-validated, so any write to the path
 /// invalidates it, and per-client keying keeps virtual time deterministic
-/// (a hit depends only on this client's own open history).
+/// (a hit depends only on this client's own open history). Built once per
+/// cold open; every lookup reads it in place.
 struct OpenMeta {
-    index: Vec<IndexEntry>,
-    by_name: BTreeMap<String, usize>,
-    /// Per-record: has this record's payload checksum been verified in
-    /// this file generation? The cache entry and these flags die together
-    /// when the path is rewritten, so a set flag always refers to the
-    /// bytes currently frozen in the store — which is what lets warm
-    /// shared reads skip the CRC pass (host work only; virtual time is
-    /// never affected). Flags are set only after a successful decode.
-    verified: Vec<AtomicBool>,
+    path: Arc<str>,
+    /// The index region as read: every entry's name is a range of it.
+    index: Bytes,
+    entries: Vec<Entry>,
+    blocks: Vec<IndexedBlock>,
+    /// Every block's records, `__meta__` first, then its members in file
+    /// order (wherever they sit relative to the meta or to foreign
+    /// records), block after block.
+    picks: Vec<usize>,
+}
+
+impl OpenMeta {
+    /// The open of an index region and its entries: the block table built.
+    fn new(path: &str, index: Bytes, entries: Vec<Entry>) -> OpenMeta {
+        let (blocks, picks) = index_blocks(&index, &entries);
+        OpenMeta { path: path.into(), index, entries, blocks, picks }
+    }
+
+    fn name(&self, e: &Entry) -> &str {
+        entry_name(&self.index, e)
+    }
+}
+
+fn entry_name<'i>(index: &'i [u8], e: &Entry) -> &'i str {
+    // The index decode refused anything but UTF-8.
+    std::str::from_utf8(&index[e.name.clone()]).unwrap_or_default()
+}
+
+/// The table of blocks and their picks: each block a record's name parses
+/// as ([`parse_block_id`]) is listed at its first appearance, its
+/// `__meta__` the last record of that exact name under its group prefix
+/// (what a lookup by name finds), its members every other record under the
+/// prefix.
+fn index_blocks(index: &[u8], entries: &[Entry]) -> (Vec<IndexedBlock>, Vec<usize>) {
+    let mut named = Vec::with_capacity(entries.len());
+    named.extend(
+        (entries.iter().enumerate())
+            .filter_map(|(i, e)| Some((parse_block_id(entry_name(index, e))?, i))),
+    );
+    // By id, then file order: each group's first entry is where the block
+    // first appears.
+    named.sort_unstable();
+    let mut blocks = Vec::with_capacity(named.len());
+    let mut picks = Vec::with_capacity(named.len());
+    for group in named.chunk_by(|a, b| a.0 == b.0) {
+        let (id, first) = group[0];
+        let prefix = Prefix::new(id);
+        let members = group.iter().filter_map(|&(_, i)| {
+            Some((i, entry_name(index, &entries[i]).strip_prefix(prefix.as_str())?))
+        });
+        let meta = members.clone().filter(|&(_, m)| m == BLOCK_META).last();
+        let block_picks = meta.map(|(meta, _)| {
+            let start = picks.len();
+            picks.push(meta);
+            picks.extend(members.map(|(i, _)| i).filter(|&i| i != meta));
+            start..picks.len()
+        });
+        blocks.push(IndexedBlock { id, first, picks: block_picks });
+    }
+    blocks.sort_unstable_by_key(|block| block.first);
+    (blocks, picks)
 }
 
 /// How [`SdfFileReader::fetch`] turns ranges into storage accesses. Chosen
@@ -37,10 +115,10 @@ struct OpenMeta {
 #[derive(Clone, Copy)]
 enum Fetch {
     /// One access per range, in input order: the library's per-dataset
-    /// charge (`read_block_shared`, `read_all_blocks`).
+    /// charge (`view_block`, `view_all_blocks`).
     PerRange,
     /// [`ReadCostModel::choose_local`] picks per-range or data sieving
-    /// (`read_blocks_sieved`, `read_block_subset`, `read_dataset_strided`).
+    /// (`view_blocks_sieved`, `read_block_subset`, `read_dataset_strided`).
     Auto,
     /// One covering read per hole-cluster, holes of any size read through:
     /// a two-phase aggregator's file domain (`read_blocks_raw`).
@@ -55,7 +133,6 @@ enum Fetch {
 /// files is expensive (Table 1).
 pub struct SdfFileReader<'fs> {
     fs: &'fs SharedFs,
-    path: String,
     client: u64,
     lib: LibraryModel,
     meta: Arc<OpenMeta>,
@@ -67,7 +144,8 @@ impl<'fs> SdfFileReader<'fs> {
     ///
     /// A repeat open of an unchanged file by the same client hits the
     /// metadata cache and completes at `now`, re-paying neither the
-    /// header/trailer/index reads nor their virtual time.
+    /// header/trailer/index reads nor their virtual time — and allocating
+    /// nothing.
     pub fn open(
         fs: &'fs SharedFs,
         path: &str,
@@ -77,10 +155,7 @@ impl<'fs> SdfFileReader<'fs> {
     ) -> Result<(Self, SimTime)> {
         if let Some(hit) = fs.cache_get(path, client) {
             if let Ok(meta) = hit.downcast::<OpenMeta>() {
-                return Ok((
-                    SdfFileReader { fs, path: path.to_string(), client, lib, meta },
-                    now,
-                ));
+                return Ok((SdfFileReader { fs, client, lib, meta }, now));
             }
         }
         let size = fs.file_size(path)?;
@@ -96,82 +171,70 @@ impl<'fs> SdfFileReader<'fs> {
                 "SDF '{path}': index offset {idx_off} out of range"
             )));
         }
-        let (idx_bytes, t3) =
-            fs.read_shared(path, idx_off, size - TRAILER_LEN - idx_off, client, t2)?;
-        let index = decode_index(&idx_bytes)?;
-        let by_name = index
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.name.clone(), i))
-            .collect();
-        let verified = std::iter::repeat_with(|| AtomicBool::new(false))
-            .take(index.len())
-            .collect();
-        let meta = Arc::new(OpenMeta { index, by_name, verified });
+        let (index, t3) = fs.read_shared(path, idx_off, size - TRAILER_LEN - idx_off, client, t2)?;
+        let entries = decode_index(&index, |name, offset, len| Entry {
+            name,
+            offset,
+            len,
+            verified: AtomicBool::new(false),
+        })?;
+        let meta = Arc::new(OpenMeta::new(path, index, entries));
         fs.cache_put(path, client, Arc::clone(&meta) as rocstore::CacheValue);
-        Ok((
-            SdfFileReader { fs, path: path.to_string(), client, lib, meta },
-            t3,
-        ))
+        Ok((SdfFileReader { fs, client, lib, meta }, t3))
+    }
+
+    fn path(&self) -> &str {
+        &self.meta.path
     }
 
     /// Number of datasets in the file.
     pub fn n_datasets(&self) -> usize {
-        self.meta.index.len()
+        self.meta.entries.len()
     }
 
     /// Whether the file contains a dataset of this name.
     pub fn contains(&self, name: &str) -> bool {
-        self.meta.by_name.contains_key(name)
+        self.meta.entries.iter().any(|e| self.meta.name(e) == name)
     }
 
     /// Ids of all blocks stored in the file, in first-appearance order.
     pub fn block_ids(&self) -> Vec<BlockId> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for e in &self.meta.index {
-            if let Some(id) = parse_block_id(&e.name) {
-                if seen.insert(id) {
-                    out.push(id);
-                }
-            }
-        }
-        out
+        self.blocks().collect()
     }
 
-    fn entry_idx(&self, name: &str) -> Result<usize> {
-        self.meta
-            .by_name
-            .get(name)
-            .copied()
-            .ok_or_else(|| RocError::NotFound(format!("dataset '{name}' in '{}'", self.path)))
+    /// [`SdfFileReader::block_ids`], in first-appearance order, read where
+    /// the table lies.
+    pub fn blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.meta.blocks.iter().map(|b| b.id)
+    }
+
+    /// The index entry of dataset `name` (the last, should the index name
+    /// it twice).
+    fn entry(&self, name: &str) -> Result<&Entry> {
+        let entries = &self.meta.entries;
+        entries.iter().rev().find(|e| self.meta.name(e) == name).ok_or_else(|| {
+            RocError::NotFound(format!("dataset '{name}' in '{}'", self.path()))
+        })
     }
 
     /// The library's per-access lookup cost in this file.
     fn lookup(&self) -> SimTime {
-        self.lib.lookup_cost(self.meta.index.len())
+        self.lib.lookup_cost(self.meta.entries.len())
     }
 
     /// **Pick**: the index positions of block `id`'s records — `__meta__`
-    /// first, then its members in file order (wherever they sit relative
-    /// to the meta or to foreign records), narrowed to `members`
-    /// (unprefixed names) when given. `NotFound` if the meta, or a
-    /// requested member, is absent.
-    fn pick(&self, id: BlockId, members: Option<&[&str]>) -> Result<Vec<usize>> {
-        let prefix = block_prefix(id);
-        let meta = self.entry_idx(&format!("{prefix}{BLOCK_META}"))?;
-        for m in members.unwrap_or_default() {
-            self.entry_idx(&format!("{prefix}{m}"))?;
+    /// first, then its members in file order — out of the block table.
+    /// `NotFound` if the meta is absent.
+    fn pick(&self, id: BlockId) -> Result<&[usize]> {
+        let block = self.meta.blocks.iter().find(|b| b.id == id);
+        match block.and_then(|b| b.picks.clone()) {
+            Some(picks) => Ok(&self.meta.picks[picks]),
+            None => Err(RocError::NotFound(format!(
+                "dataset '{}{BLOCK_META}' in '{}'",
+                Prefix::new(id).as_str(),
+                self.path()
+            ))),
         }
-        let mut picks = vec![meta];
-        for (i, e) in self.meta.index.iter().enumerate() {
-            if let Some(member) = e.name.strip_prefix(&prefix) {
-                if i != meta && members.is_none_or(|m| m.contains(&member)) {
-                    picks.push(i);
-                }
-            }
-        }
-        Ok(picks)
     }
 
     /// **Fetch**: the one place reads reach the store. Returns one
@@ -196,82 +259,97 @@ impl<'fs> SdfFileReader<'fs> {
                 }
             }
         };
+        let path = self.path();
         match max_gap {
-            Some(gap) => self.fs.read_sieved(&self.path, ranges, lead, gap, self.client, now),
-            None => self.fs.read_shared_multi(&self.path, ranges, lead, self.client, now),
+            Some(gap) => self.fs.read_sieved(path, ranges, lead, gap, self.client, now),
+            None => self.fs.read_shared_multi(path, ranges, lead, self.client, now),
         }
     }
 
-    /// Fetch the picked records' file extents, the library's lookup
-    /// charged before every access.
+    /// Fetch the picked records' file extents — blocks' picks, one after
+    /// another — the library's lookup charged before every access.
     fn fetch_records(
         &self,
-        picks: &[usize],
+        picks: &[&[usize]],
         how: Fetch,
         now: SimTime,
     ) -> Result<(Vec<Bytes>, SimTime)> {
-        let extents: Vec<(usize, usize)> = picks
-            .iter()
-            .map(|&i| (self.meta.index[i].offset as usize, self.meta.index[i].len as usize))
-            .collect();
+        let entries = &self.meta.entries;
+        let mut extents = Vec::with_capacity(picks.iter().map(|p| p.len()).sum());
+        for &i in picks.iter().copied().flatten() {
+            extents.push((entries[i].offset as usize, entries[i].len as usize));
+        }
         self.fetch(&extents, self.lookup(), how, now)
     }
 
-    /// **Assemble**: decode the picked records out of their windows and
-    /// build the block. Each record pays its payload-CRC pass only the
-    /// first time this file generation's copy is decoded; the flag is set
-    /// after a successful decode, so a corrupt record keeps failing.
-    fn assemble(&self, id: BlockId, picks: &[usize], windows: &[Bytes]) -> Result<DataBlock> {
+    /// **Assemble**: read the picked records where their windows lie and
+    /// assemble the block's view. Each record pays its payload-CRC pass
+    /// only the first time this file generation's copy is read; the flag is
+    /// set after a successful read, so a corrupt record keeps failing.
+    fn assemble(
+        &self,
+        id: BlockId,
+        picks: &[usize],
+        windows: impl Iterator<Item = Bytes>,
+    ) -> Result<BlockView> {
         let records = picks.iter().zip(windows).map(|(&i, window)| {
-            let skip = self.meta.verified[i].load(Ordering::Relaxed);
-            let ds = decode_dataset_with(&mut window.into(), !skip)?;
-            self.meta.verified[i].store(true, Ordering::Relaxed);
-            Ok(ds)
+            let verified = &self.meta.entries[i].verified;
+            let skip = verified.load(Ordering::Relaxed);
+            let record = RecordView::read(&mut Cursor::from(&window), !skip)?;
+            verified.store(true, Ordering::Relaxed);
+            Ok(record)
         });
-        block_from_records(Some(id), records)
+        BlockView::assemble(Some(id), picks.len(), records)
     }
 
     /// Pick and fetch a batch of blocks in one planned request: each
     /// block's picks, and the windows of all of them in the same order.
+    #[allow(clippy::type_complexity)]
     fn fetch_blocks(
         &self,
         ids: &[BlockId],
         how: Fetch,
         now: SimTime,
-    ) -> Result<(Vec<Vec<usize>>, Vec<Bytes>, SimTime)> {
-        let picks = ids.iter().map(|&id| self.pick(id, None)).collect::<Result<Vec<_>>>()?;
-        let (windows, t) = self.fetch_records(&picks.concat(), how, now)?;
+    ) -> Result<(Vec<&[usize]>, Vec<Bytes>, SimTime)> {
+        let mut picks = Vec::with_capacity(ids.len());
+        for &id in ids {
+            picks.push(self.pick(id)?);
+        }
+        let (windows, t) = self.fetch_records(&picks, how, now)?;
         Ok((picks, windows, t))
     }
 
     /// Pick → fetch → assemble for a batch of blocks.
-    fn read_blocks(
+    fn view_blocks(
         &self,
         ids: &[BlockId],
         how: Fetch,
         now: SimTime,
-    ) -> Result<(Vec<DataBlock>, SimTime)> {
+    ) -> Result<(Vec<BlockView>, SimTime)> {
         let (picks, windows, t) = self.fetch_blocks(ids, how, now)?;
-        let mut rest = &windows[..];
-        let mut blocks = Vec::with_capacity(ids.len());
-        for (&id, picks) in ids.iter().zip(&picks) {
-            let (mine, tail) = rest.split_at(picks.len());
-            blocks.push(self.assemble(id, picks, mine)?);
-            rest = tail;
+        let (mut windows, mut views) = (windows.into_iter(), Vec::with_capacity(ids.len()));
+        for (&id, picks) in ids.iter().zip(picks) {
+            views.push(self.assemble(id, picks, windows.by_ref().take(picks.len()))?);
         }
-        Ok((blocks, t))
+        Ok((views, t))
     }
 
     /// Read a whole data block (its `__meta__` plus all member datasets,
-    /// names without the group prefix) as zero-copy windows. Charged the
-    /// way the library charges it — one lookup and one read per record,
-    /// meta first, then members in file order — which is what the paper's
-    /// restart figures are calibrated on; the host does one lock
-    /// and O(1) carving for the whole block.
+    /// names without the group prefix) as a view of zero-copy windows.
+    /// Charged the way the library charges it — one lookup and one read
+    /// per record, meta first, then members in file order — which is what
+    /// the paper's restart figures are calibrated on; the host does one
+    /// lock and O(1) carving for the whole block.
+    pub fn view_block(&self, id: BlockId, now: SimTime) -> Result<(BlockView, SimTime)> {
+        let picks = self.pick(id)?;
+        let (windows, t) = self.fetch_records(&[picks], Fetch::PerRange, now)?;
+        Ok((self.assemble(id, picks, windows.into_iter())?, t))
+    }
+
+    /// [`SdfFileReader::view_block`], built.
     pub fn read_block_shared(&self, id: BlockId, now: SimTime) -> Result<(DataBlock, SimTime)> {
-        let picks = self.pick(id, None)?;
-        let (windows, t) = self.fetch_records(&picks, Fetch::PerRange, now)?;
-        Ok((self.assemble(id, &picks, &windows)?, t))
+        let (view, t) = self.view_block(id, now)?;
+        Ok((view.to_block()?, t))
     }
 
     /// Read a block's `__meta__` plus only the named member datasets —
@@ -287,30 +365,59 @@ impl<'fs> SdfFileReader<'fs> {
         members: &[&str],
         now: SimTime,
     ) -> Result<(DataBlock, SimTime)> {
-        let picks = self.pick(id, Some(members))?;
-        let (windows, t) = self.fetch_records(&picks, Fetch::Auto, now)?;
-        Ok((self.assemble(id, &picks, &windows)?, t))
+        let all = self.pick(id)?;
+        let prefix = Prefix::new(id);
+        let member = |&i: &usize| {
+            let name = self.meta.name(&self.meta.entries[i]);
+            name.strip_prefix(prefix.as_str()).unwrap_or_default()
+        };
+        let absent = |&&m: &&&str| m != BLOCK_META && !all[1..].iter().any(|i| member(i) == m);
+        if let Some(m) = members.iter().find(absent) {
+            let prefix = prefix.as_str();
+            return Err(RocError::NotFound(format!("dataset '{prefix}{m}' in '{}'", self.path())));
+        }
+        let picks: Vec<usize> = (all[..1].iter())
+            .chain(all[1..].iter().filter(|i| members.contains(&member(i))))
+            .copied()
+            .collect();
+        let (windows, t) = self.fetch_records(&[&picks], Fetch::Auto, now)?;
+        Ok((self.assemble(id, &picks, windows.into_iter())?.to_block()?, t))
     }
 
     /// Read several blocks in one planned batch: the request's record
     /// extents go through the sieve planner together, so blocks that are
     /// near each other in the file share covering reads. Byte-identical
-    /// to chaining [`SdfFileReader::read_block_shared`] over `ids`; when
-    /// the cost model keeps per-range access the charges are identical
-    /// too (one lookup + one read per record, in the same order).
+    /// to chaining [`SdfFileReader::view_block`] over `ids`; when the cost
+    /// model keeps per-range access the charges are identical too (one
+    /// lookup + one read per record, in the same order).
+    pub fn view_blocks_sieved(
+        &self,
+        ids: &[BlockId],
+        now: SimTime,
+    ) -> Result<(Vec<BlockView>, SimTime)> {
+        self.view_blocks(ids, Fetch::Auto, now)
+    }
+
+    /// [`SdfFileReader::view_blocks_sieved`], built.
     pub fn read_blocks_sieved(
         &self,
         ids: &[BlockId],
         now: SimTime,
     ) -> Result<(Vec<DataBlock>, SimTime)> {
-        self.read_blocks(ids, Fetch::Auto, now)
+        let (views, t) = self.view_blocks_sieved(ids, now)?;
+        Ok((views.iter().map(BlockView::to_block).collect::<Result<_>>()?, t))
     }
 
     /// Read every block in the file, charged as a chain of
-    /// [`SdfFileReader::read_block_shared`] calls in first-appearance
-    /// order.
+    /// [`SdfFileReader::view_block`] calls in first-appearance order.
+    pub fn view_all_blocks(&self, now: SimTime) -> Result<(Vec<BlockView>, SimTime)> {
+        self.view_blocks(&self.block_ids(), Fetch::PerRange, now)
+    }
+
+    /// [`SdfFileReader::view_all_blocks`], built.
     pub fn read_all_blocks(&self, now: SimTime) -> Result<(Vec<DataBlock>, SimTime)> {
-        self.read_blocks(&self.block_ids(), Fetch::PerRange, now)
+        let (views, t) = self.view_all_blocks(now)?;
+        Ok((views.iter().map(BlockView::to_block).collect::<Result<_>>()?, t))
     }
 
     /// Read the raw record images of the given blocks for redistribution:
@@ -321,8 +428,8 @@ impl<'fs> SdfFileReader<'fs> {
     /// read — positioned raw I/O, not per-record library access). Each
     /// block comes back as its records' zero-copy windows, `__meta__`
     /// first — self-describing bytes ready to ship over the wire; the
-    /// receiver decodes and CRC-checks them itself
-    /// ([`crate::format::block_from_records`]).
+    /// receiver reads and CRC-checks them itself ([`BlockView::assemble`]
+    /// of [`RecordView::read`]s).
     #[allow(clippy::type_complexity)]
     pub fn read_blocks_raw(
         &self,
@@ -345,16 +452,16 @@ impl<'fs> SdfFileReader<'fs> {
     /// within the record, which must then end where the index says.
     fn read_record_header(
         &self,
-        e: &IndexEntry,
+        e: &Entry,
         now: SimTime,
     ) -> Result<(PayloadDims, usize, SimTime)> {
         let mut header_guess = 256usize.min(e.len as usize);
         loop {
             let (bytes, t) =
                 self.fs
-                    .read_shared(&self.path, e.offset as usize, header_guess, self.client, now)?;
-            let mut cur = rocio_core::Cursor::from(&bytes);
-            let header = decode_record_header(&mut cur).map(|(_, payload)| payload);
+                    .read_shared(self.path(), e.offset as usize, header_guess, self.client, now)?;
+            let mut cur = Cursor::from(&bytes);
+            let header = walk_record_header(&mut cur, &mut ());
             let header_len = cur.pos();
             match header {
                 Ok(h) if header_len.checked_add(h.data_len) == Some(e.len as usize) => {
@@ -363,7 +470,10 @@ impl<'fs> SdfFileReader<'fs> {
                 Ok(h) => {
                     return Err(RocError::Corrupt(format!(
                         "SDF '{}': record at {} is {header_len} + {} bytes, its index entry says {}",
-                        self.path, e.offset, h.data_len, e.len
+                        self.path(),
+                        e.offset,
+                        h.data_len,
+                        e.len
                     )));
                 }
                 Err(_) if header_guess < e.len as usize => {
@@ -393,7 +503,7 @@ impl<'fs> SdfFileReader<'fs> {
         stride: usize,
         now: SimTime,
     ) -> Result<(Dataset, SimTime)> {
-        let e = &self.meta.index[self.entry_idx(name)?];
+        let e = self.entry(name)?;
         let (header, header_len, t) = self.read_record_header(e, now + self.lookup())?;
         let esize = header.dtype.size();
         // Last element touched and bytes gathered, overflow-checked: the
@@ -430,6 +540,7 @@ impl<'fs> SdfFileReader<'fs> {
 mod tests {
     use super::*;
     use crate::writer::SdfFileWriter;
+    use rocio_core::Checksum;
 
     fn write_sample(fs: &SharedFs) -> Vec<DataBlock> {
         let blocks: Vec<DataBlock> = (0..3)
@@ -582,29 +693,37 @@ mod tests {
 
     /// What a receiver does with one block of `read_blocks_raw`.
     fn decode_raw(id: BlockId, records: &[Bytes]) -> DataBlock {
-        let decoded = records.iter().map(|r| crate::format::decode_dataset_shared(r, &mut 0));
-        block_from_records(Some(id), decoded).unwrap()
+        let read = records.iter().map(|r| RecordView::read(&mut Cursor::from(r), true));
+        BlockView::assemble(Some(id), records.len(), read).unwrap().to_block().unwrap()
     }
 
     /// The per-record reference every block read is held to: the
     /// library's one-dataset access (lookup, then one positioned read,
     /// decode) chained over the block's records, meta first.
     fn per_record_reference(r: &SdfFileReader, id: BlockId, now: SimTime) -> (DataBlock, SimTime) {
-        let prefix = block_prefix(id);
+        let prefix = crate::block_prefix(id);
         let meta = format!("{prefix}{BLOCK_META}");
-        let names = r.meta.index.iter().map(|e| e.name.as_str());
+        let names = r.meta.entries.iter().map(|e| r.meta.name(e));
         let members = names.filter(|n| n.starts_with(&prefix) && *n != meta);
         let mut t = now;
-        let mut records = Vec::new();
+        let mut block = DataBlock::new(id, "");
         for name in std::iter::once(meta.as_str()).chain(members) {
-            let e = &r.meta.index[r.entry_idx(name).unwrap()];
+            let e = r.entry(name).unwrap();
             let (bytes, end) =
-                r.fs.read_shared(&r.path, e.offset as usize, e.len as usize, r.client, t + r.lookup())
+                r.fs.read_shared(r.path(), e.offset as usize, e.len as usize, r.client, t + r.lookup())
                     .unwrap();
             t = end;
-            records.push(crate::format::decode_dataset_shared(&bytes, &mut 0));
+            let ds = crate::format::decode_dataset_shared(&bytes, &mut 0).unwrap();
+            match ds.name.strip_prefix(&prefix).unwrap() {
+                BLOCK_META => {
+                    block.window = ds.attrs["window"].as_str().unwrap().to_owned();
+                    let block_attrs = ds.attrs.iter().filter_map(|(k, v)| Some((k.strip_prefix("blk:")?, v)));
+                    block.attrs = block_attrs.map(|(k, v)| (k.to_owned(), v.clone())).collect();
+                }
+                member => block.datasets.push(Dataset { name: member.to_owned(), ..ds }),
+            }
         }
-        (block_from_records(Some(id), records).unwrap(), t)
+        (block, t)
     }
 
     #[test]
@@ -622,7 +741,7 @@ mod tests {
         };
         let other = DataBlock::new(BlockId(9), "w").with_dataset(Dataset::vector("a", vec![7u8; 40]));
         type Layout<'a> = (&'a str, DataBlock, Box<dyn Fn(&mut SdfFileWriter) + 'a>);
-        let layouts: [Layout; 3] = [
+        let layouts: [Layout; 4] = [
             ("contiguous", block(vec![a(), x("x")]), Box::new(|w| {
                 w.append_block(&block(vec![a(), x("x")]), 0.0).unwrap();
             })),
@@ -635,6 +754,12 @@ mod tests {
                 w.append_dataset(&x("blk000004/x"), 0.0).unwrap();
                 w.append_dataset(&foreign(), 0.0).unwrap();
                 w.append_block(&block(vec![a()]), 0.0).unwrap();
+            })),
+            // A record whose name parses as block 4's but is not under its
+            // group prefix: the block is listed, the record is not its.
+            ("respelled", block(vec![a(), x("x")]), Box::new(|w| {
+                w.append_dataset(&x("blk4/x"), 0.0).unwrap();
+                w.append_block(&block(vec![a(), x("x")]), 0.0).unwrap();
             })),
         ];
         for lib in [LibraryModel::hdf4(), LibraryModel::hdf5(), LibraryModel::Raw] {
@@ -674,6 +799,22 @@ mod tests {
                 assert_eq!(raw[0].0, want.id);
                 assert_eq!(decode_raw(want.id, &raw[0].1), shared, "{what}");
                 assert_eq!(decode_raw(other.id, &raw[1].1), other, "{what}");
+
+                // The views those blocks are built from describe them: the
+                // same records laid out, byte for byte, behind a lead, and
+                // the same checksum — in every entry point's order.
+                let flat = |rope: rocio_core::Rope| rope.into_bytes().to_vec();
+                let (view, _) = r.view_block(want.id, t).unwrap();
+                let (sieved, _) = r.view_blocks_sieved(&ids, t).unwrap();
+                let (every, _) = r.view_all_blocks(t).unwrap();
+                let views = std::iter::once(&view).chain(&sieved).chain(&every);
+                for (view, block) in views.zip([&shared, &shared, &other, &shared, &other]) {
+                    assert_eq!(&view.to_block().unwrap(), block, "{what}");
+                    let (laid_out, built) =
+                        (crate::encode_block(b"lead", view), crate::encode_block(b"lead", block));
+                    assert_eq!(flat(laid_out), flat(built), "{what}");
+                    assert_eq!(Checksum::of_desc(view), Checksum::of_block(block), "{what}");
+                }
             }
         }
     }
@@ -825,7 +966,7 @@ mod tests {
             assert!(matches!(got, Err(RocError::Mismatch(_))), "{got:?}");
         }
         // "DS00", name_len:u16, name, dtype:u8, rank:u8, then the extents.
-        let extent0 = r.meta.index[r.entry_idx(name).unwrap()].offset as usize + 6 + name.len() + 2;
+        let extent0 = r.entry(name).unwrap().offset as usize + 6 + name.len() + 2;
         for (bad, whole) in [(8u64, 32), (u64::MAX, 1)] {
             fs.write_at("s.sdf", extent0, &bad.to_le_bytes(), 0, 0.0).unwrap();
             let got = r.read_dataset_strided(name, 0, 1, whole, whole, t);

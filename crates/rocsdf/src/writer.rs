@@ -206,6 +206,15 @@ mod tests {
     use super::*;
     use rocio_core::BlockId;
 
+    /// The entries of an index region, names owned.
+    fn index_of(region: &[u8]) -> Vec<IndexEntry> {
+        let entry = |name, offset, len| {
+            let name = std::str::from_utf8(&region[name]).unwrap().to_owned();
+            IndexEntry { name, offset, len }
+        };
+        crate::format::decode_index(region, entry).unwrap()
+    }
+
     fn ds(name: &str, n: usize) -> Dataset {
         Dataset::vector(name, vec![1.5f64; n]).with_attr("units", "m")
     }
@@ -221,8 +230,7 @@ mod tests {
         let (bytes, _) = fs.read_all_shared("f.sdf", 0, 0.0).unwrap();
         crate::format::check_header(&bytes).unwrap();
         let idx_off = crate::format::decode_trailer(&bytes[bytes.len() - 12..]).unwrap();
-        let entries =
-            crate::format::decode_index(&bytes[idx_off as usize..bytes.len() - 12]).unwrap();
+        let entries = index_of(&bytes[idx_off as usize..bytes.len() - 12]);
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].name, "a");
         // Entries point at decodable records.
@@ -259,8 +267,7 @@ mod tests {
         w.finish(t).unwrap();
         let (bytes, _) = fs.read_all_shared("f.sdf", 0, 0.0).unwrap();
         let idx_off = crate::format::decode_trailer(&bytes[bytes.len() - 12..]).unwrap();
-        let entries =
-            crate::format::decode_index(&bytes[idx_off as usize..bytes.len() - 12]).unwrap();
+        let entries = index_of(&bytes[idx_off as usize..bytes.len() - 12]);
         let names: Vec<&str> = entries.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(
             names,

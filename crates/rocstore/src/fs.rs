@@ -1,7 +1,7 @@
 //! The shared file system: real bytes, modelled time.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -16,6 +16,9 @@ use crate::model::DiskModel;
 /// Opaque value stored in the per-client metadata cache (see
 /// [`SharedFs::cache_put`]); callers downcast to their own type.
 pub type CacheValue = Arc<dyn Any + Send + Sync>;
+
+/// One client's metadata cache: path -> (file generation, value).
+type ClientCache = HashMap<Arc<str>, (u64, CacheValue)>;
 
 /// Aggregate statistics of a file system instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -184,13 +187,16 @@ impl Ledger {
 pub struct SharedFs {
     model: DiskModel,
     servers: Vec<Mutex<ServerState>>,
-    files: Mutex<HashMap<String, StoredFile>>,
+    /// Path -> file. A path is held once, by refcount: a listing hands out
+    /// the table's own names ([`SharedFs::names`]).
+    files: Mutex<HashMap<Arc<str>, StoredFile>>,
     stats: Mutex<FsStats>,
     /// Source of file generations; bumped on every mutation of any file.
     next_generation: AtomicU64,
-    /// (client, path) -> (generation, value). Parsed-metadata cache
-    /// (e.g. decoded SDF indexes); see [`SharedFs::cache_put`].
-    meta_cache: Mutex<HashMap<(u64, String), (u64, CacheValue)>>,
+    /// client -> path -> (generation, value). Parsed-metadata cache (e.g.
+    /// decoded SDF indexes), keyed by the file table's own names and looked
+    /// up by `&str`; see [`SharedFs::cache_put`].
+    meta_cache: Mutex<HashMap<u64, ClientCache>>,
     /// Caller-declared concurrent-writer count (see
     /// [`SharedFs::declare_writers`]); 0 = rely on the activity window.
     write_hint: AtomicUsize,
@@ -379,7 +385,7 @@ impl SharedFs {
             let mut ledger = self.ledger.lock();
             let tenant = ledger.tenant_of(path);
             let old = files.insert(
-                path.to_string(),
+                Arc::from(path),
                 StoredFile {
                     data: Rope::new(),
                     generation: self.next_gen(),
@@ -577,20 +583,36 @@ impl SharedFs {
             return Ok((Vec::new(), now));
         }
         let windows = self.slice_windows(path, ranges)?;
-        let mut seen = std::collections::HashSet::with_capacity(ranges.len());
+        // A repeat is found by a scan among a block's few ranges, by a set
+        // among many.
+        let mut seen = (ranges.len() > 32).then(|| HashSet::with_capacity(ranges.len()));
         let mut t = now;
-        for &(offset, len) in ranges {
-            if len == 0 || !seen.insert((offset, len)) {
-                continue;
+        for (i, &range) in ranges.iter().enumerate() {
+            let repeat = match &mut seen {
+                Some(seen) => !seen.insert(range),
+                None => ranges[..i].contains(&range),
+            };
+            if range.1 > 0 && !repeat {
+                t = self.charge_range(path, range.1, lead, client, t);
             }
-            let mut stats = self.stats.lock();
-            stats.bytes_read += len as u64;
-            stats.read_ops += 1;
-            drop(stats);
-            t += lead;
-            t = self.charge_read(path, len, client, t);
         }
         Ok((windows, t))
+    }
+
+    /// One read op of `len` bytes, `lead` before it: stats, then the disk.
+    fn charge_range(
+        &self,
+        path: &str,
+        len: usize,
+        lead: SimTime,
+        client: u64,
+        now: SimTime,
+    ) -> SimTime {
+        let mut stats = self.stats.lock();
+        stats.bytes_read += len as u64;
+        stats.read_ops += 1;
+        drop(stats);
+        self.charge_read(path, len, client, now + lead)
     }
 
     /// Read a batch of ranges by **data sieving**: one contiguous read per
@@ -622,41 +644,48 @@ impl SharedFs {
         let plan = crate::sieve::SievePlan::build(ranges, max_gap);
         let mut t = now;
         for &(_, len) in &plan.windows {
-            let mut stats = self.stats.lock();
-            stats.bytes_read += len as u64;
-            stats.read_ops += 1;
-            drop(stats);
-            t += lead;
-            t = self.charge_read(path, len, client, t);
+            t = self.charge_range(path, len, lead, client, t);
         }
         Ok((windows, t))
     }
 
-    /// Coalesce `path`'s image and slice one zero-copy window per requested range,
-    /// in input order (shared by the per-range and sieved read paths; no
-    /// timing or stats).
-    fn slice_windows(&self, path: &str, ranges: &[(usize, usize)]) -> Result<Vec<Bytes>> {
+    /// Coalesce `path`'s image and hand it to `cut` (shared by every read
+    /// path; no timing or stats).
+    fn with_image<R>(&self, path: &str, cut: impl FnOnce(&Bytes) -> Result<R>) -> Result<R> {
         let mut files = self.files.lock();
         let f = files
             .get_mut(path)
             .ok_or_else(|| RocError::Storage(format!("read: no such file '{path}'")))?;
-        let data = f.data.coalesce();
-        let eof = data.len();
-        let mut out = Vec::with_capacity(ranges.len());
-        for &(offset, len) in ranges {
-            if offset + len > eof {
-                return Err(RocError::Storage(format!(
-                    "read: range {offset}..{} beyond EOF {eof} in '{path}'",
-                    offset + len,
-                )));
-            }
-            out.push(data.slice(offset..offset + len));
+        cut(&f.data.coalesce())
+    }
+
+    /// One zero-copy window of a coalesced image.
+    fn window_of(image: &Bytes, path: &str, (offset, len): (usize, usize)) -> Result<Bytes> {
+        let eof = image.len();
+        if offset + len > eof {
+            return Err(RocError::Storage(format!(
+                "read: range {offset}..{} beyond EOF {eof} in '{path}'",
+                offset + len,
+            )));
         }
-        Ok(out)
+        Ok(image.slice(offset..offset + len))
+    }
+
+    /// Coalesce `path`'s image and slice one zero-copy window per requested
+    /// range, in input order.
+    fn slice_windows(&self, path: &str, ranges: &[(usize, usize)]) -> Result<Vec<Bytes>> {
+        self.with_image(path, |image| {
+            let mut windows = Vec::with_capacity(ranges.len());
+            for &range in ranges {
+                windows.push(Self::window_of(image, path, range)?);
+            }
+            Ok(windows)
+        })
     }
 
     /// Read `len` bytes at `offset` as a zero-copy window: one op, one
-    /// charge ([`SharedFs::read_shared_multi`] on a single range).
+    /// charge — [`SharedFs::read_shared_multi`] on a single range, and
+    /// nothing allocated.
     pub fn read_shared(
         &self,
         path: &str,
@@ -665,8 +694,9 @@ impl SharedFs {
         client: u64,
         now: SimTime,
     ) -> Result<(Bytes, SimTime)> {
-        let (mut windows, end) = self.read_shared_multi(path, &[(offset, len)], 0.0, client, now)?;
-        Ok((windows.pop().expect("one range in, one window out"), end))
+        let window = self.with_image(path, |image| Self::window_of(image, path, (offset, len)))?;
+        let end = if len > 0 { self.charge_range(path, len, 0.0, client, now) } else { now };
+        Ok((window, end))
     }
 
     /// Read a whole file as a zero-copy window.
@@ -701,16 +731,20 @@ impl SharedFs {
         self.files.lock().contains_key(path)
     }
 
-    /// All file paths with the given prefix, sorted.
-    pub fn list(&self, prefix: &str) -> Vec<String> {
+    /// All file paths with the given prefix, sorted: the file table's own
+    /// names, by refcount.
+    pub fn names(&self, prefix: &str) -> Vec<Arc<str>> {
         let files = self.files.lock();
-        let mut out: Vec<String> = files
-            .keys()
-            .filter(|p| p.starts_with(prefix))
-            .cloned()
-            .collect();
-        out.sort();
+        let listed = || files.keys().filter(|p| p.starts_with(prefix));
+        let mut out = Vec::with_capacity(listed().count());
+        out.extend(listed().cloned());
+        out.sort_unstable();
         out
+    }
+
+    /// [`SharedFs::names`], owned.
+    pub fn list(&self, prefix: &str) -> Vec<String> {
+        self.names(prefix).iter().map(|p| p.to_string()).collect()
     }
 
     /// Delete a file, releasing its quota charge. Outstanding shared
@@ -725,7 +759,9 @@ impl SharedFs {
         }
         // Hygiene only: the generation check already rejects stale entries
         // (a recreated file gets a fresh generation, never a reused one).
-        self.meta_cache.lock().retain(|(_, p), _| p != path);
+        for entries in self.meta_cache.lock().values_mut() {
+            entries.remove(path);
+        }
         Ok(())
     }
 
@@ -736,23 +772,24 @@ impl SharedFs {
     /// file's mutation generation, so any write, truncate, or delete +
     /// recreate of the path invalidates them.
     pub fn cache_put(&self, path: &str, client: u64, value: CacheValue) {
-        let generation = match self.files.lock().get(path) {
-            Some(f) => f.generation,
+        let (path, generation) = match self.files.lock().get_key_value(path) {
+            Some((path, f)) => (Arc::clone(path), f.generation),
             None => return,
         };
-        self.meta_cache.lock().insert((client, path.to_string()), (generation, value));
+        let mut cache = self.meta_cache.lock();
+        cache.entry(client).or_default().insert(path, (generation, value));
     }
 
     /// Fetch this client's cached metadata for `path`, if still valid
     /// (see [`SharedFs::cache_put`]). Stale entries are dropped.
     pub fn cache_get(&self, path: &str, client: u64) -> Option<CacheValue> {
         let current = self.files.lock().get(path).map(|f| f.generation);
-        let key = (client, path.to_string());
         let mut cache = self.meta_cache.lock();
-        match (current, cache.get(&key)) {
+        let entries = cache.get_mut(&client)?;
+        match (current, entries.get(path)) {
             (Some(generation), Some((g, v))) if *g == generation => Some(Arc::clone(v)),
             (_, Some(_)) => {
-                cache.remove(&key);
+                entries.remove(path);
                 None
             }
             _ => None,

@@ -28,11 +28,15 @@
 //!   `Vec` of its own either (`Segment::Owned(..)`, a `SegmentPool` to
 //!   recycle them): an encoder writes its header runs into one staging
 //!   buffer per message.
-//! * **block-on-write-path** — a writer (`rochdf`, `rocpanda`, `genx`)
+//! * **block-on-data-path** — the I/O modules (`rochdf`, `rocpanda`,
+//!   `genx`) hold no `DataBlock` between a pane and a file: a writer
 //!   encodes a pane's records straight from its window
-//!   (`roccom::convert::plan`); building a `DataBlock` to encode it
-//!   (`window_to_blocks`, `pane_to_block`) puts a map, a `String` and a
-//!   `Vec` per dataset back on every block of every snapshot.
+//!   (`roccom::convert::plan`), and a reader applies a block read where it
+//!   lies (`rocsdf::BlockView`). Building one to encode
+//!   (`window_to_blocks`, `pane_to_block`) or to apply
+//!   (`block_from_records`, `read_block_shared`, `read_blocks_sieved`,
+//!   `read_all_blocks`, `BlockMsg::decode`) puts a map, a `String` and a
+//!   `Vec` per dataset back on every block of every snapshot or restart.
 //! * **std-sync** — workspace locks are parking_lot-backed through the
 //!   named `rocio_core::lockdep` wrappers; a `std::sync::Mutex`/`RwLock`/
 //!   `Condvar` has a different guard shape and escapes the lock-discipline
@@ -61,7 +65,7 @@ pub enum Rule {
     ForbidUnsafe,
     OwnedPayload,
     RawSend,
-    BlockOnWritePath,
+    BlockOnDataPath,
     StdSync,
     LockUnregistered,
     LockOrder,
@@ -81,7 +85,7 @@ impl Rule {
             Rule::ForbidUnsafe => "forbid-unsafe",
             Rule::OwnedPayload => "owned-payload",
             Rule::RawSend => "raw-send",
-            Rule::BlockOnWritePath => "block-on-write-path",
+            Rule::BlockOnDataPath => "block-on-data-path",
             Rule::StdSync => "std-sync",
             Rule::LockUnregistered => "lock-unregistered",
             Rule::LockOrder => "lock-order",
@@ -101,7 +105,7 @@ impl Rule {
             Rule::ForbidUnsafe,
             Rule::OwnedPayload,
             Rule::RawSend,
-            Rule::BlockOnWritePath,
+            Rule::BlockOnDataPath,
             Rule::StdSync,
             Rule::LockUnregistered,
             Rule::LockOrder,
@@ -546,20 +550,37 @@ pub fn lint_source(cfg: &LintConfig, crate_dir: &str, path: &str, src: &str) -> 
                 ),
             );
         }
-        // block-on-write-path: the writers lay a pane out from its window;
-        // a built block is the tests' and the benchmark's reference.
-        if matches!(crate_dir, "rochdf" | "rocpanda" | "genx")
-            && matches!(w, "window_to_blocks" | "pane_to_block")
-            && t(&toks, i + 1) == "("
-        {
-            push(
-                Rule::BlockOnWritePath,
-                toks[i].line,
-                format!(
-                    "`{w}(..)` builds a `DataBlock` on a writer's path — encode the pane where it \
-                     lies (`roccom::convert::plan` + `rocsdf::encode_block`)"
-                ),
-            );
+        // block-on-data-path: the writers lay a pane out from its window,
+        // the readers apply a block where it lies; a built block is the
+        // tests' and the benchmark's reference.
+        if matches!(crate_dir, "rochdf" | "rocpanda" | "genx") {
+            let call = match w {
+                "BlockMsg" if is_path_sep(&toks, i + 1) && t(&toks, i + 3) == "decode" => {
+                    (t(&toks, i + 4) == "(").then_some("BlockMsg::decode")
+                }
+                _ => (t(&toks, i + 1) == "(").then_some(w),
+            };
+            let instead = match call {
+                Some("window_to_blocks" | "pane_to_block") => {
+                    "encode the pane where it lies \
+                     (`roccom::convert::plan` + `rocsdf::encode_block`)"
+                }
+                Some(
+                    "block_from_records" | "read_block_shared" | "read_blocks_sieved"
+                    | "read_all_blocks" | "BlockMsg::decode",
+                ) => {
+                    "apply the block where it lies (`rocsdf::BlockView`: `view_block`, \
+                     `view_blocks_sieved`, `view_all_blocks`, `BlockMsgView::decode`)"
+                }
+                _ => "",
+            };
+            if let (Some(call), false) = (call, instead.is_empty()) {
+                push(
+                    Rule::BlockOnDataPath,
+                    toks[i].line,
+                    format!("`{call}(..)` builds a `DataBlock` on a data path — {instead}"),
+                );
+            }
         }
         // std-sync: workspace locks are parking_lot-backed (via the
         // `rocio_core::lockdep` named wrappers). A `std::sync` lock has

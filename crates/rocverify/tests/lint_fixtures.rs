@@ -192,7 +192,7 @@ fn a_block_built_on_a_writers_path_fires_in_the_writers_only() {
             ("rocpanda", "crates/rocpanda/src/client.rs"),
             ("genx", "crates/genx/src/rebalance.rs"),
         ] {
-            assert_eq!(rules_fired(krate, path, src), vec![Rule::BlockOnWritePath], "{path}: {src}");
+            assert_eq!(rules_fired(krate, path, src), vec![Rule::BlockOnDataPath], "{path}: {src}");
         }
         // Roccom defines the builder; test code holds the writers to it.
         assert_eq!(rules_fired("roccom", "crates/roccom/src/convert.rs", src), vec![], "{src}");
@@ -205,6 +205,37 @@ fn a_block_built_on_a_writers_path_fires_in_the_writers_only() {
         rules_fired("rochdf", "crates/rochdf/src/rochdf.rs", ok),
         vec![]
     );
+}
+
+#[test]
+fn a_block_built_on_a_readers_path_fires_in_the_io_crates_only() {
+    for src in [
+        "pub fn f(r: &SdfFileReader, w: &mut Window) -> Result<()> { let (b, _) = r.read_block_shared(BlockId(1), 0.0)?; apply_block(w, &b) }",
+        "pub fn f(r: &SdfFileReader) -> Result<usize> { Ok(r.read_blocks_sieved(&[BlockId(1)], 0.0)?.0.len()) }",
+        "pub fn f(r: &SdfFileReader) -> Result<usize> { Ok(r.read_all_blocks(0.0)?.0.len()) }",
+        "pub fn f(records: Vec<Result<Dataset>>) -> Result<DataBlock> { format::block_from_records(None, records) }",
+        "pub fn f(m: &Rope, w: &mut Window) -> Result<()> { let bm = BlockMsg::decode(&mut m.cursor())?; apply_block(w, &bm.block) }",
+    ] {
+        for (krate, path) in [
+            ("rochdf", "crates/rochdf/src/restart.rs"),
+            ("rocpanda", "crates/rocpanda/src/client.rs"),
+            ("genx", "crates/genx/src/rebalance.rs"),
+        ] {
+            assert_eq!(rules_fired(krate, path, src), vec![Rule::BlockOnDataPath], "{path}: {src}");
+        }
+        // The reader defines the built reads; test code holds the views to them.
+        assert_eq!(rules_fired("rocsdf", "crates/rocsdf/src/reader.rs", src), vec![], "{src}");
+        let in_test = format!("#[cfg(test)]\nmod tests {{ {src} }}");
+        assert_eq!(rules_fired("rochdf", "crates/rochdf/src/twophase.rs", &in_test), vec![]);
+    }
+    // Reading the block where it lies and applying the view is the sanctioned form.
+    for ok in [
+        "pub fn f(r: &SdfFileReader, w: &mut Window) -> Result<()> { let (b, _) = r.view_block(BlockId(1), 0.0)?; apply_block(w, &b) }",
+        "pub fn f(m: &Rope, w: &mut Window) -> Result<()> { let bm = BlockMsgView::decode(&mut m.cursor())?; apply_block(w, &bm.block) }",
+        "impl BlockMsg { pub fn decode_shared(b: &Bytes) -> Result<Self> { Self::decode(&mut b.into()) } }",
+    ] {
+        assert_eq!(rules_fired("rocpanda", "crates/rocpanda/src/wire.rs", ok), vec![], "{ok}");
+    }
 }
 
 #[test]

@@ -2,6 +2,7 @@
 """Fold a sampler.c / mtrace.c dump by function.
 
     symbolise.py run.samples [more.samples ...] [--top 30] [--stacks 10] [--depth 12] [--grep REGEX]
+    symbolise.py run.samples [more.samples ...] --count REGEX [REGEX ...]
 
 The dump is /proc/self/maps, a blank line, a "# sampler" or "# mtrace" line
 (mtrace names its weight there, "weight=bytes" or "weight=calls", and says on
@@ -15,7 +16,10 @@ events are folded three ways: self (the innermost frame), inclusive (every
 function on the stack, once per event) and whole stacks. `--grep` keeps only
 events whose stack, written "callee < caller < ...", matches (so
 "pane_to_block < genx::driver" asks for one call site). Shares are of the
-total weight. Several dumps
+total weight. `--count` prints, instead of the tables, one line per
+pattern: the weight of the events whose stack matches it — a census of
+several call sites from one symbolisation pass, where each `--grep` run
+resolves the whole dump again. Several dumps
 of the same program (each carries its own maps, so address-space
 randomisation does not matter) are folded into one table.
 """
@@ -96,10 +100,13 @@ def main():
     ap.add_argument("--stacks", type=int, default=10)
     ap.add_argument("--depth", type=int, default=12)
     ap.add_argument("--grep")
+    ap.add_argument("--count", nargs="+", metavar="REGEX")
     args = ap.parse_args()
 
     total = kept = n_events = n_dropped = 0
     self_w, incl_w, stack_w = (collections.Counter() for _ in range(3))
+    counts = [(re.compile(pattern), pattern) for pattern in args.count or []]
+    counted = collections.Counter()
     for dump in args.dumps:
         maps, events, leaf_is_pc, unit, dropped = load(dump)
         n_dropped += dropped
@@ -112,7 +119,11 @@ def main():
             frames = []
             for i, a in enumerate(stack):
                 frames += names.get(lookup(i, a), ["??"])
-            if not frames or (args.grep and not re.search(args.grep, " < ".join(frames))):
+            written = " < ".join(frames)
+            for regex, pattern in counts:
+                if regex.search(written):
+                    counted[pattern] += w
+            if not frames or (args.grep and not re.search(args.grep, written)):
                 continue
             kept += w
             self_w[frames[0]] += w
@@ -124,6 +135,11 @@ def main():
         print(f"WARNING: the tracer's table was full and {n_dropped} later requests were dropped: "
               f"this folds only the first {share(n_events, n_events + n_dropped)} of the run "
               f"(set HOSTPROF_EVENTS to at least {n_events + n_dropped})\n")
+    if counts:
+        print(f"{n_events} events, {total} {unit}")
+        for _, pattern in counts:
+            print(f"{share(counted[pattern], total):>7} {counted[pattern]:>14}  {pattern}")
+        return
     print(f"{n_events} events, {total} {unit}; {kept} kept ({share(kept, total)})")
     for title, table in (("self", self_w), ("inclusive", incl_w)):
         print(f"\n-- {title} --")
