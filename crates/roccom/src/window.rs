@@ -264,12 +264,20 @@ impl Window {
     ///
     /// `nc` and `conn` are refused: they name the mesh datasets a pane's
     /// block carries beside its attributes (`crate::convert`), and a block
-    /// holds each name once.
+    /// holds each name once. So is a name a record header cannot hold
+    /// behind the longest group prefix a block's datasets carry.
     pub fn declare_attr(&mut self, spec: AttrSpec) -> Result<()> {
         if spec.ncomp == 0 {
             return Err(RocError::Config(format!(
                 "attribute '{}' must have >=1 component",
                 spec.name
+            )));
+        }
+        if spec.name.len() > MAX_ATTR_NAME {
+            return Err(RocError::Config(format!(
+                "an attribute name of {} bytes in window '{}': at most {MAX_ATTR_NAME}",
+                spec.name.len(),
+                self.name
             )));
         }
         if MESH_DATASETS.contains(&spec.name.as_str()) {
@@ -464,6 +472,11 @@ impl Window {
 /// tetrahedral connectivity.
 const MESH_DATASETS: [&str; 2] = ["nc", "conn"];
 
+/// The longest attribute name a file record can carry: a record's name is
+/// `u16`-length-prefixed, and a block's group prefix (`blk`, up to 20
+/// digits, `/`) takes up to 24 bytes of it.
+const MAX_ATTR_NAME: usize = u16::MAX as usize - 24;
+
 /// How many places an attribute at `location` has on a mesh.
 fn location_count(location: Location, mesh: &PaneMesh) -> usize {
     match location {
@@ -536,6 +549,25 @@ mod tests {
         w.register_pane(BlockId(1), small_mesh()).unwrap();
         w.declare_attr(AttrSpec::element("temp", DType::F32, 1)).unwrap();
         assert_eq!(w.pane(BlockId(1)).unwrap().data("temp").unwrap().len(), 8);
+    }
+
+    #[test]
+    fn a_name_no_record_header_can_hold_is_refused() {
+        let mut w = Window::new("w");
+        let named = |len: usize| AttrSpec::pane("n".repeat(len), DType::F64, 1);
+        let got = w.declare_attr(named(MAX_ATTR_NAME + 1));
+        assert!(matches!(got, Err(RocError::Config(_))), "{got:?}");
+        w.declare_attr(named(MAX_ATTR_NAME)).unwrap();
+        // The longest name there is, behind the widest prefix: a record
+        // holds it.
+        w.register_pane(BlockId(u64::MAX), small_mesh()).unwrap();
+        let pane = w.pane(BlockId(u64::MAX)).unwrap();
+        let layout = crate::convert::plan(&w, pane, &crate::AttrRef::All).unwrap();
+        let records = rocsdf::encode_block(&[], &layout);
+        let n = 1 + rocio_core::BlockDesc::n_datasets(&layout);
+        let view = rocsdf::BlockView::decode(&mut records.cursor(), n).unwrap();
+        let block = view.to_block().unwrap();
+        assert_eq!(block.datasets.last().unwrap().name, "n".repeat(MAX_ATTR_NAME));
     }
 
     #[test]

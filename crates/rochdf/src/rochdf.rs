@@ -4,34 +4,13 @@
 //! `write_snapshot_file` from its I/O thread and the same
 //! `read_attribute` / `retire` once its pending writes have drained.
 
-use rocio_core::{BlockDesc, Result, Rope, SimTime, SnapshotId};
+use rocio_core::{BlockDesc, Result, SimTime, SnapshotId};
 use rocnet::Comm;
 use rocsdf::{LibraryModel, SdfFileWriter};
 use rocstore::SharedFs;
 
 use crate::config::RochdfConfig;
-use roccom::{AttrRef, AttrSelector, IoService, Window, Windows};
-
-/// One block laid out as its records (`rocsdf::encode_block`), and how
-/// many records that is.
-pub(crate) type Records = (Rope, usize);
-
-/// Lay every pane of `window` out as the records of its block under
-/// `attr`, encoded where it lies (`roccom::convert::plan`) — no
-/// `DataBlock` is built — and total the blocks' encoded sizes
-/// (`DataBlock::encoded_size`, what T-Rochdf's buffer copy is charged for).
-pub(crate) fn encode_panes(window: &Window, attr: &AttrRef) -> Result<(Vec<Records>, usize)> {
-    let mut bytes = 0;
-    let blocks = window
-        .panes()
-        .map(|pane| {
-            let layout = roccom::convert::plan(window, pane, attr)?;
-            bytes += layout.encoded_size();
-            Ok((rocsdf::encode_block(&[], &layout), 1 + layout.n_datasets()))
-        })
-        .collect::<Result<_>>()?;
-    Ok((blocks, bytes))
-}
+use roccom::{AttrSelector, IoService, Windows};
 
 /// Write `blocks` as one complete snapshot file at `path`, starting at
 /// virtual time `now`; returns the time the file is durable.
@@ -40,12 +19,12 @@ pub(crate) fn write_snapshot_file(
     path: &str,
     lib: LibraryModel,
     client: u64,
-    blocks: &[Records],
+    blocks: &[impl BlockDesc],
     now: SimTime,
 ) -> Result<SimTime> {
     let (mut w, mut t) = SdfFileWriter::create(fs, path, lib, client, now)?;
-    for (records, n_records) in blocks {
-        t = w.append_records(records, *n_records, t)?;
+    for block in blocks {
+        t = w.append_block(block, t)?;
     }
     w.finish(t)
 }
@@ -148,7 +127,11 @@ impl IoService for Rochdf<'_> {
         snap: SnapshotId,
     ) -> Result<()> {
         let t_enter = self.comm.now();
-        let (blocks, _) = encode_panes(windows.window(&sel.window)?, &sel.attr)?;
+        // Every pane described where it lies, no `DataBlock` built; a torn
+        // buffer is refused here, before the file is created.
+        let window = windows.window(&sel.window)?;
+        let plan = |pane| roccom::convert::plan(window, pane, &sel.attr);
+        let blocks = window.panes().map(plan).collect::<Result<Vec<_>>>()?;
         if blocks.is_empty() {
             return Ok(());
         }

@@ -5,13 +5,14 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 
 use rocio_core::lockdep::{Condvar, Mutex};
-use rocio_core::{Result, RocError, SimTime, SnapshotId};
+use rocio_core::{BlockDesc, Result, RocError, Rope, SimTime, SnapshotId};
 use rocnet::{Comm, VClock};
+use rocsdf::BlockView;
 use rocstore::SharedFs;
 
 use crate::config::RochdfConfig;
-use crate::rochdf::{encode_panes, read_attribute, retire, write_snapshot_file, Records};
-use roccom::{AttrSelector, IoService, Windows};
+use crate::rochdf::{read_attribute, retire, write_snapshot_file};
+use roccom::{AttrRef, AttrSelector, IoService, Window, Windows};
 
 /// Modelled memory-copy bandwidth (bytes/s) for buffering output into
 /// local buffers — the only *visible* cost T-Rochdf's callers pay.
@@ -26,11 +27,30 @@ fn copy_cost(bytes: usize, n_blocks: usize) -> f64 {
     bytes as f64 / BUFFER_COPY_BW + n_blocks as f64 * BUFFER_BLOCK_OVERHEAD
 }
 
+/// Copy every pane of `window` into the local buffer: its block under
+/// `attr`, described where it lies (`roccom::convert::plan`) and laid out
+/// as its records (`rocsdf::encode_block`) — the one copy of its payload —
+/// with their count; and the blocks' total encoded size
+/// (`DataBlock::encoded_size`, what the copy is charged for).
+fn encode_panes(window: &Window, attr: &AttrRef) -> Result<(Vec<(Rope, usize)>, usize)> {
+    let mut bytes = 0;
+    let blocks = window
+        .panes()
+        .map(|pane| {
+            let layout = roccom::convert::plan(window, pane, attr)?;
+            bytes += layout.encoded_size();
+            Ok((rocsdf::encode_block(&[], &layout), 1 + layout.n_datasets()))
+        })
+        .collect::<Result<_>>()?;
+    Ok((blocks, bytes))
+}
+
 enum Job {
     Write {
         path: String,
-        /// Each pane's block, laid out as its records on the main thread.
-        blocks: Vec<Records>,
+        /// Each pane's block, laid out as its records on the main thread,
+        /// and how many records that is.
+        blocks: Vec<(Rope, usize)>,
         /// Virtual time at which the main thread finished buffering.
         issue: SimTime,
     },
@@ -54,8 +74,9 @@ struct Shared {
 
 /// The multi-threaded Rochdf: `write_attribute` copies pane data into
 /// local buffers — each pane's block laid out as its records, the one copy
-/// of its payload — and returns; a background thread frames the records
-/// and performs the file writes. Blocking-I/O semantics are preserved —
+/// of its payload — and returns; a background thread reads each block
+/// where it lies in its buffer (`rocsdf::BlockView`) and performs the file
+/// writes. Blocking-I/O semantics are preserved —
 /// callers may reuse their buffers immediately — and the main thread only
 /// waits if the previous snapshot is still being written.
 pub struct TRochdf<'a> {
@@ -103,8 +124,14 @@ impl<'a> TRochdf<'a> {
                         } => {
                             thread_shared.io_clock.merge(issue);
                             let now = thread_shared.io_clock.now();
-                            let done =
-                                write_snapshot_file(&thread_fs, &path, lib, client, &blocks, now);
+                            // Each block read where it lies in the buffer.
+                            let read = |(rope, n): &(Rope, usize)| {
+                                BlockView::decode(&mut rope.cursor(), *n)
+                            };
+                            let views = blocks.iter().map(read).collect::<Result<Vec<_>>>();
+                            let done = views.and_then(|views| {
+                                write_snapshot_file(&thread_fs, &path, lib, client, &views, now)
+                            });
                             match done {
                                 Ok(t) => {
                                     thread_shared.io_clock.merge(t);

@@ -317,15 +317,7 @@ mod tests {
     use rocio_core::{DType, Dataset, SnapshotId};
     use rocnet::cluster::ClusterSpec;
     use rocnet::run_ranks;
-    use crate::rochdf::{write_snapshot_file, Records};
-
-    /// `blocks` laid out as the records a writer appends.
-    fn records_of(blocks: &[DataBlock]) -> Vec<Records> {
-        blocks
-            .iter()
-            .map(|b| (rocsdf::encode_block(&[], b), 1 + b.datasets.len()))
-            .collect()
-    }
+    use crate::rochdf::write_snapshot_file;
 
     fn write_snapshot(fs: &SharedFs, n_writers: usize, blocks_per: usize) -> Vec<DataBlock> {
         let cfg = RochdfConfig::default();
@@ -342,7 +334,7 @@ mod tests {
                     )
                 })
                 .collect();
-            write_snapshot_file(fs, &path, cfg.lib, w as u64, &records_of(&blocks), 0.0).unwrap();
+            write_snapshot_file(fs, &path, cfg.lib, w as u64, &blocks, 0.0).unwrap();
             all.extend(blocks);
         }
         all
@@ -531,7 +523,7 @@ mod tests {
             Dataset::vector("pressure", vec![-1.0f64; 32]).with_attr("units", "Pa"),
         );
         let path = cfg.path("fluid", snap, 2);
-        write_snapshot_file(&fs, &path, cfg.lib, 2, &records_of(&[stale]), 0.0).unwrap();
+        write_snapshot_file(&fs, &path, cfg.lib, 2, &[stale], 0.0).unwrap();
         let prefix = cfg.prefix("fluid", snap);
         let out = run_ranks(2, ClusterSpec::ideal(2), |comm| {
             let r = comm.rank() as u64;
@@ -555,8 +547,7 @@ mod tests {
             .with_dataset(Dataset::vector("p", vec![1.0f64, 2.0]).with_attr("units", "Pa"))
             .with_attr("material", "gas");
         let fs = SharedFs::ideal();
-        let blocks = records_of(std::slice::from_ref(&block));
-        write_snapshot_file(&fs, "one.sdf", LibraryModel::Raw, 0, &blocks, 0.0).unwrap();
+        write_snapshot_file(&fs, "one.sdf", LibraryModel::Raw, 0, std::slice::from_ref(&block), 0.0).unwrap();
         let (r, t) = SdfFileReader::open(&fs, "one.sdf", LibraryModel::Raw, 0, 0.0).unwrap();
         let (raw, _) = r.read_blocks_raw(&[BlockId(7)], t).unwrap();
         (block, encode_block(BlockId(7), &raw[0].1).into_bytes())

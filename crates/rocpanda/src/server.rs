@@ -25,13 +25,12 @@ use std::sync::Arc;
 
 use rocio_core::{BlockDesc, BlockId, Priority, Result, RocError, Rope, SnapshotId, TenantId};
 use rocnet::{Comm, Message};
-use rocsdf::format::BlockFrame;
 use rocsdf::{BlockView, SdfFileReader, SdfFileWriter};
 use rocstore::SharedFs;
 
 use crate::config::RocpandaConfig;
 use crate::net::PandaNet;
-use crate::wire::{self, tag, BlockWire, CoordKey, ReadReq, WriteReq};
+use crate::wire::{self, tag, BlockMsgView, CoordKey, ReadReq, WriteReq};
 
 /// How long (virtual seconds) a shutting-down server keeps re-acking
 /// trailing retransmissions before exiting: comfortably past the largest
@@ -215,13 +214,15 @@ impl TenantDrainStats {
     }
 }
 
-/// A block waiting in a tenant's drain queue: its records framed for the
-/// file, payloads still windows of the message it came in.
+/// A block waiting in a tenant's drain queue: read where it lies, its
+/// records windows of the message it came in.
 struct Queued {
     key: Arc<FileKey>,
-    /// Its `size` — the encoded size of the block — is what the tenant's
-    /// DRR deficit is charged.
-    frame: BlockFrame,
+    block: BlockView,
+    /// The block's encoded size ([`rocio_core::BlockDesc::encoded_size`]),
+    /// computed once at intake: what the tenant's DRR deficit is charged,
+    /// the disk submit is charged for and the drain stats count.
+    size: usize,
     /// Wire bytes `enqueue` added to `buffered_bytes`; the drain gives
     /// back exactly this.
     charged: usize,
@@ -426,16 +427,15 @@ impl<'a> PandaServer<'a> {
     /// last.
     fn on_block(&mut self, src: usize, wire: &Rope) -> Result<()> {
         let tenant = self.tenant_of(src)?;
-        // Zero-copy, zero-decode intake: the message is walked once —
-        // every check a decode makes, and that it is what the one encoder
-        // writes — and framed as the file records it becomes. Headers are
-        // copied into one staging buffer per block; payloads stay
-        // refcounted windows of the message's parts — the client's own
-        // payload image — so between the client's encode and the file
-        // image no snapshot byte is copied and no record is re-encoded:
-        // buffering, the read cache and the drain all hold that one rope.
-        let BlockWire { snap, window, frame } = BlockWire::parse(wire)?;
-        let key = self.file(FileKey { tenant, snap, window });
+        // Zero-copy intake: the message is read the way every receiver
+        // reads a block — walked once, every record checked, and held as
+        // a view whose headers and payloads are windows of the message's
+        // parts (the client's own payload image). Buffering, the read
+        // cache and the drain all hold that one rope; no snapshot byte is
+        // copied between the client's encode and the file image.
+        let BlockMsgView { snap, window, block } = BlockMsgView::decode_whole(wire)?;
+        let size = block.encoded_size();
+        let key = self.file(FileKey { tenant, snap, window: window.into_owned() });
         // Server CPU cost of taking the block in.
         let bytes = wire.len();
         let t_fill0 = self.world.now();
@@ -447,12 +447,12 @@ impl<'a> PandaServer<'a> {
             self.stats.blocks_buffered += 1;
             if self.cfg.read_cache {
                 // Keep the message for restart service. Its parts are
-                // shared with the queued frame, so this is a refcount
+                // shared with the queued view, so this is a refcount
                 // bump, not a data copy.
-                let cached = Cached { wire: wire.clone(), size: frame.size as u64 };
-                rec.cache.insert(frame.id.0, cached);
+                let cached = Cached { wire: wire.clone(), size: size as u64 };
+                rec.cache.insert(block.id().0, cached);
             }
-            self.enqueue(Arc::clone(&key), frame, bytes)?;
+            self.enqueue(Arc::clone(&key), block, size, bytes)?;
             if rocobs::enabled() {
                 rocobs::record(
                     rocobs::SpanCategory::BufferFill,
@@ -471,7 +471,7 @@ impl<'a> PandaServer<'a> {
                 self.write_one()?;
             }
         } else {
-            self.write_checked(&key, frame)?;
+            self.write_checked(&key, &block, size)?;
         }
         self.net.send(src, tag::ACK, &[])?;
         let pending = &mut record(&mut self.files, &key)?.pending;
@@ -584,11 +584,17 @@ impl<'a> PandaServer<'a> {
 
     /// Queue a buffered block on its tenant's drain lane, charging the
     /// buffer the `charged` wire bytes the block arrived as.
-    fn enqueue(&mut self, key: Arc<FileKey>, frame: BlockFrame, charged: usize) -> Result<()> {
+    fn enqueue(
+        &mut self,
+        key: Arc<FileKey>,
+        block: BlockView,
+        size: usize,
+        charged: usize,
+    ) -> Result<()> {
         let (id, enqueued) = (key.tenant, self.world.now());
         let on_ring = self.drain_ring.contains(&id);
         let tenant = self.tenant(id)?;
-        tenant.queue.push_back(Queued { key, frame, charged, enqueued });
+        tenant.queue.push_back(Queued { key, block, size, charged, enqueued });
         if !on_ring {
             self.drain_ring.push_back(id);
         }
@@ -611,7 +617,7 @@ impl<'a> PandaServer<'a> {
                 tenant.deficit = 0;
                 continue;
             };
-            let head_size = head.frame.size as u64;
+            let head_size = head.size as u64;
             if tenant.deficit >= head_size {
                 tenant.deficit -= head_size;
                 self.queued_total -= 1;
@@ -629,8 +635,8 @@ impl<'a> PandaServer<'a> {
         };
         let t0 = self.world.now();
         self.buffered_bytes -= item.charged;
-        let size = item.frame.size as u64;
-        self.write_checked(&item.key, item.frame)?;
+        let size = item.size as u64;
+        self.write_checked(&item.key, &item.block, item.size)?;
         let latency = self.world.now() - item.enqueued;
         let ds = &mut self.tenant(item.key.tenant)?.drained;
         ds.blocks += 1;
@@ -657,13 +663,13 @@ impl<'a> PandaServer<'a> {
     /// tenant's next sync, and drops this and all remaining blocks of the
     /// file — the protocol (ACK/DONE) stays live so no client hangs, and
     /// other tenants are untouched. Non-service errors still propagate.
-    fn write_checked(&mut self, key: &FileKey, frame: BlockFrame) -> Result<()> {
+    fn write_checked(&mut self, key: &FileKey, block: &BlockView, size: usize) -> Result<()> {
         let rec = record(&mut self.files, key)?;
         if rec.failed {
             rec.blocks_dropped += 1;
             return Ok(());
         }
-        match self.write_block(key, frame) {
+        match self.write_block(key, block, size) {
             Err(RocError::Service(se)) => {
                 self.tenant(key.tenant)?.error.get_or_insert_with(|| se.to_string());
                 let rec = record(&mut self.files, key)?;
@@ -678,22 +684,23 @@ impl<'a> PandaServer<'a> {
         }
     }
 
-    /// Splice a framed block into its file: one scatter-gather write of
-    /// the frame's headers and the message's payload windows.
-    fn write_block(&mut self, key: &FileKey, frame: BlockFrame) -> Result<()> {
+    /// Append a block to its file: its records laid out again as file
+    /// records, in one scatter-gather write of one header buffer and the
+    /// message's payload windows. `size` is its encoded size.
+    fn write_block(&mut self, key: &FileKey, block: &BlockView, size: usize) -> Result<()> {
         let client_id = self.world.global_rank() as u64;
         // All dedicated servers write concurrently.
         self.fs.declare_writers(self.server_ranks.len());
         // CPU submit cost: checksum + hand the bytes to the file system.
         let t_submit0 = self.world.now();
-        self.world.advance(frame.size as f64 / SERVER_COPY_BW);
+        self.world.advance(size as f64 / SERVER_COPY_BW);
         if rocobs::enabled() {
             rocobs::record(
                 rocobs::SpanCategory::DiskSubmit,
                 "disk_submit",
                 t_submit0,
                 self.world.now(),
-                &format!("bytes={}", frame.size),
+                &format!("bytes={size}"),
             );
         }
         let synchronous = !self.cfg.active_buffering;
@@ -710,7 +717,7 @@ impl<'a> PandaServer<'a> {
                 none.insert(w)
             }
         };
-        let t = writer.append_frame(frame, self.world.now())?;
+        let t = writer.append_block(block, self.world.now())?;
         self.disk_completion = self.disk_completion.max(t);
         if synchronous {
             // Write-through mode (ablation): the block is durable before

@@ -13,12 +13,12 @@
 //! [`BlockMsgView`]: the block read where it lies (`rocsdf::BlockView`,
 //! its records windows of the received message's parts — the sender's own
 //! buffers), which [`BlockMsg::decode`] builds. Only the ends of
-//! the path read a block: a client applying a `READ_BATCH`, `genx::rebalance`
-//! applying a migrated block. The server in the middle reads a `BLOCK` message as a
-//! [`BlockWire`] — routed, held to every check the decode makes and to
-//! being what the encode writes, its records framed for the file — and
-//! forwards it: the wire image of a block becomes its file image, and the
-//! message itself is what the read cache ships back. Every length read from a
+//! the path apply a block: a client applying a `READ_BATCH`, `genx::rebalance`
+//! applying a migrated block. The server in the middle reads a `BLOCK`
+//! message the way they do, as a [`BlockMsgView`], and hands the view to
+//! its file's writer (`rocsdf::SdfFileWriter::append_block`), which lays
+//! the block out again as file records; the message itself is what the
+//! read cache ships back. Every length read from a
 //! message goes through the checked cursor (`rocio_core::Cursor`, over a
 //! rope's parts or a control message's bytes), and every count is bounded by
 //! the bytes that remain before it sizes an allocation. What a message is
@@ -29,7 +29,6 @@ use std::borrow::Cow;
 
 use bytes::Bytes;
 use rocio_core::{BlockDesc, Cursor, DataBlock, Result, RocError, Rope, Segment, SnapshotId};
-use rocsdf::format::{frame_block, BlockFrame};
 use rocsdf::{encode_block, BlockView, SegmentPool};
 
 /// Message tags. All below [`rocnet::comm::TAG_USER_MAX`].
@@ -208,9 +207,10 @@ impl BlockMsg {
     }
 }
 
-/// A block message as its receiver applies it: routed, and the block read
-/// where it lies — no `DataBlock`, and the window name borrowed from the
-/// message unless a cut went through it.
+/// A block message as every receiver reads it — a client or
+/// `genx::rebalance` to apply it, a server to buffer and append it:
+/// routed, and the block read where it lies — no `DataBlock`, and the
+/// window name borrowed from the message unless a cut went through it.
 #[derive(Debug)]
 pub struct BlockMsgView<'m> {
     pub snap: SnapshotId,
@@ -224,6 +224,22 @@ impl<'m> BlockMsgView<'m> {
     pub fn decode(cur: &mut Cursor<'m>) -> Result<Self> {
         let (snap, window, n) = routing_header(cur)?;
         Ok(BlockMsgView { snap, window, block: BlockView::decode(cur, n)? })
+    }
+
+    /// Read one whole message, as a server takes a `BLOCK` in: bytes after
+    /// the last record are refused, for the read cache ships the message
+    /// back as it lies.
+    pub fn decode_whole(wire: &'m Rope) -> Result<Self> {
+        let cur = &mut wire.cursor();
+        let msg = BlockMsgView::decode(cur)?;
+        if cur.remaining() != 0 {
+            return Err(RocError::Corrupt(format!(
+                "panda wire: {} bytes after block {}'s last record",
+                cur.remaining(),
+                msg.block.id()
+            )));
+        }
+        Ok(msg)
     }
 }
 
@@ -247,37 +263,6 @@ pub fn encode_block_msg(snap: SnapshotId, window: &str, block: &(impl BlockDesc 
 fn routing_header<'a>(cur: &mut Cursor<'a>) -> Result<(SnapshotId, Cow<'a, str>, usize)> {
     let (snap, _, window) = read_name(cur, false)?;
     Ok((snap, window, cur.u32("panda wire count")? as usize))
-}
-
-/// A `BLOCK` message as a server takes it in: routed, checked, and framed
-/// for the file it goes to — never decoded. A server moves blocks; it has
-/// no use for what is in them, and the message already *is* the block's
-/// file records but for their checksums (see [`frame_block`], which holds
-/// it to everything [`BlockMsg::decode`] checks and to being what
-/// [`BlockMsg::encode`] writes).
-#[derive(Debug)]
-pub struct BlockWire {
-    pub snap: SnapshotId,
-    pub window: String,
-    pub frame: BlockFrame,
-}
-
-impl BlockWire {
-    /// Parse one whole message. Bytes after the last record are refused:
-    /// the read cache ships the message back as it lies.
-    pub fn parse(wire: &Rope) -> Result<Self> {
-        let cur = &mut wire.cursor();
-        let (snap, window, n) = routing_header(cur)?;
-        let frame = frame_block(cur, n)?;
-        if cur.remaining() != 0 {
-            return Err(RocError::Corrupt(format!(
-                "panda wire: {} bytes after block {}'s last record",
-                cur.remaining(),
-                frame.id
-            )));
-        }
-        Ok(BlockWire { snap, window: window.into_owned(), frame })
-    }
 }
 
 /// A batched `READ_BATCH` reply of `entries`, each a [`BlockMsg::encode`]
@@ -635,15 +620,22 @@ mod tests {
                     (Err(v), Err(m)) => prop_assert_eq!(format!("{v:?}"), format!("{m:?}")),
                     (v, m) => prop_assert!(false, "view {v:?}, decode {m:?}"),
                 }
-                // The server's intake is no more lenient than the decode
-                // it stands in for, cut or whole.
-                let framed = BlockWire::parse(&input.clone().into());
-                let framed_roped = BlockWire::parse(&cut(&input, &cuts).0);
-                prop_assert_eq!(format!("{framed_roped:?}"), format!("{framed:?}"));
-                if let Ok(w) = framed {
-                    let m = flat.expect("what frames, decodes");
-                    prop_assert_eq!((w.snap, &w.window, w.frame.id), (m.snap, &m.window, m.block.id));
-                    prop_assert_eq!(w.frame.size, m.block.encoded_size());
+                // The server's intake takes what the decode takes, cut or
+                // whole, but for bytes after the last record; what it takes
+                // reaches the file as the block the decode builds.
+                let whole = Rope::from(input.clone());
+                let (taken, taken_roped) = (BlockMsgView::decode_whole(&whole), BlockMsgView::decode_whole(&rope));
+                prop_assert_eq!(format!("{taken_roped:?}"), format!("{taken:?}"));
+                match (&taken, &flat_view) {
+                    (Ok(w), Ok(v)) => {
+                        prop_assert_eq!(format!("{w:?}"), format!("{v:?}"));
+                        let m = flat.as_ref().expect("what the intake takes, decodes");
+                        prop_assert_eq!(w.block.encoded_size(), m.block.encoded_size());
+                        prop_assert_eq!(file_of(&w.block).ok(), file_of(&m.block).ok());
+                    }
+                    (Err(RocError::Corrupt(e)), Ok(_)) => prop_assert!(e.contains("after block"), "{}", e),
+                    (Err(w), Err(v)) => prop_assert_eq!(format!("{w:?}"), format!("{v:?}")),
+                    (w, v) => prop_assert!(false, "intake {w:?}, view {v:?}"),
                 }
             }
         }
@@ -751,11 +743,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        // The equality the server rests on: framing a message and splicing
-        // the frame writes, byte for byte and tick for tick, the file that
-        // decoding it and appending the block writes — whatever is in the
-        // blocks, in whatever order they arrive, however the fabric cut
-        // the messages into parts.
+        // The equality the server rests on: appending the view its intake
+        // reads writes, byte for byte and tick for tick, the file that
+        // decoding the message and appending the block writes, and the
+        // file the sender's own block writes — whatever is in the blocks,
+        // in whatever order they arrive, however the fabric cut the
+        // messages into parts.
         #[test]
         fn forwarding_writes_the_file_that_decode_then_append_block_writes(
             blocks in prop::collection::vec(any::<u8>(), 1..5).prop_flat_map(|ids| {
@@ -765,26 +758,29 @@ mod tests {
             }),
             cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
         ) {
-            let ropes: Vec<Rope> = blocks.into_iter().map(|b| cut(&wire(&msg(b)), &cuts).0).collect();
+            let ropes: Vec<Rope> = blocks.iter().map(|b| cut(&wire(&msg(b.clone())), &cuts).0).collect();
             for lib in [LibraryModel::hdf4(), LibraryModel::Raw] {
-                let (forwarded, decoded) = (SharedFs::turing(), SharedFs::turing());
-                let (mut fw, t0) = SdfFileWriter::create(&forwarded, "f.sdf", lib, 7, 0.25).unwrap();
-                let (mut dw, t) = SdfFileWriter::create(&decoded, "f.sdf", lib, 7, 0.25).unwrap();
-                prop_assert_eq!(t0.to_bits(), t.to_bits());
-                let (mut tf, mut td) = (t, t);
-                for rope in &ropes {
-                    let framed = BlockWire::parse(rope).unwrap();
+                let stores = [SharedFs::turing(), SharedFs::turing(), SharedFs::turing()];
+                let writers = stores.iter().map(|fs| SdfFileWriter::create(fs, "f.sdf", lib, 7, 0.25).unwrap());
+                let (mut writers, mut times): (Vec<_>, Vec<_>) = writers.unzip();
+                prop_assert!(times.iter().all(|t| t.to_bits() == times[0].to_bits()));
+                for (rope, sent) in ropes.iter().zip(&blocks) {
+                    let taken = BlockMsgView::decode_whole(rope).unwrap();
                     let m = BlockMsg::decode(&mut rope.cursor()).unwrap();
-                    prop_assert_eq!((framed.snap, &framed.window, framed.frame.id), (m.snap, &m.window, m.block.id));
-                    prop_assert_eq!(framed.frame.size, m.block.encoded_size());
-                    tf = fw.append_frame(framed.frame, tf).unwrap();
-                    td = dw.append_block(&m.block, td).unwrap();
-                    prop_assert_eq!(tf.to_bits(), td.to_bits());
+                    prop_assert_eq!((taken.snap, &*taken.window, taken.block.id()), (m.snap, m.window.as_str(), m.block.id));
+                    prop_assert_eq!(taken.block.encoded_size(), m.block.encoded_size());
+                    times[0] = writers[0].append_block(&taken.block, times[0]).unwrap();
+                    times[1] = writers[1].append_block(&m.block, times[1]).unwrap();
+                    times[2] = writers[2].append_block(sent, times[2]).unwrap();
+                    prop_assert!(times.iter().all(|t| t.to_bits() == times[0].to_bits()));
                 }
-                prop_assert_eq!(fw.finish(tf).unwrap().to_bits(), dw.finish(td).unwrap().to_bits());
-                let image = |fs: &SharedFs| fs.read_all_shared("f.sdf", 0, 0.0).unwrap().0;
-                prop_assert_eq!(image(&forwarded), image(&decoded));
-                prop_assert_eq!(forwarded.stats(), decoded.stats());
+                let done: Vec<u64> = writers.iter_mut().zip(&times).map(|(w, &t)| w.finish(t).unwrap().to_bits()).collect();
+                prop_assert!(done.iter().all(|&t| t == done[0]));
+                let images = stores.each_ref().map(|fs| fs.read_all_shared("f.sdf", 0, 0.0).unwrap().0);
+                for (fs, image) in stores.iter().zip(&images).skip(1) {
+                    prop_assert_eq!(&images[0], image);
+                    prop_assert_eq!(stores[0].stats(), fs.stats());
+                }
             }
         }
     }
@@ -803,12 +799,111 @@ mod tests {
         let mut m = wire(&msg(block()));
         m[19..23].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(BlockMsg::decode_shared(&m.clone().into()).is_err());
-        assert!(matches!(BlockWire::parse(&Bytes::from(m).into()), Err(RocError::Corrupt(_))));
+        assert!(matches!(BlockMsgView::decode_whole(&Bytes::from(m).into()), Err(RocError::Corrupt(_))));
         // What the read cache would ship back must be the message alone.
         let mut trailing = wire(&msg(block()));
-        assert!(BlockWire::parse(&Bytes::from(trailing.clone()).into()).is_ok());
+        assert!(BlockMsgView::decode_whole(&Bytes::from(trailing.clone()).into()).is_ok());
         trailing.push(0);
-        assert!(matches!(BlockWire::parse(&Bytes::from(trailing).into()), Err(RocError::Corrupt(_))));
+        assert!(matches!(BlockMsgView::decode_whole(&Bytes::from(trailing).into()), Err(RocError::Corrupt(_))));
+    }
+
+    /// The file one append of `block` makes, or the append's refusal.
+    fn file_of(block: &(impl BlockDesc + ?Sized)) -> Result<Vec<u8>> {
+        let fs = SharedFs::ideal();
+        let (mut w, t) = SdfFileWriter::create(&fs, "f.sdf", LibraryModel::Raw, 0, 0.0)?;
+        let t = w.append_block(block, t)?;
+        w.finish(t)?;
+        Ok(fs.read_all_shared("f.sdf", 0, 0.0)?.0.to_vec())
+    }
+
+    /// A record as the record encoder lays it out, wire form.
+    fn record(ds: &Dataset) -> Vec<u8> {
+        let mut segs = Vec::new();
+        rocsdf::encode_dataset_segments(ds, None, None, Vec::new(), &mut segs);
+        rocio_core::segments_to_vec(&segs)
+    }
+
+    /// A `BLOCK` message claiming `n_records` records, carrying `records`.
+    fn msg_of(records: &[Vec<u8>], n_records: u32) -> Rope {
+        let mut m = Vec::new();
+        put_name(&mut m, SnapshotId::new(50, 1), None, "fluid");
+        m.extend_from_slice(&n_records.to_le_bytes());
+        records.iter().for_each(|r| m.extend_from_slice(r));
+        Bytes::from(m).into()
+    }
+
+    /// What a server makes of a `BLOCK` message: the file its intake and
+    /// drain write, or the kind of the refusal.
+    fn intake(wire: &Rope) -> std::result::Result<Vec<u8>, &'static str> {
+        let written = BlockMsgView::decode_whole(wire).and_then(|m| file_of(&m.block));
+        written.map_err(|e| match e {
+            RocError::Corrupt(_) => "Corrupt",
+            RocError::Mismatch(_) => "Mismatch",
+            RocError::AlreadyExists(_) => "AlreadyExists",
+            e => panic!("{e:?}"),
+        })
+    }
+
+    /// One verdict per receiver: a server refuses what every reader of a
+    /// block refuses, with the same kind, and writes what it takes as the
+    /// canonical re-encoding of the block every reader reads — whatever
+    /// the sender laid out beside it.
+    #[test]
+    fn a_server_refuses_what_every_reader_refuses_and_writes_the_block_they_read() {
+        let with_ab = |ds: Dataset, a: i64, b: i64| ds.with_attr("a", a).with_attr("b", b);
+        let member = |name: &str| with_ab(Dataset::vector(name, vec![0.5f64; 3]), 1, 2);
+        let block_with = |disp: Dataset| DataBlock::new(BlockId(9), "solid").with_dataset(disp).with_attr("level", 2i64);
+        let block = block_with(member("disp"));
+        let meta = || {
+            let wire = rocsdf::encode_block(&[], &block);
+            rocsdf::decode_dataset(&mut wire.cursor()).unwrap()
+        };
+        let disp = member("blk000009/disp");
+        let mut with_payload = meta();
+        (with_payload.shape, with_payload.data) = (vec![1], vec![7u8].into());
+        let mut uncounted = meta();
+        uncounted.attrs.remove("n_datasets");
+        let mut elsewhere = meta();
+        elsewhere.name = "blk9/__meta__".into();
+        let right = rocsdf::payload_crc32(&disp) as i64;
+        let stamped = |crc: i64| disp.clone().with_attr(CRC_ATTR, crc);
+        // Attribute keys out of order, or twice: no encoder writes them,
+        // so a member's two keys are renamed where they lie.
+        let renamed = |a: u8, b: u8| {
+            let mut r = record(&disp);
+            let key = |r: &[u8], k: u8| r.windows(3).rposition(|w| w == [1, 0, k]).unwrap() + 2;
+            let (at_a, at_b) = (key(&r, b'a'), key(&r, b'b'));
+            (r[at_a], r[at_b]) = (a, b);
+            r
+        };
+        let records = |ds: &[Dataset]| ds.iter().map(record).collect::<Vec<_>>();
+        let n = |records: Vec<Vec<u8>>| {
+            let n = records.len() as u32;
+            msg_of(&records, n)
+        };
+        type Case = (&'static str, Rope, std::result::Result<DataBlock, &'static str>);
+        let cases: Vec<Case> = vec![
+            ("no records", n(vec![]), Err("Corrupt")),
+            ("a member where the meta belongs", n(records(std::slice::from_ref(&disp))), Err("Corrupt")),
+            ("a meta under another spelling of the id", n(records(&[elsewhere, disp.clone()])), Err("Corrupt")),
+            ("a member outside the prefix", n(records(&[meta(), member("blk000008/disp")])), Err("Corrupt")),
+            ("a stale checksum", n(records(&[meta(), stamped(right ^ 1)])), Err("Corrupt")),
+            ("a repeated member", n(records(&[meta().with_attr("n_datasets", 2i64), disp.clone(), disp.clone()])), Err("AlreadyExists")),
+            ("a count the bytes cannot hold", msg_of(&records(&[meta(), disp.clone()]), u32::MAX), Err("Corrupt")),
+            ("a meta whose id is no Int", n(records(&[meta().with_attr("block_id", "9"), disp.clone()])), Err("Mismatch")),
+            ("the block as sent", n(records(&[meta(), disp.clone()])), Ok(block.clone())),
+            ("a matching checksum", n(records(&[meta(), stamped(right)])), Ok(block.clone())),
+            ("a meta with a payload", n(records(&[with_payload, disp.clone()])), Ok(block.clone())),
+            ("a meta with a foreign attribute", n(records(&[meta().with_attr("colour", 3i64), disp.clone()])), Ok(block.clone())),
+            ("a meta that counts no datasets", n(records(&[uncounted, disp.clone()])), Ok(block.clone())),
+            ("a meta that counts other datasets", n(records(&[meta().with_attr("n_datasets", 2i64), disp.clone()])), Ok(block.clone())),
+            ("member keys descending", n(vec![record(&meta()), renamed(b'b', b'a')]), Ok(block_with(with_ab(Dataset::vector("disp", vec![0.5f64; 3]), 2, 1)))),
+            ("a member key repeated", n(vec![record(&meta()), renamed(b'a', b'a')]), Ok(block_with(Dataset::vector("disp", vec![0.5f64; 3]).with_attr("a", 2i64)))),
+        ];
+        for (what, wire, want) in &cases {
+            let want = want.as_ref().map(|b| file_of(b).unwrap()).map_err(|kind| *kind);
+            assert_eq!(intake(wire), want, "{what}");
+        }
     }
 
     #[test]

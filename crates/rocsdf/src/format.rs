@@ -17,27 +17,20 @@
 //! header, and a payload is the same little-endian bytes whoever produced
 //! it.
 //!
-//! ## Encoding, decoding and forwarding
+//! ## Encoding and decoding
 //!
-//! A block is laid out once: [`encode_block`] writes its records — the
-//! wire form, without checksums — into one staging buffer with the
-//! payloads between them, read from a description of the block (a pane
-//! where it lies, or a [`DataBlock`](rocio_core::DataBlock)), and every
-//! producer starts there (a Rocpanda message puts its routing header in
-//! front, a file writer frames the records and fills the checksums in).
-//! The header walk hands what it reads to a sink, and there are two. A
-//! *reader* keeps nothing of it: the walk checks the header, and the
-//! record is then read where it lies ([`crate::view::RecordView`]; a block
-//! of them is a [`crate::view::BlockView`], and [`decode_dataset`] is one
-//! record's view, built). A *mover* does not read it either:
-//! [`frame_block`] copies a block's wire records into the file records
-//! they become (the wire image lacks only each record's `__crc32__` entry,
-//! see below), and [`crate::SdfFileWriter::append_frame`] writes that
-//! [`BlockFrame`] — for a Rocpanda server, which never holds a
-//! [`DataBlock`](rocio_core::DataBlock), and for
-//! [`crate::SdfFileWriter::append_records`] alike. The copy is the file
-//! image only if the input is what the one encoder writes, so that is
-//! what `frame_block` accepts.
+//! A block is laid out once: [`encode_block`] writes its records into one
+//! staging buffer with the payloads between them, read from a description
+//! of the block (a pane where it lies, a block read where it lies, or a
+//! [`DataBlock`](rocio_core::DataBlock)), and every producer starts there.
+//! A Rocpanda message puts its routing header in front and leaves the
+//! checksums out; a file writer ([`crate::SdfFileWriter::append_block`])
+//! has the same pass write each record's `__crc32__` in (see below). The
+//! header walk is the one parser of the layout: a record is read where it
+//! lies ([`crate::view::RecordView`]; a block of them is a
+//! [`crate::view::BlockView`], and [`decode_dataset`] is one record's
+//! view, built). So a block travels one way whoever moves it: read as a
+//! view, laid out again by the one encoder.
 //!
 //! ## The payload checksum
 //!
@@ -58,7 +51,7 @@ use std::ops::Range;
 
 use bytes::Bytes;
 use rocio_core::{
-    Attr, AttrView, BlockDesc, BlockId, Cursor, DType, Dataset, DatasetDesc, Result,
+    Attr, AttrView, Attrs, BlockDesc, BlockId, Cursor, DType, Dataset, DatasetDesc, Result,
     RocError, Rope, Segment,
 };
 
@@ -424,52 +417,96 @@ impl SegmentPool {
 /// Rocpanda wire, the two writers and the restart replies alike: the
 /// block's `__meta__` (no payload; its attributes, in key order, the
 /// block's own as `blk:*`, then `block_id`, `n_datasets` and `window`),
-/// then every member under the block's group prefix, in order. No record
-/// carries a `__crc32__`: a file writer frames the records
-/// ([`frame_block`]) and fills the checksums in as it writes them.
+/// then every member under the block's group prefix, in order. These are
+/// wire records, and no record carries a `__crc32__`: a file writer lays
+/// the same records out with their checksums
+/// ([`crate::SdfFileWriter::append_block`]).
 ///
 /// The block is read as a description ([`BlockDesc`]): a
-/// [`DataBlock`](rocio_core::DataBlock), or a pane described where it
-/// lies (`roccom::convert::plan`) — the same records either way. `lead` (whatever goes before the records: a
-/// message's routing header; nothing for a file) and every header are
-/// written into one staging buffer, sized before it is allocated; a
-/// payload the description holds already goes in by refcount, and every
-/// other one is encoded into one more buffer, the block's payload image.
-/// The rope is those two buffers' windows, each member's payload after its
-/// header. No name is formatted and no record is built to be encoded.
+/// [`DataBlock`](rocio_core::DataBlock), a block read where it lies
+/// ([`crate::BlockView`]) or a pane described where it lies
+/// (`roccom::convert::plan`) — the same records either way. `lead`
+/// (whatever goes before the records: a message's routing header; nothing
+/// for a file) and every header are written into one staging buffer, sized
+/// before it is allocated; a payload the description holds already goes in
+/// by refcount, and every other one is encoded into one more buffer, the
+/// block's payload image. The rope is those two buffers' windows, each
+/// member's payload after its header. No name is formatted and no record
+/// is built to be encoded.
 pub fn encode_block(lead: &[u8], block: &(impl BlockDesc + ?Sized)) -> Rope {
+    match lay_out_block(lead, block, false, |_, _| {}) {
+        Ok(rope) => rope,
+        Err(_) => unreachable!("only a file record is refused"),
+    }
+}
+
+/// [`encode_block`], and with `crc` the block's *file* records: each
+/// carries its payload's CRC-32 as a `__crc32__` Int at its sorted place,
+/// computed in the pass that lays the record out — over the held bytes, or
+/// over the slice of the payload image just encoded. `record` is told each
+/// record's full name, in pieces, and its length, in file order.
+///
+/// A file record is refused, [`RocError::Corrupt`], when a field cannot
+/// hold what it would say (a name or attribute key over its `u16` length,
+/// an attribute count with the checksum's over its `u16`, a rank over its
+/// `u8`), checked before anything is laid out, or when the description
+/// carries a `__crc32__` its payload does not match: the computed value
+/// never overwrites a stale one.
+pub(crate) fn lay_out_block(
+    lead: &[u8],
+    block: &(impl BlockDesc + ?Sized),
+    crc: bool,
+    mut record: impl FnMut(&[&str], usize),
+) -> Result<Rope> {
     let prefix = Prefix::new(block.id());
     let prefix = prefix.as_str();
+    // The entry a file record adds, unless the description has one: the
+    // key and an Int.
+    let added = |ds: &DatasetDesc<'_>| usize::from(crc && described_crc(ds).is_none());
+    let entry = |key: &str, v: Attr<'_>| 2 + key.len() + v.encoded_size();
+    let crc_entry = entry(CRC_ATTR, Attr::Int(0));
     // What `put_record_head` writes for a member, and for the meta: its
     // attributes as `blk:*`, then `block_id`, `n_datasets` and `window`.
     let member_len = |ds: &DatasetDesc<'_>| {
-        head_len(
-            prefix.len() + ds.name.len(),
-            ds.shape.len(),
-            ds.attrs.encoded_size(),
-        )
+        let attrs = ds.attrs.encoded_size() + added(ds) * crc_entry;
+        head_len(prefix.len() + ds.name.len(), ds.shape.len(), attrs)
     };
-    let entry = |key: &str, v: Attr<'_>| 2 + key.len() + v.encoded_size();
-    let meta_attrs = block.with_attrs(|attrs| attrs.encoded_size() + "blk:".len() * attrs.len())
+    let (meta_attrs, n_meta_attrs) = block.with_attrs(|attrs| {
+        if crc {
+            check_fields(prefix, BLOCK_META, 1, attrs.len() + 4, "blk:", attrs)?;
+        }
+        Ok((attrs.encoded_size() + "blk:".len() * attrs.len(), attrs.len() + 3))
+    })?;
+    let meta_attrs = meta_attrs
+        + usize::from(crc) * crc_entry
         + entry("block_id", Attr::Int(0))
         + entry("n_datasets", Attr::Int(0))
         + entry("window", Attr::Str(block.window()));
     let meta_len = head_len(prefix.len() + BLOCK_META.len(), 1, meta_attrs);
-    let (mut heads, mut image) = (lead.len() + meta_len, 0);
+    let (mut heads, mut image, mut refused) = (lead.len() + meta_len, 0, Ok(()));
     block.for_each_dataset(|ds| {
         heads += member_len(ds);
         if ds.payload.held().is_none() {
             image += ds.payload.byte_len();
         }
+        if crc && refused.is_ok() {
+            let n_attrs = ds.attrs.len() + added(ds);
+            refused = check_fields(prefix, ds.name, ds.shape.len(), n_attrs, "", ds.attrs);
+        }
     });
+    refused?;
     let mut stage = Vec::with_capacity(heads);
     stage.extend_from_slice(lead);
     stage.extend_from_slice(DS_MARKER);
     put_name16(&mut stage, &[prefix, BLOCK_META]);
     stage.extend_from_slice(&[DType::U8.tag(), 1]);
     stage.extend_from_slice(&0u64.to_le_bytes());
+    stage.extend_from_slice(&((n_meta_attrs + usize::from(crc)) as u16).to_le_bytes());
+    if crc {
+        // `_` sorts before `b`: the checksum of no bytes leads.
+        encode_attr_entry(CRC_ATTR, Attr::Int(i64::from(crc32(&[]))), &mut stage);
+    }
     block.with_attrs(|attrs| {
-        stage.extend_from_slice(&((attrs.len() + 3) as u16).to_le_bytes());
         for (k, v) in attrs.iter() {
             put_name16(&mut stage, &["blk:", k]);
             v.encode(&mut stage);
@@ -481,12 +518,27 @@ pub fn encode_block(lead: &[u8], block: &(impl BlockDesc + ?Sized)) -> Rope {
     encode_attr_entry("window", Attr::Str(block.window()), &mut stage);
     stage.extend_from_slice(&0u64.to_le_bytes());
     let mut encoded = Vec::with_capacity(image);
+    let mut stale = Ok(());
     block.for_each_dataset(|ds| {
-        put_record_head(&mut stage, &[prefix, ds.name], ds, None);
-        if ds.payload.held().is_none() {
+        let held = ds.payload.held();
+        if held.is_none() {
             ds.payload.encode(&mut encoded);
         }
+        let crc = crc.then(|| match held {
+            Some(held) => crc32(held),
+            None => crc32(&encoded[encoded.len() - ds.payload.byte_len()..]),
+        });
+        if let (Some(crc), Some(stored)) = (crc, described_crc(ds)) {
+            if stored.as_int() != Some(i64::from(crc)) && stale.is_ok() {
+                stale = Err(RocError::Corrupt(format!(
+                    "SDF: dataset '{prefix}{}' stores {CRC_ATTR} {stored:?}, its payload's is {crc:#x}",
+                    ds.name
+                )));
+            }
+        }
+        put_record_head(&mut stage, &[prefix, ds.name], ds, crc);
     });
+    stale?;
     debug_assert_eq!(
         (stage.len(), encoded.len()),
         (heads, image),
@@ -499,21 +551,54 @@ pub fn encode_block(lead: &[u8], block: &(impl BlockDesc + ?Sized)) -> Rope {
     let encoded = (image > 0).then(|| Bytes::from(encoded));
     let mut rope = Rope::new();
     rope.reserve(2 * block.n_datasets() + 1);
+    record(&[prefix, BLOCK_META], meta_len);
     let (mut run, mut at, mut encoded_at) = (0, lead.len() + meta_len, 0);
     block.for_each_dataset(|ds| {
+        let len = ds.payload.byte_len();
+        record(&[prefix, ds.name], member_len(ds) + len);
         at += member_len(ds);
         rope.push(stage.slice(run..at));
         run = at;
         if let Some(held) = ds.payload.held() {
             rope.push(held.clone());
         } else if let Some(encoded) = &encoded {
-            let len = ds.payload.byte_len();
             rope.push(encoded.slice(encoded_at..encoded_at + len));
             encoded_at += len;
         }
     });
     rope.push(stage.slice(run..));
-    rope
+    Ok(rope)
+}
+
+/// The `__crc32__` a description carries, if it carries one.
+fn described_crc<'a>(ds: &DatasetDesc<'a>) -> Option<Attr<'a>> {
+    ds.attrs.iter().find_map(|(k, v)| (k == CRC_ATTR).then_some(v))
+}
+
+/// Refuse a file record whose fields cannot hold what they would say: its
+/// name (`prefix` + `name`) or an attribute key (`key_prefix` + key) over a
+/// `u16` length, `n_attrs` over a `u16` count, `rank` over a `u8`.
+fn check_fields(
+    prefix: &str,
+    name: &str,
+    rank: usize,
+    n_attrs: usize,
+    key_prefix: &str,
+    attrs: Attrs<'_>,
+) -> Result<()> {
+    let key = attrs.iter().map(|(k, _)| key_prefix.len() + k.len()).max();
+    let fields = [
+        ("name", prefix.len() + name.len(), u16::MAX.into()),
+        ("attribute key", key.unwrap_or(0), u16::MAX.into()),
+        ("attribute count", n_attrs, u16::MAX.into()),
+        ("rank", rank, u8::MAX.into()),
+    ];
+    match fields.into_iter().find(|&(_, n, max)| n > max) {
+        Some((field, n, max)) => Err(RocError::Corrupt(format!(
+            "SDF: a dataset of block '{prefix}' needs {n} for its {field}, whose field holds {max}"
+        ))),
+        None => Ok(()),
+    }
 }
 
 pub(crate) const RECORD: &str = "SDF record";
@@ -522,26 +607,6 @@ pub(crate) const RECORD: &str = "SDF record";
 /// attributes, a payload length. A record count is bounded by the bytes
 /// left over this before it sizes anything.
 pub(crate) const MIN_RECORD: usize = 4 + 2 + 1 + 1 + 2 + 8;
-
-/// What [`walk_record_header`] reports of a header, in layout order. A
-/// record read keeps two facts of the attribute table on the stack and
-/// then reads the checked header where it lies
-/// ([`crate::view::RecordView`]); a partial read keeps nothing (`()`).
-pub(crate) trait HeaderSink {
-    fn name(&mut self, _name: &str) -> Result<()> {
-        Ok(())
-    }
-    /// `extents` is the shape as it lies: a little-endian `u64` per
-    /// dimension.
-    fn layout(&mut self, _dtype: DType, _extents: &[u8], _n_attrs: u16) -> Result<()> {
-        Ok(())
-    }
-    fn attr(&mut self, _key: &str, _value: &AttrView<'_>) -> Result<()> {
-        Ok(())
-    }
-}
-
-impl HeaderSink for () {}
 
 /// What a record header says of the payload behind it.
 #[derive(Debug, Clone, Copy)]
@@ -556,9 +621,10 @@ pub(crate) struct PayloadDims {
 
 /// Walk the record header at the cursor, leaving it on the first payload
 /// byte — the one parser of the record layout, behind every record read
-/// ([`crate::view::RecordView::read`]), the reader's partial reads and the
-/// frame a server forwards ([`frame_block`]) alike; what they keep of it is
-/// their [`HeaderSink`].
+/// ([`crate::view::RecordView::read`]) and the reader's partial reads
+/// alike. Each attribute entry is handed to `attr` as it is walked: a
+/// record read keeps two facts of the table on the stack and then reads
+/// the checked header where it lies; a partial read keeps nothing.
 ///
 /// Every length is checked against the input before it shapes a view or
 /// an allocation, the extents' product and the payload size are computed
@@ -569,7 +635,7 @@ pub(crate) struct PayloadDims {
 /// with a longer prefix).
 pub(crate) fn walk_record_header(
     cur: &mut Cursor<'_>,
-    sink: &mut impl HeaderSink,
+    mut attr: impl FnMut(&str, &AttrView<'_>),
 ) -> Result<PayloadDims> {
     let marker = cur.array::<4>(RECORD)?;
     if &marker != DS_MARKER {
@@ -580,7 +646,6 @@ pub(crate) fn walk_record_header(
         )));
     }
     let name = cur.str16_ref(RECORD)?;
-    sink.name(&name)?;
     let dtype = DType::from_tag(cur.u8(RECORD)?)?;
     let rank = cur.u8(RECORD)? as usize;
     let extents = cur.bytes(rank * 8, "SDF u64 field")?;
@@ -592,10 +657,9 @@ pub(crate) fn walk_record_header(
         return Err(RocError::Corrupt(format!("SDF: dataset '{name}' shape {shape:?} overflows")));
     };
     let n_attrs = cur.u16("SDF attribute count")?;
-    sink.layout(dtype, &extents, n_attrs)?;
     for _ in 0..n_attrs {
         let key = cur.str16_ref(RECORD)?;
-        sink.attr(&key, &AttrView::read(cur)?)?;
+        attr(&key, &AttrView::read(cur)?);
     }
     let data_len = cur.u64("SDF u64 field")?;
     if data_len != want_len as u64 {
@@ -625,6 +689,10 @@ pub(crate) fn stored_crc(name: &str, int: Option<i64>, attr: &dyn std::fmt::Debu
             "SDF: dataset '{name}' has a malformed {CRC_ATTR} attribute ({attr:?})"
         ))
     })
+}
+
+pub(crate) fn corrupt_block(what: String) -> RocError {
+    RocError::Corrupt(format!("SDF block: {what}"))
 }
 
 /// Hold a payload to its record's stored CRC-32.
@@ -683,24 +751,23 @@ pub(crate) fn decode_dataset_with(cur: &mut Cursor<'_>, verify_crc: bool) -> Res
     record.to_dataset(record.name())
 }
 
-/// One index entry as a writer keeps it: dataset name, absolute offset,
-/// encoded length.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IndexEntry {
-    pub name: String,
-    pub offset: u64,
-    pub len: u64,
+/// One index entry as a writer keeps it: where the dataset's name lies in
+/// the writer's one buffer of names, absolute offset, encoded length.
+#[derive(Debug, Clone)]
+pub(crate) struct IndexEntry {
+    pub(crate) name: Range<usize>,
+    pub(crate) offset: u64,
+    pub(crate) len: u64,
 }
 
-/// Encode the index and trailer given entry list and the index's own
-/// offset in the file.
-pub(crate) fn encode_index(entries: &[IndexEntry], index_offset: u64) -> Vec<u8> {
+/// Encode the index and trailer given entry list, the buffer its names
+/// lie in and the index's own offset in the file.
+pub(crate) fn encode_index(entries: &[IndexEntry], names: &str, index_offset: u64) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(IDX_MARKER);
     out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
     for e in entries {
-        out.extend_from_slice(&(e.name.len() as u16).to_le_bytes());
-        out.extend_from_slice(e.name.as_bytes());
+        put_str16(&mut out, &names[e.name.clone()]);
         out.extend_from_slice(&e.offset.to_le_bytes());
         out.extend_from_slice(&e.len.to_le_bytes());
     }
@@ -743,256 +810,6 @@ pub(crate) fn decode_index<T>(
         entries.push(entry(name, cur.u64(what)?, cur.u64(what)?));
     }
     Ok(entries)
-}
-
-/// One record of a [`BlockFrame`].
-#[derive(Debug)]
-pub(crate) struct FramedRecord {
-    /// The record's full name, for the index.
-    pub(crate) name: String,
-    /// Where its file header lies in the frame's staging buffer.
-    pub(crate) head: Range<usize>,
-    /// Where in that buffer the eight value bytes of its `__crc32__`
-    /// entry lie.
-    pub(crate) crc_at: usize,
-    /// The payload: a window of the message it arrived in.
-    pub(crate) payload: Bytes,
-}
-
-/// A block's wire records framed as the file records they become, without
-/// a [`DataBlock`](rocio_core::DataBlock) in between: what a Rocpanda
-/// server buffers, and what [`crate::SdfFileWriter::append_frame`] writes. See [`frame_block`].
-#[derive(Debug)]
-pub struct BlockFrame {
-    /// The block's id, as its `__meta__` record says.
-    pub id: BlockId,
-    /// [`DataBlock::encoded_size`](rocio_core::DataBlock::encoded_size) of
-    /// the block these records decode to.
-    pub size: usize,
-    /// Every record's file header, back to back: the wire header with a
-    /// `__crc32__` entry at its sorted place.
-    pub(crate) heads: Vec<u8>,
-    /// `__meta__` first, then the members in wire order.
-    pub(crate) records: Vec<FramedRecord>,
-}
-
-/// Which record of a block a [`Framer`] is on.
-enum FramedAs<'p> {
-    /// `__meta__`: the attributes that name the block, as they are found.
-    Meta { window_len: Option<usize>, block_id: Option<i64>, n_datasets: Option<i64> },
-    /// A member, which lives under the block's group prefix.
-    Member { prefix: &'p str },
-}
-
-/// The sink of a forward: the header copied into the frame's staging
-/// buffer as the file header it becomes, held to what makes that copy
-/// equal a re-encoding of the decoded record.
-struct Framer<'f> {
-    heads: &'f mut Vec<u8>,
-    kind: FramedAs<'f>,
-    name: String,
-    /// Where the header's `n_attrs` field was copied to.
-    n_attrs_at: usize,
-    n_attrs: u16,
-    /// Where the last attribute key copied lies (keys must ascend).
-    last_key: Option<Range<usize>>,
-    /// Where the `__crc32__` value lies, once it is placed.
-    crc_at: Option<usize>,
-    /// The CRC-32 the wire record carried, if it carried one.
-    stored: Option<u32>,
-    /// This record's share of
-    /// [`DataBlock::encoded_size`](rocio_core::DataBlock::encoded_size).
-    size: usize,
-}
-
-pub(crate) fn corrupt_block(what: String) -> RocError {
-    RocError::Corrupt(format!("SDF block: {what}"))
-}
-
-impl Framer<'_> {
-    /// Lay a zeroed `__crc32__` entry where the wire header has none.
-    /// Returns where its value lies.
-    fn place_crc_slot(&mut self) -> usize {
-        encode_attr_entry(CRC_ATTR, Attr::Int(0), self.heads);
-        *self.crc_at.insert(self.heads.len() - 8)
-    }
-
-    /// Close the header once its attributes are walked: the checksum entry
-    /// if no key sorted after it, the attribute count that includes it,
-    /// the payload length. Returns where the checksum value lies.
-    fn finish(&mut self, data_len: usize) -> Result<usize> {
-        let slot = self.crc_at.unwrap_or_else(|| self.place_crc_slot());
-        if self.stored.is_none() {
-            let n = self.n_attrs.checked_add(1).ok_or_else(|| {
-                corrupt_block(format!("'{}' has no room for a {CRC_ATTR} attribute", self.name))
-            })?;
-            self.heads[self.n_attrs_at..self.n_attrs_at + 2].copy_from_slice(&n.to_le_bytes());
-        }
-        self.heads.extend_from_slice(&(data_len as u64).to_le_bytes());
-        Ok(slot)
-    }
-}
-
-impl HeaderSink for Framer<'_> {
-    fn name(&mut self, name: &str) -> Result<()> {
-        if let FramedAs::Member { prefix } = self.kind {
-            let member = name
-                .strip_prefix(prefix)
-                .ok_or_else(|| corrupt_block(format!("dataset '{name}' outside group '{prefix}'")))?;
-            self.size += 2 + member.len();
-        }
-        self.heads.extend_from_slice(DS_MARKER);
-        put_str16(self.heads, name);
-        self.name = name.to_owned();
-        Ok(())
-    }
-
-    fn layout(&mut self, dtype: DType, extents: &[u8], n_attrs: u16) -> Result<()> {
-        match self.kind {
-            // What `encode_block` lays out: no elements of `u8`.
-            FramedAs::Meta { .. } if dtype != DType::U8 || extents != [0u8; 8] => {
-                return Err(corrupt_block(format!("'{}' carries a payload", self.name)));
-            }
-            FramedAs::Meta { .. } => {}
-            FramedAs::Member { .. } => self.size += 1 + extents.len() + 1 + 2,
-        }
-        self.heads.push(dtype.tag());
-        self.heads.push((extents.len() / 8) as u8);
-        self.heads.extend_from_slice(extents);
-        (self.n_attrs_at, self.n_attrs) = (self.heads.len(), n_attrs);
-        self.heads.extend_from_slice(&n_attrs.to_le_bytes());
-        Ok(())
-    }
-
-    fn attr(&mut self, key: &str, value: &AttrView<'_>) -> Result<()> {
-        // A `BTreeMap` emits its keys strictly ascending; a header whose
-        // keys are not would be re-encoded in another order.
-        if self.last_key.clone().is_some_and(|last| &self.heads[last] >= key.as_bytes()) {
-            return Err(corrupt_block(format!("'{}' attribute '{key}' out of order", self.name)));
-        }
-        if self.crc_at.is_none() && key > CRC_ATTR {
-            self.place_crc_slot();
-        }
-        let name = &self.name;
-        let foreign =
-            || corrupt_block(format!("'{name}' has a malformed or foreign attribute '{key}'"));
-        if key == CRC_ATTR {
-            self.stored = Some(stored_crc(name, value.as_int(), value)?);
-        } else {
-            match &mut self.kind {
-                FramedAs::Member { .. } => self.size += 2 + key.len() + value.encoded_size(),
-                FramedAs::Meta { window_len, block_id, n_datasets } => match key {
-                    "window" => *window_len = Some(value.as_str().ok_or_else(foreign)?.len()),
-                    "block_id" => *block_id = Some(value.as_int().ok_or_else(foreign)?),
-                    "n_datasets" => *n_datasets = Some(value.as_int().ok_or_else(foreign)?),
-                    _ => {
-                        let block_key = key.strip_prefix("blk:").ok_or_else(foreign)?;
-                        self.size += 2 + block_key.len() + value.encoded_size();
-                    }
-                },
-            }
-        }
-        put_str16(self.heads, key);
-        self.last_key = Some(self.heads.len() - key.len()..self.heads.len());
-        value.encode(self.heads);
-        if key == CRC_ATTR {
-            self.crc_at = Some(self.heads.len() - 8);
-        }
-        Ok(())
-    }
-}
-
-/// Frame the record at the cursor onto `heads`, advancing the cursor past
-/// its payload. Returns the record, its share of the block's encoded size
-/// and what the sink learned of a `__meta__`.
-fn frame_record<'f>(
-    cur: &mut Cursor<'_>,
-    heads: &'f mut Vec<u8>,
-    kind: FramedAs<'f>,
-) -> Result<(FramedRecord, usize, FramedAs<'f>)> {
-    let start = heads.len();
-    let mut framer = Framer {
-        heads,
-        kind,
-        name: String::new(),
-        n_attrs_at: 0,
-        n_attrs: 0,
-        last_key: None,
-        crc_at: None,
-        stored: None,
-        size: 0,
-    };
-    let dims = walk_record_header(cur, &mut framer)?;
-    let crc_at = framer.finish(dims.data_len)?;
-    let payload = cur.take(dims.data_len, RECORD)?;
-    if let Some(stored) = framer.stored {
-        check_crc(&framer.name, stored, &payload)?;
-    }
-    let Framer { heads, kind, name, size, .. } = framer;
-    let record = FramedRecord { name, head: start..heads.len(), crc_at, payload };
-    Ok((record, size + dims.data_len, kind))
-}
-
-/// Frame the `n_records` wire records of one block at the cursor — its
-/// `__meta__`, then its members under `blkNNNNNN/`, as [`encode_block`]
-/// writes them — as the file records of the block they decode to, without
-/// decoding them: each header is copied once, into one staging buffer,
-/// with a `__crc32__` entry at its sorted place (zeroed; the writer fills
-/// it in when it computes the checksum), and each payload stays a window
-/// of the input.
-///
-/// The copy equals the re-encoding of the decoded block only for input
-/// the one encoder could have written, so that is what is accepted: every
-/// check a decode's header walk makes (it is the same walk), attribute
-/// keys strictly ascending, a stored `__crc32__` that matches its payload,
-/// a `__meta__` named for the block with no payload and exactly the
-/// attributes `encode_block` writes (`n_datasets` counting the members
-/// that follow), every member under the block's prefix under a name not
-/// seen before. Anything else is [`RocError::Corrupt`]
-/// ([`RocError::AlreadyExists`] for a repeated member), and `n_records` is
-/// bounded by the bytes that remain before it sizes anything. A block
-/// written by [`crate::SdfFileWriter::append_block`] is held to the same
-/// rules: it is framed here from its own encoding.
-pub fn frame_block(cur: &mut Cursor<'_>, n_records: usize) -> Result<BlockFrame> {
-    if n_records == 0 || n_records > cur.remaining() / MIN_RECORD {
-        return Err(corrupt_block(format!(
-            "{n_records} records claimed by {} bytes",
-            cur.remaining()
-        )));
-    }
-    let mut heads = Vec::with_capacity((n_records * 128).min(cur.remaining()));
-    let mut records = Vec::with_capacity(n_records);
-
-    let unnamed = FramedAs::Meta { window_len: None, block_id: None, n_datasets: None };
-    let (meta, attrs_size, named) = frame_record(cur, &mut heads, unnamed)?;
-    let FramedAs::Meta { window_len: Some(window_len), block_id: Some(id), n_datasets: Some(n) } = named
-    else {
-        return Err(corrupt_block(format!("'{}' does not name a block", meta.name)));
-    };
-    let id = BlockId(id as u64);
-    let prefix = Prefix::new(id);
-    let prefix = prefix.as_str();
-    if meta.name.strip_prefix(prefix) != Some(BLOCK_META) {
-        return Err(corrupt_block(format!("expected block {id} meta first, got '{}'", meta.name)));
-    }
-    if n != (n_records - 1) as i64 {
-        return Err(corrupt_block(format!("block {id} meta counts {n} datasets of {}", n_records - 1)));
-    }
-    records.push(meta);
-    let mut size = 16 + window_len + attrs_size;
-    for _ in 1..n_records {
-        let (member, member_size, _) =
-            frame_record(cur, &mut heads, FramedAs::Member { prefix })?;
-        if records[1..].iter().any(|seen: &FramedRecord| seen.name == member.name) {
-            return Err(RocError::AlreadyExists(format!(
-                "dataset '{}' in block {id}",
-                &member.name[prefix.len()..]
-            )));
-        }
-        size += member_size;
-        records.push(member);
-    }
-    Ok(BlockFrame { id, size, heads, records })
 }
 
 #[cfg(test)]
@@ -1156,27 +973,18 @@ mod tests {
 
     #[test]
     fn index_round_trip() {
-        let entries = vec![
-            IndexEntry {
-                name: "a".into(),
-                offset: 8,
-                len: 100,
-            },
-            IndexEntry {
-                name: "blk000001/p".into(),
-                offset: 108,
-                len: 64,
-            },
+        let names = "ablk000001/p";
+        let entries = [
+            IndexEntry { name: 0..1, offset: 8, len: 100 },
+            IndexEntry { name: 1..names.len(), offset: 108, len: 64 },
         ];
-        let enc = encode_index(&entries, 172);
+        let enc = encode_index(&entries, names, 172);
         let trailer = &enc[enc.len() - TRAILER_LEN..];
         assert_eq!(decode_trailer(trailer).unwrap(), 172);
         let region = &enc[..enc.len() - TRAILER_LEN];
-        let idx = decode_index(region, |name, offset, len| {
-            let name = std::str::from_utf8(&region[name]).unwrap().to_owned();
-            IndexEntry { name, offset, len }
-        });
-        assert_eq!(idx.unwrap(), entries);
+        let idx = decode_index(region, |name, offset, len| (region[name].to_vec(), offset, len));
+        let want = entries.map(|e| (names[e.name].as_bytes().to_vec(), e.offset, e.len));
+        assert_eq!(idx.unwrap(), want);
     }
 
     #[test]
@@ -1457,134 +1265,40 @@ mod tests {
         assert_eq!(got(&[&meta, &long_key]).datasets[0].attrs.len(), 3);
     }
 
-    /// `frame_block` over the wire records of `records`, as one buffer.
-    fn frame(records: &[Dataset]) -> Result<BlockFrame> {
-        let wire: Vec<u8> = records.iter().flat_map(|ds| encode(ds, None, None)).collect();
-        frame_block(&mut Cursor::from(&Bytes::from(wire)), records.len())
-    }
-
+    /// A file record is the wire record with its payload's CRC-32 at its
+    /// sorted place — in the meta's table before every key, in a member's
+    /// between keys on both sides of it — whether the description carried
+    /// none or a matching one, and the writer is told each record's name
+    /// and length in file order.
     #[test]
-    fn a_frame_is_the_file_records_of_the_block_it_was_sent_as() {
+    fn file_records_are_the_wire_records_with_their_checksums() {
         let block = DataBlock::new(BlockId(9), "solid")
-            .with_dataset(Dataset::vector("disp", vec![0.5f64; 3]).with_attr("units", "m"))
-            .with_dataset(Dataset::vector("AAA", Vec::<i32>::new()).with_attr("zzz", 1i64))
+            .with_dataset(Dataset::vector("disp", vec![0.5f64; 3]).with_attr("AAA", 1i64).with_attr("zzz", 2i64))
+            .with_dataset(Dataset::vector("empty", Vec::<i32>::new()))
             .with_attr("level", 2i64);
-        let records = records_of(&block);
-        let framed = frame(&records).unwrap();
-        assert_eq!((framed.id, framed.size), (block.id, block.encoded_size()));
-        // Header by header what the file encoder lays out, but for the
-        // checksum value, which the writer owes; payloads as they came.
-        for (ds, r) in records.iter().zip(&framed.records) {
-            let file_record = encode(ds, None, Some(0));
-            assert_eq!(r.name, ds.name);
-            assert_eq!(framed.heads[r.head.clone()], file_record[..r.head.len()], "{}", ds.name);
-            assert_eq!(framed.heads[r.crc_at..r.crc_at + 8], [0; 8]);
-            assert_eq!(&r.payload, ds.data.bytes());
+        let mut want = Vec::new();
+        let mut lens = Vec::new();
+        for ds in records_of(&block) {
+            let record = encode(&ds, None, Some(payload_crc32(&ds)));
+            lens.push((ds.name.clone(), record.len()));
+            want.extend(record);
         }
-        // A wire record may carry its checksum already: it is verified
-        // and stays where it lies.
-        let mut stamped = records.clone();
-        let crc = payload_crc32(&stamped[1]);
-        stamped[1].attrs.insert(CRC_ATTR.into(), AttrValue::Int(crc as i64));
-        let carried = frame(&stamped).unwrap();
-        assert_eq!(carried.size, block.encoded_size());
-        assert_eq!(carried.heads[..carried.records[1].head.start], framed.heads[..framed.records[1].head.start]);
-        let (r, slot) = (&carried.records[1], carried.records[1].crc_at);
-        assert_eq!(carried.heads[slot..slot + 8], (crc as i64).to_le_bytes());
-        assert_eq!(carried.heads[r.head.clone()], encode(&records[1], None, Some(crc))[..r.head.len()]);
-    }
-
-    #[test]
-    fn frame_block_refuses_what_a_reencode_would_not_reproduce() {
-        let block = DataBlock::new(BlockId(9), "solid")
-            .with_dataset(Dataset::vector("disp", vec![0.5f64; 3]).with_attr("a", 1i64).with_attr("b", 2i64))
-            .with_attr("level", 2i64);
-        let meta = || records_of(&block).remove(0);
-        let member = |name: &str| {
-            Dataset::vector(name, vec![0.5f64; 3]).with_attr("a", 1i64).with_attr("b", 2i64)
-        };
-        assert!(frame(&[meta(), member("blk000009/disp")]).is_ok());
-
-        let mut with_payload = meta();
-        (with_payload.shape, with_payload.data) = (vec![1], vec![7u8].into());
-        let mut uncounted = meta();
-        uncounted.attrs.remove("n_datasets");
-        let mut elsewhere = meta();
-        elsewhere.name = "blk9/__meta__".into();
-        let right = payload_crc32(&member("x")) as i64;
-        let wrong_crc = right ^ 1;
-        let hostile: [(&str, Vec<Dataset>); 10] = [
-            ("no records", vec![]),
-            ("a member where the meta belongs", vec![member("blk000009/disp")]),
-            ("a meta with a payload", vec![with_payload, member("blk000009/disp")]),
-            ("a meta with a foreign attribute", vec![meta().with_attr("colour", 3i64), member("blk000009/disp")]),
-            ("a meta whose id is no Int", vec![meta().with_attr("block_id", "9"), member("blk000009/disp")]),
-            ("a meta that counts no datasets", vec![uncounted, member("blk000009/disp")]),
-            ("a meta that counts other datasets", vec![meta().with_attr("n_datasets", 2i64), member("blk000009/disp")]),
-            ("a meta filed under another spelling of the id", vec![elsewhere, member("blk000009/disp")]),
-            ("a member outside the prefix", vec![meta(), member("blk000008/disp")]),
-            ("a stored checksum that does not match", vec![meta(), member("blk000009/disp").with_attr(CRC_ATTR, wrong_crc)]),
-        ];
-        for (what, records) in hostile {
-            let got = frame(&records);
-            assert!(matches!(got, Err(RocError::Corrupt(_))), "{what}: {got:?}");
+        let mut told = Vec::new();
+        let file = lay_out_block(&[], &block, true, |name, len| told.push((name.concat(), len))).unwrap();
+        assert_eq!(file.into_bytes(), want);
+        assert_eq!(told, lens);
+        let mut stamped = block.clone();
+        let crc = payload_crc32(&stamped.datasets[0]) as i64;
+        stamped.datasets[0].attrs.insert(CRC_ATTR.into(), AttrValue::Int(crc));
+        assert_eq!(lay_out_block(&[], &stamped, true, |_, _| {}).unwrap().into_bytes(), want);
+        // The wire form is the same records without them.
+        let wire: Vec<u8> = records_of(&block).iter().flat_map(|ds| encode(ds, None, None)).collect();
+        assert_eq!(encode_block(&[], &block).into_bytes(), wire);
+        // A stale or malformed stored checksum is refused, not replaced.
+        for stale in [AttrValue::Int(crc ^ 1), AttrValue::Float(0.5), AttrValue::Str("x".into())] {
+            stamped.datasets[0].attrs.insert(CRC_ATTR.into(), stale.clone());
+            let got = lay_out_block(&[], &stamped, true, |_, _| panic!("nothing is told"));
+            assert!(matches!(got, Err(RocError::Corrupt(_))), "{stale:?}: {got:?}");
         }
-        let repeated = || vec![meta().with_attr("n_datasets", 2i64), member("blk000009/disp"), member("blk000009/disp")];
-        let got = frame(&repeated());
-        assert!(matches!(got, Err(RocError::AlreadyExists(_))), "a repeated member: {got:?}");
-
-        // One verdict whichever way a block reaches a file — forwarded as
-        // records, or handed to `append_block` as the block they decode
-        // to: the same bytes, or the same refusal.
-        let stamped = |crc: i64| {
-            let mut b = block.clone();
-            b.datasets[0].attrs.insert(CRC_ATTR.into(), AttrValue::Int(crc));
-            (b, vec![meta(), member("blk000009/disp").with_attr(CRC_ATTR, crc)])
-        };
-        let mut twice = block.clone();
-        twice.datasets.push(twice.datasets[0].clone());
-        for (what, (b, records), writes) in [
-            ("a member held twice", (twice, repeated()), false),
-            ("a stale checksum", stamped(wrong_crc), false),
-            ("a matching checksum", stamped(right), true),
-        ] {
-            let forwarded = file_of(|w| w.append_frame(frame(&records)?, 0.0));
-            let written = file_of(|w| w.append_block(&b, 0.0));
-            match (&forwarded, &written) {
-                (Ok(f), Ok(w)) => assert_eq!(f, w, "{what}"),
-                (Err(f), Err(w)) => {
-                    assert_eq!(std::mem::discriminant(f), std::mem::discriminant(w), "{what}: {f:?} / {w:?}");
-                }
-                _ => panic!("{what}: forwarded {forwarded:?}, written {written:?}"),
-            }
-            assert_eq!(written.is_ok(), writes, "{what}");
-        }
-
-        // Attribute keys out of order, or twice: no `BTreeMap` writes them,
-        // so the bytes are made by swapping two keys of a valid record.
-        let valid: Vec<u8> = [meta(), member("blk000009/disp")].iter().flat_map(|ds| encode(ds, None, None)).collect();
-        let key = |k: u8| valid.windows(3).rposition(|w| w == [1, 0, k]).unwrap() + 2;
-        for (what, a, b) in [("descending", b'b', b'a'), ("repeated", b'a', b'a')] {
-            let mut swapped = valid.clone();
-            (swapped[key(b'a')], swapped[key(b'b')]) = (a, b);
-            let swapped = Bytes::from(swapped);
-            let got = frame_block(&mut Cursor::from(&swapped), 2);
-            assert!(matches!(got, Err(RocError::Corrupt(ref m)) if m.contains("out of order")), "{what}: {got:?}");
-            // A decode takes them: the order is a rule of the forward alone.
-            let mut cur = Cursor::from(&swapped);
-            assert!(decode_dataset(&mut cur).and_then(|_| decode_dataset(&mut cur)).is_ok(), "{what}");
-        }
-        // A count the bytes cannot hold is refused before it sizes anything.
-        let got = frame_block(&mut Cursor::from(&Bytes::from(valid)), usize::MAX);
-        assert!(matches!(got, Err(RocError::Corrupt(_))), "{got:?}");
-    }
-
-    /// The file one append makes, or the append's refusal.
-    fn file_of(append: impl FnOnce(&mut crate::SdfFileWriter<'_>) -> Result<f64>) -> Result<Vec<u8>> {
-        let fs = rocstore::SharedFs::ideal();
-        let (mut w, _) = crate::SdfFileWriter::create(&fs, "f.sdf", crate::LibraryModel::Raw, 0, 0.0)?;
-        let t = append(&mut w)?;
-        w.finish(t)?;
-        Ok(fs.read_all_shared("f.sdf", 0, 0.0)?.0.to_vec())
     }
 }

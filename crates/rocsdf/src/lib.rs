@@ -75,12 +75,12 @@
 //! window of the part it lies in; [`decode_dataset_shared`] is the same
 //! over one contiguous buffer); files, Rocpanda's wire messages and the
 //! two-phase redistribution all carry exactly these records. A block
-//! reaches a file one way, whoever writes it: [`format::frame_block`]
-//! walks its records with the decoder's own header walk and
-//! [`SdfFileWriter::append_frame`] splices them in, checksums filled in on
-//! the way — a Rocpanda server frames the wire records it received,
-//! [`SdfFileWriter::append_records`] the ones Rochdf and T-Rochdf encoded
-//! from their panes ([`SdfFileWriter::append_block`] a block's).
+//! reaches a file one way, whoever writes it:
+//! [`SdfFileWriter::append_block`] of a description, laid out by the same
+//! encoder with each record's checksum computed in the pass — a Rocpanda
+//! server appends the [`BlockView`] it read a message as, Rochdf its
+//! panes' descriptions, T-Rochdf the views of the blocks its main thread
+//! encoded.
 //! [`encode_dataset_segments`] writes one standalone record.
 
 #![forbid(unsafe_code)]

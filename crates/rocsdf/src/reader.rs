@@ -461,7 +461,7 @@ impl<'fs> SdfFileReader<'fs> {
                 self.fs
                     .read_shared(self.path(), e.offset as usize, header_guess, self.client, now)?;
             let mut cur = Cursor::from(&bytes);
-            let header = walk_record_header(&mut cur, &mut ());
+            let header = walk_record_header(&mut cur, |_, _| {});
             let header_len = cur.pos();
             match header {
                 Ok(h) if header_len.checked_add(h.data_len) == Some(e.len as usize) => {

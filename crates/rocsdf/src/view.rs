@@ -30,8 +30,8 @@ use rocio_core::{
 };
 
 use crate::format::{
-    check_crc, corrupt_block, extents_of, stored_crc, walk_record_header, HeaderSink, Prefix,
-    BLOCK_META, CRC_ATTR, MIN_RECORD, RECORD,
+    check_crc, corrupt_block, extents_of, stored_crc, walk_record_header, Prefix, BLOCK_META,
+    CRC_ATTR, MIN_RECORD, RECORD,
 };
 
 /// One record read where it lies: its header and its payload, as windows
@@ -59,7 +59,7 @@ impl RecordView {
         let mut at_head = cur.clone();
         let start = cur.pos();
         let mut table = TableFacts { last: [0; 32], last_len: None, ascending: true, crc: None };
-        let dims = walk_record_header(cur, &mut table)?;
+        let dims = walk_record_header(cur, |key, value| table.attr(key, value))?;
         let head = at_head.take(cur.pos() - start, RECORD)?;
         let payload = cur.take(dims.data_len, RECORD)?;
         let rec = RecordView { head, payload, dtype: dims.dtype, ascending: table.ascending };
@@ -131,8 +131,8 @@ struct TableFacts {
     crc: Option<Option<i64>>,
 }
 
-impl HeaderSink for TableFacts {
-    fn attr(&mut self, key: &str, value: &AttrView<'_>) -> Result<()> {
+impl TableFacts {
+    fn attr(&mut self, key: &str, value: &AttrView<'_>) {
         if let Some(n) = self.last_len {
             self.ascending &= self.last.get(..n).is_some_and(|last| last < key.as_bytes());
         }
@@ -146,7 +146,6 @@ impl HeaderSink for TableFacts {
         if key == CRC_ATTR {
             self.crc = Some(value.as_int());
         }
-        Ok(())
     }
 }
 

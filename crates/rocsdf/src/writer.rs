@@ -1,31 +1,34 @@
 //! Writing SDF files through the storage simulator.
 
-use bytes::Bytes;
-use rocio_core::{DataBlock, Dataset, Result, Rope, Segment, SimTime};
+use rocio_core::{BlockDesc, Dataset, Result, RocError, Segment, SimTime};
 use rocstore::SharedFs;
 
 use crate::cost::LibraryModel;
 use crate::format::{
-    crc32, encode_block, encode_dataset_segments, encode_header, encode_index, frame_block,
-    payload_crc32, BlockFrame, IndexEntry,
+    encode_dataset_segments, encode_header, encode_index, lay_out_block, payload_crc32, IndexEntry,
 };
 
 /// An open SDF file being written.
 ///
-/// A block goes in one way — [`SdfFileWriter::append_block`] and
-/// [`SdfFileWriter::append_frame`] are one path — and its records reach
-/// the file system as one write; a standalone dataset is one write of its
-/// own. Every dataset is charged the library's per-dataset creation
-/// overhead; `finish` appends the index + trailer and closes the file.
+/// A block goes in one way, whoever writes it — a Rocpanda server the
+/// block it read off the wire, Rochdf a pane described where it lies,
+/// T-Rochdf the block its main thread encoded: [`SdfFileWriter::append_block`]
+/// of a description, its records reaching the file system as one write; a
+/// standalone dataset is one write of its own. Every dataset is charged
+/// the library's per-dataset creation overhead; `finish` appends the index
+/// + trailer and closes the file.
 ///
 /// Nothing is flattened or copied to be written: headers are windows of
-/// one staging buffer per block, payloads the datasets' own buffers by
-/// refcount, handed to the file system in one `writev`-style append.
+/// one staging buffer per block, payloads the description's own buffers by
+/// refcount, handed to the file system in one `writev`-style append. The
+/// index names every record from one buffer of names per file.
 pub struct SdfFileWriter<'fs> {
     fs: &'fs SharedFs,
     path: String,
     client: u64,
     lib: LibraryModel,
+    /// Every record's full name, back to back.
+    names: String,
     entries: Vec<IndexEntry>,
     offset: u64,
     finished: bool,
@@ -50,6 +53,7 @@ impl<'fs> SdfFileWriter<'fs> {
                 path: path.to_string(),
                 client,
                 lib,
+                names: String::new(),
                 entries: Vec::new(),
                 offset: header.len() as u64,
                 finished: false,
@@ -63,11 +67,14 @@ impl<'fs> SdfFileWriter<'fs> {
         self.entries.len()
     }
 
-    /// Enter a record of `len` bytes into the index, `batch_len` bytes
-    /// into the current write, and return the library's creation overhead
-    /// for it.
-    fn index_record(&mut self, name: String, batch_len: u64, len: u64) -> SimTime {
+    /// Enter a record named by the pieces of `name` and `len` bytes long
+    /// into the index, `batch_len` bytes into the current write, and
+    /// return the library's creation overhead for it.
+    fn index_record(&mut self, name: &[&str], batch_len: u64, len: u64) -> SimTime {
         let overhead = self.lib.create_cost(self.entries.len());
+        let start = self.names.len();
+        name.iter().for_each(|piece| self.names.push_str(piece));
+        let name = start..self.names.len();
         self.entries.push(IndexEntry { name, offset: self.offset + batch_len, len });
         overhead
     }
@@ -86,7 +93,7 @@ impl<'fs> SdfFileWriter<'fs> {
         let mut segs = Vec::with_capacity(2);
         encode_dataset_segments(ds, None, Some(payload_crc32(ds)), Vec::new(), &mut segs);
         let len = rocio_core::segments_len(&segs) as u64;
-        let overhead = self.index_record(ds.name.clone(), 0, len);
+        let overhead = self.index_record(&[&ds.name], 0, len);
         self.write(&segs, len, now + overhead)
     }
 
@@ -95,54 +102,39 @@ impl<'fs> SdfFileWriter<'fs> {
     /// "data from different arrays in the same data block stored in
     /// neighboring HDF datasets" (§4).
     ///
-    /// The block is encoded ([`encode_block`]) and written by
-    /// [`SdfFileWriter::append_records`].
-    pub fn append_block(&mut self, block: &DataBlock, now: SimTime) -> Result<SimTime> {
-        self.append_records(&encode_block(&[], block), 1 + block.datasets.len(), now)
-    }
-
-    /// Append the `n_records` records [`encode_block`] laid a block out as
-    /// — a pane's, encoded where it lies, or a [`DataBlock`]'s: they are
-    /// framed ([`frame_block`]) and written by
-    /// [`SdfFileWriter::append_frame`], the path a Rocpanda server writes
-    /// the block's wire records by, so every writer writes the same bytes
-    /// at the same cost and refuses the same blocks (a member held twice,
-    /// a stored `__crc32__` its payload does not match).
-    pub fn append_records(
+    /// The block is a description ([`BlockDesc`]): a
+    /// [`DataBlock`](rocio_core::DataBlock), a block read where it lies
+    /// ([`crate::BlockView`]) or a pane. Its records are laid out by the
+    /// one block encoder ([`crate::encode_block`]), each with its payload's
+    /// CRC-32, and go to the file system as one scatter-gather write (the
+    /// library's stdio-style coalescing), while the index still records
+    /// every dataset individually and per-dataset creation overhead is
+    /// still charged. Refused before anything is written: a member held
+    /// twice ([`RocError::AlreadyExists`]); a stored `__crc32__` its
+    /// payload does not match, or a name, key, attribute count or rank its
+    /// header field cannot hold ([`RocError::Corrupt`]).
+    pub fn append_block(
         &mut self,
-        records: &Rope,
-        n_records: usize,
+        block: &(impl BlockDesc + ?Sized),
         now: SimTime,
     ) -> Result<SimTime> {
-        self.append_frame(frame_block(&mut records.cursor(), n_records)?, now)
-    }
-
-    /// Write a block's framed records: all of them to the file system as
-    /// one scatter-gather write (the library's stdio-style coalescing),
-    /// while the index still records every dataset individually and
-    /// per-dataset creation overhead is still charged. Each payload's
-    /// CRC-32 is computed here and written into the slot its framed header
-    /// holds for it; the headers go to the file system as windows of the
-    /// frame's one staging buffer, the payloads as the windows they always
-    /// were.
-    pub fn append_frame(&mut self, frame: BlockFrame, now: SimTime) -> Result<SimTime> {
-        let BlockFrame { mut heads, records, .. } = frame;
-        for r in &records {
-            let crc = i64::from(crc32(&r.payload));
-            heads[r.crc_at..r.crc_at + 8].copy_from_slice(&crc.to_le_bytes());
-        }
-        let heads = Bytes::from(heads);
-        let mut segs = Vec::with_capacity(2 * records.len());
+        let (first, named) = (self.entries.len(), self.names.len());
         let (mut overhead, mut batch_len) = (0.0, 0);
-        for r in records {
-            let len = (r.head.len() + r.payload.len()) as u64;
-            overhead += self.index_record(r.name, batch_len, len);
-            batch_len += len;
-            segs.push(Segment::Shared(heads.slice(r.head)));
-            if !r.payload.is_empty() {
-                segs.push(Segment::Shared(r.payload));
-            }
+        let records = lay_out_block(&[], block, true, |name, len| {
+            overhead += self.index_record(name, batch_len, len as u64);
+            batch_len += len as u64;
+        })?;
+        let members = &self.entries[first + 1..];
+        let name = |e: &IndexEntry| &self.names[e.name.clone()];
+        let twice = (1..members.len())
+            .find(|&i| members[..i].iter().any(|seen| name(seen) == name(&members[i])));
+        if let Some(i) = twice {
+            let err = RocError::AlreadyExists(format!("dataset '{}' held twice", name(&members[i])));
+            self.entries.truncate(first);
+            self.names.truncate(named);
+            return Err(err);
         }
+        let segs: Vec<Segment> = records.parts().iter().cloned().map(Segment::Shared).collect();
         self.write(&segs, batch_len, now + overhead)
     }
 
@@ -161,7 +153,7 @@ impl<'fs> SdfFileWriter<'fs> {
         // Group contiguous entries by block prefix; bail on non-block names.
         let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
         for (i, e) in self.entries.iter().enumerate() {
-            let Some(id) = crate::format::parse_block_id(&e.name) else {
+            let Some(id) = crate::format::parse_block_id(&self.names[e.name.clone()]) else {
                 return Ok(());
             };
             match groups.last_mut() {
@@ -173,15 +165,14 @@ impl<'fs> SdfFileWriter<'fs> {
             return Ok(());
         }
         groups.sort_by_key(|(id, _)| *id);
-        let mut old = std::mem::take(&mut self.entries);
+        let old = std::mem::take(&mut self.entries);
         self.entries.reserve_exact(old.len());
         let header_len = encode_header().len();
         let mut ranges = Vec::with_capacity(1 + old.len());
         ranges.push((0, header_len));
         let mut off = header_len as u64;
         for &i in groups.iter().flat_map(|(_, idxs)| idxs) {
-            // Each index is visited once, so the name can move.
-            let IndexEntry { name, offset, len } = std::mem::take(&mut old[i]);
+            let IndexEntry { name, offset, len } = old[i].clone();
             ranges.push((offset as usize, len as usize));
             self.entries.push(IndexEntry { name, offset: off, len });
             off += len;
@@ -195,7 +186,7 @@ impl<'fs> SdfFileWriter<'fs> {
         assert!(!self.finished, "finish called twice");
         self.finished = true;
         self.canonicalize_layout()?;
-        let idx = encode_index(&self.entries, self.offset);
+        let idx = encode_index(&self.entries, &self.names, self.offset);
         let t = self.fs.append(&self.path, &idx, self.client, now)?;
         self.fs.close(&self.path, self.client, t)
     }
@@ -204,13 +195,12 @@ impl<'fs> SdfFileWriter<'fs> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rocio_core::BlockId;
+    use rocio_core::{AttrValue, BlockId, DataBlock};
 
-    /// The entries of an index region, names owned.
-    fn index_of(region: &[u8]) -> Vec<IndexEntry> {
+    /// An index region's entries: each dataset's name, offset and length.
+    fn index_of(region: &[u8]) -> Vec<(String, u64, u64)> {
         let entry = |name, offset, len| {
-            let name = std::str::from_utf8(&region[name]).unwrap().to_owned();
-            IndexEntry { name, offset, len }
+            (std::str::from_utf8(&region[name]).unwrap().to_owned(), offset, len)
         };
         crate::format::decode_index(region, entry).unwrap()
     }
@@ -232,10 +222,10 @@ mod tests {
         let idx_off = crate::format::decode_trailer(&bytes[bytes.len() - 12..]).unwrap();
         let entries = index_of(&bytes[idx_off as usize..bytes.len() - 12]);
         assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].name, "a");
+        assert_eq!(entries[0].0, "a");
         // Entries point at decodable records.
-        for e in &entries {
-            let rec = bytes.slice(e.offset as usize..(e.offset + e.len) as usize);
+        for &(_, offset, len) in &entries {
+            let rec = bytes.slice(offset as usize..(offset + len) as usize);
             crate::format::decode_dataset_shared(&rec, &mut 0).unwrap();
         }
     }
@@ -268,7 +258,7 @@ mod tests {
         let (bytes, _) = fs.read_all_shared("f.sdf", 0, 0.0).unwrap();
         let idx_off = crate::format::decode_trailer(&bytes[bytes.len() - 12..]).unwrap();
         let entries = index_of(&bytes[idx_off as usize..bytes.len() - 12]);
-        let names: Vec<&str> = entries.iter().map(|e| e.name.as_str()).collect();
+        let names: Vec<&str> = entries.iter().map(|e| e.0.as_str()).collect();
         assert_eq!(
             names,
             vec!["blk000005/__meta__", "blk000005/p", "blk000005/v"]
@@ -299,6 +289,66 @@ mod tests {
             let sorted = image(&[2, 5, 7, 11]);
             assert_eq!(image(&[7, 2, 11, 5]), sorted, "{lib:?}");
             assert_eq!(image(&[11, 7, 5, 2]), sorted, "{lib:?}");
+        }
+    }
+
+    /// The file one append makes, or the append's refusal, and the bytes
+    /// a refusal left in the store.
+    fn file_of(block: &DataBlock) -> (Result<Vec<u8>>, usize) {
+        let fs = SharedFs::ideal();
+        let (mut w, t) = SdfFileWriter::create(&fs, "f.sdf", LibraryModel::Raw, 0, 0.0).unwrap();
+        let file = w.append_block(block, t).and_then(|t| {
+            w.finish(t)?;
+            Ok(fs.read_all_shared("f.sdf", 0, 0.0)?.0.to_vec())
+        });
+        (file, fs.file_size("f.sdf").unwrap())
+    }
+
+    /// A block is refused before anything is written when a member is held
+    /// twice, when it carries a `__crc32__` its payload does not match, and
+    /// when a header field cannot hold what it would say — each field at
+    /// the first length it cannot hold, and at the last one it can.
+    #[test]
+    fn append_block_refuses_what_its_records_cannot_say() {
+        let base = || DataBlock::new(BlockId(1), "w");
+        let member = |name: String| Dataset::vector(name, vec![1.0f64]);
+        let with_attrs = |n: usize| {
+            let mut ds = member("p".into());
+            ds.attrs = (0..n).map(|i| (format!("a{i}"), AttrValue::Int(1))).collect();
+            ds
+        };
+        let with_rank = |rank: usize| {
+            let mut ds = member("p".into());
+            ds.shape = vec![1; rank];
+            ds
+        };
+        let block_attrs = |n: usize| {
+            let mut b = base().with_dataset(member("p".into()));
+            b.attrs = (0..n).map(|i| (format!("a{i}"), AttrValue::Int(1))).collect();
+            b
+        };
+        let mut twice = base().with_dataset(member("p".into()));
+        twice.datasets.push(member("p".into()));
+        let mut stale = base().with_dataset(member("p".into()));
+        stale.datasets[0].attrs.insert("__crc32__".into(), AttrValue::Int(7));
+        let max = usize::from(u16::MAX);
+        // "blk000001/" is 10 bytes; a member's table gains `__crc32__`,
+        // the meta's `block_id`, `n_datasets`, `window` and `__crc32__`.
+        let cases: [(&str, DataBlock, DataBlock, &str); 7] = [
+            ("a member held twice", twice, base().with_dataset(member("p".into())), "AlreadyExists"),
+            ("a stale checksum", stale, base().with_dataset(member("p".into())), "Corrupt"),
+            ("a name", base().with_dataset(member("n".repeat(max - 9))), base().with_dataset(member("n".repeat(max - 10))), "Corrupt"),
+            ("an attribute key", base().with_dataset(member("p".into()).with_attr("k".repeat(max + 1), 1i64)), base().with_dataset(member("p".into()).with_attr("k".repeat(max), 1i64)), "Corrupt"),
+            ("a member's attribute count", base().with_dataset(with_attrs(max)), base().with_dataset(with_attrs(max - 1)), "Corrupt"),
+            ("the meta's attribute count", block_attrs(max - 3), block_attrs(max - 4), "Corrupt"),
+            ("a rank", base().with_dataset(with_rank(256)), base().with_dataset(with_rank(255)), "Corrupt"),
+        ];
+        for (what, refused, fits, kind) in cases {
+            let (file, left) = file_of(&refused);
+            let got = format!("{file:?}");
+            assert!(got.starts_with(&format!("Err({kind}(")), "{what}: {}", &got[..got.len().min(200)]);
+            assert_eq!(left, crate::format::HEADER_LEN, "{what}: nothing is written");
+            assert!(file_of(&fits).0.is_ok(), "{what} that fits");
         }
     }
 

@@ -6,7 +6,7 @@
 //! little-endian payload image (`rocsdf::encode_block` of the pane's
 //! description, `roccom::convert::plan`); everything after that — the
 //! Rocpanda message (a rope of that image and one header buffer), server
-//! buffering, record framing, the store's extent list — holds it by
+//! buffering, the drain's record layout, the store's extent list — holds it by
 //! reference, on both paths. The write budgets below are that one copy
 //! plus headroom for headers, indexes and bookkeeping (measured: 1.05 x
 //! through Rocpanda, 1.04 x through T-Rochdf); a re-introduced flatten,
@@ -21,17 +21,22 @@
 //! description out in one pass — a Rocpanda client in 7 calls per block
 //! (the routing header, the header staging buffer and the payload image,
 //! a refcount for each of the two, the rope's part list and its refcount),
-//! T-Rochdf in 6 (no routing header). The rest is the fabric, the record
-//! framing (`frame_block`, by the server on intake, by T-Rochdf's writer
-//! in `append_records`: a staging buffer, a record list, a name per
-//! record for the index; the group prefix is spelled on the stack) and
-//! the store. Measured: 30.8 through Rocpanda (84 when the client built a
+//! T-Rochdf in 6 (no routing header). Nothing frames the records: the
+//! server's intake reads the message as a view (`rocsdf::BlockView`: its
+//! record table, the records windows of the message), and T-Rochdf's I/O
+//! thread reads each buffered rope the same way. The drain, and that
+//! thread, make one encode with checksums (`append_block` of the view: a
+//! header staging buffer, its refcount, the rope's part list, a segment
+//! list; every payload is held, and the index names records from one
+//! buffer per file). The rest is the fabric and the store. Measured: 25.0
+//! through Rocpanda (30.8 when intake framed the records for the file, a
+//! record list and a name per record; 84 when the client built a
 //! `DataBlock` per pane and the framer formatted the prefix, 250 when its
 //! server decoded and re-encoded, 126 when every map it kept held its own
 //! copy of the file's key, 122 when each header had a pooled `Vec` of its
-//! own and the meta a map), 29.0 through T-Rochdf (82 with a `DataBlock`
-//! per pane, 117 with per-record headers). The counts repeat exactly from
-//! run to run, in either profile and under the lock witness.
+//! own and the meta a map), 24.4 through T-Rochdf (29.0 framing, 82 with a
+//! `DataBlock` per pane, 117 with per-record headers). The counts repeat
+//! exactly from run to run, in either profile and under the lock witness.
 //!
 //! On the way back a byte is allocated once too: records are windows of
 //! the file image all the way to `roccom::convert::apply_block`, which
@@ -245,12 +250,12 @@ fn a_snapshot_byte_is_copied_once_per_hop() {
     let per_block = |calls: u64| calls as f64 / n_panes as f64;
     let (panda_calls, trochdf_calls) = (per_block(panda_calls), per_block(trochdf_calls));
     assert!(
-        panda_calls <= 35.0,
-        "Rocpanda made {panda_calls:.1} allocator calls per block (budget 35)"
+        panda_calls <= 28.0,
+        "Rocpanda made {panda_calls:.1} allocator calls per block (budget 28)"
     );
     assert!(
-        trochdf_calls <= 33.0,
-        "T-Rochdf made {trochdf_calls:.1} allocator calls per block (budget 33)"
+        trochdf_calls <= 28.0,
+        "T-Rochdf made {trochdf_calls:.1} allocator calls per block (budget 28)"
     );
     println!(
         "call budget, write: rocpanda {panda_calls:.1}, t-rochdf {trochdf_calls:.1} per block"
