@@ -103,39 +103,37 @@ impl BurnModule {
         let window = ws.window_mut(BURN_WINDOW)?;
         let mut cells_total = 0usize;
         for pane in window.panes_mut() {
-            let ignited_now = {
-                let ignited = pane.data_mut("ignited")?.as_f64_mut()?;
-                if ignited[0] == 0.0 && chamber_pressure >= self.ignition_pressure {
-                    ignited[0] = 1.0;
-                }
-                ignited[0] > 0.0
-            };
-            let n_cells = pane.mesh.n_elems();
+            let (mesh, [ignited, rate_field, reg_field, burn_rate, regression]) =
+                pane.split_mut([
+                    "ignited",
+                    "rate_field",
+                    "regression_field",
+                    "burn_rate",
+                    "regression",
+                ])?;
+            let ignited = ignited.as_f64_mut()?;
+            if ignited[0] == 0.0 && chamber_pressure >= self.ignition_pressure {
+                ignited[0] = 1.0;
+            }
+            let ignited_now = ignited[0] > 0.0;
+            let n_cells = mesh.n_elems();
             cells_total += n_cells;
             let mut mean_rate = 0.0;
-            {
-                let rate_field = pane.data_mut("rate_field")?.as_f64_mut()?;
-                for (c, r) in rate_field.iter_mut().enumerate() {
-                    *r = if ignited_now {
-                        // Local pressure perturbation across the surface.
-                        let local_p = chamber_pressure * (1.0 + 0.05 * ((c as f64) * 0.7).sin());
-                        self.law.rate(local_p)
-                    } else {
-                        0.0
-                    };
-                    mean_rate += *r;
-                }
+            let reg_field = reg_field.as_f64_mut()?;
+            for (c, r) in rate_field.as_f64_mut()?.iter_mut().enumerate() {
+                *r = if ignited_now {
+                    // Local pressure perturbation across the surface.
+                    let local_p = chamber_pressure * (1.0 + 0.05 * ((c as f64) * 0.7).sin());
+                    self.law.rate(local_p)
+                } else {
+                    0.0
+                };
+                mean_rate += *r;
+                reg_field[c] += *r * dt;
             }
             mean_rate /= n_cells.max(1) as f64;
-            {
-                let rate_copy = pane.data("rate_field")?.as_f64()?.to_vec();
-                let reg_field = pane.data_mut("regression_field")?.as_f64_mut()?;
-                for (x, r) in reg_field.iter_mut().zip(&rate_copy) {
-                    *x += r * dt;
-                }
-            }
-            pane.data_mut("burn_rate")?.as_f64_mut()?[0] = mean_rate;
-            pane.data_mut("regression")?.as_f64_mut()?[0] += mean_rate * dt;
+            burn_rate.as_f64_mut()?[0] = mean_rate;
+            regression.as_f64_mut()?[0] += mean_rate * dt;
         }
         Ok(cells_total as f64 * self.work_per_pane)
     }

@@ -62,7 +62,10 @@ impl FluidModule {
         let window = ws.window_mut(FLUID_WINDOW)?;
         let mut cells_total = 0usize;
         for pane in window.panes_mut() {
-            let (dims, spacing) = match &pane.mesh {
+            let id = pane.id;
+            let (mesh, [rho, t, p, e, mach, visc, vel]) =
+                pane.split_mut(["rho", "T", "p", "E", "mach", "visc", "vel"])?;
+            let (dims, spacing) = match mesh {
                 PaneMesh::Structured { dims, spacing, .. } => (*dims, *spacing),
                 PaneMesh::Unstructured { .. } => continue,
             };
@@ -71,83 +74,59 @@ impl FluidModule {
             cells_total += n;
             let cfl = (self.advect * dt / spacing[0]).min(0.9);
             let inflow_target = inflow
-                .get(&pane.id)
+                .get(&id)
                 .copied()
                 .unwrap_or_else(|| (chamber_pressure / (self.r_gas * 300.0)).max(0.1));
 
             // Upwind advection of density along i (the bore axis).
-            {
-                let rho = pane.data_mut("rho")?.as_f64_mut()?;
-                for k in 0..nk {
-                    for j in 0..nj {
-                        let row = (k * nj + j) * ni;
-                        for i in (1..ni).rev() {
-                            rho[row + i] -= cfl * (rho[row + i] - rho[row + i - 1]);
-                        }
-                        // Inflow boundary: upstream block's outlet when
-                        // coupled, chamber density otherwise.
-                        rho[row] += 0.05 * (inflow_target - rho[row]);
+            let rho = rho.as_f64_mut()?;
+            for k in 0..nk {
+                for j in 0..nj {
+                    let row = (k * nj + j) * ni;
+                    for i in (1..ni).rev() {
+                        rho[row + i] -= cfl * (rho[row + i] - rho[row + i - 1]);
                     }
+                    // Inflow boundary: upstream block's outlet when
+                    // coupled, chamber density otherwise.
+                    rho[row] += 0.05 * (inflow_target - rho[row]);
                 }
             }
             // Temperature: weak diffusion toward the mean (cheap smoother).
-            let t_mean = {
-                let t = pane.data("T")?.as_f64()?;
-                t.iter().sum::<f64>() / n as f64
-            };
-            {
-                let t = pane.data_mut("T")?.as_f64_mut()?;
-                for x in t.iter_mut() {
-                    *x += 0.01 * (t_mean - *x) + 0.02 * dt * 1000.0;
-                }
+            let t = t.as_f64_mut()?;
+            let t_mean = t.iter().sum::<f64>() / n as f64;
+            for x in t.iter_mut() {
+                *x += 0.01 * (t_mean - *x) + 0.02 * dt * 1000.0;
             }
             // EOS-consistent pressure and energy, then diagnostics.
-            let rho_copy = pane.data("rho")?.as_f64()?.to_vec();
-            let t_copy = pane.data("T")?.as_f64()?.to_vec();
-            {
-                let p = pane.data_mut("p")?.as_f64_mut()?;
-                for (c, x) in p.iter_mut().enumerate() {
-                    *x = rho_copy[c] * self.r_gas * t_copy[c];
-                }
+            let p = p.as_f64_mut()?;
+            for (c, x) in p.iter_mut().enumerate() {
+                *x = rho[c] * self.r_gas * t[c];
             }
-            let p_copy = pane.data("p")?.as_f64()?.to_vec();
-            {
-                let e = pane.data_mut("E")?.as_f64_mut()?;
-                for (c, x) in e.iter_mut().enumerate() {
-                    *x = p_copy[c] / (self.gamma - 1.0);
-                }
+            for (c, x) in e.as_f64_mut()?.iter_mut().enumerate() {
+                *x = p[c] / (self.gamma - 1.0);
             }
-            {
-                let mach = pane.data_mut("mach")?.as_f64_mut()?;
-                for (c, m) in mach.iter_mut().enumerate() {
-                    let a = (self.gamma * self.r_gas * t_copy[c]).sqrt();
-                    *m = self.advect / a;
-                }
+            for (c, m) in mach.as_f64_mut()?.iter_mut().enumerate() {
+                let a = (self.gamma * self.r_gas * t[c]).sqrt();
+                *m = self.advect / a;
             }
-            {
-                let visc = pane.data_mut("visc")?.as_f64_mut()?;
-                for (c, v) in visc.iter_mut().enumerate() {
-                    // Sutherland-ish temperature dependence.
-                    *v = 1.716e-5 * (t_copy[c] / 273.15).powf(1.5);
-                }
+            for (c, v) in visc.as_f64_mut()?.iter_mut().enumerate() {
+                // Sutherland-ish temperature dependence.
+                *v = 1.716e-5 * (t[c] / 273.15).powf(1.5);
             }
             // Nodes accelerate along +x with the axial pressure drop.
-            {
-                let vel = pane.data_mut("vel")?.as_f64_mut()?;
-                let dpdx = (p_copy[ni - 1] - p_copy[0]) / (ni as f64 * spacing[0]);
-                for v in vel.chunks_exact_mut(3) {
-                    v[0] -= dt * dpdx / 1.2;
-                }
+            let dpdx = (p[ni - 1] - p[0]) / (ni as f64 * spacing[0]);
+            for v in vel.as_f64_mut()?.chunks_exact_mut(3) {
+                v[0] -= dt * dpdx / 1.2;
             }
         }
         Ok(cells_total as f64 * self.work_per_cell)
     }
 
     /// Mean outlet (high-x layer) density of every local pane — what a
-    /// downstream block's inlet should see.
-    pub fn outlet_means(&self, ws: &Windows) -> Result<Vec<(BlockId, f64)>> {
+    /// downstream block's inlet should see — in place of what `out` held.
+    pub fn outlet_means(&self, ws: &Windows, out: &mut Vec<(BlockId, f64)>) -> Result<()> {
         let window = ws.window(FLUID_WINDOW)?;
-        let mut out = Vec::new();
+        out.clear();
         for pane in window.panes() {
             let dims = match &pane.mesh {
                 PaneMesh::Structured { dims, .. } => *dims,
@@ -163,7 +142,7 @@ impl FluidModule {
             }
             out.push((pane.id, sum / (nj * nk) as f64));
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Local contribution to the chamber pressure: (sum of cell pressures,
@@ -285,7 +264,8 @@ mod tests {
     fn outlet_means_are_physical() {
         let ws = world();
         let m = FluidModule::default();
-        let outs = m.outlet_means(&ws).unwrap();
+        let mut outs = Vec::new();
+        m.outlet_means(&ws, &mut outs).unwrap();
         assert_eq!(outs.len(), ws.window(FLUID_WINDOW).unwrap().n_panes());
         for (_, rho) in &outs {
             assert!(*rho > 1.0 && *rho < 1.4);

@@ -24,15 +24,15 @@ pub fn register(reg: &mut FunctionRegistry<'_>) -> Result<()> {
         "rocface.pressure_moments",
         Box::new(|ws, args| {
             let name = match args.first() {
-                Some(v) => v.as_str()?.to_string(),
-                None => FLUID_WINDOW.to_string(),
+                Some(v) => v.as_str()?,
+                None => FLUID_WINDOW,
             };
-            let w = ws.window(&name)?;
+            let w = ws.window(name)?;
             // Per-pane moments, flattened [id, sum, count]* — pane-level
             // granularity keeps the global reduction's summation order
             // independent of the block distribution (bit-reproducible
             // results on any processor count).
-            let mut out = Vec::new();
+            let mut out = Vec::with_capacity(3 * w.n_panes());
             for pane in w.panes() {
                 let p = pane.data("p")?.as_f64()?;
                 out.push(pane.id.0 as f64);
@@ -61,21 +61,24 @@ pub fn register(reg: &mut FunctionRegistry<'_>) -> Result<()> {
 }
 
 /// Local half of the chamber-pressure reduction: per-pane
-/// `(id, sum, count)` triples for this rank's fluid panes.
+/// `(id, sum, count)` triples for this rank's fluid panes, in place of
+/// what `out` held.
 pub fn local_pane_moments(
     reg: &mut FunctionRegistry<'_>,
     ws: &mut Windows,
     window: &str,
-) -> Result<Vec<(u64, f64, f64)>> {
+    out: &mut Vec<(u64, f64, f64)>,
+) -> Result<()> {
     match reg.call(
         "rocface.pressure_moments",
         ws,
         &[ComValue::Str(window.to_string())],
     )? {
-        ComValue::Floats(v) if v.len() % 3 == 0 => Ok(v
-            .chunks_exact(3)
-            .map(|c| (c[0] as u64, c[1], c[2]))
-            .collect()),
+        ComValue::Floats(v) if v.len() % 3 == 0 => {
+            out.clear();
+            out.extend(v.chunks_exact(3).map(|c| (c[0] as u64, c[1], c[2])));
+            Ok(())
+        }
         other => Err(rocio_core::RocError::Mismatch(format!(
             "rocface.pressure_moments returned {other:?}"
         ))),
@@ -88,7 +91,8 @@ pub fn local_pressure_moments(
     reg: &mut FunctionRegistry<'_>,
     ws: &mut Windows,
 ) -> Result<(f64, f64)> {
-    let triples = local_pane_moments(reg, ws, FLUID_WINDOW)?;
+    let mut triples = Vec::new();
+    local_pane_moments(reg, ws, FLUID_WINDOW, &mut triples)?;
     Ok(triples
         .iter()
         .fold((0.0, 0.0), |(s, c), &(_, ps, pc)| (s + ps, c + pc)))

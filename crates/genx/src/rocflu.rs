@@ -13,7 +13,7 @@ use roccom::{PaneMesh, Windows};
 use crate::setup::FLU_WINDOW;
 
 /// Solver parameters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct RocfluModule {
     /// Specific gas constant (J/kg/K).
     pub r_gas: f64,
@@ -23,6 +23,10 @@ pub struct RocfluModule {
     pub relax: f64,
     /// Modelled compute cost per node-step, in work units.
     pub work_per_node: f64,
+    /// Per-node scratch (upstream sums and counts), kept across panes and
+    /// steps: cleared, never shrunk, so a warm step allocates nothing.
+    upstream_sum: Vec<f64>,
+    upstream_cnt: Vec<u32>,
 }
 
 impl Default for RocfluModule {
@@ -32,6 +36,8 @@ impl Default for RocfluModule {
             advect: 60.0,
             relax: 0.15,
             work_per_node: 9.0e-5,
+            upstream_sum: Vec::new(),
+            upstream_cnt: Vec::new(),
         }
     }
 }
@@ -39,22 +45,26 @@ impl Default for RocfluModule {
 impl RocfluModule {
     /// Advance all local unstructured-fluid panes by `dt`. Returns work
     /// units spent.
-    pub fn step(&self, ws: &mut Windows, dt: f64, chamber_pressure: f64) -> Result<f64> {
+    pub fn step(&mut self, ws: &mut Windows, dt: f64, chamber_pressure: f64) -> Result<f64> {
         let window = ws.window_mut(FLU_WINDOW)?;
         let mut nodes_total = 0usize;
+        let (upstream_sum, upstream_cnt) = (&mut self.upstream_sum, &mut self.upstream_cnt);
         for pane in window.panes_mut() {
-            let (coords, conn) = match &pane.mesh {
-                PaneMesh::Unstructured { coords, conn } => (coords.clone(), conn.clone()),
-                PaneMesh::Structured { .. } => continue,
+            let (mesh, [rho, t_field, p, vel]) = pane.split_mut(["rho", "T", "p", "vel"])?;
+            let PaneMesh::Unstructured { coords, conn } = mesh else {
+                continue;
             };
             let n_nodes = coords.len() / 3;
             nodes_total += n_nodes;
 
             // Upwind along +x over tet edges: each node relaxes toward the
-            // average of its upstream (smaller-x) neighbours.
-            let rho_old = pane.data("rho")?.as_f64()?.to_vec();
-            let mut upstream_sum = vec![0.0f64; n_nodes];
-            let mut upstream_cnt = vec![0u32; n_nodes];
+            // average of its upstream (smaller-x) neighbours. The sums are
+            // complete before any density is written.
+            let rho = rho.as_f64_mut()?;
+            upstream_sum.clear();
+            upstream_sum.resize(n_nodes, 0.0);
+            upstream_cnt.clear();
+            upstream_cnt.resize(n_nodes, 0);
             for tet in conn.chunks_exact(4) {
                 for a in 0..4 {
                     for b in 0..4 {
@@ -63,7 +73,7 @@ impl RocfluModule {
                         }
                         let (i, j) = (tet[a] as usize, tet[b] as usize);
                         if coords[j * 3] < coords[i * 3] {
-                            upstream_sum[i] += rho_old[j];
+                            upstream_sum[i] += rho[j];
                             upstream_cnt[i] += 1;
                         }
                     }
@@ -71,38 +81,25 @@ impl RocfluModule {
             }
             let cfl = (self.advect * dt * 50.0).min(1.0) * self.relax;
             let inflow_rho = (chamber_pressure / (self.r_gas * 300.0)).max(0.1);
-            {
-                let rho = pane.data_mut("rho")?.as_f64_mut()?;
-                for i in 0..n_nodes {
-                    if upstream_cnt[i] > 0 {
-                        let upstream = upstream_sum[i] / upstream_cnt[i] as f64;
-                        rho[i] += cfl * (upstream - rho[i]);
-                    } else {
-                        // Inflow boundary (no upstream nodes).
-                        rho[i] += 0.05 * (inflow_rho - rho[i]);
-                    }
+            for i in 0..n_nodes {
+                if upstream_cnt[i] > 0 {
+                    let upstream = upstream_sum[i] / upstream_cnt[i] as f64;
+                    rho[i] += cfl * (upstream - rho[i]);
+                } else {
+                    // Inflow boundary (no upstream nodes).
+                    rho[i] += 0.05 * (inflow_rho - rho[i]);
                 }
             }
             // Temperature creep + EOS, as in Rocflo.
-            {
-                let t_field = pane.data_mut("T")?.as_f64_mut()?;
-                for t in t_field.iter_mut() {
-                    *t += 0.02 * dt * 1000.0;
-                }
+            let t_field = t_field.as_f64_mut()?;
+            for t in t_field.iter_mut() {
+                *t += 0.02 * dt * 1000.0;
             }
-            let rho_now = pane.data("rho")?.as_f64()?.to_vec();
-            let t_now = pane.data("T")?.as_f64()?.to_vec();
-            {
-                let p = pane.data_mut("p")?.as_f64_mut()?;
-                for (c, x) in p.iter_mut().enumerate() {
-                    *x = rho_now[c] * self.r_gas * t_now[c];
-                }
+            for (c, x) in p.as_f64_mut()?.iter_mut().enumerate() {
+                *x = rho[c] * self.r_gas * t_field[c];
             }
-            {
-                let vel = pane.data_mut("vel")?.as_f64_mut()?;
-                for v in vel.chunks_exact_mut(3) {
-                    v[0] += dt * 0.5;
-                }
+            for v in vel.as_f64_mut()?.chunks_exact_mut(3) {
+                v[0] += dt * 0.5;
             }
         }
         Ok(nodes_total as f64 * self.work_per_node)
@@ -140,7 +137,7 @@ mod tests {
     #[test]
     fn steps_unstructured_fluid_panes() {
         let mut ws = world();
-        let m = RocfluModule::default();
+        let mut m = RocfluModule::default();
         let work = m.step(&mut ws, 1e-4, 101_325.0).unwrap();
         assert!(work > 0.0);
         let nodes: usize = ws
@@ -155,7 +152,7 @@ mod tests {
     #[test]
     fn density_advects_downstream() {
         let mut ws = world();
-        let m = RocfluModule::default();
+        let mut m = RocfluModule::default();
         // Raise chamber pressure: inflow density rises and must propagate.
         let before: f64 = ws
             .window(FLU_WINDOW)

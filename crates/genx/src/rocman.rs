@@ -7,7 +7,9 @@
 //! schedule, and it keeps the two clocks the paper's tables report:
 //! computation time and visible I/O time.
 
-use rocio_core::{Result, SimTime, SnapshotId};
+use std::collections::HashMap;
+
+use rocio_core::{BlockId, Bytes, Result, SimTime, SnapshotId};
 use rocnet::Comm;
 use roccom::{AttrRef, AttrSelector, FunctionRegistry, IoDispatch, Windows};
 
@@ -48,8 +50,22 @@ pub struct Rocman<'c, 'io> {
     pub rebalance_every: Option<u64>,
     /// Upstream block of each downstream block (x-adjacency), for
     /// cross-block inflow coupling. Empty = uncoupled.
-    pub adjacency: std::collections::HashMap<rocio_core::BlockId, rocio_core::BlockId>,
+    pub adjacency: HashMap<BlockId, BlockId>,
     chamber_pressure: f64,
+    /// What a timestep exchanges, kept across steps and cleared, never
+    /// rebuilt, so a warm step allocates nothing for them: the outlet
+    /// density of this rank's fluid panes and of everyone's, the inlet
+    /// target of each coupled one, this rank's per-pane pressure moments
+    /// and everyone's, and the bytes either allgather sends and receives.
+    outlets: Vec<(BlockId, f64)>,
+    outlet_of: HashMap<BlockId, f64>,
+    inflow: HashMap<BlockId, f64>,
+    moments: Vec<(u64, f64, f64)>,
+    global_moments: Vec<(u64, f64, f64)>,
+    wire: Vec<u8>,
+    gathered: Vec<Bytes>,
+    /// The halo every step sends both neighbours: one zero buffer, shared.
+    halo: Bytes,
     comp_time: SimTime,
     io_time: SimTime,
     step_count: u64,
@@ -81,8 +97,16 @@ impl<'c, 'io> Rocman<'c, 'io> {
             dt: 1e-4,
             keep_snapshots: None,
             rebalance_every: None,
-            adjacency: std::collections::HashMap::new(),
+            adjacency: HashMap::new(),
             chamber_pressure: 101_325.0,
+            outlets: Vec::new(),
+            outlet_of: HashMap::new(),
+            inflow: HashMap::new(),
+            moments: Vec::new(),
+            global_moments: Vec::new(),
+            wire: Vec::new(),
+            gathered: Vec::new(),
+            halo: Bytes::from(vec![0u8; HALO_BYTES]),
             comp_time: 0.0,
             io_time: 0.0,
             step_count: 0,
@@ -141,39 +165,39 @@ impl<'c, 'io> Rocman<'c, 'io> {
         // Cross-block inflow exchange (Rocflo only): every rank shares its
         // panes' outlet densities; each pane with an upstream neighbour
         // relaxes its inlet toward that neighbour's outlet.
-        let inflow = if self.fluid_kind == FluidKind::Rocflo && !self.adjacency.is_empty() {
-            let outs = self.fluid.outlet_means(&self.windows)?;
-            let mut bytes = Vec::with_capacity(outs.len() * 16);
-            for (id, rho) in &outs {
-                bytes.extend_from_slice(&id.0.to_le_bytes());
-                bytes.extend_from_slice(&rho.to_le_bytes());
+        self.inflow.clear();
+        if self.fluid_kind == FluidKind::Rocflo && !self.adjacency.is_empty() {
+            self.fluid.outlet_means(&self.windows, &mut self.outlets)?;
+            self.wire.clear();
+            for (id, rho) in &self.outlets {
+                self.wire.extend_from_slice(&id.0.to_le_bytes());
+                self.wire.extend_from_slice(&rho.to_le_bytes());
             }
-            let all = self.comm.allgather(&bytes)?;
-            let mut outlet_of = std::collections::HashMap::new();
-            for part in &all {
+            self.comm.allgather_into(&self.wire, &mut self.gathered)?;
+            self.outlet_of.clear();
+            self.outlet_of
+                .reserve(self.gathered.iter().map(|part| part.len() / 16).sum());
+            for part in &self.gathered {
                 for chunk in part.chunks_exact(16) {
                     let id = rocio_core::le::u64(&chunk[..8], "outlet id")?;
                     let rho = rocio_core::le::f64(&chunk[8..], "outlet density")?;
-                    outlet_of.insert(rocio_core::BlockId(id), rho);
+                    self.outlet_of.insert(BlockId(id), rho);
                 }
             }
-            let mut inflow = std::collections::HashMap::new();
+            self.inflow.reserve(self.adjacency.len());
             for (down, up) in &self.adjacency {
-                if let Some(&rho) = outlet_of.get(up) {
-                    inflow.insert(*down, rho);
+                if let Some(&rho) = self.outlet_of.get(up) {
+                    self.inflow.insert(*down, rho);
                 }
             }
-            inflow
-        } else {
-            std::collections::HashMap::new()
-        };
+        }
         let mut work = 0.0;
         work += match self.fluid_kind {
             FluidKind::Rocflo => self.fluid.step_coupled(
                 &mut self.windows,
                 self.dt,
                 self.chamber_pressure,
-                &inflow,
+                &self.inflow,
             )?,
             FluidKind::Rocflu => {
                 self.rocflu.step(&mut self.windows, self.dt, self.chamber_pressure)?
@@ -194,30 +218,34 @@ impl<'c, 'io> Rocman<'c, 'io> {
         // moments are gathered and folded in pane-id order, so the global
         // mean is bit-identical on any block distribution (the
         // reproducible-reduction discipline production codes use).
-        let triples = rocface::local_pane_moments(
+        rocface::local_pane_moments(
             &mut self.registry,
             &mut self.windows,
             self.fluid_kind.window(),
+            &mut self.moments,
         )?;
-        let mut bytes = Vec::with_capacity(triples.len() * 24);
-        for (id, sum, count) in &triples {
-            bytes.extend_from_slice(&id.to_le_bytes());
-            bytes.extend_from_slice(&sum.to_le_bytes());
-            bytes.extend_from_slice(&count.to_le_bytes());
+        self.wire.clear();
+        for (id, sum, count) in &self.moments {
+            self.wire.extend_from_slice(&id.to_le_bytes());
+            self.wire.extend_from_slice(&sum.to_le_bytes());
+            self.wire.extend_from_slice(&count.to_le_bytes());
         }
-        let all = self.comm.allgather(&bytes)?;
-        let mut global: Vec<(u64, f64, f64)> = Vec::new();
-        for part in &all {
+        self.comm.allgather_into(&self.wire, &mut self.gathered)?;
+        self.global_moments.clear();
+        self.global_moments
+            .reserve(self.gathered.iter().map(|part| part.len() / 24).sum());
+        for part in &self.gathered {
             for c in part.chunks_exact(24) {
-                global.push((
+                self.global_moments.push((
                     rocio_core::le::u64(&c[..8], "reduction id")?,
                     rocio_core::le::f64(&c[8..16], "reduction sum")?,
                     rocio_core::le::f64(&c[16..24], "reduction count")?,
                 ));
             }
         }
-        global.sort_unstable_by_key(|&(id, _, _)| id);
-        let (gs, gc) = global
+        self.global_moments.sort_unstable_by_key(|&(id, _, _)| id);
+        let (gs, gc) = self
+            .global_moments
             .iter()
             .fold((0.0, 0.0), |(s, c), &(_, ps, pc)| (s + ps, c + pc));
         if gc > 0.0 {
@@ -236,7 +264,8 @@ impl<'c, 'io> Rocman<'c, 'io> {
     }
 
     /// Ring halo exchange with both neighbours (eager sends, then
-    /// receives — deadlock-free on the eager fabric).
+    /// receives — deadlock-free on the eager fabric). Both sends are
+    /// refcounts of the one zero halo.
     fn halo_exchange(&mut self) -> Result<()> {
         let n = self.comm.size();
         if n <= 1 {
@@ -245,9 +274,8 @@ impl<'c, 'io> Rocman<'c, 'io> {
         let me = self.comm.rank();
         let next = (me + 1) % n;
         let prev = (me + n - 1) % n;
-        let halo = vec![0u8; HALO_BYTES];
-        self.comm.send(next, HALO_TAG, &halo)?;
-        self.comm.send(prev, HALO_TAG, &halo)?;
+        self.comm.send_bytes(next, HALO_TAG, self.halo.clone())?;
+        self.comm.send_bytes(prev, HALO_TAG, self.halo.clone())?;
         self.comm.recv(Some(prev), Some(HALO_TAG))?;
         self.comm.recv(Some(next), Some(HALO_TAG))?;
         Ok(())

@@ -14,7 +14,7 @@ use roccom::{PaneMesh, Windows};
 use crate::setup::SOLID_WINDOW;
 
 /// Solver parameters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct RocsolidModule {
     /// Jacobi sweeps per timestep (the implicit solve).
     pub sweeps: usize,
@@ -22,6 +22,11 @@ pub struct RocsolidModule {
     pub traction_per_pa: f64,
     /// Modelled compute cost per element-sweep, in work units.
     pub work_per_elem_sweep: f64,
+    /// Per-node scratch of a sweep (neighbour sums and counts), kept
+    /// across panes and steps: cleared, never shrunk, so a warm step
+    /// allocates nothing.
+    sum: Vec<f64>,
+    cnt: Vec<f64>,
 }
 
 impl Default for RocsolidModule {
@@ -30,6 +35,8 @@ impl Default for RocsolidModule {
             sweeps: 4,
             traction_per_pa: 2.0e-12,
             work_per_elem_sweep: 2.5e-5,
+            sum: Vec::new(),
+            cnt: Vec::new(),
         }
     }
 }
@@ -37,25 +44,30 @@ impl Default for RocsolidModule {
 impl RocsolidModule {
     /// Advance all local solid panes by `dt`. Returns work units spent
     /// (per element per sweep).
-    pub fn step(&self, ws: &mut Windows, dt: f64, chamber_pressure: f64) -> Result<f64> {
+    pub fn step(&mut self, ws: &mut Windows, dt: f64, chamber_pressure: f64) -> Result<f64> {
         let window = ws.window_mut(SOLID_WINDOW)?;
         let mut elem_sweeps = 0usize;
+        let (sum, cnt) = (&mut self.sum, &mut self.cnt);
         for pane in window.panes_mut() {
-            let conn = match &pane.mesh {
-                PaneMesh::Unstructured { conn, .. } => conn.clone(),
-                PaneMesh::Structured { .. } => continue,
+            let (mesh, [disp, vel, vm, temp]) =
+                pane.split_mut(["disp", "vel", "vonmises", "temp"])?;
+            let PaneMesh::Unstructured { conn, .. } = mesh else {
+                continue;
             };
-            let n_nodes = pane.mesh.n_nodes();
+            let n_nodes = mesh.n_nodes();
             let n_elems = conn.len() / 4;
             elem_sweeps += n_elems * self.sweeps;
 
             // Implicit step as damped Jacobi relaxation toward neighbour
             // equilibrium plus the pressure traction as a boundary load.
+            // A sweep's sums read the displacements before it writes any.
             let traction_dy = chamber_pressure * self.traction_per_pa * dt * 1e9;
+            let disp = disp.as_f64_mut()?;
             for _ in 0..self.sweeps {
-                let disp = pane.data("disp")?.as_f64()?.to_vec();
-                let mut sum = vec![0.0f64; n_nodes * 3];
-                let mut cnt = vec![0.0f64; n_nodes];
+                sum.clear();
+                sum.resize(n_nodes * 3, 0.0);
+                cnt.clear();
+                cnt.resize(n_nodes, 0.0);
                 for tet in conn.chunks_exact(4) {
                     for a in 0..4 {
                         for b in 0..4 {
@@ -70,39 +82,28 @@ impl RocsolidModule {
                         }
                     }
                 }
-                let out = pane.data_mut("disp")?.as_f64_mut()?;
                 for i in 0..n_nodes {
                     if cnt[i] > 0.0 {
                         for d in 0..3 {
                             let avg = sum[i * 3 + d] / cnt[i];
                             // Damped relaxation toward neighbours, plus the
                             // traction pushing +y.
-                            out[i * 3 + d] += 0.5 * (avg - out[i * 3 + d]);
+                            disp[i * 3 + d] += 0.5 * (avg - disp[i * 3 + d]);
                         }
                     }
-                    out[i * 3 + 1] += traction_dy / self.sweeps as f64;
+                    disp[i * 3 + 1] += traction_dy / self.sweeps as f64;
                 }
             }
             // Velocity as displacement rate (diagnostic), temperature creep.
-            let disp_now = pane.data("disp")?.as_f64()?.to_vec();
-            {
-                let vel = pane.data_mut("vel")?.as_f64_mut()?;
-                for (v, &x) in vel.iter_mut().zip(&disp_now) {
-                    *v = x / dt.max(1e-12) * 1e-3;
-                }
+            for (v, &x) in vel.as_f64_mut()?.iter_mut().zip(disp.iter()) {
+                *v = x / dt.max(1e-12) * 1e-3;
             }
-            {
-                let vm = pane.data_mut("vonmises")?.as_f64_mut()?;
-                for (i, x) in vm.iter_mut().enumerate() {
-                    let d = &disp_now[i * 3..i * 3 + 3];
-                    *x = 2.0e4 * (d[0].abs() + d[1].abs() + d[2].abs());
-                }
+            for (i, x) in vm.as_f64_mut()?.iter_mut().enumerate() {
+                let d = &disp[i * 3..i * 3 + 3];
+                *x = 2.0e4 * (d[0].abs() + d[1].abs() + d[2].abs());
             }
-            {
-                let temp = pane.data_mut("temp")?.as_f64_mut()?;
-                for t in temp.iter_mut() {
-                    *t += dt * 0.5;
-                }
+            for t in temp.as_f64_mut()?.iter_mut() {
+                *t += dt * 0.5;
             }
         }
         Ok(elem_sweeps as f64 * self.work_per_elem_sweep)
@@ -128,8 +129,8 @@ mod tests {
     fn implicit_step_costs_more_per_step_than_explicit() {
         let mut ws_a = world();
         let mut ws_b = world();
-        let implicit = RocsolidModule::default();
-        let explicit = crate::solid::SolidModule::default();
+        let mut implicit = RocsolidModule::default();
+        let mut explicit = crate::solid::SolidModule::default();
         let wi = implicit.step(&mut ws_a, 1e-4, 0.0).unwrap();
         let we = explicit.step(&mut ws_b, 1e-4, 0.0).unwrap();
         assert!(wi > we, "implicit {wi} must out-cost explicit {we}");
@@ -138,7 +139,7 @@ mod tests {
     #[test]
     fn traction_displaces_and_smoothing_spreads() {
         let mut ws = world();
-        let m = RocsolidModule::default();
+        let mut m = RocsolidModule::default();
         for _ in 0..5 {
             m.step(&mut ws, 1e-3, 300_000.0).unwrap();
         }
@@ -155,7 +156,7 @@ mod tests {
     #[test]
     fn zero_load_stays_at_rest() {
         let mut ws = world();
-        let m = RocsolidModule::default();
+        let mut m = RocsolidModule::default();
         for _ in 0..10 {
             m.step(&mut ws, 1e-3, 0.0).unwrap();
         }

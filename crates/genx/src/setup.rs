@@ -204,7 +204,7 @@ pub fn register_and_init_for(
 /// Set a node field of an unstructured pane from each node's axial
 /// position, read from the pane's own coordinates.
 fn init_from_x(pane: &mut Pane, attr: &str, value: impl Fn(f64) -> f64) -> Result<()> {
-    let (mesh, buf) = pane.mesh_and_data_mut(attr)?;
+    let (mesh, [buf]) = pane.split_mut([attr])?;
     let PaneMesh::Unstructured { coords, .. } = mesh else {
         return Err(RocError::InvalidState(format!("pane {} is not unstructured", pane.id)));
     };

@@ -13,7 +13,7 @@ use roccom::{PaneMesh, Windows};
 use crate::setup::SOLID_WINDOW;
 
 /// Material and scheme parameters.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct SolidModule {
     /// Stiffness of the neighbour-coupling surrogate (1/s^2 scale).
     pub stiffness: f64,
@@ -23,6 +23,10 @@ pub struct SolidModule {
     pub traction_per_pa: f64,
     /// Modelled compute cost per element-step, in work units.
     pub work_per_elem: f64,
+    /// Per-node scratch (forces, valences), kept across panes and steps:
+    /// cleared, never shrunk, so a warm step allocates nothing.
+    force: Vec<f64>,
+    valence: Vec<f64>,
 }
 
 impl Default for SolidModule {
@@ -32,86 +36,79 @@ impl Default for SolidModule {
             damping: 15.0,
             traction_per_pa: 2.0e-12,
             work_per_elem: 6.2e-5,
+            force: Vec::new(),
+            valence: Vec::new(),
         }
     }
 }
 
 impl SolidModule {
     /// Advance all local solid panes by `dt`. Returns work units spent.
-    pub fn step(&self, ws: &mut Windows, dt: f64, chamber_pressure: f64) -> Result<f64> {
+    pub fn step(&mut self, ws: &mut Windows, dt: f64, chamber_pressure: f64) -> Result<f64> {
         let window = ws.window_mut(SOLID_WINDOW)?;
         let mut elems_total = 0usize;
-        // Per-node scratch, sized per pane and reused across panes.
-        let (mut force, mut valence) = (Vec::<f64>::new(), Vec::<f64>::new());
+        let (force, valence) = (&mut self.force, &mut self.valence);
         for pane in window.panes_mut() {
-            let PaneMesh::Unstructured { conn, .. } = &pane.mesh else { continue };
-            let n_nodes = pane.mesh.n_nodes();
+            let (mesh, [disp, vel, vm, dmg, temp]) =
+                pane.split_mut(["disp", "vel", "vonmises", "damage", "temp"])?;
+            let PaneMesh::Unstructured { conn, .. } = mesh else {
+                continue;
+            };
+            let n_nodes = mesh.n_nodes();
             elems_total += conn.len() / 4;
 
             // Assemble surrogate forces: for each tet edge (i,j), force on
             // i toward j's displacement.
-            let disp = pane.data("disp")?.as_f64()?;
-            force.clear();
-            force.resize(n_nodes * 3, 0.0);
-            valence.clear();
-            valence.resize(n_nodes, 0.0);
-            for tet in conn.chunks_exact(4) {
-                for a in 0..4 {
-                    for b in (a + 1)..4 {
-                        let (i, j) = (tet[a] as usize, tet[b] as usize);
-                        for d in 0..3 {
-                            let f = self.stiffness * (disp[j * 3 + d] - disp[i * 3 + d]);
-                            force[i * 3 + d] += f;
-                            force[j * 3 + d] -= f;
+            {
+                let disp = disp.as_f64()?;
+                force.clear();
+                force.resize(n_nodes * 3, 0.0);
+                valence.clear();
+                valence.resize(n_nodes, 0.0);
+                for tet in conn.chunks_exact(4) {
+                    for a in 0..4 {
+                        for b in (a + 1)..4 {
+                            let (i, j) = (tet[a] as usize, tet[b] as usize);
+                            for d in 0..3 {
+                                let f = self.stiffness * (disp[j * 3 + d] - disp[i * 3 + d]);
+                                force[i * 3 + d] += f;
+                                force[j * 3 + d] -= f;
+                            }
+                            valence[i] += 1.0;
+                            valence[j] += 1.0;
                         }
-                        valence[i] += 1.0;
-                        valence[j] += 1.0;
                     }
                 }
             }
             // Pressure traction pushes the propellant outward (+y here).
             let traction = chamber_pressure * self.traction_per_pa;
-            {
-                let vel = pane.data_mut("vel")?.as_f64_mut()?;
-                for (i, v) in vel.chunks_exact_mut(3).enumerate() {
-                    let m = 1.0 + valence[i];
-                    for d in 0..3 {
-                        v[d] += dt * force[i * 3 + d] / m - dt * self.damping * v[d];
-                    }
-                    v[1] += dt * traction * 1e9;
+            let vel = vel.as_f64_mut()?;
+            for (i, v) in vel.chunks_exact_mut(3).enumerate() {
+                let m = 1.0 + valence[i];
+                for d in 0..3 {
+                    v[d] += dt * force[i * 3 + d] / m - dt * self.damping * v[d];
                 }
+                v[1] += dt * traction * 1e9;
             }
-            {
-                let (disp, vel) = pane.data_pair_mut("disp", "vel")?;
-                for (x, &v) in disp.as_f64_mut()?.iter_mut().zip(vel.as_f64()?) {
-                    *x += dt * v;
-                }
+            let disp = disp.as_f64_mut()?;
+            for (x, &v) in disp.iter_mut().zip(vel.iter()) {
+                *x += dt * v;
             }
             // Diagnostics: von Mises surrogate = stiffness * neighbour
             // displacement spread; damage accumulates past a threshold;
             // temperature creeps with dissipation.
-            {
-                let (vm, disp) = pane.data_pair_mut("vonmises", "disp")?;
-                let disp = disp.as_f64()?;
-                for (i, x) in vm.as_f64_mut()?.iter_mut().enumerate() {
-                    let d = &disp[i * 3..i * 3 + 3];
-                    *x = self.stiffness * (d[0].abs() + d[1].abs() + d[2].abs());
+            let vm = vm.as_f64_mut()?;
+            for (i, x) in vm.iter_mut().enumerate() {
+                let d = &disp[i * 3..i * 3 + 3];
+                *x = self.stiffness * (d[0].abs() + d[1].abs() + d[2].abs());
+            }
+            for (i, x) in dmg.as_f64_mut()?.iter_mut().enumerate() {
+                if vm[i] > 1.0 {
+                    *x = (*x + dt * 0.1).min(1.0);
                 }
             }
-            {
-                let (dmg, vm) = pane.data_pair_mut("damage", "vonmises")?;
-                let vm = vm.as_f64()?;
-                for (i, x) in dmg.as_f64_mut()?.iter_mut().enumerate() {
-                    if vm[i] > 1.0 {
-                        *x = (*x + dt * 0.1).min(1.0);
-                    }
-                }
-            }
-            {
-                let temp = pane.data_mut("temp")?.as_f64_mut()?;
-                for t in temp.iter_mut() {
-                    *t += dt * 0.5;
-                }
+            for t in temp.as_f64_mut()?.iter_mut() {
+                *t += dt * 0.5;
             }
         }
         Ok(elems_total as f64 * self.work_per_elem)
@@ -136,7 +133,7 @@ mod tests {
     #[test]
     fn pressure_drives_displacement() {
         let mut ws = world();
-        let m = SolidModule::default();
+        let mut m = SolidModule::default();
         for _ in 0..10 {
             m.step(&mut ws, 1e-4, 200_000.0).unwrap();
         }
@@ -152,7 +149,7 @@ mod tests {
     #[test]
     fn zero_pressure_zero_motion_is_stable() {
         let mut ws = world();
-        let m = SolidModule::default();
+        let mut m = SolidModule::default();
         for _ in 0..20 {
             m.step(&mut ws, 1e-4, 0.0).unwrap();
         }
@@ -166,7 +163,7 @@ mod tests {
     #[test]
     fn fields_stay_finite_over_many_steps() {
         let mut ws = world();
-        let m = SolidModule::default();
+        let mut m = SolidModule::default();
         for _ in 0..100 {
             m.step(&mut ws, 1e-4, 500_000.0).unwrap();
         }
@@ -182,7 +179,7 @@ mod tests {
     #[test]
     fn work_scales_with_elements() {
         let mut ws = world();
-        let m = SolidModule::default();
+        let mut m = SolidModule::default();
         let work = m.step(&mut ws, 1e-4, 0.0).unwrap();
         let elems: usize = ws
             .window(SOLID_WINDOW)
@@ -197,7 +194,7 @@ mod tests {
     #[test]
     fn damage_is_bounded() {
         let mut ws = world();
-        let m = SolidModule {
+        let mut m = SolidModule {
             traction_per_pa: 2.0e-9, // exaggerate to trigger damage
             ..Default::default()
         };

@@ -169,31 +169,29 @@ impl Pane {
 
     /// Mutable buffer of one attribute.
     pub fn data_mut(&mut self, attr: &str) -> Result<&mut ArrayData> {
-        self.mesh_and_data_mut(attr).map(|(_, buf)| buf)
+        self.split_mut([attr]).map(|(_, [buf])| buf)
     }
 
-    /// One attribute's buffer mutably beside another's shared — what an
-    /// update of the form `a += f(b)` holds at once — so a kernel need not
-    /// clone `b` to get round the borrow of the pane.
-    pub fn data_pair_mut(&mut self, write: &str, read: &str) -> Result<(&mut ArrayData, &ArrayData)> {
-        let w = self.slot(write)?;
-        let r = match self.slot(read) {
-            Ok(r) if r != w => r,
-            _ => {
-                let id = self.id;
-                return Err(RocError::NotFound(format!("attribute '{read}' on pane {id}")));
-            }
-        };
-        let (low, high) = self.data.split_at_mut(w.max(r));
-        Ok(if w < r { (&mut low[w], &high[0]) } else { (&mut high[0], &low[r]) })
-    }
-
-    /// One attribute's buffer mutably beside the pane's mesh — what
-    /// position-dependent initial conditions hold at once — so set-up need
-    /// not clone the coordinates to get round the borrow of the pane.
-    pub fn mesh_and_data_mut(&mut self, attr: &str) -> Result<(&PaneMesh, &mut ArrayData)> {
-        let slot = self.slot(attr)?;
-        Ok((&self.mesh, &mut self.data[slot]))
+    /// The pane's mesh beside the buffers of `attrs`, all mutable at once
+    /// and in the order named — what a kernel that reads some fields and
+    /// writes others holds, so it need not copy one out to get round the
+    /// borrow of the pane. A name the schema does not declare is
+    /// `NotFound`; one named twice is `Mismatch`.
+    pub fn split_mut<const N: usize>(
+        &mut self,
+        attrs: [&str; N],
+    ) -> Result<(&PaneMesh, [&mut ArrayData; N])> {
+        let mut slots = [0; N];
+        for (slot, attr) in slots.iter_mut().zip(attrs) {
+            *slot = self.slot(attr)?;
+        }
+        let id = self.id;
+        let bufs = self.data.get_disjoint_mut(slots).map_err(|_| {
+            let twice = (0..N).find(|&i| slots[..i].contains(&slots[i]));
+            let twice = twice.map_or("", |i| attrs[i]);
+            RocError::Mismatch(format!("attribute '{twice}' named twice on pane {id}"))
+        })?;
+        Ok((&self.mesh, bufs))
     }
 
     /// Replace an attribute buffer (used by restart). Length and dtype
@@ -526,21 +524,24 @@ mod tests {
     }
 
     #[test]
-    fn data_pair_mut_lends_two_buffers_of_one_pane_at_once() {
+    fn split_mut_lends_several_buffers_of_one_pane_at_once() {
         let mut w = Window::new("solid");
         w.declare_attr(AttrSpec::node("disp", DType::F64, 3)).unwrap();
         w.declare_attr(AttrSpec::node("vel", DType::F64, 3)).unwrap();
         w.register_pane(BlockId(1), small_mesh()).unwrap();
         let pane = w.pane_mut(BlockId(1)).unwrap();
         pane.data_mut("vel").unwrap().as_f64_mut().unwrap().fill(2.0);
-        let (disp, vel) = pane.data_pair_mut("disp", "vel").unwrap();
+        let (mesh, [disp, vel]) = pane.split_mut(["disp", "vel"]).unwrap();
+        assert_eq!(disp.len(), mesh.n_nodes() * 3);
         for (x, &v) in disp.as_f64_mut().unwrap().iter_mut().zip(vel.as_f64().unwrap()) {
             *x += 0.5 * v;
         }
         assert!(pane.data("disp").unwrap().as_f64().unwrap().iter().all(|&x| x == 1.0));
-        for (write, read) in [("disp", "ghost"), ("ghost", "vel"), ("disp", "disp")] {
-            assert!(matches!(pane.data_pair_mut(write, read), Err(RocError::NotFound(_))));
+        for names in [["disp", "ghost"], ["ghost", "vel"]] {
+            assert!(matches!(pane.split_mut(names), Err(RocError::NotFound(_))));
         }
+        let twice = pane.split_mut(["vel", "disp", "disp"]);
+        assert!(matches!(&twice, Err(RocError::Mismatch(m)) if m.contains("'disp'")), "{twice:?}");
     }
 
     #[test]
@@ -726,7 +727,7 @@ mod tests {
         to.remove_pane(BlockId(1)).unwrap();
         to.insert_pane(from.remove_pane(BlockId(1)).unwrap()).unwrap();
         assert_eq!(to, expected);
-        let (p, q) = to.pane_mut(BlockId(1)).unwrap().data_pair_mut("p", "q").unwrap();
+        let (_, [p, q]) = to.pane_mut(BlockId(1)).unwrap().split_mut(["p", "q"]).unwrap();
         assert_eq!((p.as_f64().unwrap()[0], q.as_f64().unwrap()[0]), (0.5, 1.5));
     }
 

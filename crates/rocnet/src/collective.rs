@@ -103,17 +103,26 @@ impl Comm {
 
     /// Gather everyone's bytes on every rank, in rank order.
     pub fn allgather(&self, data: &[u8]) -> Result<Vec<Bytes>> {
+        let mut out = Vec::with_capacity(self.size());
+        self.allgather_into(data, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Comm::allgather`] into `out`, in place of what it held: a caller
+    /// that gathers every step keeps one list instead of allocating one
+    /// per call.
+    pub fn allgather_into(&self, data: &[u8], out: &mut Vec<Bytes>) -> Result<()> {
         let up = self.coll_tag(OP_ALLGATHER_UP);
         let down = self.coll_tag(OP_ALLGATHER_DOWN);
+        out.clear();
         if self.rank() == 0 {
-            let mut out: Vec<Bytes> = vec![Bytes::new(); self.size()];
-            out[0] = Bytes::copy_from_slice(data);
-            for (src, slot) in out.iter_mut().enumerate().skip(1) {
-                *slot = self.recv(Some(src), Some(up))?.payload;
+            out.push(Bytes::copy_from_slice(data));
+            for src in 1..self.size() {
+                out.push(self.recv(Some(src), Some(up))?.payload);
             }
             // Flatten with length prefixes, then fan out one shared image.
-            let mut flat = Vec::new();
-            for part in &out {
+            let mut flat = Vec::with_capacity(out.iter().map(|part| 8 + part.len()).sum());
+            for part in out.iter() {
                 flat.extend_from_slice(&(part.len() as u64).to_le_bytes());
                 flat.extend_from_slice(part);
             }
@@ -121,11 +130,9 @@ impl Comm {
             for dst in 1..self.size() {
                 self.send_bytes(dst, down, flat.clone())?;
             }
-            Ok(out)
         } else {
             self.send(0, up, data)?;
             let flat = self.recv(Some(0), Some(down))?.payload;
-            let mut out = Vec::with_capacity(self.size());
             let mut pos = 0;
             while pos < flat.len() {
                 let len_bytes: [u8; 8] = flat
@@ -146,8 +153,8 @@ impl Comm {
                 out.push(flat.slice(pos..pos + len));
                 pos += len;
             }
-            Ok(out)
         }
+        Ok(())
     }
 
     /// Scatter per-rank byte buffers from `root`: rank `i` receives

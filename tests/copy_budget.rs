@@ -28,15 +28,18 @@
 //! thread, make one encode with checksums (`append_block` of the view: a
 //! header staging buffer, its refcount, the rope's part list, a segment
 //! list; every payload is held, and the index names records from one
-//! buffer per file). The rest is the fabric and the store. Measured: 25.0
-//! through Rocpanda (30.8 when intake framed the records for the file, a
+//! buffer per file). The rest is the fabric and the store, where an empty
+//! message allocates nothing and one of up to 16 bytes only its refcount
+//! block. Measured: 23.5 through Rocpanda (25.0 when those cost a buffer
+//! and a refcount; 30.8 when intake framed the records for the file, a
 //! record list and a name per record; 84 when the client built a
 //! `DataBlock` per pane and the framer formatted the prefix, 250 when its
 //! server decoded and re-encoded, 126 when every map it kept held its own
 //! copy of the file's key, 122 when each header had a pooled `Vec` of its
-//! own and the meta a map), 24.4 through T-Rochdf (29.0 framing, 82 with a
-//! `DataBlock` per pane, 117 with per-record headers). The counts repeat
-//! exactly from run to run, in either profile and under the lock witness.
+//! own and the meta a map), 24.1–24.2 through T-Rochdf (24.4 with two-part
+//! small messages, 29.0 framing, 82 with a `DataBlock` per pane, 117 with
+//! per-record headers). The counts repeat to within 0.2 from run to run,
+//! in either profile and under the lock witness.
 //!
 //! On the way back a byte is allocated once too: records are windows of
 //! the file image all the way to `roccom::convert::apply_block`, which
@@ -57,11 +60,26 @@
 //! names by refcount. The rest is the fetch (an extent list and a window
 //! list per block), the file listings and index opens (one table per
 //! file, none per record), the fabric and the windows' declarations.
-//! Measured: 17.4 through Rochdf individual, 21.3 two-phase, 25.8 through
-//! Rocpanda (127.7, 126.4 and 202.5 when every reader assembled a
-//! `DataBlock` — a `String`, a shape `Vec` and a map per record — opened
-//! an index with two `String`s per entry, listed files as `String`s and
-//! keyed each pane's buffers by a `String` of their own).
+//! Measured: 17.2 through Rochdf individual, 20.6–20.8 two-phase,
+//! 25.4–25.5 through Rocpanda (127.7, 126.4 and 202.5 when every reader
+//! assembled a `DataBlock` — a `String`, a shape `Vec` and a map per
+//! record — opened an index with two `String`s per entry, listed files as
+//! `String`s and keyed each pane's buffers by a `String` of their own).
+//!
+//! And per timestep: a warm GENx step (the second and later) allocates
+//! nothing that grows with a pane. Each solver borrows the buffers it
+//! reads and writes at once (`roccom::Pane::split_mut`) and keeps its
+//! per-node scratch across steps; `Rocman` gathers, reduces and couples
+//! through lists, maps and a wire buffer it keeps, and sends both
+//! neighbours clones of one zero halo. What is left per rank is each
+//! allgather's payload copy (a buffer and its refcount; on rank 0 also
+//! the image it fans out) and what the Rocface registry call returns (the
+//! window's name and the moments list). Measured on 4 ranks, per rank
+//! per step: 7.0 calls for 953–973 B with Rocflo+Rocfrac and 4.5 calls
+//! for 640–660 B with Rocflu+Rocsolid (73.4 calls for 801 KB and 149.1
+//! calls for 5.8 MB when the solvers copied fields out of their panes and
+//! regrew their scratch, and every step rebuilt its maps and lists and
+//! zero-filled a fresh halo).
 //!
 //! Alone in its binary, with one `#[test]`: the counting allocator is
 //! process-wide, so nothing else may run beside the measured region.
@@ -74,7 +92,8 @@ use genx_repro::genx::setup::{
     assign, declare_windows_for, register_and_init_for, reserve_for, FluidKind, SolidKind,
     BURN_WINDOW, FLUID_WINDOW, SOLID_WINDOW,
 };
-use genx_repro::roccom::{convert, AttrRef, AttrSelector, IoService, Windows};
+use genx_repro::genx::Rocman;
+use genx_repro::roccom::{convert, AttrRef, AttrSelector, IoDispatch, IoService, Windows};
 use genx_repro::rochdf::{Rochdf, RochdfConfig, TRochdf};
 use genx_repro::rocmesh::Workload;
 use genx_repro::rocnet::cluster::ClusterSpec;
@@ -201,6 +220,31 @@ fn measured_with_calls(payload: u64) -> (f64, u64) {
     (bytes, CALLS.swap(0, Ordering::Relaxed))
 }
 
+/// Allocator calls and bytes requested per rank per warm timestep (the
+/// second and later) of the lab-scale motor with this solver pairing,
+/// coupled as a run couples it.
+fn warm_step(fluid: FluidKind, solid: SolidKind) -> (f64, f64) {
+    const STEPS: u64 = 8;
+    let workload = lab_scale();
+    run_ranks(COMPUTE, ClusterSpec::turing(COMPUTE), |comm| {
+        let mine = assign(&workload, COMPUTE).swap_remove(comm.rank());
+        let mut ws = Windows::new();
+        declare_windows_for(&mut ws, fluid, solid).unwrap();
+        register_and_init_for(&mut ws, &workload, &mine, fluid).unwrap();
+        let mut man = Rocman::new(&comm, ws, IoDispatch::new()).unwrap();
+        if fluid == FluidKind::Rocflo {
+            for (up, down) in genx_repro::rocmesh::x_adjacency(&workload.fluid) {
+                man.adjacency.insert(workload.fluid[down].id, workload.fluid[up].id);
+            }
+        }
+        (man.fluid_kind, man.solid_kind) = (fluid, solid);
+        man.step().unwrap();
+        counted(&comm, || (0..STEPS).for_each(|_| man.step().unwrap()));
+    });
+    let per_step = |n: u64| n as f64 / (COMPUTE as u64 * STEPS) as f64;
+    (per_step(CALLS.swap(0, Ordering::Relaxed)), per_step(REQUESTED.swap(0, Ordering::Relaxed)))
+}
+
 /// `client` on the compute ranks of a one-server Rocpanda job over `fs`;
 /// what the clients returned, summed.
 fn through_rocpanda(fs: &Arc<SharedFs>, client: fn(&Comm, &mut dyn IoService) -> u64) -> u64 {
@@ -296,6 +340,25 @@ fn a_snapshot_byte_is_copied_once_per_hop() {
         assert!(
             *calls <= budget,
             "{reader} made {calls:.1} allocator calls per block restored (budget {budget})"
+        );
+    }
+
+    // A warm timestep computes in its panes' buffers and exchanges through
+    // buffers its orchestrator keeps, whichever solvers run.
+    for (fluid, solid) in [
+        (FluidKind::Rocflo, SolidKind::Rocfrac),
+        (FluidKind::Rocflu, SolidKind::Rocsolid),
+    ] {
+        let (calls, bytes) = warm_step(fluid, solid);
+        println!("warm step, {fluid:?}+{solid:?}: {calls:.1} calls, {bytes:.0} B per rank");
+        let (call_budget, byte_budget) = match fluid {
+            FluidKind::Rocflo => (8.0, 1100.0),
+            FluidKind::Rocflu => (5.0, 750.0),
+        };
+        assert!(
+            calls <= call_budget && bytes <= byte_budget,
+            "a warm {fluid:?}+{solid:?} step made {calls:.1} allocator calls for {bytes:.0} B \
+             per rank (budget {call_budget} calls, {byte_budget} B)"
         );
     }
 }

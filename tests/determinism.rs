@@ -131,28 +131,18 @@ fn m2n_restart_on_reused_store_is_bit_identical() {
     }
 }
 
-#[test]
-fn snapshot_files_match_the_digest_recorded_before_the_kernels_changed() {
-    // The on-disk format carries a CRC-32 per dataset, so a CRC kernel
-    // that diverged from the polynomial would still round-trip its own
-    // files. This digest was recorded at the commit before the
-    // interleaved kernel with the bit-serial definition below, which
-    // shares no code with `rocsdf::format::crc32`: same bytes, same
-    // `__crc32__` values, no format change.
+/// Count, total length and bit-serial CRC-32 of every snapshot file a
+/// 5-rank, 4-step Rocpanda run of `cfg` writes.
+fn snapshot_digest(mut cfg: GenxConfig) -> (usize, usize, u32) {
     use genx_repro::genx::run_genx;
 
     let fs = Arc::new(SharedFs::turing());
-    let mut cfg = GenxConfig::new(
-        "digest",
-        WorkloadKind::LabScale { seed: 7, scale: 0.05 },
-        IoChoice::Rocpanda { server_ranks: vec![0] },
-    );
     cfg.steps = 4;
     cfg.snapshot_every = 4;
     cfg.measure_restart = false;
     run_genx(ClusterSpec::turing(5), &fs, &cfg).unwrap();
 
-    let files = fs.list("run-digest/");
+    let files = fs.list(&format!("{}/", cfg.out_dir));
     let (mut total_len, mut crc) = (0usize, 0xFFFF_FFFFu32);
     for path in &files {
         let (bytes, _) = fs.read_all_shared(path, 0, 0.0).unwrap();
@@ -164,9 +154,47 @@ fn snapshot_files_match_the_digest_recorded_before_the_kernels_changed() {
             }
         }
     }
+    (files.len(), total_len, !crc)
+}
+
+#[test]
+fn snapshot_files_match_the_digest_recorded_before_the_kernels_changed() {
+    // The on-disk format carries a CRC-32 per dataset, so a CRC kernel
+    // that diverged from the polynomial would still round-trip its own
+    // files. This digest was recorded at the commit before the
+    // interleaved kernel with the bit-serial definition in
+    // `snapshot_digest`, which shares no code with `rocsdf::format::crc32`:
+    // same bytes, same `__crc32__` values, no format change.
+    let cfg = GenxConfig::new(
+        "digest",
+        WorkloadKind::LabScale { seed: 7, scale: 0.05 },
+        IoChoice::Rocpanda { server_ranks: vec![0] },
+    );
     assert_eq!(
-        (files.len(), total_len, !crc),
+        snapshot_digest(cfg),
         (6, 6_340_792, 0xC49E_FDCE),
+        "snapshot bytes differ from the recorded digest"
+    );
+}
+
+#[test]
+fn rocflu_rocsolid_snapshot_files_match_the_digest_recorded_before_the_kernels_changed() {
+    // The benchmark runs Rocflo+Rocfrac only, so the other pairing's
+    // solver values are pinned here: this digest was recorded before
+    // Rocflu and Rocsolid were rewritten to compute in their panes'
+    // buffers.
+    use genx_repro::genx::setup::{FluidKind, SolidKind};
+
+    let mut cfg = GenxConfig::new(
+        "digest-flu-solid",
+        WorkloadKind::LabScale { seed: 7, scale: 0.05 },
+        IoChoice::Rocpanda { server_ranks: vec![0] },
+    );
+    cfg.fluid_solver = FluidKind::Rocflu;
+    cfg.solid_solver = SolidKind::Rocsolid;
+    assert_eq!(
+        snapshot_digest(cfg),
+        (6, 8_635_176, 0xB999_77FE),
         "snapshot bytes differ from the recorded digest"
     );
 }

@@ -178,8 +178,9 @@ fn density_couples_across_rank_boundaries() {
         let fluid = genx_repro::genx::fluid::FluidModule::default();
         // Coupled steps at a hot chamber: rank 0's inlet rises, its
         // outlet feeds rank 1's inlet each step.
+        let mut outs = Vec::new();
         for _ in 0..800 {
-            let outs = fluid.outlet_means(&ws).unwrap();
+            fluid.outlet_means(&ws, &mut outs).unwrap();
             let mine = outs[0];
             let all = comm.allgather(&mine.1.to_le_bytes()).unwrap();
             let mut inflow = HashMap::new();
