@@ -4,9 +4,9 @@
 //! A snapshot byte is materialised once (`rocsdf::encode_block` of a pane
 //! described where it lies) and from there on only *referred to*: a
 //! message is the rope of its header runs and payload views (`rocnet`), a
-//! file image is the rope of the extents appended to it (`rocstore`), and
-//! a decoder walks either with a [`Cursor`] whose payload reads are
-//! windows of the parts, not copies.
+//! file image is the rope of the extents appended to it and a read the
+//! pieces of them it covers (`rocstore`, [`Rope::spans`]), and a decoder
+//! walks any of them with a [`Cursor`] whose reads are windows, not copies.
 //! Parts are immutable [`Bytes`]: cloning, slicing and selecting a rope
 //! move handles, never bytes, and whatever was cut from a rope keeps
 //! reading what it read when it was cut.
@@ -144,45 +144,54 @@ impl Rope {
     /// given, sharing the parts: O(parts + ranges · log parts), no byte
     /// moves. Ranges must lie inside the rope (callers check).
     pub fn select(&self, ranges: &[(usize, usize)]) -> Rope {
-        let parts = self.parts();
-        let mut starts = Vec::with_capacity(parts.len());
-        let mut at = 0;
-        for p in parts {
-            starts.push(at);
-            at += p.len();
-        }
+        let starts = self.starts();
         let mut out = Rope::new();
         out.reserve(ranges.len());
-        for &(offset, len) in ranges {
-            let end = offset + len;
-            let mut pos = offset;
-            // The part holding `offset`: the last one starting at or before it.
-            let mut i = starts.partition_point(|&s| s <= offset).saturating_sub(1);
-            while pos < end {
-                let p = &parts[i];
-                let lo = pos - starts[i];
-                let hi = p.len().min(end - starts[i]);
-                out.push(p.slice(lo..hi));
-                pos = starts[i] + hi;
-                i += 1;
+        for &range in ranges {
+            for (part, span) in self.spans(&starts, range) {
+                out.push(part.slice(span));
             }
         }
         out
     }
 
-    /// A zero-copy sub-rope.
-    ///
-    /// # Panics
-    /// Panics if the range is out of bounds, as [`Bytes::slice`] does.
-    pub fn slice(&self, range: Range<usize>) -> Rope {
-        assert!(
-            range.start <= range.end && range.end <= self.len,
-            "Rope::slice: range {range:?} out of bounds (len {})",
-            self.len
-        );
-        match self.parts() {
-            [part] => part.slice(range).into(),
-            _ => self.select(&[(range.start, range.len())]),
+    /// Where each part starts, in order: the table [`Rope::spans`] and
+    /// [`Rope::window`] search.
+    pub fn starts(&self) -> Vec<usize> {
+        let mut end = 0;
+        let starts = self.parts().iter().map(|p| {
+            end += p.len();
+            end - p.len()
+        });
+        starts.collect()
+    }
+
+    /// The parts the `(offset, len)` range lies across, in order, each with
+    /// the span of it the range covers: a binary search, then a step per
+    /// part, nothing allocated. `starts` is this rope's [`Rope::starts`];
+    /// the range must lie inside the rope (callers check).
+    pub fn spans<'s>(
+        &'s self,
+        starts: &'s [usize],
+        (offset, len): (usize, usize),
+    ) -> impl Iterator<Item = (&'s Bytes, Range<usize>)> + 's {
+        let end = offset + len;
+        // The part holding `offset`: the last one starting at or before it.
+        let first = starts.partition_point(|&s| s <= offset).saturating_sub(1);
+        (self.parts()[first..].iter().zip(&starts[first..]))
+            .take_while(move |&(_, &start)| start < end && len > 0)
+            .map(move |(part, &start)| {
+                (part, offset.saturating_sub(start)..part.len().min(end - start))
+            })
+    }
+
+    /// The range of [`Rope::spans`] as one buffer: a window of the part it
+    /// lies in, or a gather copy of the range alone if it spans parts.
+    pub fn window(&self, starts: &[usize], range: (usize, usize)) -> Bytes {
+        match self.spans(starts, range).next() {
+            Some((part, span)) if span.len() == range.1 => part.slice(span),
+            None => Bytes::new(),
+            Some(_) => self.select(&[range]).into_bytes(),
         }
     }
 
@@ -203,14 +212,6 @@ impl Rope {
                 }
             },
         }
-    }
-
-    /// [`Rope::into_bytes`] in place: the rope becomes its one contiguous
-    /// part, which is returned — so the gather copy is paid at most once.
-    pub fn coalesce(&mut self) -> Bytes {
-        let flat = std::mem::take(self).into_bytes();
-        *self = flat.clone().into();
-        flat
     }
 
     /// A decode cursor at the rope's first byte.
@@ -366,6 +367,21 @@ impl<'a> Cursor<'a> {
         })
     }
 
+    /// The next `n` bytes pushed onto `rope` as they lie — a window of the
+    /// rest of each part they cross, or less (a copy, over a borrowed
+    /// slice), the part list grown once: a run forwarded, not gathered.
+    pub fn take_into(&mut self, n: usize, what: &str, rope: &mut Rope) -> Result<()> {
+        self.check(n, what)?;
+        let mut pieces = 0;
+        self.clone().walk(n, |_| pieces += 1);
+        rope.reserve(pieces);
+        let end = self.pos + n;
+        while self.pos < end {
+            rope.push(self.take((end - self.pos).min(self.rest.len()), what)?);
+        }
+        Ok(())
+    }
+
     /// The next `n` bytes as one contiguous run to look at: borrowed from
     /// the part they lie in, gathered if they straddle parts.
     pub fn bytes(&mut self, n: usize, what: &str) -> Result<Cow<'a, [u8]>> {
@@ -465,7 +481,6 @@ mod tests {
         assert!(matches!(rope.parts, Parts::One(_)), "no list for one part");
         assert_eq!(rope.parts()[0].as_ptr(), part.as_ptr());
         assert_eq!(rope.clone().into_bytes().as_ptr(), part.as_ptr(), "into_bytes is the part");
-        assert_eq!(rope.slice(8..16).into_bytes().as_ptr(), part[8..].as_ptr());
         // An empty message is a part like any other: the handle given is
         // the handle returned.
         let empty = Bytes::new();
@@ -489,13 +504,39 @@ mod tests {
     }
 
     #[test]
-    fn coalesce_copies_once_and_a_single_part_not_at_all() {
-        let mut rope = rope_of(&[vec![1, 2], vec![3]]);
-        let first = rope.coalesce();
-        assert_eq!(first, [1, 2, 3]);
-        assert_eq!(rope.coalesce().as_ptr(), first.as_ptr());
-        assert_eq!(rope.parts().len(), 1);
-        assert!(Rope::new().coalesce().is_empty());
+    fn a_window_inside_a_part_is_that_part_and_across_parts_a_copy_of_the_range() {
+        let rope = rope_of(&[vec![1, 2, 3], vec![4], vec![5, 6]]);
+        let starts = rope.starts();
+        assert_eq!(starts, [0, 3, 4]);
+        let inside = rope.window(&starts, (1, 2));
+        assert_eq!((inside.as_ptr(), inside.len()), (rope.parts()[0][1..].as_ptr(), 2));
+        assert_eq!(rope.window(&starts, (3, 1)).as_ptr(), rope.parts()[1].as_ptr());
+        assert_eq!(rope.window(&starts, (2, 4)), [3, 4, 5, 6]);
+        assert!(rope.window(&starts, (6, 0)).is_empty());
+        let spans: Vec<_> = rope.spans(&starts, (2, 3)).map(|(p, s)| (p.as_ptr(), s)).collect();
+        let ptr = |i: usize| rope.parts()[i].as_ptr();
+        assert_eq!(spans, [(ptr(0), 2..3), (ptr(1), 0..1), (ptr(2), 0..1)]);
+        assert_eq!(rope.spans(&starts, (4, 0)).count(), 0);
+        assert!(Rope::new().starts().is_empty());
+        assert!(Rope::new().window(&[], (0, 0)).is_empty());
+    }
+
+    #[test]
+    fn take_into_forwards_the_parts_as_they_lie() {
+        let rope = rope_of(&[vec![1, 2, 3], vec![4, 5], vec![6]]);
+        let mut cur = rope.cursor();
+        cur.skip(1, "x").unwrap();
+        let mut out = Rope::from(Bytes::copy_from_slice(b"hd"));
+        cur.take_into(4, "x", &mut out).unwrap();
+        assert_eq!(out.clone().into_bytes(), [b'h', b'd', 2, 3, 4, 5]);
+        let ptrs: Vec<_> = out.parts().iter().map(|p| p.as_ptr()).collect();
+        assert_eq!(ptrs[1..], [rope.parts()[0][1..].as_ptr(), rope.parts()[1].as_ptr()]);
+        assert_eq!((cur.pos(), cur.u8("x").unwrap()), (5, 6));
+        assert!(cur.take_into(1, "x", &mut out).is_err(), "past the end");
+        // A borrowed slice has no parts to share: its run is copied.
+        let mut flat = Rope::new();
+        Cursor::from(&[7u8, 8, 9][..]).take_into(2, "x", &mut flat).unwrap();
+        assert_eq!(flat.into_bytes(), [7, 8]);
     }
 
     #[test]
@@ -595,8 +636,6 @@ mod tests {
         #[test]
         fn a_rope_reads_as_its_flat_model(
             chunks in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..12), 0..8),
-            a in any::<prop::sample::Index>(),
-            b in any::<prop::sample::Index>(),
             ranges in prop::collection::vec((any::<prop::sample::Index>(), any::<prop::sample::Index>()), 0..5),
             reads in prop::collection::vec(arb_read(), 0..12),
         ) {
@@ -606,10 +645,6 @@ mod tests {
             prop_assert!(rope.parts().iter().all(|p| !p.is_empty()));
             prop_assert_eq!(&flat(&rope), &model);
             prop_assert_eq!(rope.clone().into_bytes(), model.clone());
-
-            let (lo, hi) = (a.index(model.len() + 1), b.index(model.len() + 1));
-            let (lo, hi) = (lo.min(hi), lo.max(hi));
-            prop_assert_eq!(flat(&rope.slice(lo..hi)), &model[lo..hi]);
 
             let ranges: Vec<(usize, usize)> = ranges
                 .iter()
@@ -622,6 +657,16 @@ mod tests {
             let selected = rope.select(&ranges);
             prop_assert_eq!(selected.len(), picked.len());
             prop_assert_eq!(flat(&selected), picked);
+            let starts = rope.starts();
+            for &(o, l) in &ranges {
+                prop_assert_eq!(rope.window(&starts, (o, l)), &model[o..o + l]);
+                let mut forwarded = Rope::new();
+                let mut cur = rope.cursor();
+                cur.skip(o, "x").unwrap();
+                cur.take_into(l, "x", &mut forwarded).unwrap();
+                prop_assert_eq!(forwarded.parts().len(), rope.spans(&starts, (o, l)).count());
+                prop_assert_eq!(flat(&forwarded), &model[o..o + l]);
+            }
 
             // The same reads over the parts and over the model as one
             // borrowed slice.

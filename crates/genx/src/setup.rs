@@ -1,6 +1,6 @@
 //! Window schemas, block assignment and initial conditions.
 
-use rocio_core::{DType, Result, RocError};
+use rocio_core::{DType, Result};
 use rocmesh::{assign_blocks, Assignment, Workload};
 use roccom::{AttrSpec, Pane, PaneMesh, Windows};
 
@@ -170,26 +170,18 @@ pub fn register_and_init_for(
         for &i in &mine.fluid {
             let b = &workload.fluid[i];
             f.register_pane(b.id, PaneMesh::from_structured(b))?;
-            let centers = b.cell_centers();
             let pane = f.pane_mut(b.id)?;
-            let rho = pane.data_mut("rho")?.as_f64_mut()?;
-            for (c, r) in rho.iter_mut().enumerate() {
-                // Mild axial density perturbation: gives every block
-                // distinct, position-dependent content.
-                *r = 1.2 + 0.05 * (centers[c * 3] * 3.0).sin();
-            }
+            // Mild axial density perturbation: gives every block
+            // distinct, position-dependent content.
+            init_from_x(pane, "rho", |x| 1.2 + 0.05 * (x * 3.0).sin())?;
             let t_arr = pane.data_mut("T")?.as_f64_mut()?;
             for t in t_arr.iter_mut() {
                 *t = 300.0;
             }
-            let p_arr = pane.data_mut("p")?.as_f64_mut()?;
-            for (c, p) in p_arr.iter_mut().enumerate() {
-                *p = (1.2 + 0.05 * (centers[c * 3] * 3.0).sin()) * 287.0 * 300.0;
-            }
-            let e_arr = pane.data_mut("E")?.as_f64_mut()?;
-            for (c, e) in e_arr.iter_mut().enumerate() {
-                *e = (1.2 + 0.05 * (centers[c * 3] * 3.0).sin()) * 287.0 * 300.0 / 0.4;
-            }
+            init_from_x(pane, "p", |x| (1.2 + 0.05 * (x * 3.0).sin()) * 287.0 * 300.0)?;
+            init_from_x(pane, "E", |x| {
+                (1.2 + 0.05 * (x * 3.0).sin()) * 287.0 * 300.0 / 0.4
+            })?;
             let vel = pane.data_mut("vel")?.as_f64_mut()?;
             for v in vel.chunks_exact_mut(3) {
                 v[0] = 10.0;
@@ -201,15 +193,21 @@ pub fn register_and_init_for(
     register_solid_and_burn(ws, workload, mine)
 }
 
-/// Set a node field of an unstructured pane from each node's axial
-/// position, read from the pane's own coordinates.
+/// Set a pane attribute from the axial position of each point it sits at,
+/// read from the pane's own mesh: a node of an unstructured pane, a cell
+/// centre of a structured one.
 fn init_from_x(pane: &mut Pane, attr: &str, value: impl Fn(f64) -> f64) -> Result<()> {
     let (mesh, [buf]) = pane.split_mut([attr])?;
-    let PaneMesh::Unstructured { coords, .. } = mesh else {
-        return Err(RocError::InvalidState(format!("pane {} is not unstructured", pane.id)));
-    };
-    for (v, point) in buf.as_f64_mut()?.iter_mut().zip(coords.chunks_exact(3)) {
-        *v = value(point[0]);
+    let buf = buf.as_f64_mut()?;
+    match mesh {
+        PaneMesh::Unstructured { coords, .. } => {
+            buf.iter_mut().zip(coords.chunks_exact(3)).for_each(|(v, point)| *v = value(point[0]));
+        }
+        // Cells run i fastest: each row of them runs through the x centres.
+        PaneMesh::Structured { dims, origin, spacing } => {
+            let xs = (0..dims[0]).map(|i| origin[0] + (i as f64 + 0.5) * spacing[0]);
+            buf.iter_mut().zip(xs.cycle()).for_each(|(v, x)| *v = value(x));
+        }
     }
     Ok(())
 }

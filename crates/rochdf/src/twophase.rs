@@ -10,11 +10,12 @@
 //! bytes over the network to whichever rank asked for them (phase two).
 //!
 //! Phase two reuses the zero-copy wire path end to end: the aggregator
-//! ships each block as a rope whose record parts are windows into the
-//! frozen file image ([`SdfFileReader::read_blocks_raw`]),
-//! and the receiver takes the message as the rope it travelled as, so the
-//! datasets it decodes are windows of that same file image — the records
-//! are self-describing, so no re-encode and no copy happens on either side.
+//! ships each block as a rope of a length header and its records' pieces
+//! of the file's extents, as the writer appended them
+//! ([`SdfFileReader::read_blocks_raw`]), and the receiver takes the
+//! message as the rope it travelled as, so the datasets it decodes are
+//! windows of those same extents — the records are self-describing, so no
+//! re-encode and no copy happens on either side.
 //!
 //! Everything is deterministic: wanted-id lists travel through an
 //! `allgather` (collective, virtual-ordered), files are assigned to
@@ -144,12 +145,16 @@ pub(crate) fn read_views(
                 let (raw, t) = reader.read_blocks_raw(&present, now)?;
                 now = t;
                 comm.clock().merge(now);
-                for (id, records) in &raw {
-                    for dst in wanters(*id) {
+                let mut batch = Cursor::new(&raw);
+                for &id in &present {
+                    let lens = reader.record_lens(id)?;
+                    let records = batch.sub(lens.clone().sum(), BLOCK_MSG)?;
+                    for dst in wanters(id) {
+                        let (lens, records) = (lens.clone(), records.clone());
                         if dst == rank {
-                            got.push(decode_block(*id, records)?);
+                            got.push(decode_block(id, lens.map(Ok), records)?);
                         } else {
-                            comm.send_rope(dst, TAG_TP_BLOCK, encode_block(*id, records))?;
+                            comm.send_rope(dst, TAG_TP_BLOCK, encode_block(id, lens, records)?)?;
                             sent[dst] += 1;
                         }
                     }
@@ -255,28 +260,34 @@ pub fn read_attribute_two_phase(
     Ok(t)
 }
 
+/// What the two-phase wire calls its messages in errors.
+const BLOCK_MSG: &str = "two-phase block message";
+
 /// Wire image of one redistributed block: `[u64 id][u32 n][u64 len]*n`
-/// followed by the raw record bytes, meta record first. The records ride
-/// as parts of their own — windows into the aggregator's frozen file image.
-fn encode_block(id: BlockId, records: &[Bytes]) -> Rope {
-    let mut header = Vec::with_capacity(12 + records.len() * 8);
+/// followed by `records`, meta first, each as long as `lens` says: they
+/// ride as they lie, windows of the extents of the aggregator's file.
+fn encode_block(
+    id: BlockId,
+    lens: impl ExactSizeIterator<Item = usize>,
+    mut records: Cursor<'_>,
+) -> Result<Rope> {
+    let mut header = Vec::with_capacity(12 + lens.len() * 8);
     header.extend_from_slice(&id.0.to_le_bytes());
-    header.extend_from_slice(&(records.len() as u32).to_le_bytes());
-    for r in records {
-        header.extend_from_slice(&(r.len() as u64).to_le_bytes());
+    header.extend_from_slice(&(lens.len() as u32).to_le_bytes());
+    for len in lens {
+        header.extend_from_slice(&(len as u64).to_le_bytes());
     }
     let mut msg = Rope::from(Bytes::from(header));
-    msg.extend(records.iter().cloned());
-    msg
+    records.take_into(records.remaining(), BLOCK_MSG, &mut msg)?;
+    Ok(msg)
 }
 
 fn decode_block_msg(payload: &Rope) -> Result<BlockView> {
-    let what = "two-phase block message";
     // `lens` walks the header (id, count, length table), `records` the
     // record images after it.
     let mut lens = payload.cursor();
-    let id = BlockId(lens.u64(what)?);
-    let n = lens.u32(what)? as usize;
+    let id = BlockId(lens.u64(BLOCK_MSG)?);
+    let n = lens.u32(BLOCK_MSG)? as usize;
     // Each record owes an 8-byte length field: a count the message cannot
     // hold is refused before it sizes anything.
     if n > lens.remaining() / 8 {
@@ -286,28 +297,25 @@ fn decode_block_msg(payload: &Rope) -> Result<BlockView> {
         )));
     }
     let mut records = lens.clone();
-    records.skip(n * 8, what)?;
-    // Each record is read where it lies, under its own length: it stays a
-    // window of the part it arrived in (the aggregator's file image), and
-    // the CRC pass makes the receiver the integrity boundary, as in
-    // `decode_block`.
-    let read = (0..n).map(|_| {
-        let len = lens.u64(what)? as usize;
-        RecordView::read(&mut records.sub(len, what)?, true)
-    });
+    records.skip(n * 8, BLOCK_MSG)?;
+    decode_block(id, (0..n).map(|_| Ok(lens.u64(BLOCK_MSG)? as usize)), records)
+}
+
+/// A block read from its raw record images (meta first, each as long as
+/// `lens` says, nothing after the last) where they lie, each record's
+/// payload CRC verified — the receiver is the integrity boundary here.
+fn decode_block(
+    id: BlockId,
+    lens: impl ExactSizeIterator<Item = Result<usize>>,
+    mut records: Cursor<'_>,
+) -> Result<BlockView> {
+    let n = lens.len();
+    let read = lens.map(|len| RecordView::read(&mut records.sub(len?, BLOCK_MSG)?, true));
     let block = BlockView::assemble(Some(id), n, read)?;
     if records.remaining() != 0 {
         return Err(RocError::Comm("two-phase: trailing bytes in block message".into()));
     }
     Ok(block)
-}
-
-/// A block read from its raw record images (meta first), each record's
-/// payload CRC verified — the receiver is the integrity boundary on this
-/// path.
-fn decode_block(id: BlockId, records: &[Bytes]) -> Result<BlockView> {
-    let read = records.iter().map(|r| RecordView::read(&mut Cursor::from(r), true));
-    BlockView::assemble(Some(id), records.len(), read)
 }
 
 #[cfg(test)]
@@ -378,11 +386,11 @@ mod tests {
     }
 
     #[test]
-    fn a_receivers_payload_is_a_window_of_the_aggregators_file_image() {
+    fn a_receivers_payload_is_a_window_of_the_extent_the_writer_appended() {
         // Rank 0 aggregates both files and wants nothing; rank 1 wants
         // every block. What rank 1 ends up holding must be the store's own
-        // frozen images — the windows `read_blocks_raw` cut for rank 0 —
-        // not a copy made on the way over.
+        // extents — the pieces `read_blocks_raw` cut for rank 0 — not a
+        // copy made on the way over.
         let fs = SharedFs::ideal();
         let all = write_snapshot(&fs, 2, 2);
         let cfg = RochdfConfig::default();
@@ -394,16 +402,16 @@ mod tests {
             read_partitioned(&fs, &comm, LibraryModel::hdf4(), &prefix, want, 1).unwrap().0
         });
         assert_eq!(out[1], all);
-        let images: Vec<Bytes> = (0..2)
-            .map(|w| fs.read_all_shared(&cfg.path("fluid", snap, w), 9, 0.0).unwrap().0)
+        let extents: Vec<Bytes> = (0..2)
+            .flat_map(|w| fs.image(&cfg.path("fluid", snap, w)).unwrap().parts().to_vec())
             .collect();
         for ds in out[1].iter().flat_map(|b| &b.datasets) {
             let (at, len) = (ds.data.bytes().as_ptr() as usize, ds.data.byte_len());
-            let within = |image: &Bytes| {
-                let base = image.as_ptr() as usize;
-                base <= at && at + len <= base + image.len()
+            let within = |extent: &Bytes| {
+                let base = extent.as_ptr() as usize;
+                base <= at && at + len <= base + extent.len()
             };
-            assert!(images.iter().any(within), "'{}' was copied on the way", ds.name);
+            assert!(extents.iter().any(within), "'{}' was copied on the way", ds.name);
         }
     }
 
@@ -550,7 +558,8 @@ mod tests {
         write_snapshot_file(&fs, "one.sdf", LibraryModel::Raw, 0, std::slice::from_ref(&block), 0.0).unwrap();
         let (r, t) = SdfFileReader::open(&fs, "one.sdf", LibraryModel::Raw, 0, 0.0).unwrap();
         let (raw, _) = r.read_blocks_raw(&[BlockId(7)], t).unwrap();
-        (block, encode_block(BlockId(7), &raw[0].1).into_bytes())
+        let lens = r.record_lens(BlockId(7)).unwrap();
+        (block, encode_block(BlockId(7), lens, Cursor::new(&raw)).unwrap().into_bytes())
     }
 
     #[test]
@@ -575,6 +584,64 @@ mod tests {
         for hostile in [claim(u32::MAX, &[]), claim(1, &[u64::MAX]), claim(2, &[8, u64::MAX - 7])] {
             let got = decode_block_msg(&hostile.into());
             assert!(matches!(got, Err(RocError::Comm(_) | RocError::Corrupt(_))), "{got:?}");
+        }
+    }
+
+    /// A record whose payload straddles extents — split by `write_at`, as
+    /// a byte patched into a file splits it — reads byte-identically
+    /// through every read path, and a byte flipped in either piece comes
+    /// back `Corrupt` from each.
+    #[test]
+    fn a_record_that_straddles_extents_reads_whole_and_a_flip_in_either_piece_is_caught() {
+        let values: Vec<f64> = (0..64).map(|i| i as f64 + 0.5).collect();
+        let block = DataBlock::new(BlockId(3), "fluid")
+            .with_dataset(Dataset::vector("p", values).with_attr("units", "Pa"));
+        // The block read by the per-range, sieved, aggregator-local and
+        // receiver paths, each through an open of its own.
+        let reads = |fs: &SharedFs| -> Vec<Result<DataBlock>> {
+            let open = |client| {
+                SdfFileReader::open(fs, "s.sdf", LibraryModel::Raw, client, 0.0).unwrap()
+            };
+            let ids = [block.id];
+            let (r, t) = open(0);
+            let per_range = r.view_block(block.id, t).and_then(|(v, _)| v.to_block());
+            let (r, t) = open(1);
+            let sieved = r.view_blocks_sieved(&ids, t).and_then(|(v, _)| v[0].to_block());
+            let (r, t) = open(2);
+            let (raw, _) = r.read_blocks_raw(&ids, t).unwrap();
+            let (lens, records) = (r.record_lens(block.id).unwrap(), Cursor::new(&raw));
+            let local = decode_block(block.id, lens.clone().map(Ok), records.clone());
+            let local = local.and_then(|v| v.to_block());
+            let message = encode_block(block.id, lens, records).unwrap();
+            let received = decode_block_msg(&message).and_then(|v| v.to_block());
+            vec![per_range, sieved, local, received]
+        };
+        // The payload's middle value, split out of its extent.
+        let split = || {
+            let fs = SharedFs::turing();
+            let blocks = std::slice::from_ref(&block);
+            write_snapshot_file(&fs, "s.sdf", LibraryModel::Raw, 0, blocks, 0.0).unwrap();
+            let (image, _) = fs.read_all_shared("s.sdf", 0, 0.0).unwrap();
+            let at = image.windows(8).position(|w| w == 32.5f64.to_le_bytes()).unwrap();
+            let extents = fs.image("s.sdf").unwrap().parts().len();
+            fs.write_at("s.sdf", at, &image[at..at + 1], 0, 0.0).unwrap();
+            let split = fs.image("s.sdf").unwrap().parts().len();
+            assert_eq!(split, extents + 2, "the payload's extent is split");
+            (fs, image, at)
+        };
+        let (fs, image, _) = split();
+        assert_eq!(fs.read_all_shared("s.sdf", 0, 0.0).unwrap().0, image);
+        for got in reads(&fs) {
+            assert_eq!(got.unwrap(), block);
+        }
+        for piece in [-8, 8] {
+            let (fs, image, at) = split();
+            let flip = at.checked_add_signed(piece).unwrap();
+            fs.write_at("s.sdf", flip, &[image[flip] ^ 0x01], 0, 0.0).unwrap();
+            for got in reads(&fs) {
+                let caught = matches!(&got, Err(RocError::Corrupt(m)) if m.contains("checksum"));
+                assert!(caught, "{piece}: {got:?}");
+            }
         }
     }
 

@@ -99,21 +99,6 @@ impl StructuredBlock {
         out
     }
 
-    /// Cell-center coordinates, interleaved, i fastest.
-    pub fn cell_centers(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.n_cells() * 3);
-        for k in 0..self.nk {
-            for j in 0..self.nj {
-                for i in 0..self.ni {
-                    out.push(self.origin[0] + (i as f64 + 0.5) * self.spacing[0]);
-                    out.push(self.origin[1] + (j as f64 + 0.5) * self.spacing[1]);
-                    out.push(self.origin[2] + (k as f64 + 0.5) * self.spacing[2]);
-                }
-            }
-        }
-        out
-    }
-
     /// Approximate bytes of one double-precision snapshot of this block
     /// (coordinates + `n_scalar` cell fields + one 3-vector field).
     pub fn snapshot_bytes(&self, n_scalar: usize) -> usize {
@@ -155,19 +140,6 @@ mod tests {
         // Last node is the far corner.
         let last = &c[c.len() - 3..];
         assert_eq!(last, &[3.0, 5.0, 7.0]);
-    }
-
-    #[test]
-    fn cell_centers_inside_block() {
-        let b = block();
-        let c = b.cell_centers();
-        assert_eq!(c.len(), b.n_cells() * 3);
-        assert_eq!(&c[..3], &[1.25, 2.5, 4.0]);
-        for chunk in c.chunks_exact(3) {
-            assert!(chunk[0] > 1.0 && chunk[0] < 3.0);
-            assert!(chunk[1] > 2.0 && chunk[1] < 5.0);
-            assert!(chunk[2] > 3.0 && chunk[2] < 7.0);
-        }
     }
 
     #[test]

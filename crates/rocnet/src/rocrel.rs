@@ -264,11 +264,11 @@ fn decode_frame(frame: &Rope) -> Result<Frame> {
     let what = "rocrel frame";
     let mut cur = frame.cursor();
     let decode = |cur: &mut rocio_core::Cursor<'_>| match cur.u8(what)? {
-        FRAME_DATA => Ok(Frame::Data {
-            seq: cur.u64(what)?,
-            app_tag: cur.u32(what)?,
-            payload: frame.slice(DATA_HDR..frame.len()),
-        }),
+        FRAME_DATA => {
+            let (seq, app_tag, mut payload) = (cur.u64(what)?, cur.u32(what)?, Rope::new());
+            cur.take_into(cur.remaining(), what, &mut payload)?;
+            Ok(Frame::Data { seq, app_tag, payload })
+        }
         FRAME_ACK => {
             let cum = cur.u64(what)?;
             let n = cur.u32(what)? as usize;

@@ -202,7 +202,7 @@ impl ReadCostModel {
     }
 
     /// Estimated cost of reading `ranges` one request at a time (zero-length
-    /// and duplicate ranges are free, mirroring `read_shared_multi`).
+    /// and duplicate ranges are free, mirroring `SharedFs::read_parts`).
     pub(crate) fn per_range_cost(&self, ranges: &[(usize, usize)]) -> SimTime {
         let mut seen = std::collections::HashSet::with_capacity(ranges.len());
         let mut t = 0.0;

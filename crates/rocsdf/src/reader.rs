@@ -11,7 +11,7 @@ use rocstore::SharedFs;
 use crate::cost::{LibraryModel, ReadCostModel, ReadStrategy};
 use crate::format::{
     check_header, decode_index, decode_trailer, parse_block_id, walk_record_header, PayloadDims,
-    Prefix, BLOCK_META, HEADER_LEN, TRAILER_LEN,
+    Prefix, BLOCK_META, HEADER_LEN, RECORD, TRAILER_LEN,
 };
 use crate::view::{BlockView, RecordView};
 
@@ -48,7 +48,8 @@ struct IndexedBlock {
 /// cold open; every lookup reads it in place.
 struct OpenMeta {
     path: Arc<str>,
-    /// The index region as read: every entry's name is a range of it.
+    /// The index region as read, a window of the extent it was written
+    /// in: every entry's name is a range of it.
     index: Bytes,
     entries: Vec<Entry>,
     blocks: Vec<IndexedBlock>,
@@ -237,8 +238,9 @@ impl<'fs> SdfFileReader<'fs> {
         }
     }
 
-    /// **Fetch**: the one place reads reach the store. Returns one
-    /// zero-copy window per range, in input order, whatever the strategy;
+    /// **Fetch**: the one place reads reach the store. Returns the pieces
+    /// of the file's extents the ranges lie across, range after range,
+    /// whatever the strategy ([`SharedFs::read_parts`]);
     /// `lead` is charged before every access the strategy issues.
     fn fetch(
         &self,
@@ -247,7 +249,7 @@ impl<'fs> SdfFileReader<'fs> {
         how: Fetch,
         now: SimTime,
     ) -> Result<(Vec<Bytes>, SimTime)> {
-        let max_gap = match how {
+        let sieve = match how {
             Fetch::PerRange => None,
             Fetch::Domain => Some(usize::MAX),
             Fetch::Auto => {
@@ -259,11 +261,7 @@ impl<'fs> SdfFileReader<'fs> {
                 }
             }
         };
-        let path = self.path();
-        match max_gap {
-            Some(gap) => self.fs.read_sieved(path, ranges, lead, gap, self.client, now),
-            None => self.fs.read_shared_multi(path, ranges, lead, self.client, now),
-        }
+        self.fs.read_parts(self.path(), ranges, lead, sieve, self.client, now)
     }
 
     /// Fetch the picked records' file extents — blocks' picks, one after
@@ -282,28 +280,29 @@ impl<'fs> SdfFileReader<'fs> {
         self.fetch(&extents, self.lookup(), how, now)
     }
 
-    /// **Assemble**: read the picked records where their windows lie and
-    /// assemble the block's view. Each record pays its payload-CRC pass
-    /// only the first time this file generation's copy is read; the flag is
-    /// set after a successful read, so a corrupt record keeps failing.
+    /// **Assemble**: cut the picked records out of `records` by their index
+    /// lengths, read them where they lie and assemble the block's view.
+    /// Each record pays its payload-CRC pass only the first time this file
+    /// generation's copy is read; the flag is set after a successful read,
+    /// so a corrupt record keeps failing.
     fn assemble(
         &self,
         id: BlockId,
         picks: &[usize],
-        windows: impl Iterator<Item = Bytes>,
+        records: &mut Cursor<'_>,
     ) -> Result<BlockView> {
-        let records = picks.iter().zip(windows).map(|(&i, window)| {
-            let verified = &self.meta.entries[i].verified;
-            let skip = verified.load(Ordering::Relaxed);
-            let record = RecordView::read(&mut Cursor::from(&window), !skip)?;
-            verified.store(true, Ordering::Relaxed);
+        let read = picks.iter().map(|&i| {
+            let entry = &self.meta.entries[i];
+            let skip = entry.verified.load(Ordering::Relaxed);
+            let record = RecordView::read(&mut records.sub(entry.len as usize, RECORD)?, !skip)?;
+            entry.verified.store(true, Ordering::Relaxed);
             Ok(record)
         });
-        BlockView::assemble(Some(id), picks.len(), records)
+        BlockView::assemble(Some(id), picks.len(), read)
     }
 
     /// Pick and fetch a batch of blocks in one planned request: each
-    /// block's picks, and the windows of all of them in the same order.
+    /// block's picks, and the pieces of all of them in the same order.
     #[allow(clippy::type_complexity)]
     fn fetch_blocks(
         &self,
@@ -315,8 +314,8 @@ impl<'fs> SdfFileReader<'fs> {
         for &id in ids {
             picks.push(self.pick(id)?);
         }
-        let (windows, t) = self.fetch_records(&picks, how, now)?;
-        Ok((picks, windows, t))
+        let (parts, t) = self.fetch_records(&picks, how, now)?;
+        Ok((picks, parts, t))
     }
 
     /// Pick → fetch → assemble for a batch of blocks.
@@ -326,10 +325,10 @@ impl<'fs> SdfFileReader<'fs> {
         how: Fetch,
         now: SimTime,
     ) -> Result<(Vec<BlockView>, SimTime)> {
-        let (picks, windows, t) = self.fetch_blocks(ids, how, now)?;
-        let (mut windows, mut views) = (windows.into_iter(), Vec::with_capacity(ids.len()));
+        let (picks, parts, t) = self.fetch_blocks(ids, how, now)?;
+        let (mut records, mut views) = (Cursor::new(&parts), Vec::with_capacity(ids.len()));
         for (&id, picks) in ids.iter().zip(picks) {
-            views.push(self.assemble(id, picks, windows.by_ref().take(picks.len()))?);
+            views.push(self.assemble(id, picks, &mut records)?);
         }
         Ok((views, t))
     }
@@ -339,11 +338,11 @@ impl<'fs> SdfFileReader<'fs> {
     /// Charged the way the library charges it — one lookup and one read
     /// per record, meta first, then members in file order — which is what
     /// the paper's restart figures are calibrated on; the host does one
-    /// lock and O(1) carving for the whole block.
+    /// lock and a binary search per record for the whole block.
     pub fn view_block(&self, id: BlockId, now: SimTime) -> Result<(BlockView, SimTime)> {
         let picks = self.pick(id)?;
-        let (windows, t) = self.fetch_records(&[picks], Fetch::PerRange, now)?;
-        Ok((self.assemble(id, picks, windows.into_iter())?, t))
+        let (parts, t) = self.fetch_records(&[picks], Fetch::PerRange, now)?;
+        Ok((self.assemble(id, picks, &mut Cursor::new(&parts))?, t))
     }
 
     /// [`SdfFileReader::view_block`], built.
@@ -380,8 +379,8 @@ impl<'fs> SdfFileReader<'fs> {
             .chain(all[1..].iter().filter(|i| members.contains(&member(i))))
             .copied()
             .collect();
-        let (windows, t) = self.fetch_records(&[&picks], Fetch::Auto, now)?;
-        Ok((self.assemble(id, &picks, windows.into_iter())?.to_block()?, t))
+        let (parts, t) = self.fetch_records(&[&picks], Fetch::Auto, now)?;
+        Ok((self.assemble(id, &picks, &mut Cursor::new(&parts))?.to_block()?, t))
     }
 
     /// Read several blocks in one planned batch: the request's record
@@ -425,25 +424,23 @@ impl<'fs> SdfFileReader<'fs> {
     /// fetched as **one contiguous domain read per hole-cluster** (the
     /// sieve with an unbounded gap: a file domain is read straight
     /// through, holes included, with a single lookup charged per covering
-    /// read — positioned raw I/O, not per-record library access). Each
-    /// block comes back as its records' zero-copy windows, `__meta__`
-    /// first — self-describing bytes ready to ship over the wire; the
-    /// receiver reads and CRC-checks them itself ([`BlockView::assemble`]
-    /// of [`RecordView::read`]s).
-    #[allow(clippy::type_complexity)]
-    pub fn read_blocks_raw(
+    /// read — positioned raw I/O, not per-record library access). They come
+    /// back as the pieces of the file's extents, block after block, records
+    /// `__meta__` first as [`SdfFileReader::record_lens`] cuts them: bytes
+    /// to ship as they lie, which the receiver reads and CRC-checks itself
+    /// ([`BlockView::assemble`] of [`RecordView::read`]s).
+    pub fn read_blocks_raw(&self, ids: &[BlockId], now: SimTime) -> Result<(Vec<Bytes>, SimTime)> {
+        let (_, parts, t) = self.fetch_blocks(ids, Fetch::Domain, now)?;
+        Ok((parts, t))
+    }
+
+    /// The lengths of block `id`'s records, `__meta__` first, as the index
+    /// gives them.
+    pub fn record_lens(
         &self,
-        ids: &[BlockId],
-        now: SimTime,
-    ) -> Result<(Vec<(BlockId, Vec<Bytes>)>, SimTime)> {
-        let (picks, windows, t) = self.fetch_blocks(ids, Fetch::Domain, now)?;
-        let mut windows = windows.into_iter();
-        let raw = ids
-            .iter()
-            .zip(&picks)
-            .map(|(&id, picks)| (id, windows.by_ref().take(picks.len()).collect()))
-            .collect();
-        Ok((raw, t))
+        id: BlockId,
+    ) -> Result<impl ExactSizeIterator<Item = usize> + Clone + '_> {
+        Ok(self.pick(id)?.iter().map(|&i| self.meta.entries[i].len as usize))
     }
 
     /// Read and validate a record's header, growing the read until it
@@ -457,10 +454,9 @@ impl<'fs> SdfFileReader<'fs> {
     ) -> Result<(PayloadDims, usize, SimTime)> {
         let mut header_guess = 256usize.min(e.len as usize);
         loop {
-            let (bytes, t) =
-                self.fs
-                    .read_shared(self.path(), e.offset as usize, header_guess, self.client, now)?;
-            let mut cur = Cursor::from(&bytes);
+            let range = (e.offset as usize, header_guess);
+            let (parts, t) = self.fetch(&[range], 0.0, Fetch::PerRange, now)?;
+            let mut cur = Cursor::new(&parts);
             let header = walk_record_header(&mut cur, |_, _| {});
             let header_len = cur.pos();
             match header {
@@ -526,10 +522,10 @@ impl<'fs> SdfFileReader<'fs> {
         let ranges: Vec<(usize, usize)> = (0..count)
             .map(|i| (payload_off + (start + i * stride) * esize, block * esize))
             .collect();
-        let (windows, t2) = self.fetch(&ranges, 0.0, Fetch::Auto, t)?;
+        let (parts, t2) = self.fetch(&ranges, 0.0, Fetch::Auto, t)?;
         let mut buf = Vec::with_capacity(gathered);
-        for w in &windows {
-            buf.extend_from_slice(w);
+        for part in &parts {
+            buf.extend_from_slice(part);
         }
         let data = SharedArray::new(header.dtype, count * block, buf.into())?;
         Ok((Dataset::new(name, vec![count, block], data)?, t2))
@@ -691,10 +687,12 @@ mod tests {
         assert!(after_slice - after_open < 2048, "read {} bytes", after_slice - after_open);
     }
 
-    /// What a receiver does with one block of `read_blocks_raw`.
-    fn decode_raw(id: BlockId, records: &[Bytes]) -> DataBlock {
-        let read = records.iter().map(|r| RecordView::read(&mut Cursor::from(r), true));
-        BlockView::assemble(Some(id), records.len(), read).unwrap().to_block().unwrap()
+    /// What a receiver does with the next block of `read_blocks_raw`.
+    fn decode_raw(r: &SdfFileReader, id: BlockId, batch: &mut Cursor) -> DataBlock {
+        let lens = r.record_lens(id).unwrap();
+        let n = lens.len();
+        let read = lens.map(|len| RecordView::read(&mut batch.sub(len, "x")?, true));
+        BlockView::assemble(Some(id), n, read).unwrap().to_block().unwrap()
     }
 
     /// The per-record reference every block read is held to: the
@@ -796,9 +794,10 @@ mod tests {
                 let (subset, _) = r.read_block_subset(want.id, &["x", "a"], t).unwrap();
                 assert_eq!(subset, shared, "{what}");
                 let (raw, _) = r.read_blocks_raw(&ids, t).unwrap();
-                assert_eq!(raw[0].0, want.id);
-                assert_eq!(decode_raw(want.id, &raw[0].1), shared, "{what}");
-                assert_eq!(decode_raw(other.id, &raw[1].1), other, "{what}");
+                let mut batch = Cursor::new(&raw);
+                assert_eq!(decode_raw(&r, want.id, &mut batch), shared, "{what}");
+                assert_eq!(decode_raw(&r, other.id, &mut batch), other, "{what}");
+                assert_eq!(batch.remaining(), 0, "{what}");
 
                 // The views those blocks are built from describe them: the
                 // same records laid out, byte for byte, behind a lead, and
@@ -1070,12 +1069,12 @@ mod tests {
         assert!(t2 > t);
         // One covering read: all records are contiguous in the file.
         assert_eq!(fs.stats().read_ops, before.read_ops + 1);
-        assert_eq!(raw.len(), blocks.len());
-        for ((id, records), want) in raw.iter().zip(&blocks) {
-            assert_eq!(*id, want.id);
+        let mut batch = Cursor::new(&raw);
+        for want in &blocks {
             // Records are self-describing: meta first, then members.
-            assert_eq!(&decode_raw(*id, records), want);
+            assert_eq!(&decode_raw(&r, want.id, &mut batch), want);
         }
+        assert_eq!(batch.remaining(), 0);
     }
 
     #[test]

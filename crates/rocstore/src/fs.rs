@@ -64,13 +64,14 @@ impl ServerState {
 struct StoredFile {
     /// The file's bytes: the rope of its extents. Writers add extents (a
     /// handle adopted from the caller, or one staged copy per call), so a
-    /// byte is copied at most once on its way in. The first shared read
-    /// coalesces the rope into a single exact-size extent — O(1) when
-    /// there is only one — which every read window then slices. Extents
-    /// are immutable: mutation replaces handles, never bytes, so a window
-    /// taken earlier pins its allocation and keeps reading what it read
-    /// before.
+    /// byte is copied at most once on its way in; reads hand out windows
+    /// of the extents as they lie. Extents are immutable: mutation replaces
+    /// handles, never bytes, so a window taken earlier pins its allocation
+    /// and keeps reading what it read before.
     data: Rope,
+    /// Where each of `data`'s extents starts ([`Rope::starts`]), and the
+    /// generation that is: built by the first read of each generation.
+    starts: (u64, Vec<usize>),
     /// Monotone id refreshed from a global counter on every mutation;
     /// validates metadata-cache entries. Never reused, so delete +
     /// recreate cannot alias an old entry.
@@ -82,6 +83,16 @@ struct StoredFile {
     /// `data.len()` exactly (appends/extensions charge, delete/truncate
     /// release), so the ledger's totals are O(1)-consistent with the map.
     charged: u64,
+}
+
+impl StoredFile {
+    /// The image and where its extents start.
+    fn extents(&mut self) -> (&Rope, &[usize]) {
+        if self.starts.0 != self.generation {
+            self.starts = (self.generation, self.data.starts());
+        }
+        (&self.data, &self.starts.1)
+    }
 }
 
 /// One tenant's quota account.
@@ -384,11 +395,13 @@ impl SharedFs {
             let mut files = self.files.lock();
             let mut ledger = self.ledger.lock();
             let tenant = ledger.tenant_of(path);
+            let generation = self.next_gen();
             let old = files.insert(
                 Arc::from(path),
                 StoredFile {
                     data: Rope::new(),
-                    generation: self.next_gen(),
+                    starts: (generation, Vec::new()),
+                    generation,
                     tenant,
                     charged: 0,
                 },
@@ -549,44 +562,115 @@ impl SharedFs {
         Ok(now + self.model.close_cost)
     }
 
-    /// Read a batch of `(offset, len)` ranges as zero-copy windows over the
-    /// backing file, chaining the virtual time through the ranges in order
-    /// with a fixed `lead` (e.g. a per-record lookup cost) charged before
-    /// each one. Cost- and stats-identical **by construction** to issuing
-    /// the reads one by one — one stats bump and one `charge_read` per
-    /// range — while the host does a single lock/coalesce for the whole
-    /// batch. This is the coalesced-read entry point: a reader that knows
-    /// several records are contiguous fetches them all in one fs op and
-    /// carves each out as an O(1) window.
+    /// Read a batch of `(offset, len)` ranges as the pieces of the extents
+    /// they lie across, range after range, in one list a caller walks with
+    /// a [`rocio_core::Cursor`] under the lengths it asked for. Pieces keep
+    /// their bytes across later mutation or deletion of the file.
     ///
-    /// The windows stay valid (and keep their bytes) across later
-    /// mutations or deletion of the file: extents are immutable and
-    /// mutation only replaces handles, so outstanding windows pin the
-    /// bytes they were cut from.
-    ///
-    /// Degenerate inputs are well-defined rather than caller discipline:
-    /// an empty range list returns `(vec![], now)` without touching the
-    /// file; a zero-length range yields an empty window and charges
-    /// nothing (no lead, no op, no bytes); an exact duplicate of an
-    /// earlier range yields a clone of the same window and is charged
-    /// once, at its first appearance. Distinct-but-overlapping ranges are
-    /// distinct requests and each pays full freight.
-    pub fn read_shared_multi(
+    /// Each access is charged `lead` (e.g. a lookup) and then the disk.
+    /// With `sieve = None` an access is a range, as if read one by one: a
+    /// zero-length range is free, an exact repeat charged once. With
+    /// `Some(max_gap)` it is a covering window of data sieving
+    /// ([`crate::sieve::SievePlan`]), holes up to `max_gap` read through.
+    /// An empty range list touches nothing; a range past EOF or past
+    /// `usize::MAX` is a [`RocError::Storage`].
+    pub fn read_parts(
         &self,
         path: &str,
         ranges: &[(usize, usize)],
         lead: SimTime,
+        sieve: Option<usize>,
         client: u64,
         now: SimTime,
     ) -> Result<(Vec<Bytes>, SimTime)> {
+        self.read(path, ranges, (lead, sieve), client, now, |data, starts| {
+            let spans = || ranges.iter().flat_map(|&range| data.spans(starts, range));
+            let mut parts = Vec::with_capacity(spans().count());
+            parts.extend(spans().map(|(part, span)| part.slice(span)));
+            parts
+        })
+    }
+
+    /// [`SharedFs::read_parts`] with `Some(max_gap)` (**data sieving**), one
+    /// buffer per range: a window of the extent it lies in, or a copy of
+    /// the range alone when it spans extents.
+    pub fn read_sieved(
+        &self,
+        path: &str,
+        ranges: &[(usize, usize)],
+        lead: SimTime,
+        max_gap: usize,
+        client: u64,
+        now: SimTime,
+    ) -> Result<(Vec<Bytes>, SimTime)> {
+        self.read(path, ranges, (lead, Some(max_gap)), client, now, |data, starts| {
+            ranges.iter().map(|&range| data.window(starts, range)).collect()
+        })
+    }
+
+    /// Read `len` bytes at `offset`: [`SharedFs::read_parts`] of one range,
+    /// as a window of the extent it lies in (allocating nothing), or a copy
+    /// of the range alone when it spans extents.
+    pub fn read_shared(
+        &self,
+        path: &str,
+        offset: usize,
+        len: usize,
+        client: u64,
+        now: SimTime,
+    ) -> Result<(Bytes, SimTime)> {
+        let range = (offset, len);
+        self.read(path, &[range], (0.0, None), client, now, |data, starts| {
+            data.window(starts, range)
+        })
+    }
+
+    /// Read a whole file: [`SharedFs::read_shared`] of every byte.
+    pub fn read_all_shared(&self, path: &str, client: u64, now: SimTime) -> Result<(Bytes, SimTime)> {
+        let len = self.file_size(path)?;
+        self.read_shared(path, 0, len, client, now)
+    }
+
+    /// Every read: check `ranges` against `path`'s size, hand its image and
+    /// extent starts to `cut`, then charge the accesses `(lead, sieve)`
+    /// makes of them (see [`SharedFs::read_parts`]).
+    fn read<R>(
+        &self,
+        path: &str,
+        ranges: &[(usize, usize)],
+        (lead, sieve): (SimTime, Option<usize>),
+        client: u64,
+        now: SimTime,
+        cut: impl FnOnce(&Rope, &[usize]) -> R,
+    ) -> Result<(R, SimTime)> {
         if ranges.is_empty() {
-            return Ok((Vec::new(), now));
+            return Ok((cut(&Rope::new(), &[]), now));
         }
-        let windows = self.slice_windows(path, ranges)?;
+        let out = {
+            let mut files = self.files.lock();
+            let f = files
+                .get_mut(path)
+                .ok_or_else(|| RocError::Storage(format!("read: no such file '{path}'")))?;
+            let eof = f.data.len();
+            let beyond = |&&(o, l): &&(usize, usize)| o.checked_add(l).is_none_or(|end| end > eof);
+            if let Some((offset, len)) = ranges.iter().find(beyond) {
+                return Err(RocError::Storage(format!(
+                    "read: range of {len} bytes at {offset} beyond EOF {eof} in '{path}'"
+                )));
+            }
+            let (data, starts) = f.extents();
+            cut(data, starts)
+        };
+        let mut t = now;
+        if let Some(max_gap) = sieve {
+            for &(_, len) in &crate::sieve::SievePlan::build(ranges, max_gap).windows {
+                t = self.charge_range(path, len, lead, client, t);
+            }
+            return Ok((out, t));
+        }
         // A repeat is found by a scan among a block's few ranges, by a set
         // among many.
         let mut seen = (ranges.len() > 32).then(|| HashSet::with_capacity(ranges.len()));
-        let mut t = now;
         for (i, &range) in ranges.iter().enumerate() {
             let repeat = match &mut seen {
                 Some(seen) => !seen.insert(range),
@@ -596,7 +680,7 @@ impl SharedFs {
                 t = self.charge_range(path, range.1, lead, client, t);
             }
         }
-        Ok((windows, t))
+        Ok((out, t))
     }
 
     /// One read op of `len` bytes, `lead` before it: stats, then the disk.
@@ -615,98 +699,8 @@ impl SharedFs {
         self.charge_read(path, len, client, now + lead)
     }
 
-    /// Read a batch of ranges by **data sieving**: one contiguous read per
-    /// hole-cluster (see [`crate::sieve::SievePlan`]), with the requested
-    /// pieces carved out of the coalesced image as zero-copy sub-windows.
-    /// Byte-identical to [`SharedFs::read_shared_multi`] on the same
-    /// ranges; the timing and stats instead charge one op per *covering
-    /// window* — holes included in `bytes_read`, because the disk really
-    /// transfers them — chained in ascending-offset order with `lead`
-    /// before each window. Fewer, larger charges is the whole point:
-    /// dense small holes amortize seeks away.
-    ///
-    /// `max_gap` is the largest hole worth reading through; callers derive
-    /// it from the disk model (`seek · read_bw`). Degenerate inputs follow
-    /// the same rules as `read_shared_multi`.
-    pub fn read_sieved(
-        &self,
-        path: &str,
-        ranges: &[(usize, usize)],
-        lead: SimTime,
-        max_gap: usize,
-        client: u64,
-        now: SimTime,
-    ) -> Result<(Vec<Bytes>, SimTime)> {
-        if ranges.is_empty() {
-            return Ok((Vec::new(), now));
-        }
-        let windows = self.slice_windows(path, ranges)?;
-        let plan = crate::sieve::SievePlan::build(ranges, max_gap);
-        let mut t = now;
-        for &(_, len) in &plan.windows {
-            t = self.charge_range(path, len, lead, client, t);
-        }
-        Ok((windows, t))
-    }
-
-    /// Coalesce `path`'s image and hand it to `cut` (shared by every read
-    /// path; no timing or stats).
-    fn with_image<R>(&self, path: &str, cut: impl FnOnce(&Bytes) -> Result<R>) -> Result<R> {
-        let mut files = self.files.lock();
-        let f = files
-            .get_mut(path)
-            .ok_or_else(|| RocError::Storage(format!("read: no such file '{path}'")))?;
-        cut(&f.data.coalesce())
-    }
-
-    /// One zero-copy window of a coalesced image.
-    fn window_of(image: &Bytes, path: &str, (offset, len): (usize, usize)) -> Result<Bytes> {
-        let eof = image.len();
-        if offset + len > eof {
-            return Err(RocError::Storage(format!(
-                "read: range {offset}..{} beyond EOF {eof} in '{path}'",
-                offset + len,
-            )));
-        }
-        Ok(image.slice(offset..offset + len))
-    }
-
-    /// Coalesce `path`'s image and slice one zero-copy window per requested
-    /// range, in input order.
-    fn slice_windows(&self, path: &str, ranges: &[(usize, usize)]) -> Result<Vec<Bytes>> {
-        self.with_image(path, |image| {
-            let mut windows = Vec::with_capacity(ranges.len());
-            for &range in ranges {
-                windows.push(Self::window_of(image, path, range)?);
-            }
-            Ok(windows)
-        })
-    }
-
-    /// Read `len` bytes at `offset` as a zero-copy window: one op, one
-    /// charge — [`SharedFs::read_shared_multi`] on a single range, and
-    /// nothing allocated.
-    pub fn read_shared(
-        &self,
-        path: &str,
-        offset: usize,
-        len: usize,
-        client: u64,
-        now: SimTime,
-    ) -> Result<(Bytes, SimTime)> {
-        let window = self.with_image(path, |image| Self::window_of(image, path, (offset, len)))?;
-        let end = if len > 0 { self.charge_range(path, len, 0.0, client, now) } else { now };
-        Ok((window, end))
-    }
-
-    /// Read a whole file as a zero-copy window.
-    pub fn read_all_shared(&self, path: &str, client: u64, now: SimTime) -> Result<(Bytes, SimTime)> {
-        let len = self.file_size(path)?;
-        self.read_shared(path, 0, len, client, now)
-    }
-
     /// The file's current image as the rope of its extents, by refcount:
-    /// no byte moves, no time charged, nothing coalesced. For looking at
+    /// no byte moves and no time is charged. For looking at
     /// *how* a file holds its bytes (which allocation backs which range);
     /// reads that should cost what a read costs go through `read_*`.
     pub fn image(&self, path: &str) -> Result<Rope> {
@@ -1043,20 +1037,57 @@ mod tests {
     }
 
     #[test]
-    fn first_read_coalesces_once_and_a_single_extent_is_served_as_is() {
+    fn a_read_is_a_window_of_the_extent_the_writer_appended() {
         let fs = SharedFs::ideal();
-        fs.create("one", 0, 0.0);
+        fs.create("f", 0, 0.0);
         let payload = Bytes::from(vec![7u8; 128]);
-        fs.append_segments("one", &[Segment::Shared(payload.clone())], 0, 0.0).unwrap();
-        let (w, _) = fs.read_shared("one", 8, 16, 0, 0.0).unwrap();
-        assert_eq!(w.as_ptr(), payload.as_ptr().wrapping_add(8), "single extent: no copy");
-        fs.create("two", 0, 0.0);
-        fs.append("two", b"ab", 0, 0.0).unwrap();
-        fs.append("two", b"cd", 0, 0.0).unwrap();
-        let (w1, _) = fs.read_shared("two", 0, 4, 0, 0.0).unwrap();
-        let (w2, _) = fs.read_shared("two", 0, 4, 0, 0.0).unwrap();
-        assert_eq!(w1, b"abcd");
-        assert_eq!(w1.as_ptr(), w2.as_ptr(), "coalesced once, then reused");
+        fs.append("f", b"head", 0, 0.0).unwrap();
+        fs.append_segments("f", &[Segment::Shared(payload.clone())], 0, 0.0).unwrap();
+        fs.append("f", b"tail", 0, 0.0).unwrap();
+        let extents = fs.image("f").unwrap();
+        let (w, _) = fs.read_shared("f", 12, 16, 0, 0.0).unwrap();
+        assert_eq!(w.as_ptr(), payload[8..].as_ptr(), "inside one extent: its window");
+        let (ws, _) = fs.read_sieved("f", &[(0, 4), (132, 4)], 0.0, usize::MAX, 0, 0.0).unwrap();
+        assert_eq!(ws[0].as_ptr(), extents.parts()[0].as_ptr());
+        assert_eq!(ws[1].as_ptr(), extents.parts()[2].as_ptr());
+        // A range across extents is its pieces, in order, each a window;
+        // a buffer of it is a copy of that range alone.
+        let (parts, _) = fs.read_parts("f", &[(2, 4), (131, 3)], 0.0, None, 0, 0.0).unwrap();
+        let ptrs: Vec<_> = parts.iter().map(|p| (p.as_ptr(), p.len())).collect();
+        assert_eq!(
+            ptrs,
+            [
+                (extents.parts()[0][2..].as_ptr(), 2),
+                (payload.as_ptr(), 2),
+                (payload[127..].as_ptr(), 1),
+                (extents.parts()[2].as_ptr(), 2),
+            ]
+        );
+        let (across, _) = fs.read_shared("f", 2, 4, 0, 0.0).unwrap();
+        assert_eq!(across, [b'a', b'd', 7, 7]);
+        // Nothing a read does changes how the file holds its bytes.
+        let after = fs.image("f").unwrap();
+        let ptrs = |r: &Rope| r.parts().iter().map(|p| (p.as_ptr(), p.len())).collect::<Vec<_>>();
+        assert_eq!(ptrs(&after), ptrs(&extents));
+    }
+
+    #[test]
+    fn a_range_past_usize_max_is_a_storage_error_at_every_read() {
+        let fs = SharedFs::ideal();
+        fs.create("f", 0, 0.0);
+        fs.append("f", b"abc", 0, 0.0).unwrap();
+        fs.append("f", b"def", 0, 0.0).unwrap();
+        let refused = |got: Result<()>| {
+            assert!(matches!(&got, Err(RocError::Storage(m)) if m.contains("'f'")), "{got:?}");
+        };
+        for (offset, len) in [(usize::MAX, 2), (2, usize::MAX), (usize::MAX, usize::MAX)] {
+            refused(fs.read_shared("f", offset, len, 0, 0.0).map(drop));
+            let ranges = [(0, 1), (offset, len)];
+            refused(fs.read_sieved("f", &ranges, 0.0, 64, 0, 0.0).map(drop));
+            refused(fs.read_parts("f", &ranges, 0.0, None, 0, 0.0).map(drop));
+            refused(fs.read_parts("f", &ranges, 0.0, Some(64), 0, 0.0).map(drop));
+        }
+        assert_eq!(fs.stats().read_ops, 0, "a refused batch charges nothing");
     }
 
     #[test]
@@ -1088,9 +1119,9 @@ mod tests {
     }
 
     #[test]
-    fn read_shared_multi_matches_chained_reads() {
-        // The coalesced batch must be cost- and stats-identical to issuing
-        // the same ranges one by one with the lead charged before each.
+    fn read_parts_matches_chained_reads() {
+        // The batch must be cost- and stats-identical to issuing the same
+        // ranges one by one with the lead charged before each.
         let a = SharedFs::turing();
         let b = SharedFs::turing();
         for fs in [&a, &b] {
@@ -1099,13 +1130,14 @@ mod tests {
         }
         let ranges = [(0usize, 100usize), (100, 400), (500, 1000)];
         let lead = 0.25;
-        let (windows, t_multi) = a.read_shared_multi("f", &ranges, lead, 3, 2.0).unwrap();
+        let (parts, t_multi) = a.read_parts("f", &ranges, lead, None, 3, 2.0).unwrap();
         let mut t = 2.0;
-        for (&(off, len), w) in ranges.iter().zip(&windows) {
+        for (&(off, len), w) in ranges.iter().zip(&parts) {
             let (d, e) = b.read_shared("f", off, len, 3, t + lead).unwrap();
             assert_eq!(w.as_slice(), d.as_slice());
             t = e;
         }
+        assert_eq!(parts.len(), ranges.len(), "one extent: a piece per range");
         assert_eq!(t_multi, t);
         assert_eq!(a.stats(), b.stats());
         assert_eq!(a.stats().read_ops, ranges.len() as u64);
@@ -1117,32 +1149,35 @@ mod tests {
         fs.create("f", 0, 0.0);
         fs.append("f", b"abc", 0, 0.0).unwrap();
         let before = fs.stats();
-        let (windows, t) = fs.read_shared_multi("f", &[], 0.5, 0, 7.0).unwrap();
-        assert!(windows.is_empty());
+        let (parts, t) = fs.read_parts("f", &[], 0.5, None, 0, 7.0).unwrap();
+        assert!(parts.is_empty());
         assert_eq!(t, 7.0);
         assert_eq!(fs.stats(), before);
         // An empty list never touches the file — not even to check it exists.
-        let (w2, t2) = fs.read_shared_multi("nope", &[], 0.5, 0, 7.0).unwrap();
+        let (w2, t2) = fs.read_parts("nope", &[], 0.5, None, 0, 7.0).unwrap();
         assert!(w2.is_empty() && t2 == 7.0);
+        let (w3, t3) = fs.read_sieved("nope", &[], 0.5, 64, 0, 7.0).unwrap();
+        assert!(w3.is_empty() && t3 == 7.0);
     }
 
     #[test]
-    fn read_multi_zero_length_ranges_yield_empty_windows_free() {
+    fn read_multi_zero_length_ranges_are_no_pieces_and_free() {
         let fs = SharedFs::turing();
         fs.create("f", 0, 0.0);
         fs.append("f", &[7u8; 64], 0, 0.0).unwrap();
         let before = fs.stats();
-        let (windows, t) =
-            fs.read_shared_multi("f", &[(0, 0), (10, 0), (64, 0)], 0.5, 0, 3.0).unwrap();
-        assert_eq!(windows.len(), 3);
-        assert!(windows.iter().all(|w| w.is_empty()));
+        let (parts, t) =
+            fs.read_parts("f", &[(0, 0), (10, 0), (64, 0)], 0.5, None, 0, 3.0).unwrap();
+        assert!(parts.is_empty());
         assert_eq!(t, 3.0, "zero-length ranges charge no lead and no read");
         assert_eq!(fs.stats(), before);
+        let (windows, _) = fs.read_sieved("f", &[(0, 0), (64, 0)], 0.5, 64, 0, 3.0).unwrap();
+        assert!(windows.len() == 2 && windows.iter().all(|w| w.is_empty()));
         // Beyond EOF is still an error, zero-length or not.
-        assert!(fs.read_shared_multi("f", &[(65, 0)], 0.0, 0, 3.0).is_err());
+        assert!(fs.read_parts("f", &[(65, 0)], 0.0, None, 0, 3.0).is_err());
         // Mixed with a real range, only the real range is charged.
-        let (ws, _) = fs.read_shared_multi("f", &[(0, 0), (4, 8)], 0.0, 0, 3.0).unwrap();
-        assert_eq!(ws[1].len(), 8);
+        let (ws, _) = fs.read_parts("f", &[(0, 0), (4, 8)], 0.0, None, 0, 3.0).unwrap();
+        assert_eq!(ws[0].len(), 8);
         assert_eq!(fs.stats().read_ops, before.read_ops + 1);
         assert_eq!(fs.stats().bytes_read, before.bytes_read + 8);
     }
@@ -1155,14 +1190,14 @@ mod tests {
         let before = fs.stats();
         // Exact duplicates: three windows out, one charge.
         let (windows, _) =
-            fs.read_shared_multi("f", &[(8, 16), (8, 16), (8, 16)], 0.0, 0, 1.0).unwrap();
+            fs.read_parts("f", &[(8, 16), (8, 16), (8, 16)], 0.0, None, 0, 1.0).unwrap();
         assert_eq!(windows.len(), 3);
         assert!(windows.iter().all(|w| w.as_slice() == windows[0].as_slice()));
         assert_eq!(fs.stats().read_ops, before.read_ops + 1);
         assert_eq!(fs.stats().bytes_read, before.bytes_read + 16);
         // Overlapping-but-distinct ranges are distinct requests.
         let mid = fs.stats();
-        let (ws, _) = fs.read_shared_multi("f", &[(0, 32), (16, 32)], 0.0, 0, 2.0).unwrap();
+        let (ws, _) = fs.read_parts("f", &[(0, 32), (16, 32)], 0.0, None, 0, 2.0).unwrap();
         assert_eq!(ws.len(), 2);
         assert_eq!(fs.stats().read_ops, mid.read_ops + 2);
         assert_eq!(fs.stats().bytes_read, mid.bytes_read + 64);
@@ -1180,7 +1215,7 @@ mod tests {
             fs.append("f", &image, 0, 0.0).unwrap();
         }
         let ranges: Vec<_> = (0..32).map(|i| (i * 64, 16)).collect();
-        let (w_per, t_per) = per.read_shared_multi("f", &ranges, 0.0, 1, 10.0).unwrap();
+        let (w_per, t_per) = per.read_parts("f", &ranges, 0.0, None, 1, 10.0).unwrap();
         let (w_sieve, t_sieve) = sieve.read_sieved("f", &ranges, 0.0, 64, 1, 10.0).unwrap();
         for (a, b) in w_per.iter().zip(&w_sieve) {
             assert_eq!(a.as_slice(), b.as_slice());
@@ -1197,7 +1232,7 @@ mod tests {
             t_per - 10.0
         );
         // Sparse request (holes > max_gap): the sieve degenerates to
-        // per-range and must be cost-identical to read_shared_multi.
+        // per-range and must be cost-identical to a per-range read.
         let sparse: Vec<_> = (0..8).map(|i| (i * 512, 16)).collect();
         let a = SharedFs::turing();
         let b = SharedFs::turing();
@@ -1205,13 +1240,20 @@ mod tests {
             fs.create("f", 0, 0.0);
             fs.append("f", &image, 0, 0.0).unwrap();
         }
-        let (wa, ta) = a.read_shared_multi("f", &sparse, 0.25, 1, 0.0).unwrap();
+        let (wa, ta) = a.read_parts("f", &sparse, 0.25, None, 1, 0.0).unwrap();
         let (wb, tb) = b.read_sieved("f", &sparse, 0.25, 16, 1, 0.0).unwrap();
         assert_eq!(ta, tb);
         assert_eq!(a.stats(), b.stats());
         for (x, y) in wa.iter().zip(&wb) {
             assert_eq!(x.as_slice(), y.as_slice());
         }
+        // `read_parts` sieving is charged exactly as `read_sieved`.
+        let c = SharedFs::turing();
+        c.create("f", 0, 0.0);
+        c.append("f", &image, 0, 0.0).unwrap();
+        let (pc, tc) = c.read_parts("f", &sparse, 0.25, Some(16), 1, 0.0).unwrap();
+        assert_eq!((tc, c.stats()), (tb, b.stats()));
+        assert_eq!(pc, wb);
     }
 
     #[test]
@@ -1253,12 +1295,12 @@ mod tests {
     }
 
     #[test]
-    fn quota_counts_coalesced_files() {
+    fn quota_counts_read_files() {
         let fs = SharedFs::ideal();
         fs.set_quota(100);
         fs.create("f", 0, 0.0);
         fs.append("f", &[0u8; 60], 0, 0.0).unwrap();
-        fs.read_shared("f", 0, 60, 0, 0.0).unwrap(); // coalesces
+        fs.read_shared("f", 0, 60, 0, 0.0).unwrap();
         assert_eq!(fs.used_bytes(), 60);
         assert!(fs.append("f", &[0u8; 60], 0, 0.0).is_err());
         fs.append("f", &[0u8; 40], 0, 0.0).unwrap(); // appending to a read image still fits

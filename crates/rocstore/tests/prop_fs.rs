@@ -51,6 +51,12 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// How `path` holds its bytes: each extent's address and length.
+fn extents(fs: &SharedFs, path: &str) -> Option<Vec<(usize, usize)>> {
+    let image = fs.image(path).ok()?;
+    Some(image.parts().iter().map(|p| (p.as_ptr() as usize, p.len())).collect())
+}
+
 /// In-bounds `(offset, len)` ranges of an image of `len` bytes.
 fn clamp(picks: &[(u8, u8)], len: usize) -> Vec<(usize, usize)> {
     picks
@@ -184,6 +190,7 @@ proptest! {
                 }
                 Op::Read(f, off, len) => {
                     let p = path(*f);
+                    let before = extents(&fs, &p);
                     match flat.get(&p) {
                         None => prop_assert!(fs.read_shared(&p, 0, 0, 1, now).is_err()),
                         Some(v) => {
@@ -194,26 +201,40 @@ proptest! {
                             windows.push((w, v[o..o + l].to_vec()));
                         }
                     }
+                    prop_assert_eq!(extents(&fs, &p), before, "a read moved the extents");
                     p
                 }
                 Op::ReadMulti(f, picks) | Op::ReadSieved(f, picks, _) => {
                     let p = path(*f);
+                    let before = extents(&fs, &p);
                     if let Some(v) = flat.get(&p) {
                         let ranges = clamp(picks, v.len());
-                        let read = |s: &SharedFs| match op {
-                            Op::ReadSieved(_, _, gap) => {
-                                s.read_sieved(&p, &ranges, 0.001, *gap as usize, 1, now)
-                            }
-                            _ => s.read_shared_multi(&p, &ranges, 0.001, 1, now),
+                        let sieve = match op {
+                            Op::ReadSieved(_, _, gap) => Some(*gap as usize),
+                            _ => None,
                         };
-                        let (ws, t) = read(&fs).unwrap();
+                        let read = |s: &SharedFs| s.read_parts(&p, &ranges, 0.001, sieve, 1, now);
+                        let (parts, t) = read(&fs).unwrap();
                         prop_assert_eq!(t, read(&twin).unwrap().1);
-                        now = t;
-                        prop_assert_eq!(ws.len(), ranges.len());
-                        for (w, &(o, l)) in ws.into_iter().zip(&ranges) {
-                            windows.push((w, v[o..o + l].to_vec()));
+                        let picked = ranges.iter().flat_map(|&(o, l)| &v[o..o + l]);
+                        let got = parts.iter().flat_map(|p| p.iter());
+                        prop_assert!(got.eq(picked), "pieces differ from the ranges");
+                        prop_assert!(parts.iter().all(|p| !p.is_empty()));
+                        if let Some(gap) = sieve {
+                            // The same ranges one buffer each, charged alike.
+                            let (ws, t2) = fs.read_sieved(&p, &ranges, 0.001, gap, 1, now).unwrap();
+                            let twin_t = twin.read_sieved(&p, &ranges, 0.001, gap, 1, now).unwrap().1;
+                            prop_assert_eq!(t2, twin_t);
+                            prop_assert_eq!(t2, t);
+                            prop_assert_eq!(ws.len(), ranges.len());
+                            for (w, &(o, l)) in ws.into_iter().zip(&ranges) {
+                                windows.push((w, v[o..o + l].to_vec()));
+                            }
                         }
+                        now = t;
+                        windows.extend(parts.into_iter().map(|part| (part.clone(), part.to_vec())));
                     }
+                    prop_assert_eq!(extents(&fs, &p), before, "a read moved the extents");
                     p
                 }
                 Op::Delete(f) => {
@@ -231,13 +252,15 @@ proptest! {
                 prop_assert_eq!(fs.tenant_used(t), twin.tenant_used(t));
             }
             prop_assert_eq!(fs.used_bytes(), flat.values().map(Vec::len).sum::<usize>());
-            // On a coin flip, the bytes too — not always, because reading
-            // coalesces the image and multi-extent images must meet the
-            // next write, permute and splice as well. Both stores pay it.
+            // On a coin flip, the bytes too, read whole: a read leaves the
+            // extents as they were, so whether one happens between two
+            // steps may change nothing that follows. Both stores pay it.
             if let (true, Some(v)) = (*verify, flat.get(&touched)) {
+                let before = extents(&fs, &touched);
                 let (image, t) = fs.read_all_shared(&touched, 2, now).unwrap();
                 prop_assert_eq!(t, twin.read_all_shared(&touched, 2, now).unwrap().1);
                 prop_assert_eq!(image.as_slice(), &v[..]);
+                prop_assert_eq!(extents(&fs, &touched), before, "a read moved the extents");
             }
             for (w, then) in &windows {
                 prop_assert_eq!(w.as_slice(), &then[..]);

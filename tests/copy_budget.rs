@@ -41,27 +41,35 @@
 //! per-record headers). The counts repeat to within 0.2 from run to run,
 //! in either profile and under the lock witness.
 //!
-//! On the way back a byte is allocated once too: records are windows of
-//! the file image all the way to `roccom::convert::apply_block`, which
-//! decodes each attribute into the buffer the pane keeps — a restart's
-//! windows name their panes (`genx::setup::reserve_for`) and hold nothing
-//! until then. The read budget covers building those windows *and* the
-//! read (measured: 0.83 x through Rochdf individual, 0.84 x two-phase,
-//! 0.86 x through Rocpanda — under 1 because a structured pane's
-//! coordinates are in the file and never decoded); generating the panes
-//! first and overwriting them, as restarts did, is 1.89 x.
+//! On the way back a byte is allocated once too, from the first read of a
+//! file on: no read gathers a file's extents (`rocstore::SharedFs` hands
+//! out windows of them as the writer appended them), and records are
+//! read where they lie all the way to `roccom::convert::apply_block`,
+//! which decodes each attribute into the buffer the pane keeps — a
+//! restart's windows name their panes (`genx::setup::reserve_for`) and
+//! hold nothing until then. The read budget covers building those windows
+//! *and* the cold read (measured: 0.84 x through Rochdf individual, 0.84 x
+//! two-phase, 0.86 x through Rocpanda — under 1 because a structured
+//! pane's coordinates are in the file and never decoded); 1.84 x through
+//! Rochdf individual when the first read of each file gathered its
+//! extents into one image, which this test excused by touching every file
+//! first; 1.89 x generating the panes first and overwriting them, as
+//! restarts did.
 //!
 //! And in calls per block restored: a reader builds no block either. It
 //! reads each block where it lies (`rocsdf::BlockView`: one record table
-//! per block, the records windows of the file image or the message), and
-//! `apply_block` walks it once, decoding each attribute into the buffer
-//! the pane keeps — the one allocation per restored attribute; the pane
-//! holds its buffers in its window's schema order, under the schema's
-//! names by refcount. The rest is the fetch (an extent list and a window
-//! list per block), the file listings and index opens (one table per
-//! file, none per record), the fabric and the windows' declarations.
-//! Measured: 17.2 through Rochdf individual, 20.6–20.8 two-phase,
-//! 25.4–25.5 through Rocpanda (127.7, 126.4 and 202.5 when every reader
+//! per block, the records cut out of the pieces of the file's extents or
+//! of the message), and `apply_block` walks it once, decoding each
+//! attribute into the buffer the pane keeps — the one allocation per
+//! restored attribute; the pane holds its buffers in its window's schema
+//! order, under the schema's names by refcount. The rest is the fetch (an
+//! extent list and a list of pieces per block), the file listings and
+//! index opens (one table per file, none per record, and each file's
+//! extent starts on its first read), the fabric and the windows'
+//! declarations. Measured: 17.4 through Rochdf individual, 19.5
+//! two-phase, 25.5 through Rocpanda (17.2, 20.6–20.8 and 25.4–25.5 with
+//! the files touched first and a window list per block on an aggregator;
+//! 127.7, 126.4 and 202.5 when every reader
 //! assembled a `DataBlock` — a `String`, a shape `Vec` and a map per
 //! record — opened an index with two `String`s per entry, listed files as
 //! `String`s and keyed each pane's buffers by a `String` of their own).
@@ -306,15 +314,8 @@ fn a_snapshot_byte_is_copied_once_per_hop() {
     );
 
     // Back again: each restored byte is allocated once, as the typed
-    // buffer its pane keeps. The store gathers a file's extents into one
-    // image the first time anything reads it — once per file however many
-    // restarts follow, and ROADMAP item 7's to remove — so that first touch
-    // happens here, outside the measured restarts.
-    for store in [&fs, &panda_fs] {
-        for path in store.list("out/") {
-            store.read_shared(&path, 0, 1, 0, 0.0).unwrap();
-        }
-    }
+    // buffer its pane keeps — from the first read of a file on: no read
+    // gathers a file's extents.
     let (mut read, mut read_calls) = (Vec::new(), Vec::new());
     for (reader, read_aggregators) in [("rochdf individual", 0), ("rochdf two-phase", 2)] {
         let restored = run_ranks(COMPUTE, ClusterSpec::turing(COMPUTE), |comm| {
