@@ -768,38 +768,6 @@ mod tests {
         assert_eq!(report.n_files, 9);
     }
 
-    #[test]
-    fn rocpanda_read_cache_restart_is_exact_and_faster() {
-        // The snapshot read cache may change restart *latency* only,
-        // never the restored values — and leaving it off (the default)
-        // must keep everything before the restart bit-identical, so the
-        // committed cold-restart measurements are unchanged.
-        let run = |read_cache: bool| {
-            let fs = Arc::new(SharedFs::turing());
-            let mut cfg = small_cfg(
-                if read_cache { "t-panda-cache" } else { "t-panda-cold" },
-                IoChoice::Rocpanda {
-                    server_ranks: vec![0],
-                },
-            );
-            cfg.rocpanda.read_cache = read_cache;
-            run_genx(ClusterSpec::turing(3), &fs, &cfg).unwrap()
-        };
-        let cold = run(false);
-        let cached = run(true);
-        assert!(cold.restart_ok);
-        assert!(cached.restart_ok, "cache-served restart must be bit-exact");
-        assert!(
-            cached.restart_time < cold.restart_time,
-            "serving from server memory must beat the disk path: {} vs {}",
-            cached.restart_time,
-            cold.restart_time
-        );
-        assert_eq!(cold.comp_time, cached.comp_time);
-        assert_eq!(cold.snapshots, cached.snapshots);
-        assert_eq!(cold.bytes_written, cached.bytes_written);
-    }
-
     /// The last snapshot of an uneven schedule is not at the final step,
     /// and a run that never snapshots after step 0 still has one: both
     /// must be the snapshot `final_snapshot` names, and restart from it

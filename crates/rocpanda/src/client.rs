@@ -169,10 +169,9 @@ impl IoService for PandaClient<'_> {
                 tag::READ_BATCH => {
                     // A server's whole share in one message, each block
                     // read where it lies: its records stay windows of the
-                    // message's parts — the server's cached or file-image
-                    // buffers — until apply_block decodes them into the
-                    // pane. A second copy of a block is counted, not
-                    // applied.
+                    // message's parts — the server's file-image buffers —
+                    // until apply_block decodes them into the pane. A
+                    // second copy of a block is counted, not applied.
                     let window = windows.window_mut(&sel.window)?;
                     wire::read_batch(&mut msg.payload.cursor(), |wire::BlockMsgView { block, .. }| {
                         got += 1;
@@ -730,112 +729,45 @@ mod tests {
         }
     }
 
-    /// With the snapshot read cache on, an in-run restart is served
-    /// entirely from the servers' buffered block handles: values come
-    /// back exact and the file system sees zero read traffic — across
-    /// uneven and empty server groups (the empty group votes "yes"
-    /// vacuously and ships nothing).
-    #[test]
-    fn read_cache_serves_restart_without_touching_disk() {
-        for (n_clients, server_ranks) in [
-            (4usize, vec![0usize, 3]),
-            (1, vec![1, 2]), // one server group is empty
-        ] {
-            let fs = Arc::new(SharedFs::ideal());
-            let snap = SnapshotId::new(10, 0);
-            let fabric = ideal(n_clients + server_ranks.len());
-            let cfg = RocpandaConfig {
-                read_cache: true,
-                ..Default::default()
-            };
-            let (results, stats) = run_job(&fs, &cfg, &server_ranks, &fabric, |_, c, app| {
-                let mut ws = build_windows(app.rank(), 2);
-                c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
-                let written = sum_pressure(&ws);
-                scribble(&mut ws, -3.0);
-                c.read_attribute(&mut ws, &AttrSelector::all("fluid"), snap).unwrap();
-                c.finalize().unwrap();
-                (written, sum_pressure(&ws))
-            });
-            for (written, restored) in &results {
-                assert_eq!(written, restored);
-            }
-            let shipped: u64 = stats.iter().map(|s| s.restart_blocks_sent).sum();
-            assert_eq!(shipped, (n_clients * 2) as u64, "{n_clients} clients");
-            // The whole restart came out of server memory.
-            assert_eq!(fs.stats().bytes_read, 0);
-            assert_eq!(fs.stats().read_ops, 0);
-        }
-    }
-
-    /// `read_cache` is read-your-writes only: a restart in a fresh server
-    /// session finds empty caches, the vote fails, and the ordinary disk
-    /// path serves the data.
-    #[test]
-    fn cold_restart_falls_back_to_the_disk_path() {
-        let fs = Arc::new(SharedFs::ideal());
-        let snap = SnapshotId::new(20, 0);
-        let cfg = RocpandaConfig {
-            read_cache: true,
-            ..Default::default()
-        };
-        run_job(&fs, &cfg, &[0, 3], &ideal(6), |_, c, app| {
-            let ws = build_windows(app.rank(), 2);
-            c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
-            c.finalize().unwrap();
-        });
-        let (ok, _) = run_job(&fs, &cfg, &[0, 3], &ideal(6), |_, c, app| {
-            let mut ws = build_windows(app.rank(), 2);
-            scribble(&mut ws, -3.0);
-            c.read_attribute(&mut ws, &AttrSelector::all("fluid"), snap).unwrap();
-            c.finalize().unwrap();
-            holds_written_values(&ws)
-        });
-        assert!(ok.iter().all(|&b| b));
-        assert!(fs.stats().bytes_read > 0, "cold restart must hit the disk");
-    }
-
     /// A file's record dies with its file, its restart rounds do not: a
     /// snapshot written, restarted, retired, written again under the same
-    /// name and restarted again comes back as it was last written — from
-    /// the cache and from disk, on a pool where one server has no client of
-    /// the tenant and knows the file from restart traffic alone. (A server
-    /// that forgot the round count at retire would fall an epoch behind its
-    /// peer; answering votes on receipt carries them through one more
-    /// restart, and the one after that hangs on a round nobody else is in.)
+    /// name and restarted again comes back as it was last written, on a
+    /// pool where one server has no client of the tenant and knows the
+    /// file from restart traffic alone. (A server that forgot the round
+    /// count at retire would fall an epoch behind its peer; answering
+    /// flush tokens on receipt carries them through one more restart, and
+    /// the one after that hangs on a round nobody else is in.)
     #[test]
     fn a_retired_snapshot_can_be_rewritten_and_restarted_again() {
         let snap = SnapshotId::new(30, 0);
         let all = AttrSelector::all("fluid");
-        for read_cache in [false, true] {
-            let fs = Arc::new(SharedFs::ideal());
-            let cfg = RocpandaConfig { read_cache, ..Default::default() };
-            let (ok, stats) = run_job(&fs, &cfg, &[1, 2], &ideal(3), |_, c, app| {
-                let mut ws = build_windows(app.rank(), 2);
-                c.write_attribute(&ws, &all, snap).unwrap();
+        let fs = Arc::new(SharedFs::ideal());
+        let cfg = RocpandaConfig::default();
+        let (ok, stats) = run_job(&fs, &cfg, &[1, 2], &ideal(3), |_, c, app| {
+            let mut ws = build_windows(app.rank(), 2);
+            c.write_attribute(&ws, &all, snap).unwrap();
+            scribble(&mut ws, -3.0);
+            c.read_attribute(&mut ws, &all, snap).unwrap();
+            let first = holds_written_values(&ws);
+            c.retire(snap).unwrap();
+            // The second life of the name holds other values.
+            scribble(&mut ws, 42.5);
+            let rewritten = ws.clone();
+            c.write_attribute(&ws, &all, snap).unwrap();
+            let mut again = true;
+            for _ in 0..2 {
                 scribble(&mut ws, -3.0);
                 c.read_attribute(&mut ws, &all, snap).unwrap();
-                let first = holds_written_values(&ws);
-                c.retire(snap).unwrap();
-                // The second life of the name holds other values.
-                scribble(&mut ws, 42.5);
-                let rewritten = ws.clone();
-                c.write_attribute(&ws, &all, snap).unwrap();
-                let mut again = true;
-                for _ in 0..2 {
-                    scribble(&mut ws, -3.0);
-                    c.read_attribute(&mut ws, &all, snap).unwrap();
-                    again &= ws == rewritten;
-                }
-                c.finalize().unwrap();
-                first && again
-            });
-            assert!(ok.iter().all(|&b| b), "read_cache {read_cache}");
-            let shipped: u64 = stats.iter().map(|s| s.restart_blocks_sent).sum();
-            assert_eq!(shipped, 6, "read_cache {read_cache}: three restarts of two blocks");
-            assert_eq!(fs.stats().read_ops == 0, read_cache);
-            assert_eq!(fs.list("out/").len(), 1, "the retired file was replaced, not kept");
-        }
+                again &= ws == rewritten;
+            }
+            c.finalize().unwrap();
+            first && again
+        });
+        assert!(ok.iter().all(|&b| b));
+        let shipped: u64 = stats.iter().map(|s| s.restart_blocks_sent).sum();
+        assert_eq!(shipped, 6, "three restarts of two blocks");
+        assert!(fs.stats().read_ops > 0);
+        assert_eq!(fs.list("out/").len(), 1, "the retired file was replaced, not kept");
     }
 
     /// Prefers, at each server, the messages of one tenant's clients — so
@@ -862,65 +794,61 @@ mod tests {
     }
 
     /// Two tenants restart at once and the two servers meet their rounds
-    /// in opposite orders: server 0 is waiting for votes on A's round while
-    /// server 1 waits on B's. Each answers the other's round from inside
-    /// its own wait loop, so neither deadlocks and no vote lands in the
-    /// wrong round — from the cache (votes only) and from disk (votes, then
-    /// flush tokens).
+    /// in opposite orders: server 0 is waiting for flush tokens on A's
+    /// round while server 1 waits on B's. Each answers the other's round
+    /// from inside its own wait loop, so neither deadlocks and no token
+    /// lands in the wrong round.
     #[test]
     fn two_tenants_restart_while_the_servers_meet_their_rounds_in_opposite_orders() {
         let snap = SnapshotId::new(40, 0);
         let all = AttrSelector::all("fluid");
         let (job_a, job_b) = ([2, 3], [4, 5]);
-        for read_cache in [false, true] {
-            let oracle = Arc::new(CrossOrder {
-                prefers: [(0, job_a), (1, job_b)],
-                read_reqs: parking_lot::Mutex::new(Vec::new()),
-            });
-            let fabric = Arc::new(Fabric::with_oracle(ClusterSpec::ideal(6), oracle.clone()));
-            let fs = Arc::new(SharedFs::ideal());
-            let svc = PandaServiceBuilder::new(Arc::clone(&fs))
-                .servers(&[0, 1])
-                .config(RocpandaConfig { read_cache, ..Default::default() })
-                .build()
-                .unwrap();
-            svc.submit(crate::JobSpec::new("a", &job_a)).unwrap();
-            svc.submit(crate::JobSpec::new("b", &job_b)).unwrap();
-            let restored = rocnet::harness::run_on_fabric(&fabric, &|world: Comm| {
-                match svc.attach(&world).unwrap() {
-                    ServiceRole::Server(mut s) => s.run().map(|_| true).unwrap(),
-                    ServiceRole::Client { job, mut io, comm: app } => {
-                        // Each tenant's values are its own, so a block
-                        // shipped to the wrong tenant cannot pass.
-                        let mut ws = build_windows(app.rank(), 2);
-                        scribble(&mut ws, job.tenant().0 as f64 * 1000.0 + app.rank() as f64);
-                        let written = ws.clone();
-                        io.write_attribute(&ws, &all, snap).unwrap();
-                        // All four clients have written before any asks
-                        // to restart, so each server has both tenants'
-                        // requests to choose from.
-                        let others = || (2..6).filter(|&c| c != world.rank());
-                        others().for_each(|c| world.send(c, 0x77, &[]).unwrap());
-                        others().for_each(|c| drop(world.recv(Some(c), Some(0x77)).unwrap()));
-                        scribble(&mut ws, -3.0);
-                        io.read_attribute(&mut ws, &all, snap).unwrap();
-                        io.finalize().unwrap();
-                        ws == written
-                    }
-                    ServiceRole::Idle => unreachable!("every rank is a server or a client"),
+        let oracle = Arc::new(CrossOrder {
+            prefers: [(0, job_a), (1, job_b)],
+            read_reqs: parking_lot::Mutex::new(Vec::new()),
+        });
+        let fabric = Arc::new(Fabric::with_oracle(ClusterSpec::ideal(6), oracle.clone()));
+        let fs = Arc::new(SharedFs::ideal());
+        let svc = PandaServiceBuilder::new(Arc::clone(&fs))
+            .servers(&[0, 1])
+            .build()
+            .unwrap();
+        svc.submit(crate::JobSpec::new("a", &job_a)).unwrap();
+        svc.submit(crate::JobSpec::new("b", &job_b)).unwrap();
+        let restored = rocnet::harness::run_on_fabric(&fabric, &|world: Comm| {
+            match svc.attach(&world).unwrap() {
+                ServiceRole::Server(mut s) => s.run().map(|_| true).unwrap(),
+                ServiceRole::Client { job, mut io, comm: app } => {
+                    // Each tenant's values are its own, so a block
+                    // shipped to the wrong tenant cannot pass.
+                    let mut ws = build_windows(app.rank(), 2);
+                    scribble(&mut ws, job.tenant().0 as f64 * 1000.0 + app.rank() as f64);
+                    let written = ws.clone();
+                    io.write_attribute(&ws, &all, snap).unwrap();
+                    // All four clients have written before any asks
+                    // to restart, so each server has both tenants'
+                    // requests to choose from.
+                    let others = || (2..6).filter(|&c| c != world.rank());
+                    others().for_each(|c| world.send(c, 0x77, &[]).unwrap());
+                    others().for_each(|c| drop(world.recv(Some(c), Some(0x77)).unwrap()));
+                    scribble(&mut ws, -3.0);
+                    io.read_attribute(&mut ws, &all, snap).unwrap();
+                    io.finalize().unwrap();
+                    ws == written
                 }
-            });
-            assert!(restored.iter().all(|&b| b), "read_cache {read_cache}");
-            // The orders really were opposite: each server took its
-            // favoured tenant's two requests before the other's.
-            let took = |server| -> Vec<usize> {
-                let log = oracle.read_reqs.lock();
-                log.iter().filter(|(dst, _)| *dst == server).map(|(_, src)| *src).collect()
-            };
-            assert_eq!(took(0), [2, 3, 4, 5], "read_cache {read_cache}");
-            assert_eq!(took(1), [4, 5, 2, 3], "read_cache {read_cache}");
-            assert_eq!(fs.stats().read_ops == 0, read_cache);
-        }
+                ServiceRole::Idle => unreachable!("every rank is a server or a client"),
+            }
+        });
+        assert!(restored.iter().all(|&b| b));
+        // The orders really were opposite: each server took its
+        // favoured tenant's two requests before the other's.
+        let took = |server| -> Vec<usize> {
+            let log = oracle.read_reqs.lock();
+            log.iter().filter(|(dst, _)| *dst == server).map(|(_, src)| *src).collect()
+        };
+        assert_eq!(took(0), [2, 3, 4, 5]);
+        assert_eq!(took(1), [4, 5, 2, 3]);
+        assert!(fs.stats().read_ops > 0);
     }
 
     /// A buffer that is not whole tuples long is the writing client's

@@ -29,14 +29,6 @@ pub struct RocpandaConfig {
     /// default); larger windows pipeline injection against server
     /// processing at the cost of transient buffering in the transport.
     pub ack_window: usize,
-    /// Serve restarts from the servers' active buffers when they still
-    /// hold the requested snapshot (read-your-writes), skipping disk
-    /// entirely. **Off by default**: the committed experiments measure
-    /// restart as a *cold* application start (Table 1 reads the snapshot
-    /// back from the file system), and an in-run restart through warm
-    /// servers would short-circuit that measurement. Enable it for
-    /// workflows that genuinely restart within a server session.
-    pub read_cache: bool,
     /// Declare the fabric degraded: `Some(spec)` routes every Rocpanda
     /// protocol message through the reliability layer
     /// ([`rocnet::ReliableComm`] — sequence numbers, acks, retransmission),
@@ -57,7 +49,6 @@ impl Default for RocpandaConfig {
             active_buffering: true,
             responsive_probe: true,
             ack_window: 1,
-            read_cache: false,
             faulty_net: None,
         }
     }
@@ -109,8 +100,6 @@ mod tests {
         assert!(c.active_buffering);
         assert!(c.responsive_probe);
         assert!(c.buffer_capacity > 100 << 20);
-        // Off so restart measurements model a cold application start.
-        assert!(!c.read_cache);
         // Trusted fabric by default: no reliability-layer overhead.
         assert!(c.faulty_net.is_none());
     }

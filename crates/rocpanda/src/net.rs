@@ -7,7 +7,7 @@
 //! survives a fabric that drops, duplicates and reorders messages
 //! (deterministically, per the configured [`rocnet::FaultSpec`]).
 //!
-//! Split-communicator traffic (client barriers, server `CACHE_VOTE`
+//! Split-communicator traffic (client barriers, server `FLUSH_TOKEN`
 //! coordination) stays on the raw comm: fault injection only targets
 //! context 0, and collectives carry no snapshot payload.
 //!

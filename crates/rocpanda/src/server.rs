@@ -6,10 +6,9 @@
 //!
 //! * one `FileRecord` per output file — `(tenant, snapshot, window)`, a
 //!   `FileKey` — holding the writer and its progress counters, the blocks
-//!   each client still owes, the restart requests collected so far, the
-//!   file's partition of the read cache, and the restart rounds it has
-//!   votes or flush tokens for. Retiring a snapshot resets that one value;
-//!   closing a restart round drops one entry inside it.
+//!   each client still owes, the restart requests collected so far, and
+//!   the restart rounds it has flush tokens for. Retiring a snapshot resets
+//!   that one value; closing a restart round drops one entry inside it.
 //! * one `Tenant` per admitted job — its client layout, drain queue,
 //!   deficit, sticky drain error, shutdown flag and drain telemetry. The
 //!   background drain runs deficit round-robin across tenants, so one
@@ -46,13 +45,12 @@ const LINGER_QUIET: f64 = 0.32;
 const DRR_QUANTUM: u64 = 64 * 1024;
 
 /// Modelled server CPU cost (seconds) to process one incoming block
-/// message — unpack, registry bookkeeping, buffer insertion — or to stage
-/// one cached block into a restart reply. Calibrated so Fig. 3(a)'s
-/// apparent-throughput curve lands near the paper's.
+/// message — unpack, registry bookkeeping, buffer insertion. Calibrated so
+/// Fig. 3(a)'s apparent-throughput curve lands near the paper's.
 const SERVER_BLOCK_OVERHEAD: f64 = 0.80e-3;
 
 /// Modelled memory-copy bandwidth (bytes/s) at the server: buffering a
-/// block, submitting it to the file system, staging it into a reply.
+/// block, submitting it to the file system.
 const SERVER_COPY_BW: f64 = 300e6;
 
 /// Name of one output file: (tenant, snapshot, window). Including the
@@ -111,7 +109,7 @@ struct Tenant {
 /// Everything this server knows about one output file, from the first
 /// message that names it. The write half dies when the snapshot is
 /// retired; `epoch` and `rounds` outlive the file, because the servers
-/// match their restart votes on them.
+/// match their flush tokens on them.
 #[derive(Default)]
 struct FileRecord<'fs> {
     writer: Option<SdfFileWriter<'fs>>,
@@ -120,7 +118,6 @@ struct FileRecord<'fs> {
     /// WRITE_REQs received (file is complete once every group client has
     /// announced and every announced block is written).
     reqs_received: usize,
-    blocks_received: u32,
     blocks_written: u32,
     /// Blocks disposed of without reaching storage because the file
     /// failed (e.g. the tenant ran out of quota mid-snapshot). Counted so
@@ -134,31 +131,17 @@ struct FileRecord<'fs> {
     pending: HashMap<usize, u32>,
     /// Restart requests collected for the round about to be served.
     read_reqs: Vec<(usize, Vec<u64>)>,
-    /// This file's partition of the snapshot read cache: buffered block
-    /// messages kept for restart service (read-your-writes), by block id.
-    /// Populated at intake when `cfg.read_cache` is on; a message's parts
-    /// are shared with the write queue by refcount, so the cache holds no
-    /// extra copy of the data.
-    cache: HashMap<u64, Cached>,
     /// Completed restart rounds: the coordination epoch, which tells
     /// *repeated* restarts of one snapshot apart on the wire.
     epoch: u32,
-    /// Restart rounds this server has votes or flush tokens for, by
-    /// epoch — its own round, or one a peer has entered first.
+    /// Restart rounds this server has flush tokens for, by epoch — its
+    /// own round, or one a peer has entered first.
     rounds: BTreeMap<u32, Round>,
 }
 
 /// One restart round's server↔server coordination.
 #[derive(Default)]
 struct Round {
-    /// This server's vote is cast. One vote per round, computed at most
-    /// once — on demand when a peer's vote arrives early, otherwise when
-    /// this server enters the round.
-    voted: bool,
-    /// Votes tallied, this server's included.
-    votes: usize,
-    /// Some server cannot serve its share from its cache: all go to disk.
-    refused: bool,
     /// This server's flush token is out.
     flushed: bool,
     /// Flush tokens collected, this server's included.
@@ -228,25 +211,6 @@ struct Queued {
     charged: usize,
     /// Virtual time the block entered the queue (drain-latency stats).
     enqueued: f64,
-}
-
-/// A buffered block kept for restart service: the message it arrived as,
-/// which is the `READ_BATCH` entry it goes back as.
-#[derive(Clone)]
-struct Cached {
-    wire: Rope,
-    /// Encoded size of the block, charged when it is staged into a reply.
-    size: u64,
-}
-
-/// One block of a restart reply.
-enum Restored {
-    /// Out of the read cache, still the rope it was received as.
-    Staged(Cached),
-    /// Off the disk, read where it lies and laid out again as a `BLOCK`
-    /// message (a file record carries a `__crc32__` that a wire record
-    /// does not).
-    Read(BlockView),
 }
 
 /// A dedicated I/O server. Handed out by [`crate::PandaService::attach`] to
@@ -430,9 +394,9 @@ impl<'a> PandaServer<'a> {
         // Zero-copy intake: the message is read the way every receiver
         // reads a block — walked once, every record checked, and held as
         // a view whose headers and payloads are windows of the message's
-        // parts (the client's own payload image). Buffering, the read
-        // cache and the drain all hold that one rope; no snapshot byte is
-        // copied between the client's encode and the file image.
+        // parts (the client's own payload image). Buffering and the drain
+        // both hold that one rope; no snapshot byte is copied between the
+        // client's encode and the file image.
         let BlockMsgView { snap, window, block } = BlockMsgView::decode_whole(wire)?;
         let size = block.encoded_size();
         let key = self.file(FileKey { tenant, snap, window: window.into_owned() });
@@ -441,17 +405,8 @@ impl<'a> PandaServer<'a> {
         let t_fill0 = self.world.now();
         self.world
             .advance(SERVER_BLOCK_OVERHEAD + bytes as f64 / SERVER_COPY_BW);
-        let rec = record(&mut self.files, &key)?;
-        rec.blocks_received += 1;
         if self.cfg.active_buffering {
             self.stats.blocks_buffered += 1;
-            if self.cfg.read_cache {
-                // Keep the message for restart service. Its parts are
-                // shared with the queued view, so this is a refcount
-                // bump, not a data copy.
-                let cached = Cached { wire: wire.clone(), size: size as u64 };
-                rec.cache.insert(block.id().0, cached);
-            }
             self.enqueue(Arc::clone(&key), block, size, bytes)?;
             if rocobs::enabled() {
                 rocobs::record(
@@ -546,7 +501,6 @@ impl<'a> PandaServer<'a> {
                 let keys: Vec<Arc<FileKey>> = self.files.keys().filter(of_snap).cloned().collect();
                 for key in keys {
                     let rec = record(&mut self.files, &key)?;
-                    rec.cache.clear();
                     if !rec.finished {
                         continue;
                     }
@@ -558,7 +512,7 @@ impl<'a> PandaServer<'a> {
                     }
                     // The file is gone and its record with it — but for
                     // the restart rounds its name has been through, which
-                    // the peers count too and match votes on.
+                    // the peers count too and match flush tokens on.
                     let (epoch, rounds) = (rec.epoch, std::mem::take(&mut rec.rounds));
                     if epoch == 0 && rounds.is_empty() {
                         self.files.remove(&*key);
@@ -773,8 +727,16 @@ impl<'a> PandaServer<'a> {
     }
 
     /// Collective restart: every one of this tenant's clients' id lists
-    /// is in. Coordinate the cache-vs-disk decision with the peer
-    /// servers, then ship requested blocks to their owners (§4.1).
+    /// is in. Ship the requested blocks to their owners from the files on
+    /// disk (§4.1).
+    ///
+    /// The round-robin file assignment makes a server read files that
+    /// *other* servers wrote, so every server must have flushed before
+    /// anyone scans. Each server flushes, then trades flush tokens keyed
+    /// by (tenant, snapshot, window, epoch), collected in a wait loop that
+    /// answers *other* rounds' tokens on receipt — so two servers entering
+    /// different tenants' restarts in opposite orders cannot deadlock, and
+    /// tokens from concurrent rounds never mix.
     ///
     /// Failures (missing, truncated or corrupted files) are *reported* to
     /// the requesting clients as `READ_ERR` rather than propagated: the
@@ -784,32 +746,11 @@ impl<'a> PandaServer<'a> {
         let rec = record(&mut self.files, key)?;
         let (requests, epoch) = (std::mem::take(&mut rec.read_reqs), rec.epoch);
         let m = self.server_ranks.len();
-        // All-or-nothing cache decision. The vote is keyed by (tenant,
-        // snapshot, window, epoch) and collected in a wait loop that
-        // answers *other* rounds' coordination on receipt — so two
-        // servers entering different tenants' restarts in opposite orders
-        // cannot deadlock, and votes from concurrent rounds never mix.
-        self.ensure_voted(key, epoch)?;
-        let wait = self.await_round(key, epoch, |round| round.votes >= m);
-        let result = if wait.is_err() {
-            wait
-        } else if !self.round(key, epoch)?.refused {
-            // Fast path: every server still buffers its clients' whole
-            // share of this snapshot — serve from memory, no flush, no
-            // disk scan, no flush tokens (the vote itself is the
-            // synchronization point).
-            self.serve_from_cache(key, &requests)
-        } else {
-            // Disk path. The round-robin file assignment makes a server
-            // read files that *other* servers wrote, so every server must
-            // have flushed before anyone scans. Each server flushes, then
-            // trades keyed flush tokens — reached even when the flush
-            // failed, so a sibling waiting on our token cannot deadlock
-            // on our error.
-            let prep = self.ensure_flushed(key, epoch);
-            let wait = self.await_round(key, epoch, |round| round.tokens >= m);
-            prep.and(wait).and_then(|_| self.scan_and_ship(key, &requests))
-        };
+        // The token goes out even when the flush failed, so a sibling
+        // waiting on it cannot deadlock on our error.
+        let prep = self.ensure_flushed(key, epoch);
+        let wait = self.await_round(key, epoch, |round| round.tokens >= m);
+        let result = prep.and(wait).and_then(|_| self.scan_and_ship(key, &requests));
         // The round is over on every server that reaches this point:
         // drop its coordination state and open the next epoch.
         let rec = record(&mut self.files, key)?;
@@ -845,23 +786,6 @@ impl<'a> PandaServer<'a> {
         peers.try_for_each(|r| self.server_comm.send(r, tag, payload))
     }
 
-    /// Record and broadcast this server's vote for one restart round, at
-    /// most once. Safe to run early (when a peer's vote arrives before we
-    /// have all our READ_REQs): a tenant's clients only request a restart
-    /// after their writes completed, so this server's state for the key
-    /// is already final when any peer can be voting.
-    fn ensure_voted(&mut self, key: &FileKey, epoch: u32) -> Result<()> {
-        if self.round(key, epoch)?.voted {
-            return Ok(());
-        }
-        let mine = self.can_serve_restart_from_cache(key);
-        let round = self.round(key, epoch)?;
-        round.voted = true;
-        round.votes += 1;
-        round.refused |= !mine;
-        self.tell_peers(tag::CACHE_VOTE, &wire::encode_cache_vote(&key.coord(epoch), mine))
-    }
-
     /// Flush for one restart round and broadcast its token, at most once.
     /// The token always goes out — even on a flush error — so a peer
     /// blocked on it cannot deadlock; it will surface the same storage
@@ -880,25 +804,16 @@ impl<'a> PandaServer<'a> {
     }
 
     /// Dispatch one server↔server coordination message. Called from any
-    /// round's wait loop: a vote for a round we haven't entered is
-    /// answered immediately (vote-on-receipt), and a flush token for a
-    /// round we haven't flushed triggers our flush now — both are what
-    /// break the cross-tenant wait cycles.
+    /// round's wait loop: a flush token for a round we haven't flushed
+    /// triggers our flush now (token-on-receipt), which is what breaks
+    /// the cross-tenant wait cycles.
     fn handle_coord(&mut self, msg: Message) -> Result<()> {
         match msg.tag {
-            tag::CACHE_VOTE => {
-                let (vk, vote) = wire::decode_cache_vote(&msg.payload)?;
-                let (key, epoch) = self.round_named(vk);
-                self.ensure_voted(&key, epoch)?;
-                let round = self.round(&key, epoch)?;
-                round.votes += 1;
-                round.refused |= !vote;
-                Ok(())
-            }
             tag::FLUSH_TOKEN => {
-                let (key, epoch) = self.round_named(wire::decode_flush_token(&msg.payload)?);
-                // A peer only flushes after a failed vote, so this round
-                // is going to disk: flush our share now.
+                let CoordKey { tenant, snap, window, epoch } =
+                    wire::decode_flush_token(&msg.payload)?;
+                let key = self.file(FileKey { tenant, snap, window });
+                // Every restart round reads from disk: flush our share now.
                 self.ensure_flushed(&key, epoch)?;
                 self.round(&key, epoch)?.tokens += 1;
                 Ok(())
@@ -908,30 +823,6 @@ impl<'a> PandaServer<'a> {
                 msg.src
             ))),
         }
-    }
-
-    /// The file and epoch a peer's coordination message names.
-    fn round_named(&mut self, vk: CoordKey) -> (Arc<FileKey>, u32) {
-        let CoordKey { tenant, snap, window, epoch } = vk;
-        (self.file(FileKey { tenant, snap, window }), epoch)
-    }
-
-    /// Can this server serve its share of a restart of `key` entirely
-    /// from buffered block handles? True only when every block announced
-    /// by this server's clients *of this tenant* is sitting in the read
-    /// cache (vacuously true for a server with none of the tenant's
-    /// clients, which owns no share; false for one that has clients and
-    /// never heard them announce the snapshot).
-    fn can_serve_restart_from_cache(&self, key: &FileKey) -> bool {
-        let group = self.group(key.tenant);
-        self.cfg.active_buffering
-            && self.cfg.read_cache
-            && self.files.get(key).is_some_and(|rec| {
-                !rec.failed
-                    && rec.reqs_received == group
-                    && rec.blocks_received == rec.expected_blocks
-                    && rec.cache.len() as u32 == rec.expected_blocks
-            })
     }
 
     /// Block id → requesting client. Every server sees every client's
@@ -950,71 +841,30 @@ impl<'a> PandaServer<'a> {
         Ok(owner)
     }
 
-    /// Serve the whole restart from this server's snapshot read cache:
-    /// no disk at all, no flush, no scan.
-    fn serve_from_cache(&mut self, key: &FileKey, requests: &[(usize, Vec<u64>)]) -> Result<()> {
-        // The cache is keyed by block id, so the map itself is not needed
-        // here: only its refusal of a block claimed twice.
-        Self::owners(requests)?;
-        let cache = &record(&mut self.files, key)?.cache;
-        let per_client = requests
-            .iter()
-            .map(|(client, ids)| {
-                let cached = ids.iter().filter_map(|id| cache.get(id));
-                (*client, cached.cloned().map(Restored::Staged).collect())
-            })
-            .collect();
-        self.ship(key, &per_client, requests)
-    }
-
     /// End a restart round: each requesting client, in request order,
     /// gets its share as one zero-copy `READ_BATCH` (none when the share
-    /// is empty), then `READ_DONE` with the count. Blocks staged out of
-    /// the read cache are charged like intake — per-block overhead plus a
-    /// memory copy into the reply — and go back as the messages they came
-    /// as; blocks off the disk were charged by their reads and are laid out
-    /// here, their payloads the file image's by refcount.
+    /// is empty), then `READ_DONE` with the count. The blocks were charged
+    /// by their reads; each is laid out again here as a `BLOCK` message (a
+    /// file record carries a `__crc32__` that a wire record does not), its
+    /// payloads the file image's by refcount.
     fn ship(
         &mut self,
         key: &FileKey,
-        per_client: &HashMap<usize, Vec<Restored>>,
+        per_client: &HashMap<usize, Vec<BlockView>>,
         requests: &[(usize, Vec<u64>)],
     ) -> Result<()> {
         for (client, _) in requests {
-            let msgs = per_client.get(client).map_or(&[][..], Vec::as_slice);
-            let t0 = self.world.now();
-            let mut staged = false;
-            for m in msgs {
-                if let Restored::Staged(cached) = m {
-                    staged = true;
-                    self.world
-                        .advance(SERVER_BLOCK_OVERHEAD + cached.size as f64 / SERVER_COPY_BW);
-                }
-            }
-            if !msgs.is_empty() {
-                let entries: Vec<Rope> = msgs
+            let blocks = per_client.get(client).map_or(&[][..], Vec::as_slice);
+            if !blocks.is_empty() {
+                let entries: Vec<Rope> = blocks
                     .iter()
-                    .map(|m| match m {
-                        Restored::Staged(cached) => cached.wire.clone(),
-                        Restored::Read(block) => {
-                            wire::encode_block_msg(key.snap, &key.window, block)
-                        }
-                    })
+                    .map(|block| wire::encode_block_msg(key.snap, &key.window, block))
                     .collect();
                 self.net.send_rope(*client, tag::READ_BATCH, wire::encode_read_batch(&entries))?;
-                if staged && rocobs::enabled() {
-                    rocobs::record(
-                        rocobs::SpanCategory::RestartRead,
-                        "restart_cache_serve",
-                        t0,
-                        self.world.now(),
-                        &format!("client={client} blocks={}", msgs.len()),
-                    );
-                }
             }
-            self.stats.restart_blocks_sent += msgs.len() as u64;
+            self.stats.restart_blocks_sent += blocks.len() as u64;
             self.net
-                .send(*client, tag::READ_DONE, &wire::encode_read_done(msgs.len() as u32))?;
+                .send(*client, tag::READ_DONE, &wire::encode_read_done(blocks.len() as u32))?;
         }
         Ok(())
     }
@@ -1039,7 +889,7 @@ impl<'a> PandaServer<'a> {
         let client_id = self.world.global_rank() as u64;
         // Per-client share of the blocks this server read, accumulated
         // across its file domains and shipped as one READ_BATCH each.
-        let mut per_client: HashMap<usize, Vec<Restored>> = HashMap::new();
+        let mut per_client: HashMap<usize, Vec<BlockView>> = HashMap::new();
         for (i, path) in files.iter().enumerate() {
             if i % m != self.server_index {
                 continue;
@@ -1060,7 +910,7 @@ impl<'a> PandaServer<'a> {
             self.world.clock().merge(t);
             for block in blocks {
                 let client = owner[&block.id().0];
-                per_client.entry(client).or_default().push(Restored::Read(block));
+                per_client.entry(client).or_default().push(block);
             }
         }
         self.ship(key, &per_client, requests)

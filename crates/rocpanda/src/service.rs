@@ -2,8 +2,8 @@
 //! server ranks shared by several simultaneously admitted jobs.
 //!
 //! The session is the only way into Rocpanda. A [`PandaService`] owns the
-//! server ranks, the shared store, and the read cache for the duration of
-//! one or many jobs: each job is *admitted* via [`PandaService::submit`] —
+//! server ranks and the shared store for the duration of one or many
+//! jobs: each job is *admitted* via [`PandaService::submit`] —
 //! which checks its rank layout against the pool and the jobs already
 //! admitted and hands back a [`JobHandle`] naming the job's [`TenantId`] —
 //! and every world rank
@@ -13,10 +13,9 @@
 //!
 //! Inside the service, tenants are isolated end to end: per-tenant byte
 //! quotas in the store's ledger, tenant-prefixed file namespaces,
-//! per-tenant read-cache partitions, per-tenant drain queues served
-//! deficit-round-robin by priority, and structured
-//! [`ServiceError`]s attributing every failure
-//! to the tenant that caused it.
+//! per-tenant drain queues served deficit-round-robin by priority, and
+//! structured [`ServiceError`]s attributing every failure to the tenant
+//! that caused it.
 
 use std::sync::Arc;
 
@@ -97,7 +96,7 @@ impl JobHandle {
 pub enum ServiceRole<'a> {
     /// A pooled I/O server shared by every admitted job; call
     /// [`PandaServer::run`], which returns once all tenants shut down.
-    /// Boxed: the server carries the whole drain/cache state and would
+    /// Boxed: the server carries the whole drain state and would
     /// dwarf the client variant.
     Server(Box<PandaServer<'a>>),
     /// A compute client of `job`. `comm` is the job-private communicator

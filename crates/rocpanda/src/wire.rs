@@ -17,11 +17,12 @@
 //! applying a migrated block. The server in the middle reads a `BLOCK`
 //! message the way they do, as a [`BlockMsgView`], and hands the view to
 //! its file's writer (`rocsdf::SdfFileWriter::append_block`), which lays
-//! the block out again as file records; the message itself is what the
-//! read cache ships back. Every length read from a
+//! the block out again as file records. Every length read from a
 //! message goes through the checked cursor (`rocio_core::Cursor`, over a
-//! rope's parts or a control message's bytes), and every count is bounded by
-//! the bytes that remain before it sizes an allocation. What a message is
+//! rope's parts or a control message's bytes), every count is bounded by
+//! the bytes that remain before it sizes an allocation, and a message that
+//! stands alone is read whole: bytes after its last field are refused
+//! (`whole`). What a message is
 //! *about* — a `(snapshot, window)` pair — is spelled in one place,
 //! `put_name` / `read_name`.
 
@@ -61,22 +62,14 @@ pub mod tag {
     /// clean error rather than waiting forever on a dead restart.
     pub const READ_ERR: u32 = 0x0050_000D;
     /// Server → client: this server's whole share of a restart as one
-    /// batch of encoded data blocks, from its read cache or its disk scan.
+    /// batch of encoded data blocks, read from its share of the files.
     pub const READ_BATCH: u32 = 0x0050_000E;
-    /// Server ↔ server: one bool per peer — "I can serve this restart
-    /// entirely from my buffered snapshot". All-or-nothing: any `false`
-    /// sends every server down the disk path, because the cache partition
-    /// (by writing client) and the disk partition (round-robin files)
-    /// would otherwise duplicate or miss blocks. Keyed by
-    /// [`CoordKey`](super::CoordKey) so votes for concurrent
-    /// tenants' restarts never mispair.
-    pub const CACHE_VOTE: u32 = 0x0050_000F;
     /// Server ↔ server: "my buffers for this restart key are flushed".
-    /// Replaces the old all-server barrier on the disk restart path — a
-    /// barrier would deadlock once different tenants' restarts can reach
-    /// the servers in different orders, so the disk path now waits only
-    /// for the tokens of *this* key while still answering other tenants'
-    /// traffic.
+    /// Keyed by [`CoordKey`](super::CoordKey). Replaces the old all-server
+    /// barrier of a restart — a barrier would deadlock once different
+    /// tenants' restarts can reach the servers in different orders, so a
+    /// restart waits only for the tokens of *this* key while still
+    /// answering other tenants' traffic.
     pub const FLUSH_TOKEN: u32 = 0x0050_0010;
 }
 
@@ -130,10 +123,11 @@ impl WriteReq {
     }
 
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let cur = &mut Cursor::from(bytes);
-        let (snap, _, window) = read_name(cur, false)?;
-        let n_blocks = cur.u32("panda wire block count")?;
-        Ok(WriteReq { snap, window: window.into_owned(), n_blocks })
+        whole(bytes.into(), "WRITE_REQ", |cur| {
+            let (snap, _, window) = read_name(cur, false)?;
+            let n_blocks = cur.u32("panda wire block count")?;
+            Ok(WriteReq { snap, window: window.into_owned(), n_blocks })
+        })
     }
 }
 
@@ -158,14 +152,15 @@ impl ReadReq {
     }
 
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let cur = &mut Cursor::from(bytes);
-        let (snap, _, window) = read_name(cur, false)?;
-        let n = cur.u32("panda wire count")? as usize;
-        if n > cur.remaining() / 8 {
-            return Err(RocError::Corrupt("panda wire: id list exceeds message".into()));
-        }
-        let ids = (0..n).map(|_| cur.u64("panda wire block id")).collect::<Result<_>>()?;
-        Ok(ReadReq { snap, window: window.into_owned(), ids })
+        whole(bytes.into(), "READ_REQ", |cur| {
+            let (snap, _, window) = read_name(cur, false)?;
+            let n = cur.u32("panda wire count")? as usize;
+            if n > cur.remaining() / 8 {
+                return Err(RocError::Corrupt("panda wire: id list exceeds message".into()));
+            }
+            let ids = (0..n).map(|_| cur.u64("panda wire block id")).collect::<Result<_>>()?;
+            Ok(ReadReq { snap, window: window.into_owned(), ids })
+        })
     }
 }
 
@@ -227,19 +222,24 @@ impl<'m> BlockMsgView<'m> {
     }
 
     /// Read one whole message, as a server takes a `BLOCK` in: bytes after
-    /// the last record are refused, for the read cache ships the message
-    /// back as it lies.
+    /// the last record are refused, so intake validates the whole message
+    /// before its block is buffered.
     pub fn decode_whole(wire: &'m Rope) -> Result<Self> {
-        let cur = &mut wire.cursor();
-        let msg = BlockMsgView::decode(cur)?;
-        if cur.remaining() != 0 {
-            return Err(RocError::Corrupt(format!(
-                "panda wire: {} bytes after block {}'s last record",
-                cur.remaining(),
-                msg.block.id()
-            )));
-        }
-        Ok(msg)
+        whole(wire.cursor(), "BLOCK", BlockMsgView::decode)
+    }
+}
+
+/// Read one whole message with `read`: bytes it leaves unread are refused,
+/// so a message decodes only as exactly what its encoder wrote.
+fn whole<'a, T>(
+    mut cur: Cursor<'a>,
+    what: &str,
+    read: impl FnOnce(&mut Cursor<'a>) -> Result<T>,
+) -> Result<T> {
+    let value = read(&mut cur)?;
+    match cur.remaining() {
+        0 => Ok(value),
+        n => Err(RocError::Corrupt(format!("panda wire: {n} bytes after a whole {what}"))),
     }
 }
 
@@ -266,10 +266,9 @@ fn routing_header<'a>(cur: &mut Cursor<'a>) -> Result<(SnapshotId, Cow<'a, str>,
 }
 
 /// A batched `READ_BATCH` reply of `entries`, each a [`BlockMsg::encode`]
-/// image — encoded off the disk, or the message a cached block arrived
-/// as: `u32` count, then per entry a `u64` length prefix and the entry's
-/// parts by refcount. The count and the prefixes share one small buffer,
-/// so a cached snapshot is shipped without copying any block data.
+/// image of a block read off the disk: `u32` count, then per entry a `u64`
+/// length prefix and the entry's parts by refcount. The count and the
+/// prefixes share one small buffer, so no block data is copied.
 pub(crate) fn encode_read_batch(entries: &[Rope]) -> Rope {
     let mut heads = Vec::with_capacity(4 + 8 * entries.len());
     heads.extend_from_slice(&(entries.len() as u32).to_le_bytes());
@@ -303,12 +302,12 @@ pub(crate) fn read_batch<'m>(
 
 /// Key naming one restart round for server↔server coordination.
 ///
-/// With multiple tenants restarting concurrently, an unkeyed vote from
-/// another tenant's restart could be mistaken for this one's, diverging
-/// the all-or-nothing cache decision across servers. The key pins a vote
-/// or flush token to one `(tenant, snapshot, window)` restart — and the
-/// `epoch` counter distinguishes *repeated* restarts of the same
-/// snapshot, which are otherwise indistinguishable on the wire.
+/// With multiple tenants restarting concurrently, an unkeyed flush token
+/// from another tenant's restart could be counted for this one's, letting
+/// a server scan files a peer has not flushed. The key pins a flush token
+/// to one `(tenant, snapshot, window)` restart — and the `epoch` counter
+/// distinguishes *repeated* restarts of the same snapshot, which are
+/// otherwise indistinguishable on the wire.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CoordKey {
     pub tenant: rocio_core::TenantId,
@@ -331,20 +330,6 @@ impl CoordKey {
     }
 }
 
-/// `CACHE_VOTE` payload: the restart key plus this server's vote.
-pub(crate) fn encode_cache_vote(key: &CoordKey, can_serve: bool) -> Vec<u8> {
-    let mut out = key.encode();
-    out.push(u8::from(can_serve));
-    out
-}
-
-/// Decode a `CACHE_VOTE` payload.
-pub(crate) fn decode_cache_vote(bytes: &[u8]) -> Result<(CoordKey, bool)> {
-    let cur = &mut Cursor::from(bytes);
-    let key = CoordKey::read(cur)?;
-    Ok((key, cur.u8("panda wire vote")? != 0))
-}
-
 /// `FLUSH_TOKEN` payload: just the restart key.
 pub(crate) fn encode_flush_token(key: &CoordKey) -> Vec<u8> {
     key.encode()
@@ -352,7 +337,7 @@ pub(crate) fn encode_flush_token(key: &CoordKey) -> Vec<u8> {
 
 /// Decode a `FLUSH_TOKEN` payload.
 pub(crate) fn decode_flush_token(bytes: &[u8]) -> Result<CoordKey> {
-    CoordKey::read(&mut bytes.into())
+    whole(bytes.into(), "FLUSH_TOKEN", CoordKey::read)
 }
 
 /// `SYNC_ACK` payload: status byte `0` followed by the server's durable
@@ -376,14 +361,16 @@ pub(crate) fn encode_sync_ack(result: &std::result::Result<f64, String>) -> Vec<
 
 /// Decode a `SYNC_ACK` payload into `Ok(watermark)` or `Err(drain text)`.
 pub(crate) fn decode_sync_ack(bytes: &[u8]) -> Result<std::result::Result<f64, String>> {
-    let cur = &mut Cursor::from(bytes);
-    match cur.u8("SYNC_ACK status")? {
+    whole(bytes.into(), "SYNC_ACK", |cur| match cur.u8("SYNC_ACK status")? {
         0 => Ok(Ok(cur.f64("SYNC_ACK watermark")?)),
-        1 => Ok(Err(String::from_utf8_lossy(&bytes[1..]).into_owned())),
+        1 => {
+            let text = cur.bytes(cur.remaining(), "SYNC_ACK error text")?;
+            Ok(Err(String::from_utf8_lossy(&text).into_owned()))
+        }
         other => Err(RocError::Corrupt(format!(
             "panda wire: unknown SYNC_ACK status {other}"
         ))),
-    }
+    })
 }
 
 /// `RETIRE` payload: the snapshot to delete.
@@ -395,7 +382,7 @@ pub(crate) fn encode_retire(snap: SnapshotId) -> Vec<u8> {
 
 /// Decode a `RETIRE` payload.
 pub(crate) fn decode_retire(bytes: &[u8]) -> Result<SnapshotId> {
-    read_snap(&mut bytes.into())
+    whole(bytes.into(), "RETIRE", read_snap)
 }
 
 /// `READ_DONE` payload: how many blocks this server shipped to the client.
@@ -405,7 +392,7 @@ pub(crate) fn encode_read_done(n_sent: u32) -> Vec<u8> {
 
 /// Decode a `READ_DONE` payload.
 pub(crate) fn decode_read_done(bytes: &[u8]) -> Result<u32> {
-    rocio_core::le::u32(bytes, "READ_DONE count")
+    whole(bytes.into(), "READ_DONE", |cur| cur.u32("READ_DONE count"))
 }
 
 #[cfg(test)]
@@ -800,7 +787,7 @@ mod tests {
         m[19..23].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(BlockMsg::decode_shared(&m.clone().into()).is_err());
         assert!(matches!(BlockMsgView::decode_whole(&Bytes::from(m).into()), Err(RocError::Corrupt(_))));
-        // What the read cache would ship back must be the message alone.
+        // A server takes in the message alone: a trailing byte is refused.
         let mut trailing = wire(&msg(block()));
         assert!(BlockMsgView::decode_whole(&Bytes::from(trailing.clone()).into()).is_ok());
         trailing.push(0);
@@ -919,13 +906,6 @@ mod tests {
             window: "fluid".into(),
             epoch: 5,
         };
-        for vote in [true, false] {
-            let enc = encode_cache_vote(&key, vote);
-            let (k, v) = decode_cache_vote(&enc).unwrap();
-            assert_eq!(k, key);
-            assert_eq!(v, vote);
-            assert!(decode_cache_vote(&enc[..enc.len() - 1]).is_err());
-        }
         let enc = encode_flush_token(&key);
         assert_eq!(decode_flush_token(&enc).unwrap(), key);
         assert!(decode_flush_token(&enc[..3]).is_err());
@@ -939,6 +919,32 @@ mod tests {
         assert_eq!(decode_sync_ack(&err).unwrap(), Err("quota exceeded".into()));
         assert!(decode_sync_ack(&[9]).is_err());
         assert!(decode_sync_ack(&[]).is_err());
+    }
+
+    /// Every control message is exactly its encoding: one byte more is
+    /// `Corrupt`, as it is for a `BLOCK`.
+    #[test]
+    fn control_messages_refuse_trailing_bytes() {
+        fn refuses<T>(mut bytes: Vec<u8>, decode: fn(&[u8]) -> Result<T>) -> bool {
+            assert!(decode(&bytes).is_ok());
+            bytes.push(0);
+            matches!(decode(&bytes), Err(RocError::Corrupt(_)))
+        }
+        let snap = SnapshotId::new(150, 3);
+        let window = String::from("fluid");
+        let key = CoordKey { tenant: rocio_core::TenantId(3), snap, window: window.clone(), epoch: 5 };
+        let write = WriteReq { snap, window: window.clone(), n_blocks: 7 };
+        let read = ReadReq { snap, window, ids: vec![4, 9] };
+        let cases = [
+            ("WRITE_REQ", refuses(write.encode(), WriteReq::decode)),
+            ("READ_REQ", refuses(read.encode(), ReadReq::decode)),
+            ("RETIRE", refuses(encode_retire(snap), decode_retire)),
+            ("READ_DONE", refuses(encode_read_done(42), decode_read_done)),
+            ("FLUSH_TOKEN", refuses(encode_flush_token(&key), decode_flush_token)),
+            ("SYNC_ACK", refuses(encode_sync_ack(&Ok(12.5)), decode_sync_ack)),
+        ];
+        let accepted: Vec<&str> = cases.iter().filter(|c| !c.1).map(|c| c.0).collect();
+        assert_eq!(accepted, Vec::<&str>::new(), "decoders that accept a trailing byte");
     }
 
     #[test]
@@ -964,7 +970,6 @@ mod tests {
             tag::RETIRE_ACK,
             tag::READ_ERR,
             tag::READ_BATCH,
-            tag::CACHE_VOTE,
             tag::FLUSH_TOKEN,
         ] {
             assert!(t <= rocnet::comm::TAG_USER_MAX);

@@ -7,11 +7,11 @@
 //!
 //! Schedule scenarios: `panda-handshake` (2 servers x 4 clients),
 //! `multitenant-handshake` (2 jobs x 2 clients on 2 shared servers),
-//! `panda-restart` / `panda-restart-cached` (2 servers x 2 clients: write,
-//! then restart from disk / from the read cache), `trochdf-handoff`
-//! (3 ranks, double-buffer), `lost-ack-toy` (known-buggy regression probe). Fault scenarios (degraded fabric,
+//! `panda-restart` (2 servers x 2 clients: write, then restart from
+//! disk), `trochdf-handoff` (3 ranks, double-buffer), `lost-ack-toy`
+//! (known-buggy regression probe). Fault scenarios (degraded fabric,
 //! every bounded drop/duplicate placement): `lossy-panda-handshake`,
-//! `lossy-trochdf-handoff`. Default: all seven protocol scenarios.
+//! `lossy-trochdf-handoff`. Default: all six protocol scenarios.
 //! `--smoke` caps work so the CI job finishes well under its 30 s budget.
 
 use std::process::ExitCode;
@@ -57,8 +57,7 @@ fn main() -> ExitCode {
                 println!(
                     "rocsched: exhaustive schedule and fault-placement exploration\n\
                      scenarios: panda-handshake | multitenant-handshake |\n\
-                     panda-restart | panda-restart-cached |\n\
-                     trochdf-handoff | lost-ack-toy |\n\
+                     panda-restart | trochdf-handoff | lost-ack-toy |\n\
                      lossy-panda-handshake | lossy-trochdf-handoff\n\
                      flags: --scenario NAME (repeatable), --depth N, --max-runs N,\n\
                      --max-faults N, --branch-on-peeks, --trace-dir DIR, --smoke,\n\
@@ -77,7 +76,6 @@ fn main() -> ExitCode {
             "panda-handshake".into(),
             "multitenant-handshake".into(),
             "panda-restart".into(),
-            "panda-restart-cached".into(),
             "trochdf-handoff".into(),
             "lossy-panda-handshake".into(),
             "lossy-trochdf-handoff".into(),
@@ -126,8 +124,7 @@ fn main() -> ExitCode {
         let scenario: Box<dyn Scenario> = match name.as_str() {
             "panda-handshake" => Box::new(PandaHandshake::issue_scale()),
             "multitenant-handshake" => Box::new(MultiTenantHandshake::issue_scale()),
-            "panda-restart" => Box::new(PandaRestart { read_cache: false }),
-            "panda-restart-cached" => Box::new(PandaRestart { read_cache: true }),
+            "panda-restart" => Box::new(PandaRestart),
             "trochdf-handoff" => Box::new(TrochdfHandoff::issue_scale()),
             "lost-ack-toy" => Box::new(LostAckToy),
             other => {

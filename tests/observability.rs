@@ -177,44 +177,24 @@ fn rochdf_restart_records_one_read_span_per_window_per_rank() {
         .all(|s| s.category == SpanCategory::RestartRead && s.lane == LANE_MAIN));
 }
 
-/// Restart served from the servers' active buffers (snapshot read cache
-/// on) must never touch the disk: zero `DiskRead` spans over the whole
-/// run, with the servers' cache-serve spans in their place. The same
-/// restart with the cache off reads the snapshot back from disk.
+/// A Rocpanda restart reads the snapshot back from the files on disk:
+/// its servers record `DiskRead` spans for their shares.
 #[test]
-fn read_cache_restart_produces_no_disk_read_spans() {
-    let trace_with = |read_cache: bool| {
-        let fs = Arc::new(SharedFs::turing());
-        let mut cfg = GenxConfig::new(
-            if read_cache { "obs-cache" } else { "obs-cold" },
-            WorkloadKind::LabScale { seed: 11, scale: 0.05 },
-            IoChoice::Rocpanda { server_ranks: vec![SERVER] },
-        );
-        cfg.steps = 6;
-        cfg.snapshot_every = 3;
-        cfg.rocpanda.read_cache = read_cache;
-        let tc = TraceCollector::new();
-        run_genx_traced(ClusterSpec::turing(5), &fs, &cfg, Some(&tc)).unwrap();
-        tc.finish()
-    };
-
-    let cached = trace_with(true);
-    assert_eq!(
-        cached.count(SpanCategory::DiskRead),
-        0,
-        "restart-from-buffer must not read the disk"
+fn rocpanda_restart_reads_the_snapshot_from_disk() {
+    let fs = Arc::new(SharedFs::turing());
+    let mut cfg = GenxConfig::new(
+        "obs-cold",
+        WorkloadKind::LabScale { seed: 11, scale: 0.05 },
+        IoChoice::Rocpanda { server_ranks: vec![SERVER] },
     );
+    cfg.steps = 6;
+    cfg.snapshot_every = 3;
+    let tc = TraceCollector::new();
+    run_genx_traced(ClusterSpec::turing(5), &fs, &cfg, Some(&tc)).unwrap();
     assert!(
-        !cached.filter(|s| s.label == "restart_cache_serve").is_empty(),
-        "the server must record cache-serve spans"
+        tc.finish().count(SpanCategory::DiskRead) > 0,
+        "the restart reads the snapshot from disk"
     );
-
-    let cold = trace_with(false);
-    assert!(
-        cold.count(SpanCategory::DiskRead) > 0,
-        "with the cache off the restart reads the snapshot from disk"
-    );
-    assert!(cold.filter(|s| s.label == "restart_cache_serve").is_empty());
 }
 
 /// The Chrome exporter emits valid `trace_event` JSON: it round-trips
