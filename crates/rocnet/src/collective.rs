@@ -143,15 +143,18 @@ impl Comm {
                     })?;
                 let len = u64::from_le_bytes(len_bytes) as usize;
                 pos += 8;
-                if pos + len > flat.len() {
-                    return Err(RocError::Comm(format!(
-                        "allgather: part of {len} bytes overruns {}-byte payload",
-                        flat.len()
-                    )));
-                }
+                let end = pos
+                    .checked_add(len)
+                    .filter(|&end| end <= flat.len())
+                    .ok_or_else(|| {
+                        RocError::Comm(format!(
+                            "allgather: part of {len} bytes overruns {}-byte payload",
+                            flat.len()
+                        ))
+                    })?;
                 // Zero-copy: each part is a window into the broadcast image.
-                out.push(flat.slice(pos..pos + len));
-                pos += len;
+                out.push(flat.slice(pos..end));
+                pos = end;
             }
         }
         Ok(())
@@ -221,8 +224,10 @@ impl Comm {
                 let m = self.recv(Some(src), Some(up))?;
                 acc = op(acc, le_f64(&m.payload, "allreduce")?);
             }
+            // One image of the result; every send shares it by refcount.
+            let image = Bytes::copy_from_slice(&acc.to_le_bytes());
             for dst in 1..self.size() {
-                self.send(dst, down, &acc.to_le_bytes())?;
+                self.send_bytes(dst, down, image.clone())?;
             }
             Ok(acc)
         } else {
@@ -245,6 +250,7 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::cluster::ClusterSpec;
     use crate::harness::run_ranks;
 
@@ -317,6 +323,50 @@ mod tests {
             assert_eq!(parts[1], vec![1]);
             assert_eq!(parts[2], vec![2, 2]);
         }
+    }
+
+    #[test]
+    fn allgather_refuses_a_length_prefix_that_overflows() {
+        // Rank 0 takes the allgather's two collective tags itself and
+        // answers rank 1 with a crafted image: a part claiming
+        // `u64::MAX` bytes, then eight bytes.
+        let out = run_ranks(2, ClusterSpec::ideal(2), |comm| {
+            if comm.rank() == 0 {
+                let (up, down) = (
+                    comm.coll_tag(OP_ALLGATHER_UP),
+                    comm.coll_tag(OP_ALLGATHER_DOWN),
+                );
+                comm.recv(Some(1), Some(up)).unwrap();
+                let image = [u64::MAX.to_le_bytes(), [7; 8]].concat();
+                comm.send(1, down, &image).unwrap();
+                None
+            } else {
+                comm.allgather(b"mine").err().map(|e| e.to_string())
+            }
+        });
+        let err = out[1]
+            .as_deref()
+            .expect("the crafted image must fail the allgather");
+        assert!(err.contains("overruns 16-byte payload"), "{err}");
+    }
+
+    #[test]
+    fn allreduce_fans_out_one_shared_image() {
+        // Ranks 1..4 take the allreduce's two collective tags themselves
+        // and keep the result message: all three are one buffer.
+        let out = run_ranks(4, ClusterSpec::ideal(4), |comm| {
+            if comm.rank() == 0 {
+                assert_eq!(comm.allreduce_sum_f64(1.0).unwrap(), 4.0);
+                0
+            } else {
+                let (up, down) = (comm.coll_tag(OP_REDUCE), comm.coll_tag(OP_REDUCE_DOWN));
+                comm.send(0, up, &1.0f64.to_le_bytes()).unwrap();
+                let m = comm.recv(Some(0), Some(down)).unwrap();
+                assert_eq!(le_f64(&m.payload, "test").unwrap(), 4.0);
+                m.payload.as_ptr() as usize
+            }
+        });
+        assert!(out[2] == out[1] && out[3] == out[1], "{out:?}");
     }
 
     #[test]

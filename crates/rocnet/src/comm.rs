@@ -2,10 +2,11 @@
 //!
 //! A [`Comm`] is what MPI calls a communicator handle: it knows its rank,
 //! its group (local→global rank mapping), its context id (so messages from
-//! different communicators never cross-match), and it owns the rank's
-//! virtual clock and stats. `Comm::split` mirrors `MPI_Comm_split`, which
-//! Rocpanda's initialization uses to divide the world into client and
-//! server communicators (§4.1).
+//! different communicators never cross-match) and its stats, and it
+//! reaches the rank's virtual clock in the fabric's clock table.
+//! `Comm::split` mirrors `MPI_Comm_split`, which Rocpanda's
+//! initialization uses to divide the world into client and server
+//! communicators (§4.1).
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -135,7 +136,8 @@ pub struct Comm {
     ctx: u64,
     group: Group,
     my_local: usize,
-    clock: Arc<VClock>,
+    /// This rank's global rank: where its clock sits in the fabric's table.
+    global: usize,
     coll_seq: Cell<u32>,
     split_seq: Cell<u32>,
     stats: CommStats,
@@ -146,15 +148,12 @@ impl Comm {
     pub fn world(fabric: Arc<Fabric>, rank: usize) -> Self {
         let n = fabric.n_ranks();
         assert!(rank < n, "rank {rank} out of range for {n}-rank fabric");
-        // The fabric owns the rank clocks: wildcard matching is gated on a
-        // scan of every rank's virtual time (see `fabric` module docs).
-        let clock = fabric.clock_of(rank);
         Comm {
             fabric,
             ctx: 0,
             group: Group::world(n),
             my_local: rank,
-            clock,
+            global: rank,
             coll_seq: Cell::new(0),
             split_seq: Cell::new(0),
             stats: CommStats::default(),
@@ -173,7 +172,7 @@ impl Comm {
 
     /// This rank's global rank.
     pub fn global_rank(&self) -> usize {
-        self.group.global(self.my_local)
+        self.global
     }
 
     /// The underlying fabric (shared).
@@ -186,32 +185,34 @@ impl Comm {
         self.fabric.spec()
     }
 
-    /// This rank's virtual clock (shared across the rank's communicators).
-    pub fn clock(&self) -> &Arc<VClock> {
-        &self.clock
+    /// This rank's virtual clock, shared across the rank's communicators.
+    /// The fabric owns it: wildcard matching is gated on a scan of every
+    /// rank's virtual time (see the `fabric` module docs).
+    pub fn clock(&self) -> &VClock {
+        self.fabric.clock_of(self.global)
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.clock.now()
+        self.clock().now()
     }
 
     /// Advance virtual time by a raw duration (storage layers use this).
     pub fn advance(&self, dt: SimTime) {
-        self.clock.advance(dt);
+        self.clock().advance(dt);
     }
 
     /// Perform `work` work-units of computation: advances the clock by the
     /// cluster's modelled compute time, including OS noise.
     pub fn compute(&self, work: f64) {
-        let t0 = self.clock.now();
-        self.clock.advance(self.fabric.spec().compute_time(work));
+        let t0 = self.clock().now();
+        self.clock().advance(self.fabric.spec().compute_time(work));
         if rocobs::enabled() {
             rocobs::record(
                 rocobs::SpanCategory::Compute,
                 "compute",
                 t0,
-                self.clock.now(),
+                self.clock().now(),
                 &format!("work={work}"),
             );
         }
@@ -260,9 +261,9 @@ impl Comm {
             )));
         }
         let spec = self.fabric.spec();
-        let t_send_start = self.clock.now();
-        self.clock.advance(spec.net.send_cost(payload.len()));
-        let arrival = self.clock.now()
+        let t_send_start = self.clock().now();
+        self.clock().advance(spec.net.send_cost(payload.len()));
+        let arrival = self.clock().now()
             + spec.net.flight_time(
                 self.node_of_local(self.my_local),
                 self.node_of_local(dst),
@@ -275,7 +276,7 @@ impl Comm {
                 rocobs::SpanCategory::Send,
                 "send",
                 t_send_start,
-                self.clock.now(),
+                self.clock().now(),
                 &format!("dst={dst} tag={tag:#x} bytes={}", payload.len()),
             );
         }
@@ -290,7 +291,7 @@ impl Comm {
                 src_global: self.global_rank(),
                 tag,
                 payload,
-                sent: self.clock.now(),
+                sent: self.clock().now(),
                 arrival,
             },
         );
@@ -320,8 +321,8 @@ impl Comm {
     }
 
     fn to_message(&self, env: Envelope) -> Message<Rope> {
-        self.clock.merge(env.arrival);
-        self.clock
+        self.clock().merge(env.arrival);
+        self.clock()
             .advance(self.fabric.spec().net.recv_cost(env.payload.len()));
         self.stats.on_recv(env.payload.len());
         Message {
@@ -355,7 +356,7 @@ impl Comm {
                 )));
             }
         }
-        let t0 = self.clock.now();
+        let t0 = self.clock().now();
         let env = self
             .fabric
             .wait_match(self.global_rank(), &self.spec(src, tag), ChoiceKind::Take);
@@ -365,7 +366,7 @@ impl Comm {
                 rocobs::SpanCategory::Recv,
                 "recv",
                 t0,
-                self.clock.now(),
+                self.clock().now(),
                 &format!("src={} tag={:#x} bytes={}", msg.src, msg.tag, msg.payload.len()),
             );
         }
@@ -386,7 +387,7 @@ impl Comm {
     /// (though the determinism gate may wait in wall-clock time). The
     /// payload comes as it travelled, like [`Comm::recv_rope`]'s.
     pub fn try_recv(&self, src: Option<usize>, tag: Option<u32>) -> Option<Message<Rope>> {
-        let env = self.settle(src, tag, self.clock.now(), ChoiceKind::Take)?;
+        let env = self.settle(src, tag, self.clock().now(), ChoiceKind::Take)?;
         Some(self.to_message(env))
     }
 
@@ -405,19 +406,19 @@ impl Comm {
         tag: Option<u32>,
         deadline: SimTime,
     ) -> Option<Message<Rope>> {
-        let t0 = self.clock.now();
+        let t0 = self.clock().now();
         let msg = self
             .settle(src, tag, deadline, ChoiceKind::Take)
             .map(|env| self.to_message(env));
         if msg.is_none() {
-            self.clock.advance_to(deadline);
+            self.clock().advance_to(deadline);
         }
         if rocobs::enabled() {
             let detail = match &msg {
                 Some(m) => format!("src={} tag={:#x} bytes={}", m.src, m.tag, m.payload.len()),
                 None => "timeout".into(),
             };
-            let now = self.clock.now();
+            let now = self.clock().now();
             rocobs::record(rocobs::SpanCategory::Recv, "recv_deadline", t0, now, &detail);
         }
         msg
@@ -428,7 +429,7 @@ impl Comm {
     /// servers rely on so "the operating system can use the server CPUs",
     /// §6.1) and reports it without removing it.
     pub fn probe(&self, src: Option<usize>, tag: Option<u32>) -> ProbeInfo {
-        let t0 = self.clock.now();
+        let t0 = self.clock().now();
         let head = self
             .fabric
             .wait_match(self.global_rank(), &self.spec(src, tag), ChoiceKind::Peek);
@@ -437,13 +438,13 @@ impl Comm {
             head.tag,
             head.payload.len(),
         );
-        self.clock.merge(head.arrival);
+        self.clock().merge(head.arrival);
         if rocobs::enabled() {
             rocobs::record(
                 rocobs::SpanCategory::ProbeBlocking,
                 "probe",
                 t0,
-                self.clock.now(),
+                self.clock().now(),
                 &format!("src={src} tag={tag:#x} bytes={bytes}"),
             );
         }
@@ -456,11 +457,11 @@ impl Comm {
     /// answer is final for this instant: no rank can still produce a
     /// matching message arriving this early.
     pub fn iprobe(&self, src: Option<usize>, tag: Option<u32>) -> Option<ProbeInfo> {
-        let peeked = self.settle(src, tag, self.clock.now(), ChoiceKind::Peek);
+        let peeked = self.settle(src, tag, self.clock().now(), ChoiceKind::Peek);
         if rocobs::enabled() {
             // Instantaneous poll: zero-length span, recorded whether or
             // not a message was waiting (the poll itself is the event).
-            let now = self.clock.now();
+            let now = self.clock().now();
             let detail = if peeked.is_some() { "hit" } else { "miss" };
             rocobs::record(rocobs::SpanCategory::ProbeNonBlocking, "iprobe", now, now, detail);
         }
@@ -517,9 +518,15 @@ impl Comm {
         // Collect (key, parent_local, global) of every same-color member.
         let mut members: Vec<(i64, usize, usize)> = Vec::new();
         for (parent_local, bytes) in all.iter().enumerate() {
-            let present = bytes[0] == 1;
-            let c = u32::from_le_bytes(bytes[1..5].try_into().unwrap());
-            let k = i64::from_le_bytes(bytes[5..13].try_into().unwrap());
+            let Ok(part) = <[u8; 13]>::try_from(&bytes[..]) else {
+                return Err(RocError::Comm(format!(
+                    "split: rank {parent_local} sent a {}-byte part, expected 13",
+                    bytes.len()
+                )));
+            };
+            let present = part[0] == 1;
+            let c = u32::from_le_bytes(std::array::from_fn(|i| part[1 + i]));
+            let k = i64::from_le_bytes(std::array::from_fn(|i| part[5 + i]));
             if present && c == my_color {
                 members.push((k, parent_local, self.group.global(parent_local)));
             }
@@ -541,7 +548,7 @@ impl Comm {
             ctx,
             group,
             my_local,
-            clock: Arc::clone(&self.clock),
+            global: self.global,
             coll_seq: Cell::new(0),
             split_seq: Cell::new(0),
             stats: CommStats::default(),
@@ -676,6 +683,22 @@ mod tests {
         assert_eq!(out[0], usize::MAX);
         assert_eq!(out[1], 2);
         assert_eq!(out[2], 2);
+    }
+
+    #[test]
+    fn split_refuses_a_gathered_part_of_the_wrong_length() {
+        // Rank 1 answers rank 0's split with a 2-byte part: the allgather
+        // under the split takes the same two collective tags.
+        let out = run_ranks(2, ClusterSpec::ideal(2), |comm| {
+            if comm.rank() == 0 {
+                comm.split(Some(0), 0).err().map(|e| e.to_string())
+            } else {
+                comm.allgather(&[1, 0]).unwrap();
+                None
+            }
+        });
+        let err = out[0].as_deref().expect("a short part must fail the split");
+        assert!(err.contains("rank 1 sent a 2-byte part"), "{err}");
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //! *decided* under the lock and *issued* after it is released
 //! (`Locked`), so the woken thread never collides with its waker.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
@@ -55,6 +55,8 @@ use rocio_core::{Rope, SimTime};
 
 use crate::cluster::ClusterSpec;
 use crate::comm::{Group, TAG_USER_MAX};
+use crate::mailbox::Mailboxes;
+use crate::mintree::MinTree;
 use crate::model::FaultAction;
 use crate::sched::{GateBoard, WakeHandle};
 use crate::vtime::VClock;
@@ -266,7 +268,8 @@ struct SourceMarks {
 }
 
 struct FabricState {
-    queues: Vec<VecDeque<Envelope>>,
+    /// Every rank's mailbox, in one arena of envelope slots.
+    mail: Mailboxes<Envelope>,
     waits: Vec<RankWait>,
     /// What the call a `Blocked` rank is parked in accepts (`None` for
     /// running and finished ranks). Kept in lockstep with `waits`.
@@ -278,13 +281,13 @@ struct FabricState {
     running: Vec<usize>,
     /// rank → index in `running`, or `usize::MAX` when not running.
     running_pos: Vec<usize>,
-    /// `(time_bits(bound), rank)` for every `Blocked` rank: the safety
-    /// scan reads the minimum commitment in O(1) instead of O(n).
-    blocked_bounds: BTreeSet<(u64, usize)>,
-    /// `(time_bits(scan bound), rank)` for ranks parked inside a gate
-    /// loop (wildcard candidate gates, `try_*_at` deadline scans): the
-    /// set the wake scan walks, ascending.
-    gate_waiters: BTreeSet<(u64, usize)>,
+    /// `time_bits(bound)` of every `Blocked` rank: the safety scan reads
+    /// the minimum commitment in O(1) instead of O(n).
+    blocked_bounds: MinTree,
+    /// `time_bits(scan bound)` of the ranks parked inside a gate loop
+    /// (wildcard candidate gates, `try_*_at` deadline scans): the entries
+    /// the wake scan walks, up to its cut-off.
+    gate_waiters: MinTree,
     /// rank → scan bound while parked in a gate loop (mirror of
     /// `gate_waiters`, for per-rank lookup).
     gate_scan: Vec<Option<u64>>,
@@ -327,17 +330,18 @@ struct FabricState {
 
 impl FabricState {
     /// The state of an `n`-rank fabric before its first job: every rank
-    /// running, nothing queued, no adversary.
+    /// running, nothing queued, no adversary. Every per-rank table and
+    /// index is sized here, once: later jobs reset them in place.
     fn new(n: usize) -> Self {
         FabricState {
-            queues: (0..n).map(|_| VecDeque::new()).collect(),
+            mail: Mailboxes::new(n),
             waits: vec![RankWait::Running; n],
             waiting: vec![None; n],
             handles: vec![None; n],
             running: (0..n).collect(),
             running_pos: (0..n).collect(),
-            blocked_bounds: BTreeSet::new(),
-            gate_waiters: BTreeSet::new(),
+            blocked_bounds: MinTree::new(n),
+            gate_waiters: MinTree::new(n),
             gate_scan: vec![None; n],
             marks: SourceMarks {
                 stamp: 0,
@@ -356,6 +360,29 @@ impl FabricState {
         }
     }
 
+    /// Start a fresh job in place: every rank running and unwatched, no
+    /// decision made. Mailboxes, the adversary and its counters carry
+    /// over.
+    fn reset_job(&mut self) {
+        let n = self.waits.len();
+        self.waits.fill(RankWait::Running);
+        self.waiting.fill(None);
+        self.handles.fill(None);
+        self.running.clear();
+        self.running.extend(0..n);
+        self.running_pos.clear();
+        self.running_pos.extend(0..n);
+        self.blocked_bounds.clear();
+        self.gate_waiters.clear();
+        self.gate_scan.fill(None);
+        self.finished.fill(false);
+        self.confirmed.fill(false);
+        self.pending.fill(None);
+        self.granted.fill(None);
+        self.seq = 0;
+        self.poisoned = None;
+    }
+
     /// The single choke point for wait-state transitions: keeps the
     /// `running` / `blocked_bounds` scan indices and the published
     /// `waiting` spec in lockstep with `waits`. Every write to a rank's
@@ -370,9 +397,7 @@ impl FabricState {
                 }
                 self.running_pos[rank] = usize::MAX;
             }
-            RankWait::Blocked { bound } => {
-                self.blocked_bounds.remove(&(time_bits(bound), rank));
-            }
+            RankWait::Blocked { .. } => self.blocked_bounds.remove(rank),
         }
         self.waits[rank] = w;
         match w {
@@ -381,27 +406,25 @@ impl FabricState {
                 self.running.push(rank);
                 self.waiting[rank] = None;
             }
-            RankWait::Blocked { bound } => {
-                self.blocked_bounds.insert((time_bits(bound), rank));
-            }
+            RankWait::Blocked { bound } => self.blocked_bounds.set(rank, time_bits(bound)),
         }
     }
 
-    /// Remove (receive) or copy (probe) the envelope at `idx` of `dst`'s
+    /// Remove (receive) or copy (probe) the envelope in `slot` of `dst`'s
     /// mailbox. The copy shares the payload by refcount.
-    fn claim(&mut self, dst: usize, idx: usize, kind: ChoiceKind) -> Envelope {
+    fn claim(&mut self, dst: usize, slot: usize, kind: ChoiceKind) -> Envelope {
         match kind {
-            ChoiceKind::Take => self.queues[dst].remove(idx).expect("index just found"),
-            ChoiceKind::Peek => self.queues[dst][idx].clone(),
+            ChoiceKind::Take => self.mail.remove(dst, slot),
+            ChoiceKind::Peek => self.mail.get(slot).clone(),
         }
     }
 
     /// Virtual-order candidate in `dst`'s mailbox: among the per-source
     /// heads `spec` accepts, the one minimizing `(arrival, src_global)`.
-    /// Returns the queue index.
+    /// Returns its mailbox slot.
     fn select_virtual(&mut self, dst: usize, spec: &MatchSpec) -> Option<usize> {
         let mut best: Option<(usize, SimTime, usize)> = None;
-        for_each_head(&self.queues[dst], spec, &mut self.marks, |i, e| {
+        for_each_head(&self.mail, dst, spec, &mut self.marks, |i, e| {
             let better = best.is_none_or(|(_, arrival, src)| {
                 e.arrival
                     .total_cmp(&arrival)
@@ -420,7 +443,7 @@ impl FabricState {
     /// [`FabricState::select_virtual`] picks its minimum from.
     fn candidate_set(&mut self, dst: usize, spec: &MatchSpec) -> Vec<Candidate> {
         let mut out: Vec<Candidate> = Vec::new();
-        for_each_head(&self.queues[dst], spec, &mut self.marks, |_, e| {
+        for_each_head(&self.mail, dst, spec, &mut self.marks, |_, e| {
             out.push(Candidate::of(e));
         });
         out.sort_by(|a, b| {
@@ -433,18 +456,20 @@ impl FabricState {
 }
 
 /// Visit, in queue order, the first envelope of each source that `spec`
-/// accepts (MPI non-overtaking: only a source's first match is
-/// eligible). One O(q) walk; sources are dense small integers, so the
-/// "already met" test is an indexed load — the `Vec::contains` variants
-/// this replaces made a wide funnel O(n³) overall.
+/// accepts in `dst`'s mailbox (MPI non-overtaking: only a source's first
+/// match is eligible), with its slot. One O(q) walk; sources are dense
+/// small integers, so the "already met" test is an indexed load — the
+/// `Vec::contains` variants this replaces made a wide funnel O(n³)
+/// overall.
 fn for_each_head(
-    q: &VecDeque<Envelope>,
+    mail: &Mailboxes<Envelope>,
+    dst: usize,
     spec: &MatchSpec,
     marks: &mut SourceMarks,
     mut visit: impl FnMut(usize, &Envelope),
 ) {
     marks.stamp += 1;
-    for (i, e) in q.iter().enumerate() {
+    for (i, e) in mail.iter(dst) {
         if marks.seen[e.src_global] == marks.stamp || !spec.matches(e) {
             continue;
         }
@@ -524,7 +549,9 @@ impl DerefMut for Locked<'_> {
 /// clock per global rank, and the conservative-order gate state.
 pub struct Fabric {
     spec: ClusterSpec,
-    clocks: Vec<Arc<VClock>>,
+    /// Every rank's clock, in one table: a rank's communicators reach
+    /// theirs through the fabric.
+    clocks: Vec<VClock>,
     state: Mutex<FabricState>,
     oracle: Option<Arc<dyn ScheduleOracle>>,
     /// Watermark connecting clock advances to parked gate waiters; also
@@ -550,7 +577,7 @@ impl Fabric {
     fn build(spec: ClusterSpec, oracle: Option<Arc<dyn ScheduleOracle>>) -> Self {
         let n = spec.n_ranks();
         let board = Arc::new(GateBoard::new());
-        let clocks: Vec<Arc<VClock>> = (0..n).map(|_| Arc::new(VClock::new())).collect();
+        let clocks: Vec<VClock> = (0..n).map(|_| VClock::new()).collect();
         for c in &clocks {
             c.attach_board(Arc::clone(&board));
         }
@@ -600,10 +627,11 @@ impl Fabric {
         self.clocks.len()
     }
 
-    /// The shared virtual clock of global rank `rank`. The fabric owns the
-    /// clocks so the safety scan can read every rank's time.
-    pub fn clock_of(&self, rank: usize) -> Arc<VClock> {
-        Arc::clone(&self.clocks[rank])
+    /// The virtual clock of global rank `rank`, shared by all of its
+    /// communicators. The fabric owns the clocks so the safety scan can
+    /// read every rank's time.
+    pub fn clock_of(&self, rank: usize) -> &VClock {
+        &self.clocks[rank]
     }
 
     /// Install an adversarial fault model: every *eligible* message
@@ -622,16 +650,10 @@ impl Fabric {
     }
 
     /// Mark every rank runnable again (a fresh "job" on this fabric):
-    /// mailboxes and the adversary carry over, everything else restarts.
+    /// mailboxes and the adversary carry over, everything else restarts
+    /// — in place, so a job allocates no fabric state of its own.
     pub fn begin_job(&self) {
-        let mut st = self.state.lock();
-        let fresh = FabricState::new(st.waits.len());
-        let old = std::mem::replace(&mut *st, fresh);
-        st.queues = old.queues;
-        st.injector = old.injector;
-        st.link_seq = old.link_seq;
-        st.limbo = old.limbo;
-        st.fault_stats = old.fault_stats;
+        self.state.lock().reset_job();
         self.board.set_min(u64::MAX);
     }
 
@@ -652,8 +674,8 @@ impl Fabric {
         g.waiting[rank] = None;
         g.finished[rank] = true;
         g.pending[rank] = None;
-        if let Some(bits) = g.gate_scan[rank].take() {
-            g.gate_waiters.remove(&(bits, rank));
+        if g.gate_scan[rank].take().is_some() {
+            g.gate_waiters.remove(rank);
         }
         self.oracle_step(&mut g);
         self.wake_gates(&mut g);
@@ -717,7 +739,7 @@ impl Fabric {
         g.waiting[rank] = Some(spec.clone());
         let bits = time_bits(bound);
         g.gate_scan[rank] = Some(bits);
-        g.gate_waiters.insert((bits, rank));
+        g.gate_waiters.set(rank, bits);
         self.refresh_board(g);
         self.wake_gates(g);
     }
@@ -725,8 +747,8 @@ impl Fabric {
     /// Deregister `rank` from the gate-waiter set after its park returns
     /// (it re-evaluates its scan from scratch) and mark it running.
     fn gate_unpark(&self, st: &mut FabricState, rank: usize) {
-        if let Some(bits) = st.gate_scan[rank].take() {
-            st.gate_waiters.remove(&(bits, rank));
+        if st.gate_scan[rank].take().is_some() {
+            st.gate_waiters.remove(rank);
         }
         st.set_wait(rank, RankWait::Running);
         self.refresh_board(st);
@@ -734,12 +756,7 @@ impl Fabric {
 
     /// Publish the lowest parked gate bound to the clock watermark.
     fn refresh_board(&self, st: &FabricState) {
-        let min = st
-            .gate_waiters
-            .iter()
-            .next()
-            .map(|&(bits, _)| bits)
-            .unwrap_or(u64::MAX);
+        let min = st.gate_waiters.min().map_or(u64::MAX, |(bits, _)| bits);
         self.board.set_min(min);
     }
 
@@ -748,15 +765,15 @@ impl Fabric {
     /// A waiter with scan bound `b` passes iff every *other* rank is
     /// blocked with commitment ≥ `b` or running with clock ≥ `b`. The
     /// minimum over running clocks is shared across waiters, and the
-    /// minimum blocked commitment is read from the first two entries of
-    /// `blocked_bounds` (two, to exclude the waiter's own entry). Since
-    /// any waiter's own published bound is ≥ the set minimum, only
-    /// waiters at (or tied with) the minimum commitment can pass — the
-    /// ascending walk stops at the first generic failure, so the scan is
-    /// O(passing waiters), not O(n).
+    /// blocked commitments come from `blocked_bounds`: the least one, and
+    /// the least but that rank's (its holder excludes itself). Since any
+    /// waiter's own published bound is ≥ the least commitment, only
+    /// waiters at (or tied with) it can pass — the walk skips every
+    /// subtree of waiters above that cut-off, so the scan is
+    /// O(passing waiters × log n), not O(n).
     fn wake_gates(&self, g: &mut Locked) {
         let (st, wakes) = (&*g.st, &mut g.wakes);
-        if st.gate_waiters.is_empty() {
+        if st.gate_waiters.min().is_none() {
             return;
         }
         let run_min_bits = st
@@ -765,18 +782,17 @@ impl Fabric {
             .map(|&s| time_bits(self.clocks[s].now()))
             .min()
             .unwrap_or(u64::MAX);
-        let mut blocked = st.blocked_bounds.iter();
-        let (b1, r1) = blocked.next().copied().unwrap_or((u64::MAX, usize::MAX));
-        let b2 = blocked.next().map(|&(b, _)| b).unwrap_or(u64::MAX);
+        let (b1, r1) = st.blocked_bounds.min().unwrap_or((u64::MAX, usize::MAX));
+        let b2 = st
+            .blocked_bounds
+            .min_excluding(r1)
+            .map_or(u64::MAX, |(b, _)| b);
         let generic = b1.min(run_min_bits);
-        for &(bw, r) in &st.gate_waiters {
-            if bw > generic {
-                break;
-            }
+        st.gate_waiters.for_each_at_most(generic, |(bw, r)| {
             if r != r1 || bw <= b2.min(run_min_bits) {
                 wake_rank(st, wakes, r);
             }
-        }
+        });
         // The rank holding the minimum commitment excludes itself from
         // its own scan, so its threshold is b2, not b1: check it past
         // the generic cut-off.
@@ -896,7 +912,7 @@ impl Fabric {
                         (None, Some(_)) => "virtual-time gate",
                         (None, None) => "specific-source receive/probe",
                     };
-                    format!("rank {r} ({what}, {} queued)", g.queues[r].len())
+                    format!("rank {r} ({what}, {} queued)", g.mail.len(r))
                 })
                 .collect();
             let msg = format!(
@@ -917,20 +933,16 @@ impl Fabric {
     /// reached `bound`. Limbo-stashed messages need no clause here: a
     /// release re-stamps the stash to the releasing send's arrival, so it
     /// can never undercut a commit this scan admitted.
-    /// O(#running + log n), not O(n): blocked commitments are read from
-    /// the first entries of the sorted `blocked_bounds` set (two, in
-    /// case the first is `me`), and only the — in pooled runs, few —
-    /// `Running` ranks have their clocks read.
+    /// O(#running + log n), not O(n): the least blocked commitment but
+    /// `me`'s is read from `blocked_bounds`, and only the — in pooled
+    /// runs, few — `Running` ranks have their clocks read.
     fn scan_safe(&self, st: &FabricState, me: usize, bound: SimTime) -> bool {
-        let b = time_bits(bound);
-        for &(bits, r) in st.blocked_bounds.iter().take(2) {
-            if r == me {
-                continue;
-            }
-            if bits < b {
-                return false;
-            }
-            break;
+        if st
+            .blocked_bounds
+            .min_excluding(me)
+            .is_some_and(|(bits, _)| bits < time_bits(bound))
+        {
+            return false;
         }
         st.running
             .iter()
@@ -969,7 +981,7 @@ impl Fabric {
         // Oracle mode: the destination's registered choice point (if any)
         // is now stale; no decision may be granted until it re-confirms.
         g.confirmed[dst] = false;
-        g.queues[dst].push_back(env);
+        g.mail.push_back(dst, env);
     }
 
     /// Deliver an envelope to global rank `dst`, running it through the
@@ -1046,9 +1058,14 @@ impl Fabric {
         let mut g = Locked::new(self.state.lock());
         loop {
             self.check_poison(&g);
-            if let Some(idx) = g.queues[dst].iter().position(|e| spec.matches(e)) {
+            let first = g
+                .mail
+                .iter(dst)
+                .find(|(_, e)| spec.matches(e))
+                .map(|(s, _)| s);
+            if let Some(slot) = first {
                 self.unblock(&mut g, dst);
-                return g.claim(dst, idx, kind);
+                return g.claim(dst, slot, kind);
             }
             self.block(&mut g, dst, SimTime::INFINITY, spec);
             if g.poisoned.is_some() {
@@ -1064,13 +1081,13 @@ impl Fabric {
         let mut g = Locked::new(self.state.lock());
         loop {
             match g.select_virtual(dst, spec) {
-                Some(idx) => {
-                    let bound = g.queues[dst][idx].arrival;
+                Some(slot) => {
+                    let bound = g.mail.get(slot).arrival;
                     if self.scan_safe(&g, dst, bound) {
                         if !matches!(g.waits[dst], RankWait::Running) {
                             g.set_wait(dst, RankWait::Running);
                         }
-                        return g.claim(dst, idx, kind);
+                        return g.claim(dst, slot, kind);
                     }
                     // Publish the candidate as a commitment — the gate's
                     // induction needs waiting receivers to promise they
@@ -1098,11 +1115,12 @@ impl Fabric {
             self.check_poison(&g);
             if let Some(cand) = g.granted[dst].take() {
                 self.unblock(&mut g, dst);
-                let idx = g.queues[dst]
-                    .iter()
-                    .position(|e| e.src_global == cand.src_global && spec.matches(e))
+                let (slot, _) = g
+                    .mail
+                    .iter(dst)
+                    .find(|(_, e)| e.src_global == cand.src_global && spec.matches(e))
                     .expect("granted candidate vanished from the mailbox");
-                return g.claim(dst, idx, kind);
+                return g.claim(dst, slot, kind);
             }
             let candidates = g.candidate_set(dst, spec);
             let bound = candidates
@@ -1141,10 +1159,10 @@ impl Fabric {
             self.check_poison(&g);
             if self.scan_safe(&g, dst, now) {
                 self.unblock(&mut g, dst);
-                let idx = g
+                let slot = g
                     .select_virtual(dst, spec)
-                    .filter(|&i| g.queues[dst][i].arrival <= now)?;
-                return Some(g.claim(dst, idx, kind));
+                    .filter(|&s| g.mail.get(s).arrival <= now)?;
+                return Some(g.claim(dst, slot, kind));
             }
             // Publish the wait as a gate park. `now` may sit in the
             // caller's future (a retransmit-timer deadline): sound,
@@ -1174,7 +1192,7 @@ impl Fabric {
 
     /// Number of messages currently queued at `dst` (diagnostics).
     pub fn queued(&self, dst: usize) -> usize {
-        self.state.lock().queues[dst].len()
+        self.state.lock().mail.len(dst)
     }
 
     /// Whether `dst` is currently published as blocked (parked in a
@@ -1382,7 +1400,7 @@ mod tests {
         let fast = st.candidate_set(0, &want);
         let mut seen: Vec<usize> = Vec::new();
         let mut slow: Vec<Candidate> = Vec::new();
-        for e in &st.queues[0] {
+        for (_, e) in st.mail.iter(0) {
             if seen.contains(&e.src_global) || !want.matches(e) {
                 continue;
             }
@@ -1397,7 +1415,7 @@ mod tests {
         assert!(fast.len() > SOURCES / 2, "the mailbox is wide: {}", fast.len());
         assert_eq!(fast, slow);
         let first = st.select_virtual(0, &want).expect("candidates exist");
-        assert_eq!(Candidate::of(&st.queues[0][first]), fast[0]);
+        assert_eq!(Candidate::of(st.mail.get(first)), fast[0]);
     }
 
     /// Wakes decided under `g` so far (none of these tests spills).

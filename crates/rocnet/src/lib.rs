@@ -59,6 +59,8 @@ pub mod collective;
 pub mod comm;
 pub mod fabric;
 pub mod harness;
+mod mailbox;
+mod mintree;
 pub mod model;
 pub mod rocrel;
 pub mod sched;

@@ -1,8 +1,9 @@
 //! Per-rank virtual clocks.
 //!
-//! Each rank owns one [`VClock`], shared (via `Arc`) between all the
-//! communicators of that rank and any background threads it spawns (e.g.
-//! T-Rochdf's writer). The clock only moves forward, by modelled
+//! Each rank has one [`VClock`] in its fabric's clock table, reached by
+//! every communicator of that rank through the fabric (a background
+//! thread that models its own timeline, such as T-Rochdf's writer, keeps
+//! a clock of its own). The clock only moves forward, by modelled
 //! compute/communication/storage costs, and merges with remote clocks at
 //! synchronization points (message arrival, barriers, sync calls) by taking
 //! the maximum — the standard virtual-time rule.

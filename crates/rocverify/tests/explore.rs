@@ -2,6 +2,11 @@
 //! named in the verification issue exhaust their schedule trees with
 //! byte-identical snapshots, and a known-buggy protocol is caught with a
 //! usable counterexample.
+//!
+//! Every test also pins the size of the tree it walks — runs and
+//! decisions, or fault plans and frames. The tree is a function of the
+//! fabric's wildcard candidate sets and their order, so a fabric change
+//! that alters either fails here even when every schedule still passes.
 
 use rocverify::scenarios::{
     LossyPandaHandshake, LossyTrochdfHandoff, LostAckToy, MultiTenantHandshake, PandaHandshake,
@@ -9,18 +14,25 @@ use rocverify::scenarios::{
 };
 use rocverify::sched::{
     assert_all_fault_plans_pass, assert_all_schedules_pass, explore, explore_faults,
-    ExploreOptions, FaultExploreOptions,
+    ExploreOptions, ExploreReport, FaultExploreOptions, FaultExploreReport,
 };
+
+/// The size of an explored schedule tree: runs and decisions granted.
+fn tree(report: &ExploreReport) -> (usize, usize) {
+    (report.runs, report.decisions)
+}
+
+/// The size of an explored fault tree: plans run, frames of the clean
+/// run and frames branched on.
+fn plans(report: &FaultExploreReport) -> (usize, usize, usize) {
+    (report.runs, report.clean_frames, report.fault_points)
+}
 
 #[test]
 fn panda_handshake_exhausts_and_snapshots_agree() {
     let report = explore(&PandaHandshake::issue_scale(), &ExploreOptions::default());
     assert!(report.exhausted, "tree must be fully explored: {}", report.summary());
-    assert!(
-        report.runs > 100,
-        "2 servers x 4 clients should branch substantially, got {}",
-        report.summary()
-    );
+    assert_eq!(tree(&report), (144, 3648), "{}", report.summary());
     assert_all_schedules_pass(&report);
 }
 
@@ -35,11 +47,7 @@ fn multitenant_handshake_exhausts_and_tenants_stay_isolated() {
     };
     let report = explore(&MultiTenantHandshake::issue_scale(), &opts);
     assert!(report.exhausted, "tree must be fully explored: {}", report.summary());
-    assert!(
-        report.runs > 1,
-        "two interleaved jobs should branch, got {}",
-        report.summary()
-    );
+    assert_eq!(tree(&report), (1255, 36040), "{}", report.summary());
     assert_all_schedules_pass(&report);
 }
 
@@ -50,7 +58,7 @@ fn panda_restart_exhausts_through_the_flush_tokens() {
     // servers' replies restores what was written.
     let report = explore(&PandaRestart, &ExploreOptions::default());
     assert!(report.exhausted, "tree must be fully explored: {}", report.summary());
-    assert!(report.runs > 1, "restart wildcards should branch, got {}", report.summary());
+    assert_eq!(tree(&report), (18, 576), "{}", report.summary());
     assert_all_schedules_pass(&report);
 }
 
@@ -58,11 +66,7 @@ fn panda_restart_exhausts_through_the_flush_tokens() {
 fn trochdf_handoff_exhausts_and_snapshots_agree() {
     let report = explore(&TrochdfHandoff::issue_scale(), &ExploreOptions::default());
     assert!(report.exhausted, "tree must be fully explored: {}", report.summary());
-    assert!(
-        report.runs > 1,
-        "halo wildcards should branch, got {}",
-        report.summary()
-    );
+    assert_eq!(tree(&report), (8, 48), "{}", report.summary());
     assert_all_schedules_pass(&report);
 }
 
@@ -73,11 +77,7 @@ fn lossy_panda_handshake_survives_every_single_fault_placement() {
         &FaultExploreOptions::default(),
     );
     assert!(report.exhausted, "fault tree must be fully explored: {}", report.summary());
-    assert!(
-        report.clean_frames > 20,
-        "2 servers x 4 clients should emit a substantial frame set, got {}",
-        report.summary()
-    );
+    assert_eq!(plans(&report), (105, 52, 52), "{}", report.summary());
     assert_all_fault_plans_pass(&report);
 }
 
@@ -90,6 +90,7 @@ fn lossy_panda_handshake_survives_fault_pairs_at_small_scale() {
     };
     let report = explore_faults(&LossyPandaHandshake::small(), &opts);
     assert!(report.exhausted, "two-fault tree must be exhausted: {}", report.summary());
+    assert_eq!(plans(&report), (1569, 26, 784), "{}", report.summary());
     assert_all_fault_plans_pass(&report);
 }
 
@@ -100,11 +101,7 @@ fn lossy_trochdf_handoff_survives_every_single_fault_placement() {
         &FaultExploreOptions::default(),
     );
     assert!(report.exhausted, "fault tree must be fully explored: {}", report.summary());
-    assert!(
-        report.clean_frames >= 12,
-        "3 ranks x 2 halo frames each plus acks, got {}",
-        report.summary()
-    );
+    assert_eq!(plans(&report), (25, 12, 12), "{}", report.summary());
     assert_all_fault_plans_pass(&report);
 }
 
@@ -117,7 +114,8 @@ fn lost_ack_bug_is_found_with_counterexample() {
     };
     let report = explore(&LostAckToy, &opts);
     assert!(report.exhausted);
-    assert_eq!(report.runs, 2, "one wildcard with two candidates: {}", report.summary());
+    // One wildcard with two candidates.
+    assert_eq!(tree(&report), (2, 4), "{}", report.summary());
     assert_eq!(report.failures.len(), 1, "exactly the flipped schedule deadlocks");
     let f = &report.failures[0];
     assert!(
@@ -141,7 +139,8 @@ fn depth_budget_prunes_loudly() {
         ..ExploreOptions::default()
     };
     let report = explore(&LostAckToy, &opts);
-    assert_eq!(report.runs, 1, "budget 0 leaves only the reference schedule");
+    // Budget 0 leaves only the reference schedule.
+    assert_eq!(tree(&report), (1, 2), "{}", report.summary());
     assert!(!report.exhausted, "dropped alternatives must clear the exhausted flag");
     assert_eq!(report.budget_pruned, 1);
 }
@@ -156,5 +155,6 @@ fn peek_branching_is_outcome_equivalent_on_the_handoff() {
     };
     let report = explore(&TrochdfHandoff::issue_scale(), &opts);
     assert!(report.exhausted, "{}", report.summary());
+    assert_eq!(tree(&report), (8, 48), "{}", report.summary());
     assert_all_schedules_pass(&report);
 }
