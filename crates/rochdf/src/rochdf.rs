@@ -48,7 +48,7 @@ pub(crate) fn read_attribute(
     } else {
         crate::restart::read_attribute_individual(fs, comm, cfg, windows, sel, snap)?
     };
-    comm.clock().merge(t);
+    comm.advance_to(t);
     if rocobs::enabled() {
         rocobs::record(
             rocobs::SpanCategory::RestartRead,
@@ -141,7 +141,7 @@ impl IoService for Rochdf<'_> {
         let client = self.comm.global_rank() as u64;
         let now = self.comm.now();
         let t = write_snapshot_file(self.fs, &path, self.cfg.lib, client, &blocks, now)?;
-        self.comm.clock().merge(t);
+        self.comm.advance_to(t);
         self.files_written += 1;
         self.visible_io += self.comm.now() - t_enter;
         Ok(())

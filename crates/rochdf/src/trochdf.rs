@@ -172,7 +172,7 @@ impl<'a> TRochdf<'a> {
                 self.shared.cv.wait(&mut out);
             }
         }
-        self.comm.clock().merge(self.shared.io_clock.now());
+        self.comm.advance_to(self.shared.io_clock.now());
         if let Some(e) = self.shared.error.lock().take() {
             return Err(e);
         }
@@ -217,7 +217,7 @@ impl IoService for TRochdf<'_> {
         // All ranks' I/O threads write concurrently in the background.
         self.fs.declare_writers(self.comm.size());
         // The only visible cost: the local buffer copy.
-        self.comm.clock().advance(copy_cost(bytes, blocks.len()));
+        self.comm.advance(copy_cost(bytes, blocks.len()));
         let path = self.cfg.path(&sel.window, snap, self.comm.rank());
         *self.shared.outstanding.lock() += 1;
         self.tx

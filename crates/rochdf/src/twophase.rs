@@ -144,7 +144,7 @@ pub(crate) fn read_views(
                 }
                 let (raw, t) = reader.read_blocks_raw(&present, now)?;
                 now = t;
-                comm.clock().merge(now);
+                comm.advance_to(now);
                 let mut batch = Cursor::new(&raw);
                 for &id in &present {
                     let lens = reader.record_lens(id)?;
@@ -160,7 +160,7 @@ pub(crate) fn read_views(
                     }
                 }
             }
-            comm.clock().merge(now);
+            comm.advance_to(now);
             Ok(())
         };
         // A failed aggregator still owes every rank its completion notice

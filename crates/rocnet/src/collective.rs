@@ -3,7 +3,8 @@
 //! Linear (root-centred) algorithms: correctness and modelled cost both
 //! come from the underlying point-to-point layer, so barriers naturally
 //! synchronize virtual clocks (every rank ends at ≥ the max participant
-//! time) and gathers charge the root for every inbound transfer.
+//! time) and the gathering half of an allgather or allreduce charges the
+//! root for every inbound transfer.
 //!
 //! Every collective returns `Result`: a fabric failure (bad rank, poisoned
 //! job) surfaces as `RocError::Comm` instead of tearing the rank thread
@@ -18,17 +19,13 @@ use crate::comm::Comm;
 
 const OP_BARRIER_UP: u8 = 1;
 const OP_BARRIER_DOWN: u8 = 2;
-const OP_BCAST: u8 = 3;
-const OP_GATHER: u8 = 4;
 const OP_ALLGATHER_UP: u8 = 5;
 const OP_ALLGATHER_DOWN: u8 = 6;
 const OP_REDUCE: u8 = 7;
 const OP_REDUCE_DOWN: u8 = 8;
-const OP_SCATTER: u8 = 9;
-const OP_ALLTOALL: u8 = 10;
 
 /// Decode an 8-byte little-endian `f64` from the head of a payload.
-fn le_f64(payload: &[u8], what: &str) -> Result<f64> {
+pub(crate) fn le_f64(payload: &[u8], what: &str) -> Result<f64> {
     let bytes: [u8; 8] = payload
         .get(..8)
         .and_then(|s| s.try_into().ok())
@@ -59,46 +56,6 @@ impl Comm {
             self.recv(Some(0), Some(down))?;
         }
         Ok(())
-    }
-
-    /// Broadcast bytes from `root` to every rank. The root passes
-    /// `Some(data)`, everyone else `None`; all ranks return the data.
-    pub fn bcast(&self, root: usize, data: Option<&[u8]>) -> Result<Bytes> {
-        let tag = self.coll_tag(OP_BCAST);
-        if self.rank() == root {
-            let data = data.ok_or_else(|| {
-                RocError::Comm("bcast: root must supply data".to_string())
-            })?;
-            // One staging copy; every send shares it by refcount.
-            let shared = Bytes::copy_from_slice(data);
-            for dst in 0..self.size() {
-                if dst != root {
-                    self.send_bytes(dst, tag, shared.clone())?;
-                }
-            }
-            Ok(shared)
-        } else {
-            Ok(self.recv(Some(root), Some(tag))?.payload)
-        }
-    }
-
-    /// Gather each rank's bytes at `root`. The root gets `Some(vec)` with
-    /// one entry per rank in rank order; everyone else gets `None`.
-    pub fn gather(&self, root: usize, data: &[u8]) -> Result<Option<Vec<Bytes>>> {
-        let tag = self.coll_tag(OP_GATHER);
-        if self.rank() == root {
-            let mut out: Vec<Bytes> = vec![Bytes::new(); self.size()];
-            out[root] = Bytes::copy_from_slice(data);
-            for (src, slot) in out.iter_mut().enumerate() {
-                if src != root {
-                    *slot = self.recv(Some(src), Some(tag))?.payload;
-                }
-            }
-            Ok(Some(out))
-        } else {
-            self.send(root, tag, data)?;
-            Ok(None)
-        }
     }
 
     /// Gather everyone's bytes on every rank, in rank order.
@@ -160,59 +117,6 @@ impl Comm {
         Ok(())
     }
 
-    /// Scatter per-rank byte buffers from `root`: rank `i` receives
-    /// `parts[i]`. The root passes `Some(parts)` with one entry per rank.
-    pub fn scatter(&self, root: usize, parts: Option<&[Vec<u8>]>) -> Result<Bytes> {
-        let tag = self.coll_tag(OP_SCATTER);
-        if self.rank() == root {
-            let parts = parts.ok_or_else(|| {
-                RocError::Comm("scatter: root must supply parts".to_string())
-            })?;
-            if parts.len() != self.size() {
-                return Err(RocError::Comm(format!(
-                    "scatter: {} parts for {} ranks",
-                    parts.len(),
-                    self.size()
-                )));
-            }
-            for (dst, part) in parts.iter().enumerate() {
-                if dst != root {
-                    self.send(dst, tag, part)?;
-                }
-            }
-            Ok(Bytes::copy_from_slice(&parts[root]))
-        } else {
-            Ok(self.recv(Some(root), Some(tag))?.payload)
-        }
-    }
-
-    /// All-to-all personalized exchange: rank `i` sends `parts[j]` to rank
-    /// `j` and receives one buffer from every rank, returned in rank
-    /// order. Eager sends make the naive algorithm deadlock-free.
-    pub fn alltoall(&self, parts: &[Vec<u8>]) -> Result<Vec<Bytes>> {
-        if parts.len() != self.size() {
-            return Err(RocError::Comm(format!(
-                "alltoall: {} parts for {} ranks",
-                parts.len(),
-                self.size()
-            )));
-        }
-        let tag = self.coll_tag(OP_ALLTOALL);
-        for (dst, part) in parts.iter().enumerate() {
-            if dst != self.rank() {
-                self.send(dst, tag, part)?;
-            }
-        }
-        let mut out: Vec<Bytes> = vec![Bytes::new(); self.size()];
-        out[self.rank()] = Bytes::copy_from_slice(&parts[self.rank()]);
-        for (src, slot) in out.iter_mut().enumerate() {
-            if src != self.rank() {
-                *slot = self.recv(Some(src), Some(tag))?.payload;
-            }
-        }
-        Ok(out)
-    }
-
     /// All-reduce an `f64` with a binary combining function (must be
     /// associative and commutative).
     pub fn allreduce_f64(&self, x: f64, op: impl Fn(f64, f64) -> f64) -> Result<f64> {
@@ -267,38 +171,6 @@ mod tests {
         for t in &out {
             assert!(*t >= 10.0, "clock after barrier {t} < 10");
         }
-    }
-
-    #[test]
-    fn bcast_delivers_to_all() {
-        let out = run_ranks(3, ClusterSpec::ideal(3), |comm| {
-            let data = if comm.rank() == 1 { Some(&b"xyz"[..]) } else { None };
-            comm.bcast(1, data).unwrap()
-        });
-        for o in out {
-            assert_eq!(o, b"xyz");
-        }
-    }
-
-    #[test]
-    fn bcast_without_root_data_errors() {
-        let out = run_ranks(1, ClusterSpec::ideal(1), |comm| {
-            comm.bcast(0, None).is_err()
-        });
-        assert!(out[0]);
-    }
-
-    #[test]
-    fn gather_orders_by_rank() {
-        let out = run_ranks(4, ClusterSpec::ideal(4), |comm| {
-            comm.gather(0, &[comm.rank() as u8 * 10]).unwrap()
-        });
-        let gathered = out[0].as_ref().unwrap();
-        assert_eq!(gathered.len(), 4);
-        for (i, part) in gathered.iter().enumerate() {
-            assert_eq!(part, &vec![i as u8 * 10]);
-        }
-        assert!(out[1].is_none());
     }
 
     #[test]
@@ -370,45 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_delivers_each_part() {
-        let out = run_ranks(3, ClusterSpec::ideal(3), |comm| {
-            let parts: Option<Vec<Vec<u8>>> = if comm.rank() == 1 {
-                Some((0..3).map(|i| vec![i as u8 * 5; i + 1]).collect())
-            } else {
-                None
-            };
-            comm.scatter(1, parts.as_deref()).unwrap()
-        });
-        assert_eq!(out[0], vec![0]);
-        assert_eq!(out[1], vec![5, 5]);
-        assert_eq!(out[2], vec![10, 10, 10]);
-    }
-
-    #[test]
-    fn scatter_part_count_mismatch_errors() {
-        let out = run_ranks(1, ClusterSpec::ideal(1), |comm| {
-            comm.scatter(0, Some(&[vec![1], vec![2]][..])).is_err()
-                && comm.scatter(0, None).is_err()
-        });
-        assert!(out[0]);
-    }
-
-    #[test]
-    fn alltoall_transposes() {
-        let out = run_ranks(3, ClusterSpec::ideal(3), |comm| {
-            let me = comm.rank() as u8;
-            let parts: Vec<Vec<u8>> = (0..3).map(|j| vec![me * 10 + j as u8]).collect();
-            comm.alltoall(&parts).unwrap()
-        });
-        // out[i][j] holds rank j's part destined for rank i: j*10 + i.
-        for (i, row) in out.iter().enumerate() {
-            for (j, cell) in row.iter().enumerate() {
-                assert_eq!(cell, &vec![(j * 10 + i) as u8]);
-            }
-        }
-    }
-
-    #[test]
     fn allreduce_max_and_sum() {
         let out = run_ranks(4, ClusterSpec::ideal(4), |comm| {
             let x = comm.rank() as f64 + 1.0;
@@ -426,17 +259,16 @@ mod tests {
     #[test]
     fn consecutive_collectives_do_not_cross_match() {
         let out = run_ranks(2, ClusterSpec::ideal(2), |comm| {
-            let a = comm
-                .bcast(0, if comm.rank() == 0 { Some(b"a") } else { None })
-                .unwrap();
-            let b = comm
-                .bcast(0, if comm.rank() == 0 { Some(b"b") } else { None })
-                .unwrap();
-            (a, b)
+            let a = comm.allgather(&[comm.rank() as u8]).unwrap();
+            let b = comm.allgather(&[10 + comm.rank() as u8]).unwrap();
+            let s = comm.allreduce_sum_f64(1.0 + comm.rank() as f64).unwrap();
+            let m = comm.allreduce_max_f64(5.0 * comm.rank() as f64).unwrap();
+            (a, b, s, m)
         });
-        for (a, b) in &out {
-            assert_eq!(a, b"a");
-            assert_eq!(b, b"b");
+        for (a, b, s, m) in &out {
+            assert_eq!(a, &[&[0u8][..], &[1]]);
+            assert_eq!(b, &[&[10u8][..], &[11]]);
+            assert_eq!((*s, *m), (3.0, 5.0));
         }
     }
 
@@ -444,22 +276,22 @@ mod tests {
     fn single_rank_collectives_are_trivial() {
         let out = run_ranks(1, ClusterSpec::ideal(1), |comm| {
             comm.barrier().unwrap();
-            let b = comm.bcast(0, Some(b"solo")).unwrap();
-            let g = comm.gather(0, b"g").unwrap().unwrap();
+            let g = comm.allgather(b"solo").unwrap();
             let s = comm.allreduce_sum_f64(2.5).unwrap();
-            (b, g.len(), s)
+            let t = comm.allreduce_f64_tree(1.5, f64::max).unwrap();
+            (g, s, t, comm.stats().msgs_sent)
         });
-        assert_eq!(out[0].0, b"solo");
-        assert_eq!(out[0].1, 1);
-        assert_eq!(out[0].2, 2.5);
+        let (g, s, t, sent) = &out[0];
+        assert_eq!(g, &[&b"solo"[..]]);
+        assert_eq!((*s, *t, *sent), (2.5, 1.5, 0));
     }
 
     #[test]
-    fn gather_charges_root_for_transfers() {
-        // On a non-ideal network the root's clock after a gather must be
-        // at least the cost of receiving all contributions.
+    fn allgather_charges_root_for_transfers() {
+        // On a non-ideal network the root's clock after an allgather
+        // must be at least the cost of receiving all contributions.
         let out = run_ranks(8, ClusterSpec::turing(8), |comm| {
-            comm.gather(0, &vec![0u8; 1 << 20]).unwrap();
+            comm.allgather(&vec![0u8; 1 << 20]).unwrap();
             comm.now()
         });
         // Draining 7 MiB through the root's receive path (~4 ms/MiB) plus

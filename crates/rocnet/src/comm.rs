@@ -187,8 +187,9 @@ impl Comm {
 
     /// This rank's virtual clock, shared across the rank's communicators.
     /// The fabric owns it: wildcard matching is gated on a scan of every
-    /// rank's virtual time (see the `fabric` module docs).
-    pub fn clock(&self) -> &VClock {
+    /// rank's virtual time (see the `fabric` module docs). Read-only
+    /// here: every move goes through `Comm::move_clock`.
+    pub(crate) fn clock(&self) -> &VClock {
         self.fabric.clock_of(self.global)
     }
 
@@ -198,21 +199,39 @@ impl Comm {
     }
 
     /// Advance virtual time by a raw duration (storage layers use this).
+    /// May take the fabric lock to wake gate waiters the move lets pass:
+    /// call it with no lock held.
     pub fn advance(&self, dt: SimTime) {
-        self.clock().advance(dt);
+        self.move_clock(|c| c.advance(dt));
+    }
+
+    /// Move virtual time up to `t` if it is not there yet
+    /// (`now := max(now, t)`): the rank idled until an event at `t` — a
+    /// disk completion, a flush, a deadline. Wakes like [`Comm::advance`].
+    pub fn advance_to(&self, t: SimTime) {
+        self.move_clock(|c| c.merge(t));
+    }
+
+    /// Every move of this rank's clock: apply `step` (which returns the
+    /// time before it), then let the fabric wake the gate waiters whose
+    /// bound the move crossed.
+    fn move_clock(&self, step: impl FnOnce(&VClock) -> SimTime) {
+        let clock = self.clock();
+        let old = step(clock);
+        self.fabric.clock_moved(old, clock.now());
     }
 
     /// Perform `work` work-units of computation: advances the clock by the
     /// cluster's modelled compute time, including OS noise.
     pub fn compute(&self, work: f64) {
-        let t0 = self.clock().now();
-        self.clock().advance(self.fabric.spec().compute_time(work));
+        let t0 = self.now();
+        self.advance(self.fabric.spec().compute_time(work));
         if rocobs::enabled() {
             rocobs::record(
                 rocobs::SpanCategory::Compute,
                 "compute",
                 t0,
-                self.clock().now(),
+                self.now(),
                 &format!("work={work}"),
             );
         }
@@ -261,9 +280,9 @@ impl Comm {
             )));
         }
         let spec = self.fabric.spec();
-        let t_send_start = self.clock().now();
-        self.clock().advance(spec.net.send_cost(payload.len()));
-        let arrival = self.clock().now()
+        let t_send_start = self.now();
+        self.advance(spec.net.send_cost(payload.len()));
+        let arrival = self.now()
             + spec.net.flight_time(
                 self.node_of_local(self.my_local),
                 self.node_of_local(dst),
@@ -276,7 +295,7 @@ impl Comm {
                 rocobs::SpanCategory::Send,
                 "send",
                 t_send_start,
-                self.clock().now(),
+                self.now(),
                 &format!("dst={dst} tag={tag:#x} bytes={}", payload.len()),
             );
         }
@@ -291,7 +310,7 @@ impl Comm {
                 src_global: self.global_rank(),
                 tag,
                 payload,
-                sent: self.clock().now(),
+                sent: self.now(),
                 arrival,
             },
         );
@@ -321,9 +340,8 @@ impl Comm {
     }
 
     fn to_message(&self, env: Envelope) -> Message<Rope> {
-        self.clock().merge(env.arrival);
-        self.clock()
-            .advance(self.fabric.spec().net.recv_cost(env.payload.len()));
+        self.advance_to(env.arrival);
+        self.advance(self.fabric.spec().net.recv_cost(env.payload.len()));
         self.stats.on_recv(env.payload.len());
         Message {
             src: self.group.member_rank(env.src_global),
@@ -356,7 +374,7 @@ impl Comm {
                 )));
             }
         }
-        let t0 = self.clock().now();
+        let t0 = self.now();
         let env = self
             .fabric
             .wait_match(self.global_rank(), &self.spec(src, tag), ChoiceKind::Take);
@@ -366,7 +384,7 @@ impl Comm {
                 rocobs::SpanCategory::Recv,
                 "recv",
                 t0,
-                self.clock().now(),
+                self.now(),
                 &format!("src={} tag={:#x} bytes={}", msg.src, msg.tag, msg.payload.len()),
             );
         }
@@ -387,7 +405,7 @@ impl Comm {
     /// (though the determinism gate may wait in wall-clock time). The
     /// payload comes as it travelled, like [`Comm::recv_rope`]'s.
     pub fn try_recv(&self, src: Option<usize>, tag: Option<u32>) -> Option<Message<Rope>> {
-        let env = self.settle(src, tag, self.clock().now(), ChoiceKind::Take)?;
+        let env = self.settle(src, tag, self.now(), ChoiceKind::Take)?;
         Some(self.to_message(env))
     }
 
@@ -406,19 +424,19 @@ impl Comm {
         tag: Option<u32>,
         deadline: SimTime,
     ) -> Option<Message<Rope>> {
-        let t0 = self.clock().now();
+        let t0 = self.now();
         let msg = self
             .settle(src, tag, deadline, ChoiceKind::Take)
             .map(|env| self.to_message(env));
         if msg.is_none() {
-            self.clock().advance_to(deadline);
+            self.advance_to(deadline);
         }
         if rocobs::enabled() {
             let detail = match &msg {
                 Some(m) => format!("src={} tag={:#x} bytes={}", m.src, m.tag, m.payload.len()),
                 None => "timeout".into(),
             };
-            let now = self.clock().now();
+            let now = self.now();
             rocobs::record(rocobs::SpanCategory::Recv, "recv_deadline", t0, now, &detail);
         }
         msg
@@ -429,7 +447,7 @@ impl Comm {
     /// servers rely on so "the operating system can use the server CPUs",
     /// §6.1) and reports it without removing it.
     pub fn probe(&self, src: Option<usize>, tag: Option<u32>) -> ProbeInfo {
-        let t0 = self.clock().now();
+        let t0 = self.now();
         let head = self
             .fabric
             .wait_match(self.global_rank(), &self.spec(src, tag), ChoiceKind::Peek);
@@ -438,13 +456,13 @@ impl Comm {
             head.tag,
             head.payload.len(),
         );
-        self.clock().merge(head.arrival);
+        self.advance_to(head.arrival);
         if rocobs::enabled() {
             rocobs::record(
                 rocobs::SpanCategory::ProbeBlocking,
                 "probe",
                 t0,
-                self.clock().now(),
+                self.now(),
                 &format!("src={src} tag={tag:#x} bytes={bytes}"),
             );
         }
@@ -457,11 +475,11 @@ impl Comm {
     /// answer is final for this instant: no rank can still produce a
     /// matching message arriving this early.
     pub fn iprobe(&self, src: Option<usize>, tag: Option<u32>) -> Option<ProbeInfo> {
-        let peeked = self.settle(src, tag, self.clock().now(), ChoiceKind::Peek);
+        let peeked = self.settle(src, tag, self.now(), ChoiceKind::Peek);
         if rocobs::enabled() {
             // Instantaneous poll: zero-length span, recorded whether or
             // not a message was waiting (the poll itself is the event).
-            let now = self.clock().now();
+            let now = self.now();
             let detail = if peeked.is_some() { "hit" } else { "miss" };
             rocobs::record(rocobs::SpanCategory::ProbeNonBlocking, "iprobe", now, now, detail);
         }
@@ -478,14 +496,6 @@ impl Comm {
         let seq = self.coll_seq.get();
         self.coll_seq.set(seq.wrapping_add(1));
         COLL_TAG_BASE | ((seq & 0x000F_FFFF) << 8) | op as u32
-    }
-
-    /// Duplicate the communicator (`MPI_Comm_dup`): same group, fresh
-    /// context, so the duplicate's traffic never cross-matches the
-    /// original's. Collective — every member must call it together.
-    pub fn dup(&self) -> Result<Comm> {
-        self.split(Some(0), self.rank() as i64)?
-            .ok_or_else(|| RocError::Comm("dup: split with a uniform color yielded no group".into()))
     }
 
     /// Split the communicator, `MPI_Comm_split` style.
@@ -729,27 +739,6 @@ mod tests {
             sub.now()
         });
         assert!(out.iter().all(|&t| t >= 2.0));
-    }
-
-    #[test]
-    fn dup_is_isolated_but_same_group() {
-        let out = run_ranks(2, ClusterSpec::ideal(2), |comm| {
-            let dup = comm.dup().unwrap();
-            assert_eq!(dup.size(), comm.size());
-            assert_eq!(dup.rank(), comm.rank());
-            if comm.rank() == 0 {
-                comm.send(1, 4, b"orig").unwrap();
-                dup.send(1, 4, b"dup").unwrap();
-                Vec::new()
-            } else {
-                // Same (src, tag) on both communicators: each gets its own.
-                let d = dup.recv(Some(0), Some(4)).unwrap();
-                let o = comm.recv(Some(0), Some(4)).unwrap();
-                vec![o.payload, d.payload]
-            }
-        });
-        assert_eq!(out[1][0], b"orig");
-        assert_eq!(out[1][1], b"dup");
     }
 
     #[test]

@@ -46,7 +46,8 @@
 
 use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::Thread;
 use std::time::Duration;
 
@@ -58,16 +59,16 @@ use crate::comm::{Group, TAG_USER_MAX};
 use crate::mailbox::Mailboxes;
 use crate::mintree::MinTree;
 use crate::model::FaultAction;
-use crate::sched::{GateBoard, WakeHandle};
+use crate::sched::WakeHandle;
 use crate::vtime::VClock;
 
 /// Safety-net re-scan period for parked gate waiters. Gate wakes are
-/// event-driven — blocking/finishing ranks run the wake scan under the
-/// lock, and clock advances crossing the [`GateBoard`] watermark unpark
-/// the steward — so this timeout should never be the thing that makes
-/// progress. It stays generous precisely so a missed-wake bug degrades
-/// to a slow poll instead of a deadlock, and it is the only wake source
-/// on bare `Fabric` values that never ran a job (no steward spawned).
+/// event-driven — a rank that blocks, parks at a gate, leaves one or
+/// finishes runs the wake scan under the lock, and so does a
+/// communicator whose clock move crosses the lowest parked bound — so
+/// this timeout should never be the thing that makes progress. It stays
+/// generous precisely so a missed-wake bug degrades to a slow poll
+/// instead of a deadlock.
 const GATE_FALLBACK: Duration = Duration::from_millis(5);
 
 /// Bit pattern of a non-negative virtual time, normalised so that `u64`
@@ -554,11 +555,14 @@ pub struct Fabric {
     clocks: Vec<VClock>,
     state: Mutex<FabricState>,
     oracle: Option<Arc<dyn ScheduleOracle>>,
-    /// Watermark connecting clock advances to parked gate waiters; also
-    /// attached to every fabric-owned clock.
-    board: Arc<GateBoard>,
-    /// Set once the steward wake thread has been spawned for this fabric.
-    steward_once: OnceLock<()>,
+    /// `time_bits` of the lowest scan bound a gate waiter is parked on
+    /// (`u64::MAX`: none). Written under the state lock; a clock move
+    /// that crosses it runs the wake scan (`Fabric::clock_moved`).
+    gate_min: AtomicU64,
+    /// A crossing clock move's wake scan made waiters ready since
+    /// `gate_min` was last published; they scan again as they leave the
+    /// gate, so another crossing need not. Written under the state lock.
+    gate_woken: AtomicBool,
 }
 
 impl Fabric {
@@ -576,45 +580,14 @@ impl Fabric {
 
     fn build(spec: ClusterSpec, oracle: Option<Arc<dyn ScheduleOracle>>) -> Self {
         let n = spec.n_ranks();
-        let board = Arc::new(GateBoard::new());
-        let clocks: Vec<VClock> = (0..n).map(|_| VClock::new()).collect();
-        for c in &clocks {
-            c.attach_board(Arc::clone(&board));
-        }
         Fabric {
             spec,
-            clocks,
+            clocks: (0..n).map(|_| VClock::new()).collect(),
             state: Mutex::new("rocnet.fabric_state", FabricState::new(n)),
             oracle,
-            board,
-            steward_once: OnceLock::new(),
+            gate_min: AtomicU64::new(u64::MAX),
+            gate_woken: AtomicBool::new(false),
         }
-    }
-
-    /// The gate-wake watermark shared with this fabric's clocks.
-    pub(crate) fn board(&self) -> &Arc<GateBoard> {
-        &self.board
-    }
-
-    /// Spawn the steward wake thread for this fabric if it has not been
-    /// spawned yet. Called by the harness at job start; bare fabrics in
-    /// unit tests skip it and rely on the `GATE_FALLBACK` re-scan.
-    pub(crate) fn ensure_steward(self: &Arc<Self>) {
-        self.steward_once
-            .get_or_init(|| crate::sched::spawn_steward(self));
-    }
-
-    /// Steward entry point: re-run the gate wake scan because some clock
-    /// crossed the published watermark. Runs on the steward thread with
-    /// no other lock held, so taking the fabric lock here is always
-    /// hierarchy-clean — which is exactly why clock-advance sites route
-    /// through the steward instead of locking the fabric themselves.
-    pub(crate) fn steward_rescan(&self) {
-        // Clear the latch *before* reading state: a crossing that lands
-        // mid-scan re-signals and triggers one more pass.
-        self.board.begin_scan();
-        let mut g = Locked::new(self.state.lock());
-        self.wake_gates(&mut g);
     }
 
     /// The cluster description this fabric models.
@@ -629,9 +602,36 @@ impl Fabric {
 
     /// The virtual clock of global rank `rank`, shared by all of its
     /// communicators. The fabric owns the clocks so the safety scan can
-    /// read every rank's time.
-    pub fn clock_of(&self, rank: usize) -> &VClock {
+    /// read every rank's time; only a communicator moves one
+    /// (`Fabric::clock_moved`).
+    pub(crate) fn clock_of(&self, rank: usize) -> &VClock {
         &self.clocks[rank]
+    }
+
+    /// A rank's clock has just moved from `old` to `new`. If the move
+    /// crossed the lowest parked gate bound, run the wake scan here, on
+    /// the moving rank's own thread: the crossing itself wakes, not the
+    /// rank's next fabric call. Callers hold no lock.
+    ///
+    /// Only the lowest bound is checked. A waiter that passes lets the
+    /// lowest-bound one pass too (it commits to at least its bound), so a
+    /// move that crosses a higher bound but not the lowest can only
+    /// enable a waiter while the lowest one already could: that one was
+    /// made ready, and its own scan as it leaves the gate
+    /// (`gate_unpark`) sees this clock. `SeqCst` on both sides — the
+    /// move's store then this load, a parking waiter's `gate_min` store
+    /// then its clock reads — means at least one side sees the other.
+    pub(crate) fn clock_moved(&self, old: SimTime, new: SimTime) {
+        let min = self.gate_min.load(Ordering::SeqCst);
+        if time_bits(old) < min
+            && min <= time_bits(new)
+            && !self.gate_woken.load(Ordering::SeqCst)
+        {
+            let mut g = Locked::new(self.state.lock());
+            if self.wake_gates(&mut g) {
+                self.gate_woken.store(true, Ordering::SeqCst);
+            }
+        }
     }
 
     /// Install an adversarial fault model: every *eligible* message
@@ -653,8 +653,9 @@ impl Fabric {
     /// mailboxes and the adversary carry over, everything else restarts
     /// — in place, so a job allocates no fabric state of its own.
     pub fn begin_job(&self) {
-        self.state.lock().reset_job();
-        self.board.set_min(u64::MAX);
+        let mut st = self.state.lock();
+        st.reset_job();
+        self.publish_gate_min(&st);
     }
 
     /// Mark `rank`'s thread as done: it will never send again, so gates on
@@ -724,7 +725,7 @@ impl Fabric {
 
     /// Register `rank` as a parked gate waiter with scan bound `bound`:
     /// publish the bound as its commitment, enter it in the wake set,
-    /// refresh the clock watermark, and let other waiters that our
+    /// republish the lowest bound, and let other waiters that our
     /// commitment unblocks pass.
     fn gate_park(&self, g: &mut Locked, rank: usize, bound: SimTime, spec: &MatchSpec) {
         // Commitment floored at the clock (see `block`); the waiter's own
@@ -740,24 +741,29 @@ impl Fabric {
         let bits = time_bits(bound);
         g.gate_scan[rank] = Some(bits);
         g.gate_waiters.set(rank, bits);
-        self.refresh_board(g);
+        self.publish_gate_min(g);
         self.wake_gates(g);
     }
 
     /// Deregister `rank` from the gate-waiter set after its park returns
-    /// (it re-evaluates its scan from scratch) and mark it running.
-    fn gate_unpark(&self, st: &mut FabricState, rank: usize) {
-        if st.gate_scan[rank].take().is_some() {
-            st.gate_waiters.remove(rank);
+    /// (it re-evaluates its scan from scratch), mark it running, and let
+    /// pass the waiters that a clock move enabled while this rank held
+    /// the lowest bound (see `Fabric::clock_moved`).
+    fn gate_unpark(&self, g: &mut Locked, rank: usize) {
+        if g.gate_scan[rank].take().is_some() {
+            g.gate_waiters.remove(rank);
         }
-        st.set_wait(rank, RankWait::Running);
-        self.refresh_board(st);
+        g.set_wait(rank, RankWait::Running);
+        self.publish_gate_min(g);
+        self.wake_gates(g);
     }
 
-    /// Publish the lowest parked gate bound to the clock watermark.
-    fn refresh_board(&self, st: &FabricState) {
+    /// Publish the lowest parked gate bound for clock moves to check, and
+    /// re-arm them.
+    fn publish_gate_min(&self, st: &FabricState) {
         let min = st.gate_waiters.min().map_or(u64::MAX, |(bits, _)| bits);
-        self.board.set_min(min);
+        self.gate_min.store(min, Ordering::SeqCst);
+        self.gate_woken.store(false, Ordering::SeqCst);
     }
 
     /// Wake every parked gate waiter whose safety scan now passes.
@@ -771,10 +777,12 @@ impl Fabric {
     /// waiters at (or tied with) it can pass — the walk skips every
     /// subtree of waiters above that cut-off, so the scan is
     /// O(passing waiters × log n), not O(n).
-    fn wake_gates(&self, g: &mut Locked) {
+    ///
+    /// Returns whether it made any waiter ready.
+    fn wake_gates(&self, g: &mut Locked) -> bool {
         let (st, wakes) = (&*g.st, &mut g.wakes);
         if st.gate_waiters.min().is_none() {
-            return;
+            return false;
         }
         let run_min_bits = st
             .running
@@ -788,9 +796,11 @@ impl Fabric {
             .min_excluding(r1)
             .map_or(u64::MAX, |(b, _)| b);
         let generic = b1.min(run_min_bits);
+        let mut woken = false;
         st.gate_waiters.for_each_at_most(generic, |(bw, r)| {
             if r != r1 || bw <= b2.min(run_min_bits) {
                 wake_rank(st, wakes, r);
+                woken = true;
             }
         });
         // The rank holding the minimum commitment excludes itself from
@@ -800,9 +810,11 @@ impl Fabric {
             if let Some(bw) = st.gate_scan[r1] {
                 if bw > generic && bw <= b2.min(run_min_bits) {
                     wake_rank(st, wakes, r1);
+                    woken = true;
                 }
             }
         }
+        woken
     }
 
     /// Put the calling thread to sleep as `rank`: hand its admission slot
@@ -1092,8 +1104,8 @@ impl Fabric {
                     // Publish the candidate as a commitment — the gate's
                     // induction needs waiting receivers to promise they
                     // produce nothing earlier than what they will take —
-                    // and park until a blocking rank or the clock steward
-                    // re-runs the wake scan past our bound.
+                    // and park until a blocking rank or a crossing clock
+                    // move re-runs the wake scan past our bound.
                     self.gate_park(&mut g, dst, bound, spec);
                     g = self.park(g, dst, Some(GATE_FALLBACK));
                     self.gate_unpark(&mut g, dst);
@@ -1200,16 +1212,6 @@ impl Fabric {
     /// rank to reach its park deterministically instead of sleeping.
     pub fn is_parked(&self, dst: usize) -> bool {
         matches!(self.state.lock().waits[dst], RankWait::Blocked { .. })
-    }
-}
-
-impl Drop for Fabric {
-    fn drop(&mut self) {
-        // Tell the steward (if one was spawned) to exit. No join: the
-        // last `Arc<Fabric>` may be dropped *by* the steward itself
-        // after a final upgrade, and the thread parks for good measure
-        // anyway — it holds no resources beyond its stack.
-        self.board.shut_down();
     }
 }
 
@@ -1351,9 +1353,26 @@ mod tests {
         let h = std::thread::spawn(move || take(&f2, 1, &tagged(7)));
         await_parked(&f, 1);
         assert!(!h.is_finished(), "gate must wait on rank 0's clock");
+        // Moved behind the communicator's back: no wake scan runs, and
+        // the `GATE_FALLBACK` re-scan is what lets the waiter pass.
         f.clock_of(0).merge(2.0);
         let m = h.join().unwrap();
         assert_eq!(m.arrival, 1.0);
+    }
+
+    #[test]
+    fn a_clock_move_past_the_gate_wakes_the_waiter_before_it_returns() {
+        let f = Arc::new(Fabric::new(ClusterSpec::ideal(2)));
+        f.deliver(1, env(0, 7, 1.0));
+        let f1 = Arc::clone(&f);
+        let waiter = std::thread::spawn(move || take(&f1, 1, &tagged(7)));
+        await_parked(&f, 1);
+        let sleeper = f.state.lock().handles[1].clone().expect("rank 1 parked");
+        // No timer involved: the move's own call made the waiter ready
+        // before it returned.
+        crate::comm::Comm::world(Arc::clone(&f), 0).advance_to(2.0);
+        assert!(!sleeper.is_parked(), "the crossing move woke the waiter");
+        assert_eq!(waiter.join().unwrap().arrival, 1.0);
     }
 
     #[test]

@@ -25,14 +25,6 @@
 //!   the `Thread` to unpark; the caller unparks it once its guards are
 //!   gone, so a woken rank never collides with its waker (`roclock`'s
 //!   `lock-wake` rule).
-//! * **Event-driven gate wakes.** The `GateBoard` is a lock-free
-//!   watermark over all gate waiters' scan bounds: any clock advance
-//!   that crosses it unparks a single *steward* thread, which takes the
-//!   fabric lock from a clean context and re-runs the wake scan. Advance
-//!   sites never touch the fabric lock themselves — they may be holding
-//!   lower-level locks (e.g. `rochdf.outstanding`), so the detour
-//!   through the steward is what keeps the `roclock.order` hierarchy
-//!   intact.
 //! * **A start line.** Ranks stage on the scheduler after spawning and
 //!   the last arrival admits the whole job through the ready queue in
 //!   rank order, so user code begins everywhere at once instead of
@@ -52,7 +44,7 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 use std::time::Duration;
@@ -150,7 +142,9 @@ pub(crate) struct Scheduler {
 
 impl Scheduler {
     /// A pool of `workers` slots (`0` = unbounded) whose start line
-    /// waits for `ranks` arrivals.
+    /// waits for `ranks` arrivals. The ready queue never holds more than
+    /// every rank, so it is sized for that once: the start line queues
+    /// all but `workers` of them.
     pub(crate) fn new(workers: usize, ranks: usize) -> Arc<Self> {
         Arc::new(Scheduler {
             workers: if workers == 0 { usize::MAX } else { workers },
@@ -158,7 +152,7 @@ impl Scheduler {
                 "rocnet.sched_state",
                 SchedState {
                     held: 0,
-                    ready: VecDeque::new(),
+                    ready: VecDeque::with_capacity(ranks),
                     staged: vec![None; ranks],
                     arrived: 0,
                 },
@@ -338,98 +332,6 @@ impl Drop for RankSlot {
     }
 }
 
-/// Lock-free watermark connecting clock advances to parked gate waiters.
-///
-/// The fabric publishes (under its lock) the lowest scan bound any gate
-/// waiter is parked on; [`crate::vtime::VClock`] calls [`GateBoard::on_clock`]
-/// after every advance. A crossing latches `pending` and unparks the
-/// steward thread, which re-runs the wake scan under the fabric lock.
-/// Unpark tokens persist, so the wake cannot be lost; a generous timeout
-/// on gate parks remains as a safety net, so a missed edge degrades to a
-/// slow poll, never a deadlock.
-#[derive(Debug)]
-pub(crate) struct GateBoard {
-    /// Bits of the lowest gate-waiter scan bound (`u64::MAX` = none).
-    min_bound: AtomicU64,
-    /// A crossing was reported and the steward has not rescanned yet.
-    pending: AtomicBool,
-    /// The owning fabric is being dropped; the steward must exit.
-    shutdown: AtomicBool,
-    /// The steward thread's handle, once spawned.
-    steward: OnceLock<std::thread::Thread>,
-}
-
-impl GateBoard {
-    pub(crate) fn new() -> Self {
-        GateBoard {
-            min_bound: AtomicU64::new(u64::MAX),
-            pending: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            steward: OnceLock::new(),
-        }
-    }
-
-    /// Report a clock now at `now_bits`. Called on every clock advance —
-    /// two relaxed-ish atomics in the common (no waiter / no crossing)
-    /// case, one unpark on a crossing.
-    pub(crate) fn on_clock(&self, now_bits: u64) {
-        if now_bits < self.min_bound.load(Ordering::SeqCst) {
-            return;
-        }
-        if self.pending.swap(true, Ordering::SeqCst) {
-            return; // steward already signalled
-        }
-        if let Some(t) = self.steward.get() {
-            t.unpark();
-        }
-    }
-
-    /// Publish the current lowest gate-waiter bound (fabric lock held).
-    pub(crate) fn set_min(&self, bits: u64) {
-        self.min_bound.store(bits, Ordering::SeqCst);
-    }
-
-    /// Clear the pending latch before a steward rescan, so crossings
-    /// during the scan re-signal.
-    pub(crate) fn begin_scan(&self) {
-        self.pending.store(false, Ordering::SeqCst);
-    }
-
-    pub(crate) fn shut_down(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(t) = self.steward.get() {
-            t.unpark();
-        }
-    }
-
-    fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-}
-
-/// Spawn the steward thread for `fabric`. Called once per fabric, the
-/// first time a job runs on it (plain `Fabric` values used directly in
-/// unit tests have no steward and fall back to the timed gate re-scan).
-pub(crate) fn spawn_steward(fabric: &Arc<Fabric>) {
-    let board = Arc::clone(fabric.board());
-    let weak = Arc::downgrade(fabric);
-    let handle = std::thread::Builder::new()
-        .name("rocnet-steward".into())
-        .spawn(move || loop {
-            std::thread::park();
-            if board.is_shutdown() {
-                return;
-            }
-            let Some(f) = weak.upgrade() else { return };
-            f.steward_rescan();
-        })
-        .expect("spawn rocnet steward thread");
-    fabric.board().steward.set(handle.thread().clone()).ok();
-    // A crossing may have latched `pending` before the handle was
-    // published; one unconditional unpark drains it.
-    handle.thread().unpark();
-}
-
 /// Run `f` on every rank of `fabric` under `cfg`'s scheduling: pooled
 /// admission when `cfg.workers > 0`, free-running threads when 0.
 /// Results come back in rank order; a panic in any rank is re-raised
@@ -441,7 +343,6 @@ where
 {
     let n = fabric.n_ranks();
     fabric.begin_job();
-    fabric.ensure_steward();
     let sched = Scheduler::new(cfg.workers, n);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n);
@@ -695,18 +596,6 @@ mod tests {
         h.sleep(None);
         t.join().unwrap();
         assert_eq!(h.sched.slots.lock().held, 1);
-    }
-
-    #[test]
-    fn board_reports_crossings_once_until_rescanned() {
-        let b = GateBoard::new();
-        b.set_min(5.0f64.to_bits());
-        b.on_clock(4.0f64.to_bits());
-        assert!(!b.pending.load(Ordering::SeqCst), "below the watermark");
-        b.on_clock(6.0f64.to_bits());
-        assert!(b.pending.load(Ordering::SeqCst), "crossing latches");
-        b.begin_scan();
-        assert!(!b.pending.load(Ordering::SeqCst));
     }
 
     #[test]

@@ -1,62 +1,25 @@
-//! Binomial-tree collectives: the log(p) algorithms production MPI uses.
+//! Binomial-tree all-reduce: the log(p) algorithm production MPI uses.
 //!
 //! The default collectives in [`crate::collective`] are linear (root
 //! receives from everyone), which is faithful to small-cluster behaviour
-//! and keeps root-side costs explicit, but costs O(p) at the root. These
-//! tree variants cost O(log p) rounds; the `collectives` ablation bench
+//! and keeps root-side costs explicit, but costs O(p) at the root. The
+//! tree variant costs O(log p) rounds; the `collectives` ablation bench
 //! compares both on the Frost model at 512 ranks.
 //!
-//! Like the linear collectives, every operation returns `Result` and
+//! Like the linear collectives, the operation returns `Result` and
 //! forwards received payloads as refcounted [`Bytes`] — an interior tree
 //! node relays its subtree's data without copying it.
 
 use bytes::Bytes;
-use rocio_core::{Result, RocError};
+use rocio_core::Result;
 
+use crate::collective::le_f64;
 use crate::comm::Comm;
 
 const OP_TREE_UP: u8 = 16;
 const OP_TREE_DOWN: u8 = 17;
 
-/// Decode an 8-byte little-endian `f64` from the head of a payload.
-fn le_f64(payload: &[u8], what: &str) -> Result<f64> {
-    let bytes: [u8; 8] = payload
-        .get(..8)
-        .and_then(|s| s.try_into().ok())
-        .ok_or_else(|| {
-            RocError::Comm(format!(
-                "{what}: expected 8-byte f64 payload, got {} bytes",
-                payload.len()
-            ))
-        })?;
-    Ok(f64::from_le_bytes(bytes))
-}
-
 impl Comm {
-    /// Binomial-tree barrier: reduce-to-0 then broadcast, each in
-    /// `ceil(log2 p)` rounds.
-    pub fn barrier_tree(&self) -> Result<()> {
-        let up = self.coll_tag(OP_TREE_UP);
-        let down = self.coll_tag(OP_TREE_DOWN);
-        self.tree_reduce_bytes(up, &[], |_a, _b| Ok(Vec::new()))?;
-        self.tree_bcast_bytes(down, Bytes::new())?;
-        Ok(())
-    }
-
-    /// Binomial-tree broadcast from rank 0. Rank 0 passes `Some(data)`.
-    pub fn bcast_tree(&self, data: Option<&[u8]>) -> Result<Bytes> {
-        let tag = self.coll_tag(OP_TREE_DOWN);
-        let seed = if self.rank() == 0 {
-            let data = data.ok_or_else(|| {
-                RocError::Comm("bcast_tree: root must supply data".to_string())
-            })?;
-            Bytes::copy_from_slice(data)
-        } else {
-            Bytes::new()
-        };
-        self.tree_bcast_bytes(tag, seed)
-    }
-
     /// Binomial-tree all-reduce of an `f64` (associative + commutative
     /// `op`): reduce to rank 0, then tree-broadcast the result.
     pub fn allreduce_f64_tree(
@@ -144,21 +107,10 @@ mod tests {
     use crate::harness::run_ranks;
 
     #[test]
-    fn tree_bcast_reaches_everyone() {
-        for n in [1usize, 2, 3, 5, 8, 13] {
-            let out = run_ranks(n, ClusterSpec::ideal(n), |comm| {
-                comm.bcast_tree(if comm.rank() == 0 { Some(b"hello") } else { None })
-                    .unwrap()
-            });
-            for o in &out {
-                assert_eq!(o, b"hello", "n={n}");
-            }
-        }
-    }
-
-    #[test]
     fn tree_allreduce_matches_linear() {
-        for n in [2usize, 4, 7, 16] {
+        // Sizes on and off powers of two: every rank is reached by the
+        // tree broadcast under the reduce.
+        for n in [1usize, 2, 3, 4, 5, 7, 8, 13, 16] {
             let out = run_ranks(n, ClusterSpec::ideal(n), |comm| {
                 let x = (comm.rank() + 1) as f64;
                 let tree = comm.allreduce_f64_tree(x, |a, b| a + b).unwrap();
@@ -174,12 +126,12 @@ mod tests {
     }
 
     #[test]
-    fn tree_barrier_synchronizes() {
+    fn tree_allreduce_synchronizes_clocks() {
         let out = run_ranks(6, ClusterSpec::ideal(6), |comm| {
             if comm.rank() == 3 {
                 comm.advance(5.0);
             }
-            comm.barrier_tree().unwrap();
+            comm.allreduce_f64_tree(1.0, |a, b| a + b).unwrap();
             comm.now()
         });
         for t in &out {

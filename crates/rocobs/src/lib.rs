@@ -24,7 +24,7 @@
 #![forbid(unsafe_code)]
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -154,53 +154,7 @@ struct HandleInner {
     rank: usize,
     lane: usize,
     node: usize,
-    sink: Arc<Mutex<SpanSink>>,
-}
-
-/// Span storage behind the collector lock: flat and unbounded by
-/// default, or per-rank rings when a cap is configured
-/// ([`TraceCollector::bounded`]). The cap is what keeps a 10k-rank
-/// traced run from exhausting memory: each rank retains only its
-/// `cap` *newest* spans and the rest are counted, not stored.
-#[derive(Debug, Default)]
-struct SpanSink {
-    /// Per-rank retention cap; `None` = unbounded.
-    cap_per_rank: Option<usize>,
-    /// Unbounded-mode storage.
-    spans: Vec<Span>,
-    /// Bounded-mode storage: rank -> ring of its newest spans.
-    rings: BTreeMap<usize, VecDeque<Span>>,
-    /// Spans discarded by the cap.
-    dropped: u64,
-}
-
-impl SpanSink {
-    fn push(&mut self, span: Span) {
-        match self.cap_per_rank {
-            None => self.spans.push(span),
-            Some(0) => self.dropped += 1,
-            Some(cap) => {
-                let ring = self.rings.entry(span.rank).or_default();
-                if ring.len() == cap {
-                    ring.pop_front();
-                    self.dropped += 1;
-                }
-                ring.push_back(span);
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.spans.len() + self.rings.values().map(VecDeque::len).sum::<usize>()
-    }
-
-    fn drain(&mut self) -> Vec<Span> {
-        let mut out = std::mem::take(&mut self.spans);
-        for (_, ring) in std::mem::take(&mut self.rings) {
-            out.extend(ring);
-        }
-        out
-    }
+    sink: Arc<Mutex<Vec<Span>>>,
 }
 
 /// A rank's recording endpoint. Obtained from
@@ -312,7 +266,7 @@ pub fn record(category: SpanCategory, label: &str, t_start: f64, t_end: f64, det
 /// [`RankHandle`]s, run the simulation, then call
 /// [`TraceCollector::finish`].
 pub struct TraceCollector {
-    sink: Arc<Mutex<SpanSink>>,
+    sink: Arc<Mutex<Vec<Span>>>,
     /// rank → node, for the Chrome exporter; registered by `handle`.
     nodes: Mutex<BTreeMap<usize, usize>>,
 }
@@ -326,33 +280,9 @@ impl Default for TraceCollector {
 impl TraceCollector {
     pub fn new() -> Self {
         TraceCollector {
-            sink: Arc::new(Mutex::new("rocobs.trace_sink", SpanSink::default())),
+            sink: Arc::new(Mutex::new("rocobs.trace_sink", Vec::new())),
             nodes: Mutex::new("rocobs.trace_nodes", BTreeMap::new()),
         }
-    }
-
-    /// A collector that retains at most `cap_per_rank` spans per rank,
-    /// keeping the newest and counting the rest in
-    /// [`TraceCollector::dropped`]. This is the memory knob for
-    /// high-rank-count runs: an unbounded 10k-rank trace allocates
-    /// per-step spans for every rank for the whole job, which can OOM
-    /// the host; a bounded one is O(ranks x cap) regardless of length.
-    pub fn bounded(cap_per_rank: usize) -> Self {
-        TraceCollector {
-            sink: Arc::new(Mutex::new(
-                "rocobs.trace_sink",
-                SpanSink {
-                    cap_per_rank: Some(cap_per_rank),
-                    ..SpanSink::default()
-                },
-            )),
-            nodes: Mutex::new("rocobs.trace_nodes", BTreeMap::new()),
-        }
-    }
-
-    /// Spans discarded so far by the per-rank cap (0 when unbounded).
-    pub fn dropped(&self) -> u64 {
-        self.sink.lock().dropped
     }
 
     /// A recording handle for `rank` on `lane`, hosted on `node`.
@@ -381,7 +311,7 @@ impl TraceCollector {
     /// [`Trace`]. Sorting makes traces comparable across runs even
     /// though rank threads interleave their pushes nondeterministically.
     pub fn finish(&self) -> Trace {
-        let mut spans = self.sink.lock().drain();
+        let mut spans = std::mem::take(&mut *self.sink.lock());
         spans.sort_by(canonical_order);
         let nodes = self.nodes.lock().clone();
         Trace { spans, nodes }
@@ -747,41 +677,6 @@ mod tests {
         let trace = tc.finish();
         assert_eq!(trace.spans()[0].lane, LANE_BACKGROUND);
         assert_eq!(trace.spans()[0].rank, 2);
-    }
-
-    #[test]
-    fn bounded_collector_caps_per_rank_memory() {
-        let tc = TraceCollector::bounded(100);
-        let h0 = tc.handle(0, LANE_MAIN, 0);
-        let h1 = tc.handle(1, LANE_MAIN, 0);
-        for i in 0..350 {
-            h0.record(SpanCategory::Compute, "c", i as f64, i as f64 + 0.5, "");
-        }
-        for i in 0..10 {
-            h1.record(SpanCategory::Send, "s", i as f64, i as f64 + 0.5, "");
-        }
-        // Rank 0 retains its newest 100 spans, rank 1 all 10.
-        assert_eq!(tc.len(), 110);
-        assert_eq!(tc.dropped(), 250);
-        let trace = tc.finish();
-        assert_eq!(trace.len(), 110);
-        let oldest_kept = trace
-            .spans()
-            .iter()
-            .filter(|s| s.rank == 0)
-            .map(|s| s.t_start)
-            .fold(f64::INFINITY, f64::min);
-        assert_eq!(oldest_kept, 250.0, "cap must evict oldest spans first");
-    }
-
-    #[test]
-    fn bounded_collector_with_zero_cap_stores_nothing() {
-        let tc = TraceCollector::bounded(0);
-        let h = tc.handle(0, LANE_MAIN, 0);
-        h.record(SpanCategory::Compute, "c", 0.0, 1.0, "");
-        assert_eq!(tc.len(), 0);
-        assert_eq!(tc.dropped(), 1);
-        assert_eq!(tc.finish().len(), 0);
     }
 
     #[test]

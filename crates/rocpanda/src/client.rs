@@ -238,7 +238,7 @@ impl IoService for PandaClient<'_> {
         // background drain), surfaced here as a structured service error.
         match wire::decode_sync_ack(&ack.payload)? {
             Ok(watermark) => {
-                self.world.clock().merge(watermark);
+                self.world.advance_to(watermark);
                 Ok(())
             }
             Err(text) => Err(rocio_core::ServiceError::err(

@@ -676,7 +676,7 @@ impl<'a> PandaServer<'a> {
         if synchronous {
             // Write-through mode (ablation): the block is durable before
             // the server acknowledges it.
-            self.world.clock().merge(t);
+            self.world.advance_to(t);
         }
         rec.blocks_written += 1;
         self.stats.blocks_written += 1;
@@ -701,7 +701,7 @@ impl<'a> PandaServer<'a> {
                 let t = w.finish(self.world.now())?;
                 self.disk_completion = self.disk_completion.max(t);
                 if !self.cfg.active_buffering {
-                    self.world.clock().merge(t);
+                    self.world.advance_to(t);
                 }
             }
             rec.finished = true;
@@ -797,7 +797,7 @@ impl<'a> PandaServer<'a> {
             return Ok(());
         }
         let res = self.flush_all();
-        self.world.clock().merge(self.disk_completion);
+        self.world.advance_to(self.disk_completion);
         self.tell_peers(tag::FLUSH_TOKEN, &wire::encode_flush_token(&key.coord(epoch)))?;
         self.round(key, epoch)?.tokens += 1;
         res
@@ -896,7 +896,7 @@ impl<'a> PandaServer<'a> {
             }
             let (reader, t) =
                 SdfFileReader::open(self.fs, path, self.cfg.lib, client_id, self.world.now())?;
-            self.world.clock().merge(t);
+            self.world.advance_to(t);
             let present: Vec<BlockId> =
                 reader.blocks().filter(|id| owner.contains_key(&id.0)).collect();
             if present.is_empty() {
@@ -907,7 +907,7 @@ impl<'a> PandaServer<'a> {
             // density allows, each block a view of refcounted windows
             // into the file image (no copies, nothing decoded).
             let (blocks, t) = reader.view_blocks_sieved(&present, self.world.now())?;
-            self.world.clock().merge(t);
+            self.world.advance_to(t);
             for block in blocks {
                 let client = owner[&block.id().0];
                 per_client.entry(client).or_default().push(block);

@@ -204,7 +204,7 @@ pub struct LintConfig {
     /// Files allowed to use `rand`.
     pub rand_lanes: Vec<String>,
     /// Files allowed to create OS threads: the M:N rank scheduler
-    /// (worker pool + gate steward) and the T-Rochdf background writer.
+    /// (one thread per rank) and the T-Rochdf background writer.
     pub thread_lanes: Vec<String>,
     /// Crates exempt from the unwrap/expect/panic rule (operator-facing
     /// harnesses whose panics are deliberate).

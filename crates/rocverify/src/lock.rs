@@ -371,14 +371,16 @@ impl LockGraph {
 
 /// Method names that block on the fabric (or run a collective). A guard
 /// held across one of these holds its lock for unbounded virtual time —
-/// and across other ranks' scheduling decisions. `wait` is deliberately
-/// absent: condvar waits *release* the mutex.
+/// and across other ranks' scheduling decisions. A clock move
+/// (`advance`, `advance_to`, `compute`) counts too: one that crosses a
+/// parked gate bound takes `rocnet.fabric_state` to wake the waiter.
+/// `wait` is deliberately absent: condvar waits *release* the mutex.
 fn is_blocking_call(name: &str) -> bool {
-    const PREFIXES: [&str; 9] = [
+    const PREFIXES: [&str; 10] = [
         "send", "recv", "probe", "allreduce", "barrier", "bcast", "alltoall", "allgather",
-        "scatter",
+        "scatter", "advance",
     ];
-    const EXACT: [&str; 3] = ["gather", "wait_match", "settle_at"];
+    const EXACT: [&str; 4] = ["gather", "wait_match", "settle_at", "compute"];
     PREFIXES.iter().any(|p| name.starts_with(p)) || EXACT.contains(&name)
 }
 

@@ -93,6 +93,25 @@ fn guard_across_recv_fires() {
 }
 
 #[test]
+fn guard_across_clock_move_fires() {
+    // A clock move may take the fabric lock to wake a gate waiter.
+    for call in ["advance(dt)", "advance_to(t)", "compute(w)"] {
+        let src = format!(
+            "{STRUCT}impl S {{ fn f(&self) {{ let g = self.outer.lock(); \
+             self.comm.{call}; }} }}"
+        );
+        assert_eq!(rules_fired(&src), vec![Rule::LockBlocking], "for {call}");
+    }
+    // Moved once the guard is gone, and a model's `compute_time` (no
+    // move): clean.
+    let after = format!(
+        "{STRUCT}impl S {{ fn f(&self) {{ let t = {{ let g = self.outer.lock(); g.t() }}; \
+         let w = self.spec.compute_time(t); self.comm.advance_to(w); }} }}"
+    );
+    assert_eq!(rules_fired(&after), vec![]);
+}
+
+#[test]
 fn wake_under_guard_fires() {
     let src = format!(
         "{STRUCT}impl S {{ fn f(&self) {{ let g = self.outer.lock(); \
