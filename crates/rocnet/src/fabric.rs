@@ -42,14 +42,15 @@
 //! woken), a usable one lowers the commitment and makes the rank ready —
 //! one wake, which finds the rank already holding a slot. Every wake is
 //! *decided* under the lock and *issued* after it is released
-//! (`Locked`), so the woken thread never collides with its waker.
+//! (`Locked`), so the woken thread never collides with its waker. There
+//! is no timer: a job whose ranks are all blocked or finished, with none
+//! made ready, can never move again, and ends in the deadlock poison.
 
 use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::Thread;
-use std::time::Duration;
 
 use rocio_core::lockdep::{Mutex, MutexGuard};
 use rocio_core::{Rope, SimTime};
@@ -61,15 +62,6 @@ use crate::mintree::MinTree;
 use crate::model::FaultAction;
 use crate::sched::WakeHandle;
 use crate::vtime::VClock;
-
-/// Safety-net re-scan period for parked gate waiters. Gate wakes are
-/// event-driven — a rank that blocks, parks at a gate, leaves one or
-/// finishes runs the wake scan under the lock, and so does a
-/// communicator whose clock move crosses the lowest parked bound — so
-/// this timeout should never be the thing that makes progress. It stays
-/// generous precisely so a missed-wake bug degrades to a slow poll
-/// instead of a deadlock.
-const GATE_FALLBACK: Duration = Duration::from_millis(5);
 
 /// Bit pattern of a non-negative virtual time, normalised so that `u64`
 /// ordering equals `f64` ordering (`-0.0` maps to `+0.0`).
@@ -312,9 +304,12 @@ struct FabricState {
     limbo: BTreeMap<usize, Envelope>,
     /// Faults inflicted so far.
     fault_stats: FaultStats,
-    // --- oracle-mode bookkeeping (unused without an oracle) ---
     /// Rank's thread has returned (or unwound); it will never act again.
     finished: Vec<bool>,
+    /// Set once the job can never make progress again (`declare_deadlock`):
+    /// every fabric call panics with this message from then on.
+    poisoned: Option<String>,
+    // --- oracle-mode bookkeeping (unused without an oracle) ---
     /// Rank re-validated its blocked state after the last delivery to it;
     /// stability requires every unfinished rank blocked *and* confirmed.
     confirmed: Vec<bool>,
@@ -324,9 +319,6 @@ struct FabricState {
     granted: Vec<Option<Candidate>>,
     /// Number of decisions granted this job.
     seq: u64,
-    /// Set when a stable state with no possible progress was reached:
-    /// every fabric call panics with this message from then on.
-    poisoned: Option<String>,
 }
 
 impl FabricState {
@@ -489,7 +481,8 @@ struct WakeList {
 }
 
 impl WakeList {
-    fn push(&mut self, t: Thread) {
+    fn push(&mut self, t: Option<Thread>) {
+        let Some(t) = t else { return };
         match self.inline.iter_mut().find(|s| s.is_none()) {
             Some(slot) => *slot = Some(t),
             None => self.spill.push(t),
@@ -528,9 +521,7 @@ impl<'a> Locked<'a> {
 /// Make `rank` ready if its thread is parked; the unpark itself waits in
 /// `wakes` for the guard's drop.
 fn wake_rank(st: &FabricState, wakes: &mut WakeList, rank: usize) {
-    if let Some(t) = st.handles[rank].as_ref().and_then(WakeHandle::make_ready) {
-        wakes.push(t);
-    }
+    wakes.push(st.handles[rank].as_ref().and_then(WakeHandle::make_ready));
 }
 
 impl Deref for Locked<'_> {
@@ -680,10 +671,20 @@ impl Fabric {
         }
         self.oracle_step(&mut g);
         self.wake_gates(&mut g);
+        self.end_if_stuck(&mut g, &WakeHandle::current());
     }
 
-    /// Panic out of a fabric call once exploration has declared the job
-    /// dead (deadlock reached, or aborting after another rank's failure).
+    /// Gated mode: end the job once nothing can make a rank ready: every
+    /// rank blocked or finished, and none of `me`'s job holding a slot
+    /// (a rank busy outside the fabric keeps its slot) or queued for one.
+    fn end_if_stuck(&self, g: &mut Locked, me: &WakeHandle) {
+        if self.oracle.is_none() && g.running.is_empty() && g.poisoned.is_none() && me.job_idle() {
+            self.declare_deadlock(g);
+        }
+    }
+
+    /// Panic out of a fabric call once the job has been declared dead
+    /// (deadlocked, possibly because another rank failed and returned).
     fn check_poison(&self, st: &FabricState) {
         if let Some(msg) = &st.poisoned {
             panic!("rocsched: {msg}");
@@ -823,14 +824,16 @@ impl Fabric {
     /// holding a slot again — and re-take the lock. The caller published
     /// its wait state under the same lock hold, and must re-check its
     /// wake condition: arbitrary progress can happen in between.
-    fn park<'a>(&'a self, mut g: Locked<'a>, rank: usize, timeout: Option<Duration>) -> Locked<'a> {
+    fn park<'a>(&'a self, mut g: Locked<'a>, rank: usize) -> Locked<'a> {
+        if g.poisoned.is_some() {
+            return g; // the job is over: the caller's loop panics with it
+        }
         let me = WakeHandle::current();
         g.handles[rank] = Some(Arc::clone(&me));
-        if let Some(next) = me.park() {
-            g.wakes.push(next);
-        }
+        g.wakes.push(me.park());
+        self.end_if_stuck(&mut g, &me);
         drop(g);
-        me.sleep(timeout);
+        me.sleep();
         Locked::new(self.state.lock())
     }
 
@@ -916,26 +919,32 @@ impl Fabric {
         // No wildcard to grant and no gate waiter can proceed: the job
         // can never make progress again.
         if (0..n).any(|r| !g.finished[r]) {
-            let stuck: Vec<String> = (0..n)
-                .filter(|&r| !g.finished[r])
-                .map(|r| {
-                    let what = match (&g.pending[r], g.gate_scan[r]) {
-                        (Some(_), _) => "wildcard with no candidates",
-                        (None, Some(_)) => "virtual-time gate",
-                        (None, None) => "specific-source receive/probe",
-                    };
-                    format!("rank {r} ({what}, {} queued)", g.mail.len(r))
-                })
-                .collect();
-            let msg = format!(
-                "deadlock after {} decisions: no rank can make progress — {}",
-                g.seq,
-                stuck.join(", ")
-            );
-            g.poisoned = Some(msg);
-            for r in 0..n {
-                wake_rank(&g.st, &mut g.wakes, r);
-            }
+            self.declare_deadlock(g);
+        }
+    }
+
+    /// Poison the job: name every unfinished rank's wait, and wake them
+    /// all to panic with it out of their fabric calls.
+    fn declare_deadlock(&self, g: &mut Locked) {
+        let n = self.clocks.len();
+        let stuck: Vec<String> = (0..n)
+            .filter(|&r| !g.finished[r])
+            .map(|r| {
+                let what = match (g.gate_scan[r], g.waiting[r].as_ref().map(|s| s.src)) {
+                    (Some(_), _) => "virtual-time gate".to_string(),
+                    (None, Some(Some(src))) => format!("receive/probe from rank {src}"),
+                    (None, _) => "wildcard receive/probe".to_string(),
+                };
+                format!("rank {r} ({what}, {} queued)", g.mail.len(r))
+            })
+            .collect();
+        g.poisoned = Some(format!(
+            "deadlock after {} decisions: no rank can make progress — {}",
+            g.seq,
+            stuck.join(", ")
+        ));
+        for r in 0..n {
+            wake_rank(&g.st, &mut g.wakes, r);
         }
     }
 
@@ -1080,10 +1089,7 @@ impl Fabric {
                 return g.claim(dst, slot, kind);
             }
             self.block(&mut g, dst, SimTime::INFINITY, spec);
-            if g.poisoned.is_some() {
-                continue; // our own block() completed a dead stable state
-            }
-            g = self.park(g, dst, None);
+            g = self.park(g, dst);
         }
     }
 
@@ -1092,6 +1098,7 @@ impl Fabric {
     fn wait_any_gated(&self, dst: usize, spec: &MatchSpec, kind: ChoiceKind) -> Envelope {
         let mut g = Locked::new(self.state.lock());
         loop {
+            self.check_poison(&g);
             match g.select_virtual(dst, spec) {
                 Some(slot) => {
                     let bound = g.mail.get(slot).arrival;
@@ -1107,12 +1114,12 @@ impl Fabric {
                     // and park until a blocking rank or a crossing clock
                     // move re-runs the wake scan past our bound.
                     self.gate_park(&mut g, dst, bound, spec);
-                    g = self.park(g, dst, Some(GATE_FALLBACK));
+                    g = self.park(g, dst);
                     self.gate_unpark(&mut g, dst);
                 }
                 None => {
                     self.block(&mut g, dst, SimTime::INFINITY, spec);
-                    g = self.park(g, dst, None);
+                    g = self.park(g, dst);
                 }
             }
         }
@@ -1141,11 +1148,10 @@ impl Fabric {
                 .unwrap_or(SimTime::INFINITY);
             g.pending[dst] = Some(PendingChoice { kind, candidates });
             self.block(&mut g, dst, bound, spec);
-            if g.granted[dst].is_some() || g.poisoned.is_some() {
-                continue; // oracle_step granted our own registration,
-                          // or declared the job dead as we parked
+            if g.granted[dst].is_some() {
+                continue; // oracle_step granted our own registration
             }
-            g = self.park(g, dst, None);
+            g = self.park(g, dst);
             if g.granted[dst].is_none() {
                 // Woken by a delivery (or spuriously): re-register so the
                 // choice point reflects the new mailbox contents.
@@ -1189,12 +1195,8 @@ impl Fabric {
                 // states must be able to form around it.
                 g.confirmed[dst] = true;
                 self.oracle_step(&mut g);
-                if g.poisoned.is_some() {
-                    self.gate_unpark(&mut g, dst);
-                    continue; // our own park completed a dead stable state
-                }
             }
-            g = self.park(g, dst, Some(GATE_FALLBACK));
+            g = self.park(g, dst);
             self.gate_unpark(&mut g, dst);
             if self.oracle.is_some() {
                 g.confirmed[dst] = false;
@@ -1344,23 +1346,6 @@ mod tests {
     }
 
     #[test]
-    fn wildcard_take_waits_for_lagging_rank_clock() {
-        let f = std::sync::Arc::new(Fabric::new(ClusterSpec::ideal(2)));
-        f.deliver(1, env(0, 7, 1.0));
-        // Rank 0 is running with clock 0.0 < 1.0: the gate must hold until
-        // its clock passes the candidate's arrival.
-        let f2 = std::sync::Arc::clone(&f);
-        let h = std::thread::spawn(move || take(&f2, 1, &tagged(7)));
-        await_parked(&f, 1);
-        assert!(!h.is_finished(), "gate must wait on rank 0's clock");
-        // Moved behind the communicator's back: no wake scan runs, and
-        // the `GATE_FALLBACK` re-scan is what lets the waiter pass.
-        f.clock_of(0).merge(2.0);
-        let m = h.join().unwrap();
-        assert_eq!(m.arrival, 1.0);
-    }
-
-    #[test]
     fn a_clock_move_past_the_gate_wakes_the_waiter_before_it_returns() {
         let f = Arc::new(Fabric::new(ClusterSpec::ideal(2)));
         f.deliver(1, env(0, 7, 1.0));
@@ -1500,12 +1485,11 @@ mod tests {
             // Later than the candidate: what will be committed stands.
             f.enqueue(&mut g, 1, env(0, 7, 2.5));
             assert_eq!(pending_wakes(&g), 0);
-            // Earlier: a new candidate, a lower commitment, a wake —
-            // unless the fallback timer got the waiter up first (it
-            // cannot park again while this guard is held).
+            // Earlier: a new candidate, a lower commitment, a wake.
             f.enqueue(&mut g, 1, env(3, 7, 1.5));
             assert!(matches!(g.waits[1], RankWait::Blocked { bound } if bound == 1.5));
-            assert!(pending_wakes(&g) == 1 || !sleeper.is_parked());
+            assert_eq!(pending_wakes(&g), 1);
+            assert!(!sleeper.is_parked());
         }
         f.finish_rank(0);
         assert_eq!(waiter.join().unwrap().arrival, 1.5);

@@ -47,7 +47,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
-use std::time::Duration;
 
 use rocio_core::lockdep::Mutex;
 
@@ -247,18 +246,16 @@ impl WakeHandle {
         Scheduler::pass_slot(&mut s)
     }
 
-    /// Owner side, step 2, with no lock held: sleep until granted a
-    /// slot. A `timeout` that expires makes the rank ready on its own
-    /// behalf — it queues like any woken rank, exactly once even if a
-    /// waker races the expiry — and the sleep continues until the grant.
-    pub(crate) fn sleep(self: &Arc<Self>, timeout: Option<Duration>) {
-        if let Some(d) = timeout {
-            if self.state.load(Ordering::Acquire) != RUNNING {
-                std::thread::park_timeout(d);
-            }
-            // Granted to ourselves or queued: no one to unpark.
-            let _ = self.make_ready();
-        }
+    /// Whether no rank of this thread's job holds a slot or waits for one.
+    /// A private scheduler stages no rank, so it never is.
+    pub(crate) fn job_idle(&self) -> bool {
+        let s = self.sched.slots.lock();
+        s.held == 0 && s.arrived > 0
+    }
+
+    /// Owner side, step 2, with no lock held: sleep until a waker grants
+    /// a slot.
+    pub(crate) fn sleep(&self) {
         while self.state.load(Ordering::Acquire) != RUNNING {
             std::thread::park();
         }
@@ -318,7 +315,7 @@ impl RankSlot {
         for t in admitted {
             t.unpark();
         }
-        h.sleep(None);
+        h.sleep();
         RankSlot(h)
     }
 }
@@ -415,8 +412,7 @@ mod tests {
     enum Op {
         /// The owner blocks: `WakeHandle::park`.
         Park(usize),
-        /// A waker — or the owner's expired timer, which is the same
-        /// call — makes the handle ready.
+        /// A waker makes the handle ready.
         Wake(usize),
         /// The owner's thread ends and passes its slot on.
         Finish(usize),
@@ -541,10 +537,10 @@ mod tests {
     }
 
     #[test]
-    fn expired_timer_and_racing_waker_queue_the_rank_once() {
-        // One slot, held by handle 0; handle 1 parked. Its timer expiring
-        // and a waker arriving are the same call, in either order: the
-        // second one must find the rank already queued.
+    fn two_racing_wakers_queue_the_rank_once() {
+        // One slot, held by handle 0; handle 1 parked. Two wakers arrive,
+        // in either order around the slot holder's exit: the second one
+        // must find the rank already queued or running.
         for ops in [
             [Op::Wake(1), Op::Wake(1), Op::Finish(0)],
             [Op::Wake(1), Op::Finish(0), Op::Wake(1)],
@@ -570,12 +566,13 @@ mod tests {
                         let now = live.fetch_add(1, Ordering::SeqCst) + 1;
                         peak.fetch_max(now, Ordering::SeqCst);
                         live.fetch_sub(1, Ordering::SeqCst);
-                        // Block with nobody to wake us: the timer expiry
-                        // re-enters the queue on the rank's own behalf.
+                        // Block, then re-queue on the rank's own behalf:
+                        // granted to ourselves or queued, no one to unpark.
                         if let Some(next) = slot.0.park() {
                             next.unpark();
                         }
-                        slot.0.sleep(Some(Duration::from_micros(20)));
+                        let _ = slot.0.make_ready();
+                        slot.0.sleep();
                     }
                 });
             }
@@ -591,11 +588,94 @@ mod tests {
         assert!(Arc::ptr_eq(&h, &WakeHandle::current()), "one handle per thread");
         assert!(h.make_ready().is_none(), "a running thread is left alone");
         assert!(h.park().is_none(), "nobody queues on a private scheduler");
+        assert!(!h.job_idle(), "a private scheduler is never idle");
         let waker = Arc::clone(&h);
         let t = std::thread::spawn(move || waker.make_ready().map(|t| t.unpark()));
-        h.sleep(None);
+        h.sleep();
         t.join().unwrap();
         assert_eq!(h.sched.slots.lock().held, 1);
+    }
+
+    /// Every shape a job runs under: pooled, one slot, free-running.
+    fn configs() -> [SchedConfig; 3] {
+        [
+            SchedConfig::pooled(),
+            SchedConfig::with_workers(1),
+            SchedConfig::threaded(),
+        ]
+    }
+
+    /// The message a job of `n` ranks running `f` under `cfg` panics with.
+    fn poison_of(n: usize, cfg: &SchedConfig, f: impl Fn(Comm) + Send + Sync) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_ranks_sched(n, ClusterSpec::ideal(n), cfg, f)
+        }))
+        .expect_err("a job nobody can finish must end, not hang");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    #[test]
+    fn a_ring_of_specific_receives_ends_naming_every_rank() {
+        for cfg in configs() {
+            let msg = poison_of(3, &cfg, |comm| {
+                let _ = comm.recv(Some((comm.rank() + 2) % 3), Some(1));
+            });
+            assert!(msg.starts_with("rocsched: deadlock"), "{cfg:?}: {msg}");
+            for r in 0..3 {
+                let wait = format!("rank {r} (receive/probe from rank {}", (r + 2) % 3);
+                assert!(msg.contains(&wait), "{cfg:?}: {msg}");
+            }
+        }
+    }
+
+    #[test]
+    fn wildcard_receives_whose_only_sender_returned_end_the_job() {
+        for cfg in configs() {
+            let msg = poison_of(3, &cfg, |comm| {
+                if comm.rank() == 0 {
+                    // Gate-parks until ranks 1 and 2 both block: the job
+                    // can only be seen stuck as this rank finishes.
+                    comm.advance(1.0);
+                    assert!(comm.iprobe(None, None).is_none());
+                } else {
+                    let _ = comm.recv(None, Some(1));
+                }
+            });
+            for r in 1..3 {
+                let wait = format!("rank {r} (wildcard receive/probe, 0 queued)");
+                assert!(msg.contains(&wait), "{cfg:?}: {msg}");
+            }
+            assert!(
+                !msg.contains("rank 0 ("),
+                "a finished rank is not stuck: {msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_rank_blocked_outside_the_fabric_keeps_its_job_alive() {
+        // Rank 0 waits on a channel that a helper thread feeds after a
+        // sleep, keeping its slot; ranks 1 and 2 wait in the fabric for
+        // what rank 0 then sends.
+        for cfg in configs() {
+            let got = run_ranks_sched(3, ClusterSpec::ideal(3), &cfg, |comm| {
+                if comm.rank() > 0 {
+                    return comm.recv(Some(0), Some(1)).unwrap().payload[0];
+                }
+                let (tx, rx) = std::sync::mpsc::channel();
+                let helper = std::thread::spawn(move || {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    tx.send(7u8).unwrap();
+                });
+                let v = rx.recv().unwrap();
+                helper.join().unwrap();
+                for dst in 1..3 {
+                    comm.send(dst, 1, &[v]).unwrap();
+                }
+                v
+            });
+            assert_eq!(got, vec![7; 3], "{cfg:?}");
+        }
     }
 
     #[test]

@@ -902,15 +902,14 @@ impl<'a> PandaServer<'a> {
             if present.is_empty() {
                 continue;
             }
-            // Sieved batch read: the whole requested span of this file
-            // comes back in as few covering disk reads as the hole
-            // density allows, each block a view of refcounted windows
-            // into the file image (no copies, nothing decoded).
-            let (blocks, t) = reader.view_blocks_sieved(&present, self.world.now())?;
-            self.world.advance_to(t);
-            for block in blocks {
-                let client = owner[&block.id().0];
-                per_client.entry(client).or_default().push(block);
+            // The paper's access: each block read through the library,
+            // one lookup and one read per record, one block after the
+            // other; each block a view of refcounted windows into the
+            // file image (no copies, nothing decoded).
+            for &id in &present {
+                let (block, t) = reader.view_block(id, self.world.now())?;
+                self.world.advance_to(t);
+                per_client.entry(owner[&id.0]).or_default().push(block);
             }
         }
         self.ship(key, &per_client, requests)

@@ -201,3 +201,39 @@ fn density_couples_across_rank_boundaries() {
     assert!(out[0] > 3.0, "upstream inlet {}", out[0]);
     assert!(out[1] > 1.5, "coupling failed to cross ranks: {}", out[1]);
 }
+
+#[test]
+fn rocpanda_restart_pays_per_block_like_the_paper() {
+    // `sweep_blocksize` at 1/20 of its volume: the same bytes cut into
+    // twice the blocks. Servers read a restart block by block through the
+    // library, one lookup and one read per record, so the restart time
+    // follows the block count (the paper's small-block tax), not the
+    // byte count.
+    let restart = |factor: usize| {
+        let fs = Arc::new(SharedFs::turing());
+        let mut cfg = GenxConfig::new(
+            format!("it-sweep-{factor}x"),
+            WorkloadKind::Custom {
+                seed: 42,
+                scale: 0.05,
+                n_fluid: 40 * factor,
+                n_solid: 24 * factor,
+            },
+            IoChoice::Rocpanda {
+                server_ranks: vec![16, 17],
+            },
+        );
+        cfg.steps = 50;
+        cfg.snapshot_every = 25;
+        let r = run_genx(ClusterSpec::turing(18), &fs, &cfg).unwrap();
+        assert!(r.restart_ok, "{}: restart mismatch", r.label);
+        r.restart_time
+    };
+    let times: Vec<f64> = [1, 2, 4].into_iter().map(restart).collect();
+    for pair in times.windows(2) {
+        assert!(
+            pair[1] >= 1.5 * pair[0],
+            "twice the blocks must restart in ≥ 1.5× the time: {times:?}"
+        );
+    }
+}
