@@ -6,8 +6,6 @@
 //! calibrated models (DESIGN.md §4); the comparisons against the paper's
 //! numbers live in EXPERIMENTS.md.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::sync::Arc;
 

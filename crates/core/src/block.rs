@@ -66,6 +66,11 @@ impl DataBlock {
     }
 
     /// Builder-style [`DataBlock::push_dataset`]; panics on duplicates.
+    #[expect(
+        clippy::expect_used,
+        reason = "builder form: a duplicate name is a bug at the call site; `push_dataset` is the \
+                  checked form"
+    )]
     pub fn with_dataset(mut self, ds: Dataset) -> Self {
         self.push_dataset(ds).expect("duplicate dataset name");
         self

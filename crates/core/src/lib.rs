@@ -25,8 +25,6 @@
 //! Nothing in here depends on the message-passing fabric, the storage
 //! simulator, or the component framework; those all build on top.
 
-#![forbid(unsafe_code)]
-
 pub mod attr;
 pub mod block;
 pub mod checksum;

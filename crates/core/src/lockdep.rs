@@ -300,6 +300,10 @@ impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a condvar round trip needs a second thread"
+)]
 mod tests {
     use super::*;
     use std::sync::Arc;

@@ -43,9 +43,9 @@ pub fn segments_len(segments: &[Segment]) -> usize {
 }
 
 /// Flatten a segment list into one contiguous buffer: one copy of every
-/// byte. Nothing on the data path needs this any more (roclint's
-/// `owned-payload` rule flags it outside this crate); tests and the
-/// benchmark use it to look at an encoding as flat bytes.
+/// byte. Nothing on the data path needs this any more (a flatten there
+/// trips `tests/copy_budget.rs`); tests and the benchmark use it to look
+/// at an encoding as flat bytes.
 pub fn segments_to_vec(segments: &[Segment]) -> Vec<u8> {
     let mut out = Vec::with_capacity(segments_len(segments));
     for s in segments {

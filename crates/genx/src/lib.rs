@@ -32,8 +32,6 @@
 //! their *cost* advances virtual time through a calibrated work model
 //! (DESIGN.md §4).
 
-#![forbid(unsafe_code)]
-
 pub mod burn;
 pub mod driver;
 pub mod fluid;

@@ -59,8 +59,6 @@
 //! assert_eq!(block.dataset("pressure").unwrap().len(), 8);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod convert;
 pub mod function;
 pub mod selector;

@@ -33,8 +33,6 @@
 //! from every processor reading concurrently, which the NFS model rewards
 //! (Table 1's restart row).
 
-#![forbid(unsafe_code)]
-
 pub mod config;
 pub mod restart;
 pub mod rochdf;

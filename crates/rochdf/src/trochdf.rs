@@ -110,6 +110,14 @@ impl<'a> TRochdf<'a> {
         // the same rank's background lane (disk-write spans land there,
         // never on the main thread's lane).
         let obs = rocobs::current_handle().map(|h| h.with_lane(rocobs::LANE_BACKGROUND));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "thread lane: T-Rochdf's background writer is its one I/O thread"
+        )]
+        #[expect(
+            clippy::expect_used,
+            reason = "OS thread spawn failure at service construction is unrecoverable"
+        )]
         let handle = std::thread::Builder::new()
             .name(format!("trochdf-io-{client}"))
             .spawn(move || {

@@ -23,8 +23,6 @@
 //!   **extendible cylinder** scalability test (Fig. 3: fixed size per
 //!   processor).
 
-#![forbid(unsafe_code)]
-
 pub mod partition;
 pub mod refine;
 pub mod structured;

@@ -65,6 +65,11 @@ pub fn partition_box(
         // Split the longest axis that can still be split.
         let mut axes = [0, 1, 2];
         axes.sort_by_key(|&a| std::cmp::Reverse(b.dims[a]));
+        #[expect(
+            clippy::expect_used,
+            reason = "loop invariant: a box owing >=2 blocks has >=2 cells, so some axis is \
+                      splittable"
+        )]
         let axis = axes
             .into_iter()
             .find(|&a| b.dims[a] >= 2)

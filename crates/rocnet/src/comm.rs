@@ -125,6 +125,11 @@ impl Group {
 
     /// Local rank of a global rank known to be a member: the sender of
     /// a message this group's spec matched, or the caller of a split.
+    #[expect(
+        clippy::expect_used,
+        reason = "the rank is the sender of a message this group's spec just matched, or the \
+                  split's own caller"
+    )]
     fn member_rank(&self, global: usize) -> usize {
         self.local(global).expect("rank is a member of the group")
     }

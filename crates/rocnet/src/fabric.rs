@@ -63,6 +63,17 @@ use crate::model::FaultAction;
 use crate::sched::WakeHandle;
 use crate::vtime::VClock;
 
+/// The prefix of the message a fabric call panics with once its job has
+/// been declared dead.
+const POISON: &str = "rocsched: ";
+
+/// Is `payload`, a rank's panic, the fabric's deadlock poison?
+pub(crate) fn is_poison(payload: &(dyn std::any::Any + Send)) -> bool {
+    payload
+        .downcast_ref::<String>()
+        .is_some_and(|m| m.starts_with(POISON))
+}
+
 /// Bit pattern of a non-negative virtual time, normalised so that `u64`
 /// ordering equals `f64` ordering (`-0.0` maps to `+0.0`).
 fn time_bits(t: SimTime) -> u64 {
@@ -685,9 +696,14 @@ impl Fabric {
 
     /// Panic out of a fabric call once the job has been declared dead
     /// (deadlocked, possibly because another rank failed and returned).
+    #[expect(
+        clippy::panic,
+        reason = "deadlock poison is rocsched's reporting channel; every fabric call rethrows \
+                  it and the explorer catches it"
+    )]
     fn check_poison(&self, st: &FabricState) {
         if let Some(msg) = &st.poisoned {
-            panic!("rocsched: {msg}");
+            panic!("{POISON}{msg}");
         }
     }
 
@@ -1029,6 +1045,11 @@ impl Fabric {
         let seq_slot = g.link_seq.entry(link).or_insert(0);
         let seq = *seq_slot;
         *seq_slot += 1;
+        #[expect(
+            clippy::expect_used,
+            reason = "the fault branch is entered only after `injector.is_some()`, under the same \
+                      lock"
+        )]
         let action = g
             .injector
             .as_ref()
@@ -1134,6 +1155,11 @@ impl Fabric {
             self.check_poison(&g);
             if let Some(cand) = g.granted[dst].take() {
                 self.unblock(&mut g, dst);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "oracle-grant invariant: candidates are pinned by non-overtaking \
+                              delivery until taken"
+                )]
                 let (slot, _) = g
                     .mail
                     .iter(dst)
@@ -1218,6 +1244,10 @@ impl Fabric {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "blocking fabric calls are driven from threads of their own"
+)]
 mod tests {
     use super::*;
     use crate::cluster::ClusterSpec;

@@ -52,8 +52,6 @@
 //! assert_eq!(totals[0], 1 + 2 + 3);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod cluster;
 pub mod collective;
 pub mod comm;

@@ -74,6 +74,11 @@ impl<T> Mailboxes<T> {
         };
         let s = match self.free {
             NIL => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "slot links are 32-bit; 2^32 - 1 envelopes queued at once is far past \
+                              any job the fabric can hold in memory"
+                )]
                 let s = u32::try_from(self.items.len())
                     .ok()
                     .filter(|&s| s != NIL)
@@ -99,6 +104,11 @@ impl<T> Mailboxes<T> {
     }
 
     /// The item in `slot`.
+    #[expect(
+        clippy::expect_used,
+        reason = "a slot is linked into a mailbox exactly while it holds an item; callers pass \
+                  slots the same lock hold just found"
+    )]
     pub(crate) fn get(&self, slot: usize) -> &T {
         self.items[slot]
             .as_ref()
@@ -106,6 +116,11 @@ impl<T> Mailboxes<T> {
     }
 
     /// Unlink `slot` from `rank`'s mailbox, free it and return its item.
+    #[expect(
+        clippy::expect_used,
+        reason = "a slot is linked into a mailbox exactly while it holds an item; callers pass \
+                  slots the same lock hold just found"
+    )]
     pub(crate) fn remove(&mut self, rank: usize, slot: usize) -> T {
         let Link { prev, next } = self.links[slot];
         self.links[slot].next = self.free;

@@ -180,8 +180,8 @@ pub enum FaultAction {
 ///
 /// Decisions are a pure function of `(seed, src, dst, link sequence
 /// number)` via counter-based hashing (a splitmix64 finalizer per action
-/// class) — no RNG state, no `rand`, so reruns with the same seed are
-/// bit-identical and roclint's no-randomness rule holds. Rates are
+/// class) — no RNG state, and no `rand` (rocnet's manifest names it for
+/// tests only), so reruns with the same seed are bit-identical. Rates are
 /// probabilities in `[0, 1]`; each action class draws independently and
 /// the first hit in drop → duplicate → reorder order wins.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]

@@ -292,8 +292,8 @@ fn decode_frame(frame: &Rope) -> Result<Frame> {
 /// module docs. All methods take `&mut self`: the engine owns mutable
 /// window state and a queue of messages already reassembled in order.
 /// The wrapped communicator remains usable for clock access; raw sends
-/// on it would bypass the reliability guarantees (roclint's `raw-send`
-/// rule polices this inside rocpanda).
+/// on it would bypass the reliability guarantees (inside rocpanda,
+/// `tests/network_chaos.rs` fails when a protocol message takes them).
 pub struct ReliableComm<'a> {
     comm: &'a Comm,
     /// Per-destination send windows, indexed by local rank. A frame is
@@ -451,6 +451,11 @@ impl<'a> ReliableComm<'a> {
     fn step_blocking(&mut self) {
         match self.next_deadline() {
             None => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a double-wildcard Comm::recv only errors on fabric poisoning, which \
+                              rethrows first"
+                )]
                 let m = self
                     .comm
                     .recv_rope(None, Some(TAG_REL))
@@ -480,6 +485,10 @@ impl<'a> ReliableComm<'a> {
     }
 
     /// Reliable counterpart of [`Comm::recv_rope`].
+    #[expect(
+        clippy::expect_used,
+        reason = "index computed on the same deque one line above"
+    )]
     pub fn recv_rope(&mut self, src: Option<usize>, tag: Option<u32>) -> Result<Message<Rope>> {
         loop {
             self.pump();

@@ -52,7 +52,7 @@ use rocio_core::lockdep::Mutex;
 
 use crate::cluster::ClusterSpec;
 use crate::comm::Comm;
-use crate::fabric::Fabric;
+use crate::fabric::{is_poison, Fabric};
 
 /// How rank threads are scheduled by [`run_on_fabric_sched`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -331,8 +331,14 @@ impl Drop for RankSlot {
 
 /// Run `f` on every rank of `fabric` under `cfg`'s scheduling: pooled
 /// admission when `cfg.workers > 0`, free-running threads when 0.
-/// Results come back in rank order; a panic in any rank is re-raised
-/// with its original payload.
+/// Results come back in rank order. A panic in any rank is re-raised with
+/// its original payload, once every rank has ended: the first that is not
+/// the fabric's deadlock poison, so a rank's own failure is not hidden by
+/// the poison it left its peers waiting in.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "thread lane: the rank scheduler runs one OS thread per rank"
+)]
 pub fn run_on_fabric_sched<T, F>(fabric: &Arc<Fabric>, cfg: &SchedConfig, f: &F) -> Vec<T>
 where
     T: Send,
@@ -351,6 +357,10 @@ where
             if cfg.stack_bytes > 0 {
                 builder = builder.stack_size(cfg.stack_bytes);
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "OS thread spawn failure at job launch is unrecoverable"
+            )]
             let h = builder
                 .spawn_scoped(scope, move || {
                     // On return *or unwind* the rank must stop gating
@@ -373,16 +383,19 @@ where
                 .expect("spawn rank thread");
             handles.push(h);
         }
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                // Re-raise with the original payload so callers (tests,
-                // the rocsched explorer) see the rank's own message —
-                // e.g. a deadlock poison — instead of a generic wrapper.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
+        let mut out = Vec::with_capacity(n);
+        let mut failed = Vec::new();
+        for h in handles {
+            match h.join() {
+                Ok(v) => out.push(v),
+                Err(payload) => failed.push(payload),
+            }
+        }
+        if !failed.is_empty() {
+            let first = failed.iter().position(|p| !is_poison(&**p)).unwrap_or(0);
+            std::panic::resume_unwind(failed.swap_remove(first));
+        }
+        out
     })
 }
 
@@ -403,6 +416,10 @@ where
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the scheduler is tested from threads of its own"
+)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
@@ -649,6 +666,21 @@ mod tests {
                 !msg.contains("rank 0 ("),
                 "a finished rank is not stuck: {msg}"
             );
+        }
+    }
+
+    #[test]
+    fn a_rank_panic_is_re_raised_ahead_of_the_poison_it_causes() {
+        // Rank 0 waits for rank 1, which panics: rank 0 ends in the
+        // deadlock poison, and the caller must see rank 1's own message.
+        for cfg in [SchedConfig::pooled(), SchedConfig::threaded()] {
+            let msg = poison_of(2, &cfg, |comm| {
+                if comm.rank() == 1 {
+                    panic!("boom in rank {}", comm.rank());
+                }
+                let _ = comm.recv(Some(1), Some(1));
+            });
+            assert_eq!(msg, "boom in rank 1", "{cfg:?}");
         }
     }
 

@@ -49,6 +49,10 @@ impl VClock {
         if dt <= 0.0 {
             return self.now();
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the fetch_update closure always returns Some"
+        )]
         let old = self
             .bits
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |old| {
@@ -71,6 +75,10 @@ impl VClock {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "concurrent clock moves are raced from threads of their own"
+)]
 mod tests {
     use super::*;
     use std::sync::Arc;

@@ -21,8 +21,6 @@
 //! * a per-category aggregate table ([`Trace::summary`]) merged into the
 //!   bench binaries' JSON reports.
 
-#![forbid(unsafe_code)]
-
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -567,6 +565,10 @@ impl Trace {
     }
 
     /// Serialize [`Trace::to_chrome_trace`] to a JSON string.
+    #[expect(
+        clippy::expect_used,
+        reason = "serde_json on plain owned structs cannot fail"
+    )]
     pub fn to_chrome_trace_json(&self) -> String {
         serde_json::to_string_pretty(&self.to_chrome_trace())
             .expect("chrome trace serialization cannot fail")
@@ -628,6 +630,41 @@ mod tests {
             rank,
             lane: LANE_MAIN,
             detail: String::new(),
+        }
+    }
+
+    #[test]
+    fn all_lists_every_category_once() {
+        // `every!` checks its list exhaustively: a new variant does not
+        // compile here until it is listed, and then `all()` must list it.
+        macro_rules! every {
+            ($($v:ident),*) => {{
+                let _exhaustive = |c: SpanCategory| match c {
+                    $(SpanCategory::$v)|* => (),
+                };
+                [$(SpanCategory::$v),*]
+            }};
+        }
+        let every = every!(
+            Compute,
+            Send,
+            Recv,
+            ProbeBlocking,
+            ProbeNonBlocking,
+            DiskSubmit,
+            DiskWrite,
+            DiskRead,
+            BufferFill,
+            BufferDrain,
+            SnapshotBarrier,
+            RestartRead,
+            RelRetransmit,
+            RelAck
+        );
+        let all = SpanCategory::all();
+        assert_eq!(all.len(), every.len(), "all() lists a category twice");
+        for c in every {
+            assert!(all.contains(&c), "all() misses {c:?}");
         }
     }
 

@@ -41,8 +41,6 @@
 //! (`{dir}/t0001/…`), and fair cross-job drain scheduling; a single job
 //! is the same path with one tenant.
 
-#![forbid(unsafe_code)]
-
 pub mod client;
 pub mod config;
 pub mod net;

@@ -11,8 +11,9 @@
 //! coordination) stays on the raw comm: fault injection only targets
 //! context 0, and collectives carry no snapshot payload.
 //!
-//! roclint's `raw-send` rule enforces the routing: inside rocpanda, only a
-//! receiver named `net` may call `send`/`recv`/`probe` and friends.
+//! `tests/network_chaos.rs` holds the routing: a protocol message sent on
+//! the raw comm instead of through `net` is lost to the committed sweep's
+//! faults, and the sweep's snapshots and restarts fail.
 
 use rocio_core::{Result, Rope};
 use rocnet::comm::{Comm, Message, ProbeInfo};

@@ -10,10 +10,10 @@ use roccom::{convert, AttrRef, AttrSelector, AttrSpec, IoService, PaneMesh, Wind
 use rocpanda::{PandaServiceBuilder, RocpandaConfig, ServiceRole};
 use rocstore::SharedFs;
 
-fn build(blocks: &[(u64, u8)]) -> Windows {
+fn build(blocks: &[(u64, u8)]) -> rocio_core::Result<Windows> {
     let mut ws = Windows::new();
-    let w = ws.create_window("fluid").unwrap();
-    w.declare_attr(AttrSpec::element("p", DType::F64, 1)).unwrap();
+    let w = ws.create_window("fluid")?;
+    w.declare_attr(AttrSpec::element("p", DType::F64, 1))?;
     for &(id, size) in blocks {
         let dims = [1 + (size % 4) as usize, 2, 2];
         w.register_pane(
@@ -23,15 +23,12 @@ fn build(blocks: &[(u64, u8)]) -> Windows {
                 origin: [id as f64, 0.0, 0.0],
                 spacing: [1.0; 3],
             },
-        )
-        .unwrap();
+        )?;
         let n = dims[0] * dims[1] * dims[2];
-        w.pane_mut(BlockId(id))
-            .unwrap()
-            .set_data("p", ArrayData::F64(vec![id as f64 + 0.25; n]))
-            .unwrap();
+        w.pane_mut(BlockId(id))?
+            .set_data("p", ArrayData::F64(vec![id as f64 + 0.25; n]))?;
     }
-    ws
+    Ok(ws)
 }
 
 proptest! {
@@ -75,10 +72,10 @@ proptest! {
                         .filter(|(i, _)| i % app.size() == app.rank())
                         .map(|(_, b)| *b)
                         .collect();
-                    let ws = build(&mine);
+                    let ws = build(&mine).unwrap();
                     c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
                     // Restart into zeroed copies.
-                    let mut fresh = build(&mine);
+                    let mut fresh = build(&mine).unwrap();
                     for pane in fresh.window_mut("fluid").unwrap().panes_mut() {
                         for x in pane.data_mut("p").unwrap().as_f64_mut().unwrap() {
                             *x = -9.0;

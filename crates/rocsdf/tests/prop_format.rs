@@ -70,7 +70,7 @@ fn arb_block(id: u64) -> impl Strategy<Value = DataBlock> {
                     let mut ds = Dataset::vector(name, vec![0u8; 0]);
                     ds.shape = vec![data.len()];
                     ds.data = data.into();
-                    b.push_dataset(ds).unwrap();
+                    b = b.with_dataset(ds);
                 }
             }
             for (k, v) in attrs {

@@ -802,6 +802,10 @@ impl SharedFs {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "concurrent appends are raced from threads of their own"
+)]
 mod tests {
     use super::*;
 

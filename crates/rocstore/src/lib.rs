@@ -19,8 +19,6 @@
 //! on interleaved writers. Callers merge that completion time into their
 //! rank's virtual clock.
 
-#![forbid(unsafe_code)]
-
 pub mod fs;
 pub mod model;
 pub mod sieve;

@@ -23,8 +23,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use rocverify::lint::Rule;
-use rocverify::lock::{check_witness, lock_workspace};
+use rocverify::lock::{check_witness, lock_workspace, Rule};
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
@@ -111,7 +110,7 @@ fn main() -> ExitCode {
         }
         for s in &report.stale_allow {
             println!(
-                "roclint.allow:{}: stale entry (matched nothing): {} | {} | {}",
+                "roclock.allow:{}: stale entry (matched nothing): {} | {} | {}",
                 s.lineno,
                 s.rule.name(),
                 s.path,
@@ -122,7 +121,7 @@ fn main() -> ExitCode {
 
     if stats {
         println!("roclock stats:");
-        for rule in Rule::all().into_iter().filter(|r| r.is_lock()) {
+        for rule in Rule::all() {
             let kept = report.findings.iter().filter(|f| f.rule == rule).count();
             let supp = report.suppressed.iter().filter(|f| f.rule == rule).count();
             let allow = report.allow.iter().filter(|a| a.rule == rule).count();

@@ -1,11 +1,11 @@
-//! A small, self-contained Rust lexer for `roclint`.
+//! A small, self-contained Rust lexer for `roclock`.
 //!
-//! The build environment vendors no parser crates, so the lint rules run
-//! over a token stream produced here instead of a full AST. The lexer
-//! strips comments and literals (so `"Instant::now"` in a string never
-//! fires a rule), tracks line numbers, and understands just enough
-//! structure — `#[...]` attribute groups and brace-balanced items — for
-//! the engine to skip `#[cfg(test)]` / `#[test]` code.
+//! The build environment vendors no parser crates, so the lock-discipline
+//! rules run over a token stream produced here instead of a full AST. The
+//! lexer strips comments and literals (so `".lock()"` in a string never
+//! fires a rule) and tracks line numbers; `roclock` finds the `#[...]`
+//! attribute groups and brace-balanced items in the stream to skip
+//! `#[cfg(test)]` / `#[test]` code.
 
 /// One significant token with its 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]

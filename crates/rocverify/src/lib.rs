@@ -1,20 +1,16 @@
 //! rocverify — workspace verification tooling.
 //!
-//! Three instruments, one goal: keeping the simulation honest.
+//! Two instruments, one goal: keeping the simulation honest. (The
+//! determinism and robustness rules that need no analysis of their own —
+//! no host clock, no stray threads, no `unwrap` in library code, no
+//! `unsafe` — are compiler lints: `[workspace.lints]` and `clippy.toml`.)
 //!
-//! * [`lint`] (driven by the `roclint` binary) statically enforces the
-//!   workspace's determinism and robustness contracts: no wall-clock or
-//!   RNG reads inside simulation crates, no threads outside the
-//!   registered T-Rochdf/server lanes, no `unwrap`/`expect`/`panic!` in
-//!   library code, disciplined rocobs span categories, parking_lot-only
-//!   locks, and `#![forbid(unsafe_code)]` in every library crate.
-//!   Exceptions live in `roclint.allow` at the workspace root, each
-//!   with a reason.
 //! * [`lock`] (driven by the `roclock` binary) statically checks lock
 //!   discipline: every `Mutex`/`RwLock` field registered with an order
 //!   level in `roclock.order`, no guard held across blocking or
 //!   charging calls, an acyclic workspace lock graph — validated
-//!   dynamically by the `rocio_core::lockdep` witness.
+//!   dynamically by the `rocio_core::lockdep` witness. Exceptions live
+//!   in `roclock.allow` at the workspace root, each with a reason.
 //! * [`sched`] (driven by the `rocsched` binary) dynamically explores
 //!   every wildcard-receive resolution order of the concurrency
 //!   protocols in [`scenarios`], replacing the fabric's conservative
@@ -24,10 +20,7 @@
 //! See DESIGN.md § Verification and § Lock discipline for the
 //! soundness arguments.
 
-#![forbid(unsafe_code)]
-
 pub mod lexer;
-pub mod lint;
 pub mod lock;
 pub mod scenarios;
 pub mod sched;

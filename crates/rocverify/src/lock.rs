@@ -44,18 +44,330 @@
 //! locks are out of scope: the registry governs the long-lived shared
 //! state where ordering matters.
 //!
-//! Findings deny by default through the shared `roclint.allow`
-//! machinery; `roclock` applies only the `lock-*` entries.
+//! Findings deny by default; an intentional exception is one
+//! `rule | path | needle | reason` line in `roclock.allow`, and an entry
+//! that stops matching is stale and fails the run, so the file cannot
+//! rot silently. Everything under `#[cfg(test)]` / `#[test]` is exempt.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::fmt::Write as _;
-use std::path::Path;
+use std::fmt::{self, Write as _};
+use std::path::{Path, PathBuf};
 
 use crate::lexer::{tokenize, Tok};
-use crate::lint::{
-    apply_allowlist, is_path_sep, read_allowlist, rs_files, skip_balanced, strip_test_items, t,
-    AllowEntry, Finding, Rule,
-};
+
+// ---------------------------------------------------------------------------
+// Rules, findings, allowlist, token helpers.
+// ---------------------------------------------------------------------------
+
+/// The lock-discipline rules, in reporting order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Rule {
+    LockUnregistered,
+    LockOrder,
+    LockBlocking,
+    LockCharge,
+    LockWake,
+}
+
+impl Rule {
+    pub fn name(self) -> &'static str {
+        match self {
+            Rule::LockUnregistered => "lock-unregistered",
+            Rule::LockOrder => "lock-order",
+            Rule::LockBlocking => "lock-blocking",
+            Rule::LockCharge => "lock-charge",
+            Rule::LockWake => "lock-wake",
+        }
+    }
+
+    pub fn all() -> [Rule; 5] {
+        [
+            Rule::LockUnregistered,
+            Rule::LockOrder,
+            Rule::LockBlocking,
+            Rule::LockCharge,
+            Rule::LockWake,
+        ]
+    }
+
+    fn from_name(name: &str) -> Option<Rule> {
+        Rule::all().into_iter().find(|r| r.name() == name)
+    }
+}
+
+/// One rule violation at a source location.
+#[derive(Debug, Clone)]
+pub struct Finding {
+    pub rule: Rule,
+    /// Workspace-relative path with forward slashes.
+    pub path: String,
+    pub line: usize,
+    /// The full source line, for messages and allowlist matching.
+    pub snippet: String,
+    pub message: String,
+}
+
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}:{}: [{}] {}\n    {}",
+            self.path,
+            self.line,
+            self.rule.name(),
+            self.message,
+            self.snippet.trim()
+        )
+    }
+}
+
+/// Minimal JSON string escaping for `--json` output (no dependency on a
+/// serializer; findings are flat string/number records).
+fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+impl Finding {
+    /// One flat JSON object per finding, for `--json` output.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"message\":\"{}\",\"snippet\":\"{}\"}}",
+            self.rule.name(),
+            json_escape(&self.path),
+            self.line,
+            json_escape(&self.message),
+            json_escape(self.snippet.trim())
+        )
+    }
+}
+
+/// One `roclock.allow` entry.
+#[derive(Debug, Clone)]
+pub struct AllowEntry {
+    pub rule: Rule,
+    pub path: String,
+    /// Substring that must appear on the flagged source line.
+    pub needle: String,
+    pub reason: String,
+    pub lineno: usize,
+}
+
+/// Parse the allowlist file content. Lines: `rule | path | needle | reason`;
+/// `#` comments and blank lines ignored.
+pub fn parse_allowlist(content: &str) -> Result<Vec<AllowEntry>, String> {
+    let mut out = Vec::new();
+    for (i, raw) in content.lines().enumerate() {
+        let line = raw.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let parts: Vec<&str> = line.splitn(4, '|').map(str::trim).collect();
+        if parts.len() != 4 {
+            return Err(format!(
+                "roclock.allow:{}: expected `rule | path | needle | reason`",
+                i + 1
+            ));
+        }
+        let rule = Rule::from_name(parts[0])
+            .ok_or_else(|| format!("roclock.allow:{}: unknown rule '{}'", i + 1, parts[0]))?;
+        if parts[3].is_empty() {
+            return Err(format!("roclock.allow:{}: empty reason", i + 1));
+        }
+        out.push(AllowEntry {
+            rule,
+            path: parts[1].to_string(),
+            needle: parts[2].to_string(),
+            reason: parts[3].to_string(),
+            lineno: i + 1,
+        });
+    }
+    Ok(out)
+}
+
+/// Remove tokens belonging to `#[cfg(test)]` / `#[test]` items: the rules
+/// only govern production code.
+fn strip_test_items(toks: &[Tok]) -> Vec<Tok> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < toks.len() {
+        if is_test_attr(toks, i) {
+            // Consume this and any further attribute groups, then the item.
+            while toks.get(i).map(|t| t.text.as_str()) == Some("#")
+                && toks.get(i + 1).map(|t| t.text.as_str()) == Some("[")
+            {
+                i = skip_balanced(toks, i + 1); // past the `]`
+            }
+            i = skip_item(toks, i);
+        } else {
+            out.push(toks[i].clone());
+            i += 1;
+        }
+    }
+    out
+}
+
+/// Does an attribute group starting at `i` (`#`) mark test-only code?
+fn is_test_attr(toks: &[Tok], i: usize) -> bool {
+    if toks.get(i).map(|t| t.text.as_str()) != Some("#")
+        || toks.get(i + 1).map(|t| t.text.as_str()) != Some("[")
+    {
+        return false;
+    }
+    let end = skip_balanced(toks, i + 1);
+    let inner: Vec<&str> = toks[i + 2..end.saturating_sub(1)]
+        .iter()
+        .map(|t| t.text.as_str())
+        .collect();
+    inner == ["test"] || inner == ["cfg", "(", "test", ")"]
+}
+
+/// `i` points at an opening bracket token; return the index just past its
+/// matching closer.
+fn skip_balanced(toks: &[Tok], i: usize) -> usize {
+    let mut depth = 0usize;
+    let mut j = i;
+    while j < toks.len() {
+        match toks[j].text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => {
+                depth -= 1;
+                if depth == 0 {
+                    return j + 1;
+                }
+            }
+            _ => {}
+        }
+        j += 1;
+    }
+    toks.len()
+}
+
+/// `i` points at the first token of an item (after its attributes);
+/// return the index just past the item: through the matching `}` of its
+/// first top-level `{`, or past a top-level `;` for braceless items.
+fn skip_item(toks: &[Tok], i: usize) -> usize {
+    let mut depth = 0usize;
+    let mut j = i;
+    while j < toks.len() {
+        match toks[j].text.as_str() {
+            "{" | "(" | "[" => depth += 1,
+            "}" | ")" | "]" => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 && toks[j].text == "}" {
+                    return j + 1;
+                }
+            }
+            ";" if depth == 0 => return j + 1,
+            _ => {}
+        }
+        j += 1;
+    }
+    toks.len()
+}
+
+fn t(toks: &[Tok], i: usize) -> &str {
+    toks.get(i).map(|t| t.text.as_str()).unwrap_or("")
+}
+
+/// Is `toks[i..]` the path-separator `::`?
+fn is_path_sep(toks: &[Tok], i: usize) -> bool {
+    t(toks, i) == ":" && t(toks, i + 1) == ":"
+}
+
+/// Apply the allowlist: returns `(kept, suppressed, stale)`. A finding
+/// is suppressed by the first entry with the same rule and path whose
+/// needle appears in the flagged line; entries that suppress nothing are
+/// stale and reported so the allowlist tracks reality.
+pub fn apply_allowlist(
+    findings: Vec<Finding>,
+    allow: &[AllowEntry],
+) -> (Vec<Finding>, Vec<Finding>, Vec<AllowEntry>) {
+    let mut used = vec![false; allow.len()];
+    let mut kept = Vec::new();
+    let mut suppressed = Vec::new();
+    for f in findings {
+        let hit = allow
+            .iter()
+            .position(|a| a.rule == f.rule && a.path == f.path && f.snippet.contains(&a.needle));
+        match hit {
+            Some(i) => {
+                used[i] = true;
+                suppressed.push(f);
+            }
+            None => kept.push(f),
+        }
+    }
+    let stale = allow
+        .iter()
+        .zip(&used)
+        .filter(|(_, &u)| !u)
+        .map(|(a, _)| a.clone())
+        .collect();
+    (kept, suppressed, stale)
+}
+
+/// Recursively list `.rs` files under `dir`, sorted for determinism.
+fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .collect();
+    entries.sort();
+    for p in entries {
+        if p.is_dir() {
+            rs_files(&p, out)?;
+        } else if p.extension().is_some_and(|e| e == "rs") {
+            out.push(p);
+        }
+    }
+    Ok(())
+}
+
+/// The `(crate_dir, src_dir)` pairs a workspace scan visits: every
+/// crate's `src/` plus the root package `src/`.
+fn workspace_targets(workspace_root: &Path) -> Result<Vec<(String, PathBuf)>, String> {
+    let mut targets: Vec<(String, PathBuf)> = Vec::new();
+    let crates = workspace_root.join("crates");
+    let mut dirs: Vec<PathBuf> = std::fs::read_dir(&crates)
+        .map_err(|e| format!("reading {}: {e}", crates.display()))?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.is_dir())
+        .collect();
+    dirs.sort();
+    for d in dirs {
+        let name = d.file_name().and_then(|n| n.to_str()).unwrap_or("").to_string();
+        let src = d.join("src");
+        if src.is_dir() {
+            targets.push((name, src));
+        }
+    }
+    let root_src = workspace_root.join("src");
+    if root_src.is_dir() {
+        targets.push(("genx-repro".into(), root_src));
+    }
+    Ok(targets)
+}
+
+/// Read and parse `roclock.allow`; a missing file allows nothing.
+fn read_allowlist(workspace_root: &Path) -> Result<Vec<AllowEntry>, String> {
+    match std::fs::read_to_string(workspace_root.join("roclock.allow")) {
+        Ok(content) => parse_allowlist(&content),
+        Err(_) => Ok(Vec::new()),
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Registry.
@@ -760,8 +1072,8 @@ pub fn lock_workspace(workspace_root: &Path) -> Result<LockReport, String> {
         // No registry: every lock field will be denied as unregistered.
         Err(_) => Registry::default(),
     };
-    let allow = read_allowlist(workspace_root, true)?;
-    let targets = crate::lint::workspace_targets(workspace_root)?;
+    let allow = read_allowlist(workspace_root)?;
+    let targets = workspace_targets(workspace_root)?;
 
     let mut findings = Vec::new();
     let mut all_edges: Vec<(String, String, String)> = Vec::new(); // from, to, path

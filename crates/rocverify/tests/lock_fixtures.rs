@@ -2,9 +2,9 @@
 //! cases, witness-check cases, and the meta-test that the workspace
 //! itself is lock-clean — the same invocation CI runs.
 
-use rocverify::lint::Rule;
 use rocverify::lock::{
-    check_witness, lock_source, lock_workspace, parse_registry, LockGraph, Registry,
+    apply_allowlist, check_witness, lock_source, lock_workspace, parse_allowlist, parse_registry,
+    LockGraph, Registry, Rule,
 };
 
 /// A two-lock registry for fixtures: `t.outer` (level 20) above
@@ -196,6 +196,28 @@ fn test_code_is_exempt() {
          let g = s.inner.lock(); let h = s.outer.lock(); }} }}"
     );
     assert_eq!(rules_fired(&src), vec![]);
+}
+
+#[test]
+fn allowlist_suppresses_and_reports_stale() {
+    let (findings, _, _) = lock_source(
+        &fixture_registry(),
+        "tcrate",
+        "crates/tcrate/src/x.rs",
+        "pub struct Rogue { m: Mutex<u8> }",
+    );
+    assert_eq!(findings.len(), 1);
+    let allow = parse_allowlist(
+        "lock-unregistered | crates/tcrate/src/x.rs | m: Mutex<u8> | fixture\n\
+         lock-unregistered | crates/tcrate/src/y.rs | never-matches | fixture\n",
+    )
+    .expect("valid allowlist");
+    let (kept, suppressed, stale) = apply_allowlist(findings, &allow);
+    assert!(kept.is_empty(), "entry should suppress the finding");
+    assert_eq!(suppressed.len(), 1);
+    assert_eq!(stale.len(), 1);
+    assert_eq!(stale[0].path, "crates/tcrate/src/y.rs");
+    assert!(parse_allowlist("unwrap-panic | a.rs | x | no such rule\n").is_err());
 }
 
 #[test]
