@@ -344,6 +344,17 @@ impl<'a> Cursor<'a> {
         Ok(())
     }
 
+    /// `read` over all the cursor holds: bytes it leaves unread are
+    /// refused, so a message decodes only as exactly what its encoder
+    /// wrote.
+    pub fn whole<T>(mut self, what: &str, read: impl FnOnce(&mut Cursor<'a>) -> Result<T>) -> Result<T> {
+        let value = read(&mut self)?;
+        match self.remaining() {
+            0 => Ok(value),
+            n => Err(RocError::Corrupt(format!("{n} bytes after a whole {what}"))),
+        }
+    }
+
     /// A cursor over the next `n` bytes alone, which this one skips: how a
     /// length-prefixed inner message is decoded without trusting it to
     /// stop at its own end.

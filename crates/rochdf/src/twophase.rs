@@ -10,12 +10,13 @@
 //! bytes over the network to whichever rank asked for them (phase two).
 //!
 //! Phase two reuses the zero-copy wire path end to end: the aggregator
-//! ships each block as a rope of a length header and its records' pieces
-//! of the file's extents, as the writer appended them
-//! ([`SdfFileReader::read_blocks_raw`]), and the receiver takes the
-//! message as the rope it travelled as, so the datasets it decodes are
-//! windows of those same extents — the records are self-describing, so no
-//! re-encode and no copy happens on either side.
+//! ships each block through the restart-block codec (`rocsdf::view`), as
+//! a rope of a length header and its records' pieces of the file's
+//! extents, as the writer appended them ([`SdfFileReader::read_blocks_raw`]),
+//! and the receiver takes the message as the rope it travelled as, so the
+//! datasets it decodes are windows of those same extents — the records
+//! are self-describing, so no re-encode and no copy happens on either
+//! side, and the receiver checks each record's `__crc32__`.
 //!
 //! Everything is deterministic: wanted-id lists travel through an
 //! `allgather` (collective, virtual-ordered), files are assigned to
@@ -27,10 +28,9 @@
 
 use std::collections::HashSet;
 
-use bytes::Bytes;
 use rocio_core::{BlockDesc, BlockId, Cursor, DataBlock, Result, RocError, Rope, SimTime};
 use rocnet::Comm;
-use rocsdf::{BlockView, LibraryModel, RecordView, SdfFileReader};
+use rocsdf::{BlockView, Fetch, LibraryModel, SdfFileReader};
 use rocstore::SharedFs;
 
 use crate::config::RochdfConfig;
@@ -142,19 +142,21 @@ pub(crate) fn read_views(
                 if present.is_empty() {
                     continue;
                 }
-                let (raw, t) = reader.read_blocks_raw(&present, now)?;
+                let (raw, t) = reader.read_blocks_raw(&present, Fetch::Domain, now)?;
                 now = t;
                 comm.advance_to(now);
                 let mut batch = Cursor::new(&raw);
                 for &id in &present {
                     let lens = reader.record_lens(id)?;
-                    let records = batch.sub(lens.clone().sum(), BLOCK_MSG)?;
+                    let records = batch.sub(lens.clone().sum(), "two-phase file domain")?;
                     for dst in wanters(id) {
-                        let (lens, records) = (lens.clone(), records.clone());
+                        let (lens, mut records) = (lens.clone(), records.clone());
                         if dst == rank {
-                            got.push(decode_block(id, lens.map(Ok), records)?);
+                            got.push(BlockView::from_records(id, lens.map(Ok), &mut records)?);
                         } else {
-                            comm.send_rope(dst, TAG_TP_BLOCK, encode_block(id, lens, records)?)?;
+                            let mut msg = Rope::new();
+                            BlockView::ship(id, lens, &mut records, &mut msg)?;
+                            comm.send_rope(dst, TAG_TP_BLOCK, msg)?;
                             sent[dst] += 1;
                         }
                     }
@@ -205,7 +207,7 @@ pub(crate) fn read_views(
             }
             TAG_TP_BLOCK => {
                 received += 1;
-                match decode_block_msg(&msg.payload) {
+                match BlockView::receive(&msg.payload) {
                     Ok(block) => got.push(block),
                     Err(e) => failure = failure.or(Some(e)),
                 }
@@ -260,68 +262,10 @@ pub fn read_attribute_two_phase(
     Ok(t)
 }
 
-/// What the two-phase wire calls its messages in errors.
-const BLOCK_MSG: &str = "two-phase block message";
-
-/// Wire image of one redistributed block: `[u64 id][u32 n][u64 len]*n`
-/// followed by `records`, meta first, each as long as `lens` says: they
-/// ride as they lie, windows of the extents of the aggregator's file.
-fn encode_block(
-    id: BlockId,
-    lens: impl ExactSizeIterator<Item = usize>,
-    mut records: Cursor<'_>,
-) -> Result<Rope> {
-    let mut header = Vec::with_capacity(12 + lens.len() * 8);
-    header.extend_from_slice(&id.0.to_le_bytes());
-    header.extend_from_slice(&(lens.len() as u32).to_le_bytes());
-    for len in lens {
-        header.extend_from_slice(&(len as u64).to_le_bytes());
-    }
-    let mut msg = Rope::from(Bytes::from(header));
-    records.take_into(records.remaining(), BLOCK_MSG, &mut msg)?;
-    Ok(msg)
-}
-
-fn decode_block_msg(payload: &Rope) -> Result<BlockView> {
-    // `lens` walks the header (id, count, length table), `records` the
-    // record images after it.
-    let mut lens = payload.cursor();
-    let id = BlockId(lens.u64(BLOCK_MSG)?);
-    let n = lens.u32(BLOCK_MSG)? as usize;
-    // Each record owes an 8-byte length field: a count the message cannot
-    // hold is refused before it sizes anything.
-    if n > lens.remaining() / 8 {
-        return Err(RocError::Comm(format!(
-            "two-phase: {n} records claimed by a {}-byte block message",
-            payload.len()
-        )));
-    }
-    let mut records = lens.clone();
-    records.skip(n * 8, BLOCK_MSG)?;
-    decode_block(id, (0..n).map(|_| Ok(lens.u64(BLOCK_MSG)? as usize)), records)
-}
-
-/// A block read from its raw record images (meta first, each as long as
-/// `lens` says, nothing after the last) where they lie, each record's
-/// payload CRC verified — the receiver is the integrity boundary here.
-fn decode_block(
-    id: BlockId,
-    lens: impl ExactSizeIterator<Item = Result<usize>>,
-    mut records: Cursor<'_>,
-) -> Result<BlockView> {
-    let n = lens.len();
-    let read = lens.map(|len| RecordView::read(&mut records.sub(len?, BLOCK_MSG)?, true));
-    let block = BlockView::assemble(Some(id), n, read)?;
-    if records.remaining() != 0 {
-        return Err(RocError::Comm("two-phase: trailing bytes in block message".into()));
-    }
-    Ok(block)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use bytes::Bytes;
     use rocio_core::{DType, Dataset, SnapshotId};
     use rocnet::cluster::ClusterSpec;
     use rocnet::run_ranks;
@@ -548,45 +492,6 @@ mod tests {
         assert_eq!(out[1], Ok(2));
     }
 
-    /// A block and its redistribution message, the records encoded the way
-    /// a file stores them.
-    fn sample_message() -> (DataBlock, Bytes) {
-        let block = DataBlock::new(BlockId(7), "fluid")
-            .with_dataset(Dataset::vector("p", vec![1.0f64, 2.0]).with_attr("units", "Pa"))
-            .with_attr("material", "gas");
-        let fs = SharedFs::ideal();
-        write_snapshot_file(&fs, "one.sdf", LibraryModel::Raw, 0, std::slice::from_ref(&block), 0.0).unwrap();
-        let (r, t) = SdfFileReader::open(&fs, "one.sdf", LibraryModel::Raw, 0, 0.0).unwrap();
-        let (raw, _) = r.read_blocks_raw(&[BlockId(7)], t).unwrap();
-        let lens = r.record_lens(BlockId(7)).unwrap();
-        (block, encode_block(BlockId(7), lens, Cursor::new(&raw)).unwrap().into_bytes())
-    }
-
-    #[test]
-    fn block_message_round_trips_and_rejects_garbage() {
-        let (block, image) = sample_message();
-        assert_eq!(decode_block_msg(&image.clone().into()).unwrap().to_block().unwrap(), block);
-        // Truncations and trailing garbage are rejected, never panic.
-        for cut in [0, 4, 11, image.len() - 1] {
-            assert!(decode_block_msg(&image.slice(..cut).into()).is_err(), "cut at {cut}");
-        }
-        let mut extra = image.to_vec();
-        extra.push(0);
-        assert!(decode_block_msg(&Bytes::from(extra).into()).is_err());
-        // Twelve bytes claiming four billion records (used to ask the
-        // allocator for 32 GiB and abort); one record of length u64::MAX
-        // (used to overflow `pos + n`: a panic in debug, a wrapped bound
-        // check and a panic inside `Bytes::slice` in release).
-        let claim = |n: u32, lens: &[u64]| {
-            let lens = lens.iter().flat_map(|l| l.to_le_bytes());
-            Bytes::from(7u64.to_le_bytes().into_iter().chain(n.to_le_bytes()).chain(lens).collect::<Vec<u8>>())
-        };
-        for hostile in [claim(u32::MAX, &[]), claim(1, &[u64::MAX]), claim(2, &[8, u64::MAX - 7])] {
-            let got = decode_block_msg(&hostile.into());
-            assert!(matches!(got, Err(RocError::Comm(_) | RocError::Corrupt(_))), "{got:?}");
-        }
-    }
-
     /// A record whose payload straddles extents — split by `write_at`, as
     /// a byte patched into a file splits it — reads byte-identically
     /// through every read path, and a byte flipped in either piece comes
@@ -608,12 +513,13 @@ mod tests {
             let (r, t) = open(1);
             let sieved = r.view_blocks_sieved(&ids, t).and_then(|(v, _)| v[0].to_block());
             let (r, t) = open(2);
-            let (raw, _) = r.read_blocks_raw(&ids, t).unwrap();
+            let (raw, _) = r.read_blocks_raw(&ids, Fetch::Domain, t).unwrap();
             let (lens, records) = (r.record_lens(block.id).unwrap(), Cursor::new(&raw));
-            let local = decode_block(block.id, lens.clone().map(Ok), records.clone());
+            let local = BlockView::from_records(block.id, lens.clone().map(Ok), &mut records.clone());
             let local = local.and_then(|v| v.to_block());
-            let message = encode_block(block.id, lens, records).unwrap();
-            let received = decode_block_msg(&message).and_then(|v| v.to_block());
+            let mut message = Rope::new();
+            BlockView::ship(block.id, lens, &mut records.clone(), &mut message).unwrap();
+            let received = BlockView::receive(&message).and_then(|v| v.to_block());
             vec![per_range, sieved, local, received]
         };
         // The payload's middle value, split out of its extent.
@@ -643,67 +549,6 @@ mod tests {
                 assert!(caught, "{piece}: {got:?}");
             }
         }
-    }
-
-    proptest! {
-        // Arbitrary bytes, and a valid message with one byte replaced or cut
-        // short at any length: `Ok` or `Err`, never a panic (the record
-        // table is sized by a count the message itself bounds) — and the
-        // same verdict when the bytes arrive as a rope cut anywhere.
-        #[test]
-        fn hostile_block_message_bytes_never_panic(
-            junk in prop::collection::vec(any::<u8>(), 0..256),
-            at in any::<prop::sample::Index>(),
-            byte in any::<u8>(),
-            cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..4),
-        ) {
-            let valid = sample_message().1;
-            let mut mutated = valid.to_vec();
-            mutated[at.index(valid.len())] = byte;
-            for input in [&junk[..], &mutated, &valid[..at.index(valid.len())]] {
-                let flat = decode_block_msg(&Bytes::copy_from_slice(input).into());
-                let roped = decode_block_msg(&cut(input, &cuts).0);
-                prop_assert_eq!(format!("{roped:?}"), format!("{flat:?}"));
-            }
-        }
-
-        // A valid message cut into parts anywhere — mid-field, mid-record,
-        // mid-payload — decodes to the block it carries, and a payload no
-        // cut went through is a window of the part it arrived in.
-        #[test]
-        fn a_block_message_cut_into_parts_decodes_the_same_and_keeps_whole_payloads_in_place(
-            cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
-        ) {
-            let (block, flat) = sample_message();
-            let (rope, at) = cut(&flat, &cuts);
-            let decoded = decode_block_msg(&rope).unwrap().to_block().unwrap();
-            prop_assert_eq!(&decoded, &block);
-            // The one payload: the last 16 bytes of the last record.
-            let payload = decoded.datasets[0].data.bytes();
-            let start = flat.len() - payload.len();
-            if !at.iter().any(|&c| start < c && c < flat.len()) {
-                let here = payload.as_ptr() as usize;
-                prop_assert!(
-                    rope.parts().iter().any(|p| {
-                        let base = p.as_ptr() as usize;
-                        base <= here && here + payload.len() <= base + p.len()
-                    }),
-                    "payload was copied"
-                );
-            }
-        }
-    }
-
-    /// `bytes` as a rope of separately allocated parts, cut at `cuts`.
-    fn cut(bytes: &[u8], cuts: &[prop::sample::Index]) -> (Rope, Vec<usize>) {
-        let mut at: Vec<usize> = cuts.iter().map(|c| c.index(bytes.len() + 1)).collect();
-        at.sort_unstable();
-        let (mut rope, mut from) = (Rope::new(), 0);
-        for &to in at.iter().chain([&bytes.len()]) {
-            rope.push(Bytes::copy_from_slice(&bytes[from..to]));
-            from = to;
-        }
-        (rope, at)
     }
 
     #[test]

@@ -2,13 +2,14 @@
 
 use std::collections::HashSet;
 
-use rocio_core::{BlockDesc, Result, RocError, ServiceErrorKind, SnapshotId, TenantId};
+use rocio_core::{BlockDesc, Result, RocError, Rope, ServiceErrorKind, SnapshotId, TenantId};
 use rocnet::Comm;
+use rocsdf::BlockView;
 
 use crate::config::RocpandaConfig;
 use crate::net::PandaNet;
 use crate::wire::{self, tag, ReadReq, WriteReq};
-use roccom::{AttrSelector, IoService, Windows};
+use roccom::{AttrSelector, IoService, Window, Windows};
 
 /// Modelled client-side bandwidth (bytes/s) of packing panes into block
 /// messages.
@@ -111,6 +112,20 @@ impl<'a> PandaClient<'a> {
     }
 }
 
+/// Apply one server's `READ_BATCH` to `window`: each block's file records,
+/// checked here, by the client that owns them, then decoded into its pane.
+/// A block seen before is refused; the first failure ends the batch.
+fn apply_batch(window: &mut Window, batch: &Rope, seen: &mut HashSet<u64>, got: &mut u64) -> Result<()> {
+    BlockView::receive_batch(batch, |block| {
+        *got += 1;
+        if !seen.insert(block.id().0) {
+            let twice = format!("restart: block {} delivered twice", block.id());
+            return Err(RocError::Corrupt(twice));
+        }
+        roccom::convert::apply_block(window, &block)
+    })
+}
+
 impl IoService for PandaClient<'_> {
     fn service_name(&self) -> &'static str {
         "rocpanda"
@@ -157,34 +172,22 @@ impl IoService for PandaClient<'_> {
         }
         let t_read0 = self.world.now();
         let mut dones = 0usize;
-        let mut expected: u64 = 0;
-        let mut got: u64 = 0;
+        let (mut shipped, mut got) = (0u64, 0u64);
         let mut seen: HashSet<u64> = HashSet::new();
-        // The first failure met — a server's, or a block delivered twice —
-        // surfaced once the drain is over.
+        // The first failure met — a server's, a block's, a block delivered
+        // twice — surfaced once the drain is over. A link does not reorder,
+        // so once every server's last message is in, so is every batch.
         let mut failure: Option<RocError> = None;
-        while dones < self.server_ranks.len() || got < expected {
+        while dones < self.server_ranks.len() {
             let msg = self.net.recv_rope(None, None)?;
             match msg.tag {
                 tag::READ_BATCH => {
-                    // A server's whole share in one message, each block
-                    // read where it lies: its records stay windows of the
-                    // message's parts — the server's file-image buffers —
-                    // until apply_block decodes them into the pane. A
-                    // second copy of a block is counted, not applied.
                     let window = windows.window_mut(&sel.window)?;
-                    wire::read_batch(&mut msg.payload.cursor(), |wire::BlockMsgView { block, .. }| {
-                        got += 1;
-                        if seen.insert(block.id().0) {
-                            return roccom::convert::apply_block(window, &block);
-                        }
-                        let twice = format!("restart: block {} delivered twice", block.id());
-                        failure.get_or_insert(RocError::Corrupt(twice));
-                        Ok(())
-                    })?;
+                    let applied = apply_batch(window, &msg.payload, &mut seen, &mut got);
+                    failure = failure.or(applied.err());
                 }
                 tag::READ_DONE => {
-                    expected += wire::decode_read_done(&msg.payload.into_bytes())? as u64;
+                    shipped += u64::from(wire::decode_read_done(&msg.payload.into_bytes())?);
                     dones += 1;
                 }
                 tag::READ_ERR => {
@@ -218,7 +221,7 @@ impl IoService for PandaClient<'_> {
             return Err(e);
         }
         let mut missing: Vec<u64> = wanted.iter().copied().filter(|id| !seen.contains(id)).collect();
-        if !missing.is_empty() || got != wanted.len() as u64 {
+        if !missing.is_empty() || got != wanted.len() as u64 || got != shipped {
             missing.sort_unstable();
             return Err(RocError::NotFound(format!(
                 "restart: wanted {} blocks of '{}', received {got}; blocks {missing:?} not found \
@@ -292,11 +295,13 @@ impl IoService for PandaClient<'_> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
     use std::sync::Arc;
 
     use crate::wire::BlockMsg;
     use crate::{PandaClient, PandaServiceBuilder, RocpandaConfig, ServerStats, ServiceRole};
-    use rocio_core::{ArrayData, BlockId, DType, SnapshotId};
+    use rocio_core::{ArrayData, BlockId, DType, RocError, Rope, SnapshotId};
+    use rocsdf::BlockView;
     use rocnet::cluster::ClusterSpec;
     use rocnet::{Comm, Fabric};
     use roccom::{AttrSelector, AttrSpec, IoService, PaneMesh, Windows};
@@ -907,6 +912,78 @@ mod tests {
         let refused = verdicts.iter().filter(|v| v.contains("delivered twice")).count();
         assert_eq!(refused, 2, "{verdicts:?}");
         assert_eq!(verdicts.iter().filter(|v| *v == "restored").count(), 2, "{verdicts:?}");
+    }
+
+    /// A block its client cannot apply — its pane registered with another
+    /// node count — fails that client's restart with `Mismatch`, after the
+    /// drain: its server's `READ_DONE` and the other server's messages are
+    /// taken, none is left for a later receive, and every other client
+    /// restores.
+    #[test]
+    fn a_block_that_cannot_be_applied_fails_its_restart_after_the_drain() {
+        let fs = Arc::new(SharedFs::ideal());
+        let cfg = RocpandaConfig::default();
+        let snap = SnapshotId::new(0, 0);
+        run_job(&fs, &cfg, &[0, 3], &ideal(6), |_, c, app| {
+            let ws = build_windows(app.rank(), 2);
+            c.write_attribute(&ws, &AttrSelector::all("fluid"), snap).unwrap();
+            c.finalize().unwrap();
+        });
+        let (verdicts, _) = run_job(&fs, &cfg, &[0, 3], &ideal(6), |world, c, app| {
+            let mut ws = build_windows(app.rank(), 2);
+            if app.rank() == 0 {
+                let w = ws.window_mut("fluid").unwrap();
+                w.remove_pane(BlockId(1)).unwrap();
+                let mesh = PaneMesh::Structured { dims: [4, 3, 3], origin: [0.0; 3], spacing: [1.0; 3] };
+                w.register_pane(BlockId(1), mesh).unwrap();
+            }
+            scribble(&mut ws, -7.0);
+            let got = c.read_attribute(&mut ws, &AttrSelector::all("fluid"), snap);
+            c.finalize().unwrap();
+            assert!(world.iprobe(None, None).is_none(), "undrained message on client {}", app.rank());
+            got.map(|()| holds_written_values(&ws))
+        });
+        assert!(matches!(&verdicts[0], Err(RocError::Mismatch(_))), "{:?}", verdicts[0]);
+        assert!(verdicts[1..].iter().all(|v| matches!(v, Ok(true))), "{verdicts:?}");
+    }
+
+    /// The client that owns a block is where its records are checked: one
+    /// payload byte flipped in a shipped `READ_BATCH` is `Corrupt` there,
+    /// naming the record.
+    #[test]
+    fn a_payload_byte_flipped_on_the_wire_is_corrupt_at_the_client() {
+        let fs = Arc::new(SharedFs::ideal());
+        let snap = SnapshotId::new(0, 0);
+        run_job(&fs, &RocpandaConfig::default(), &[0], &ideal(2), |_, c, _| {
+            c.write_attribute(&build_windows(1, 2), &AttrSelector::all("fluid"), snap).unwrap();
+            c.finalize().unwrap();
+        });
+        // The batch the server's scan ships for blocks 100 and 101.
+        let path = &fs.list("out/")[0];
+        let (r, t) = rocsdf::SdfFileReader::open(&fs, path, rocsdf::LibraryModel::hdf4(), 0, 0.0).unwrap();
+        let ids = r.block_ids();
+        let (records, _) = r.read_blocks_raw(&ids, rocsdf::Fetch::PerRange, t).unwrap();
+        let (mut records, mut msgs) = (rocio_core::Cursor::new(&records), Rope::new());
+        for &id in &ids {
+            BlockView::ship(id, r.record_lens(id).unwrap(), &mut records, &mut msgs).unwrap();
+        }
+        let batch = BlockView::ship_batch(ids.len() as u32, &msgs).into_bytes();
+        let apply = |batch: Vec<u8>| {
+            let mut ws = build_windows(1, 2);
+            scribble(&mut ws, -7.0);
+            let (mut seen, mut got) = (HashSet::new(), 0);
+            let window = ws.window_mut("fluid").unwrap();
+            super::apply_batch(window, &bytes::Bytes::from(batch).into(), &mut seen, &mut got)
+                .map(|()| holds_written_values(&ws))
+        };
+        assert!(apply(batch.to_vec()).unwrap());
+        // Block 100's pressure values, the first 100.0 in the batch.
+        let at = batch.windows(8).position(|w| w == 100.0f64.to_le_bytes()).unwrap() + 3;
+        let mut flipped = batch.to_vec();
+        flipped[at] ^= 0x10;
+        let got = apply(flipped);
+        let caught = matches!(&got, Err(RocError::Corrupt(m)) if m.contains("blk000100/pressure") && m.contains("checksum"));
+        assert!(caught, "{got:?}");
     }
 
     /// Clients with zero panes still participate collectively.

@@ -22,9 +22,9 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
-use rocio_core::{BlockDesc, BlockId, Priority, Result, RocError, Rope, SnapshotId, TenantId};
+use rocio_core::{BlockDesc, BlockId, Cursor, Priority, Result, RocError, Rope, SnapshotId, TenantId};
 use rocnet::{Comm, Message};
-use rocsdf::{BlockView, SdfFileReader, SdfFileWriter};
+use rocsdf::{BlockView, Fetch, SdfFileReader, SdfFileWriter};
 use rocstore::SharedFs;
 
 use crate::config::RocpandaConfig;
@@ -842,29 +842,23 @@ impl<'a> PandaServer<'a> {
     }
 
     /// End a restart round: each requesting client, in request order,
-    /// gets its share as one zero-copy `READ_BATCH` (none when the share
-    /// is empty), then `READ_DONE` with the count. The blocks were charged
-    /// by their reads; each is laid out again here as a `BLOCK` message (a
-    /// file record carries a `__crc32__` that a wire record does not), its
-    /// payloads the file image's by refcount.
+    /// gets its share as one `READ_BATCH` ([`BlockView::ship_batch`]; none
+    /// when the share is empty), then `READ_DONE` with the count.
     fn ship(
         &mut self,
-        key: &FileKey,
-        per_client: &HashMap<usize, Vec<BlockView>>,
+        per_client: &HashMap<usize, (u32, Rope)>,
         requests: &[(usize, Vec<u64>)],
     ) -> Result<()> {
         for (client, _) in requests {
-            let blocks = per_client.get(client).map_or(&[][..], Vec::as_slice);
-            if !blocks.is_empty() {
-                let entries: Vec<Rope> = blocks
-                    .iter()
-                    .map(|block| wire::encode_block_msg(key.snap, &key.window, block))
-                    .collect();
-                self.net.send_rope(*client, tag::READ_BATCH, wire::encode_read_batch(&entries))?;
-            }
-            self.stats.restart_blocks_sent += blocks.len() as u64;
-            self.net
-                .send(*client, tag::READ_DONE, &wire::encode_read_done(blocks.len() as u32))?;
+            let n = match per_client.get(client) {
+                Some((n, msgs)) => {
+                    self.net.send_rope(*client, tag::READ_BATCH, BlockView::ship_batch(*n, msgs))?;
+                    *n
+                }
+                None => 0,
+            };
+            self.stats.restart_blocks_sent += u64::from(n);
+            self.net.send(*client, tag::READ_DONE, &wire::encode_read_done(n))?;
         }
         Ok(())
     }
@@ -887,9 +881,9 @@ impl<'a> PandaServer<'a> {
         }
         let m = self.server_ranks.len();
         let client_id = self.world.global_rank() as u64;
-        // Per-client share of the blocks this server read, accumulated
-        // across its file domains and shipped as one READ_BATCH each.
-        let mut per_client: HashMap<usize, Vec<BlockView>> = HashMap::new();
+        // Per-client count and messages of the blocks this server read,
+        // accumulated across its file domains and shipped as one READ_BATCH.
+        let mut per_client: HashMap<usize, (u32, Rope)> = HashMap::new();
         for (i, path) in files.iter().enumerate() {
             if i % m != self.server_index {
                 continue;
@@ -902,16 +896,18 @@ impl<'a> PandaServer<'a> {
             if present.is_empty() {
                 continue;
             }
-            // The paper's access: each block read through the library,
-            // one lookup and one read per record, one block after the
-            // other; each block a view of refcounted windows into the
-            // file image (no copies, nothing decoded).
+            // The paper's access: one library lookup and one read per
+            // record, block after block. The records are shipped as they
+            // lie, unchecked: the client that owns a block checks it.
+            let (records, t) = reader.read_blocks_raw(&present, Fetch::PerRange, self.world.now())?;
+            self.world.advance_to(t);
+            let mut records = Cursor::new(&records);
             for &id in &present {
-                let (block, t) = reader.view_block(id, self.world.now())?;
-                self.world.advance_to(t);
-                per_client.entry(owner[&id.0]).or_default().push(block);
+                let (n, msgs) = per_client.entry(owner[&id.0]).or_default();
+                BlockView::ship(id, reader.record_lens(id)?, &mut records, msgs)?;
+                *n += 1;
             }
         }
-        self.ship(key, &per_client, requests)
+        self.ship(&per_client, requests)
     }
 }

@@ -12,19 +12,17 @@
 //! [`BlockMsg::encode`] on a built block, and one decode, into a
 //! [`BlockMsgView`]: the block read where it lies (`rocsdf::BlockView`,
 //! its records windows of the received message's parts — the sender's own
-//! buffers), which [`BlockMsg::decode`] builds. Only the ends of
-//! the path apply a block: a client applying a `READ_BATCH`, `genx::rebalance`
-//! applying a migrated block. The server in the middle reads a `BLOCK`
-//! message the way they do, as a [`BlockMsgView`], and hands the view to
-//! its file's writer (`rocsdf::SdfFileWriter::append_block`), which lays
-//! the block out again as file records. Every length read from a
-//! message goes through the checked cursor (`rocio_core::Cursor`, over a
-//! rope's parts or a control message's bytes), every count is bounded by
-//! the bytes that remain before it sizes an allocation, and a message that
-//! stands alone is read whole: bytes after its last field are refused
-//! (`whole`). What a message is
-//! *about* — a `(snapshot, window)` pair — is spelled in one place,
-//! `put_name` / `read_name`.
+//! buffers), which [`BlockMsg::decode`] builds. `genx::rebalance` applies
+//! a migrated block from that view; a server hands it to its file's writer
+//! (`rocsdf::SdfFileWriter::append_block`). A restart's `READ_BATCH` is not
+//! this format but the restart-block codec's (`rocsdf::view`): file records
+//! as they lie, checked by the client that owns them. Every length read
+//! from a message goes through the checked cursor (`rocio_core::Cursor`,
+//! over a rope's parts or a control message's bytes), every count is
+//! bounded by the bytes that remain before it sizes an allocation, and a
+//! message that stands alone is read whole: bytes after its last field are
+//! refused (`Cursor::whole`). What a message is *about* — a `(snapshot,
+//! window)` pair — is spelled in one place, `put_name` / `read_name`.
 
 use std::borrow::Cow;
 
@@ -62,7 +60,9 @@ pub mod tag {
     /// clean error rather than waiting forever on a dead restart.
     pub const READ_ERR: u32 = 0x0050_000D;
     /// Server → client: this server's whole share of a restart as one
-    /// batch of encoded data blocks, read from its share of the files.
+    /// batch of the restart-block codec (`rocsdf::BlockView::ship_batch`):
+    /// the blocks' file records as they lie, read from its share of the
+    /// files.
     pub const READ_BATCH: u32 = 0x0050_000E;
     /// Server ↔ server: "my buffers for this restart key are flushed".
     /// Keyed by [`CoordKey`](super::CoordKey). Replaces the old all-server
@@ -123,7 +123,7 @@ impl WriteReq {
     }
 
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        whole(bytes.into(), "WRITE_REQ", |cur| {
+        Cursor::from(bytes).whole("WRITE_REQ", |cur| {
             let (snap, _, window) = read_name(cur, false)?;
             let n_blocks = cur.u32("panda wire block count")?;
             Ok(WriteReq { snap, window: window.into_owned(), n_blocks })
@@ -152,7 +152,7 @@ impl ReadReq {
     }
 
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        whole(bytes.into(), "READ_REQ", |cur| {
+        Cursor::from(bytes).whole("READ_REQ", |cur| {
             let (snap, _, window) = read_name(cur, false)?;
             let n = cur.u32("panda wire count")? as usize;
             if n > cur.remaining() / 8 {
@@ -217,7 +217,8 @@ impl<'m> BlockMsgView<'m> {
     /// Read the message at the cursor: the routing header, then the block's
     /// records, each checked as [`BlockMsg::decode`] checks them.
     pub fn decode(cur: &mut Cursor<'m>) -> Result<Self> {
-        let (snap, window, n) = routing_header(cur)?;
+        let (snap, _, window) = read_name(cur, false)?;
+        let n = cur.u32("panda wire count")? as usize;
         Ok(BlockMsgView { snap, window, block: BlockView::decode(cur, n)? })
     }
 
@@ -225,21 +226,7 @@ impl<'m> BlockMsgView<'m> {
     /// the last record are refused, so intake validates the whole message
     /// before its block is buffered.
     pub fn decode_whole(wire: &'m Rope) -> Result<Self> {
-        whole(wire.cursor(), "BLOCK", BlockMsgView::decode)
-    }
-}
-
-/// Read one whole message with `read`: bytes it leaves unread are refused,
-/// so a message decodes only as exactly what its encoder wrote.
-fn whole<'a, T>(
-    mut cur: Cursor<'a>,
-    what: &str,
-    read: impl FnOnce(&mut Cursor<'a>) -> Result<T>,
-) -> Result<T> {
-    let value = read(&mut cur)?;
-    match cur.remaining() {
-        0 => Ok(value),
-        n => Err(RocError::Corrupt(format!("panda wire: {n} bytes after a whole {what}"))),
+        wire.cursor().whole("BLOCK", BlockMsgView::decode)
     }
 }
 
@@ -256,48 +243,6 @@ pub fn encode_block_msg(snap: SnapshotId, window: &str, block: &(impl BlockDesc 
     put_name(&mut routing, snap, None, window);
     routing.extend_from_slice(&(1 + block.n_datasets() as u32).to_le_bytes());
     encode_block(&routing, block)
-}
-
-/// The routing header every block message starts with: snapshot, window,
-/// record count.
-fn routing_header<'a>(cur: &mut Cursor<'a>) -> Result<(SnapshotId, Cow<'a, str>, usize)> {
-    let (snap, _, window) = read_name(cur, false)?;
-    Ok((snap, window, cur.u32("panda wire count")? as usize))
-}
-
-/// A batched `READ_BATCH` reply of `entries`, each a [`BlockMsg::encode`]
-/// image of a block read off the disk: `u32` count, then per entry a `u64`
-/// length prefix and the entry's parts by refcount. The count and the
-/// prefixes share one small buffer, so no block data is copied.
-pub(crate) fn encode_read_batch(entries: &[Rope]) -> Rope {
-    let mut heads = Vec::with_capacity(4 + 8 * entries.len());
-    heads.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for e in entries {
-        heads.extend_from_slice(&(e.len() as u64).to_le_bytes());
-    }
-    let heads = Bytes::from(heads);
-    let mut batch = Rope::from(heads.slice(..4));
-    for (i, e) in entries.iter().enumerate() {
-        batch.push(heads.slice(4 + 8 * i..12 + 8 * i));
-        batch.extend(e.parts().iter().cloned());
-    }
-    batch
-}
-
-/// Read a `READ_BATCH` payload, handing each entry to `apply` as it is
-/// read where it lies: every record a refcounted window of the part it
-/// arrived in. Each entry is read under its own length, so it cannot read
-/// into the next.
-pub(crate) fn read_batch<'m>(
-    cur: &mut Cursor<'m>,
-    mut apply: impl FnMut(BlockMsgView<'m>) -> Result<()>,
-) -> Result<()> {
-    let n = cur.u32("panda wire batch count")? as usize;
-    for _ in 0..n {
-        let len = cur.u64("panda wire batch entry length")? as usize;
-        apply(BlockMsgView::decode(&mut cur.sub(len, "panda wire batch entry")?)?)?;
-    }
-    Ok(())
 }
 
 /// Key naming one restart round for server↔server coordination.
@@ -337,7 +282,7 @@ pub(crate) fn encode_flush_token(key: &CoordKey) -> Vec<u8> {
 
 /// Decode a `FLUSH_TOKEN` payload.
 pub(crate) fn decode_flush_token(bytes: &[u8]) -> Result<CoordKey> {
-    whole(bytes.into(), "FLUSH_TOKEN", CoordKey::read)
+    Cursor::from(bytes).whole("FLUSH_TOKEN", CoordKey::read)
 }
 
 /// `SYNC_ACK` payload: status byte `0` followed by the server's durable
@@ -361,7 +306,7 @@ pub(crate) fn encode_sync_ack(result: &std::result::Result<f64, String>) -> Vec<
 
 /// Decode a `SYNC_ACK` payload into `Ok(watermark)` or `Err(drain text)`.
 pub(crate) fn decode_sync_ack(bytes: &[u8]) -> Result<std::result::Result<f64, String>> {
-    whole(bytes.into(), "SYNC_ACK", |cur| match cur.u8("SYNC_ACK status")? {
+    Cursor::from(bytes).whole("SYNC_ACK", |cur| match cur.u8("SYNC_ACK status")? {
         0 => Ok(Ok(cur.f64("SYNC_ACK watermark")?)),
         1 => {
             let text = cur.bytes(cur.remaining(), "SYNC_ACK error text")?;
@@ -382,7 +327,7 @@ pub(crate) fn encode_retire(snap: SnapshotId) -> Vec<u8> {
 
 /// Decode a `RETIRE` payload.
 pub(crate) fn decode_retire(bytes: &[u8]) -> Result<SnapshotId> {
-    whole(bytes.into(), "RETIRE", read_snap)
+    Cursor::from(bytes).whole("RETIRE", read_snap)
 }
 
 /// `READ_DONE` payload: how many blocks this server shipped to the client.
@@ -392,7 +337,7 @@ pub(crate) fn encode_read_done(n_sent: u32) -> Vec<u8> {
 
 /// Decode a `READ_DONE` payload.
 pub(crate) fn decode_read_done(bytes: &[u8]) -> Result<u32> {
-    whole(bytes.into(), "READ_DONE", |cur| cur.u32("READ_DONE count"))
+    Cursor::from(bytes).whole("READ_DONE", |cur| cur.u32("READ_DONE count"))
 }
 
 #[cfg(test)]
@@ -413,26 +358,6 @@ mod tests {
 
     fn msg(block: DataBlock) -> BlockMsg {
         BlockMsg { snap: SnapshotId::new(50, 1), window: "fluid".into(), block }
-    }
-
-    /// The `READ_BATCH` a disk scan ships: every entry encoded.
-    fn read_batch(msgs: &[BlockMsg]) -> Rope {
-        encode_read_batch(&msgs.iter().map(BlockMsg::encode).collect::<Vec<_>>())
-    }
-
-    /// A `READ_BATCH` read as a client reads it, its blocks built.
-    fn decode_read_batch(cur: &mut Cursor<'_>) -> Result<Vec<BlockMsg>> {
-        let mut out = Vec::new();
-        super::read_batch(cur, |m| {
-            let block = m.block.to_block()?;
-            out.push(BlockMsg { snap: m.snap, window: m.window.into_owned(), block });
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
-    fn decode_read_batch_shared(bytes: &Bytes) -> Result<Vec<BlockMsg>> {
-        decode_read_batch(&mut bytes.into())
     }
 
     /// `bytes` as a rope of separately allocated parts, cut at `cuts`.
@@ -533,24 +458,6 @@ mod tests {
         assert!(decode_read_done(&[1]).is_err());
     }
 
-    #[test]
-    fn read_batch_round_trips_shared_and_rejects_truncation() {
-        let block = |i| DataBlock::new(BlockId(i), "fluid").with_dataset(Dataset::vector("p", vec![i as f64; 4]));
-        let msgs: Vec<BlockMsg> = (0..3).map(|i| msg(block(i))).collect();
-        let flat = read_batch(&msgs).into_bytes().to_vec();
-        let src = Bytes::from(flat.clone());
-        let dec = decode_read_batch_shared(&src).unwrap();
-        drop(src);
-        assert_eq!(dec, msgs);
-        // An empty batch is legal (a server may own no requested blocks).
-        let empty = read_batch(&[]).into_bytes();
-        assert_eq!(decode_read_batch_shared(&empty).unwrap(), vec![]);
-        // Truncation anywhere is an error, not a panic.
-        for cut in [0, 3, 4, 11, flat.len() - 1] {
-            assert!(decode_read_batch_shared(&Bytes::from(flat[..cut].to_vec())).is_err());
-        }
-    }
-
     /// Arbitrary bytes, and a valid encoding with one byte replaced or cut
     /// short at any length.
     fn hostile(valid: &[u8], junk: &[u8], at: prop::sample::Index, byte: u8) -> [Bytes; 3] {
@@ -627,46 +534,22 @@ mod tests {
             }
         }
 
-        #[test]
-        fn hostile_read_batch_bytes_never_panic(
-            junk in prop::collection::vec(any::<u8>(), 0..256),
-            at in any::<prop::sample::Index>(),
-            byte in any::<u8>(),
-            cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..4),
-        ) {
-            let valid = read_batch(&[msg(block()), msg(block())]).into_bytes();
-            for input in hostile(&valid, &junk, at, byte) {
-                let flat = decode_read_batch_shared(&input);
-                let roped = decode_read_batch(&mut cut(&input, &cuts).0.cursor());
-                prop_assert_eq!(format!("{roped:?}"), format!("{flat:?}"));
-                if let Ok(msgs) = flat {
-                    let decoded: usize = msgs.iter().map(|m| m.block.encoded_size()).sum();
-                    prop_assert!(decoded <= input.len() + 64 * msgs.len());
-                }
-            }
-        }
-
         // A valid message cut into parts anywhere — mid-field, mid-payload,
         // into empty parts — decodes to the message it was, and a payload
         // no cut went through is a window of the part it arrived in.
         #[test]
         fn a_message_cut_into_parts_decodes_the_same_and_keeps_whole_payloads_in_place(
             cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
-            batch in any::<bool>(),
         ) {
-            let msgs = [msg(block()), msg(block())];
-            let sent = if batch { read_batch(&msgs) } else { msgs[0].encode() };
+            let msgs = [msg(block())];
+            let sent = msgs[0].encode();
             let flat = sent.clone().into_bytes();
             let (rope, at) = cut(&flat, &cuts);
-            let decoded = if batch {
-                decode_read_batch(&mut rope.cursor()).unwrap()
-            } else {
-                vec![BlockMsg::decode(&mut rope.cursor()).unwrap()]
-            };
-            prop_assert_eq!(&decoded[..], &msgs[..decoded.len()]);
+            let decoded = [BlockMsg::decode(&mut rope.cursor()).unwrap()];
+            prop_assert_eq!(&decoded[..], &msgs[..]);
             let payloads = decoded.iter().flat_map(|m| &m.block.datasets).map(|ds| ds.data.bytes());
             let spans = payload_spans(&sent, &msgs);
-            prop_assert_eq!(spans.len(), 2 * decoded.len(), "every payload went as the sender's buffer");
+            prop_assert_eq!(spans.len(), 2, "every payload went as the sender's buffer");
             for (payload, (offset, len)) in payloads.zip(spans) {
                 prop_assert_eq!(payload.len(), len);
                 if !at.iter().any(|&c| offset < c && c < offset + len) {
@@ -774,15 +657,11 @@ mod tests {
 
     #[test]
     fn hostile_counts_are_refused_before_they_size_anything() {
-        // Four billion ids / batch entries / records, and an entry of
-        // u64::MAX bytes, claimed by messages of a few bytes.
+        // Four billion ids / records claimed by messages of a few bytes.
         let mut req = ReadReq { snap: SnapshotId::new(0, 0), window: "w".into(), ids: vec![] }.encode();
         let n = req.len();
         req[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(ReadReq::decode(&req).is_err());
-        let batch = [u32::MAX.to_le_bytes().to_vec(), u64::MAX.to_le_bytes().to_vec()].concat();
-        assert!(decode_read_batch_shared(&batch[..4].to_vec().into()).is_err());
-        assert!(decode_read_batch_shared(&batch.into()).is_err());
         let mut m = wire(&msg(block()));
         m[19..23].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(BlockMsg::decode_shared(&m.clone().into()).is_err());

@@ -27,7 +27,7 @@
 //! checksums out; a file writer ([`crate::SdfFileWriter::append_block`])
 //! has the same pass write each record's `__crc32__` in (see below). The
 //! header walk is the one parser of the layout: a record is read where it
-//! lies ([`crate::view::RecordView`]; a block of them is a
+//! lies (`RecordView`; a block of them is a
 //! [`crate::view::BlockView`], and [`decode_dataset`] is one record's
 //! view, built). So a block travels one way whoever moves it: read as a
 //! view, laid out again by the one encoder.
@@ -712,7 +712,7 @@ pub(crate) fn check_crc(name: &str, stored: u32, payload: &[u8]) -> Result<()> {
 /// the part it lies in (a record of an [`encode_block`] rope has its
 /// payload in a part of its own; only a payload cut across parts is
 /// gathered). It is the record read where it lies
-/// ([`RecordView::read`]), built.
+/// (`RecordView::read`), built.
 ///
 /// The window holds a refcount on that part's allocation, so it stays valid
 /// after every other handle to the input is dropped — this is how the

@@ -111,18 +111,18 @@ fn index_blocks(index: &[u8], entries: &[Entry]) -> (Vec<IndexedBlock>, Vec<usiz
     (blocks, picks)
 }
 
-/// How [`SdfFileReader::fetch`] turns ranges into storage accesses. Chosen
-/// by entry point, never by the caller.
-#[derive(Clone, Copy)]
-enum Fetch {
+/// How a read turns its ranges into storage accesses: chosen by entry
+/// point, or by the caller of [`SdfFileReader::read_blocks_raw`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fetch {
     /// One access per range, in input order: the library's per-dataset
-    /// charge (`view_block`, `view_all_blocks`).
+    /// charge (`view_block`, `view_all_blocks`, a Rocpanda restart scan).
     PerRange,
     /// [`ReadCostModel::choose_local`] picks per-range or data sieving
     /// (`view_blocks_sieved`, `read_block_subset`, `read_dataset_strided`).
     Auto,
     /// One covering read per hole-cluster, holes of any size read through:
-    /// a two-phase aggregator's file domain (`read_blocks_raw`).
+    /// a two-phase aggregator's file domain.
     Domain,
 }
 
@@ -419,18 +419,14 @@ impl<'fs> SdfFileReader<'fs> {
         Ok((views.iter().map(BlockView::to_block).collect::<Result<_>>()?, t))
     }
 
-    /// Read the raw record images of the given blocks for redistribution:
-    /// the two-phase aggregator's phase one. All requested records are
-    /// fetched as **one contiguous domain read per hole-cluster** (the
-    /// sieve with an unbounded gap: a file domain is read straight
-    /// through, holes included, with a single lookup charged per covering
-    /// read — positioned raw I/O, not per-record library access). They come
-    /// back as the pieces of the file's extents, block after block, records
-    /// `__meta__` first as [`SdfFileReader::record_lens`] cuts them: bytes
-    /// to ship as they lie, which the receiver reads and CRC-checks itself
-    /// ([`BlockView::assemble`] of [`RecordView::read`]s).
-    pub fn read_blocks_raw(&self, ids: &[BlockId], now: SimTime) -> Result<(Vec<Bytes>, SimTime)> {
-        let (_, parts, t) = self.fetch_blocks(ids, Fetch::Domain, now)?;
+    /// Read the given blocks' records to ship as they lie, unparsed: the
+    /// pieces of the file's extents, block after block, records `__meta__`
+    /// first as [`SdfFileReader::record_lens`] cuts them. `how` is the
+    /// charge: [`Fetch::Domain`] for a two-phase aggregator's file domain,
+    /// [`Fetch::PerRange`] for a Rocpanda server's scan (charged as
+    /// chaining [`SdfFileReader::view_block`] over `ids`).
+    pub fn read_blocks_raw(&self, ids: &[BlockId], how: Fetch, now: SimTime) -> Result<(Vec<Bytes>, SimTime)> {
+        let (_, parts, t) = self.fetch_blocks(ids, how, now)?;
         Ok((parts, t))
     }
 
@@ -606,7 +602,7 @@ mod tests {
         for read in [
             r.read_block_shared(BlockId(999), t).err(),
             r.read_blocks_sieved(&[BlockId(0), BlockId(999)], t).err(),
-            r.read_blocks_raw(&[BlockId(999)], t).err(),
+            r.read_blocks_raw(&[BlockId(999)], Fetch::Domain, t).err(),
             r.read_block_subset(BlockId(0), &["ghost"], t).err(),
         ] {
             assert!(matches!(read, Some(RocError::NotFound(_))), "{read:?}");
@@ -689,10 +685,8 @@ mod tests {
 
     /// What a receiver does with the next block of `read_blocks_raw`.
     fn decode_raw(r: &SdfFileReader, id: BlockId, batch: &mut Cursor) -> DataBlock {
-        let lens = r.record_lens(id).unwrap();
-        let n = lens.len();
-        let read = lens.map(|len| RecordView::read(&mut batch.sub(len, "x")?, true));
-        BlockView::assemble(Some(id), n, read).unwrap().to_block().unwrap()
+        let lens = r.record_lens(id).unwrap().map(Ok);
+        BlockView::from_records(id, lens, batch).unwrap().to_block().unwrap()
     }
 
     /// The per-record reference every block read is held to: the
@@ -793,11 +787,13 @@ mod tests {
                 assert_eq!(all, batch, "{what}");
                 let (subset, _) = r.read_block_subset(want.id, &["x", "a"], t).unwrap();
                 assert_eq!(subset, shared, "{what}");
-                let (raw, _) = r.read_blocks_raw(&ids, t).unwrap();
-                let mut batch = Cursor::new(&raw);
-                assert_eq!(decode_raw(&r, want.id, &mut batch), shared, "{what}");
-                assert_eq!(decode_raw(&r, other.id, &mut batch), other, "{what}");
-                assert_eq!(batch.remaining(), 0, "{what}");
+                for how in [Fetch::Domain, Fetch::PerRange] {
+                    let (raw, _) = r.read_blocks_raw(&ids, how, t).unwrap();
+                    let mut batch = Cursor::new(&raw);
+                    assert_eq!(decode_raw(&r, want.id, &mut batch), shared, "{what}");
+                    assert_eq!(decode_raw(&r, other.id, &mut batch), other, "{what}");
+                    assert_eq!(batch.remaining(), 0, "{what}");
+                }
 
                 // The views those blocks are built from describe them: the
                 // same records laid out, byte for byte, behind a lead, and
@@ -1065,7 +1061,7 @@ mod tests {
         let ids: Vec<BlockId> = blocks.iter().map(|b| b.id).collect();
         let (r, t) = SdfFileReader::open(&fs, "snap.sdf", LibraryModel::hdf4(), 1, 0.0).unwrap();
         let before = fs.stats();
-        let (raw, t2) = r.read_blocks_raw(&ids, t).unwrap();
+        let (raw, t2) = r.read_blocks_raw(&ids, Fetch::Domain, t).unwrap();
         assert!(t2 > t);
         // One covering read: all records are contiguous in the file.
         assert_eq!(fs.stats().read_ops, before.read_ops + 1);
@@ -1075,6 +1071,32 @@ mod tests {
             assert_eq!(&decode_raw(&r, want.id, &mut batch), want);
         }
         assert_eq!(batch.remaining(), 0);
+    }
+
+    /// A per-record raw read is charged tick for tick, op for op, as the
+    /// chain of `view_block`s over the same blocks — the paper's restart
+    /// access — and reads the same bytes.
+    #[test]
+    fn a_per_record_raw_read_is_charged_as_chained_block_views() {
+        let stores = [SharedFs::turing(), SharedFs::turing()];
+        let blocks: Vec<Vec<DataBlock>> = stores.iter().map(write_sample).collect();
+        let ids: Vec<BlockId> = blocks[0].iter().map(|b| b.id).collect();
+        let open = |fs| SdfFileReader::open(fs, "snap.sdf", LibraryModel::hdf4(), 1, 0.0).unwrap();
+        let (r, mut chained) = open(&stores[0]);
+        let mut viewed = Vec::new();
+        for &id in &ids {
+            let (view, t) = r.view_block(id, chained).unwrap();
+            viewed.push(view.to_block().unwrap());
+            chained = t;
+        }
+        let (r, t) = open(&stores[1]);
+        let (raw, raw_t) = r.read_blocks_raw(&ids, Fetch::PerRange, t).unwrap();
+        assert_eq!(raw_t.to_bits(), chained.to_bits());
+        assert_eq!(stores[0].stats(), stores[1].stats());
+        let mut batch = Cursor::new(&raw);
+        let shipped: Vec<DataBlock> = ids.iter().map(|&id| decode_raw(&r, id, &mut batch)).collect();
+        assert_eq!(shipped, viewed);
+        assert_eq!(viewed, blocks[1]);
     }
 
     #[test]

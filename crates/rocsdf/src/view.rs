@@ -11,7 +11,7 @@
 //! one allocation, its record table; [`BlockView::to_block`] builds the
 //! [`DataBlock`] it describes, for the callers that hold one.
 //!
-//! Assembly ([`BlockView::assemble`]) is the one in the tree — behind every
+//! Assembly (`BlockView::assemble`) is the one in the tree — behind every
 //! file read, the two-phase redistribution and the Rocpanda wire — and
 //! accepts what a decode into a `DataBlock` accepts: any record the walk
 //! passes, attribute keys in any order (read as a map holds them: sorted,
@@ -20,13 +20,23 @@
 //! [`RocError::Corrupt`] — [`RocError::AlreadyExists`] for a repeated
 //! member, [`RocError::Mismatch`] for a `block_id` or `window` of the wrong
 //! type.
+//!
+//! ## The restart-block codec
+//!
+//! A restart that reads a block on one rank and applies it on another — a
+//! Rochdf two-phase aggregator, a Rocpanda server — ships the block's file
+//! records as they lie, `__crc32__` included: a message is `[u64 id][u32
+//! n][u64 len]*n` and the `n` records, `__meta__` first; a batch (a
+//! Rocpanda `READ_BATCH`) is a `u32` count and that many messages. The
+//! sender neither parses nor checks a record; the rank that reads the
+//! message checks each `__crc32__`, once, where it applies the block.
 
 use std::borrow::Cow;
 
 use bytes::Bytes;
 use rocio_core::{
     Attr, AttrView, Attrs, BlockDesc, BlockId, Cursor, DType, DataBlock, Dataset, DatasetDesc,
-    Result, RocError, SharedArray,
+    Result, RocError, Rope, SharedArray,
 };
 
 use crate::format::{
@@ -37,7 +47,7 @@ use crate::format::{
 /// One record read where it lies: its header and its payload, as windows
 /// of the bytes they arrived in.
 #[derive(Debug, Clone)]
-pub struct RecordView {
+pub(crate) struct RecordView {
     /// Marker through `data_len`, as [`walk_record_header`] checked it: a
     /// window of the part it lies in (gathered only when the input cut it).
     head: Bytes,
@@ -55,7 +65,7 @@ impl RecordView {
     /// walk, a payload the input holds, a `__crc32__` that is a CRC-32 and,
     /// with `verify_crc`, matches the payload (see
     /// [`crate::decode_dataset`] for when a caller may pass `false`).
-    pub fn read(cur: &mut Cursor<'_>, verify_crc: bool) -> Result<RecordView> {
+    pub(crate) fn read(cur: &mut Cursor<'_>, verify_crc: bool) -> Result<RecordView> {
         let mut at_head = cur.clone();
         let start = cur.pos();
         let mut table = TableFacts { last: [0; 32], last_len: None, ascending: true, crc: None };
@@ -162,7 +172,7 @@ impl std::fmt::Debug for CrcEntry<'_> {
 }
 
 /// A block read where it lies: its records, `__meta__` first, each a
-/// [`RecordView`]. See the module docs.
+/// `RecordView`. See the module docs.
 #[derive(Debug, Clone)]
 pub struct BlockView {
     id: BlockId,
@@ -178,7 +188,7 @@ impl BlockView {
     /// the meta record itself names the block); `capacity` sizes the record
     /// table. Records are taken one at a time, so the first failure, in
     /// record order, is the one reported.
-    pub fn assemble(
+    pub(crate) fn assemble(
         expected: Option<BlockId>,
         capacity: usize,
         records: impl IntoIterator<Item = Result<RecordView>>,
@@ -222,11 +232,65 @@ impl BlockView {
     }
 
     /// The block whose `n_records` records lie back to back at the cursor —
-    /// a Rocpanda `BLOCK` or `READ_BATCH` entry — each verified, the cursor
-    /// left past the last. A count the bytes cannot hold sizes nothing.
+    /// a Rocpanda `BLOCK` message's — each verified, the cursor left past
+    /// the last. A count the bytes cannot hold sizes nothing.
     pub fn decode(cur: &mut Cursor<'_>, n_records: usize) -> Result<BlockView> {
         let capacity = n_records.min(cur.remaining() / MIN_RECORD);
         BlockView::assemble(None, capacity, (0..n_records).map(|_| RecordView::read(cur, true)))
+    }
+
+    /// Block `id` from its records at the cursor, `__meta__` first, each as
+    /// long as `lens` says, every `__crc32__` verified; the cursor is left
+    /// past the last.
+    pub fn from_records(
+        id: BlockId,
+        lens: impl ExactSizeIterator<Item = Result<usize>>,
+        records: &mut Cursor<'_>,
+    ) -> Result<BlockView> {
+        let n = lens.len();
+        let read = lens.map(|len| RecordView::read(&mut records.sub(len?, BLOCK_MSG)?, true));
+        BlockView::assemble(Some(id), n, read)
+    }
+
+    /// Append block `id`'s restart message to `msg`: its header, then the
+    /// next `lens` records at the cursor by refcount, unread.
+    pub fn ship(
+        id: BlockId,
+        lens: impl ExactSizeIterator<Item = usize>,
+        records: &mut Cursor<'_>,
+        msg: &mut Rope,
+    ) -> Result<()> {
+        let mut header = Vec::with_capacity(12 + 8 * lens.len());
+        header.extend_from_slice(&id.0.to_le_bytes());
+        header.extend_from_slice(&(lens.len() as u32).to_le_bytes());
+        let mut total = 0usize;
+        for len in lens {
+            header.extend_from_slice(&(len as u64).to_le_bytes());
+            total = total.saturating_add(len);
+        }
+        msg.push(Bytes::from(header));
+        records.take_into(total, BLOCK_MSG, msg)
+    }
+
+    /// The batch of the `n` restart messages in `msgs`.
+    pub fn ship_batch(n: u32, msgs: &Rope) -> Rope {
+        let mut batch = Rope::from(Bytes::copy_from_slice(&n.to_le_bytes()));
+        batch.extend(msgs.parts().iter().cloned());
+        batch
+    }
+
+    /// Read one whole restart message, its records windows of its parts.
+    pub fn receive(msg: &Rope) -> Result<BlockView> {
+        msg.cursor().whole(BLOCK_MSG, read_msg)
+    }
+
+    /// Read one whole batch, handing each block to `apply`; the first
+    /// failure, a block's or `apply`'s, ends the batch and is returned.
+    pub fn receive_batch(batch: &Rope, mut apply: impl FnMut(BlockView) -> Result<()>) -> Result<()> {
+        batch.cursor().whole(BLOCK_MSG, |cur| {
+            let n = cur.u32(BLOCK_MSG)?;
+            (0..n).try_for_each(|_| apply(read_msg(cur)?))
+        })
     }
 
     /// The [`DataBlock`] the view describes.
@@ -242,6 +306,18 @@ impl BlockView {
         }
         Ok(block)
     }
+}
+
+/// What the restart codec calls its messages in errors.
+const BLOCK_MSG: &str = "restart block message";
+
+/// Read the restart message at the cursor, advancing past it. Each record
+/// owes an 8-byte length, so a count the bytes cannot hold sizes nothing.
+fn read_msg(cur: &mut Cursor<'_>) -> Result<BlockView> {
+    let id = BlockId(cur.u64(BLOCK_MSG)?);
+    let n = cur.u32(BLOCK_MSG)? as usize;
+    let mut lens = cur.sub(n.saturating_mul(8), BLOCK_MSG)?;
+    BlockView::from_records(id, (0..n).map(|_| Ok(lens.u64(BLOCK_MSG)? as usize)), cur)
 }
 
 impl BlockDesc for BlockView {

@@ -1,9 +1,10 @@
 //! Property tests: SDF files round-trip arbitrary block collections, and
-//! damaged ones are refused without a panic.
+//! damaged ones are refused without a panic — as are damaged messages of
+//! the restart-block codec.
 
 use proptest::prelude::*;
-use rocio_core::{ArrayData, AttrValue, BlockId, Bytes, DataBlock, Dataset, Rope};
-use rocsdf::{LibraryModel, SdfFileReader, SdfFileWriter};
+use rocio_core::{ArrayData, AttrValue, BlockId, Bytes, Cursor, DataBlock, Dataset, RocError, Rope};
+use rocsdf::{BlockView, Fetch, LibraryModel, SdfFileReader, SdfFileWriter};
 use rocstore::SharedFs;
 
 fn arb_attr_value() -> impl Strategy<Value = AttrValue> {
@@ -254,6 +255,165 @@ proptest! {
         for m in [LibraryModel::hdf4(), LibraryModel::hdf5()] {
             prop_assert!(m.lookup_cost(hi) >= m.lookup_cost(lo));
             prop_assert!(m.create_cost(hi) >= m.create_cost(lo));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The restart-block codec (`rocsdf::view`): a Rochdf two-phase message
+// and a Rocpanda `READ_BATCH` are both read by it, so its hostile-bytes
+// and cut-rope properties cover both restarts.
+// ---------------------------------------------------------------------
+
+/// Two blocks written to a file and shipped as a restart ships them, each
+/// as its own message and both as one batch.
+fn shipped() -> rocio_core::Result<(Vec<DataBlock>, Vec<Bytes>, Bytes)> {
+    let blocks: Vec<DataBlock> = [7u64, 9]
+        .map(|id| {
+            DataBlock::new(BlockId(id), "fluid")
+                .with_dataset(Dataset::vector("p", vec![id as f64, 2.0]).with_attr("units", "Pa"))
+                .with_attr("material", "gas")
+        })
+        .into();
+    let fs = SharedFs::ideal();
+    let (mut w, mut t) = SdfFileWriter::create(&fs, "one.sdf", LibraryModel::Raw, 0, 0.0)?;
+    for block in &blocks {
+        t = w.append_block(block, t)?;
+    }
+    w.finish(t)?;
+    let (r, t) = SdfFileReader::open(&fs, "one.sdf", LibraryModel::Raw, 0, 0.0)?;
+    let ids: Vec<BlockId> = blocks.iter().map(|b| b.id).collect();
+    let (raw, _) = r.read_blocks_raw(&ids, Fetch::PerRange, t)?;
+    let (mut records, mut msgs, mut each) = (Cursor::new(&raw), Rope::new(), Vec::new());
+    for &id in &ids {
+        let mut msg = Rope::new();
+        BlockView::ship(id, r.record_lens(id)?, &mut records.clone(), &mut msg)?;
+        BlockView::ship(id, r.record_lens(id)?, &mut records, &mut msgs)?;
+        each.push(msg.into_bytes());
+    }
+    Ok((blocks, each, BlockView::ship_batch(2, &msgs).into_bytes()))
+}
+
+/// A batch as a client reads it: the blocks it held, built, up to the
+/// first failure, and the verdict.
+fn receive_batch(batch: &Rope) -> (Result<(), RocError>, Vec<DataBlock>) {
+    let mut got = Vec::new();
+    let verdict = BlockView::receive_batch(batch, |view| {
+        got.push(view.to_block()?);
+        Ok(())
+    });
+    (verdict, got)
+}
+
+#[test]
+fn block_message_round_trips_and_rejects_garbage() {
+    let (blocks, each, batch) = shipped().unwrap();
+    for (block, image) in blocks.iter().zip(&each) {
+        assert_eq!(&BlockView::receive(&image.clone().into()).unwrap().to_block().unwrap(), block);
+    }
+    assert_eq!(receive_batch(&batch.clone().into()), (Ok(()), blocks));
+    let empty = BlockView::ship_batch(0, &Rope::new());
+    assert_eq!(receive_batch(&empty), (Ok(()), vec![]));
+    // Truncations and trailing garbage are rejected, never panic.
+    let image = &each[0];
+    for cut in [0, 4, 11, image.len() - 1] {
+        assert!(BlockView::receive(&image.slice(..cut).into()).is_err(), "cut at {cut}");
+    }
+    for cut in [0, 3, 4, 15, batch.len() - 1] {
+        assert!(receive_batch(&batch.slice(..cut).into()).0.is_err(), "batch cut at {cut}");
+    }
+    for image in [image, &batch] {
+        let mut extra = image.to_vec();
+        extra.push(0);
+        let extra = Rope::from(Bytes::from(extra));
+        assert!(matches!(BlockView::receive(&extra), Err(RocError::Corrupt(_))));
+    }
+    // Twelve bytes claiming four billion records (used to ask the
+    // allocator for 32 GiB and abort); one record of length u64::MAX (used
+    // to overflow `pos + n`: a panic in debug, a wrapped bound check and a
+    // panic inside `Bytes::slice` in release) — alone, and as a batch's
+    // message; and a batch claiming four billion messages.
+    let claim = |n: u32, lens: &[u64]| -> Vec<u8> {
+        let lens = lens.iter().flat_map(|l| l.to_le_bytes());
+        7u64.to_le_bytes().into_iter().chain(n.to_le_bytes()).chain(lens).collect()
+    };
+    let batch_of = |msg: Vec<u8>| [1u32.to_le_bytes().to_vec(), msg].concat();
+    for hostile in [claim(u32::MAX, &[]), claim(1, &[u64::MAX]), claim(2, &[8, u64::MAX - 7])] {
+        let got = BlockView::receive(&Bytes::from(hostile.clone()).into());
+        assert!(matches!(got, Err(RocError::Corrupt(_))), "{got:?}");
+        let (got, _) = receive_batch(&Bytes::from(batch_of(hostile)).into());
+        assert!(matches!(got, Err(RocError::Corrupt(_))), "{got:?}");
+    }
+    let (got, _) = receive_batch(&Bytes::from(u32::MAX.to_le_bytes().to_vec()).into());
+    assert!(matches!(got, Err(RocError::Corrupt(_))), "{got:?}");
+}
+
+/// Where each payload of `blocks`, decoded from `flat` as one buffer, lies
+/// in it.
+fn payload_spans(blocks: &[DataBlock], flat: &Bytes) -> Vec<(usize, usize)> {
+    let base = flat.as_ptr() as usize;
+    let payloads = blocks.iter().flat_map(|b| &b.datasets).map(|ds| ds.data.bytes());
+    payloads.map(|p| (p.as_ptr() as usize - base, p.len())).collect()
+}
+
+proptest! {
+    // Arbitrary bytes, and a valid message or batch with one byte replaced
+    // or cut short at any length: `Ok` or `Err`, never a panic (the record
+    // table is sized by a count the message itself bounds, and a batch's
+    // count sizes nothing) — and the same verdict when the bytes arrive as
+    // a rope cut anywhere.
+    #[test]
+    fn hostile_block_message_bytes_never_panic(
+        junk in prop::collection::vec(any::<u8>(), 0..256),
+        at in any::<prop::sample::Index>(),
+        byte in any::<u8>(),
+        cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..4),
+    ) {
+        let (_, each, batch) = shipped().unwrap();
+        for valid in [&each[0], &batch] {
+            let mut mutated = valid.to_vec();
+            mutated[at.index(valid.len())] = byte;
+            for input in [&junk[..], &mutated, &valid[..at.index(valid.len())]] {
+                let flat = Rope::from(Bytes::copy_from_slice(input));
+                let roped = cut(input, &cuts).0;
+                let (one, one_roped) = (BlockView::receive(&flat), BlockView::receive(&roped));
+                prop_assert_eq!(format!("{one_roped:?}"), format!("{one:?}"));
+                let (all, all_roped) = (receive_batch(&flat), receive_batch(&roped));
+                prop_assert_eq!(format!("{all_roped:?}"), format!("{all:?}"));
+            }
+        }
+    }
+
+    // A valid message or batch cut into parts anywhere — mid-field,
+    // mid-record, mid-payload — decodes to the blocks it carries, and a
+    // payload no cut went through is a window of the part it arrived in.
+    #[test]
+    fn a_block_message_cut_into_parts_decodes_the_same_and_keeps_whole_payloads_in_place(
+        cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
+        batch in any::<bool>(),
+    ) {
+        let (blocks, each, whole) = shipped().unwrap();
+        let (flat, sent) = if batch { (whole, &blocks[..]) } else { (each[0].clone(), &blocks[..1]) };
+        let decode = |rope: &Rope| match batch {
+            true => receive_batch(rope).1,
+            false => vec![BlockView::receive(rope).unwrap().to_block().unwrap()],
+        };
+        let (rope, at) = cut(&flat, &cuts);
+        let decoded = decode(&rope);
+        prop_assert_eq!(&decoded[..], sent);
+        let spans = payload_spans(&decode(&flat.clone().into()), &flat);
+        let payloads = decoded.iter().flat_map(|b| &b.datasets).map(|ds| ds.data.bytes());
+        for (payload, (offset, len)) in payloads.zip(spans) {
+            if !at.iter().any(|&c| offset < c && c < offset + len) {
+                let here = payload.as_ptr() as usize;
+                prop_assert!(
+                    rope.parts().iter().any(|p| {
+                        let base = p.as_ptr() as usize;
+                        base <= here && here + len <= base + p.len()
+                    }),
+                    "payload at {} was copied", offset
+                );
+            }
         }
     }
 }

@@ -49,7 +49,7 @@
 //! restart's windows name their panes (`genx::setup::reserve_for`) and
 //! hold nothing until then. The read budget covers building those windows
 //! *and* the cold read (measured: 0.84 x through Rochdf individual, 0.84 x
-//! two-phase, 0.86 x through Rocpanda — under 1 because a structured
+//! two-phase, 0.84 x through Rocpanda — under 1 because a structured
 //! pane's coordinates are in the file and never decoded); 1.84 x through
 //! Rochdf individual when the first read of each file gathered its
 //! extents into one image, which this test excused by touching every file
@@ -66,10 +66,13 @@
 //! extent list and a list of pieces per block), the file listings and
 //! index opens (one table per file, none per record, and each file's
 //! extent starts on its first read), the fabric and the windows'
-//! declarations. Measured: 17.4 through Rochdf individual, 19.5
-//! two-phase, 25.5 through Rocpanda (17.2, 20.6–20.8 and 25.4–25.5 with
-//! the files touched first and a window list per block on an aggregator;
-//! 127.7, 126.4 and 202.5 when every reader
+//! declarations. A Rocpanda server, like a two-phase aggregator, ships
+//! the records it read as they lie, behind a length header per block.
+//! Measured: 17.4 through Rochdf individual, 19.5 two-phase, 20.0
+//! through Rocpanda (25.5 when the server read each block into a view
+//! and laid it out again as a `BLOCK` message; 17.2, 20.6–20.8 and
+//! 25.4–25.5 with the files touched first and a window list per block on
+//! an aggregator; 127.7, 126.4 and 202.5 when every reader
 //! assembled a `DataBlock` — a `String`, a shape `Vec` and a map per
 //! record — opened an index with two `String`s per entry, listed files as
 //! `String`s and keyed each pane's buffers by a `String` of their own).
@@ -388,7 +391,7 @@ fn a_snapshot_byte_is_copied_once_per_hop() {
     }
     println!("copy budget, read: {read:.2?}");
     println!("call budget, read: {read_calls:.1?} per block");
-    for ((reader, calls), budget) in read_calls.iter().zip([20.0, 24.0, 29.0]) {
+    for ((reader, calls), budget) in read_calls.iter().zip([20.0, 24.0, 24.0]) {
         assert!(
             *calls <= budget,
             "{reader} made {calls:.1} allocator calls per block restored (budget {budget})"

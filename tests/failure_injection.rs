@@ -134,9 +134,11 @@ fn schema_evolution_reads_old_snapshots() {
 
 // ---------------------------------------------------------------------
 // Rocpanda path: a damaged snapshot must surface a clean error through
-// the server→client restart protocol — never a hang. The server reports
-// its scan failure with READ_ERR and stays alive, so `finalize` (and the
-// run itself) still completes on every rank.
+// the server→client restart protocol — never a hang. A file the server
+// cannot open or list fails its scan, which it reports with READ_ERR and
+// stays alive; a damaged record is shipped as it lies and refused by the
+// client that owns it. Either way `finalize` (and the run itself) still
+// completes on every rank.
 // ---------------------------------------------------------------------
 
 use genx_repro::rocnet::Comm;
@@ -166,14 +168,14 @@ fn panda_windows(idx: usize, n_panes: usize) -> Windows {
 }
 
 /// 2 clients + the given servers as one Rocpanda job over `fs`: servers
-/// serve until shutdown, each client runs `client(io, app)`. Returns the
+/// serve until shutdown, each client runs `client(io, app, world)`. Returns the
 /// clients' results. The run itself must complete — servers keep serving
 /// after a failed restart, so `finalize` is still collective and nobody
 /// hangs.
 fn panda_job<T: Send>(
     fs: &Arc<SharedFs>,
     servers: &[usize],
-    client: impl Fn(&mut PandaClient<'_>, &Comm) -> T + Send + Sync,
+    client: impl Fn(&mut PandaClient<'_>, &Comm, &Comm) -> T + Send + Sync,
 ) -> Vec<T> {
     let total = 2 + servers.len();
     let svc = PandaServiceBuilder::new(Arc::clone(fs)).servers(servers).build().unwrap();
@@ -184,7 +186,7 @@ fn panda_job<T: Send>(
                 s.run().unwrap();
                 None
             }
-            ServiceRole::Client { mut io, comm: app, .. } => Some(client(&mut io, &app)),
+            ServiceRole::Client { mut io, comm: app, .. } => Some(client(&mut io, &app, &comm)),
             ServiceRole::Idle => unreachable!("admit_world leaves no rank idle"),
         }
     });
@@ -194,7 +196,7 @@ fn panda_job<T: Send>(
 /// Write one snapshot through Rocpanda.
 fn write_panda_snapshot(fs: &Arc<SharedFs>, servers: &[usize]) -> SnapshotId {
     let snap = SnapshotId::new(20, 2);
-    panda_job(fs, servers, |c, app| {
+    panda_job(fs, servers, |c, app, _| {
         let ws = panda_windows(app.rank(), 2);
         c.write_attribute(&ws, &genx_repro::roccom::AttrSelector::all("fluid"), snap)
             .unwrap();
@@ -206,7 +208,7 @@ fn write_panda_snapshot(fs: &Arc<SharedFs>, servers: &[usize]) -> SnapshotId {
 /// Restart the same population. Returns one entry per client: empty if
 /// `read_attribute` succeeded, the error text if it failed.
 fn panda_restart(fs: &Arc<SharedFs>, servers: &[usize], snap: SnapshotId) -> Vec<String> {
-    panda_job(fs, servers, |c, app| {
+    panda_job(fs, servers, |c, app, _| {
         let mut ws = panda_windows(app.rank(), 2);
         let res = c.read_attribute(&mut ws, &genx_repro::roccom::AttrSelector::all("fluid"), snap);
         c.finalize().unwrap();
@@ -237,23 +239,41 @@ fn panda_restart_truncated_file_errors_cleanly() {
 #[test]
 fn panda_restart_corrupted_checksum_errors_cleanly() {
     let fs = Arc::new(SharedFs::ideal());
-    // Two servers: only one scans the damaged file, yet both must pass the
-    // pre-scan barrier and every client must still get a terminal message.
+    // Two servers, one file each; only one file is damaged, yet both
+    // servers must pass the pre-scan flush round and every client must
+    // still get every server's terminal message.
     let snap = write_panda_snapshot(&fs, &[0, 3]);
     let files = fs.list("out/");
     assert_eq!(files.len(), 2);
-    // Round-robin assignment: server 0 scans files[0]. Smash the middle of
-    // the records region so either the record structure or its CRC breaks.
-    let mid = fs.file_size(&files[0]).unwrap() / 2;
-    fs.write_at(&files[0], mid, &[0xAB; 32], 0, 0.0).unwrap();
-    let errs = panda_restart(&fs, &[0, 3], snap);
-    assert_eq!(errs.len(), 2);
-    for e in errs {
-        assert!(
-            e.contains("restart failed at server"),
-            "client must see a clean server error, got '{e}'"
-        );
-    }
+    // Smash 32 bytes inside the payload of block 101's `p` (27 values of
+    // 101.0): the bytes touch that block alone, which client 1 owns.
+    let run = 101.0f64.to_le_bytes().repeat(27);
+    let (file, at) = (files.iter())
+        .find_map(|f| {
+            let (image, _) = fs.read_all_shared(f, 0, 0.0).unwrap();
+            Some((f, image.windows(run.len()).position(|w| w == run)?))
+        })
+        .unwrap();
+    fs.write_at(file, at + 64, &[0xAB; 32], 0, 0.0).unwrap();
+    // The server ships the record as it lies; the client that owns it
+    // refuses it, naming it, once it has taken every message of the
+    // restart. The other client restores what it wrote.
+    let verdicts = panda_job(&fs, &[0, 3], |c, app, world| {
+        let mut ws = panda_windows(app.rank(), 2);
+        for pane in ws.window_mut("fluid").unwrap().panes_mut() {
+            pane.data_mut("p").unwrap().as_f64_mut().unwrap().fill(-7.0);
+        }
+        let res = c.read_attribute(&mut ws, &genx_repro::roccom::AttrSelector::all("fluid"), snap);
+        assert!(world.iprobe(None, None).is_none(), "undrained message on client {}", app.rank());
+        c.finalize().unwrap();
+        res.map(|()| ws == panda_windows(app.rank(), 2))
+    });
+    assert_eq!(verdicts.len(), 2);
+    assert_eq!(verdicts[0], Ok(true), "the undamaged client restores what it wrote");
+    let caught = |e: &genx_repro::core::RocError| {
+        matches!(e, genx_repro::core::RocError::Corrupt(m) if m.contains("blk000101/p") && m.contains("checksum"))
+    };
+    assert!(verdicts[1].as_ref().is_err_and(caught), "{:?}", verdicts[1]);
 }
 
 #[test]
