@@ -16,9 +16,11 @@
 //! pair into a process-global edge set. The first time an edge is seen
 //! it is appended as a `from\tto` line to the file named by the
 //! `ROCLOCK_WITNESS` environment variable (append-mode, so concurrent
-//! test processes share one file). After a witness-enabled test run,
-//! `roclock --witness <file>` fails if any observed edge is missing
-//! from — or inverts — the declared static lock graph.
+//! test processes share one file; give an absolute path, since cargo runs
+//! each test binary in its own package's directory). After a
+//! witness-enabled test run, `roclock --witness <file>` fails if any
+//! observed edge is missing from — or inverts — the declared static lock
+//! graph, or if a declared edge was never observed.
 //!
 //! Witness notes:
 //!

@@ -868,7 +868,6 @@ impl<'a> PandaServer<'a> {
     fn scan_and_ship(&mut self, key: &FileKey, requests: &[(usize, Vec<u64>)]) -> Result<()> {
         // All servers scan their file shares concurrently.
         self.fs.declare_readers(self.server_ranks.len());
-        self.fs.declare_writers(0);
         let owner = Self::owners(requests)?;
         // "The restart files are assigned to the servers in a round-robin
         // manner."

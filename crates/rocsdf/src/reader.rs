@@ -119,7 +119,7 @@ pub enum Fetch {
     /// charge (`view_block`, `view_all_blocks`, a Rocpanda restart scan).
     PerRange,
     /// [`ReadCostModel::choose_local`] picks per-range or data sieving
-    /// (`view_blocks_sieved`, `read_block_subset`, `read_dataset_strided`).
+    /// (`view_blocks_sieved`, `read_dataset_strided`).
     Auto,
     /// One covering read per hole-cluster, holes of any size read through:
     /// a two-phase aggregator's file domain.
@@ -351,38 +351,6 @@ impl<'fs> SdfFileReader<'fs> {
         Ok((view.to_block()?, t))
     }
 
-    /// Read a block's `__meta__` plus only the named member datasets —
-    /// the attribute-subset restart access ("just the pressure field").
-    /// Member names are the unprefixed names used inside the block
-    /// (duplicates collapse). The cost model picks sieving when the
-    /// skipped members leave dense holes, per-range otherwise; results
-    /// are byte-identical to carving the full
-    /// [`SdfFileReader::read_block_shared`] down to the subset.
-    pub fn read_block_subset(
-        &self,
-        id: BlockId,
-        members: &[&str],
-        now: SimTime,
-    ) -> Result<(DataBlock, SimTime)> {
-        let all = self.pick(id)?;
-        let prefix = Prefix::new(id);
-        let member = |&i: &usize| {
-            let name = self.meta.name(&self.meta.entries[i]);
-            name.strip_prefix(prefix.as_str()).unwrap_or_default()
-        };
-        let absent = |&&m: &&&str| m != BLOCK_META && !all[1..].iter().any(|i| member(i) == m);
-        if let Some(m) = members.iter().find(absent) {
-            let prefix = prefix.as_str();
-            return Err(RocError::NotFound(format!("dataset '{prefix}{m}' in '{}'", self.path())));
-        }
-        let picks: Vec<usize> = (all[..1].iter())
-            .chain(all[1..].iter().filter(|i| members.contains(&member(i))))
-            .copied()
-            .collect();
-        let (parts, t) = self.fetch_records(&[&picks], Fetch::Auto, now)?;
-        Ok((self.assemble(id, &picks, &mut Cursor::new(&parts))?.to_block()?, t))
-    }
-
     /// Read several blocks in one planned batch: the request's record
     /// extents go through the sieve planner together, so blocks that are
     /// near each other in the file share covering reads. Byte-identical
@@ -603,7 +571,6 @@ mod tests {
             r.read_block_shared(BlockId(999), t).err(),
             r.read_blocks_sieved(&[BlockId(0), BlockId(999)], t).err(),
             r.read_blocks_raw(&[BlockId(999)], Fetch::Domain, t).err(),
-            r.read_block_subset(BlockId(0), &["ghost"], t).err(),
         ] {
             assert!(matches!(read, Some(RocError::NotFound(_))), "{read:?}");
         }
@@ -785,8 +752,6 @@ mod tests {
                 assert_eq!(batch, [shared.clone(), other.clone()], "{what}");
                 let (all, _) = r.read_all_blocks(t).unwrap();
                 assert_eq!(all, batch, "{what}");
-                let (subset, _) = r.read_block_subset(want.id, &["x", "a"], t).unwrap();
-                assert_eq!(subset, shared, "{what}");
                 for how in [Fetch::Domain, Fetch::PerRange] {
                     let (raw, _) = r.read_blocks_raw(&ids, how, t).unwrap();
                     let mut batch = Cursor::new(&raw);
@@ -1006,26 +971,6 @@ mod tests {
             t_strided - t,
             t_naive - t
         );
-    }
-
-    #[test]
-    fn block_subset_matches_full_block() {
-        let fs = SharedFs::turing();
-        let blocks = write_sample(&fs);
-        let (r, t) = SdfFileReader::open(&fs, "snap.sdf", LibraryModel::hdf4(), 1, 0.0).unwrap();
-        for want in &blocks {
-            let (sub, t2) = r.read_block_subset(want.id, &["ids"], t).unwrap();
-            assert!(t2 > t);
-            assert_eq!(sub.id, want.id);
-            assert_eq!(sub.attrs, want.attrs);
-            assert_eq!(sub.datasets.len(), 1);
-            assert_eq!(sub.dataset("ids").unwrap(), want.dataset("ids").unwrap());
-            // Full subset == full block.
-            let (full, _) = r.read_block_subset(want.id, &["pressure", "ids"], t).unwrap();
-            let (whole, _) = r.read_block_shared(want.id, t).unwrap();
-            assert_eq!(full, whole);
-        }
-        assert!(r.read_block_subset(blocks[0].id, &["ghost"], t).is_err());
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //! can be read back and verified bit-exactly (restart correctness is a
 //! first-class invariant), while every operation returns a *virtual
 //! completion time* computed from a [`DiskModel`]: seek + bytes/bandwidth,
-//! scaled by concurrency-dependent contention, with a client-switch penalty
-//! on interleaved writers. Callers merge that completion time into their
-//! rank's virtual clock.
+//! scaled by the contention of the concurrency the I/O layer declared.
+//! Callers merge that completion time into their rank's virtual clock.
 
 pub mod fs;
 pub mod model;

@@ -55,9 +55,6 @@ pub struct DiskModel {
     /// Read-side contention (applied directly to read transfer times —
     /// reads are served largely from cache and parallelize well).
     pub read_contention: ContentionCurve,
-    /// Window (seconds of virtual time) within which a client's last
-    /// operation keeps it counted as "active" for contention purposes.
-    pub activity_window: SimTime,
 }
 
 impl DiskModel {
@@ -72,7 +69,6 @@ impl DiskModel {
             close_cost: 0.0,
             write_contention: ContentionCurve::flat(),
             read_contention: ContentionCurve::flat(),
-            activity_window: 1.0,
         }
     }
 
@@ -105,7 +101,6 @@ impl DiskModel {
                 exp: 0.8,
                 cap: 1.0,
             },
-            activity_window: 2.0,
         }
     }
 
@@ -134,7 +129,6 @@ impl DiskModel {
                 exp: 0.7,
                 cap: 0.5,
             },
-            activity_window: 2.0,
         }
     }
 

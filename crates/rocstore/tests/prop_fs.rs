@@ -1,5 +1,6 @@
 //! Property tests: the simulated file system stores exactly what a
-//! reference model says it should, and server time ledgers are monotone.
+//! reference model says it should, and its charges are monotone and
+//! independent of arrival order.
 
 use bytes::Bytes;
 use proptest::prelude::*;

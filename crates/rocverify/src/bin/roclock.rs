@@ -17,13 +17,13 @@
 //!   --witness <file>   also check a lockdep witness file (edges
 //!                      recorded by a `--features rocio-core/lockdep`
 //!                      test run) against the static graph; a missing
-//!                      file counts as "no edges observed"
+//!                      file, or a declared edge it never records, fails
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use rocverify::lock::{check_witness, lock_workspace, Rule};
+use rocverify::lock::{check_witness, lock_workspace, Finding, Rule};
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
@@ -68,18 +68,21 @@ fn main() -> ExitCode {
     };
 
     if let Some(path) = &witness {
-        let content = match std::fs::read_to_string(path) {
-            Ok(c) => c,
-            // The witness file is created lazily on the first observed
-            // edge; a run that never nested two locks leaves none.
-            Err(_) => {
-                println!("roclock: witness file {} absent — no edges observed", path.display());
-                String::new()
-            }
-        };
-        report
-            .findings
-            .extend(check_witness(&report.registry, &report.graph, &content));
+        // The witness file is created on the first observed edge, so a
+        // run that recorded nothing (or never ran instrumented) leaves
+        // none — and would vouch for nothing.
+        match std::fs::read_to_string(path) {
+            Ok(content) => report
+                .findings
+                .extend(check_witness(&report.registry, &report.graph, &content)),
+            Err(e) => report.findings.push(Finding {
+                rule: Rule::LockOrder,
+                path: path.display().to_string(),
+                line: 0,
+                snippet: String::new(),
+                message: format!("witness file unreadable ({e}): no edge was witnessed"),
+            }),
+        }
     }
 
     if let Some(target) = &dot {

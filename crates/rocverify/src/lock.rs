@@ -1,7 +1,7 @@
 //! `roclock`: workspace lock-discipline analysis.
 //!
 //! The multi-tenant service direction turns today's single-job lock set
-//! (fabric state, rocstore server/file/stats maps, the trace sink) into
+//! (fabric state, each file system's store, the trace sink) into
 //! hot shared state. `rocsched` can only witness deadlocks dynamically,
 //! one scenario at a time; this module gives a *static* guarantee about
 //! the whole workspace, validated by a dynamic lockdep witness.
@@ -30,8 +30,9 @@
 //! 4. **Dynamic witness** (see `rocio_core::lockdep`): a tier-1 test
 //!    run with `--features rocio-core/lockdep` records the acquisition
 //!    edges that actually happened; [`check_witness`] fails on any edge
-//!    absent from the static graph, so the static story is validated
-//!    against reality instead of merely trusted.
+//!    absent from the static graph, and on any declared edge the run
+//!    never observed, so the static story is validated against reality
+//!    instead of merely trusted.
 //!
 //! What "held" means here is a syntactic over-approximation: a
 //! `let`-bound guard — bare, or wrapped by the constructor call it is
@@ -376,7 +377,7 @@ fn read_allowlist(workspace_root: &Path) -> Result<Vec<AllowEntry>, String> {
 /// One declared lock class from `roclock.order`.
 #[derive(Debug, Clone)]
 pub struct LockDecl {
-    /// Lock-class name, e.g. `rocstore.files` — the same string the
+    /// Lock-class name, e.g. `rocstore.store` — the same string the
     /// `rocio_core::lockdep` constructor is given.
     pub name: String,
     /// Position in the partial order. Higher = outer = acquired first;
@@ -1157,7 +1158,9 @@ pub fn lock_workspace(workspace_root: &Path) -> Result<LockReport, String> {
 /// run) against the static graph. Every observed edge must connect
 /// registered locks, appear in the static graph, and descend the
 /// partial order — otherwise the static analysis missed something and
-/// the run fails.
+/// the run fails. Every declared edge must have been observed — one that
+/// was not is stale, a nesting the registry claims and no run vouches
+/// for, and fails the run like an allowlist entry that matches nothing.
 pub fn check_witness(registry: &Registry, graph: &LockGraph, content: &str) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut seen: BTreeSet<(String, String)> = BTreeSet::new();
@@ -1208,6 +1211,19 @@ pub fn check_witness(registry: &Registry, graph: &LockGraph, content: &str) -> V
                 flv.unwrap_or(0),
                 tlv.unwrap_or(0)
             ));
+        }
+    }
+    for e in &registry.edges {
+        if !seen.contains(&(e.from.clone(), e.to.clone())) {
+            findings.push(Finding {
+                rule: Rule::LockOrder,
+                path: "roclock.order".into(),
+                line: e.lineno,
+                snippet: format!("edge | {} | {} | …", e.from, e.to),
+                message: "stale declared edge: the witness never observed it — cover it \
+                          with a test or prune it"
+                    .into(),
+            });
         }
     }
     findings

@@ -277,8 +277,31 @@ fn witness_check_accepts_graph_edges_and_rejects_divergence() {
     assert_eq!(check_witness(&reg, &graph, unknown).len(), 1);
     // Malformed lines are rejected.
     assert_eq!(check_witness(&reg, &graph, "justoneword\n").len(), 1);
-    // Empty witness (no nesting observed at all) is trivially clean.
+    // Empty witness (no nesting observed at all) is clean while nothing
+    // is declared.
     assert!(check_witness(&reg, &graph, "").is_empty());
+}
+
+#[test]
+fn a_declared_edge_the_witness_never_saw_is_stale() {
+    let reg = parse_registry(
+        "lock | t.outer | 20 | tcrate/S.outer | fixture\n\
+         lock | t.inner | 10 | tcrate/S.inner | fixture\n\
+         edge | t.outer | t.inner | fixture\n",
+    )
+    .expect("fixture registry parses");
+    let mut graph = LockGraph::default();
+    graph.add_edge("t.outer".into(), "t.inner".into(), "declared");
+    assert!(check_witness(&reg, &graph, "t.outer\tt.inner\n").is_empty());
+    for unseen in ["", "t.inner\tt.outer\n"] {
+        let stale: Vec<_> = check_witness(&reg, &graph, unseen)
+            .into_iter()
+            .filter(|f| f.path == "roclock.order")
+            .collect();
+        assert_eq!(stale.len(), 1, "{unseen:?}");
+        assert_eq!((stale[0].rule, stale[0].line), (Rule::LockOrder, 3));
+        assert!(stale[0].message.contains("stale"), "{}", stale[0].message);
+    }
 }
 
 #[test]

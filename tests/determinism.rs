@@ -82,19 +82,14 @@ fn faulty_fabric_runs_are_bit_identical() {
 
 #[test]
 fn m2n_restart_on_reused_store_is_bit_identical() {
-    // Restart jobs each start their virtual clocks at 0, so on a store
-    // that earlier jobs already read from, the previous job's entries in
-    // the servers' activity maps are meaningless — and pruning them by
-    // whichever rank's `now` reached the store first in *host* time made
-    // an M→N restart's virtual time depend on thread scheduling. Every
+    // Restart jobs each start their virtual clocks at 0 on a store that
+    // earlier jobs already wrote and read, and their ranks reach the
+    // store in whatever order the host runs them. A charge depends only
+    // on the op and the concurrency its I/O layer declared, so every
     // rerun of a shape must repeat bit for bit, whatever ran before it.
     use genx_repro::genx::{final_snapshot, run_genx, run_genx_restart};
 
-    // Turing's disk with the activity window shortened so that, at test
-    // scale, it ends inside a restart job as it does at full scale.
-    let mut disk = genx_repro::rocstore::DiskModel::nfs_turing();
-    disk.activity_window = 0.02;
-    let fs = Arc::new(SharedFs::new(disk, 1));
+    let fs = Arc::new(SharedFs::turing());
     let mut cfg = GenxConfig::new(
         "m2n-determinism",
         WorkloadKind::LabScale { seed: 42, scale: 0.05 },
@@ -106,7 +101,7 @@ fn m2n_restart_on_reused_store_is_bit_identical() {
     run_genx(ClusterSpec::turing(64), &fs, &cfg).unwrap();
     let snap = final_snapshot(&cfg);
 
-    // 64→64 leaves 64 clients' activity behind; 64→48 and 48/8 follow it.
+    // 64→64 declares 64 readers; 64→48 and 48/8 follow it.
     // Round 0 meets cold metadata caches (a modelled, deterministic
     // difference), so round 1 is the reference for the 20 after it.
     let shapes = [(64usize, 0usize), (48, 0), (48, 8)];
