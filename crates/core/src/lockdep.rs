@@ -82,20 +82,35 @@ mod witness {
         let Ok(path) = std::env::var("ROCLOCK_WITNESS") else {
             return;
         };
-        let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-        else {
-            return;
-        };
-        use std::io::Write as _;
-        for h in fresh {
-            // One short line per edge; O_APPEND keeps lines whole even
-            // when several test binaries write concurrently.
-            let _ = writeln!(f, "{h}\t{new}");
+        // A witness that loses edges would pass `roclock --witness` on
+        // what it never saw: stop the run instead.
+        if let Err(e) = super::append_edges(&path, &fresh, new) {
+            #[expect(
+                clippy::panic,
+                reason = "a witness run that cannot record its edges must not pass as one that \
+                          recorded none"
+            )]
+            {
+                panic!("lockdep: cannot append to the witness file {path}: {e}");
+            }
         }
     }
+}
+
+/// Append one `held\tnew` line per edge to the witness file at `path`.
+/// One short line per edge; O_APPEND keeps lines whole even when several
+/// test binaries write concurrently.
+#[cfg(any(test, feature = "lockdep"))]
+fn append_edges(path: &str, held: &[&str], new: &str) -> std::io::Result<()> {
+    use std::io::Write as _;
+    let mut f = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?;
+    for h in held {
+        writeln!(f, "{h}\t{new}")?;
+    }
+    Ok(())
 }
 
 /// A named [`parking_lot::Mutex`]. See the module docs for the witness
@@ -343,6 +358,21 @@ mod tests {
         rw.write().push(3);
         assert_eq!(rw.read().len(), 3);
         assert_eq!(rw.name(), "test.rw");
+    }
+
+    #[test]
+    fn a_witness_file_that_cannot_be_opened_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("lockdep-witness-{}", std::process::id()));
+        let missing = dir.join("no-such-dir").join("witness.tsv");
+        let err = append_edges(&missing.to_string_lossy(), &["a"], "b")
+            .expect_err("a file under a missing directory cannot be opened");
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("witness.tsv");
+        append_edges(&file.to_string_lossy(), &["a", "c"], "b").unwrap();
+        assert_eq!(std::fs::read_to_string(&file).unwrap(), "a\tb\nc\tb\n");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -17,7 +17,13 @@
 //!
 //! * Candidate: for each source, only its first matching message is
 //!   eligible (MPI non-overtaking); among those heads, the one minimizing
-//!   `(arrival, sender)` wins.
+//!   `(arrival, sender)` wins. A source's first match is first in *queue*
+//!   order, never by arrival — a large message followed by a small one
+//!   on the same link arrives after it — and it always heads one of the
+//!   mailbox's streams (one source's messages on one `(ctx, tag)`, see
+//!   `mailbox`), so selection reads stream heads: one lookup for a given
+//!   source and tag, a per-group heap for any source with one tag, one
+//!   pass over the rank's streams for any user tag.
 //! * Gate: the candidate is committed only when no other rank can still
 //!   produce an earlier arrival — each is either blocked with a published
 //!   commitment ≥ the candidate's arrival, or its clock has already
@@ -57,7 +63,7 @@ use rocio_core::{Rope, SimTime};
 
 use crate::cluster::ClusterSpec;
 use crate::comm::{Group, TAG_USER_MAX};
-use crate::mailbox::Mailboxes;
+use crate::mailbox::{Head, Mailboxes};
 use crate::mintree::MinTree;
 use crate::model::FaultAction;
 use crate::sched::WakeHandle;
@@ -106,6 +112,13 @@ impl Candidate {
             payload_len: e.payload.len(),
             arrival: e.arrival,
         }
+    }
+
+    /// Virtual order: by arrival, ties to the lower sender.
+    fn virtual_cmp(&self, other: &Candidate) -> std::cmp::Ordering {
+        self.arrival
+            .total_cmp(&other.arrival)
+            .then(self.src_global.cmp(&other.src_global))
     }
 }
 
@@ -194,7 +207,7 @@ impl FaultStats {
 }
 
 /// A message in flight or queued at its destination.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Envelope {
     /// Communicator context the message belongs to.
     pub ctx: u64,
@@ -263,17 +276,10 @@ struct PendingChoice {
     candidates: Vec<Candidate>,
 }
 
-/// Scratch for the per-source "first match" walk: `seen[src]` holds the
-/// stamp of the last walk that met `src`, so starting a walk is one
-/// increment — no per-call bitmap to allocate or clear.
-struct SourceMarks {
-    stamp: u64,
-    seen: Vec<u64>,
-}
-
 struct FabricState {
-    /// Every rank's mailbox, in one arena of envelope slots.
-    mail: Mailboxes<Envelope>,
+    /// Every rank's mailbox, in one arena of envelope slots, indexed by
+    /// stream.
+    mail: Mailboxes,
     waits: Vec<RankWait>,
     /// What the call a `Blocked` rank is parked in accepts (`None` for
     /// running and finished ranks). Kept in lockstep with `waits`.
@@ -295,8 +301,6 @@ struct FabricState {
     /// rank → scan bound while parked in a gate loop (mirror of
     /// `gate_waiters`, for per-rank lookup).
     gate_scan: Vec<Option<u64>>,
-    /// Scratch of [`for_each_head`].
-    marks: SourceMarks,
     // --- adversarial-network state (inert without an injector) ---
     /// Fault decider for eligible messages, if any.
     injector: Option<Arc<dyn FaultInjector>>,
@@ -347,10 +351,6 @@ impl FabricState {
             blocked_bounds: MinTree::new(n),
             gate_waiters: MinTree::new(n),
             gate_scan: vec![None; n],
-            marks: SourceMarks {
-                stamp: 0,
-                seen: vec![0; n],
-            },
             injector: None,
             link_seq: BTreeMap::new(),
             limbo: BTreeMap::new(),
@@ -414,71 +414,67 @@ impl FabricState {
         }
     }
 
-    /// Remove (receive) or copy (probe) the envelope in `slot` of `dst`'s
-    /// mailbox. The copy shares the payload by refcount.
-    fn claim(&mut self, dst: usize, slot: usize, kind: ChoiceKind) -> Envelope {
+    /// Remove (receive) or copy (probe) the message at the head of
+    /// stream `h`. The copy shares the payload by refcount.
+    fn claim(&mut self, h: Head, kind: ChoiceKind) -> Envelope {
         match kind {
-            ChoiceKind::Take => self.mail.remove(dst, slot),
-            ChoiceKind::Peek => self.mail.get(slot).clone(),
+            ChoiceKind::Take => self.mail.take(h),
+            ChoiceKind::Peek => self.mail.head(h).clone(),
         }
     }
 
     /// Virtual-order candidate in `dst`'s mailbox: among the per-source
     /// heads `spec` accepts, the one minimizing `(arrival, src_global)`.
-    /// Returns its mailbox slot.
-    fn select_virtual(&mut self, dst: usize, spec: &MatchSpec) -> Option<usize> {
-        let mut best: Option<(usize, SimTime, usize)> = None;
-        for_each_head(&self.mail, dst, spec, &mut self.marks, |i, e| {
-            let better = best.is_none_or(|(_, arrival, src)| {
-                e.arrival
-                    .total_cmp(&arrival)
-                    .then(e.src_global.cmp(&src))
-                    .is_lt()
-            });
-            if better {
-                best = Some((i, e.arrival, e.src_global));
+    /// Every candidate heads its stream; returns that stream.
+    fn select_virtual(&mut self, dst: usize, spec: &MatchSpec) -> Option<Head> {
+        match (spec.src, spec.tag) {
+            (Some(src), _) => self.first_from(dst, spec, src),
+            (None, Some(tag)) => {
+                let least = self.mail.least_in_group(dst, spec.ctx, tag)?;
+                if spec.matches(self.mail.head(least)) {
+                    return Some(least);
+                }
+                // The least head's sender is outside the communicator's
+                // group: compare the members' heads one by one.
+                self.least_first(dst, spec)
             }
-        });
-        best.map(|(i, _, _)| i)
+            (None, None) => self.least_first(dst, spec),
+        }
+    }
+
+    /// `src`'s first message in `dst`'s mailbox that `spec` accepts.
+    fn first_from(&mut self, dst: usize, spec: &MatchSpec, src: usize) -> Option<Head> {
+        match spec.tag {
+            Some(tag) => self.mail.stream(dst, src, spec.ctx, tag),
+            None => self
+                .mail
+                .first_heads(dst, |e| e.src_global == src && spec.matches(e))
+                .next()
+                .map(|(h, _)| h),
+        }
+    }
+
+    /// [`FabricState::select_virtual`] by comparing every source's first
+    /// accepted head.
+    fn least_first(&mut self, dst: usize, spec: &MatchSpec) -> Option<Head> {
+        self.mail
+            .first_heads(dst, |e| spec.matches(e))
+            .map(|(h, e)| (h, Candidate::of(e)))
+            .min_by(|(_, a), (_, b)| a.virtual_cmp(b))
+            .map(|(h, _)| h)
     }
 
     /// Every per-source matching head in `dst`'s mailbox, sorted by
     /// `(arrival, src)` — the full candidate set
     /// [`FabricState::select_virtual`] picks its minimum from.
     fn candidate_set(&mut self, dst: usize, spec: &MatchSpec) -> Vec<Candidate> {
-        let mut out: Vec<Candidate> = Vec::new();
-        for_each_head(&self.mail, dst, spec, &mut self.marks, |_, e| {
-            out.push(Candidate::of(e));
-        });
-        out.sort_by(|a, b| {
-            a.arrival
-                .total_cmp(&b.arrival)
-                .then(a.src_global.cmp(&b.src_global))
-        });
+        let mut out: Vec<Candidate> = self
+            .mail
+            .first_heads(dst, |e| spec.matches(e))
+            .map(|(_, e)| Candidate::of(e))
+            .collect();
+        out.sort_by(Candidate::virtual_cmp);
         out
-    }
-}
-
-/// Visit, in queue order, the first envelope of each source that `spec`
-/// accepts in `dst`'s mailbox (MPI non-overtaking: only a source's first
-/// match is eligible), with its slot. One O(q) walk; sources are dense
-/// small integers, so the "already met" test is an indexed load — the
-/// `Vec::contains` variants this replaces made a wide funnel O(n³)
-/// overall.
-fn for_each_head(
-    mail: &Mailboxes<Envelope>,
-    dst: usize,
-    spec: &MatchSpec,
-    marks: &mut SourceMarks,
-    mut visit: impl FnMut(usize, &Envelope),
-) {
-    marks.stamp += 1;
-    for (i, e) in mail.iter(dst) {
-        if marks.seen[e.src_global] == marks.stamp || !spec.matches(e) {
-            continue;
-        }
-        marks.seen[e.src_global] = marks.stamp;
-        visit(i, e);
     }
 }
 
@@ -1100,14 +1096,9 @@ impl Fabric {
         let mut g = Locked::new(self.state.lock());
         loop {
             self.check_poison(&g);
-            let first = g
-                .mail
-                .iter(dst)
-                .find(|(_, e)| spec.matches(e))
-                .map(|(s, _)| s);
-            if let Some(slot) = first {
+            if let Some(h) = g.select_virtual(dst, spec) {
                 self.unblock(&mut g, dst);
-                return g.claim(dst, slot, kind);
+                return g.claim(h, kind);
             }
             self.block(&mut g, dst, SimTime::INFINITY, spec);
             g = self.park(g, dst);
@@ -1121,13 +1112,13 @@ impl Fabric {
         loop {
             self.check_poison(&g);
             match g.select_virtual(dst, spec) {
-                Some(slot) => {
-                    let bound = g.mail.get(slot).arrival;
+                Some(h) => {
+                    let bound = g.mail.head(h).arrival;
                     if self.scan_safe(&g, dst, bound) {
                         if !matches!(g.waits[dst], RankWait::Running) {
                             g.set_wait(dst, RankWait::Running);
                         }
-                        return g.claim(dst, slot, kind);
+                        return g.claim(h, kind);
                     }
                     // Publish the candidate as a commitment — the gate's
                     // induction needs waiting receivers to promise they
@@ -1160,12 +1151,10 @@ impl Fabric {
                     reason = "oracle-grant invariant: candidates are pinned by non-overtaking \
                               delivery until taken"
                 )]
-                let (slot, _) = g
-                    .mail
-                    .iter(dst)
-                    .find(|(_, e)| e.src_global == cand.src_global && spec.matches(e))
+                let h = g
+                    .first_from(dst, spec, cand.src_global)
                     .expect("granted candidate vanished from the mailbox");
-                return g.claim(dst, slot, kind);
+                return g.claim(h, kind);
             }
             let candidates = g.candidate_set(dst, spec);
             let bound = candidates
@@ -1203,10 +1192,10 @@ impl Fabric {
             self.check_poison(&g);
             if self.scan_safe(&g, dst, now) {
                 self.unblock(&mut g, dst);
-                let slot = g
+                let h = g
                     .select_virtual(dst, spec)
-                    .filter(|&s| g.mail.get(s).arrival <= now)?;
-                return Some(g.claim(dst, slot, kind));
+                    .filter(|&h| g.mail.head(h).arrival <= now)?;
+                return Some(g.claim(h, kind));
             }
             // Publish the wait as a gate park. `now` may sit in the
             // caller's future (a retransmit-timer deadline): sound,
@@ -1449,7 +1438,273 @@ mod tests {
         assert!(fast.len() > SOURCES / 2, "the mailbox is wide: {}", fast.len());
         assert_eq!(fast, slow);
         let first = st.select_virtual(0, &want).expect("candidates exist");
-        assert_eq!(Candidate::of(st.mail.get(first)), fast[0]);
+        assert_eq!(Candidate::of(st.mail.head(first)), fast[0]);
+    }
+
+    /// Scratch for the per-source "first match" walk: `seen[src]` holds
+    /// the stamp of the last walk that met `src`, so starting a walk is
+    /// one increment.
+    struct SourceMarks {
+        stamp: u64,
+        seen: Vec<u64>,
+    }
+
+    /// Visit, in queue order, the first envelope of each source that
+    /// `spec` accepts (MPI non-overtaking: only a source's first match is
+    /// eligible). The whole-mailbox walk the stream index replaced, kept
+    /// as the index's reference.
+    fn for_each_head<'a>(
+        queue: impl Iterator<Item = &'a Envelope>,
+        spec: &MatchSpec,
+        marks: &mut SourceMarks,
+        mut visit: impl FnMut(&'a Envelope),
+    ) {
+        marks.stamp += 1;
+        for e in queue {
+            if marks.seen[e.src_global] == marks.stamp || !spec.matches(e) {
+                continue;
+            }
+            marks.seen[e.src_global] = marks.stamp;
+            visit(e);
+        }
+    }
+
+    /// Ranks, contexts and tags of the index proptest: two user tags, the
+    /// highest one, and two above it (a collective's and a reliability
+    /// layer's kind).
+    const RANKS: usize = 4;
+    const CTXS: [u64; 3] = [0, 1, 0x5_0000_0002];
+    const TAGS: [u32; 5] = [0, 3, TAG_USER_MAX, TAG_USER_MAX + 1, 0xF000_0005];
+
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// Deliver to `dst` from `src` on `(ctx, tag)`, arriving at
+        /// `arrival` — twice when `dup`.
+        Deliver {
+            dst: usize,
+            src: usize,
+            ctx: u64,
+            tag: u32,
+            arrival: f64,
+            dup: bool,
+        },
+        /// A receive (`take`) or probe at `dst`; `narrow` leaves the last
+        /// rank out of the communicator's group.
+        Match {
+            dst: usize,
+            src: Option<usize>,
+            ctx: u64,
+            tag: Option<u32>,
+            narrow: bool,
+            take: bool,
+        },
+    }
+
+    fn step() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        (
+            0..4u8,
+            0..RANKS,
+            0..=RANKS,
+            0..CTXS.len(),
+            0..=TAGS.len(),
+            0..16u8,
+        )
+            .prop_map(|(kind, dst, src, ctx, tag, x)| match kind {
+                0 | 1 => Step::Deliver {
+                    dst,
+                    src: src % RANKS,
+                    ctx: CTXS[ctx],
+                    tag: TAGS[tag % TAGS.len()],
+                    // Few distinct values: ties across sources, and
+                    // arrivals out of order along a stream.
+                    arrival: f64::from(x % 8) / 4.0,
+                    dup: kind == 1 && x >= 12,
+                },
+                _ => Step::Match {
+                    dst,
+                    src: (src < RANKS).then_some(src),
+                    ctx: CTXS[ctx],
+                    tag: TAGS.get(tag).copied(),
+                    narrow: x & 1 == 1,
+                    take: kind == 2,
+                },
+            })
+    }
+
+    /// Run `steps` on a bare fabric state and on a queue-order list per
+    /// rank. At every receive or probe the index — the virtual-order
+    /// pick, the candidate set and each member's first match — must give
+    /// what the whole-mailbox walk over the list gives.
+    fn check_index_against_walk(steps: &[Step]) {
+        let mut st = FabricState::new(RANKS);
+        let mut model: Vec<Vec<Envelope>> = vec![Vec::new(); RANKS];
+        let mut marks = SourceMarks {
+            stamp: 0,
+            seen: vec![0; RANKS],
+        };
+        let mut fresh = 0.0;
+        for &step in steps {
+            match step {
+                Step::Deliver {
+                    dst,
+                    src,
+                    ctx,
+                    tag,
+                    arrival,
+                    dup,
+                } => {
+                    fresh += 1.0;
+                    let e = Envelope {
+                        ctx,
+                        sent: fresh, // the message's identity
+                        ..env(src, tag, arrival)
+                    };
+                    for _ in 0..1 + usize::from(dup) {
+                        st.mail.push_back(dst, e.clone());
+                        model[dst].push(e.clone());
+                    }
+                }
+                Step::Match {
+                    dst,
+                    src,
+                    ctx,
+                    tag,
+                    narrow,
+                    take,
+                } => {
+                    let spec = MatchSpec {
+                        ctx,
+                        src,
+                        tag,
+                        group: Group::world(if narrow { RANKS - 1 } else { RANKS }),
+                    };
+                    let mut heads: Vec<&Envelope> = Vec::new();
+                    for_each_head(model[dst].iter(), &spec, &mut marks, |e| heads.push(e));
+                    heads.sort_by(|a, b| Candidate::of(a).virtual_cmp(&Candidate::of(b)));
+                    let want: Vec<Candidate> = heads.iter().map(|e| Candidate::of(e)).collect();
+                    assert_eq!(st.candidate_set(dst, &spec), want, "{spec:?}");
+                    for s in (0..RANKS).filter(|&s| src.is_none() && spec.group.local(s).is_some()) {
+                        let first = st.first_from(dst, &spec, s).map(|h| st.mail.head(h).sent);
+                        let head = heads.iter().find(|e| e.src_global == s).map(|e| e.sent);
+                        assert_eq!(first, head, "{spec:?}, source {s}");
+                    }
+                    let picked = st.select_virtual(dst, &spec);
+                    let want_id = heads.first().map(|e| e.sent);
+                    assert_eq!(picked.map(|h| st.mail.head(h).sent), want_id, "{spec:?}");
+                    if let Some(h) = picked {
+                        let kind = if take { ChoiceKind::Take } else { ChoiceKind::Peek };
+                        let got = st.claim(h, kind);
+                        if take {
+                            let at = model[dst].iter().position(|e| e.sent == got.sent);
+                            model[dst].remove(at.expect("the taken message was queued"));
+                        }
+                    }
+                }
+            }
+            for (r, want) in model.iter().enumerate() {
+                let got: Vec<f64> = st.mail.iter(r).map(|(_, e)| e.sent).collect();
+                let want: Vec<f64> = want.iter().map(|e| e.sent).collect();
+                assert_eq!(got, want, "rank {r}'s mailbox");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_stream_index_matches_the_whole_mailbox_walk(
+            steps in proptest::prelude::prop::collection::vec(step(), 0..300),
+        ) {
+            check_index_against_walk(&steps);
+        }
+    }
+
+    #[test]
+    fn a_later_smaller_message_never_overtakes_its_source() {
+        // One source sends a 64 KiB message and then a 1-byte one on the
+        // same tag, four times: the small one arrives first in virtual
+        // time, but every kind of receive — and, under an oracle, every
+        // grant — takes the large one first.
+        for oracle in [false, true] {
+            let spec = ClusterSpec::turing(2);
+            let fabric = Arc::new(if oracle {
+                Fabric::with_oracle(spec, Arc::new(LastOracle))
+            } else {
+                Fabric::new(spec)
+            });
+            let got = crate::harness::run_on_fabric(&fabric, &|comm: crate::comm::Comm| {
+                if comm.rank() == 0 {
+                    for _ in 0..4 {
+                        comm.send(1, 7, &[0; 1 << 16]).unwrap();
+                        comm.send(1, 7, &[1]).unwrap();
+                    }
+                    return Vec::new();
+                }
+                let shapes = [
+                    (None, Some(7)),
+                    (Some(0), Some(7)),
+                    (None, None),
+                    (Some(0), None),
+                ];
+                let mut out = Vec::new();
+                for (src, tag) in shapes {
+                    let big = comm.recv(src, tag).unwrap();
+                    let small = comm.recv(src, tag).unwrap();
+                    out.push((big.payload.len(), small.payload.len()));
+                    assert!(
+                        small.arrival < big.arrival,
+                        "the small message arrives first ({} < {})",
+                        small.arrival,
+                        big.arrival
+                    );
+                }
+                out
+            });
+            assert_eq!(got[1], vec![(1 << 16, 1); 4], "oracle: {oracle}");
+        }
+    }
+
+    #[test]
+    fn a_released_stash_and_a_duplicate_keep_queue_order() {
+        // Link 0 → 1: A is stashed in limbo; B is duplicated and releases
+        // A behind both copies, re-stamped to B's arrival. Every kind of
+        // receive, and an oracle's grant, takes B, B, A.
+        let a = Envelope {
+            sent: 1.0,
+            ..env(0, 7, 0.5)
+        };
+        let b = Envelope {
+            sent: 2.0,
+            ..env(0, 7, 1.0)
+        };
+        let shapes = [tagged(7), spec(Some(0), Some(7)), spec(None, None), spec(Some(0), None)];
+        for oracle in [false, true] {
+            for shape in &shapes {
+                let f = if oracle {
+                    Fabric::with_oracle(ClusterSpec::ideal(2), Arc::new(LastOracle))
+                } else {
+                    Fabric::new(ClusterSpec::ideal(2))
+                };
+                f.set_fault_injector(Arc::new(Script(vec![
+                    ((0, 1, 0), FaultAction::Reorder),
+                    ((0, 1, 1), FaultAction::Duplicate),
+                ])));
+                f.finish_rank(0);
+                f.deliver(1, a.clone());
+                f.deliver(1, b.clone());
+                let got: Vec<(f64, SimTime)> = (0..3)
+                    .map(|_| take(&f, 1, shape))
+                    .map(|e| (e.sent, e.arrival))
+                    .collect();
+                assert_eq!(
+                    got,
+                    vec![(2.0, 1.0), (2.0, 1.0), (1.0, 1.0)],
+                    "oracle {oracle}, {shape:?}"
+                );
+            }
+        }
     }
 
     /// Wakes decided under `g` so far (none of these tests spills).

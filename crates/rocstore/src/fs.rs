@@ -449,14 +449,23 @@ impl SharedFs {
         })?;
         let patch = Bytes::copy_from_slice(data);
         self.write("write_at", path, len, now, |f, ledger| {
-            // Only growth consumes quota: overwriting stored bytes is free.
             let size = f.data.len();
-            f.grow(ledger, end.saturating_sub(size) as u64)?;
-            // Splice the patch between the kept head and tail extents; a
-            // gap past EOF is zero-filled.
             let (keep, resume) = (offset.min(size), end.min(size));
+            // A gap past EOF is zero-filled: find room for it before
+            // anything is charged.
+            let mut gap = Vec::new();
+            gap.try_reserve_exact(offset - keep).map_err(|e| {
+                RocError::Storage(format!(
+                    "write_at: no room for the {}-byte gap before byte {offset} of '{path}': {e}",
+                    offset - keep
+                ))
+            })?;
+            gap.resize(offset - keep, 0);
+            // Only growth consumes quota: overwriting stored bytes is free.
+            f.grow(ledger, end.saturating_sub(size) as u64)?;
+            // Splice the patch between the kept head and tail extents.
             let mut image = f.data.select(&[(0, keep)]);
-            image.push(Bytes::from(vec![0u8; offset - keep]));
+            image.push(Bytes::from(gap));
             image.push(patch);
             image.extend(f.data.select(&[(resume, size - resume)]).parts().iter().cloned());
             f.data = image;
@@ -783,6 +792,20 @@ mod tests {
             let got = fs.write_at("f", offset, b"xy", 0, 0.0);
             assert!(matches!(&got, Err(RocError::Storage(m)) if m.contains("'f'")), "{got:?}");
         }
+        assert_eq!(fs.read_all_shared("f", 0, 0.0).unwrap().0, b"abc");
+        let charged = (fs.used_bytes(), fs.stats().write_ops);
+        assert_eq!(charged, (3, 1), "a refused write charges nothing");
+    }
+
+    #[test]
+    fn a_gap_the_host_cannot_hold_is_a_storage_error() {
+        let fs = SharedFs::ideal();
+        fs.create("f", 0, 0.0);
+        fs.append("f", b"abc", 0, 0.0).unwrap();
+        // Inside the largest file, but the zero-filled gap before it is
+        // more memory than any host has.
+        let got = fs.write_at("f", isize::MAX as usize - 8, b"xy", 0, 0.0);
+        assert!(matches!(&got, Err(RocError::Storage(m)) if m.contains("'f'")), "{got:?}");
         assert_eq!(fs.read_all_shared("f", 0, 0.0).unwrap().0, b"abc");
         let charged = (fs.used_bytes(), fs.stats().write_ops);
         assert_eq!(charged, (3, 1), "a refused write charges nothing");

@@ -168,7 +168,14 @@ fn skip_string(b: &[char], mut i: usize, line: &mut usize) -> usize {
     i += 1; // opening quote
     while i < b.len() {
         match b[i] {
-            '\\' => i += 2,
+            '\\' => {
+                // An escaped newline (a string continued on the next
+                // line) still ends a source line.
+                if b.get(i + 1) == Some(&'\n') {
+                    *line += 1;
+                }
+                i += 2;
+            }
             '\n' => {
                 *line += 1;
                 i += 1;
@@ -209,6 +216,12 @@ mod tests {
             toks.iter().map(|t| (t.text.as_str(), t.line)).collect::<Vec<_>>(),
             vec![("a", 1), ("b", 2), ("c", 3)]
         );
+    }
+
+    #[test]
+    fn a_continued_string_keeps_the_line_count() {
+        let toks = tokenize("let s = \"a \\\n   b\";\nx");
+        assert_eq!(toks.last().map(|t| (t.text.as_str(), t.line)), Some(("x", 3)));
     }
 
     #[test]
