@@ -128,7 +128,7 @@ impl FluidModule {
         let window = ws.window(FLUID_WINDOW)?;
         out.clear();
         for pane in window.panes() {
-            let dims = match &pane.mesh {
+            let dims = match pane.mesh() {
                 PaneMesh::Structured { dims, .. } => *dims,
                 PaneMesh::Unstructured { .. } => continue,
             };
@@ -184,7 +184,7 @@ mod tests {
             .window(FLUID_WINDOW)
             .unwrap()
             .panes()
-            .map(|p| p.mesh.n_elems())
+            .map(|p| p.mesh().n_elems())
             .sum();
         assert!((work - cells as f64 * m.work_per_cell).abs() < 1e-12);
     }

@@ -23,7 +23,7 @@ pub type Move = (String, u64, usize, usize);
 
 /// Work weight of a pane (elements; tets and cells cost alike here).
 fn pane_weight(pane: &roccom::Pane) -> u64 {
-    pane.mesh.n_elems() as u64
+    pane.mesh().n_elems() as u64
 }
 
 /// Serialize this rank's pane inventory: `(window, id, weight)*`.

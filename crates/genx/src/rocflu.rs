@@ -144,7 +144,7 @@ mod tests {
             .window(FLU_WINDOW)
             .unwrap()
             .panes()
-            .map(|p| p.mesh.n_nodes())
+            .map(|p| p.mesh().n_nodes())
             .sum();
         assert!((work - nodes as f64 * m.work_per_node).abs() < 1e-12);
     }
@@ -191,7 +191,7 @@ mod tests {
             .window(FLU_WINDOW)
             .unwrap()
             .panes()
-            .map(|p| p.mesh.n_nodes())
+            .map(|p| p.mesh().n_nodes())
             .sum();
         assert_eq!(count as usize, nodes);
     }

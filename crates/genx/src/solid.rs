@@ -185,7 +185,7 @@ mod tests {
             .window(SOLID_WINDOW)
             .unwrap()
             .panes()
-            .map(|p| p.mesh.n_elems())
+            .map(|p| p.mesh().n_elems())
             .sum();
         assert!((work - elems as f64 * m.work_per_elem).abs() < 1e-12);
         assert!(work > 0.0);

@@ -8,15 +8,20 @@
 //! block attributes so the pane can be reconstructed exactly.
 //!
 //! This module is where Roccom's line between typed panes and
-//! format-independent blocks (§5) is crossed. On the way out nothing is
-//! built: [`plan`] describes the block a pane serializes into
-//! (`rocio_core::BlockDesc`) by pointing into the pane and its window's
-//! schema, and a writer has that description laid out
-//! (`rocsdf::encode_block`), the pane's typed arrays encoded to
-//! little-endian once, straight into the block's payload image; a caller
-//! that wants a pane's checksum ([`pane_checksum`]) has it hashed where it
-//! lies. [`pane_to_block`] builds the same block as a [`DataBlock`], for
-//! the tests and benchmarks that hold the writers to it. On the way back
+//! format-independent blocks (§5) is crossed. On the way out one thing is
+//! built, the mesh image, once per pane: [`plan`] describes the block a
+//! pane serializes into (`rocio_core::BlockDesc`) by pointing into the
+//! pane and its window's schema, and a writer has that description laid
+//! out (`rocsdf::encode_block`), the attributes' typed arrays encoded to
+//! little-endian once, straight into the block's payload image. The mesh
+//! does not change from one snapshot to the next, so its datasets are
+//! encoded once per pane instead, into an image the pane keeps (built
+//! when the first encoder asks for it), and every later block holds that
+//! image by refcount; the one code that moves a pane's nodes drops it. A
+//! caller that wants a pane's checksum ([`pane_checksum`]) has it hashed
+//! where it lies, and builds no image. [`pane_to_block`] builds the same
+//! block as a [`DataBlock`], encoding every dataset afresh, for the tests
+//! and benchmarks that hold the writers to it. On the way back
 //! nothing is built either: [`apply_block`] and [`mesh_from_block`] take a
 //! block's description too — a block read where it lies
 //! (`rocsdf::BlockView`), as every reader hands one over, or a
@@ -26,6 +31,7 @@
 //! typed array.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use rocio_core::checksum::Field;
 use rocio_core::{
@@ -113,15 +119,47 @@ impl Payload for Elems<'_> {
     }
 }
 
+/// A mesh dataset's payload: sized, encoded and hashed from the pane's
+/// mesh like any other, and held as the pane's image of it, which the
+/// first encoder to ask builds (`rocsdf::encode_block` asks; a checksum or
+/// a size never does).
+struct MeshPayload<'a> {
+    elems: Elems<'a>,
+    image: &'a OnceLock<Bytes>,
+}
+
+impl Payload for MeshPayload<'_> {
+    fn byte_len(&self) -> usize {
+        self.elems.byte_len()
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.elems.encode(out);
+    }
+
+    fn absorb(&self, field: &mut Field) {
+        self.elems.absorb(field);
+    }
+
+    fn held(&self) -> Option<&Bytes> {
+        Some(self.image.get_or_init(|| {
+            let mut le = Vec::with_capacity(self.elems.byte_len());
+            self.elems.encode(&mut le);
+            Bytes::from(le)
+        }))
+    }
+}
+
 /// A pane described as the block it serializes into, without the block:
 /// [`BlockDesc`] read straight from the pane. The block's own attributes
 /// come from the pane's mesh, written in key order with no map; its
 /// datasets — mesh arrays (for `All` and `Mesh`; omitted for `Named`),
 /// then the selected attributes — are the pane's arrays, each named from
 /// the schema, shaped by an inline array and located by a `&'static str`.
-/// Making one allocates nothing, and neither does reading it: an encoder
-/// (`rocsdf::encode_block`) lays it out, [`pane_checksum`] hashes it and
-/// [`pane_to_block`] builds it.
+/// Making one allocates nothing, and neither does reading it, but for the
+/// pane's mesh image, which the first encoder to ask for a mesh payload
+/// (`Payload::held`) builds: an encoder (`rocsdf::encode_block`) lays it
+/// out, [`pane_checksum`] hashes it and [`pane_to_block`] builds it.
 pub struct PaneLayout<'a> {
     window: &'a Window,
     pane: &'a Pane,
@@ -151,7 +189,7 @@ pub fn plan<'a>(window: &'a Window, pane: &'a Pane, attr: &AttrRef) -> Result<Pa
             )));
         }
     }
-    let dims = match &pane.mesh {
+    let dims = match pane.mesh() {
         PaneMesh::Structured { dims, .. } => dims.map(|d| d as i64),
         PaneMesh::Unstructured { .. } => [0; 3],
     };
@@ -171,15 +209,28 @@ fn describe(
     name: &str,
     shape: &[usize],
     attrs: Attrs<'_>,
-    elems: Elems<'_>,
+    dtype: DType,
+    payload: &dyn Payload,
 ) {
     f(&DatasetDesc {
         name,
-        dtype: elems.dtype(),
+        dtype,
         shape,
         attrs,
-        payload: &elems,
+        payload,
     });
+}
+
+/// Hand one mesh dataset of a pane to a reader, held as `image`.
+fn describe_mesh(
+    f: &mut impl FnMut(&DatasetDesc<'_>),
+    name: &str,
+    shape: &[usize],
+    elems: Elems<'_>,
+    image: &OnceLock<Bytes>,
+) {
+    let dtype = elems.dtype();
+    describe(f, name, shape, Attrs::NONE, dtype, &MeshPayload { elems, image });
 }
 
 impl BlockDesc for PaneLayout<'_> {
@@ -192,7 +243,7 @@ impl BlockDesc for PaneLayout<'_> {
     }
 
     fn with_attrs<R>(&self, f: impl FnOnce(Attrs<'_>) -> R) -> R {
-        let mesh = &self.pane.mesh;
+        let mesh = self.pane.mesh();
         let n_elems = ("n_elems", Attr::Int(mesh.n_elems() as i64));
         let n_nodes = ("n_nodes", Attr::Int(mesh.n_nodes() as i64));
         match mesh {
@@ -215,7 +266,7 @@ impl BlockDesc for PaneLayout<'_> {
     }
 
     fn n_datasets(&self) -> usize {
-        let mesh = match (self.with_mesh, &self.pane.mesh) {
+        let mesh = match (self.with_mesh, self.pane.mesh()) {
             (false, _) => 0,
             (true, PaneMesh::Structured { .. }) => 1,
             (true, PaneMesh::Unstructured { .. }) => 2,
@@ -226,20 +277,21 @@ impl BlockDesc for PaneLayout<'_> {
     fn for_each_dataset(&self, mut f: impl FnMut(&DatasetDesc<'_>)) {
         let (pane, f) = (self.pane, &mut f);
         if self.with_mesh {
-            let nc = [pane.mesh.n_nodes(), 3];
-            match &pane.mesh {
+            let (mesh, image) = (pane.mesh(), pane.mesh_image());
+            let nc = [mesh.n_nodes(), 3];
+            match mesh {
                 PaneMesh::Structured {
                     dims,
                     origin,
                     spacing,
                 } => {
                     let sb = StructuredBlock::new(pane.id, *dims, *origin, *spacing);
-                    describe(f, "nc", &nc, Attrs::NONE, Elems::Nodes(sb));
+                    describe_mesh(f, "nc", &nc, Elems::Nodes(sb), &image.nc);
                 }
                 PaneMesh::Unstructured { coords, conn } => {
-                    describe(f, "nc", &nc, Attrs::NONE, Elems::F64(coords));
-                    let shape = [pane.mesh.n_elems(), 4];
-                    describe(f, "conn", &shape, Attrs::NONE, Elems::I32(conn));
+                    describe_mesh(f, "nc", &nc, Elems::F64(coords), &image.nc);
+                    let shape = [mesh.n_elems(), 4];
+                    describe_mesh(f, "conn", &shape, Elems::I32(conn), &image.conn);
                 }
             }
         }
@@ -260,7 +312,7 @@ impl BlockDesc for PaneLayout<'_> {
                 Location::Pane => "pane",
             };
             let attrs = Attrs::Sorted(&[("location", Attr::Str(location))]);
-            describe(f, &spec.name, shape, attrs, Elems::Array(buf));
+            describe(f, &spec.name, shape, attrs, buf.dtype(), &Elems::Array(buf));
         }
     }
 }
@@ -531,20 +583,11 @@ pub fn apply_block(window: &mut Window, block: &(impl BlockDesc + ?Sized)) -> Re
     };
     // Mesh may have moved (ALE): an unstructured pane's coordinates are
     // refreshed when present.
-    let moving = matches!(held.mesh, PaneMesh::Unstructured { .. });
+    let moving = matches!(held.mesh(), PaneMesh::Unstructured { .. });
     let contents = Contents::of(block, window.schema(), moving);
     let (schema, pane) = window.schema_and_pane_mut(id)?;
-    let moved = (contents.coords, &mut pane.mesh);
-    if let (Some(nc), PaneMesh::Unstructured { coords: c, .. }) = moved {
-        let coords = node_coords(id, nc)?;
-        if c.len() != coords.len() {
-            return Err(RocError::Mismatch(format!(
-                "block {id}: coords length changed ({} -> {})",
-                c.len(),
-                coords.len()
-            )));
-        }
-        *c = coords;
+    if let Some(nc) = contents.coords {
+        pane.move_nodes(node_coords(id, nc)?)?;
     }
     for (spec, buf) in schema.iter().zip(contents.buffers) {
         if let Some(buf) = buf {
@@ -691,7 +734,7 @@ mod tests {
             w2.pane(BlockId(4)).unwrap().data("pressure").unwrap().as_f64().unwrap(),
             &[1.0, 2.0, 3.0, 4.0]
         );
-        assert_eq!(w2.pane(BlockId(4)).unwrap().mesh, w.pane(BlockId(4)).unwrap().mesh);
+        assert_eq!(w2.pane(BlockId(4)).unwrap().mesh(), w.pane(BlockId(4)).unwrap().mesh());
         // Typed after install: element-wise mutation works.
         w2.pane_mut(BlockId(4)).unwrap().data_mut("pressure").unwrap().as_f64_mut().unwrap()[0] = 1.5;
     }
@@ -701,7 +744,7 @@ mod tests {
         let w = solid_window();
         let block = pane_to_block(&w, w.pane(BlockId(8)).unwrap(), &AttrRef::All).unwrap();
         let mesh = mesh_from_block(&block).unwrap();
-        assert_eq!(mesh, w.pane(BlockId(8)).unwrap().mesh);
+        assert_eq!(&mesh, w.pane(BlockId(8)).unwrap().mesh());
     }
 
     #[test]
@@ -718,6 +761,12 @@ mod tests {
     #[test]
     fn apply_block_refreshes_moved_coords() {
         let mut w = solid_window();
+        let encoded = |w: &Window| {
+            let layout = plan(w, w.pane(BlockId(8)).unwrap(), &AttrRef::All).unwrap();
+            flat(&rocsdf::encode_block(&[], &layout))
+        };
+        // The encode builds the mesh image of the coordinates as they were.
+        let before = encoded(&w);
         let mut block = pane_to_block(&w, w.pane(BlockId(8)).unwrap(), &AttrRef::All).unwrap();
         // Move the mesh in the serialized copy (through the typed form: a
         // block's payloads are immutable windows).
@@ -726,25 +775,94 @@ mod tests {
         coords.as_f64_mut().unwrap()[0] = 99.0;
         *nc = coords.into();
         apply_block(&mut w, &block).unwrap();
-        match &w.pane(BlockId(8)).unwrap().mesh {
+        match w.pane(BlockId(8)).unwrap().mesh() {
             PaneMesh::Unstructured { coords, .. } => assert_eq!(coords[0], 99.0),
             _ => panic!("expected unstructured"),
+        }
+        // The next encode carries the moved coordinates, not the image of
+        // the old ones.
+        let moved = pane_to_block(&w, w.pane(BlockId(8)).unwrap(), &AttrRef::All).unwrap();
+        let after = encoded(&w);
+        assert_ne!(after, before);
+        assert_eq!(after, flat(&rocsdf::encode_block(&[], &moved)));
+    }
+
+    /// All of a rope's bytes, in order.
+    fn flat(rope: &rocio_core::Rope) -> Vec<u8> {
+        rope.parts().iter().flat_map(|p| p.to_vec()).collect()
+    }
+
+    /// A pane's mesh is encoded once: the first encoder builds its image
+    /// and every later one holds it by refcount, and the records, the
+    /// checksum and the size are byte for byte what they were before the
+    /// image existed — the built block's, structured and unstructured. A
+    /// checksum or a size builds no image.
+    #[test]
+    fn the_mesh_image_is_built_once_and_moves_no_byte() {
+        for (w, id) in [(fluid_window(), BlockId(4)), (solid_window(), BlockId(8))] {
+            let pane = w.pane(id).unwrap();
+            let block = pane_to_block(&w, pane, &AttrRef::All).unwrap();
+            let reference = flat(&rocsdf::encode_block(&[], &block));
+            let checksum = Checksum::of_block(&block);
+            let layout = plan(&w, pane, &AttrRef::All).unwrap();
+            let image = pane.mesh_image();
+            let built = || [&image.nc, &image.conn].map(|i| i.get().is_some());
+            assert_eq!(pane_checksum(&w, pane, &AttrRef::All).unwrap(), checksum, "{id}");
+            assert_eq!(layout.encoded_size(), block.encoded_size(), "{id}");
+            assert_eq!(built(), [false, false], "{id}: a checksum or a size built an image");
+            let first = rocsdf::encode_block(&[], &layout);
+            let unstructured = matches!(pane.mesh(), PaneMesh::Unstructured { .. });
+            assert_eq!(built(), [true, unstructured], "{id}");
+            let second = rocsdf::encode_block(&[], &plan(&w, pane, &AttrRef::All).unwrap());
+            assert_eq!(flat(&first), reference, "{id}");
+            assert_eq!(flat(&second), reference, "{id}");
+            assert_eq!(pane_checksum(&w, pane, &AttrRef::All).unwrap(), checksum, "{id}");
+            // Part 1 is `nc`'s payload, part 3 `conn`'s on an unstructured
+            // pane: the same allocation in both encodings.
+            let n_mesh = if unstructured { 2 } else { 1 };
+            for part in (1..2 * n_mesh).step_by(2) {
+                assert_eq!(first.parts()[part].as_ptr(), second.parts()[part].as_ptr(), "{id}");
+            }
+            // A clone shares the image; equality does not look at it.
+            let shared = pane.clone().mesh_image().nc.get().map(|b| b.as_ptr());
+            assert_eq!(shared, Some(first.parts()[1].as_ptr()), "{id}");
+            let mut restored = w.clone();
+            restored.remove_pane(id).unwrap();
+            apply_block(&mut restored, &block).unwrap();
+            assert_eq!(restored, w, "{id}");
+        }
+    }
+
+    /// A pane restored from a block and then checksummed, as a restart
+    /// verifies its state, builds no mesh image.
+    #[test]
+    fn a_restored_pane_checksummed_builds_no_image() {
+        for (w, id) in [(fluid_window(), BlockId(4)), (solid_window(), BlockId(8))] {
+            let block = pane_to_block(&w, w.pane(id).unwrap(), &AttrRef::All).unwrap();
+            let mut restored = Window::new(w.name());
+            for spec in w.schema() {
+                restored.declare_attr(spec.clone()).unwrap();
+            }
+            restored.reserve_pane(id).unwrap();
+            apply_block(&mut restored, &view_of(&block)).unwrap();
+            let pane = restored.pane(id).unwrap();
+            let checksum = pane_checksum(&restored, pane, &AttrRef::All).unwrap();
+            assert_eq!(checksum, Checksum::of_block(&block), "{id}");
+            let image = pane.mesh_image();
+            assert!(image.nc.get().is_none() && image.conn.get().is_none(), "{id}: {image:?}");
         }
     }
 
     /// The equalities the write path and `state_hash` rest on: a pane
     /// described where it lies ([`plan`]) is its block — hashed, sized, and
     /// encoded by `rocsdf::encode_block` byte for byte, behind a lead, with
-    /// the payloads windows of one buffer laid end to end — for every
-    /// selector, both mesh kinds, every dtype, and arrays shorter than, as
-    /// long as and longer than one `le::CHUNK` run (503–505 `f64`,
-    /// 1007–1009 `i32`/`f32`, 4031–4033 `u8`; the structured panes carry 8
-    /// to 2 058 nodes of 24 bytes).
+    /// the mesh payloads the pane's mesh image and the attributes' windows
+    /// of one buffer laid end to end — for every selector, both mesh kinds,
+    /// every dtype, and arrays shorter than, as long as and longer than one
+    /// `le::CHUNK` run (503–505 `f64`, 1007–1009 `i32`/`f32`, 4031–4033
+    /// `u8`; the structured panes carry 8 to 2 058 nodes of 24 bytes).
     #[test]
     fn a_pane_hashed_in_place_is_its_block_hashed() {
-        let flat = |rope: &rocio_core::Rope| -> Vec<u8> {
-            rope.parts().iter().flat_map(|p| p.to_vec()).collect()
-        };
         let lead = b"routing header".as_slice();
         let dtypes = [DType::U8, DType::I32, DType::I64, DType::F32, DType::F64];
         let typed = |dtype: DType, n: usize| -> ArrayData {
@@ -787,7 +905,7 @@ mod tests {
                 let pane = w.pane(BlockId(2)).unwrap();
                 let named = dtypes.map(|d| AttrRef::Named(d.name().into()));
                 for attr in [AttrRef::All, AttrRef::Mesh].iter().chain(&named) {
-                    let case = format!("{attr:?}, {n} elements, {} nodes", pane.mesh.n_nodes());
+                    let case = format!("{attr:?}, {n} elements, {} nodes", pane.mesh().n_nodes());
                     let block = pane_to_block(&w, pane, attr).unwrap();
                     assert_eq!(
                         pane_checksum(&w, pane, attr).unwrap(),
@@ -803,7 +921,9 @@ mod tests {
                         "{case}"
                     );
                     // Header runs and payloads alternate; every payload is
-                    // non-empty here, and they lie end to end in one buffer.
+                    // non-empty here. The mesh payloads are the pane's mesh
+                    // image, and the attributes' lie end to end in one
+                    // buffer.
                     let payloads: Vec<&[u8]> = direct
                         .parts()
                         .iter()
@@ -815,7 +935,14 @@ mod tests {
                     for (got, ds) in payloads.iter().zip(&block.datasets) {
                         assert_eq!(*got, &ds.data.bytes()[..], "{case}: {}", ds.name);
                     }
-                    for pair in payloads.windows(2) {
+                    let image = pane.mesh_image();
+                    let images = [&image.nc, &image.conn].map(|i| i.get().map(|b| b.as_ptr()));
+                    let n_mesh = block.datasets.len() - layout.selected.len();
+                    let (mesh, attrs) = payloads.split_at(n_mesh);
+                    for (got, image) in mesh.iter().zip(images) {
+                        assert_eq!(Some(got.as_ptr()), image, "{case}");
+                    }
+                    for pair in attrs.windows(2) {
                         assert_eq!(pair[0].as_ptr_range().end, pair[1].as_ptr(), "{case}");
                     }
                     // Read back where it lies, the block applies as the

@@ -1,9 +1,10 @@
 //! Windows, panes, and attribute registration.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
-use rocio_core::{ArrayData, BlockId, DType, Result, RocError};
+use rocio_core::{ArrayData, BlockId, Bytes, DType, Result, RocError};
 use rocmesh::{StructuredBlock, UnstructuredBlock};
 
 /// Where an attribute's values live on the mesh.
@@ -139,11 +140,44 @@ impl From<UnstructuredBlock> for PaneMesh {
     }
 }
 
+/// The little-endian image of a pane's mesh datasets — `nc`, and `conn` on
+/// an unstructured pane — each built with exact capacity the first time an
+/// encoder asks for it (`crate::convert`), then shared by refcount with
+/// every block, message and file extent that carries the mesh again.
+///
+/// A clone shares the image, for it describes the same mesh; equality
+/// ignores it, for it is the mesh's encoding, not state of its own. The
+/// one code that changes a mesh ([`Pane::move_nodes`]) drops what it
+/// invalidates.
+#[derive(Clone, Default)]
+pub(crate) struct MeshImage {
+    pub(crate) nc: OnceLock<Bytes>,
+    pub(crate) conn: OnceLock<Bytes>,
+}
+
+impl PartialEq for MeshImage {
+    fn eq(&self, _: &MeshImage) -> bool {
+        true
+    }
+}
+
+/// Which of the two images are built, and how long each is.
+impl fmt::Debug for MeshImage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MeshImage")
+            .field("nc", &self.nc.get().map(Bytes::len))
+            .field("conn", &self.conn.get().map(Bytes::len))
+            .finish()
+    }
+}
+
 /// One pane: a mesh block plus the buffers of every registered attribute.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pane {
     pub id: BlockId,
-    pub mesh: PaneMesh,
+    /// Private, so that nothing changes the mesh behind its image's back.
+    mesh: PaneMesh,
+    image: MeshImage,
     /// The declarations the buffers follow: its window's schema, by
     /// refcount, so a pane built holds no name of its own.
     schema: Arc<Vec<AttrSpec>>,
@@ -153,6 +187,38 @@ pub struct Pane {
 }
 
 impl Pane {
+    /// The pane's mesh.
+    pub fn mesh(&self) -> &PaneMesh {
+        &self.mesh
+    }
+
+    /// The image of the mesh's datasets, as far as an encoder has built it.
+    pub(crate) fn mesh_image(&self) -> &MeshImage {
+        &self.image
+    }
+
+    /// Move an unstructured pane's nodes to `coords` (ALE: a restart or an
+    /// exchange brings them), as many as it has; the image of the old
+    /// coordinates is dropped, and the connectivity's is kept.
+    pub(crate) fn move_nodes(&mut self, coords: Vec<f64>) -> Result<()> {
+        let id = self.id;
+        let PaneMesh::Unstructured { coords: held, .. } = &mut self.mesh else {
+            return Err(RocError::Mismatch(format!(
+                "block {id}: a structured pane's nodes do not move"
+            )));
+        };
+        if held.len() != coords.len() {
+            return Err(RocError::Mismatch(format!(
+                "block {id}: coords length changed ({} -> {})",
+                held.len(),
+                coords.len()
+            )));
+        }
+        *held = coords;
+        self.image.nc = OnceLock::new();
+        Ok(())
+    }
+
     /// Where attribute `attr`'s buffer is held.
     fn slot(&self, attr: &str) -> Result<usize> {
         let id = self.id;
@@ -345,7 +411,7 @@ impl Window {
         }
         self.reserved.remove(&id);
         let schema = Arc::clone(&self.schema);
-        self.panes.insert(id, Pane { id, mesh, schema, data });
+        self.panes.insert(id, Pane { id, mesh, image: MeshImage::default(), schema, data });
         Ok(())
     }
 

@@ -139,7 +139,7 @@ fn rebalance_improves_balance() {
             .window("fluid")
             .unwrap()
             .panes()
-            .map(|p| p.mesh.n_elems())
+            .map(|p| p.mesh().n_elems())
             .sum();
         // Verify migrated data arrived intact.
         for pane in ws.window("fluid").unwrap().panes() {

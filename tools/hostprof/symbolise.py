@@ -11,7 +11,10 @@ top of the output when N is not 0), then one event per line: a decimal weight
 (1 per CPU sample, the bytes of an allocation or 1 per allocator call) and
 the stack's hex addresses, innermost first. Each address is
 mapped to its file (subtract the mapping's load base), resolved with
-`addr2line -f -C -i` (inlined callees become frames of their own) and the
+`addr2line -f -C -i` (inlined callees become frames of their own; in a
+stripped file, such as libc, a name is kept only if the address lies inside
+that symbol's span as `nm -D --defined-only -S` gives it, and an address
+outside every exported symbol is written `<libc.so.6+0x…>`) and the
 events are folded three ways: self (the innermost frame), inclusive (every
 function on the stack, once per event) and whole stacks. `--grep` keeps only
 events whose stack, written "callee < caller < ...", matches (so
@@ -25,6 +28,7 @@ randomisation does not matter) are folded into one table.
 """
 import argparse
 import collections
+import os
 import re
 import subprocess
 
@@ -82,9 +86,41 @@ def resolve(maps, addresses):
                 base = i
             elif current is not None and (i - base) % 2 == 1:
                 current.append(tidy(line))
-        for (a, _), fns in zip(pairs, frames):
-            names[a] = fns or ["??"]
+        exported = dynamic_symbols(name)
+        for (a, rel), fns in zip(pairs, frames):
+            names[a] = checked(fns or ["??"], rel, exported, name)
     return names
+
+
+def dynamic_symbols(path):
+    """name -> [(start, end)] of the exported symbols of one file, from
+    `nm -D --defined-only -S` (link addresses, sized symbols only)."""
+    out = subprocess.run(
+        ["nm", "-D", "--defined-only", "-S", path],
+        capture_output=True, text=True, check=False,
+    ).stdout.splitlines()
+    spans = collections.defaultdict(list)
+    for line in out:
+        fields = line.split()
+        if len(fields) != 4:
+            continue
+        start, size, _kind, sym = fields
+        spans[sym.split("@")[0]].append((int(start, 16), int(start, 16) + int(size, 16)))
+    return spans
+
+
+def checked(fns, rel, exported, path):
+    """`addr2line`'s frames for one address, unless it named the address
+    after the nearest exported symbol of a stripped file, which need not
+    hold it (memcpy's variants in libc lie past a 13-byte symbol): then
+    the symbol whose span holds the address, or `<file+0xoffset>`."""
+    outer = fns[-1]
+    if outer != "??" and outer not in exported:
+        return fns  # named from the file's own symbol table or debug info
+    if any(lo <= rel < hi for lo, hi in exported.get(outer, [])):
+        return fns
+    holder = [sym for sym, spans in exported.items() if any(lo <= rel < hi for lo, hi in spans)]
+    return [min(holder)] if holder else [f"<{os.path.basename(path)}+{rel:#x}>"]
 
 
 def tidy(fn):
