@@ -14,6 +14,7 @@
 //! decodes one into a pane, whichever kind it is.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use bytes::Bytes;
 
@@ -84,6 +85,12 @@ pub trait Payload {
     /// The encoding, when it is held already — to be shared by refcount,
     /// not encoded again.
     fn held(&self) -> Option<&Bytes> {
+        None
+    }
+    /// Where an encoder keeps the checksum of the held encoding once it has
+    /// computed it (`rocsdf`: a record's `__crc32__`); `None` when each
+    /// encode computes its own. This crate never reads it.
+    fn held_crc(&self) -> Option<&OnceLock<u32>> {
         None
     }
 }

@@ -41,7 +41,7 @@ use rocio_core::{
 use rocmesh::StructuredBlock;
 
 use crate::selector::AttrRef;
-use crate::window::{AttrSpec, Location, Pane, PaneMesh, Window};
+use crate::window::{AttrSpec, HeldImage, Location, Pane, PaneMesh, Window};
 
 /// Where one dataset's elements live before they are encoded.
 enum Elems<'a> {
@@ -122,10 +122,10 @@ impl Payload for Elems<'_> {
 /// A mesh dataset's payload: sized, encoded and hashed from the pane's
 /// mesh like any other, and held as the pane's image of it, which the
 /// first encoder to ask builds (`rocsdf::encode_block` asks; a checksum or
-/// a size never does).
+/// a size never does), the encoder's checksum of it kept beside it.
 struct MeshPayload<'a> {
     elems: Elems<'a>,
-    image: &'a OnceLock<Bytes>,
+    image: &'a HeldImage,
 }
 
 impl Payload for MeshPayload<'_> {
@@ -142,11 +142,15 @@ impl Payload for MeshPayload<'_> {
     }
 
     fn held(&self) -> Option<&Bytes> {
-        Some(self.image.get_or_init(|| {
+        Some(self.image.bytes.get_or_init(|| {
             let mut le = Vec::with_capacity(self.elems.byte_len());
             self.elems.encode(&mut le);
             Bytes::from(le)
         }))
+    }
+
+    fn held_crc(&self) -> Option<&OnceLock<u32>> {
+        Some(&self.image.crc)
     }
 }
 
@@ -227,7 +231,7 @@ fn describe_mesh(
     name: &str,
     shape: &[usize],
     elems: Elems<'_>,
-    image: &OnceLock<Bytes>,
+    image: &HeldImage,
 ) {
     let dtype = elems.dtype();
     describe(f, name, shape, Attrs::NONE, dtype, &MeshPayload { elems, image });
@@ -780,11 +784,15 @@ mod tests {
             _ => panic!("expected unstructured"),
         }
         // The next encode carries the moved coordinates, not the image of
-        // the old ones.
+        // the old ones, and their checksum, not the one kept beside it:
+        // every record of it checks.
         let moved = pane_to_block(&w, w.pane(BlockId(8)).unwrap(), &AttrRef::All).unwrap();
         let after = encoded(&w);
         assert_ne!(after, before);
         assert_eq!(after, flat(&rocsdf::encode_block(&[], &moved)));
+        let (after, n) = (rocio_core::Rope::from(Bytes::from(after)), 1 + moved.datasets.len());
+        let checked = rocsdf::BlockView::decode(&mut after.cursor(), n).unwrap().to_block().unwrap();
+        assert_eq!(checked.dataset("nc").unwrap().data.to_typed().as_f64().unwrap()[0], 99.0);
     }
 
     /// All of a rope's bytes, in order.
@@ -795,8 +803,9 @@ mod tests {
     /// A pane's mesh is encoded once: the first encoder builds its image
     /// and every later one holds it by refcount, and the records, the
     /// checksum and the size are byte for byte what they were before the
-    /// image existed — the built block's, structured and unstructured. A
-    /// checksum or a size builds no image.
+    /// image existed — the built block's, structured and unstructured, each
+    /// record's `__crc32__` included, which the first encode keeps beside
+    /// the image. A checksum or a size builds no image.
     #[test]
     fn the_mesh_image_is_built_once_and_moves_no_byte() {
         for (w, id) in [(fluid_window(), BlockId(4)), (solid_window(), BlockId(8))] {
@@ -806,16 +815,21 @@ mod tests {
             let checksum = Checksum::of_block(&block);
             let layout = plan(&w, pane, &AttrRef::All).unwrap();
             let image = pane.mesh_image();
-            let built = || [&image.nc, &image.conn].map(|i| i.get().is_some());
+            let built = || [&image.nc, &image.conn].map(|i| i.bytes.get().is_some());
+            let kept = || [&image.nc, &image.conn].map(|i| i.crc.get().copied());
             assert_eq!(pane_checksum(&w, pane, &AttrRef::All).unwrap(), checksum, "{id}");
             assert_eq!(layout.encoded_size(), block.encoded_size(), "{id}");
             assert_eq!(built(), [false, false], "{id}: a checksum or a size built an image");
             let first = rocsdf::encode_block(&[], &layout);
             let unstructured = matches!(pane.mesh(), PaneMesh::Unstructured { .. });
             assert_eq!(built(), [true, unstructured], "{id}");
+            let crc = |i: &HeldImage| i.bytes.get().map(|b| rocsdf::format::crc32(b));
+            assert_eq!(kept(), [crc(&image.nc), crc(&image.conn)], "{id}");
             let second = rocsdf::encode_block(&[], &plan(&w, pane, &AttrRef::All).unwrap());
             assert_eq!(flat(&first), reference, "{id}");
             assert_eq!(flat(&second), reference, "{id}");
+            let n = 1 + layout.n_datasets();
+            rocsdf::BlockView::decode(&mut second.cursor(), n).unwrap();
             assert_eq!(pane_checksum(&w, pane, &AttrRef::All).unwrap(), checksum, "{id}");
             // Part 1 is `nc`'s payload, part 3 `conn`'s on an unstructured
             // pane: the same allocation in both encodings.
@@ -824,7 +838,7 @@ mod tests {
                 assert_eq!(first.parts()[part].as_ptr(), second.parts()[part].as_ptr(), "{id}");
             }
             // A clone shares the image; equality does not look at it.
-            let shared = pane.clone().mesh_image().nc.get().map(|b| b.as_ptr());
+            let shared = pane.clone().mesh_image().nc.bytes.get().map(|b| b.as_ptr());
             assert_eq!(shared, Some(first.parts()[1].as_ptr()), "{id}");
             let mut restored = w.clone();
             restored.remove_pane(id).unwrap();
@@ -849,7 +863,7 @@ mod tests {
             let checksum = pane_checksum(&restored, pane, &AttrRef::All).unwrap();
             assert_eq!(checksum, Checksum::of_block(&block), "{id}");
             let image = pane.mesh_image();
-            assert!(image.nc.get().is_none() && image.conn.get().is_none(), "{id}: {image:?}");
+            assert!(image.nc.bytes.get().is_none() && image.conn.bytes.get().is_none(), "{id}: {image:?}");
         }
     }
 
@@ -936,7 +950,7 @@ mod tests {
                         assert_eq!(*got, &ds.data.bytes()[..], "{case}: {}", ds.name);
                     }
                     let image = pane.mesh_image();
-                    let images = [&image.nc, &image.conn].map(|i| i.get().map(|b| b.as_ptr()));
+                    let images = [&image.nc, &image.conn].map(|i| i.bytes.get().map(|b| b.as_ptr()));
                     let n_mesh = block.datasets.len() - layout.selected.len();
                     let (mesh, attrs) = payloads.split_at(n_mesh);
                     for (got, image) in mesh.iter().zip(images) {

@@ -151,8 +151,16 @@ impl From<UnstructuredBlock> for PaneMesh {
 /// invalidates.
 #[derive(Clone, Default)]
 pub(crate) struct MeshImage {
-    pub(crate) nc: OnceLock<Bytes>,
-    pub(crate) conn: OnceLock<Bytes>,
+    pub(crate) nc: HeldImage,
+    pub(crate) conn: HeldImage,
+}
+
+/// One mesh dataset's image: its bytes, and the checksum the encoder keeps
+/// beside them (`Payload::held_crc`). Both go together.
+#[derive(Clone, Default)]
+pub(crate) struct HeldImage {
+    pub(crate) bytes: OnceLock<Bytes>,
+    pub(crate) crc: OnceLock<u32>,
 }
 
 impl PartialEq for MeshImage {
@@ -165,8 +173,8 @@ impl PartialEq for MeshImage {
 impl fmt::Debug for MeshImage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MeshImage")
-            .field("nc", &self.nc.get().map(Bytes::len))
-            .field("conn", &self.conn.get().map(Bytes::len))
+            .field("nc", &self.nc.bytes.get().map(Bytes::len))
+            .field("conn", &self.conn.bytes.get().map(Bytes::len))
             .finish()
     }
 }
@@ -199,7 +207,8 @@ impl Pane {
 
     /// Move an unstructured pane's nodes to `coords` (ALE: a restart or an
     /// exchange brings them), as many as it has; the image of the old
-    /// coordinates is dropped, and the connectivity's is kept.
+    /// coordinates is dropped with its checksum, and the connectivity's is
+    /// kept.
     pub(crate) fn move_nodes(&mut self, coords: Vec<f64>) -> Result<()> {
         let id = self.id;
         let PaneMesh::Unstructured { coords: held, .. } = &mut self.mesh else {
@@ -215,7 +224,7 @@ impl Pane {
             )));
         }
         *held = coords;
-        self.image.nc = OnceLock::new();
+        self.image.nc = HeldImage::default();
         Ok(())
     }
 

@@ -1,8 +1,8 @@
-//! The non-threaded, blocking individual-I/O module — and the one
-//! write / read / retire core both variants run on. [`Rochdf`] calls the
-//! three functions below inline; [`crate::TRochdf`] calls the same
-//! `write_snapshot_file` from its I/O thread and the same
-//! `read_attribute` / `retire` once its pending writes have drained.
+//! The non-threaded, blocking individual-I/O module — and the read /
+//! retire core both variants run on. [`Rochdf`] calls the three functions
+//! below inline; [`crate::TRochdf`] calls the same `read_attribute` /
+//! `retire` once its pending writes have drained, and its I/O thread
+//! appends the file records its main thread laid out as they lie.
 
 use rocio_core::{BlockDesc, Result, SimTime, SnapshotId};
 use rocnet::Comm;

@@ -7,11 +7,11 @@ use std::sync::Arc;
 use rocio_core::lockdep::{Condvar, Mutex};
 use rocio_core::{BlockDesc, Result, RocError, Rope, SimTime, SnapshotId};
 use rocnet::{Comm, VClock};
-use rocsdf::BlockView;
+use rocsdf::{BlockView, LibraryModel, SdfFileWriter};
 use rocstore::SharedFs;
 
 use crate::config::RochdfConfig;
-use crate::rochdf::{read_attribute, retire, write_snapshot_file};
+use crate::rochdf::{read_attribute, retire};
 use roccom::{AttrRef, AttrSelector, IoService, Window, Windows};
 
 /// Modelled memory-copy bandwidth (bytes/s) for buffering output into
@@ -29,8 +29,8 @@ fn copy_cost(bytes: usize, n_blocks: usize) -> f64 {
 
 /// Copy every pane of `window` into the local buffer: its block under
 /// `attr`, described where it lies (`roccom::convert::plan`) and laid out
-/// as its records (`rocsdf::encode_block`) — the one copy of its payload —
-/// with their count; and the blocks' total encoded size
+/// as its file records (`rocsdf::encode_block`) — the one copy of its
+/// payload — with their count; and the blocks' total encoded size
 /// (`DataBlock::encoded_size`, what the copy is charged for).
 fn encode_panes(window: &Window, attr: &AttrRef) -> Result<(Vec<(Rope, usize)>, usize)> {
     let mut bytes = 0;
@@ -45,11 +45,28 @@ fn encode_panes(window: &Window, attr: &AttrRef) -> Result<(Vec<(Rope, usize)>, 
     Ok((blocks, bytes))
 }
 
+/// Write one snapshot file of buffered blocks, as the I/O thread does: each
+/// block's file records walked where they lie and appended as they are.
+fn write_buffered(
+    fs: &SharedFs,
+    path: &str,
+    lib: LibraryModel,
+    client: u64,
+    blocks: &[(Rope, usize)],
+    now: SimTime,
+) -> Result<SimTime> {
+    let walk = |(rope, n): &(Rope, usize)| BlockView::walk(&mut rope.cursor(), *n);
+    let views = blocks.iter().map(walk).collect::<Result<Vec<_>>>()?;
+    let (mut w, t) = SdfFileWriter::create(fs, path, lib, client, now)?;
+    let t = views.iter().try_fold(t, |t, view| w.append_view(view, t))?;
+    w.finish(t)
+}
+
 enum Job {
     Write {
         path: String,
-        /// Each pane's block, laid out as its records on the main thread,
-        /// and how many records that is.
+        /// Each pane's block, laid out as its file records on the main
+        /// thread, and how many records that is.
         blocks: Vec<(Rope, usize)>,
         /// Virtual time at which the main thread finished buffering.
         issue: SimTime,
@@ -73,12 +90,13 @@ struct Shared {
 }
 
 /// The multi-threaded Rochdf: `write_attribute` copies pane data into
-/// local buffers — each pane's block laid out as its records, the one copy
-/// of its payload — and returns; a background thread reads each block
-/// where it lies in its buffer (`rocsdf::BlockView`) and performs the file
-/// writes. Blocking-I/O semantics are preserved —
-/// callers may reuse their buffers immediately — and the main thread only
-/// waits if the previous snapshot is still being written.
+/// local buffers — each pane's block laid out as its file records, the one
+/// copy of its payload and the one computation of its checksums — and
+/// returns; a background thread walks each block where it lies in its
+/// buffer (`rocsdf::BlockView::walk`) and writes its records as they are.
+/// Blocking-I/O semantics are preserved — callers may reuse their buffers
+/// immediately — and the main thread only waits if the previous snapshot
+/// is still being written.
 pub struct TRochdf<'a> {
     fs: Arc<SharedFs>,
     comm: &'a Comm,
@@ -132,15 +150,7 @@ impl<'a> TRochdf<'a> {
                         } => {
                             thread_shared.io_clock.merge(issue);
                             let now = thread_shared.io_clock.now();
-                            // Each block read where it lies in the buffer.
-                            let read = |(rope, n): &(Rope, usize)| {
-                                BlockView::decode(&mut rope.cursor(), *n)
-                            };
-                            let views = blocks.iter().map(read).collect::<Result<Vec<_>>>();
-                            let done = views.and_then(|views| {
-                                write_snapshot_file(&thread_fs, &path, lib, client, &views, now)
-                            });
-                            match done {
+                            match write_buffered(&thread_fs, &path, lib, client, &blocks, now) {
                                 Ok(t) => {
                                     thread_shared.io_clock.merge(t);
                                     thread_shared.files_written.fetch_add(1, Ordering::Relaxed);
@@ -301,7 +311,7 @@ mod tests {
     use rocio_core::{ArrayData, BlockId, DType};
     use rocnet::cluster::ClusterSpec;
     use rocnet::run_ranks;
-    use roccom::{AttrSpec, PaneMesh};
+    use roccom::{AttrRef, AttrSpec, PaneMesh};
 
     #[test]
     fn copy_cost_scales() {
@@ -383,6 +393,44 @@ mod tests {
             assert_eq!(io.files_written(), 0);
         });
         assert!(fs.list("out/").is_empty());
+    }
+
+    /// A payload byte damaged in the buffer after the main thread encoded
+    /// its block goes to the file as it lies, and the restart refuses the
+    /// record, naming it: the checksum is the encoder's, computed before
+    /// the damage, and the I/O thread computes none over the damaged
+    /// bytes.
+    #[test]
+    fn a_byte_damaged_in_the_buffer_is_caught_at_restart() {
+        let fs = SharedFs::ideal();
+        let cfg = RochdfConfig::default();
+        let snap = SnapshotId::new(0, 0);
+        let ws = build_windows(0, 1);
+        let (mut blocks, _) = encode_panes(ws.window("fluid").unwrap(), &AttrRef::All).unwrap();
+        // Parts: the meta's and `nc`'s headers, `nc`, `pressure`'s header,
+        // `pressure`.
+        let (rope, _) = &mut blocks[0];
+        let mut damaged = Rope::new();
+        for (i, part) in rope.parts().iter().enumerate() {
+            let mut bytes = part.to_vec();
+            if i == 3 {
+                bytes[5] ^= 0x10;
+            }
+            damaged.push(bytes.into());
+        }
+        *rope = damaged;
+        let path = cfg.path("fluid", snap, 0);
+        write_buffered(&fs, &path, cfg.lib, 0, &blocks, 0.0).unwrap();
+        let restart = run_ranks(1, ClusterSpec::ideal(1), |comm| {
+            let mut ws = build_windows(0, 1);
+            read_attribute(&fs, &comm, &cfg, &mut ws, &AttrSelector::all("fluid"), snap)
+        });
+        let named = "dataset 'blk000000/pressure' payload checksum mismatch";
+        assert!(
+            matches!(&restart[0], Err(RocError::Corrupt(e)) if e.contains(named)),
+            "{:?}",
+            restart[0]
+        );
     }
 
     fn build_windows(rank: usize, n_panes: usize) -> Windows {

@@ -391,13 +391,13 @@ impl<'a> PandaServer<'a> {
     /// last.
     fn on_block(&mut self, src: usize, wire: &Rope) -> Result<()> {
         let tenant = self.tenant_of(src)?;
-        // Zero-copy intake: the message is read the way every receiver
-        // reads a block — walked once, every record checked, and held as
-        // a view whose headers and payloads are windows of the message's
-        // parts (the client's own payload image). Buffering and the drain
-        // both hold that one rope; no snapshot byte is copied between the
-        // client's encode and the file image.
-        let BlockMsgView { snap, window, block } = BlockMsgView::decode_whole(wire)?;
+        // Zero-copy intake: the message is walked once — every header
+        // checked, no payload read — and held as a view of the message's
+        // parts (the client's own buffers). They are file records already,
+        // `__crc32__` included, so the drain appends them as they lie: no
+        // snapshot byte is copied or checksummed between the client's
+        // encode and the file image; the client checks it at restart.
+        let BlockMsgView { snap, window, block } = BlockMsgView::walk_whole(wire)?;
         let size = block.encoded_size();
         let key = self.file(FileKey { tenant, snap, window: window.into_owned() });
         // Server CPU cost of taking the block in.
@@ -638,14 +638,14 @@ impl<'a> PandaServer<'a> {
         }
     }
 
-    /// Append a block to its file: its records laid out again as file
-    /// records, in one scatter-gather write of one header buffer and the
-    /// message's payload windows. `size` is its encoded size.
+    /// Append a block to its file: its file records as they arrived, in
+    /// one scatter-gather write of the message's windows. `size` is its
+    /// encoded size.
     fn write_block(&mut self, key: &FileKey, block: &BlockView, size: usize) -> Result<()> {
         let client_id = self.world.global_rank() as u64;
         // All dedicated servers write concurrently.
         self.fs.declare_writers(self.server_ranks.len());
-        // CPU submit cost: checksum + hand the bytes to the file system.
+        // CPU submit cost: hand the bytes to the file system.
         let t_submit0 = self.world.now();
         self.world.advance(size as f64 / SERVER_COPY_BW);
         if rocobs::enabled() {
@@ -671,7 +671,7 @@ impl<'a> PandaServer<'a> {
                 none.insert(w)
             }
         };
-        let t = writer.append_block(block, self.world.now())?;
+        let t = writer.append_view(block, self.world.now())?;
         self.disk_completion = self.disk_completion.max(t);
         if synchronous {
             // Write-through mode (ablation): the block is durable before

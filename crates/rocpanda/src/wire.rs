@@ -2,19 +2,18 @@
 //!
 //! Message kind is carried in the message *tag* (so servers can dispatch
 //! off a probe without touching the payload); fields are encoded
-//! little-endian in the payload. Data blocks travel as sequences of SDF
-//! dataset records — the same self-describing encoding the files use,
-//! laid out by the same block encoder (`rocsdf::encode_block`): a block
-//! message has one encode, [`encode_block_msg`] (a rope — its routing
-//! header and record headers in one staging buffer, its payloads the
-//! block's own buffers; `send_rope` sends it), which a client and
-//! `genx::rebalance` call on a pane described where it lies and
-//! [`BlockMsg::encode`] on a built block, and one decode, into a
-//! [`BlockMsgView`]: the block read where it lies (`rocsdf::BlockView`,
-//! its records windows of the received message's parts — the sender's own
-//! buffers), which [`BlockMsg::decode`] builds. `genx::rebalance` applies
-//! a migrated block from that view; a server hands it to its file's writer
-//! (`rocsdf::SdfFileWriter::append_block`). A restart's `READ_BATCH` is not
+//! little-endian in the payload. Data blocks travel as the SDF file
+//! records they will be on disk, laid out by the one block encoder
+//! (`rocsdf::encode_block`): a block message has one encode,
+//! [`encode_block_msg`] (a rope — its routing header and record headers
+//! in one staging buffer, its payloads the block's own buffers), which a
+//! client and `genx::rebalance` call on a pane described where it lies
+//! and [`BlockMsg::encode`] on a built block. A receiver reads it as a
+//! [`BlockMsgView`], the block read where it lies (`rocsdf::BlockView`):
+//! `genx::rebalance` applies it, every payload checked
+//! ([`BlockMsgView::decode`]; [`BlockMsg::decode`] builds it), and a server
+//! walks it and appends its records to the file as they lie, reading no
+//! payload ([`BlockMsgView::walk_whole`]). A restart's `READ_BATCH` is not
 //! this format but the restart-block codec's (`rocsdf::view`): file records
 //! as they lie, checked by the client that owns them. Every length read
 //! from a message goes through the checked cursor (`rocio_core::Cursor`,
@@ -214,19 +213,25 @@ pub struct BlockMsgView<'m> {
 }
 
 impl<'m> BlockMsgView<'m> {
-    /// Read the message at the cursor: the routing header, then the block's
-    /// records, each checked as [`BlockMsg::decode`] checks them.
+    /// Read the message at the cursor to apply its block: the routing
+    /// header, then the block's records, each checked as
+    /// [`BlockMsg::decode`] checks them, `__crc32__` included.
     pub fn decode(cur: &mut Cursor<'m>) -> Result<Self> {
-        let (snap, _, window) = read_name(cur, false)?;
-        let n = cur.u32("panda wire count")? as usize;
-        Ok(BlockMsgView { snap, window, block: BlockView::decode(cur, n)? })
+        BlockMsgView::read(cur, true)
     }
 
-    /// Read one whole message, as a server takes a `BLOCK` in: bytes after
-    /// the last record are refused, so intake validates the whole message
-    /// before its block is buffered.
-    pub fn decode_whole(wire: &'m Rope) -> Result<Self> {
-        wire.cursor().whole("BLOCK", BlockMsgView::decode)
+    /// Take one whole message in, as a server does to forward its block to
+    /// a file: its records walked ([`BlockView::walk`], no payload read),
+    /// and bytes after the last one refused, all before it is buffered.
+    pub fn walk_whole(wire: &'m Rope) -> Result<Self> {
+        wire.cursor().whole("BLOCK", |cur| BlockMsgView::read(cur, false))
+    }
+
+    fn read(cur: &mut Cursor<'m>, verify: bool) -> Result<Self> {
+        let (snap, _, window) = read_name(cur, false)?;
+        let n = cur.u32("panda wire count")? as usize;
+        let block = if verify { BlockView::decode(cur, n)? } else { BlockView::walk(cur, n)? };
+        Ok(BlockMsgView { snap, window, block })
     }
 }
 
@@ -346,7 +351,7 @@ mod tests {
     use proptest::prelude::*;
     use rocio_core::{ArrayData, AttrValue, BlockId, Dataset};
     use rocsdf::format::CRC_ATTR;
-    use rocsdf::{LibraryModel, SdfFileWriter};
+    use rocsdf::{Fetch, LibraryModel, SdfFileReader, SdfFileWriter};
     use rocstore::SharedFs;
 
     fn block() -> DataBlock {
@@ -427,21 +432,24 @@ mod tests {
     #[test]
     fn block_msg_layout_is_pinned_by_value() {
         // The wire format, byte for byte: snapshot (step, ordinal), window,
-        // record count, then SDF records without checksums — `__meta__`
-        // (empty u8 payload, the block's identity and attributes as
-        // attributes), then each member under the block's prefix.
+        // record count, then the SDF file records — `__meta__` (empty u8
+        // payload, the block's identity and attributes as attributes), then
+        // each member under the block's prefix, each with its payload's
+        // CRC-32 (zlib's; 0 for no bytes) as `__crc32__`.
         let block = DataBlock::new(BlockId(7), "w")
             .with_dataset(Dataset::vector("p", vec![-1i32, 2]))
             .with_attr("t", 0.5f64);
         let golden: Vec<u8> = [
             &[50, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0][..], &[5, 0], b"fluid", &[2, 0, 0, 0],
-            b"DS00", &[18, 0], b"blk000007/__meta__", &[0, 1], &[0; 8], &[4, 0],
+            b"DS00", &[18, 0], b"blk000007/__meta__", &[0, 1], &[0; 8], &[5, 0],
+            &[9, 0], b"__crc32__", &[0; 9],
             &[5, 0], b"blk:t", &[1, 0, 0, 0, 0, 0, 0, 0xe0, 0x3f],
             &[8, 0], b"block_id", &[0, 7, 0, 0, 0, 0, 0, 0, 0],
             &[10, 0], b"n_datasets", &[0, 1, 0, 0, 0, 0, 0, 0, 0],
             &[6, 0], b"window", &[2, 1, 0, 0, 0], b"w",
             &[0; 8],
-            b"DS00", &[11, 0], b"blk000007/p", &[1, 1], &[2, 0, 0, 0, 0, 0, 0, 0], &[0, 0],
+            b"DS00", &[11, 0], b"blk000007/p", &[1, 1], &[2, 0, 0, 0, 0, 0, 0, 0], &[1, 0],
+            &[9, 0], b"__crc32__", &[0, 0x74, 0x37, 0xf6, 0x55, 0, 0, 0, 0],
             &[8, 0, 0, 0, 0, 0, 0, 0], &[0xff, 0xff, 0xff, 0xff, 2, 0, 0, 0],
         ]
         .concat();
@@ -514,20 +522,28 @@ mod tests {
                     (Err(v), Err(m)) => prop_assert_eq!(format!("{v:?}"), format!("{m:?}")),
                     (v, m) => prop_assert!(false, "view {v:?}, decode {m:?}"),
                 }
-                // The server's intake takes what the decode takes, cut or
-                // whole, but for bytes after the last record; what it takes
-                // reaches the file as the block the decode builds.
+                // The server's intake walks what the decode reads, payloads
+                // aside, cut or whole: it refuses bytes after the last record
+                // and a record that carries no checksum, and leaves a
+                // checksum that fails to the block's reader — the restart of
+                // the file it writes refuses it. What it takes reads back as
+                // the block the decode builds.
                 let whole = Rope::from(input.clone());
-                let (taken, taken_roped) = (BlockMsgView::decode_whole(&whole), BlockMsgView::decode_whole(&rope));
+                let (taken, taken_roped) = (BlockMsgView::walk_whole(&whole), BlockMsgView::walk_whole(&rope));
                 prop_assert_eq!(format!("{taken_roped:?}"), format!("{taken:?}"));
                 match (&taken, &flat_view) {
-                    (Ok(w), Ok(v)) => {
-                        prop_assert_eq!(format!("{w:?}"), format!("{v:?}"));
-                        let m = flat.as_ref().expect("what the intake takes, decodes");
+                    (Ok(w), Ok(_)) => {
+                        let m = flat.as_ref().expect("what the view reads, decodes");
                         prop_assert_eq!(w.block.encoded_size(), m.block.encoded_size());
-                        prop_assert_eq!(file_of(&w.block).ok(), file_of(&m.block).ok());
+                        prop_assert_eq!(forwarded(&w.block).ok(), Some(vec![m.block.clone()]));
                     }
-                    (Err(RocError::Corrupt(e)), Ok(_)) => prop_assert!(e.contains("after block"), "{}", e),
+                    (Ok(w), Err(RocError::Corrupt(e))) if e.contains("checksum mismatch") => {
+                        let restart = format!("{:?}", forwarded(&w.block));
+                        prop_assert!(restart.contains(e.as_str()), "{}", restart);
+                    }
+                    (Err(RocError::Corrupt(e)), Ok(_)) => {
+                        prop_assert!(e.contains("after block") || e.contains("carries no"), "{}", e)
+                    }
                     (Err(w), Err(v)) => prop_assert_eq!(format!("{w:?}"), format!("{v:?}")),
                     (w, v) => prop_assert!(false, "intake {w:?}, view {v:?}"),
                 }
@@ -576,7 +592,8 @@ mod tests {
 
     /// Every dtype, empty payloads, shapes of rank 0 to 2, every attribute
     /// kind on the datasets and on the block — and, where `stamped`, a
-    /// wire record that already carries its (matching) `__crc32__`.
+    /// dataset that carries a (matching) `__crc32__` of its own, which the
+    /// encoder lays out as the one it computes.
     fn arb_block(id: u64) -> impl Strategy<Value = DataBlock> {
         let data = prop_oneof![
             prop::collection::vec(any::<u8>(), 0..64).prop_map(ArrayData::U8),
@@ -635,11 +652,11 @@ mod tests {
                 let (mut writers, mut times): (Vec<_>, Vec<_>) = writers.unzip();
                 prop_assert!(times.iter().all(|t| t.to_bits() == times[0].to_bits()));
                 for (rope, sent) in ropes.iter().zip(&blocks) {
-                    let taken = BlockMsgView::decode_whole(rope).unwrap();
+                    let taken = BlockMsgView::walk_whole(rope).unwrap();
                     let m = BlockMsg::decode(&mut rope.cursor()).unwrap();
                     prop_assert_eq!((taken.snap, &*taken.window, taken.block.id()), (m.snap, m.window.as_str(), m.block.id));
                     prop_assert_eq!(taken.block.encoded_size(), m.block.encoded_size());
-                    times[0] = writers[0].append_block(&taken.block, times[0]).unwrap();
+                    times[0] = writers[0].append_view(&taken.block, times[0]).unwrap();
                     times[1] = writers[1].append_block(&m.block, times[1]).unwrap();
                     times[2] = writers[2].append_block(sent, times[2]).unwrap();
                     prop_assert!(times.iter().all(|t| t.to_bits() == times[0].to_bits()));
@@ -665,28 +682,38 @@ mod tests {
         let mut m = wire(&msg(block()));
         m[19..23].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(BlockMsg::decode_shared(&m.clone().into()).is_err());
-        assert!(matches!(BlockMsgView::decode_whole(&Bytes::from(m).into()), Err(RocError::Corrupt(_))));
+        assert!(matches!(BlockMsgView::walk_whole(&Bytes::from(m).into()), Err(RocError::Corrupt(_))));
         // A server takes in the message alone: a trailing byte is refused.
         let mut trailing = wire(&msg(block()));
-        assert!(BlockMsgView::decode_whole(&Bytes::from(trailing.clone()).into()).is_ok());
+        assert!(BlockMsgView::walk_whole(&Bytes::from(trailing.clone()).into()).is_ok());
         trailing.push(0);
-        assert!(matches!(BlockMsgView::decode_whole(&Bytes::from(trailing).into()), Err(RocError::Corrupt(_))));
+        assert!(matches!(BlockMsgView::walk_whole(&Bytes::from(trailing).into()), Err(RocError::Corrupt(_))));
     }
 
-    /// The file one append of `block` makes, or the append's refusal.
-    fn file_of(block: &(impl BlockDesc + ?Sized)) -> Result<Vec<u8>> {
+    /// What a restart reads back of the file a server's drain writes of a
+    /// block it took in: its records appended as they lie, then every
+    /// block of the file read, each checked — or the refusal.
+    fn forwarded(view: &BlockView) -> Result<Vec<DataBlock>> {
         let fs = SharedFs::ideal();
         let (mut w, t) = SdfFileWriter::create(&fs, "f.sdf", LibraryModel::Raw, 0, 0.0)?;
-        let t = w.append_block(block, t)?;
-        w.finish(t)?;
-        Ok(fs.read_all_shared("f.sdf", 0, 0.0)?.0.to_vec())
+        let t = w.append_view(view, t)?;
+        let t = w.finish(t)?;
+        let (r, t) = SdfFileReader::open(&fs, "f.sdf", LibraryModel::Raw, 0, t)?;
+        Ok(r.read_all_blocks(t)?.0)
     }
 
-    /// A record as the record encoder lays it out, wire form.
-    fn record(ds: &Dataset) -> Vec<u8> {
+    /// A record laid out by the record encoder with the `__crc32__` the
+    /// dataset carries, if any.
+    fn raw(ds: &Dataset) -> Vec<u8> {
         let mut segs = Vec::new();
         rocsdf::encode_dataset_segments(ds, None, None, Vec::new(), &mut segs);
         rocio_core::segments_to_vec(&segs)
+    }
+
+    /// A record as an encoder lays it out: with its payload's checksum.
+    fn record(ds: &Dataset) -> Vec<u8> {
+        let stamped = ds.clone().with_attr(CRC_ATTR, i64::from(rocsdf::payload_crc32(ds)));
+        raw(&stamped)
     }
 
     /// A `BLOCK` message claiming `n_records` records, carrying `records`.
@@ -698,10 +725,11 @@ mod tests {
         Bytes::from(m).into()
     }
 
-    /// What a server makes of a `BLOCK` message: the file its intake and
-    /// drain write, or the kind of the refusal.
-    fn intake(wire: &Rope) -> std::result::Result<Vec<u8>, &'static str> {
-        let written = BlockMsgView::decode_whole(wire).and_then(|m| file_of(&m.block));
+    /// What a restart makes of the file a server writes of a `BLOCK`
+    /// message: the blocks it reads back, or the kind of the refusal, the
+    /// intake's or the restart's.
+    fn intake(wire: &Rope) -> std::result::Result<Vec<DataBlock>, &'static str> {
+        let written = BlockMsgView::walk_whole(wire).and_then(|m| forwarded(&m.block));
         written.map_err(|e| match e {
             RocError::Corrupt(_) => "Corrupt",
             RocError::Mismatch(_) => "Mismatch",
@@ -710,12 +738,13 @@ mod tests {
         })
     }
 
-    /// One verdict per receiver: a server refuses what every reader of a
-    /// block refuses, with the same kind, and writes what it takes as the
-    /// canonical re-encoding of the block every reader reads — whatever
-    /// the sender laid out beside it.
+    /// One verdict per receiver: what every reader of a block refuses, a
+    /// server refuses at intake or its restart refuses — a payload its
+    /// checksum fails, which the intake does not read — with the same
+    /// kind; and what it takes reads back as the block every reader reads,
+    /// whatever the sender laid out beside it.
     #[test]
-    fn a_server_refuses_what_every_reader_refuses_and_writes_the_block_they_read() {
+    fn a_forwarded_block_reads_back_as_every_reader_reads_it() {
         let with_ab = |ds: Dataset, a: i64, b: i64| ds.with_attr("a", a).with_attr("b", b);
         let member = |name: &str| with_ab(Dataset::vector(name, vec![0.5f64; 3]), 1, 2);
         let block_with = |disp: Dataset| DataBlock::new(BlockId(9), "solid").with_dataset(disp).with_attr("level", 2i64);
@@ -753,12 +782,13 @@ mod tests {
             ("a member where the meta belongs", n(records(std::slice::from_ref(&disp))), Err("Corrupt")),
             ("a meta under another spelling of the id", n(records(&[elsewhere, disp.clone()])), Err("Corrupt")),
             ("a member outside the prefix", n(records(&[meta(), member("blk000008/disp")])), Err("Corrupt")),
-            ("a stale checksum", n(records(&[meta(), stamped(right ^ 1)])), Err("Corrupt")),
+            ("a stale checksum", n(vec![record(&meta()), raw(&stamped(right ^ 1))]), Err("Corrupt")),
+            ("a record without a checksum", n(vec![record(&meta()), raw(&disp)]), Err("Corrupt")),
             ("a repeated member", n(records(&[meta().with_attr("n_datasets", 2i64), disp.clone(), disp.clone()])), Err("AlreadyExists")),
             ("a count the bytes cannot hold", msg_of(&records(&[meta(), disp.clone()]), u32::MAX), Err("Corrupt")),
             ("a meta whose id is no Int", n(records(&[meta().with_attr("block_id", "9"), disp.clone()])), Err("Mismatch")),
             ("the block as sent", n(records(&[meta(), disp.clone()])), Ok(block.clone())),
-            ("a matching checksum", n(records(&[meta(), stamped(right)])), Ok(block.clone())),
+            ("a matching checksum", n(vec![record(&meta()), raw(&stamped(right))]), Ok(block.clone())),
             ("a meta with a payload", n(records(&[with_payload, disp.clone()])), Ok(block.clone())),
             ("a meta with a foreign attribute", n(records(&[meta().with_attr("colour", 3i64), disp.clone()])), Ok(block.clone())),
             ("a meta that counts no datasets", n(records(&[uncounted, disp.clone()])), Ok(block.clone())),
@@ -766,10 +796,44 @@ mod tests {
             ("member keys descending", n(vec![record(&meta()), renamed(b'b', b'a')]), Ok(block_with(with_ab(Dataset::vector("disp", vec![0.5f64; 3]), 2, 1)))),
             ("a member key repeated", n(vec![record(&meta()), renamed(b'a', b'a')]), Ok(block_with(Dataset::vector("disp", vec![0.5f64; 3]).with_attr("a", 2i64)))),
         ];
-        for (what, wire, want) in &cases {
-            let want = want.as_ref().map(|b| file_of(b).unwrap()).map_err(|kind| *kind);
-            assert_eq!(intake(wire), want, "{what}");
+        for (what, wire, want) in cases {
+            assert_eq!(intake(&wire), want.map(|b| vec![b]), "{what}");
         }
+    }
+
+    /// A payload byte damaged after the client encoded its message — in
+    /// the window a server buffers — goes to the file as it lies, and the
+    /// owner's restart refuses the record, naming it: the checksum is the
+    /// client's, computed before the damage, and nothing on the way
+    /// computes another over the damaged bytes.
+    #[test]
+    fn a_byte_damaged_in_a_servers_buffer_is_caught_at_restart() {
+        let m = msg(block());
+        let id = m.block.id;
+        let payload = m.block.datasets[0].data.bytes().as_ptr();
+        let mut buffered = Rope::new();
+        for part in m.encode().parts() {
+            let mut bytes = part.to_vec();
+            if part.as_ptr() == payload {
+                bytes[3] ^= 0x10;
+            }
+            buffered.push(Bytes::from(bytes));
+        }
+        // Intake and drain, as the server runs them.
+        let taken = BlockMsgView::walk_whole(&buffered).unwrap();
+        let fs = SharedFs::ideal();
+        let (mut w, t) = SdfFileWriter::create(&fs, "f.sdf", LibraryModel::Raw, 0, 0.0).unwrap();
+        let t = w.append_view(&taken.block, t).unwrap();
+        let t = w.finish(t).unwrap();
+        // The restart: the server ships the records as they lie; the owner
+        // reads them.
+        let (r, t) = SdfFileReader::open(&fs, "f.sdf", LibraryModel::Raw, 0, t).unwrap();
+        let (records, _) = r.read_blocks_raw(&[id], Fetch::PerRange, t).unwrap();
+        let mut shipped = Rope::new();
+        BlockView::ship(id, r.record_lens(id).unwrap(), &mut Cursor::new(&records), &mut shipped).unwrap();
+        let got = BlockView::receive(&shipped);
+        let named = "dataset 'blk000012/pressure' payload checksum mismatch";
+        assert!(matches!(&got, Err(RocError::Corrupt(e)) if e.contains(named)), "{got:?}");
     }
 
     #[test]

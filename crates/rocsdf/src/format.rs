@@ -19,25 +19,30 @@
 //!
 //! ## Encoding and decoding
 //!
-//! A block is laid out once: [`encode_block`] writes its records into one
-//! staging buffer with the payloads between them, read from a description
-//! of the block (a pane where it lies, a block read where it lies, or a
+//! A block is laid out once, as its file records: [`encode_block`] writes
+//! them into one staging buffer with the payloads between them, each with
+//! its `__crc32__`, read from a description of the block (a pane where it
+//! lies, a block read where it lies, or a
 //! [`DataBlock`](rocio_core::DataBlock)), and every producer starts there.
-//! A Rocpanda message puts its routing header in front and leaves the
-//! checksums out; a file writer ([`crate::SdfFileWriter::append_block`])
-//! has the same pass write each record's `__crc32__` in (see below). The
-//! header walk is the one parser of the layout: a record is read where it
-//! lies (`RecordView`; a block of them is a
-//! [`crate::view::BlockView`], and [`decode_dataset`] is one record's
-//! view, built). So a block travels one way whoever moves it: read as a
-//! view, laid out again by the one encoder.
+//! A Rocpanda message puts its routing header in front. The header walk
+//! is the one parser of the layout: a record is read where it lies
+//! (`RecordView`; a block of them is a [`crate::view::BlockView`], and
+//! [`decode_dataset`] is one record's view, built). A block is written by
+//! walking its records, not laying them out again: a file writer appends
+//! them as they lie ([`crate::SdfFileWriter::append_view`]), a Rocpanda
+//! server's buffered message and T-Rochdf's buffer alike.
 //!
 //! ## The payload checksum
 //!
 //! A file record carries the CRC-32 of its payload as the reserved
 //! `__crc32__` Int attribute; [`decode_dataset`] recomputes, compares and
 //! strips it, and treats an attribute of that name that is not a CRC-32
-//! as corruption. The value is on disk in every snapshot ever written, so
+//! as corruption. It is computed once, where the record is encoded
+//! ([`encode_block`]; a pane's mesh image keeps its own), and never on the
+//! way to disk: the rank that applies a block — a restart's owner, a
+//! rebalance's receiver — checks it, so a byte damaged in a server's
+//! buffer is caught at restart, not sealed in by a checksum computed
+//! after it. The value is on disk in every snapshot ever written, so
 //! it is part of the format: [`crc32`] is free to change *how* it
 //! computes (today three interleaved slice-by-8 chains per 768-byte
 //! group, recombined through two zero-advance tables, ≈ 3.8 GB/s against
@@ -74,8 +79,9 @@ pub const TRAILER_LEN: usize = 12;
 pub const BLOCK_META: &str = "__meta__";
 
 /// Reserved attribute carrying the CRC-32 of a dataset's payload.
-/// Written by [`crate::writer::SdfFileWriter`], verified and stripped by
-/// [`decode_dataset`]; absent on wire messages (the fabric is trusted).
+/// Written by the encoder into every record it lays out ([`encode_block`],
+/// so a Rocpanda message carries it as the file does), verified and
+/// stripped by [`decode_dataset`] where a block is applied.
 pub const CRC_ATTR: &str = "__crc32__";
 
 /// Slice-by-8 lookup tables for [`crc32`], generated at compile time
@@ -233,12 +239,6 @@ pub fn payload_crc32(ds: &Dataset) -> u32 {
     crc32(ds.data.bytes())
 }
 
-/// Dataset-name prefix for a block's group of datasets (`blk`, at least
-/// six digits, `/`), spelled by the encoder's stack `Prefix` and owned.
-pub fn block_prefix(id: BlockId) -> String {
-    Prefix::new(id).as_str().to_owned()
-}
-
 /// Parse a block id out of a prefixed dataset name.
 pub(crate) fn parse_block_id(name: &str) -> Option<BlockId> {
     let rest = name.strip_prefix("blk")?;
@@ -334,8 +334,8 @@ fn head_len(name_len: usize, rank: usize, attrs: usize) -> usize {
     DS_MARKER.len() + 2 + name_len + 2 + 8 * rank + 2 + attrs + 8
 }
 
-/// A block's group prefix, spelled on the stack: the one spelling of it;
-/// [`block_prefix`] is an owned copy.
+/// A block's group prefix (`blk`, at least six digits, `/`), spelled on
+/// the stack: the one spelling of it.
 pub(crate) struct Prefix {
     buf: [u8; 24],
     len: usize,
@@ -413,14 +413,14 @@ impl SegmentPool {
     }
 }
 
-/// Encode a block as its records — the one block encoder, behind the
+/// Encode a block as its file records — the one block encoder, behind the
 /// Rocpanda wire, the two writers and the restart replies alike: the
 /// block's `__meta__` (no payload; its attributes, in key order, the
 /// block's own as `blk:*`, then `block_id`, `n_datasets` and `window`),
-/// then every member under the block's group prefix, in order. These are
-/// wire records, and no record carries a `__crc32__`: a file writer lays
-/// the same records out with their checksums
-/// ([`crate::SdfFileWriter::append_block`]).
+/// then every member under the block's group prefix, in order, each with
+/// its payload's CRC-32 as a `__crc32__` Int at its sorted place (in place
+/// of any the description carries): what a message or a buffer holds is
+/// what the file holds.
 ///
 /// The block is read as a description ([`BlockDesc`]): a
 /// [`DataBlock`](rocio_core::DataBlock), a block read where it lies
@@ -431,81 +431,48 @@ impl SegmentPool {
 /// before it is allocated; a payload the description holds already goes in
 /// by refcount, and every other one is encoded into one more buffer, the
 /// block's payload image. The rope is those two buffers' windows, each
-/// member's payload after its header. No name is formatted and no record
-/// is built to be encoded.
+/// member's payload after its header. Each CRC-32 is computed in the pass
+/// that encodes its payload, or once per held payload that keeps a slot
+/// for it (`Payload::held_crc`: a pane's mesh image). No name is formatted
+/// and no record is built to be encoded.
 pub fn encode_block(lead: &[u8], block: &(impl BlockDesc + ?Sized)) -> Rope {
-    match lay_out_block(lead, block, false, |_, _| {}) {
-        Ok(rope) => rope,
-        Err(_) => unreachable!("only a file record is refused"),
-    }
-}
-
-/// [`encode_block`], and with `crc` the block's *file* records: each
-/// carries its payload's CRC-32 as a `__crc32__` Int at its sorted place,
-/// computed in the pass that lays the record out — over the held bytes, or
-/// over the slice of the payload image just encoded. `record` is told each
-/// record's full name, in pieces, and its length, in file order.
-///
-/// A file record is refused, [`RocError::Corrupt`], when a field cannot
-/// hold what it would say (a name or attribute key over its `u16` length,
-/// an attribute count with the checksum's over its `u16`, a rank over its
-/// `u8`), checked before anything is laid out, or when the description
-/// carries a `__crc32__` its payload does not match: the computed value
-/// never overwrites a stale one.
-pub(crate) fn lay_out_block(
-    lead: &[u8],
-    block: &(impl BlockDesc + ?Sized),
-    crc: bool,
-    mut record: impl FnMut(&[&str], usize),
-) -> Result<Rope> {
     let prefix = Prefix::new(block.id());
     let prefix = prefix.as_str();
-    // The entry a file record adds, unless the description has one: the
-    // key and an Int.
-    let added = |ds: &DatasetDesc<'_>| usize::from(crc && described_crc(ds).is_none());
     let entry = |key: &str, v: Attr<'_>| 2 + key.len() + v.encoded_size();
     let crc_entry = entry(CRC_ATTR, Attr::Int(0));
-    // What `put_record_head` writes for a member, and for the meta: its
-    // attributes as `blk:*`, then `block_id`, `n_datasets` and `window`.
+    // What `put_record_head` writes for a member — its attributes with
+    // the checksum's entry in place of any described one — and for the
+    // meta: the checksum, its attributes as `blk:*`, then `block_id`,
+    // `n_datasets` and `window`.
     let member_len = |ds: &DatasetDesc<'_>| {
-        let attrs = ds.attrs.encoded_size() + added(ds) * crc_entry;
+        let described = described_crc(ds).map_or(0, |v| entry(CRC_ATTR, v));
+        let attrs = ds.attrs.encoded_size() - described + crc_entry;
         head_len(prefix.len() + ds.name.len(), ds.shape.len(), attrs)
     };
-    let (meta_attrs, n_meta_attrs) = block.with_attrs(|attrs| {
-        if crc {
-            check_fields(prefix, BLOCK_META, 1, attrs.len() + 4, "blk:", attrs)?;
-        }
-        Ok((attrs.encoded_size() + "blk:".len() * attrs.len(), attrs.len() + 3))
-    })?;
+    let (meta_attrs, n_meta_attrs) = block
+        .with_attrs(|attrs| (attrs.encoded_size() + "blk:".len() * attrs.len(), attrs.len() + 4));
     let meta_attrs = meta_attrs
-        + usize::from(crc) * crc_entry
+        + crc_entry
         + entry("block_id", Attr::Int(0))
         + entry("n_datasets", Attr::Int(0))
         + entry("window", Attr::Str(block.window()));
     let meta_len = head_len(prefix.len() + BLOCK_META.len(), 1, meta_attrs);
-    let (mut heads, mut image, mut refused) = (lead.len() + meta_len, 0, Ok(()));
+    let (mut heads, mut image) = (lead.len() + meta_len, 0);
     block.for_each_dataset(|ds| {
         heads += member_len(ds);
         if ds.payload.held().is_none() {
             image += ds.payload.byte_len();
         }
-        if crc && refused.is_ok() {
-            let n_attrs = ds.attrs.len() + added(ds);
-            refused = check_fields(prefix, ds.name, ds.shape.len(), n_attrs, "", ds.attrs);
-        }
     });
-    refused?;
     let mut stage = Vec::with_capacity(heads);
     stage.extend_from_slice(lead);
     stage.extend_from_slice(DS_MARKER);
     put_name16(&mut stage, &[prefix, BLOCK_META]);
     stage.extend_from_slice(&[DType::U8.tag(), 1]);
     stage.extend_from_slice(&0u64.to_le_bytes());
-    stage.extend_from_slice(&((n_meta_attrs + usize::from(crc)) as u16).to_le_bytes());
-    if crc {
-        // `_` sorts before `b`: the checksum of no bytes leads.
-        encode_attr_entry(CRC_ATTR, Attr::Int(i64::from(crc32(&[]))), &mut stage);
-    }
+    stage.extend_from_slice(&(n_meta_attrs as u16).to_le_bytes());
+    // `_` sorts before `b`: the checksum of no bytes leads.
+    encode_attr_entry(CRC_ATTR, Attr::Int(i64::from(crc32(&[]))), &mut stage);
     block.with_attrs(|attrs| {
         for (k, v) in attrs.iter() {
             put_name16(&mut stage, &["blk:", k]);
@@ -518,27 +485,18 @@ pub(crate) fn lay_out_block(
     encode_attr_entry("window", Attr::Str(block.window()), &mut stage);
     stage.extend_from_slice(&0u64.to_le_bytes());
     let mut encoded = Vec::with_capacity(image);
-    let mut stale = Ok(());
     block.for_each_dataset(|ds| {
-        let held = ds.payload.held();
-        if held.is_none() {
-            ds.payload.encode(&mut encoded);
-        }
-        let crc = crc.then(|| match held {
-            Some(held) => crc32(held),
-            None => crc32(&encoded[encoded.len() - ds.payload.byte_len()..]),
-        });
-        if let (Some(crc), Some(stored)) = (crc, described_crc(ds)) {
-            if stored.as_int() != Some(i64::from(crc)) && stale.is_ok() {
-                stale = Err(RocError::Corrupt(format!(
-                    "SDF: dataset '{prefix}{}' stores {CRC_ATTR} {stored:?}, its payload's is {crc:#x}",
-                    ds.name
-                )));
+        let crc = match (ds.payload.held(), ds.payload.held_crc()) {
+            (Some(held), Some(kept)) => *kept.get_or_init(|| crc32(held)),
+            (Some(held), None) => crc32(held),
+            (None, _) => {
+                let at = encoded.len();
+                ds.payload.encode(&mut encoded);
+                crc32(&encoded[at..])
             }
-        }
-        put_record_head(&mut stage, &[prefix, ds.name], ds, crc);
+        };
+        put_record_head(&mut stage, &[prefix, ds.name], ds, Some(crc));
     });
-    stale?;
     debug_assert_eq!(
         (stage.len(), encoded.len()),
         (heads, image),
@@ -551,11 +509,9 @@ pub(crate) fn lay_out_block(
     let encoded = (image > 0).then(|| Bytes::from(encoded));
     let mut rope = Rope::new();
     rope.reserve(2 * block.n_datasets() + 1);
-    record(&[prefix, BLOCK_META], meta_len);
     let (mut run, mut at, mut encoded_at) = (0, lead.len() + meta_len, 0);
     block.for_each_dataset(|ds| {
         let len = ds.payload.byte_len();
-        record(&[prefix, ds.name], member_len(ds) + len);
         at += member_len(ds);
         rope.push(stage.slice(run..at));
         run = at;
@@ -567,7 +523,7 @@ pub(crate) fn lay_out_block(
         }
     });
     rope.push(stage.slice(run..));
-    Ok(rope)
+    rope
 }
 
 /// The `__crc32__` a description carries, if it carries one.
@@ -575,30 +531,37 @@ fn described_crc<'a>(ds: &DatasetDesc<'a>) -> Option<Attr<'a>> {
     ds.attrs.iter().find_map(|(k, v)| (k == CRC_ATTR).then_some(v))
 }
 
-/// Refuse a file record whose fields cannot hold what they would say: its
-/// name (`prefix` + `name`) or an attribute key (`key_prefix` + key) over a
-/// `u16` length, `n_attrs` over a `u16` count, `rank` over a `u8`.
-fn check_fields(
-    prefix: &str,
-    name: &str,
-    rank: usize,
-    n_attrs: usize,
-    key_prefix: &str,
-    attrs: Attrs<'_>,
-) -> Result<()> {
-    let key = attrs.iter().map(|(k, _)| key_prefix.len() + k.len()).max();
-    let fields = [
-        ("name", prefix.len() + name.len(), u16::MAX.into()),
-        ("attribute key", key.unwrap_or(0), u16::MAX.into()),
-        ("attribute count", n_attrs, u16::MAX.into()),
-        ("rank", rank, u8::MAX.into()),
-    ];
-    match fields.into_iter().find(|&(_, n, max)| n > max) {
-        Some((field, n, max)) => Err(RocError::Corrupt(format!(
-            "SDF: a dataset of block '{prefix}' needs {n} for its {field}, whose field holds {max}"
-        ))),
-        None => Ok(()),
-    }
+/// Refuse a block whose file records' fields cannot hold what they would
+/// say — a name or attribute key over its `u16` length, an attribute count
+/// with the checksum's over its `u16`, a rank over its `u8` — as
+/// [`RocError::Corrupt`], before anything is laid out.
+pub(crate) fn check_block(block: &(impl BlockDesc + ?Sized)) -> Result<()> {
+    let prefix = Prefix::new(block.id());
+    let prefix = prefix.as_str();
+    let fits = |name: &str, key_prefix: &str, attrs: Attrs<'_>, n_attrs: usize, rank: usize| {
+        let key = attrs.iter().map(|(k, _)| key_prefix.len() + k.len()).max();
+        let fields = [
+            ("name", prefix.len() + name.len(), u16::MAX.into()),
+            ("attribute key", key.unwrap_or(0), u16::MAX.into()),
+            ("attribute count", n_attrs, u16::MAX.into()),
+            ("rank", rank, u8::MAX.into()),
+        ];
+        match fields.into_iter().find(|&(_, n, max)| n > max) {
+            Some((field, n, max)) => Err(RocError::Corrupt(format!(
+                "SDF: a dataset of block '{prefix}' needs {n} for its {field}, whose field holds {max}"
+            ))),
+            None => Ok(()),
+        }
+    };
+    block.with_attrs(|attrs| fits(BLOCK_META, "blk:", attrs, attrs.len() + 4, 1))?;
+    let mut refused = Ok(());
+    block.for_each_dataset(|ds| {
+        let n_attrs = ds.attrs.len() + usize::from(described_crc(ds).is_none());
+        if refused.is_ok() {
+            refused = fits(ds.name, "", ds.attrs, n_attrs, ds.shape.len());
+        }
+    });
+    refused
 }
 
 pub(crate) const RECORD: &str = "SDF record";
@@ -715,13 +678,12 @@ pub(crate) fn check_crc(name: &str, stored: u32, payload: &[u8]) -> Result<()> {
 /// (`RecordView::read`), built.
 ///
 /// The window holds a refcount on that part's allocation, so it stays valid
-/// after every other handle to the input is dropped — this is how the
-/// server's active buffer references message payloads until drain without
-/// re-encoding or copying them. A `__crc32__` attribute (file records
-/// carry one; wire records do not) is verified against the payload and
-/// stripped.
+/// after every other handle to the input is dropped. A `__crc32__`
+/// attribute (every encoder writes one) is verified against the payload
+/// and stripped.
 pub fn decode_dataset(cur: &mut Cursor<'_>) -> Result<Dataset> {
-    decode_dataset_with(cur, true)
+    let record = RecordView::read(cur, true)?;
+    record.to_dataset(record.name())
 }
 
 /// [`decode_dataset`] of the record at `*pos` of one contiguous buffer,
@@ -732,23 +694,6 @@ pub fn decode_dataset_shared(bytes: &Bytes, pos: &mut usize) -> Result<Dataset> 
     let ds = decode_dataset(&mut cur)?;
     *pos = cur.pos();
     Ok(ds)
-}
-
-/// [`decode_dataset`] with the caller choosing whether the payload
-/// checksum is recomputed.
-///
-/// Pass `verify_crc: false` **only** when the same record bytes were
-/// already checksum-verified in an immutable image — the reader's
-/// open-metadata cache tracks this per record per file generation, so a
-/// warm restart re-reading a frozen snapshot skips the CRC pass it
-/// already paid (and any rewrite of the path starts a new generation,
-/// which verifies afresh). The checksum attribute is stripped — and must
-/// be a CRC-32 — either way, so decoded datasets are identical across
-/// both modes and damage to the attribute's type tag cannot switch the
-/// check off.
-pub(crate) fn decode_dataset_with(cur: &mut Cursor<'_>, verify_crc: bool) -> Result<Dataset> {
-    let record = RecordView::read(cur, verify_crc)?;
-    record.to_dataset(record.name())
 }
 
 /// One index entry as a writer keeps it: where the dataset's name lies in
@@ -995,6 +940,7 @@ mod tests {
 
     #[test]
     fn block_prefix_and_parse() {
+        let block_prefix = |id| Prefix::new(id).as_str().to_owned();
         let p = block_prefix(BlockId(42));
         assert_eq!(p, "blk000042/");
         let widest = block_prefix(BlockId(u64::MAX));
@@ -1045,11 +991,12 @@ mod tests {
             .with_attr("level", 2i64);
         let lead = b"routing".to_vec();
         let wire = encode_block(&lead, &block);
-        // Record for record what the record encoder lays out, behind the lead.
+        // Record for record what the record encoder lays out, each with its
+        // payload's checksum, behind the lead.
         let flat: Vec<u8> = wire.parts().iter().flat_map(|p| p.iter().copied()).collect();
         let mut want = lead;
         for ds in records_of(&block) {
-            want.extend(encode(&ds, None, None));
+            want.extend(encode(&ds, None, Some(payload_crc32(&ds))));
         }
         assert_eq!(flat, want);
         // Header runs are consecutive windows of one buffer; a payload is
@@ -1112,7 +1059,7 @@ mod tests {
         assert_eq!(enc[tag], AttrValue::Int(0).tag());
         let malformed = |enc: &[u8]| {
             for verify in [true, false] {
-                let err = decode_dataset_with(&mut Cursor::from(&Bytes::copy_from_slice(enc)), verify);
+                let err = RecordView::read(&mut Cursor::from(&Bytes::copy_from_slice(enc)), verify);
                 assert!(
                     matches!(err, Err(RocError::Corrupt(ref m)) if m.contains("malformed __crc32__")),
                     "{err:?}"
@@ -1265,40 +1212,84 @@ mod tests {
         assert_eq!(got(&[&meta, &long_key]).datasets[0].attrs.len(), 3);
     }
 
-    /// A file record is the wire record with its payload's CRC-32 at its
-    /// sorted place — in the meta's table before every key, in a member's
-    /// between keys on both sides of it — whether the description carried
-    /// none or a matching one, and the writer is told each record's name
-    /// and length in file order.
+    /// The block encoder writes file records: each is the record encoder's
+    /// with its payload's CRC-32 at its sorted place — in the meta's table
+    /// before every key, in a member's between keys on both sides of it —
+    /// whether the description carried none, a matching one or a stale or
+    /// malformed one (the computed one takes its place).
     #[test]
-    fn file_records_are_the_wire_records_with_their_checksums() {
+    fn the_block_encoder_writes_file_records() {
         let block = DataBlock::new(BlockId(9), "solid")
             .with_dataset(Dataset::vector("disp", vec![0.5f64; 3]).with_attr("AAA", 1i64).with_attr("zzz", 2i64))
             .with_dataset(Dataset::vector("empty", Vec::<i32>::new()))
             .with_attr("level", 2i64);
-        let mut want = Vec::new();
-        let mut lens = Vec::new();
-        for ds in records_of(&block) {
-            let record = encode(&ds, None, Some(payload_crc32(&ds)));
-            lens.push((ds.name.clone(), record.len()));
-            want.extend(record);
+        let want: Vec<u8> =
+            records_of(&block).iter().flat_map(|ds| encode(ds, None, Some(payload_crc32(ds)))).collect();
+        assert_eq!(encode_block(&[], &block).into_bytes(), want);
+        let crc = payload_crc32(&block.datasets[0]) as i64;
+        for stored in [AttrValue::Int(crc), AttrValue::Int(crc ^ 1), AttrValue::Float(0.5), AttrValue::Str("x".into())] {
+            let mut stamped = block.clone();
+            stamped.datasets[0].attrs.insert(CRC_ATTR.into(), stored.clone());
+            assert_eq!(encode_block(&[], &stamped).into_bytes(), want, "{stored:?}");
         }
-        let mut told = Vec::new();
-        let file = lay_out_block(&[], &block, true, |name, len| told.push((name.concat(), len))).unwrap();
-        assert_eq!(file.into_bytes(), want);
-        assert_eq!(told, lens);
-        let mut stamped = block.clone();
-        let crc = payload_crc32(&stamped.datasets[0]) as i64;
-        stamped.datasets[0].attrs.insert(CRC_ATTR.into(), AttrValue::Int(crc));
-        assert_eq!(lay_out_block(&[], &stamped, true, |_, _| {}).unwrap().into_bytes(), want);
-        // The wire form is the same records without them.
-        let wire: Vec<u8> = records_of(&block).iter().flat_map(|ds| encode(ds, None, None)).collect();
-        assert_eq!(encode_block(&[], &block).into_bytes(), wire);
-        // A stale or malformed stored checksum is refused, not replaced.
-        for stale in [AttrValue::Int(crc ^ 1), AttrValue::Float(0.5), AttrValue::Str("x".into())] {
-            stamped.datasets[0].attrs.insert(CRC_ATTR.into(), stale.clone());
-            let got = lay_out_block(&[], &stamped, true, |_, _| panic!("nothing is told"));
-            assert!(matches!(got, Err(RocError::Corrupt(_))), "{stale:?}: {got:?}");
+    }
+
+    /// A held payload that keeps a slot for its checksum is checksummed
+    /// once: the first encode fills the slot, and every later one lays out
+    /// what the slot holds without reading the bytes again.
+    #[test]
+    fn a_kept_checksum_is_computed_once() {
+        struct Kept {
+            bytes: Bytes,
+            crc: std::sync::OnceLock<u32>,
         }
+        impl rocio_core::Payload for Kept {
+            fn byte_len(&self) -> usize {
+                self.bytes.len()
+            }
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.bytes);
+            }
+            fn absorb(&self, field: &mut rocio_core::checksum::Field) {
+                field.absorb(&self.bytes);
+            }
+            fn held(&self) -> Option<&Bytes> {
+                Some(&self.bytes)
+            }
+            fn held_crc(&self) -> Option<&std::sync::OnceLock<u32>> {
+                Some(&self.crc)
+            }
+        }
+        struct One<'a>(&'a Kept);
+        impl BlockDesc for One<'_> {
+            fn id(&self) -> BlockId {
+                BlockId(3)
+            }
+            fn window(&self) -> &str {
+                "w"
+            }
+            fn with_attrs<R>(&self, f: impl FnOnce(Attrs<'_>) -> R) -> R {
+                f(Attrs::NONE)
+            }
+            fn n_datasets(&self) -> usize {
+                1
+            }
+            fn for_each_dataset(&self, mut f: impl FnMut(&DatasetDesc<'_>)) {
+                let shape = [self.0.bytes.len()];
+                f(&DatasetDesc { name: "p", dtype: DType::U8, shape: &shape, attrs: Attrs::NONE, payload: self.0 })
+            }
+        }
+        let kept = Kept { bytes: Bytes::copy_from_slice(b"mesh bytes"), crc: Default::default() };
+        let block = DataBlock::new(BlockId(3), "w").with_dataset(Dataset::vector("p", b"mesh bytes".to_vec()));
+        let fresh = encode_block(&[], &block).into_bytes();
+        assert_eq!(encode_block(&[], &One(&kept)).into_bytes(), fresh);
+        assert_eq!(kept.crc.get(), Some(&crc32(b"mesh bytes")));
+        // What the slot holds is what the next record carries.
+        let kept = Kept { bytes: kept.bytes, crc: std::sync::OnceLock::from(0x1234) };
+        let next = encode_block(&[], &One(&kept));
+        let mut cur = next.cursor();
+        RecordView::read(&mut cur, true).unwrap();
+        let err = RecordView::read(&mut cur, true);
+        assert!(matches!(err, Err(RocError::Corrupt(ref m)) if m.contains("stored 0x1234")), "{err:?}");
     }
 }

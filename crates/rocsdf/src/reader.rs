@@ -660,7 +660,7 @@ mod tests {
     /// library's one-dataset access (lookup, then one positioned read,
     /// decode) chained over the block's records, meta first.
     fn per_record_reference(r: &SdfFileReader, id: BlockId, now: SimTime) -> (DataBlock, SimTime) {
-        let prefix = crate::block_prefix(id);
+        let prefix = crate::format::Prefix::new(id).as_str().to_owned();
         let meta = format!("{prefix}{BLOCK_META}");
         let names = r.meta.entries.iter().map(|e| r.meta.name(e));
         let members = names.filter(|n| n.starts_with(&prefix) && *n != meta);

@@ -1,9 +1,10 @@
 //! A block read where it lies.
 //!
 //! A reader has no use for a built block: a restart applies each attribute
-//! to its pane once, a Rocpanda server ships the block on, Rocketeer
-//! reduces it. So a block's records are read as a [`BlockView`]: each
-//! record's header and payload are windows of the bytes they arrived in (a
+//! to its pane once, a Rocpanda server appends its records to a file as
+//! they came, Rocketeer reduces it. So a block's records are read as a
+//! [`BlockView`]: each record's header and payload are windows of the
+//! bytes they arrived in (a
 //! file image, a message's parts), checked by the one header walk, and the
 //! view describes the block ([`BlockDesc`]) straight from them — names,
 //! shapes and attribute tables read where they lie, vectors as their
@@ -50,8 +51,8 @@ use crate::format::{
 pub(crate) struct RecordView {
     /// Marker through `data_len`, as [`walk_record_header`] checked it: a
     /// window of the part it lies in (gathered only when the input cut it).
-    head: Bytes,
-    payload: Bytes,
+    pub(crate) head: Bytes,
+    pub(crate) payload: Bytes,
     dtype: DType,
     /// The attribute keys ascend strictly, as every encoder writes them, so
     /// the table reads as it lies; otherwise it is read as a map built
@@ -63,8 +64,9 @@ impl RecordView {
     /// Read the record at the cursor, advancing it past the record: every
     /// check [`crate::decode_dataset`] makes, in its order — the header
     /// walk, a payload the input holds, a `__crc32__` that is a CRC-32 and,
-    /// with `verify_crc`, matches the payload (see
-    /// [`crate::decode_dataset`] for when a caller may pass `false`).
+    /// with `verify_crc`, matches the payload. Without it no payload is
+    /// read: a forwarded block ([`BlockView::walk`]), or a record the
+    /// reader's open-metadata cache verified in this file generation.
     pub(crate) fn read(cur: &mut Cursor<'_>, verify_crc: bool) -> Result<RecordView> {
         let mut at_head = cur.clone();
         let start = cur.pos();
@@ -176,7 +178,7 @@ impl std::fmt::Debug for CrcEntry<'_> {
 #[derive(Debug, Clone)]
 pub struct BlockView {
     id: BlockId,
-    records: Vec<RecordView>,
+    pub(crate) records: Vec<RecordView>,
     /// Length of the group prefix its members' names carry.
     prefix_len: usize,
 }
@@ -237,6 +239,19 @@ impl BlockView {
     pub fn decode(cur: &mut Cursor<'_>, n_records: usize) -> Result<BlockView> {
         let capacity = n_records.min(cur.remaining() / MIN_RECORD);
         BlockView::assemble(None, capacity, (0..n_records).map(|_| RecordView::read(cur, true)))
+    }
+
+    /// [`BlockView::decode`] of a block forwarded to a file as it lies
+    /// ([`crate::SdfFileWriter::append_view`]): no payload read, and each
+    /// record's `__crc32__`, which it must carry, left to whoever applies
+    /// the block.
+    pub fn walk(cur: &mut Cursor<'_>, n_records: usize) -> Result<BlockView> {
+        let capacity = n_records.min(cur.remaining() / MIN_RECORD);
+        let read = (0..n_records).map(|_| match RecordView::read(cur, false)? {
+            rec if rec.value(CRC_ATTR).is_some() => Ok(rec),
+            rec => Err(corrupt_block(format!("dataset '{}' carries no {CRC_ATTR}", rec.name()))),
+        });
+        BlockView::assemble(None, capacity, read)
     }
 
     /// Block `id` from its records at the cursor, `__meta__` first, each as

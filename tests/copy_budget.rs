@@ -8,13 +8,13 @@
 //! mesh image, which the pane keeps and every later snapshot of it holds
 //! by refcount. Everything after that — the Rocpanda message (a rope of
 //! those images and one header buffer), server buffering, the drain's
-//! record layout, the store's extent list — holds it by reference, on both
+//! append, the store's extent list — holds it by reference, on both
 //! paths. The write budgets below are that one copy plus headroom for
-//! headers, indexes and bookkeeping (measured: 1.05 x through Rocpanda,
-//! 1.04 x through T-Rochdf); a re-introduced flatten, clone or staging
+//! headers, indexes and bookkeeping (measured: 1.04 x through Rocpanda,
+//! 1.03 x through T-Rochdf); a re-introduced flatten, clone or staging
 //! `Vec` on the path costs at least one more payload and trips them. A
 //! second snapshot of the same, unchanged panes copies only its fields:
-//! budget 0.75 x, measured 0.67 x through Rocpanda and 0.66 x through
+//! budget 0.75 x, measured 0.66 x through Rocpanda and 0.65 x through
 //! T-Rochdf (1.04 x and 1.03 x when every snapshot encoded its mesh
 //! again).
 //!
@@ -28,25 +28,29 @@
 //! refcount for each of the two, the rope's part list and its refcount),
 //! T-Rochdf in 6 (no routing header), and on a pane's first snapshot two
 //! more per mesh dataset (its image and the image's refcount; a structured
-//! pane has one mesh dataset, an unstructured one two). Nothing frames the
-//! records: the server's intake reads the message as a view
-//! (`rocsdf::BlockView`: its record table, the records windows of the
-//! message), and T-Rochdf's I/O thread reads each buffered rope the same
-//! way. The drain, and that thread, make one encode with checksums
-//! (`append_block` of the view: a header staging buffer, its refcount, the
-//! rope's part list, a segment list; every payload is held, and the index
-//! names records from one buffer per file). The rest is the fabric and the
-//! store, where an empty message allocates nothing and one of up to 16
-//! bytes only its refcount block. Measured: 26.1–26.2 through Rocpanda
-//! (23.5 when the mesh was encoded into each block's payload image; 25.0
-//! when small messages cost a buffer and a refcount; 30.8 when intake
-//! framed the records for the file, a record list and a name per record; 84
-//! when the client built a `DataBlock` per pane and the framer formatted
-//! the prefix, 250 when its server decoded and re-encoded, 126 when every
-//! map it kept held its own copy of the file's key, 122 when each header
-//! had a pooled `Vec` of its own and the meta a map), 26.6 through T-Rochdf
-//! (24.1–24.2 with no mesh image, 24.4 with two-part small messages, 29.0
-//! framing, 82 with a `DataBlock` per pane, 117 with per-record headers).
+//! pane has one mesh dataset, an unstructured one two). The encode writes
+//! file records, each with its `__crc32__`, so nothing frames or lays out
+//! the records again: the server's intake walks the message as a view
+//! (`rocsdf::BlockView::walk`: its record table, the records windows of
+//! the message, no payload read), and T-Rochdf's I/O thread walks each
+//! buffered rope the same way. The drain, and that thread, append the
+//! records as they lie (`SdfFileWriter::append_view`: a segment list; the
+//! index names records from one buffer per file, grown once per block).
+//! The rest is the fabric and the store, where an empty message allocates
+//! nothing and one of up to 16 bytes only its refcount block. Measured:
+//! 21.9 through Rocpanda (26.1–26.2 when the drain laid each block out
+//! again to put the checksums in — a header staging buffer, its refcount
+//! and the rope's part list — and grew the index record by record; 23.5
+//! when the mesh was encoded into each block's payload image; 25.0 when
+//! small messages cost a buffer and a refcount; 30.8 when intake framed
+//! the records for the file, a record list and a name per record; 84 when
+//! the client built a `DataBlock` per pane and the framer formatted the
+//! prefix, 250 when its server decoded and re-encoded, 126 when every map
+//! it kept held its own copy of the file's key, 122 when each header had a
+//! pooled `Vec` of its own and the meta a map), 21.8 through T-Rochdf
+//! (26.6 laying out again, 24.1–24.2 with no mesh image, 24.4 with
+//! two-part small messages, 29.0 framing, 82 with a `DataBlock` per pane,
+//! 117 with per-record headers).
 //! The counts repeat to within 0.2 from run to run, in either profile and
 //! under the lock witness.
 //!
@@ -58,7 +62,7 @@
 //! restart's windows name their panes (`genx::setup::reserve_for`) and
 //! hold nothing until then. The read budget covers building those windows
 //! *and* the cold read (measured: 0.84 x through Rochdf individual, 0.84 x
-//! two-phase, 0.84 x through Rocpanda — under 1 because a structured
+//! two-phase, 0.85 x through Rocpanda — under 1 because a structured
 //! pane's coordinates are in the file and never decoded); 1.84 x through
 //! Rochdf individual when the first read of each file gathered its
 //! extents into one image, which this test excused by touching every file
@@ -410,12 +414,12 @@ fn a_snapshot_byte_is_copied_once_per_hop() {
     let per_block = |calls: u64| calls as f64 / n_panes as f64;
     let (panda_calls, trochdf_calls) = (per_block(panda_calls), per_block(trochdf_calls));
     assert!(
-        panda_calls <= 28.0,
-        "Rocpanda made {panda_calls:.1} allocator calls per block (budget 28)"
+        panda_calls <= 24.0,
+        "Rocpanda made {panda_calls:.1} allocator calls per block (budget 24)"
     );
     assert!(
-        trochdf_calls <= 28.0,
-        "T-Rochdf made {trochdf_calls:.1} allocator calls per block (budget 28)"
+        trochdf_calls <= 24.0,
+        "T-Rochdf made {trochdf_calls:.1} allocator calls per block (budget 24)"
     );
     println!(
         "call budget, write: rocpanda {panda_calls:.1}, t-rochdf {trochdf_calls:.1} per block"
