@@ -136,14 +136,33 @@ pub fn rebalance(
     }
     // Receive incoming panes. Arrival order may differ from plan order
     // when several ranks ship to the same destination, so the message's
-    // own routing header decides where each pane lands.
-    let incoming = moves.iter().filter(|(_, _, _, to)| *to == me).count();
-    for _ in 0..incoming {
-        let m = comm.recv_rope(None, Some(MIGRATE_TAG))?;
-        let bm = BlockMsgView::decode(&mut m.payload.cursor())?;
-        convert::apply_block(windows.window_mut(&bm.window)?, &bm.block)?;
+    // own routing header decides where each pane lands. The plan names
+    // each sender and its count, so the drain waits on the senders still
+    // owing panes alone, and every planned pane is taken before the first
+    // that fails to land is reported: none is left queued.
+    let mut owed = vec![0usize; comm.size()];
+    for (_, _, from, _) in moves.iter().filter(|(_, _, _, to)| *to == me) {
+        owed[*from] += 1;
     }
-    Ok(moves.len())
+    let mut open: Vec<usize> = (0..owed.len()).filter(|&r| owed[r] > 0).collect();
+    let mut failure = None;
+    while !open.is_empty() {
+        let m = comm.recv_least_of(&open, Some(MIGRATE_TAG))?;
+        owed[m.src] -= 1;
+        if owed[m.src] == 0 {
+            open.retain(|&r| r != m.src);
+        }
+        let landed = BlockMsgView::decode(&mut m.payload.cursor()).and_then(|bm| {
+            convert::apply_block(windows.window_mut(&bm.window)?, &bm.block)
+        });
+        if let Err(e) = landed {
+            failure.get_or_insert(e);
+        }
+    }
+    match failure {
+        Some(e) => Err(e),
+        None => Ok(moves.len()),
+    }
 }
 
 #[cfg(test)]
@@ -214,6 +233,45 @@ mod tests {
         let inv = decode_inventory(&bytes).unwrap();
         assert_eq!(inv, vec![("fluid".to_string(), 3, 24)]);
         assert!(decode_inventory(&bytes[..bytes.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn a_pane_that_cannot_land_fails_the_round_after_every_pane_is_taken() {
+        use rocio_core::{ArrayData, BlockId, DType, RocError};
+        use roccom::{AttrSpec, PaneMesh};
+        use rocnet::{cluster::ClusterSpec, run_ranks};
+
+        // Rank 0 holds panes 1–4 of 64 elements; rank 1 holds its own
+        // pane 1 of 2 elements. The plan moves panes 1 and 2 to rank 1, in
+        // that order: pane 1 cannot replace the held one, pane 2 lands.
+        let out = run_ranks(2, ClusterSpec::ideal(2), |comm| {
+            let mut ws = Windows::new();
+            let w = ws.create_window("fluid").unwrap();
+            w.declare_attr(AttrSpec::element("p", DType::F64, 1)).unwrap();
+            let (ids, dims) = if comm.rank() == 0 { (1..5, [4, 4, 4]) } else { (1..2, [1, 1, 2]) };
+            for i in ids {
+                let mesh = PaneMesh::Structured {
+                    dims,
+                    origin: [i as f64, 0.0, 0.0],
+                    spacing: [1.0; 3],
+                };
+                let n = dims.iter().product::<usize>();
+                w.register_pane(BlockId(i), mesh).unwrap();
+                w.pane_mut(BlockId(i))
+                    .unwrap()
+                    .set_data("p", ArrayData::F64(vec![i as f64; n]))
+                    .unwrap();
+            }
+            let moved = rebalance(&comm, &mut ws, &["fluid"], 1.05);
+            let held: Vec<u64> = ws.window("fluid").unwrap().pane_ids().iter().map(|b| b.0).collect();
+            (moved, held, comm.iprobe(None, Some(MIGRATE_TAG)).is_none())
+        });
+        let (moved, held, drained) = &out[0];
+        assert_eq!((moved.as_ref().ok(), held, drained), (Some(&2), &vec![3, 4], &true));
+        let (moved, held, drained) = &out[1];
+        assert!(matches!(moved, Err(RocError::Mismatch(_))), "{moved:?}");
+        assert_eq!(held, &vec![1, 2], "pane 2 landed after pane 1 failed");
+        assert!(drained, "a planned pane was left queued");
     }
 
     proptest! {

@@ -21,10 +21,11 @@
 //! Everything is deterministic: wanted-id lists travel through an
 //! `allgather` (collective, virtual-ordered), files are assigned to
 //! aggregators round-robin over the sorted listing, and receivers drain
-//! messages in the fabric's virtual order. Restarting onto a *different*
-//! rank count than the snapshot was written with needs no special casing —
-//! the wanted lists describe the new partition and the aggregators route
-//! accordingly.
+//! messages in the fabric's virtual order, waiting on the aggregators
+//! alone (`Comm::recv_least_of`), each closed at its completion notice.
+//! Restarting onto a *different* rank count than the snapshot was written
+//! with needs no special casing — the wanted lists describe the new
+//! partition and the aggregators route accordingly.
 
 use std::collections::HashSet;
 
@@ -102,8 +103,6 @@ pub(crate) fn read_views(
     let mut got: Vec<BlockView> = Vec::new();
     let mut received: u64 = 0;
     let mut expected: u64 = 0;
-    let mut dones = 0usize;
-    let expect_dones = n_agg - usize::from(rank < n_agg);
     // The first failure this rank met or was told of. It is returned only
     // after the drain, so a failed restart still leaves the fabric empty.
     let mut failure: Option<RocError> = None;
@@ -183,9 +182,14 @@ pub(crate) fn read_views(
         }
     }
 
-    // Drain: all completion notices, plus every block they promise.
-    while dones < expect_dones || received < expected {
-        let msg = comm.recv_rope(None, None)?;
+    // Drain: every other aggregator's blocks and then its completion
+    // notice, its last message here. The senders are known, so the drain
+    // waits on them alone (`recv_least_of`), in the order a wildcard
+    // drain would take, and an aggregator is closed at its notice.
+    let mut open = Vec::with_capacity(n_agg);
+    open.extend((0..n_agg).filter(|&a| a != rank));
+    while !open.is_empty() {
+        let msg = comm.recv_least_of(&open, None)?;
         match msg.tag {
             TAG_TP_DONE | TAG_TP_FAILED => {
                 let notice = msg.payload.into_bytes();
@@ -193,7 +197,7 @@ pub(crate) fn read_views(
                     .split_first_chunk::<8>()
                     .filter(|(_, why)| why.is_empty() || msg.tag == TAG_TP_FAILED)
                     .ok_or_else(|| RocError::Comm("two-phase: malformed done notice".into()))?;
-                dones += 1;
+                open.retain(|&a| a != msg.src);
                 expected += u64::from_le_bytes(*n);
                 if msg.tag == TAG_TP_FAILED {
                     failure.get_or_insert_with(|| {
@@ -221,6 +225,11 @@ pub(crate) fn read_views(
     }
     if let Some(e) = failure {
         return Err(e);
+    }
+    if received != expected {
+        return Err(RocError::Comm(format!(
+            "two-phase: {expected} blocks promised, {received} arrived"
+        )));
     }
     got.sort_by_key(|b| b.id());
     if let Some(twice) = got.windows(2).find(|pair| pair[0].id() == pair[1].id()) {

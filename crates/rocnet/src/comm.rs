@@ -107,7 +107,7 @@ impl Group {
         }
     }
 
-    fn global(&self, local: usize) -> usize {
+    pub(crate) fn global(&self, local: usize) -> usize {
         assert!(local < self.size, "rank {local} out of range (size {})", self.size);
         self.table.as_ref().map_or(local, |t| t.globals[local])
     }
@@ -383,6 +383,12 @@ impl Comm {
         let env = self
             .fabric
             .wait_match(self.global_rank(), &self.spec(src, tag), ChoiceKind::Take);
+        Ok(self.received(t0, env))
+    }
+
+    /// A receive's message, taken from the fabric at `t0`: the clock
+    /// charged, the stats counted and the `recv` span recorded.
+    fn received(&self, t0: SimTime, env: Envelope) -> Message<Rope> {
         let msg = self.to_message(env);
         if rocobs::enabled() {
             rocobs::record(
@@ -393,7 +399,52 @@ impl Comm {
                 &format!("src={} tag={:#x} bytes={}", msg.src, msg.tag, msg.payload.len()),
             );
         }
-        Ok(msg)
+        msg
+    }
+
+    /// The receive of a drain whose senders are known: takes what the
+    /// next [`Comm::recv_rope`]`(None, tag)` of a drain loop would take,
+    /// and charges the clock, the stats and the `recv` span as it would,
+    /// but waits on the `open` ranks alone and takes no virtual-time gate.
+    ///
+    /// It waits until each rank of `open` (ascending, distinct) has a
+    /// message `tag` accepts queued here, then takes the least
+    /// `(arrival, sender)` of those ranks' first such messages. A wildcard
+    /// receive must also wait until no *other* rank can still send an
+    /// earlier arrival, so a drain of wildcard receives commits each
+    /// message at the least commitment of the whole job; here the caller
+    /// names the senders, and no other rank's clock matters.
+    ///
+    /// The caller vouches for three things, and the order, the clock and
+    /// every byte then equal the wildcard loop's:
+    ///
+    /// * each rank of `open` sends up to its last message of the drain
+    ///   without waiting on this rank — the receive waits for a message
+    ///   from every open rank before it takes any;
+    /// * no rank outside `open` sends this rank a message `tag` accepts
+    ///   until the drain ends;
+    /// * a rank leaves `open` once its last message has been taken (the
+    ///   protocol says which: a count, a closing notice).
+    ///
+    /// Errors on an empty `open` (nothing could ever arrive) and on a rank
+    /// out of range.
+    pub fn recv_least_of(&self, open: &[usize], tag: Option<u32>) -> Result<Message<Rope>> {
+        debug_assert!(open.windows(2).all(|w| w[0] < w[1]), "open ranks ascend: {open:?}");
+        match open.last() {
+            None => return Err(RocError::Comm("recv_least_of: no open sender".into())),
+            Some(&s) if s >= self.size() => {
+                return Err(RocError::Comm(format!(
+                    "recv: rank {s} out of range (size {})",
+                    self.size()
+                )));
+            }
+            Some(_) => {}
+        }
+        let t0 = self.now();
+        let env = self
+            .fabric
+            .wait_least_of(self.global_rank(), &self.spec(None, tag), open);
+        Ok(self.received(t0, env))
     }
 
     /// Combined send+receive (`MPI_Sendrecv`): ships `payload` to `dst`
@@ -890,6 +941,129 @@ mod tests {
             comm.now()
         });
         assert_eq!(out, vec![0.25, 0.5]);
+    }
+
+    /// One source's messages to the drainer: `(tag, bytes, idle before)`.
+    type Traffic = Vec<(u32, usize, SimTime)>;
+
+    /// What a drain observed: see [`drain`].
+    type Drained = (Vec<(usize, u32, u64, usize)>, u64, StatsSnapshot, Vec<rocobs::Span>);
+
+    /// Sources `1..=traffic.len()` send their traffic to rank 0, which
+    /// drains it with `recv_least_of` (each source closed at its count) or
+    /// with a `recv_rope(None, tag)` loop. Returns, for rank 0, every
+    /// `(src, tag, arrival bits, bytes)` in the order taken, its final
+    /// clock's bits and its stats, and every rank's spans.
+    fn drain(traffic: &[Traffic], tag: Option<u32>, least_of: bool) -> Drained {
+        let n = traffic.len() + 1;
+        let spans = rocobs::TraceCollector::new();
+        let out = run_ranks(n, ClusterSpec::turing(n), |comm| {
+            let _rec = spans.handle(comm.rank(), 0, comm.rank() / 2).install();
+            if comm.rank() > 0 {
+                for &(t, len, idle) in &traffic[comm.rank() - 1] {
+                    comm.advance(idle);
+                    comm.send(0, t, &vec![comm.rank() as u8; len]).unwrap();
+                }
+                return None;
+            }
+            let mut owed: Vec<usize> = std::iter::once(0).chain(traffic.iter().map(Vec::len)).collect();
+            let mut open: Vec<usize> = (1..n).filter(|&s| owed[s] > 0).collect();
+            let mut taken = Vec::new();
+            for _ in 0..owed.iter().sum::<usize>() {
+                let m = if least_of {
+                    comm.recv_least_of(&open, tag).unwrap()
+                } else {
+                    comm.recv_rope(None, tag).unwrap()
+                };
+                owed[m.src] -= 1;
+                if owed[m.src] == 0 {
+                    open.retain(|&s| s != m.src);
+                }
+                taken.push((m.src, m.tag, m.arrival.to_bits(), m.payload.len()));
+            }
+            assert!(open.is_empty(), "every source closed");
+            Some((taken, comm.now().to_bits(), comm.stats()))
+        });
+        let (taken, clock, stats) = out.into_iter().next().flatten().unwrap();
+        (taken, clock, stats, spans.finish().spans().to_vec())
+    }
+
+    fn traffic() -> impl proptest::strategy::Strategy<Value = (Vec<Traffic>, bool)> {
+        use proptest::prelude::*;
+        // Few sizes and idle times, so that sources tie on arrival; tags
+        // mixed unless the drain asks for one.
+        const LENS: [usize; 4] = [0, 1, 64, 1 << 16];
+        let msg = (1..4u32, 0..LENS.len(), 0..3u8)
+            .prop_map(|(tag, len, idle)| (tag, LENS[len], f64::from(idle) * 1e-4));
+        (prop::collection::vec(prop::collection::vec(msg, 0..6), 1..=8), any::<bool>())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn recv_least_of_takes_what_a_wildcard_drain_takes(case in traffic()) {
+            let (mut traffic, one_tag) = case;
+            // A large message followed by a small one on one link: the
+            // small one arrives first and is still taken second.
+            traffic[0].splice(0..0, [(1, 1 << 16, 0.0), (1, 1, 0.0)]);
+            let tag = one_tag.then_some(1);
+            if one_tag {
+                traffic.iter_mut().flatten().for_each(|m| m.0 = 1);
+            }
+            let wildcard = drain(&traffic, tag, false);
+            let least_of = drain(&traffic, tag, true);
+            let mut from_1 = wildcard.0.iter().filter(|m| m.0 == 1);
+            let (big, small) = (from_1.next().unwrap(), from_1.next().unwrap());
+            proptest::prop_assert!(big.3 > small.3 && f64::from_bits(big.2) > f64::from_bits(small.2));
+            proptest::prop_assert_eq!(least_of, wildcard);
+        }
+    }
+
+    #[test]
+    fn recv_least_of_takes_no_gate() {
+        // Rank 3 sends nothing and keeps its slot outside the fabric, its
+        // clock at 0 — below every arrival — until rank 0's drain of ranks
+        // 1 and 2 has ended. A gated drain would wait on rank 3's clock;
+        // this one must finish while rank 3 waits.
+        const WAIT_MS: usize = 10_000;
+        let drained = std::sync::atomic::AtomicBool::new(false);
+        for cfg in [crate::SchedConfig::pooled(), crate::SchedConfig::threaded()] {
+            drained.store(false, std::sync::atomic::Ordering::SeqCst);
+            let out = crate::harness::run_ranks_sched(4, ClusterSpec::turing(4), &cfg, |comm| {
+                match comm.rank() {
+                    0 => {
+                        let mut open = vec![1, 2];
+                        let mut got = Vec::new();
+                        while !open.is_empty() {
+                            let m = comm.recv_least_of(&open, Some(5)).unwrap();
+                            if m.payload.is_empty() {
+                                open.retain(|&s| s != m.src);
+                            }
+                            got.push(m.src);
+                        }
+                        drained.store(true, std::sync::atomic::Ordering::SeqCst);
+                        got
+                    }
+                    3 => {
+                        let done = (0..WAIT_MS).any(|_| {
+                            std::thread::sleep(std::time::Duration::from_millis(1));
+                            drained.load(std::sync::atomic::Ordering::SeqCst)
+                        });
+                        assert!(done, "the drain waited on a rank that sends it nothing");
+                        assert_eq!(comm.now(), 0.0);
+                        Vec::new()
+                    }
+                    src => {
+                        for len in [64, 8, 0] {
+                            comm.send(0, 5, &vec![1; len]).unwrap();
+                        }
+                        vec![src]
+                    }
+                }
+            });
+            assert_eq!(out[0].len(), 6, "{cfg:?}");
+        }
     }
 
     #[test]

@@ -31,11 +31,14 @@
 //!   no lower than the sender's clock at delivery, so the scan is sound.
 //!
 //! Single-source matching needs no gate: per-source delivery order equals
-//! send order. With a network model whose costs are nonzero (e.g.
-//! `ClusterSpec::turing`) the virtual order is strict and every run of the
-//! same program yields bit-identical virtual times; zero-cost models can
-//! tie on arrival, where semantic results are still deterministic but
-//! timestamps may not be.
+//! send order. Nor does a drain whose senders are known
+//! ([`crate::Comm::recv_least_of`]): once each open sender heads a
+//! stream, the least of those heads is fixed, and the caller vouches that
+//! no other rank sends what it accepts. With a network model whose costs
+//! are nonzero (e.g. `ClusterSpec::turing`) the virtual order is strict
+//! and every run of the same program yields bit-identical virtual times;
+//! zero-cost models can tie on arrival, where semantic results are still
+//! deterministic but timestamps may not be.
 //!
 //! # Blocking and waking
 //!
@@ -462,6 +465,45 @@ impl FabricState {
             .map(|(h, e)| (h, Candidate::of(e)))
             .min_by(|(_, a), (_, b)| a.virtual_cmp(b))
             .map(|(h, _)| h)
+    }
+
+    /// The least `(arrival, source)` of the first heads `spec` accepts
+    /// from the `open` members of its group (local ranks, ascending) in
+    /// `dst`'s mailbox, once every one of them has such a head: `Ok` with
+    /// its stream. Otherwise `Err` with the least arrival among the heads
+    /// present (∞ if none): what the rank can act on at the earliest, and
+    /// so its commitment while it waits for the rest.
+    fn least_of(&mut self, dst: usize, spec: &MatchSpec, open: &[usize]) -> Result<Head, SimTime> {
+        let mut least: Option<(Head, Candidate)> = None;
+        let mut found = 0;
+        let mut consider = |h: Head, e: &Envelope| {
+            found += 1;
+            let c = Candidate::of(e);
+            if least.is_none_or(|(_, l)| c.virtual_cmp(&l).is_lt()) {
+                least = Some((h, c));
+            }
+        };
+        match spec.tag {
+            Some(tag) => {
+                for &s in open {
+                    if let Some(h) = self.mail.stream(dst, spec.group.global(s), spec.ctx, tag) {
+                        consider(h, self.mail.head(h));
+                    }
+                }
+            }
+            None => {
+                let open_member = |e: &Envelope| {
+                    spec.group.local(e.src_global).is_some_and(|l| open.binary_search(&l).is_ok())
+                };
+                for (h, e) in self.mail.first_heads(dst, |e| spec.matches(e) && open_member(e)) {
+                    consider(h, e);
+                }
+            }
+        }
+        match least {
+            Some((h, _)) if found == open.len() => Ok(h),
+            other => Err(other.map_or(SimTime::INFINITY, |(_, c)| c.arrival)),
+        }
     }
 
     /// Every per-source matching head in `dst`'s mailbox, sorted by
@@ -1131,6 +1173,32 @@ impl Fabric {
                 }
                 None => {
                     self.block(&mut g, dst, SimTime::INFINITY, spec);
+                    g = self.park(g, dst);
+                }
+            }
+        }
+    }
+
+    /// Receive from known senders (`Comm::recv_least_of`): wait until
+    /// each of `open` — local ranks of `spec`'s group, ascending — heads
+    /// a stream `spec` accepts, then take the least `(arrival, source)`
+    /// of those heads. No gate and no choice point: a source's head is
+    /// fixed once queued (non-overtaking), and the caller vouches that no
+    /// rank outside `open` sends what `spec` accepts, so no other rank's
+    /// clock bears on the pick. While it waits the rank commits to the
+    /// least head it holds, and any delivery `spec` accepts lowers that
+    /// commitment and wakes it to look again.
+    pub(crate) fn wait_least_of(&self, dst: usize, spec: &MatchSpec, open: &[usize]) -> Envelope {
+        let mut g = Locked::new(self.state.lock());
+        loop {
+            self.check_poison(&g);
+            match g.least_of(dst, spec, open) {
+                Ok(h) => {
+                    self.unblock(&mut g, dst);
+                    return g.claim(h, ChoiceKind::Take);
+                }
+                Err(bound) => {
+                    self.block(&mut g, dst, bound, spec);
                     g = self.park(g, dst);
                 }
             }
