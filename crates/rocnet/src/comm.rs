@@ -107,7 +107,7 @@ impl Group {
         }
     }
 
-    pub(crate) fn global(&self, local: usize) -> usize {
+    fn global(&self, local: usize) -> usize {
         assert!(local < self.size, "rank {local} out of range (size {})", self.size);
         self.table.as_ref().map_or(local, |t| t.globals[local])
     }
@@ -415,7 +415,8 @@ impl Comm {
     /// message at the least commitment of the whole job; here the caller
     /// names the senders, and no other rank's clock matters.
     ///
-    /// The caller vouches for three things, and the order, the clock and
+    /// The caller vouches for three things, and on a network model with
+    /// nonzero costs (e.g. `ClusterSpec::turing`) the order, the clock and
     /// every byte then equal the wildcard loop's:
     ///
     /// * each rank of `open` sends up to its last message of the drain
@@ -426,10 +427,21 @@ impl Comm {
     /// * a rank leaves `open` once its last message has been taken (the
     ///   protocol says which: a count, a closing notice).
     ///
-    /// Errors on an empty `open` (nothing could ever arrive) and on a rank
-    /// out of range.
+    /// On a zero-cost model (`ClusterSpec::ideal`) a sender whose clock
+    /// equals the candidate's arrival may still queue a message that ties
+    /// it: the gate commits the candidate, this receive waits for the tie
+    /// and takes it first if its sender's rank is lower. Each message is
+    /// still taken once and every sender's own order kept; only the
+    /// interleaving of tied arrivals may differ.
+    ///
+    /// Errors on an empty `open` (nothing could ever arrive), on one that
+    /// does not strictly ascend, and on a rank out of range.
     pub fn recv_least_of(&self, open: &[usize], tag: Option<u32>) -> Result<Message<Rope>> {
-        debug_assert!(open.windows(2).all(|w| w[0] < w[1]), "open ranks ascend: {open:?}");
+        if !open.windows(2).all(|w| w[0] < w[1]) {
+            return Err(RocError::Comm(format!(
+                "recv_least_of: open senders {open:?} do not strictly ascend"
+            )));
+        }
         match open.last() {
             None => return Err(RocError::Comm("recv_least_of: no open sender".into())),
             Some(&s) if s >= self.size() => {
@@ -1064,6 +1076,30 @@ mod tests {
             });
             assert_eq!(out[0].len(), 6, "{cfg:?}");
         }
+    }
+
+    #[test]
+    fn recv_least_of_rejects_an_open_set_it_cannot_drain() {
+        // Each would otherwise wait for ever on a sender the pass never
+        // finds, or panic on the out-of-range rank: an error instead, and
+        // nothing taken, so the valid drain after them gets the message.
+        let out = run_ranks(3, ClusterSpec::turing(3), |comm| {
+            if comm.rank() > 0 {
+                comm.send(0, 1, &[comm.rank() as u8]).unwrap();
+                return Vec::new();
+            }
+            let bad = [&[][..], &[2, 1], &[1, 1, 2], &[5, 1], &[1, 7]];
+            let mut errs: Vec<bool> =
+                bad.iter().map(|open| comm.recv_least_of(open, None).is_err()).collect();
+            let mut open = vec![1, 2];
+            while !open.is_empty() {
+                let m = comm.recv_least_of(&open, None).unwrap();
+                open.retain(|&s| s != m.src);
+            }
+            errs.push(comm.stats().msgs_recv == 2);
+            errs
+        });
+        assert_eq!(out[0], vec![true; 6]);
     }
 
     #[test]

@@ -34,11 +34,17 @@
 //! send order. Nor does a drain whose senders are known
 //! ([`crate::Comm::recv_least_of`]): once each open sender heads a
 //! stream, the least of those heads is fixed, and the caller vouches that
-//! no other rank sends what it accepts. With a network model whose costs
-//! are nonzero (e.g. `ClusterSpec::turing`) the virtual order is strict
-//! and every run of the same program yields bit-identical virtual times;
-//! zero-cost models can tie on arrival, where semantic results are still
-//! deterministic but timestamps may not be.
+//! no other rank sends what it accepts. It takes what a wildcard drain
+//! takes on a model with nonzero costs; on a zero-cost one a sender whose
+//! clock equals the candidate's arrival can still queue a message that
+//! ties it, which the gate lets the candidate pass and this drain does
+//! not, so the order of tied arrivals may differ there.
+//!
+//! With a network model whose costs are nonzero (e.g.
+//! `ClusterSpec::turing`) the virtual order is strict and every run of
+//! the same program yields bit-identical virtual times; zero-cost models
+//! can tie on arrival, where semantic results are still deterministic but
+//! timestamps may not be.
 //!
 //! # Blocking and waking
 //!
@@ -483,22 +489,11 @@ impl FabricState {
                 least = Some((h, c));
             }
         };
-        match spec.tag {
-            Some(tag) => {
-                for &s in open {
-                    if let Some(h) = self.mail.stream(dst, spec.group.global(s), spec.ctx, tag) {
-                        consider(h, self.mail.head(h));
-                    }
-                }
-            }
-            None => {
-                let open_member = |e: &Envelope| {
-                    spec.group.local(e.src_global).is_some_and(|l| open.binary_search(&l).is_ok())
-                };
-                for (h, e) in self.mail.first_heads(dst, |e| spec.matches(e) && open_member(e)) {
-                    consider(h, e);
-                }
-            }
+        let open_member = |e: &Envelope| {
+            spec.group.local(e.src_global).is_some_and(|l| open.binary_search(&l).is_ok())
+        };
+        for (h, e) in self.mail.first_heads(dst, |e| spec.matches(e) && open_member(e)) {
+            consider(h, e);
         }
         match least {
             Some((h, _)) if found == open.len() => Ok(h),
