@@ -54,6 +54,8 @@ pub use dtype::{ArrayData, DType, SharedArray};
 pub use error::{Result, RocError};
 pub use rope::{Cursor, Rope};
 pub use segment::{segments_len, segments_to_vec, Segment};
-pub use snapshot::{is_snapshot_file_of, snapshot_file_name, snapshot_file_prefix, SnapshotId};
+pub use snapshot::{
+    is_snapshot_file_of, snapshot_file_name, snapshot_file_prefix, snapshot_path, SnapshotId,
+};
 pub use tenant::{Priority, ServiceError, ServiceErrorKind, TenantId};
 pub use units::{fmt_bytes, SimTime, KIB, MIB};

@@ -271,6 +271,8 @@ fn run_tenants(
 ) -> Result<MultiTenantReport> {
     let partitions: Vec<Partition> =
         tenants.iter().map(|(cfg, n_clients)| Partition::new(&cfg.workload, *n_clients)).collect();
+    let declared: Vec<Windows> =
+        tenants.iter().map(|(cfg, _)| declared_windows(cfg)).collect::<Result<_>>()?;
     let outs = launch(cluster, base, collector, &|world| match service {
         Some(svc) => match svc.attach(world)? {
             ServiceRole::Server(mut server) => {
@@ -281,7 +283,7 @@ fn run_tenants(
                 let idx = handles.iter().position(|h| *h == job).ok_or_else(|| {
                     RocError::Config(format!("attached client of unknown tenant {}", job.tenant()))
                 })?;
-                client_run(&comm, io, tenants[idx].0, &partitions[idx])
+                client_run(&comm, io, tenants[idx].0, &partitions[idx], &declared[idx])
                     .map(|c| RankOut::Client(idx, c))
             }
             ServiceRole::Idle => Ok(RankOut::Idle),
@@ -297,7 +299,8 @@ fn run_tenants(
             } else {
                 Box::new(Rochdf::new(fs, world, hdf_cfg))
             };
-            client_run(world, module, tenants[0].0, &partitions[0]).map(|c| RankOut::Client(0, c))
+            client_run(world, module, tenants[0].0, &partitions[0], &declared[0])
+                .map(|c| RankOut::Client(0, c))
         }
     })?;
 
@@ -536,9 +539,10 @@ pub fn run_genx_restart(
 ) -> Result<RestartReport> {
     let n_ranks = cluster.n_ranks();
     let partition = Partition::new(&cfg.workload, n_ranks);
+    let declared = declared_windows(cfg)?;
     let outcomes = launch(cluster, cfg, None, &|world| -> Result<(f64, u64, u64)> {
         let (workload, mine) = partition.of_rank(world)?;
-        let mut ws = restart_windows(cfg, &workload, &mine)?;
+        let mut ws = restart_windows(cfg, &declared, &workload, &mine)?;
         let hdf_cfg = RochdfConfig {
             dir: cfg.out_dir.clone(),
             ..cfg.rochdf.clone()
@@ -630,21 +634,38 @@ impl Partition {
     }
 }
 
-/// Windows declared for `cfg`'s solvers with this rank's panes registered
-/// and initialised: where a run that starts from initial conditions begins.
-fn fresh_windows(cfg: &GenxConfig, workload: &Workload, mine: &MyBlocks) -> Result<Windows> {
+/// The windows `cfg`'s solvers declare, with no pane: built once per job on
+/// the host, beside its [`Partition`], and cloned by each rank (the
+/// schemas are shared by refcount, so a clone copies a few names).
+fn declared_windows(cfg: &GenxConfig) -> Result<Windows> {
     let mut ws = Windows::new();
     declare_windows_for(&mut ws, cfg.fluid_solver, cfg.solid_solver)?;
+    Ok(ws)
+}
+
+/// The job's `declared` windows with this rank's panes registered and
+/// initialised: where a run that starts from initial conditions begins.
+fn fresh_windows(
+    cfg: &GenxConfig,
+    declared: &Windows,
+    workload: &Workload,
+    mine: &MyBlocks,
+) -> Result<Windows> {
+    let mut ws = declared.clone();
     register_and_init_for(&mut ws, workload, mine, cfg.fluid_solver)?;
     Ok(ws)
 }
 
-/// Windows declared for `cfg`'s solvers with this rank's pane ids reserved
-/// and no pane built: where a restart begins. The partition says which
-/// panes are this rank's; what they are is the snapshot's to say.
-fn restart_windows(cfg: &GenxConfig, workload: &Workload, mine: &MyBlocks) -> Result<Windows> {
-    let mut ws = Windows::new();
-    declare_windows_for(&mut ws, cfg.fluid_solver, cfg.solid_solver)?;
+/// The job's `declared` windows with this rank's pane ids reserved and no
+/// pane built: where a restart begins. The partition says which panes are
+/// this rank's; what they are is the snapshot's to say.
+fn restart_windows(
+    cfg: &GenxConfig,
+    declared: &Windows,
+    workload: &Workload,
+    mine: &MyBlocks,
+) -> Result<Windows> {
+    let mut ws = declared.clone();
     reserve_for(&mut ws, workload, mine, cfg.fluid_solver)?;
     Ok(ws)
 }
@@ -655,6 +676,7 @@ fn client_run<'a>(
     io_module: Box<dyn IoService + 'a>,
     cfg: &GenxConfig,
     partition: &Partition,
+    declared: &Windows,
 ) -> Result<ClientOutcome> {
     let (workload, mine) = partition.of_rank(sim_comm)?;
     let local_bytes: u64 = mine
@@ -674,7 +696,7 @@ fn client_run<'a>(
 
     let mut dispatch = IoDispatch::new();
     dispatch.load_module(io_module)?;
-    let mut man = Rocman::new(sim_comm, fresh_windows(cfg, &workload, &mine)?, dispatch)?;
+    let mut man = Rocman::new(sim_comm, fresh_windows(cfg, declared, &workload, &mine)?, dispatch)?;
     // Cross-block inflow coupling along the bore axis (the adjacency is
     // global and deterministic, so every rank computes the same map).
     if cfg.fluid_solver == FluidKind::Rocflo {
@@ -690,7 +712,7 @@ fn client_run<'a>(
     man.run(cfg.steps, cfg.snapshot_every)?;
 
     let (restart, restart_ok) = if cfg.measure_restart {
-        man.measure_restart(&mut restart_windows(cfg, &workload, &mine)?)?
+        man.measure_restart(&mut restart_windows(cfg, declared, &workload, &mine)?)?
     } else {
         (0.0, true)
     };
@@ -723,6 +745,42 @@ mod tests {
         cfg.steps = 10;
         cfg.snapshot_every = 5;
         cfg
+    }
+
+    /// A rank's clone of the job's declared windows is what declaring them
+    /// afresh on that rank gave, for both solver pairings — bare, with the
+    /// rank's panes registered, and with its pane ids reserved — and what a
+    /// rank builds on its clone never reaches the template.
+    #[test]
+    fn a_rank_clone_of_the_declared_windows_equals_a_fresh_declaration() {
+        for (fluid, solid) in
+            [(FluidKind::Rocflo, SolidKind::Rocfrac), (FluidKind::Rocflu, SolidKind::Rocsolid)]
+        {
+            let mut cfg = small_cfg("t-declared", IoChoice::Rochdf);
+            (cfg.fluid_solver, cfg.solid_solver) = (fluid, solid);
+            let fresh = || {
+                let mut ws = Windows::new();
+                declare_windows_for(&mut ws, fluid, solid).unwrap();
+                ws
+            };
+            let declared = declared_windows(&cfg).unwrap();
+            assert_eq!(declared.clone(), fresh(), "{fluid:?} + {solid:?}");
+
+            let Partition::Global(workload, owners) = Partition::new(&cfg.workload, 2) else {
+                unreachable!("a lab-scale workload has a global block set")
+            };
+            for mine in &owners {
+                let mut registered = fresh();
+                register_and_init_for(&mut registered, &workload, mine, fluid).unwrap();
+                let got = fresh_windows(&cfg, &declared, &workload, mine).unwrap();
+                assert_eq!(got, registered, "{fluid:?} + {solid:?}");
+                let mut reserved = fresh();
+                reserve_for(&mut reserved, &workload, mine, fluid).unwrap();
+                let got = restart_windows(&cfg, &declared, &workload, mine).unwrap();
+                assert_eq!(got, reserved, "{fluid:?} + {solid:?}");
+            }
+            assert_eq!(declared, fresh(), "a rank's panes reached the template");
+        }
     }
 
     #[test]

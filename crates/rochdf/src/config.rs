@@ -30,22 +30,15 @@ impl Default for RochdfConfig {
 }
 
 impl RochdfConfig {
-    /// Full path for `(window, snap, writer_rank)`.
+    /// Full path for `(window, snap, writer_rank)`, in one buffer.
     pub fn path(&self, window: &str, snap: rocio_core::SnapshotId, writer: usize) -> String {
-        format!(
-            "{}/{}",
-            self.dir,
-            rocio_core::snapshot_file_name(window, snap, writer)
-        )
+        rocio_core::snapshot_path(Some(&self.dir), window, snap, Some(writer))
     }
 
-    /// Path prefix of all writers' files for `(window, snap)`.
+    /// Path prefix of all writers' files for `(window, snap)`, in one
+    /// buffer.
     pub fn prefix(&self, window: &str, snap: rocio_core::SnapshotId) -> String {
-        format!(
-            "{}/{}",
-            self.dir,
-            rocio_core::snapshot_file_prefix(window, snap)
-        )
+        rocio_core::snapshot_path(Some(&self.dir), window, snap, None)
     }
 }
 
@@ -61,5 +54,20 @@ mod tests {
         let p = cfg.path("fluid", snap, 3);
         assert!(p.starts_with("out/fluid_0001_000050_w0003"));
         assert!(p.starts_with(&cfg.prefix("fluid", snap)));
+    }
+
+    #[test]
+    fn paths_match_their_golden_strings() {
+        let cfg = RochdfConfig { dir: "run/t0002".into(), ..RochdfConfig::default() };
+        let snap = SnapshotId::new(120, 3);
+        let path = cfg.path("solid", snap, 17);
+        assert_eq!(path, "run/t0002/solid_0003_000120_w0017.sdf");
+        assert_eq!(path.capacity(), path.len(), "one exact-capacity buffer");
+        let prefix = cfg.prefix("solid", snap);
+        assert_eq!(prefix, "run/t0002/solid_0003_000120_w");
+        assert_eq!(prefix.capacity(), prefix.len(), "one exact-capacity buffer");
+        let wide = cfg.path("fluid", SnapshotId::new(1_000_000, 10_000), 10_000);
+        assert_eq!(wide, "run/t0002/fluid_10000_1000000_w10000.sdf");
+        assert!(rocio_core::is_snapshot_file_of(&path, snap, 17));
     }
 }

@@ -17,15 +17,16 @@ use crate::view::{BlockView, RecordView};
 
 /// One index entry: where its name lies in the index bytes, where its
 /// record lies in the file, and whether this file generation's copy of the
-/// record has had its payload checksum verified.
+/// record has had its payload checksum verified — by any client.
 struct Entry {
     name: Range<usize>,
     offset: u64,
     len: u64,
-    /// The cache entry and these flags die together when the path is
-    /// rewritten, so a set flag always refers to the bytes currently
-    /// frozen in the store — which is what lets warm reads skip the CRC
-    /// pass (host work only; virtual time is never affected). Set only
+    /// The [`OpenMeta`] and these flags belong to one file generation and
+    /// die together when the path is rewritten, so a set flag always
+    /// refers to the bytes frozen in the store for that generation — which
+    /// is what lets every later read, by this client or another, skip the
+    /// CRC pass (host work only; virtual time is never affected). Set only
     /// after a successful read of the record.
     verified: AtomicBool,
 }
@@ -40,12 +41,14 @@ struct IndexedBlock {
     picks: Option<Range<usize>>,
 }
 
-/// The parsed trailer + index of one open, cached in the file system's
-/// per-client metadata cache so re-opening an unchanged snapshot file is
-/// free: the cache is generation-validated, so any write to the path
-/// invalidates it, and per-client keying keeps virtual time deterministic
-/// (a hit depends only on this client's own open history). Built once per
-/// cold open; every lookup reads it in place.
+/// The parsed trailer + index of one file generation, held in the file
+/// system's metadata cache ([`SharedFs::cache_put`]). The charge is per
+/// client: a client's repeat open of an unchanged file is free, and its
+/// first open pays its own reads (per-client keying keeps virtual time
+/// deterministic — a hit depends only on this client's own open history).
+/// The decode and the verified flags are per generation: the first open of
+/// a generation by any client builds this, every later one shares it, and
+/// any write to the path starts a new one. Every lookup reads it in place.
 struct OpenMeta {
     path: Arc<str>,
     /// The index region as read, a window of the extent it was written
@@ -146,7 +149,12 @@ impl<'fs> SdfFileReader<'fs> {
     /// A repeat open of an unchanged file by the same client hits the
     /// metadata cache and completes at `now`, re-paying neither the
     /// header/trailer/index reads nor their virtual time — and allocating
-    /// nothing.
+    /// nothing. Any other open makes the charged header, trailer and index
+    /// reads, then takes the index another client already decoded from
+    /// the same file generation ([`SharedFs::cache_shared`]); only the
+    /// first open of a generation decodes it. The generation is read with
+    /// the file's size, before the reads, and the result is cached only if
+    /// no write has moved it since.
     pub fn open(
         fs: &'fs SharedFs,
         path: &str,
@@ -159,7 +167,7 @@ impl<'fs> SdfFileReader<'fs> {
                 return Ok((SdfFileReader { fs, client, lib, meta }, now));
             }
         }
-        let size = fs.file_size(path)?;
+        let (size, generation) = fs.file_generation(path)?;
         if size < HEADER_LEN + TRAILER_LEN {
             return Err(RocError::Corrupt(format!("SDF '{path}': too short")));
         }
@@ -173,14 +181,20 @@ impl<'fs> SdfFileReader<'fs> {
             )));
         }
         let (index, t3) = fs.read_shared(path, idx_off, size - TRAILER_LEN - idx_off, client, t2)?;
-        let entries = decode_index(&index, |name, offset, len| Entry {
-            name,
-            offset,
-            len,
-            verified: AtomicBool::new(false),
-        })?;
-        let meta = Arc::new(OpenMeta::new(path, index, entries));
-        fs.cache_put(path, client, Arc::clone(&meta) as rocstore::CacheValue);
+        let shared = fs.cache_shared(path, generation).and_then(|m| m.downcast::<OpenMeta>().ok());
+        let meta = match shared {
+            Some(meta) => meta,
+            None => {
+                let entries = decode_index(&index, |name, offset, len| Entry {
+                    name,
+                    offset,
+                    len,
+                    verified: AtomicBool::new(false),
+                })?;
+                Arc::new(OpenMeta::new(path, index, entries))
+            }
+        };
+        fs.cache_put(path, client, generation, Arc::clone(&meta) as rocstore::CacheValue);
         Ok((SdfFileReader { fs, client, lib, meta }, t3))
     }
 
@@ -501,6 +515,7 @@ mod tests {
     use super::*;
     use crate::writer::SdfFileWriter;
     use rocio_core::Checksum;
+    use rocstore::FsStats;
 
     fn write_sample(fs: &SharedFs) -> Vec<DataBlock> {
         let blocks: Vec<DataBlock> = (0..3)
@@ -822,13 +837,58 @@ mod tests {
         assert_eq!(got, block);
     }
 
+    /// Whether dataset `name`'s record is marked verified in the file
+    /// generation `r` opened.
+    fn verified(r: &SdfFileReader, name: &str) -> bool {
+        r.entry(name).unwrap().verified.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn a_second_client_shares_the_decoded_index_and_pays_its_own_reads() {
+        let open =
+            |fs, client| SdfFileReader::open(fs, "snap.sdf", LibraryModel::hdf4(), client, 0.0).unwrap();
+        // The reads and bytes an open of `fs` adds to its stats.
+        let reads_since = |fs: &SharedFs, before: FsStats| {
+            (fs.stats().read_ops - before.read_ops, fs.stats().bytes_read - before.bytes_read)
+        };
+        // What a lone client's open costs, on a store of its own.
+        let lone = SharedFs::turing();
+        write_sample(&lone);
+        let before = lone.stats();
+        let (_, t_lone) = open(&lone, 2);
+        let lone_reads = reads_since(&lone, before);
+
+        let fs = SharedFs::turing();
+        let blocks = write_sample(&fs);
+        let mut readers = Vec::new();
+        for client in [1, 2] {
+            let before = fs.stats();
+            let (r, t) = open(&fs, client);
+            assert_eq!(t.to_bits(), t_lone.to_bits(), "client {client}");
+            assert_eq!(reads_since(&fs, before), lone_reads, "client {client} pays its own reads");
+            readers.push(r);
+        }
+        // The second open decoded nothing: it holds the first one's index.
+        assert!(Arc::ptr_eq(&readers[0].meta, &readers[1].meta), "the index was decoded twice");
+        for r in &readers {
+            let (all, _) = r.read_all_blocks(t_lone).unwrap();
+            assert_eq!(all, blocks);
+        }
+        // A repeat open by either client still hits its own entry, free.
+        let (again, t) =
+            SdfFileReader::open(&fs, "snap.sdf", LibraryModel::hdf4(), 2, 7.0).unwrap();
+        assert_eq!(t, 7.0);
+        assert!(Arc::ptr_eq(&again.meta, &readers[0].meta));
+    }
+
     #[test]
     fn crc_failure_is_sticky_and_rewrite_reverifies() {
-        // The verified-once flags must never mask corruption: a bad
-        // record fails on every read (the flag is only set after a
-        // successful decode), and rewriting a path starts a new
-        // generation whose records are verified afresh even though the
-        // old image's records had been marked verified.
+        // The verified-once flags, shared by every client of a file
+        // generation, must never mask corruption: a bad record fails on
+        // every read by every client (the flag is only set after a
+        // successful decode), and rewriting a path starts a new generation
+        // whose records every client verifies afresh even though the old
+        // image's records had been marked verified.
         let fs = SharedFs::ideal();
         let marker = 1234.5678f64;
         let block = DataBlock::new(BlockId(1), "w")
@@ -844,27 +904,44 @@ mod tests {
             .unwrap();
         let mut bad = image.to_vec();
         bad[at] ^= 0x01;
+        let open = |path, client, now| {
+            SdfFileReader::open(&fs, path, LibraryModel::hdf4(), client, now).unwrap()
+        };
+        let v = "blk000001/v";
 
-        // Corrupt image: every shared read fails, warm or not.
+        // Corrupt image: every shared read by every client fails, warm or
+        // not, and the bad record is never marked verified.
         fs.create("bad.sdf", 0, 0.0);
         fs.append("bad.sdf", &bad, 0, 0.0).unwrap();
-        let (r, t1) = SdfFileReader::open(&fs, "bad.sdf", LibraryModel::hdf4(), 1, 0.0).unwrap();
-        assert!(r.read_block_shared(BlockId(1), t1).is_err());
-        assert!(r.read_block_shared(BlockId(1), t1).is_err(), "failure must be sticky");
+        for client in [1, 2] {
+            let (r, t1) = open("bad.sdf", client, 0.0);
+            assert!(r.read_block_shared(BlockId(1), t1).is_err(), "client {client}");
+            assert!(r.read_block_shared(BlockId(1), t1).is_err(), "failure must be sticky");
+            assert!(!verified(&r, v));
+        }
 
-        // Good image read warm (records now marked verified), then the
-        // path is rewritten with the corrupt image: the new generation
-        // must verify and fail, not coast on the stale flags.
-        let (r, t2) = SdfFileReader::open(&fs, "snap.sdf", LibraryModel::hdf4(), 1, 0.0).unwrap();
-        let (first, _) = r.read_block_shared(BlockId(1), t2).unwrap();
-        let (warm, _) = r.read_block_shared(BlockId(1), t2).unwrap();
+        // Good image read warm by client 1: marked verified only after its
+        // successful read, and client 2 finds it so. Then the path is
+        // rewritten with the corrupt image: the new generation must verify
+        // and fail for both clients, not coast on the stale flags.
+        let (r1, t2) = open("snap.sdf", 1, 0.0);
+        assert!(!verified(&r1, v));
+        let (first, _) = r1.read_block_shared(BlockId(1), t2).unwrap();
+        assert!(verified(&r1, v));
+        let (warm, _) = r1.read_block_shared(BlockId(1), t2).unwrap();
         assert_eq!(first, warm);
         assert_eq!(warm, block);
-        drop(r);
+        let (r2, _) = open("snap.sdf", 2, 0.0);
+        assert!(verified(&r2, v), "the generation's flags are shared");
+        assert_eq!(r2.read_block_shared(BlockId(1), t2).unwrap().0, block);
+        drop((r1, r2));
         fs.create("snap.sdf", 0, 10.0);
         fs.append("snap.sdf", &bad, 0, 10.0).unwrap();
-        let (r, t3) = SdfFileReader::open(&fs, "snap.sdf", LibraryModel::hdf4(), 1, 10.0).unwrap();
-        assert!(r.read_block_shared(BlockId(1), t3).is_err());
+        for client in [1, 2] {
+            let (r, t3) = open("snap.sdf", client, 10.0);
+            assert!(!verified(&r, v), "client {client} coasts on a stale flag");
+            assert!(r.read_block_shared(BlockId(1), t3).is_err(), "client {client}");
+        }
     }
 
     #[test]

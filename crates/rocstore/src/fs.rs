@@ -13,12 +13,12 @@ use rocio_core::{
 
 use crate::model::DiskModel;
 
-/// Opaque value stored in the per-client metadata cache (see
+/// Opaque value stored in the metadata cache (see
 /// [`SharedFs::cache_put`]); callers downcast to their own type.
 pub type CacheValue = Arc<dyn Any + Send + Sync>;
 
-/// One client's metadata cache: path -> (file generation, value).
-type ClientCache = HashMap<Arc<str>, (u64, CacheValue)>;
+/// One client's opens: path -> the file generation it opened.
+type ClientOpens = HashMap<Arc<str>, u64>;
 
 /// Aggregate statistics of a file system instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -159,10 +159,14 @@ struct Store {
     /// injection, per tenant.
     ledger: Ledger,
     stats: FsStats,
-    /// client -> path -> (generation, value). Parsed-metadata cache (e.g.
-    /// decoded SDF indexes), keyed by the file table's own names and looked
-    /// up by `&str`; see [`SharedFs::cache_put`].
-    meta_cache: HashMap<u64, ClientCache>,
+    /// path -> (generation, value): the parsed metadata (e.g. a decoded
+    /// SDF index) of one generation of each path, shared by every client;
+    /// see [`SharedFs::cache_put`]. Keyed by the file table's own names
+    /// and looked up by `&str`.
+    meta_memo: HashMap<Arc<str>, (u64, CacheValue)>,
+    /// client -> path -> generation: which generation each client has
+    /// opened, so a hit depends on the client's own history alone.
+    meta_opens: HashMap<u64, ClientOpens>,
     /// The next file generation; taken by every mutation of any file.
     next_generation: u64,
 }
@@ -224,7 +228,8 @@ impl SharedFs {
             files: HashMap::new(),
             ledger: Ledger { aggregate_limit: u64::MAX, ..Ledger::default() },
             stats: FsStats::default(),
-            meta_cache: HashMap::new(),
+            meta_memo: HashMap::new(),
+            meta_opens: HashMap::new(),
             next_generation: 0,
         };
         SharedFs {
@@ -662,6 +667,13 @@ impl SharedFs {
         self.stat(path, |f| f.data.len())
     }
 
+    /// Size of a file in bytes and the mutation generation those bytes
+    /// are at, read together (no time charged): what a reader stamps the
+    /// metadata it parses with ([`SharedFs::cache_put`]).
+    pub fn file_generation(&self, path: &str) -> Result<(usize, u64)> {
+        self.stat(path, |f| (f.data.len(), f.generation))
+    }
+
     /// `look` at `path`'s file, or a "no such file" error.
     fn stat<R>(&self, path: &str, look: impl FnOnce(&StoredFile) -> R) -> Result<R> {
         self.store
@@ -704,39 +716,73 @@ impl SharedFs {
         store.ledger.release(old.tenant, old.charged);
         // Hygiene only: the generation check already rejects stale entries
         // (a recreated file gets a fresh generation, never a reused one).
-        for entries in store.meta_cache.values_mut() {
-            entries.remove(path);
+        store.meta_memo.remove(path);
+        for opens in store.meta_opens.values_mut() {
+            opens.remove(path);
         }
         Ok(())
     }
 
-    /// Store a parsed-metadata value (e.g. a decoded SDF trailer + index)
-    /// for `path`. Entries are keyed by `client` so a hit depends only on
-    /// that client's own deterministic history — never on how the host
-    /// interleaves other ranks' opens — and are validated against the
-    /// file's mutation generation, so any write, truncate, or delete +
-    /// recreate of the path invalidates them.
-    pub fn cache_put(&self, path: &str, client: u64, value: CacheValue) {
+    /// Record that `client` opened `path` at `generation` and parsed
+    /// `value` from it (e.g. a decoded SDF trailer + index). Returns
+    /// whether it was kept: an entry is refused unless `generation` is
+    /// still the file's, so metadata read at a generation a write has
+    /// since replaced is never cached as valid.
+    ///
+    /// The charge is per client, the value per generation. A hit
+    /// ([`SharedFs::cache_get`]) is keyed by `client`, so it depends only
+    /// on that client's own deterministic history — never on how the host
+    /// interleaves other ranks' opens. The value is held once per path
+    /// and generation for every client ([`SharedFs::cache_shared`]): the
+    /// first put of a generation keeps its value, later puts of the same
+    /// generation keep that one. Any write, truncate, or delete + recreate
+    /// of the path gives it a new generation, which invalidates both.
+    pub fn cache_put(&self, path: &str, client: u64, generation: u64, value: CacheValue) -> bool {
         let mut store = self.store.lock();
-        let Store { files, meta_cache, .. } = &mut *store;
-        if let Some((path, f)) = files.get_key_value(path) {
-            let entry = (f.generation, value);
-            meta_cache.entry(client).or_default().insert(Arc::clone(path), entry);
+        let Store { files, meta_memo, meta_opens, .. } = &mut *store;
+        let Some((path, f)) = files.get_key_value(path) else { return false };
+        if f.generation != generation {
+            return false;
+        }
+        match meta_memo.get_mut(&**path) {
+            Some(memo) if memo.0 == generation => {}
+            Some(memo) => *memo = (generation, value),
+            None => {
+                meta_memo.insert(Arc::clone(path), (generation, value));
+            }
+        }
+        meta_opens.entry(client).or_default().insert(Arc::clone(path), generation);
+        true
+    }
+
+    /// The metadata `client` cached for `path`, if the file is still at
+    /// the generation the client opened (see [`SharedFs::cache_put`]).
+    /// Stale entries are dropped.
+    pub fn cache_get(&self, path: &str, client: u64) -> Option<CacheValue> {
+        let mut store = self.store.lock();
+        let Store { files, meta_memo, meta_opens, .. } = &mut *store;
+        let opens = meta_opens.get_mut(&client)?;
+        let opened = *opens.get(path)?;
+        let current = files.get(path).map(|f| f.generation);
+        match meta_memo.get(path) {
+            Some((g, v)) if Some(opened) == current && *g == opened => Some(Arc::clone(v)),
+            _ => {
+                opens.remove(path);
+                None
+            }
         }
     }
 
-    /// Fetch this client's cached metadata for `path`, if still valid
-    /// (see [`SharedFs::cache_put`]). Stale entries are dropped.
-    pub fn cache_get(&self, path: &str, client: u64) -> Option<CacheValue> {
-        let mut store = self.store.lock();
-        let Store { files, meta_cache, .. } = &mut *store;
-        let entries = meta_cache.get_mut(&client)?;
-        match (files.get(path), entries.get(path)) {
-            (Some(f), Some((g, v))) if *g == f.generation => Some(Arc::clone(v)),
-            (_, Some(_)) => {
-                entries.remove(path);
-                None
-            }
+    /// The metadata any client cached for `path` at `generation`, if that
+    /// is still the file's generation: what a client that has not opened
+    /// this generation itself (and pays for its own reads) takes instead
+    /// of parsing the same frozen bytes again. Host work only; no charge
+    /// depends on it.
+    pub fn cache_shared(&self, path: &str, generation: u64) -> Option<CacheValue> {
+        let store = self.store.lock();
+        let current = store.files.get(path).map(|f| f.generation);
+        match store.meta_memo.get(path) {
+            Some((g, v)) if *g == generation && current == Some(generation) => Some(Arc::clone(v)),
             _ => None,
         }
     }
@@ -1256,23 +1302,54 @@ mod tests {
         let fs = SharedFs::ideal();
         fs.create("f", 0, 0.0);
         fs.append("f", b"v1", 0, 0.0).unwrap();
+        let (_, g) = fs.file_generation("f").unwrap();
         assert!(fs.cache_get("f", 7).is_none());
-        fs.cache_put("f", 7, Arc::new(1u32));
+        assert!(fs.cache_put("f", 7, g, Arc::new(1u32)));
         let hit = fs.cache_get("f", 7).expect("fresh entry hits");
         assert_eq!(*hit.downcast::<u32>().unwrap(), 1);
-        // Other clients never see each other's entries (determinism).
+        // Other clients never hit on each other's opens (determinism)...
         assert!(fs.cache_get("f", 8).is_none());
+        // ...but share the value of the generation they opened, and a
+        // later put of that generation keeps the first value.
+        let shared = fs.cache_shared("f", g).expect("the generation's value is shared");
+        assert_eq!(*shared.downcast::<u32>().unwrap(), 1);
+        assert!(fs.cache_put("f", 8, g, Arc::new(9u32)));
+        assert_eq!(*fs.cache_get("f", 8).unwrap().downcast::<u32>().unwrap(), 1);
         // Any mutation invalidates.
         fs.append("f", b"v2", 0, 0.0).unwrap();
         assert!(fs.cache_get("f", 7).is_none());
+        assert!(fs.cache_shared("f", g).is_none());
         // Delete + recreate must not resurrect an entry either.
-        fs.cache_put("f", 7, Arc::new(2u32));
+        let (_, g2) = fs.file_generation("f").unwrap();
+        assert!(fs.cache_put("f", 7, g2, Arc::new(2u32)));
         fs.delete("f").unwrap();
         fs.create("f", 0, 1.0);
         assert!(fs.cache_get("f", 7).is_none());
-        // Caching a missing path is a no-op.
-        fs.cache_put("ghost", 7, Arc::new(3u32));
+        assert!(fs.cache_shared("f", g2).is_none());
+        // Caching a missing path is refused.
+        assert!(!fs.cache_put("ghost", 7, 0, Arc::new(3u32)));
         assert!(fs.cache_get("ghost", 7).is_none());
+    }
+
+    /// Metadata read at a generation a write has since replaced is refused,
+    /// for its client and for everyone else: a write landing between a
+    /// reader's reads and its put must not leave a stale value cached as
+    /// valid.
+    #[test]
+    fn a_put_at_a_generation_no_longer_current_is_refused() {
+        let fs = SharedFs::ideal();
+        fs.create("f", 0, 0.0);
+        fs.append("f", b"v1", 0, 0.0).unwrap();
+        let (_, read_at) = fs.file_generation("f").unwrap();
+        fs.append("f", b"v2", 0, 0.0).unwrap();
+        assert!(!fs.cache_put("f", 7, read_at, Arc::new(1u32)), "stale put kept");
+        assert!(fs.cache_get("f", 7).is_none());
+        assert!(fs.cache_shared("f", read_at).is_none());
+        let (_, now_at) = fs.file_generation("f").unwrap();
+        assert!(fs.cache_shared("f", now_at).is_none());
+        // A put at the current generation is kept.
+        assert!(fs.cache_put("f", 7, now_at, Arc::new(2u32)));
+        assert_eq!(*fs.cache_get("f", 7).unwrap().downcast::<u32>().unwrap(), 2);
     }
 
     #[test]
