@@ -58,4 +58,4 @@ pub use snapshot::{
     is_snapshot_file_of, snapshot_file_name, snapshot_file_prefix, snapshot_path, SnapshotId,
 };
 pub use tenant::{Priority, ServiceError, ServiceErrorKind, TenantId};
-pub use units::{fmt_bytes, SimTime, KIB, MIB};
+pub use units::{fmt_bytes, SimTime, MIB};

@@ -32,7 +32,6 @@
 //!   the edges of interest were recorded at first acquisition.
 
 use std::ops::{Deref, DerefMut};
-use std::time::Duration;
 
 #[cfg(feature = "lockdep")]
 mod witness {
@@ -135,10 +134,6 @@ impl<T> Mutex<T> {
             inner: parking_lot::Mutex::new(value),
         }
     }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -206,15 +201,6 @@ impl Condvar {
 
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         self.0.wait(&mut guard.inner);
-    }
-
-    /// Wait with a timeout; returns `true` if the wait timed out.
-    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) -> bool {
-        self.0.wait_for(&mut guard.inner, timeout)
-    }
-
-    pub fn notify_one(&self) {
-        self.0.notify_one();
     }
 
     pub fn notify_all(&self) {
@@ -373,13 +359,5 @@ mod tests {
         append_edges(&file.to_string_lossy(), &["a", "c"], "b").unwrap();
         assert_eq!(std::fs::read_to_string(&file).unwrap(), "a\tb\nc\tb\n");
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn wait_for_times_out() {
-        let m = Mutex::new("test.t", ());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        assert!(cv.wait_for(&mut g, Duration::from_millis(1)));
     }
 }

@@ -26,7 +26,7 @@ impl TenantId {
     pub const SOLO: TenantId = TenantId(0);
 
     /// True when this is the compatibility solo tenant.
-    pub fn is_solo(self) -> bool {
+    pub(crate) fn is_solo(self) -> bool {
         self.0 == 0
     }
 

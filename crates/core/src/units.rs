@@ -1,7 +1,5 @@
 //! Simulated-time and size units shared by the timing models.
 
-/// One kibibyte.
-pub const KIB: usize = 1024;
 /// One mebibyte.
 pub const MIB: usize = 1024 * 1024;
 

@@ -137,9 +137,12 @@ impl BurnModule {
         }
         Ok(cells_total as f64 * self.work_per_pane)
     }
+}
 
-    /// Total regression distance across local panes (diagnostic).
-    pub fn total_regression(&self, ws: &Windows) -> Result<f64> {
+#[cfg(test)]
+impl BurnModule {
+    /// Total regression distance across local panes.
+    pub(crate) fn total_regression(&self, ws: &Windows) -> Result<f64> {
         let window = ws.window(BURN_WINDOW)?;
         let mut total = 0.0;
         for pane in window.panes() {

@@ -144,20 +144,6 @@ impl FluidModule {
         }
         Ok(())
     }
-
-    /// Local contribution to the chamber pressure: (sum of cell pressures,
-    /// cell count). The orchestrator all-reduces these across ranks.
-    pub fn pressure_moments(&self, ws: &Windows) -> Result<(f64, f64)> {
-        let window = ws.window(FLUID_WINDOW)?;
-        let mut sum = 0.0;
-        let mut count = 0.0;
-        for pane in window.panes() {
-            let p = pane.data("p")?.as_f64()?;
-            sum += p.iter().sum::<f64>();
-            count += p.len() as f64;
-        }
-        Ok((sum, count))
-    }
 }
 
 #[cfg(test)]
@@ -233,8 +219,12 @@ mod tests {
     #[test]
     fn pressure_moments_average_near_ambient() {
         let ws = world();
-        let m = FluidModule::default();
-        let (sum, count) = m.pressure_moments(&ws).unwrap();
+        let (mut sum, mut count) = (0.0, 0.0);
+        for pane in ws.window(FLUID_WINDOW).unwrap().panes() {
+            let p = pane.data("p").unwrap().as_f64().unwrap();
+            sum += p.iter().sum::<f64>();
+            count += p.len() as f64;
+        }
         let avg = sum / count;
         assert!((90_000.0..120_000.0).contains(&avg), "avg pressure {avg}");
     }

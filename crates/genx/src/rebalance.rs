@@ -57,7 +57,7 @@ fn decode_inventory(bytes: &[u8]) -> Result<Vec<(String, u64, u64)>> {
 /// max/mean imbalance falls under `threshold` (or no move helps).
 ///
 /// Deterministic: every rank runs this on identical input.
-pub fn plan_moves(
+pub(crate) fn plan_moves(
     inventory: &[Vec<(String, u64, u64)>],
     threshold: f64,
 ) -> Vec<Move> {

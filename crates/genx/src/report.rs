@@ -40,7 +40,7 @@ pub struct RunReport {
 
 impl RunReport {
     /// Paper-style MB/s from totals.
-    pub fn apparent_throughput(total_bytes: u64, visible: SimTime) -> f64 {
+    pub(crate) fn apparent_throughput(total_bytes: u64, visible: SimTime) -> f64 {
         if visible <= 0.0 {
             return f64::INFINITY;
         }

@@ -63,7 +63,7 @@ pub fn register(reg: &mut FunctionRegistry<'_>) -> Result<()> {
 /// Local half of the chamber-pressure reduction: per-pane
 /// `(id, sum, count)` triples for this rank's fluid panes, in place of
 /// what `out` held.
-pub fn local_pane_moments(
+pub(crate) fn local_pane_moments(
     reg: &mut FunctionRegistry<'_>,
     ws: &mut Windows,
     window: &str,
@@ -85,24 +85,20 @@ pub fn local_pane_moments(
     }
 }
 
-/// Aggregate (sum, count) of this rank's fluid panes — convenience for
-/// single-process tests.
-pub fn local_pressure_moments(
-    reg: &mut FunctionRegistry<'_>,
-    ws: &mut Windows,
-) -> Result<(f64, f64)> {
-    let mut triples = Vec::new();
-    local_pane_moments(reg, ws, FLUID_WINDOW, &mut triples)?;
-    Ok(triples
-        .iter()
-        .fold((0.0, 0.0), |(s, c), &(_, ps, pc)| (s + ps, c + pc)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::setup::{assign, declare_windows, register_and_init};
     use rocmesh::Workload;
+
+    /// Aggregate (sum, count) of this rank's fluid panes.
+    fn local_pressure_moments(reg: &mut FunctionRegistry<'_>, ws: &mut Windows) -> Result<(f64, f64)> {
+        let mut triples = Vec::new();
+        local_pane_moments(reg, ws, FLUID_WINDOW, &mut triples)?;
+        Ok(triples
+            .iter()
+            .fold((0.0, 0.0), |(s, c), &(_, ps, pc)| (s + ps, c + pc)))
+    }
 
     #[test]
     fn moments_reflect_fluid_pressure() {

@@ -72,7 +72,6 @@ pub struct Rocman<'c, 'io> {
     snapshots_taken: u32,
     last_snapshot: Option<SnapshotId>,
     snapshot_history: Vec<SnapshotId>,
-    panes_migrated: usize,
 }
 
 impl<'c, 'io> Rocman<'c, 'io> {
@@ -113,7 +112,6 @@ impl<'c, 'io> Rocman<'c, 'io> {
             snapshots_taken: 0,
             last_snapshot: None,
             snapshot_history: Vec::new(),
-            panes_migrated: 0,
         })
     }
 
@@ -123,33 +121,13 @@ impl<'c, 'io> Rocman<'c, 'io> {
     }
 
     /// Accumulated visible I/O time (virtual seconds).
-    pub fn io_time(&self) -> SimTime {
+    pub(crate) fn io_time(&self) -> SimTime {
         self.io_time
     }
 
-    /// Steps computed so far.
-    pub fn step_count(&self) -> u64 {
-        self.step_count
-    }
-
     /// Snapshots taken so far.
-    pub fn snapshots_taken(&self) -> u32 {
+    pub(crate) fn snapshots_taken(&self) -> u32 {
         self.snapshots_taken
-    }
-
-    /// Id of the most recent snapshot.
-    pub fn last_snapshot(&self) -> Option<SnapshotId> {
-        self.last_snapshot
-    }
-
-    /// Current chamber pressure (Pa).
-    pub fn chamber_pressure(&self) -> f64 {
-        self.chamber_pressure
-    }
-
-    /// Panes this rank has seen migrate (sent or received) so far.
-    pub fn panes_migrated(&self) -> usize {
-        self.panes_migrated
     }
 
     /// The windows this configuration snapshots, in write order.
@@ -330,13 +308,7 @@ impl<'c, 'io> Rocman<'c, 'io> {
             if let Some(every) = self.rebalance_every {
                 if every > 0 && s % every == 0 {
                     let windows = self.window_names();
-                    let moved = crate::rebalance::rebalance(
-                        self.comm,
-                        &mut self.windows,
-                        &windows,
-                        1.05,
-                    )?;
-                    self.panes_migrated += moved;
+                    crate::rebalance::rebalance(self.comm, &mut self.windows, &windows, 1.05)?;
                 }
             }
             if snapshot_every > 0 && s % snapshot_every == 0 {
@@ -422,7 +394,7 @@ mod tests {
             (
                 man.comp_time(),
                 man.io_time(),
-                man.step_count(),
+                man.step_count,
                 ok,
                 rt,
             )
@@ -455,7 +427,7 @@ mod tests {
                 .unwrap();
             let mut man = Rocman::new(&comm, ws, io).unwrap();
             man.run(20, 5).unwrap();
-            (man.snapshots_taken(), man.last_snapshot())
+            (man.snapshots_taken(), man.last_snapshot)
         });
         // Initial + 4 periodic.
         assert_eq!(out[0].0, 5);
@@ -477,12 +449,12 @@ mod tests {
             io.load_module(Box::new(Rochdf::new(&fs, &comm, RochdfConfig::default())))
                 .unwrap();
             let mut man = Rocman::new(&comm, ws, io).unwrap();
-            let p0 = man.chamber_pressure();
+            let p0 = man.chamber_pressure;
             for _ in 0..120 {
                 man.step().unwrap();
             }
             let regression = man.burn.total_regression(&man.windows).unwrap();
-            (p0, man.chamber_pressure(), regression)
+            (p0, man.chamber_pressure, regression)
         });
         let (p0, p1, regression) = out[0];
         assert!(p1 > p0, "heating must raise chamber pressure: {p0} -> {p1}");

@@ -7,7 +7,7 @@ use roccom::{AttrSpec, Pane, PaneMesh, Windows};
 /// Names of the GENx windows.
 pub const FLUID_WINDOW: &str = "fluid";
 /// Unstructured-fluid window (Rocflu).
-pub const FLU_WINDOW: &str = "fluflu";
+pub(crate) const FLU_WINDOW: &str = "fluflu";
 pub const SOLID_WINDOW: &str = "solid";
 pub const BURN_WINDOW: &str = "burn";
 

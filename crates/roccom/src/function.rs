@@ -51,7 +51,7 @@ impl ComValue {
 
 /// Registered function signature: mutable access to the data plane plus
 /// dynamic arguments.
-pub type ComFn<'a> = Box<dyn FnMut(&mut Windows, &[ComValue]) -> Result<ComValue> + Send + 'a>;
+pub(crate) type ComFn<'a> = Box<dyn FnMut(&mut Windows, &[ComValue]) -> Result<ComValue> + Send + 'a>;
 
 /// The function registry.
 #[derive(Default)]
@@ -72,29 +72,6 @@ impl<'a> FunctionRegistry<'a> {
         }
         self.functions.insert(name.to_string(), f);
         Ok(())
-    }
-
-    /// Remove a function (module unloaded).
-    pub fn unregister(&mut self, name: &str) -> Result<()> {
-        self.functions
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| RocError::NotFound(format!("function '{name}'")))
-    }
-
-    /// Remove every function under a `module.` prefix; returns how many.
-    pub fn unregister_module(&mut self, module: &str) -> usize {
-        let prefix = format!("{module}.");
-        let names: Vec<String> = self
-            .functions
-            .keys()
-            .filter(|k| k.starts_with(&prefix))
-            .cloned()
-            .collect();
-        for n in &names {
-            self.functions.remove(n);
-        }
-        names.len()
     }
 
     /// Invoke a function by name.
@@ -124,7 +101,7 @@ mod tests {
     use rocio_core::{BlockId, DType};
 
     #[test]
-    fn register_call_unregister() {
+    fn register_then_call() {
         let mut reg = FunctionRegistry::new();
         let mut ws = Windows::new();
         reg.register(
@@ -136,8 +113,7 @@ mod tests {
             .call("math.add", &mut ws, &[ComValue::Int(2), ComValue::Int(3)])
             .unwrap();
         assert_eq!(out, ComValue::Int(5));
-        reg.unregister("math.add").unwrap();
-        assert!(reg.call("math.add", &mut ws, &[]).is_err());
+        assert!(reg.call("math.sub", &mut ws, &[]).is_err());
     }
 
     #[test]
@@ -205,18 +181,6 @@ mod tests {
                 .unwrap(),
             &[7.5]
         );
-    }
-
-    #[test]
-    fn unregister_module_removes_prefix() {
-        let mut reg = FunctionRegistry::new();
-        for n in ["a.x", "a.y", "b.x"] {
-            reg.register(n, Box::new(|_, _| Ok(ComValue::Unit))).unwrap();
-        }
-        assert_eq!(reg.unregister_module("a"), 2);
-        assert_eq!(reg.names(), vec!["b.x"]);
-        assert!(!reg.contains("a.x"));
-        assert!(reg.contains("b.x"));
     }
 
     #[test]

@@ -91,19 +91,6 @@ impl<'a> IoDispatch<'a> {
         Ok(())
     }
 
-    /// Unload a module, finalizing it first.
-    pub fn unload_module(&mut self, name: &str) -> Result<()> {
-        let mut module = self
-            .modules
-            .remove(name)
-            .ok_or_else(|| RocError::NotFound(format!("I/O module '{name}'")))?;
-        module.finalize()?;
-        if self.active.as_deref() == Some(name) {
-            self.active = self.modules.keys().next().cloned();
-        }
-        Ok(())
-    }
-
     /// Select the active module by name.
     pub fn set_active(&mut self, name: &str) -> Result<()> {
         if !self.modules.contains_key(name) {
@@ -252,18 +239,6 @@ mod tests {
         assert!(log[1].starts_with("rochdf:write"));
         assert!(log[2].starts_with("rochdf:read"));
         assert_eq!(log[3], "rochdf:sync");
-    }
-
-    #[test]
-    fn unload_finalizes_and_switches_active() {
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let mut d = IoDispatch::new();
-        d.load_module(mock("rocpanda", &log)).unwrap();
-        d.load_module(mock("rochdf", &log)).unwrap();
-        d.unload_module("rocpanda").unwrap();
-        assert_eq!(log.borrow().last().unwrap(), "rocpanda:finalize");
-        assert_eq!(d.active(), Some("rochdf"));
-        assert!(d.unload_module("rocpanda").is_err());
     }
 
     #[test]

@@ -321,7 +321,7 @@ impl Window {
     }
 
     /// Look up one attribute's declaration.
-    pub fn attr_spec(&self, name: &str) -> Result<&AttrSpec> {
+    pub(crate) fn attr_spec(&self, name: &str) -> Result<&AttrSpec> {
         self.schema
             .iter()
             .find(|s| s.name == name)
@@ -444,50 +444,6 @@ impl Window {
         self.panes
             .remove(&id)
             .ok_or_else(|| RocError::NotFound(format!("pane {id} in window '{}'", self.name)))
-    }
-
-    /// Insert a previously removed pane (block migrated in). Schema must
-    /// match: the pane must carry exactly the declared attributes, which it
-    /// then holds in this window's order.
-    pub fn insert_pane(&mut self, mut pane: Pane) -> Result<()> {
-        if self.panes.contains_key(&pane.id) {
-            return Err(RocError::AlreadyExists(format!(
-                "pane {} in window '{}'",
-                pane.id, self.name
-            )));
-        }
-        for spec in self.schema.iter() {
-            let buf = pane.data(&spec.name)?;
-            if buf.dtype() != spec.dtype {
-                return Err(RocError::Mismatch(format!(
-                    "pane {}: attribute '{}' dtype {} != declared {}",
-                    pane.id,
-                    spec.name,
-                    buf.dtype().name(),
-                    spec.dtype.name()
-                )));
-            }
-        }
-        if pane.data.len() != self.schema.len() {
-            return Err(RocError::Mismatch(format!(
-                "pane {} carries {} attributes, window '{}' declares {}",
-                pane.id,
-                pane.data.len(),
-                self.name,
-                self.schema.len()
-            )));
-        }
-        if pane.schema != self.schema {
-            let mut held: Vec<Option<ArrayData>> = pane.data.drain(..).map(Some).collect();
-            for spec in self.schema.iter() {
-                let slot = pane.slot(&spec.name)?;
-                pane.data.extend(held[slot].take());
-            }
-            pane.schema = Arc::clone(&self.schema);
-        }
-        self.reserved.remove(&pane.id);
-        self.panes.insert(pane.id, pane);
-        Ok(())
     }
 
     /// Ids of all local panes, ascending: those held and those reserved.
@@ -676,10 +632,10 @@ mod tests {
         assert_eq!(w.pane_ids(), vec![BlockId(1), BlockId(2), BlockId(3)]);
         assert_eq!(w.n_panes(), 1);
         assert!(matches!(w.pane(BlockId(1)), Err(RocError::NotFound(_))));
-        // However the pane arrives, the reservation is spent.
+        // Registering the pane spends the reservation.
         w.register_pane(BlockId(1), small_mesh()).unwrap();
-        let migrated = w.remove_pane(BlockId(2)).unwrap();
-        w.insert_pane(Pane { id: BlockId(3), ..migrated }).unwrap();
+        w.remove_pane(BlockId(2)).unwrap();
+        w.register_pane(BlockId(3), small_mesh()).unwrap();
         assert_eq!(w.pane_ids(), vec![BlockId(1), BlockId(3)]);
         assert_eq!(w.n_panes(), 2);
         let mut plain = Window::new("w");
@@ -755,70 +711,6 @@ mod tests {
         assert!(pane.set_data("p", ArrayData::F64(vec![1.0; 7])).is_err());
         assert!(pane.set_data("p", ArrayData::F32(vec![1.0; 8])).is_err());
         assert!(pane.set_data("q", ArrayData::F64(vec![1.0; 8])).is_err());
-    }
-
-    #[test]
-    fn remove_and_insert_pane_migration() {
-        let mut w = Window::new("w");
-        w.declare_attr(AttrSpec::element("p", DType::F64, 1)).unwrap();
-        w.register_pane(BlockId(1), small_mesh()).unwrap();
-        w.pane_mut(BlockId(1))
-            .unwrap()
-            .data_mut("p")
-            .unwrap()
-            .as_f64_mut()
-            .unwrap()[0] = 42.0;
-        let pane = w.remove_pane(BlockId(1)).unwrap();
-        assert_eq!(w.n_panes(), 0);
-        // "Migrate" it to another window instance (another rank's view).
-        let mut w2 = Window::new("w");
-        w2.declare_attr(AttrSpec::element("p", DType::F64, 1)).unwrap();
-        w2.insert_pane(pane).unwrap();
-        assert_eq!(
-            w2.pane(BlockId(1)).unwrap().data("p").unwrap().as_f64().unwrap()[0],
-            42.0
-        );
-    }
-
-    /// A pane holds its buffers in its window's declaration order; one
-    /// migrated from a window that declared the same attributes in another
-    /// order is taken in this window's, buffers by name.
-    #[test]
-    fn a_migrated_pane_takes_the_order_of_the_window_it_joins() {
-        let declare = |names: [&str; 2]| {
-            let mut w = Window::new("w");
-            for name in names {
-                w.declare_attr(AttrSpec::element(name, DType::F64, 1)).unwrap();
-            }
-            w.register_pane(BlockId(1), small_mesh()).unwrap();
-            for (i, name) in ["p", "q"].into_iter().enumerate() {
-                w.pane_mut(BlockId(1)).unwrap().data_mut(name).unwrap().as_f64_mut().unwrap()[0] =
-                    i as f64 + 0.5;
-            }
-            w
-        };
-        let (mut from, mut to) = (declare(["q", "p"]), declare(["p", "q"]));
-        let expected = to.clone();
-        to.remove_pane(BlockId(1)).unwrap();
-        to.insert_pane(from.remove_pane(BlockId(1)).unwrap()).unwrap();
-        assert_eq!(to, expected);
-        let (_, [p, q]) = to.pane_mut(BlockId(1)).unwrap().split_mut(["p", "q"]).unwrap();
-        assert_eq!((p.as_f64().unwrap()[0], q.as_f64().unwrap()[0]), (0.5, 1.5));
-    }
-
-    #[test]
-    fn insert_pane_enforces_schema() {
-        let mut w = Window::new("w");
-        w.declare_attr(AttrSpec::element("p", DType::F64, 1)).unwrap();
-        w.register_pane(BlockId(1), small_mesh()).unwrap();
-        let pane = w.remove_pane(BlockId(1)).unwrap();
-        let mut w2 = Window::new("w");
-        w2.declare_attr(AttrSpec::element("p", DType::F32, 1)).unwrap(); // dtype differs
-        assert!(w2.insert_pane(pane.clone()).is_err());
-        let mut w3 = Window::new("w");
-        w3.declare_attr(AttrSpec::element("p", DType::F64, 1)).unwrap();
-        w3.declare_attr(AttrSpec::element("q", DType::F64, 1)).unwrap(); // extra attr
-        assert!(w3.insert_pane(pane).is_err());
     }
 
     #[test]

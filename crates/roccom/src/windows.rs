@@ -32,13 +32,6 @@ impl Windows {
             .or_insert_with(|| Window::new(name)))
     }
 
-    /// Delete a window (module unloaded).
-    pub fn delete_window(&mut self, name: &str) -> Result<Window> {
-        self.map
-            .remove(name)
-            .ok_or_else(|| RocError::NotFound(format!("window '{name}'")))
-    }
-
     /// Borrow a window.
     pub fn window(&self, name: &str) -> Result<&Window> {
         self.map
@@ -89,16 +82,6 @@ mod tests {
             ws.create_window("w"),
             Err(RocError::AlreadyExists(_))
         ));
-    }
-
-    #[test]
-    fn delete_window_removes_it() {
-        let mut ws = Windows::new();
-        ws.create_window("w").unwrap();
-        let w = ws.delete_window("w").unwrap();
-        assert_eq!(w.name(), "w");
-        assert!(!ws.contains("w"));
-        assert!(ws.delete_window("w").is_err());
     }
 
     #[test]

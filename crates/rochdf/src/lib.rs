@@ -40,6 +40,6 @@ pub mod trochdf;
 pub mod twophase;
 
 pub use config::RochdfConfig;
-pub use twophase::{read_attribute_two_phase, read_partitioned};
+pub use twophase::read_partitioned;
 pub use rochdf::Rochdf;
 pub use trochdf::TRochdf;

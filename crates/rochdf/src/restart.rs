@@ -30,7 +30,7 @@ use roccom::{AttrSelector, Windows};
 /// communication).
 ///
 /// Returns the virtual completion time of this rank's reads.
-pub fn read_attribute_individual(
+pub(crate) fn read_attribute_individual(
     fs: &SharedFs,
     comm: &Comm,
     cfg: &RochdfConfig,

@@ -38,12 +38,12 @@ use crate::config::RochdfConfig;
 use roccom::{AttrSelector, Windows};
 
 /// Tag of one redistributed block (header + raw record segments).
-pub const TAG_TP_BLOCK: u32 = 0x0070_0001;
+pub(crate) const TAG_TP_BLOCK: u32 = 0x0070_0001;
 /// Tag of an aggregator's per-receiver completion notice (message count).
-pub const TAG_TP_DONE: u32 = 0x0070_0002;
+pub(crate) const TAG_TP_DONE: u32 = 0x0070_0002;
 /// Tag of the completion notice of an aggregator whose phase one failed:
 /// the message count, then the error text. Never sent on a clean restart.
-pub const TAG_TP_FAILED: u32 = 0x0070_0003;
+pub(crate) const TAG_TP_FAILED: u32 = 0x0070_0003;
 
 /// Collective partitioned read: every rank of `comm` calls this with its
 /// own `wanted` block ids; the first `n_aggregators` ranks read the
@@ -254,7 +254,7 @@ pub(crate) fn read_views(
 /// Two-phase variant of the restart read: collective over `comm`, applying
 /// the redistributed blocks to the selector's window. Returns this rank's
 /// virtual completion time.
-pub fn read_attribute_two_phase(
+pub(crate) fn read_attribute_two_phase(
     fs: &SharedFs,
     comm: &Comm,
     cfg: &RochdfConfig,

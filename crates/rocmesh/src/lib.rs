@@ -16,7 +16,7 @@
 //! * [`partition`] — irregular recursive-bisection partitioning of a
 //!   domain into blocks of deliberately unequal sizes, plus block→rank
 //!   assignment strategies (round-robin, size-balancing greedy);
-//! * [`refine`] — adaptive refinement and burn-regression of blocks ("these
+//! * [`refine`] — adaptive refinement of blocks ("these
 //!   mesh blocks change as the propellant burns in the simulation");
 //! * [`workload`] — the paper's two test problems: the **lab-scale rocket
 //!   motor** (Table 1: fixed total size, ~64 MB/snapshot) and the
@@ -32,4 +32,4 @@ pub mod workload;
 pub use partition::{assign_blocks, x_adjacency, Assignment};
 pub use structured::StructuredBlock;
 pub use unstructured::UnstructuredBlock;
-pub use workload::{Material, MeshBlock, Workload};
+pub use workload::{Material, Workload};

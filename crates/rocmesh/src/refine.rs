@@ -1,17 +1,13 @@
-//! Adaptive refinement and burn regression of mesh blocks.
+//! Adaptive refinement of mesh blocks.
 //!
 //! "These mesh blocks change as the propellant burns in the simulation,
-//! requiring adaptive refinement over time" (§3.2). Two operations model
-//! that dynamism:
-//!
-//! * [`refine_structured`] — split a block into 8 children (2× each axis at
-//!   the same resolution per child), used when a block's activity metric
-//!   crosses a threshold. Children get fresh ids from an id allocator so
-//!   the I/O layer sees a *changed block population* between snapshots —
-//!   the situation that forces MPI-IO users to rebuild file views and that
-//!   Rocpanda handles without any re-registration.
-//! * [`regress_block`] — shrink a block along its burn axis as the
-//!   propellant surface recedes, changing block *sizes* between snapshots.
+//! requiring adaptive refinement over time" (§3.2).
+//! [`refine_structured`] splits a block into 8 children (2× each axis at
+//! the same resolution per child), used when a block's activity metric
+//! crosses a threshold. Children get fresh ids from an id allocator so the
+//! I/O layer sees a *changed block population* between snapshots — the
+//! situation that forces MPI-IO users to rebuild file views and that
+//! Rocpanda handles without any re-registration.
 
 use rocio_core::BlockId;
 
@@ -49,22 +45,6 @@ pub fn refine_structured(parent: &StructuredBlock, next_id: &mut u64) -> Vec<Str
         }
     }
     children
-}
-
-/// Burn-regress a block: remove `burned_cells` cell layers from the low
-/// end of `axis` (the surface that is burning away). Returns `None` when
-/// the block is fully consumed.
-pub fn regress_block(block: &StructuredBlock, axis: usize, burned_cells: usize) -> Option<StructuredBlock> {
-    assert!(axis < 3);
-    let dims = [block.ni, block.nj, block.nk];
-    if burned_cells >= dims[axis] {
-        return None;
-    }
-    let mut new_dims = dims;
-    new_dims[axis] -= burned_cells;
-    let mut origin = block.origin;
-    origin[axis] += burned_cells as f64 * block.spacing[axis];
-    Some(StructuredBlock::new(block.id, new_dims, origin, block.spacing))
 }
 
 #[cfg(test)]
@@ -119,24 +99,5 @@ mod tests {
         let kids = refine_structured(&odd, &mut next);
         let cells: usize = kids.iter().map(|k| k.n_cells()).sum();
         assert_eq!(cells, odd.n_cells());
-    }
-
-    #[test]
-    fn regress_shrinks_and_moves_origin() {
-        let b = parent();
-        let r = regress_block(&b, 1, 2).unwrap();
-        assert_eq!(r.nj, 4);
-        assert_eq!(r.origin[1], 1.0); // 2 cells * 0.5 spacing
-        assert_eq!(r.id, b.id); // same pane, new size
-        assert_eq!(r.ni, b.ni);
-        assert_eq!(r.nk, b.nk);
-    }
-
-    #[test]
-    fn regress_consumes_block_fully() {
-        let b = parent();
-        assert!(regress_block(&b, 2, 2).is_none());
-        assert!(regress_block(&b, 2, 5).is_none());
-        assert!(regress_block(&b, 2, 1).is_some());
     }
 }

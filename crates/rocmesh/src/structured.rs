@@ -65,16 +65,6 @@ impl StructuredBlock {
         e[0] * e[1] * e[2]
     }
 
-    /// Flat node index of logical node `(i, j, k)`.
-    pub fn node_index(&self, i: usize, j: usize, k: usize) -> usize {
-        (k * (self.nj + 1) + j) * (self.ni + 1) + i
-    }
-
-    /// Flat cell index of logical cell `(i, j, k)`.
-    pub fn cell_index(&self, i: usize, j: usize, k: usize) -> usize {
-        (k * self.nj + j) * self.ni + i
-    }
-
     /// Visit every node position `[x, y, z]`, i fastest — the generator
     /// behind [`StructuredBlock::node_coords`], for consumers that encode
     /// the coordinates somewhere else than a fresh `Vec<f64>`.
@@ -140,18 +130,6 @@ mod tests {
         // Last node is the far corner.
         let last = &c[c.len() - 3..];
         assert_eq!(last, &[3.0, 5.0, 7.0]);
-    }
-
-    #[test]
-    #[allow(clippy::identity_op)] // spelled-out (k*nj + j)*ni + i formula
-    fn indexing_is_consistent() {
-        let b = block();
-        assert_eq!(b.node_index(0, 0, 0), 0);
-        assert_eq!(b.node_index(1, 0, 0), 1);
-        assert_eq!(b.node_index(0, 1, 0), 5);
-        assert_eq!(b.node_index(0, 0, 1), 20);
-        assert_eq!(b.cell_index(3, 2, 1), (1 * 3 + 2) * 4 + 3);
-        assert_eq!(b.cell_index(b.ni - 1, b.nj - 1, b.nk - 1), b.n_cells() - 1);
     }
 
     #[test]

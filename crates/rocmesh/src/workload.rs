@@ -1,6 +1,6 @@
 //! The paper's two test problems as mesh-workload generators.
 //!
-//! * [`Workload::lab_scale_motor`] — "a lab-scale solid rocket motor, with
+//! * [`Workload::lab_scale_motor_scaled`] — "a lab-scale solid rocket motor, with
 //!   design and data obtained from the Naval Air Warfare Center" (§7.1):
 //!   a *fixed total* problem (~64 MB per snapshot regardless of processor
 //!   count), used for Table 1.
@@ -11,8 +11,6 @@
 //! Both produce a gas-dynamics region (structured multi-block, Rocflo
 //! style) and a propellant region (unstructured tet blocks, Rocfrac style)
 //! with irregular block sizes.
-
-use rocio_core::BlockId;
 
 use crate::partition::partition_box;
 use crate::structured::StructuredBlock;
@@ -38,39 +36,6 @@ pub fn solid_snapshot_bytes(dims: [usize; 3]) -> usize {
 pub enum Material {
     Gas,
     Propellant,
-}
-
-/// Either kind of mesh block, tagged with its material.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MeshBlock {
-    Structured(StructuredBlock),
-    Unstructured(UnstructuredBlock),
-}
-
-impl MeshBlock {
-    /// The block's stable id.
-    pub fn id(&self) -> BlockId {
-        match self {
-            MeshBlock::Structured(b) => b.id,
-            MeshBlock::Unstructured(b) => b.id,
-        }
-    }
-
-    /// The block's material.
-    pub fn material(&self) -> Material {
-        match self {
-            MeshBlock::Structured(_) => Material::Gas,
-            MeshBlock::Unstructured(_) => Material::Propellant,
-        }
-    }
-
-    /// Approximate snapshot footprint in bytes.
-    pub fn snapshot_bytes(&self) -> usize {
-        match self {
-            MeshBlock::Structured(b) => b.snapshot_bytes(FLUID_SCALAR_FIELDS),
-            MeshBlock::Unstructured(b) => b.snapshot_bytes(SOLID_SCALAR_FIELDS),
-        }
-    }
 }
 
 /// A complete mesh workload: fluid blocks + solid block descriptions.
@@ -100,19 +65,6 @@ impl Workload {
         UnstructuredBlock::tet_box(b.id, [b.ni, b.nj, b.nk], b.origin, b.spacing)
     }
 
-    /// Approximate total snapshot bytes (no materialization).
-    pub fn total_snapshot_bytes(&self) -> usize {
-        self.fluid
-            .iter()
-            .map(|b| b.snapshot_bytes(FLUID_SCALAR_FIELDS))
-            .sum::<usize>()
-            + self
-                .solid_boxes
-                .iter()
-                .map(|b| solid_snapshot_bytes([b.ni, b.nj, b.nk]))
-                .sum::<usize>()
-    }
-
     /// Per-block snapshot weights: fluid blocks first (by index), then
     /// solid boxes.
     pub fn block_weights(&self) -> (Vec<usize>, Vec<usize>) {
@@ -128,17 +80,6 @@ impl Workload {
         )
     }
 
-    /// The Table 1 workload: a lab-scale solid rocket motor.
-    ///
-    /// Fixed total size: a ~430k-cell structured bore (gas) in 160
-    /// irregular blocks and a ~130k-hex tetrahedralized propellant annulus
-    /// in 96 irregular blocks — ~64 MB and ~2500 datasets per snapshot, as
-    /// in the paper's test ("for each snapshot, GENx wrote approximately
-    /// 64 MB of output data").
-    pub fn lab_scale_motor(seed: u64) -> Workload {
-        Self::lab_scale_motor_scaled(seed, 1.0)
-    }
-
     /// Lab-scale motor with explicit block counts at the paper-size mesh
     /// resolution — the knob for granularity studies ("the relatively
     /// small blocks used in GENx present a further performance problem",
@@ -149,8 +90,16 @@ impl Workload {
         w
     }
 
-    /// Lab-scale motor with a linear size scale factor (for quick tests
-    /// and reduced-scale runs; `scale = 1.0` is the paper-size problem).
+    /// The Table 1 workload: a lab-scale solid rocket motor, its size
+    /// times a linear scale factor (for quick tests and reduced-scale
+    /// runs).
+    ///
+    /// At `scale = 1.0`, the paper-size problem, the total is fixed: a
+    /// ~430k-cell structured bore (gas) in 160 irregular blocks and a
+    /// ~130k-hex tetrahedralized propellant annulus in 96 irregular blocks
+    /// — ~64 MB and ~2500 datasets per snapshot, as in the paper's test
+    /// ("for each snapshot, GENx wrote approximately 64 MB of output
+    /// data").
     pub fn lab_scale_motor_scaled(seed: u64, scale: f64) -> Workload {
         Self::lab_scale_sized(seed, scale, None)
     }
@@ -261,10 +210,16 @@ mod tests {
     use super::*;
     use rocio_core::MIB;
 
+    /// Approximate total snapshot bytes (no materialization).
+    fn total_snapshot_bytes(w: &Workload) -> usize {
+        let (fluid, solid) = w.block_weights();
+        fluid.iter().chain(&solid).sum()
+    }
+
     #[test]
     fn lab_scale_is_about_64_mib() {
-        let w = Workload::lab_scale_motor(42);
-        let bytes = w.total_snapshot_bytes();
+        let w = Workload::lab_scale_motor_scaled(42, 1.0);
+        let bytes = total_snapshot_bytes(&w);
         assert!(
             bytes > 55 * MIB && bytes < 75 * MIB,
             "lab-scale snapshot is {} ({} bytes)",
@@ -286,7 +241,7 @@ mod tests {
 
     #[test]
     fn lab_scale_block_ids_unique() {
-        let w = Workload::lab_scale_motor(42);
+        let w = Workload::lab_scale_motor_scaled(42, 1.0);
         let mut ids = all_ids(&w);
         let n = ids.len();
         ids.sort_unstable();
@@ -296,7 +251,7 @@ mod tests {
 
     #[test]
     fn lab_scale_blocks_are_irregular() {
-        let w = Workload::lab_scale_motor(42);
+        let w = Workload::lab_scale_motor_scaled(42, 1.0);
         let sizes: Vec<usize> = w.fluid.iter().map(|b| b.n_cells()).collect();
         let min = *sizes.iter().min().unwrap();
         let max = *sizes.iter().max().unwrap();
@@ -306,8 +261,8 @@ mod tests {
     #[test]
     fn scaled_lab_scale_shrinks() {
         let small = Workload::lab_scale_motor_scaled(42, 0.1);
-        let full = Workload::lab_scale_motor(42);
-        assert!(small.total_snapshot_bytes() < full.total_snapshot_bytes() / 4);
+        let full = Workload::lab_scale_motor_scaled(42, 1.0);
+        assert!(total_snapshot_bytes(&small) < total_snapshot_bytes(&full) / 4);
         assert!(small.n_blocks() < full.n_blocks());
     }
 
@@ -315,8 +270,8 @@ mod tests {
     fn scalability_data_is_per_proc_constant() {
         let w4 = Workload::scalability_cylinder(4, 1);
         let w8 = Workload::scalability_cylinder(8, 1);
-        let per4 = w4.total_snapshot_bytes() as f64 / 4.0;
-        let per8 = w8.total_snapshot_bytes() as f64 / 8.0;
+        let per4 = total_snapshot_bytes(&w4) as f64 / 4.0;
+        let per8 = total_snapshot_bytes(&w8) as f64 / 8.0;
         assert!(
             (per4 / per8 - 1.0).abs() < 0.1,
             "per-proc bytes differ: {per4} vs {per8}"
@@ -328,7 +283,7 @@ mod tests {
     #[test]
     fn scalability_per_proc_size_near_one_mib() {
         let w = Workload::scalability_cylinder(2, 1);
-        let per = w.total_snapshot_bytes() / 2;
+        let per = total_snapshot_bytes(&w) / 2;
         assert!(
             per > MIB / 2 && per < 2 * MIB,
             "per-proc snapshot {}",

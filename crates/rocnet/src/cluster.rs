@@ -57,7 +57,7 @@ impl NoiseModel {
     /// visibly with node count (~7% at 32 nodes), as in Fig. 3(b): with
     /// tightly synchronized solvers the slowest node sets the pace, so
     /// per-node OS jitter is amplified roughly with log(nodes).
-    pub fn aix_frost() -> Self {
+    pub(crate) fn aix_frost() -> Self {
         NoiseModel {
             daemon_load: 0.025,
             sync_amplification: 0.35,
@@ -69,7 +69,7 @@ impl NoiseModel {
     /// higher base load, but the experiments on Turing always leave the
     /// second CPU available to the I/O thread, so this mostly affects the
     /// baseline compute time.
-    pub fn linux_turing() -> Self {
+    pub(crate) fn linux_turing() -> Self {
         NoiseModel {
             daemon_load: 0.02,
             sync_amplification: 0.008,
@@ -79,7 +79,7 @@ impl NoiseModel {
 
     /// Multiplier applied to compute work for a job spanning `n_nodes`
     /// nodes with the given per-node CPU usage.
-    pub fn compute_factor(&self, usage: NodeUsage, n_nodes: usize) -> f64 {
+    pub(crate) fn compute_factor(&self, usage: NodeUsage, n_nodes: usize) -> f64 {
         let amplification = 1.0 + self.sync_amplification * (n_nodes.max(1) as f64).log2();
         match usage {
             NodeUsage::AllCompute => 1.0 + self.daemon_load * amplification,
@@ -178,12 +178,6 @@ impl ClusterSpec {
         let factor = self.noise.compute_factor(self.usage, self.n_nodes());
         work / self.compute_rate * factor
     }
-
-    /// Override the compute rate (builder style), used by calibration.
-    pub fn with_compute_rate(mut self, rate: f64) -> Self {
-        self.compute_rate = rate;
-        self
-    }
 }
 
 /// Build the paper's server placement for a client:server ratio on an SMP
@@ -266,7 +260,10 @@ mod tests {
 
     #[test]
     fn compute_rate_scales_time() {
-        let spec = ClusterSpec::ideal(1).with_compute_rate(2.0);
+        let spec = ClusterSpec {
+            compute_rate: 2.0,
+            ..ClusterSpec::ideal(1)
+        };
         assert_eq!(spec.compute_time(3.0), 1.5);
     }
 

@@ -119,7 +119,7 @@ impl Comm {
 
     /// All-reduce an `f64` with a binary combining function (must be
     /// associative and commutative).
-    pub fn allreduce_f64(&self, x: f64, op: impl Fn(f64, f64) -> f64) -> Result<f64> {
+    pub(crate) fn allreduce_f64(&self, x: f64, op: impl Fn(f64, f64) -> f64) -> Result<f64> {
         let up = self.coll_tag(OP_REDUCE);
         let down = self.coll_tag(OP_REDUCE_DOWN);
         if self.rank() == 0 {

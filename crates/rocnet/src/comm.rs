@@ -472,7 +472,7 @@ impl Comm {
     /// once no rank can still produce one. Never consumes virtual time
     /// (though the determinism gate may wait in wall-clock time). The
     /// payload comes as it travelled, like [`Comm::recv_rope`]'s.
-    pub fn try_recv(&self, src: Option<usize>, tag: Option<u32>) -> Option<Message<Rope>> {
+    pub(crate) fn try_recv(&self, src: Option<usize>, tag: Option<u32>) -> Option<Message<Rope>> {
         let env = self.settle(src, tag, self.now(), ChoiceKind::Take)?;
         Some(self.to_message(env))
     }
@@ -486,7 +486,7 @@ impl Comm {
     /// answer is gated the same way [`Comm::try_recv`] is, with the
     /// deadline standing in for "now" — and the payload comes the same
     /// way, as it travelled.
-    pub fn recv_deadline(
+    pub(crate) fn recv_deadline(
         &self,
         src: Option<usize>,
         tag: Option<u32>,

@@ -687,7 +687,7 @@ impl Fabric {
     /// Mark every rank runnable again (a fresh "job" on this fabric):
     /// mailboxes and the adversary carry over, everything else restarts
     /// — in place, so a job allocates no fabric state of its own.
-    pub fn begin_job(&self) {
+    pub(crate) fn begin_job(&self) {
         let mut st = self.state.lock();
         st.reset_job();
         self.publish_gate_min(&st);
@@ -699,7 +699,7 @@ impl Fabric {
     /// Only gate waiters can be *enabled* by a finish (the rank's
     /// commitment rises to ∞), so the targeted wake scan is enough — a
     /// wake-everyone broadcast would be O(n²) wakes per job teardown.
-    pub fn finish_rank(&self, rank: usize) {
+    pub(crate) fn finish_rank(&self, rank: usize) {
         let mut g = Locked::new(self.state.lock());
         g.set_wait(
             rank,
@@ -1286,13 +1286,6 @@ impl Fabric {
     pub fn queued(&self, dst: usize) -> usize {
         self.state.lock().mail.len(dst)
     }
-
-    /// Whether `dst` is currently published as blocked (parked in a
-    /// fabric call, or finished). Diagnostic: tests use it to wait for a
-    /// rank to reach its park deterministically instead of sleeping.
-    pub fn is_parked(&self, dst: usize) -> bool {
-        matches!(self.state.lock().waits[dst], RankWait::Blocked { .. })
-    }
 }
 
 #[cfg(test)]
@@ -1306,11 +1299,12 @@ mod tests {
 
     /// Deterministic replacement for the old 20 ms sleeps: wait until the
     /// rank has *published* its park, an event that cannot regress until
-    /// the condition the test controls is made true. No wall-clock race:
-    /// however slowly the waiter thread is scheduled, the test only
-    /// proceeds once the park is visible under the fabric lock.
+    /// the condition the test controls is made true (parked in a fabric
+    /// call, or finished). No wall-clock race: however slowly the waiter
+    /// thread is scheduled, the test only proceeds once the park is visible
+    /// under the fabric lock.
     fn await_parked(f: &Fabric, rank: usize) {
-        while !f.is_parked(rank) {
+        while !matches!(f.state.lock().waits[rank], RankWait::Blocked { .. }) {
             std::thread::yield_now();
         }
     }

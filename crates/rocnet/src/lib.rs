@@ -68,9 +68,9 @@ pub mod vtime;
 
 pub use cluster::{ClusterSpec, NodeUsage};
 pub use comm::{Comm, Message};
-pub use fabric::{Fabric, FaultInjector, FaultStats};
+pub use fabric::{Fabric, FaultInjector};
 pub use harness::{run_on_fabric, run_ranks};
-pub use model::{FaultAction, FaultSpec, NetworkModel};
+pub use model::{FaultAction, FaultSpec};
 pub use sched::{run_on_fabric_sched, run_ranks_sched, SchedConfig};
 pub use rocrel::{RelOnly, ReliableComm, TAG_REL};
 pub use stats::CommStats;

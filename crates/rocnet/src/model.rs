@@ -27,7 +27,7 @@ pub struct LinkModel {
 
 impl LinkModel {
     /// Pure transfer time of `bytes` over this link, without contention.
-    pub fn transfer_time(&self, bytes: usize) -> SimTime {
+    pub(crate) fn transfer_time(&self, bytes: usize) -> SimTime {
         self.latency + bytes as f64 / self.bandwidth
     }
 }
@@ -85,7 +85,7 @@ impl NetworkModel {
     /// The comparatively large contention coefficient models the shared,
     /// unscheduled use of Turing: "Turing's nodes are shared by multiple
     /// concurrent jobs" (§7.1).
-    pub fn myrinet_turing() -> Self {
+    pub(crate) fn myrinet_turing() -> Self {
         NetworkModel {
             name: "myrinet-turing".into(),
             intra_node: LinkModel {
@@ -106,7 +106,7 @@ impl NetworkModel {
     }
 
     /// SP Switch2 as deployed on ASCI Frost (16-way POWER3 SMP nodes).
-    pub fn sp_switch2_frost() -> Self {
+    pub(crate) fn sp_switch2_frost() -> Self {
         NetworkModel {
             name: "sp-switch2-frost".into(),
             intra_node: LinkModel {
@@ -127,23 +127,23 @@ impl NetworkModel {
     }
 
     /// Contention multiplier for a job of `n_ranks` ranks.
-    pub fn contention_factor(&self, n_ranks: usize) -> f64 {
+    pub(crate) fn contention_factor(&self, n_ranks: usize) -> f64 {
         1.0 + self.contention_coeff * ((n_ranks.saturating_sub(1)) as f64).powf(self.contention_exp)
     }
 
     /// Sender-side CPU cost of pushing `bytes` into the transport.
-    pub fn send_cost(&self, bytes: usize) -> SimTime {
+    pub(crate) fn send_cost(&self, bytes: usize) -> SimTime {
         self.send_overhead + bytes as f64 * self.send_per_byte
     }
 
     /// Receiver-side CPU cost of draining `bytes` out of the transport.
-    pub fn recv_cost(&self, bytes: usize) -> SimTime {
+    pub(crate) fn recv_cost(&self, bytes: usize) -> SimTime {
         self.recv_overhead + bytes as f64 * self.recv_per_byte
     }
 
     /// In-flight transfer time from `src_node` to `dst_node` for `bytes`,
     /// including contention for a job of `n_ranks`.
-    pub fn flight_time(
+    pub(crate) fn flight_time(
         &self,
         src_node: usize,
         dst_node: usize,

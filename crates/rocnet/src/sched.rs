@@ -71,7 +71,7 @@ impl SchedConfig {
     /// call chains in the workspace with a wide margin while letting 10k
     /// ranks fit in ~5 GiB of *address space* (resident use is far
     /// lower — only touched pages count).
-    pub const DEFAULT_STACK: usize = 512 * 1024;
+    pub(crate) const DEFAULT_STACK: usize = 512 * 1024;
 
     /// The pooled default: admission bounded near the host's parallelism
     /// (never below 2, so a rank busy outside the fabric cannot starve

@@ -25,13 +25,13 @@ pub struct StatsSnapshot {
 
 impl CommStats {
     /// Record one sent message of `bytes` payload.
-    pub fn on_send(&self, bytes: usize) {
+    pub(crate) fn on_send(&self, bytes: usize) {
         self.msgs_sent.set(self.msgs_sent.get() + 1);
         self.bytes_sent.set(self.bytes_sent.get() + bytes as u64);
     }
 
     /// Record one received message of `bytes` payload.
-    pub fn on_recv(&self, bytes: usize) {
+    pub(crate) fn on_recv(&self, bytes: usize) {
         self.msgs_recv.set(self.msgs_recv.get() + 1);
         self.bytes_recv.set(self.bytes_recv.get() + bytes as u64);
     }

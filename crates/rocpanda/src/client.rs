@@ -298,8 +298,9 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::Arc;
 
+    use crate::server::ServerStats;
     use crate::wire::BlockMsg;
-    use crate::{PandaClient, PandaServiceBuilder, RocpandaConfig, ServerStats, ServiceRole};
+    use crate::{PandaClient, PandaServiceBuilder, RocpandaConfig, ServiceRole};
     use rocio_core::{ArrayData, BlockId, DType, RocError, Rope, SnapshotId};
     use rocsdf::BlockView;
     use rocnet::cluster::ClusterSpec;

@@ -51,5 +51,5 @@ pub mod wire;
 pub use client::PandaClient;
 pub use config::RocpandaConfig;
 pub use net::PandaNet;
-pub use server::{PandaServer, ServerStats, TenantDrainStats};
+pub use server::TenantDrainStats;
 pub use service::{JobHandle, JobSpec, PandaService, PandaServiceBuilder, ServiceRole};

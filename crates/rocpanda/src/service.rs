@@ -25,8 +25,8 @@ use rocnet::Comm;
 use rocstore::SharedFs;
 
 use crate::config::RocpandaConfig;
-use crate::server::TenantLane;
-use crate::{PandaClient, PandaServer};
+use crate::server::{PandaServer, TenantLane};
+use crate::PandaClient;
 
 /// One job's admission request.
 #[derive(Debug, Clone, PartialEq)]

@@ -63,20 +63,20 @@ use rocio_core::{
 use crate::view::RecordView;
 
 /// File magic, also used as the trailer sentinel.
-pub const MAGIC: &[u8; 4] = b"RSDF";
+pub(crate) const MAGIC: &[u8; 4] = b"RSDF";
 /// Dataset record marker.
-pub const DS_MARKER: &[u8; 4] = b"DS00";
+pub(crate) const DS_MARKER: &[u8; 4] = b"DS00";
 /// Index marker.
 pub const IDX_MARKER: &[u8; 4] = b"IDX0";
 /// Current format version.
-pub const VERSION: u16 = 1;
+pub(crate) const VERSION: u16 = 1;
 /// Size of the fixed header in bytes.
 pub const HEADER_LEN: usize = 8;
 /// Size of the fixed trailer in bytes.
-pub const TRAILER_LEN: usize = 12;
+pub(crate) const TRAILER_LEN: usize = 12;
 
 /// Name of the per-block metadata dataset within a block's group.
-pub const BLOCK_META: &str = "__meta__";
+pub(crate) const BLOCK_META: &str = "__meta__";
 
 /// Reserved attribute carrying the CRC-32 of a dataset's payload.
 /// Written by the encoder into every record it lays out ([`encode_block`],

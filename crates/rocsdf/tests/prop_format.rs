@@ -143,6 +143,7 @@ proptest! {
         // Must not panic; may Err at open or at the first read.
         if let Ok((r, t)) = SdfFileReader::open(&fs, "cut.sdf", LibraryModel::Raw, 1, 0.0) {
             let _ = r.read_all_blocks(t);
+            let _ = r.read_blocks_sieved(&r.block_ids(), t);
         }
     }
 

@@ -36,7 +36,7 @@ impl SievePlan {
         let mut extents: Vec<(usize, usize)> = ranges
             .iter()
             .filter(|&&(_, len)| len > 0)
-            .map(|&(off, len)| (off, off + len))
+            .map(|&(off, len)| (off, off.saturating_add(len)))
             .collect();
         extents.sort_unstable();
         let mut merged: Vec<(usize, usize)> = Vec::with_capacity(extents.len());
@@ -71,16 +71,6 @@ impl SievePlan {
     pub fn hole_bytes(&self) -> usize {
         self.total_bytes - self.useful_bytes
     }
-
-    /// Fraction of read bytes that are holes, in `[0, 1)`; `0.0` for an
-    /// empty plan.
-    pub fn hole_density(&self) -> f64 {
-        if self.total_bytes == 0 {
-            0.0
-        } else {
-            self.hole_bytes() as f64 / self.total_bytes as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -93,10 +83,20 @@ mod tests {
         assert_eq!(plan.windows, vec![]);
         assert_eq!(plan.useful_bytes, 0);
         assert_eq!(plan.total_bytes, 0);
-        assert_eq!(plan.hole_density(), 0.0);
+        assert_eq!(plan.hole_bytes(), 0);
 
         let plan = SievePlan::build(&[(10, 0), (99, 0)], 64);
         assert_eq!(plan.windows, vec![]);
+    }
+
+    /// A range whose end passes `usize::MAX` (a hostile file index) plans
+    /// to the end of the address space instead of overflowing; the store
+    /// refuses the window when it is read.
+    #[test]
+    fn a_range_past_the_end_of_the_address_space_plans_without_overflow() {
+        let plan = SievePlan::build(&[(usize::MAX - 3, 100), (0, 8)], 64);
+        assert_eq!(plan.windows, vec![(0, 8), (usize::MAX - 3, 3)]);
+        assert_eq!(plan.useful_bytes, 11);
     }
 
     #[test]
