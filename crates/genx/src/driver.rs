@@ -553,10 +553,12 @@ pub fn run_genx_restart(
             crate::setup::SOLID_WINDOW,
             crate::setup::BURN_WINDOW,
         ];
+        // A window's read may be collective (two-phase), so a rank whose
+        // read failed still takes part in the next one; the first failure
+        // is returned after the last.
         let t0 = world.now();
-        for window in windows {
-            io.read_attribute(&mut ws, &AttrSelector::all(window), snap)?;
-        }
+        let reads = windows.map(|window| io.read_attribute(&mut ws, &AttrSelector::all(window), snap));
+        reads.into_iter().try_for_each(|read| read)?;
         let latency = world.now() - t0;
 
         // Partition-independent fingerprint of the restored state.

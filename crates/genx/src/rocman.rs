@@ -326,11 +326,14 @@ impl<'c, 'io> Rocman<'c, 'io> {
         let snap = self.last_snapshot.ok_or_else(|| {
             rocio_core::RocError::InvalidState("no snapshot to restart from".into())
         })?;
+        // A window's read may be collective (two-phase): read them all,
+        // then return the first failure, so no rank is left waiting in a
+        // later one.
         let t0 = self.comm.now();
-        for window in self.window_names() {
-            self.io
-                .read_attribute(fresh, &AttrSelector::all(window), snap)?;
-        }
+        let reads = self.window_names().map(|window| {
+            self.io.read_attribute(fresh, &AttrSelector::all(window), snap)
+        });
+        reads.into_iter().try_for_each(|read| read)?;
         let latency = self.comm.now() - t0;
         if rocobs::enabled() {
             rocobs::record(
@@ -410,6 +413,47 @@ mod tests {
             assert!(*io >= 0.0);
             assert!(ok, "restart must be bit-exact");
             assert!(*rt >= 0.0);
+        }
+    }
+
+    /// A byte flipped in the snapshot a two-phase restart reads back fails
+    /// the restart with an error on the ranks that meet it. Each window is
+    /// a collective read, so the others are not left waiting in the next
+    /// window's (they used to be, and the job ended in a deadlock panic).
+    #[test]
+    fn a_corrupt_two_phase_restart_errors_and_strands_no_rank() {
+        let fs = SharedFs::ideal();
+        let workload = Workload::lab_scale_motor_scaled(5, 0.05);
+        let cfg = RochdfConfig { read_aggregators: 2, ..RochdfConfig::default() };
+        let out = run_ranks(4, ClusterSpec::ideal(4), |comm| {
+            let mine = assign(&workload, comm.size());
+            let windows = || {
+                let mut ws = Windows::new();
+                declare_windows(&mut ws).unwrap();
+                register_and_init(&mut ws, &workload, &mine[comm.rank()]).unwrap();
+                ws
+            };
+            let mut io = IoDispatch::new();
+            io.load_module(Box::new(Rochdf::new(&fs, &comm, cfg.clone()))).unwrap();
+            let mut man = Rocman::new(&comm, windows(), io).unwrap();
+            man.run(2, 2).unwrap();
+            comm.barrier().unwrap();
+            if comm.rank() == 0 {
+                // Flip the middle byte of the last snapshot's largest file.
+                let snap = man.last_snapshot.unwrap();
+                let ours = |p: &String| (0..4).any(|w| rocio_core::is_snapshot_file_of(p, snap, w));
+                let files = fs.list("out/").into_iter().filter(ours);
+                let path = files.max_by_key(|p| fs.file_size(p).unwrap()).unwrap();
+                let at = fs.file_size(&path).unwrap() / 2;
+                let (byte, _) = fs.read_shared(&path, at, 1, 0, 0.0).unwrap();
+                fs.write_at(&path, at, &[!byte[0]], 0, 0.0).unwrap();
+            }
+            comm.barrier().unwrap();
+            man.measure_restart(&mut windows()).err().map(|e| e.to_string())
+        });
+        assert!(out.iter().any(Option::is_some), "the flip went unseen");
+        for e in out.iter().flatten() {
+            assert!(e.contains("checksum"), "{e}");
         }
     }
 

@@ -16,7 +16,24 @@
 //! and the receiver takes the message as the rope it travelled as, so the
 //! datasets it decodes are windows of those same extents — the records
 //! are self-describing, so no re-encode and no copy happens on either
-//! side, and the receiver checks each record's `__crc32__`.
+//! side.
+//!
+//! Each record's `__crc32__` is checked once per file generation, by the
+//! first reader. Before it ships a block, the aggregator asks its reader
+//! whether every record of it is verified in this generation
+//! ([`SdfFileReader::verify_raw`], which checks and flags the records not
+//! yet flagged). A block so verified ships under `TAG_TP_VERIFIED`, and
+//! its receiver walks the headers and checks that each record carries a
+//! `__crc32__` but skips the payload pass; any other block ships under
+//! `TAG_TP_BLOCK` and is checked where it is applied. The aggregator's
+//! own blocks take the same answer. This is sound because a shipped
+//! record is a refcount window of the generation's extents, which the
+//! store freezes; no fault the fabric injects alters bytes (it delivers,
+//! drops, duplicates or reorders a message); and a generation's flags die
+//! with it, since any write to the path starts a new one. So a check of a
+//! flagged record could only pass. A message forged under
+//! `TAG_TP_BLOCK` is still checked. The check is host work: the tag
+//! costs nothing in virtual time, and the message is the same bytes.
 //!
 //! Everything is deterministic: wanted-id lists travel through an
 //! `allgather` (collective, virtual-ordered), files are assigned to
@@ -37,13 +54,18 @@ use rocstore::SharedFs;
 use crate::config::RochdfConfig;
 use roccom::{AttrSelector, Windows};
 
-/// Tag of one redistributed block (header + raw record segments).
+/// Tag of one redistributed block (header + raw record segments) whose
+/// receiver checks every record's `__crc32__`.
 pub(crate) const TAG_TP_BLOCK: u32 = 0x0070_0001;
 /// Tag of an aggregator's per-receiver completion notice (message count).
 pub(crate) const TAG_TP_DONE: u32 = 0x0070_0002;
 /// Tag of the completion notice of an aggregator whose phase one failed:
 /// the message count, then the error text. Never sent on a clean restart.
 pub(crate) const TAG_TP_FAILED: u32 = 0x0070_0003;
+/// Tag of a redistributed block every record of which is verified in its
+/// file generation ([`SdfFileReader::verify_raw`]): the receiver walks its
+/// headers and skips the payload CRC pass.
+pub(crate) const TAG_TP_VERIFIED: u32 = 0x0070_0004;
 
 /// Collective partitioned read: every rank of `comm` calls this with its
 /// own `wanted` block ids; the first `n_aggregators` ranks read the
@@ -148,14 +170,17 @@ pub(crate) fn read_views(
                 for &id in &present {
                     let lens = reader.record_lens(id)?;
                     let records = batch.sub(lens.clone().sum(), "two-phase file domain")?;
+                    let verified = reader.verify_raw(id, &records);
+                    let tag = if verified { TAG_TP_VERIFIED } else { TAG_TP_BLOCK };
                     for dst in wanters(id) {
                         let (lens, mut records) = (lens.clone(), records.clone());
                         if dst == rank {
-                            got.push(BlockView::from_records(id, lens.map(Ok), &mut records)?);
+                            let view = BlockView::from_records(id, lens.map(Ok), &mut records, !verified)?;
+                            got.push(view);
                         } else {
                             let mut msg = Rope::new();
                             BlockView::ship(id, lens, &mut records, &mut msg)?;
-                            comm.send_rope(dst, TAG_TP_BLOCK, msg)?;
+                            comm.send_rope(dst, tag, msg)?;
                             sent[dst] += 1;
                         }
                     }
@@ -209,9 +234,9 @@ pub(crate) fn read_views(
                     });
                 }
             }
-            TAG_TP_BLOCK => {
+            TAG_TP_BLOCK | TAG_TP_VERIFIED => {
                 received += 1;
-                match BlockView::receive(&msg.payload) {
+                match BlockView::receive(&msg.payload, msg.tag == TAG_TP_BLOCK) {
                     Ok(block) => got.push(block),
                     Err(e) => failure = failure.or(Some(e)),
                 }
@@ -469,6 +494,70 @@ mod tests {
         assert!(matches!(&out[3], Err(RocError::Corrupt(m)) if m.contains("checksum")), "{:?}", out[3]);
     }
 
+    /// A two-phase read checks each record's CRC once per file generation:
+    /// the aggregator's first read flags every record it checked, and a
+    /// block whose records are all flagged ships under the verified tag,
+    /// on the first read and every later one. A rewrite starts a
+    /// generation with no flags, and a corrupt block ships under the
+    /// checked tag on every read, so its receiver finds the flip.
+    #[test]
+    fn a_verified_generation_ships_under_the_verified_tag_and_a_corrupt_block_never_does() {
+        let fs = SharedFs::ideal();
+        let all = write_snapshot(&fs, 2, 2);
+        let prefix = RochdfConfig::default().prefix("fluid", SnapshotId::new(0, 0));
+        let ids: Vec<BlockId> = all.iter().map(|b| b.id).collect();
+        // (block, tag) of each block rank 0, the one aggregator, sends rank
+        // 1, a hand-rolled receiver that wants every block.
+        let shipped = || {
+            let mut out = run_ranks(2, ClusterSpec::ideal(2), |comm| {
+                let mut tags = Vec::new();
+                if comm.rank() == 0 {
+                    read_views(&fs, &comm, LibraryModel::hdf4(), &prefix, &[], 1).unwrap();
+                    return tags;
+                }
+                let wanted: Vec<u8> = ids.iter().flat_map(|id| id.0.to_le_bytes()).collect();
+                comm.allgather(&wanted).unwrap();
+                loop {
+                    let msg = comm.recv_rope(Some(0), None).unwrap();
+                    if msg.tag == TAG_TP_DONE {
+                        tags.sort_unstable();
+                        return tags;
+                    }
+                    tags.push((msg.payload.cursor().u64("block id").unwrap(), msg.tag));
+                }
+            });
+            out.swap_remove(1)
+        };
+        // Whether every record under the prefix is flagged in its file's
+        // present generation: a flagged record is not checked again, so
+        // zeros in its place pass.
+        let flagged = || {
+            fs.names(&prefix).iter().all(|path| {
+                let (r, _) = SdfFileReader::open(&fs, path, LibraryModel::hdf4(), 9, 0.0).unwrap();
+                r.block_ids().into_iter().all(|id| {
+                    let zeros = Bytes::from(vec![0u8; r.record_lens(id).unwrap().sum()]);
+                    r.verify_raw(id, &Cursor::from(&zeros))
+                })
+            })
+        };
+        let tagged = |tag_of: &dyn Fn(u64) -> u32| -> Vec<(u64, u32)> {
+            ids.iter().map(|id| (id.0, tag_of(id.0))).collect()
+        };
+        assert!(!flagged(), "nothing is read yet");
+        for read in ["first", "second"] {
+            assert_eq!(shipped(), tagged(&|_| TAG_TP_VERIFIED), "{read} read");
+            assert!(flagged(), "{read} read");
+        }
+        // Block 3 lies in writer 1's file: a flip there is a new
+        // generation, its records unflagged until a read checks them.
+        corrupt_block_on_disk(&fs, 1, 3);
+        assert!(!flagged(), "the rewrite keeps a stale flag");
+        for read in ["first", "second"] {
+            let want = tagged(&|id| if id == 3 { TAG_TP_BLOCK } else { TAG_TP_VERIFIED });
+            assert_eq!(shipped(), want, "{read} read after the flip");
+        }
+    }
+
     /// A block a stale file under the snapshot's prefix holds too arrives
     /// twice — here both copies on rank 0's own file domain. The rank that
     /// wants it refuses the restart instead of restoring whichever copy
@@ -524,11 +613,11 @@ mod tests {
             let (r, t) = open(2);
             let (raw, _) = r.read_blocks_raw(&ids, Fetch::Domain, t).unwrap();
             let (lens, records) = (r.record_lens(block.id).unwrap(), Cursor::new(&raw));
-            let local = BlockView::from_records(block.id, lens.clone().map(Ok), &mut records.clone());
+            let local = BlockView::from_records(block.id, lens.clone().map(Ok), &mut records.clone(), true);
             let local = local.and_then(|v| v.to_block());
             let mut message = Rope::new();
             BlockView::ship(block.id, lens, &mut records.clone(), &mut message).unwrap();
-            let received = BlockView::receive(&message).and_then(|v| v.to_block());
+            let received = BlockView::receive(&message, true).and_then(|v| v.to_block());
             vec![per_range, sieved, local, received]
         };
         // The payload's middle value, split out of its extent.

@@ -831,7 +831,7 @@ mod tests {
         let (records, _) = r.read_blocks_raw(&[id], Fetch::PerRange, t).unwrap();
         let mut shipped = Rope::new();
         BlockView::ship(id, r.record_lens(id).unwrap(), &mut Cursor::new(&records), &mut shipped).unwrap();
-        let got = BlockView::receive(&shipped);
+        let got = BlockView::receive(&shipped, true);
         let named = "dataset 'blk000012/pressure' payload checksum mismatch";
         assert!(matches!(&got, Err(RocError::Corrupt(e)) if e.contains(named)), "{got:?}");
     }

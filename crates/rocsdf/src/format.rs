@@ -39,8 +39,10 @@
 //! strips it, and treats an attribute of that name that is not a CRC-32
 //! as corruption. It is computed once, where the record is encoded
 //! ([`encode_block`]; a pane's mesh image keeps its own), and never on the
-//! way to disk: the rank that applies a block — a restart's owner, a
-//! rebalance's receiver — checks it, so a byte damaged in a server's
+//! way to disk: a reader checks it — a rebalance's receiver, and at
+//! restart the first reader of each file generation's copy (the rank
+//! that applies the block, or the two-phase aggregator that ships it,
+//! [`crate::SdfFileReader::verify_raw`]) — so a byte damaged in a server's
 //! buffer is caught at restart, not sealed in by a checksum computed
 //! after it. The value is on disk in every snapshot ever written, so
 //! it is part of the format: [`crc32`] is free to change *how* it

@@ -26,8 +26,11 @@ struct Entry {
     /// die together when the path is rewritten, so a set flag always
     /// refers to the bytes frozen in the store for that generation — which
     /// is what lets every later read, by this client or another, skip the
-    /// CRC pass (host work only; virtual time is never affected). Set only
-    /// after a successful read of the record.
+    /// CRC pass (host work only; virtual time is never affected): each
+    /// record is checked once per file generation, by the first reader,
+    /// whether that read assembles the block here or is a two-phase
+    /// aggregator's check before it ships the record
+    /// ([`SdfFileReader::verify_raw`]). Set only after a successful check.
     verified: AtomicBool,
 }
 
@@ -412,6 +415,34 @@ impl<'fs> SdfFileReader<'fs> {
         Ok((parts, t))
     }
 
+    /// Whether every record of block `id` is verified in this file
+    /// generation, `records` the cursor at the block's records as
+    /// [`SdfFileReader::read_blocks_raw`] returned them. A record not yet
+    /// flagged is read with its payload CRC checked, and flagged only if
+    /// the read succeeds, as an assembling read flags it; a record that
+    /// fails makes the answer `false`, never an error, and whoever applies
+    /// the block reports the failure.
+    pub fn verify_raw(&self, id: BlockId, records: &Cursor<'_>) -> bool {
+        let Ok(picks) = self.pick(id) else {
+            return false;
+        };
+        let mut records = records.clone();
+        picks.iter().all(|&i| {
+            let entry = &self.meta.entries[i];
+            let Ok(mut record) = records.sub(entry.len as usize, RECORD) else {
+                return false;
+            };
+            if entry.verified.load(Ordering::Relaxed) {
+                return true;
+            }
+            let ok = RecordView::read(&mut record, true).is_ok();
+            if ok {
+                entry.verified.store(true, Ordering::Relaxed);
+            }
+            ok
+        })
+    }
+
     /// The lengths of block `id`'s records, `__meta__` first, as the index
     /// gives them.
     pub fn record_lens(
@@ -668,7 +699,7 @@ mod tests {
     /// What a receiver does with the next block of `read_blocks_raw`.
     fn decode_raw(r: &SdfFileReader, id: BlockId, batch: &mut Cursor) -> DataBlock {
         let lens = r.record_lens(id).unwrap().map(Ok);
-        BlockView::from_records(id, lens, batch).unwrap().to_block().unwrap()
+        BlockView::from_records(id, lens, batch, true).unwrap().to_block().unwrap()
     }
 
     /// The per-record reference every block read is held to: the

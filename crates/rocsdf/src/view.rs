@@ -28,9 +28,16 @@
 //! Rochdf two-phase aggregator, a Rocpanda server — ships the block's file
 //! records as they lie, `__crc32__` included: a message is `[u64 id][u32
 //! n][u64 len]*n` and the `n` records, `__meta__` first; a batch (a
-//! Rocpanda `READ_BATCH`) is a `u32` count and that many messages. The
-//! sender neither parses nor checks a record; the rank that reads the
-//! message checks each `__crc32__`, once, where it applies the block.
+//! Rocpanda `READ_BATCH`) is a `u32` count and that many messages. Every
+//! record must carry a `__crc32__`. A Rochdf two-phase restart checks it
+//! once per file generation, by the first reader: the aggregator checks a
+//! block's records the first time their file generation is read, its
+//! reader flagging them ([`crate::SdfFileReader::verify_raw`]), and says
+//! so in the message's tag; the receiver of a block so verified walks its
+//! headers and skips the payload pass ([`BlockView::receive`] with
+//! `verify_crc` off), and any other block is checked where it is applied.
+//! A Rocpanda server neither parses nor checks a record, so its client
+//! checks every record it applies, on every restart.
 
 use std::borrow::Cow;
 
@@ -65,9 +72,26 @@ impl RecordView {
     /// check [`crate::decode_dataset`] makes, in its order — the header
     /// walk, a payload the input holds, a `__crc32__` that is a CRC-32 and,
     /// with `verify_crc`, matches the payload. Without it no payload is
-    /// read: a forwarded block ([`BlockView::walk`]), or a record the
-    /// reader's open-metadata cache verified in this file generation.
+    /// read: a forwarded block ([`BlockView::walk`]), or a record whose
+    /// copy in this file generation its first reader verified — on a file
+    /// read, in the open-metadata cache's flags; in a two-phase restart,
+    /// by the aggregator that shipped it.
     pub(crate) fn read(cur: &mut Cursor<'_>, verify_crc: bool) -> Result<RecordView> {
+        Ok(RecordView::read_crc(cur, verify_crc)?.0)
+    }
+
+    /// [`RecordView::read`] of a record that travels as it lies — shipped
+    /// to the rank that applies it, or forwarded to a file — and so must
+    /// carry a `__crc32__`, whether this read checks it or not.
+    fn read_carrying_crc(cur: &mut Cursor<'_>, verify_crc: bool) -> Result<RecordView> {
+        match RecordView::read_crc(cur, verify_crc)? {
+            (rec, true) => Ok(rec),
+            (rec, false) => Err(corrupt_block(format!("dataset '{}' carries no {CRC_ATTR}", rec.name()))),
+        }
+    }
+
+    /// [`RecordView::read`], and whether the record carries a `__crc32__`.
+    fn read_crc(cur: &mut Cursor<'_>, verify_crc: bool) -> Result<(RecordView, bool)> {
         let mut at_head = cur.clone();
         let start = cur.pos();
         let mut table = TableFacts { last: [0; 32], last_len: None, ascending: true, crc: None };
@@ -81,7 +105,7 @@ impl RecordView {
                 check_crc(rec.name(), stored, &rec.payload)?;
             }
         }
-        Ok(rec)
+        Ok((rec, table.crc.is_some()))
     }
 
     fn name_len(&self) -> usize {
@@ -247,23 +271,23 @@ impl BlockView {
     /// the block.
     pub fn walk(cur: &mut Cursor<'_>, n_records: usize) -> Result<BlockView> {
         let capacity = n_records.min(cur.remaining() / MIN_RECORD);
-        let read = (0..n_records).map(|_| match RecordView::read(cur, false)? {
-            rec if rec.value(CRC_ATTR).is_some() => Ok(rec),
-            rec => Err(corrupt_block(format!("dataset '{}' carries no {CRC_ATTR}", rec.name()))),
-        });
+        let read = (0..n_records).map(|_| RecordView::read_carrying_crc(cur, false));
         BlockView::assemble(None, capacity, read)
     }
 
     /// Block `id` from its records at the cursor, `__meta__` first, each as
-    /// long as `lens` says, every `__crc32__` verified; the cursor is left
-    /// past the last.
+    /// long as `lens` says and carrying a `__crc32__`, which is checked
+    /// against its payload with `verify_crc`; the cursor is left past the
+    /// last. Pass `false` only for records their file generation's first
+    /// reader verified ([`crate::SdfFileReader::verify_raw`]).
     pub fn from_records(
         id: BlockId,
         lens: impl ExactSizeIterator<Item = Result<usize>>,
         records: &mut Cursor<'_>,
+        verify_crc: bool,
     ) -> Result<BlockView> {
         let n = lens.len();
-        let read = lens.map(|len| RecordView::read(&mut records.sub(len?, BLOCK_MSG)?, true));
+        let read = lens.map(|len| RecordView::read_carrying_crc(&mut records.sub(len?, BLOCK_MSG)?, verify_crc));
         BlockView::assemble(Some(id), n, read)
     }
 
@@ -294,17 +318,19 @@ impl BlockView {
         batch
     }
 
-    /// Read one whole restart message, its records windows of its parts.
-    pub fn receive(msg: &Rope) -> Result<BlockView> {
-        msg.cursor().whole(BLOCK_MSG, read_msg)
+    /// Read one whole restart message, its records windows of its parts,
+    /// each `__crc32__` checked with `verify_crc` ([`BlockView::from_records`]).
+    pub fn receive(msg: &Rope, verify_crc: bool) -> Result<BlockView> {
+        msg.cursor().whole(BLOCK_MSG, |cur| read_msg(cur, verify_crc))
     }
 
-    /// Read one whole batch, handing each block to `apply`; the first
-    /// failure, a block's or `apply`'s, ends the batch and is returned.
+    /// Read one whole batch, every `__crc32__` checked, handing each block
+    /// to `apply`; the first failure, a block's or `apply`'s, ends the
+    /// batch and is returned.
     pub fn receive_batch(batch: &Rope, mut apply: impl FnMut(BlockView) -> Result<()>) -> Result<()> {
         batch.cursor().whole(BLOCK_MSG, |cur| {
             let n = cur.u32(BLOCK_MSG)?;
-            (0..n).try_for_each(|_| apply(read_msg(cur)?))
+            (0..n).try_for_each(|_| apply(read_msg(cur, true)?))
         })
     }
 
@@ -326,13 +352,15 @@ impl BlockView {
 /// What the restart codec calls its messages in errors.
 const BLOCK_MSG: &str = "restart block message";
 
-/// Read the restart message at the cursor, advancing past it. Each record
-/// owes an 8-byte length, so a count the bytes cannot hold sizes nothing.
-fn read_msg(cur: &mut Cursor<'_>) -> Result<BlockView> {
+/// Read the restart message at the cursor, advancing past it, each
+/// `__crc32__` checked with `verify_crc`. Each record owes an 8-byte
+/// length, so a count the bytes cannot hold sizes nothing.
+fn read_msg(cur: &mut Cursor<'_>, verify_crc: bool) -> Result<BlockView> {
     let id = BlockId(cur.u64(BLOCK_MSG)?);
     let n = cur.u32(BLOCK_MSG)? as usize;
     let mut lens = cur.sub(n.saturating_mul(8), BLOCK_MSG)?;
-    BlockView::from_records(id, (0..n).map(|_| Ok(lens.u64(BLOCK_MSG)? as usize)), cur)
+    let lens = (0..n).map(|_| Ok(lens.u64(BLOCK_MSG)? as usize));
+    BlockView::from_records(id, lens, cur, verify_crc)
 }
 
 impl BlockDesc for BlockView {

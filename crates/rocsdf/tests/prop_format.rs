@@ -310,7 +310,10 @@ fn receive_batch(batch: &Rope) -> (Result<(), RocError>, Vec<DataBlock>) {
 fn block_message_round_trips_and_rejects_garbage() {
     let (blocks, each, batch) = shipped().unwrap();
     for (block, image) in blocks.iter().zip(&each) {
-        assert_eq!(&BlockView::receive(&image.clone().into()).unwrap().to_block().unwrap(), block);
+        for verify_crc in [true, false] {
+            let got = BlockView::receive(&image.clone().into(), verify_crc).unwrap();
+            assert_eq!(&got.to_block().unwrap(), block);
+        }
     }
     assert_eq!(receive_batch(&batch.clone().into()), (Ok(()), blocks));
     let empty = BlockView::ship_batch(0, &Rope::new());
@@ -318,7 +321,7 @@ fn block_message_round_trips_and_rejects_garbage() {
     // Truncations and trailing garbage are rejected, never panic.
     let image = &each[0];
     for cut in [0, 4, 11, image.len() - 1] {
-        assert!(BlockView::receive(&image.slice(..cut).into()).is_err(), "cut at {cut}");
+        assert!(BlockView::receive(&image.slice(..cut).into(), true).is_err(), "cut at {cut}");
     }
     for cut in [0, 3, 4, 15, batch.len() - 1] {
         assert!(receive_batch(&batch.slice(..cut).into()).0.is_err(), "batch cut at {cut}");
@@ -327,7 +330,7 @@ fn block_message_round_trips_and_rejects_garbage() {
         let mut extra = image.to_vec();
         extra.push(0);
         let extra = Rope::from(Bytes::from(extra));
-        assert!(matches!(BlockView::receive(&extra), Err(RocError::Corrupt(_))));
+        assert!(matches!(BlockView::receive(&extra, true), Err(RocError::Corrupt(_))));
     }
     // Twelve bytes claiming four billion records (used to ask the
     // allocator for 32 GiB and abort); one record of length u64::MAX (used
@@ -340,7 +343,7 @@ fn block_message_round_trips_and_rejects_garbage() {
     };
     let batch_of = |msg: Vec<u8>| [1u32.to_le_bytes().to_vec(), msg].concat();
     for hostile in [claim(u32::MAX, &[]), claim(1, &[u64::MAX]), claim(2, &[8, u64::MAX - 7])] {
-        let got = BlockView::receive(&Bytes::from(hostile.clone()).into());
+        let got = BlockView::receive(&Bytes::from(hostile.clone()).into(), true);
         assert!(matches!(got, Err(RocError::Corrupt(_))), "{got:?}");
         let (got, _) = receive_batch(&Bytes::from(batch_of(hostile)).into());
         assert!(matches!(got, Err(RocError::Corrupt(_))), "{got:?}");
@@ -377,8 +380,11 @@ proptest! {
             for input in [&junk[..], &mutated, &valid[..at.index(valid.len())]] {
                 let flat = Rope::from(Bytes::copy_from_slice(input));
                 let roped = cut(input, &cuts).0;
-                let (one, one_roped) = (BlockView::receive(&flat), BlockView::receive(&roped));
-                prop_assert_eq!(format!("{one_roped:?}"), format!("{one:?}"));
+                for verify_crc in [true, false] {
+                    let one = BlockView::receive(&flat, verify_crc);
+                    let one_roped = BlockView::receive(&roped, verify_crc);
+                    prop_assert_eq!(format!("{one_roped:?}"), format!("{one:?}"));
+                }
                 let (all, all_roped) = (receive_batch(&flat), receive_batch(&roped));
                 prop_assert_eq!(format!("{all_roped:?}"), format!("{all:?}"));
             }
@@ -397,7 +403,7 @@ proptest! {
         let (flat, sent) = if batch { (whole, &blocks[..]) } else { (each[0].clone(), &blocks[..1]) };
         let decode = |rope: &Rope| match batch {
             true => receive_batch(rope).1,
-            false => vec![BlockView::receive(rope).unwrap().to_block().unwrap()],
+            false => vec![BlockView::receive(rope, true).unwrap().to_block().unwrap()],
         };
         let (rope, at) = cut(&flat, &cuts);
         let decoded = decode(&rope);

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use genx_repro::core::{snapshot_file_name, ArrayData, BlockId, DType, SnapshotId};
+use genx_repro::core::{is_snapshot_file_of, snapshot_file_name, ArrayData, BlockId, DType, SnapshotId};
 use genx_repro::roccom::{AttrSpec, IoService, PaneMesh, Windows};
 use genx_repro::rocnet::cluster::ClusterSpec;
 use genx_repro::rocnet::run_ranks;
@@ -342,4 +342,40 @@ fn the_optimised_dev_profile_still_checks_overflow_and_debug_assertions() {
     assert!(overflow.is_err(), "overflow-checks are off: the add wrapped to {overflow:?}");
     let asserted = std::panic::catch_unwind(|| debug_assert!(std::hint::black_box(false)));
     assert!(asserted.is_err(), "debug-assertions are off");
+}
+
+/// A byte flipped in a snapshot that a two-phase GENx restart reads back
+/// fails the restart with an error. The rank that meets the flip used to
+/// return after that window's drain, stranding every other rank in the
+/// next window's allgather (a deadlock panic, not an error).
+#[test]
+fn a_corrupt_two_phase_genx_restart_errors_instead_of_deadlocking() {
+    use genx_repro::core::RocError;
+    use genx_repro::genx::{final_snapshot, run_genx, run_genx_restart, GenxConfig, IoChoice, WorkloadKind};
+    let fs = Arc::new(SharedFs::ideal());
+    let mut cfg = GenxConfig::new(
+        "tp-corrupt",
+        WorkloadKind::LabScale { seed: 1, scale: 0.05 },
+        IoChoice::Rochdf,
+    );
+    cfg.steps = 2;
+    cfg.snapshot_every = 2;
+    cfg.measure_restart = false;
+    run_genx(ClusterSpec::ideal(8), &fs, &cfg).unwrap();
+    let snap = final_snapshot(&cfg);
+    let path = fs
+        .list(&format!("{}/", cfg.out_dir))
+        .into_iter()
+        .filter(|p| (0..8).any(|w| is_snapshot_file_of(p, snap, w)))
+        .max_by_key(|p| fs.file_size(p).unwrap())
+        .unwrap();
+    let at = fs.file_size(&path).unwrap() / 2;
+    let (byte, _) = fs.read_shared(&path, at, 1, 0, 0.0).unwrap();
+    fs.write_at(&path, at, &[!byte[0]], 0, 0.0).unwrap();
+    cfg.rochdf.read_aggregators = 2;
+    let got = run_genx_restart(ClusterSpec::ideal(6), &fs, &cfg, snap);
+    assert!(
+        matches!(&got, Err(RocError::Corrupt(m) | RocError::Storage(m)) if m.contains("checksum")),
+        "{got:?}"
+    );
 }
